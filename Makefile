@@ -23,7 +23,7 @@ VETTOOL := tools/analyzers/bin/hyperprov-vet
 
 .PHONY: all fmt fmt-check vet vettool analyze lint build test race bench \
 	bench-commit bench-commit-sweep bench-check bench-recovery bench-state \
-	bench-channels cover crash-test cross smoke fuzz test-analyzers
+	bench-channels benchmark-check cover crash-test cross smoke fuzz test-analyzers
 
 all: build test
 
@@ -79,15 +79,26 @@ race:
 
 # Native fuzz targets, $(FUZZTIME) each: the frame reader under hostile
 # bytes (header flag bits included), the checkpoint codec under damaged
-# media, and the block/envelope codec under the bytes gossip frames and v2
-# ledger files deliver. Each run first executes the committed seed corpus.
+# media, the block/envelope codec under the bytes gossip frames and v2
+# ledger files deliver, and identity resolution under arbitrary serialized
+# identities (structured errors, same verdict twice). Each run first executes
+# the committed seed corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrameExt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/network/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) -run '^$$' ./internal/recovery/
 	$(GO) test -fuzz=FuzzDecodeBlockCodec -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore/
+	$(GO) test -fuzz=FuzzDeserialize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/identity/
 
 bench:
 	$(GO) test -bench . -benchtime=500ms -run '^$$' ./...
+
+# The repository benchmark (BENCHMARK.json) is a module of its own that the
+# root `go test ./...` does not descend into: vet and test it against the
+# current internal/ API, then smoke-run all four workloads, untraced and
+# traced, with every assertion on.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
+	bash benchmark/run.sh -check
 
 # The -overhead-guard run doubles as the observability budget check: with
 # metrics + tracing fully enabled, pipelined commit throughput must stay

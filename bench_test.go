@@ -1,8 +1,8 @@
 // Package hyperprov_test holds the top-level benchmark harness: one
 // testing.B benchmark per figure of the paper's evaluation (Figs 1–3) plus
-// the ablations from DESIGN.md. Each benchmark drives the same code path as
-// the corresponding hyperprov-bench experiment; figure-quality tables come
-// from `go run ./cmd/hyperprov-bench` (see EXPERIMENTS.md).
+// the ablations (README "Paper figures & ablations"). Each benchmark drives
+// the same code path as the corresponding hyperprov-bench experiment;
+// figure-quality tables come from `go run ./cmd/hyperprov-bench`.
 //
 // The figure benchmarks run the modeled hardware on a 10x-compressed
 // clock so `go test -bench=.` stays fast; ns/op is therefore modeled

@@ -1,7 +1,8 @@
 // Command hyperprov-bench regenerates the paper's evaluation: one
-// experiment per figure (Figs 1–3) plus the ablations documented in
-// DESIGN.md. Results print as text tables containing the rows each figure
-// plots; all durations and rates are in modeled hardware time.
+// experiment per figure (Figs 1–3) plus the ablations listed in README
+// "Paper figures & ablations". Results print as text tables containing the
+// rows each figure plots; all durations and rates are in modeled hardware
+// time.
 //
 // Usage:
 //

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
+	"github.com/hyperprov/hyperprov/internal/peer"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
@@ -199,4 +201,66 @@ func TestAdminChannelScopedMetrics(t *testing.T) {
 	if len(h.Channels) != 2 || h.Channels[0].Channel != "alpha" || h.Channels[1].Height != 2 {
 		t.Errorf("channel health = %+v", h.Channels)
 	}
+}
+
+// A peer's registry carries its MSP's identity table and signature cache,
+// sampled at scrape time: /metrics answers "is identity resolution warm on
+// this peer" without a debugger.
+func TestAdminExposesIdentityAndSignatureCaches(t *testing.T) {
+	ca, err := identity.NewCA("Org1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	signer, err := ca.Enroll("peer0", identity.RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msp := identity.NewMSP(ca)
+	host, err := peer.NewHost(peer.Config{Name: "peer0", Signer: signer, MSP: msp, Channels: []string{"ch"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(host.Stop)
+	srv, err := New("127.0.0.1:0", Config{Registries: map[string]*metrics.Registry{"": host.Channel("ch").Metrics()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	resolveAndVerify := func() {
+		t.Helper()
+		id, err := msp.Deserialize(signer.Serialize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := []byte("endorsed bytes")
+		sig, err := signer.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := id.VerifyCached(msp.VerifyCache(), msg, sig, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape := func(wants ...string) {
+		t.Helper()
+		_, body := get(t, srv.URL()+"/metrics")
+		for _, want := range wants {
+			if !strings.Contains(body, want+"\n") {
+				t.Errorf("/metrics missing %q\n%s", want, body)
+			}
+		}
+	}
+
+	resolveAndVerify() // cold: one miss, one entry in each cache
+	scrape(
+		"# TYPE identity_cache_hits gauge",
+		"identity_cache_hits 0", "identity_cache_misses 1", "identity_cache_entries 1",
+		"verify_cache_hits 0", "verify_cache_misses 1", "verify_cache_entries 1",
+	)
+	resolveAndVerify() // the identity is interned; the fresh signature is a new triple
+	scrape(
+		"identity_cache_hits 1", "identity_cache_misses 1", "identity_cache_entries 1",
+		"verify_cache_hits 0", "verify_cache_misses 2", "verify_cache_entries 2",
+	)
 }

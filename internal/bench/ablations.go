@@ -11,10 +11,10 @@ import (
 	"github.com/hyperprov/hyperprov/internal/orderer"
 )
 
-// This file implements the ablation experiments from DESIGN.md §4: they
-// probe the design choices the paper makes (block cutting parameters,
-// off-chain vs on-chain payloads, ordering-service resilience) rather than
-// reproducing a specific figure.
+// This file implements the ablation experiments (README "Paper figures &
+// ablations"): they probe the design choices the paper makes (block cutting
+// parameters, off-chain vs on-chain payloads, ordering-service resilience)
+// rather than reproducing a specific figure.
 
 // BatchAblationConfig parameterizes Abl A.
 type BatchAblationConfig struct {

@@ -1,8 +1,8 @@
 // Package bench is the benchmarking harness: the stand-in for the paper's
 // custom NodeJS benchmark program. It provides a latency recorder, a
 // closed-loop load driver, and one experiment definition per figure of the
-// paper's evaluation (plus the ablations listed in DESIGN.md), each
-// emitting the rows the figure plots.
+// paper's evaluation (plus the ablations listed in README "Paper figures &
+// ablations"), each emitting the rows the figure plots.
 package bench
 
 import (

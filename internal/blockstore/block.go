@@ -90,7 +90,7 @@ func (e *Envelope) SignedBytes() []byte {
 	if e.bin != nil {
 		return e.bin[:e.sigOff:e.sigOff]
 	}
-	return appendEnvelopeCore(nil, e)
+	return appendEnvelopeCore(make([]byte, 0, envelopeCoreSize(e)), e)
 }
 
 // Marshal returns the envelope's canonical binary encoding for transport
@@ -100,7 +100,7 @@ func (e *Envelope) Marshal() ([]byte, error) {
 	if e.bin != nil {
 		return e.bin, nil
 	}
-	return appendEnvelope(nil, e), nil
+	return appendEnvelope(make([]byte, 0, envelopeSize(e)), e), nil
 }
 
 // Seal caches the envelope's canonical encoding on the envelope and
@@ -130,7 +130,7 @@ func (e *Envelope) ensureBin() {
 	if e.bin != nil {
 		return
 	}
-	core := appendEnvelopeCore(nil, e)
+	core := appendEnvelopeCore(make([]byte, 0, envelopeSize(e)), e)
 	e.sigOff = len(core)
 	e.bin = codec.AppendBytes(core, e.Signature)
 }

@@ -50,6 +50,31 @@ func appendEnvelopeCore(buf []byte, e *Envelope) []byte {
 	return buf
 }
 
+// envelopeCoreSize and envelopeSize are the exact lengths of
+// appendEnvelopeCore's and appendEnvelope's output, so encoders that start
+// from nothing allocate once, at the final size, instead of growing by
+// doubling — the cached encoding lives as long as the ledger, and spare
+// capacity would live with it.
+func envelopeCoreSize(e *Envelope) int {
+	n := len(envelopeMagic) + 1 + codec.SizeTime(e.Timestamp) +
+		codec.SizeUvarint(uint64(len(e.Args))) + codec.SizeUvarint(uint64(len(e.Endorsements))) +
+		codec.SizeBytes(len(e.TxID)) + codec.SizeBytes(len(e.ChannelID)) +
+		codec.SizeBytes(len(e.Chaincode)) + codec.SizeBytes(len(e.Function)) +
+		codec.SizeBytes(len(e.Creator)) + codec.SizeBytes(len(e.RWSet)) +
+		codec.SizeBytes(len(e.Response)) + codec.SizeBytes(len(e.Events))
+	for _, a := range e.Args {
+		n += codec.SizeBytes(len(a))
+	}
+	for i := range e.Endorsements {
+		n += codec.SizeBytes(len(e.Endorsements[i].Endorser)) + codec.SizeBytes(len(e.Endorsements[i].Signature))
+	}
+	return n
+}
+
+func envelopeSize(e *Envelope) int {
+	return envelopeCoreSize(e) + codec.SizeBytes(len(e.Signature))
+}
+
 // appendEnvelope appends the full envelope encoding: the signing preimage
 // followed by the client signature. It never mutates e.
 func appendEnvelope(buf []byte, e *Envelope) []byte {
@@ -110,7 +135,29 @@ func decodeEnvelope(blob []byte) (Envelope, error) {
 // cached bytes when present), validation codes, and a CRC-32C trailer.
 // It never mutates b, so concurrent readers of a shared block are safe.
 func MarshalBlock(b *Block) []byte {
-	return AppendBlock(nil, b)
+	return AppendBlock(make([]byte, 0, blockSize(b)), b)
+}
+
+// blockSize is the exact length of AppendBlock's output. Clone decodes a
+// block out of its own encoding and the copy aliases that buffer for as long
+// as a peer keeps the block, so the buffer is allocated at its final size.
+func blockSize(b *Block) int {
+	n := len(blockMagic) + 1 + codec.SizeUvarint(b.Header.Number) +
+		codec.SizeBytes(len(b.Header.PreviousHash)) + codec.SizeBytes(len(b.Header.DataHash)) +
+		codec.SizeUvarint(uint64(len(b.Envelopes))) + codec.SizeUvarint(uint64(len(b.TxValidation))) +
+		4 // CRC-32C trailer
+	for i := range b.Envelopes {
+		e := &b.Envelopes[i]
+		if e.bin != nil {
+			n += codec.SizeBytes(len(e.bin))
+		} else {
+			n += codec.SizeBytes(envelopeSize(e))
+		}
+	}
+	for _, c := range b.TxValidation {
+		n += codec.SizeUvarint(uint64(c))
+	}
+	return n
 }
 
 // AppendBlock appends the block encoding to buf (see MarshalBlock); callers

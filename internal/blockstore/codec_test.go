@@ -189,3 +189,43 @@ func TestMarshalBlockDoesNotMutate(t *testing.T) {
 		t.Fatal("MarshalBlock is not deterministic")
 	}
 }
+
+// Encoders that start from nothing allocate their buffer once, at exactly
+// its final size: the bytes outlive the call (cached on envelopes, aliased by
+// cloned blocks), and spare capacity would be retained with them.
+func TestEncodersAllocateExactly(t *testing.T) {
+	big := fullEnvelope("tx-sized")
+	big.Creator = bytes.Repeat([]byte("c"), 700)
+	big.RWSet = bytes.Repeat([]byte("r"), 900)
+	big.Args = [][]byte{bytes.Repeat([]byte("a"), 300)}
+	sealed := big
+	sealed.Seal()
+	blocks := map[string]*Block{
+		"sealed": {
+			Header:       Header{Number: 300, PreviousHash: make([]byte, 32), DataHash: make([]byte, 32)},
+			Envelopes:    []Envelope{sealed, sealed, sealed},
+			TxValidation: []ValidationCode{TxValid, TxMVCCConflict, TxValid},
+		},
+		"unsealed": {Header: Header{Number: 1}, Envelopes: []Envelope{big, fullEnvelope("tx-small")}},
+		"empty":    {},
+	}
+	encoders := map[string]func() []byte{
+		"Envelope.SignedBytes": func() []byte { return big.SignedBytes() },
+		"Envelope.Marshal":     func() []byte { b, _ := big.Marshal(); return b },
+		"Envelope.Seal":        func() []byte { e := big; e.Seal(); return e.bin },
+		"zero Envelope":        func() []byte { b, _ := (&Envelope{}).Marshal(); return b },
+	}
+	for name, blk := range blocks {
+		encoders["MarshalBlock "+name] = func() []byte { return MarshalBlock(blk) }
+	}
+	for name, encode := range encoders {
+		if out := encode(); cap(out) != len(out) {
+			t.Errorf("%s: %d bytes in a buffer of %d, want an exact fit", name, len(out), cap(out))
+		}
+	}
+	for _, name := range []string{"Envelope.SignedBytes", "Envelope.Marshal", "MarshalBlock sealed"} {
+		if allocs := testing.AllocsPerRun(50, func() { encoders[name]() }); allocs != 1 {
+			t.Errorf("%s: %.0f allocations per call, want 1", name, allocs)
+		}
+	}
+}

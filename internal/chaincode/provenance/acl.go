@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"crypto/x509"
 	"encoding/json"
 	"fmt"
 
@@ -11,54 +10,13 @@ import (
 // This file implements the ownership model: every record is bound to the
 // verified wire identity that created it (the paper's "data ownership"
 // field), and only that owner — or an org admin — may update or delete the
-// record. The peer has already verified the client's signature before the
-// chaincode runs, so the creator bytes on the stub are trustworthy.
-
-// clientIdentity is the chaincode-side view of the submitting client,
-// extracted from the serialized identity the peer attached to the stub
-// (the analog of Fabric's client-identity (cid) library).
-type clientIdentity struct {
-	// Subject is the canonical creator string recorded on records.
-	Subject string
-	// Admin reports whether the certificate carries the admin role.
-	Admin bool
-}
-
-// wireIdentity mirrors the serialized-identity wire form.
-type wireIdentity struct {
-	MSPID   string `json:"mspid"`
-	CertDER []byte `json:"certDer"`
-}
-
-// resolveClient extracts the verified identity from the stub. Creators that
-// are not serialized identities (direct-drive tests, legacy callers) are
-// used verbatim as the subject with no admin rights.
-func resolveClient(stub *shim.Stub) clientIdentity {
-	raw := stub.Creator()
-	var wi wireIdentity
-	if err := json.Unmarshal(raw, &wi); err != nil || len(wi.CertDER) == 0 {
-		return clientIdentity{Subject: string(raw)}
-	}
-	cert, err := x509.ParseCertificate(wi.CertDER)
-	if err != nil {
-		return clientIdentity{Subject: string(raw)}
-	}
-	org, ou := "", ""
-	if len(cert.Subject.Organization) > 0 {
-		org = cert.Subject.Organization[0]
-	}
-	if len(cert.Subject.OrganizationalUnit) > 0 {
-		ou = cert.Subject.OrganizationalUnit[0]
-	}
-	return clientIdentity{
-		Subject: fmt.Sprintf("x509::CN=%s,O=%s,OU=%s", cert.Subject.CommonName, org, ou),
-		Admin:   ou == "admin",
-	}
-}
+// record. The peer has already verified the client's signature and resolved
+// its certificate before the chaincode runs; the stub hands that resolution
+// over (shim.Stub.Client), so the chaincode parses nothing.
 
 // authorizeMutation enforces owner-only updates/deletes. existing is the
 // raw current record (nil for a fresh key).
-func authorizeMutation(existing []byte, client clientIdentity) error {
+func authorizeMutation(existing []byte, client shim.ClientIdentity) error {
 	if existing == nil || client.Admin {
 		return nil
 	}

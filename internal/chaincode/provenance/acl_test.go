@@ -11,9 +11,16 @@ import (
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
+// wireClient is a submitting client as the peer presents it to chaincode:
+// the serialized identity plus what the peer's MSP resolved it to.
+type wireClient struct {
+	creator []byte
+	client  shim.ClientIdentity
+}
+
 // invokeAs runs an invocation with a specific creator identity through the
 // fixture's commit path.
-func (l *ledger) invokeAs(creator []byte, fn string, args ...string) shim.Response {
+func (l *ledger) invokeAs(as wireClient, fn string, args ...string) shim.Response {
 	raw := make([][]byte, len(args))
 	for i, a := range args {
 		raw[i] = []byte(a)
@@ -26,7 +33,8 @@ func (l *ledger) invokeAs(creator []byte, fn string, args ...string) shim.Respon
 			ChannelID: "ch",
 			Function:  fn,
 			Args:      raw,
-			Creator:   creator,
+			Creator:   as.creator,
+			Client:    func() shim.ClientIdentity { return as.client },
 			Timestamp: time.Unix(int64(1570000000+l.block), 0).UTC(),
 			State:     l.state,
 			History:   l.history,
@@ -49,13 +57,20 @@ func (l *ledger) invokeAs(creator []byte, fn string, args ...string) shim.Respon
 	})
 }
 
-func enrollWire(t *testing.T, ca *identity.CA, name string, role identity.Role) []byte {
+func enrollWire(t *testing.T, ca *identity.CA, name string, role identity.Role) wireClient {
 	t.Helper()
 	sid, err := ca.Enroll(name, role)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sid.Serialize()
+	id, err := identity.NewMSP(ca).Deserialize(sid.Serialize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wireClient{
+		creator: sid.Serialize(),
+		client:  shim.ClientIdentity{Subject: id.Subject(), Admin: id.Role() == identity.RoleAdmin},
+	}
 }
 
 func TestOwnershipEnforced(t *testing.T) {
@@ -68,12 +83,12 @@ func TestOwnershipEnforced(t *testing.T) {
 	bob := enrollWire(t, ca, "bob", identity.RoleClient)
 	admin := enrollWire(t, ca, "boss", identity.RoleAdmin)
 
-	set := func(creator []byte, key, checksum string) shim.Response {
+	set := func(as wireClient, key, checksum string) shim.Response {
 		in, err := json.Marshal(setArgs{Key: key, Checksum: checksum})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l.invokeAs(creator, FnSet, string(in))
+		return l.invokeAs(as, FnSet, string(in))
 	}
 
 	// Alice creates; Bob may not update or delete; Alice may; admin may.
@@ -126,20 +141,6 @@ func TestOwnerRecordedFromWireIdentity(t *testing.T) {
 	}
 }
 
-func TestResolveClientFallback(t *testing.T) {
-	stub := shim.NewStub(shim.Config{Creator: []byte("plain-string-creator")})
-	ci := resolveClient(stub)
-	if ci.Subject != "plain-string-creator" || ci.Admin {
-		t.Errorf("fallback identity = %+v", ci)
-	}
-	// Valid JSON but no usable cert falls back too.
-	stub2 := shim.NewStub(shim.Config{Creator: []byte(`{"mspid":"x","certDer":"aGk="}`)})
-	ci2 := resolveClient(stub2)
-	if ci2.Admin {
-		t.Error("garbage cert granted admin")
-	}
-}
-
 func TestAuthorizeMutationLegacyRecords(t *testing.T) {
 	// Records written before ownership tracking have no Owner; the Creator
 	// field acts as owner.
@@ -147,16 +148,16 @@ func TestAuthorizeMutationLegacyRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := authorizeMutation(legacy, clientIdentity{Subject: "old-owner"}); err != nil {
+	if err := authorizeMutation(legacy, shim.ClientIdentity{Subject: "old-owner"}); err != nil {
 		t.Errorf("legacy owner rejected: %v", err)
 	}
-	if err := authorizeMutation(legacy, clientIdentity{Subject: "someone-else"}); err == nil {
+	if err := authorizeMutation(legacy, shim.ClientIdentity{Subject: "someone-else"}); err == nil {
 		t.Error("legacy record mutated by non-owner")
 	}
-	if err := authorizeMutation([]byte("corrupt"), clientIdentity{Subject: "x"}); err == nil {
+	if err := authorizeMutation([]byte("corrupt"), shim.ClientIdentity{Subject: "x"}); err == nil {
 		t.Error("corrupt record authorized")
 	}
-	if err := authorizeMutation(nil, clientIdentity{Subject: "anyone"}); err != nil {
+	if err := authorizeMutation(nil, shim.ClientIdentity{Subject: "anyone"}); err != nil {
 		t.Errorf("fresh key rejected: %v", err)
 	}
 }

@@ -187,7 +187,7 @@ func (cc *Chaincode) set(stub *shim.Stub) shim.Response {
 	if err != nil {
 		return shim.Errorf("set: read %q: %v", in.Key, err)
 	}
-	client := resolveClient(stub)
+	client := stub.Client()
 	if err := authorizeMutation(existing, client); err != nil {
 		return shim.Errorf("set: %v", err)
 	}
@@ -437,7 +437,7 @@ func (cc *Chaincode) delete(stub *shim.Stub) shim.Response {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return shim.Errorf("delete: corrupt record: %v", err)
 	}
-	if err := authorizeMutation(raw, resolveClient(stub)); err != nil {
+	if err := authorizeMutation(raw, stub.Client()); err != nil {
 		return shim.Errorf("delete: %v", err)
 	}
 	if err := stub.DelState(args[0]); err != nil {

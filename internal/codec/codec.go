@@ -22,11 +22,13 @@
 package codec
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -92,6 +94,27 @@ func AppendBytes(buf, p []byte) []byte {
 	return append(buf, p...)
 }
 
+// The Size* functions return exactly what the matching Append* function
+// appends, for encoders that allocate their buffer once, at its final size.
+
+// SizeUvarint is the encoded size of AppendUvarint(v).
+func SizeUvarint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// SizeVarint is the encoded size of AppendVarint(v).
+func SizeVarint(v int64) int { return SizeUvarint(uint64(v<<1) ^ uint64(v>>63)) }
+
+// SizeBytes is the encoded size of a length-prefixed byte string (or
+// string) of n bytes.
+func SizeBytes(n int) int { return SizeUvarint(uint64(n)) + n }
+
+// SizeTime is the encoded size of AppendTime(t).
+func SizeTime(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + SizeVarint(t.Unix()) + SizeUvarint(uint64(t.Nanosecond()))
+}
+
 // AppendString appends a length-prefixed string.
 func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -118,6 +141,24 @@ func AppendTime(buf []byte, t time.Time) []byte {
 	buf = append(buf, 1)
 	buf = binary.AppendVarint(buf, t.Unix())
 	return binary.AppendUvarint(buf, uint64(t.Nanosecond()))
+}
+
+// HashFields returns the SHA-256 of the fields, each preceded by its
+// length, so no two distinct field lists collide by sliding bytes across a
+// field boundary. It is the digest behind in-memory identities of multi-field
+// values (signature-cache keys, endorsement result digests); nothing
+// persists it.
+func HashFields(fields ...[]byte) [sha256.Size]byte {
+	h := sha256.New()
+	var n [8]byte
+	for _, f := range fields {
+		binary.BigEndian.PutUint64(n[:], uint64(len(f)))
+		h.Write(n[:])
+		h.Write(f)
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // --- pooled encode buffers --------------------------------------------------

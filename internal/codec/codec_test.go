@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -227,5 +228,41 @@ func TestNormalizeTime(t *testing.T) {
 	again := AppendTime(nil, d.Time())
 	if !bytes.Equal(first, again) {
 		t.Fatal("normalized time not byte-stable across round-trip")
+	}
+}
+
+// Each Size* function returns exactly what its Append* counterpart appends.
+func TestSizesMatchAppends(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 32, math.MaxUint64} {
+		if got, want := SizeUvarint(v), len(AppendUvarint(nil, v)); got != want {
+			t.Errorf("SizeUvarint(%d) = %d, appended %d", v, got, want)
+		}
+	}
+	for _, v := range []int64{0, -1, 63, 64, -64, -65, 200, 500, math.MaxInt64, math.MinInt64} {
+		if got, want := SizeVarint(v), len(AppendVarint(nil, v)); got != want {
+			t.Errorf("SizeVarint(%d) = %d, appended %d", v, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 127, 128, 70000} {
+		if got, want := SizeBytes(n), len(AppendBytes(nil, make([]byte, n))); got != want {
+			t.Errorf("SizeBytes(%d) = %d, appended %d", n, got, want)
+		}
+	}
+	for _, ts := range []time.Time{{}, time.Unix(0, 1), time.Unix(1700000123, 456789), time.Unix(-5, 999999999), time.Now()} {
+		if got, want := SizeTime(ts), len(AppendTime(nil, ts)); got != want {
+			t.Errorf("SizeTime(%v) = %d, appended %d", ts, got, want)
+		}
+	}
+}
+
+func TestHashFieldsRespectsBoundaries(t *testing.T) {
+	if HashFields([]byte("ab"), []byte("c")) == HashFields([]byte("a"), []byte("bc")) {
+		t.Error("fields that concatenate equally share a digest")
+	}
+	if HashFields([]byte("ab"), nil) == HashFields([]byte("ab")) {
+		t.Error("an empty trailing field is invisible")
+	}
+	if HashFields([]byte("ab"), []byte("c")) != HashFields([]byte("ab"), []byte("c")) {
+		t.Error("digest is not deterministic")
 	}
 }

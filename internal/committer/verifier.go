@@ -70,9 +70,13 @@ func (v *EnvelopeVerifier) prevalidate(env *blockstore.Envelope) (blockstore.Val
 	if !ok {
 		return blockstore.TxMalformed, rws
 	}
+	// The reconstructed responses share one backing slice instead of being
+	// a heap object each.
+	backing := make([]endorser.Response, len(env.Endorsements))
 	resps := make([]*endorser.Response, len(env.Endorsements))
 	for j, e := range env.Endorsements {
-		resps[j] = &endorser.Response{
+		resps[j] = &backing[j]
+		backing[j] = endorser.Response{
 			TxID:      env.TxID,
 			Status:    shim.OK,
 			Payload:   env.Response,

@@ -7,6 +7,7 @@
 package endorser
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
@@ -51,7 +52,14 @@ type Proposal struct {
 // SignedBytes returns the bytes covered by the proposal signature: the
 // canonical binary preimage of every field except the signature itself.
 func (p *Proposal) SignedBytes() []byte {
-	buf := make([]byte, 0, 256)
+	size := len(proposalMagic) + 1 + codec.SizeUvarint(uint64(len(p.Args))) + codec.SizeTime(p.Timestamp) +
+		codec.SizeBytes(len(p.TxID)) + codec.SizeBytes(len(p.ChannelID)) +
+		codec.SizeBytes(len(p.Chaincode)) + codec.SizeBytes(len(p.Function)) +
+		codec.SizeBytes(len(p.Creator))
+	for _, a := range p.Args {
+		size += codec.SizeBytes(len(a))
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, proposalMagic...)
 	buf = append(buf, preimageVersion)
 	buf = codec.AppendString(buf, p.TxID)
@@ -96,7 +104,11 @@ type Response struct {
 // endorsers of the same simulation sign identical bytes apart from their
 // own identity binding (identity is included to prevent transplanting).
 func (r *Response) SignedBytes() []byte {
-	buf := make([]byte, 0, 256+len(r.Payload)+len(r.RWSet))
+	size := len(responseMagic) + 1 + codec.SizeVarint(int64(r.Status)) +
+		codec.SizeBytes(len(r.TxID)) + codec.SizeBytes(len(r.Message)) +
+		codec.SizeBytes(len(r.Payload)) + codec.SizeBytes(len(r.RWSet)) +
+		codec.SizeBytes(len(r.Events)) + codec.SizeBytes(len(r.Endorser))
+	buf := make([]byte, 0, size)
 	buf = append(buf, responseMagic...)
 	buf = append(buf, preimageVersion)
 	buf = codec.AppendString(buf, r.TxID)
@@ -212,16 +224,22 @@ func MajorityOrgs(orgs []string) Policy {
 	return OutOf(len(orgs)/2+1, subs...)
 }
 
-// Digest returns the hex digest binding the response's simulated effect
-// (rwset plus payload). All correct endorsers of one proposal produce the
-// same digest.
-func (r *Response) Digest() string {
-	sum := sha256.Sum256(append(append([]byte{}, r.RWSet...), r.Payload...))
-	return hex.EncodeToString(sum[:])
+// Digest binds the response's simulated effect (rwset plus payload); all
+// correct endorsers of one proposal produce the same digest. Each field is
+// length-prefixed before hashing, so two results that split the same bytes
+// differently between rwset and payload do not collide.
+func (r *Response) Digest() [sha256.Size]byte {
+	return codec.HashFields(r.RWSet, r.Payload)
+}
+
+// sameResult reports whether r and o carry the same simulated effect — what
+// equal Digests mean, decided on the bytes themselves.
+func (r *Response) sameResult(o *Response) bool {
+	return bytes.Equal(r.RWSet, o.RWSet) && bytes.Equal(r.Payload, o.Payload)
 }
 
 // VerifyEndorsements verifies every endorsement signature and checks that
-// all endorsements agree on the rwset digest (divergent simulation means a
+// all endorsements agree on the simulated result (divergent simulation means a
 // non-deterministic chaincode or a byzantine peer). It returns the MSP IDs
 // of the endorsing orgs, in response order.
 //
@@ -242,16 +260,12 @@ func VerifyEndorsementsFunc(msp *identity.MSP, responses []*Response, onMiss fun
 		return nil, fmt.Errorf("%w: no endorsements", ErrPolicyNotSatisfied)
 	}
 	orgs := make([]string, 0, len(responses))
-	var digest string
-	for i, r := range responses {
+	for _, r := range responses {
 		id, err := r.verifyCached(msp, onMiss)
 		if err != nil {
 			return nil, err
 		}
-		d := r.Digest()
-		if i == 0 {
-			digest = d
-		} else if d != digest {
+		if !r.sameResult(responses[0]) {
 			return nil, ErrResponseMismatch
 		}
 		orgs = append(orgs, id.MSPID())

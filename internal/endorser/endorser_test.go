@@ -3,6 +3,7 @@ package endorser
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/hyperprov/hyperprov/internal/identity"
 )
@@ -148,5 +149,94 @@ func TestProposalSignedBytesStable(t *testing.T) {
 	p.Function = "get"
 	if string(a) == string(p.SignedBytes()) {
 		t.Error("SignedBytes ignores content")
+	}
+}
+
+// Two results that split the same bytes differently between rwset and payload
+// are different results: the digest and the agreement check both respect the
+// field boundary. sha256(rwset ‖ payload) — the pre-fix formula — cannot tell
+// them apart.
+func TestResultDigestRespectsFieldBoundaries(t *testing.T) {
+	ca, err := identity.NewCA("Org1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msp := identity.NewMSP(ca)
+	p1, err := ca.Enroll("peer1", identity.RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := ca.Enroll("peer2", identity.RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mkResponse(t, p1, []byte("ab"), []byte("c"))
+	b := mkResponse(t, p2, []byte("a"), []byte("bc"))
+	if a.Digest() == b.Digest() {
+		t.Fatal(`("ab","c") and ("a","bc") share a digest`)
+	}
+	if a.Digest() != mkResponse(t, p2, []byte("ab"), []byte("c")).Digest() {
+		t.Fatal("equal results from different endorsers differ in digest")
+	}
+	err = CheckEndorsements(SignedBy("Org1MSP"), msp, []*Response{a, b})
+	if !errors.Is(err, ErrResponseMismatch) {
+		t.Fatalf("err = %v, want ErrResponseMismatch", err)
+	}
+}
+
+// Revocation beats both caches: an endorsement whose endorser identity is
+// interned and whose exact (certificate, message, signature) triple is in the
+// signature cache is still rejected by the commit-time check the moment the
+// endorser is revoked.
+func TestRevokedEndorserRejectedWithWarmCaches(t *testing.T) {
+	ca, err := identity.NewCA("Org1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msp := identity.NewMSP(ca)
+	peer, err := ca.Enroll("peer1", identity.RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := SignedBy("Org1MSP")
+	resps := []*Response{mkResponse(t, peer, []byte("rws"), nil)}
+	for i := 0; i < 2; i++ { // gateway check, then commit check: second is all hits
+		if err := CheckEndorsements(policy, msp, resps); err != nil {
+			t.Fatalf("pass %d: %v", i, err)
+		}
+	}
+	if ids, sigs := msp.IdentityStats(), msp.VerifyCache().Stats(); ids.Hits == 0 || sigs.Hits == 0 {
+		t.Fatalf("caches not warm: identities %+v, signatures %+v", ids, sigs)
+	}
+	ca.Revoke("peer1")
+	if err := CheckEndorsements(policy, msp, resps); !errors.Is(err, identity.ErrRevoked) {
+		t.Fatalf("after revoke: err = %v, want ErrRevoked", err)
+	}
+}
+
+// Signing preimages are allocated once, at exactly their final size, with
+// every field counted.
+func TestSignedBytesAllocateExactly(t *testing.T) {
+	long := func(n int) []byte { return make([]byte, n) }
+	r := &Response{
+		TxID: "tx1", Status: 500, Message: string(long(300)),
+		Payload: long(400), RWSet: long(900), Events: long(350), Endorser: long(700),
+	}
+	p := &Proposal{
+		TxID: "tx1", ChannelID: "ch", Chaincode: "cc", Function: "set",
+		Args: [][]byte{long(500), long(200)}, Creator: long(700), Timestamp: time.Now(),
+	}
+	for name, encode := range map[string]func() []byte{
+		"Response":      r.SignedBytes,
+		"zero Response": (&Response{}).SignedBytes,
+		"Proposal":      p.SignedBytes,
+		"zero Proposal": (&Proposal{}).SignedBytes,
+	} {
+		if out := encode(); cap(out) != len(out) {
+			t.Errorf("%s.SignedBytes: %d bytes in a buffer of %d, want an exact fit", name, len(out), cap(out))
+		}
+		if allocs := testing.AllocsPerRun(50, func() { encode() }); allocs != 1 {
+			t.Errorf("%s.SignedBytes: %.0f allocations, want 1", name, allocs)
+		}
 	}
 }

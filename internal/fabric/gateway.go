@@ -302,11 +302,10 @@ func largestConsistentGroup(resps []*endorser.Response) []*endorser.Response {
 	if len(resps) <= 1 {
 		return resps
 	}
-	groups := make(map[string][]*endorser.Response)
-	order := make([]string, 0, len(resps))
+	groups := make(map[[sha256.Size]byte][]*endorser.Response)
+	order := make([][sha256.Size]byte, 0, len(resps))
 	for _, r := range resps {
-		sum := sha256.Sum256(append(append([]byte{}, r.RWSet...), r.Payload...))
-		key := string(sum[:])
+		key := r.Digest()
 		if _, seen := groups[key]; !seen {
 			order = append(order, key)
 		}

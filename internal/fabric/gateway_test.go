@@ -75,3 +75,16 @@ func TestSubmitReturnsBeforeSlowEndorser(t *testing.T) {
 		t.Errorf("per-peer latency gauges = %d, want >= quorum (3); gauges: %v", fast, gauges)
 	}
 }
+
+// The gateway groups endorsements by endorser.Response.Digest, so results
+// that split the same bytes differently between rwset and payload land in
+// different groups.
+func TestLargestConsistentGroupRespectsFieldBoundaries(t *testing.T) {
+	a := &endorser.Response{RWSet: []byte("ab"), Payload: []byte("c")}
+	b := &endorser.Response{RWSet: []byte("a"), Payload: []byte("bc")}
+	c := &endorser.Response{RWSet: []byte("a"), Payload: []byte("bc")}
+	group := largestConsistentGroup([]*endorser.Response{a, b, c})
+	if len(group) != 2 || group[0] != b || group[1] != c {
+		t.Fatalf("group = %v, want the two (\"a\",\"bc\") responses", group)
+	}
+}

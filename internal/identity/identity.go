@@ -188,14 +188,12 @@ func (ca *CA) Enroll(enrollID string, role Role) (*SigningIdentity, error) {
 		return nil, fmt.Errorf("identity: parse issued cert: %w", err)
 	}
 	ca.issued[enrollID] = true
-	return &SigningIdentity{
-		org:     ca.org,
-		id:      enrollID,
-		role:    role,
-		key:     key,
-		cert:    cert,
-		certDER: der,
-	}, nil
+	pub := newIdentity(cert)
+	wire, err := json.Marshal(serializedIdentity{MSPID: pub.mspID, CertDER: der})
+	if err != nil {
+		return nil, fmt.Errorf("identity: serialize %q: %w", enrollID, err)
+	}
+	return &SigningIdentity{key: key, certDER: der, pub: pub, wire: wire}, nil
 }
 
 // Revoke marks an enrollment id as revoked; subsequently presented
@@ -209,43 +207,60 @@ func (ca *CA) Revoke(enrollID string) {
 // VerifyCert checks that the certificate was issued by this CA, is inside
 // its validity window, and has not been revoked.
 func (ca *CA) VerifyCert(cert *x509.Certificate) error {
+	if err := ca.checkIssued(cert); err != nil {
+		return err
+	}
+	return ca.checkLive(cert.Subject.CommonName, cert.NotBefore, cert.NotAfter)
+}
+
+// checkIssued is the deterministic half of VerifyCert: the CA's signature
+// over exactly these certificate bytes. Its answer never changes, so the MSP
+// asks once per certificate.
+func (ca *CA) checkIssued(cert *x509.Certificate) error {
 	if err := cert.CheckSignatureFrom(ca.cert); err != nil {
 		return fmt.Errorf("%w: %v", ErrCertNotSignedByCA, err)
 	}
+	return nil
+}
+
+// checkLive is the half of VerifyCert whose answer moves with time: the
+// validity window against the CA's clock, and revocation of the enrollment
+// id. The MSP runs it on every resolution, interned or not.
+func (ca *CA) checkLive(enrollID string, notBefore, notAfter time.Time) error {
 	now := ca.now()
-	if now.Before(cert.NotBefore) || now.After(cert.NotAfter) {
+	if now.Before(notBefore) || now.After(notAfter) {
 		return ErrCertExpired
 	}
 	ca.mu.RLock()
-	revoked := ca.revoked[cert.Subject.CommonName]
+	revoked := ca.revoked[enrollID]
 	ca.mu.RUnlock()
 	if revoked {
-		return fmt.Errorf("%w: %q", ErrRevoked, cert.Subject.CommonName)
+		return fmt.Errorf("%w: %q", ErrRevoked, enrollID)
 	}
 	return nil
 }
 
 // SigningIdentity is a private key + certificate pair able to sign messages.
+// Its public half and wire form are fixed at enrollment and shared by every
+// caller.
 type SigningIdentity struct {
-	org     string
-	id      string
-	role    Role
 	key     *ecdsa.PrivateKey
-	cert    *x509.Certificate
 	certDER []byte
+	pub     *Identity
+	wire    []byte
 }
 
 // Org returns the owning organization.
-func (s *SigningIdentity) Org() string { return s.org }
+func (s *SigningIdentity) Org() string { return s.pub.org }
 
 // ID returns the enrollment id (certificate CN).
-func (s *SigningIdentity) ID() string { return s.id }
+func (s *SigningIdentity) ID() string { return s.pub.id }
 
 // Role returns the role baked into the certificate.
-func (s *SigningIdentity) Role() Role { return s.role }
+func (s *SigningIdentity) Role() Role { return s.pub.role }
 
 // MSPID returns the Fabric-style MSP identifier ("Org1MSP" style).
-func (s *SigningIdentity) MSPID() string { return s.org + "MSP" }
+func (s *SigningIdentity) MSPID() string { return s.pub.mspID }
 
 // Sign signs the SHA-256 digest of msg with the identity's private key.
 func (s *SigningIdentity) Sign(msg []byte) ([]byte, error) {
@@ -258,16 +273,13 @@ func (s *SigningIdentity) Sign(msg []byte) ([]byte, error) {
 }
 
 // Serialize returns the wire form of the identity (MSP id + cert DER),
-// matching Fabric's SerializedIdentity proto.
-func (s *SigningIdentity) Serialize() []byte {
-	b, _ := json.Marshal(serializedIdentity{MSPID: s.MSPID(), CertDER: s.certDER})
-	return b
-}
+// matching Fabric's SerializedIdentity proto. The slice is shared — it ends
+// up in every proposal, endorsement and envelope this identity signs — and
+// must not be modified.
+func (s *SigningIdentity) Serialize() []byte { return s.wire }
 
 // Identity returns the public (verification-only) half.
-func (s *SigningIdentity) Identity() *Identity {
-	return &Identity{org: s.org, id: s.id, role: s.role, cert: s.cert, certDER: s.certDER}
-}
+func (s *SigningIdentity) Identity() *Identity { return s.pub }
 
 // CertPEM returns the identity certificate in PEM form; this is what
 // HyperProv stores in each provenance record's creator field.
@@ -280,14 +292,45 @@ type serializedIdentity struct {
 	CertDER []byte `json:"certDer"`
 }
 
-// Identity is the verification-only view of a member: certificate plus
-// parsed org/role attributes.
+// Identity is the verification-only view of a member: what its certificate
+// says, without the certificate. It is immutable, and one value is shared by
+// everything that resolves the same serialized identity through an MSP, so
+// what consumers would otherwise re-derive per use — MSP id, subject string,
+// certificate digest — is computed once, in newIdentity, and the parsed
+// x509 structure (several KiB) is not kept alive.
 type Identity struct {
-	org     string
-	id      string
-	role    Role
-	cert    *x509.Certificate
-	certDER []byte
+	org        string
+	id         string
+	role       Role
+	pub        *ecdsa.PublicKey // nil for a non-ECDSA certificate: nothing verifies
+	notBefore  time.Time
+	notAfter   time.Time
+	mspID      string
+	subject    string
+	certDigest [sha256.Size]byte // of the DER; signature-cache key component
+}
+
+// newIdentity derives the verification-only view of a parsed certificate.
+func newIdentity(cert *x509.Certificate) *Identity {
+	org, ou := "", ""
+	if len(cert.Subject.Organization) > 0 {
+		org = cert.Subject.Organization[0]
+	}
+	if len(cert.Subject.OrganizationalUnit) > 0 {
+		ou = cert.Subject.OrganizationalUnit[0]
+	}
+	pub, _ := cert.PublicKey.(*ecdsa.PublicKey)
+	return &Identity{
+		org:        org,
+		id:         cert.Subject.CommonName,
+		role:       parseRole(ou),
+		pub:        pub,
+		notBefore:  cert.NotBefore,
+		notAfter:   cert.NotAfter,
+		mspID:      org + "MSP",
+		subject:    fmt.Sprintf("x509::CN=%s,O=%s,OU=%s", cert.Subject.CommonName, org, ou),
+		certDigest: sha256.Sum256(cert.Raw),
+	}
 }
 
 // Org returns the owning organization.
@@ -300,29 +343,49 @@ func (id *Identity) ID() string { return id.id }
 func (id *Identity) Role() Role { return id.role }
 
 // MSPID returns the MSP identifier.
-func (id *Identity) MSPID() string { return id.org + "MSP" }
+func (id *Identity) MSPID() string { return id.mspID }
 
 // Verify checks that sig is a valid signature over msg by this identity.
 func (id *Identity) Verify(msg, sig []byte) error {
 	digest := sha256.Sum256(msg)
-	if !ecdsa.VerifyASN1(id.cert.PublicKey.(*ecdsa.PublicKey), digest[:], sig) {
+	if id.pub == nil || !ecdsa.VerifyASN1(id.pub, digest[:], sig) {
 		return ErrBadSignature
 	}
 	return nil
 }
 
 // Subject renders the identity the way HyperProv records it in the creator
-// field of a provenance record.
-func (id *Identity) Subject() string {
-	return fmt.Sprintf("x509::CN=%s,O=%s,OU=%s", id.id, id.org, id.role)
-}
+// and owner fields of a provenance record: the certificate's CN, first O and
+// first OU verbatim (an absent OU renders empty, not as the client role it
+// defaults to).
+func (id *Identity) Subject() string { return id.subject }
+
+// identityTableCap bounds the MSP's table of resolved identities. A channel's
+// members (peers, orderers, clients) number in the tens to hundreds; beyond
+// the bound the least recently used identity is simply parsed again.
+const identityTableCap = 1024
 
 // MSP verifies serialized identities against the set of known org CAs. It is
 // shared by peers, orderers, and clients.
+//
+// Resolved identities are interned: a serialized identity is parsed and its
+// CA signature checked the first time these exact bytes are seen, and later
+// resolutions return the same immutable *Identity after re-running only the
+// checks whose answer moves with time (CA.checkLive). The table is keyed by
+// the SHA-256 of the whole serialized identity, holds successes only — like
+// VerifyCache, so hostile input cannot occupy or poison it — is bounded by
+// identityTableCap, and is dropped whenever the trusted CA set changes.
 type MSP struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	cas    map[string]*CA // org -> CA
+	ids    *lru[[sha256.Size]byte, interned]
 	verify *VerifyCache
+}
+
+// interned is a resolved identity together with the CA that vouched for it.
+type interned struct {
+	id *Identity
+	ca *CA
 }
 
 // NewMSP creates an MSP trusting the given CAs. Every MSP carries a shared
@@ -332,6 +395,7 @@ type MSP struct {
 func NewMSP(cas ...*CA) *MSP {
 	m := &MSP{
 		cas:    make(map[string]*CA, len(cas)),
+		ids:    newLRU[[sha256.Size]byte, interned](identityTableCap, 0),
 		verify: NewVerifyCache(0),
 	}
 	for _, ca := range cas {
@@ -343,17 +407,26 @@ func NewMSP(cas ...*CA) *MSP {
 // VerifyCache returns the MSP's shared signature-verification cache.
 func (m *MSP) VerifyCache() *VerifyCache { return m.verify }
 
-// AddCA registers an additional trusted org CA.
+// IdentityStats returns the identity table's hit/miss counters and size.
+func (m *MSP) IdentityStats() VerifyCacheStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ids.stats()
+}
+
+// AddCA registers an additional trusted org CA, replacing the org's previous
+// one. Identities the previous trust set vouched for are forgotten.
 func (m *MSP) AddCA(ca *CA) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.cas[ca.org] = ca
+	m.ids.clear()
 }
 
 // Orgs lists the trusted organization names.
 func (m *MSP) Orgs() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.cas))
 	for org := range m.cas {
 		out = append(out, org)
@@ -362,43 +435,62 @@ func (m *MSP) Orgs() []string {
 }
 
 // Deserialize parses and verifies a serialized identity: the certificate
-// must chain to a trusted CA and be within validity.
+// must chain to the org's currently trusted CA, be within validity, and not
+// be revoked. The returned Identity is shared and immutable.
 func (m *MSP) Deserialize(raw []byte) (*Identity, error) {
+	key := sha256.Sum256(raw)
+	m.mu.Lock()
+	e, known := m.ids.get(key)
+	m.mu.Unlock()
+	if !known {
+		var err error
+		if e, err = m.resolve(raw); err != nil {
+			return nil, err
+		}
+	}
+	if err := e.ca.checkLive(e.id.id, e.id.notBefore, e.id.notAfter); err != nil {
+		return nil, err
+	}
+	if !known {
+		m.mu.Lock()
+		// AddCA may have replaced the CA since resolve read it; an identity
+		// vouched for by a CA that is no longer trusted must not be stored.
+		if m.cas[e.id.org] == e.ca {
+			m.ids.put(key, e)
+		}
+		m.mu.Unlock()
+	}
+	return e.id, nil
+}
+
+// resolve is the first-sight path: decode, parse, and check the CA's
+// signature over the certificate.
+func (m *MSP) resolve(raw []byte) (interned, error) {
 	var si serializedIdentity
 	if err := json.Unmarshal(raw, &si); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedIdentity, err)
+		return interned{}, fmt.Errorf("%w: %v", ErrMalformedIdentity, err)
 	}
 	cert, err := x509.ParseCertificate(si.CertDER)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedIdentity, err)
+		return interned{}, fmt.Errorf("%w: %v", ErrMalformedIdentity, err)
 	}
-	org := ""
-	if len(cert.Subject.Organization) > 0 {
-		org = cert.Subject.Organization[0]
-	}
-	m.mu.RLock()
-	ca, ok := m.cas[org]
-	m.mu.RUnlock()
+	id := newIdentity(cert)
+	m.mu.Lock()
+	ca, ok := m.cas[id.org]
+	m.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownOrg, org)
+		return interned{}, fmt.Errorf("%w: %q", ErrUnknownOrg, id.org)
 	}
-	if err := ca.VerifyCert(cert); err != nil {
-		return nil, err
+	if err := ca.checkIssued(cert); err != nil {
+		return interned{}, err
 	}
-	return &Identity{
-		org:     org,
-		id:      cert.Subject.CommonName,
-		role:    parseRole(cert),
-		cert:    cert,
-		certDER: si.CertDER,
-	}, nil
+	return interned{id: id, ca: ca}, nil
 }
 
-func parseRole(cert *x509.Certificate) Role {
-	if len(cert.Subject.OrganizationalUnit) == 0 {
-		return RoleClient
-	}
-	switch cert.Subject.OrganizationalUnit[0] {
+// parseRole maps a certificate's first OU to a role; absent and unknown OUs
+// are clients.
+func parseRole(ou string) Role {
+	switch ou {
 	case "peer":
 		return RolePeer
 	case "orderer":

@@ -1,10 +1,10 @@
 package identity
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"sync"
+
+	"github.com/hyperprov/hyperprov/internal/codec"
 )
 
 // DefaultVerifyCacheCap is the entry bound used when a VerifyCache is built
@@ -29,15 +29,12 @@ const DefaultVerifyCacheCap = 16384
 // The zero value is not usable; build with NewVerifyCache. All methods are
 // safe for concurrent use.
 type VerifyCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[[sha256.Size]byte]*list.Element
-	order   *list.List // front = most recently used; values are key arrays
-	hits    uint64
-	misses  uint64
+	mu   sync.Mutex
+	seen *lru[[sha256.Size]byte, struct{}]
 }
 
-// VerifyCacheStats is a snapshot of cache effectiveness counters.
+// VerifyCacheStats is a snapshot of cache effectiveness counters (of the
+// signature cache, and of the MSP's identity table).
 type VerifyCacheStats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -50,41 +47,21 @@ func NewVerifyCache(capacity int) *VerifyCache {
 	if capacity <= 0 {
 		capacity = DefaultVerifyCacheCap
 	}
-	return &VerifyCache{
-		cap:     capacity,
-		entries: make(map[[sha256.Size]byte]*list.Element, capacity),
-		order:   list.New(),
-	}
+	return &VerifyCache{seen: newLRU[[sha256.Size]byte, struct{}](capacity, capacity)}
 }
 
 // verifyKey binds certificate, message, and signature into one cache key.
-// Each field is length-prefixed before hashing so no two distinct triples
-// can collide by sliding bytes across field boundaries.
-func verifyKey(certDER, msg, sig []byte) [sha256.Size]byte {
-	h := sha256.New()
-	var n [8]byte
-	for _, field := range [][]byte{certDER, msg, sig} {
-		binary.BigEndian.PutUint64(n[:], uint64(len(field)))
-		h.Write(n[:])
-		h.Write(field)
-	}
-	var k [sha256.Size]byte
-	h.Sum(k[:0])
-	return k
+// The certificate enters as its SHA-256 digest, computed once per identity.
+func verifyKey(certDigest *[sha256.Size]byte, msg, sig []byte) [sha256.Size]byte {
+	return codec.HashFields(certDigest[:], msg, sig)
 }
 
 // lookup reports whether k is cached, refreshing its recency on hit.
 func (c *VerifyCache) lookup(k [sha256.Size]byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		return false
-	}
-	c.order.MoveToFront(el)
-	c.hits++
-	return true
+	_, ok := c.seen.get(k)
+	return ok
 }
 
 // insert records a successful verification, evicting the least recently
@@ -92,23 +69,14 @@ func (c *VerifyCache) lookup(k [sha256.Size]byte) bool {
 func (c *VerifyCache) insert(k [sha256.Size]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[k] = c.order.PushFront(k)
-	if c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.([sha256.Size]byte))
-	}
+	c.seen.put(k, struct{}{})
 }
 
 // Stats returns a snapshot of the hit/miss counters and current size.
 func (c *VerifyCache) Stats() VerifyCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return VerifyCacheStats{Hits: c.hits, Misses: c.misses, Entries: c.order.Len()}
+	return c.seen.stats()
 }
 
 // VerifyCached checks sig over msg like Verify, consulting the cache first.
@@ -124,7 +92,7 @@ func (id *Identity) VerifyCached(cache *VerifyCache, msg, sig []byte, onMiss fun
 		}
 		return id.Verify(msg, sig)
 	}
-	k := verifyKey(id.certDER, msg, sig)
+	k := verifyKey(&id.certDigest, msg, sig)
 	if cache.lookup(k) {
 		return nil
 	}

@@ -234,6 +234,7 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
+	gaugeFuncs map[string]func() int64
 	histograms map[string]*Histogram
 }
 
@@ -242,6 +243,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
+		gaugeFuncs: make(map[string]func() int64),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -269,6 +271,16 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// GaugeFunc registers a gauge whose level is read from fn each time the
+// registry is snapshotted or scraped — for state that already lives behind
+// its owner's lock (a cache's size and hit counters) and would otherwise be
+// double-booked on the hot path. fn must be safe for concurrent use.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeFuncs[name] = fn
 }
 
 // Histogram returns the histogram with the given name, creating it on
@@ -312,13 +324,22 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// GaugeSnapshot returns the current level of every gauge.
+// GaugeSnapshot returns the current level of every gauge, sampled ones
+// (GaugeFunc) included.
 func (r *Registry) GaugeSnapshot() map[string]int64 {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.gauges))
+	out := make(map[string]int64, len(r.gauges)+len(r.gaugeFuncs))
 	for name, g := range r.gauges {
 		out[name] = g.Value()
+	}
+	funcs := make(map[string]func() int64, len(r.gaugeFuncs))
+	for name, fn := range r.gaugeFuncs {
+		funcs[name] = fn
+	}
+	r.mu.Unlock()
+	// Sampled outside the registry lock: fn takes its owner's lock.
+	for name, fn := range funcs {
+		out[name] = fn()
 	}
 	return out
 }
@@ -518,6 +539,18 @@ const (
 
 // Well-known gauge names.
 const (
+	// IdentityCache* and VerifyCache* sample the MSP's two caches (GaugeFunc):
+	// the table of resolved identities and the signature-verification cache.
+	// Hits and misses are running totals; hits/(hits+misses) near 1 means
+	// identity resolution, respectively signature checking, is warm on this
+	// peer. Entries is the current size, bounded by each cache's capacity.
+	IdentityCacheHits    = "identity_cache_hits"
+	IdentityCacheMisses  = "identity_cache_misses"
+	IdentityCacheEntries = "identity_cache_entries"
+	VerifyCacheHits      = "verify_cache_hits"
+	VerifyCacheMisses    = "verify_cache_misses"
+	VerifyCacheEntries   = "verify_cache_entries"
+
 	// EndorseInflight is the number of endorsement requests currently being
 	// simulated — the endorsement queue depth.
 	EndorseInflight = "endorse_inflight"

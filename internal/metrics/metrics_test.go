@@ -120,3 +120,19 @@ func TestQuickCounterSum(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A GaugeFunc is sampled at every snapshot, next to the set gauges.
+func TestGaugeFuncSampledPerSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge(EndorseInflight).Set(3)
+	level := int64(7)
+	r.GaugeFunc(IdentityCacheEntries, func() int64 { return level })
+	snap := r.GaugeSnapshot()
+	if snap[EndorseInflight] != 3 || snap[IdentityCacheEntries] != 7 {
+		t.Fatalf("snapshot = %v", snap)
+	}
+	level = 9
+	if got := r.GaugeSnapshot()[IdentityCacheEntries]; got != 9 {
+		t.Fatalf("second snapshot = %d, want the live level 9", got)
+	}
+}

@@ -10,11 +10,12 @@ import (
 )
 
 // This file implements a self-contained Raft consensus core used by the
-// Raft ordering service (Abl C in DESIGN.md — resilience of the ordering
-// layer, which Fabric 1.4.1 introduced). It supports leader election, log
-// replication, node crash/restart, and network partitions injected through
-// the cluster router. Snapshots/compaction are out of scope: ordering logs
-// in the experiments are short-lived.
+// Raft ordering service (Abl C in README "Paper figures & ablations" —
+// resilience of the ordering layer, which Fabric 1.4.1 introduced). It
+// supports leader election, log replication, node crash/restart, and
+// network partitions injected through the cluster router.
+// Snapshots/compaction are out of scope: ordering logs in the experiments
+// are short-lived.
 
 type raftRole int
 

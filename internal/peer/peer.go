@@ -384,6 +384,7 @@ func newPeer(cfg Config, state statedb.StateDB, history *historydb.DB, blocks bl
 	if sm, ok := state.(interface{ SetMetrics(*metrics.Registry) }); ok {
 		sm.SetMetrics(p.metrics)
 	}
+	exportCacheStats(p.metrics, p.msp)
 	ccfg := committer.Config{
 		State:   p.state,
 		History: p.history,
@@ -416,6 +417,19 @@ func newPeer(cfg Config, state statedb.StateDB, history *historydb.DB, blocks bl
 	}
 	p.committer = committer.New(ccfg)
 	return p
+}
+
+// exportCacheStats publishes the MSP's identity table and signature cache on
+// reg, sampled at scrape time: "is identity resolution warm on this peer" is
+// answered by /metrics. Peers sharing one MSP report the same numbers.
+func exportCacheStats(reg *metrics.Registry, msp *identity.MSP) {
+	ids, sigs := msp.IdentityStats, msp.VerifyCache().Stats
+	reg.GaugeFunc(metrics.IdentityCacheHits, func() int64 { return int64(ids().Hits) })
+	reg.GaugeFunc(metrics.IdentityCacheMisses, func() int64 { return int64(ids().Misses) })
+	reg.GaugeFunc(metrics.IdentityCacheEntries, func() int64 { return int64(ids().Entries) })
+	reg.GaugeFunc(metrics.VerifyCacheHits, func() int64 { return int64(sigs().Hits) })
+	reg.GaugeFunc(metrics.VerifyCacheMisses, func() int64 { return int64(sigs().Misses) })
+	reg.GaugeFunc(metrics.VerifyCacheEntries, func() int64 { return int64(sigs().Entries) })
 }
 
 // policyFor resolves an installed chaincode's endorsement policy for the
@@ -532,6 +546,11 @@ func proposalWireSize(prop *endorser.Proposal) int {
 	return n
 }
 
+// clientOf is the chaincode-facing view of a resolved creator.
+func clientOf(id *identity.Identity) shim.ClientIdentity {
+	return shim.ClientIdentity{Subject: id.Subject(), Admin: id.Role() == identity.RoleAdmin}
+}
+
 // ProcessProposal verifies the client signature, simulates the chaincode,
 // and returns a signed endorsement. This is the peer half of HyperProv's
 // Post path.
@@ -585,6 +604,7 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 		Function:  prop.Function,
 		Args:      prop.Args,
 		Creator:   prop.Creator,
+		Client:    func() shim.ClientIdentity { return clientOf(clientID) },
 		Timestamp: prop.Timestamp,
 		State:     view,
 		History:   p.history,
@@ -658,6 +678,14 @@ func (p *Peer) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.
 		Function:  fn,
 		Args:      args,
 		Creator:   creator,
+		// Queries are unsigned, so an unresolvable creator is not an error:
+		// the chaincode then sees the bytes verbatim, without admin rights.
+		Client: func() (c shim.ClientIdentity) {
+			if id, err := p.msp.Deserialize(creator); err == nil {
+				c = clientOf(id)
+			}
+			return c
+		},
 		Timestamp: time.Now(),
 		State:     view,
 		History:   p.history,

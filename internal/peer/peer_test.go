@@ -326,3 +326,49 @@ func TestLedgerChainVerifiesAfterCommits(t *testing.T) {
 		t.Errorf("height = %d, want 6", f.peer.Height())
 	}
 }
+
+// The chaincode sees the creator as the peer's MSP resolved it, on the
+// endorsement path and on (unsigned) queries alike: a dry-run update of a
+// record is authorized for its owner, refused for another client, and a
+// creator the MSP does not resolve is nobody in particular.
+func TestChaincodeSeesResolvedClient(t *testing.T) {
+	f := newFixture(t)
+	if code := f.set("owned", "sha256:v1"); code != blockstore.TxValid {
+		t.Fatalf("set validation = %s", code)
+	}
+	qr, err := f.peer.Query(provenance.ChaincodeName, provenance.FnGet,
+		[][]byte{[]byte("owned")}, f.client.Serialize())
+	if err != nil || qr.Status != shim.OK {
+		t.Fatalf("query: %v %+v", err, qr)
+	}
+	var rec provenance.Record
+	if err := json.Unmarshal(qr.Payload, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if want := f.client.Identity().Subject(); rec.Owner != want || rec.Creator != want {
+		t.Fatalf("owner = %q, creator = %q, want %q", rec.Owner, rec.Creator, want)
+	}
+
+	other, err := f.ca.Enroll("client1", identity.RoleClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := [][]byte{[]byte(`{"key":"owned","checksum":"sha256:v2"}`)}
+	for _, tc := range []struct {
+		name    string
+		creator []byte
+		ok      bool
+	}{
+		{"owner", f.client.Serialize(), true},
+		{"another client", other.Serialize(), false},
+		{"unresolvable creator", []byte("x509::CN=client0,O=Org1,OU=client?"), false},
+	} {
+		qr, err := f.peer.Query(provenance.ChaincodeName, provenance.FnSet, update, tc.creator)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := qr.Status == shim.OK; got != tc.ok {
+			t.Errorf("%s: dry-run update status %d (%s), want ok=%v", tc.name, qr.Status, qr.Message, tc.ok)
+		}
+	}
+}

@@ -65,6 +65,17 @@ type HistoryEntry struct {
 	BlockNum  uint64    `json:"blockNum"`
 }
 
+// ClientIdentity is the submitting client as the peer resolved it through its
+// MSP (the analog of Fabric's client-identity library): chaincode reads it
+// instead of parsing the creator certificate itself.
+type ClientIdentity struct {
+	// Subject is the canonical creator string recorded on records
+	// (identity.Identity.Subject).
+	Subject string
+	// Admin reports whether the certificate carries the admin role.
+	Admin bool
+}
+
 // Stub gives one chaincode invocation access to ledger state, identity, and
 // transaction context, recording every access into an rwset.
 type Stub struct {
@@ -73,6 +84,7 @@ type Stub struct {
 	fn        string
 	args      [][]byte
 	creator   []byte
+	client    func() ClientIdentity
 	timestamp time.Time
 
 	state   statedb.StateReader
@@ -92,6 +104,12 @@ type Config struct {
 	Function  string
 	Args      [][]byte
 	Creator   []byte
+	// Client yields the identity the peer's MSP resolves Creator to, asked
+	// only when the chaincode consults it (reads never do). Nil, or a zero
+	// result, when Creator is not a serialized identity the MSP resolves
+	// (direct-drive tests): the stub then presents the creator bytes
+	// verbatim.
+	Client    func() ClientIdentity
 	Timestamp time.Time
 	State     statedb.StateReader
 	History   *historydb.DB
@@ -105,6 +123,7 @@ func NewStub(cfg Config) *Stub {
 		fn:        cfg.Function,
 		args:      cfg.Args,
 		creator:   cfg.Creator,
+		client:    cfg.Client,
 		timestamp: cfg.Timestamp,
 		state:     cfg.State,
 		history:   cfg.History,
@@ -136,6 +155,18 @@ func (s *Stub) StringArgs() []string {
 // Creator returns the serialized identity of the submitting client; this is
 // what HyperProv stores as the provenance record's creator certificate.
 func (s *Stub) Creator() []byte { return s.creator }
+
+// Client returns the verified identity of the submitting client. A creator
+// the peer did not resolve is used verbatim as the subject, with no admin
+// rights.
+func (s *Stub) Client() ClientIdentity {
+	if s.client != nil {
+		if c := s.client(); c.Subject != "" {
+			return c
+		}
+	}
+	return ClientIdentity{Subject: string(s.creator)}
+}
 
 // TxTimestamp returns the client-asserted transaction timestamp.
 func (s *Stub) TxTimestamp() time.Time { return s.timestamp }

@@ -199,3 +199,23 @@ func TestGetStateCopies(t *testing.T) {
 		t.Errorf("stub returned aliased state: %q", again)
 	}
 }
+
+func TestClientFallsBackToVerbatimCreator(t *testing.T) {
+	resolved := NewStub(Config{
+		Creator: []byte("wire bytes"),
+		Client: func() ClientIdentity {
+			return ClientIdentity{Subject: "x509::CN=boss,O=Org1,OU=admin", Admin: true}
+		},
+	})
+	if got := resolved.Client(); got.Subject != "x509::CN=boss,O=Org1,OU=admin" || !got.Admin {
+		t.Errorf("resolved client = %+v", got)
+	}
+	// A creator the peer did not resolve is its own subject and never admin.
+	unresolved := func() ClientIdentity { return ClientIdentity{} }
+	for _, resolve := range []func() ClientIdentity{nil, unresolved} {
+		plain := NewStub(Config{Creator: []byte("plain-string-creator"), Client: resolve})
+		if got := plain.Client(); got.Subject != "plain-string-creator" || got.Admin {
+			t.Errorf("fallback client = %+v", got)
+		}
+	}
+}

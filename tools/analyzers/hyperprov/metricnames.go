@@ -8,8 +8,8 @@ import (
 )
 
 // MetricNames keeps metric cardinality bounded: every name passed to
-// metrics.Registry.Counter/Gauge/Histogram must be a compile-time constant
-// snake_case string. Dynamic names mint a new time series per distinct
+// metrics.Registry.Counter/Gauge/GaugeFunc/Histogram must be a compile-time
+// constant snake_case string. Dynamic names mint a new time series per distinct
 // value and explode the scrape; the one sanctioned dynamic dimension is
 // the PR 8 {channel="..."} label on WritePrometheusLabeled, which attaches
 // a label instead of renaming the family. Pass-through helpers that
@@ -18,7 +18,7 @@ import (
 var MetricNames = &analysis.Analyzer{
 	Name: "metricnames",
 	Doc: "flag non-constant or non-snake_case metric family names passed " +
-		"to metrics.Registry.Counter/Gauge/Histogram; the channel label is " +
+		"to metrics.Registry.Counter/Gauge/GaugeFunc/Histogram; the channel label is " +
 		"the sanctioned dynamic dimension",
 	Run: runMetricNames,
 }
@@ -38,8 +38,8 @@ func runMetricNames(pass *analysis.Pass) error {
 				return true
 			}
 			kind, ok := methodOn(pass.TypesInfo, call, "metrics", "Registry",
-				"Counter", "Gauge", "Histogram")
-			if !ok || len(call.Args) != 1 {
+				"Counter", "Gauge", "GaugeFunc", "Histogram")
+			if !ok || len(call.Args) == 0 {
 				return true
 			}
 			if allow.allowed(pass.Analyzer.Name, call.Pos()) {

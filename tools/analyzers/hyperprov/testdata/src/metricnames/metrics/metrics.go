@@ -11,6 +11,9 @@ func (r *Registry) Counter(name string) *Counter { return &Counter{name: name} }
 // Gauge returns a gauge handle for name.
 func (r *Registry) Gauge(name string) *Gauge { return &Gauge{name: name} }
 
+// GaugeFunc registers a sampled gauge under name.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {}
+
 // Histogram returns a histogram handle for name.
 func (r *Registry) Histogram(name string) *Histogram { return &Histogram{name: name} }
 

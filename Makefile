@@ -3,10 +3,10 @@
 #
 # Static analysis: `make lint` builds tools/analyzers (a separate module,
 # keeping the main go.mod dependency-free) into bin/hyperprov-vet and runs
-# it through `go vet -vettool` — six repo-specific analyzers enforcing the
+# it through `go vet -vettool` — five repo-specific analyzers enforcing the
 # invariants past PRs established (atomic durable writes, structured error
-# codes, no deprecated shims, lock/blocking discipline, constant metric
-# names, deterministic commit-path time). See README "Static analysis &
+# codes, lock/blocking discipline, constant metric names, deterministic
+# commit-path time). See README "Static analysis &
 # enforced invariants" for the table and the suppression directives.
 
 GO ?= go
@@ -43,7 +43,7 @@ vet:
 vettool:
 	cd tools/analyzers && $(GO) build -o bin/hyperprov-vet ./cmd/hyperprov-vet
 
-# Run the six repo-specific analyzers over the whole tree via `go vet`.
+# Run the five repo-specific analyzers over the whole tree via `go vet`.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 
@@ -79,14 +79,16 @@ race:
 
 # Native fuzz targets, $(FUZZTIME) each: the frame reader under hostile
 # bytes (header flag bits included), the checkpoint codec under damaged
-# media, the block/envelope codec under the bytes gossip frames and v2
-# ledger files deliver, and identity resolution under arbitrary serialized
-# identities (structured errors, same verdict twice). Each run first executes
-# the committed seed corpus.
+# media, the block/envelope codec under the bytes gossip frames and ledger
+# files deliver, the rwset codec under the bytes envelopes carry into
+# validation, and identity resolution under arbitrary serialized identities
+# (structured errors, same verdict twice). Each run first executes the
+# committed seed corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrameExt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/network/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) -run '^$$' ./internal/recovery/
 	$(GO) test -fuzz=FuzzDecodeBlockCodec -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore/
+	$(GO) test -fuzz=FuzzUnmarshalRWSet -fuzztime=$(FUZZTIME) -run '^$$' ./internal/rwset/
 	$(GO) test -fuzz=FuzzDeserialize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/identity/
 
 bench:

@@ -88,7 +88,7 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "in -join mode: catch-up deadline")
 	flag.DurationVar(&o.runFor, "run-for", 0, "in -peer-serve/-join mode: keep serving for this duration (default: until SIGINT / immediate exit)")
 	flag.StringVar(&o.admin, "admin", "", "serve the admin endpoint (/metrics, /healthz, /tracez, pprof) on this address, e.g. 127.0.0.1:0")
-	flag.StringVar(&o.channels, "channels", "", "in -peer-serve mode: comma-separated channel IDs to serve (default: the single legacy channel)")
+	flag.StringVar(&o.channels, "channels", "", "in -peer-serve mode: comma-separated channel IDs to serve (default: provchannel)")
 	flag.StringVar(&o.channel, "channel", "", "in -join mode: channel to join (default: the serving host's first channel)")
 	flag.Parse()
 
@@ -214,6 +214,7 @@ func runPeerServe(o options) error {
 		cfg.PeerListenAddrs = strings.Split(o.peerListen, ",")
 	}
 	if o.channels != "" {
+		cfg.Channels = nil
 		for _, ch := range strings.Split(o.channels, ",") {
 			cfg.Channels = append(cfg.Channels, fabric.ChannelConfig{ID: strings.TrimSpace(ch)})
 		}

@@ -14,14 +14,9 @@
 // replay), and shows that state, history, and rich-query indexes came back
 // to the exact pre-crash fingerprint:
 //
-// The migrate-ledger subcommand converts a peer data directory's block
-// files from the legacy JSONL format to the v2 binary record format, in
-// place and atomically (temp file + fsync + rename per ledger):
-//
 //	hyperprov [-rpi] [-items N] [-payload BYTES]
 //	hyperprov query [-selector JSON]
 //	hyperprov recover [-dir PATH] [-blocks N]
-//	hyperprov migrate-ledger -dir PATH
 package main
 
 import (
@@ -58,16 +53,6 @@ func main() {
 		_ = fs.Parse(os.Args[2:])
 		if err := runRecover(*dir, *blocks); err != nil {
 			fmt.Fprintln(os.Stderr, "hyperprov recover:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "migrate-ledger" {
-		fs := flag.NewFlagSet("migrate-ledger", flag.ExitOnError)
-		dir := fs.String("dir", "", "peer data directory holding the block files")
-		_ = fs.Parse(os.Args[2:])
-		if err := runMigrateLedger(*dir); err != nil {
-			fmt.Fprintln(os.Stderr, "hyperprov migrate-ledger:", err)
 			os.Exit(1)
 		}
 		return

@@ -135,6 +135,9 @@ func (r RecoveryBenchResult) WriteJSON(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
+// recoveryChannel is the channel whose ledger the experiment seeds and reopens.
+const recoveryChannel = "bench"
+
 // seedRecoveryLedger populates dataDir with a committed chain of n blocks,
 // taking checkpoints on the configured interval, and crashes without a
 // final checkpoint — so every cold open below finds a realistic tail to
@@ -144,7 +147,7 @@ func seedRecoveryLedger(cfg RecoveryBenchConfig, dataDir string, n int) (string,
 		return "", 0, err
 	}
 	blocks, err := blockstore.OpenFileStoreWithPolicy(
-		recovery.BlockFilePath(dataDir), blockstore.SyncOnClose)
+		recovery.BlockFilePath(dataDir, recoveryChannel), blockstore.SyncOnClose)
 	if err != nil {
 		return "", 0, err
 	}
@@ -154,7 +157,7 @@ func seedRecoveryLedger(cfg RecoveryBenchConfig, dataDir string, n int) (string,
 		return "", 0, err
 	}
 	history := historydb.New()
-	mgr := recovery.NewManager(dataDir, recovery.DefaultKeep, state, history, blocks)
+	mgr := recovery.NewManager(dataDir, recoveryChannel, recovery.DefaultKeep, state, history, blocks)
 
 	tx := 0
 	write := 0
@@ -190,7 +193,7 @@ func seedRecoveryLedger(cfg RecoveryBenchConfig, dataDir string, n int) (string,
 				return "", 0, err
 			}
 			envs[i] = blockstore.Envelope{
-				TxID: fmt.Sprintf("tx-%08d", tx), ChannelID: "bench", Chaincode: "bench",
+				TxID: fmt.Sprintf("tx-%08d", tx), ChannelID: recoveryChannel, Chaincode: "bench",
 				Timestamp: time.Unix(1700000000, 0).UTC(), RWSet: raw,
 			}
 			tx++
@@ -259,7 +262,7 @@ func (ot openTiming) totalMs() float64 {
 // billed to the next run's timings.
 func timeOpen(dataDir, wantFP string, fromGenesis bool) (openTiming, error) {
 	runtime.GC()
-	opened, err := recovery.Open(dataDir, recovery.Options{FromGenesis: fromGenesis})
+	opened, err := recovery.Open(dataDir, recovery.Options{Channel: recoveryChannel, FromGenesis: fromGenesis})
 	if err != nil {
 		return openTiming{}, err
 	}

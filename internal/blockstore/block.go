@@ -8,7 +8,6 @@ package blockstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -74,7 +73,7 @@ type Envelope struct {
 
 	// bin is the cached canonical encoding (appendEnvelope layout); sigOff
 	// is the length of its signing-preimage prefix. Populated only by code
-	// that exclusively owns the envelope (NewBlock, decode, legacy ingest),
+	// that exclusively owns the envelope (NewBlock, Seal, decode),
 	// never lazily on shared envelopes — that keeps concurrent readers
 	// race-free.
 	bin    []byte
@@ -135,34 +134,13 @@ func (e *Envelope) ensureBin() {
 	e.bin = codec.AppendBytes(core, e.Signature)
 }
 
-// UnmarshalEnvelope decodes an envelope produced by Marshal. Legacy JSON
-// envelopes (PR ≤ 9 wire/ledger format) are recognized by their '{' first
-// byte and ingested transparently: timestamps are normalized to the
-// codec's UTC wall-clock form and the canonical binary encoding is cached
-// eagerly, so a legacy envelope behaves identically from then on.
+// UnmarshalEnvelope decodes an envelope produced by Marshal.
 func UnmarshalEnvelope(b []byte) (*Envelope, error) {
-	if len(b) > 0 && b[0] == '{' {
-		var e Envelope
-		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("blockstore: unmarshal envelope: %w", err)
-		}
-		e.normalizeLegacy()
-		return &e, nil
-	}
 	e, err := decodeEnvelope(b)
 	if err != nil {
 		return nil, err
 	}
 	return &e, nil
-}
-
-// normalizeLegacy maps a JSON-decoded envelope onto the exact value its
-// binary encoding round-trips to and caches that encoding. Only legacy
-// ingest paths (JSON ledger open, JSON envelope decode) call it, always on
-// freshly-decoded envelopes they own.
-func (e *Envelope) normalizeLegacy() {
-	e.Timestamp = codec.NormalizeTime(e.Timestamp)
-	e.ensureBin()
 }
 
 // Header is a block header; headers form the hash chain.

@@ -2,7 +2,6 @@ package blockstore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -95,33 +94,6 @@ func TestSignedBytesPrefixProperty(t *testing.T) {
 	}
 	if !bytes.Equal(dec.SignedBytes(), fresh) {
 		t.Fatal("decoded SignedBytes differs from fresh encoding")
-	}
-}
-
-// TestLegacyJSONEnvelopeIngest verifies the '{' sniff path: a JSON
-// envelope decodes, is normalized, and from then on behaves canonically.
-func TestLegacyJSONEnvelopeIngest(t *testing.T) {
-	e := fullEnvelope("tx-legacy")
-	legacy, err := json.Marshal(&e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalEnvelope(legacy)
-	if err != nil {
-		t.Fatalf("legacy ingest: %v", err)
-	}
-	if got.TxID != e.TxID || !got.Timestamp.Equal(e.Timestamp) {
-		t.Fatalf("legacy fields mismatch: %+v", got)
-	}
-	// The ingested envelope's Marshal must be the canonical binary form,
-	// not an echo of the JSON input.
-	raw, _ := got.Marshal()
-	if len(raw) == 0 || raw[0] == '{' {
-		t.Fatal("legacy ingest did not re-encode to binary")
-	}
-	rt, err := UnmarshalEnvelope(raw)
-	if err != nil || rt.TxID != e.TxID {
-		t.Fatalf("binary round-trip after ingest: %v", err)
 	}
 }
 

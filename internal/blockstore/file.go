@@ -4,39 +4,24 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
 )
 
 // ErrCorruptFile is returned when the block file is damaged in a way a
-// crash cannot explain: an unparseable line with more data after it, or a
-// parseable block that breaks the hash chain. A crash during append can only
+// crash cannot explain: an undecodable record with more data after it, or a
+// decodable block that breaks the hash chain. A crash during append can only
 // tear the final record; anything else is bit rot or tampering and must not
 // be silently truncated away.
 var ErrCorruptFile = errors.New("blockstore: block file corrupt")
 
-// fileFormat identifies a block file's on-disk encoding. New files are v2
-// binary; files that already hold legacy JSONL data keep appending JSONL,
-// so a half-migrated deployment never mixes record formats in one file.
-type fileFormat int
-
-const (
-	// FormatV2 is the binary format: records of v2Magic + uvarint length +
-	// a canonical block encoding (itself CRC-32C framed).
-	formatV2 fileFormat = iota
-	// FormatJSONL is the legacy PR ≤ 9 format: one JSON block per line.
-	formatJSONL
-)
-
-// v2Magic opens every v2 block-file record. The trailing '2' doubles as
-// the format sniff byte distinguishing v2 files from legacy JSONL ('{').
+// v2Magic opens every block-file record: v2Magic + uvarint length + a
+// canonical block encoding (itself CRC-32C framed).
 var v2Magic = []byte("HPB2")
 
 // maxV2Record bounds a record's announced length; anything larger is
@@ -61,9 +46,7 @@ const (
 
 // FileStore is a block store backed by an append-only file of encoded
 // blocks, giving a peer's ledger copy durability across restarts — the
-// role of Fabric's block files on each peer's disk. New files use the v2
-// binary record format; legacy JSONL files open transparently and keep
-// appending JSONL until migrated (MigrateFileToV2).
+// role of Fabric's block files on each peer's disk.
 type FileStore struct {
 	mu     sync.Mutex
 	mem    *Store
@@ -71,7 +54,6 @@ type FileStore struct {
 	w      *bufio.Writer
 	path   string
 	policy SyncPolicy
-	format fileFormat
 }
 
 // OpenFileStore opens (or creates) the block file at path with the default
@@ -81,61 +63,26 @@ func OpenFileStore(path string) (*FileStore, error) {
 }
 
 // OpenFileStoreWithPolicy opens (or creates) the block file at path and
-// loads all existing blocks, re-verifying the hash chain as it goes. The
-// format is sniffed from the first byte — '{' is a legacy JSONL ledger,
-// 'H' (the v2 record magic) is binary; empty files start v2. A truncated
-// final record (crash during append) is discarded so the store recovers to
-// the last durable block; damage anywhere before the final record — or a
-// final record that parses but breaks the chain — is corruption and fails
-// the open with ErrCorruptFile.
+// loads all existing blocks, re-verifying the hash chain as it goes. A
+// truncated final record (crash during append) is discarded so the store
+// recovers to the last durable block; damage anywhere before the final
+// record, a final record that parses but breaks the chain, or a file that
+// does not begin with the record magic is corruption and fails the open
+// with ErrCorruptFile, leaving the file untouched.
 func OpenFileStoreWithPolicy(path string, policy SyncPolicy) (*FileStore, error) {
-	return openFileStore(path, policy, formatV2)
-}
-
-// OpenFileStoreLegacy opens (or creates) the block file at path forcing
-// the legacy JSONL line format for new files; existing files keep the
-// format they already have. It exists for compatibility tests and for
-// producing fixtures the migration path consumes — production ledgers
-// default to v2 via OpenFileStoreWithPolicy.
-func OpenFileStoreLegacy(path string, policy SyncPolicy) (*FileStore, error) {
-	return openFileStore(path, policy, formatJSONL)
-}
-
-func openFileStore(path string, policy SyncPolicy, newFormat fileFormat) (*FileStore, error) {
 	mem := NewStore()
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: open %s: %w", path, err)
 	}
 	// The store mirrors every block in memory anyway, so loading the raw
-	// bytes up front costs nothing extra and gives exact byte offsets —
-	// Truncate below must never extend the file (a crash that tears only
-	// the final newline would otherwise grow it by a junk byte).
+	// bytes up front costs nothing extra and gives exact byte offsets.
 	raw, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("blockstore: read %s: %w", path, err)
 	}
-	format := newFormat // empty files take the requested format
-	if len(raw) > 0 {
-		switch {
-		case raw[0] == '{':
-			format = formatJSONL
-		case raw[0] == v2Magic[0]:
-			format = formatV2
-		default:
-			f.Close()
-			return nil, fmt.Errorf("%w: %s: unrecognized format byte %#x",
-				ErrCorruptFile, path, raw[0])
-		}
-	}
-	var validBytes int64
-	var needNewline bool
-	if format == formatJSONL {
-		validBytes, needNewline, err = loadJSONL(raw, mem, path)
-	} else {
-		validBytes, err = loadV2(raw, mem, path)
-	}
+	validBytes, err := loadV2(raw, mem, path)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -149,64 +96,7 @@ func openFileStore(path string, policy SyncPolicy, newFormat fileFormat) (*FileS
 		f.Close()
 		return nil, fmt.Errorf("blockstore: seek %s: %w", path, err)
 	}
-	s := &FileStore{mem: mem, f: f, w: bufio.NewWriter(f), path: path, policy: policy, format: format}
-	if needNewline {
-		if err := s.w.WriteByte('\n'); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("blockstore: reterminate %s: %w", path, err)
-		}
-		if err := s.w.Flush(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("blockstore: reterminate %s: %w", path, err)
-		}
-	}
-	return s, nil
-}
-
-// loadJSONL replays a legacy JSONL ledger into mem. It returns the byte
-// count of the valid prefix and whether the final line was valid but lost
-// its newline (the caller re-terminates before future appends).
-func loadJSONL(raw []byte, mem *Store, path string) (validBytes int64, needNewline bool, err error) {
-	for off := 0; off < len(raw); {
-		line := raw[off:]
-		terminated := false
-		if i := bytes.IndexByte(line, '\n'); i >= 0 {
-			line, terminated = line[:i], true
-		}
-		var b Block
-		if err := json.Unmarshal(line, &b); err != nil {
-			// Only a torn final line (crash mid-append) may fail to parse.
-			// Anything after it — or a blank line, which appends never
-			// produce — means a damaged middle line: truncating would
-			// silently discard the valid blocks that follow.
-			if terminated || len(line) == 0 {
-				return 0, false, fmt.Errorf("%w: %s: unparseable line after %d blocks",
-					ErrCorruptFile, path, mem.Height())
-			}
-			break // torn tail: keep the valid prefix
-		}
-		// Legacy ingest: normalize timestamps onto the codec's canonical
-		// form and cache each envelope's binary encoding eagerly, while the
-		// block is still exclusively owned by this loader — the envelopes
-		// behave identically to binary-decoded ones from here on.
-		for i := range b.Envelopes {
-			b.Envelopes[i].normalizeLegacy()
-		}
-		if err := mem.Append(&b); err != nil {
-			return 0, false, fmt.Errorf("%w: %s at block %d: %v",
-				ErrCorruptFile, path, b.Header.Number, err)
-		}
-		if terminated {
-			off += len(line) + 1
-		} else {
-			// The block is durable but the crash tore its newline; keep it
-			// and re-terminate the line before any future append.
-			off += len(line)
-			needNewline = true
-		}
-		validBytes = int64(off)
-	}
-	return validBytes, needNewline, nil
+	return &FileStore{mem: mem, f: f, w: bufio.NewWriter(f), path: path, policy: policy}, nil
 }
 
 // v2 record parse outcomes.
@@ -249,10 +139,10 @@ func parseV2Record(rest []byte) (blob []byte, total int, status recStatus) {
 }
 
 // loadV2 replays a v2 binary ledger into mem, returning the byte count of
-// the valid prefix. Crash semantics mirror the JSONL loader: only the
-// final record may be torn (including a zero-filled tail, which crashed
-// filesystems can leave behind); a bad magic mid-file, a CRC failure on a
-// complete record, or a chain break is corruption.
+// the valid prefix. Only the final record may be torn (including a
+// zero-filled tail, which crashed filesystems can leave behind); a bad
+// magic at a record boundary, a CRC failure on a complete record, or a
+// chain break is corruption.
 func loadV2(raw []byte, mem *Store, path string) (validBytes int64, err error) {
 	for off := 0; off < len(raw); {
 		rest := raw[off:]
@@ -298,7 +188,7 @@ func allZero(p []byte) bool {
 }
 
 // Append validates and appends the block, then persists it according to the
-// store's sync policy. On v2 files the block encodes into a pooled buffer
+// store's sync policy. The block encodes into a pooled buffer
 // (reusing each envelope's cached canonical bytes), so the steady-state
 // append path allocates no per-block encode scratch.
 func (s *FileStore) Append(b *Block) error {
@@ -307,33 +197,20 @@ func (s *FileStore) Append(b *Block) error {
 	if err := s.mem.Append(b); err != nil {
 		return err
 	}
-	if s.format == formatJSONL {
-		line, err := json.Marshal(b)
-		if err != nil {
-			return fmt.Errorf("blockstore: marshal block %d: %w", b.Header.Number, err)
-		}
-		if _, err := s.w.Write(line); err != nil {
-			return fmt.Errorf("blockstore: append %s: %w", s.path, err)
-		}
-		if err := s.w.WriteByte('\n'); err != nil {
-			return fmt.Errorf("blockstore: append %s: %w", s.path, err)
-		}
-	} else {
-		buf := codec.GetBuffer()
-		buf.B = AppendBlock(buf.B, b)
-		var hdr [len("HPB2") + binary.MaxVarintLen64]byte
-		n := copy(hdr[:], v2Magic)
-		n += binary.PutUvarint(hdr[n:], uint64(len(buf.B)))
-		if _, err := s.w.Write(hdr[:n]); err != nil {
-			buf.Release()
-			return fmt.Errorf("blockstore: append %s: %w", s.path, err)
-		}
-		if _, err := s.w.Write(buf.B); err != nil {
-			buf.Release()
-			return fmt.Errorf("blockstore: append %s: %w", s.path, err)
-		}
+	buf := codec.GetBuffer()
+	buf.B = AppendBlock(buf.B, b)
+	var hdr [len("HPB2") + binary.MaxVarintLen64]byte
+	n := copy(hdr[:], v2Magic)
+	n += binary.PutUvarint(hdr[n:], uint64(len(buf.B)))
+	if _, err := s.w.Write(hdr[:n]); err != nil {
 		buf.Release()
+		return fmt.Errorf("blockstore: append %s: %w", s.path, err)
 	}
+	if _, err := s.w.Write(buf.B); err != nil {
+		buf.Release()
+		return fmt.Errorf("blockstore: append %s: %w", s.path, err)
+	}
+	buf.Release()
 	if err := s.w.Flush(); err != nil {
 		return fmt.Errorf("blockstore: flush %s: %w", s.path, err)
 	}
@@ -343,80 +220,6 @@ func (s *FileStore) Append(b *Block) error {
 		}
 	}
 	return nil
-}
-
-// MigrateFileToV2 converts the legacy JSONL ledger at path to the v2
-// binary format in place. Already-v2 (or empty) files are left untouched
-// and report migrated=false. The conversion opens and fully verifies the
-// ledger, writes the v2 records to a temp file in the same directory,
-// fsyncs it, renames it over the original, and fsyncs the directory — a
-// crash at any point leaves either the old JSONL file or the complete v2
-// file behind the name, never a mix. The file keeps its historical
-// `blocks-<ch>.jsonl` name; the format lives in the content, not the
-// extension.
-func MigrateFileToV2(path string) (migrated bool, err error) {
-	src, err := OpenFileStore(path)
-	if err != nil {
-		return false, err
-	}
-	if src.format == formatV2 || src.Height() == 0 {
-		return false, src.Close()
-	}
-	blocks := src.BlocksFrom(0)
-	if err := src.Close(); err != nil {
-		return false, fmt.Errorf("blockstore: migrate %s: close source: %w", path, err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".migrate-*.tmp")
-	if err != nil {
-		return false, fmt.Errorf("blockstore: migrate %s: temp file: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	w := bufio.NewWriter(tmp)
-	buf := codec.GetBuffer()
-	defer buf.Release()
-	for _, b := range blocks {
-		buf.B = AppendBlock(buf.B[:0], b)
-		var hdr [len("HPB2") + binary.MaxVarintLen64]byte
-		n := copy(hdr[:], v2Magic)
-		n += binary.PutUvarint(hdr[n:], uint64(len(buf.B)))
-		if _, err := w.Write(hdr[:n]); err != nil {
-			cleanup()
-			return false, fmt.Errorf("blockstore: migrate %s: %w", path, err)
-		}
-		if _, err := w.Write(buf.B); err != nil {
-			cleanup()
-			return false, fmt.Errorf("blockstore: migrate %s: %w", path, err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		cleanup()
-		return false, fmt.Errorf("blockstore: migrate %s: flush: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return false, fmt.Errorf("blockstore: migrate %s: sync: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("blockstore: migrate %s: close: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("blockstore: migrate %s: publish: %w", path, err)
-	}
-	syncDir(dir)
-	return true, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-// Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }
 
 // Sync flushes buffered writes to stable storage.
@@ -455,15 +258,6 @@ func (s *FileStore) CloseNoFlush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.f.Close()
-}
-
-// Format reports the file's on-disk encoding: "v2" for the binary record
-// format, "jsonl" for a legacy line-oriented ledger.
-func (s *FileStore) Format() string {
-	if s.format == formatJSONL {
-		return "jsonl"
-	}
-	return "v2"
 }
 
 // Height returns the number of persisted blocks.

@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -22,15 +23,29 @@ func fillFileStore(t *testing.T, s *FileStore, from, n int) {
 	}
 }
 
-func TestFileStorePersistsAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
+// writeChain creates a closed ledger of n blocks and returns its path.
+func writeChain(t *testing.T, n int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "chain.hpb")
 	s, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillFileStore(t, s, 0, 5)
+	fillFileStore(t, s, 0, n)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	return path
+}
+
+func TestFileStorePersistsAcrossReopen(t *testing.T) {
+	path := writeChain(t, 5)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, v2Magic) {
+		t.Fatalf("ledger does not start with record magic: %q", raw[:8])
 	}
 
 	s2, err := OpenFileStore(path)
@@ -55,36 +70,25 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestFileStoreDiscardsTruncatedTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
+func TestFileStoreDiscardsTornTail(t *testing.T) {
+	path := writeChain(t, 3)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillFileStore(t, s, 0, 3)
-	if err := s.Close(); err != nil {
+	// Tear the final record mid-body (crash during append).
+	if err := os.Truncate(path, fi.Size()-7); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a partial JSON line at the tail.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"header":{"number":3,"previo`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
 	s2, err := OpenFileStore(path)
 	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
+		t.Fatalf("reopen after torn record: %v", err)
 	}
-	defer s2.Close()
-	if s2.Height() != 3 {
-		t.Fatalf("height after crash recovery = %d, want 3", s2.Height())
+	if s2.Height() != 2 {
+		t.Fatalf("height after torn record = %d, want 2", s2.Height())
 	}
-	// New appends must produce a consistent file.
-	fillFileStore(t, s2, 3, 1)
+	// Appends continue cleanly on the truncated file.
+	fillFileStore(t, s2, 2, 2)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,107 +98,161 @@ func TestFileStoreDiscardsTruncatedTail(t *testing.T) {
 	}
 	defer s3.Close()
 	if s3.Height() != 4 {
-		t.Errorf("final height = %d, want 4", s3.Height())
+		t.Fatalf("final height = %d, want 4", s3.Height())
+	}
+	if err := s3.VerifyChain(); err != nil {
+		t.Fatalf("VerifyChain: %v", err)
 	}
 }
 
-func TestFileStoreRejectsTamperedFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillFileStore(t, s, 0, 3)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tamper with a committed envelope on disk: the data hash breaks, so
-	// reopening must fail the chain check.
+func TestFileStoreTornMagicAndLength(t *testing.T) {
+	path := writeChain(t, 2)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := []byte(string(raw))
-	replaced := false
-	for i := range tampered {
-		if string(tampered[i:i+8]) == `"tx-1"`+`,"` {
-			copy(tampered[i:], []byte(`"tx-X"`))
-			replaced = true
-			break
+	// A torn append can stop inside the magic or the length uvarint; both
+	// must read as a torn tail, not corruption.
+	for _, tail := range [][]byte{{'H'}, {'H', 'P'}, {'H', 'P', 'B', '2'}, {'H', 'P', 'B', '2', 0xFF}} {
+		crashed := append(append([]byte(nil), raw...), tail...)
+		crashPath := filepath.Join(t.TempDir(), "crash.hpb")
+		if err := os.WriteFile(crashPath, crashed, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !replaced {
-		// Fallback: flip a byte inside the middle of the file.
-		tampered[len(tampered)/2] ^= 0x01
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileStore(path); err == nil {
-		t.Fatal("tampered block file loaded without error")
+		s2, err := OpenFileStore(crashPath)
+		if err != nil {
+			t.Fatalf("tail %v: %v", tail, err)
+		}
+		if s2.Height() != 2 {
+			t.Fatalf("tail %v: height = %d, want 2", tail, s2.Height())
+		}
+		s2.Close()
 	}
 }
 
-func TestFileStoreMidFileGarbageIsCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillFileStore(t, s, 0, 4)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Damage a line in the middle of the file so it no longer parses. A
-	// crash cannot do this — only the final line can be torn — so the open
-	// must refuse rather than silently truncate away the valid blocks that
-	// follow the damage.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	if len(lines) < 4 {
-		t.Fatalf("expected >=4 lines, got %d", len(lines))
-	}
-	lines[1] = append([]byte(`{"header":#garbage#`), '\n')
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenFileStore(path)
-	if !errors.Is(err, ErrCorruptFile) {
-		t.Fatalf("open over mid-file garbage: err = %v, want ErrCorruptFile", err)
-	}
-}
-
-func TestFileStoreBlankLineIsCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillFileStore(t, s, 0, 2)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A blank final line cannot come from a torn append (appends write the
-	// payload before the newline), so it must read as corruption too.
+func TestFileStoreZeroFilledTailIsTorn(t *testing.T) {
+	path := writeChain(t, 3)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("\n"); err != nil {
+	if _, err := f.Write(make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	_, err = OpenFileStore(path)
-	if !errors.Is(err, ErrCorruptFile) {
-		t.Fatalf("open over blank line: err = %v, want ErrCorruptFile", err)
+	s2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatalf("reopen over zero-filled tail: %v", err)
+	}
+	defer s2.Close()
+	if s2.Height() != 3 {
+		t.Fatalf("height = %d, want 3", s2.Height())
+	}
+}
+
+func TestFileStoreMidFileDamageIsCorruption(t *testing.T) {
+	path := writeChain(t, 4)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a byte in the middle of the file: the record is complete, so
+	// the CRC failure cannot be a crash artifact, and truncating would
+	// silently discard the valid blocks that follow.
+	tampered := append([]byte(nil), raw...)
+	tampered[len(tampered)/2] ^= 0x01
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileStore(path); !errors.Is(err, ErrCorruptFile) {
+		t.Fatalf("mid-file flip: err = %v, want ErrCorruptFile", err)
+	}
+}
+
+// readRecords decodes every record of the ledger at path.
+func readRecords(t *testing.T, path string) []*Block {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []*Block
+	for len(raw) > 0 {
+		blob, total, status := parseV2Record(raw)
+		if status != recComplete {
+			t.Fatalf("record %d: status %d", len(blocks), status)
+		}
+		b, err := UnmarshalBlock(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+		raw = raw[total:]
+	}
+	return blocks
+}
+
+// writeRecords writes blocks as well-formed records (valid length, valid
+// CRC), whatever their contents.
+func writeRecords(t *testing.T, path string, blocks []*Block) {
+	t.Helper()
+	var out []byte
+	for _, b := range blocks {
+		blob := MarshalBlock(b)
+		out = append(out, v2Magic...)
+		out = binary.AppendUvarint(out, uint64(len(blob)))
+		out = append(out, blob...)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A rewritten record passes the framing and CRC checks — only the data-hash
+// and hash-chain verification on open can catch it.
+func TestFileStoreRejectsRewrittenRecord(t *testing.T) {
+	rewrites := map[string]func(t *testing.T, blocks []*Block){
+		"envelope altered under the old header": func(t *testing.T, blocks []*Block) {
+			env := mkEnv("tx-X", "set")
+			blocks[1] = &Block{Header: blocks[1].Header, Envelopes: []Envelope{env}}
+		},
+		"block rebuilt around an altered envelope": func(t *testing.T, blocks []*Block) {
+			b, err := NewBlock(1, blocks[1].Header.PreviousHash, []Envelope{mkEnv("tx-X", "set")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks[1] = b // consistent in itself; block 2 no longer chains onto it
+		},
+		"wrong previous hash": func(t *testing.T, blocks []*Block) {
+			blocks[2].Header.PreviousHash = blocks[0].Header.Hash()
+		},
+		"final record rewritten": func(t *testing.T, blocks []*Block) {
+			last := len(blocks) - 1
+			blocks[last].Header.PreviousHash = blocks[0].Header.Hash()
+		},
+	}
+	for name, rewrite := range rewrites {
+		t.Run(name, func(t *testing.T) {
+			path := writeChain(t, 4)
+			blocks := readRecords(t, path)
+			rewrite(t, blocks)
+			writeRecords(t, path, blocks)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenFileStore(path); !errors.Is(err, ErrCorruptFile) {
+				t.Fatalf("err = %v, want ErrCorruptFile", err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+				t.Fatal("failed open modified the file")
+			}
+		})
 	}
 }
 
 func TestFileStoreSyncEachAppendSurvivesNoFlushClose(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
+	path := filepath.Join(t.TempDir(), "chain.hpb")
 	s, err := OpenFileStoreWithPolicy(path, SyncEachAppend)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +274,7 @@ func TestFileStoreSyncEachAppendSurvivesNoFlushClose(t *testing.T) {
 }
 
 func TestFileStoreSequenceStillEnforced(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
+	path := filepath.Join(t.TempDir(), "chain.hpb")
 	s, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
@@ -227,55 +285,37 @@ func TestFileStoreSequenceStillEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(bad); err == nil {
-		t.Error("out-of-sequence append accepted")
+	if err := s.Append(bad); !errors.Is(err, ErrWrongSequence) {
+		t.Errorf("out-of-sequence append: err = %v, want ErrWrongSequence", err)
+	}
+	unchained, err := NewBlock(2, []byte("not the last hash"), []Envelope{mkEnv("bad", "set")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(unchained); !errors.Is(err, ErrBrokenChain) {
+		t.Errorf("wrong-previous-hash append: err = %v, want ErrBrokenChain", err)
 	}
 	if err := s.Sync(); err != nil {
 		t.Errorf("Sync: %v", err)
 	}
+	if s.Height() != 2 {
+		t.Errorf("height after rejected appends = %d, want 2", s.Height())
+	}
 }
 
-func TestFileStoreTornNewlineKeepsDurableBlock(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncEachAppend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillFileStore(t, s, 0, 3)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear exactly the final newline: the last block's bytes are all
-	// durable, only the terminator is gone. The block must survive the
-	// reopen (fsynced data is never dropped), the file must not grow a
-	// junk byte, and future appends must land on their own lines.
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()-1); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen after torn newline: %v", err)
-	}
-	if s2.Height() != 3 {
-		t.Fatalf("height after torn newline = %d, want 3", s2.Height())
-	}
-	fillFileStore(t, s2, 3, 2)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("second reopen: %v", err)
-	}
-	defer s3.Close()
-	if s3.Height() != 5 {
-		t.Errorf("final height = %d, want 5", s3.Height())
-	}
-	if err := s3.VerifyChain(); err != nil {
-		t.Errorf("VerifyChain: %v", err)
+// A file that does not begin with the record magic — a JSON-lines ledger
+// included — is refused, never misparsed or truncated.
+func TestFileStoreUnrecognizedFormatByte(t *testing.T) {
+	for _, content := range []string{"XYZZY", `{"header":{"number":0}}` + "\n"} {
+		path := filepath.Join(t.TempDir(), "chain.hpb")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFileStore(path); !errors.Is(err, ErrCorruptFile) {
+			t.Fatalf("%q: err = %v, want ErrCorruptFile", content, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != content {
+			t.Fatalf("%q: failed open left %q behind", content, got)
+		}
 	}
 }

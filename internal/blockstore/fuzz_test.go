@@ -1,7 +1,6 @@
 package blockstore
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -20,7 +19,7 @@ func structuredCodecError(err error) bool {
 
 // FuzzDecodeBlockCodec throws arbitrary bytes at the binary block and
 // envelope decoders — the exact bytes that arrive over gossip/transport
-// frames and from v2 ledger files. The contract under hostile input: no
+// frames and from ledger files. The contract under hostile input: no
 // panic, no unbounded allocation, every failure a structured codec sentinel
 // (so the transport can drop the connection and the file store can
 // distinguish torn tails from corruption) — and every accepted input
@@ -56,20 +55,8 @@ func FuzzDecodeBlockCodec(f *testing.F) {
 	f.Add([]byte("HPEV"))
 	f.Add([]byte{})
 
-	// Legacy JSON ledger records (PR ≤ 9 wire/file format): a whole block
-	// line and a lone envelope. The binary block decoder must reject both
-	// structurally; the envelope decoder's '{' sniff path ingests the latter.
-	legacyBlock, err := json.Marshal(full)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacyBlock)
-	env := fullEnvelope("tx-legacy")
-	legacyEnv, err := json.Marshal(&env)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacyEnv)
+	// JSON is not a block or envelope encoding: must-reject input.
+	f.Add([]byte(`{"header":{"number":7},"envelopes":[{"txId":"tx-a"}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if b, err := UnmarshalBlock(data); err != nil {
@@ -86,12 +73,7 @@ func FuzzDecodeBlockCodec(f *testing.F) {
 			}
 		}
 
-		// The envelope decoder under the same bytes. The '{' sniff path is
-		// legacy JSON ingest whose errors come from encoding/json, so the
-		// structured-sentinel contract applies to binary input only.
-		if len(data) > 0 && data[0] == '{' {
-			return
-		}
+		// The envelope decoder under the same bytes.
 		e, err := UnmarshalEnvelope(data)
 		if err != nil {
 			if !structuredCodecError(err) {

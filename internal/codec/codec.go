@@ -396,17 +396,6 @@ func (d *Dec) Time() time.Time {
 	return time.Unix(sec, int64(nsec)).UTC()
 }
 
-// NormalizeTime maps t onto the exact value its encoding round-trips to:
-// UTC, wall-clock only. Codecs apply it when ingesting values from
-// non-canonical sources (legacy JSON records, time.Now()) so that
-// encode(decode(encode(x))) is byte-identical to encode(x).
-func NormalizeTime(t time.Time) time.Time {
-	if t.IsZero() {
-		return time.Time{}
-	}
-	return time.Unix(t.Unix(), int64(t.Nanosecond())).UTC()
-}
-
 // MaxCount guards explicit caller-side allocation decisions; it is the
 // largest count Dec.Count can ever return (input length bound).
 const MaxCount = math.MaxInt32

@@ -208,26 +208,17 @@ func TestBytesShared(t *testing.T) {
 	}
 }
 
-// TestNormalizeTime pins the legacy-ingest normalization contract.
-func TestNormalizeTime(t *testing.T) {
-	loc := time.FixedZone("X", 3600)
-	in := time.Date(2024, 5, 1, 12, 0, 0, 999, loc)
-	norm := NormalizeTime(in)
-	if norm.Location() != time.UTC {
-		t.Fatalf("not UTC: %v", norm)
+// TestTimeDecodesCanonical: a zoned timestamp decodes to the same instant
+// in UTC, and re-encoding the decoded value is byte-stable.
+func TestTimeDecodesCanonical(t *testing.T) {
+	in := time.Date(2024, 5, 1, 12, 0, 0, 999, time.FixedZone("X", 3600))
+	first := AppendTime(nil, in)
+	got := NewDec(first).Time()
+	if got.Location() != time.UTC || !got.Equal(in) {
+		t.Fatalf("decoded %v, want the instant %v in UTC", got, in)
 	}
-	if !norm.Equal(in) {
-		t.Fatalf("normalization changed the instant: %v vs %v", norm, in)
-	}
-	if !NormalizeTime(time.Time{}).IsZero() {
-		t.Fatal("zero time must stay zero")
-	}
-	// Round-trip through the codec must be byte-stable.
-	first := AppendTime(nil, norm)
-	d := NewDec(first)
-	again := AppendTime(nil, d.Time())
-	if !bytes.Equal(first, again) {
-		t.Fatal("normalized time not byte-stable across round-trip")
+	if !bytes.Equal(first, AppendTime(nil, got)) {
+		t.Fatal("decoded time not byte-stable across round-trip")
 	}
 }
 

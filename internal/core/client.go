@@ -109,24 +109,6 @@ func New(gw *fabric.Gateway, opts ...Option) (*Client, error) {
 	return &Client{gw: gw, store: o.store}, nil
 }
 
-// Config assembles a client the pre-options way.
-//
-// Deprecated: use New(gw, WithStore(s)).
-type Config struct {
-	// Gateway is the fabric client connection.
-	Gateway *fabric.Gateway
-	// Store is the off-chain storage backend; nil disables the
-	// StoreData/GetData operators.
-	Store offchain.Store
-}
-
-// NewClient creates a HyperProv client from the legacy Config struct.
-//
-// Deprecated: use New(gw, WithStore(s)).
-func NewClient(cfg Config) (*Client, error) {
-	return New(cfg.Gateway, WithStore(cfg.Store))
-}
-
 // Subject returns the identity string recorded as creator on this client's
 // records.
 func (c *Client) Subject() string {

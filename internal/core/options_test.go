@@ -79,9 +79,9 @@ func TestWithChannelUnknown(t *testing.T) {
 	}
 }
 
-// WithTimeout must make commit waits fail fast; the deprecated NewClient
-// wrapper must behave exactly like New(gw, WithStore(s)).
-func TestWithTimeoutAndDeprecatedWrapper(t *testing.T) {
+// WithTimeout must make commit waits fail fast; a client built without
+// WithChannel binds to the network's first channel.
+func TestWithTimeoutAndDefaultChannel(t *testing.T) {
 	n := newMultiChannelNet(t)
 	gw, err := n.NewGateway("opts-client3")
 	if err != nil {
@@ -100,17 +100,17 @@ func TestWithTimeoutAndDeprecatedWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := offchain.NewMemStore()
-	legacy, err := NewClient(Config{Gateway: gw2, Store: store})
+	def, err := New(gw2, WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Channel() != "tenant-a" {
-		t.Fatalf("legacy client channel = %q, want default tenant-a", legacy.Channel())
+	if def.Channel() != "tenant-a" {
+		t.Fatalf("default client channel = %q, want tenant-a", def.Channel())
 	}
-	if _, err := legacy.StoreData("legacy-key", []byte("payload"), PostOptions{}); err != nil {
-		t.Fatalf("legacy StoreData: %v", err)
+	if _, err := def.StoreData("default-key", []byte("payload"), PostOptions{}); err != nil {
+		t.Fatalf("StoreData: %v", err)
 	}
-	if data, _, err := legacy.GetData("legacy-key"); err != nil || string(data) != "payload" {
-		t.Fatalf("legacy GetData: data=%q err=%v", data, err)
+	if data, _, err := def.GetData("default-key"); err != nil || string(data) != "payload" {
+		t.Fatalf("GetData: data=%q err=%v", data, err)
 	}
 }

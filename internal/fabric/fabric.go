@@ -46,16 +46,10 @@ type ChannelConfig struct {
 
 // Config describes a network to assemble.
 type Config struct {
-	// ChannelID names the single application channel.
-	//
-	// Deprecated: single-channel shim, superseded by Channels. A Config
-	// with only ChannelID set behaves exactly as before (one channel of
-	// that name); it is ignored when Channels is non-empty.
-	ChannelID string
 	// Channels lists the application channels the network serves. Every
 	// peer hosts all of them; each channel gets its own orderer instance,
 	// per-peer ledger + state + commit pipeline, and gossip stream. Empty
-	// falls back to the single channel named by ChannelID.
+	// means one channel named "provchannel".
 	Channels []ChannelConfig
 	// Org is the organization name (the paper's network is single-org
 	// with four peers).
@@ -97,12 +91,15 @@ type Config struct {
 	Seed int64
 }
 
+// defaultChannel is the paper's single application channel.
+const defaultChannel = "provchannel"
+
 // DesktopConfig returns the paper's desktop setup: 4 peers (2 Xeon E5-1603,
 // 1 i7-4700MQ, 1 i3-2310M) with the orderer co-located on a Xeon.
 func DesktopConfig() Config {
 	return Config{
-		ChannelID: "provchannel",
-		Org:       "Org1",
+		Channels: []ChannelConfig{{ID: defaultChannel}},
+		Org:      "Org1",
 		PeerProfiles: []device.Profile{
 			device.XeonE51603, device.XeonE51603, device.I74700MQ, device.I32310M,
 		},
@@ -116,8 +113,8 @@ func DesktopConfig() Config {
 // one switch, one of them also running the orderer.
 func RPiConfig() Config {
 	return Config{
-		ChannelID: "provchannel",
-		Org:       "Org1",
+		Channels: []ChannelConfig{{ID: defaultChannel}},
+		Org:      "Org1",
 		PeerProfiles: []device.Profile{
 			device.RPi3BPlus, device.RPi3BPlus, device.RPi3BPlus, device.RPi3BPlus,
 		},
@@ -170,17 +167,13 @@ type Network struct {
 	netMetrics *metrics.Registry
 }
 
-// channelConfigs resolves the configured channel list, falling back to the
-// deprecated single-channel shim.
+// channelConfigs resolves the configured channel list, defaulting to the
+// paper's single channel.
 func channelConfigs(cfg Config) []ChannelConfig {
 	if len(cfg.Channels) > 0 {
 		return cfg.Channels
 	}
-	id := cfg.ChannelID
-	if id == "" {
-		id = "provchannel"
-	}
-	return []ChannelConfig{{ID: id}}
+	return []ChannelConfig{{ID: defaultChannel}}
 }
 
 // NewNetwork assembles and starts a network: it enrolls peer and orderer
@@ -355,8 +348,8 @@ func (n *Network) channel(ch string) (*channelRuntime, error) {
 	return cr, nil
 }
 
-// mustChannel is channel for the legacy single-channel accessors, which
-// predate the error path and always name a served channel.
+// mustChannel is channel for the default-channel accessors, which have no
+// error path and always name a served channel.
 func (n *Network) mustChannel(ch string) *channelRuntime {
 	cr, err := n.channel(ch)
 	if err != nil {

@@ -1,5 +1,3 @@
-//hyperprov:compat exercises the legacy single-channel peer.Config.ChannelID path on purpose
-
 package fabric
 
 import (
@@ -9,7 +7,6 @@ import (
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
-	"github.com/hyperprov/hyperprov/internal/peer"
 )
 
 func TestPeerMetricsReflectTraffic(t *testing.T) {
@@ -78,9 +75,7 @@ func TestLateSubscriberReplaysChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late := peer.New(peer.Config{
-		Name: "late-peer", Signer: signer, MSP: n.MSP(), ChannelID: n.ChannelID(),
-	})
+	late := standalonePeer(t, n, "late-peer", signer)
 	if err := late.InstallChaincode(provenance.ChaincodeName, provenance.New(), n.Policy()); err != nil {
 		t.Fatal(err)
 	}

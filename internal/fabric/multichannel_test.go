@@ -21,7 +21,6 @@ import (
 func newTwoChannelNetwork(t *testing.T) *Network {
 	t.Helper()
 	cfg := testConfig()
-	cfg.ChannelID = ""
 	cfg.Channels = []ChannelConfig{{ID: "tenant-a"}, {ID: "tenant-b"}}
 	n, err := NewNetwork(cfg)
 	if err != nil {
@@ -46,6 +45,22 @@ func channelGateway(t *testing.T, n *Network, ch string) *Gateway {
 	return gw
 }
 
+// setRecordSettled is setRecord followed by a wait until every peer of the
+// gateway's channel has committed every block the channel's orderer has cut.
+// Submit waits for commit on peer 0 only, so without the wait a second write
+// to the same key can be simulated by a majority of endorsers against the
+// version before the first write and commit as an MVCC conflict.
+func setRecordSettled(t *testing.T, gw *Gateway, key, checksum string) {
+	t.Helper()
+	setRecord(t, gw, key, checksum)
+	cr := gw.net.mustChannel(gw.channel)
+	want := cr.orderer.Height()
+	for _, p := range cr.peers {
+		waitForHeight(t, p, want)
+		p.Sync()
+	}
+}
+
 func TestChannelStateAndHistoryIsolation(t *testing.T) {
 	n := newTwoChannelNetwork(t)
 	gwA := channelGateway(t, n, "tenant-a")
@@ -53,10 +68,10 @@ func TestChannelStateAndHistoryIsolation(t *testing.T) {
 
 	// The same key lives on both channels with independent values and
 	// version histories: two writes on tenant-a, one on tenant-b.
-	setRecord(t, gwA, "shared", "sha256:a1")
-	setRecord(t, gwA, "shared", "sha256:a2")
-	setRecord(t, gwA, "only-a", "sha256:only")
-	setRecord(t, gwB, "shared", "sha256:b1")
+	setRecordSettled(t, gwA, "shared", "sha256:a1")
+	setRecordSettled(t, gwA, "shared", "sha256:a2")
+	setRecordSettled(t, gwA, "only-a", "sha256:only")
+	setRecordSettled(t, gwB, "shared", "sha256:b1")
 
 	readShared := func(gw *Gateway) string {
 		payload, err := gw.Evaluate(provenance.ChaincodeName, provenance.FnGet, []byte("shared"))

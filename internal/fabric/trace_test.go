@@ -13,7 +13,7 @@ import (
 
 func traceTestConfig() Config {
 	return Config{
-		ChannelID:      "tracech",
+		Channels:       []ChannelConfig{{ID: "tracech"}},
 		Org:            "Org1",
 		PeerProfiles:   []device.Profile{device.XeonE51603, device.XeonE51603},
 		OrdererProfile: device.XeonE51603,

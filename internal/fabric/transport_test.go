@@ -1,5 +1,3 @@
-//hyperprov:compat exercises the legacy single-channel peer.Config.ChannelID path on purpose
-
 package fabric
 
 import (
@@ -22,7 +20,7 @@ func externalPeer(t *testing.T, n *Network, name string) (*peer.Peer, *transport
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := peer.New(peer.Config{Name: name, Signer: signer, MSP: n.MSP(), ChannelID: n.ChannelID()})
+	p := standalonePeer(t, n, name, signer)
 	t.Cleanup(p.Stop)
 	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(), n.Policy()); err != nil {
 		t.Fatal(err)
@@ -37,6 +35,17 @@ func externalPeer(t *testing.T, n *Network, name string) (*peer.Peer, *transport
 	}
 	t.Cleanup(func() { srv.Close() })
 	return p, srv
+}
+
+// standalonePeer builds a volatile peer on the network's default channel
+// and trust domain that is not one of the network's members.
+func standalonePeer(t *testing.T, n *Network, name string, signer *identity.SigningIdentity) *peer.Peer {
+	t.Helper()
+	host, err := peer.NewHost(peer.Config{Name: name, Signer: signer, MSP: n.MSP(), Channels: []string{n.ChannelID()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return host.Channel(n.ChannelID())
 }
 
 func waitForHeight(t *testing.T, p *peer.Peer, want uint64) {

@@ -94,7 +94,7 @@ func TestGossipHooksServeAndAccept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := New(Config{Name: "peer1", Signer: signer, MSP: f.msp, ChannelID: "ch"})
+	p2 := newVolatile(t, Config{Name: "peer1", Signer: signer, MSP: f.msp}, "ch")
 	if err := p2.InstallChaincode(provenance.ChaincodeName, provenance.New(),
 		endorser.SignedBy("Org1MSP")); err != nil {
 		t.Fatal(err)

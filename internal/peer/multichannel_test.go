@@ -31,7 +31,7 @@ func siblingFixtureOn(f *fixture, channel string) *fixture {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	p := New(Config{Name: "peer-" + channel, Signer: signer, MSP: f.msp, ChannelID: channel})
+	p := newVolatile(f.t, Config{Name: "peer-" + channel, Signer: signer, MSP: f.msp}, channel)
 	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(),
 		endorser.SignedBy("Org1MSP")); err != nil {
 		f.t.Fatal(err)
@@ -116,7 +116,7 @@ func TestTwoChannelHostCrashRecovery(t *testing.T) {
 			// append of one channel's block file (alternating which).
 			if round%2 == 1 {
 				torn := channels[(round/2)%len(channels)]
-				tearTailAt(t, recovery.BlockFilePathFor(dir, torn), rng)
+				tearTailAt(t, recovery.BlockFilePath(dir, torn), rng)
 			}
 
 			// Reopen: every channel recovers independently to within the
@@ -164,16 +164,24 @@ func TestTwoChannelHostCrashRecovery(t *testing.T) {
 }
 
 // TestHostChannelLayoutsAreDisjoint pins the on-disk contract: each channel
-// of a multi-channel host owns its own block file and checkpoint root, and
-// a legacy single-channel directory is untouched by the per-channel layout.
+// of a multi-channel host owns its own block file and checkpoint root.
 func TestHostChannelLayoutsAreDisjoint(t *testing.T) {
-	if a, b := recovery.BlockFilePathFor("d", "alpha"), recovery.BlockFilePathFor("d", "beta"); a == b {
+	if a, b := recovery.BlockFilePath("d", "alpha"), recovery.BlockFilePath("d", "beta"); a == b {
 		t.Fatalf("channel block files collide: %s", a)
 	}
-	if a, legacy := recovery.BlockFilePathFor("d", "alpha"), recovery.BlockFilePath("d"); a == legacy {
-		t.Fatalf("channel block file collides with the legacy layout: %s", a)
-	}
-	if a, b := recovery.CheckpointDirFor("d", "alpha"), recovery.CheckpointDirFor("d", "beta"); a == b {
+	if a, b := recovery.CheckpointDir("d", "alpha"), recovery.CheckpointDir("d", "beta"); a == b {
 		t.Fatalf("channel checkpoint roots collide: %s", a)
+	}
+}
+
+// A host serves named channels only: no Channels is an error, not a default.
+func TestHostRequiresChannels(t *testing.T) {
+	f := newFixture(t)
+	cfg := Config{Name: "nochannels", MSP: f.msp, Dir: t.TempDir()}
+	if _, err := NewHost(cfg); err == nil {
+		t.Error("NewHost without Channels succeeded")
+	}
+	if _, err := Open(cfg); err == nil {
+		t.Error("Open without Channels succeeded")
 	}
 }

@@ -62,16 +62,9 @@ type Config struct {
 	MSP *identity.MSP
 	// Executor models this peer's hardware; nil means zero modeled cost.
 	Executor *device.Executor
-	// ChannelID names the single channel this peer joins.
-	//
-	// Deprecated: single-channel shim. Hosts built from a Config with only
-	// ChannelID set serve that one channel under the legacy on-disk layout
-	// (blocks.jsonl, checkpoints/). New code should list Channels instead.
-	ChannelID string
-	// Channels lists the channels this host serves, each with its own
-	// ledger (blocks-<ch>.jsonl), state store, history, commit pipeline,
-	// and recovery root (checkpoints/<ch>/). When set it supersedes
-	// ChannelID and switches the data directory to the per-channel layout.
+	// Channels lists the channels this host serves (at least one), each
+	// with its own ledger (blocks-<ch>.hpb), state store, history, commit
+	// pipeline, and recovery root (checkpoints/<ch>/).
 	Channels []string
 	// CommitWorkers sizes the commit pipeline's pre-validation worker
 	// pool; 0 means one worker per available CPU.
@@ -83,7 +76,7 @@ type Config struct {
 
 	// Dir, when the peer is built with Open, is its data directory: the
 	// durable block file plus checkpoints live there and the peer recovers
-	// from it on every open. New ignores it (volatile peer).
+	// from it on every open. NewHost ignores it (volatile peers).
 	Dir string
 	// CheckpointEvery is how many blocks apart durable checkpoints are
 	// taken; 0 means DefaultCheckpointEvery. Only meaningful with Open.
@@ -102,10 +95,6 @@ type Config struct {
 	// peer. Wire it on exactly one peer per recorder, or racing completions
 	// will split timelines.
 	Tracer *trace.Recorder
-
-	// layoutChannel is the on-disk layout selector Open threads to each
-	// channel instance (empty = legacy single-channel files).
-	layoutChannel string
 }
 
 // DefaultCheckpointEvery is the default block interval between durable
@@ -160,19 +149,6 @@ type Peer struct {
 	started atomic.Bool
 }
 
-// New creates a volatile peer (state, history, and ledger all in memory).
-// Call Start to attach it to an ordered block stream. The peer runs the
-// CouchDB-flavour indexed state database, so installed chaincodes that
-// declare indexes get rich provenance queries served from secondary indexes
-// maintained at block commit.
-func New(cfg Config) *Peer {
-	state, err := statedb.NewIndexed()
-	if err != nil { // unreachable: no definitions yet
-		panic(err)
-	}
-	return newPeer(cfg, state, historydb.New(), blockstore.NewStore())
-}
-
 // RecoveryInfo describes what a durable peer restored at Open.
 type RecoveryInfo struct {
 	// CheckpointHeight is the checkpoint the peer restored from (0 when it
@@ -194,38 +170,27 @@ type Host struct {
 	channels map[string]*Peer
 }
 
-// channelSpec pairs a channel's public ID with its on-disk layout selector
-// (empty layout = legacy single-channel files).
-type channelSpec struct {
-	id     string
-	layout string
-}
-
-// channelSpecs expands a Config into the channels its host serves. A Config
-// listing Channels gets the per-channel layout; a legacy Config with only
-// ChannelID (the deprecated shim) serves that one channel from the legacy
-// layout, so existing data directories open unchanged.
-func channelSpecs(cfg Config) ([]channelSpec, error) {
+// validateChannels checks that a Config names at least one channel, each a
+// valid ID, none twice.
+func validateChannels(cfg Config) error {
 	if len(cfg.Channels) == 0 {
-		return []channelSpec{{id: cfg.ChannelID, layout: ""}}, nil
+		return fmt.Errorf("peer %s: no channels configured", cfg.Name)
 	}
-	specs := make([]channelSpec, 0, len(cfg.Channels))
 	seen := make(map[string]bool, len(cfg.Channels))
 	for _, ch := range cfg.Channels {
 		if err := validateChannelID(ch); err != nil {
-			return nil, err
+			return err
 		}
 		if seen[ch] {
-			return nil, fmt.Errorf("peer %s: duplicate channel %q", cfg.Name, ch)
+			return fmt.Errorf("peer %s: duplicate channel %q", cfg.Name, ch)
 		}
 		seen[ch] = true
-		specs = append(specs, channelSpec{id: ch, layout: ch})
 	}
-	return specs, nil
+	return nil
 }
 
 // validateChannelID restricts channel IDs to filesystem- and wire-safe
-// names: they become file names (blocks-<ch>.jsonl) and one-byte-length
+// names: they become file names (blocks-<ch>.hpb) and one-byte-length
 // frame extensions.
 func validateChannelID(ch string) error {
 	if ch == "" {
@@ -245,19 +210,23 @@ func validateChannelID(ch string) error {
 	return nil
 }
 
-// NewHost creates a volatile multi-channel host: one in-memory Peer per
-// configured channel. A Config using the deprecated ChannelID shim yields a
-// host with that single channel.
+// NewHost creates a volatile multi-channel host: one in-memory Peer (state,
+// history, and ledger) per configured channel. Call Start on each channel's
+// Peer to attach it to an ordered block stream. Peers run the CouchDB-flavour
+// indexed state database, so installed chaincodes that declare indexes get
+// rich provenance queries served from secondary indexes maintained at block
+// commit.
 func NewHost(cfg Config) (*Host, error) {
-	specs, err := channelSpecs(cfg)
-	if err != nil {
+	if err := validateChannels(cfg); err != nil {
 		return nil, err
 	}
-	h := &Host{name: cfg.Name, channels: make(map[string]*Peer, len(specs))}
-	for _, spec := range specs {
-		ccfg := cfg
-		ccfg.ChannelID = spec.id
-		h.add(spec.id, New(ccfg))
+	h := &Host{name: cfg.Name, channels: make(map[string]*Peer, len(cfg.Channels))}
+	for _, ch := range cfg.Channels {
+		state, err := statedb.NewIndexed()
+		if err != nil {
+			return nil, err
+		}
+		h.add(ch, newPeer(cfg, ch, state, historydb.New(), blockstore.NewStore()))
 	}
 	return h, nil
 }
@@ -270,39 +239,32 @@ func NewHost(cfg Config) (*Host, error) {
 // commit pipeline appends blocks to its own ledger file and takes a
 // checkpoint every cfg.CheckpointEvery blocks. Shut down with Close (clean:
 // final checkpoint per channel) — or kill the process; that is the point.
-//
-// The per-channel handle is Open(cfg).Channel(id); a legacy single-channel
-// Config (ChannelID shim) serves its one channel from the pre-multichannel
-// file layout, so existing data directories keep working.
+// The per-channel handle is Open(cfg).Channel(id).
 func Open(cfg Config) (*Host, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("peer %s: Open needs a data directory", cfg.Name)
 	}
-	specs, err := channelSpecs(cfg)
-	if err != nil {
+	if err := validateChannels(cfg); err != nil {
 		return nil, err
 	}
 	sync := blockstore.SyncOnClose
 	if cfg.SyncEachAppend {
 		sync = blockstore.SyncEachAppend
 	}
-	h := &Host{name: cfg.Name, channels: make(map[string]*Peer, len(specs))}
-	for _, spec := range specs {
-		opened, err := recovery.Open(cfg.Dir, recovery.Options{Sync: sync, Channel: spec.layout})
+	h := &Host{name: cfg.Name, channels: make(map[string]*Peer, len(cfg.Channels))}
+	for _, ch := range cfg.Channels {
+		opened, err := recovery.Open(cfg.Dir, recovery.Options{Sync: sync, Channel: ch})
 		if err != nil {
 			h.Close() // release channels already opened
-			return nil, fmt.Errorf("peer %s channel %q: %w", cfg.Name, spec.id, err)
+			return nil, fmt.Errorf("peer %s channel %q: %w", cfg.Name, ch, err)
 		}
-		ccfg := cfg
-		ccfg.ChannelID = spec.id
-		ccfg.layoutChannel = spec.layout
-		p := newPeer(ccfg, opened.State, opened.History, opened.Blocks)
+		p := newPeer(cfg, ch, opened.State, opened.History, opened.Blocks)
 		p.file = opened.Blocks
 		p.recovered = RecoveryInfo{
 			CheckpointHeight: opened.CheckpointHeight,
 			ReplayedBlocks:   opened.Replayed,
 		}
-		h.add(spec.id, p)
+		h.add(ch, p)
 	}
 	return h, nil
 }
@@ -358,14 +320,14 @@ func (h *Host) Crash() {
 	}
 }
 
-// newPeer assembles a peer over the given ledger resources and starts its
-// commit pipeline. When the blocks argument is a durable FileStore, the
-// pipeline additionally takes periodic checkpoints through a recovery
-// manager.
-func newPeer(cfg Config, state statedb.StateDB, history *historydb.DB, blocks blockstore.BlockStore) *Peer {
+// newPeer assembles one channel's peer over the given ledger resources and
+// starts its commit pipeline. When the blocks argument is a durable
+// FileStore, the pipeline additionally takes periodic checkpoints through a
+// recovery manager.
+func newPeer(cfg Config, channelID string, state statedb.StateDB, history *historydb.DB, blocks blockstore.BlockStore) *Peer {
 	p := &Peer{
 		name:        cfg.Name,
-		channelID:   cfg.ChannelID,
+		channelID:   channelID,
 		signer:      cfg.Signer,
 		msp:         cfg.MSP,
 		exec:        cfg.Executor,
@@ -408,7 +370,7 @@ func newPeer(cfg Config, state statedb.StateDB, history *historydb.DB, blocks bl
 		OnCommitted: p.onBlockCommitted,
 	}
 	if file, ok := blocks.(*blockstore.FileStore); ok {
-		p.ckpt = recovery.NewManagerChannel(cfg.Dir, cfg.layoutChannel, cfg.CheckpointKeep, state, history, file)
+		p.ckpt = recovery.NewManager(cfg.Dir, channelID, cfg.CheckpointKeep, state, history, file)
 		ccfg.CheckpointEvery = cfg.CheckpointEvery
 		if ccfg.CheckpointEvery == 0 {
 			ccfg.CheckpointEvery = DefaultCheckpointEvery

@@ -44,12 +44,23 @@ func newFixtureOn(t *testing.T, channel string) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(Config{Name: "peer0", Signer: signer, MSP: msp, ChannelID: channel})
+	p := newVolatile(t, Config{Name: "peer0", Signer: signer, MSP: msp}, channel)
 	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(),
 		endorser.SignedBy("Org1MSP")); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{t: t, ca: ca, msp: msp, peer: p, client: client, channel: channel}
+}
+
+// newVolatile builds a one-channel volatile host and returns its peer.
+func newVolatile(t *testing.T, cfg Config, channel string) *Peer {
+	t.Helper()
+	cfg.Channels = []string{channel}
+	h, err := NewHost(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Channel(channel)
 }
 
 // propose builds and signs a proposal from the fixture's client.

@@ -1,7 +1,7 @@
 package peer
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -21,7 +21,7 @@ import (
 
 // Crash-recovery torture tests: commit part of a signed block stream on a
 // durable peer, kill it at a randomized point (optionally tearing the block
-// file's final line, as a power loss mid-append would), reopen from disk,
+// file's final record, as a power loss mid-append would), reopen from disk,
 // feed the rest of the stream, and require the recovered peer to be
 // indistinguishable — state fingerprint, history fingerprint, rich-query
 // results, chain audit — from a reference peer that never crashed.
@@ -55,7 +55,7 @@ func (f *fixture) openDurable(dir string, every uint64) *Peer {
 		f.t.Fatal(err)
 	}
 	host, err := Open(Config{
-		Name: "durable", Signer: signer, MSP: f.msp, ChannelID: "ch",
+		Name: "durable", Signer: signer, MSP: f.msp, Channels: []string{"ch"},
 		Dir: dir, CheckpointEvery: every, CheckpointKeep: 2, SyncEachAppend: true,
 	})
 	if err != nil {
@@ -105,15 +105,14 @@ func buildTortureStream(f *fixture, blocks, txs int) []*blockstore.Block {
 	return out
 }
 
-// tearTail truncates the block file inside its final line, simulating a
-// crash that tore the last append.
+// tearTail truncates channel "ch"'s block file inside its final record,
+// simulating a crash that tore the last append.
 func tearTail(t *testing.T, dir string, rng *rand.Rand) {
 	t.Helper()
-	tearTailAt(t, recovery.BlockFilePath(dir), rng)
+	tearTailAt(t, recovery.BlockFilePath(dir, "ch"), rng)
 }
 
-// tearTailAt is tearTail for an explicit block-file path (a channel's
-// blocks-<ch>.jsonl under the per-channel layout).
+// tearTailAt is tearTail for an explicit block-file path.
 func tearTailAt(t *testing.T, path string, rng *rand.Rand) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -123,12 +122,13 @@ func tearTailAt(t *testing.T, path string, rng *rand.Rand) {
 	if len(raw) == 0 {
 		return
 	}
-	body := bytes.TrimSuffix(raw, []byte("\n"))
-	lastLine := body
-	if i := bytes.LastIndexByte(body, '\n'); i >= 0 {
-		lastLine = body[i+1:]
+	// Records are "HPB2" + uvarint body length + body: walk to the last one.
+	last := 0
+	for off := 0; off < len(raw); {
+		n, w := binary.Uvarint(raw[off+4:])
+		last, off = off, off+4+w+int(n)
 	}
-	cut := len(raw) - rng.Intn(len(lastLine)+1) - 1
+	cut := last + rng.Intn(len(raw)-last)
 	if err := os.Truncate(path, int64(cut)); err != nil {
 		t.Fatal(err)
 	}

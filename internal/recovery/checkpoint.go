@@ -8,11 +8,11 @@
 // indexes at the exact pre-crash fingerprint, paying replay cost only for
 // the blocks committed since the last checkpoint.
 //
-// On-disk layout under a peer's data directory:
+// On-disk layout under a peer's data directory, per channel <ch>:
 //
-//	blocks.jsonl                     append-only block file (blockstore.FileStore)
-//	checkpoints/ckpt-<height16>.ckpt height-stamped checkpoint, newest wins
-//	checkpoints/*.tmp                in-flight writes (ignored, swept on open)
+//	blocks-<ch>.hpb                       append-only block file (blockstore.FileStore)
+//	checkpoints/<ch>/ckpt-<height16>.ckpt height-stamped checkpoint, newest wins
+//	checkpoints/<ch>/*.tmp                in-flight writes (ignored, swept on open)
 //
 // Each checkpoint file carries a trailing CRC-32C over its whole payload
 // (see codec.go) and is written via temp-file + rename + fsync, so a crash

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,12 +12,15 @@ import (
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/committer"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/rwset"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
+
+const testChannel = "provchannel"
 
 // mkCheckpoint builds a small self-consistent checkpoint at height h.
 func mkCheckpoint(t *testing.T, h uint64) *Checkpoint {
@@ -189,7 +191,7 @@ func mkStoredBlock(t *testing.T, n uint64, prev []byte, keys ...string) *blockst
 // Manager every `every` blocks, and returns the final fingerprints.
 func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP string) {
 	t.Helper()
-	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePath(dataDir), blockstore.SyncEachAppend)
+	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePath(dataDir, testChannel), blockstore.SyncEachAppend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP str
 		t.Fatal(err)
 	}
 	history := historydb.New()
-	mgr := NewManager(dataDir, DefaultKeep, state, history, blocks)
+	mgr := NewManager(dataDir, testChannel, DefaultKeep, state, history, blocks)
 	for i := 0; i < n; i++ {
 		b := mkStoredBlock(t, uint64(i), blocks.LastHash(),
 			fmt.Sprintf("item-%03d", i), fmt.Sprintf("shared-%d", i%3))
@@ -228,7 +230,7 @@ func TestOpenRecoversFromCheckpointPlusTail(t *testing.T) {
 	dir := t.TempDir()
 	stateFP, histFP := seedLedger(t, dir, 10, 4) // checkpoints at 4 and 8, tail of 2
 
-	got, err := Open(dir, Options{})
+	got, err := Open(dir, Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestOpenFromGenesisMatchesCheckpointed(t *testing.T) {
 	dir := t.TempDir()
 	stateFP, histFP := seedLedger(t, dir, 9, 4)
 
-	got, err := Open(dir, Options{FromGenesis: true})
+	got, err := Open(dir, Options{Channel: testChannel, FromGenesis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +273,7 @@ func TestOpenFromGenesisMatchesCheckpointed(t *testing.T) {
 }
 
 func TestOpenFreshDirectory(t *testing.T) {
-	got, err := Open(filepath.Join(t.TempDir(), "fresh"), Options{})
+	got, err := Open(filepath.Join(t.TempDir(), "fresh"), Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,19 +283,25 @@ func TestOpenFreshDirectory(t *testing.T) {
 	}
 }
 
+func TestOpenRequiresChannel(t *testing.T) {
+	if _, err := Open(t.TempDir(), Options{}); err == nil {
+		t.Fatal("Open without a channel succeeded")
+	}
+}
+
 func TestManagerFinalEnablesInstantReopen(t *testing.T) {
 	dir := t.TempDir()
 	seedLedger(t, dir, 5, 0) // no periodic checkpoints
 
 	// Reopen replaying from genesis, then take a final checkpoint.
-	opened, err := Open(dir, Options{})
+	opened, err := Open(dir, Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opened.Replayed != 5 {
 		t.Fatalf("first open replayed %d, want 5", opened.Replayed)
 	}
-	mgr := NewManager(dir, DefaultKeep, opened.State, opened.History, opened.Blocks)
+	mgr := NewManager(dir, testChannel, DefaultKeep, opened.State, opened.History, opened.Blocks)
 	if err := mgr.Final(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +310,7 @@ func TestManagerFinalEnablesInstantReopen(t *testing.T) {
 	}
 	opened.Blocks.Close()
 
-	again, err := Open(dir, Options{})
+	again, err := Open(dir, Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +334,7 @@ func TestCodecHostileCountDoesNotPanic(t *testing.T) {
 	buf = binary.AppendUvarint(buf, 0)     // index defs
 	buf = binary.AppendUvarint(buf, 0)     // index entries
 	buf = binary.AppendUvarint(buf, 1<<61) // hostile state count
-	sum := crc32.Checksum(buf, castagnoli)
-	buf = binary.BigEndian.AppendUint32(buf, sum)
+	buf = codec.AppendChecksum(buf, 0)
 	if _, err := decodeCheckpoint(buf); err == nil {
 		t.Fatal("hostile count decoded without error")
 	}

@@ -1,13 +1,12 @@
 package recovery
 
 import (
-	"encoding/binary"
-	"errors"
+	"bytes"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
@@ -34,228 +33,131 @@ import (
 
 var ckptMagic = []byte("HPCKPT1\n")
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // encodeCheckpoint renders ck in the binary checkpoint format, checksum
 // included.
 func encodeCheckpoint(ck *Checkpoint) []byte {
 	// Pre-size roughly: values plus framing overhead.
 	buf := make([]byte, 0, 1<<20)
 	buf = append(buf, ckptMagic...)
-	buf = binary.AppendUvarint(buf, ck.Height)
-	buf = binary.AppendUvarint(buf, ck.StateHeight.BlockNum)
-	buf = binary.AppendUvarint(buf, ck.StateHeight.TxNum)
-	buf = appendString(buf, ck.Fingerprint)
+	buf = codec.AppendUvarint(buf, ck.Height)
+	buf = codec.AppendUvarint(buf, ck.StateHeight.BlockNum)
+	buf = codec.AppendUvarint(buf, ck.StateHeight.TxNum)
+	buf = codec.AppendString(buf, ck.Fingerprint)
 
-	buf = binary.AppendUvarint(buf, uint64(len(ck.Indexes)))
+	buf = codec.AppendUvarint(buf, uint64(len(ck.Indexes)))
 	for _, def := range ck.Indexes {
-		buf = appendString(buf, def.Name)
-		buf = appendString(buf, def.Field)
+		buf = codec.AppendString(buf, def.Name)
+		buf = codec.AppendString(buf, def.Field)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ck.IndexEntries)))
+	buf = codec.AppendUvarint(buf, uint64(len(ck.IndexEntries)))
 	for _, name := range sortedKeys(ck.IndexEntries) {
 		entries := ck.IndexEntries[name]
-		buf = appendString(buf, name)
-		buf = binary.AppendUvarint(buf, uint64(len(entries)))
+		buf = codec.AppendString(buf, name)
+		buf = codec.AppendUvarint(buf, uint64(len(entries)))
 		for _, e := range entries {
-			buf = appendString(buf, e.CKey)
-			buf = appendString(buf, e.DocKey)
+			buf = codec.AppendString(buf, e.CKey)
+			buf = codec.AppendString(buf, e.DocKey)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ck.State)))
+	buf = codec.AppendUvarint(buf, uint64(len(ck.State)))
 	for _, key := range sortedKeys(ck.State) {
 		vv := ck.State[key]
-		buf = appendString(buf, key)
-		buf = appendBytes(buf, vv.Value)
-		buf = binary.AppendUvarint(buf, vv.Version.BlockNum)
-		buf = binary.AppendUvarint(buf, vv.Version.TxNum)
+		buf = codec.AppendString(buf, key)
+		buf = codec.AppendBytes(buf, vv.Value)
+		buf = codec.AppendUvarint(buf, vv.Version.BlockNum)
+		buf = codec.AppendUvarint(buf, vv.Version.TxNum)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ck.History)))
+	buf = codec.AppendUvarint(buf, uint64(len(ck.History)))
 	for _, key := range sortedKeys(ck.History) {
 		entries := ck.History[key]
-		buf = appendString(buf, key)
-		buf = binary.AppendUvarint(buf, uint64(len(entries)))
+		buf = codec.AppendString(buf, key)
+		buf = codec.AppendUvarint(buf, uint64(len(entries)))
 		for i := range entries {
 			e := &entries[i]
-			buf = appendString(buf, e.TxID)
-			buf = binary.AppendUvarint(buf, e.BlockNum)
-			buf = binary.AppendUvarint(buf, e.TxNum)
-			buf = appendBytes(buf, e.Value)
-			if e.IsDelete {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = codec.AppendString(buf, e.TxID)
+			buf = codec.AppendUvarint(buf, e.BlockNum)
+			buf = codec.AppendUvarint(buf, e.TxNum)
+			buf = codec.AppendBytes(buf, e.Value)
+			buf = codec.AppendBool(buf, e.IsDelete)
 			t := e.Timestamp.UTC()
-			buf = binary.AppendUvarint(buf, uint64(t.Unix()))
-			buf = binary.AppendUvarint(buf, uint64(t.Nanosecond()))
+			buf = codec.AppendUvarint(buf, uint64(t.Unix()))
+			buf = codec.AppendUvarint(buf, uint64(t.Nanosecond()))
 		}
 	}
-	sum := crc32.Checksum(buf, castagnoli)
-	return binary.BigEndian.AppendUint32(buf, sum)
+	return codec.AppendChecksum(buf, 0)
 }
 
 // decodeCheckpoint parses and integrity-checks the binary checkpoint form.
+// Element counts are bounded by the bytes remaining (codec.Dec.Count), so a
+// damaged or hostile count field — CRC-32C is a media check, not
+// tamper-proofing — degrades to a decode error instead of a make() panic
+// that would defeat LoadLatest's fall-back-to-older-checkpoint path.
 func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
-	if len(raw) < len(ckptMagic)+4 || string(raw[:len(ckptMagic)]) != string(ckptMagic) {
+	body, err := codec.VerifyChecksum(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadChecksum, err)
+	}
+	if !bytes.HasPrefix(body, ckptMagic) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadChecksum)
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
-		return nil, ErrBadChecksum
-	}
-	d := &decoder{buf: body[len(ckptMagic):]}
+	d := codec.NewDec(body[len(ckptMagic):])
 	ck := &Checkpoint{}
-	ck.Height = d.uvarint()
-	ck.StateHeight.BlockNum = d.uvarint()
-	ck.StateHeight.TxNum = d.uvarint()
-	ck.Fingerprint = d.string()
+	ck.Height = d.Uvarint()
+	ck.StateHeight.BlockNum = d.Uvarint()
+	ck.StateHeight.TxNum = d.Uvarint()
+	ck.Fingerprint = d.String()
 
-	if n := d.count(); n > 0 {
+	if n := d.Count(); n > 0 {
 		ck.Indexes = make([]richquery.IndexDef, n)
 		for i := range ck.Indexes {
-			ck.Indexes[i].Name = d.string()
-			ck.Indexes[i].Field = d.string()
+			ck.Indexes[i].Name = d.String()
+			ck.Indexes[i].Field = d.String()
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.Count(); n > 0 {
 		ck.IndexEntries = make(map[string][]richquery.IndexEntry, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			name := d.string()
-			entries := make([]richquery.IndexEntry, d.count())
+		for i := 0; i < n && d.Err() == nil; i++ {
+			name := d.String()
+			entries := make([]richquery.IndexEntry, d.Count())
 			for j := range entries {
-				entries[j].CKey = d.string()
-				entries[j].DocKey = d.string()
+				entries[j].CKey = d.String()
+				entries[j].DocKey = d.String()
 			}
 			ck.IndexEntries[name] = entries
 		}
 	}
-	stateN := d.count()
+	stateN := d.Count()
 	ck.State = make(map[string]statedb.VersionedValue, stateN)
-	for i := uint64(0); i < stateN && d.err == nil; i++ {
-		key := d.string()
+	for i := 0; i < stateN && d.Err() == nil; i++ {
+		key := d.String()
 		var vv statedb.VersionedValue
-		vv.Value = d.bytes()
-		vv.Version.BlockNum = d.uvarint()
-		vv.Version.TxNum = d.uvarint()
+		vv.Value = d.Bytes()
+		vv.Version.BlockNum = d.Uvarint()
+		vv.Version.TxNum = d.Uvarint()
 		ck.State[key] = vv
 	}
-	histN := d.count()
+	histN := d.Count()
 	ck.History = make(map[string][]historydb.Entry, histN)
-	for i := uint64(0); i < histN && d.err == nil; i++ {
-		key := d.string()
-		entries := make([]historydb.Entry, d.count())
+	for i := 0; i < histN && d.Err() == nil; i++ {
+		key := d.String()
+		entries := make([]historydb.Entry, d.Count())
 		for j := range entries {
 			e := &entries[j]
-			e.TxID = d.string()
-			e.BlockNum = d.uvarint()
-			e.TxNum = d.uvarint()
-			e.Value = d.bytes()
-			e.IsDelete = d.byte() == 1
-			sec := int64(d.uvarint())
-			nsec := int64(d.uvarint())
+			e.TxID = d.String()
+			e.BlockNum = d.Uvarint()
+			e.TxNum = d.Uvarint()
+			e.Value = d.Bytes()
+			e.IsDelete = d.Byte() == 1
+			sec := int64(d.Uvarint())
+			nsec := int64(d.Uvarint())
 			e.Timestamp = time.Unix(sec, nsec).UTC()
 		}
 		ck.History[key] = entries
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("recovery: decode checkpoint: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadChecksum, len(d.buf))
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("recovery: decode checkpoint: %w", err)
 	}
 	return ck, nil
-}
-
-// decoder is a cursor over the checkpoint body; the first framing error
-// sticks and every later read returns zero values.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-var errTruncated = errors.New("truncated")
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = errTruncated
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// count reads an element count and bounds it by the bytes remaining (every
-// element costs at least one byte), so a damaged or hostile count field —
-// CRC-32C is a media check, not tamper-proofing — degrades to a decode
-// error instead of a make() panic that would defeat LoadLatest's
-// fall-back-to-older-checkpoint path.
-func (d *decoder) count() uint64 {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(len(d.buf)) {
-		d.err = errTruncated
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(len(d.buf)) < n {
-		d.err = errTruncated
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)) < n {
-		d.err = errTruncated
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.err = errTruncated
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf []byte, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
 }
 
 // sortedKeys returns m's keys sorted, for deterministic encoding.

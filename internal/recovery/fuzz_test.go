@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
@@ -62,7 +63,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
 		if err != nil {
-			if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, errTruncated) {
+			if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, codec.ErrMalformed) {
 				t.Fatalf("unstructured error from decodeCheckpoint: %v", err)
 			}
 			return

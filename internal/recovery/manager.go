@@ -38,21 +38,14 @@ type Manager struct {
 	lastErr    error
 }
 
-// NewManager creates a checkpoint manager writing under dataDir/checkpoints
-// (the legacy single-channel layout).
-func NewManager(dataDir string, keep int, state statedb.StateDB, history *historydb.DB, blocks *blockstore.FileStore) *Manager {
-	return NewManagerChannel(dataDir, "", keep, state, history, blocks)
-}
-
-// NewManagerChannel creates a checkpoint manager for one channel of a peer
-// data directory, writing under CheckpointDirFor(dataDir, channel). An empty
-// channel keeps the legacy layout.
-func NewManagerChannel(dataDir, channel string, keep int, state statedb.StateDB, history *historydb.DB, blocks *blockstore.FileStore) *Manager {
+// NewManager creates a checkpoint manager for one channel of a peer data
+// directory, writing under CheckpointDir(dataDir, channel).
+func NewManager(dataDir, channel string, keep int, state statedb.StateDB, history *historydb.DB, blocks *blockstore.FileStore) *Manager {
 	if keep < 1 {
 		keep = DefaultKeep
 	}
 	return &Manager{
-		dir:     CheckpointDirFor(dataDir, channel),
+		dir:     CheckpointDir(dataDir, channel),
 		keep:    keep,
 		state:   state,
 		history: history,

@@ -13,41 +13,18 @@ import (
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
-// File names inside a peer data directory.
-const (
-	blockFileName    = "blocks.jsonl"
-	checkpointSubdir = "checkpoints"
-)
-
-// BlockFilePath returns the legacy single-channel block file path inside a
-// peer data directory.
-func BlockFilePath(dataDir string) string { return BlockFilePathFor(dataDir, "") }
-
-// CheckpointDir returns the legacy single-channel checkpoint directory
-// inside a peer data directory.
-func CheckpointDir(dataDir string) string { return CheckpointDirFor(dataDir, "") }
-
-// BlockFilePathFor returns the block file path for one channel of a peer
-// data directory. An empty channel selects the legacy single-channel layout
-// (blocks.jsonl); a named channel gets its own ledger file,
-// blocks-<channel>.jsonl, so N channels of one host never share an append
-// stream.
-func BlockFilePathFor(dataDir, channel string) string {
-	if channel == "" {
-		return filepath.Join(dataDir, blockFileName)
-	}
-	return filepath.Join(dataDir, "blocks-"+channel+".jsonl")
+// BlockFilePath returns the block file path for one channel of a peer data
+// directory: every channel gets its own ledger file, blocks-<channel>.hpb,
+// so N channels of one host never share an append stream.
+func BlockFilePath(dataDir, channel string) string {
+	return filepath.Join(dataDir, "blocks-"+channel+".hpb")
 }
 
-// CheckpointDirFor returns the checkpoint directory for one channel of a
-// peer data directory. An empty channel selects the legacy layout
-// (checkpoints/); a named channel nests under it (checkpoints/<channel>/),
-// giving every channel an independent recovery root.
-func CheckpointDirFor(dataDir, channel string) string {
-	if channel == "" {
-		return filepath.Join(dataDir, checkpointSubdir)
-	}
-	return filepath.Join(dataDir, checkpointSubdir, channel)
+// CheckpointDir returns the checkpoint directory for one channel of a peer
+// data directory, checkpoints/<channel>/, giving every channel an
+// independent recovery root.
+func CheckpointDir(dataDir, channel string) string {
+	return filepath.Join(dataDir, "checkpoints", channel)
 }
 
 // Options tunes Open.
@@ -57,10 +34,8 @@ type Options struct {
 	// FromGenesis ignores checkpoints and replays the whole block file —
 	// the recovery benchmark's baseline and a paranoid full re-audit path.
 	FromGenesis bool
-	// Channel selects which channel of the data directory to recover.
-	// Empty keeps the legacy single-channel layout (blocks.jsonl,
-	// checkpoints/); a named channel uses blocks-<ch>.jsonl and
-	// checkpoints/<ch>/.
+	// Channel names the channel of the data directory to recover
+	// (blocks-<ch>.hpb, checkpoints/<ch>/). Required.
 	Channel string
 }
 
@@ -104,11 +79,14 @@ type Opened struct {
 // With no usable checkpoint the replay starts from genesis — slower, never
 // wrong.
 func Open(dataDir string, opts Options) (*Opened, error) {
+	if opts.Channel == "" {
+		return nil, errors.New("recovery: open without a channel")
+	}
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: mkdir %s: %w", dataDir, err)
 	}
 	loadStart := time.Now()
-	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePathFor(dataDir, opts.Channel), opts.Sync)
+	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePath(dataDir, opts.Channel), opts.Sync)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +102,7 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 	from := uint64(0)
 	restoreStart := time.Now()
 	if !opts.FromGenesis {
-		ck, err := LoadLatest(CheckpointDirFor(dataDir, opts.Channel), blocks.Height())
+		ck, err := LoadLatest(CheckpointDir(dataDir, opts.Channel), blocks.Height())
 		switch {
 		case err == nil:
 			if err := state.DefineIndexes(ck.Indexes); err != nil {

@@ -8,9 +8,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
-// rwsetMagic prefixes the canonical binary rwset encoding. Legacy JSON
-// rwsets (PR ≤ 9) are recognized by their '{' first byte and decode
-// transparently; everything encoded from here on is binary.
+// rwsetMagic prefixes the canonical binary rwset encoding.
 var rwsetMagic = []byte("HPRW")
 
 // rwsetVersion is the current version byte; decoders reject others.

@@ -62,17 +62,8 @@ func (rws *ReadWriteSet) Marshal() ([]byte, error) {
 	return appendRWSet(nil, rws), nil
 }
 
-// Unmarshal decodes an rwset produced by Marshal. Legacy JSON rwsets —
-// embedded in envelopes persisted by PR ≤ 9 ledgers — are recognized by
-// their '{' first byte and decode transparently.
+// Unmarshal decodes an rwset produced by Marshal.
 func Unmarshal(b []byte) (*ReadWriteSet, error) {
-	if len(b) > 0 && b[0] == '{' {
-		var rws ReadWriteSet
-		if err := json.Unmarshal(b, &rws); err != nil {
-			return nil, fmt.Errorf("rwset: unmarshal: %w", err)
-		}
-		return &rws, nil
-	}
 	return decodeRWSet(b)
 }
 

@@ -371,21 +371,16 @@ func (c *Client) BlocksFrom(from uint64) ([]*blockstore.Block, error) {
 		if !resp.More {
 			return blocks, nil
 		}
-		switch {
-		case len(resp.BlockBin) > 0:
-			b, err := blockstore.UnmarshalBlock(resp.BlockBin)
-			if err != nil {
-				// An undecodable block means the stream is unusable past this
-				// point; the in-order prefix is still safe to commit.
-				c.dropConnLocked()
-				err = fmt.Errorf("transport: blocksFrom stream %s: %w", c.addr, err)
-				c.setErrLocked(err)
-				return blocks, err
-			}
-			blocks = append(blocks, b)
-		case resp.Block != nil:
-			blocks = append(blocks, resp.Block)
+		b, err := blockstore.UnmarshalBlock(resp.BlockBin)
+		if err != nil {
+			// An undecodable block means the stream is unusable past this
+			// point; the in-order prefix is still safe to commit.
+			c.dropConnLocked()
+			err = fmt.Errorf("transport: blocksFrom stream %s: %w", c.addr, err)
+			c.setErrLocked(err)
+			return blocks, err
 		}
+		blocks = append(blocks, b)
 	}
 }
 

@@ -284,16 +284,9 @@ func (s *Server) handle(node Node, channelID string, req *request, traceID strin
 	case opHeight:
 		return &response{OK: true, Height: node.Height()}
 	case opDeliver:
-		b := req.Block
-		if len(req.BlockBin) > 0 {
-			var err error
-			b, err = blockstore.UnmarshalBlock(req.BlockBin)
-			if err != nil {
-				return &response{Code: network.CodeBadRequest, Err: fmt.Sprintf("deliver with undecodable block: %v", err)}
-			}
-		}
-		if b == nil {
-			return &response{Code: network.CodeBadRequest, Err: "deliver without block"}
+		b, err := blockstore.UnmarshalBlock(req.BlockBin)
+		if err != nil {
+			return &response{Code: network.CodeBadRequest, Err: fmt.Sprintf("deliver without a decodable block: %v", err)}
 		}
 		start := time.Now()
 		node.DeliverBlock(b)

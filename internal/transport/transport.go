@@ -12,7 +12,6 @@ package transport
 import (
 	"fmt"
 
-	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/network"
 	"github.com/hyperprov/hyperprov/internal/trace"
@@ -35,14 +34,10 @@ type request struct {
 	Op string `json:"op"`
 	// From is the starting block number for blocksFrom.
 	From uint64 `json:"from,omitempty"`
-	// Block is the pushed block for deliver, as sent by older clients.
-	// Current clients send BlockBin instead.
-	Block *blockstore.Block `json:"block,omitempty"`
-	// BlockBin is the pushed block in canonical binary form
-	// (blockstore.MarshalBlock). Preferred over Block: the codec is several
-	// times faster than JSON and the decoded envelopes arrive carrying
+	// BlockBin is the pushed block for deliver in canonical binary form
+	// (blockstore.MarshalBlock): the decoded envelopes arrive carrying
 	// their canonical bytes, so the receiving peer's commit pipeline never
-	// re-encodes them. Servers accept either field.
+	// re-encodes them.
 	BlockBin []byte `json:"blockBin,omitempty"`
 	// Proposal is the signed proposal for endorse.
 	Proposal *endorser.Proposal `json:"proposal,omitempty"`
@@ -79,11 +74,9 @@ type response struct {
 	Height      uint64 `json:"height,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"`
 
-	// blocksFrom stream fields. Block is the legacy JSON form; current
-	// servers stream BlockBin (canonical binary). Clients accept either.
-	Block    *blockstore.Block `json:"block,omitempty"`
-	BlockBin []byte            `json:"blockBin,omitempty"`
-	More     bool              `json:"more,omitempty"`
+	// blocksFrom stream fields: one canonical binary block per frame.
+	BlockBin []byte `json:"blockBin,omitempty"`
+	More     bool   `json:"more,omitempty"`
 
 	// endorse fields. Span is the serving peer's measured endorse span,
 	// shipped back so the requesting process can join the remote hop into

@@ -1,5 +1,3 @@
-//hyperprov:compat exercises the legacy single-channel peer.Config.ChannelID path on purpose
-
 package transport
 
 import (
@@ -49,7 +47,11 @@ func (f *fixture) newPeer(name string) *peer.Peer {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	p := peer.New(peer.Config{Name: name, Signer: signer, MSP: f.msp, ChannelID: "ch"})
+	host, err := peer.NewHost(peer.Config{Name: name, Signer: signer, MSP: f.msp, Channels: []string{"ch"}})
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	p := host.Channel("ch")
 	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(),
 		endorser.SignedBy("Org1MSP")); err != nil {
 		f.t.Fatal(err)
@@ -349,8 +351,8 @@ func TestMidStreamDisconnect(t *testing.T) {
 						_ = network.WriteJSON(conn, &response{OK: true, Name: "half-open"})
 					case opBlocksFrom:
 						// Two frames, then drop the connection mid-stream.
-						_ = network.WriteJSON(conn, &response{OK: true, More: true, Block: blocks[0]})
-						_ = network.WriteJSON(conn, &response{OK: true, More: true, Block: blocks[1]})
+						_ = network.WriteJSON(conn, &response{OK: true, More: true, BlockBin: blockstore.MarshalBlock(blocks[0])})
+						_ = network.WriteJSON(conn, &response{OK: true, More: true, BlockBin: blockstore.MarshalBlock(blocks[1])})
 						return
 					}
 				}

@@ -17,11 +17,6 @@ func TestErrCodes(t *testing.T) {
 		"errcodes/a")
 }
 
-func TestNoDeprecated(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), hyperprov.NoDeprecated,
-		"nodeprecated/use", "nodeprecated/core", "nodeprecated/peer", "nodeprecated/fabric")
-}
-
 func TestLockSafe(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), hyperprov.LockSafe,
 		"locksafe/committer", "locksafe/other")

@@ -48,15 +48,6 @@ func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 // but should say why the invariant legitimately does not apply.
 const allowPrefix = "hyperprov:allow"
 
-// compatPrefix designates a _test.go file as a compatibility test that may
-// exercise deprecated shims: a comment anywhere in the file reading
-//
-//	//hyperprov:compat <reason>
-//
-// exempts the whole file from the nodeprecated analyzer. It has no effect
-// outside _test.go files.
-const compatPrefix = "hyperprov:compat"
-
 // allowIndex records, per file and line, which analyzers are suppressed.
 type allowIndex struct {
 	fset  *token.FileSet
@@ -103,19 +94,6 @@ func (idx *allowIndex) allowed(name string, pos token.Pos) bool {
 	for _, line := range []int{posn.Line, posn.Line - 1} {
 		for _, n := range byLine[line] {
 			if n == name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// isCompatFile reports whether f carries a //hyperprov:compat designation.
-func isCompatFile(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if strings.HasPrefix(text, compatPrefix) {
 				return true
 			}
 		}

@@ -5,16 +5,13 @@
 //	atomicwrite   durable files are published temp+fsync+rename+dir-fsync (PR 3)
 //	errcodes      cross-process errors are classified structurally, never by
 //	              error-string matching (PR 4's RemoteStore bug class)
-//	nodeprecated  the single-channel shims stay quarantined to compat tests (PR 8)
 //	locksafe      striped locks are never held across blocking operations (PR 5/7)
 //	metricnames   metric families are compile-time constant snake_case names (PR 6/8)
 //	walltime      the commit/MVCC decision path stays deterministic: wall-clock
 //	              reads only through the metrics seam (PR 7)
 //
 // Suppression: a `//hyperprov:allow <name> <reason>` comment on the flagged
-// line (or alone on the line above) silences one line; a
-// `//hyperprov:compat <reason>` comment designates a _test.go file as a
-// compatibility test exempt from nodeprecated.
+// line (or alone on the line above) silences one line.
 package hyperprov
 
 import "github.com/hyperprov/hyperprov/tools/analyzers/analysis"
@@ -24,7 +21,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		AtomicWrite,
 		ErrCodes,
-		NoDeprecated,
 		LockSafe,
 		MetricNames,
 		WallTime,

@@ -11,12 +11,11 @@ import (
 // violationFixture maps each analyzer to a fixture package seeded with
 // known violations of its invariant.
 var violationFixture = map[string]string{
-	"atomicwrite":  "atomicwrite/offchain",
-	"errcodes":     "errcodes/a",
-	"nodeprecated": "nodeprecated/use",
-	"locksafe":     "locksafe/committer",
-	"metricnames":  "metricnames/app",
-	"walltime":     "walltime/committer",
+	"atomicwrite": "atomicwrite/offchain",
+	"errcodes":    "errcodes/a",
+	"locksafe":    "locksafe/committer",
+	"metricnames": "metricnames/app",
+	"walltime":    "walltime/committer",
 }
 
 // TestSuiteNotMuted is the analog of the bench-regression guard in

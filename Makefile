@@ -23,7 +23,7 @@ VETTOOL := tools/analyzers/bin/hyperprov-vet
 
 .PHONY: all fmt fmt-check vet vettool analyze lint build test race bench \
 	bench-commit bench-commit-sweep bench-check bench-recovery bench-state \
-	bench-channels benchmark-check cover crash-test cross smoke fuzz test-analyzers
+	bench-channels benchmark-check profile-post cover crash-test cross smoke fuzz test-analyzers
 
 all: build test
 
@@ -81,15 +81,17 @@ race:
 # bytes (header flag bits included), the checkpoint codec under damaged
 # media, the block/envelope codec under the bytes gossip frames and ledger
 # files deliver, the rwset codec under the bytes envelopes carry into
-# validation, and identity resolution under arbitrary serialized identities
-# (structured errors, same verdict twice). Each run first executes the
-# committed seed corpus.
+# validation, identity resolution under arbitrary serialized identities
+# (structured errors, same verdict twice), and the streamed signing digests
+# against the preimages they stand for. Each run first executes the committed
+# seed corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrameExt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/network/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) -run '^$$' ./internal/recovery/
 	$(GO) test -fuzz=FuzzDecodeBlockCodec -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore/
 	$(GO) test -fuzz=FuzzUnmarshalRWSet -fuzztime=$(FUZZTIME) -run '^$$' ./internal/rwset/
 	$(GO) test -fuzz=FuzzDeserialize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/identity/
+	$(GO) test -fuzz=FuzzSignedDigest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/endorser/
 
 bench:
 	$(GO) test -bench . -benchtime=500ms -run '^$$' ./...
@@ -101,6 +103,16 @@ bench:
 benchmark-check:
 	cd benchmark && $(GO) vet . && $(GO) test -short .
 	bash benchmark/run.sh -check
+
+# CPU and allocation profiles of the per-transaction fixed cost (the shape of
+# the post_e2e workload) without editing benchmark/: writes out/post.cpu.pprof,
+# out/post.mem.pprof and the test binary out/fabric.test for `go tool pprof`.
+# A profile says where time and bytes go; whether a change is a gain is
+# decided by benchmark/ (BENCHMARK.json), never by this run's ns/op.
+profile-post:
+	mkdir -p out
+	$(GO) test -run '^$$' -bench BenchmarkSubmitRealClock -benchtime 20000x -o out/fabric.test \
+		-cpuprofile out/post.cpu.pprof -memprofile out/post.mem.pprof -memprofilerate 4096 ./internal/fabric/
 
 # The -overhead-guard run doubles as the observability budget check: with
 # metrics + tracing fully enabled, pipelined commit throughput must stay

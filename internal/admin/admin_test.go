@@ -1,7 +1,9 @@
 package admin
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -238,8 +240,16 @@ func TestAdminExposesIdentityAndSignatureCaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := id.VerifyCached(msp.VerifyCache(), msg, sig, nil); err != nil {
+		if err := id.VerifyCached(msp.VerifyCache(), sha256.Sum256(msg), sig, nil); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// The ECDSA counters are process-wide: expect growth from here.
+	signs, verifies := identity.ECDSAOps()
+	ecdsa := func(executed uint64) []string {
+		return []string{
+			fmt.Sprintf("identity_ecdsa_signs %d", signs+executed),
+			fmt.Sprintf("identity_ecdsa_verifies %d", verifies+executed),
 		}
 	}
 	scrape := func(wants ...string) {
@@ -257,10 +267,13 @@ func TestAdminExposesIdentityAndSignatureCaches(t *testing.T) {
 		"# TYPE identity_cache_hits gauge",
 		"identity_cache_hits 0", "identity_cache_misses 1", "identity_cache_entries 1",
 		"verify_cache_hits 0", "verify_cache_misses 1", "verify_cache_entries 1",
+		"# TYPE identity_ecdsa_signs gauge",
 	)
+	scrape(ecdsa(1)...)
 	resolveAndVerify() // the identity is interned; the fresh signature is a new triple
 	scrape(
 		"identity_cache_hits 1", "identity_cache_misses 1", "identity_cache_entries 1",
 		"verify_cache_hits 0", "verify_cache_misses 2", "verify_cache_entries 2",
 	)
+	scrape(ecdsa(2)...)
 }

@@ -6,8 +6,8 @@
 package blockstore
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -73,7 +73,7 @@ type Envelope struct {
 
 	// bin is the cached canonical encoding (appendEnvelope layout); sigOff
 	// is the length of its signing-preimage prefix. Populated only by code
-	// that exclusively owns the envelope (NewBlock, Seal, decode),
+	// that exclusively owns the envelope (NewBlock, Seal, SealSigned, decode),
 	// never lazily on shared envelopes — that keeps concurrent readers
 	// race-free.
 	bin    []byte
@@ -90,6 +90,20 @@ func (e *Envelope) SignedBytes() []byte {
 		return e.bin[:e.sigOff:e.sigOff]
 	}
 	return appendEnvelopeCore(make([]byte, 0, envelopeCoreSize(e)), e)
+}
+
+// SignedDigest returns sha256(SignedBytes()) — what the client's signature
+// is computed and checked over — without allocating the preimage: the cached
+// encoding's prefix is hashed in place, and an envelope that carries none is
+// encoded into pooled scratch.
+func (e *Envelope) SignedDigest() [sha256.Size]byte {
+	if e.bin != nil {
+		return sha256.Sum256(e.bin[:e.sigOff])
+	}
+	scratch := codec.GetBuffer()
+	defer scratch.Release()
+	scratch.B = appendEnvelopeCore(scratch.B, e)
+	return sha256.Sum256(scratch.B)
 }
 
 // Marshal returns the envelope's canonical binary encoding for transport
@@ -111,6 +125,28 @@ func (e *Envelope) Seal() int {
 	e.ensureBin()
 	return len(e.bin)
 }
+
+// SealSigned signs and seals a freshly assembled envelope in one encoding:
+// the signing preimage is encoded once, sign receives its SHA-256, and the
+// signature is appended to the same buffer, which becomes the cached
+// canonical encoding. The caller must exclusively own the envelope, which
+// must not be sealed yet, and must not mutate its fields afterwards.
+func (e *Envelope) SealSigned(sign func(digest [sha256.Size]byte) ([]byte, error)) error {
+	core := appendEnvelopeCore(make([]byte, 0, envelopeCoreSize(e)+maxSignatureSize), e)
+	sig, err := sign(sha256.Sum256(core))
+	if err != nil {
+		return err
+	}
+	e.Signature = sig
+	e.sigOff = len(core)
+	e.bin = codec.AppendBytes(core, sig)
+	return nil
+}
+
+// maxSignatureSize is the room SealSigned reserves for the length-prefixed
+// signature: an ASN.1 ECDSA P-256 signature is at most 72 bytes. A longer
+// one still fits — the buffer grows — it only costs a copy.
+const maxSignatureSize = 1 + 72
 
 // EncodedLen returns the length of the envelope's cached canonical encoding
 // and true, or (0, false) when the envelope was never sealed or decoded. It
@@ -153,14 +189,19 @@ type Header struct {
 // Hash returns the SHA-256 hash of the header's canonical binary preimage,
 // which the next block's PreviousHash must equal.
 func (h *Header) Hash() []byte {
+	sum := h.sum()
+	return sum[:]
+}
+
+// sum is Hash as an array, for callers that key or compare by value.
+func (h *Header) sum() [sha256.Size]byte {
 	var arr [96]byte
 	buf := append(arr[:0], headerMagic...)
 	buf = append(buf, codecVersion)
 	buf = codec.AppendUvarint(buf, h.Number)
 	buf = codec.AppendBytes(buf, h.PreviousHash)
 	buf = codec.AppendBytes(buf, h.DataHash)
-	sum := sha256.Sum256(buf)
-	return sum[:]
+	return sha256.Sum256(buf)
 }
 
 // Block is an ordered batch of envelopes plus per-transaction validation
@@ -214,17 +255,18 @@ func (b *Block) VerifyData() error {
 	if err != nil {
 		return err
 	}
-	if hex.EncodeToString(dh) != hex.EncodeToString(b.Header.DataHash) {
+	if !bytes.Equal(dh, b.Header.DataHash) {
 		return fmt.Errorf("blockstore: block %d data hash mismatch", b.Header.Number)
 	}
 	return nil
 }
 
 // Clone returns a deep copy of the block (envelopes share no mutable state
-// with the original); peers clone before annotating validation flags. The
-// copy travels through the canonical binary encoding, so cloned envelopes
-// come back with their encodings cached — the commit pipeline's persist
-// and gossip stages reuse those bytes directly.
+// with the original), for tests and tools that want a block they may tamper
+// with. The commit pipeline does not clone: envelopes are immutable, so a
+// committing peer shares the ordered block's envelopes and owns only its
+// validation flags. The copy travels through the canonical binary encoding,
+// so cloned envelopes come back with their encodings cached.
 func (b *Block) Clone() *Block {
 	cp, err := UnmarshalBlock(MarshalBlock(b))
 	if err != nil {

@@ -66,6 +66,16 @@ func TestAppendAndRetrieve(t *testing.T) {
 	if _, err := s.GetByNumber(99); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetByNumber(99) err = %v, want ErrNotFound", err)
 	}
+	// The store remembers the tip hash instead of rehashing the last header;
+	// what it hands out is a copy.
+	tip := s.LastHash()
+	if last, _ := s.GetByNumber(s.Height() - 1); !bytes.Equal(tip, last.Header.Hash()) {
+		t.Errorf("LastHash = %x, want the last header's hash", tip)
+	}
+	tip[0] ^= 0xff
+	if bytes.Equal(tip, s.LastHash()) {
+		t.Error("LastHash hands out the store's own tip")
+	}
 	if _, err := s.GetByHash([]byte{1, 2}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetByHash(bogus) err = %v, want ErrNotFound", err)
 	}

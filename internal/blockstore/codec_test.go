@@ -2,6 +2,8 @@ package blockstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -94,6 +96,76 @@ func TestSignedBytesPrefixProperty(t *testing.T) {
 	}
 	if !bytes.Equal(dec.SignedBytes(), fresh) {
 		t.Fatal("decoded SignedBytes differs from fresh encoding")
+	}
+}
+
+// SignedDigest is sha256(SignedBytes()) however the envelope came to be —
+// assembled, sealed, or decoded — and for the golden envelope it is the digest
+// computed at commit 1486aeb, before the digest became the signing primitive.
+func TestEnvelopeSignedDigest(t *testing.T) {
+	golden := Envelope{TxID: "tx-golden", ChannelID: "ch", Chaincode: "provenance", Function: "set",
+		Args: [][]byte{[]byte("k"), nil, []byte("v")}, Creator: []byte("creator-identity"),
+		Timestamp: time.Unix(1700000000, 123456789), RWSet: []byte{1, 2, 3}, Response: []byte("payload"),
+		Endorsements: []Endorsement{{Endorser: []byte("endorser-identity"), Signature: []byte("endorsement-signature")}}}
+	const goldenDigest = "5018ee92f8a73b09dc3b3674df81a8d3c5b278ea83c4b1079f65520bd1aff993"
+	if got := golden.SignedDigest(); hex.EncodeToString(got[:]) != goldenDigest {
+		t.Errorf("golden envelope digest = %x, want %s", got, goldenDigest)
+	}
+	for name, e := range map[string]Envelope{
+		"zero": {}, "golden": golden, "full": fullEnvelope("tx-d"),
+		"nil vs empty": {Args: [][]byte{nil, {}}, Creator: []byte{}, Endorsements: []Endorsement{{}}},
+	} {
+		want := sha256.Sum256(e.SignedBytes())
+		if got := e.SignedDigest(); got != want {
+			t.Errorf("%s, assembled: SignedDigest %x, sha256(SignedBytes) %x", name, got, want)
+		}
+		e.Seal()
+		if got := e.SignedDigest(); got != want {
+			t.Errorf("%s, sealed: SignedDigest %x, want %x", name, got, want)
+		}
+		dec, err := UnmarshalEnvelope(e.bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dec.SignedDigest(); got != want {
+			t.Errorf("%s, decoded: SignedDigest %x, want %x", name, got, want)
+		}
+	}
+}
+
+// SealSigned leaves the envelope exactly as signing SignedBytes and then
+// sealing would — same signature input, same cached bytes — in one encoding.
+func TestSealSigned(t *testing.T) {
+	want := fullEnvelope("tx-s")
+	want.Signature = bytes.Repeat([]byte{0x5a}, 71)
+	want.Seal()
+
+	e := fullEnvelope("tx-s")
+	e.Signature = nil
+	var signed [sha256.Size]byte
+	err := e.SealSigned(func(digest [sha256.Size]byte) ([]byte, error) {
+		signed = digest
+		return want.Signature, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if signed != sha256.Sum256(want.SignedBytes()) {
+		t.Error("the signer was not handed sha256(SignedBytes)")
+	}
+	if !bytes.Equal(e.bin, want.bin) || e.sigOff != want.sigOff || !bytes.Equal(e.Signature, want.Signature) {
+		t.Error("SealSigned and sign-then-Seal cache different encodings")
+	}
+	if e.Seal() != len(want.bin) {
+		t.Error("sealing a SealSigned envelope re-encoded it")
+	}
+
+	failing := fullEnvelope("tx-f")
+	if err := failing.SealSigned(func([sha256.Size]byte) ([]byte, error) { return nil, errors.New("no key") }); err == nil {
+		t.Error("a failed signature was swallowed")
+	}
+	if _, sealed := failing.EncodedLen(); sealed {
+		t.Error("an envelope whose signature failed was sealed")
 	}
 }
 

@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"crypto/sha256"
 	"errors"
 	"reflect"
 	"testing"
@@ -91,6 +92,15 @@ func FuzzDecodeBlockCodec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(e, rt) {
 			t.Fatalf("envelope round-trip mismatch:\n got %#v\nwant %#v", rt, e)
+		}
+		// The signing digest is the hash of the signing preimage, with the
+		// wire bytes cached and re-encoded from the fields alike.
+		bare := *e
+		bare.bin, bare.sigOff = nil, 0
+		for _, env := range []*Envelope{e, &bare} {
+			if got, want := env.SignedDigest(), sha256.Sum256(env.SignedBytes()); got != want {
+				t.Fatalf("SignedDigest %x, sha256(SignedBytes) %x", got, want)
+			}
 		}
 	})
 }

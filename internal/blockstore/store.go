@@ -2,7 +2,7 @@ package blockstore
 
 import (
 	"bytes"
-	"encoding/hex"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -58,14 +58,15 @@ var (
 type Store struct {
 	mu     sync.RWMutex
 	blocks []*Block
-	byHash map[string]uint64    // header hash -> block number
-	byTxID map[string]TxLocator // txid -> location
+	tip    [sha256.Size]byte            // hash of the latest header
+	byHash map[[sha256.Size]byte]uint64 // header hash -> block number
+	byTxID map[string]TxLocator         // txid -> location
 }
 
 // NewStore creates an empty block store.
 func NewStore() *Store {
 	return &Store{
-		byHash: make(map[string]uint64),
+		byHash: make(map[[sha256.Size]byte]uint64),
 		byTxID: make(map[string]TxLocator),
 	}
 }
@@ -79,17 +80,15 @@ func (s *Store) Append(b *Block) error {
 	if b.Header.Number != want {
 		return fmt.Errorf("%w: got %d, want %d", ErrWrongSequence, b.Header.Number, want)
 	}
-	if want > 0 {
-		prev := s.blocks[want-1].Header.Hash()
-		if !bytes.Equal(b.Header.PreviousHash, prev) {
-			return fmt.Errorf("%w: block %d previous hash mismatch", ErrBrokenChain, b.Header.Number)
-		}
+	if want > 0 && !bytes.Equal(b.Header.PreviousHash, s.tip[:]) {
+		return fmt.Errorf("%w: block %d previous hash mismatch", ErrBrokenChain, b.Header.Number)
 	}
 	if err := b.VerifyData(); err != nil {
 		return err
 	}
 	s.blocks = append(s.blocks, b)
-	s.byHash[hex.EncodeToString(b.Header.Hash())] = b.Header.Number
+	s.tip = b.Header.sum()
+	s.byHash[s.tip] = b.Header.Number
 	for i := range b.Envelopes {
 		code := TxValid
 		if i < len(b.TxValidation) {
@@ -115,7 +114,8 @@ func (s *Store) LastHash() []byte {
 	if len(s.blocks) == 0 {
 		return nil
 	}
-	return s.blocks[len(s.blocks)-1].Header.Hash()
+	tip := s.tip
+	return tip[:]
 }
 
 // GetByNumber returns the block with the given number.
@@ -132,7 +132,10 @@ func (s *Store) GetByNumber(n uint64) (*Block, error) {
 func (s *Store) GetByHash(hash []byte) (*Block, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n, ok := s.byHash[hex.EncodeToString(hash)]
+	if len(hash) != sha256.Size {
+		return nil, fmt.Errorf("%w: hash %x", ErrNotFound, hash)
+	}
+	n, ok := s.byHash[[sha256.Size]byte(hash)]
 	if !ok {
 		return nil, fmt.Errorf("%w: hash %x", ErrNotFound, hash)
 	}

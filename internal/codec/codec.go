@@ -6,11 +6,14 @@
 // sticky-error decode cursor — into primitives every hot-path codec
 // (envelope, block, rwset, wire frames) builds on.
 //
-// The package has two halves:
+// The package has three parts:
 //
 //   - Encoding: append-style helpers over []byte plus a sync.Pool-backed
 //     Buffer so steady-state encode paths (block append, frame write)
 //     allocate no per-call scratch.
+//   - Digests: Hasher, which feeds SHA-256 the bytes the append helpers
+//     would produce, for encodings that exist only to be hashed (signing
+//     preimages).
 //   - Decoding: Dec, a bounds-checked cursor that records the first error
 //     and turns every subsequent read into a no-op, so codecs read a whole
 //     record linearly and check the error once.
@@ -26,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"math"
 	"math/bits"
@@ -149,17 +153,78 @@ func AppendTime(buf []byte, t time.Time) []byte {
 // values (signature-cache keys, endorsement result digests); nothing
 // persists it.
 func HashFields(fields ...[]byte) [sha256.Size]byte {
-	h := sha256.New()
-	var n [8]byte
+	h := NewHasher()
 	for _, f := range fields {
-		binary.BigEndian.PutUint64(n[:], uint64(len(f)))
-		h.Write(n[:])
-		h.Write(f)
+		h.Raw(binary.BigEndian.AppendUint64(h.scratch[:0], uint64(len(f))))
+		h.Raw(f)
 	}
+	return h.Sum()
+}
+
+// --- streaming digests -------------------------------------------------------
+
+// Hasher streams a canonical encoding into SHA-256 without materializing
+// it: each method feeds the hash exactly the bytes the Append* function of
+// the same name would append, so Sum equals sha256.Sum256 of the appended
+// encoding. Signing preimages are hashed this way — the bytes they are
+// made of already exist in the structure being signed, and a copy built
+// only to be hashed is pure heap churn. Hashers are pooled: obtain one with
+// NewHasher and finish with Sum, after which it must not be used.
+type Hasher struct {
+	h       hash.Hash
+	scratch [sha256.BlockSize]byte
+}
+
+var hasherPool = sync.Pool{
+	New: func() any { return &Hasher{h: sha256.New()} },
+}
+
+// NewHasher returns an empty pooled hasher.
+func NewHasher() *Hasher {
+	h := hasherPool.Get().(*Hasher)
+	h.h.Reset()
+	return h
+}
+
+// Sum returns the SHA-256 of everything written and recycles the hasher.
+func (h *Hasher) Sum() [sha256.Size]byte {
 	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
+	copy(sum[:], h.h.Sum(h.scratch[:0]))
+	hasherPool.Put(h)
 	return sum
 }
+
+// Raw feeds p as is (a magic, an already-encoded field).
+func (h *Hasher) Raw(p []byte) { h.h.Write(p) }
+
+// Byte feeds one byte (a version, a flag).
+func (h *Hasher) Byte(b byte) { h.h.Write(append(h.scratch[:0], b)) }
+
+// Uvarint feeds what AppendUvarint appends.
+func (h *Hasher) Uvarint(v uint64) { h.h.Write(binary.AppendUvarint(h.scratch[:0], v)) }
+
+// Varint feeds what AppendVarint appends.
+func (h *Hasher) Varint(v int64) { h.h.Write(binary.AppendVarint(h.scratch[:0], v)) }
+
+// Bytes feeds what AppendBytes appends.
+func (h *Hasher) Bytes(p []byte) {
+	h.Uvarint(uint64(len(p)))
+	h.h.Write(p)
+}
+
+// String feeds what AppendString appends. The string passes through the
+// scratch block: converting it to a byte slice would copy it to the heap.
+func (h *Hasher) String(s string) {
+	h.Uvarint(uint64(len(s)))
+	for len(s) > 0 {
+		n := copy(h.scratch[:], s)
+		h.h.Write(h.scratch[:n])
+		s = s[n:]
+	}
+}
+
+// Time feeds what AppendTime appends.
+func (h *Hasher) Time(t time.Time) { h.h.Write(AppendTime(h.scratch[:0], t)) }
 
 // --- pooled encode buffers --------------------------------------------------
 

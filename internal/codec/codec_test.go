@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -255,5 +257,60 @@ func TestHashFieldsRespectsBoundaries(t *testing.T) {
 	}
 	if HashFields([]byte("ab"), []byte("c")) != HashFields([]byte("ab"), []byte("c")) {
 		t.Error("digest is not deterministic")
+	}
+}
+
+// Every Hasher method feeds the hash exactly what the Append function of the
+// same name appends, whatever was written before it and however the strings
+// straddle the scratch block.
+func TestHasherMatchesAppends(t *testing.T) {
+	long := bytes.Repeat([]byte("0123456789abcdef"), 300)
+	var enc []byte
+	h := NewHasher()
+	h.Raw([]byte("HPXX"))
+	enc = append(enc, "HPXX"...)
+	h.Byte(7)
+	enc = append(enc, 7)
+	for _, v := range []uint64{0, 127, 128, 1 << 32, math.MaxUint64} {
+		h.Uvarint(v)
+		enc = AppendUvarint(enc, v)
+	}
+	for _, v := range []int64{0, -1, 64, -65, math.MaxInt64, math.MinInt64} {
+		h.Varint(v)
+		enc = AppendVarint(enc, v)
+	}
+	for _, p := range [][]byte{nil, {}, []byte("x"), long} {
+		h.Bytes(p)
+		enc = AppendBytes(enc, p)
+		h.String(string(p))
+		enc = AppendString(enc, string(p))
+	}
+	for _, n := range []int{63, 64, 65, 128, 129} { // around the scratch block
+		h.String(string(long[:n]))
+		enc = AppendString(enc, string(long[:n]))
+	}
+	for _, ts := range []time.Time{{}, time.Unix(0, 1), time.Unix(1700000123, 456789), time.Unix(-5, 999999999)} {
+		h.Time(ts)
+		enc = AppendTime(enc, ts)
+	}
+	if got, want := h.Sum(), sha256.Sum256(enc); got != want {
+		t.Fatalf("streamed digest %x, digest of the appended encoding %x", got, want)
+	}
+	// A recycled hasher starts empty.
+	if got, want := NewHasher().Sum(), sha256.Sum256(nil); got != want {
+		t.Errorf("fresh hasher digest %x, want the empty digest %x", got, want)
+	}
+}
+
+// HashFields is SHA-256 over each field behind its 8-byte big-endian length.
+func TestHashFieldsLayout(t *testing.T) {
+	var enc []byte
+	fields := [][]byte{[]byte("certificate digest"), nil, bytes.Repeat([]byte{0xab}, 200)}
+	for _, f := range fields {
+		enc = binary.BigEndian.AppendUint64(enc, uint64(len(f)))
+		enc = append(enc, f...)
+	}
+	if got, want := HashFields(fields...), sha256.Sum256(enc); got != want {
+		t.Errorf("HashFields = %x, want %x", got, want)
 	}
 }

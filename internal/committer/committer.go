@@ -241,12 +241,16 @@ func captureState(cfg Config, t *task) {
 	}
 }
 
-// newTask clones the ordered block (peers must not annotate the orderer's
-// copy) and allocates its validation flags.
+// newTask shadows the ordered block with a shallow copy that owns its
+// validation flags: peers must not annotate the orderer's copy, and the
+// verdict is all a peer adds. The envelopes — immutable once encoded — are
+// shared with the orderer and every other committer of this block, cached
+// encodings included, so persist and gossip reuse the bytes the orderer
+// produced.
 func newTask(ordered *blockstore.Block) *task {
-	b := ordered.Clone()
-	b.TxValidation = make([]blockstore.ValidationCode, len(b.Envelopes))
-	return &task{b: b}
+	shadow := *ordered
+	shadow.TxValidation = make([]blockstore.ValidationCode, len(shadow.Envelopes))
+	return &task{b: &shadow}
 }
 
 // prevalidate runs stage 1 for every transaction of the block, fanning the

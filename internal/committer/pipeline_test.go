@@ -1,10 +1,12 @@
 package committer
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
 // TestPipelineDedupAndOrdering: duplicate and out-of-order submissions are
@@ -190,6 +192,79 @@ func TestPipelineEmptyAndAllInvalidBlocks(t *testing.T) {
 	for i, c := range b.TxValidation {
 		if c == blockstore.TxValid {
 			t.Errorf("tx %d marked valid in all-invalid block", i)
+		}
+	}
+}
+
+// TestSharedBlockKeepsPerPeerVerdicts: committers shadow the ordered block
+// instead of cloning it, so two peers committing the same *Block share its
+// envelopes — and nothing else. With one peer's state seeded so that a
+// transaction of the stream is an MVCC conflict there only, each ledger
+// records its own verdicts and reaches the state the serial engine reaches
+// from the same seed on a deep copy of the stream; the ordered blocks stay
+// unannotated.
+func TestSharedBlockKeepsPerPeerVerdicts(t *testing.T) {
+	f := newTxFactory(t)
+	stream := buildStream(t, f) // block 1's "first" reads key d as absent
+
+	seeds := []map[string]statedb.VersionedValue{
+		nil,
+		{"d": {Value: []byte("here first")}},
+	}
+	ledgers := make([]*ledger, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		ledgers[i] = newLedger()
+		ledgers[i].state.Restore(seed, statedb.Version{})
+		wg.Add(1)
+		go func(l *ledger) {
+			defer wg.Done()
+			pipe := New(l.config(f, 2))
+			defer pipe.Close()
+			for _, b := range stream {
+				if !pipe.Submit(b) {
+					t.Errorf("rejected shared block %d", b.Header.Number)
+				}
+			}
+			pipe.Sync()
+		}(ledgers[i])
+	}
+	wg.Wait()
+
+	for i, seed := range seeds {
+		oracle := newLedger()
+		oracle.state.Restore(seed, statedb.Version{})
+		serial := NewSerial(oracle.config(f, 1))
+		for _, b := range stream {
+			serial.Submit(b.Clone())
+		}
+		if got, want := StateFingerprint(ledgers[i].state), StateFingerprint(oracle.state); got != want {
+			t.Errorf("peer %d: state fingerprint %s, serial engine on a private copy %s", i, got, want)
+		}
+		for _, ordered := range stream {
+			n := ordered.Header.Number
+			got, _ := ledgers[i].blocks.GetByNumber(n)
+			want, _ := oracle.blocks.GetByNumber(n)
+			if !reflect.DeepEqual(got.TxValidation, want.TxValidation) {
+				t.Errorf("peer %d block %d: verdicts %v, serial engine %v", i, n, got.TxValidation, want.TxValidation)
+			}
+			if got == ordered || len(ordered.Envelopes) > 0 && &got.Envelopes[0] != &ordered.Envelopes[0] {
+				t.Errorf("peer %d block %d: want a shadow of the ordered block sharing its envelopes", i, n)
+			}
+		}
+		if err := ledgers[i].blocks.VerifyChain(); err != nil {
+			t.Errorf("peer %d chain: %v", i, err)
+		}
+	}
+	a, _ := ledgers[0].blocks.GetByNumber(1)
+	b, _ := ledgers[1].blocks.GetByNumber(1)
+	if a.TxValidation[1] != blockstore.TxValid || b.TxValidation[1] != blockstore.TxMVCCConflict {
+		t.Errorf("block 1 tx 1: unseeded peer %s, seeded peer %s; want VALID and MVCC_READ_CONFLICT",
+			a.TxValidation[1], b.TxValidation[1])
+	}
+	for _, ordered := range stream {
+		if ordered.TxValidation != nil {
+			t.Errorf("ordered block %d was annotated: %v", ordered.Header.Number, ordered.TxValidation)
 		}
 	}
 }

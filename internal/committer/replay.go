@@ -31,16 +31,12 @@ func Replay(state statedb.StateDB, history *historydb.DB, blocks []*blockstore.B
 	return nil
 }
 
-// replayBlock re-applies one stored block. The stored block is shadowed by
-// a shallow copy with its own validation slice — replay re-derives the
-// codes, and the durable store's in-memory copy must never be written to,
-// even with equal values. A full JSON clone would be correct too, but it
-// doubles replay cost and recovery time is the product here; the replay
-// path only reads the shared envelopes.
+// replayBlock re-applies one stored block. The stored block is shadowed
+// like an ordered one (newTask): replay re-derives the codes, and the
+// durable store's in-memory copy must never be written to, even with equal
+// values.
 func replayBlock(state statedb.StateDB, history *historydb.DB, stored *blockstore.Block) error {
-	shadow := *stored
-	shadow.TxValidation = make([]blockstore.ValidationCode, len(shadow.Envelopes))
-	t := &task{b: &shadow}
+	t := newTask(stored)
 	t.preval = make([]PrevalResult, len(t.b.Envelopes))
 	for i := range t.b.Envelopes {
 		code := blockstore.TxValid

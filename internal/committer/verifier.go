@@ -62,7 +62,7 @@ func (v *EnvelopeVerifier) prevalidate(env *blockstore.Envelope) (blockstore.Val
 	if v.Exec != nil {
 		onMiss = func() { v.Exec.Verify() }
 	}
-	if err := clientID.VerifyCached(v.MSP.VerifyCache(), env.SignedBytes(), env.Signature, onMiss); err != nil {
+	if err := clientID.VerifyCached(v.MSP.VerifyCache(), env.SignedDigest(), env.Signature, onMiss); err != nil {
 		return blockstore.TxBadSignature, rws
 	}
 	// 3. Endorsement policy (VSCC).

@@ -4,20 +4,29 @@ import (
 	"testing"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/identity"
 )
 
 // TestPrevalidateWarmCacheSkipsSignatureWork pins the redelivery fast path:
 // prevalidating the same envelope twice (gossip redelivery, gateway-checked
 // then commit-checked) does every ECDSA verification exactly once. The
 // modeled Exec.Verify charge rides the same onMiss hook, so "no new misses"
-// is also "no new hardware charge".
+// is also "no new hardware charge". The cold pass is the other half of the
+// contract: a committing peer that has seen nothing executes one real ECDSA
+// verification for the creator and one per endorsement, no fewer.
 func TestPrevalidateWarmCacheSkipsSignatureWork(t *testing.T) {
 	f := newTxFactory(t)
 	v := f.verifier()
 	env := f.envelope(f.txID(), writeSet("k"), nil)
 
+	_, verifies0 := identity.ECDSAOps()
 	if res := v.Prevalidate(&env); res.Code != blockstore.TxValid {
 		t.Fatalf("first prevalidate: %v", res.Code)
+	}
+	_, verifiesCold := identity.ECDSAOps()
+	if want := uint64(1 + len(env.Endorsements)); verifiesCold-verifies0 != want {
+		t.Fatalf("cold pass executed %d ECDSA verifications, want %d (creator + every endorsement)",
+			verifiesCold-verifies0, want)
 	}
 	cold := f.msp.VerifyCache().Stats()
 	if cold.Misses < 2 { // creator signature + one endorsement
@@ -33,6 +42,9 @@ func TestPrevalidateWarmCacheSkipsSignatureWork(t *testing.T) {
 	}
 	if warm.Hits < cold.Hits+2 {
 		t.Fatalf("warm pass hit %d times, want >= 2", warm.Hits-cold.Hits)
+	}
+	if _, verifiesWarm := identity.ECDSAOps(); verifiesWarm != verifiesCold {
+		t.Fatalf("warm pass executed %d ECDSA verifications, want 0", verifiesWarm-verifiesCold)
 	}
 
 	// A tampered copy must still fail: the cache keys on exact bytes.

@@ -45,6 +45,26 @@ func newClient(t *testing.T) (*Client, *offchain.MemStore) {
 	return c, store
 }
 
+// settle waits until every peer has committed every block ordered so far.
+// Submit waits for commit on peer 0 only, so without it a second write to
+// the same key can be simulated by a majority of endorsers against the
+// version before the first write and commit as an MVCC conflict.
+func settle(t *testing.T, c *Client) {
+	t.Helper()
+	n := c.gw.Network()
+	want := n.Orderer().Height()
+	deadline := time.Now().Add(15 * time.Second)
+	for _, p := range n.Peers() {
+		for p.Height() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s at height %d, want %d", p.Name(), p.Height(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		p.Sync()
+	}
+}
+
 func TestPostAndGet(t *testing.T) {
 	c, _ := newClient(t)
 	receipt, err := c.Post("item1", "sha256:abc", PostOptions{Meta: map[string]string{"unit": "C"}})
@@ -115,6 +135,7 @@ func TestKeyHistory(t *testing.T) {
 		if _, err := c.Post("evolving", fmt.Sprintf("cs-v%d", i), PostOptions{}); err != nil {
 			t.Fatal(err)
 		}
+		settle(t, c)
 	}
 	hist, err := c.GetKeyHistory("evolving")
 	if err != nil {

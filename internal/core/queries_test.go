@@ -136,6 +136,7 @@ func TestOwnershipAcrossClients(t *testing.T) {
 	if _, err := c.Post("protected", "c1", PostOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, c)
 	// A different identity may not overwrite or delete the record.
 	if _, err := other.Post("protected", "c2", PostOptions{}); err == nil {
 		t.Error("non-owner update succeeded")

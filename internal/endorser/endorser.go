@@ -74,6 +74,26 @@ func (p *Proposal) SignedBytes() []byte {
 	return codec.AppendTime(buf, p.Timestamp)
 }
 
+// SignedDigest returns sha256(SignedBytes()) without building the preimage:
+// the fields stream into the hash in SignedBytes' layout. It is what signers
+// sign and verifiers check; SignedBytes stays as the layout's definition.
+func (p *Proposal) SignedDigest() [sha256.Size]byte {
+	h := codec.NewHasher()
+	h.Raw(proposalMagic)
+	h.Byte(preimageVersion)
+	h.String(p.TxID)
+	h.String(p.ChannelID)
+	h.String(p.Chaincode)
+	h.String(p.Function)
+	h.Uvarint(uint64(len(p.Args)))
+	for _, a := range p.Args {
+		h.Bytes(a)
+	}
+	h.Bytes(p.Creator)
+	h.Time(p.Timestamp)
+	return h.Sum()
+}
+
 // NewTxID derives a transaction id from the creator identity and a random
 // nonce, as Fabric does (sha256(nonce || creator)).
 func NewTxID(creator []byte) (string, error) {
@@ -120,6 +140,24 @@ func (r *Response) SignedBytes() []byte {
 	return codec.AppendBytes(buf, r.Endorser)
 }
 
+// SignedDigest returns sha256(SignedBytes()) without building the preimage
+// (see Proposal.SignedDigest): an endorsement is verified by the gateway and
+// again by every committing peer, and its preimage repeats the rwset each
+// time.
+func (r *Response) SignedDigest() [sha256.Size]byte {
+	h := codec.NewHasher()
+	h.Raw(responseMagic)
+	h.Byte(preimageVersion)
+	h.String(r.TxID)
+	h.Varint(int64(r.Status))
+	h.String(r.Message)
+	h.Bytes(r.Payload)
+	h.Bytes(r.RWSet)
+	h.Bytes(r.Events)
+	h.Bytes(r.Endorser)
+	return h.Sum()
+}
+
 // Verify checks the endorsement signature against the peer identity
 // resolved through the MSP. It returns the resolved identity.
 //
@@ -135,7 +173,7 @@ func (r *Response) verifyCached(msp *identity.MSP, onMiss func()) (*identity.Ide
 	if err != nil {
 		return nil, fmt.Errorf("endorser: resolve endorser: %w", err)
 	}
-	if err := id.VerifyCached(msp.VerifyCache(), r.SignedBytes(), r.Signature, onMiss); err != nil {
+	if err := id.VerifyCached(msp.VerifyCache(), r.SignedDigest(), r.Signature, onMiss); err != nil {
 		return nil, fmt.Errorf("endorser: endorsement signature: %w", err)
 	}
 	return id, nil

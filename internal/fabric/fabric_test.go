@@ -27,7 +27,7 @@ func testConfig() Config {
 	return cfg
 }
 
-func newTestNetwork(t *testing.T, cfg Config) *Network {
+func newTestNetwork(t testing.TB, cfg Config) *Network {
 	t.Helper()
 	n, err := NewNetwork(cfg)
 	if err != nil {
@@ -41,7 +41,7 @@ func newTestNetwork(t *testing.T, cfg Config) *Network {
 	return n
 }
 
-func setRecord(t *testing.T, gw *Gateway, key, checksum string, parents ...string) *TxResult {
+func setRecord(t testing.TB, gw *Gateway, key, checksum string, parents ...string) *TxResult {
 	t.Helper()
 	in := map[string]any{"key": key, "checksum": checksum}
 	if len(parents) > 0 {

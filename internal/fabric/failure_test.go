@@ -35,14 +35,15 @@ func TestSubmitSurvivesNonCommitPeerFailure(t *testing.T) {
 
 // TestCommitTimeout: a transaction whose commit event never arrives (the
 // commit peer is detached from the block stream) must fail with
-// ErrCommitTimeout rather than hanging.
+// ErrCommitTimeout rather than hanging, and must not leave its commit
+// listener registered on the peer.
 func TestCommitTimeout(t *testing.T) {
 	n := newTestNetwork(t, testConfig())
 	gw, err := n.NewGateway("client")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw.SetCommitTimeout(200 * time.Millisecond)
+	gw.SetCommitTimeout(time.Millisecond)
 	// Detach the commit peer from the ordered stream: endorsement still
 	// works (its state is live), but it will never see the block.
 	n.Peers()[0].Stop()
@@ -50,6 +51,9 @@ func TestCommitTimeout(t *testing.T) {
 		[]byte(`{"key":"k","checksum":"c"}`))
 	if !errors.Is(err, ErrCommitTimeout) {
 		t.Errorf("err = %v, want ErrCommitTimeout", err)
+	}
+	if got := n.Peers()[0].PendingTxListeners(); got != 0 {
+		t.Errorf("%d commit listeners left registered after the timeout", got)
 	}
 }
 
@@ -77,7 +81,8 @@ func TestGatewayOnSharedExecutor(t *testing.T) {
 }
 
 // TestOrdererStopFailsSubmitsCleanly: submissions after the ordering
-// service stops return an error instead of hanging.
+// service stops return an error instead of hanging, and the rejected
+// broadcast does not leave its commit listener registered.
 func TestOrdererStopFailsSubmitsCleanly(t *testing.T) {
 	n := newTestNetwork(t, testConfig())
 	gw, err := n.NewGateway("client")
@@ -92,5 +97,8 @@ func TestOrdererStopFailsSubmitsCleanly(t *testing.T) {
 	}
 	if !errors.Is(err, orderer.ErrStopped) {
 		t.Logf("err = %v (any error acceptable, ErrStopped preferred)", err)
+	}
+	if got := n.Peers()[0].PendingTxListeners(); got != 0 {
+		t.Errorf("%d commit listeners left registered after the rejected broadcast", got)
 	}
 }

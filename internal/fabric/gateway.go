@@ -120,7 +120,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	if g.exec != nil {
 		g.exec.Sign()
 	}
-	sig, err := g.signer.Sign(prop.SignedBytes())
+	sig, err := g.signer.SignDigest(prop.SignedDigest())
 	if err != nil {
 		return nil, fmt.Errorf("fabric: sign proposal: %w", err)
 	}
@@ -224,11 +224,11 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	if g.exec != nil {
 		g.exec.Sign()
 	}
-	envSig, err := g.signer.Sign(env.SignedBytes())
-	if err != nil {
+	// One encoding serves the signature and the rest of the envelope's life:
+	// block assembly, data hash, gossip and ledger append reuse it.
+	if err := env.SealSigned(g.signer.SignDigest); err != nil {
 		return nil, fmt.Errorf("fabric: sign envelope: %w", err)
 	}
-	env.Signature = envSig
 
 	// Register for the commit event before submitting (no lost wakeups),
 	// then broadcast to ordering.
@@ -241,9 +241,12 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	// endorsement fan-out, and envelope assembly — ending at broadcast.
 	g.net.Tracer().Observe(txID, trace.StagePropose, "gateway", start, "")
 	if err := g.net.mustChannel(g.channel).orderer.Submit(env); err != nil {
+		commitPeer.UnregisterTxListener(txID, wait)
 		return nil, fmt.Errorf("fabric: broadcast: %w", err)
 	}
 
+	timeout := time.NewTimer(g.commitTimeout)
+	defer timeout.Stop()
 	select {
 	case ev := <-wait:
 		res := &TxResult{
@@ -257,7 +260,8 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 			return res, fmt.Errorf("%w: %s", ErrTxInvalidated, ev.Code)
 		}
 		return res, nil
-	case <-time.After(g.commitTimeout):
+	case <-timeout.C:
+		commitPeer.UnregisterTxListener(txID, wait)
 		return nil, fmt.Errorf("%w: tx %s after %v", ErrCommitTimeout, txID, g.commitTimeout)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -264,7 +265,14 @@ func (s *SigningIdentity) MSPID() string { return s.pub.mspID }
 
 // Sign signs the SHA-256 digest of msg with the identity's private key.
 func (s *SigningIdentity) Sign(msg []byte) ([]byte, error) {
-	digest := sha256.Sum256(msg)
+	return s.SignDigest(sha256.Sum256(msg))
+}
+
+// SignDigest signs a SHA-256 digest with the identity's private key. The
+// digest is the primitive: a caller that can stream its preimage into a
+// hash (codec.Hasher) never builds the preimage.
+func (s *SigningIdentity) SignDigest(digest [sha256.Size]byte) ([]byte, error) {
+	ecdsaSigns.Add(1)
 	sig, err := ecdsa.SignASN1(rand.Reader, s.key, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("identity: sign: %w", err)
@@ -347,11 +355,30 @@ func (id *Identity) MSPID() string { return id.mspID }
 
 // Verify checks that sig is a valid signature over msg by this identity.
 func (id *Identity) Verify(msg, sig []byte) error {
-	digest := sha256.Sum256(msg)
-	if id.pub == nil || !ecdsa.VerifyASN1(id.pub, digest[:], sig) {
+	return id.VerifyDigest(sha256.Sum256(msg), sig)
+}
+
+// VerifyDigest checks that sig is a valid signature by this identity over a
+// message whose SHA-256 is digest.
+func (id *Identity) VerifyDigest(digest [sha256.Size]byte, sig []byte) error {
+	if id.pub == nil {
+		return ErrBadSignature
+	}
+	ecdsaVerifies.Add(1)
+	if !ecdsa.VerifyASN1(id.pub, digest[:], sig) {
 		return ErrBadSignature
 	}
 	return nil
+}
+
+// ecdsaSigns and ecdsaVerifies count the ECDSA operations this process
+// actually executed; a verification answered by a VerifyCache is not one.
+var ecdsaSigns, ecdsaVerifies atomic.Uint64
+
+// ECDSAOps returns the process-wide counts of executed ECDSA signatures and
+// verifications — the per-transaction signature budget, measured.
+func ECDSAOps() (signs, verifies uint64) {
+	return ecdsaSigns.Load(), ecdsaVerifies.Load()
 }
 
 // Subject renders the identity the way HyperProv records it in the creator

@@ -51,9 +51,10 @@ func NewVerifyCache(capacity int) *VerifyCache {
 }
 
 // verifyKey binds certificate, message, and signature into one cache key.
-// The certificate enters as its SHA-256 digest, computed once per identity.
-func verifyKey(certDigest *[sha256.Size]byte, msg, sig []byte) [sha256.Size]byte {
-	return codec.HashFields(certDigest[:], msg, sig)
+// Certificate and message enter as their SHA-256 digests — the first
+// computed once per identity, the second exactly what ECDSA signs.
+func verifyKey(certDigest, digest *[sha256.Size]byte, sig []byte) [sha256.Size]byte {
+	return codec.HashFields(certDigest[:], digest[:], sig)
 }
 
 // lookup reports whether k is cached, refreshing its recency on hit.
@@ -79,27 +80,27 @@ func (c *VerifyCache) Stats() VerifyCacheStats {
 	return c.seen.stats()
 }
 
-// VerifyCached checks sig over msg like Verify, consulting the cache first.
-// On a hit it returns immediately — skipping both the ECDSA verification
-// and onMiss. On a miss it invokes onMiss (if non-nil) before verifying;
-// callers use the hook to charge modeled verification hardware only for
-// work that actually happens. A nil cache degrades to plain Verify with the
-// onMiss charge, so call sites need no branching.
-func (id *Identity) VerifyCached(cache *VerifyCache, msg, sig []byte, onMiss func()) error {
+// VerifyCached checks sig over digest like VerifyDigest, consulting the
+// cache first. On a hit it returns immediately — skipping both the ECDSA
+// verification and onMiss. On a miss it invokes onMiss (if non-nil) before
+// verifying; callers use the hook to charge modeled verification hardware
+// only for work that actually happens. A nil cache degrades to plain
+// VerifyDigest with the onMiss charge, so call sites need no branching.
+func (id *Identity) VerifyCached(cache *VerifyCache, digest [sha256.Size]byte, sig []byte, onMiss func()) error {
 	if cache == nil {
 		if onMiss != nil {
 			onMiss()
 		}
-		return id.Verify(msg, sig)
+		return id.VerifyDigest(digest, sig)
 	}
-	k := verifyKey(&id.certDigest, msg, sig)
+	k := verifyKey(&id.certDigest, &digest, sig)
 	if cache.lookup(k) {
 		return nil
 	}
 	if onMiss != nil {
 		onMiss()
 	}
-	if err := id.Verify(msg, sig); err != nil {
+	if err := id.VerifyDigest(digest, sig); err != nil {
 		return err
 	}
 	cache.insert(k)

@@ -1,6 +1,7 @@
 package identity
 
 import (
+	"crypto/sha256"
 	"errors"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ func TestVerifyCachedHitSkipsWorkAndCharge(t *testing.T) {
 	charges := 0
 	onMiss := func() { charges++ }
 
-	if err := id.VerifyCached(cache, msg, sig, onMiss); err != nil {
+	if err := id.VerifyCached(cache, sha256.Sum256(msg), sig, onMiss); err != nil {
 		t.Fatalf("first verify: %v", err)
 	}
 	if charges != 1 {
@@ -38,7 +39,7 @@ func TestVerifyCachedHitSkipsWorkAndCharge(t *testing.T) {
 	}
 	// Second verification of the identical triple is a cache hit: no ECDSA
 	// work, and crucially no modeled-hardware charge either.
-	if err := id.VerifyCached(cache, msg, sig, onMiss); err != nil {
+	if err := id.VerifyCached(cache, sha256.Sum256(msg), sig, onMiss); err != nil {
 		t.Fatalf("cached verify: %v", err)
 	}
 	if charges != 1 {
@@ -59,7 +60,7 @@ func TestVerifyCachedFailureIsNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := id.VerifyCached(cache, msg, sig, nil); !errors.Is(err, ErrBadSignature) {
+		if err := id.VerifyCached(cache, sha256.Sum256(msg), sig, nil); !errors.Is(err, ErrBadSignature) {
 			t.Fatalf("attempt %d: err = %v, want ErrBadSignature", i, err)
 		}
 	}
@@ -77,11 +78,11 @@ func TestVerifyCachedKeyBindsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idA.VerifyCached(cache, msg, sig, nil); err != nil {
+	if err := idA.VerifyCached(cache, sha256.Sum256(msg), sig, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Bob presenting Alice's (msg, sig) must not hit Alice's cache entry.
-	if err := idB.VerifyCached(cache, msg, sig, nil); !errors.Is(err, ErrBadSignature) {
+	if err := idB.VerifyCached(cache, sha256.Sum256(msg), sig, nil); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("cross-identity verify = %v, want ErrBadSignature", err)
 	}
 }
@@ -101,15 +102,15 @@ func TestVerifyCacheEvictsLRU(t *testing.T) {
 	m2, s2 := sign("two")
 	m3, s3 := sign("three")
 	for _, p := range []struct{ m, s []byte }{{m1, s1}, {m2, s2}} {
-		if err := id.VerifyCached(cache, p.m, p.s, nil); err != nil {
+		if err := id.VerifyCached(cache, sha256.Sum256(p.m), p.s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch m1 so m2 becomes least recently used, then overflow.
-	if err := id.VerifyCached(cache, m1, s1, nil); err != nil {
+	if err := id.VerifyCached(cache, sha256.Sum256(m1), s1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := id.VerifyCached(cache, m3, s3, nil); err != nil {
+	if err := id.VerifyCached(cache, sha256.Sum256(m3), s3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Entries != 2 {
@@ -118,13 +119,13 @@ func TestVerifyCacheEvictsLRU(t *testing.T) {
 	// m2 was LRU when m3 arrived, so it must miss; re-inserting it then
 	// evicts m1, while m3 (still recent) survives both turnovers.
 	charges := 0
-	if err := id.VerifyCached(cache, m2, s2, func() { charges++ }); err != nil {
+	if err := id.VerifyCached(cache, sha256.Sum256(m2), s2, func() { charges++ }); err != nil {
 		t.Fatal(err)
 	}
 	if charges != 1 {
 		t.Fatal("evicted entry unexpectedly still cached")
 	}
-	if err := id.VerifyCached(cache, m3, s3, func() { charges++ }); err != nil {
+	if err := id.VerifyCached(cache, sha256.Sum256(m3), s3, func() { charges++ }); err != nil {
 		t.Fatal(err)
 	}
 	if charges != 1 {
@@ -141,7 +142,7 @@ func TestVerifyCachedNilCacheDegradesToVerify(t *testing.T) {
 	}
 	charges := 0
 	for i := 0; i < 2; i++ {
-		if err := id.VerifyCached(nil, msg, sig, func() { charges++ }); err != nil {
+		if err := id.VerifyCached(nil, sha256.Sum256(msg), sig, func() { charges++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +171,7 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
 				j := (g + i) % len(msgs)
-				if err := id.VerifyCached(cache, msgs[j], sigs[j], nil); err != nil {
+				if err := id.VerifyCached(cache, sha256.Sum256(msgs[j]), sigs[j], nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -550,6 +550,11 @@ const (
 	VerifyCacheHits      = "verify_cache_hits"
 	VerifyCacheMisses    = "verify_cache_misses"
 	VerifyCacheEntries   = "verify_cache_entries"
+	// IdentityECDSA* sample the process-wide counts of ECDSA operations
+	// actually executed (identity.ECDSAOps): cache hits are not in them, so
+	// their growth per transaction is the signature budget really spent.
+	IdentityECDSASigns    = "identity_ecdsa_signs"
+	IdentityECDSAVerifies = "identity_ecdsa_verifies"
 
 	// EndorseInflight is the number of endorsement requests currently being
 	// simulated — the endorsement queue depth.

@@ -383,7 +383,9 @@ func newPeer(cfg Config, channelID string, state statedb.StateDB, history *histo
 
 // exportCacheStats publishes the MSP's identity table and signature cache on
 // reg, sampled at scrape time: "is identity resolution warm on this peer" is
-// answered by /metrics. Peers sharing one MSP report the same numbers.
+// answered by /metrics. Peers sharing one MSP report the same numbers. Beside
+// them go the process's executed ECDSA operations — what the caches did not
+// absorb.
 func exportCacheStats(reg *metrics.Registry, msp *identity.MSP) {
 	ids, sigs := msp.IdentityStats, msp.VerifyCache().Stats
 	reg.GaugeFunc(metrics.IdentityCacheHits, func() int64 { return int64(ids().Hits) })
@@ -392,6 +394,8 @@ func exportCacheStats(reg *metrics.Registry, msp *identity.MSP) {
 	reg.GaugeFunc(metrics.VerifyCacheHits, func() int64 { return int64(sigs().Hits) })
 	reg.GaugeFunc(metrics.VerifyCacheMisses, func() int64 { return int64(sigs().Misses) })
 	reg.GaugeFunc(metrics.VerifyCacheEntries, func() int64 { return int64(sigs().Entries) })
+	reg.GaugeFunc(metrics.IdentityECDSASigns, func() int64 { signs, _ := identity.ECDSAOps(); return int64(signs) })
+	reg.GaugeFunc(metrics.IdentityECDSAVerifies, func() int64 { _, verifies := identity.ECDSAOps(); return int64(verifies) })
 }
 
 // policyFor resolves an installed chaincode's endorsement policy for the
@@ -543,7 +547,7 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 	if p.exec != nil {
 		onMiss = func() { p.exec.Verify() }
 	}
-	if err := clientID.VerifyCached(p.msp.VerifyCache(), prop.SignedBytes(), prop.Signature, onMiss); err != nil {
+	if err := clientID.VerifyCached(p.msp.VerifyCache(), prop.SignedDigest(), prop.Signature, onMiss); err != nil {
 		return nil, fmt.Errorf("peer %s: proposal signature: %w", p.name, err)
 	}
 	icc, err := p.chaincode(prop.Chaincode)
@@ -604,7 +608,7 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 	if p.exec != nil {
 		p.exec.Sign()
 	}
-	sig, err := p.signer.Sign(out.SignedBytes())
+	sig, err := p.signer.SignDigest(out.SignedDigest())
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: sign endorsement: %w", p.name, err)
 	}
@@ -658,7 +662,9 @@ func (p *Peer) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.
 // RegisterTxListener returns a channel that receives exactly one
 // CommitEvent when txID commits. If the transaction already committed, the
 // event is delivered immediately, so registering after commit (a client
-// reconnecting mid-flight) does not hang forever.
+// reconnecting mid-flight) does not hang forever. A caller that stops
+// waiting before the event arrives must UnregisterTxListener, or the
+// registration outlives it.
 func (p *Peer) RegisterTxListener(txID string) <-chan CommitEvent {
 	ch := make(chan CommitEvent, 1)
 	if loc, ok := p.blocks.Locate(txID); ok {
@@ -670,15 +676,17 @@ func (p *Peer) RegisterTxListener(txID string) <-chan CommitEvent {
 	p.listenMu.Unlock()
 	// The commit pipeline may have persisted the block between the lookup
 	// and the registration; re-check and self-deliver if notify raced past.
-	if loc, ok := p.blocks.Locate(txID); ok && p.removeListener(txID, ch) {
+	if loc, ok := p.blocks.Locate(txID); ok && p.UnregisterTxListener(txID, ch) {
 		ch <- CommitEvent{TxID: txID, BlockNum: loc.BlockNum, Code: loc.Code}
 	}
 	return ch
 }
 
-// removeListener detaches one registered channel; it reports false when the
-// channel was already consumed (and notified) by notifyCommit.
-func (p *Peer) removeListener(txID string, ch chan CommitEvent) bool {
+// UnregisterTxListener detaches a channel RegisterTxListener returned — the
+// give-up path of a waiter whose submit failed or timed out. It reports
+// false when the channel was already consumed (and notified) by
+// notifyCommit.
+func (p *Peer) UnregisterTxListener(txID string, ch <-chan CommitEvent) bool {
 	p.listenMu.Lock()
 	defer p.listenMu.Unlock()
 	chans := p.txListeners[txID]
@@ -694,6 +702,15 @@ func (p *Peer) removeListener(txID string, ch chan CommitEvent) bool {
 		}
 	}
 	return false
+}
+
+// PendingTxListeners returns the number of transactions with a registered,
+// not yet notified commit listener. A quiet peer reads zero: every waiter was
+// either notified or unregistered.
+func (p *Peer) PendingTxListeners() int {
+	p.listenMu.Lock()
+	defer p.listenMu.Unlock()
+	return len(p.txListeners)
 }
 
 // notifyCommit delivers a commit event to the transaction's listeners.

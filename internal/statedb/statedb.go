@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -330,7 +331,7 @@ type keyedWrite struct {
 // commit height. Heights must be strictly increasing across calls; this is
 // the ledger invariant that makes peer restarts idempotent.
 //
-// The batch is partitioned by shard and — above parallelApplyMin writes —
+// From parallelApplyMin writes up, the batch is partitioned by shard and
 // applied to the shards in parallel, so the commit pipeline's apply stage
 // scales with cores. Values overwritten or deleted while a Snapshot is
 // outstanding are preserved into that snapshot's overlay first, which is
@@ -348,70 +349,17 @@ func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 	}
 	snaps := s.activeSnapshots()
 
-	groups := make([][]keyedWrite, len(s.shards))
-	for key, w := range batch.writes {
-		i := s.shardIndex(key)
-		groups[i] = append(groups[i], keyedWrite{key: key, w: w})
-	}
-
-	nonEmpty := make([]int, 0, len(groups))
-	for i := range groups {
-		if len(groups[i]) > 0 {
-			nonEmpty = append(nonEmpty, i)
+	var changes []deltaKey
+	if len(batch.writes) < parallelApplyMin {
+		// A small batch (a 1-tx block is one or two keys) is applied key by
+		// key: grouping it by shard would cost more than the writes.
+		for key, w := range batch.writes {
+			changes = s.applyToShard(s.shardIndex(key), []keyedWrite{{key: key, w: w}}, snaps, m, changes)
 		}
-	}
-	added := make([][]string, len(s.shards))
-	removed := make([][]string, len(s.shards))
-	// Fan the per-shard applies across workers, the calling goroutine
-	// included (it must not idle in Wait while holding applyMu). Capped by
-	// GOMAXPROCS: extra goroutines on a saturated machine only add
-	// scheduling latency to the apply's critical path.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(nonEmpty) {
-		workers = len(nonEmpty)
-	}
-	if len(batch.writes) >= parallelApplyMin && workers > 1 {
-		var cursor atomic.Int32
-		work := func() {
-			for {
-				n := int(cursor.Add(1)) - 1
-				if n >= len(nonEmpty) {
-					return
-				}
-				i := nonEmpty[n]
-				added[i], removed[i] = s.applyToShard(i, groups[i], snaps, m)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		// The join stays under applyMu on purpose: the apply IS the
-		// exclusive-writer critical section, the pool is private to this
-		// call, and the calling goroutine drained the queue itself before
-		// waiting, so the wait is bounded by the slowest shard, not by any
-		// foreign lock holder.
-		//hyperprov:allow locksafe private worker pool joined inside the exclusive apply section
-		wg.Wait()
 	} else {
-		for _, i := range nonEmpty {
-			added[i], removed[i] = s.applyToShard(i, groups[i], snaps, m)
-		}
+		changes = s.applySharded(batch, snaps, m)
 	}
-
-	var allAdded, allRemoved []string
-	for i := range added {
-		allAdded = append(allAdded, added[i]...)
-		allRemoved = append(allRemoved, removed[i]...)
-	}
-	sort.Strings(allAdded)
-	sort.Strings(allRemoved)
-	s.index.Store(s.index.Load().apply(allAdded, allRemoved))
+	s.index.Store(s.index.Load().apply(changes))
 
 	h := height
 	s.height.Store(&h)
@@ -419,6 +367,49 @@ func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 		m.apply.Observe(time.Since(start))
 	}
 	return nil
+}
+
+// applySharded partitions a large batch by shard and applies the shards in
+// parallel, the calling goroutine included (it must not idle in Wait while
+// holding applyMu). Workers are capped by GOMAXPROCS: extra goroutines on a
+// saturated machine only add scheduling latency to the apply's critical
+// path.
+func (s *Store) applySharded(batch *UpdateBatch, snaps []*storeSnapshot, m *storeMetrics) []deltaKey {
+	groups := make([][]keyedWrite, len(s.shards))
+	for key, w := range batch.writes {
+		i := s.shardIndex(key)
+		groups[i] = append(groups[i], keyedWrite{key: key, w: w})
+	}
+	changed := make([][]deltaKey, len(s.shards))
+	var cursor atomic.Int32
+	work := func() {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(groups) {
+				return
+			}
+			if len(groups[i]) > 0 {
+				changed[i] = s.applyToShard(i, groups[i], snaps, m, nil)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(groups)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	// The join stays under applyMu on purpose: the apply IS the
+	// exclusive-writer critical section, the pool is private to this
+	// call, and the calling goroutine drained the queue itself before
+	// waiting, so the wait is bounded by the slowest shard, not by any
+	// foreign lock holder.
+	//hyperprov:allow locksafe private worker pool joined inside the exclusive apply section
+	wg.Wait()
+	return slices.Concat(changed...)
 }
 
 func (s *Store) shardIndex(key string) int {
@@ -432,9 +423,10 @@ func (s *Store) shardIndex(key string) int {
 
 // applyToShard applies one shard's slice of the batch under that shard's
 // lock, preserving overwritten values into outstanding snapshots before
-// each mutation. It reports which keys became live and which stopped being
-// live, for the ordered key index.
-func (s *Store) applyToShard(i int, ws []keyedWrite, snaps []*storeSnapshot, m *storeMetrics) (added, removed []string) {
+// each mutation. It appends to changes, for the ordered key index, every
+// key that became live and (as a tombstone) every key that stopped being
+// live.
+func (s *Store) applyToShard(i int, ws []keyedWrite, snaps []*storeSnapshot, m *storeMetrics, changes []deltaKey) []deltaKey {
 	sh := &s.shards[i]
 	if m != nil {
 		m.lock(&sh.mu)
@@ -449,17 +441,17 @@ func (s *Store) applyToShard(i int, ws []keyedWrite, snaps []*storeSnapshot, m *
 		if kw.w.delete {
 			if existed {
 				delete(sh.data, kw.key)
-				removed = append(removed, kw.key)
+				changes = append(changes, deltaKey{key: kw.key, dead: true})
 			}
 		} else {
 			if !existed {
-				added = append(added, kw.key)
+				changes = append(changes, deltaKey{key: kw.key})
 			}
 			sh.data[kw.key] = VersionedValue{Value: kw.w.value, Version: kw.w.ver}
 		}
 	}
 	sh.mu.Unlock()
-	return added, removed
+	return changes
 }
 
 // GetRange returns a streaming iterator over committed entries with

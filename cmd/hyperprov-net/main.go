@@ -11,7 +11,7 @@
 //	              anti-entropy, and verify height + state fingerprint
 //	(none)        single-process demo: server + network + client over TCP
 //
-// Every peer-to-peer connection carries framed JSON over TCP and can be
+// Every peer-to-peer connection carries binary RPC frames over TCP and can be
 // link-shaped (-peer-latency / -peer-mbps), so blocks disseminate with the
 // same cost structure as the paper's LAN.
 package main

@@ -410,6 +410,19 @@ func (d *Dec) BytesShared() []byte {
 	return p
 }
 
+// Rest consumes and returns every unread byte, aliasing the input — for a
+// record whose last field is itself a self-delimiting encoding (a block
+// behind an op byte) that the caller hands to that encoding's own decoder.
+// A failed cursor yields nil.
+func (d *Dec) Rest() []byte {
+	if d.err != nil {
+		return nil
+	}
+	p := d.buf
+	d.buf = nil
+	return p
+}
+
 // String reads a length-prefixed string.
 func (d *Dec) String() string {
 	return string(d.BytesShared())

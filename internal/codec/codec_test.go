@@ -210,6 +210,28 @@ func TestBytesShared(t *testing.T) {
 	}
 }
 
+// TestRest: Rest hands over every unread byte (aliasing the input) and leaves
+// the cursor finished; after a failed read it hands over nothing.
+func TestRest(t *testing.T) {
+	buf := append(AppendUvarint(nil, 7), "tail"...)
+	d := NewDec(buf)
+	if d.Uvarint() != 7 {
+		t.Fatal("prefix")
+	}
+	rest := d.Rest()
+	if string(rest) != "tail" || &rest[0] != &buf[1] {
+		t.Fatalf("Rest = %q, aliasing %v", rest, &rest[0] == &buf[1])
+	}
+	if err := d.Finish(); err != nil || d.Rest() != nil {
+		t.Fatalf("after Rest: Finish = %v", err)
+	}
+	d = NewDec([]byte{0x80}) // torn uvarint
+	d.Uvarint()
+	if d.Rest() != nil || !errors.Is(d.Finish(), ErrTruncated) {
+		t.Fatalf("Rest on a failed cursor: err = %v", d.Err())
+	}
+}
+
 // TestTimeDecodesCanonical: a zoned timestamp decodes to the same instant
 // in UTC, and re-encoding the decoded value is byte-stable.
 func TestTimeDecodesCanonical(t *testing.T) {

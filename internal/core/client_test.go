@@ -19,6 +19,14 @@ import (
 // store and returns a ready HyperProv client.
 func newClient(t *testing.T) (*Client, *offchain.MemStore) {
 	t.Helper()
+	store := offchain.NewMemStore()
+	return newClientWith(t, store), store
+}
+
+// newClientWith is newClient over the given off-chain store: four peers,
+// one-transaction blocks, no modeled hardware charge.
+func newClientWith(t testing.TB, store offchain.Store) *Client {
+	t.Helper()
 	cfg := fabric.DesktopConfig()
 	cfg.Clock = device.NopClock{}
 	cfg.Batch = orderer.BatchConfig{
@@ -37,12 +45,11 @@ func newClient(t *testing.T) (*Client, *offchain.MemStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := offchain.NewMemStore()
 	c, err := New(gw, WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, store
+	return c
 }
 
 // settle waits until every peer has committed every block ordered so far.

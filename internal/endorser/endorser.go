@@ -39,14 +39,14 @@ const preimageVersion = 1
 
 // Proposal is a client's signed request to simulate a chaincode invocation.
 type Proposal struct {
-	TxID      string    `json:"txId"`
-	ChannelID string    `json:"channelId"`
-	Chaincode string    `json:"chaincode"`
-	Function  string    `json:"function"`
-	Args      [][]byte  `json:"args,omitempty"`
-	Creator   []byte    `json:"creator"` // serialized identity
-	Timestamp time.Time `json:"timestamp"`
-	Signature []byte    `json:"signature"`
+	TxID      string
+	ChannelID string
+	Chaincode string
+	Function  string
+	Args      [][]byte
+	Creator   []byte // serialized identity
+	Timestamp time.Time
+	Signature []byte
 }
 
 // SignedBytes returns the bytes covered by the proposal signature: the
@@ -109,14 +109,14 @@ func NewTxID(creator []byte) (string, error) {
 
 // Response is one peer's endorsement of a simulated proposal.
 type Response struct {
-	TxID      string `json:"txId"`
-	Status    int32  `json:"status"`
-	Message   string `json:"message,omitempty"`
-	Payload   []byte `json:"payload,omitempty"`
-	RWSet     []byte `json:"rwset"`
-	Events    []byte `json:"events,omitempty"`
-	Endorser  []byte `json:"endorser"` // serialized identity of the peer
-	Signature []byte `json:"signature"`
+	TxID      string
+	Status    int32
+	Message   string
+	Payload   []byte
+	RWSet     []byte
+	Events    []byte
+	Endorser  []byte // serialized identity of the peer
+	Signature []byte
 }
 
 // SignedBytes returns the bytes the endorsing peer signs: the canonical

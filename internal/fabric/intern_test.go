@@ -69,9 +69,9 @@ func TestInterningInvisibleToVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setRecord(t, alice, "eq-a", "cs1")
-	setRecord(t, bob, "eq-b", "cs2", "eq-a")
-	setRecord(t, alice, "eq-a", "cs3") // owner update
+	setRecordSettled(t, alice, "eq-a", "cs1")
+	setRecordSettled(t, bob, "eq-b", "cs2", "eq-a")
+	setRecordSettled(t, alice, "eq-a", "cs3") // owner update
 
 	// Three transactions that order but must not commit as valid.
 	tampered := endorsedEnvelope(t, n, bob, "eq-tampered")

@@ -49,10 +49,12 @@ func channelGateway(t *testing.T, n *Network, ch string) *Gateway {
 // gateway's channel has committed every block the channel's orderer has cut.
 // Submit waits for commit on peer 0 only, so without the wait a second write
 // to the same key can be simulated by a majority of endorsers against the
-// version before the first write and commit as an MVCC conflict.
-func setRecordSettled(t *testing.T, gw *Gateway, key, checksum string) {
+// version before the first write and commit as an MVCC conflict — or a
+// write naming a parent can be simulated where the parent does not exist yet
+// and miss its endorsement policy.
+func setRecordSettled(t *testing.T, gw *Gateway, key, checksum string, parents ...string) {
 	t.Helper()
-	setRecord(t, gw, key, checksum)
+	setRecord(t, gw, key, checksum, parents...)
 	cr := gw.net.mustChannel(gw.channel)
 	want := cr.orderer.Height()
 	for _, p := range cr.peers {

@@ -92,17 +92,25 @@ func TestChannelFrameSingleWrite(t *testing.T) {
 	}
 }
 
-func TestExtJSONRoundTrip(t *testing.T) {
-	type msg struct {
-		A string `json:"a"`
-	}
-	var buf bytes.Buffer
-	if err := WriteExtJSON(&buf, "tx-9", "ch-ml", msg{A: "v"}); err != nil {
+// TestExtFrameBodyRoundTrip: a Frame built with both extensions is
+// byte-identical to WriteFrameExt of the same body, and reads back whole.
+func TestExtFrameBodyRoundTrip(t *testing.T) {
+	var buf, ref bytes.Buffer
+	f := NewFrame("tx-9", "ch-ml")
+	f.B = append(f.B, "body"...)
+	err := f.Send(&buf)
+	f.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got msg
-	trace, channel, err := ReadExtJSON(&buf, &got)
-	if err != nil || trace != "tx-9" || channel != "ch-ml" || got.A != "v" {
-		t.Errorf("got=%+v trace=%q channel=%q err=%v", got, trace, channel, err)
+	if err := WriteFrameExt(&ref, "tx-9", "ch-ml", []byte("body")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
+		t.Errorf("Frame bytes %x != WriteFrameExt bytes %x", buf.Bytes(), ref.Bytes())
+	}
+	body, trace, channel, err := ReadFrameExt(&buf)
+	if err != nil || trace != "tx-9" || channel != "ch-ml" || string(body) != "body" {
+		t.Errorf("body=%q trace=%q channel=%q err=%v", body, trace, channel, err)
 	}
 }

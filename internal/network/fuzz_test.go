@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"github.com/hyperprov/hyperprov/internal/codec"
 )
 
 // frameSeed builds a wire frame for the corpus.
@@ -29,7 +31,7 @@ func FuzzReadFrameExt(f *testing.F) {
 	f.Add(frameSeed(f, "", "", []byte("payload")))
 	f.Add(frameSeed(f, "trace-1", "", []byte("payload")))
 	f.Add(frameSeed(f, "", "ch1", []byte("payload")))
-	f.Add(frameSeed(f, "trace-1", "mychannel", []byte(`{"op":"hello"}`)))
+	f.Add(frameSeed(f, "trace-1", "mychannel", codec.AppendString([]byte{0x02}, "mem://sha256:00")))
 	f.Add(frameSeed(f, "t", "c", nil))
 	f.Add(frameSeed(f, "", "", bytes.Repeat([]byte{0x00, 0xFF}, 512)))
 

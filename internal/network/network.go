@@ -1,13 +1,13 @@
 // Package network provides the wire primitives shared by the repo's TCP
-// services: length-prefixed JSON message framing and a link shaper that
-// imposes configurable latency and bandwidth on a connection. The shaper is
-// how the off-chain store reproduces the SSHFS-over-LAN transfer costs that
-// dominate HyperProv's large-payload measurements.
+// services: length-prefixed framing of internal/codec bodies, the status
+// vocabulary every reply opens with, and a link shaper that imposes
+// configurable latency and bandwidth on a connection. The shaper is how the
+// off-chain store reproduces the SSHFS-over-LAN transfer costs that dominate
+// HyperProv's large-payload measurements.
 package network
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -43,78 +43,96 @@ const maxTraceID = 255
 // maxChannelID bounds the channel-ID extension (one length byte).
 const maxChannelID = 255
 
+// eagerBody is the largest announced body the reader allocates in one piece
+// before any of it has arrived; a larger body grows as its bytes do, so a
+// peer that announces MaxFrame and sends nothing pins this much, not 64 MiB.
+const eagerBody = 1 << 20
+
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("network: frame exceeds maximum size")
 
-// WriteFrame writes one length-prefixed frame. Header and body go out in a
-// single Write call: a shaped link charges the one-way latency exactly once
-// per frame, and concurrent frame writers sharing a connection cannot
-// interleave one frame's header with another's body.
-func WriteFrame(w io.Writer, payload []byte) error {
-	return WriteTracedFrame(w, "", payload)
+// Frame is an outgoing frame under construction in a pooled buffer. NewFrame
+// reserves the header, the caller appends the body to B in place — a payload
+// or block is encoded once, where it is sent — and Send patches the length
+// and writes header and body together. Release the frame when done with it;
+// Send does not, so a caller that redials can send the same frame again.
+type Frame struct {
+	*codec.Buffer
+	flags uint32 // extension flags of the length word
+	body  int    // offset of the body in B
 }
 
-// WriteTracedFrame writes one frame, embedding traceID in the header when
-// non-empty so the receiving process can join the sender's trace. An empty
-// traceID produces a plain frame identical to WriteFrame's. Trace IDs
-// longer than 255 bytes are dropped (the frame is still sent, untraced).
-func WriteTracedFrame(w io.Writer, traceID string, payload []byte) error {
-	return WriteFrameExt(w, traceID, "", payload)
-}
-
-// WriteFrameExt writes one frame carrying up to two header extensions: the
-// trace ID (traceFlag) and the channel ID (channelFlag) routing the frame to
-// one channel of a multi-channel host. Either may be empty; with both empty
-// the frame is byte-identical to a plain WriteFrame frame, which is what
-// keeps single-channel peers wire-compatible across versions. Extension
-// values longer than 255 bytes are dropped (the frame is still sent without
-// that extension).
-func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
+// NewFrame starts a frame carrying up to two header extensions: the trace ID
+// (traceFlag) and the channel ID (channelFlag) routing the frame to one
+// channel of a multi-channel host. Either may be empty; with both empty the
+// header is the bare length word. Extension values longer than 255 bytes are
+// dropped (the frame is still sent without that extension).
+func NewFrame(traceID, channelID string) Frame {
 	if len(traceID) > maxTraceID {
 		traceID = ""
 	}
 	if len(channelID) > maxChannelID {
 		channelID = ""
 	}
+	// The steady-state gossip and transport write path sends thousands of
+	// frames per second, and a per-frame allocation sized header+body is
+	// pure GC pressure: frames are assembled in pooled buffers.
+	fb := codec.GetBuffer()
 	var flags uint32
-	ext := 0
+	fb.B = append(fb.B, 0, 0, 0, 0)
 	if traceID != "" {
 		flags |= traceFlag
-		ext += 1 + len(traceID)
+		fb.B = append(append(fb.B, byte(len(traceID))), traceID...)
 	}
 	if channelID != "" {
 		flags |= channelFlag
-		ext += 1 + len(channelID)
+		fb.B = append(append(fb.B, byte(len(channelID))), channelID...)
 	}
-	// Assemble the frame in a pooled buffer: the steady-state gossip and
-	// transport write path sends thousands of frames per second, and a
-	// per-frame allocation sized header+payload is pure GC pressure. The
-	// single Write call below is still load-bearing (see WriteFrame).
-	fb := codec.GetBuffer()
-	fb.Grow(4 + ext + len(payload))
-	buf := fb.B[:4+ext+len(payload)]
-	binary.BigEndian.PutUint32(buf, uint32(ext+len(payload))|flags)
-	at := 4
-	if traceID != "" {
-		buf[at] = byte(len(traceID))
-		copy(buf[at+1:], traceID)
-		at += 1 + len(traceID)
+	return Frame{Buffer: fb, flags: flags, body: len(fb.B)}
+}
+
+// Send writes the frame. Header and body go out in a single Write call: a
+// shaped link charges the one-way latency exactly once per frame, and
+// concurrent frame writers sharing a connection cannot interleave one
+// frame's header with another's body.
+func (f Frame) Send(w io.Writer) error {
+	if n := len(f.B) - f.body; n > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	if channelID != "" {
-		buf[at] = byte(len(channelID))
-		copy(buf[at+1:], channelID)
-		at += 1 + len(channelID)
-	}
-	copy(buf[at:], payload)
-	_, err := w.Write(buf)
-	fb.Release()
-	if err != nil {
+	binary.BigEndian.PutUint32(f.B, uint32(len(f.B)-4)|f.flags)
+	if _, err := w.Write(f.B); err != nil {
 		return fmt.Errorf("network: write frame: %w", err)
 	}
 	return nil
+}
+
+// WriteFrame writes payload as one plain frame (see Frame.Send for the
+// single-Write guarantee).
+func WriteFrame(w io.Writer, payload []byte) error {
+	return WriteFrameExt(w, "", "", payload)
+}
+
+// WriteTracedFrame writes one frame, embedding traceID in the header when
+// non-empty so the receiving process can join the sender's trace. An empty
+// traceID produces a plain frame identical to WriteFrame's.
+func WriteTracedFrame(w io.Writer, traceID string, payload []byte) error {
+	return WriteFrameExt(w, traceID, "", payload)
+}
+
+// WriteFrameExt writes an already-encoded payload as one frame with the given
+// header extensions (see NewFrame). With both empty the frame is
+// byte-identical to a plain WriteFrame frame, which is what keeps
+// single-channel peers wire-compatible across versions.
+func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error {
+	if len(payload) > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	}
+	f := NewFrame(traceID, channelID)
+	f.Grow(len(payload))
+	f.B = append(f.B, payload...)
+	err := f.Send(w)
+	f.Release()
+	return err
 }
 
 // ReadFrame reads one length-prefixed frame, discarding any trace-ID
@@ -132,10 +150,19 @@ func ReadTracedFrame(r io.Reader) ([]byte, string, error) {
 	return payload, traceID, err
 }
 
-// ReadFrameExt reads one frame and returns its payload plus the trace and
-// channel IDs carried in the header (each empty when its extension is
-// absent).
+// ReadFrameExt reads one frame into a buffer of its own and returns its
+// payload plus the trace and channel IDs carried in the header (each empty
+// when its extension is absent). The caller owns the payload.
 func ReadFrameExt(r io.Reader) ([]byte, string, string, error) {
+	var fb codec.Buffer
+	return ReadFrameInto(r, &fb)
+}
+
+// ReadFrameInto is ReadFrameExt reading into fb, growing it when the frame
+// does not fit. The returned payload aliases fb.B: it is valid until fb is
+// reused or released, which suits a server that is done with a request's
+// bytes once it has answered it.
+func ReadFrameInto(r io.Reader, fb *codec.Buffer) ([]byte, string, string, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, "", "", err // io.EOF passes through for clean shutdown
@@ -147,8 +174,7 @@ func ReadFrameExt(r io.Reader) ([]byte, string, string, error) {
 	if n > MaxFrame+2*(1+maxTraceID) {
 		return nil, "", "", fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if err := readBody(r, fb, int(n)); err != nil {
 		if err == io.EOF {
 			// The header promised n body bytes and none arrived: that is a
 			// truncated frame, not the clean between-frames shutdown io.EOF
@@ -157,6 +183,7 @@ func ReadFrameExt(r io.Reader) ([]byte, string, string, error) {
 		}
 		return nil, "", "", fmt.Errorf("network: read frame body: %w", err)
 	}
+	payload := fb.B
 	var traceID, channelID string
 	if traced {
 		traceID, payload = cutExt(payload)
@@ -173,6 +200,28 @@ func ReadFrameExt(r io.Reader) ([]byte, string, string, error) {
 	return payload, traceID, channelID, nil
 }
 
+// readBody fills fb.B with the n announced body bytes. What the buffer
+// already holds, or a body up to eagerBody, is read in one piece; beyond
+// that the buffer doubles as bytes arrive, so memory follows what the peer
+// sends rather than what it announces.
+func readBody(r io.Reader, fb *codec.Buffer, n int) error {
+	fb.B = fb.B[:0]
+	if n > cap(fb.B) {
+		fb.B = make([]byte, 0, min(n, eagerBody))
+	}
+	for {
+		end := min(n, cap(fb.B))
+		if _, err := io.ReadFull(r, fb.B[len(fb.B):end]); err != nil {
+			return err
+		}
+		fb.B = fb.B[:end]
+		if end == n {
+			return nil
+		}
+		fb.B = append(make([]byte, 0, min(n, 2*end)), fb.B...)
+	}
+}
+
 // cutExt splits one length-prefixed extension off the front of buf,
 // returning (value, rest). A truncated extension returns rest == nil.
 func cutExt(buf []byte) (string, []byte) {
@@ -186,64 +235,7 @@ func cutExt(buf []byte) (string, []byte) {
 	return string(buf[1 : 1+n]), buf[1+n:]
 }
 
-// WriteJSON frames and writes a JSON-encoded message.
-func WriteJSON(w io.Writer, v any) error {
-	return WriteTracedJSON(w, "", v)
-}
-
-// WriteTracedJSON frames and writes a JSON-encoded message carrying traceID
-// in the frame header.
-func WriteTracedJSON(w io.Writer, traceID string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("network: marshal: %w", err)
-	}
-	return WriteTracedFrame(w, traceID, b)
-}
-
-// WriteExtJSON frames and writes a JSON-encoded message carrying traceID and
-// channelID in the frame header (either may be empty).
-func WriteExtJSON(w io.Writer, traceID, channelID string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("network: marshal: %w", err)
-	}
-	return WriteFrameExt(w, traceID, channelID, b)
-}
-
-// ReadJSON reads one frame and decodes it into v.
-func ReadJSON(r io.Reader, v any) error {
-	_, err := ReadTracedJSON(r, v)
-	return err
-}
-
-// ReadTracedJSON reads one frame, decodes it into v, and returns the frame's
-// trace ID (empty for plain frames).
-func ReadTracedJSON(r io.Reader, v any) (string, error) {
-	b, id, err := ReadTracedFrame(r)
-	if err != nil {
-		return "", err
-	}
-	if err := json.Unmarshal(b, v); err != nil {
-		return "", fmt.Errorf("network: unmarshal: %w", err)
-	}
-	return id, nil
-}
-
-// ReadExtJSON reads one frame, decodes it into v, and returns the frame's
-// trace and channel IDs (each empty when its extension is absent).
-func ReadExtJSON(r io.Reader, v any) (string, string, error) {
-	b, traceID, channelID, err := ReadFrameExt(r)
-	if err != nil {
-		return "", "", err
-	}
-	if err := json.Unmarshal(b, v); err != nil {
-		return "", "", fmt.Errorf("network: unmarshal: %w", err)
-	}
-	return traceID, channelID, nil
-}
-
-// ErrCode is a machine-readable error classification carried in response
+// ErrCode is a machine-readable error classification carried in reply
 // frames. The off-chain store protocol and the peer transport share this
 // vocabulary so clients map failures to sentinel errors structurally
 // instead of matching on message substrings.
@@ -268,6 +260,58 @@ const (
 	// CodeInternal: any other server-side failure.
 	CodeInternal ErrCode = "internal"
 )
+
+// statusCodes spells ErrCode on the wire: a reply's first byte is the index
+// of its code here, so 0 is success. Append only — the positions are the
+// protocol.
+var statusCodes = [...]ErrCode{
+	CodeNone,
+	CodeNotFound,
+	CodeChecksumMismatch,
+	CodeBadRequest,
+	CodeUnknownChaincode,
+	CodeSimulationFailed,
+	CodeUnknownChannel,
+	CodeInternal,
+}
+
+// AppendStatus opens a reply body: the status byte and, for a failure, the
+// human-readable message. A successful reply continues with its op's own
+// layout. A code outside the vocabulary is sent as CodeInternal.
+func AppendStatus(buf []byte, code ErrCode, msg string) []byte {
+	status := byte(len(statusCodes) - 1) // CodeInternal
+	for i, c := range statusCodes {
+		if c == code {
+			status = byte(i)
+			break
+		}
+	}
+	buf = append(buf, status)
+	if status == 0 {
+		return buf
+	}
+	return codec.AppendString(buf, msg)
+}
+
+// ReadStatus reads what AppendStatus wrote, leaving d at the op's own
+// layout after CodeNone and at the end of the reply after a failure. A
+// status byte this build does not know (a newer peer's code) reads as
+// CodeInternal, and so does a reply too short to hold one: callers check
+// d.Err, but a caller that forgot cannot take a torn reply for success.
+func ReadStatus(d *codec.Dec) (ErrCode, string) {
+	status := d.Byte()
+	if d.Err() != nil {
+		return CodeInternal, ""
+	}
+	if status == 0 {
+		return CodeNone, ""
+	}
+	msg := d.String()
+	if int(status) >= len(statusCodes) {
+		return CodeInternal, msg
+	}
+	return statusCodes[status], msg
+}
 
 // LinkShape describes a simulated link.
 type LinkShape struct {

@@ -2,11 +2,15 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/hyperprov/hyperprov/internal/codec"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -43,28 +47,136 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	type msg struct {
-		A string `json:"a"`
-		B int    `json:"b"`
+// TestFrameBodyRoundTrip: a body appended in place to a Frame arrives as the
+// reader's payload, the same frame can be sent twice (a client that redials
+// resends it), and a body over MaxFrame is refused at Send.
+func TestFrameBodyRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	f := NewFrame("", "")
+	defer f.Release()
+	f.B = append(f.B, 0x01)
+	f.B = codec.AppendString(f.B, "key")
+	f.B = codec.AppendBytes(f.B, []byte{0, 1, 2, 0xFF})
+	for i := 0; i < 2; i++ {
+		if err := f.Send(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		body, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := codec.NewDec(body)
+		op, key, data := d.Byte(), d.String(), d.Bytes()
+		if err := d.Finish(); err != nil || op != 0x01 || key != "key" || !bytes.Equal(data, []byte{0, 1, 2, 0xFF}) {
+			t.Errorf("send %d: op=%#x key=%q data=%v err=%v", i, op, key, data, err)
+		}
+	}
+
+	big := NewFrame("trace", "channel")
+	defer big.Release()
+	big.Grow(MaxFrame + 1) // sized, never touched: the pages stay unmapped
+	big.B = big.B[:len(big.B)+MaxFrame+1]
+	if err := big.Send(&buf); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized body err = %v, want ErrFrameTooLarge", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused frame wrote %d bytes", buf.Len())
+	}
+}
+
+// TestStatusRoundTrip: every code of the vocabulary survives the wire, a
+// success carries no message, and a value outside the vocabulary — sent or
+// received — degrades to CodeInternal instead of failing the decode.
+func TestStatusRoundTrip(t *testing.T) {
+	for _, code := range statusCodes {
+		d := codec.NewDec(AppendStatus(nil, code, "why"))
+		got, msg := ReadStatus(d)
+		wantMsg := "why"
+		if code == CodeNone {
+			wantMsg = ""
+		}
+		if err := d.Finish(); err != nil || got != code || msg != wantMsg {
+			t.Errorf("%q: got %q %q err %v", code, got, msg, err)
+		}
+	}
+	d := codec.NewDec(AppendStatus(nil, ErrCode("made_up"), "m"))
+	if got, msg := ReadStatus(d); got != CodeInternal || msg != "m" || d.Finish() != nil {
+		t.Errorf("unknown code sent as %q %q", got, msg)
+	}
+	d = codec.NewDec(codec.AppendString([]byte{0xEE}, "from the future"))
+	if got, msg := ReadStatus(d); got != CodeInternal || msg != "from the future" || d.Finish() != nil {
+		t.Errorf("unknown status byte read as %q %q", got, msg)
+	}
+	// A torn reply is an error on the cursor and never reads as success.
+	d = codec.NewDec(nil)
+	if got, _ := ReadStatus(d); got == CodeNone || !errors.Is(d.Err(), codec.ErrTruncated) {
+		t.Errorf("empty reply read as %q, err %v", got, d.Err())
+	}
+	d = codec.NewDec([]byte{3, 200})
+	if ReadStatus(d); !errors.Is(d.Err(), codec.ErrTruncated) {
+		t.Errorf("torn message err = %v", d.Err())
+	}
+}
+
+// announceReader announces a frame of n body bytes and delivers only the
+// first few of them.
+func announceReader(n uint32, body []byte) io.Reader {
+	return bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, n), body...))
+}
+
+// TestReadFrameAllocatesWhatArrives: four header bytes must not be able to
+// pin MaxFrame of memory. A peer that announces the largest frame and sends
+// ten bytes costs one eager chunk; an honest large frame still round-trips.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(announceReader(MaxFrame, make([]byte, 10)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("short body err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Errorf("announcing MaxFrame and sending 10 bytes allocated %d bytes, want < 4 MiB", got)
+	}
+
+	payload := make([]byte, 8<<20)
+	for i := range payload {
+		payload[i] = byte(i * 7)
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, msg{A: "x", B: 7}); err != nil {
+	if err := WriteFrameExt(&buf, "trace", "ch", payload); err != nil {
 		t.Fatal(err)
 	}
-	var got msg
-	if err := ReadJSON(&buf, &got); err != nil {
-		t.Fatal(err)
+	got, traceID, channelID, err := ReadFrameExt(&buf)
+	if err != nil || traceID != "trace" || channelID != "ch" || !bytes.Equal(got, payload) {
+		t.Errorf("8 MiB frame: %d bytes, trace %q, channel %q, err %v", len(got), traceID, channelID, err)
 	}
-	if got.A != "x" || got.B != 7 {
-		t.Errorf("got %+v", got)
+}
+
+// TestReadFrameIntoReusesBuffer: a frame that fits the caller's buffer is
+// read into it (the payload aliases it), and one that does not replaces it.
+func TestReadFrameIntoReusesBuffer(t *testing.T) {
+	var buf bytes.Buffer
+	small, large := bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 5000)
+	for _, p := range [][]byte{small, large, small} {
+		if err := WriteFrameExt(&buf, "t", "", p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Bad JSON in a valid frame.
-	if err := WriteFrame(&buf, []byte("{not json")); err != nil {
-		t.Fatal(err)
+	fb := &codec.Buffer{B: make([]byte, 0, 1024)}
+	first := &fb.B[:1][0]
+	got, traceID, _, err := ReadFrameInto(&buf, fb)
+	if err != nil || traceID != "t" || !bytes.Equal(got, small) || &fb.B[0] != first {
+		t.Fatalf("small frame: %d bytes, trace %q, err %v, reused %v", len(got), traceID, err, &fb.B[0] == first)
 	}
-	if err := ReadJSON(&buf, &got); err == nil {
-		t.Error("ReadJSON accepted bad JSON")
+	if got, _, _, err = ReadFrameInto(&buf, fb); err != nil || !bytes.Equal(got, large) || cap(fb.B) < len(large) {
+		t.Fatalf("large frame: %d bytes, err %v, cap %d", len(got), err, cap(fb.B))
+	}
+	grown := &fb.B[0]
+	if got, _, _, err = ReadFrameInto(&buf, fb); err != nil || !bytes.Equal(got, small) || &fb.B[0] != grown {
+		t.Fatalf("small frame after growth: %d bytes, err %v", len(got), err)
 	}
 }
 

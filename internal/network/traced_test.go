@@ -74,18 +74,20 @@ func TestTracedFrameSingleWrite(t *testing.T) {
 	}
 }
 
-func TestTracedJSONRoundTrip(t *testing.T) {
-	type msg struct {
-		A string `json:"a"`
-	}
+// TestTracedFrameBodyRoundTrip: a Frame built with a trace ID delivers both
+// the ID and the body appended to it.
+func TestTracedFrameBodyRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTracedJSON(&buf, "tx-77", msg{A: "v"}); err != nil {
+	f := NewFrame("tx-77", "")
+	f.B = append(f.B, "body"...)
+	err := f.Send(&buf)
+	f.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got msg
-	id, err := ReadTracedJSON(&buf, &got)
-	if err != nil || id != "tx-77" || got.A != "v" {
-		t.Errorf("got=%+v id=%q err=%v", got, id, err)
+	body, id, err := ReadTracedFrame(&buf)
+	if err != nil || id != "tx-77" || string(body) != "body" {
+		t.Errorf("body=%q id=%q err=%v", body, id, err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/network"
 )
 
@@ -15,28 +16,92 @@ import (
 // separate node — the client pays a per-operation handshake plus a
 // bandwidth-bound transfer, which is exactly the cost structure that bends
 // the throughput and response-time curves of Figs 1–2 at large payloads.
+//
+// The wire is one frame each way, an op byte and an internal/codec body:
+//
+//	put  [0x01][bytes payload]  ->  [status][string key]
+//	get  [0x02][string key]     ->  [status][bytes payload]
+//
+// and a failed reply is [status][string message] (network.AppendStatus).
+// Payload bytes travel raw: they are appended to the pooled frame buffer on
+// one side and sub-sliced out of the frame on the other.
 
 // remote protocol operations.
 const (
-	opPut = "put"
-	opGet = "get"
+	opPut byte = 0x01
+	opGet byte = 0x02
 )
 
+// remoteRequest is one client -> server message: Data for a put, Key for a
+// get.
 type remoteRequest struct {
-	Op   string `json:"op"`
-	Key  string `json:"key,omitempty"`
-	Data []byte `json:"data,omitempty"`
+	Op   byte
+	Key  string
+	Data []byte
 }
 
+func appendRequest(buf []byte, req *remoteRequest) []byte {
+	buf = append(buf, req.Op)
+	if req.Op == opPut {
+		return codec.AppendBytes(buf, req.Data)
+	}
+	return codec.AppendString(buf, req.Key)
+}
+
+// decodeRequest decodes a request frame's body. Data aliases body.
+func decodeRequest(body []byte) (remoteRequest, error) {
+	d := codec.NewDec(body)
+	req := remoteRequest{Op: d.Byte()}
+	switch req.Op {
+	case opPut:
+		req.Data = d.BytesShared()
+	case opGet:
+		req.Key = d.String()
+	default:
+		// A peer still speaking the JSON protocol lands here with '{'.
+		d.Fail(fmt.Errorf("%w: unknown op %#x", codec.ErrMalformed, req.Op))
+	}
+	return req, d.Finish()
+}
+
+// remoteResponse is one server -> client message. Code classifies failures
+// structurally (shared vocabulary with the peer transport, see
+// network.ErrCode) and Err carries the human-readable message only; a
+// success answers a put with Key and a get with Data.
 type remoteResponse struct {
-	OK bool `json:"ok"`
-	// Code classifies failures structurally (shared vocabulary with the
-	// peer transport, see network.ErrCode); Err carries the human-readable
-	// message only.
-	Code network.ErrCode `json:"code,omitempty"`
-	Err  string          `json:"err,omitempty"`
-	Key  string          `json:"key,omitempty"`
-	Data []byte          `json:"data,omitempty"`
+	Code network.ErrCode
+	Err  string
+	Key  string
+	Data []byte
+}
+
+// appendResponse encodes the reply to a request of the given op.
+func appendResponse(buf []byte, op byte, resp *remoteResponse) []byte {
+	buf = network.AppendStatus(buf, resp.Code, resp.Err)
+	switch {
+	case resp.Code != network.CodeNone:
+		return buf
+	case op == opPut:
+		return codec.AppendString(buf, resp.Key)
+	default:
+		return codec.AppendBytes(buf, resp.Data)
+	}
+}
+
+// decodeResponse decodes the reply to a request of the given op. Data
+// aliases body.
+func decodeResponse(op byte, body []byte) (remoteResponse, error) {
+	d := codec.NewDec(body)
+	var resp remoteResponse
+	resp.Code, resp.Err = network.ReadStatus(d)
+	switch {
+	case resp.Code != network.CodeNone:
+	case op == opPut:
+		resp.Key = d.String()
+	default:
+		resp.Data = d.BytesShared()
+	}
+	return resp, d.Finish()
 }
 
 // classify maps a backing-store error onto the wire error code.
@@ -61,6 +126,7 @@ type Server struct {
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	closed  bool
+	conns   map[net.Conn]struct{}
 }
 
 // NewServer starts an object server on addr ("127.0.0.1:0" for an
@@ -71,7 +137,7 @@ func NewServer(addr string, backing Store, shape network.LinkShape) (*Server, er
 	if err != nil {
 		return nil, fmt.Errorf("offchain: listen: %w", err)
 	}
-	s := &Server{backing: backing, ln: ln, shape: shape}
+	s := &Server{backing: backing, ln: ln, shape: shape, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -80,7 +146,9 @@ func NewServer(addr string, backing Store, shape network.LinkShape) (*Server, er
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and waits for connection handlers.
+// Close stops the listener, closes every open connection — a handler blocked
+// reading from an idle client would otherwise hold Close for as long as the
+// client stays connected — and waits for the handlers to drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -88,6 +156,9 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	for c := range s.conns {
+		c.Close()
+	}
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
@@ -101,10 +172,23 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
+			defer func() {
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
+				conn.Close()
+			}()
 			s.serve(conn)
 		}()
 	}
@@ -113,34 +197,44 @@ func (s *Server) acceptLoop() {
 func (s *Server) serve(conn net.Conn) {
 	shaped := network.NewShapedConn(conn, s.shape)
 	for {
-		var req remoteRequest
-		if err := network.ReadJSON(conn, &req); err != nil {
+		// The request is read into a pooled buffer and released as soon as it
+		// is answered: Store.Put copies or persists its argument before it
+		// returns, so nothing refers to a put's payload after handle.
+		in := codec.GetBuffer()
+		body, _, _, err := network.ReadFrameInto(conn, in)
+		if err != nil {
+			in.Release()
 			return // EOF or broken connection
 		}
-		resp := s.handle(&req)
-		if err := network.WriteJSON(shaped, resp); err != nil {
+		out := network.NewFrame("", "")
+		out.B = s.handle(out.B, body)
+		in.Release()
+		err = out.Send(shaped)
+		out.Release()
+		if err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(req *remoteRequest) *remoteResponse {
-	switch req.Op {
-	case opPut:
-		ref, err := s.backing.Put(req.Data)
-		if err != nil {
-			return &remoteResponse{Code: classify(err), Err: err.Error()}
-		}
-		return &remoteResponse{OK: true, Key: ref}
-	case opGet:
-		data, err := s.backing.Get(req.Key)
-		if err != nil {
-			return &remoteResponse{Code: classify(err), Err: err.Error()}
-		}
-		return &remoteResponse{OK: true, Data: data}
-	default:
-		return &remoteResponse{Code: network.CodeBadRequest, Err: fmt.Sprintf("unknown op %q", req.Op)}
+// handle answers one request body, appending the reply body to out. A
+// request that does not decode is answered with CodeBadRequest and the
+// connection stays usable: the frame boundary is intact.
+func (s *Server) handle(out, body []byte) []byte {
+	req, err := decodeRequest(body)
+	if err != nil {
+		return network.AppendStatus(out, network.CodeBadRequest, err.Error())
 	}
+	var resp remoteResponse
+	if req.Op == opPut {
+		resp.Key, err = s.backing.Put(req.Data)
+	} else {
+		resp.Data, err = s.backing.Get(req.Key)
+	}
+	if err != nil {
+		resp = remoteResponse{Code: classify(err), Err: err.Error()}
+	}
+	return appendResponse(out, req.Op, &resp)
 }
 
 // RemoteStore is the client side: it dials the object server and shapes its
@@ -174,21 +268,31 @@ func (r *RemoteStore) reconnect() error {
 }
 
 // roundTrip sends one request and reads one response, retrying once on a
-// broken connection.
-func (r *RemoteStore) roundTrip(req *remoteRequest) (*remoteResponse, error) {
+// broken connection. The response's Data aliases the reply frame, which the
+// caller owns.
+func (r *RemoteStore) roundTrip(req *remoteRequest) (remoteResponse, error) {
+	n := 1 + codec.SizeBytes(len(req.Data)+len(req.Key))
+	if n > network.MaxFrame {
+		// Refused here, before a frame that size is assembled.
+		return remoteResponse{}, fmt.Errorf("offchain: remote round trip: %w: %d bytes", network.ErrFrameTooLarge, n)
+	}
+	f := network.NewFrame("", "")
+	defer f.Release()
+	f.Grow(n)
+	f.B = appendRequest(f.B, req)
+
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for attempt := 0; ; attempt++ {
 		if r.conn == nil {
 			if err := r.reconnect(); err != nil {
-				return nil, err
+				return remoteResponse{}, err
 			}
 		}
-		shaped := network.NewShapedConn(r.conn, r.shape)
-		var resp remoteResponse
-		err := network.WriteJSON(shaped, req)
+		var body []byte
+		err := f.Send(network.NewShapedConn(r.conn, r.shape))
 		if err == nil {
-			err = network.ReadJSON(r.conn, &resp)
+			body, err = network.ReadFrame(r.conn)
 		}
 		if err != nil {
 			r.conn.Close()
@@ -196,9 +300,13 @@ func (r *RemoteStore) roundTrip(req *remoteRequest) (*remoteResponse, error) {
 			if attempt == 0 {
 				continue
 			}
-			return nil, fmt.Errorf("offchain: remote round trip: %w", err)
+			return remoteResponse{}, fmt.Errorf("offchain: remote round trip: %w", err)
 		}
-		return &resp, nil
+		resp, err := decodeResponse(req.Op, body)
+		if err != nil {
+			return remoteResponse{}, fmt.Errorf("offchain: remote reply: %w", err)
+		}
+		return resp, nil
 	}
 }
 
@@ -208,13 +316,18 @@ func (r *RemoteStore) Put(data []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if !resp.OK {
+	if resp.Code != network.CodeNone {
 		return "", fmt.Errorf("offchain: remote put: %s", resp.Err)
 	}
 	return "remote://" + r.addr + "/" + resp.Key, nil
 }
 
-// Get downloads and verifies the object for ref.
+// Get downloads the object for ref. The returned slice is the payload part
+// of the one frame buffer the reply was read into; the caller owns it. The
+// client does not hash it: the serving store verified the object against its
+// content address when it read it (a mismatch arrives as
+// ErrChecksumMismatch), and core.GetData verifies what arrives against the
+// checksum recorded on-chain.
 func (r *RemoteStore) Get(ref string) ([]byte, error) {
 	key, err := r.localKey(ref)
 	if err != nil {
@@ -224,18 +337,17 @@ func (r *RemoteStore) Get(ref string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !resp.OK {
-		switch resp.Code {
-		case network.CodeNotFound:
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, ref)
-		case network.CodeChecksumMismatch:
-			return nil, ErrChecksumMismatch
-		case network.CodeBadRequest:
-			return nil, fmt.Errorf("%w: %s", ErrBadRef, resp.Err)
-		}
-		return nil, fmt.Errorf("offchain: remote get: %s", resp.Err)
+	switch resp.Code {
+	case network.CodeNone:
+		return resp.Data, nil
+	case network.CodeNotFound:
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, ref)
+	case network.CodeChecksumMismatch:
+		return nil, ErrChecksumMismatch
+	case network.CodeBadRequest:
+		return nil, fmt.Errorf("%w: %s", ErrBadRef, resp.Err)
 	}
-	return resp.Data, nil
+	return nil, fmt.Errorf("offchain: remote get: %s", resp.Err)
 }
 
 // localKey strips the remote:// prefix and host, returning the backing

@@ -65,11 +65,24 @@ func TestRemoteErrorCodes(t *testing.T) {
 			t.Errorf("classify(%s) = %q, want %q", tc.name, got, tc.code)
 		}
 	}
-	if resp := srv.handle(&remoteRequest{Op: "bogus"}); resp.Code != network.CodeBadRequest {
+	// handle is the seam between the frame and the store: request body in,
+	// reply body out.
+	handle := func(req *remoteRequest) remoteResponse {
+		t.Helper()
+		resp, err := decodeResponse(req.Op, srv.handle(nil, appendRequest(nil, req)))
+		if err != nil {
+			t.Fatalf("op %#x: reply does not decode: %v", req.Op, err)
+		}
+		return resp
+	}
+	if resp := handle(&remoteRequest{Op: 0x7F}); resp.Code != network.CodeBadRequest {
 		t.Errorf("unknown op code = %q, want %q", resp.Code, network.CodeBadRequest)
 	}
-	if resp := srv.handle(&remoteRequest{Op: opGet, Key: "mem://sha256:" + strings64("0")}); resp.Code != network.CodeNotFound {
+	if resp := handle(&remoteRequest{Op: opGet, Key: "mem://sha256:" + strings64("0")}); resp.Code != network.CodeNotFound {
 		t.Errorf("missing key code = %q, want %q", resp.Code, network.CodeNotFound)
+	}
+	if resp := handle(&remoteRequest{Op: opGet, Key: "no-scheme"}); resp.Code != network.CodeBadRequest {
+		t.Errorf("bad ref code = %q, want %q", resp.Code, network.CodeBadRequest)
 	}
 }
 

@@ -1,0 +1,311 @@
+package offchain
+
+import (
+	"bytes"
+	"errors"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/hyperprov/hyperprov/internal/codec"
+	"github.com/hyperprov/hyperprov/internal/network"
+)
+
+// TestWireLayoutsRoundTrip: every request and reply layout survives encode →
+// decode, with empty and nil fields normalised the way the codec does (a
+// zero-length byte string decodes as nil).
+func TestWireLayoutsRoundTrip(t *testing.T) {
+	for _, req := range []remoteRequest{
+		{Op: opPut},
+		{Op: opPut, Data: []byte{}},
+		{Op: opPut, Data: []byte{0}},
+		{Op: opPut, Data: bytes.Repeat([]byte{0xAB, 0x00, '{', '"'}, 4096)},
+		{Op: opGet},
+		{Op: opGet, Key: "mem://sha256:" + strings64("a")},
+	} {
+		got, err := decodeRequest(appendRequest(nil, &req))
+		if err != nil {
+			t.Errorf("request %+v: %v", req, err)
+			continue
+		}
+		if got.Op != req.Op || got.Key != req.Key || !bytes.Equal(got.Data, req.Data) {
+			t.Errorf("request round trip: got %+v, want %+v", got, req)
+		}
+	}
+	for _, tc := range []struct {
+		op   byte
+		resp remoteResponse
+	}{
+		{opPut, remoteResponse{Key: "mem://sha256:" + strings64("b")}},
+		{opPut, remoteResponse{}},
+		{opGet, remoteResponse{}},
+		{opGet, remoteResponse{Data: []byte{}}},
+		{opGet, remoteResponse{Data: bytes.Repeat([]byte{0xFF}, 1<<16)}},
+		{opGet, remoteResponse{Code: network.CodeNotFound, Err: "no such object"}},
+		{opPut, remoteResponse{Code: network.CodeInternal}},
+		{0x7F, remoteResponse{Code: network.CodeBadRequest, Err: "unknown op"}},
+	} {
+		got, err := decodeResponse(tc.op, appendResponse(nil, tc.op, &tc.resp))
+		if err != nil {
+			t.Errorf("response %+v: %v", tc.resp, err)
+			continue
+		}
+		if got.Code != tc.resp.Code || got.Err != tc.resp.Err || got.Key != tc.resp.Key || !bytes.Equal(got.Data, tc.resp.Data) {
+			t.Errorf("response round trip: got %+v, want %+v", got, tc.resp)
+		}
+	}
+}
+
+// TestRemotePayloadSizes sends payloads around every size boundary over
+// loopback: empty, one byte, the benchmark's 256 KiB, and 3 MiB — above the
+// cap under which codec.Buffer pools, so those frames are assembled and read
+// in unpooled buffers — and refuses one the frame cannot carry.
+func TestRemotePayloadSizes(t *testing.T) {
+	_, client := newRemotePair(t, network.LinkShape{})
+	for _, size := range []int{0, 1, 256 << 10, 3 << 20} {
+		data := make([]byte, size)
+		for i := range data {
+			data[i] = byte(i*31 + size)
+		}
+		// Twice: the second round runs on buffers the first one released.
+		for round := 0; round < 2; round++ {
+			ref, err := client.Put(data)
+			if err != nil {
+				t.Fatalf("Put(%d bytes): %v", size, err)
+			}
+			got, err := client.Get(ref)
+			if err != nil {
+				t.Fatalf("Get(%d bytes): %v", size, err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("%d-byte payload came back as %d different bytes", size, len(got))
+			}
+		}
+	}
+	// Sized but never touched, and refused before a frame is assembled.
+	if _, err := client.Put(make([]byte, network.MaxFrame+1)); !errors.Is(err, network.ErrFrameTooLarge) {
+		t.Errorf("Put(MaxFrame+1) = %v, want ErrFrameTooLarge", err)
+	}
+	// The refusal cost no connection: the next operation just works.
+	if _, err := client.Put([]byte("after")); err != nil {
+		t.Errorf("Put after an oversized one: %v", err)
+	}
+}
+
+// TestRemoteSentinelsCrossTheWire: each store failure reaches the client as
+// the sentinel it was, classified by the status byte and not by its text.
+func TestRemoteSentinelsCrossTheWire(t *testing.T) {
+	backing := NewMemStore()
+	srv, err := NewServer("127.0.0.1:0", backing, network.LinkShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client, err := NewRemoteStore(srv.Addr(), network.LinkShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+
+	ref, err := client.Put([]byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := client.localKey(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := backing.Corrupt(key); err != nil {
+		t.Fatal(err)
+	}
+	prefix := "remote://" + srv.Addr() + "/"
+	for _, tc := range []struct {
+		name, ref string
+		want      error
+	}{
+		{"missing object", prefix + "mem://sha256:" + strings64("0"), ErrNotFound},
+		{"corrupted object", ref, ErrChecksumMismatch},
+		{"ref the backing store cannot parse", prefix + "file://not-mine", ErrBadRef},
+		{"ref without a host", "remote://nohost", ErrBadRef},
+	} {
+		if _, err := client.Get(tc.ref); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Get = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestServerRejectsUnknownOp: a body that opens with a byte outside the
+// protocol — including the '{' of a peer still speaking JSON — or that is
+// torn gets a structured CodeBadRequest, and the connection stays usable.
+func TestServerRejectsUnknownOp(t *testing.T) {
+	srv, _ := newRemotePair(t, network.LinkShape{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	exchange := func(op byte, body []byte) remoteResponse {
+		t.Helper()
+		if err := network.WriteFrame(conn, body); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := network.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("body %q: connection dropped: %v", body, err)
+		}
+		resp, err := decodeResponse(op, reply)
+		if err != nil {
+			t.Fatalf("body %q: reply does not decode: %v", body, err)
+		}
+		return resp
+	}
+	for _, body := range [][]byte{
+		[]byte(`{"op":"put","data":"aGVsbG8="}`),
+		{0x7F},
+		{0x00, 0x01},
+		{},
+		{opPut, 0x05, 'a'}, // announces five payload bytes, carries one
+		append(appendRequest(nil, &remoteRequest{Op: opGet, Key: "k"}), 0x00), // trailing byte
+	} {
+		if resp := exchange(opGet, body); resp.Code != network.CodeBadRequest || resp.Err == "" {
+			t.Errorf("body %q: code %q, message %q; want %q with a message", body, resp.Code, resp.Err, network.CodeBadRequest)
+		}
+	}
+	put := exchange(opPut, appendRequest(nil, &remoteRequest{Op: opPut, Data: []byte("still here")}))
+	if put.Code != network.CodeNone || put.Key == "" {
+		t.Fatalf("put after rejected frames: %+v", put)
+	}
+	if get := exchange(opGet, appendRequest(nil, &remoteRequest{Op: opGet, Key: put.Key})); string(get.Data) != "still here" {
+		t.Errorf("get after rejected frames: %+v", get)
+	}
+}
+
+// TestServerCloseWithIdleClient: Close must not wait for clients to hang
+// up. A connected, idle client used to pin its handler in a frame read and
+// Close behind it; now Close closes the connection, and the client's next
+// operation fails over to a redial — which finds nobody listening — instead
+// of hanging.
+func TestServerCloseWithIdleClient(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", NewMemStore(), network.LinkShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewRemoteStore(srv.Addr(), network.LinkShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Put([]byte("connected")); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close still blocked after 5s with one idle client connected")
+	}
+	failed := make(chan error, 1)
+	go func() {
+		_, err := client.Put([]byte("after close"))
+		failed <- err
+	}()
+	select {
+	case err := <-failed:
+		if err == nil {
+			t.Error("Put against a closed server succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Put against a closed server hangs")
+	}
+}
+
+// TestRemotePutGetAllocBudget pins the raw wire where `go test ./...` sees
+// it. One Put + Get of a 256 KiB payload against a MemStore-backed server
+// in this process may allocate at most 4.5 × the payload in total. What is
+// inherent is 3 ×: MemStore.Put's copy, MemStore.Get's copy, and the reply
+// frame the client reads and hands to the caller; the request frames and the
+// server's read buffer are pooled. (base64-in-JSON cost ≈ 9.5 ×.)
+func TestRemotePutGetAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	const size = 256 << 10
+	_, client := newRemotePair(t, network.LinkShape{})
+	data := make([]byte, size)
+	pair := func(i int) {
+		data[0], data[1] = byte(i), byte(i>>8)
+		ref, err := client.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := client.Get(ref)
+		if err != nil || len(got) != size {
+			t.Fatalf("Get: %d bytes, %v", len(got), err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		pair(i) // warm the buffer pool
+	}
+	const pairs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		pair(100 + i)
+	}
+	runtime.ReadMemStats(&after)
+	perPair := float64(after.TotalAlloc-before.TotalAlloc) / pairs
+	t.Logf("Put+Get of %d bytes allocates %.2f × payload", size, perPair/size)
+	if limit := 4.5 * size; perPair > limit {
+		t.Errorf("Put+Get of %d bytes allocated %.0f bytes (%.2f × payload), budget %.1f ×",
+			size, perPair, perPair/size, limit/size)
+	}
+}
+
+// FuzzOffchainBody feeds arbitrary bytes to every request and reply decoder
+// of the off-chain protocol. The contract under hostile input: no panic; a
+// failure is always codec.ErrTruncated or codec.ErrMalformed (an unknown op
+// is ErrMalformed); and whatever decodes re-encodes to bytes that decode to
+// the same value.
+func FuzzOffchainBody(f *testing.F) {
+	f.Add(appendRequest(nil, &remoteRequest{Op: opPut, Data: []byte("payload")}))
+	f.Add(appendRequest(nil, &remoteRequest{Op: opPut}))
+	f.Add(appendRequest(nil, &remoteRequest{Op: opGet, Key: "mem://sha256:" + strings64("0")}))
+	f.Add(appendResponse(nil, opPut, &remoteResponse{Key: "mem://sha256:" + strings64("1")}))
+	f.Add(appendResponse(nil, opGet, &remoteResponse{Data: bytes.Repeat([]byte{0, 0xFF}, 64)}))
+	f.Add(appendResponse(nil, opGet, &remoteResponse{Code: network.CodeChecksumMismatch, Err: "tampered"}))
+	f.Add([]byte(`{"op":"get","key":"k"}`))
+	f.Add([]byte{opPut, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add([]byte{0xEE, 0x03, 'a', 'b', 'c'})
+	f.Add([]byte{})
+
+	structured := func(t *testing.T, what string, err error) {
+		t.Helper()
+		if !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, codec.ErrMalformed) {
+			t.Fatalf("%s: unstructured decode error: %v", what, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if req, err := decodeRequest(body); err != nil {
+			structured(t, "request", err)
+		} else {
+			again, err := decodeRequest(appendRequest(nil, &req))
+			if err != nil || again.Op != req.Op || again.Key != req.Key || !bytes.Equal(again.Data, req.Data) {
+				t.Fatalf("request %+v re-decoded as %+v, %v", req, again, err)
+			}
+		}
+		for _, op := range []byte{opPut, opGet} {
+			resp, err := decodeResponse(op, body)
+			if err != nil {
+				structured(t, "response", err)
+				continue
+			}
+			again, err := decodeResponse(op, appendResponse(nil, op, &resp))
+			if err != nil || again.Code != resp.Code || again.Err != resp.Err || again.Key != resp.Key || !bytes.Equal(again.Data, resp.Data) {
+				t.Fatalf("response %+v re-decoded as %+v, %v", resp, again, err)
+			}
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/gossip"
 	"github.com/hyperprov/hyperprov/internal/metrics"
@@ -182,26 +183,21 @@ func (c *Client) Hello() (HelloInfo, error) {
 
 // helloLocked exchanges the handshake on the current connection.
 func (c *Client) helloLocked() error {
-	resp, err := c.exchangeLocked(&request{Op: opHello}, "")
+	f := c.newFrame(&request{op: opHello})
+	defer f.Release()
+	d, err := c.exchangeLocked(f)
+	if err == nil {
+		c.hello = decodeHello(d)
+		err = d.Finish()
+	}
 	if err != nil {
-		err = fmt.Errorf("transport: hello %s: %w", c.addr, err)
+		var remote *RemoteError
+		if !errors.As(err, &remote) {
+			err = fmt.Errorf("transport: hello %s: %w", c.addr, err)
+		}
 		c.count(metrics.TransportHandshakeFailures)
 		c.setErrLocked(err)
 		return err
-	}
-	if !resp.OK {
-		err := remoteErr(resp)
-		c.count(metrics.TransportHandshakeFailures)
-		c.setErrLocked(err)
-		return err
-	}
-	c.hello = HelloInfo{
-		Name:       resp.Name,
-		ChannelID:  resp.ChannelID,
-		Channels:   resp.Channels,
-		Orgs:       resp.Orgs,
-		CACertsPEM: resp.CACertsPEM,
-		Height:     resp.Height,
 	}
 	c.helloOK = true
 	return nil
@@ -260,82 +256,87 @@ func (c *Client) dropConnLocked() {
 	}
 }
 
-// exchangeLocked writes one request and reads one response on the current
-// connection. A non-empty traceID rides in the frame header so the serving
-// process joins the sender's trace.
-func (c *Client) exchangeLocked(req *request, traceID string) (*response, error) {
-	if err := network.WriteExtJSON(c.shaped, traceID, c.cfg.Channel, req); err != nil {
+// newFrame encodes req into a pooled frame addressed to the client's
+// channel, with the request's trace ID in the frame header so the serving
+// process joins the sender's trace. The caller releases the frame.
+func (c *Client) newFrame(req *request) network.Frame {
+	f := network.NewFrame(req.traceID(), c.cfg.Channel)
+	f.B = appendRequest(f.B, req)
+	return f
+}
+
+// exchangeLocked writes one request frame and reads one reply on the
+// current connection. It returns a cursor over the reply's layout, past the
+// status: a reply whose status is a failure is returned as its *RemoteError,
+// which — unlike every other error here — leaves the connection in sync.
+func (c *Client) exchangeLocked(f network.Frame) (*codec.Dec, error) {
+	if err := f.Send(c.shaped); err != nil {
 		return nil, err
 	}
 	c.count(metrics.TransportFramesSent)
-	var resp response
-	if err := network.ReadJSON(c.conn, &resp); err != nil {
+	body, err := network.ReadFrame(c.conn)
+	if err != nil {
 		return nil, err
 	}
 	c.count(metrics.TransportFramesReceived)
-	return &resp, nil
+	d := codec.NewDec(body)
+	return d, replyStatus(d)
 }
 
-// traceIDFor picks the trace ID a request should carry: the proposal's
-// transaction ID, rooting the remote hop in the same trace. Block pushes
-// compute their trace ID before encoding (see Deliver) — the binary block
-// payload is opaque here.
-func traceIDFor(req *request) string {
-	if req.Proposal != nil {
-		return req.Proposal.TxID
-	}
-	return ""
-}
-
-// roundTrip sends one request and reads one response, redialling once when
-// an established connection turns out to be dead.
-func (c *Client) roundTrip(req *request) (*response, error) {
-	return c.roundTripTraced(req, traceIDFor(req))
-}
-
-// roundTripTraced is roundTrip with an explicit trace ID for callers whose
-// payload no longer exposes one (binary block pushes).
-func (c *Client) roundTripTraced(req *request, traceID string) (*response, error) {
+// roundTrip sends one request and returns a cursor over the reply's layout,
+// redialling once when an established connection turns out to be dead.
+func (c *Client) roundTrip(req *request) (*codec.Dec, error) {
 	start := time.Now()
 	defer func() {
 		if c.cfg.Metrics != nil {
 			// The per-op suffix is drawn from the transport's closed protocol
-			// vocabulary (hello, height, blocks_from, ...), never from peer
+			// vocabulary (hello, height, blocksFrom, ...), never from peer
 			// input, so the family count is bounded by the protocol.
 			//hyperprov:allow metricnames op suffix is the closed protocol vocabulary, not peer input
-			c.cfg.Metrics.Histogram(metrics.TransportRPC + "_" + req.Op).Observe(time.Since(start))
+			c.cfg.Metrics.Histogram(metrics.TransportRPC + "_" + req.op.String()).Observe(time.Since(start))
 		}
 	}()
+	// The request is encoded once, outside the lock; a redial resends the
+	// same frame.
+	f := c.newFrame(req)
+	defer f.Release()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attempt := 0; ; attempt++ {
 		if err := c.ensureConnLocked(); err != nil {
 			return nil, err
 		}
-		resp, err := c.exchangeLocked(req, traceID)
-		if err == nil {
+		d, err := c.exchangeLocked(f)
+		var remote *RemoteError
+		if err == nil || errors.As(err, &remote) {
 			c.setErrLocked(nil)
-			return resp, nil
+			return d, err
 		}
 		c.dropConnLocked()
 		if attempt > 0 {
-			err = fmt.Errorf("transport: %s %s: %w", req.Op, c.addr, err)
+			err = fmt.Errorf("transport: %s %s: %w", req.op, c.addr, err)
 			c.setErrLocked(err)
 			return nil, err
 		}
 	}
 }
 
+// finish closes the decode of an op's reply: trailing or missing bytes are
+// reported against the op and the peer.
+func (c *Client) finish(op opCode, d *codec.Dec) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("transport: %s reply from %s: %w", op, c.addr, err)
+	}
+	return nil
+}
+
 // Height probes the remote peer's committed height.
 func (c *Client) Height() (uint64, error) {
-	resp, err := c.roundTrip(&request{Op: opHeight})
+	d, err := c.roundTrip(&request{op: opHeight})
 	if err != nil {
 		return 0, err
 	}
-	if !resp.OK {
-		return 0, remoteErr(resp)
-	}
-	return resp.Height, nil
+	return decodeHeight(d), c.finish(opHeight, d)
 }
 
 // BlocksFrom streams the remote peer's blocks with number >= from, one
@@ -343,127 +344,110 @@ func (c *Client) Height() (uint64, error) {
 // received so far together with the error: the prefix is safe to commit,
 // and the next anti-entropy round fetches the rest.
 func (c *Client) BlocksFrom(from uint64) ([]*blockstore.Block, error) {
+	f := c.newFrame(&request{op: opBlocksFrom, from: from})
+	defer f.Release()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureConnLocked(); err != nil {
 		return nil, err
 	}
-	if err := network.WriteExtJSON(c.shaped, "", c.cfg.Channel, &request{Op: opBlocksFrom, From: from}); err != nil {
+	// broken drops the connection: past a torn frame or an undecodable block
+	// the stream is unusable; the in-order prefix is still safe to commit.
+	broken := func(blocks []*blockstore.Block, err error) ([]*blockstore.Block, error) {
 		c.dropConnLocked()
-		err = fmt.Errorf("transport: blocksFrom %s: %w", c.addr, err)
+		err = fmt.Errorf("transport: blocksFrom stream %s: %w", c.addr, err)
 		c.setErrLocked(err)
-		return nil, err
+		return blocks, err
+	}
+	if err := f.Send(c.shaped); err != nil {
+		return broken(nil, err)
 	}
 	c.count(metrics.TransportFramesSent)
 	var blocks []*blockstore.Block
 	for {
-		var resp response
-		if err := network.ReadJSON(c.conn, &resp); err != nil {
-			c.dropConnLocked()
-			err = fmt.Errorf("transport: blocksFrom stream %s: %w", c.addr, err)
-			c.setErrLocked(err)
-			return blocks, err
+		// One buffer per frame: the decoded block aliases it for as long as
+		// the peer keeps the block.
+		body, err := network.ReadFrame(c.conn)
+		if err != nil {
+			return broken(blocks, err)
 		}
 		c.count(metrics.TransportFramesReceived)
-		if !resp.OK {
-			return blocks, remoteErr(&resp)
-		}
-		if !resp.More {
-			return blocks, nil
-		}
-		b, err := blockstore.UnmarshalBlock(resp.BlockBin)
-		if err != nil {
-			// An undecodable block means the stream is unusable past this
-			// point; the in-order prefix is still safe to commit.
-			c.dropConnLocked()
-			err = fmt.Errorf("transport: blocksFrom stream %s: %w", c.addr, err)
-			c.setErrLocked(err)
+		b, err := decodeStreamFrame(body)
+		var remote *RemoteError
+		switch {
+		case errors.As(err, &remote):
 			return blocks, err
+		case err != nil:
+			return broken(blocks, err)
+		case b == nil:
+			return blocks, nil
 		}
 		blocks = append(blocks, b)
 	}
 }
 
 // Deliver pushes one block to the remote peer's commit pipeline, encoded in
-// the canonical binary form (the receiving pipeline reuses those exact
-// bytes for hashing and persistence).
+// the canonical binary form straight into the frame (the receiving pipeline
+// reuses those exact bytes for hashing and persistence).
 func (c *Client) Deliver(b *blockstore.Block) error {
-	var traceID string
-	if len(b.Envelopes) > 0 {
-		traceID = b.Envelopes[0].TxID
-	}
-	resp, err := c.roundTripTraced(&request{Op: opDeliver, BlockBin: blockstore.MarshalBlock(b)}, traceID)
+	d, err := c.roundTrip(&request{op: opDeliver, block: b})
 	if err != nil {
 		return err
 	}
-	if !resp.OK {
-		return remoteErr(resp)
-	}
-	return nil
+	return c.finish(opDeliver, d)
 }
 
 // SyncRemote waits until the remote peer has persisted every block it
 // accepted, returning its post-sync height.
 func (c *Client) SyncRemote() (uint64, error) {
-	resp, err := c.roundTrip(&request{Op: opSync})
+	d, err := c.roundTrip(&request{op: opSync})
 	if err != nil {
 		return 0, err
 	}
-	if !resp.OK {
-		return 0, remoteErr(resp)
-	}
-	return resp.Height, nil
+	return decodeHeight(d), c.finish(opSync, d)
 }
 
 // ProcessProposal endorses a proposal on the remote peer. The signature
 // matches the local peer's, so a gateway fans proposals to local and
 // remote endorsers interchangeably.
 func (c *Client) ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error) {
-	resp, err := c.roundTrip(&request{Op: opEndorse, Proposal: prop})
+	d, err := c.roundTrip(&request{op: opEndorse, proposal: prop})
 	if err != nil {
 		return nil, err
 	}
-	if !resp.OK {
-		return nil, remoteErr(resp)
-	}
-	if resp.Endorsement == nil {
-		return nil, &RemoteError{Code: network.CodeInternal, Msg: "endorse response without endorsement"}
+	resp, span := decodeEndorsement(d)
+	if err := c.finish(opEndorse, d); err != nil {
+		return nil, err
 	}
 	// The serving peer measured its endorse span and shipped it back; join
 	// it into this process's trace, marked as the remote hop.
-	if c.cfg.Tracer != nil && resp.Span != nil {
-		sp := *resp.Span
-		sp.Remote = true
-		c.cfg.Tracer.Add(prop.TxID, sp)
+	if c.cfg.Tracer != nil {
+		span.Remote = true
+		c.cfg.Tracer.Add(prop.TxID, span)
 	}
-	return resp.Endorsement, nil
+	return resp, nil
 }
 
 // Query runs a read-only chaincode invocation on the remote peer.
 func (c *Client) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.Response, error) {
-	resp, err := c.roundTrip(&request{
-		Op: opQuery, Chaincode: chaincode, Function: fn, Args: args, Creator: creator,
+	d, err := c.roundTrip(&request{
+		op: opQuery, chaincode: chaincode, function: fn, args: args, creator: creator,
 	})
 	if err != nil {
 		return shim.Response{}, err
 	}
-	if !resp.OK {
-		return shim.Response{}, remoteErr(resp)
-	}
-	return shim.Response{Status: resp.Status, Message: resp.Message, Payload: resp.Payload}, nil
+	return decodeQueryReply(d), c.finish(opQuery, d)
 }
 
 // Fingerprint returns the remote peer's committed state fingerprint and
 // height (the convergence check for multi-process deployments).
 func (c *Client) Fingerprint() (string, uint64, error) {
-	resp, err := c.roundTrip(&request{Op: opFingerprint})
+	d, err := c.roundTrip(&request{op: opFingerprint})
 	if err != nil {
 		return "", 0, err
 	}
-	if !resp.OK {
-		return "", 0, remoteErr(resp)
-	}
-	return resp.Fingerprint, resp.Height, nil
+	fp, height := decodeFingerprint(d)
+	return fp, height, c.finish(opFingerprint, d)
 }
 
 // Close closes the connection; in-flight calls fail and future calls

@@ -190,7 +190,9 @@ func (s *Server) count(name string) {
 
 // serve handles one connection: framed requests in, shaped framed
 // responses out. A framing violation (oversized announcement, torn frame)
-// closes the connection — the client reconnects with backoff.
+// closes the connection — the client reconnects with backoff. A frame whose
+// body does not decode (unknown op, torn layout) is answered with
+// CodeBadRequest and the connection stays open: the frame boundary held.
 func (s *Server) serve(conn net.Conn) {
 	var rw net.Conn = conn
 	if s.cfg.Metrics != nil {
@@ -198,66 +200,69 @@ func (s *Server) serve(conn net.Conn) {
 	}
 	shaped := network.NewShapedConn(rw, s.cfg.Shape)
 	for {
-		var req request
-		traceID, channelID, err := network.ReadExtJSON(rw, &req)
+		// Each request is read into a buffer of its own: a delivered block
+		// and an endorsed proposal alias it for as long as the peer keeps
+		// them.
+		body, traceID, channelID, err := network.ReadFrameExt(rw)
 		if err != nil {
 			return // EOF, oversized frame, or broken connection
 		}
 		s.count(metrics.TransportFramesReceived)
-		node, resolved, ok := s.nodeFor(channelID)
-		if !ok {
-			// Answer with a structured code instead of dropping the
-			// connection: the client maps it to ErrUnknownChannel and can
-			// report which channels the host does serve.
-			reject := &response{
-				Code: network.CodeUnknownChannel,
-				Err:  fmt.Sprintf("channel %q not served (serving %v)", channelID, s.order),
-			}
-			if err := network.WriteJSON(shaped, reject); err != nil {
-				return
-			}
-			s.count(metrics.TransportFramesSent)
-			continue
-		}
-		if req.Op == opBlocksFrom {
-			if err := s.streamBlocks(shaped, node, req.From); err != nil {
-				return
-			}
-			continue
-		}
-		if err := network.WriteJSON(shaped, s.handle(node, resolved, &req, traceID)); err != nil {
+		if err := s.answer(shaped, body, traceID, channelID); err != nil {
 			return
 		}
-		s.count(metrics.TransportFramesSent)
 	}
 }
 
-// streamBlocks answers a blocksFrom request: one block per frame, then a
-// terminating More=false frame. Streaming per block keeps a long catch-up
-// from buffering the whole tail in one frame and lets the shaper charge
-// each block its own transfer.
+// answer routes one request body to its channel's node and writes the reply.
+func (s *Server) answer(w *network.ShapedConn, body []byte, traceID, channelID string) error {
+	out := network.NewFrame("", "")
+	defer out.Release()
+	if node, resolved, ok := s.nodeFor(channelID); !ok {
+		// Answer with a structured code instead of dropping the connection:
+		// the client maps it to ErrUnknownChannel and can report which
+		// channels the host does serve.
+		out.B = network.AppendStatus(out.B, network.CodeUnknownChannel,
+			fmt.Sprintf("channel %q not served (serving %v)", channelID, s.order))
+	} else if req, err := decodeRequest(body); err != nil {
+		out.B = network.AppendStatus(out.B, network.CodeBadRequest, err.Error())
+	} else if req.op == opBlocksFrom {
+		return s.streamBlocks(w, node, req.from)
+	} else {
+		out.B = s.handle(out.B, node, resolved, req, traceID)
+	}
+	if err := out.Send(w); err != nil {
+		return err
+	}
+	s.count(metrics.TransportFramesSent)
+	return nil
+}
+
+// streamBlocks answers a blocksFrom request: one block per frame, then the
+// terminating frame. Streaming per block keeps a long catch-up from
+// buffering the whole tail in one frame and lets the shaper charge each
+// block its own transfer.
 func (s *Server) streamBlocks(w *network.ShapedConn, node Node, from uint64) error {
+	send := func(traceID string, b *blockstore.Block) error {
+		f := network.NewFrame(traceID, "")
+		f.B = appendStreamFrame(f.B, b)
+		err := f.Send(w)
+		f.Release()
+		if err == nil {
+			s.count(metrics.TransportFramesSent)
+		}
+		return err
+	}
 	for _, b := range node.BlocksFrom(from) {
 		start := time.Now()
-		// Stamp the frame with the block's first txID so the pulling process
-		// can associate the stream with in-flight traces.
-		var traceID string
-		if len(b.Envelopes) > 0 {
-			traceID = b.Envelopes[0].TxID
-		}
-		if err := network.WriteTracedJSON(w, traceID, &response{OK: true, More: true, BlockBin: blockstore.MarshalBlock(b)}); err != nil {
+		if err := send(blockTraceID(b), b); err != nil {
 			return err
 		}
-		s.count(metrics.TransportFramesSent)
 		if s.cfg.Tracer != nil {
 			s.cfg.Tracer.AddBatch(envelopeIDs(b), trace.StageGossipSend, node.Name(), start, time.Since(start))
 		}
 	}
-	err := network.WriteJSON(w, &response{OK: true, More: false})
-	if err == nil {
-		s.count(metrics.TransportFramesSent)
-	}
-	return err
+	return send("", nil)
 }
 
 // envelopeIDs collects a block's transaction IDs for span batching.
@@ -269,43 +274,39 @@ func envelopeIDs(b *blockstore.Block) []string {
 	return ids
 }
 
-func (s *Server) handle(node Node, channelID string, req *request, traceID string) *response {
-	switch req.Op {
+// handle executes one decoded request (every op but blocksFrom, which
+// streams) and appends the reply body to out.
+func (s *Server) handle(out []byte, node Node, channelID string, req *request, traceID string) []byte {
+	// ok opens a successful reply; a failure starts over from out.
+	ok := network.AppendStatus(out, network.CodeNone, "")
+	switch req.op {
 	case opHello:
-		return &response{
-			OK:         true,
+		return appendHello(ok, &HelloInfo{
 			Name:       node.Name(),
 			ChannelID:  channelID,
 			Channels:   s.order,
 			Orgs:       s.cfg.Orgs,
 			CACertsPEM: s.cfg.CACertsPEM,
 			Height:     node.Height(),
-		}
+		})
 	case opHeight:
-		return &response{OK: true, Height: node.Height()}
+		return appendHeight(ok, node.Height())
 	case opDeliver:
-		b, err := blockstore.UnmarshalBlock(req.BlockBin)
-		if err != nil {
-			return &response{Code: network.CodeBadRequest, Err: fmt.Sprintf("deliver without a decodable block: %v", err)}
-		}
 		start := time.Now()
-		node.DeliverBlock(b)
+		node.DeliverBlock(req.block)
 		s.count(metrics.GossipPushDeliveries)
 		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.AddBatch(envelopeIDs(b), trace.StageGossipDeliver, node.Name(), start, time.Since(start))
+			s.cfg.Tracer.AddBatch(envelopeIDs(req.block), trace.StageGossipDeliver, node.Name(), start, time.Since(start))
 		}
-		return &response{OK: true}
+		return ok
 	case opSync:
 		node.Sync()
-		return &response{OK: true, Height: node.Height()}
+		return appendHeight(ok, node.Height())
 	case opEndorse:
-		if req.Proposal == nil {
-			return &response{Code: network.CodeBadRequest, Err: "endorse without proposal"}
-		}
 		start := time.Now()
-		resp, err := node.ProcessProposal(req.Proposal)
+		resp, err := node.ProcessProposal(req.proposal)
 		if err != nil {
-			return &response{Code: classifyPeerErr(err), Err: err.Error()}
+			return network.AppendStatus(out, classifyPeerErr(err), err.Error())
 		}
 		// Measure the remote endorse hop here (covers simulation + signing
 		// on this peer), record it locally under the frame's trace ID, and
@@ -319,24 +320,22 @@ func (s *Server) handle(node Node, channelID string, req *request, traceID strin
 		if s.cfg.Tracer != nil {
 			id := traceID
 			if id == "" {
-				id = req.Proposal.TxID
+				id = req.proposal.TxID
 			}
 			remote := span
 			remote.Remote = true
 			s.cfg.Tracer.Add(id, remote)
 		}
-		return &response{OK: true, Endorsement: resp, Span: &span}
+		return appendEndorsement(ok, resp, &span)
 	case opQuery:
-		resp, err := node.Query(req.Chaincode, req.Function, req.Args, req.Creator)
+		resp, err := node.Query(req.chaincode, req.function, req.args, req.creator)
 		if err != nil {
-			return &response{Code: classifyPeerErr(err), Err: err.Error()}
+			return network.AppendStatus(out, classifyPeerErr(err), err.Error())
 		}
-		return &response{OK: true, Status: resp.Status, Message: resp.Message, Payload: resp.Payload}
-	case opFingerprint:
+		return appendQueryReply(ok, resp)
+	default: // opFingerprint: decodeRequest admits no other op
 		fp := node.StateFingerprint()
-		return &response{OK: true, Fingerprint: fp, Height: node.Height()}
-	default:
-		return &response{Code: network.CodeBadRequest, Err: fmt.Sprintf("unknown op %q", req.Op)}
+		return appendFingerprint(ok, fp, node.Height())
 	}
 }
 

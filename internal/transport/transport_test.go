@@ -121,6 +121,13 @@ func (f *fixture) propose(fn string, args ...string) *endorser.Proposal {
 // block, returning after persistence.
 func (f *fixture) commitTx(p *peer.Peer, key string) {
 	f.t.Helper()
+	f.commitBlock(p, f.envelope(p, key))
+}
+
+// envelope endorses one provenance Set on p (the chaincode instantiation
+// when p's chain is empty) and returns the client-signed transaction.
+func (f *fixture) envelope(p *peer.Peer, key string) blockstore.Envelope {
+	f.t.Helper()
 	f.nextTx++
 	fn := provenance.FnSet
 	args := []string{fmt.Sprintf(`{"key":%q,"checksum":"sha256:%04d"}`, key, f.nextTx)}
@@ -153,12 +160,20 @@ func (f *fixture) commitTx(p *peer.Peer, key string) {
 		f.t.Fatal(err)
 	}
 	env.Signature = sig
-	b, err := blockstore.NewBlock(p.Height(), p.Ledger().LastHash(), []blockstore.Envelope{env})
+	return env
+}
+
+// commitBlock commits envs as p's next block, returning it after
+// persistence.
+func (f *fixture) commitBlock(p *peer.Peer, envs ...blockstore.Envelope) *blockstore.Block {
+	f.t.Helper()
+	b, err := blockstore.NewBlock(p.Height(), p.Ledger().LastHash(), envs)
 	if err != nil {
 		f.t.Fatal(err)
 	}
 	p.DeliverBlock(b)
 	p.Sync()
+	return b
 }
 
 func waitHeight(t *testing.T, p *peer.Peer, want uint64) {
@@ -308,7 +323,7 @@ func TestGossipPushOverTCP(t *testing.T) {
 
 // chainOf builds a valid hash-chained run of empty blocks for
 // protocol-level tests that do not need real transactions.
-func chainOf(t *testing.T, n int) []*blockstore.Block {
+func chainOf(t testing.TB, n int) []*blockstore.Block {
 	t.Helper()
 	sto := blockstore.NewStore()
 	for i := 0; i < n; i++ {
@@ -341,18 +356,24 @@ func TestMidStreamDisconnect(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
+				reply := func(body []byte) { _ = network.WriteFrame(conn, body) }
+				ok := network.AppendStatus(nil, network.CodeNone, "")
 				for {
-					var req request
-					if err := network.ReadJSON(conn, &req); err != nil {
+					body, err := network.ReadFrame(conn)
+					if err != nil {
 						return
 					}
-					switch req.Op {
+					req, err := decodeRequest(body)
+					if err != nil {
+						return
+					}
+					switch req.op {
 					case opHello:
-						_ = network.WriteJSON(conn, &response{OK: true, Name: "half-open"})
+						reply(appendHello(ok, &HelloInfo{Name: "half-open"}))
 					case opBlocksFrom:
 						// Two frames, then drop the connection mid-stream.
-						_ = network.WriteJSON(conn, &response{OK: true, More: true, BlockBin: blockstore.MarshalBlock(blocks[0])})
-						_ = network.WriteJSON(conn, &response{OK: true, More: true, BlockBin: blockstore.MarshalBlock(blocks[1])})
+						reply(appendStreamFrame(nil, blocks[0]))
+						reply(appendStreamFrame(nil, blocks[1]))
 						return
 					}
 				}
@@ -416,8 +437,7 @@ func TestOversizedFrameClosesConnection(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				var req request
-				_ = network.ReadJSON(conn, &req)
+				_, _ = network.ReadFrame(conn)
 				_, _ = conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 			}(conn)
 		}

@@ -27,6 +27,11 @@ func TestMetricNames(t *testing.T) {
 		"metricnames/app", "metricnames/metrics")
 }
 
+func TestNoJSONWire(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), hyperprov.NoJSONWire,
+		"nojsonwire/transport", "nojsonwire/other")
+}
+
 func TestWallTime(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), hyperprov.WallTime,
 		"walltime/committer", "walltime/other")

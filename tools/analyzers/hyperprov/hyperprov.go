@@ -7,6 +7,8 @@
 //	              error-string matching (PR 4's RemoteStore bug class)
 //	locksafe      striped locks are never held across blocking operations (PR 5/7)
 //	metricnames   metric families are compile-time constant snake_case names (PR 6/8)
+//	nojsonwire    the packages that own a wire never import encoding/json or
+//	              encoding/base64: frame bodies are internal/codec encodings (PR 17)
 //	walltime      the commit/MVCC decision path stays deterministic: wall-clock
 //	              reads only through the metrics seam (PR 7)
 //
@@ -23,6 +25,7 @@ func All() []*analysis.Analyzer {
 		ErrCodes,
 		LockSafe,
 		MetricNames,
+		NoJSONWire,
 		WallTime,
 	}
 }

@@ -15,6 +15,7 @@ var violationFixture = map[string]string{
 	"errcodes":    "errcodes/a",
 	"locksafe":    "locksafe/committer",
 	"metricnames": "metricnames/app",
+	"nojsonwire":  "nojsonwire/transport",
 	"walltime":    "walltime/committer",
 }
 

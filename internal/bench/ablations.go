@@ -16,8 +16,8 @@ import (
 // parameters, off-chain vs on-chain payloads, ordering-service resilience)
 // rather than reproducing a specific figure.
 
-// BatchAblationConfig parameterizes Abl A.
-type BatchAblationConfig struct {
+// batchConfig parameterizes Abl A.
+type batchConfig struct {
 	// BatchSizes are the MaxMessageCount values to sweep.
 	BatchSizes []int
 	// PayloadSize is the fixed data-item size.
@@ -28,9 +28,9 @@ type BatchAblationConfig struct {
 	Seed         int64
 }
 
-// DefaultBatchAblation returns the standard Abl A configuration.
-func DefaultBatchAblation() BatchAblationConfig {
-	return BatchAblationConfig{
+// batchConfigFor returns the standard Abl A configuration, or the reduced one.
+func batchConfigFor(quick bool) batchConfig {
+	cfg := batchConfig{
 		BatchSizes:   []int{1, 10, 50, 100},
 		PayloadSize:  64 << 10,
 		Workers:      16,
@@ -38,12 +38,18 @@ func DefaultBatchAblation() BatchAblationConfig {
 		Scale:        1.0,
 		Seed:         1,
 	}
+	if quick {
+		cfg.BatchSizes = []int{1, 20}
+		cfg.WallPerPoint = quickWall
+	}
+	return cfg
 }
 
-// RunBatchAblation sweeps the orderer's MaxMessageCount at a fixed payload
+// runBatchAblation sweeps the orderer's MaxMessageCount at a fixed payload
 // size on the desktop network. Larger batches amortize ordering and commit
 // overhead (higher throughput) at the cost of queueing latency.
-func RunBatchAblation(cfg BatchAblationConfig) (Result, error) {
+func runBatchAblation(quick bool) (Report, error) {
+	cfg := batchConfigFor(quick)
 	res := Result{
 		Name:        "Abl A: orderer batch-size sweep",
 		Description: fmt.Sprintf("desktop network, %s payloads, MaxMessageCount swept", FormatSize(cfg.PayloadSize)),
@@ -57,13 +63,13 @@ func RunBatchAblation(cfg BatchAblationConfig) (Result, error) {
 		}
 		n, err := newNetwork(netCfg, cfg.Scale, cfg.Seed+int64(i)*211)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		store := offchain.NewMemStore()
 		clients, _, err := newClients(n, cfg.Workers, store, device.XeonE51603, cfg.Scale, cfg.Seed)
 		if err != nil {
 			n.Stop()
-			return Result{}, err
+			return nil, err
 		}
 		payload := payloadFactory(cfg.Workers, cfg.PayloadSize, cfg.Seed)
 		run := RunClosedLoop(cfg.Workers, cfg.WallPerPoint, func(w, it int) error {
@@ -82,8 +88,8 @@ func RunBatchAblation(cfg BatchAblationConfig) (Result, error) {
 	return res, nil
 }
 
-// OnchainAblationConfig parameterizes Abl B.
-type OnchainAblationConfig struct {
+// onchainConfig parameterizes Abl B.
+type onchainConfig struct {
 	Sizes        []int
 	Workers      int
 	WallPerPoint time.Duration
@@ -91,22 +97,41 @@ type OnchainAblationConfig struct {
 	Seed         int64
 }
 
-// DefaultOnchainAblation returns the standard Abl B configuration.
-func DefaultOnchainAblation() OnchainAblationConfig {
-	return OnchainAblationConfig{
+// onchainConfigFor returns the standard Abl B configuration, or the reduced
+// one.
+func onchainConfigFor(quick bool) onchainConfig {
+	cfg := onchainConfig{
 		Sizes:        []int{1 << 10, 16 << 10, 128 << 10, 512 << 10},
 		Workers:      16,
 		WallPerPoint: 3 * time.Second,
 		Scale:        1.0,
 		Seed:         1,
 	}
+	if quick {
+		cfg.Sizes = []int{1 << 10, 128 << 10}
+		cfg.WallPerPoint = quickWall
+	}
+	return cfg
 }
 
-// RunOnchainAblation compares HyperProv's pointer + off-chain design
+// OnchainResult is Abl B's pair of tables: the same payload sweep through
+// the off-chain design and through the on-chain counterfactual.
+type OnchainResult struct {
+	OffChain Result
+	OnChain  Result
+}
+
+// Format renders both tables, off-chain first.
+func (r OnchainResult) Format() string {
+	return r.OffChain.Format() + "\n" + r.OnChain.Format()
+}
+
+// runOnchainAblation compares HyperProv's pointer + off-chain design
 // against storing the payload inside the transaction. The on-chain variant
 // bloats envelopes, blocks, and every peer's ledger; the paper's design
 // argument is that the off-chain path scales to large items.
-func RunOnchainAblation(cfg OnchainAblationConfig) (Result, Result, error) {
+func runOnchainAblation(quick bool) (Report, error) {
+	cfg := onchainConfigFor(quick)
 	off := Result{
 		Name:        "Abl B: off-chain pointer (HyperProv design)",
 		Description: "payload to off-chain store, checksum+pointer on-chain",
@@ -119,13 +144,13 @@ func RunOnchainAblation(cfg OnchainAblationConfig) (Result, Result, error) {
 		for variant := 0; variant < 2; variant++ {
 			n, err := newNetwork(fabric.DesktopConfig(), cfg.Scale, cfg.Seed+int64(i)*307+int64(variant))
 			if err != nil {
-				return Result{}, Result{}, err
+				return nil, err
 			}
 			store := offchain.NewMemStore()
 			clients, _, err := newClients(n, cfg.Workers, store, device.XeonE51603, cfg.Scale, cfg.Seed)
 			if err != nil {
 				n.Stop()
-				return Result{}, Result{}, err
+				return nil, err
 			}
 			payload := payloadFactory(cfg.Workers, size, cfg.Seed)
 			var run RunResult
@@ -158,11 +183,11 @@ func RunOnchainAblation(cfg OnchainAblationConfig) (Result, Result, error) {
 			}
 		}
 	}
-	return off, on, nil
+	return OnchainResult{OffChain: off, OnChain: on}, nil
 }
 
-// RaftAblationConfig parameterizes Abl C.
-type RaftAblationConfig struct {
+// raftConfig parameterizes Abl C.
+type raftConfig struct {
 	Workers      int
 	PayloadSize  int
 	WallPerPhase time.Duration
@@ -170,21 +195,26 @@ type RaftAblationConfig struct {
 	Seed         int64
 }
 
-// DefaultRaftAblation returns the standard Abl C configuration.
-func DefaultRaftAblation() RaftAblationConfig {
-	return RaftAblationConfig{
+// raftConfigFor returns the standard Abl C configuration, or the reduced one.
+func raftConfigFor(quick bool) raftConfig {
+	cfg := raftConfig{
 		Workers:      16,
 		PayloadSize:  16 << 10,
 		WallPerPhase: 2 * time.Second,
 		Scale:        1.0,
 		Seed:         1,
 	}
+	if quick {
+		cfg.WallPerPhase = quickWall
+	}
+	return cfg
 }
 
-// RunRaftAblation measures throughput with a 3-node Raft ordering service
+// runRaftAblation measures throughput with a 3-node Raft ordering service
 // before and after crashing the leader mid-run; the resilience claim is
 // that the network keeps committing after failover.
-func RunRaftAblation(cfg RaftAblationConfig) (Result, error) {
+func runRaftAblation(quick bool) (Report, error) {
+	cfg := raftConfigFor(quick)
 	res := Result{
 		Name:        "Abl C: raft ordering-service failover",
 		Description: "desktop network, 3 raft orderers; leader killed between phases",
@@ -194,17 +224,17 @@ func RunRaftAblation(cfg RaftAblationConfig) (Result, error) {
 	netCfg.RaftNodes = 3
 	n, err := newNetwork(netCfg, cfg.Scale, cfg.Seed)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	defer n.Stop()
 	raftSvc, ok := n.Orderer().(*orderer.Raft)
 	if !ok {
-		return Result{}, fmt.Errorf("bench: orderer is %T, want raft", n.Orderer())
+		return nil, fmt.Errorf("bench: orderer is %T, want raft", n.Orderer())
 	}
 	store := offchain.NewMemStore()
 	clients, _, err := newClients(n, cfg.Workers, store, device.XeonE51603, cfg.Scale, cfg.Seed)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	payload := payloadFactory(cfg.Workers, cfg.PayloadSize, cfg.Seed)
 

@@ -109,35 +109,6 @@ func TestRunClosedLoopErrors(t *testing.T) {
 	}
 }
 
-func TestRunFixedCount(t *testing.T) {
-	res := RunFixedCount(3, 10, func(w, it int) error { return nil })
-	if res.Ops != 10 {
-		t.Errorf("ops = %d, want 10", res.Ops)
-	}
-}
-
-func TestRunPacedZeroRate(t *testing.T) {
-	start := time.Now()
-	res := RunPaced(0, 50*time.Millisecond, 1, func(w, it int) error { return nil })
-	if res.Ops != 0 {
-		t.Errorf("ops = %d", res.Ops)
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Error("zero-rate run returned early")
-	}
-}
-
-func TestRunPacedIssuesAtRate(t *testing.T) {
-	res := RunPaced(100, 300*time.Millisecond, 64, func(w, it int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	// ~30 ticks expected; allow slack for CI jitter.
-	if res.Ops < 10 || res.Ops > 40 {
-		t.Errorf("paced ops = %d, want ~30", res.Ops)
-	}
-}
-
 func TestModeledThroughput(t *testing.T) {
 	r := RunResult{Ops: 100, WallDuration: time.Second}
 	if got := r.ModeledThroughput(0.05); got != 5 {
@@ -149,6 +120,28 @@ func TestModeledThroughput(t *testing.T) {
 	if (RunResult{}).Throughput() != 0 {
 		t.Error("zero-duration throughput not 0")
 	}
+}
+
+// runQuick looks the named experiment up in Experiments, runs it in quick
+// mode and returns its report as the concrete type T.
+func runQuick[T Report](t *testing.T, name string) T {
+	t.Helper()
+	for _, e := range Experiments {
+		if e.Name != name {
+			continue
+		}
+		rep, err := e.Run(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ok := rep.(T)
+		if !ok {
+			t.Fatalf("%s returned %T", name, rep)
+		}
+		return res
+	}
+	t.Fatalf("no experiment %q in Experiments", name)
+	return *new(T)
 }
 
 func TestResultFormat(t *testing.T) {
@@ -171,11 +164,8 @@ func TestQuickSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke test skipped in -short mode")
 	}
-	cfg := QuickSweep()
-	res, err := RunFig1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := sweepConfigFor(true)
+	res := runQuick[Result](t, "fig1")
 	if len(res.Rows) != len(cfg.Sizes) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -199,10 +189,7 @@ func TestQuickEnergySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("energy smoke test skipped in -short mode")
 	}
-	res, err := RunFig3(QuickEnergy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick[EnergyResult](t, "fig3")
 	if len(res.Rows) != 4 { // idle + 2 load levels + saturation anchor
 		t.Fatalf("rows = %d: %+v", len(res.Rows), res.Rows)
 	}

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -31,8 +29,8 @@ import (
 //
 // Rates are in modeled hardware time, like every experiment here.
 
-// ChannelBenchConfig parameterizes the multi-channel experiment.
-type ChannelBenchConfig struct {
+// channelConfig parameterizes the multi-channel experiment.
+type channelConfig struct {
 	// ChannelCounts are the x-axis points; the first count (conventionally
 	// 1) is the baseline the speedup column is relative to.
 	ChannelCounts []int
@@ -65,14 +63,12 @@ type ChannelBenchConfig struct {
 	// blocks, submitted as fast as the pipeline accepts them). Size it to
 	// outlast the quiet tenant's paced run.
 	HotBlocks int
-	// HotWorkers caps the flooding tenant's pre-validation pool. <= 0
-	// defaults to Workers.
-	HotWorkers int
 }
 
-// DefaultChannelBench returns the figure-quality configuration.
-func DefaultChannelBench() ChannelBenchConfig {
-	return ChannelBenchConfig{
+// channelConfigFor returns the figure-quality configuration, or the
+// reduced one.
+func channelConfigFor(quick bool) channelConfig {
+	cfg := channelConfig{
 		ChannelCounts:  []int{1, 2, 4},
 		BlockSize:      50,
 		Blocks:         16,
@@ -87,25 +83,17 @@ func DefaultChannelBench() ChannelBenchConfig {
 		QuietInterval:  50 * time.Millisecond,
 		HotBlocks:      18,
 	}
-}
-
-// QuickChannelBench returns a reduced run for smoke tests.
-func QuickChannelBench() ChannelBenchConfig {
-	return ChannelBenchConfig{
-		ChannelCounts:  []int{1, 4},
-		BlockSize:      30,
-		Blocks:         6,
-		WritesPerTx:    2,
-		Workers:        2,
-		MVCCWorkers:    1,
-		Profile:        device.XeonE51603,
-		Scale:          0.2,
-		Seed:           1,
-		QuietBlockSize: 5,
-		QuietBlocks:    10,
-		QuietInterval:  25 * time.Millisecond,
-		HotBlocks:      8,
+	if quick {
+		cfg.ChannelCounts = []int{1, 4}
+		cfg.BlockSize = 30
+		cfg.Blocks = 6
+		cfg.Scale = 0.2
+		cfg.QuietBlockSize = 5
+		cfg.QuietBlocks = 10
+		cfg.QuietInterval = 25 * time.Millisecond
+		cfg.HotBlocks = 8
 	}
+	return cfg
 }
 
 // ChannelBenchRow is one measured channel-count point.
@@ -165,29 +153,6 @@ func (r ChannelBenchResult) Format() string {
 	return sb.String()
 }
 
-// ParseChannelBenchResult decodes a BENCH_channels.json artifact — the
-// regression gate reads the previous nightly's upload with this.
-func ParseChannelBenchResult(raw []byte) (ChannelBenchResult, error) {
-	var r ChannelBenchResult
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return ChannelBenchResult{}, fmt.Errorf("bench: parse channels result: %w", err)
-	}
-	if len(r.Rows) == 0 {
-		return ChannelBenchResult{}, fmt.Errorf("bench: parse channels result: no rows")
-	}
-	return r, nil
-}
-
-// WriteJSON writes the result to path (the BENCH_channels.json artifact the
-// CI benchmark job uploads).
-func (r ChannelBenchResult) WriteJSON(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshal channels result: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
 // channelPipe is one channel's commit pipeline over fresh stores, charged
 // against a shared host executor.
 type channelPipe struct {
@@ -226,20 +191,9 @@ func (p *channelPipe) drain(stream []*blockstore.Block) error {
 	return nil
 }
 
-// RunChannelBench runs the multi-channel scaling and isolation experiment.
-func RunChannelBench(cfg ChannelBenchConfig) (ChannelBenchResult, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.MVCCWorkers <= 0 {
-		cfg.MVCCWorkers = 1
-	}
-	if cfg.HotWorkers <= 0 {
-		cfg.HotWorkers = cfg.Workers
-	}
+// runChannelBench runs the multi-channel scaling and isolation experiment.
+func runChannelBench(quick bool) (Report, error) {
+	cfg := channelConfigFor(quick)
 	res := ChannelBenchResult{
 		Name: "Multi-channel tenancy: per-channel pipelines on one modeled host",
 		Description: fmt.Sprintf(
@@ -249,7 +203,7 @@ func RunChannelBench(cfg ChannelBenchConfig) (ChannelBenchResult, error) {
 	}
 	f, err := newCommitFixture()
 	if err != nil {
-		return ChannelBenchResult{}, err
+		return nil, err
 	}
 	// One signed stream serves every channel: the committer clones each
 	// ordered block before annotating it, and every channel owns fresh
@@ -257,7 +211,7 @@ func RunChannelBench(cfg ChannelBenchConfig) (ChannelBenchResult, error) {
 	// contention under test.
 	stream, err := f.buildStream(cfg.Blocks, cfg.BlockSize, cfg.WritesPerTx)
 	if err != nil {
-		return ChannelBenchResult{}, err
+		return nil, err
 	}
 
 	var baseTps float64
@@ -283,7 +237,7 @@ func RunChannelBench(cfg ChannelBenchConfig) (ChannelBenchResult, error) {
 		for i, p := range pipes {
 			p.eng.Close()
 			if errs[i] != nil {
-				return ChannelBenchResult{}, errs[i]
+				return nil, errs[i]
 			}
 			all.Merge(p.lat)
 		}
@@ -302,7 +256,7 @@ func RunChannelBench(cfg ChannelBenchConfig) (ChannelBenchResult, error) {
 
 	iso, err := runChannelIsolation(f, cfg, stream)
 	if err != nil {
-		return ChannelBenchResult{}, err
+		return nil, err
 	}
 	res.Isolation = iso
 	return res, nil
@@ -318,7 +272,7 @@ func RunChannelBench(cfg ChannelBenchConfig) (ChannelBenchResult, error) {
 // that reservation for utilization and lets a flood inflate sibling tails).
 // The solo baseline runs under the same quota, so the delta isolates the
 // hot tenant's presence rather than the quota itself.
-func runChannelIsolation(f *commitFixture, cfg ChannelBenchConfig, hotStream []*blockstore.Block) (*ChannelIsolation, error) {
+func runChannelIsolation(f *commitFixture, cfg channelConfig, hotStream []*blockstore.Block) (*ChannelIsolation, error) {
 	quietStream, err := f.buildStream(cfg.QuietBlocks, cfg.QuietBlockSize, cfg.WritesPerTx)
 	if err != nil {
 		return nil, err
@@ -338,7 +292,7 @@ func runChannelIsolation(f *commitFixture, cfg ChannelBenchConfig, hotStream []*
 		var wg sync.WaitGroup
 		if withHot {
 			hotExec := device.NewExecutor(hotProfile, device.RealClock{ScaleFactor: cfg.Scale}, cfg.Seed+1)
-			hotPipe = newChannelPipe(f, hotExec, len(hot), cfg.HotWorkers, cfg.MVCCWorkers)
+			hotPipe = newChannelPipe(f, hotExec, len(hot), cfg.Workers, cfg.MVCCWorkers)
 			defer hotPipe.eng.Close()
 			wg.Add(1)
 			go func() {

@@ -1,20 +1,13 @@
 package bench
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // Quick multi-channel run: every configured count produces a row, adding
 // channels must not shrink aggregate modeled throughput below the single
 // channel's, and the isolation section reports both tenants.
 func TestChannelBenchQuick(t *testing.T) {
-	cfg := QuickChannelBench()
-	res, err := RunChannelBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := channelConfigFor(true)
+	res := runQuick[ChannelBenchResult](t, "channels")
 	if len(res.Rows) != len(cfg.ChannelCounts) {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), len(cfg.ChannelCounts))
 	}
@@ -31,9 +24,8 @@ func TestChannelBenchQuick(t *testing.T) {
 		}
 	}
 	last := res.Rows[len(res.Rows)-1]
-	// The real acceptance bar (>= 1.7x at 4 channels) is enforced by the
-	// nightly figure-quality run; the quick config just has to show
-	// additional channels helping at all on a loaded CI runner.
+	// The quick config just has to show additional channels helping at all
+	// on a loaded CI runner; the figure-quality run reads >= 1.7x at 4.
 	if last.Speedup < 1.0 {
 		t.Errorf("aggregate throughput shrank with %d channels: %.2fx", last.Channels, last.Speedup)
 	}
@@ -43,24 +35,5 @@ func TestChannelBenchQuick(t *testing.T) {
 	}
 	if iso.QuietSoloP99Ms <= 0 || iso.QuietHotP99Ms <= 0 || iso.HotTps <= 0 {
 		t.Errorf("degenerate isolation %+v", iso)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_channels.json")
-	if err := res.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseChannelBenchResult(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed.Rows) != len(res.Rows) || parsed.Isolation == nil {
-		t.Errorf("artifact round trip lost rows: %+v", parsed)
-	}
-	if parsed.Rows[len(parsed.Rows)-1].AggregateTps != last.AggregateTps {
-		t.Error("artifact round trip changed values")
 	}
 }

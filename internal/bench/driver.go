@@ -77,93 +77,3 @@ func RunClosedLoop(workers int, wallFor time.Duration, op Op) RunResult {
 	res.Errs = errs.Load()
 	return res
 }
-
-// RunFixedCount drives op until every worker has completed its share of a
-// total of n operations.
-func RunFixedCount(workers, n int, op Op) RunResult {
-	res := RunResult{Latency: NewHistogram()}
-	var ops, errs atomic.Int64
-	var wg sync.WaitGroup
-	per := n / workers
-	extra := n % workers
-
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		count := per
-		if w < extra {
-			count++
-		}
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			for i := 0; i < count; i++ {
-				opStart := time.Now()
-				if err := op(w, i); err != nil {
-					errs.Add(1)
-					continue
-				}
-				res.Latency.Record(time.Since(opStart))
-				ops.Add(1)
-			}
-		}(w, count)
-	}
-	wg.Wait()
-	res.WallDuration = time.Since(start)
-	res.Ops = ops.Load()
-	res.Errs = errs.Load()
-	return res
-}
-
-// RunPaced issues operations at a fixed wall rate (open loop) for the given
-// duration, with at most maxInFlight outstanding; used by the energy
-// experiment to hold the device at a target load level.
-func RunPaced(rate float64, wallFor time.Duration, maxInFlight int, op Op) RunResult {
-	res := RunResult{Latency: NewHistogram()}
-	if rate <= 0 {
-		time.Sleep(wallFor)
-		res.WallDuration = wallFor
-		return res
-	}
-	var ops, errs atomic.Int64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxInFlight)
-	interval := time.Duration(float64(time.Second) / rate)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.After(wallFor)
-
-	start := time.Now()
-	i := 0
-loop:
-	for {
-		select {
-		case <-deadline:
-			break loop
-		case <-ticker.C:
-			select {
-			case sem <- struct{}{}:
-			default:
-				errs.Add(1) // overload: request dropped, like a timed-out client
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				opStart := time.Now()
-				if err := op(0, i); err != nil {
-					errs.Add(1)
-					return
-				}
-				res.Latency.Record(time.Since(opStart))
-				ops.Add(1)
-			}(i)
-			i++
-		}
-	}
-	wg.Wait()
-	res.WallDuration = time.Since(start)
-	res.Ops = ops.Load()
-	res.Errs = errs.Load()
-	return res
-}

@@ -17,8 +17,8 @@ import (
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
-// SweepConfig parameterizes the payload-size sweeps of Figs 1–2.
-type SweepConfig struct {
+// sweepConfig parameterizes the payload-size sweeps of Figs 1–2.
+type sweepConfig struct {
 	// Sizes are the data-item sizes on the x-axis.
 	Sizes []int
 	// Workers is the number of concurrent closed-loop clients.
@@ -32,26 +32,24 @@ type SweepConfig struct {
 	Seed int64
 }
 
-// DefaultSweep returns the figure-quality sweep configuration.
-func DefaultSweep() SweepConfig {
-	return SweepConfig{
+// quickWall is the measurement window per point of every -quick
+// closed-loop experiment.
+const quickWall = 1200 * time.Millisecond
+
+// sweepConfigFor returns the figure-quality sweep, or the reduced one.
+func sweepConfigFor(quick bool) sweepConfig {
+	cfg := sweepConfig{
 		Sizes:        []int{1 << 10, 8 << 10, 64 << 10, 512 << 10, 1 << 20, 4 << 20},
 		Workers:      16,
 		WallPerPoint: 4 * time.Second,
 		Scale:        1.0,
 		Seed:         1,
 	}
-}
-
-// QuickSweep returns a reduced sweep for smoke tests.
-func QuickSweep() SweepConfig {
-	return SweepConfig{
-		Sizes:        []int{1 << 10, 256 << 10, 1 << 20},
-		Workers:      16,
-		WallPerPoint: 1200 * time.Millisecond,
-		Scale:        1.0,
-		Seed:         1,
+	if quick {
+		cfg.Sizes = []int{1 << 10, 256 << 10, 1 << 20}
+		cfg.WallPerPoint = quickWall
 	}
+	return cfg
 }
 
 // Row is one measured point of a figure.
@@ -148,18 +146,18 @@ func payloadFactory(workers, size int, seed int64) func(worker, iteration int) [
 
 // runSizeSweep measures StoreData throughput and response time across
 // payload sizes on the given hardware configuration.
-func runSizeSweep(name, desc string, netCfg fabric.Config, clientProf device.Profile, cfg SweepConfig) (Result, error) {
+func runSizeSweep(name, desc string, netCfg fabric.Config, clientProf device.Profile, cfg sweepConfig) (Report, error) {
 	res := Result{Name: name, Description: desc}
 	for i, size := range cfg.Sizes {
 		n, err := newNetwork(netCfg, cfg.Scale, cfg.Seed+int64(i)*101)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		store := offchain.NewMemStore()
 		clients, _, err := newClients(n, cfg.Workers, store, clientProf, cfg.Scale, cfg.Seed)
 		if err != nil {
 			n.Stop()
-			return Result{}, err
+			return nil, err
 		}
 		payload := payloadFactory(cfg.Workers, size, cfg.Seed)
 
@@ -181,26 +179,26 @@ func runSizeSweep(name, desc string, netCfg fabric.Config, clientProf device.Pro
 	return res, nil
 }
 
-// RunFig1 regenerates Fig 1: throughput and response times vs data-item
+// runFig1 regenerates Fig 1: throughput and response times vs data-item
 // size on the desktop network (4 x86-64 peers, solo orderer, off-chain
 // storage involved).
-func RunFig1(cfg SweepConfig) (Result, error) {
+func runFig1(quick bool) (Report, error) {
 	return runSizeSweep(
 		"Fig 1: desktop throughput & response time vs payload size",
 		"4 desktop peers (2x Xeon E5-1603, i7-4700MQ, i3-2310M), solo orderer, SSHFS-model off-chain store",
-		fabric.DesktopConfig(), device.XeonE51603, cfg)
+		fabric.DesktopConfig(), device.XeonE51603, sweepConfigFor(quick))
 }
 
-// RunFig2 regenerates Fig 2: the same sweep on the RPi 3B+ network.
-func RunFig2(cfg SweepConfig) (Result, error) {
+// runFig2 regenerates Fig 2: the same sweep on the RPi 3B+ network.
+func runFig2(quick bool) (Report, error) {
 	return runSizeSweep(
 		"Fig 2: RPi throughput & response time vs payload size",
 		"4 Raspberry Pi 3B+ peers (Cortex-A53 @1.4GHz, 100Mbps), solo orderer, SSHFS-model off-chain store",
-		fabric.RPiConfig(), device.RPi3BPlus, cfg)
+		fabric.RPiConfig(), device.RPi3BPlus, sweepConfigFor(quick))
 }
 
-// EnergyConfig parameterizes the Fig 3 experiment.
-type EnergyConfig struct {
+// energyConfig parameterizes the Fig 3 experiment.
+type energyConfig struct {
 	// Loads are the closed-loop worker counts per load phase; 0 workers is
 	// the idle-with-HLF phase.
 	Loads []int
@@ -214,26 +212,20 @@ type EnergyConfig struct {
 	Seed int64
 }
 
-// DefaultEnergy returns the figure-quality energy configuration.
-func DefaultEnergy() EnergyConfig {
-	return EnergyConfig{
+// energyConfigFor returns the figure-quality energy run, or the reduced one.
+func energyConfigFor(quick bool) energyConfig {
+	cfg := energyConfig{
 		Loads:         []int{0, 2, 4, 8, 16},
 		WallPerPhase:  2 * time.Second,
 		PhaseDuration: 10 * time.Minute,
 		Scale:         1.0,
 		Seed:          1,
 	}
-}
-
-// QuickEnergy returns a reduced energy run for smoke tests.
-func QuickEnergy() EnergyConfig {
-	return EnergyConfig{
-		Loads:         []int{0, 8},
-		WallPerPhase:  900 * time.Millisecond,
-		PhaseDuration: 10 * time.Minute,
-		Scale:         1.0,
-		Seed:          1,
+	if quick {
+		cfg.Loads = []int{0, 8}
+		cfg.WallPerPhase = 900 * time.Millisecond
 	}
+	return cfg
 }
 
 // EnergyRow is one Fig-3 phase measurement.
@@ -268,11 +260,12 @@ func (r EnergyResult) Format() string {
 	return sb.String()
 }
 
-// RunFig3 regenerates Fig 3: RPi energy consumption over 10-minute modeled
+// runFig3 regenerates Fig 3: RPi energy consumption over 10-minute modeled
 // intervals at increasing load levels. Utilization is measured by actually
 // driving the RPi-profile network; power is integrated by the calibrated
 // meter model.
-func RunFig3(cfg EnergyConfig) (EnergyResult, error) {
+func runFig3(quick bool) (Report, error) {
+	cfg := energyConfigFor(quick)
 	res := EnergyResult{
 		Name:        "Fig 3: RPi energy consumption, 10-minute intervals",
 		Description: "ODROID-model meter; peer+client on one RPi 3B+; loads from idle to peak",
@@ -284,7 +277,7 @@ func RunFig3(cfg EnergyConfig) (EnergyResult, error) {
 		Name: "idle", Duration: cfg.PhaseDuration, Util: 0, HLFRunning: false,
 	}}, time.Second, cfg.Seed)
 	if err != nil {
-		return EnergyResult{}, err
+		return nil, err
 	}
 	res.Rows = append(res.Rows, EnergyRow{
 		Phase:        "idle",
@@ -296,12 +289,12 @@ func RunFig3(cfg EnergyConfig) (EnergyResult, error) {
 	for i, workers := range cfg.Loads {
 		n, err := newNetwork(fabric.RPiConfig(), cfg.Scale, cfg.Seed+int64(i)*113)
 		if err != nil {
-			return EnergyResult{}, err
+			return nil, err
 		}
 		util, tput, err := measureUtilization(n, workers, cfg)
 		n.Stop()
 		if err != nil {
-			return EnergyResult{}, err
+			return nil, err
 		}
 
 		name := fmt.Sprintf("load-%d", workers)
@@ -312,7 +305,7 @@ func RunFig3(cfg EnergyConfig) (EnergyResult, error) {
 			Name: name, Duration: cfg.PhaseDuration, Util: util, HLFRunning: true,
 		}}, time.Second, cfg.Seed+int64(i)*7)
 		if err != nil {
-			return EnergyResult{}, err
+			return nil, err
 		}
 		res.Rows = append(res.Rows, EnergyRow{
 			Phase:        name,
@@ -333,7 +326,7 @@ func RunFig3(cfg EnergyConfig) (EnergyResult, error) {
 		Name: "peak", Duration: cfg.PhaseDuration, Util: 1.0, HLFRunning: true,
 	}}, time.Second, cfg.Seed+7777)
 	if err != nil {
-		return EnergyResult{}, err
+		return nil, err
 	}
 	res.Rows = append(res.Rows, EnergyRow{
 		Phase:        "peak",
@@ -350,7 +343,7 @@ func RunFig3(cfg EnergyConfig) (EnergyResult, error) {
 // window plus modeled throughput. The paper's Fig 3 device runs both a
 // peer and the client process, so client costs are charged to the peer's
 // executor as well.
-func measureUtilization(n *fabric.Network, workers int, cfg EnergyConfig) (float64, float64, error) {
+func measureUtilization(n *fabric.Network, workers int, cfg energyConfig) (float64, float64, error) {
 	peerExec := n.Peers()[0].Executor()
 	peerExec.ResetBusy()
 	if workers == 0 {

@@ -1,8 +1,9 @@
-// Package bench is the benchmarking harness: the stand-in for the paper's
-// custom NodeJS benchmark program. It provides a latency recorder, a
-// closed-loop load driver, and one experiment definition per figure of the
-// paper's evaluation (plus the ablations listed in README "Paper figures &
-// ablations"), each emitting the rows the figure plots.
+// Package bench is the stand-in for the paper's custom NodeJS benchmark
+// program. It provides a latency recorder, a closed-loop load driver, and
+// one table (Experiments) holding an experiment per figure of the paper's
+// evaluation plus the ablations listed in README "Paper figures &
+// ablations", each emitting the rows the figure plots. Real-clock
+// performance is judged by the repository benchmark (benchmark/), not here.
 package bench
 
 import (

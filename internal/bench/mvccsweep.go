@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,12 +20,13 @@ import (
 // fight over a small pool of hot keys. 0% overlap is the embarrassingly
 // parallel case (one wavefront per block); 100% means every transaction
 // read-modify-writes a hot key, degenerating toward the sequential walk.
-// The sweep is the scaling story behind the single MVCCWorkers column in
-// the commit benchmark, and the nightly CI job uploads its JSON artifact
-// next to BENCH_commit.json.
+// Per-operation costs are charged through a device.Executor, so rates are
+// in modeled hardware time; signatures are real ECDSA P-256 and every
+// parallel run is checked for verdict-and-state equivalence against the
+// sequential one before its timing is reported.
 
-// MVCCSweepConfig parameterizes the contention sweep.
-type MVCCSweepConfig struct {
+// mvccSweepConfig parameterizes the contention sweep.
+type mvccSweepConfig struct {
 	// Overlaps are the percentages of transactions per block that contend
 	// on the hot-key pool (the x-axis).
 	Overlaps []int
@@ -46,9 +46,9 @@ type MVCCSweepConfig struct {
 	Seed    int64
 }
 
-// DefaultMVCCSweep returns the figure-quality sweep.
-func DefaultMVCCSweep() MVCCSweepConfig {
-	return MVCCSweepConfig{
+// mvccSweepConfigFor returns the figure-quality sweep, or the reduced one.
+func mvccSweepConfigFor(quick bool) mvccSweepConfig {
+	cfg := mvccSweepConfig{
 		Overlaps:    []int{0, 25, 50, 75, 100},
 		BlockSize:   100,
 		Blocks:      10,
@@ -58,20 +58,13 @@ func DefaultMVCCSweep() MVCCSweepConfig {
 		Scale:       0.5,
 		Seed:        1,
 	}
-}
-
-// QuickMVCCSweep returns a reduced sweep for smoke tests.
-func QuickMVCCSweep() MVCCSweepConfig {
-	return MVCCSweepConfig{
-		Overlaps:    []int{0, 50, 100},
-		BlockSize:   24,
-		Blocks:      3,
-		MVCCWorkers: 4,
-		HotKeys:     4,
-		Profile:     device.XeonE51603,
-		Scale:       0.05,
-		Seed:        1,
+	if quick {
+		cfg.Overlaps = []int{0, 50, 100}
+		cfg.BlockSize = 24
+		cfg.Blocks = 3
+		cfg.Scale = 0.05
 	}
+	return cfg
 }
 
 // MVCCSweepRow is one measured overlap point.
@@ -90,7 +83,7 @@ type MVCCSweepRow struct {
 	ValidPct float64 `json:"validPct"`
 }
 
-// MVCCSweepResult is the sweep's artifact (BENCH_mvcc_sweep.json in CI).
+// MVCCSweepResult is the sweep's report.
 type MVCCSweepResult struct {
 	Name        string         `json:"name"`
 	Description string         `json:"description"`
@@ -111,15 +104,6 @@ func (r MVCCSweepResult) Format() string {
 			row.AvgWaveWidth, row.ValidPct)
 	}
 	return sb.String()
-}
-
-// WriteJSON writes the result to path.
-func (r MVCCSweepResult) WriteJSON(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshal mvcc sweep: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // buildContendedStream builds `blocks` chained blocks of blockSize signed
@@ -161,11 +145,20 @@ func (f *commitFixture) buildContendedStream(blocks, blockSize, overlapPct, hotK
 	return out, nil
 }
 
-// sweepRun commits the stream through the pipeline with the given MVCC
-// pool, returning elapsed wall time, the state fingerprint and codes for
-// equivalence, the valid-transaction count, and the average conflict-graph
-// wavefront width (0 when the sequential walk never builds a graph).
-func sweepRun(f *commitFixture, sc MVCCSweepConfig, stream []*blockstore.Block, mvccWorkers int) (*commitRunResult, int, float64, error) {
+// sweepPass is one engine pass over a contended stream: elapsed wall time,
+// the state fingerprint and validation codes for equivalence checking, the
+// valid-transaction count, and the average conflict-graph wavefront width
+// (0 when the sequential walk never builds a graph).
+type sweepPass struct {
+	elapsed time.Duration
+	fp      string
+	codes   [][]blockstore.ValidationCode
+	valid   int
+	avgWave float64
+}
+
+// sweepRun commits the stream through the pipeline with the given MVCC pool.
+func sweepRun(f *commitFixture, sc mvccSweepConfig, stream []*blockstore.Block, mvccWorkers int) (*sweepPass, error) {
 	exec := device.NewExecutor(sc.Profile, device.RealClock{ScaleFactor: sc.Scale}, sc.Seed)
 	state := statedb.New()
 	reg := metrics.NewRegistry()
@@ -184,51 +177,51 @@ func sweepRun(f *commitFixture, sc MVCCSweepConfig, stream []*blockstore.Block, 
 	for _, b := range stream {
 		if !eng.Submit(b) {
 			eng.Close()
-			return nil, 0, 0, fmt.Errorf("bench: sweep block %d rejected", b.Header.Number)
+			return nil, fmt.Errorf("bench: sweep block %d rejected", b.Header.Number)
 		}
 	}
 	eng.Sync()
-	elapsed := time.Since(start)
+	pass := &sweepPass{elapsed: time.Since(start), codes: make([][]blockstore.ValidationCode, len(stream))}
 	eng.Close()
 
-	valid := 0
-	codes := make([][]blockstore.ValidationCode, len(stream))
 	for n := range stream {
 		b, err := cfg.Blocks.GetByNumber(uint64(n))
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
-		codes[n] = b.TxValidation
+		pass.codes[n] = b.TxValidation
 		for _, c := range b.TxValidation {
 			if c == blockstore.TxValid {
-				valid++
+				pass.valid++
 			}
 		}
 	}
 	// Wave widths ride in nanosecond slots (1 tx == 1ns).
-	var avgWave float64
 	if s := reg.Histogram(metrics.CommitMVCCWaveWidth).Summary(); s.Count > 0 {
-		avgWave = float64(s.Sum) / float64(s.Count)
+		pass.avgWave = float64(s.Sum) / float64(s.Count)
 	}
-	return &commitRunResult{
-		elapsed: elapsed,
-		fp:      committer.StateFingerprint(state),
-		codes:   codes,
-	}, valid, avgWave, nil
+	pass.fp = committer.StateFingerprint(state)
+	return pass, nil
 }
 
-// RunMVCCSweep measures parallel-MVCC commit throughput across contention
+// sameVerdicts confirms the parallel pass reproduced the sequential one
+// exactly: same final state hash, same validation code for every tx.
+func sameVerdicts(seq, par *sweepPass) error {
+	if seq.fp != par.fp {
+		return fmt.Errorf("state fingerprint mismatch: sequential=%s parallel=%s", seq.fp, par.fp)
+	}
+	for n := range seq.codes {
+		if !slices.Equal(seq.codes[n], par.codes[n]) {
+			return fmt.Errorf("block %d verdicts: sequential=%v parallel=%v", n, seq.codes[n], par.codes[n])
+		}
+	}
+	return nil
+}
+
+// runMVCCSweep measures parallel-MVCC commit throughput across contention
 // levels, checking sequential/parallel equivalence at every point.
-func RunMVCCSweep(cfg MVCCSweepConfig) (MVCCSweepResult, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.MVCCWorkers <= 0 {
-		cfg.MVCCWorkers = cfg.Profile.Cores
-	}
-	if cfg.HotKeys <= 0 {
-		cfg.HotKeys = 4
-	}
+func runMVCCSweep(quick bool) (Report, error) {
+	cfg := mvccSweepConfigFor(quick)
 	res := MVCCSweepResult{
 		Name:        "Parallel MVCC: throughput vs intra-block key contention",
 		MVCCWorkers: cfg.MVCCWorkers,
@@ -238,40 +231,33 @@ func RunMVCCSweep(cfg MVCCSweepConfig) (MVCCSweepResult, error) {
 	}
 	f, err := newCommitFixture()
 	if err != nil {
-		return MVCCSweepResult{}, err
+		return nil, err
 	}
 	totalTx := float64(cfg.Blocks * cfg.BlockSize)
 	for _, overlap := range cfg.Overlaps {
 		stream, err := f.buildContendedStream(cfg.Blocks, cfg.BlockSize, overlap, cfg.HotKeys)
 		if err != nil {
-			return MVCCSweepResult{}, err
+			return nil, err
 		}
-		seq, seqValid, _, err := sweepRun(f, cfg, stream, 1)
+		seq, err := sweepRun(f, cfg, stream, 1)
 		if err != nil {
-			return MVCCSweepResult{}, err
+			return nil, err
 		}
-		par, parValid, avgWave, err := sweepRun(f, cfg, stream, cfg.MVCCWorkers)
+		par, err := sweepRun(f, cfg, stream, cfg.MVCCWorkers)
 		if err != nil {
-			return MVCCSweepResult{}, err
+			return nil, err
 		}
-		if err := sameVerdicts(seq.fp, par.fp, seq.codes, par.codes); err != nil {
-			return MVCCSweepResult{}, fmt.Errorf("bench: sweep overlap %d%%: %w", overlap, err)
+		if err := sameVerdicts(seq, par); err != nil {
+			return nil, fmt.Errorf("bench: sweep overlap %d%%: %w", overlap, err)
 		}
-		if seqValid != parValid { // sameVerdicts already implies this
-			return MVCCSweepResult{}, fmt.Errorf("bench: sweep overlap %d%%: valid %d vs %d",
-				overlap, seqValid, parValid)
-		}
-		row := MVCCSweepRow{
+		res.Rows = append(res.Rows, MVCCSweepRow{
 			OverlapPct:    overlap,
 			SequentialTps: totalTx / seq.elapsed.Seconds() * cfg.Scale,
 			ParallelTps:   totalTx / par.elapsed.Seconds() * cfg.Scale,
-			AvgWaveWidth:  avgWave,
-			ValidPct:      float64(parValid) / totalTx * 100,
-		}
-		if par.elapsed > 0 {
-			row.Speedup = float64(seq.elapsed) / float64(par.elapsed)
-		}
-		res.Rows = append(res.Rows, row)
+			Speedup:       float64(seq.elapsed) / float64(par.elapsed),
+			AvgWaveWidth:  par.avgWave,
+			ValidPct:      float64(par.valid) / totalTx * 100,
+		})
 	}
 	return res, nil
 }

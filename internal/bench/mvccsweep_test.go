@@ -1,33 +1,14 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"github.com/hyperprov/hyperprov/internal/device"
-)
+import "testing"
 
 // TestMVCCSweepSmoke runs a tiny contention sweep end to end: equivalence
 // must hold at every overlap point, throughput must be positive, and
 // contention must shape the outcome — full overlap invalidates
 // transactions and narrows the average wavefront.
 func TestMVCCSweepSmoke(t *testing.T) {
-	cfg := MVCCSweepConfig{
-		Overlaps:    []int{0, 100},
-		BlockSize:   16,
-		Blocks:      2,
-		MVCCWorkers: 4,
-		HotKeys:     4,
-		Profile:     device.XeonE51603,
-		Scale:       0.02,
-		Seed:        1,
-	}
-	res, err := RunMVCCSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mvccSweepConfigFor(true)
+	res := runQuick[MVCCSweepResult](t, "mvcc-sweep")
 	if len(res.Rows) != len(cfg.Overlaps) {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), len(cfg.Overlaps))
 	}
@@ -36,12 +17,12 @@ func TestMVCCSweepSmoke(t *testing.T) {
 			t.Errorf("row %+v has non-positive rates", row)
 		}
 	}
-	free, contended := res.Rows[0], res.Rows[1]
+	free, contended := res.Rows[0], res.Rows[len(res.Rows)-1]
 	if free.ValidPct != 100 {
 		t.Errorf("0%% overlap valid = %.1f%%, want 100%%", free.ValidPct)
 	}
-	// Full overlap on a 4-key pool: 4 winners per 16-tx block.
-	if want := 100.0 * 4 / 16; contended.ValidPct != want {
+	// Full overlap: one winner per hot key per block.
+	if want := float64(cfg.HotKeys*cfg.Blocks) / float64(cfg.BlockSize*cfg.Blocks) * 100; contended.ValidPct != want {
 		t.Errorf("100%% overlap valid = %.1f%%, want %.1f%%", contended.ValidPct, want)
 	}
 	// 0% overlap is one wave of width blockSize; full overlap fragments
@@ -55,21 +36,5 @@ func TestMVCCSweepSmoke(t *testing.T) {
 	}
 	if res.Format() == "" {
 		t.Error("empty format")
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_mvcc_sweep.json")
-	if err := res.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back MVCCSweepResult
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Rows) != len(res.Rows) {
-		t.Errorf("round-trip rows = %d, want %d", len(back.Rows), len(res.Rows))
 	}
 }

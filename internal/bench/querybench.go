@@ -19,8 +19,8 @@ import (
 // path should stay flat as state grows while the scan path degrades
 // linearly.
 
-// QueryBenchConfig parameterizes the indexed-vs-scan experiment.
-type QueryBenchConfig struct {
+// queryConfig parameterizes the indexed-vs-scan experiment.
+type queryConfig struct {
 	// Sizes are the state sizes (record counts) on the x-axis.
 	Sizes []int
 	// Owners is the number of distinct owners records are spread across;
@@ -32,24 +32,13 @@ type QueryBenchConfig struct {
 	Seed int64
 }
 
-// DefaultQueryBench returns the figure-quality configuration.
-func DefaultQueryBench() QueryBenchConfig {
-	return QueryBenchConfig{
-		Sizes:           []int{1000, 5000, 20000, 50000},
-		Owners:          50,
-		QueriesPerPoint: 200,
-		Seed:            1,
+// queryConfigFor returns the figure-quality configuration, or the reduced
+// one.
+func queryConfigFor(quick bool) queryConfig {
+	if quick {
+		return queryConfig{Sizes: []int{500, 2000}, Owners: 20, QueriesPerPoint: 50, Seed: 1}
 	}
-}
-
-// QuickQueryBench returns a reduced run for smoke tests.
-func QuickQueryBench() QueryBenchConfig {
-	return QueryBenchConfig{
-		Sizes:           []int{500, 2000},
-		Owners:          20,
-		QueriesPerPoint: 50,
-		Seed:            1,
-	}
+	return queryConfig{Sizes: []int{1000, 5000, 20000, 50000}, Owners: 50, QueriesPerPoint: 200, Seed: 1}
 }
 
 // QueryBenchRow is one measured state size.
@@ -81,11 +70,12 @@ func (r QueryBenchResult) Format() string {
 	return sb.String()
 }
 
-// RunQueryBench runs the indexed-vs-scan comparison. Both stores hold
+// runQueryBench runs the indexed-vs-scan comparison. Both stores hold
 // identical records; "indexed" declares the by-owner index the provenance
 // contract ships, "scan" declares none, so the planner falls back to the
 // filtered scan — the situation of the seed repo before this subsystem.
-func RunQueryBench(cfg QueryBenchConfig) (QueryBenchResult, error) {
+func runQueryBench(quick bool) (Report, error) {
+	cfg := queryConfigFor(quick)
 	res := QueryBenchResult{
 		Name: "Rich query: indexed vs scan, records by owner",
 		Description: fmt.Sprintf(
@@ -95,14 +85,14 @@ func RunQueryBench(cfg QueryBenchConfig) (QueryBenchResult, error) {
 	for _, size := range cfg.Sizes {
 		row, err := runQueryPoint(cfg, size)
 		if err != nil {
-			return QueryBenchResult{}, err
+			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-func runQueryPoint(cfg QueryBenchConfig, size int) (QueryBenchRow, error) {
+func runQueryPoint(cfg queryConfig, size int) (QueryBenchRow, error) {
 	indexed, err := statedb.NewIndexed(richquery.IndexDef{Name: "by-owner", Field: "owner"})
 	if err != nil {
 		return QueryBenchRow{}, err

@@ -6,11 +6,7 @@ import (
 )
 
 func TestQueryBenchSmoke(t *testing.T) {
-	cfg := QueryBenchConfig{Sizes: []int{300, 1200}, Owners: 10, QueriesPerPoint: 20, Seed: 1}
-	res, err := RunQueryBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuick[QueryBenchResult](t, "query")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

@@ -8,6 +8,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/device"
@@ -162,7 +163,7 @@ type Network struct {
 	remotes    []*transport.Client
 	clock      device.Clock
 	policy     endorser.Policy
-	clients    int
+	clients    atomic.Int64
 	tracer     *trace.Recorder
 	netMetrics *metrics.Registry
 }
@@ -545,13 +546,11 @@ func (n *Network) NewGatewayFor(org, clientID string) (*Gateway, error) {
 		if ca.Org() != org {
 			continue
 		}
-		n.clients++
-		signer, err := ca.Enroll(fmt.Sprintf("%s-%d", clientID, n.clients), identity.RoleClient)
+		signer, seq, err := n.enroll(ca, clientID)
 		if err != nil {
-			return nil, fmt.Errorf("fabric: enroll client: %w", err)
+			return nil, err
 		}
-		exec := device.NewExecutor(n.cfg.PeerProfiles[0], n.clock, n.cfg.Seed+int64(n.clients)*131)
-		return n.newGateway(signer, exec, n.chOrder[0])
+		return n.newGateway(signer, n.clientExecutor(seq), n.chOrder[0])
 	}
 	return nil, fmt.Errorf("fabric: unknown org %q", org)
 }
@@ -570,13 +569,29 @@ func (n *Network) Gateway(ch string) (*Gateway, error) {
 // gatewayOn enrolls clientID on the first org's CA and binds the gateway
 // to channel ch (already resolved).
 func (n *Network) gatewayOn(ch, clientID string) (*Gateway, error) {
-	n.clients++
-	signer, err := n.ca.Enroll(fmt.Sprintf("%s-%d", clientID, n.clients), identity.RoleClient)
+	signer, seq, err := n.enroll(n.ca, clientID)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: enroll client: %w", err)
+		return nil, err
 	}
-	exec := device.NewExecutor(n.cfg.PeerProfiles[0], n.clock, n.cfg.Seed+int64(n.clients)*131)
-	return n.newGateway(signer, exec, ch)
+	return n.newGateway(signer, n.clientExecutor(seq), ch)
+}
+
+// enroll mints a client identity on ca under a network-unique enrolment ID
+// (clientID plus the network's client sequence number, which it also
+// returns). Safe for concurrent use.
+func (n *Network) enroll(ca *identity.CA, clientID string) (*identity.SigningIdentity, int64, error) {
+	seq := n.clients.Add(1)
+	signer, err := ca.Enroll(fmt.Sprintf("%s-%d", clientID, seq), identity.RoleClient)
+	if err != nil {
+		return nil, 0, fmt.Errorf("fabric: enroll client: %w", err)
+	}
+	return signer, seq, nil
+}
+
+// clientExecutor models the machine of the seq-th enrolled client: the
+// client process runs on the same device class as the peers.
+func (n *Network) clientExecutor(seq int64) *device.Executor {
+	return device.NewExecutor(n.cfg.PeerProfiles[0], n.clock, n.cfg.Seed+seq*131)
 }
 
 // ChannelID returns the default (first) application channel name.
@@ -654,10 +669,9 @@ func (n *Network) NewGateway(clientID string) (*Gateway, error) {
 // the shape of the paper's benchmark program, which drives many concurrent
 // requests from a single node.
 func (n *Network) NewGatewayOn(clientID string, exec *device.Executor) (*Gateway, error) {
-	n.clients++
-	signer, err := n.ca.Enroll(fmt.Sprintf("%s-%d", clientID, n.clients), identity.RoleClient)
+	signer, _, err := n.enroll(n.ca, clientID)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: enroll client: %w", err)
+		return nil, err
 	}
 	return n.newGateway(signer, exec, n.chOrder[0])
 }

@@ -171,6 +171,45 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestConcurrentEnrolmentMintsDistinctIdentities: 16 goroutines enrol the
+// same client name at once through all three gateway constructors. The
+// enrolment sequence number is the only thing telling them apart, so a
+// racy counter shows as ErrDuplicateEnrollKey or a repeated subject (and as
+// a data race under -race).
+func TestConcurrentEnrolmentMintsDistinctIdentities(t *testing.T) {
+	n := newTestNetwork(t, testConfig())
+	exec := device.NewExecutor(device.XeonE51603, device.NopClock{}, 5)
+	const gateways = 16
+	gws := make([]*Gateway, gateways)
+	errs := make([]error, gateways)
+	var wg sync.WaitGroup
+	for i := range gws {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				gws[i], errs[i] = n.NewGateway("same")
+			case 1:
+				gws[i], errs[i] = n.NewGatewayFor(n.CA().Org(), "same")
+			default:
+				gws[i], errs[i] = n.NewGatewayOn("same", exec)
+			}
+		}(i)
+	}
+	wg.Wait()
+	subjects := map[string]bool{}
+	for i, gw := range gws {
+		if errs[i] != nil {
+			t.Fatalf("gateway %d: %v", i, errs[i])
+		}
+		subjects[gw.Identity().Identity().Subject()] = true
+	}
+	if len(subjects) != gateways {
+		t.Errorf("%d concurrent enrolments minted %d distinct subjects", gateways, len(subjects))
+	}
+}
+
 func TestLineageAcrossNetwork(t *testing.T) {
 	n := newTestNetwork(t, testConfig())
 	gw, err := n.NewGateway("client")

@@ -19,8 +19,7 @@ var violationFixture = map[string]string{
 	"walltime":    "walltime/committer",
 }
 
-// TestSuiteNotMuted is the analog of the bench-regression guard in
-// bench_compare_test.go: if an analyzer is accidentally muted — a scoping
+// TestSuiteNotMuted: if an analyzer is accidentally muted — a scoping
 // rule that no longer matches, a suppression index gone greedy, a Run
 // function short-circuited — its injected-violation fixture yields zero
 // diagnostics and this test fails CI, independent of the // want

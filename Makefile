@@ -8,6 +8,11 @@
 # codes, lock/blocking discipline, constant metric names, deterministic
 # commit-path time). See README "Static analysis &
 # enforced invariants" for the table and the suppression directives.
+#
+# Profiles: `make profile-post`, `profile-store` and `profile-lineage` write
+# CPU and allocation profiles of the write path, the payload path and the
+# provenance read path into out/. A profile locates cost; whether a change
+# is a gain is decided by benchmark/ (BENCHMARK.json) alone.
 
 GO ?= go
 
@@ -22,8 +27,8 @@ FUZZTIME ?= 30s
 VETTOOL := tools/analyzers/bin/hyperprov-vet
 
 .PHONY: all fmt fmt-check vet vettool analyze lint build test race bench \
-	bench-modeled benchmark-check profile-post profile-store cover crash-test \
-	cross smoke fuzz test-analyzers
+	bench-modeled benchmark-check profile-post profile-store profile-lineage cover \
+	crash-test cross smoke fuzz test-analyzers
 
 all: build test
 
@@ -85,8 +90,10 @@ race:
 # files deliver, the rwset codec under the bytes envelopes carry into
 # validation, identity resolution under arbitrary serialized identities
 # (structured errors, same verdict twice), and the streamed signing digests
-# against the preimages they stand for. Each run first executes the committed
-# seed corpus.
+# against the preimages they stand for, and the chaincode's read functions
+# after a fuzzed set (payloads byte-equal to the decode/re-encode reference
+# renderer, and decodable by the client). Each run first executes the
+# committed seed corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrameExt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/network/
 	$(GO) test -fuzz=FuzzOffchainBody -fuzztime=$(FUZZTIME) -run '^$$' ./internal/offchain/
@@ -96,6 +103,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalRWSet -fuzztime=$(FUZZTIME) -run '^$$' ./internal/rwset/
 	$(GO) test -fuzz=FuzzDeserialize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/identity/
 	$(GO) test -fuzz=FuzzSignedDigest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/endorser/
+	$(GO) test -fuzz=FuzzSetThenRead -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/
 
 # Go benchmarks, real clock. Two pairs are read side by side, both sides
 # warm: BenchmarkCommitPipelined4 vs ...Instrumented (internal/committer) is
@@ -137,6 +145,15 @@ profile-store:
 	mkdir -p out
 	$(GO) test -run '^$$' -bench BenchmarkStoreGetRealClock -benchtime 3000x -o out/core.test \
 		-cpuprofile out/store.cpu.pprof -memprofile out/store.mem.pprof -memprofilerate 4096 ./internal/core/
+
+# And for the provenance read path (the shape of the lineage_mixed workload's
+# twenty point/lineage reads and by-type rich query on a 16 x 64 DAG): writes
+# out/lineage.cpu.pprof, out/lineage.mem.pprof and out/core.test. As above, a
+# profile locates cost; gains are judged by benchmark/ only.
+profile-lineage:
+	mkdir -p out
+	$(GO) test -run '^$$' -bench BenchmarkLineageReadsRealClock -benchtime 3000x -o out/core.test \
+		-cpuprofile out/lineage.cpu.pprof -memprofile out/lineage.mem.pprof -memprofilerate 4096 ./internal/core/
 
 # Crash-recovery torture tests, repeated: the randomized kill points cover
 # different interleavings on every -count iteration.

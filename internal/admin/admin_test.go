@@ -10,9 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
+	"github.com/hyperprov/hyperprov/internal/core"
+	"github.com/hyperprov/hyperprov/internal/device"
+	"github.com/hyperprov/hyperprov/internal/fabric"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
+	"github.com/hyperprov/hyperprov/internal/orderer"
 	"github.com/hyperprov/hyperprov/internal/peer"
+	"github.com/hyperprov/hyperprov/internal/shim"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
@@ -276,4 +282,67 @@ func TestAdminExposesIdentityAndSignatureCaches(t *testing.T) {
 		"verify_cache_hits 0", "verify_cache_misses 2", "verify_cache_entries 2",
 	)
 	scrape(ecdsa(2)...)
+}
+
+// The peer's registry says what its rich queries cost: how many an index
+// range answered outright, and how many documents the others decoded — "why
+// is this query slow" read off /metrics instead of a profile.
+func TestAdminExposesRichQueryCost(t *testing.T) {
+	cfg := fabric.DesktopConfig()
+	cfg.Clock = device.NopClock{}
+	cfg.Batch = orderer.BatchConfig{MaxMessageCount: 1, BatchTimeout: 50 * time.Millisecond, PreferredMaxBytes: 1 << 30}
+	n, err := fabric.NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	if err := n.DeployChaincode(provenance.ChaincodeName, func() shim.Chaincode { return provenance.New() }); err != nil {
+		t.Fatal(err)
+	}
+	gw, err := n.NewGateway("admin-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := core.New(gw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Queries are evaluated on peer 0, which Post waits on.
+	srv, err := New("127.0.0.1:0", Config{Registries: map[string]*metrics.Registry{"": n.Peers()[0].Metrics()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	scrape := func(wants ...string) {
+		t.Helper()
+		_, body := get(t, srv.URL()+"/metrics")
+		for _, want := range wants {
+			if !strings.Contains(body, want+"\n") {
+				t.Errorf("/metrics missing %q\n%s", want, body)
+			}
+		}
+	}
+	scrape("# TYPE statedb_query_docs_decoded counter", "statedb_query_docs_decoded 0",
+		"# TYPE statedb_queries_exact_range counter", "statedb_queries_exact_range 0")
+
+	for i, typ := range []string{"raw", "raw", "model"} {
+		if _, err := client.Post(fmt.Sprintf("item-%d", i), fmt.Sprintf("cs-%d", i),
+			core.PostOptions{Meta: map[string]string{"type": typ}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs, err := client.GetByType("raw"); err != nil || len(recs) != 2 {
+		t.Fatalf("GetByType = %d records, %v", len(recs), err)
+	}
+	scrape("statedb_query_docs_decoded 0", "statedb_queries_exact_range 1")
+	// A sort needs the documents: the by-type range of two is decoded.
+	if page, err := client.RichQuery(`{"selector":{"meta.type":"raw"},"sort":[{"ts":"desc"}]}`); err != nil || len(page.Records) != 2 {
+		t.Fatalf("RichQuery = %+v, %v", page, err)
+	}
+	scrape("statedb_query_docs_decoded 2", "statedb_queries_exact_range 1")
+	// No index on checksum: every document in state is decoded.
+	if page, err := client.RichQuery(`{"selector":{"checksum":"cs-2"}}`); err != nil || len(page.Records) != 1 {
+		t.Fatalf("RichQuery = %+v, %v", page, err)
+	}
+	scrape("statedb_query_docs_decoded 5", "statedb_queries_exact_range 1")
 }

@@ -9,6 +9,7 @@ package provenance
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/shim"
@@ -76,6 +77,45 @@ type HistoryRecord struct {
 // Stats summarizes the contract's stored volume.
 type Stats struct {
 	Records uint64 `json:"records"`
+}
+
+// The read functions forward records as the bytes set stored: decoding one
+// into Record and encoding it again yields those same bytes, so payloads are
+// spliced from stored values (which alias committed state: copied, never
+// written to) and only the client decodes.
+
+// isRecord is the check a stored value passes before it is spliced unless
+// json.Unmarshal has already accepted it as a struct.
+func isRecord(v []byte) bool { return len(v) > 0 && v[0] == '{' && json.Valid(v) }
+
+// appendRecords appends the JSON array of the given stored records to dst,
+// rendering a nil slice as null and an empty one as [] like json.Marshal.
+func appendRecords(dst []byte, records [][]byte) []byte {
+	if records == nil {
+		return append(dst, "null"...)
+	}
+	n := len(records) + 2
+	for _, r := range records {
+		n += len(r)
+	}
+	dst = append(slices.Grow(dst, n), '[')
+	for i, r := range records {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, r...)
+	}
+	return append(dst, ']')
+}
+
+// pagePayload renders a ListPage / QueryPage of the given stored records.
+func pagePayload(records [][]byte, next string) []byte {
+	out := appendRecords([]byte(`{"records":`), records)
+	if next != "" {
+		bookmark, _ := json.Marshal(next) // a string always marshals
+		out = append(append(out, `,"next":`...), bookmark...)
+	}
+	return append(out, '}')
 }
 
 // Chaincode is the HyperProv contract.
@@ -259,6 +299,16 @@ func (cc *Chaincode) get(stub *shim.Stub) shim.Response {
 	return shim.Success(raw)
 }
 
+// historyWire is HistoryRecord as getHistory renders it: the same fields in
+// the same order, the record carried as the bytes the ledger stored.
+type historyWire struct {
+	Record   json.RawMessage `json:"record,omitempty"`
+	TxID     string          `json:"txId"`
+	IsDelete bool            `json:"isDelete,omitempty"`
+	BlockNum uint64          `json:"blockNum"`
+	Time     time.Time       `json:"timestamp"`
+}
+
 // getHistory returns every committed version of args[0] as a JSON array of
 // HistoryRecord, oldest first.
 func (cc *Chaincode) getHistory(stub *shim.Stub) shim.Response {
@@ -270,16 +320,12 @@ func (cc *Chaincode) getHistory(stub *shim.Stub) shim.Response {
 	if err != nil {
 		return shim.Errorf("getHistory: %v", err)
 	}
-	out := make([]HistoryRecord, 0, len(entries))
-	for _, e := range entries {
-		hr := HistoryRecord{TxID: e.TxID, IsDelete: e.IsDelete, BlockNum: e.BlockNum, Time: e.Timestamp}
-		if !e.IsDelete && len(e.Value) > 0 {
-			var rec Record
-			if err := json.Unmarshal(e.Value, &rec); err == nil {
-				hr.Record = &rec
-			}
+	out := make([]historyWire, len(entries))
+	for i, e := range entries {
+		out[i] = historyWire{TxID: e.TxID, IsDelete: e.IsDelete, BlockNum: e.BlockNum, Time: e.Timestamp}
+		if !e.IsDelete && isRecord(e.Value) {
+			out[i].Record = e.Value
 		}
-		out = append(out, hr)
 	}
 	payload, err := json.Marshal(out)
 	if err != nil {
@@ -326,17 +372,15 @@ func (cc *Chaincode) getLineage(stub *shim.Stub) shim.Response {
 	if err != nil {
 		return shim.Errorf("getLineage: %v", err)
 	}
-	payload, err := json.Marshal(records)
-	if err != nil {
-		return shim.Errorf("getLineage: marshal: %v", err)
-	}
-	return shim.Success(payload)
+	return shim.Success(appendRecords(nil, records))
 }
 
-func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([]Record, error) {
+// walkAncestors collects the stored records of start and its ancestors,
+// decoding of each only the parents that drive the traversal.
+func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([][]byte, error) {
 	seen := map[string]bool{start: true}
 	frontier := []string{start}
-	var out []Record
+	var out [][]byte
 	for depth := 0; len(frontier) > 0 && depth < maxLineageDepth; depth++ {
 		var next []string
 		for _, key := range frontier {
@@ -350,11 +394,13 @@ func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([]Record, err
 				}
 				continue // parent tombstoned; lineage continues past it
 			}
-			var rec Record
+			var rec struct {
+				Parents []string `json:"parents"`
+			}
 			if err := json.Unmarshal(raw, &rec); err != nil {
 				return nil, fmt.Errorf("corrupt record %q: %w", key, err)
 			}
-			out = append(out, rec)
+			out = append(out, raw)
 			for _, p := range rec.Parents {
 				if !seen[p] {
 					seen[p] = true
@@ -374,21 +420,30 @@ func (cc *Chaincode) getDescendants(stub *shim.Stub) shim.Response {
 	if len(args) != 1 {
 		return shim.Errorf("getDescendants: want 1 arg, got %d", len(args))
 	}
-	start := args[0]
+	records, err := cc.walkDescendants(stub, args[0], maxLineageDepth)
+	if err != nil {
+		return shim.Errorf("getDescendants: %v", err)
+	}
+	return shim.Success(appendRecords(nil, records))
+}
+
+// walkDescendants collects the stored records reachable from start over at
+// most maxDepth child edges, breadth-first, start excluded.
+func (cc *Chaincode) walkDescendants(stub *shim.Stub, start string, maxDepth int) ([][]byte, error) {
 	seen := map[string]bool{start: true}
 	frontier := []string{start}
-	var out []Record
-	for depth := 0; len(frontier) > 0 && depth < maxLineageDepth; depth++ {
+	var out [][]byte
+	for depth := 0; len(frontier) > 0 && depth < maxDepth; depth++ {
 		var next []string
 		for _, key := range frontier {
 			kvs, err := stub.GetStateByPartialCompositeKey(idxChild, []string{key})
 			if err != nil {
-				return shim.Errorf("getDescendants: %v", err)
+				return nil, err
 			}
 			for _, kv := range kvs {
 				_, attrs, err := stub.SplitCompositeKey(kv.Key)
 				if err != nil || len(attrs) != 2 {
-					return shim.Errorf("getDescendants: corrupt edge %q", kv.Key)
+					return nil, fmt.Errorf("corrupt edge %q", kv.Key)
 				}
 				child := attrs[1]
 				if seen[child] {
@@ -397,26 +452,21 @@ func (cc *Chaincode) getDescendants(stub *shim.Stub) shim.Response {
 				seen[child] = true
 				raw, err := stub.GetState(child)
 				if err != nil {
-					return shim.Errorf("getDescendants: read %q: %v", child, err)
+					return nil, fmt.Errorf("read %q: %v", child, err)
 				}
 				if raw == nil {
 					continue
 				}
-				var rec Record
-				if err := json.Unmarshal(raw, &rec); err != nil {
-					return shim.Errorf("getDescendants: corrupt record %q: %v", child, err)
+				if !isRecord(raw) {
+					return nil, fmt.Errorf("corrupt record %q: not a JSON object", child)
 				}
-				out = append(out, rec)
+				out = append(out, raw)
 				next = append(next, child)
 			}
 		}
 		frontier = next
 	}
-	payload, err := json.Marshal(out)
-	if err != nil {
-		return shim.Errorf("getDescendants: marshal: %v", err)
-	}
-	return shim.Success(payload)
+	return out, nil
 }
 
 // delete tombstones the record for args[0]. History is preserved; the

@@ -72,26 +72,19 @@ func (cc *Chaincode) list(stub *shim.Stub) shim.Response {
 	if err != nil {
 		return shim.Errorf("list: %v", err)
 	}
-	page := ListPage{}
+	var records [][]byte
+	next := ""
 	for _, kv := range kvs {
-		if !strings.HasPrefix(kv.Key, in.Prefix) {
-			continue
+		if !strings.HasPrefix(kv.Key, in.Prefix) || !isRecord(kv.Value) {
+			continue // the latter: non-record plain key (none today, defensive)
 		}
-		var rec Record
-		if err := json.Unmarshal(kv.Value, &rec); err != nil {
-			continue // non-record plain key (none today, defensive)
-		}
-		page.Records = append(page.Records, rec)
-		if len(page.Records) == in.Limit {
-			page.Next = kv.Key
+		records = append(records, kv.Value)
+		if len(records) == in.Limit {
+			next = kv.Key
 			break
 		}
 	}
-	payload, err := json.Marshal(page)
-	if err != nil {
-		return shim.Errorf("list: marshal: %v", err)
-	}
-	return shim.Success(payload)
+	return shim.Success(pagePayload(records, next))
 }
 
 // getByCreator returns every record whose creator matches args[0] (the
@@ -131,21 +124,16 @@ func (cc *Chaincode) queryMetaScan(stub *shim.Stub, key, value string) shim.Resp
 	if err != nil {
 		return shim.Errorf("queryMeta: %v", err)
 	}
-	out := make([]Record, 0, 8)
+	out := make([][]byte, 0, 8)
 	for _, kv := range kvs {
-		var rec Record
-		if err := json.Unmarshal(kv.Value, &rec); err != nil {
-			continue
+		var rec struct {
+			Meta map[string]string `json:"meta"`
 		}
-		if rec.Meta[key] == value {
-			out = append(out, rec)
+		if json.Unmarshal(kv.Value, &rec) == nil && rec.Meta[key] == value {
+			out = append(out, kv.Value)
 		}
 	}
-	payload, err := json.Marshal(out)
-	if err != nil {
-		return shim.Errorf("queryMeta: marshal: %v", err)
-	}
-	return shim.Success(payload)
+	return shim.Success(appendRecords(nil, out))
 }
 
 // getChildren returns only the direct children of args[0] (one edge level),
@@ -155,34 +143,11 @@ func (cc *Chaincode) getChildren(stub *shim.Stub) shim.Response {
 	if len(args) != 1 {
 		return shim.Errorf("getChildren: want 1 arg, got %d", len(args))
 	}
-	kvs, err := stub.GetStateByPartialCompositeKey(idxChild, []string{args[0]})
+	records, err := cc.walkDescendants(stub, args[0], 1)
 	if err != nil {
 		return shim.Errorf("getChildren: %v", err)
 	}
-	out := make([]Record, 0, len(kvs))
-	for _, kv := range kvs {
-		_, attrs, err := stub.SplitCompositeKey(kv.Key)
-		if err != nil || len(attrs) != 2 {
-			return shim.Errorf("getChildren: corrupt edge %q", kv.Key)
-		}
-		raw, err := stub.GetState(attrs[1])
-		if err != nil {
-			return shim.Errorf("getChildren: read %q: %v", attrs[1], err)
-		}
-		if raw == nil {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return shim.Errorf("getChildren: corrupt record %q: %v", attrs[1], err)
-		}
-		out = append(out, rec)
-	}
-	payload, err := json.Marshal(out)
-	if err != nil {
-		return shim.Errorf("getChildren: marshal: %v", err)
-	}
-	return shim.Success(payload)
+	return shim.Success(appendRecords(nil, append([][]byte{}, records...))) // none is [], not null
 }
 
 // version reports the deployed contract version.

@@ -66,13 +66,13 @@ func (cc *Chaincode) richQuery(stub *shim.Stub) shim.Response {
 		if err != nil {
 			return shim.Errorf("richQuery: %v", err)
 		}
-		return marshalQueryPage(kvsToRecords(kvs), next)
+		return shim.Success(pagePayload(queryRecords(kvs), next))
 	}
 	kvs, err := stub.GetQueryResult(args[0])
 	if err != nil {
 		return shim.Errorf("richQuery: %v", err)
 	}
-	return marshalQueryPage(kvsToRecords(kvs), "")
+	return shim.Success(pagePayload(queryRecords(kvs), ""))
 }
 
 // getByOwner returns every live record owned by the wire identity args[0],
@@ -125,11 +125,7 @@ func (cc *Chaincode) getByTimeRange(stub *shim.Stub) shim.Response {
 	if err != nil {
 		return shim.Errorf("getByTimeRange: %v", err)
 	}
-	payload, err := json.Marshal(kvsToRecords(kvs))
-	if err != nil {
-		return shim.Errorf("getByTimeRange: marshal: %v", err)
-	}
-	return shim.Success(payload)
+	return shim.Success(appendRecords(nil, queryRecords(kvs)))
 }
 
 // fieldQuery runs an equality rich query on one field and returns the
@@ -143,11 +139,7 @@ func (cc *Chaincode) fieldQuery(stub *shim.Stub, field, value string) shim.Respo
 	if err != nil {
 		return shim.Errorf("query %s: %v", field, err)
 	}
-	payload, err := json.Marshal(kvsToRecords(kvs))
-	if err != nil {
-		return shim.Errorf("query %s: marshal: %v", field, err)
-	}
-	return shim.Success(payload)
+	return shim.Success(appendRecords(nil, queryRecords(kvs)))
 }
 
 // equalitySelector builds {"selector": {field: {"$eq": value}}}.
@@ -161,25 +153,15 @@ func equalitySelector(field, value string) (string, error) {
 	return string(raw), nil
 }
 
-// kvsToRecords decodes query results into records, skipping undecodable
-// values (none are expected to match a record selector; defensive).
-func kvsToRecords(kvs []statedb.KV) []Record {
-	out := make([]Record, 0, len(kvs))
+// queryRecords returns the stored values of a rich-query result. The state
+// database has parsed each one: only a value that decoded as a JSON object
+// is indexed or matches a selector, so the object test suffices.
+func queryRecords(kvs []statedb.KV) [][]byte {
+	out := make([][]byte, 0, len(kvs))
 	for _, kv := range kvs {
-		var rec Record
-		if err := json.Unmarshal(kv.Value, &rec); err != nil {
-			continue
+		if len(kv.Value) > 0 && kv.Value[0] == '{' {
+			out = append(out, kv.Value)
 		}
-		out = append(out, rec)
 	}
 	return out
-}
-
-// marshalQueryPage renders a QueryPage response.
-func marshalQueryPage(recs []Record, next string) shim.Response {
-	payload, err := json.Marshal(QueryPage{Records: recs, Next: next})
-	if err != nil {
-		return shim.Errorf("richQuery: marshal: %v", err)
-	}
-	return shim.Success(payload)
 }

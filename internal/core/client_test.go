@@ -56,7 +56,7 @@ func newClientWith(t testing.TB, store offchain.Store) *Client {
 // Submit waits for commit on peer 0 only, so without it a second write to
 // the same key can be simulated by a majority of endorsers against the
 // version before the first write and commit as an MVCC conflict.
-func settle(t *testing.T, c *Client) {
+func settle(t testing.TB, c *Client) {
 	t.Helper()
 	n := c.gw.Network()
 	want := n.Orderer().Height()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -179,5 +180,79 @@ func TestWatchStreamsCommits(t *testing.T) {
 		if !got[k] {
 			t.Errorf("missing event for %q", k)
 		}
+	}
+}
+
+// BenchmarkLineageReadsRealClock is the profiling handle on the provenance
+// read path: the twenty point/lineage reads and the by-type rich query of
+// benchmark/'s lineage_mixed workload, against a DAG of 16 chains of 64 items
+// (item i derived from i-1 and i-2, the last item of each chain rewritten 16
+// more times) committed through the normal flow on four peers with
+// one-transaction blocks and device.NopClock — reachable by `go test
+// -cpuprofile/-memprofile` (`make profile-lineage`). It exists to show where
+// time and bytes go. Gains are judged by benchmark/ (BENCHMARK.json), never
+// by this number.
+func BenchmarkLineageReadsRealClock(b *testing.B) {
+	const chains, length, versions, types = 16, 64, 16, 8
+	c := newClientWith(b, nil)
+	key := func(chain, i int) string { return fmt.Sprintf("d-%02d-%02d", chain, i) }
+	checksum := func(chain, i, v int) string { return fmt.Sprintf("cs-%02d-%02d-%02d", chain, i, v) }
+	for chain := 0; chain < chains; chain++ {
+		for n := 0; n < length+versions; n++ {
+			i, v := min(n, length-1), max(0, n-length+1)
+			var parents []string
+			for _, j := range []int{i - 1, i - 2} {
+				if j >= 0 {
+					parents = append(parents, key(chain, j))
+				}
+			}
+			if _, err := c.Post(key(chain, i), checksum(chain, i, v), PostOptions{
+				Parents: parents, Meta: map[string]string{"type": fmt.Sprintf("t%d", i%types)},
+			}); err != nil {
+				b.Fatal(err)
+			}
+			settle(b, c) // the next write's endorsers must all hold this one
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	reads := func() {
+		for k := 0; k < 8; k++ {
+			want := key(rng.Intn(chains), rng.Intn(length))
+			if rec, err := c.Get(want); err != nil || rec.Key != want {
+				b.Fatalf("Get(%s) = %+v, %v", want, rec, err)
+			}
+		}
+		for k := 0; k < 4; k++ {
+			chain, i := rng.Intn(chains), rng.Intn(length-1)
+			if rec, err := c.GetByChecksum(checksum(chain, i, 0)); err != nil || rec.Key != key(chain, i) {
+				b.Fatalf("GetByChecksum = %+v, %v", rec, err)
+			}
+		}
+		for k := 0; k < 4; k++ {
+			if hist, err := c.GetKeyHistory(key(rng.Intn(chains), length-1)); err != nil || len(hist) != versions+1 {
+				b.Fatalf("GetKeyHistory = %d versions, %v", len(hist), err)
+			}
+		}
+		for k := 0; k < 2; k++ {
+			if recs, err := c.GetLineage(key(rng.Intn(chains), length-1)); err != nil || len(recs) != length {
+				b.Fatalf("GetLineage = %d records, %v", len(recs), err)
+			}
+		}
+		for k := 0; k < 2; k++ {
+			i := 40 + rng.Intn(20)
+			if recs, err := c.GetDescendants(key(rng.Intn(chains), i)); err != nil || len(recs) != length-1-i {
+				b.Fatalf("GetDescendants = %d records, %v", len(recs), err)
+			}
+		}
+		typ := fmt.Sprintf("t%d", rng.Intn(types))
+		if recs, err := c.GetByType(typ); err != nil || len(recs) != chains*length/types {
+			b.Fatalf("GetByType(%s) = %d records, %v", typ, len(recs), err)
+		}
+	}
+	reads() // warm: chaincode, identity caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reads()
 	}
 }

@@ -518,6 +518,12 @@ const (
 	// had to wait behind another holder — the number an operator watches to
 	// decide whether the shard count still fits the workload.
 	StateShardContention = "state_shard_contention"
+	// StateQueryDocsDecoded counts the JSON documents rich queries decoded
+	// to check a selector; StateQueriesExactRange counts the rich queries
+	// an index range answered without decoding any. A slow query is one
+	// that moved the first and not the second.
+	StateQueryDocsDecoded  = "statedb_query_docs_decoded"
+	StateQueriesExactRange = "statedb_queries_exact_range"
 
 	// Gossip protocol coverage: anti-entropy rounds run, blocks delivered
 	// by pull (a member fetching a neighbour's tail) vs push (a block

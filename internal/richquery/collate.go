@@ -186,7 +186,8 @@ func sortedKeys(m map[string]any) []string {
 // turn a selector's comparison operators into an index range scan. Arrays
 // and objects get a stable per-type encoding (tag + JSON) that keeps them in
 // their collation band but is only scalar-consistent, which is sufficient:
-// the planner derives range bounds from scalar operands only.
+// the planner derives range bounds from scalar operands only. The two
+// float zeros are one number to Compare, so they get one encoding.
 func EncodeKey(v any) string {
 	v = normalize(v)
 	switch t := v.(type) {
@@ -198,6 +199,9 @@ func EncodeKey(v any) string {
 		}
 		return string([]byte{rankFalse})
 	case float64:
+		if t == 0 {
+			t = 0 // -0.0 == 0.0: drop the sign bit
+		}
 		bits := math.Float64bits(t)
 		if bits&(1<<63) != 0 {
 			bits = ^bits // negative: flip everything so bigger magnitude sorts first

@@ -25,6 +25,36 @@ type Candidate struct {
 // the ordered matching keys and the bookmark for the next page ("" when the
 // result set is exhausted).
 func Apply(q *Query, cands []Candidate) (keys []string, next string, err error) {
+	matched := make([]ranked, 0, len(cands))
+	for _, c := range cands {
+		if !q.Selector.Matches(c.Doc) {
+			continue
+		}
+		matched = append(matched, ranked{key: c.Key, ord: orderKey(q, c.Key, c.Doc)})
+	}
+	return paginate(q, matched)
+}
+
+// ApplyExact is Apply for a plan with Plan.Exact set: keys are the index
+// range, already the selector's match set, so no document is decoded or
+// matched; q has no sort, so ordering needs only the keys.
+func ApplyExact(q *Query, keys []string) (page []string, next string, err error) {
+	matched := make([]ranked, len(keys))
+	for i, key := range keys {
+		matched[i] = ranked{key: key, ord: orderKey(q, key, nil)}
+	}
+	return paginate(q, matched)
+}
+
+// ranked is one matching document key with its composite order key.
+type ranked struct {
+	key string
+	ord string
+}
+
+// paginate orders matched, resumes after q.Bookmark and truncates to
+// q.Limit.
+func paginate(q *Query, matched []ranked) (keys []string, next string, err error) {
 	var resume string
 	if q.Bookmark != "" {
 		b, err := base64.RawURLEncoding.DecodeString(q.Bookmark)
@@ -32,18 +62,6 @@ func Apply(q *Query, cands []Candidate) (keys []string, next string, err error) 
 			return nil, "", fmt.Errorf("richquery: invalid bookmark: %w", err)
 		}
 		resume = string(b)
-	}
-
-	type ranked struct {
-		key string
-		ord string
-	}
-	matched := make([]ranked, 0, len(cands))
-	for _, c := range cands {
-		if !q.Selector.Matches(c.Doc) {
-			continue
-		}
-		matched = append(matched, ranked{key: c.Key, ord: orderKey(q, c)})
 	}
 	sort.Slice(matched, func(i, j int) bool { return matched[i].ord < matched[j].ord })
 
@@ -74,11 +92,11 @@ func Apply(q *Query, cands []Candidate) (keys []string, next string, err error) 
 // A missing sort field encodes as the empty component, which sorts before
 // every present value ascending and (inverted) after every present value
 // descending — CouchDB's missing-first/missing-last behaviour.
-func orderKey(q *Query, c Candidate) string {
+func orderKey(q *Query, key string, doc map[string]any) string {
 	var sb strings.Builder
 	for _, sf := range q.Sort {
 		var comp string
-		if val, ok := Lookup(c.Doc, strings.Split(sf.Field, ".")); ok {
+		if val, ok := Lookup(doc, strings.Split(sf.Field, ".")); ok {
 			comp = EncodeKey(val)
 		}
 		enc := encodeComponent(comp)
@@ -87,7 +105,7 @@ func orderKey(q *Query, c Candidate) string {
 		}
 		sb.WriteString(enc)
 	}
-	sb.WriteString(encodeComponent(c.Key))
+	sb.WriteString(encodeComponent(key))
 	return sb.String()
 }
 

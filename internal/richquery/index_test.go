@@ -2,6 +2,7 @@ package richquery
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -288,5 +289,74 @@ func TestPlannerBounds(t *testing.T) {
 	q = mustQuery(t, `{"selector":{"c":1}}`)
 	if plan := ChooseIndex(q, []*Index{ixA, ixB}); plan.Index != nil {
 		t.Error("planner picked an index for an unconstrained field")
+	}
+}
+
+// TestPlannerExactShapes pins which queries the planner answers from the
+// index range alone. Exact is a promise that no candidate needs its
+// document, so every shape that could match outside the range, or that
+// orders by document content, must stay on the re-check path.
+func TestPlannerExactShapes(t *testing.T) {
+	indexes := []*Index{
+		NewIndex(IndexDef{Name: "by-type", Field: "meta.type"}),
+		NewIndex(IndexDef{Name: "by-ts", Field: "ts"}),
+	}
+	for _, tc := range []struct {
+		query string
+		index string // "" when the query must scan
+		exact bool
+	}{
+		{`{"selector":{"meta.type":"raw"}}`, "by-type", true},
+		{`{"selector":{"meta.type":{"$eq":"raw"}}}`, "by-type", true},
+		{`{"selector":{"meta":{"type":"raw"}}}`, "by-type", true},
+		{`{"selector":{"ts":{"$gte":10,"$lt":20}}}`, "by-ts", true},
+		{`{"selector":{"ts":{"$gt":null}}}`, "by-ts", true},
+		{`{"selector":{"ts":{"$lte":true}}}`, "by-ts", true},
+		{`{"selector":{"$and":[{"ts":{"$gt":1}},{"ts":{"$lte":9}},{"$and":[{"ts":5}]}]}}`, "by-ts", true},
+		{`{"selector":{"ts":{"$gt":5,"$lt":1}}}`, "by-ts", true}, // empty range, exactly
+		{`{"selector":{"ts":{"$gte":10}},"limit":5}`, "by-ts", true},
+		{`{"selector":{"ts":{"$gte":10}},"use_index":"by-ts"}`, "by-ts", true},
+
+		{`{"selector":{"ts":{"$gte":10}},"sort":[{"ts":"asc"}]}`, "by-ts", false},
+		{`{"selector":{"ts":{"$gte":10}},"sort":["key"]}`, "by-ts", false},
+		{`{"selector":{"ts":{"$gte":10},"meta.type":"raw"}}`, "by-type", false},
+		{`{"selector":{"ts":{"$gte":10},"owner":"alice"}}`, "by-ts", false},
+		{`{"selector":{"meta.type":{"$in":["raw","agg"]}}}`, "by-type", false},
+		{`{"selector":{"meta.type":{"$regex":"^r","$gte":"r"}}}`, "by-type", false},
+		{`{"selector":{"ts":{"$gte":10,"$lte":[1]}}}`, "by-ts", false},
+		{`{"selector":{"ts":{"$gte":10,"$lt":{}}}}`, "by-ts", false},
+		{`{"selector":{"$and":[{"ts":{"$gte":10}},{"$or":[{"ts":11}]}]}}`, "by-ts", false},
+		{`{"selector":{"meta":{"type":"raw","unit":"C"}}}`, "by-type", false},
+
+		{`{"selector":{"$or":[{"ts":1},{"ts":2}]}}`, "", false},
+		{`{"selector":{"ts":[1]}}`, "", false},
+		{`{"selector":{"owner":"alice"}}`, "", false},
+		{`{"selector":{}}`, "", false},
+	} {
+		plan := ChooseIndex(mustQuery(t, tc.query), indexes)
+		got := ""
+		if plan.Index != nil {
+			got = plan.Index.Def().Name
+		}
+		if got != tc.index || plan.Exact != tc.exact {
+			t.Errorf("%s: index %q exact %v, want %q %v", tc.query, got, plan.Exact, tc.index, tc.exact)
+		}
+	}
+}
+
+// TestEncodeKeyAgreesWithCompareOnZero: the two float zeros are one number.
+func TestEncodeKeyAgreesWithCompareOnZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if Compare(negZero, 0.0) != 0 {
+		t.Fatal("Compare tells the zeros apart")
+	}
+	if EncodeKey(negZero) != EncodeKey(0.0) {
+		t.Errorf("EncodeKey(-0.0) = %x, EncodeKey(0.0) = %x", EncodeKey(negZero), EncodeKey(0.0))
+	}
+	ordered := []float64{math.Inf(-1), -1, -5e-324, 0, 5e-324, 1, math.Inf(1)}
+	for i := 1; i < len(ordered); i++ {
+		if !(EncodeKey(ordered[i-1]) < EncodeKey(ordered[i])) {
+			t.Errorf("EncodeKey(%g) does not sort before EncodeKey(%g)", ordered[i-1], ordered[i])
+		}
 	}
 }

@@ -7,9 +7,11 @@ import "strings"
 // field, and picks the index to serve a query from. Conditions inside $or
 // branches never contribute bounds (an index scan over one branch would
 // miss matches from the others), and bounds are only derived from scalar
-// operands, where EncodeKey order agrees with Compare. The full selector is
-// always re-applied to candidate documents, so the planner only has to be
-// sound (never prune a match), not exact.
+// operands, where EncodeKey order agrees with Compare. The planner is always
+// sound (never prunes a match). When the bounds say everything the selector
+// says (see coveredBy) the range is also exact and the plan reports it, so
+// the executor can skip decoding candidates; every other plan has the full
+// selector re-applied to each candidate document.
 
 // FieldBounds returns the tightest (low, high) encoded-value bounds the
 // selector implies for the dotted field path, and whether the field is
@@ -40,6 +42,30 @@ func boundsOf(n node, path []string) (low, high Bound) {
 	}
 	// orNode: contributes nothing — any branch may match outside a bound.
 	return
+}
+
+// coveredBy reports whether n is a pure conjunction of scalar comparisons on
+// path — the shape whose match set is exactly the index range boundsOf
+// derives: a member of the index has the field, a scalar bound compares by
+// EncodeKey as Compare does, and values of other types fall on the side of
+// the bound their collation rank puts them. Anything else ($or, $in, $regex,
+// a non-scalar operand, a second field) needs the document.
+func coveredBy(n node, path []string) bool {
+	switch t := n.(type) {
+	case *andNode:
+		for _, c := range t.children {
+			if !coveredBy(c, path) {
+				return false
+			}
+		}
+		return true
+	case *condNode:
+		switch t.op {
+		case opEq, opGt, opGte, opLt, opLte:
+			return samePath(t.path, path) && isScalar(t.operand)
+		}
+	}
+	return false
 }
 
 func samePath(a, b []string) bool {
@@ -156,6 +182,11 @@ type Plan struct {
 	Index *Index
 	// Low and High bound the index scan when Index is non-nil.
 	Low, High Bound
+	// Exact reports that the range [Low, High] of Index is the query's
+	// match set, not a superset: the selector constrains nothing but the
+	// index's field, by scalar comparisons only, and no sort needs the
+	// documents. The keys can go to ApplyExact undecoded.
+	Exact bool
 }
 
 // ChooseIndex picks the index to serve q from, preferring an explicitly
@@ -184,6 +215,9 @@ func ChooseIndex(q *Query, indexes []*Index) Plan {
 			best = Plan{Index: ix, Low: low, High: high}
 			bestScore = score
 		}
+	}
+	if best.Index != nil && len(q.Sort) == 0 {
+		best.Exact = coveredBy(q.Selector.root, best.Index.path)
 	}
 	return best
 }

@@ -293,9 +293,11 @@ func TestSelectorMatchesReference(t *testing.T) {
 
 // TestIndexedQueryMatchesScanReference checks the full pipeline property:
 // for random corpora and queries, executing via a secondary index (planner
-// bounds + residual filter) returns exactly the scan result.
+// bounds + residual filter, or the bare range when the plan is exact)
+// returns exactly the scan result.
 func TestIndexedQueryMatchesScanReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	exact := 0
 	for iter := 0; iter < 300; iter++ {
 		// Corpus.
 		n := 5 + rng.Intn(40)
@@ -333,11 +335,17 @@ func TestIndexedQueryMatchesScanReference(t *testing.T) {
 		if plan.Index == nil {
 			t.Fatalf("planner refused index for %s", raw)
 		}
-		var ixCands []Candidate
-		for _, key := range plan.Index.Range(plan.Low, plan.High) {
-			ixCands = append(ixCands, Candidate{Key: key, Doc: docs[key]})
+		var ixKeys []string
+		if keys := plan.Index.Range(plan.Low, plan.High); plan.Exact {
+			exact++
+			ixKeys, _, err = ApplyExact(q, keys)
+		} else {
+			var ixCands []Candidate
+			for _, key := range keys {
+				ixCands = append(ixCands, Candidate{Key: key, Doc: docs[key]})
+			}
+			ixKeys, _, err = Apply(q, ixCands)
 		}
-		ixKeys, _, err := Apply(q, ixCands)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,5 +353,8 @@ func TestIndexedQueryMatchesScanReference(t *testing.T) {
 		if fmt.Sprint(scanKeys) != fmt.Sprint(ixKeys) {
 			t.Fatalf("query %s: scan %v != indexed %v", raw, scanKeys, ixKeys)
 		}
+	}
+	if exact < 30 || exact > 270 {
+		t.Fatalf("%d of 300 plans exact: the generator no longer reaches both executors", exact)
 	}
 }

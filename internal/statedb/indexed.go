@@ -27,6 +27,10 @@ type IndexedStore struct {
 	mu      sync.RWMutex
 	store   *Store
 	indexes map[string]*richquery.Index // by index name
+	// docsDecoded and exactRange count what rich queries cost (see the
+	// metrics constants); on a registry of their own until SetMetrics
+	// attaches one, guarded by mu.
+	docsDecoded, exactRange *metrics.Counter
 }
 
 // NewIndexed creates an empty indexed state database with the given index
@@ -39,6 +43,7 @@ func NewIndexed(defs ...richquery.IndexDef) (*IndexedStore, error) {
 // GOMAXPROCS).
 func NewIndexedSharded(shards int, defs ...richquery.IndexDef) (*IndexedStore, error) {
 	s := &IndexedStore{store: NewSharded(shards), indexes: make(map[string]*richquery.Index)}
+	s.SetMetrics(nil)
 	for _, def := range defs {
 		if err := s.DefineIndex(def); err != nil {
 			return nil, err
@@ -48,8 +53,19 @@ func NewIndexedSharded(shards int, defs ...richquery.IndexDef) (*IndexedStore, e
 }
 
 // SetMetrics attaches per-operation state latency instrumentation to the
-// underlying sharded store.
-func (s *IndexedStore) SetMetrics(reg *metrics.Registry) { s.store.SetMetrics(reg) }
+// underlying sharded store, and the two rich-query counters
+// (statedb_query_docs_decoded, statedb_queries_exact_range). Pass nil to
+// detach.
+func (s *IndexedStore) SetMetrics(reg *metrics.Registry) {
+	s.store.SetMetrics(reg)
+	if reg == nil {
+		reg = metrics.NewRegistry() // detached: counted, exported nowhere
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.docsDecoded = reg.Counter(metrics.StateQueryDocsDecoded)
+	s.exactRange = reg.Counter(metrics.StateQueriesExactRange)
+}
 
 // DefineIndex declares a new index and builds it over existing state. It is
 // how chaincode-shipped index declarations (Fabric's META-INF/statedb
@@ -232,12 +248,13 @@ func (s *IndexedStore) RestoreWithIndexEntries(snap map[string]VersionedValue, h
 
 // ExecuteQuery runs a Mango query against a consistent snapshot of state.
 // Under a brief read lock the planner picks an index and copies the
-// matching keys out of it (the index-served path, unchanged); the snapshot
-// is taken under the same lock, so index contents and snapshot agree. The
-// lock is then dropped and candidate documents stream from the snapshot —
-// a full filtered scan when no index applies — so scan-heavy queries never
-// hold up commit. Both paths run the same filter/sort/pagination pipeline
-// (finishQuery), so they return identical pages.
+// matching keys out of it; the snapshot is taken under the same lock, so
+// index contents and snapshot agree. The lock is then dropped. When the plan
+// is exact the keys are the match set and go to ordering and pagination as
+// they are; otherwise candidate documents stream from the snapshot — a full
+// filtered scan when no index applies — and the selector is re-applied to
+// each, so scan-heavy queries never hold up commit. All three run the same
+// order/bookmark/limit pipeline, so they return identical pages.
 func (s *IndexedStore) ExecuteQuery(query []byte) (*QueryResult, error) {
 	q, err := richquery.ParseQuery(query)
 	if err != nil {
@@ -254,9 +271,18 @@ func (s *IndexedStore) ExecuteQuery(query []byte) (*QueryResult, error) {
 	if plan.Index != nil {
 		keys = plan.Index.Range(plan.Low, plan.High)
 	}
+	docsDecoded, exactRange := s.docsDecoded, s.exactRange
 	s.mu.RUnlock()
 	defer snap.Release()
 
+	if plan.Exact {
+		exactRange.Inc()
+		page, bookmark, err := richquery.ApplyExact(q, keys)
+		if err != nil {
+			return nil, err
+		}
+		return materialize(snap, page, bookmark), nil
+	}
 	var cands []richquery.Candidate
 	if plan.Index == nil {
 		cands = scanCandidates(snap)
@@ -271,6 +297,7 @@ func (s *IndexedStore) ExecuteQuery(query []byte) (*QueryResult, error) {
 			}
 		}
 	}
+	docsDecoded.Add(int64(len(cands)))
 	return finishQuery(snap, q, cands)
 }
 
@@ -315,6 +342,11 @@ func finishQuery(r StateReader, q *richquery.Query, cands []richquery.Candidate)
 	if err != nil {
 		return nil, err
 	}
+	return materialize(r, keys, bookmark), nil
+}
+
+// materialize reads one ordered page of keys from r.
+func materialize(r StateReader, keys []string, bookmark string) *QueryResult {
 	res := &QueryResult{Bookmark: bookmark}
 	for _, key := range keys {
 		vv, ok := r.Get(key)
@@ -323,5 +355,5 @@ func finishQuery(r StateReader, q *richquery.Query, cands []richquery.Candidate)
 		}
 		res.KVs = append(res.KVs, KV{Key: key, Value: vv.Value, Version: vv.Version})
 	}
-	return res, nil
+	return res
 }

@@ -3,10 +3,11 @@
 #
 # Static analysis: `make lint` builds tools/analyzers (a separate module,
 # keeping the main go.mod dependency-free) into bin/hyperprov-vet and runs
-# it through `go vet -vettool` — six repo-specific analyzers enforcing the
+# it through `go vet -vettool` — seven repo-specific analyzers enforcing the
 # invariants past PRs established (atomic durable writes, structured error
-# codes, lock/blocking discipline, constant metric names, deterministic
-# commit-path time). See README "Static analysis &
+# codes, lock/blocking discipline, constant metric names, no text encodings
+# on a wire, one package that opens sockets, deterministic commit-path
+# time). See README "Static analysis &
 # enforced invariants" for the table and the suppression directives.
 #
 # Profiles: `make profile-post`, `profile-store` and `profile-lineage` write
@@ -48,7 +49,7 @@ vet:
 vettool:
 	cd tools/analyzers && $(GO) build -o bin/hyperprov-vet ./cmd/hyperprov-vet
 
-# Run the six repo-specific analyzers over the whole tree via `go vet`.
+# Run the seven repo-specific analyzers over the whole tree via `go vet`.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 

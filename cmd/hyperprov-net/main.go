@@ -381,8 +381,7 @@ func runJoin(o options) error {
 		return err
 	}
 	if o.listen != "" {
-		srv, err := transport.NewServer(o.listen, p, transport.ServerConfig{
-			ChannelID:  info.ChannelID,
+		srv, err := transport.NewHostServer(o.listen, host, transport.ServerConfig{
 			Orgs:       info.Orgs,
 			CACertsPEM: info.CACertsPEM,
 			Shape:      o.peerShape(),

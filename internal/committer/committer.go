@@ -302,9 +302,7 @@ func mvccFinalize(state statedb.StateDB, exec *device.Executor, t *task) {
 	for i := range b.Envelopes {
 		env := &b.Envelopes[i]
 		pr := t.preval[i]
-		if exec != nil {
-			exec.Commit() // modeled validate/apply cost, charged where the work runs
-		}
+		exec.Commit() // modeled validate/apply cost, charged where the work runs
 		code := pr.Code
 		if code == blockstore.TxValid {
 			if err := rwset.Validate(pr.RWSet, state, blockWrites); err != nil {

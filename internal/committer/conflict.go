@@ -252,9 +252,7 @@ func mvccFinalizeParallel(cfg Config, t *task, workers int) {
 		// one per tx. Charges never influence verdicts, so equivalence with
 		// the serial walk (which charges per tx) is unaffected.
 		if par := min(workers, len(wave)); par <= 1 {
-			if cfg.Exec != nil {
-				cfg.Exec.CommitN(len(wave))
-			}
+			cfg.Exec.CommitN(len(wave))
 			for _, i := range wave {
 				validate(i)
 			}
@@ -263,9 +261,7 @@ func mvccFinalizeParallel(cfg Config, t *task, workers int) {
 			done := make(chan struct{}, par)
 			for w := 0; w < par; w++ {
 				go func(w int) {
-					if cfg.Exec != nil {
-						cfg.Exec.CommitN((len(wave) - w + par - 1) / par)
-					}
+					cfg.Exec.CommitN((len(wave) - w + par - 1) / par)
 					for x := w; x < len(wave); x += par {
 						validate(wave[x])
 					}

@@ -58,10 +58,7 @@ func (v *EnvelopeVerifier) prevalidate(env *blockstore.Envelope) (blockstore.Val
 	if err != nil {
 		return blockstore.TxBadSignature, rws
 	}
-	var onMiss func()
-	if v.Exec != nil {
-		onMiss = func() { v.Exec.Verify() }
-	}
+	onMiss := func() { v.Exec.Verify() }
 	if err := clientID.VerifyCached(v.MSP.VerifyCache(), env.SignedDigest(), env.Signature, onMiss); err != nil {
 		return blockstore.TxBadSignature, rws
 	}

@@ -269,10 +269,9 @@ func (c *Client) StoreData(key string, data []byte, opts PostOptions) (*TxReceip
 	// Model the client-side costs: checksum on the CPU, then the SSHFS
 	// upload to the storage node. These two terms grow with payload size
 	// and dominate the large-payload points of Figs 1–2.
-	if exec := c.gw.Executor(); exec != nil {
-		exec.Hash(len(data))
-		exec.StoreTransfer(len(data))
-	}
+	exec := c.gw.Executor()
+	exec.Hash(len(data))
+	exec.StoreTransfer(len(data))
 	checksum := offchain.Checksum(data)
 	ref, err := c.store.Put(data)
 	if err != nil {
@@ -303,10 +302,9 @@ func (c *Client) GetData(key string) ([]byte, *Record, error) {
 		}
 		return nil, rec, fmt.Errorf("hyperprov: off-chain get: %w", err)
 	}
-	if exec := c.gw.Executor(); exec != nil {
-		exec.StoreTransfer(len(data))
-		exec.Hash(len(data))
-	}
+	exec := c.gw.Executor()
+	exec.StoreTransfer(len(data))
+	exec.Hash(len(data))
 	if err := offchain.VerifyChecksum(data, rec.Checksum); err != nil {
 		return nil, rec, ErrTampered
 	}

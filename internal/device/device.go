@@ -184,6 +184,10 @@ func (p Profile) TransferCost(n int) time.Duration {
 // device's finite resources: CPU-bound operations contend for Cores slots,
 // and link operations serialize on the NIC. This contention is what bends
 // the throughput curve when concurrent clients pile onto one device.
+//
+// A nil *Executor is the absence of a hardware model: every charge is a
+// no-op costing nothing and its clock never sleeps, so modeled and real runs
+// execute the same statements.
 type Executor struct {
 	profile Profile
 	clock   Clock
@@ -191,8 +195,7 @@ type Executor struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	cpuSem  chan struct{}
-	linkSem chan struct{}
+	sems [2]chan struct{} // indexed by resource
 
 	busyNanos atomic.Int64
 	started   time.Time
@@ -209,17 +212,35 @@ func NewExecutor(p Profile, clock Clock, seed int64) *Executor {
 		profile: p,
 		clock:   clock,
 		rng:     rand.New(rand.NewSource(seed)),
-		cpuSem:  make(chan struct{}, cores),
-		linkSem: make(chan struct{}, 1),
+		sems:    [2]chan struct{}{cpu: make(chan struct{}, cores), link: make(chan struct{}, 1)},
 		started: time.Now(),
 	}
 }
 
-// Profile returns the executor's device profile.
-func (e *Executor) Profile() Profile { return e.profile }
+// resource names one of an executor's two semaphores.
+type resource int
 
-// Clock returns the executor's clock.
-func (e *Executor) Clock() Clock { return e.clock }
+const (
+	cpu resource = iota
+	link
+)
+
+// Profile returns the executor's device profile; a nil executor's is the
+// zero Profile, whose every cost is zero.
+func (e *Executor) Profile() Profile {
+	if e == nil {
+		return Profile{}
+	}
+	return e.profile
+}
+
+// Clock returns the executor's clock; a nil executor's is NopClock.
+func (e *Executor) Clock() Clock {
+	if e == nil {
+		return NopClock{}
+	}
+	return e.clock
+}
 
 func (e *Executor) jitter(d time.Duration) time.Duration {
 	if e.profile.JitterPct <= 0 || d <= 0 {
@@ -232,33 +253,36 @@ func (e *Executor) jitter(d time.Duration) time.Duration {
 }
 
 // spend sleeps the jittered modeled duration while holding a slot of the
-// given resource semaphore, and records it as busy time.
-func (e *Executor) spend(sem chan struct{}, d time.Duration) time.Duration {
+// given resource's semaphore, and records it as busy time.
+func (e *Executor) spend(r resource, d time.Duration) time.Duration {
+	if e == nil {
+		return 0
+	}
 	d = e.jitter(d)
 	if d <= 0 {
 		return 0
 	}
-	sem <- struct{}{}
+	e.sems[r] <- struct{}{}
 	e.busyNanos.Add(int64(d))
 	e.clock.Sleep(d)
-	<-sem
+	<-e.sems[r]
 	return d
 }
 
 // Hash models checksumming n bytes. It returns the modeled duration spent.
-func (e *Executor) Hash(n int) time.Duration { return e.spend(e.cpuSem, e.profile.HashCost(n)) }
+func (e *Executor) Hash(n int) time.Duration { return e.spend(cpu, e.Profile().HashCost(n)) }
 
 // Sign models one ECDSA signature.
-func (e *Executor) Sign() time.Duration { return e.spend(e.cpuSem, e.profile.SignLatency) }
+func (e *Executor) Sign() time.Duration { return e.spend(cpu, e.Profile().SignLatency) }
 
 // Verify models one ECDSA verification.
-func (e *Executor) Verify() time.Duration { return e.spend(e.cpuSem, e.profile.VerifyLatency) }
+func (e *Executor) Verify() time.Duration { return e.spend(cpu, e.Profile().VerifyLatency) }
 
 // Endorse models the fixed per-proposal peer cost.
-func (e *Executor) Endorse() time.Duration { return e.spend(e.cpuSem, e.profile.EndorseOverhead) }
+func (e *Executor) Endorse() time.Duration { return e.spend(cpu, e.Profile().EndorseOverhead) }
 
 // Commit models the fixed per-transaction commit cost.
-func (e *Executor) Commit() time.Duration { return e.spend(e.cpuSem, e.profile.CommitOverhead) }
+func (e *Executor) Commit() time.Duration { return e.spend(cpu, e.Profile().CommitOverhead) }
 
 // CommitN models n transactions validated back-to-back on one core,
 // charged as a single core acquisition. The modeled core-time equals n
@@ -269,35 +293,23 @@ func (e *Executor) CommitN(n int) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return e.spend(e.cpuSem, time.Duration(n)*e.profile.CommitOverhead)
-}
-
-// VerifyN models n ECDSA verifications performed back-to-back on one core
-// (a transaction's endorsement set), as a single core acquisition.
-func (e *Executor) VerifyN(n int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	return e.spend(e.cpuSem, time.Duration(n)*e.profile.VerifyLatency)
+	return e.spend(cpu, time.Duration(n)*e.Profile().CommitOverhead)
 }
 
 // Order models the orderer's per-batch cost.
-func (e *Executor) Order() time.Duration { return e.spend(e.cpuSem, e.profile.OrderLatency) }
+func (e *Executor) Order() time.Duration { return e.spend(cpu, e.Profile().OrderLatency) }
 
 // Transfer models moving n bytes across the device's network link. Link
 // transfers serialize: a NIC moves one stream's bytes at a time.
 func (e *Executor) Transfer(n int) time.Duration {
-	return e.spend(e.linkSem, e.profile.TransferCost(n))
+	return e.spend(link, e.Profile().TransferCost(n))
 }
-
-// StoreOp models the off-chain store's fixed per-operation overhead.
-func (e *Executor) StoreOp() time.Duration { return e.spend(e.linkSem, e.profile.StoreLatency) }
 
 // StoreTransfer models moving n bytes to or from the off-chain store over
 // SSHFS: fixed per-op latency plus n bytes at the effective SSHFS rate,
 // serialized on the NIC.
 func (e *Executor) StoreTransfer(n int) time.Duration {
-	return e.spend(e.linkSem, e.profile.StoreCost(n))
+	return e.spend(link, e.Profile().StoreCost(n))
 }
 
 // BusyTime returns total modeled busy time accumulated so far.

@@ -276,23 +276,19 @@ func (r *Response) sameResult(o *Response) bool {
 	return bytes.Equal(r.RWSet, o.RWSet) && bytes.Equal(r.Payload, o.Payload)
 }
 
-// VerifyEndorsements verifies every endorsement signature and checks that
-// all endorsements agree on the simulated result (divergent simulation means a
-// non-deterministic chaincode or a byzantine peer). It returns the MSP IDs
-// of the endorsing orgs, in response order.
+// VerifyEndorsementsFunc verifies every endorsement signature and checks
+// that all endorsements agree on the simulated result (divergent simulation
+// means a non-deterministic chaincode or a byzantine peer). It returns the
+// MSP IDs of the endorsing orgs, in response order.
+//
+// onMiss runs once for each signature that was NOT already in the MSP's
+// verification cache, immediately before the real ECDSA check. Callers use
+// it to charge modeled verification hardware only for work that actually
+// happens — a warm cache validates an entire block without a single charge.
 //
 // The function touches no shared mutable state beyond the MSP's internal
 // read-locking, so the committing peer's pre-validation stage may call it
 // for many transactions concurrently.
-func VerifyEndorsements(msp *identity.MSP, responses []*Response) ([]string, error) {
-	return VerifyEndorsementsFunc(msp, responses, nil)
-}
-
-// VerifyEndorsementsFunc is VerifyEndorsements with a per-miss hook: onMiss
-// runs once for each signature that was NOT already in the MSP's
-// verification cache, immediately before the real ECDSA check. Callers use
-// it to charge modeled verification hardware only for work that actually
-// happens — a warm cache validates an entire block without a single charge.
 func VerifyEndorsementsFunc(msp *identity.MSP, responses []*Response, onMiss func()) ([]string, error) {
 	if len(responses) == 0 {
 		return nil, fmt.Errorf("%w: no endorsements", ErrPolicyNotSatisfied)
@@ -312,7 +308,7 @@ func VerifyEndorsementsFunc(msp *identity.MSP, responses []*Response, onMiss fun
 }
 
 // CheckEndorsements verifies every endorsement signature and evaluates the
-// policy over the endorsing orgs. Like VerifyEndorsements it is safe to
+// policy over the endorsing orgs. Like VerifyEndorsementsFunc it is safe to
 // call concurrently from validation workers.
 func CheckEndorsements(policy Policy, msp *identity.MSP, responses []*Response) error {
 	return CheckEndorsementsFunc(policy, msp, responses, nil)

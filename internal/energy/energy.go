@@ -44,18 +44,6 @@ func RPiPowerModel() PowerModel {
 	}
 }
 
-// DesktopPowerModel returns a rough desktop-class model (not measured in
-// the paper; used by the comparison ablation).
-func DesktopPowerModel() PowerModel {
-	return PowerModel{
-		IdleWatts:    38,
-		HLFIdleWatts: 42,
-		LoadWatts:    95,
-		MaxWatts:     130,
-		SpikePct:     0.02,
-	}
-}
-
 // Power returns the modeled draw at the given utilization in [0, 1].
 // hlfRunning distinguishes a bare idle device from one running the idle
 // blockchain stack.

@@ -314,7 +314,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 			caPEMs[i] = ca.CertPEM()
 		}
 		scfg := transport.ServerConfig{
-			ChannelID:  chIDs[0],
 			Orgs:       orgs,
 			CACertsPEM: caPEMs,
 			Shape:      cfg.PeerLink,

@@ -117,9 +117,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 		Creator:   creator,
 		Timestamp: time.Now().UTC(),
 	}
-	if g.exec != nil {
-		g.exec.Sign()
-	}
+	g.exec.Sign()
 	sig, err := g.signer.SignDigest(prop.SignedDigest())
 	if err != nil {
 		return nil, fmt.Errorf("fabric: sign proposal: %w", err)
@@ -165,10 +163,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	// drain into the buffered channel and are ignored. Signature checks go
 	// through the MSP's verification cache; the modeled client-side verify
 	// cost is charged per actual ECDSA check (onMiss).
-	var onMiss func()
-	if g.exec != nil {
-		onMiss = func() { g.exec.Verify() }
-	}
+	onMiss := func() { g.exec.Verify() }
 	policy, msp := g.net.Policy(), g.net.MSP()
 	quorum := len(endorsers)/2 + 1
 	var resps []*endorser.Response
@@ -221,9 +216,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 			Signature: r.Signature,
 		})
 	}
-	if g.exec != nil {
-		g.exec.Sign()
-	}
+	g.exec.Sign()
 	// One encoding serves the signature and the rest of the envelope's life:
 	// block assembly, data hash, gossip and ledger append reuse it.
 	if err := env.SealSigned(g.signer.SignDigest); err != nil {
@@ -234,9 +227,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	// then broadcast to ordering.
 	commitPeer := peers[0]
 	wait := commitPeer.RegisterTxListener(txID)
-	if g.exec != nil {
-		g.exec.Transfer(len(resps[0].RWSet) + 768) // client -> orderer
-	}
+	g.exec.Transfer(len(resps[0].RWSet) + 768) // client -> orderer
 	// The propose span covers the client-side work — proposal signing,
 	// endorsement fan-out, and envelope assembly — ending at broadcast.
 	g.net.Tracer().Observe(txID, trace.StagePropose, "gateway", start, "")

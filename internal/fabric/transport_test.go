@@ -20,13 +20,13 @@ func externalPeer(t *testing.T, n *Network, name string) (*peer.Peer, *transport
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := standalonePeer(t, n, name, signer)
+	host := standaloneHost(t, n, name, signer)
+	p := host.Channel(n.ChannelID())
 	t.Cleanup(p.Stop)
 	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(), n.Policy()); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := transport.NewServer("127.0.0.1:0", p, transport.ServerConfig{
-		ChannelID:  n.ChannelID(),
+	srv, err := transport.NewHostServer("127.0.0.1:0", host, transport.ServerConfig{
 		Orgs:       []string{n.CA().Org()},
 		CACertsPEM: [][]byte{n.CA().CertPEM()},
 	})
@@ -41,11 +41,18 @@ func externalPeer(t *testing.T, n *Network, name string) (*peer.Peer, *transport
 // and trust domain that is not one of the network's members.
 func standalonePeer(t *testing.T, n *Network, name string, signer *identity.SigningIdentity) *peer.Peer {
 	t.Helper()
+	return standaloneHost(t, n, name, signer).Channel(n.ChannelID())
+}
+
+// standaloneHost is the single-channel host standalonePeer lives in, which
+// is what a transport server exposes.
+func standaloneHost(t *testing.T, n *Network, name string, signer *identity.SigningIdentity) *peer.Host {
+	t.Helper()
 	host, err := peer.NewHost(peer.Config{Name: name, Signer: signer, MSP: n.MSP(), Channels: []string{n.ChannelID()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return host.Channel(n.ChannelID())
+	return host
 }
 
 func waitForHeight(t *testing.T, p *peer.Peer, want uint64) {

@@ -1,7 +1,8 @@
-// Package network provides the wire primitives shared by the repo's TCP
-// services: length-prefixed framing of internal/codec bodies, the status
-// vocabulary every reply opens with, and a link shaper that imposes
-// configurable latency and bandwidth on a connection. The shaper is how the
+// Package network is what the repo's TCP services share: length-prefixed
+// framing of internal/codec bodies, the status vocabulary every reply opens
+// with, a link shaper that imposes configurable latency and bandwidth on a
+// connection, and the endpoint itself (endpoint.go) — the listener with its
+// connection lifecycle and the redialling client. The shaper is how the
 // off-chain store reproduces the SSHFS-over-LAN transfer costs that dominate
 // HyperProv's large-payload measurements.
 package network
@@ -106,23 +107,11 @@ func (f Frame) Send(w io.Writer) error {
 	return nil
 }
 
-// WriteFrame writes payload as one plain frame (see Frame.Send for the
-// single-Write guarantee).
-func WriteFrame(w io.Writer, payload []byte) error {
-	return WriteFrameExt(w, "", "", payload)
-}
-
-// WriteTracedFrame writes one frame, embedding traceID in the header when
-// non-empty so the receiving process can join the sender's trace. An empty
-// traceID produces a plain frame identical to WriteFrame's.
-func WriteTracedFrame(w io.Writer, traceID string, payload []byte) error {
-	return WriteFrameExt(w, traceID, "", payload)
-}
-
 // WriteFrameExt writes an already-encoded payload as one frame with the given
-// header extensions (see NewFrame). With both empty the frame is
-// byte-identical to a plain WriteFrame frame, which is what keeps
-// single-channel peers wire-compatible across versions.
+// header extensions (see NewFrame; see Frame.Send for the single-Write
+// guarantee). With both empty the frame is the bare length word and the
+// payload, which is what keeps single-channel peers wire-compatible across
+// versions.
 func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
@@ -135,19 +124,11 @@ func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame, discarding any trace-ID
-// extension.
+// ReadFrame reads one length-prefixed frame, discarding any header
+// extensions.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	payload, _, err := ReadTracedFrame(r)
+	payload, _, _, err := ReadFrameExt(r)
 	return payload, err
-}
-
-// ReadTracedFrame reads one frame and returns its payload plus the trace ID
-// carried in the header (empty for plain frames). Any channel extension is
-// discarded.
-func ReadTracedFrame(r io.Reader) ([]byte, string, error) {
-	payload, traceID, _, err := ReadFrameExt(r)
-	return payload, traceID, err
 }
 
 // ReadFrameExt reads one frame into a buffer of its own and returns its

@@ -17,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{7}, 100000)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+		if err := WriteFrameExt(&buf, "", "", p); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
@@ -37,7 +37,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrameExt(&buf, "", "", make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized write err = %v", err)
 	}
 	// A malicious header announcing an oversized frame must be rejected.
@@ -182,7 +182,7 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 
 func TestTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("complete")); err != nil {
+	if err := WriteFrameExt(&buf, "", "", []byte("complete")); err != nil {
 		t.Fatal(err)
 	}
 	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()-3])
@@ -221,7 +221,7 @@ func TestShapedConnWrites(t *testing.T) {
 func TestQuickFrameRoundTrip(t *testing.T) {
 	f := func(payload []byte) bool {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
+		if err := WriteFrameExt(&buf, "", "", payload); err != nil {
 			return false
 		}
 		got, err := ReadFrame(&buf)
@@ -269,7 +269,7 @@ func TestReadFrameShortHeader(t *testing.T) {
 
 func TestReadFrameShortBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("abcdefgh")); err != nil {
+	if err := WriteFrameExt(&buf, "", "", []byte("abcdefgh")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -285,7 +285,7 @@ func TestReadFrameShortBody(t *testing.T) {
 
 func TestReadFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, nil); err != nil {
+	if err := WriteFrameExt(&buf, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := ReadFrame(&buf)
@@ -296,11 +296,11 @@ func TestReadFrameEmptyPayload(t *testing.T) {
 
 func TestWriteFrameErrorPropagation(t *testing.T) {
 	// Failure while writing the header.
-	if err := WriteFrame(&failAfterWriter{n: 2}, []byte("payload")); err == nil {
+	if err := WriteFrameExt(&failAfterWriter{n: 2}, "", "", []byte("payload")); err == nil {
 		t.Error("header write failure not reported")
 	}
 	// Failure while writing the body.
-	if err := WriteFrame(&failAfterWriter{n: 6}, []byte("payload")); err == nil {
+	if err := WriteFrameExt(&failAfterWriter{n: 6}, "", "", []byte("payload")); err == nil {
 		t.Error("body write failure not reported")
 	}
 }
@@ -324,7 +324,7 @@ func (w *countingWriter) Read(p []byte) (int, error) { return w.buf.Read(p) }
 // concurrent writers interleave header and body bytes).
 func TestWriteFrameSingleWrite(t *testing.T) {
 	w := &countingWriter{}
-	if err := WriteFrame(w, []byte("payload")); err != nil {
+	if err := WriteFrameExt(w, "", "", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	if w.writes != 1 {
@@ -344,7 +344,7 @@ func TestShapedFramePaysOneLatency(t *testing.T) {
 	w := &countingWriter{}
 	c := NewShapedConn(w, LinkShape{Latency: latency})
 	start := time.Now()
-	if err := WriteFrame(c, []byte("one charge")); err != nil {
+	if err := WriteFrameExt(c, "", "", []byte("one charge")); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -362,7 +362,7 @@ func TestShapedFramePaysOneLatency(t *testing.T) {
 func TestReadFrameAtExactLimit(t *testing.T) {
 	var buf bytes.Buffer
 	payload := make([]byte, 1<<10)
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := WriteFrameExt(&buf, "", "", payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&buf)

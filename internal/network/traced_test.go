@@ -8,10 +8,10 @@ import (
 
 func TestTracedFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTracedFrame(&buf, "tx-abc123", []byte("payload")); err != nil {
+	if err := WriteFrameExt(&buf, "tx-abc123", "", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	payload, id, err := ReadTracedFrame(&buf)
+	payload, id, _, err := ReadFrameExt(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,17 +21,14 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 }
 
 func TestTracedFrameEmptyIDIsPlainFrame(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := WriteTracedFrame(&a, "", []byte("same")); err != nil {
+	var a bytes.Buffer
+	if err := WriteFrameExt(&a, "", "", []byte("same")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&b, []byte("same")); err != nil {
-		t.Fatal(err)
+	if want := []byte{0, 0, 0, 4, 's', 'a', 'm', 'e'}; !bytes.Equal(a.Bytes(), want) {
+		t.Errorf("empty-ID traced frame = %x, want the plain frame %x", a.Bytes(), want)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("empty-ID traced frame differs from plain frame on the wire")
-	}
-	_, id, err := ReadTracedFrame(&a)
+	_, id, _, err := ReadFrameExt(&a)
 	if err != nil || id != "" {
 		t.Errorf("id=%q err=%v", id, err)
 	}
@@ -40,10 +37,10 @@ func TestTracedFrameEmptyIDIsPlainFrame(t *testing.T) {
 func TestTracedFrameOversizedIDDropped(t *testing.T) {
 	var buf bytes.Buffer
 	long := strings.Repeat("x", 300)
-	if err := WriteTracedFrame(&buf, long, []byte("body")); err != nil {
+	if err := WriteFrameExt(&buf, long, "", []byte("body")); err != nil {
 		t.Fatal(err)
 	}
-	payload, id, err := ReadTracedFrame(&buf)
+	payload, id, _, err := ReadFrameExt(&buf)
 	if err != nil || id != "" || string(payload) != "body" {
 		t.Errorf("payload=%q id=%q err=%v", payload, id, err)
 	}
@@ -53,7 +50,7 @@ func TestTracedFrameOversizedIDDropped(t *testing.T) {
 // discarded, the payload survives.
 func TestReadFrameDiscardsTraceID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTracedFrame(&buf, "tx9", []byte("visible")); err != nil {
+	if err := WriteFrameExt(&buf, "tx9", "", []byte("visible")); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := ReadFrame(&buf)
@@ -66,7 +63,7 @@ func TestReadFrameDiscardsTraceID(t *testing.T) {
 // exactly one one-way latency.
 func TestTracedFrameSingleWrite(t *testing.T) {
 	w := &countingWriter{}
-	if err := WriteTracedFrame(w, "txid", []byte("payload")); err != nil {
+	if err := WriteFrameExt(w, "txid", "", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	if w.writes != 1 {
@@ -85,7 +82,7 @@ func TestTracedFrameBodyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, id, err := ReadTracedFrame(&buf)
+	body, id, _, err := ReadFrameExt(&buf)
 	if err != nil || id != "tx-77" || string(body) != "body" {
 		t.Errorf("body=%q id=%q err=%v", body, id, err)
 	}
@@ -94,14 +91,14 @@ func TestTracedFrameBodyRoundTrip(t *testing.T) {
 // Truncation inside the trace extension must error, not return garbage.
 func TestTracedFrameTruncatedExtension(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTracedFrame(&buf, "abcdef", []byte("body")); err != nil {
+	if err := WriteFrameExt(&buf, "abcdef", "", []byte("body")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	// Corrupt: claim a longer ID than the frame holds.
 	bad := append([]byte(nil), full...)
 	bad[4] = 200
-	if _, _, err := ReadTracedFrame(bytes.NewReader(bad)); err == nil {
+	if _, _, _, err := ReadFrameExt(bytes.NewReader(bad)); err == nil {
 		t.Error("oversized embedded id length accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/network"
@@ -118,80 +117,24 @@ func classify(err error) network.ErrCode {
 	}
 }
 
-// Server is a TCP object server backed by any Store.
+// Server is a TCP object server backed by any Store. The listener and the
+// connection lifecycle (Addr, Close) are network.Server's.
 type Server struct {
+	*network.Server
 	backing Store
-	ln      net.Listener
 	shape   network.LinkShape
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
 }
 
 // NewServer starts an object server on addr ("127.0.0.1:0" for an
 // ephemeral port). shape is applied to the server's responses, modelling
 // the storage node's uplink.
 func NewServer(addr string, backing Store, shape network.LinkShape) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("offchain: listen: %w", err)
+	s := &Server{backing: backing, shape: shape}
+	var err error
+	if s.Server, err = network.Listen(addr, s.serve); err != nil {
+		return nil, fmt.Errorf("offchain: %w", err)
 	}
-	s := &Server{backing: backing, ln: ln, shape: shape, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
-}
-
-// Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener, closes every open connection — a handler blocked
-// reading from an idle client would otherwise hold Close for as long as the
-// client stays connected — and waits for the handlers to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serve(conn)
-		}()
-	}
 }
 
 func (s *Server) serve(conn net.Conn) {
@@ -239,37 +182,24 @@ func (s *Server) handle(out, body []byte) []byte {
 
 // RemoteStore is the client side: it dials the object server and shapes its
 // own uplink writes, so both transfer directions pay the modeled link cost.
+// Dial timeout, redial and backoff are network.Client's.
 type RemoteStore struct {
-	addr  string
-	shape network.LinkShape
-
-	mu   sync.Mutex
-	conn net.Conn
+	c *network.Client
 }
 
 var _ Store = (*RemoteStore)(nil)
 
 // NewRemoteStore connects to an object server.
 func NewRemoteStore(addr string, shape network.LinkShape) (*RemoteStore, error) {
-	r := &RemoteStore{addr: addr, shape: shape}
-	if err := r.reconnect(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *RemoteStore) reconnect() error {
-	conn, err := net.Dial("tcp", r.addr)
+	c, err := network.Dial(addr, network.ClientConfig{Shape: shape})
 	if err != nil {
-		return fmt.Errorf("offchain: dial %s: %w", r.addr, err)
+		return nil, fmt.Errorf("offchain: %w", err)
 	}
-	r.conn = conn
-	return nil
+	return &RemoteStore{c: c}, nil
 }
 
-// roundTrip sends one request and reads one response, retrying once on a
-// broken connection. The response's Data aliases the reply frame, which the
-// caller owns.
+// roundTrip sends one request and reads one response. The response's Data
+// aliases the reply frame, which the caller owns.
 func (r *RemoteStore) roundTrip(req *remoteRequest) (remoteResponse, error) {
 	n := 1 + codec.SizeBytes(len(req.Data)+len(req.Key))
 	if n > network.MaxFrame {
@@ -280,34 +210,15 @@ func (r *RemoteStore) roundTrip(req *remoteRequest) (remoteResponse, error) {
 	defer f.Release()
 	f.Grow(n)
 	f.B = appendRequest(f.B, req)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if r.conn == nil {
-			if err := r.reconnect(); err != nil {
-				return remoteResponse{}, err
-			}
-		}
-		var body []byte
-		err := f.Send(network.NewShapedConn(r.conn, r.shape))
-		if err == nil {
-			body, err = network.ReadFrame(r.conn)
-		}
-		if err != nil {
-			r.conn.Close()
-			r.conn = nil
-			if attempt == 0 {
-				continue
-			}
-			return remoteResponse{}, fmt.Errorf("offchain: remote round trip: %w", err)
-		}
-		resp, err := decodeResponse(req.Op, body)
-		if err != nil {
-			return remoteResponse{}, fmt.Errorf("offchain: remote reply: %w", err)
-		}
-		return resp, nil
+	body, err := r.c.Do(f)
+	if err != nil {
+		return remoteResponse{}, fmt.Errorf("offchain: remote round trip: %w", err)
 	}
+	resp, err := decodeResponse(req.Op, body)
+	if err != nil {
+		return remoteResponse{}, fmt.Errorf("offchain: remote reply: %w", err)
+	}
+	return resp, nil
 }
 
 // Put uploads data and returns a remote reference.
@@ -319,7 +230,7 @@ func (r *RemoteStore) Put(data []byte) (string, error) {
 	if resp.Code != network.CodeNone {
 		return "", fmt.Errorf("offchain: remote put: %s", resp.Err)
 	}
-	return "remote://" + r.addr + "/" + resp.Key, nil
+	return "remote://" + r.c.Addr() + "/" + resp.Key, nil
 }
 
 // Get downloads the object for ref. The returned slice is the payload part
@@ -364,14 +275,6 @@ func (r *RemoteStore) localKey(ref string) (string, error) {
 	return rest[i+1:], nil
 }
 
-// Close closes the client connection.
-func (r *RemoteStore) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.conn != nil {
-		err := r.conn.Close()
-		r.conn = nil
-		return err
-	}
-	return nil
-}
+// Close closes the client connection; later calls return
+// network.ErrClientClosed.
+func (r *RemoteStore) Close() error { return r.c.Close() }

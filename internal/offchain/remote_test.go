@@ -3,10 +3,13 @@ package offchain
 import (
 	"bytes"
 	"errors"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/network"
 )
 
@@ -162,19 +165,144 @@ func TestRemoteConcurrentClients(t *testing.T) {
 	}
 }
 
+// restartServer rebinds a closed server's address (retrying briefly: the OS
+// may hold the port).
+func restartServer(t *testing.T, addr string, backing Store) *Server {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		srv, err := NewServer(addr, backing, network.LinkShape{})
+		if err == nil {
+			t.Cleanup(func() { srv.Close() })
+			return srv
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("could not rebind %s: %v", addr, err)
+		}
+	}
+}
+
 func TestRemoteReconnects(t *testing.T) {
 	srv, client := newRemotePair(t, network.LinkShape{})
 	if _, err := client.Put([]byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the client's connection from under it; next op must reconnect.
-	client.mu.Lock()
-	client.conn.Close()
-	client.mu.Unlock()
+	// Kill the client's connection from under it — the storage node
+	// restarts; next op must reconnect.
+	srv.Close()
+	restartServer(t, srv.Addr(), NewMemStore())
 	if _, err := client.Put([]byte("second")); err != nil {
 		t.Fatalf("Put after connection drop: %v", err)
 	}
-	_ = srv
+}
+
+// TestRemoteStoreUseAfterClose: a closed store stays closed. Put and Get
+// return network.ErrClientClosed and open no connection (they used to redial
+// silently, succeed, and leave a live socket behind).
+func TestRemoteStoreUseAfterClose(t *testing.T) {
+	accepted := make(chan struct{}, 8)
+	srv, err := network.Listen("127.0.0.1:0", func(conn net.Conn) {
+		accepted <- struct{}{}
+		for {
+			body, err := network.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			req, _ := decodeRequest(body)
+			reply := appendResponse(nil, req.Op, &remoteResponse{Key: "k", Data: []byte("v")})
+			if network.WriteFrameExt(conn, "", "", reply) != nil {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := NewRemoteStore(srv.Addr(), network.LinkShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := client.Put([]byte("open"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Put([]byte("after close")); !errors.Is(err, network.ErrClientClosed) {
+		t.Errorf("Put after Close: err = %v, want ErrClientClosed", err)
+	}
+	if _, err := client.Get(ref); !errors.Is(err, network.ErrClientClosed) {
+		t.Errorf("Get after Close: err = %v, want ErrClientClosed", err)
+	}
+	<-accepted // the connection NewRemoteStore opened
+	select {
+	case <-accepted:
+		t.Error("a closed store opened a new connection")
+	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestRemoteDeadAddressBacksOff: once the storage node is gone, one call pays
+// for the failed redial and the calls behind it fail fast on the backoff
+// gate instead of each dialling again under the store's lock.
+func TestRemoteDeadAddressBacksOff(t *testing.T) {
+	srv, client := newRemotePair(t, network.LinkShape{})
+	srv.Close()
+	if _, err := client.Put([]byte("nobody home")); err == nil || errors.Is(err, network.ErrBackoff) {
+		t.Fatalf("first Put against a dead address: err = %v, want the dial failure", err)
+	}
+	// The gate opened by that failure is 50 ms; a scheduling hiccup may let
+	// one attempt slip past it and dial again, which re-arms it.
+	for attempt := 0; ; attempt++ {
+		start := time.Now()
+		_, err := client.Put([]byte("still nobody"))
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("Put against a dead address took %v", elapsed)
+		}
+		if errors.Is(err, network.ErrBackoff) {
+			return
+		}
+		if err == nil || attempt == 20 {
+			t.Fatalf("attempt %d: err = %v, want ErrBackoff", attempt, err)
+		}
+	}
+}
+
+// TestRemoteUndecodableReplyKeepsConnection: a reply frame that arrives whole
+// but does not decode is an error for that call only — the frame boundary
+// held, so the next call runs on the same connection.
+func TestRemoteUndecodableReplyKeepsConnection(t *testing.T) {
+	var conns atomic.Int32
+	srv, err := network.Listen("127.0.0.1:0", func(conn net.Conn) {
+		conns.Add(1)
+		for reply := []byte{0x00, 0xFF, 0xFF}; ; reply = appendResponse(nil, opPut, &remoteResponse{Key: "k"}) {
+			if _, err := network.ReadFrame(conn); err != nil {
+				return
+			}
+			if network.WriteFrameExt(conn, "", "", reply) != nil {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := NewRemoteStore(srv.Addr(), network.LinkShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Put([]byte("x")); !errors.Is(err, codec.ErrMalformed) && !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("torn reply: err = %v, want a codec decode error", err)
+	}
+	if ref, err := client.Put([]byte("x")); err != nil || ref != "remote://"+srv.Addr()+"/k" {
+		t.Fatalf("Put after a torn reply: ref %q, err %v", ref, err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("server saw %d connections, want 1: the undecodable reply dropped the connection", n)
+	}
 }
 
 func TestShapedLinkAddsLatency(t *testing.T) {

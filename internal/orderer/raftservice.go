@@ -6,27 +6,17 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/device"
-	"github.com/hyperprov/hyperprov/internal/metrics"
-	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
 // Raft is a crash-fault-tolerant ordering service backed by an in-process
-// Raft cluster. It batches envelopes with the same block cutter as Solo and
-// replicates each batch as one Raft log entry; committed entries become
-// hash-chained blocks. One block stream is exposed regardless of which
-// node applied the entry (entries at an index are identical on all nodes,
-// so first-apply-wins deduplication is safe).
+// Raft cluster. It batches envelopes with the same front end as Solo and
+// proposes each cut batch to the leader as one Raft log entry; committed
+// entries become hash-chained blocks. One block stream is exposed regardless
+// of which node applied the entry (entries at an index are identical on all
+// nodes, so first-apply-wins deduplication is safe).
 type Raft struct {
-	cfg     BatchConfig
-	exec    *device.Executor
+	*frontEnd
 	cluster *raftCluster
-	chain   *chain
-
-	in      chan blockstore.Envelope
-	stop    chan struct{}
-	done    chan struct{}
-	stopMu  sync.Mutex
-	stopped bool
 
 	applyMu   sync.Mutex
 	nextApply int                           // next raft index to turn into a block
@@ -39,18 +29,13 @@ var _ Service = (*Raft)(nil)
 // nodes. exec models the ordering machines' per-batch cost (may be nil).
 func NewRaft(n int, batch BatchConfig, raftCfg RaftConfig, exec *device.Executor, seed int64) *Raft {
 	r := &Raft{
-		cfg:       batch.withDefaults(),
-		exec:      exec,
-		chain:     newChain(),
-		in:        make(chan blockstore.Envelope, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		frontEnd:  newFrontEnd(batch, exec),
 		nextApply: 1,
 		applied:   make(map[int][]blockstore.Envelope),
 	}
 	r.cluster = newRaftCluster(n, raftCfg, r.onApply, seed)
 	r.cluster.start()
-	go r.loop()
+	go r.run(r.propose)
 	return r
 }
 
@@ -76,42 +61,10 @@ func (r *Raft) onApply(_, index int, batch []blockstore.Envelope) {
 		if len(b) == 0 {
 			continue
 		}
-		if r.exec != nil {
-			r.exec.Order()
-		}
+		r.exec.Order()
 		_, _ = r.chain.appendBatch(b)
 	}
 }
-
-// Submit enqueues an envelope. It returns ErrNoLeader if no leader emerges
-// within the retry budget (e.g. during a total partition).
-func (r *Raft) Submit(env blockstore.Envelope) error {
-	select {
-	case <-r.stop:
-		return ErrStopped
-	default:
-	}
-	select {
-	case r.in <- env:
-		return nil
-	case <-r.stop:
-		return ErrStopped
-	}
-}
-
-// Subscribe returns the ordered block stream with full replay.
-func (r *Raft) Subscribe() <-chan *blockstore.Block { return r.chain.subscribe() }
-
-// Height returns the number of blocks ordered.
-func (r *Raft) Height() uint64 { return r.chain.height() }
-
-// Metrics returns the ordering service's counters.
-func (r *Raft) Metrics() *metrics.Registry { return r.chain.metrics }
-
-// SetTracer attaches a trace recorder: each ordered envelope gains an
-// "order" span covering enqueue through replication to block cut. Call
-// before traffic flows.
-func (r *Raft) SetTracer(t *trace.Recorder) { r.chain.setTracer(t) }
 
 // Leader returns the current leader node id, or -1 if none.
 func (r *Raft) Leader() int { return r.cluster.leader() }
@@ -149,77 +102,9 @@ func (r *Raft) WaitLeader(timeout time.Duration) int {
 
 // Stop terminates the service, the consenter nodes, and subscribers.
 func (r *Raft) Stop() {
-	r.stopMu.Lock()
-	if !r.stopped {
-		r.stopped = true
-		close(r.stop)
-	}
-	r.stopMu.Unlock()
-	<-r.done
+	r.halt()
 	r.cluster.stop()
 	r.chain.close()
-}
-
-// loop runs the batch cutter and proposes cut batches to the current
-// leader, retrying while elections are in progress.
-func (r *Raft) loop() {
-	defer close(r.done)
-	cutter := newBlockCutter(r.cfg)
-	var timer *time.Timer
-	var timeout <-chan time.Time
-
-	batchTimeout := r.cfg.BatchTimeout
-	if r.exec != nil {
-		if scale := r.exec.Clock().Scale(); scale > 0 {
-			batchTimeout = time.Duration(float64(batchTimeout) * scale)
-		}
-	}
-
-	armTimer := func() {
-		if timer == nil {
-			timer = time.NewTimer(batchTimeout)
-			timeout = timer.C
-		}
-	}
-	disarmTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timeout = nil
-		}
-	}
-
-	for {
-		select {
-		case env := <-r.in:
-			batches, pending, err := cutter.ordered(env)
-			if err != nil {
-				// Unserializable envelope: drop, as the solo consenter does.
-				r.chain.metrics.Counter(metrics.EnvelopesRejected).Inc()
-			} else {
-				r.chain.markEnqueued(env.TxID)
-			}
-			for _, b := range batches {
-				r.propose(b)
-			}
-			if pending {
-				armTimer()
-			} else {
-				disarmTimer()
-			}
-		case <-timeout:
-			disarmTimer()
-			if b := cutter.cut(); len(b) > 0 {
-				r.propose(b)
-			}
-		case <-r.stop:
-			disarmTimer()
-			if b := cutter.cut(); len(b) > 0 {
-				r.propose(b)
-			}
-			return
-		}
-	}
 }
 
 // propose sends the batch to the current leader, waiting briefly through

@@ -363,9 +363,7 @@ func newPeer(cfg Config, channelID string, state statedb.StateDB, history *histo
 		Tracer:      cfg.Tracer,
 		Name:        cfg.Name,
 		OnAccepted: func(b *blockstore.Block) {
-			if p.exec != nil {
-				p.exec.Transfer(blockWireSize(b)) // block dissemination
-			}
+			p.exec.Transfer(blockWireSize(b)) // block dissemination
 		},
 		OnCommitted: p.onBlockCommitted,
 	}
@@ -533,9 +531,7 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 			p.tracer.Observe(prop.TxID, trace.StageEndorse, p.name, start, "")
 		}
 	}()
-	if p.exec != nil {
-		p.exec.Transfer(proposalWireSize(prop)) // receive over the LAN
-	}
+	p.exec.Transfer(proposalWireSize(prop)) // receive over the LAN
 	clientID, err := p.msp.Deserialize(prop.Creator)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: proposal creator: %w", p.name, err)
@@ -543,10 +539,7 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 	// The gateway fans one signed proposal out to every endorsing peer; in
 	// an in-process network they share the MSP's signature cache, so only
 	// the first peer pays the ECDSA verification (and its modeled charge).
-	var onMiss func()
-	if p.exec != nil {
-		onMiss = func() { p.exec.Verify() }
-	}
+	onMiss := func() { p.exec.Verify() }
 	if err := clientID.VerifyCached(p.msp.VerifyCache(), prop.SignedDigest(), prop.Signature, onMiss); err != nil {
 		return nil, fmt.Errorf("peer %s: proposal signature: %w", p.name, err)
 	}
@@ -554,9 +547,7 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 	if err != nil {
 		return nil, err
 	}
-	if p.exec != nil {
-		p.exec.Endorse() // chaincode container round-trip
-	}
+	p.exec.Endorse() // chaincode container round-trip
 
 	// Simulate against a height-stamped snapshot view: every read of this
 	// proposal sees one consistent world at a block boundary, and a commit
@@ -605,17 +596,13 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 		Events:   eventBytes,
 		Endorser: p.signer.Serialize(),
 	}
-	if p.exec != nil {
-		p.exec.Sign()
-	}
+	p.exec.Sign()
 	sig, err := p.signer.SignDigest(out.SignedDigest())
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: sign endorsement: %w", p.name, err)
 	}
 	out.Signature = sig
-	if p.exec != nil {
-		p.exec.Transfer(len(out.Payload) + len(rwsBytes) + 512) // send response
-	}
+	p.exec.Transfer(len(out.Payload) + len(rwsBytes) + 512) // send response
 	return out, nil
 }
 
@@ -633,9 +620,7 @@ func (p *Peer) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.
 		return shim.Response{}, err
 	}
 	p.metrics.Counter(metrics.QueriesServed).Inc()
-	if p.exec != nil {
-		p.exec.Endorse()
-	}
+	p.exec.Endorse()
 	view := statedb.NewView(p.state)
 	defer view.Release()
 	stub := shim.NewStub(shim.Config{

@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 // ErrBackoff is returned when a request arrives while the client is
 // holding off redialling a dead peer; the caller should simply try again
 // later (gossip does, every round).
-var ErrBackoff = errors.New("transport: peer unreachable, backing off")
+var ErrBackoff = network.ErrBackoff
 
 // ErrUnknownChannel is the sentinel a *RemoteError carrying
 // network.CodeUnknownChannel matches via errors.Is: the host rejected the
@@ -54,207 +53,53 @@ type ClientConfig struct {
 	Tracer *trace.Recorder
 }
 
-func (c ClientConfig) withDefaults() ClientConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
-	}
-	if c.MinBackoff <= 0 {
-		c.MinBackoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	return c
-}
-
-// Client is one peer's view of a remote peer: a single TCP connection,
-// request/response exchanges serialized over it, and reconnect-with-backoff
-// when the remote drops. A failure on an established connection triggers
-// one immediate redial (the usual case: the peer restarted); failed dials
-// back off exponentially so a dead peer costs a cheap time check per
-// gossip round, not a connect timeout.
+// Client is one peer's view of a remote peer: the op table spoken over a
+// network.Client, which owns the connection — exchanges serialized over one
+// TCP connection, one immediate redial when the remote drops, exponential
+// backoff while it stays dead.
 type Client struct {
-	addr string
-	cfg  ClientConfig
-
-	mu       sync.Mutex
-	conn     net.Conn
-	shaped   *network.ShapedConn
-	hello    HelloInfo
-	helloOK  bool
-	backoff  time.Duration
-	nextDial time.Time
-	closed   bool
-
-	// everConnected distinguishes a reconnect (a previously working peer
-	// came back) from the first dial, for the reconnect counter.
-	everConnected bool
-	// lastErr keeps the most recent transport failure so the backoff path
-	// no longer swallows the reason; /healthz surfaces it per peer.
-	lastErr string
+	nc    *network.Client
+	cfg   ClientConfig
+	hello HelloInfo
 }
 
 // Dial connects to a serving peer and performs the hello handshake.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	c := &Client{addr: addr, cfg: cfg.withDefaults()}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.connectLocked(); err != nil {
-		return nil, err
+	nc, err := network.Dial(addr, network.ClientConfig{
+		Shape:       cfg.Shape,
+		DialTimeout: cfg.DialTimeout,
+		MinBackoff:  cfg.MinBackoff,
+		MaxBackoff:  cfg.MaxBackoff,
+		Metrics:     cfg.Metrics,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
-	if err := c.helloLocked(); err != nil {
-		c.dropConnLocked()
+	c := &Client{nc: nc, cfg: cfg}
+	d, err := c.roundTrip(&request{op: opHello})
+	if err == nil {
+		c.hello = decodeHello(d)
+		err = c.finish(opHello, d)
+	}
+	if err != nil {
+		if cfg.Metrics != nil {
+			cfg.Metrics.Counter(metrics.TransportHandshakeFailures).Inc()
+		}
+		nc.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
 // Addr returns the remote peer's address.
-func (c *Client) Addr() string { return c.addr }
+func (c *Client) Addr() string { return c.nc.Addr() }
 
 // LastError returns the most recent transport failure against this peer
-// ("" when the last operation succeeded). Dial failures during backoff and
-// handshake rejections land here instead of being silently swallowed.
-func (c *Client) LastError() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastErr
-}
+// ("" when the last exchange succeeded); /healthz surfaces it per peer.
+func (c *Client) LastError() string { return c.nc.LastError() }
 
-// setErrLocked records a failure for LastError; nil clears it.
-func (c *Client) setErrLocked(err error) {
-	if err == nil {
-		c.lastErr = ""
-	} else {
-		c.lastErr = err.Error()
-	}
-}
-
-// count bumps a transport counter when metrics are configured. Every call
-// site passes one of the metrics.Transport* constants, so the counter
-// family set stays fixed.
-func (c *Client) count(name string) {
-	if c.cfg.Metrics != nil {
-		//hyperprov:allow metricnames constant Transport* names forwarded by call sites
-		c.cfg.Metrics.Counter(name).Inc()
-	}
-}
-
-// countingConn counts bytes crossing the wire in each direction.
-type countingConn struct {
-	net.Conn
-	reg *metrics.Registry
-}
-
-func (cc *countingConn) Read(p []byte) (int, error) {
-	n, err := cc.Conn.Read(p)
-	if n > 0 {
-		cc.reg.Counter(metrics.TransportBytesReceived).Add(int64(n))
-	}
-	return n, err
-}
-
-func (cc *countingConn) Write(p []byte) (int, error) {
-	n, err := cc.Conn.Write(p)
-	if n > 0 {
-		cc.reg.Counter(metrics.TransportBytesSent).Add(int64(n))
-	}
-	return n, err
-}
-
-// Hello returns the remote peer's handshake info, performing the exchange
-// if it has not happened yet (e.g. after Dial-time info was requested
-// again post-restart).
-func (c *Client) Hello() (HelloInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.helloOK {
-		return c.hello, nil
-	}
-	if err := c.ensureConnLocked(); err != nil {
-		return HelloInfo{}, err
-	}
-	if err := c.helloLocked(); err != nil {
-		c.dropConnLocked()
-		return HelloInfo{}, err
-	}
-	return c.hello, nil
-}
-
-// helloLocked exchanges the handshake on the current connection.
-func (c *Client) helloLocked() error {
-	f := c.newFrame(&request{op: opHello})
-	defer f.Release()
-	d, err := c.exchangeLocked(f)
-	if err == nil {
-		c.hello = decodeHello(d)
-		err = d.Finish()
-	}
-	if err != nil {
-		var remote *RemoteError
-		if !errors.As(err, &remote) {
-			err = fmt.Errorf("transport: hello %s: %w", c.addr, err)
-		}
-		c.count(metrics.TransportHandshakeFailures)
-		c.setErrLocked(err)
-		return err
-	}
-	c.helloOK = true
-	return nil
-}
-
-// connectLocked dials the remote, respecting the backoff gate.
-func (c *Client) connectLocked() error {
-	if c.closed {
-		return errors.New("transport: client closed")
-	}
-	if !c.nextDial.IsZero() && time.Now().Before(c.nextDial) {
-		return fmt.Errorf("%w: %s", ErrBackoff, c.addr)
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
-	if err != nil {
-		if c.backoff == 0 {
-			c.backoff = c.cfg.MinBackoff
-		} else {
-			c.backoff *= 2
-			if c.backoff > c.cfg.MaxBackoff {
-				c.backoff = c.cfg.MaxBackoff
-			}
-		}
-		c.nextDial = time.Now().Add(c.backoff)
-		err = fmt.Errorf("transport: dial %s: %w", c.addr, err)
-		c.setErrLocked(err)
-		return err
-	}
-	if c.cfg.Metrics != nil {
-		conn = &countingConn{Conn: conn, reg: c.cfg.Metrics}
-	}
-	c.conn = conn
-	c.shaped = network.NewShapedConn(conn, c.cfg.Shape)
-	c.backoff = 0
-	c.nextDial = time.Time{}
-	if c.everConnected {
-		c.count(metrics.TransportReconnects)
-	}
-	c.everConnected = true
-	c.setErrLocked(nil)
-	return nil
-}
-
-func (c *Client) ensureConnLocked() error {
-	if c.conn != nil {
-		return nil
-	}
-	return c.connectLocked()
-}
-
-func (c *Client) dropConnLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.shaped = nil
-	}
-}
+// Hello returns the remote peer's handshake info, exchanged at Dial.
+func (c *Client) Hello() (HelloInfo, error) { return c.hello, nil }
 
 // newFrame encodes req into a pooled frame addressed to the client's
 // channel, with the request's trace ID in the frame header so the serving
@@ -265,26 +110,10 @@ func (c *Client) newFrame(req *request) network.Frame {
 	return f
 }
 
-// exchangeLocked writes one request frame and reads one reply on the
-// current connection. It returns a cursor over the reply's layout, past the
-// status: a reply whose status is a failure is returned as its *RemoteError,
-// which — unlike every other error here — leaves the connection in sync.
-func (c *Client) exchangeLocked(f network.Frame) (*codec.Dec, error) {
-	if err := f.Send(c.shaped); err != nil {
-		return nil, err
-	}
-	c.count(metrics.TransportFramesSent)
-	body, err := network.ReadFrame(c.conn)
-	if err != nil {
-		return nil, err
-	}
-	c.count(metrics.TransportFramesReceived)
-	d := codec.NewDec(body)
-	return d, replyStatus(d)
-}
-
 // roundTrip sends one request and returns a cursor over the reply's layout,
-// redialling once when an established connection turns out to be dead.
+// past the status. A reply whose status is a failure is returned as its
+// *RemoteError; like a reply that does not decode, it leaves the connection
+// in sync — the frame boundary held.
 func (c *Client) roundTrip(req *request) (*codec.Dec, error) {
 	start := time.Now()
 	defer func() {
@@ -296,36 +125,22 @@ func (c *Client) roundTrip(req *request) (*codec.Dec, error) {
 			c.cfg.Metrics.Histogram(metrics.TransportRPC + "_" + req.op.String()).Observe(time.Since(start))
 		}
 	}()
-	// The request is encoded once, outside the lock; a redial resends the
-	// same frame.
+	// The request is encoded once; a redial resends the same frame.
 	f := c.newFrame(req)
 	defer f.Release()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if err := c.ensureConnLocked(); err != nil {
-			return nil, err
-		}
-		d, err := c.exchangeLocked(f)
-		var remote *RemoteError
-		if err == nil || errors.As(err, &remote) {
-			c.setErrLocked(nil)
-			return d, err
-		}
-		c.dropConnLocked()
-		if attempt > 0 {
-			err = fmt.Errorf("transport: %s %s: %w", req.op, c.addr, err)
-			c.setErrLocked(err)
-			return nil, err
-		}
+	body, err := c.nc.Do(f)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %s: %w", req.op, err)
 	}
+	d := codec.NewDec(body)
+	return d, replyStatus(d)
 }
 
 // finish closes the decode of an op's reply: trailing or missing bytes are
 // reported against the op and the peer.
 func (c *Client) finish(op opCode, d *codec.Dec) error {
 	if err := d.Finish(); err != nil {
-		return fmt.Errorf("transport: %s reply from %s: %w", op, c.addr, err)
+		return fmt.Errorf("transport: %s reply from %s: %w", op, c.Addr(), err)
 	}
 	return nil
 }
@@ -340,50 +155,34 @@ func (c *Client) Height() (uint64, error) {
 }
 
 // BlocksFrom streams the remote peer's blocks with number >= from, one
-// block per frame. On a mid-stream failure it returns the in-order prefix
-// received so far together with the error: the prefix is safe to commit,
-// and the next anti-entropy round fetches the rest.
+// block per frame, each in a buffer of its own that the decoded block
+// aliases for as long as the peer keeps it. On a mid-stream failure — a torn
+// frame or an undecodable block, either of which drops the connection — it
+// returns the in-order prefix received so far together with the error: the
+// prefix is safe to commit, and the next anti-entropy round fetches the
+// rest.
 func (c *Client) BlocksFrom(from uint64) ([]*blockstore.Block, error) {
 	f := c.newFrame(&request{op: opBlocksFrom, from: from})
 	defer f.Release()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(); err != nil {
-		return nil, err
-	}
-	// broken drops the connection: past a torn frame or an undecodable block
-	// the stream is unusable; the in-order prefix is still safe to commit.
-	broken := func(blocks []*blockstore.Block, err error) ([]*blockstore.Block, error) {
-		c.dropConnLocked()
-		err = fmt.Errorf("transport: blocksFrom stream %s: %w", c.addr, err)
-		c.setErrLocked(err)
-		return blocks, err
-	}
-	if err := f.Send(c.shaped); err != nil {
-		return broken(nil, err)
-	}
-	c.count(metrics.TransportFramesSent)
 	var blocks []*blockstore.Block
-	for {
-		// One buffer per frame: the decoded block aliases it for as long as
-		// the peer keeps the block.
-		body, err := network.ReadFrame(c.conn)
-		if err != nil {
-			return broken(blocks, err)
-		}
-		c.count(metrics.TransportFramesReceived)
+	var remote *RemoteError
+	err := c.nc.Stream(f, false, func(body []byte) (bool, error) {
 		b, err := decodeStreamFrame(body)
-		var remote *RemoteError
-		switch {
-		case errors.As(err, &remote):
-			return blocks, err
-		case err != nil:
-			return broken(blocks, err)
-		case b == nil:
-			return blocks, nil
+		if errors.As(err, &remote) {
+			return false, nil // a failure status is the whole reply: the stream is in sync
 		}
-		blocks = append(blocks, b)
+		if b != nil {
+			blocks = append(blocks, b)
+		}
+		return b != nil, err
+	})
+	switch {
+	case err != nil:
+		return blocks, fmt.Errorf("transport: blocksFrom stream: %w", err)
+	case remote != nil:
+		return blocks, remote
 	}
+	return blocks, nil
 }
 
 // Deliver pushes one block to the remote peer's commit pipeline, encoded in
@@ -452,18 +251,7 @@ func (c *Client) Fingerprint() (string, uint64, error) {
 
 // Close closes the connection; in-flight calls fail and future calls
 // error immediately.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	if c.conn != nil {
-		err := c.conn.Close()
-		c.conn = nil
-		c.shaped = nil
-		return err
-	}
-	return nil
-}
+func (c *Client) Close() error { return c.nc.Close() }
 
 // Member wraps the client as a gossip.Member, so a remote peer joins an
 // in-process gossip.Network unchanged: height probes, pulls, and block

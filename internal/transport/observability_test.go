@@ -17,8 +17,7 @@ func TestRemoteEndorseSpanJoinsBothRecorders(t *testing.T) {
 	p := f.newPeer("peer0")
 
 	serverTracer := trace.NewRecorder()
-	srv, err := NewServer("127.0.0.1:0", p, ServerConfig{
-		ChannelID:  "ch",
+	srv, err := NewHostServer("127.0.0.1:0", f.hosts[p], ServerConfig{
 		Orgs:       []string{"Org1"},
 		CACertsPEM: [][]byte{f.ca.CertPEM()},
 		Tracer:     serverTracer,
@@ -129,7 +128,7 @@ func TestClientReconnectCounterAndLastError(t *testing.T) {
 	// Restart on the same address (retry briefly: the OS may hold the port).
 	var srv2 *Server
 	for i := 0; i < 50; i++ {
-		srv2, err = NewServer(addr, p, f.serverConfig())
+		srv2, err = NewHostServer(addr, f.hosts[p], f.serverConfig())
 		if err == nil {
 			break
 		}
@@ -169,8 +168,7 @@ func TestServerPushDeliveryObservability(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	tracer := trace.NewRecorder()
-	srv, err := NewServer("127.0.0.1:0", dst, ServerConfig{
-		ChannelID:  "ch",
+	srv, err := NewHostServer("127.0.0.1:0", f.hosts[dst], ServerConfig{
 		Orgs:       []string{"Org1"},
 		CACertsPEM: [][]byte{f.ca.CertPEM()},
 		Metrics:    reg,

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
@@ -40,11 +39,8 @@ var _ Node = (*peer.Peer)(nil)
 
 // ServerConfig parameterizes a serving peer.
 type ServerConfig struct {
-	// ChannelID names the single channel a NewServer-built server exposes
-	// (NewHostServer derives its channel set from the host instead). It and
-	// Orgs describe the network for the hello handshake.
-	ChannelID string
-	Orgs      []string
+	// Orgs describes the network for the hello handshake.
+	Orgs []string
 	// CACertsPEM are the organizations' CA certificates handed to joining
 	// processes as trust anchors.
 	CACertsPEM [][]byte
@@ -62,59 +58,33 @@ type ServerConfig struct {
 }
 
 // Server exposes one host — one or more channel-scoped peer nodes — on a
-// TCP listener. Every frame is routed to the node serving the channel named
-// in its header extension; channel-less frames go to the default (first)
-// channel, which is how pre-multichannel clients keep working.
+// TCP listener; the listener and the connection lifecycle (Addr, Close) are
+// network.Server's. Every frame is routed to the node serving the channel
+// named in its header extension; channel-less frames go to the default
+// (first) channel, which is how pre-multichannel clients keep working.
 type Server struct {
-	nodes     map[string]Node
-	order     []string
-	defaultCh string
-	cfg       ServerConfig
-	ln        net.Listener
-
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
+	*network.Server
+	nodes map[string]Node
+	order []string
+	cfg   ServerConfig
 }
 
-// NewServer starts a transport server exposing a single channel node on
-// addr ("127.0.0.1:0" for an ephemeral port), the channel named by
-// cfg.ChannelID. Multi-channel hosts use NewHostServer.
-func NewServer(addr string, node Node, cfg ServerConfig) (*Server, error) {
-	return newServer(addr, map[string]Node{cfg.ChannelID: node}, []string{cfg.ChannelID}, cfg)
-}
-
-// NewHostServer starts a transport server exposing every channel of a
-// multi-channel host on one listener. The host's first channel is the
-// default route for channel-less (pre-multichannel) clients.
+// NewHostServer starts a transport server exposing every channel of a host
+// on one listener at addr ("127.0.0.1:0" for an ephemeral port). The host's
+// first channel is the default route for channel-less (pre-multichannel)
+// clients.
 func NewHostServer(addr string, host *peer.Host, cfg ServerConfig) (*Server, error) {
-	order := host.Channels()
-	if len(order) == 0 {
+	s := &Server{nodes: make(map[string]Node), order: host.Channels(), cfg: cfg}
+	if len(s.order) == 0 {
 		return nil, errors.New("transport: host serves no channels")
 	}
-	nodes := make(map[string]Node, len(order))
-	for _, ch := range order {
-		nodes[ch] = host.Channel(ch)
+	for _, ch := range s.order {
+		s.nodes[ch] = host.Channel(ch)
 	}
-	return newServer(addr, nodes, order, cfg)
-}
-
-func newServer(addr string, nodes map[string]Node, order []string, cfg ServerConfig) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
+	var err error
+	if s.Server, err = network.Listen(addr, s.serve); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
-	s := &Server{
-		nodes:     nodes,
-		order:     order,
-		defaultCh: order[0],
-		cfg:       cfg,
-		ln:        ln,
-		conns:     make(map[net.Conn]struct{}),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
@@ -122,60 +92,10 @@ func newServer(addr string, nodes map[string]Node, order []string, cfg ServerCon
 // empty channel routes to the host's default channel.
 func (s *Server) nodeFor(channelID string) (Node, string, bool) {
 	if channelID == "" {
-		channelID = s.defaultCh
+		channelID = s.order[0]
 	}
 	node, ok := s.nodes[channelID]
 	return node, channelID, ok
-}
-
-// Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener, tears down open connections, and waits for
-// handlers to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serve(conn)
-		}()
-	}
 }
 
 // count bumps a server-side transport counter when metrics are configured.
@@ -194,10 +114,7 @@ func (s *Server) count(name string) {
 // body does not decode (unknown op, torn layout) is answered with
 // CodeBadRequest and the connection stays open: the frame boundary held.
 func (s *Server) serve(conn net.Conn) {
-	var rw net.Conn = conn
-	if s.cfg.Metrics != nil {
-		rw = &countingConn{Conn: conn, reg: s.cfg.Metrics}
-	}
+	rw := network.CountConn(conn, s.cfg.Metrics)
 	shaped := network.NewShapedConn(rw, s.cfg.Shape)
 	for {
 		// Each request is read into a buffer of its own: a delivered block

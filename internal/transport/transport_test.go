@@ -4,14 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/gossip"
 	"github.com/hyperprov/hyperprov/internal/identity"
+	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/network"
 	"github.com/hyperprov/hyperprov/internal/peer"
 	"github.com/hyperprov/hyperprov/internal/shim"
@@ -26,6 +29,9 @@ type fixture struct {
 	msp    *identity.MSP
 	client *identity.SigningIdentity
 	nextTx int
+	// hosts maps each newPeer channel instance back to the single-channel
+	// host NewHostServer serves it through.
+	hosts map[*peer.Peer]*peer.Host
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -38,7 +44,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, ca: ca, msp: identity.NewMSP(ca), client: client}
+	return &fixture{t: t, ca: ca, msp: identity.NewMSP(ca), client: client, hosts: make(map[*peer.Peer]*peer.Host)}
 }
 
 func (f *fixture) newPeer(name string) *peer.Peer {
@@ -52,6 +58,7 @@ func (f *fixture) newPeer(name string) *peer.Peer {
 		f.t.Fatal(err)
 	}
 	p := host.Channel("ch")
+	f.hosts[p] = host
 	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(),
 		endorser.SignedBy("Org1MSP")); err != nil {
 		f.t.Fatal(err)
@@ -62,7 +69,6 @@ func (f *fixture) newPeer(name string) *peer.Peer {
 
 func (f *fixture) serverConfig() ServerConfig {
 	return ServerConfig{
-		ChannelID:  "ch",
 		Orgs:       []string{"Org1"},
 		CACertsPEM: [][]byte{f.ca.CertPEM()},
 	}
@@ -70,7 +76,7 @@ func (f *fixture) serverConfig() ServerConfig {
 
 func (f *fixture) serve(p *peer.Peer) *Server {
 	f.t.Helper()
-	srv, err := NewServer("127.0.0.1:0", p, f.serverConfig())
+	srv, err := NewHostServer("127.0.0.1:0", f.hosts[p], f.serverConfig())
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -356,7 +362,7 @@ func TestMidStreamDisconnect(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				reply := func(body []byte) { _ = network.WriteFrame(conn, body) }
+				reply := func(body []byte) { _ = network.WriteFrameExt(conn, "", "", body) }
 				ok := network.AppendStatus(nil, network.CodeNone, "")
 				for {
 					body, err := network.ReadFrame(conn)
@@ -442,7 +448,13 @@ func TestOversizedFrameClosesConnection(t *testing.T) {
 			}(conn)
 		}
 	}()
-	c := &Client{addr: ln.Addr().String(), cfg: ClientConfig{}.withDefaults()}
+	// No hello: the client is assembled on a bare network.Client.
+	nc, err := network.Dial(ln.Addr().String(), network.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{nc: nc}
+	defer c.Close()
 	if _, err := c.Height(); err == nil || !errors.Is(err, network.ErrFrameTooLarge) {
 		t.Errorf("oversized response err = %v, want ErrFrameTooLarge", err)
 	}
@@ -457,7 +469,7 @@ func TestReconnectAfterRestartConvergence(t *testing.T) {
 	edge := f.newPeer("peer1")
 	f.commitTx(source, "before-restart")
 
-	srv, err := NewServer("127.0.0.1:0", source, f.serverConfig())
+	srv, err := NewHostServer("127.0.0.1:0", f.hosts[source], f.serverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +494,7 @@ func TestReconnectAfterRestartConvergence(t *testing.T) {
 	}
 	f.commitTx(source, "during-outage")
 	time.Sleep(50 * time.Millisecond) // let a few failed rounds exercise the backoff path
-	srv2, err := NewServer(addr, source, f.serverConfig())
+	srv2, err := NewHostServer(addr, f.hosts[source], f.serverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,5 +530,52 @@ func TestDialBackoffFailsFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("backoff fail-fast took %v", elapsed)
+	}
+}
+
+// TestUndecodableReplyKeepsConnection: a reply frame that arrives whole but
+// does not decode fails that call only — the frame boundary held, the rule
+// the servers follow for requests — so the next call runs on the same
+// connection with no redial.
+func TestUndecodableReplyKeepsConnection(t *testing.T) {
+	var conns atomic.Int32
+	ok := network.AppendStatus(nil, network.CodeNone, "")
+	srv, err := network.Listen("127.0.0.1:0", func(conn net.Conn) {
+		conns.Add(1)
+		torn := true
+		for {
+			body, err := network.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			reply := appendHello(ok, &HelloInfo{Name: "garbler"})
+			if req, _ := decodeRequest(body); req != nil && req.op == opHeight {
+				if reply = appendHeight(ok, 7); torn {
+					reply, torn = []byte{0x00, 0xFF}, false // success status, unterminated uvarint
+				}
+			}
+			if network.WriteFrameExt(conn, "", "", reply) != nil {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := metrics.NewRegistry()
+	c, err := Dial(srv.Addr(), ClientConfig{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Height(); !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("torn reply: err = %v, want a codec decode error", err)
+	}
+	if h, err := c.Height(); err != nil || h != 7 {
+		t.Fatalf("Height after a torn reply = %d, %v", h, err)
+	}
+	if n, re := conns.Load(), reg.Snapshot()[metrics.TransportReconnects]; n != 1 || re != 0 {
+		t.Errorf("server saw %d connections, %d reconnects; want 1 and 0", n, re)
 	}
 }

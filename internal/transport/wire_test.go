@@ -202,7 +202,7 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	exchange := func(body []byte) (*codec.Dec, error) {
 		t.Helper()
-		if err := network.WriteFrame(conn, body); err != nil {
+		if err := network.WriteFrameExt(conn, "", "", body); err != nil {
 			t.Fatal(err)
 		}
 		reply, err := network.ReadFrame(conn)

@@ -1,5 +1,5 @@
 // Command hyperprov-vet is the repo's domain-specific vet tool: a
-// multichecker over the five analyzers in the hyperprov package, run from
+// multichecker over the seven analyzers in the hyperprov package, run from
 // `make lint` as
 //
 //	go vet -vettool=$(pwd)/tools/analyzers/bin/hyperprov-vet ./...

@@ -32,6 +32,11 @@ func TestNoJSONWire(t *testing.T) {
 		"nojsonwire/transport", "nojsonwire/other")
 }
 
+func TestOneSocket(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), hyperprov.OneSocket,
+		"onesocket/transport", "onesocket/network")
+}
+
 func TestWallTime(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), hyperprov.WallTime,
 		"walltime/committer", "walltime/other")

@@ -9,6 +9,8 @@
 //	metricnames   metric families are compile-time constant snake_case names (PR 6/8)
 //	nojsonwire    the packages that own a wire never import encoding/json or
 //	              encoding/base64: frame bodies are internal/codec encodings (PR 17)
+//	onesocket     only internal/network (and internal/admin, HTTP) opens sockets:
+//	              TCP services stand on network.Listen / network.Dial (PR 22)
 //	walltime      the commit/MVCC decision path stays deterministic: wall-clock
 //	              reads only through the metrics seam (PR 7)
 //
@@ -26,6 +28,7 @@ func All() []*analysis.Analyzer {
 		LockSafe,
 		MetricNames,
 		NoJSONWire,
+		OneSocket,
 		WallTime,
 	}
 }

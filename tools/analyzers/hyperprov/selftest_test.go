@@ -16,6 +16,7 @@ var violationFixture = map[string]string{
 	"locksafe":    "locksafe/committer",
 	"metricnames": "metricnames/app",
 	"nojsonwire":  "nojsonwire/transport",
+	"onesocket":   "onesocket/transport",
 	"walltime":    "walltime/committer",
 }
 

@@ -14,6 +14,9 @@
 # CPU and allocation profiles of the write path, the payload path and the
 # provenance read path into out/. A profile locates cost; whether a change
 # is a gain is decided by benchmark/ (BENCHMARK.json) alone.
+#
+# Demos: `make demos` runs every program tier-1 only compiles — the five
+# examples/ and hyperprov's three subcommands — and fails on a non-zero exit.
 
 GO ?= go
 
@@ -29,7 +32,7 @@ VETTOOL := tools/analyzers/bin/hyperprov-vet
 
 .PHONY: all fmt fmt-check vet vettool analyze lint build test race bench \
 	bench-modeled benchmark-check profile-post profile-store profile-lineage cover \
-	crash-test cross smoke fuzz test-analyzers
+	crash-test cross smoke demos fuzz test-analyzers
 
 all: build test
 
@@ -167,6 +170,18 @@ crash-test:
 # and state fingerprints across all three.
 smoke:
 	./scripts/smoke_net.sh
+
+# The programs `go build ./...` compiles and no test executes: each example
+# and each hyperprov subcommand assembles its own in-process network, so a
+# re-plumbed fabric/core API that still compiles but no longer runs shows
+# here (~15s; output is the walkthroughs' own).
+demos:
+	@set -e; for d in examples/*/; do \
+		echo "== go run ./$$d"; $(GO) run ./$$d; \
+	done; \
+	for sub in "" query recover; do \
+		echo "== hyperprov $$sub"; $(GO) run ./cmd/hyperprov $$sub; \
+	done
 
 # Cross-compilation for the paper's ARM edge boards; vet runs per arch so
 # size/alignment assumptions surface without qemu.

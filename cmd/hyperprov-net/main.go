@@ -224,8 +224,9 @@ func runPeerServe(o options) error {
 		return err
 	}
 	defer n.Stop()
-	for _, ch := range n.Channels() {
-		if err := n.DeployChaincodeOn(ch, provenance.ChaincodeName,
+	channels := n.Channels()
+	for _, ch := range channels {
+		if err := ch.DeployChaincode(provenance.ChaincodeName,
 			func() shim.Chaincode { return provenance.New() }); err != nil {
 			return err
 		}
@@ -233,13 +234,9 @@ func runPeerServe(o options) error {
 	// Host 0's per-channel peer instances feed the admin endpoint's
 	// channel-labeled metrics and per-channel health.
 	var chPeers []*peer.Peer
-	if len(n.Channels()) > 1 {
-		for _, ch := range n.Channels() {
-			peers, err := n.ChannelPeers(ch)
-			if err != nil {
-				return err
-			}
-			chPeers = append(chPeers, peers[0])
+	if len(channels) > 1 {
+		for _, ch := range channels {
+			chPeers = append(chPeers, ch.Peers()[0])
 		}
 	}
 	adminSrv, err := o.startAdmin(n.Peers()[0], chPeers, n.Metrics(), n.Tracer(),
@@ -265,8 +262,8 @@ func runPeerServe(o options) error {
 	}
 	// Submit the same keys on every channel: isolation means they land on
 	// disjoint ledgers with independent fingerprints.
-	for _, ch := range n.Channels() {
-		gw, err := n.Gateway(ch)
+	for _, ch := range channels {
+		gw, err := ch.NewGateway("client-" + ch.ChannelID())
 		if err != nil {
 			return err
 		}
@@ -277,32 +274,25 @@ func runPeerServe(o options) error {
 		for i := 0; i < o.txs; i++ {
 			key := fmt.Sprintf("net-item-%d", i)
 			if _, err := client.StoreData(key, payload, core.PostOptions{
-				Meta: map[string]string{"transport": "tcp", "channel": ch},
+				Meta: map[string]string{"transport": "tcp", "channel": ch.ChannelID()},
 			}); err != nil {
-				return fmt.Errorf("store %s on %s: %w", key, ch, err)
+				return fmt.Errorf("store %s on %s: %w", key, ch.ChannelID(), err)
 			}
 		}
 	}
-	for _, ch := range n.Channels() {
-		peers, err := n.ChannelPeers(ch)
-		if err != nil {
-			return err
-		}
-		for _, p := range peers {
+	for _, ch := range channels {
+		for _, p := range ch.Peers() {
 			p.Sync()
 		}
 	}
 	p0 := n.Peers()[0]
 	fmt.Printf("PEERS %s\n", strings.Join(n.PeerAddrs(), ","))
 	fmt.Printf("PRIMARY height=%d fingerprint=%s\n", p0.Height(), p0.StateFingerprint())
-	if chs := n.Channels(); len(chs) > 1 {
-		for _, ch := range chs {
-			peers, err := n.ChannelPeers(ch)
-			if err != nil {
-				return err
-			}
+	if len(channels) > 1 {
+		for _, ch := range channels {
+			p := ch.Peers()[0]
 			fmt.Printf("PRIMARY channel=%s height=%d fingerprint=%s\n",
-				ch, peers[0].Height(), peers[0].StateFingerprint())
+				ch.ChannelID(), p.Height(), p.StateFingerprint())
 		}
 	}
 	fmt.Println("serving peer transport; Ctrl-C to exit")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
@@ -69,49 +68,18 @@ func (h *recoverHarness) commitRecord(p *peer.Peer, key, checksum string) error 
 	if err != nil {
 		return err
 	}
-	creator := h.client.Serialize()
-	txID, err := endorser.NewTxID(creator)
+	prop, err := endorser.NewProposal(h.client, "hyperprov", provenance.ChaincodeName, provenance.FnSet, [][]byte{args})
 	if err != nil {
 		return err
 	}
-	prop := &endorser.Proposal{
-		TxID:      txID,
-		ChannelID: "hyperprov",
-		Chaincode: provenance.ChaincodeName,
-		Function:  provenance.FnSet,
-		Args:      [][]byte{args},
-		Creator:   creator,
-		Timestamp: time.Now().UTC(),
-	}
-	sig, err := h.client.Sign(prop.SignedBytes())
-	if err != nil {
-		return err
-	}
-	prop.Signature = sig
 	resp, err := p.ProcessProposal(prop)
 	if err != nil {
 		return err
 	}
-	env := blockstore.Envelope{
-		TxID:      prop.TxID,
-		ChannelID: prop.ChannelID,
-		Chaincode: prop.Chaincode,
-		Function:  prop.Function,
-		Args:      prop.Args,
-		Creator:   prop.Creator,
-		Timestamp: prop.Timestamp,
-		RWSet:     resp.RWSet,
-		Response:  resp.Payload,
-		Events:    resp.Events,
-		Endorsements: []blockstore.Endorsement{
-			{Endorser: resp.Endorser, Signature: resp.Signature},
-		},
-	}
-	envSig, err := h.client.Sign(env.SignedBytes())
+	env, err := endorser.NewEnvelope(prop, []*endorser.Response{resp}, h.client)
 	if err != nil {
 		return err
 	}
-	env.Signature = envSig
 	b, err := blockstore.NewBlock(p.Height(), p.Ledger().LastHash(), []blockstore.Envelope{env})
 	if err != nil {
 		return err

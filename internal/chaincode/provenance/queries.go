@@ -68,21 +68,30 @@ func (cc *Chaincode) list(stub *shim.Stub) shim.Response {
 	if in.Prefix != "" {
 		end = in.Prefix + "\xff"
 	}
-	kvs, err := stub.GetStateByRange(start, end)
-	if err != nil {
-		return shim.Errorf("list: %v", err)
-	}
+	// Each state page asks for exactly what the listing still lacks, so the
+	// read — and the phantom window recorded for it — is O(limit), not
+	// O(range). A second page is fetched only when the first held entries
+	// the listing skips.
 	var records [][]byte
-	next := ""
-	for _, kv := range kvs {
-		if !strings.HasPrefix(kv.Key, in.Prefix) || !isRecord(kv.Value) {
-			continue // the latter: non-record plain key (none today, defensive)
+	next, bookmark := "", ""
+	for len(records) < in.Limit {
+		kvs, more, err := stub.GetStateByRangeWithPagination(start, end, in.Limit-len(records), bookmark)
+		if err != nil {
+			return shim.Errorf("list: %v", err)
 		}
-		records = append(records, kv.Value)
-		if len(records) == in.Limit {
-			next = kv.Key
+		for _, kv := range kvs {
+			if !strings.HasPrefix(kv.Key, in.Prefix) || !isRecord(kv.Value) {
+				continue // the latter: non-record plain key (none today, defensive)
+			}
+			records = append(records, kv.Value)
+			if len(records) == in.Limit {
+				next = kv.Key // necessarily the page's last entry
+			}
+		}
+		if more == "" {
 			break
 		}
+		bookmark = more
 	}
 	return shim.Success(pagePayload(records, next))
 }

@@ -176,3 +176,57 @@ func TestVersionReported(t *testing.T) {
 		t.Errorf("version = %q %s", resp.Payload, resp.Message)
 	}
 }
+
+// A page of list must read O(limit) state, not O(range): over 500 records a
+// limit-10 page records at most 11 keys in its phantom-protection range read
+// (the page plus the one-key lookahead), and walking Next to exhaustion
+// still returns exactly what one scan of the whole range returns.
+func TestListReadsOnlyItsPage(t *testing.T) {
+	l := newLedger(t)
+	const total = 500
+	for i := 0; i < total; i++ {
+		l.set(t, fmt.Sprintf("item/%04d", i), fmt.Sprintf("c%d", i))
+	}
+	in, err := json.Marshal(listArgs{Prefix: "item/", Limit: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := l.stub(FnList, [][]byte{in})
+	if resp := l.cc.Invoke(stub); resp.Status != shim.OK {
+		t.Fatalf("list: %s", resp.Message)
+	}
+	observed := 0
+	for _, rr := range stub.RWSet().RangeReads {
+		observed += len(rr.Keys)
+	}
+	if observed == 0 || observed > 11 {
+		t.Errorf("a limit-10 page recorded %d keys in its range reads, want 1..11", observed)
+	}
+
+	scan, err := l.stub(FnList, nil).GetStateByRange("item/", "item/\xff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walked []string
+	for after, pages := "", 0; ; pages++ {
+		if pages > total/10+1 {
+			t.Fatal("pagination did not terminate")
+		}
+		p := l.listPage(t, "item/", after, 10)
+		for _, rec := range p.Records {
+			walked = append(walked, rec.Key)
+		}
+		if p.Next == "" {
+			break
+		}
+		after = p.Next
+	}
+	if len(walked) != len(scan) || len(scan) != total {
+		t.Fatalf("walked %d keys, one scan holds %d, want %d", len(walked), len(scan), total)
+	}
+	for i, kv := range scan {
+		if walked[i] != kv.Key {
+			t.Fatalf("key %d: walked %q, scan %q", i, walked[i], kv.Key)
+		}
+	}
+}

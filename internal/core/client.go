@@ -67,28 +67,16 @@ type Client struct {
 type Option func(*options)
 
 type options struct {
-	channel string
-	timeout time.Duration
-	store   offchain.Store
+	store offchain.Store
 }
-
-// WithChannel rebinds the client to another channel of the gateway's
-// network. The derived binding keeps the gateway's identity but fans
-// proposals to the target channel's peers; remote endorsers attached to the
-// original gateway are not carried over.
-func WithChannel(ch string) Option { return func(o *options) { o.channel = ch } }
-
-// WithTimeout sets the submit-to-commit wait on the client's gateway
-// binding. Zero or negative keeps the gateway's current timeout.
-func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout = d } }
 
 // WithStore attaches the off-chain storage backend, enabling the
 // StoreData/GetData operators.
 func WithStore(s offchain.Store) Option { return func(o *options) { o.store = s } }
 
-// New creates a HyperProv client over a fabric gateway. With no options the
-// client is bound to the gateway's channel with on-chain operators only;
-// see WithChannel, WithTimeout, and WithStore.
+// New creates a HyperProv client over a fabric gateway, bound to the
+// gateway's channel and commit timeout. With no options it has the on-chain
+// operators only; see WithStore.
 func New(gw *fabric.Gateway, opts ...Option) (*Client, error) {
 	if gw == nil {
 		return nil, errors.New("hyperprov: nil gateway")
@@ -96,15 +84,6 @@ func New(gw *fabric.Gateway, opts ...Option) (*Client, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.channel != "" && o.channel != gw.ChannelID() {
-		var err error
-		if gw, err = gw.ForChannel(o.channel); err != nil {
-			return nil, err
-		}
-	}
-	if o.timeout > 0 {
-		gw.SetCommitTimeout(o.timeout)
 	}
 	return &Client{gw: gw, store: o.store}, nil
 }
@@ -231,10 +210,12 @@ func (c *Client) GetStats() (*Stats, error) {
 	return &s, nil
 }
 
-// CheckTxn looks up a transaction by id on the committing peer's ledger and
-// returns its envelope timestamp, block number, and validation status.
+// CheckTxn looks up a transaction by id on the ledgers of the client's own
+// channel (it operates below the chaincode layer, as in the paper's tooling,
+// and never reads a sibling tenant's ledger) and returns its envelope
+// timestamp, block number, and validation status.
 func (c *Client) CheckTxn(txID string) (*TxStatus, error) {
-	for _, p := range c.gwPeers() {
+	for _, p := range c.gw.Channel().Peers() {
 		env, code, err := p.Ledger().GetTx(txID)
 		if err != nil {
 			continue
@@ -311,34 +292,13 @@ func (c *Client) GetData(key string) ([]byte, *Record, error) {
 	return data, rec, nil
 }
 
-// VerifyLedger audits the hash chain of every peer's ledger copy.
+// VerifyLedger audits the hash chain of every peer's copy of the client's
+// channel ledger.
 func (c *Client) VerifyLedger() error {
-	for _, p := range c.gwPeers() {
+	for _, p := range c.gw.Channel().Peers() {
 		if err := p.Ledger().VerifyChain(); err != nil {
 			return fmt.Errorf("hyperprov: %s: %w", p.Name(), err)
 		}
 	}
 	return nil
-}
-
-// gwPeers exposes the client channel's peers for ledger-level queries
-// (CheckTxn and audits operate below the chaincode layer, as in the paper's
-// tooling). Scoping to the bound channel keeps audits from reading sibling
-// tenants' ledgers.
-func (c *Client) gwPeers() []peerLedger {
-	peers, err := c.gw.Network().ChannelPeers(c.gw.ChannelID())
-	if err != nil {
-		return nil
-	}
-	out := make([]peerLedger, len(peers))
-	for i, p := range peers {
-		out[i] = p
-	}
-	return out
-}
-
-// peerLedger is the slice of peer behaviour the client needs.
-type peerLedger interface {
-	Name() string
-	Ledger() blockstore.BlockStore
 }

@@ -58,10 +58,10 @@ func newClientWith(t testing.TB, store offchain.Store) *Client {
 // version before the first write and commit as an MVCC conflict.
 func settle(t testing.TB, c *Client) {
 	t.Helper()
-	n := c.gw.Network()
-	want := n.Orderer().Height()
+	ch := c.gw.Channel()
+	want := ch.Orderer().Height()
 	deadline := time.Now().Add(15 * time.Second)
-	for _, p := range n.Peers() {
+	for _, p := range ch.Peers() {
 		for p.Height() < want {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s at height %d, want %d", p.Name(), p.Height(), want)

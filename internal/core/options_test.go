@@ -29,7 +29,7 @@ func newMultiChannelNet(t *testing.T) *fabric.Network {
 	}
 	t.Cleanup(n.Stop)
 	for _, ch := range n.Channels() {
-		if err := n.DeployChaincodeOn(ch, provenance.ChaincodeName,
+		if err := ch.DeployChaincode(provenance.ChaincodeName,
 			func() shim.Chaincode { return provenance.New() }); err != nil {
 			t.Fatal(err)
 		}
@@ -37,22 +37,30 @@ func newMultiChannelNet(t *testing.T) *fabric.Network {
 	return n
 }
 
-// WithChannel must rebind the client to the sibling channel: records posted
-// through it land on that channel only.
+// channelClient binds a fresh client identity to one channel of n.
+func channelClient(t *testing.T, n *fabric.Network, channel, name string) *Client {
+	t.Helper()
+	ch, err := n.Channel(channel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ch.NewGateway(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(gw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// A client over a sibling channel's gateway is bound to that channel:
+// records posted through it land there only.
 func TestWithChannelRebindsClient(t *testing.T) {
 	n := newMultiChannelNet(t)
-	gw, err := n.NewGateway("opts-client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := New(gw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(gw, WithChannel("tenant-b"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := channelClient(t, n, "tenant-a", "opts-client")
+	b := channelClient(t, n, "tenant-b", "opts-client")
 	if a.Channel() != "tenant-a" || b.Channel() != "tenant-b" {
 		t.Fatalf("channels = %q, %q; want tenant-a, tenant-b", a.Channel(), b.Channel())
 	}
@@ -67,32 +75,27 @@ func TestWithChannelRebindsClient(t *testing.T) {
 	}
 }
 
-// An unknown channel must fail at construction, not at first use.
+// An unknown channel must fail when the handle is asked for — before any
+// gateway or client exists — not at first use.
 func TestWithChannelUnknown(t *testing.T) {
 	n := newMultiChannelNet(t)
-	gw, err := n.NewGateway("opts-client2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(gw, WithChannel("tenant-z")); err == nil {
-		t.Fatal("New with unknown channel succeeded")
+	if ch, err := n.Channel("tenant-z"); err == nil {
+		t.Fatalf("Channel(tenant-z) = %v, want unknown-channel error", ch.ChannelID())
 	}
 }
 
-// WithTimeout must make commit waits fail fast; a client built without
-// WithChannel binds to the network's first channel.
+// A gateway's commit timeout must make its client's commit waits fail fast
+// and leave a sibling gateway's alone; a client over a gateway minted by
+// the network itself binds to the network's first channel.
 func TestWithTimeoutAndDefaultChannel(t *testing.T) {
 	n := newMultiChannelNet(t)
-	gw, err := n.NewGateway("opts-client3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(gw, WithChannel("tenant-b"), WithTimeout(time.Nanosecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := channelClient(t, n, "tenant-b", "opts-client3")
+	c.gw.SetCommitTimeout(time.Nanosecond)
 	if _, err := c.Post("too-slow", "sha256:x", PostOptions{}); !errors.Is(err, fabric.ErrCommitTimeout) {
 		t.Fatalf("post with 1ns timeout: err=%v, want commit timeout", err)
+	}
+	if _, err := channelClient(t, n, "tenant-b", "opts-client3b").Post("in-time", "sha256:y", PostOptions{}); err != nil {
+		t.Fatalf("post through a sibling gateway: %v", err)
 	}
 
 	gw2, err := n.NewGateway("opts-client4")
@@ -112,5 +115,29 @@ func TestWithTimeoutAndDefaultChannel(t *testing.T) {
 	}
 	if data, _, err := def.GetData("default-key"); err != nil || string(data) != "payload" {
 		t.Fatalf("GetData: data=%q err=%v", data, err)
+	}
+}
+
+// Watch must deliver the bound channel's record events and none of a
+// sibling's: the tenant-b watcher's first event is tenant-b's write even
+// though tenant-a committed one first.
+func TestWatchIsChannelScoped(t *testing.T) {
+	n := newMultiChannelNet(t)
+	a := channelClient(t, n, "tenant-a", "watch-a")
+	b := channelClient(t, n, "tenant-b", "watch-b")
+	watch := b.Watch(4)
+	if _, err := a.Post("a-key", "sha256:a", PostOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Post("b-key", "sha256:b", PostOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-watch:
+		if ev.Key != "b-key" {
+			t.Fatalf("tenant-b watcher saw %q first, want b-key", ev.Key)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("tenant-b watcher saw no event")
 	}
 }

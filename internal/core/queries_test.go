@@ -73,7 +73,7 @@ func TestGetByCreatorAcrossClients(t *testing.T) {
 // mustGateway enrolls a fresh client identity on the same network.
 func mustGateway(t *testing.T, c *Client, name string) *fabric.Gateway {
 	t.Helper()
-	gw, err := c.gw.Network().NewGateway(name)
+	gw, err := c.gw.Channel().NewGateway(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
@@ -25,21 +24,6 @@ type QueryPage = provenance.QueryPage
 // inside the query document; the returned page carries the next bookmark.
 func (c *Client) RichQuery(query string) (*QueryPage, error) {
 	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnRichQuery, []byte(query))
-	if err != nil {
-		return nil, err
-	}
-	var page QueryPage
-	if err := json.Unmarshal(payload, &page); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode query page: %w", err)
-	}
-	return &page, nil
-}
-
-// RichQueryPage runs a Mango query with explicit pagination: pageSize
-// results per page, resuming from bookmark ("" for the first page).
-func (c *Client) RichQueryPage(query string, pageSize int, bookmark string) (*QueryPage, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnRichQuery,
-		[]byte(query), []byte(strconv.Itoa(pageSize)), []byte(bookmark))
 	if err != nil {
 		return nil, err
 	}

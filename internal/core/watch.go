@@ -16,7 +16,7 @@ type RecordEvent struct {
 // subscription the paper's NodeJS library exposes for reacting to new data
 // items at the edge.
 func (c *Client) Watch(buffer int) <-chan RecordEvent {
-	events := c.gw.Network().Peers()[0].SubscribeEvents(buffer)
+	events := c.gw.Channel().Peers()[0].SubscribeEvents(buffer)
 	out := make(chan RecordEvent, buffer)
 	go func() {
 		defer close(out)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/identity"
 )
@@ -107,6 +108,30 @@ func NewTxID(creator []byte) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
+// NewProposal builds and signs a proposal to invoke fn on chaincode as
+// signer, under a fresh transaction ID and the current time. It is the
+// client half of a submission: whoever holds the signing key runs it.
+func NewProposal(signer *identity.SigningIdentity, channelID, chaincode, fn string, args [][]byte) (*Proposal, error) {
+	creator := signer.Serialize()
+	txID, err := NewTxID(creator)
+	if err != nil {
+		return nil, err
+	}
+	prop := &Proposal{
+		TxID:      txID,
+		ChannelID: channelID,
+		Chaincode: chaincode,
+		Function:  fn,
+		Args:      args,
+		Creator:   creator,
+		Timestamp: time.Now().UTC(),
+	}
+	if prop.Signature, err = signer.SignDigest(prop.SignedDigest()); err != nil {
+		return nil, fmt.Errorf("endorser: sign proposal: %w", err)
+	}
+	return prop, nil
+}
+
 // Response is one peer's endorsement of a simulated proposal.
 type Response struct {
 	TxID      string
@@ -177,6 +202,35 @@ func (r *Response) verifyCached(msp *identity.MSP, onMiss func()) (*identity.Ide
 		return nil, fmt.Errorf("endorser: endorsement signature: %w", err)
 	}
 	return id, nil
+}
+
+// NewEnvelope assembles the transaction prop's endorsers agreed on — the
+// first response's simulation result under every response's endorsement —
+// and signs and seals it as signer. resps must be non-empty and consistent
+// (see CheckEndorsements). One encoding serves the signature and the rest
+// of the envelope's life: block assembly, data hash, gossip and ledger
+// append reuse it.
+func NewEnvelope(prop *Proposal, resps []*Response, signer *identity.SigningIdentity) (blockstore.Envelope, error) {
+	env := blockstore.Envelope{
+		TxID:         prop.TxID,
+		ChannelID:    prop.ChannelID,
+		Chaincode:    prop.Chaincode,
+		Function:     prop.Function,
+		Args:         prop.Args,
+		Creator:      prop.Creator,
+		Timestamp:    prop.Timestamp,
+		RWSet:        resps[0].RWSet,
+		Response:     resps[0].Payload,
+		Events:       resps[0].Events,
+		Endorsements: make([]blockstore.Endorsement, len(resps)),
+	}
+	for i, r := range resps {
+		env.Endorsements[i] = blockstore.Endorsement{Endorser: r.Endorser, Signature: r.Signature}
+	}
+	if err := env.SealSigned(signer.SignDigest); err != nil {
+		return blockstore.Envelope{}, fmt.Errorf("endorser: sign envelope: %w", err)
+	}
+	return env, nil
 }
 
 // Policy is an endorsement policy over organization MSP IDs.

@@ -137,28 +137,37 @@ func PolicyFor(orgs []string) endorser.Policy {
 	return endorser.AnyOrg(orgs)
 }
 
-// channelRuntime bundles one channel's moving parts: its ordering instance,
-// the per-host peer instances committing on it, and its gossip stream.
-// Channels never share any of these, which is why their pipelines never
-// contend.
-type channelRuntime struct {
+// Channel is the handle to one application channel of a network: its
+// ordering instance, the per-host peer instances committing on it, and its
+// gossip stream. Channels never share any of these, which is why their
+// pipelines never contend. Every channel-scoped operation — deploying
+// chaincode, minting a gateway, joining a remote peer — is a method here;
+// Network promotes its first channel's, so a single-channel deployment
+// never names one.
+type Channel struct {
+	net     *Network
 	id      string
 	orderer orderer.Service
 	peers   []*peer.Peer
 	gossip  *gossip.Network
 }
 
+// firstChannel is the name Network embeds its first channel under, keeping
+// the method name Network.Channel free for the lookup.
+type firstChannel = Channel
+
 // Network is an assembled, running network: N peer hosts, each serving
 // every configured channel, with one orderer instance and one gossip stream
-// per channel.
+// per channel. It embeds its first channel — the paper's single channel —
+// so n.Peers(), n.NewGateway(id) and the rest of the Channel methods act on
+// that one; Channel and Channels reach the others.
 type Network struct {
+	*firstChannel
 	cfg        Config
 	cas        []*identity.CA
 	ca         *identity.CA // CA of the first org; used for client enrollment
 	msp        *identity.MSP
-	hosts      []*peer.Host
-	channels   map[string]*channelRuntime
-	chOrder    []string
+	channels   []*Channel
 	servers    []*transport.Server
 	remotes    []*transport.Client
 	clock      device.Clock
@@ -166,15 +175,6 @@ type Network struct {
 	clients    atomic.Int64
 	tracer     *trace.Recorder
 	netMetrics *metrics.Registry
-}
-
-// channelConfigs resolves the configured channel list, defaulting to the
-// paper's single channel.
-func channelConfigs(cfg Config) []ChannelConfig {
-	if len(cfg.Channels) > 0 {
-		return cfg.Channels
-	}
-	return []ChannelConfig{{ID: defaultChannel}}
 }
 
 // NewNetwork assembles and starts a network: it enrolls peer and orderer
@@ -191,10 +191,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = device.RealClock{}
 	}
-	channels := channelConfigs(cfg)
-	chIDs := make([]string, len(channels))
-	for i, chc := range channels {
-		chIDs[i] = chc.ID
+	// An unconfigured channel list means the paper's single channel.
+	channels := cfg.Channels
+	if len(channels) == 0 {
+		channels = []ChannelConfig{{ID: defaultChannel}}
 	}
 	orgs := cfg.Orgs
 	if len(orgs) == 0 {
@@ -217,8 +217,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cas:        cas,
 		ca:         cas[0],
 		msp:        msp,
-		channels:   make(map[string]*channelRuntime, len(channels)),
-		chOrder:    chIDs,
 		clock:      cfg.Clock,
 		policy:     policy,
 		tracer:     trace.NewRecorder(),
@@ -230,8 +228,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	// its own ordering instance: independent batch cutters, block chains,
 	// and subscriber streams.
 	ordExec := device.NewExecutor(cfg.OrdererProfile, cfg.Clock, cfg.Seed+1000)
-	for _, chc := range channels {
-		if n.channels[chc.ID] != nil {
+	chIDs := make([]string, len(channels))
+	for i, chc := range channels {
+		if _, err := n.Channel(chc.ID); err == nil {
+			n.Stop()
 			return nil, fmt.Errorf("fabric: duplicate channel %q", chc.ID)
 		}
 		batch := chc.Batch
@@ -255,9 +255,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 		if st, ok := svc.(interface{ SetTracer(*trace.Recorder) }); ok {
 			st.SetTracer(n.tracer)
 		}
-		n.channels[chc.ID] = &channelRuntime{id: chc.ID, orderer: svc}
+		chIDs[i] = chc.ID
+		n.channels = append(n.channels, &Channel{net: n, id: chc.ID, orderer: svc})
 	}
+	n.firstChannel = n.channels[0]
 
+	hosts := make([]*peer.Host, len(cfg.PeerProfiles))
 	for i, prof := range cfg.PeerProfiles {
 		orgCA := cas[i%len(cas)]
 		name := fmt.Sprintf("peer%d.%s", i, orgCA.Org())
@@ -286,26 +289,24 @@ func NewNetwork(cfg Config) (*Network, error) {
 			n.Stop()
 			return nil, fmt.Errorf("fabric: host %s: %w", name, err)
 		}
-		for _, ch := range chIDs {
-			cr := n.channels[ch]
-			inst := host.Channel(ch)
-			inst.Start(cr.orderer.Subscribe())
-			cr.peers = append(cr.peers, inst)
+		for _, c := range n.channels {
+			inst := host.Channel(c.id)
+			inst.Start(c.orderer.Subscribe())
+			c.peers = append(c.peers, inst)
 		}
-		n.hosts = append(n.hosts, host)
+		hosts[i] = host
 	}
 	if cfg.Gossip {
-		for _, ch := range chIDs {
-			cr := n.channels[ch]
-			members := make([]gossip.Member, len(cr.peers))
-			for i, p := range cr.peers {
+		for _, c := range n.channels {
+			members := make([]gossip.Member, len(c.peers))
+			for i, p := range c.peers {
 				members[i] = p
 			}
 			gcfg := gossip.DefaultConfig()
 			gcfg.Seed = cfg.Seed
-			cr.gossip = gossip.New(gcfg, members...)
-			cr.gossip.SetMetrics(n.netMetrics)
-			cr.gossip.SetTracer(n.tracer)
+			c.gossip = gossip.New(gcfg, members...)
+			c.gossip.SetMetrics(n.netMetrics)
+			c.gossip.SetTracer(n.tracer)
 		}
 	}
 	if cfg.PeerListen {
@@ -320,7 +321,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 			Metrics:    n.netMetrics,
 			Tracer:     n.tracer,
 		}
-		for i, host := range n.hosts {
+		for i, host := range hosts {
 			addr := "127.0.0.1:0"
 			if i < len(cfg.PeerListenAddrs) {
 				addr = cfg.PeerListenAddrs[i]
@@ -336,27 +337,22 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// channel resolves a channel ID ("" = default channel) to its runtime.
-func (n *Network) channel(ch string) (*channelRuntime, error) {
-	if ch == "" {
-		ch = n.chOrder[0]
+// Channel returns the handle of one served channel.
+func (n *Network) Channel(id string) (*Channel, error) {
+	for _, c := range n.channels {
+		if c.id == id {
+			return c, nil
+		}
 	}
-	cr, ok := n.channels[ch]
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown channel %q (serving %v)", ch, n.chOrder)
+	served := make([]string, len(n.channels))
+	for i, c := range n.channels {
+		served[i] = c.id
 	}
-	return cr, nil
+	return nil, fmt.Errorf("fabric: unknown channel %q (serving %v)", id, served)
 }
 
-// mustChannel is channel for the default-channel accessors, which have no
-// error path and always name a served channel.
-func (n *Network) mustChannel(ch string) *channelRuntime {
-	cr, err := n.channel(ch)
-	if err != nil {
-		panic(err)
-	}
-	return cr
-}
+// Channels returns the served channels in configuration order.
+func (n *Network) Channels() []*Channel { return append([]*Channel(nil), n.channels...) }
 
 // PeerAddrs returns the listen addresses of the exposed peers, in peer
 // order (empty unless PeerListen was set).
@@ -366,95 +362,6 @@ func (n *Network) PeerAddrs() []string {
 		addrs[i] = s.Addr()
 	}
 	return addrs
-}
-
-// JoinRemote dials a peer served by another process and joins it to the
-// default channel's gossip membership: local peers pull the remote's blocks
-// and push it theirs over TCP, with shape applied to this side's writes.
-// The network must have been created with Gossip enabled.
-func (n *Network) JoinRemote(addr string, shape network.LinkShape) (*transport.Member, error) {
-	return n.JoinRemoteChannel(addr, "", shape)
-}
-
-// JoinRemoteChannel dials one channel of a (possibly multi-channel) host
-// served by another process and joins it to that channel's gossip
-// membership. The dial fails with transport.ErrUnknownChannel when the
-// remote host does not serve ch; an empty ch targets the remote's default
-// channel and joins the local default channel's gossip stream.
-func (n *Network) JoinRemoteChannel(addr, ch string, shape network.LinkShape) (*transport.Member, error) {
-	cr, err := n.channel(ch)
-	if err != nil {
-		return nil, err
-	}
-	if cr.gossip == nil {
-		return nil, errors.New("fabric: gossip not enabled")
-	}
-	client, err := transport.Dial(addr, transport.ClientConfig{
-		Channel: ch,
-		Shape:   shape,
-		Metrics: n.netMetrics,
-		Tracer:  n.tracer,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fabric: join %s: %w", addr, err)
-	}
-	member, err := client.Member()
-	if err != nil {
-		client.Close()
-		return nil, fmt.Errorf("fabric: join %s: %w", addr, err)
-	}
-	n.remotes = append(n.remotes, client)
-	cr.gossip.Add(member)
-	return member, nil
-}
-
-// AddGossipPeer adds a default-channel peer that is NOT subscribed to the
-// ordering service: it receives blocks exclusively through gossip
-// anti-entropy, modelling an edge node without connectivity to the orderer.
-// The network must have been created with Gossip enabled. The new peer has
-// the full chaincode set installed.
-func (n *Network) AddGossipPeer(prof device.Profile, ccs map[string]shim.Chaincode) (*peer.Peer, error) {
-	cr := n.mustChannel("")
-	if cr.gossip == nil {
-		return nil, errors.New("fabric: gossip not enabled")
-	}
-	name := fmt.Sprintf("peer%d.%s", len(cr.peers), n.ca.Org())
-	signer, err := n.ca.Enroll(name, identity.RolePeer)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: enroll %s: %w", name, err)
-	}
-	host, err := peer.NewHost(peer.Config{
-		Name:     name,
-		Signer:   signer,
-		MSP:      n.msp,
-		Executor: device.NewExecutor(prof, n.clock, n.cfg.Seed+int64(len(cr.peers))*17),
-		Channels: []string{cr.id},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fabric: host %s: %w", name, err)
-	}
-	p := host.Channel(cr.id)
-	for ccName, cc := range ccs {
-		if err := p.InstallChaincode(ccName, cc, n.policy); err != nil {
-			return nil, err
-		}
-	}
-	cr.peers = append(cr.peers, p)
-	cr.gossip.Add(p)
-	return p, nil
-}
-
-// Gossip returns the default channel's gossip network, or nil when disabled.
-func (n *Network) Gossip() *gossip.Network { return n.mustChannel("").gossip }
-
-// GossipFor returns one channel's gossip network (nil when gossip is
-// disabled) or an error for an unknown channel.
-func (n *Network) GossipFor(ch string) (*gossip.Network, error) {
-	cr, err := n.channel(ch)
-	if err != nil {
-		return nil, err
-	}
-	return cr.gossip, nil
 }
 
 // Tracer returns the network's transaction-lifecycle trace recorder. The
@@ -476,9 +383,9 @@ func (n *Network) Remotes() []*transport.Client { return n.remotes }
 // Stop shuts down every channel's ordering service and gossip stream, the
 // transport servers and clients, and all peer hosts.
 func (n *Network) Stop() {
-	for _, ch := range n.chOrder {
-		if cr := n.channels[ch]; cr != nil && cr.gossip != nil {
-			cr.gossip.Stop()
+	for _, c := range n.channels {
+		if c.gossip != nil {
+			c.gossip.Stop()
 		}
 	}
 	for _, c := range n.remotes {
@@ -487,45 +394,14 @@ func (n *Network) Stop() {
 	for _, s := range n.servers {
 		s.Close()
 	}
-	for _, ch := range n.chOrder {
-		if cr := n.channels[ch]; cr != nil && cr.orderer != nil {
-			cr.orderer.Stop()
+	for _, c := range n.channels {
+		c.orderer.Stop()
+	}
+	for _, c := range n.channels {
+		for _, p := range c.peers {
+			p.Stop()
 		}
 	}
-	for _, ch := range n.chOrder {
-		if cr := n.channels[ch]; cr != nil {
-			for _, p := range cr.peers {
-				p.Stop()
-			}
-		}
-	}
-}
-
-// Peers returns the default channel's peer instances.
-func (n *Network) Peers() []*peer.Peer { return n.mustChannel("").peers }
-
-// ChannelPeers returns one channel's peer instances, in host order.
-func (n *Network) ChannelPeers(ch string) ([]*peer.Peer, error) {
-	cr, err := n.channel(ch)
-	if err != nil {
-		return nil, err
-	}
-	return cr.peers, nil
-}
-
-// Hosts returns the network's peer hosts, each serving every channel.
-func (n *Network) Hosts() []*peer.Host { return n.hosts }
-
-// Orderer returns the default channel's ordering service.
-func (n *Network) Orderer() orderer.Service { return n.mustChannel("").orderer }
-
-// OrdererFor returns one channel's ordering service.
-func (n *Network) OrdererFor(ch string) (orderer.Service, error) {
-	cr, err := n.channel(ch)
-	if err != nil {
-		return nil, err
-	}
-	return cr.orderer, nil
 }
 
 // MSP returns the network's membership service provider.
@@ -538,147 +414,170 @@ func (n *Network) CA() *identity.CA { return n.ca }
 // CAs returns every organization's certificate authority.
 func (n *Network) CAs() []*identity.CA { return n.cas }
 
-// NewGatewayFor enrolls a client identity with a specific org's CA,
-// bound to the default channel.
-func (n *Network) NewGatewayFor(org, clientID string) (*Gateway, error) {
-	for _, ca := range n.cas {
-		if ca.Org() != org {
-			continue
-		}
-		signer, seq, err := n.enroll(ca, clientID)
-		if err != nil {
-			return nil, err
-		}
-		return n.newGateway(signer, n.clientExecutor(seq), n.chOrder[0])
-	}
-	return nil, fmt.Errorf("fabric: unknown org %q", org)
-}
-
-// Gateway enrolls a client identity and returns a gateway bound to one
-// channel: its submits endorse on, order through, and commit-wait against
-// that channel's pipeline only. An empty ch binds the default channel.
-func (n *Network) Gateway(ch string) (*Gateway, error) {
-	cr, err := n.channel(ch)
-	if err != nil {
-		return nil, err
-	}
-	return n.gatewayOn(cr.id, "client-"+cr.id)
-}
-
-// gatewayOn enrolls clientID on the first org's CA and binds the gateway
-// to channel ch (already resolved).
-func (n *Network) gatewayOn(ch, clientID string) (*Gateway, error) {
-	signer, seq, err := n.enroll(n.ca, clientID)
-	if err != nil {
-		return nil, err
-	}
-	return n.newGateway(signer, n.clientExecutor(seq), ch)
-}
-
-// enroll mints a client identity on ca under a network-unique enrolment ID
-// (clientID plus the network's client sequence number, which it also
-// returns). Safe for concurrent use.
-func (n *Network) enroll(ca *identity.CA, clientID string) (*identity.SigningIdentity, int64, error) {
-	seq := n.clients.Add(1)
-	signer, err := ca.Enroll(fmt.Sprintf("%s-%d", clientID, seq), identity.RoleClient)
-	if err != nil {
-		return nil, 0, fmt.Errorf("fabric: enroll client: %w", err)
-	}
-	return signer, seq, nil
-}
-
-// clientExecutor models the machine of the seq-th enrolled client: the
-// client process runs on the same device class as the peers.
-func (n *Network) clientExecutor(seq int64) *device.Executor {
-	return device.NewExecutor(n.cfg.PeerProfiles[0], n.clock, n.cfg.Seed+seq*131)
-}
-
-// ChannelID returns the default (first) application channel name.
-func (n *Network) ChannelID() string { return n.chOrder[0] }
-
-// Channels returns the served channel IDs in configuration order.
-func (n *Network) Channels() []string { return append([]string(nil), n.chOrder...) }
-
-// Policy returns the channel's endorsement policy.
+// Policy returns the endorsement policy every channel shares.
 func (n *Network) Policy() endorser.Policy { return n.policy }
 
-// DeployChaincode installs the chaincode on every peer of the default
-// channel and runs its Init through the normal transaction flow so the
-// instantiation is itself on the ledger.
-func (n *Network) DeployChaincode(name string, mk func() shim.Chaincode) error {
-	return n.DeployChaincodeOn("", name, mk)
+// ChannelID returns the channel's name.
+func (c *Channel) ChannelID() string { return c.id }
+
+// Peers returns the channel's peer instances, in host order.
+func (c *Channel) Peers() []*peer.Peer { return c.peers }
+
+// Orderer returns the channel's ordering service.
+func (c *Channel) Orderer() orderer.Service { return c.orderer }
+
+// Gossip returns the channel's gossip network, or nil when disabled.
+func (c *Channel) Gossip() *gossip.Network { return c.gossip }
+
+// JoinRemote dials this channel on a host served by another process and
+// joins it to the channel's gossip membership: local peers pull the
+// remote's blocks and push it theirs over TCP, with shape applied to this
+// side's writes. The hello names the channel, so the dial fails with
+// transport.ErrUnknownChannel when the remote host does not serve it. The
+// network must have been created with Gossip enabled.
+func (c *Channel) JoinRemote(addr string, shape network.LinkShape) (*transport.Member, error) {
+	if c.gossip == nil {
+		return nil, errors.New("fabric: gossip not enabled")
+	}
+	client, err := transport.Dial(addr, transport.ClientConfig{
+		Channel: c.id,
+		Shape:   shape,
+		Metrics: c.net.netMetrics,
+		Tracer:  c.net.tracer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fabric: join %s: %w", addr, err)
+	}
+	member, err := client.Member()
+	if err != nil {
+		client.Close()
+		return nil, fmt.Errorf("fabric: join %s: %w", addr, err)
+	}
+	c.net.remotes = append(c.net.remotes, client)
+	c.gossip.Add(member)
+	return member, nil
 }
 
-// DeployChaincodeOn installs the chaincode on every peer instance of one
-// channel and records its instantiation on that channel's ledger. Installs
-// are channel-scoped: deploying on one channel leaves the others without
-// the chaincode.
-func (n *Network) DeployChaincodeOn(ch, name string, mk func() shim.Chaincode) error {
-	cr, err := n.channel(ch)
-	if err != nil {
-		return err
+// AddGossipPeer adds a peer to the channel that is NOT subscribed to the
+// ordering service: it receives blocks exclusively through gossip
+// anti-entropy, modelling an edge node without connectivity to the orderer.
+// The network must have been created with Gossip enabled. The new peer has
+// the full chaincode set installed.
+func (c *Channel) AddGossipPeer(prof device.Profile, ccs map[string]shim.Chaincode) (*peer.Peer, error) {
+	if c.gossip == nil {
+		return nil, errors.New("fabric: gossip not enabled")
 	}
-	for _, p := range cr.peers {
-		if err := p.InstallChaincode(name, mk(), n.policy); err != nil {
+	n := c.net
+	name := fmt.Sprintf("peer%d.%s", len(c.peers), n.ca.Org())
+	signer, err := n.ca.Enroll(name, identity.RolePeer)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: enroll %s: %w", name, err)
+	}
+	host, err := peer.NewHost(peer.Config{
+		Name:     name,
+		Signer:   signer,
+		MSP:      n.msp,
+		Executor: device.NewExecutor(prof, n.clock, n.cfg.Seed+int64(len(c.peers))*17),
+		Channels: []string{c.id},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fabric: host %s: %w", name, err)
+	}
+	p := host.Channel(c.id)
+	for ccName, cc := range ccs {
+		if err := p.InstallChaincode(ccName, cc, n.policy); err != nil {
+			return nil, err
+		}
+	}
+	c.peers = append(c.peers, p)
+	c.gossip.Add(p)
+	return p, nil
+}
+
+// DeployChaincode installs the chaincode on every peer instance of the
+// channel and runs its Init through the normal transaction flow so the
+// instantiation is itself on the channel's ledger. Installs are
+// channel-scoped: deploying on one channel leaves the others without the
+// chaincode.
+func (c *Channel) DeployChaincode(name string, mk func() shim.Chaincode) error {
+	for _, p := range c.peers {
+		if err := p.InstallChaincode(name, mk(), c.net.policy); err != nil {
 			return err
 		}
 	}
-	gw, err := n.gatewayOn(cr.id, "deployer-"+name)
-	if err != nil {
-		return err
-	}
-	if _, err := gw.Submit(name, peer.InitFunction); err != nil {
-		return fmt.Errorf("fabric: instantiate %q on %q: %w", name, cr.id, err)
-	}
-	return nil
+	return c.runInit("instantiate", name)
 }
 
 // UpgradeChaincode swaps the implementation of a deployed chaincode on
-// every default-channel peer and records the upgrade on the ledger by
+// every peer of the channel and records the upgrade on its ledger by
 // re-running Init through the ordinary transaction flow.
-func (n *Network) UpgradeChaincode(name string, mk func() shim.Chaincode) error {
-	cr := n.mustChannel("")
-	for _, p := range cr.peers {
-		if err := p.UpgradeChaincode(name, mk(), n.policy); err != nil {
+func (c *Channel) UpgradeChaincode(name string, mk func() shim.Chaincode) error {
+	for _, p := range c.peers {
+		if err := p.UpgradeChaincode(name, mk(), c.net.policy); err != nil {
 			return err
 		}
 	}
-	gw, err := n.NewGateway("upgrader-" + name)
+	return c.runInit("upgrade", name)
+}
+
+// runInit submits the chaincode's Init on behalf of a lifecycle operation
+// (op names it in the client identity and in the error).
+func (c *Channel) runInit(op, name string) error {
+	gw, err := c.NewGateway(op + "-" + name)
 	if err != nil {
 		return err
 	}
 	if _, err := gw.Submit(name, peer.InitFunction); err != nil {
-		return fmt.Errorf("fabric: upgrade %q: %w", name, err)
+		return fmt.Errorf("fabric: %s %q on %q: %w", op, name, c.id, err)
 	}
 	return nil
 }
 
-// NewGateway enrolls a client identity and returns a Gateway bound to this
-// network's default channel. The gateway endorses on every peer
-// (satisfying any-org and majority policies alike) and waits for commits
-// on peer 0. Channel-scoped clients use Network.Gateway(ch).
-func (n *Network) NewGateway(clientID string) (*Gateway, error) {
-	// The client process runs on the same device class as the peers (in
-	// the paper the benchmark client runs on one of the machines).
-	return n.gatewayOn(n.chOrder[0], clientID)
+// NewGateway enrolls a client identity on the first org's CA and returns a
+// Gateway bound to this channel: it endorses on every peer of the channel
+// (satisfying any-org and majority policies alike), orders through the
+// channel's orderer and waits for commits on its peer 0. The client runs
+// on a machine of its own, of the same device class as the peers (in the
+// paper the benchmark client runs on one of the machines).
+func (c *Channel) NewGateway(clientID string) (*Gateway, error) {
+	return c.newGateway(c.net.ca, clientID, nil)
 }
 
 // NewGatewayOn is like NewGateway but binds the client to an existing
 // device executor, so several logical clients share one physical machine —
 // the shape of the paper's benchmark program, which drives many concurrent
 // requests from a single node.
-func (n *Network) NewGatewayOn(clientID string, exec *device.Executor) (*Gateway, error) {
-	signer, _, err := n.enroll(n.ca, clientID)
-	if err != nil {
-		return nil, err
-	}
-	return n.newGateway(signer, exec, n.chOrder[0])
+func (c *Channel) NewGatewayOn(clientID string, exec *device.Executor) (*Gateway, error) {
+	return c.newGateway(c.net.ca, clientID, exec)
 }
 
-func (n *Network) newGateway(signer *identity.SigningIdentity, exec *device.Executor, ch string) (*Gateway, error) {
+// NewGatewayFor is NewGateway with the client enrolled on a specific org's
+// CA.
+func (c *Channel) NewGatewayFor(org, clientID string) (*Gateway, error) {
+	for _, ca := range c.net.cas {
+		if ca.Org() == org {
+			return c.newGateway(ca, clientID, nil)
+		}
+	}
+	return nil, fmt.Errorf("fabric: unknown org %q", org)
+}
+
+// newGateway mints a client identity on ca under a network-unique enrolment
+// ID (clientID plus the network's client sequence number) and binds it to
+// the channel. A nil exec models the machine of that sequence number. Safe
+// for concurrent use.
+func (c *Channel) newGateway(ca *identity.CA, clientID string, exec *device.Executor) (*Gateway, error) {
+	n := c.net
+	seq := n.clients.Add(1)
+	signer, err := ca.Enroll(fmt.Sprintf("%s-%d", clientID, seq), identity.RoleClient)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: enroll client: %w", err)
+	}
+	if exec == nil {
+		exec = device.NewExecutor(n.cfg.PeerProfiles[0], n.clock, n.cfg.Seed+seq*131)
+	}
 	return &Gateway{
-		net:           n,
-		channel:       ch,
+		ch:            c,
 		signer:        signer,
 		exec:          exec,
 		commitTimeout: defaultCommitTimeout(n.clock),

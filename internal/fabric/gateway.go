@@ -43,11 +43,9 @@ type Endorser interface {
 // Gateway is the client-side library half of the Fabric SDK: it signs
 // proposals, collects endorsements, submits envelopes to ordering, and
 // waits for commit events — the machinery HyperProv's NodeJS client wraps.
-// A gateway is bound to exactly one channel; ForChannel derives a sibling
-// bound to another channel of the same network.
+// A gateway is bound to exactly one channel, the one that minted it.
 type Gateway struct {
-	net           *Network
-	channel       string
+	ch            *Channel
 	signer        *identity.SigningIdentity
 	exec          *device.Executor
 	commitTimeout time.Duration
@@ -70,28 +68,11 @@ func (g *Gateway) AddEndorser(e Endorser) { g.remote = append(g.remote, e) }
 // Identity returns the gateway's signing identity.
 func (g *Gateway) Identity() *identity.SigningIdentity { return g.signer }
 
-// ChannelID returns the channel this gateway is bound to.
-func (g *Gateway) ChannelID() string { return g.channel }
+// ChannelID returns the name of the channel this gateway is bound to.
+func (g *Gateway) ChannelID() string { return g.ch.id }
 
-// ForChannel returns a gateway with the same identity and executor bound
-// to another channel of the same network. Remote endorsers are not carried
-// over — they were dialled for the original channel.
-func (g *Gateway) ForChannel(ch string) (*Gateway, error) {
-	cr, err := g.net.channel(ch)
-	if err != nil {
-		return nil, err
-	}
-	return &Gateway{
-		net:           g.net,
-		channel:       cr.id,
-		signer:        g.signer,
-		exec:          g.exec,
-		commitTimeout: g.commitTimeout,
-	}, nil
-}
-
-// Network returns the network this gateway is bound to.
-func (g *Gateway) Network() *Network { return g.net }
+// Channel returns the channel this gateway is bound to.
+func (g *Gateway) Channel() *Channel { return g.ch }
 
 // Executor returns the gateway's client-side device executor.
 func (g *Gateway) Executor() *device.Executor { return g.exec }
@@ -103,31 +84,17 @@ func (g *Gateway) SetCommitTimeout(d time.Duration) { g.commitTimeout = d }
 // blocks until it commits (or fails validation / times out).
 func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error) {
 	start := time.Now()
-	creator := g.signer.Serialize()
-	txID, err := endorser.NewTxID(creator)
-	if err != nil {
-		return nil, err
-	}
-	prop := &endorser.Proposal{
-		TxID:      txID,
-		ChannelID: g.channel,
-		Chaincode: chaincode,
-		Function:  fn,
-		Args:      args,
-		Creator:   creator,
-		Timestamp: time.Now().UTC(),
-	}
 	g.exec.Sign()
-	sig, err := g.signer.SignDigest(prop.SignedDigest())
+	prop, err := endorser.NewProposal(g.signer, g.ch.id, chaincode, fn, args)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: sign proposal: %w", err)
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
-	prop.Signature = sig
+	txID := prop.TxID
 
 	// Endorse on this channel's peer instances in parallel (the paper's
 	// client library sends to every peer of the single org), plus any
 	// attached remote endorsers.
-	peers := g.net.mustChannel(g.channel).peers
+	peers := g.ch.peers
 	endorsers := make([]Endorser, 0, len(peers)+len(g.remote))
 	for _, p := range peers {
 		endorsers = append(endorsers, p)
@@ -164,7 +131,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	// through the MSP's verification cache; the modeled client-side verify
 	// cost is charged per actual ECDSA check (onMiss).
 	onMiss := func() { g.exec.Verify() }
-	policy, msp := g.net.Policy(), g.net.MSP()
+	policy, msp := g.ch.net.policy, g.ch.net.msp
 	quorum := len(endorsers)/2 + 1
 	var resps []*endorser.Response
 	var errs []error
@@ -197,30 +164,10 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 		}
 	}
 
-	// Assemble and sign the envelope.
-	env := blockstore.Envelope{
-		TxID:      txID,
-		ChannelID: g.channel,
-		Chaincode: chaincode,
-		Function:  fn,
-		Args:      args,
-		Creator:   creator,
-		Timestamp: prop.Timestamp,
-		RWSet:     resps[0].RWSet,
-		Response:  resps[0].Payload,
-		Events:    resps[0].Events,
-	}
-	for _, r := range resps {
-		env.Endorsements = append(env.Endorsements, blockstore.Endorsement{
-			Endorser:  r.Endorser,
-			Signature: r.Signature,
-		})
-	}
 	g.exec.Sign()
-	// One encoding serves the signature and the rest of the envelope's life:
-	// block assembly, data hash, gossip and ledger append reuse it.
-	if err := env.SealSigned(g.signer.SignDigest); err != nil {
-		return nil, fmt.Errorf("fabric: sign envelope: %w", err)
+	env, err := endorser.NewEnvelope(prop, resps, g.signer)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 
 	// Register for the commit event before submitting (no lost wakeups),
@@ -230,8 +177,8 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	g.exec.Transfer(len(resps[0].RWSet) + 768) // client -> orderer
 	// The propose span covers the client-side work — proposal signing,
 	// endorsement fan-out, and envelope assembly — ending at broadcast.
-	g.net.Tracer().Observe(txID, trace.StagePropose, "gateway", start, "")
-	if err := g.net.mustChannel(g.channel).orderer.Submit(env); err != nil {
+	g.ch.net.tracer.Observe(txID, trace.StagePropose, "gateway", start, "")
+	if err := g.ch.orderer.Submit(env); err != nil {
 		commitPeer.UnregisterTxListener(txID, wait)
 		return nil, fmt.Errorf("fabric: broadcast: %w", err)
 	}
@@ -288,7 +235,7 @@ func (g *Gateway) observeEndorseLatency(name string, d time.Duration) {
 	g.ewma[name] = v
 	g.ewmaMu.Unlock()
 	//hyperprov:allow metricnames suffix is the channel's bounded endorser set, not request input
-	g.net.Metrics().Gauge(metrics.EndorsePeerLatency + "_" + name).Set(int64(v))
+	g.ch.net.netMetrics.Gauge(metrics.EndorsePeerLatency + "_" + name).Set(int64(v))
 }
 
 // largestConsistentGroup partitions endorsements by their simulated-result
@@ -319,7 +266,7 @@ func largestConsistentGroup(resps []*endorser.Response) []*endorser.Response {
 // channel (round-robin would be a refinement; peer 0 matches the paper's
 // client behaviour).
 func (g *Gateway) Evaluate(chaincode, fn string, args ...[]byte) ([]byte, error) {
-	resp, err := g.net.mustChannel(g.channel).peers[0].Query(chaincode, fn, args, g.signer.Serialize())
+	resp, err := g.ch.peers[0].Query(chaincode, fn, args, g.signer.Serialize())
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,12 @@ package fabric
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
+	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
@@ -18,9 +20,8 @@ import (
 
 // newTwoChannelNetwork assembles a network whose peers all serve tenant-a
 // and tenant-b, with the provenance chaincode deployed on both.
-func newTwoChannelNetwork(t *testing.T) *Network {
+func newTwoChannelNetwork(t *testing.T, cfg Config) *Network {
 	t.Helper()
-	cfg := testConfig()
 	cfg.Channels = []ChannelConfig{{ID: "tenant-a"}, {ID: "tenant-b"}}
 	n, err := NewNetwork(cfg)
 	if err != nil {
@@ -28,19 +29,28 @@ func newTwoChannelNetwork(t *testing.T) *Network {
 	}
 	t.Cleanup(n.Stop)
 	for _, ch := range n.Channels() {
-		if err := n.DeployChaincodeOn(ch, provenance.ChaincodeName,
+		if err := ch.DeployChaincode(provenance.ChaincodeName,
 			func() shim.Chaincode { return provenance.New() }); err != nil {
-			t.Fatalf("deploy on %s: %v", ch, err)
+			t.Fatalf("deploy on %s: %v", ch.ChannelID(), err)
 		}
 	}
 	return n
 }
 
-func channelGateway(t *testing.T, n *Network, ch string) *Gateway {
+func channelOf(t *testing.T, n *Network, id string) *Channel {
 	t.Helper()
-	gw, err := n.Gateway(ch)
+	ch, err := n.Channel(id)
 	if err != nil {
-		t.Fatalf("Gateway(%s): %v", ch, err)
+		t.Fatal(err)
+	}
+	return ch
+}
+
+func channelGateway(t *testing.T, n *Network, id string) *Gateway {
+	t.Helper()
+	gw, err := channelOf(t, n, id).NewGateway("client-" + id)
+	if err != nil {
+		t.Fatalf("NewGateway on %s: %v", id, err)
 	}
 	return gw
 }
@@ -55,16 +65,15 @@ func channelGateway(t *testing.T, n *Network, ch string) *Gateway {
 func setRecordSettled(t *testing.T, gw *Gateway, key, checksum string, parents ...string) {
 	t.Helper()
 	setRecord(t, gw, key, checksum, parents...)
-	cr := gw.net.mustChannel(gw.channel)
-	want := cr.orderer.Height()
-	for _, p := range cr.peers {
+	want := gw.ch.orderer.Height()
+	for _, p := range gw.ch.peers {
 		waitForHeight(t, p, want)
 		p.Sync()
 	}
 }
 
 func TestChannelStateAndHistoryIsolation(t *testing.T) {
-	n := newTwoChannelNetwork(t)
+	n := newTwoChannelNetwork(t, testConfig())
 	gwA := channelGateway(t, n, "tenant-a")
 	gwB := channelGateway(t, n, "tenant-b")
 
@@ -119,7 +128,7 @@ func TestChannelStateAndHistoryIsolation(t *testing.T) {
 }
 
 func TestChannelRichQueryIndexIsolation(t *testing.T) {
-	n := newTwoChannelNetwork(t)
+	n := newTwoChannelNetwork(t, testConfig())
 	gwA := channelGateway(t, n, "tenant-a")
 	gwB := channelGateway(t, n, "tenant-b")
 
@@ -168,15 +177,12 @@ func TestChannelRichQueryIndexIsolation(t *testing.T) {
 }
 
 func TestChannelFingerprintUnmovedByNeighbour(t *testing.T) {
-	n := newTwoChannelNetwork(t)
+	n := newTwoChannelNetwork(t, testConfig())
 	gwA := channelGateway(t, n, "tenant-a")
 	gwB := channelGateway(t, n, "tenant-b")
 
 	setRecord(t, gwA, "a-base", "sha256:base")
-	peersA, err := n.ChannelPeers("tenant-a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	peersA := channelOf(t, n, "tenant-a").Peers()
 	// Let the a-base block finish disseminating so the baseline is not
 	// racing ordinary intra-channel propagation.
 	deadline := time.Now().Add(5 * time.Second)
@@ -229,5 +235,146 @@ func TestChannelFingerprintUnmovedByNeighbour(t *testing.T) {
 	}
 	if rec.Checksum != "sha256:base" {
 		t.Errorf("tenant-a record corrupted by tenant-b burst: %+v", rec)
+	}
+}
+
+// The single-channel spelling is promotion of the first channel's methods,
+// not a second code path: the network answers exactly what its first handle
+// does, and an unknown channel errors naming the ones that are served.
+func TestNetworkPromotesItsFirstChannel(t *testing.T) {
+	n := newTwoChannelNetwork(t, testConfig())
+	first := n.Channels()[0]
+	if first != channelOf(t, n, "tenant-a") || len(n.Channels()) != 2 {
+		t.Fatalf("Channels() = %v, want tenant-a first of two", n.Channels())
+	}
+	if n.ChannelID() != first.ChannelID() || n.ChannelID() != "tenant-a" {
+		t.Errorf("ChannelID = %q, first handle's %q", n.ChannelID(), first.ChannelID())
+	}
+	if len(n.Peers()) != len(first.Peers()) {
+		t.Fatalf("Peers() has %d instances, the first channel's %d", len(n.Peers()), len(first.Peers()))
+	}
+	for i, p := range first.Peers() {
+		if n.Peers()[i] != p {
+			t.Errorf("Peers()[%d] is not the first channel's instance", i)
+		}
+	}
+	if n.Orderer() != first.Orderer() {
+		t.Error("Orderer() differs from the first channel's")
+	}
+	if second := channelOf(t, n, "tenant-b"); second.Orderer() == n.Orderer() || second.Peers()[0] == n.Peers()[0] {
+		t.Error("tenant-b shares an orderer or peer instance with the first channel")
+	}
+
+	_, err := n.Channel("nope")
+	if err == nil || !strings.Contains(err.Error(), "tenant-a") || !strings.Contains(err.Error(), "tenant-b") {
+		t.Errorf("Channel(nope) error = %v, want one naming the served channels", err)
+	}
+}
+
+// chaincodeVersion asks whatever is deployed under the provenance chaincode
+// name on gw's channel for its version string.
+func chaincodeVersion(t *testing.T, gw *Gateway) string {
+	t.Helper()
+	payload, err := gw.Evaluate(provenance.ChaincodeName, provenance.FnVersion)
+	if err != nil {
+		t.Fatalf("version on %s: %v", gw.ChannelID(), err)
+	}
+	return string(payload)
+}
+
+// An upgrade is channel-scoped: tenant-b runs the new implementation and its
+// ledger records the upgrade, while tenant-a keeps the old implementation
+// and its height.
+func TestUpgradeChaincodeOnNonFirstChannel(t *testing.T) {
+	n := newTwoChannelNetwork(t, testConfig())
+	a, b := channelOf(t, n, "tenant-a"), channelOf(t, n, "tenant-b")
+	gwA, gwB := channelGateway(t, n, "tenant-a"), channelGateway(t, n, "tenant-b")
+	versionA, heightA, heightB := chaincodeVersion(t, gwA), a.Orderer().Height(), b.Orderer().Height()
+
+	if err := b.UpgradeChaincode(provenance.ChaincodeName,
+		func() shim.Chaincode { return echoChaincode{} }); err != nil {
+		t.Fatalf("upgrade on tenant-b: %v", err)
+	}
+	if got := chaincodeVersion(t, gwB); got != "v2:"+provenance.FnVersion {
+		t.Errorf("tenant-b version after upgrade = %q, want the v2 echo", got)
+	}
+	if got := b.Peers()[0].Height(); got != heightB+1 {
+		t.Errorf("tenant-b height = %d after upgrade, want %d", got, heightB+1)
+	}
+	if got := chaincodeVersion(t, gwA); got != versionA {
+		t.Errorf("tenant-a version moved %q -> %q on a tenant-b upgrade", versionA, got)
+	}
+	if got := a.Orderer().Height(); got != heightA {
+		t.Errorf("tenant-a height moved %d -> %d on a tenant-b upgrade", heightA, got)
+	}
+}
+
+// A gossip-only peer added to tenant-b converges to tenant-b's fingerprint
+// through tenant-b's gossip stream and never receives a tenant-a block.
+func TestAddGossipPeerOnNonFirstChannel(t *testing.T) {
+	cfg := testConfig()
+	cfg.Gossip = true
+	n := newTwoChannelNetwork(t, cfg)
+	b := channelOf(t, n, "tenant-b")
+	edge, err := b.AddGossipPeer(device.RPi3BPlus,
+		map[string]shim.Chaincode{provenance.ChaincodeName: provenance.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(b.Peers()); got != len(n.Peers())+1 {
+		t.Errorf("tenant-b has %d peers, tenant-a %d: the edge joined the wrong channel", got, len(n.Peers()))
+	}
+
+	gwA, gwB := channelGateway(t, n, "tenant-a"), channelGateway(t, n, "tenant-b")
+	for i := 0; i < 3; i++ {
+		setRecord(t, gwA, fmt.Sprintf("a-only-%d", i), "sha256:a")
+	}
+	setRecordSettled(t, gwB, "b-item", "sha256:b")
+
+	primary := b.Peers()[0]
+	waitForHeight(t, edge, primary.Height())
+	edge.Sync()
+	if edge.Height() != primary.Height() || edge.StateFingerprint() != primary.StateFingerprint() {
+		t.Errorf("edge at height %d fingerprint %s, tenant-b primary at %d %s",
+			edge.Height(), edge.StateFingerprint(), primary.Height(), primary.StateFingerprint())
+	}
+	for _, blk := range edge.BlocksFrom(0) {
+		for _, env := range blk.Envelopes {
+			if env.ChannelID != "tenant-b" {
+				t.Fatalf("edge holds a %s transaction in block %d", env.ChannelID, blk.Header.Number)
+			}
+		}
+	}
+	if resp, err := edge.Query(provenance.ChaincodeName, provenance.FnGet,
+		[][]byte{[]byte("a-only-0")}, gwB.Identity().Serialize()); err == nil && resp.Status == shim.OK {
+		t.Error("edge answers a tenant-a key")
+	}
+}
+
+// A gateway minted for a specific org on tenant-b endorses on tenant-b's
+// peers, commits on tenant-b's ledger, and leaves tenant-a's alone.
+func TestNewGatewayForOnNonFirstChannel(t *testing.T) {
+	n := newTwoChannelNetwork(t, multiOrgConfig())
+	a, b := channelOf(t, n, "tenant-a"), channelOf(t, n, "tenant-b")
+	gw, err := b.NewGatewayFor("OrgB", "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gw.Identity().Org() != "OrgB" || gw.Channel() != b || gw.ChannelID() != "tenant-b" {
+		t.Fatalf("gateway org %q on channel %q", gw.Identity().Org(), gw.ChannelID())
+	}
+	heightA := a.Orderer().Height()
+	res := setRecord(t, gw, "orgb-on-b", "sha256:b")
+	if _, _, err := b.Peers()[0].Ledger().GetTx(res.TxID); err != nil {
+		t.Errorf("tenant-b ledger lacks the transaction: %v", err)
+	}
+	if _, _, err := a.Peers()[0].Ledger().GetTx(res.TxID); err == nil {
+		t.Error("tenant-a ledger holds a tenant-b transaction")
+	}
+	if got := a.Orderer().Height(); got != heightA {
+		t.Errorf("tenant-a height moved %d -> %d", heightA, got)
+	}
+	if _, err := b.NewGatewayFor("NoSuchOrg", "x"); err == nil {
+		t.Error("unknown org accepted")
 	}
 }

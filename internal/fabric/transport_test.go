@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -144,5 +145,39 @@ func TestRemoteEndorserThroughGateway(t *testing.T) {
 	served := remote.Metrics().Counter(metrics.EndorsementsServed).Value()
 	if served < 2 {
 		t.Errorf("remote endorser served %d endorsements, want >= 2", served)
+	}
+}
+
+// TestJoinRemoteNamesItsChannel: the hello always names the joining
+// channel, so a host whose only channel is named differently refuses the
+// join instead of having its ledger cross-wired into this channel's gossip.
+func TestJoinRemoteNamesItsChannel(t *testing.T) {
+	cfg := testConfig()
+	cfg.Gossip = true
+	n := newTestNetwork(t, cfg)
+	signer, err := n.CA().Enroll("stranger", identity.RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := peer.NewHost(peer.Config{Name: "stranger", Signer: signer, MSP: n.MSP(), Channels: []string{"elsewhere"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(host.Stop)
+	srv, err := transport.NewHostServer("127.0.0.1:0", host, transport.ServerConfig{
+		Orgs:       []string{n.CA().Org()},
+		CACertsPEM: [][]byte{n.CA().CertPEM()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	members := n.Gossip().MemberCount()
+	if _, err := n.JoinRemote(srv.Addr(), cfg.PeerLink); !errors.Is(err, transport.ErrUnknownChannel) {
+		t.Fatalf("join of a host serving only %q: err=%v, want ErrUnknownChannel", "elsewhere", err)
+	}
+	if got := n.Gossip().MemberCount(); got != members || len(n.Remotes()) != 0 {
+		t.Errorf("refused join left %d members (was %d) and %d remotes", got, members, len(n.Remotes()))
 	}
 }

@@ -232,12 +232,6 @@ func (rn *raftNode) stopNode() {
 	<-done
 }
 
-func (rn *raftNode) isRunning() bool {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	return rn.running
-}
-
 func (rn *raftNode) isLeader() bool {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()

@@ -66,9 +66,6 @@ func (r *Raft) onApply(_, index int, batch []blockstore.Envelope) {
 	}
 }
 
-// Leader returns the current leader node id, or -1 if none.
-func (r *Raft) Leader() int { return r.cluster.leader() }
-
 // KillNode crashes a consenter node (volatile state lost, log retained).
 func (r *Raft) KillNode(id int) {
 	if id >= 0 && id < len(r.cluster.nodes) {

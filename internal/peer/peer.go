@@ -284,15 +284,6 @@ func (h *Host) Channels() []string { return append([]string(nil), h.order...) }
 // the host does not serve it.
 func (h *Host) Channel(id string) *Peer { return h.channels[id] }
 
-// Default returns the host's first configured channel — the one a
-// channel-less (pre-multichannel) request is routed to.
-func (h *Host) Default() *Peer {
-	if len(h.order) == 0 {
-		return nil
-	}
-	return h.channels[h.order[0]]
-}
-
 // Stop stops every channel's commit pipeline.
 func (h *Host) Stop() {
 	for _, id := range h.order {

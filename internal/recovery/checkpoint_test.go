@@ -256,7 +256,12 @@ func TestOpenFromGenesisMatchesCheckpointed(t *testing.T) {
 	dir := t.TempDir()
 	stateFP, histFP := seedLedger(t, dir, 9, 4)
 
-	got, err := Open(dir, Options{Channel: testChannel, FromGenesis: true})
+	// With its checkpoints gone the directory recovers the way production
+	// does when no usable checkpoint exists: replay from genesis.
+	if err := os.RemoveAll(CheckpointDir(dir, testChannel)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Open(dir, Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}

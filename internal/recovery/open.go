@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/committer"
@@ -31,9 +30,6 @@ func CheckpointDir(dataDir, channel string) string {
 type Options struct {
 	// Sync is the block file's fsync policy (default SyncOnClose).
 	Sync blockstore.SyncPolicy
-	// FromGenesis ignores checkpoints and replays the whole block file —
-	// the recovery benchmark's baseline and a paranoid full re-audit path.
-	FromGenesis bool
 	// Channel names the channel of the data directory to recover
 	// (blocks-<ch>.hpb, checkpoints/<ch>/). Required.
 	Channel string
@@ -55,15 +51,6 @@ type Opened struct {
 	// Replayed is the number of tail blocks replayed on top of the
 	// checkpoint.
 	Replayed int
-
-	// LoadDuration is the time spent loading and verifying the block file
-	// — identical work for every recovery strategy.
-	LoadDuration time.Duration
-	// RestoreDuration is the time spent loading the checkpoint and
-	// restoring state, history, and indexes from it.
-	RestoreDuration time.Duration
-	// ReplayDuration is the time spent replaying the block tail.
-	ReplayDuration time.Duration
 }
 
 // Open recovers a peer's ledger from dataDir (created if absent):
@@ -85,7 +72,6 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: mkdir %s: %w", dataDir, err)
 	}
-	loadStart := time.Now()
 	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePath(dataDir, opts.Channel), opts.Sync)
 	if err != nil {
 		return nil, err
@@ -97,41 +83,34 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 	}
 	history := historydb.New()
 	out := &Opened{State: state, History: history, Blocks: blocks}
-	out.LoadDuration = time.Since(loadStart)
 
 	from := uint64(0)
-	restoreStart := time.Now()
-	if !opts.FromGenesis {
-		ck, err := LoadLatest(CheckpointDir(dataDir, opts.Channel), blocks.Height())
-		switch {
-		case err == nil:
-			if err := state.DefineIndexes(ck.Indexes); err != nil {
-				blocks.Close()
-				return nil, err
-			}
-			// The checkpoint was decoded moments ago and is dropped after
-			// this block: hand its maps over instead of deep-copying them.
-			state.RestoreWithIndexEntries(ck.State, ck.StateHeight, ck.IndexEntries)
-			history.RestoreOwned(ck.History)
-			from = ck.Height
-			out.CheckpointHeight = ck.Height
-		case errors.Is(err, ErrNoCheckpoint):
-			// Fresh directory or no trustworthy checkpoint: full replay.
-		default:
+	ck, err := LoadLatest(CheckpointDir(dataDir, opts.Channel), blocks.Height())
+	switch {
+	case err == nil:
+		if err := state.DefineIndexes(ck.Indexes); err != nil {
 			blocks.Close()
 			return nil, err
 		}
+		// The checkpoint was decoded moments ago and is dropped after
+		// this block: hand its maps over instead of deep-copying them.
+		state.RestoreWithIndexEntries(ck.State, ck.StateHeight, ck.IndexEntries)
+		history.RestoreOwned(ck.History)
+		from = ck.Height
+		out.CheckpointHeight = ck.Height
+	case errors.Is(err, ErrNoCheckpoint):
+		// Fresh directory or no trustworthy checkpoint: full replay.
+	default:
+		blocks.Close()
+		return nil, err
 	}
-	out.RestoreDuration = time.Since(restoreStart)
 
-	replayStart := time.Now()
 	tail := blocks.BlocksFrom(from)
 	if err := committer.Replay(state, history, tail); err != nil {
 		blocks.Close()
 		return nil, err
 	}
 	out.Replayed = len(tail)
-	out.ReplayDuration = time.Since(replayStart)
 	if h := blocks.Height(); h > 0 {
 		if sh := state.Height(); sh.BlockNum != h-1 {
 			blocks.Close()

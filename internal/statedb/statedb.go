@@ -145,9 +145,6 @@ func NewSharded(n int) *Store {
 	return s
 }
 
-// ShardCount returns the number of lock stripes.
-func (s *Store) ShardCount() int { return len(s.shards) }
-
 // shardFor hashes key (FNV-1a) onto its shard.
 func (s *Store) shardFor(key string) *shard { return &s.shards[s.shardIndex(key)] }
 

@@ -9,11 +9,14 @@
 # on a wire, one package that opens sockets, deterministic commit-path
 # time). See README "Static analysis &
 # enforced invariants" for the table and the suppression directives.
+# `make analyze` also greps the record path (internal/core, the provenance
+# chaincode) for reflective JSON decodes.
 #
-# Profiles: `make profile-post`, `profile-store` and `profile-lineage` write
-# CPU and allocation profiles of the write path, the payload path and the
-# provenance read path into out/. A profile locates cost; whether a change
-# is a gain is decided by benchmark/ (BENCHMARK.json) alone.
+# Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
+# `profile-catchup` write CPU and allocation profiles of the write path, the
+# payload path, the provenance read path and block replay into out/, each in
+# two runs of one test binary. A profile locates cost; whether a change is a
+# gain is decided by benchmark/ (BENCHMARK.json) alone.
 #
 # Demos: `make demos` runs every program tier-1 only compiles — the five
 # examples/ and hyperprov's three subcommands — and fails on a non-zero exit.
@@ -31,7 +34,8 @@ FUZZTIME ?= 30s
 VETTOOL := tools/analyzers/bin/hyperprov-vet
 
 .PHONY: all fmt fmt-check vet vettool analyze lint build test race bench \
-	bench-modeled benchmark-check profile-post profile-store profile-lineage cover \
+	bench-modeled benchmark-check profile-post profile-store profile-lineage \
+	profile-catchup cover \
 	crash-test cross smoke demos fuzz test-analyzers
 
 all: build test
@@ -52,9 +56,23 @@ vet:
 vettool:
 	cd tools/analyzers && $(GO) build -o bin/hyperprov-vet ./cmd/hyperprov-vet
 
-# Run the seven repo-specific analyzers over the whole tree via `go vet`.
+# The record path: the client library and the chaincode, tests aside.
+CORE_GO := $(filter-out %_test.go,$(wildcard internal/core/*.go))
+PROVENANCE_GO := $(filter-out %_test.go,$(wildcard internal/chaincode/provenance/*.go))
+
+# Run the seven repo-specific analyzers over the whole tree via `go vet`,
+# then keep reflection off the record path: records are decoded by
+# provenance.Decode* and read by readFields, on richquery's scanner, so
+# internal/core calls no reflective JSON decoder and the chaincode only for
+# its request arguments (setArgs, listArgs) — a new read function cannot
+# quietly bring encoding/json's decode back.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
+	@bad=$$( { grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(CORE_GO); \
+		grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(PROVENANCE_GO) | grep -vF 'json.Unmarshal(args[0], &in)'; } ); \
+	if [ -n "$$bad" ]; then \
+		echo "reflective JSON decode on the record path (use provenance.Decode* / readFields):"; echo "$$bad"; exit 1; \
+	fi
 
 # Unit-test the analyzers themselves (golden fixtures + the not-muted
 # self-test).
@@ -96,8 +114,11 @@ race:
 # (structured errors, same verdict twice), and the streamed signing digests
 # against the preimages they stand for, and the chaincode's read functions
 # after a fuzzed set (payloads byte-equal to the decode/re-encode reference
-# renderer, and decodable by the client). Each run first executes the
-# committed seed corpus.
+# renderer, and decodable by the client), the JSON scanner against
+# json.Valid and Extract against DecodeDoc + Lookup, and the record, history
+# and page decoders against json.Unmarshal into the same types (same
+# verdict, DeepEqual values). Each run first executes the committed seed
+# corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrameExt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/network/
 	$(GO) test -fuzz=FuzzOffchainBody -fuzztime=$(FUZZTIME) -run '^$$' ./internal/offchain/
@@ -108,6 +129,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzDeserialize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/identity/
 	$(GO) test -fuzz=FuzzSignedDigest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/endorser/
 	$(GO) test -fuzz=FuzzSetThenRead -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/
+	$(GO) test -fuzz=FuzzScan -fuzztime=$(FUZZTIME) -run '^$$' ./internal/richquery/
+	$(GO) test -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) -run '^$$' ./internal/richquery/
+	$(GO) test -fuzz=FuzzDecodeRecords -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/
+	$(GO) test -fuzz=FuzzDecodeHistory -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/
+	$(GO) test -fuzz=FuzzDecodePage -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/
 
 # Go benchmarks, real clock. Two pairs are read side by side, both sides
 # warm: BenchmarkCommitPipelined4 vs ...Instrumented (internal/committer) is
@@ -131,33 +157,50 @@ benchmark-check:
 	cd benchmark && $(GO) vet . && $(GO) test -short .
 	bash benchmark/run.sh -check
 
+# $(call profile,package,benchmark,iterations,name) builds internal/<package>'s
+# test binary into out/<package>.test and runs the benchmark twice: for
+# out/<name>.cpu.pprof with the default MemProfileRate, then for
+# out/<name>.mem.pprof at one sample per 4096 bytes. Taken in one run, the
+# heap profiler's stack walks were 13-15% of the CPU profile's samples and
+# weighed on every allocating frame.
+define profile
+	mkdir -p out
+	$(GO) test -c -o out/$(1).test ./internal/$(1)/
+	cd internal/$(1) && $(CURDIR)/out/$(1).test -test.run '^$$' -test.bench $(2) -test.benchtime $(3) \
+		-test.cpuprofile $(CURDIR)/out/$(4).cpu.pprof
+	cd internal/$(1) && $(CURDIR)/out/$(1).test -test.run '^$$' -test.bench $(2) -test.benchtime $(3) \
+		-test.memprofile $(CURDIR)/out/$(4).mem.pprof -test.memprofilerate 4096
+endef
+
 # CPU and allocation profiles of the per-transaction fixed cost (the shape of
 # the post_e2e workload) without editing benchmark/: writes out/post.cpu.pprof,
 # out/post.mem.pprof and the test binary out/fabric.test for `go tool pprof`.
 # A profile says where time and bytes go; whether a change is a gain is
 # decided by benchmark/ (BENCHMARK.json), never by this run's ns/op.
 profile-post:
-	mkdir -p out
-	$(GO) test -run '^$$' -bench BenchmarkSubmitRealClock -benchtime 20000x -o out/fabric.test \
-		-cpuprofile out/post.cpu.pprof -memprofile out/post.mem.pprof -memprofilerate 4096 ./internal/fabric/
+	$(call profile,fabric,BenchmarkSubmitRealClock,20000x,post)
 
 # The same for the paper's headline operation (the shape of the store_payload
 # workload: StoreData + GetData of 256 KiB over a loopback object server):
 # writes out/store.cpu.pprof, out/store.mem.pprof and out/core.test. As above,
 # a profile locates cost; gains are judged by benchmark/ only.
 profile-store:
-	mkdir -p out
-	$(GO) test -run '^$$' -bench BenchmarkStoreGetRealClock -benchtime 3000x -o out/core.test \
-		-cpuprofile out/store.cpu.pprof -memprofile out/store.mem.pprof -memprofilerate 4096 ./internal/core/
+	$(call profile,core,BenchmarkStoreGetRealClock,3000x,store)
 
 # And for the provenance read path (the shape of the lineage_mixed workload's
 # twenty point/lineage reads and by-type rich query on a 16 x 64 DAG): writes
 # out/lineage.cpu.pprof, out/lineage.mem.pprof and out/core.test. As above, a
 # profile locates cost; gains are judged by benchmark/ only.
 profile-lineage:
-	mkdir -p out
-	$(GO) test -run '^$$' -bench BenchmarkLineageReadsRealClock -benchtime 3000x -o out/core.test \
-		-cpuprofile out/lineage.cpu.pprof -memprofile out/lineage.mem.pprof -memprofilerate 4096 ./internal/core/
+	$(call profile,core,BenchmarkLineageReadsRealClock,3000x,lineage)
+
+# And for block replay (the shape of the catchup workload: cold joiners take
+# a chain of ten-transaction blocks over a loopback transport connection,
+# four blocks per iteration): writes out/catchup.cpu.pprof,
+# out/catchup.mem.pprof and out/fabric.test. As above, a profile locates
+# cost; gains are judged by benchmark/ only.
+profile-catchup:
+	$(call profile,fabric,BenchmarkCatchupRealClock,1000x,catchup)
 
 # Crash-recovery torture tests, repeated: the randomized kill points cover
 # different interleavings on every -count iteration.

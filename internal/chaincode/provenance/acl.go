@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"github.com/hyperprov/hyperprov/internal/shim"
@@ -15,21 +14,26 @@ import (
 // over (shim.Stub.Client), so the chaincode parses nothing.
 
 // authorizeMutation enforces owner-only updates/deletes. existing is the
-// raw current record (nil for a fresh key).
-func authorizeMutation(existing []byte, client shim.ClientIdentity) error {
-	if existing == nil || client.Admin {
-		return nil
+// raw current record (nil for a fresh key); the one pass that reads its
+// owner also returns its checksum, whose index entry the mutation retires.
+func authorizeMutation(existing []byte, client shim.ClientIdentity) (checksum string, err error) {
+	if existing == nil {
+		return "", nil
 	}
-	var rec Record
-	if err := json.Unmarshal(existing, &rec); err != nil {
-		return fmt.Errorf("corrupt existing record: %w", err)
+	var owner, creator string
+	fields := map[string]*string{"owner": &owner, "creator": &creator, "checksum": &checksum}
+	err = readFields(existing, func(d *decoder, name string) error { return d.str(fields[name]) }, "owner", "creator", "checksum")
+	if client.Admin {
+		return checksum, nil // whatever the record holds: an admin may replace a corrupt one
 	}
-	owner := rec.Owner
+	if err != nil {
+		return "", fmt.Errorf("corrupt existing record: %w", err)
+	}
 	if owner == "" {
-		owner = rec.Creator // records written before ownership tracking
+		owner = creator // records written before ownership tracking
 	}
 	if owner != client.Subject {
-		return fmt.Errorf("record owned by %q, not %q", owner, client.Subject)
+		return "", fmt.Errorf("record owned by %q, not %q", owner, client.Subject)
 	}
-	return nil
+	return checksum, nil
 }

@@ -148,16 +148,16 @@ func TestAuthorizeMutationLegacyRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := authorizeMutation(legacy, shim.ClientIdentity{Subject: "old-owner"}); err != nil {
+	if _, err := authorizeMutation(legacy, shim.ClientIdentity{Subject: "old-owner"}); err != nil {
 		t.Errorf("legacy owner rejected: %v", err)
 	}
-	if err := authorizeMutation(legacy, shim.ClientIdentity{Subject: "someone-else"}); err == nil {
+	if _, err := authorizeMutation(legacy, shim.ClientIdentity{Subject: "someone-else"}); err == nil {
 		t.Error("legacy record mutated by non-owner")
 	}
-	if err := authorizeMutation([]byte("corrupt"), shim.ClientIdentity{Subject: "x"}); err == nil {
+	if _, err := authorizeMutation([]byte("corrupt"), shim.ClientIdentity{Subject: "x"}); err == nil {
 		t.Error("corrupt record authorized")
 	}
-	if err := authorizeMutation(nil, shim.ClientIdentity{Subject: "anyone"}); err != nil {
+	if _, err := authorizeMutation(nil, shim.ClientIdentity{Subject: "anyone"}); err != nil {
 		t.Errorf("fresh key rejected: %v", err)
 	}
 }

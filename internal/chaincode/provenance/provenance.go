@@ -10,8 +10,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
@@ -82,11 +84,9 @@ type Stats struct {
 // The read functions forward records as the bytes set stored: decoding one
 // into Record and encoding it again yields those same bytes, so payloads are
 // spliced from stored values (which alias committed state: copied, never
-// written to) and only the client decodes.
-
-// isRecord is the check a stored value passes before it is spliced unless
-// json.Unmarshal has already accepted it as a struct.
-func isRecord(v []byte) bool { return len(v) > 0 && v[0] == '{' && json.Valid(v) }
+// written to) and only the client decodes. A stored value is spliced once
+// richquery.IsObject, or a read of one of its fields (readFields), has
+// checked all of it.
 
 // appendRecords appends the JSON array of the given stored records to dst,
 // rendering a nil slice as null and an empty one as [] like json.Marshal.
@@ -112,10 +112,21 @@ func appendRecords(dst []byte, records [][]byte) []byte {
 func pagePayload(records [][]byte, next string) []byte {
 	out := appendRecords([]byte(`{"records":`), records)
 	if next != "" {
-		bookmark, _ := json.Marshal(next) // a string always marshals
-		out = append(append(out, `,"next":`...), bookmark...)
+		out = appendString(append(out, `,"next":`...), next)
 	}
 	return append(out, '}')
+}
+
+// appendString appends s as the JSON string json.Marshal renders: itself in
+// quotes when it holds nothing json.Marshal escapes.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // Chaincode is the HyperProv contract.
@@ -228,7 +239,8 @@ func (cc *Chaincode) set(stub *shim.Stub) shim.Response {
 		return shim.Errorf("set: read %q: %v", in.Key, err)
 	}
 	client := stub.Client()
-	if err := authorizeMutation(existing, client); err != nil {
+	oldChecksum, err := authorizeMutation(existing, client)
+	if err != nil {
 		return shim.Errorf("set: %v", err)
 	}
 
@@ -255,7 +267,13 @@ func (cc *Chaincode) set(stub *shim.Stub) shim.Response {
 		return shim.Errorf("set: write %q: %v", in.Key, err)
 	}
 
-	// checksum -> key index for getByChecksum.
+	// checksum -> key index for getByChecksum; a rewrite that changes the
+	// checksum retires the entry of the one it replaces.
+	if oldChecksum != "" && oldChecksum != in.Checksum {
+		if err := retireChecksum(stub, oldChecksum, in.Key); err != nil {
+			return shim.Errorf("set: checksum index: %v", err)
+		}
+	}
 	csKey, err := stub.CreateCompositeKey(idxChecksum, []string{in.Checksum})
 	if err != nil {
 		return shim.Errorf("set: checksum index: %v", err)
@@ -299,16 +317,6 @@ func (cc *Chaincode) get(stub *shim.Stub) shim.Response {
 	return shim.Success(raw)
 }
 
-// historyWire is HistoryRecord as getHistory renders it: the same fields in
-// the same order, the record carried as the bytes the ledger stored.
-type historyWire struct {
-	Record   json.RawMessage `json:"record,omitempty"`
-	TxID     string          `json:"txId"`
-	IsDelete bool            `json:"isDelete,omitempty"`
-	BlockNum uint64          `json:"blockNum"`
-	Time     time.Time       `json:"timestamp"`
-}
-
 // getHistory returns every committed version of args[0] as a JSON array of
 // HistoryRecord, oldest first.
 func (cc *Chaincode) getHistory(stub *shim.Stub) shim.Response {
@@ -320,18 +328,43 @@ func (cc *Chaincode) getHistory(stub *shim.Stub) shim.Response {
 	if err != nil {
 		return shim.Errorf("getHistory: %v", err)
 	}
-	out := make([]historyWire, len(entries))
-	for i, e := range entries {
-		out[i] = historyWire{TxID: e.TxID, IsDelete: e.IsDelete, BlockNum: e.BlockNum, Time: e.Timestamp}
-		if !e.IsDelete && isRecord(e.Value) {
-			out[i].Record = e.Value
-		}
-	}
-	payload, err := json.Marshal(out)
+	payload, err := historyPayload(entries)
 	if err != nil {
 		return shim.Errorf("getHistory: marshal: %v", err)
 	}
 	return shim.Success(payload)
+}
+
+// historyPayload renders entries as json.Marshal renders []HistoryRecord —
+// the same members in the same order — around each record as the bytes the
+// ledger stored, in one buffer sized for all of it (the members besides
+// record and txId come to under 128 bytes).
+func historyPayload(entries []shim.HistoryEntry) ([]byte, error) {
+	size := 2
+	for _, e := range entries {
+		size += len(e.Value) + len(e.TxID) + 128
+	}
+	out := append(make([]byte, 0, size), '[')
+	for i, e := range entries {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, '{')
+		if !e.IsDelete && richquery.IsObject(e.Value) {
+			out = append(append(append(out, `"record":`...), e.Value...), ',')
+		}
+		out = appendString(append(out, `"txId":`...), e.TxID)
+		if e.IsDelete {
+			out = append(out, `,"isDelete":true`...)
+		}
+		out = strconv.AppendUint(append(out, `,"blockNum":`...), e.BlockNum, 10)
+		var err error
+		if out, err = e.Timestamp.AppendText(append(out, `,"timestamp":"`...)); err != nil {
+			return nil, err
+		}
+		out = append(out, `"}`...)
+	}
+	return append(out, ']'), nil
 }
 
 // getByChecksum resolves a checksum (args[0]) to its record.
@@ -358,7 +391,31 @@ func (cc *Chaincode) getByChecksum(stub *shim.Stub) shim.Response {
 	if raw == nil {
 		return shim.Errorf("getByChecksum: dangling index for %q", args[0])
 	}
+	// An entry a rewrite left behind (ledgers written before set retired
+	// them) reaches a record that has moved on to another checksum.
+	var checksum string
+	err = readFields(raw, func(d *decoder, _ string) error { return d.str(&checksum) }, "checksum")
+	if err != nil {
+		return shim.Errorf("getByChecksum: corrupt record %q: %v", keyRaw, err)
+	}
+	if checksum != args[0] {
+		return shim.Errorf("getByChecksum: checksum %q not found", args[0])
+	}
 	return shim.Success(raw)
+}
+
+// retireChecksum removes checksum's index entry if it resolves to key: the
+// entry of a checksum two live records share belongs to the last one written.
+func retireChecksum(stub *shim.Stub, checksum, key string) error {
+	csKey, err := stub.CreateCompositeKey(idxChecksum, []string{checksum})
+	if err != nil {
+		return err
+	}
+	holder, err := stub.GetState(csKey)
+	if err != nil || string(holder) != key {
+		return err
+	}
+	return stub.DelState(csKey)
 }
 
 // getLineage returns the ancestor records of args[0] (breadth-first over
@@ -394,14 +451,15 @@ func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([][]byte, err
 				}
 				continue // parent tombstoned; lineage continues past it
 			}
-			var rec struct {
-				Parents []string `json:"parents"`
-			}
-			if err := json.Unmarshal(raw, &rec); err != nil {
+			// Each parent is its own copy: one string over the whole record
+			// would cost its size again for two short keys.
+			var parents []string
+			err = readFields(raw, func(d *decoder, _ string) error { return array(d, &parents, 0, (*decoder).str) }, "parents")
+			if err != nil {
 				return nil, fmt.Errorf("corrupt record %q: %w", key, err)
 			}
 			out = append(out, raw)
-			for _, p := range rec.Parents {
+			for _, p := range parents {
 				if !seen[p] {
 					seen[p] = true
 					next = append(next, p)
@@ -457,7 +515,7 @@ func (cc *Chaincode) walkDescendants(stub *shim.Stub, start string, maxDepth int
 				if raw == nil {
 					continue
 				}
-				if !isRecord(raw) {
+				if !richquery.IsObject(raw) {
 					return nil, fmt.Errorf("corrupt record %q: not a JSON object", child)
 				}
 				out = append(out, raw)
@@ -470,7 +528,7 @@ func (cc *Chaincode) walkDescendants(stub *shim.Stub, start string, maxDepth int
 }
 
 // delete tombstones the record for args[0]. History is preserved; the
-// checksum index entry is removed.
+// checksum index entry is removed if it is this record's.
 func (cc *Chaincode) delete(stub *shim.Stub) shim.Response {
 	args := stub.StringArgs()
 	if len(args) != 1 {
@@ -483,20 +541,16 @@ func (cc *Chaincode) delete(stub *shim.Stub) shim.Response {
 	if raw == nil {
 		return shim.Errorf("delete: key %q not found", args[0])
 	}
-	var rec Record
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return shim.Errorf("delete: corrupt record: %v", err)
-	}
-	if err := authorizeMutation(raw, stub.Client()); err != nil {
+	checksum, err := authorizeMutation(raw, stub.Client())
+	if err != nil {
 		return shim.Errorf("delete: %v", err)
 	}
 	if err := stub.DelState(args[0]); err != nil {
 		return shim.Errorf("delete: %v", err)
 	}
-	if rec.Checksum != "" {
-		csKey, err := stub.CreateCompositeKey(idxChecksum, []string{rec.Checksum})
-		if err == nil {
-			_ = stub.DelState(csKey)
+	if checksum != "" {
+		if err := retireChecksum(stub, checksum, args[0]); err != nil {
+			return shim.Errorf("delete: checksum index: %v", err)
 		}
 	}
 	return shim.Success(nil)

@@ -3,6 +3,7 @@ package provenance
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // success, commits the rwset writes to state and history (the job the peer
 // commit pipeline does in production).
 type ledger struct {
-	t       *testing.T
+	t       testing.TB
 	cc      *Chaincode
 	state   statedb.StateDB
 	history *historydb.DB
@@ -24,12 +25,12 @@ type ledger struct {
 
 // newLedger uses the plain LevelDB-flavour store, so rich queries exercise
 // the shim's filtered-scan fallback path.
-func newLedger(t *testing.T) *ledger {
+func newLedger(t testing.TB) *ledger {
 	t.Helper()
 	return newLedgerOn(t, statedb.New())
 }
 
-func newLedgerOn(t *testing.T, state statedb.StateDB) *ledger {
+func newLedgerOn(t testing.TB, state statedb.StateDB) *ledger {
 	t.Helper()
 	l := &ledger{t: t, cc: New(), state: state, history: historydb.New(), block: 0}
 	resp := l.commitInvoke("", nil, func(stub *shim.Stub) shim.Response { return l.cc.Init(stub) })
@@ -97,7 +98,7 @@ func (l *ledger) query(fn string, args ...string) shim.Response {
 	return l.cc.Invoke(l.stub(fn, raw))
 }
 
-func (l *ledger) set(t *testing.T, key, checksum string, parents ...string) {
+func (l *ledger) set(t testing.TB, key, checksum string, parents ...string) {
 	t.Helper()
 	in := setArgs{Key: key, Checksum: checksum, Location: "offchain://store/" + key, Parents: parents}
 	b, err := json.Marshal(in)
@@ -208,6 +209,83 @@ func TestGetByChecksum(t *testing.T) {
 	}
 	if resp := l.query(FnGetByChecksum, "sha256:nope"); resp.Status == shim.OK {
 		t.Error("unknown checksum resolved")
+	}
+}
+
+// The checksum index entry belongs to the last record written with the
+// checksum: deleting another record that shares it leaves it alone.
+func TestDeleteKeepsChecksumEntryOfAnotherRecord(t *testing.T) {
+	for name, l := range bothLedgers(t) {
+		t.Run(name, func(t *testing.T) {
+			l.set(t, "a", "sha256:same")
+			l.set(t, "b", "sha256:same")
+			if resp := l.invoke(FnDelete, "a"); resp.Status != shim.OK {
+				t.Fatalf("delete a: %s", resp.Message)
+			}
+			resp := l.query(FnGetByChecksum, "sha256:same")
+			if resp.Status != shim.OK {
+				t.Fatalf("b is live with the checksum, yet: %s", resp.Message)
+			}
+			if rec := decodeRecord(t, resp.Payload); rec.Key != "b" {
+				t.Errorf("resolved key = %q, want b", rec.Key)
+			}
+			if resp := l.invoke(FnDelete, "b"); resp.Status != shim.OK {
+				t.Fatalf("delete b: %s", resp.Message)
+			}
+			if resp := l.query(FnGetByChecksum, "sha256:same"); resp.Status == shim.OK {
+				t.Error("checksum resolves with both records deleted")
+			}
+		})
+	}
+}
+
+// A rewrite retires the entry of the checksum it replaces, and an entry a
+// ledger written before that still carries answers "not found", never a
+// record with another checksum.
+func TestRewriteRetiresOldChecksum(t *testing.T) {
+	for name, l := range bothLedgers(t) {
+		t.Run(name, func(t *testing.T) {
+			l.set(t, "a", "sha256:v1")
+			l.set(t, "a", "sha256:v2")
+			resp := l.query(FnGetByChecksum, "sha256:v1")
+			if resp.Status == shim.OK || !strings.Contains(resp.Message, `checksum "sha256:v1" not found`) {
+				t.Errorf("old checksum: status %d, %q, payload %s", resp.Status, resp.Message, resp.Payload)
+			}
+			if rec := decodeRecord(t, l.query(FnGetByChecksum, "sha256:v2").Payload); rec.Key != "a" {
+				t.Errorf("new checksum resolves to %q", rec.Key)
+			}
+			// The old checksum moved to another record: rewriting a again
+			// must not take that record's entry.
+			l.set(t, "b", "sha256:v2")
+			l.set(t, "a", "sha256:v3")
+			if rec := decodeRecord(t, l.query(FnGetByChecksum, "sha256:v2").Payload); rec.Key != "b" {
+				t.Errorf("sha256:v2 resolves to %q, want b", rec.Key)
+			}
+			// A stale entry planted as old ledgers hold them.
+			csKey, err := l.stub("", nil).CreateCompositeKey(idxChecksum, []string{"sha256:v1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.plant(t, csKey, []byte("a"))
+			if resp := l.query(FnGetByChecksum, "sha256:v1"); resp.Status == shim.OK {
+				t.Errorf("stale entry answered %s", resp.Payload)
+			}
+		})
+	}
+}
+
+// A set of a fresh key reads and writes what it always did: the retirement
+// costs rewrites only.
+func TestFreshSetTouchesNoExtraKeys(t *testing.T) {
+	l := newLedger(t)
+	l.set(t, "p", "sha256:p")
+	stub := l.stub(FnSet, [][]byte{[]byte(`{"key":"k","checksum":"sha256:k","parents":["p"]}`)})
+	if resp := l.cc.Invoke(stub); resp.Status != shim.OK {
+		t.Fatal(resp.Message)
+	}
+	rws := stub.RWSet()
+	if len(rws.Reads) != 2 || len(rws.Writes) != 3 {
+		t.Errorf("fresh set: %d reads, %d writes; want 2 (parent, key) and 3 (record, checksum entry, edge)", len(rws.Reads), len(rws.Writes))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 
+	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
@@ -80,7 +81,7 @@ func (cc *Chaincode) list(stub *shim.Stub) shim.Response {
 			return shim.Errorf("list: %v", err)
 		}
 		for _, kv := range kvs {
-			if !strings.HasPrefix(kv.Key, in.Prefix) || !isRecord(kv.Value) {
+			if !strings.HasPrefix(kv.Key, in.Prefix) || !richquery.IsObject(kv.Value) {
 				continue // the latter: non-record plain key (none today, defensive)
 			}
 			records = append(records, kv.Value)
@@ -135,10 +136,9 @@ func (cc *Chaincode) queryMetaScan(stub *shim.Stub, key, value string) shim.Resp
 	}
 	out := make([][]byte, 0, 8)
 	for _, kv := range kvs {
-		var rec struct {
-			Meta map[string]string `json:"meta"`
-		}
-		if json.Unmarshal(kv.Value, &rec) == nil && rec.Meta[key] == value {
+		var meta map[string]string
+		err := readFields(kv.Value, func(d *decoder, _ string) error { return d.stringMap(&meta) }, "meta")
+		if err == nil && meta[key] == value {
 			out = append(out, kv.Value)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 
 // newIndexedLedger runs the harness on the CouchDB-flavour store with the
 // contract's declared indexes installed, as the peer does in production.
-func newIndexedLedger(t *testing.T) *ledger {
+func newIndexedLedger(t testing.TB) *ledger {
 	t.Helper()
 	state, err := statedb.NewIndexed()
 	if err != nil {

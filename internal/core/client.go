@@ -125,67 +125,50 @@ func (c *Client) Post(key, checksum string, opts PostOptions) (*TxReceipt, error
 	return &TxReceipt{TxID: res.TxID, BlockNum: res.BlockNum, Latency: res.Latency}, nil
 }
 
+// read evaluates fn and decodes its payload. Strings decoded from one
+// payload may share one allocation (README, "Read contract"): a caller that
+// keeps one record of a large result copies the fields it keeps.
+func read[T any](c *Client, decode func([]byte) (T, error), what, fn string, args ...[]byte) (out T, err error) {
+	payload, err := c.gw.Evaluate(provenance.ChaincodeName, fn, args...)
+	if err != nil {
+		return out, err
+	}
+	if out, err = decode(payload); err != nil {
+		err = fmt.Errorf("hyperprov: decode %s: %w", what, err)
+	}
+	return out, err
+}
+
+// records evaluates fn and decodes the JSON record array it answers with.
+func (c *Client) records(fn string, args ...[]byte) ([]Record, error) {
+	return read(c, provenance.DecodeRecords, "records", fn, args...)
+}
+
 // Get returns the latest provenance record for key.
 func (c *Client) Get(key string) (*Record, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnGet, []byte(key))
-	if err != nil {
-		return nil, err
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode record: %w", err)
-	}
-	return &rec, nil
+	return read(c, provenance.DecodeRecord, "record", provenance.FnGet, []byte(key))
 }
 
 // GetKeyHistory returns every committed version of key's record, oldest
 // first — the paper's operation-history query.
 func (c *Client) GetKeyHistory(key string) ([]HistoryRecord, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnGetHistory, []byte(key))
-	if err != nil {
-		return nil, err
-	}
-	var hist []HistoryRecord
-	if err := json.Unmarshal(payload, &hist); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode history: %w", err)
-	}
-	return hist, nil
+	return read(c, provenance.DecodeHistory, "history", provenance.FnGetHistory, []byte(key))
 }
 
 // GetByChecksum resolves a data checksum to its provenance record.
 func (c *Client) GetByChecksum(checksum string) (*Record, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnGetByChecksum, []byte(checksum))
-	if err != nil {
-		return nil, err
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode record: %w", err)
-	}
-	return &rec, nil
+	return read(c, provenance.DecodeRecord, "record", provenance.FnGetByChecksum, []byte(checksum))
 }
 
 // GetLineage returns key's record followed by all its ancestors
 // (breadth-first over parents).
 func (c *Client) GetLineage(key string) ([]Record, error) {
-	return c.recordList(provenance.FnGetLineage, key)
+	return c.records(provenance.FnGetLineage, []byte(key))
 }
 
 // GetDescendants returns every record transitively derived from key.
 func (c *Client) GetDescendants(key string) ([]Record, error) {
-	return c.recordList(provenance.FnGetDescendants, key)
-}
-
-func (c *Client) recordList(fn, key string) ([]Record, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, fn, []byte(key))
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	if err := json.Unmarshal(payload, &recs); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode records: %w", err)
-	}
-	return recs, nil
+	return c.records(provenance.FnGetDescendants, []byte(key))
 }
 
 // Delete tombstones key's record (history is preserved on-chain).
@@ -199,15 +182,7 @@ func (c *Client) Delete(key string) (*TxReceipt, error) {
 
 // GetStats returns contract-level statistics.
 func (c *Client) GetStats() (*Stats, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnGetStats)
-	if err != nil {
-		return nil, err
-	}
-	var s Stats
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode stats: %w", err)
-	}
-	return &s, nil
+	return read(c, provenance.DecodeStats, "stats", provenance.FnGetStats)
 }
 
 // CheckTxn looks up a transaction by id on the ledgers of the client's own

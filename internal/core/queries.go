@@ -22,15 +22,7 @@ func (c *Client) List(prefix, after string, limit int) (*ListPage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hyperprov: marshal list args: %w", err)
 	}
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnList, raw)
-	if err != nil {
-		return nil, err
-	}
-	var page ListPage
-	if err := json.Unmarshal(payload, &page); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode list page: %w", err)
-	}
-	return &page, nil
+	return read(c, provenance.DecodePage, "list page", provenance.FnList, raw)
 }
 
 // ListAll walks every page of a prefix listing and returns all records.
@@ -53,36 +45,19 @@ func (c *Client) ListAll(prefix string) ([]Record, error) {
 // GetByCreator returns every live record posted by the given creator
 // subject (as recorded in Record.Creator).
 func (c *Client) GetByCreator(creator string) ([]Record, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnGetByCreator, []byte(creator))
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	if err := json.Unmarshal(payload, &recs); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode records: %w", err)
-	}
-	return recs, nil
+	return c.records(provenance.FnGetByCreator, []byte(creator))
 }
 
 // QueryMeta returns every live record whose metadata field key equals
 // value.
 func (c *Client) QueryMeta(key, value string) ([]Record, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnQueryMeta,
-		[]byte(key), []byte(value))
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	if err := json.Unmarshal(payload, &recs); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode records: %w", err)
-	}
-	return recs, nil
+	return c.records(provenance.FnQueryMeta, []byte(key), []byte(value))
 }
 
 // GetChildren returns the records directly derived from key (one lineage
 // edge, not the transitive closure).
 func (c *Client) GetChildren(key string) ([]Record, error) {
-	return c.recordList(provenance.FnGetChildren, key)
+	return c.records(provenance.FnGetChildren, []byte(key))
 }
 
 // ChaincodeVersion reports the deployed provenance contract version.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
@@ -23,21 +21,14 @@ type QueryPage = provenance.QueryPage
 // A bare selector object is also accepted. Sort, limit, and bookmark ride
 // inside the query document; the returned page carries the next bookmark.
 func (c *Client) RichQuery(query string) (*QueryPage, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnRichQuery, []byte(query))
-	if err != nil {
-		return nil, err
-	}
-	var page QueryPage
-	if err := json.Unmarshal(payload, &page); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode query page: %w", err)
-	}
-	return &page, nil
+	page, err := read(c, provenance.DecodePage, "query page", provenance.FnRichQuery, []byte(query))
+	return (*QueryPage)(page), err
 }
 
 // GetByOwner returns every live record owned by the given wire identity
 // subject, served from the by-owner secondary index.
 func (c *Client) GetByOwner(owner string) ([]Record, error) {
-	return c.recordsQuery(provenance.FnGetByOwner, []byte(owner))
+	return c.records(provenance.FnGetByOwner, []byte(owner))
 }
 
 // GetMine returns every live record owned by this client's identity.
@@ -48,7 +39,7 @@ func (c *Client) GetMine() ([]Record, error) {
 // GetByType returns every live record whose meta.type equals t, served
 // from the by-type secondary index.
 func (c *Client) GetByType(t string) ([]Record, error) {
-	return c.recordsQuery(provenance.FnGetByType, []byte(t))
+	return c.records(provenance.FnGetByType, []byte(t))
 }
 
 // GetByTimeRange returns the records whose transaction timestamp lies in
@@ -56,19 +47,6 @@ func (c *Client) GetByType(t string) ([]Record, error) {
 // RFC3339Nano keeps sub-second bounds exact (records carry millisecond
 // timestamps; plain RFC3339 would shift the window by up to a second).
 func (c *Client) GetByTimeRange(from, to time.Time) ([]Record, error) {
-	return c.recordsQuery(provenance.FnGetByTimeRange,
+	return c.records(provenance.FnGetByTimeRange,
 		[]byte(from.UTC().Format(time.RFC3339Nano)), []byte(to.UTC().Format(time.RFC3339Nano)))
-}
-
-// recordsQuery evaluates fn and decodes a JSON record array.
-func (c *Client) recordsQuery(fn string, args ...[]byte) ([]Record, error) {
-	payload, err := c.gw.Evaluate(provenance.ChaincodeName, fn, args...)
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	if err := json.Unmarshal(payload, &recs); err != nil {
-		return nil, fmt.Errorf("hyperprov: decode records: %w", err)
-	}
-	return recs, nil
 }

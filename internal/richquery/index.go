@@ -40,7 +40,8 @@ type indexEntry struct {
 // matches a missing field, pruning to index members is sound.
 //
 // Index is not self-synchronizing: the owning state database serializes
-// access (maintenance happens inside its commit lock).
+// access (entries change inside its commit lock; the values they are built
+// from are extracted outside it).
 type Index struct {
 	def     IndexDef
 	path    []string
@@ -74,11 +75,14 @@ func (ix *Index) locate(ckey, docKey string) int {
 	})
 }
 
-// Put indexes doc under docKey, replacing any previous entry for docKey.
-// A doc without the indexed field (or a nil doc) is removed from the index.
-func (ix *Index) Put(docKey string, doc map[string]any) {
-	val, ok := Lookup(doc, ix.path)
-	if doc == nil || !ok {
+// Path returns the indexed field as the key chain Extract and Lookup take.
+func (ix *Index) Path() []string { return ix.path }
+
+// Put indexes docKey under val, the value its document holds at Path (see
+// Extract), replacing any previous entry for docKey. A document without the
+// field (ok false) is removed from the index.
+func (ix *Index) Put(docKey string, val any, ok bool) {
+	if !ok {
 		ix.Delete(docKey)
 		return
 	}

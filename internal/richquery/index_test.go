@@ -67,11 +67,11 @@ func TestIndexMaintenanceSequences(t *testing.T) {
 		case 1: // doc losing the indexed field
 			d := map[string]any{"b": randValue(rng)}
 			docs[key] = d
-			ix.Put(key, d)
+			putDoc(t, ix, key, d)
 		default: // put / update with the field
 			d := map[string]any{"a": randValue(rng), "b": randValue(rng)}
 			docs[key] = d
-			ix.Put(key, d)
+			putDoc(t, ix, key, d)
 		}
 
 		want := naiveRange(docs, "a", Bound{}, Bound{})

@@ -308,7 +308,7 @@ func TestIndexedQueryMatchesScanReference(t *testing.T) {
 			key := fmt.Sprintf("k%03d", i)
 			d := randDoc(rng)
 			docs[key] = d
-			ix.Put(key, d)
+			putDoc(t, ix, key, d)
 			cands = append(cands, Candidate{Key: key, Doc: d})
 		}
 

@@ -2,6 +2,7 @@ package statedb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // IndexedStore is the CouchDB-flavour state database: a versioned KV store
-// that additionally decodes JSON document values, maintains declared
+// that additionally reads JSON document values, maintains declared
 // secondary field indexes incrementally at commit time, and serves
 // Mango-style rich queries through a planner that uses an index when the
 // selector constrains an indexed field and falls back to a filtered scan
@@ -24,9 +25,12 @@ type IndexedStore struct {
 	// documents are then streamed from a snapshot with no lock held, so a
 	// long rich query no longer blocks ApplyUpdates (and vice versa). The
 	// inner sharded Store synchronizes itself.
-	mu      sync.RWMutex
-	store   *Store
-	indexes map[string]*richquery.Index // by index name
+	mu    sync.RWMutex
+	store *Store
+	// indexes in definition order, paths[i] = indexes[i].Path(). Defining an
+	// index replaces paths, never appends in place: ApplyUpdates reads it unlocked.
+	indexes []*richquery.Index
+	paths   [][]string
 	// docsDecoded and exactRange count what rich queries cost (see the
 	// metrics constants); on a registry of their own until SetMetrics
 	// attaches one, guarded by mu.
@@ -42,7 +46,7 @@ func NewIndexed(defs ...richquery.IndexDef) (*IndexedStore, error) {
 // NewIndexedSharded is NewIndexed with an explicit shard count (<= 0 means
 // GOMAXPROCS).
 func NewIndexedSharded(shards int, defs ...richquery.IndexDef) (*IndexedStore, error) {
-	s := &IndexedStore{store: NewSharded(shards), indexes: make(map[string]*richquery.Index)}
+	s := &IndexedStore{store: NewSharded(shards)}
 	s.SetMetrics(nil)
 	for _, def := range defs {
 		if err := s.DefineIndex(def); err != nil {
@@ -90,11 +94,11 @@ func (s *IndexedStore) DefineIndexes(defs []richquery.IndexDef) error {
 		if err := def.Validate(); err != nil {
 			return err
 		}
-		if old, ok := s.indexes[def.Name]; ok {
-			if old.Def().Field == def.Field {
-				continue
+		if i := slices.IndexFunc(s.indexes, func(ix *richquery.Index) bool { return ix.Def().Name == def.Name }); i >= 0 {
+			if old := s.indexes[i].Def(); old.Field != def.Field {
+				return fmt.Errorf("statedb: index %q already defined on field %q", def.Name, old.Field)
 			}
-			return fmt.Errorf("statedb: index %q already defined on field %q", def.Name, old.Def().Field)
+			continue
 		}
 		if field, ok := inBatch[def.Name]; ok {
 			if field == def.Field {
@@ -109,11 +113,14 @@ func (s *IndexedStore) DefineIndexes(defs []richquery.IndexDef) error {
 		return nil
 	}
 	docs := scanCandidates(s.store)
+	paths := slices.Clone(s.paths)
 	for _, def := range fresh {
 		ix := richquery.NewIndex(def)
 		ix.Load(docs)
-		s.indexes[def.Name] = ix
+		s.indexes = append(s.indexes, ix)
+		paths = append(paths, ix.Path())
 	}
+	s.paths = paths
 	return nil
 }
 
@@ -162,33 +169,54 @@ func (s *IndexedStore) Export() map[string]VersionedValue { return s.store.Expor
 // and non-JSON values are never indexed. Index maintenance is atomic with
 // respect to the index-served side of queries (both take mu), and indexes
 // are fed straight from the batch's staged values, so a block's worth of
-// writes is applied without re-reading each key from the store.
+// writes is applied without re-reading each key from the store. The staged
+// documents are read — only at the indexed paths, validated whole — before
+// mu is taken: writers and queries wait for the index updates alone.
 func (s *IndexedStore) ApplyUpdates(batch *UpdateBatch, height Version) error {
+	s.mu.RLock()
+	paths := s.paths
+	s.mu.RUnlock()
+	keys, vals, found := extractBatch(batch, paths)
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.store.ApplyUpdates(batch, height); err != nil {
 		return err
 	}
-	if len(s.indexes) == 0 {
-		return nil
+	if len(s.paths) != len(paths) {
+		// An index defined since the read above was built from state that
+		// lacked this batch; indexes are only ever added.
+		keys, vals, found = extractBatch(batch, s.paths)
 	}
+	n := len(s.indexes)
+	for w, key := range keys {
+		for i, ix := range s.indexes {
+			ix.Put(key, vals[w*n+i], found[w*n+i])
+		}
+	}
+	return nil
+}
+
+// extractBatch reads what the indexes are to hold for each plain key the
+// batch writes: for keys[w], the value at paths[i] is vals[w*n+i] when
+// found[w*n+i]; a deleted key or a value that is no document has none.
+func extractBatch(batch *UpdateBatch, paths [][]string) (keys []string, vals []any, found []bool) {
+	n := len(paths)
+	if n == 0 {
+		return nil, nil, nil
+	}
+	keys, vals, found = make([]string, 0, batch.Len()), make([]any, batch.Len()*n), make([]bool, batch.Len()*n)
 	batch.Range(func(key string, value []byte, isDelete bool, _ Version) {
 		if strings.Contains(key, compositeKeySep) {
 			return
 		}
-		var doc map[string]any
-		if !isDelete {
-			doc, _ = richquery.DecodeDoc(value)
-		}
-		for _, ix := range s.indexes {
-			if doc != nil {
-				ix.Put(key, doc)
-			} else {
-				ix.Delete(key)
-			}
+		w := len(keys)
+		keys = append(keys, key)
+		if isDelete || !richquery.Extract(value, paths, vals[w*n:(w+1)*n], found[w*n:(w+1)*n]) {
+			clear(found[w*n : (w+1)*n])
 		}
 	})
-	return nil
+	return keys, vals, found
 }
 
 // Restore replaces the live state with a snapshot and rebuilds every index
@@ -198,10 +226,10 @@ func (s *IndexedStore) Restore(snap map[string]VersionedValue, height Version) {
 	defer s.mu.Unlock()
 	s.store.Restore(snap, height)
 	docs := scanCandidates(s.store)
-	for name, ix := range s.indexes {
+	for i, ix := range s.indexes {
 		fresh := richquery.NewIndex(ix.Def())
 		fresh.Load(docs)
-		s.indexes[name] = fresh
+		s.indexes[i] = fresh
 	}
 }
 
@@ -216,8 +244,8 @@ func (s *IndexedStore) IndexEntries() map[string][]richquery.IndexEntry {
 		return nil
 	}
 	out := make(map[string][]richquery.IndexEntry, len(s.indexes))
-	for name, ix := range s.indexes {
-		out[name] = ix.Entries()
+	for _, ix := range s.indexes {
+		out[ix.Def().Name] = ix.Entries()
 	}
 	return out
 }
@@ -232,9 +260,9 @@ func (s *IndexedStore) RestoreWithIndexEntries(snap map[string]VersionedValue, h
 	defer s.mu.Unlock()
 	s.store.restoreOwned(snap, height)
 	var docs []richquery.Candidate // lazily built for indexes without entries
-	for name, ix := range s.indexes {
+	for i, ix := range s.indexes {
 		fresh := richquery.NewIndex(ix.Def())
-		if es, ok := entries[name]; ok {
+		if es, ok := entries[ix.Def().Name]; ok {
 			fresh.LoadEntries(es)
 		} else {
 			if docs == nil {
@@ -242,7 +270,7 @@ func (s *IndexedStore) RestoreWithIndexEntries(snap map[string]VersionedValue, h
 			}
 			fresh.Load(docs)
 		}
-		s.indexes[name] = fresh
+		s.indexes[i] = fresh
 	}
 }
 
@@ -262,11 +290,7 @@ func (s *IndexedStore) ExecuteQuery(query []byte) (*QueryResult, error) {
 	}
 	s.mu.RLock()
 	snap := s.store.Snapshot()
-	all := make([]*richquery.Index, 0, len(s.indexes))
-	for _, ix := range s.indexes {
-		all = append(all, ix)
-	}
-	plan := richquery.ChooseIndex(q, all)
+	plan := richquery.ChooseIndex(q, s.indexes)
 	var keys []string
 	if plan.Index != nil {
 		keys = plan.Index.Range(plan.Low, plan.High)

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/hyperprov/hyperprov/internal/richquery"
@@ -311,5 +314,110 @@ func TestIndexedStoreRejectsBadQuery(t *testing.T) {
 	}
 	if _, err := s.ExecuteQuery([]byte(`not json`)); err == nil {
 		t.Error("non-JSON query accepted")
+	}
+}
+
+// rebuiltEntries is what the indexes of s hold when built in one go (Load,
+// over DecodeDoc's trees) from the state s holds now.
+func rebuiltEntries(t *testing.T, s *IndexedStore) map[string][]richquery.IndexEntry {
+	t.Helper()
+	fresh := mustIndexed(t, s.IndexDefs()...)
+	fresh.Restore(s.Export(), s.Height())
+	return fresh.IndexEntries()
+}
+
+// Index maintenance reads staged documents with Extract, a rebuild reads
+// stored ones with DecodeDoc: over the same state both must hold the same
+// entries, whatever the documents look like.
+func TestIncrementalIndexesEqualRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	odd := []string{
+		`{"a":1,"a":"twice"}`, `{"m":{"x":1},"m":{"y":2}}`, `{"m":{"x":1},"m":"scalar"}`, `{"a":1e999}`, `{"b":[1e999],"a":1}`,
+		`{"a":{"deep":[1,{"x":null}]},"m":{"x":{"y":[]}}}`, ` {"a":1}`, `{"a":1} `, `{"a":"é\ud83d\n"}`, `{"a":-0.0,"m":{"x":0}}`,
+		`{"a":1,}`, `{"a":1}{"a":2}`, `null`, `{}`, `{"m":null,"a":null}`, `{"m":{"x":null}}`,
+	}
+	s := mustIndexed(t, richquery.IndexDef{Name: "by-a", Field: "a"}, richquery.IndexDef{Name: "by-mx", Field: "m.x"},
+		richquery.IndexDef{Name: "by-m", Field: "m"}, richquery.IndexDef{Name: "by-b", Field: "b"})
+	for block := uint64(1); block <= 40; block++ {
+		b := NewUpdateBatch()
+		for i := 0; i < 25; i++ {
+			key, ver := fmt.Sprintf("k%02d", rng.Intn(60)), Version{BlockNum: block, TxNum: uint64(i)}
+			switch rng.Intn(6) {
+			case 0:
+				b.Delete(key, ver)
+			case 1:
+				b.Put(key, []byte(odd[rng.Intn(len(odd))]), ver)
+			default:
+				b.Put(key, planDoc(rng), ver)
+			}
+		}
+		if err := s.ApplyUpdates(b, Version{BlockNum: block, TxNum: 99}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.IndexEntries(), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("block %d: incremental indexes\n%v\nrebuilt\n%v", block, got, want)
+		}
+	}
+	if n := len(s.IndexEntries()["by-mx"]); n < 5 {
+		t.Fatalf("by-mx holds %d entries: the generator no longer reaches it", n)
+	}
+}
+
+// ApplyUpdates reads the staged documents before it takes the index lock. An
+// index defined in between was built from state without the batch and was
+// not among the paths read: it must still come to hold the batch.
+func TestDefineIndexesDuringApplyUpdates(t *testing.T) {
+	s := mustIndexed(t, richquery.IndexDef{Name: "by-a", Field: "a"})
+	fields := []string{"b", "m.x", "m", "c", "a"} // the last one is by-a again, under another name
+	const blocks = 300
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // the committer
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		for block := uint64(1); block <= blocks; block++ {
+			b := NewUpdateBatch()
+			for i := 0; i < 8; i++ {
+				key, ver := fmt.Sprintf("k%03d", rng.Intn(200)), Version{BlockNum: block, TxNum: uint64(i)}
+				if rng.Intn(8) == 0 {
+					b.Delete(key, ver)
+				} else {
+					b.Put(key, planDoc(rng), ver)
+				}
+			}
+			if err := s.ApplyUpdates(b, Version{BlockNum: block, TxNum: 99}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // chaincode installs, spread over the run
+		defer wg.Done()
+		for i, field := range fields {
+			for s.Height().BlockNum < uint64((i+1)*blocks/(len(fields)+1)) {
+				runtime.Gosched()
+			}
+			if err := s.DefineIndex(richquery.IndexDef{Name: "ix-" + field, Field: field}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // a reader, for the race detector
+		defer wg.Done()
+		for s.Height().BlockNum < blocks {
+			if _, err := s.ExecuteQuery([]byte(`{"selector":{"a":{"$gt":0}}}`)); err != nil {
+				t.Error(err)
+				return
+			}
+			s.IndexDefs()
+		}
+	}()
+	wg.Wait()
+	if len(s.IndexDefs()) != 1+len(fields) {
+		t.Fatalf("%d indexes defined, want %d", len(s.IndexDefs()), 1+len(fields))
+	}
+	if got, want := s.IndexEntries(), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("indexes after concurrent installs\n%v\nrebuilt from state\n%v", got, want)
 	}
 }

@@ -3,14 +3,15 @@
 #
 # Static analysis: `make lint` builds tools/analyzers (a separate module,
 # keeping the main go.mod dependency-free) into bin/hyperprov-vet and runs
-# it through `go vet -vettool` — seven repo-specific analyzers enforcing the
-# invariants past PRs established (atomic durable writes, structured error
-# codes, lock/blocking discipline, constant metric names, no text encodings
-# on a wire, one package that opens sockets, deterministic commit-path
-# time). See README "Static analysis &
-# enforced invariants" for the table and the suppression directives.
-# `make analyze` also greps the record path (internal/core, the provenance
-# chaincode) for reflective JSON decodes.
+# it through `go vet -vettool` — eight repo-specific analyzers enforcing the
+# invariants past PRs established (atomic durable writes, a client library
+# that imports no network package, structured error codes, lock/blocking
+# discipline, constant metric names, no text encodings on a wire, one
+# package that opens sockets, deterministic commit-path time). See README
+# "Static analysis & enforced invariants" for the table and the suppression
+# directives. `make analyze` also greps the record path (internal/core, the
+# provenance chaincode) for reflective JSON decodes and checks internal/core's
+# whole import cone against the network-side packages.
 #
 # Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
 # `profile-catchup` write CPU and allocation profiles of the write path, the
@@ -60,18 +61,29 @@ vettool:
 CORE_GO := $(filter-out %_test.go,$(wildcard internal/core/*.go))
 PROVENANCE_GO := $(filter-out %_test.go,$(wildcard internal/chaincode/provenance/*.go))
 
-# Run the seven repo-specific analyzers over the whole tree via `go vet`,
+# The packages on the far side of core.Gateway: the clientseam analyzer bans
+# them as direct imports of internal/core, `go list -deps` below as indirect
+# ones.
+NETWORK_SIDE := fabric peer orderer gossip transport committer recovery endorser trace device
+
+# Run the eight repo-specific analyzers over the whole tree via `go vet`,
 # then keep reflection off the record path: records are decoded by
 # provenance.Decode* and read by readFields, on richquery's scanner, so
 # internal/core calls no reflective JSON decoder and the chaincode only for
 # its request arguments (setArgs, listArgs) — a new read function cannot
-# quietly bring encoding/json's decode back.
+# quietly bring encoding/json's decode back. Last, keep the client library's
+# import cone closed: an analyzer sees direct imports only, so ask the go
+# command for the transitive set.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 	@bad=$$( { grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(CORE_GO); \
 		grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(PROVENANCE_GO) | grep -vF 'json.Unmarshal(args[0], &in)'; } ); \
 	if [ -n "$$bad" ]; then \
 		echo "reflective JSON decode on the record path (use provenance.Decode* / readFields):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$($(GO) list -deps ./internal/core | grep -E '/internal/($(subst $(eval) ,|,$(NETWORK_SIDE)))$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "internal/core depends on the network side of core.Gateway:"; echo "$$bad"; exit 1; \
 	fi
 
 # Unit-test the analyzers themselves (golden fixtures + the not-muted

@@ -1,15 +1,14 @@
 // Command hyperprov-net demonstrates the multi-process deployment shape of
 // the paper: four machines on one switch, talking over real TCP. It has
-// four modes:
+// three modes, and prints its usage when given none:
 //
 //	-serve        run only the off-chain storage server (the SSHFS node)
-//	-peer-serve   run the blockchain network with every peer exposed on a
-//	              TCP listener, submit a workload, and keep serving so
-//	              other processes can join
+//	-peer-serve   run the network with every peer on a TCP listener, submit a
+//	              workload through a TCP store (first item read back), and
+//	              keep serving so other processes can join
 //	-join ADDRS   run a gossip-only peer in its own process: fetch trust
 //	              anchors from a serving peer, catch up over TCP
 //	              anti-entropy, and verify height + state fingerprint
-//	(none)        single-process demo: server + network + client over TCP
 //
 // Every peer-to-peer connection carries binary RPC frames over TCP and can be
 // link-shaped (-peer-latency / -peer-mbps), so blocks disseminate with the
@@ -47,7 +46,6 @@ type options struct {
 	join      string
 
 	addr    string
-	connect string
 	latency time.Duration
 	mbps    float64
 
@@ -74,7 +72,6 @@ func main() {
 	flag.BoolVar(&o.peerServe, "peer-serve", false, "run the network with peers exposed on TCP listeners")
 	flag.StringVar(&o.join, "join", "", "comma-separated peer transport addresses to join via gossip")
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:9733", "storage server address")
-	flag.StringVar(&o.connect, "connect", "", "use an existing storage server instead of starting one")
 	flag.DurationVar(&o.latency, "latency", 2*time.Millisecond, "simulated one-way link latency to storage")
 	flag.Float64Var(&o.mbps, "mbps", 360, "simulated storage link bandwidth (SSHFS effective, in Mbit/s)")
 	flag.StringVar(&o.peerListen, "peer-listen", "", "comma-separated listen addresses for exposed peers (default ephemeral)")
@@ -101,7 +98,8 @@ func main() {
 	case o.join != "":
 		err = runJoin(o)
 	default:
-		err = runSingleProcess(o)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hyperprov-net:", err)
@@ -116,9 +114,10 @@ func main() {
 // their pipeline metrics are then served with a channel="<id>" label (and
 // the unlabeled default-channel registry is dropped to avoid duplicate
 // metric families), and /healthz breaks height and commit age down per
-// channel. Returns nil without error when the flag is unset.
+// channel and reports the first connection error among remotes. Returns nil
+// without error when the flag is unset.
 func (o options) startAdmin(p *peer.Peer, chPeers []*peer.Peer, netReg *metrics.Registry,
-	tracer *trace.Recorder, gossipCount func() int, lastErr func() string) (*admin.Server, error) {
+	tracer *trace.Recorder, gossipCount func() int, remotes []*transport.Client) (*admin.Server, error) {
 	if o.admin == "" {
 		return nil, nil
 	}
@@ -132,9 +131,7 @@ func (o options) startAdmin(p *peer.Peer, chPeers []*peer.Peer, netReg *metrics.
 	} else {
 		regs[""] = p.Metrics()
 	}
-	if netReg != nil {
-		regs["net_"] = netReg
-	}
+	regs["net_"] = netReg
 	commitAge := func(cp *peer.Peer) int64 {
 		if t := cp.LastCommitTime(); !t.IsZero() {
 			return time.Since(t).Milliseconds()
@@ -152,11 +149,11 @@ func (o options) startAdmin(p *peer.Peer, chPeers []*peer.Peer, netReg *metrics.
 					Channel: cp.ChannelID(), Height: cp.Height(), LastCommitAgeMs: commitAge(cp),
 				})
 			}
-			if gossipCount != nil {
-				h.GossipPeers = gossipCount()
-			}
-			if lastErr != nil {
-				h.TransportLastError = lastErr()
+			h.GossipPeers = gossipCount()
+			for _, c := range remotes {
+				if h.TransportLastError = c.LastError(); h.TransportLastError != "" {
+					break
+				}
 			}
 			return h
 		},
@@ -240,15 +237,7 @@ func runPeerServe(o options) error {
 		}
 	}
 	adminSrv, err := o.startAdmin(n.Peers()[0], chPeers, n.Metrics(), n.Tracer(),
-		n.Gossip().MemberCount,
-		func() string {
-			for _, c := range n.Remotes() {
-				if e := c.LastError(); e != "" {
-					return e
-				}
-			}
-			return ""
-		})
+		n.Gossip().MemberCount, n.Remotes())
 	if err != nil {
 		return err
 	}
@@ -278,6 +267,14 @@ func runPeerServe(o options) error {
 			}); err != nil {
 				return fmt.Errorf("store %s on %s: %w", key, ch.ChannelID(), err)
 			}
+		}
+		// Read the first item back through the same TCP store.
+		if o.txs > 0 {
+			data, _, err := client.GetData("net-item-0")
+			if err != nil {
+				return fmt.Errorf("read back net-item-0 on %s: %w", ch.ChannelID(), err)
+			}
+			fmt.Printf("retrieved %d bytes on %s over the TCP store, checksum verified\n", len(data), ch.ChannelID())
 		}
 	}
 	for _, ch := range channels {
@@ -398,15 +395,7 @@ func runJoin(o options) error {
 	g.SetMetrics(netReg)
 	g.SetTracer(tracer)
 
-	adminSrv, err := o.startAdmin(p, nil, netReg, tracer, g.MemberCount,
-		func() string {
-			for _, c := range clients {
-				if e := c.LastError(); e != "" {
-					return e
-				}
-			}
-			return ""
-		})
+	adminSrv, err := o.startAdmin(p, nil, netReg, tracer, g.MemberCount, clients)
 	if err != nil {
 		return err
 	}
@@ -434,71 +423,6 @@ func runJoin(o options) error {
 		// inspect this peer after convergence.
 		waitForSignal(o.runFor)
 	}
-	return nil
-}
-
-// runSingleProcess is the original demo: server + network + client in one
-// process over real TCP.
-func runSingleProcess(o options) error {
-	storageAddr := o.connect
-	if storageAddr == "" {
-		srv, err := offchain.NewServer(o.addr, offchain.NewMemStore(), o.storageShape())
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		storageAddr = srv.Addr()
-		fmt.Printf("started off-chain storage server on %s\n", storageAddr)
-	}
-
-	store, err := offchain.NewRemoteStore(storageAddr, o.storageShape())
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-
-	cfg := fabric.DesktopConfig()
-	cfg.Batch = orderer.BatchConfig{
-		MaxMessageCount: 5, BatchTimeout: 500 * time.Millisecond, PreferredMaxBytes: 8 << 20,
-	}
-	n, err := fabric.NewNetwork(cfg)
-	if err != nil {
-		return err
-	}
-	defer n.Stop()
-	if err := n.DeployChaincode(provenance.ChaincodeName,
-		func() shim.Chaincode { return provenance.New() }); err != nil {
-		return err
-	}
-	gw, err := n.NewGateway("net-demo")
-	if err != nil {
-		return err
-	}
-	client, err := core.New(gw, core.WithStore(store))
-	if err != nil {
-		return err
-	}
-
-	payload := make([]byte, 256<<10)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	start := time.Now()
-	receipt, err := client.StoreData("tcp-item", payload, core.PostOptions{
-		Meta: map[string]string{"transport": "tcp"},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("stored 256KiB via TCP off-chain store: tx=%s.. commit latency=%v\n",
-		receipt.TxID[:12], receipt.Latency.Truncate(time.Millisecond))
-
-	data, rec, err := client.GetData("tcp-item")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("retrieved %d bytes, checksum verified (%s..), round trip %v\n",
-		len(data), rec.Checksum[7:19], time.Since(start).Truncate(time.Millisecond))
 	return nil
 }
 

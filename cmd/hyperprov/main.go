@@ -172,7 +172,8 @@ func run(rpi bool, items, payload int) error {
 		return err
 	}
 	store := offchain.NewMemStore()
-	client, err := core.New(gw, core.WithStore(store))
+	// Payload checksum and storage transfer are charged to the client's machine.
+	client, err := core.New(gw, core.WithStore(gw.MeteredStore(store)))
 	if err != nil {
 		return err
 	}

@@ -65,8 +65,7 @@ func runBatchAblation(quick bool) (Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		store := offchain.NewMemStore()
-		clients, _, err := newClients(n, cfg.Workers, store, device.XeonE51603, cfg.Scale, cfg.Seed)
+		clients, err := newClients(n, cfg.Workers, device.XeonE51603, cfg.Scale, cfg.Seed)
 		if err != nil {
 			n.Stop()
 			return nil, err
@@ -146,8 +145,7 @@ func runOnchainAblation(quick bool) (Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			store := offchain.NewMemStore()
-			clients, _, err := newClients(n, cfg.Workers, store, device.XeonE51603, cfg.Scale, cfg.Seed)
+			clients, err := newClients(n, cfg.Workers, device.XeonE51603, cfg.Scale, cfg.Seed)
 			if err != nil {
 				n.Stop()
 				return nil, err
@@ -231,8 +229,7 @@ func runRaftAblation(quick bool) (Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: orderer is %T, want raft", n.Orderer())
 	}
-	store := offchain.NewMemStore()
-	clients, _, err := newClients(n, cfg.Workers, store, device.XeonE51603, cfg.Scale, cfg.Seed)
+	clients, err := newClients(n, cfg.Workers, device.XeonE51603, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

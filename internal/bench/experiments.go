@@ -107,21 +107,25 @@ func newNetwork(cfg fabric.Config, scale float64, seed int64) (*fabric.Network, 
 // newClients creates `workers` HyperProv clients sharing one client-machine
 // executor and one off-chain store, mirroring the paper's single benchmark
 // node driving many concurrent requests.
-func newClients(n *fabric.Network, workers int, store offchain.Store, prof device.Profile, scale float64, seed int64) ([]*core.Client, *device.Executor, error) {
-	exec := device.NewExecutor(prof, device.RealClock{ScaleFactor: scale}, seed+9999)
+func newClients(n *fabric.Network, workers int, prof device.Profile, scale float64, seed int64) ([]*core.Client, error) {
+	return newClientsOn(n, workers, device.NewExecutor(prof, device.RealClock{ScaleFactor: scale}, seed+9999))
+}
+
+// newClientsOn is newClients on an existing machine: every client signs on
+// exec and pays its payload checksum and storage transfer there.
+func newClientsOn(n *fabric.Network, workers int, exec *device.Executor) ([]*core.Client, error) {
+	store := offchain.NewMemStore()
 	clients := make([]*core.Client, workers)
-	for w := 0; w < workers; w++ {
+	for w := range clients {
 		gw, err := n.NewGatewayOn("bench", exec)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		c, err := core.New(gw, core.WithStore(store))
-		if err != nil {
-			return nil, nil, err
+		if clients[w], err = core.New(gw, core.WithStore(gw.MeteredStore(store))); err != nil {
+			return nil, err
 		}
-		clients[w] = c
 	}
-	return clients, exec, nil
+	return clients, nil
 }
 
 // payloadFactory returns per-worker reusable payload buffers; each call
@@ -153,8 +157,7 @@ func runSizeSweep(name, desc string, netCfg fabric.Config, clientProf device.Pro
 		if err != nil {
 			return nil, err
 		}
-		store := offchain.NewMemStore()
-		clients, _, err := newClients(n, cfg.Workers, store, clientProf, cfg.Scale, cfg.Seed)
+		clients, err := newClients(n, cfg.Workers, clientProf, cfg.Scale, cfg.Seed)
 		if err != nil {
 			n.Stop()
 			return nil, err
@@ -350,18 +353,10 @@ func measureUtilization(n *fabric.Network, workers int, cfg energyConfig) (float
 		time.Sleep(cfg.WallPerPhase)
 		return 0, 0, nil
 	}
-	store := offchain.NewMemStore()
-	clients := make([]*core.Client, workers)
-	for w := range clients {
-		gw, err := n.NewGatewayOn("energy", peerExec) // client shares the metered RPi
-		if err != nil {
-			return 0, 0, err
-		}
-		c, err := core.New(gw, core.WithStore(store))
-		if err != nil {
-			return 0, 0, err
-		}
-		clients[w] = c
+	// The client shares the metered RPi.
+	clients, err := newClientsOn(n, workers, peerExec)
+	if err != nil {
+		return 0, 0, err
 	}
 	payload := payloadFactory(workers, 32<<10, cfg.Seed)
 	run := RunClosedLoop(workers, cfg.WallPerPhase, func(w, it int) error {

@@ -44,6 +44,25 @@ func (c ValidationCode) String() string {
 	}
 }
 
+// TxResult reports a committed transaction to the client that submitted it.
+type TxResult struct {
+	TxID     string
+	BlockNum uint64
+	Code     ValidationCode
+	Payload  []byte
+	// Latency is the wall-clock submit-to-commit duration.
+	Latency time.Duration
+}
+
+// ChaincodeEvent is one chaincode event of a transaction that committed as
+// valid, as a peer's event hub hands it to subscribed clients.
+type ChaincodeEvent struct {
+	TxID     string `json:"txId"`
+	BlockNum uint64 `json:"blockNum"`
+	Name     string `json:"name"`
+	Payload  []byte `json:"payload,omitempty"`
+}
+
 // Endorsement is one peer's signature over a proposal response payload.
 type Endorsement struct {
 	Endorser  []byte `json:"endorser"`  // serialized identity of the endorsing peer

@@ -5,6 +5,10 @@
 // storage, compute its checksum, and bind the two together; lineage
 // operators traverse the provenance DAG. Every operator maps onto the
 // equivalent operation the paper's §3 lists.
+//
+// The library reaches the network through the Gateway interface and nothing
+// else: it knows no peer, orderer or transport, so the same operators run
+// over the in-process gateway and over one served by another machine.
 package core
 
 import (
@@ -15,7 +19,7 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
-	"github.com/hyperprov/hyperprov/internal/fabric"
+	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/offchain"
 )
 
@@ -47,45 +51,59 @@ type PostOptions struct {
 	Meta map[string]string
 }
 
-// TxReceipt reports a committed provenance transaction.
-type TxReceipt struct {
-	TxID     string
-	BlockNum uint64
-	// Latency is the submit-to-commit wall time (scaled if the network
-	// clock is scaled).
-	Latency time.Duration
+// TxReceipt re-exports the gateway's report of a committed transaction; its
+// Latency is scaled if the network clock is. A transaction that commits as
+// invalid returns its receipt, with the validation code, beside the error.
+type TxReceipt = blockstore.TxResult
+
+// Gateway is everything the client library asks of the network: seven calls
+// on one identity and one channel. Which peer answers each is the
+// implementation's decision (*fabric.Gateway is the in-process one).
+type Gateway interface {
+	// Identity signs the transactions and is recorded as their creator.
+	Identity() *identity.SigningIdentity
+	// ChannelID names the channel every other call is scoped to.
+	ChannelID() string
+	// Submit endorses, orders and waits for the commit of one transaction.
+	Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxResult, error)
+	// Evaluate runs a read-only chaincode query and returns its payload.
+	Evaluate(chaincode, fn string, args ...[]byte) ([]byte, error)
+	// TxStatus returns a committed transaction's envelope and validation
+	// code, or an error wrapping blockstore.ErrTxNotFound.
+	TxStatus(txID string) (*blockstore.Envelope, blockstore.ValidationCode, error)
+	// AuditChain verifies the hash chain of the channel's ledger copies.
+	AuditChain() error
+	// Events streams chaincode events of valid commits from now on; the
+	// channel closes on cancel (idempotent) or when the source ends.
+	Events(buffer int) (events <-chan blockstore.ChaincodeEvent, cancel func())
 }
 
 // Client is a HyperProv handle bound to one identity on one channel of one
 // network.
 type Client struct {
-	gw    *fabric.Gateway
+	gw    Gateway
 	store offchain.Store
 }
 
 // Option refines a client at construction time.
-type Option func(*options)
-
-type options struct {
-	store offchain.Store
-}
+type Option func(*Client)
 
 // WithStore attaches the off-chain storage backend, enabling the
 // StoreData/GetData operators.
-func WithStore(s offchain.Store) Option { return func(o *options) { o.store = s } }
+func WithStore(s offchain.Store) Option { return func(c *Client) { c.store = s } }
 
-// New creates a HyperProv client over a fabric gateway, bound to the
-// gateway's channel and commit timeout. With no options it has the on-chain
+// New creates a HyperProv client over a gateway, bound to the gateway's
+// identity, channel and commit timeout. With no options it has the on-chain
 // operators only; see WithStore.
-func New(gw *fabric.Gateway, opts ...Option) (*Client, error) {
+func New(gw Gateway, opts ...Option) (*Client, error) {
 	if gw == nil {
 		return nil, errors.New("hyperprov: nil gateway")
 	}
-	var o options
+	c := &Client{gw: gw}
 	for _, opt := range opts {
-		opt(&o)
+		opt(c)
 	}
-	return &Client{gw: gw, store: o.store}, nil
+	return c, nil
 }
 
 // Subject returns the identity string recorded as creator on this client's
@@ -118,11 +136,7 @@ func (c *Client) Post(key, checksum string, opts PostOptions) (*TxReceipt, error
 	if err != nil {
 		return nil, fmt.Errorf("hyperprov: marshal post args: %w", err)
 	}
-	res, err := c.gw.Submit(provenance.ChaincodeName, provenance.FnSet, raw)
-	if err != nil {
-		return nil, err
-	}
-	return &TxReceipt{TxID: res.TxID, BlockNum: res.BlockNum, Latency: res.Latency}, nil
+	return c.gw.Submit(provenance.ChaincodeName, provenance.FnSet, raw)
 }
 
 // read evaluates fn and decodes its payload. Strings decoded from one
@@ -173,11 +187,7 @@ func (c *Client) GetDescendants(key string) ([]Record, error) {
 
 // Delete tombstones key's record (history is preserved on-chain).
 func (c *Client) Delete(key string) (*TxReceipt, error) {
-	res, err := c.gw.Submit(provenance.ChaincodeName, provenance.FnDelete, []byte(key))
-	if err != nil {
-		return nil, err
-	}
-	return &TxReceipt{TxID: res.TxID, BlockNum: res.BlockNum, Latency: res.Latency}, nil
+	return c.gw.Submit(provenance.ChaincodeName, provenance.FnDelete, []byte(key))
 }
 
 // GetStats returns contract-level statistics.
@@ -190,20 +200,20 @@ func (c *Client) GetStats() (*Stats, error) {
 // and never reads a sibling tenant's ledger) and returns its envelope
 // timestamp, block number, and validation status.
 func (c *Client) CheckTxn(txID string) (*TxStatus, error) {
-	for _, p := range c.gw.Channel().Peers() {
-		env, code, err := p.Ledger().GetTx(txID)
-		if err != nil {
-			continue
-		}
-		return &TxStatus{
-			TxID:      txID,
-			Valid:     code == blockstore.TxValid,
-			Code:      code.String(),
-			Timestamp: env.Timestamp,
-			Function:  env.Function,
-		}, nil
+	env, code, err := c.gw.TxStatus(txID)
+	if errors.Is(err, blockstore.ErrTxNotFound) {
+		return nil, fmt.Errorf("%w: %s", ErrTxNotFound, txID)
 	}
-	return nil, fmt.Errorf("%w: %s", ErrTxNotFound, txID)
+	if err != nil {
+		return nil, err
+	}
+	return &TxStatus{
+		TxID:      txID,
+		Valid:     code == blockstore.TxValid,
+		Code:      code.String(),
+		Timestamp: env.Timestamp,
+		Function:  env.Function,
+	}, nil
 }
 
 // TxStatus is the result of CheckTxn.
@@ -222,12 +232,6 @@ func (c *Client) StoreData(key string, data []byte, opts PostOptions) (*TxReceip
 	if c.store == nil {
 		return nil, errors.New("hyperprov: no off-chain store configured")
 	}
-	// Model the client-side costs: checksum on the CPU, then the SSHFS
-	// upload to the storage node. These two terms grow with payload size
-	// and dominate the large-payload points of Figs 1–2.
-	exec := c.gw.Executor()
-	exec.Hash(len(data))
-	exec.StoreTransfer(len(data))
 	checksum := offchain.Checksum(data)
 	ref, err := c.store.Put(data)
 	if err != nil {
@@ -258,22 +262,17 @@ func (c *Client) GetData(key string) ([]byte, *Record, error) {
 		}
 		return nil, rec, fmt.Errorf("hyperprov: off-chain get: %w", err)
 	}
-	exec := c.gw.Executor()
-	exec.StoreTransfer(len(data))
-	exec.Hash(len(data))
 	if err := offchain.VerifyChecksum(data, rec.Checksum); err != nil {
 		return nil, rec, ErrTampered
 	}
 	return data, rec, nil
 }
 
-// VerifyLedger audits the hash chain of every peer's copy of the client's
-// channel ledger.
+// VerifyLedger audits the hash chain of the copies of the client's channel
+// ledger (in process: every peer's).
 func (c *Client) VerifyLedger() error {
-	for _, p := range c.gw.Channel().Peers() {
-		if err := p.Ledger().VerifyChain(); err != nil {
-			return fmt.Errorf("hyperprov: %s: %w", p.Name(), err)
-		}
+	if err := c.gw.AuditChain(); err != nil {
+		return fmt.Errorf("hyperprov: %w", err)
 	}
 	return nil
 }

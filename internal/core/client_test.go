@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,7 +50,18 @@ func newClientWith(t testing.TB, store offchain.Store) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
+	builtOn.Store(c, n.Channels()[0])
 	return c
+}
+
+// builtOn remembers the channel each network-backed test client was built
+// on (*Client → *fabric.Channel): the client itself holds only the gateway
+// seam, and a few tests reach under it to settle peers or enrol a sibling.
+var builtOn sync.Map
+
+func channelOf(c *Client) *fabric.Channel {
+	ch, _ := builtOn.Load(c)
+	return ch.(*fabric.Channel)
 }
 
 // settle waits until every peer has committed every block ordered so far.
@@ -58,7 +70,7 @@ func newClientWith(t testing.TB, store offchain.Store) *Client {
 // version before the first write and commit as an MVCC conflict.
 func settle(t testing.TB, c *Client) {
 	t.Helper()
-	ch := c.gw.Channel()
+	ch := channelOf(c)
 	want := ch.Orderer().Height()
 	deadline := time.Now().Add(15 * time.Second)
 	for _, p := range ch.Peers() {
@@ -288,8 +300,9 @@ func TestClientWithoutStore(t *testing.T) {
 	}
 }
 
-// cGateway extracts the gateway for building a second client in tests.
-func cGateway(c *Client) *fabric.Gateway { return c.gw }
+// cGateway extracts the concrete gateway a network-backed test client was
+// built on.
+func cGateway(c *Client) *fabric.Gateway { return c.gw.(*fabric.Gateway) }
 
 func TestNewRequiresGateway(t *testing.T) {
 	if _, err := New(nil); err == nil {

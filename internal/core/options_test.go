@@ -52,6 +52,7 @@ func channelClient(t *testing.T, n *fabric.Network, channel, name string) *Clien
 	if err != nil {
 		t.Fatal(err)
 	}
+	builtOn.Store(c, ch)
 	return c
 }
 
@@ -90,7 +91,7 @@ func TestWithChannelUnknown(t *testing.T) {
 func TestWithTimeoutAndDefaultChannel(t *testing.T) {
 	n := newMultiChannelNet(t)
 	c := channelClient(t, n, "tenant-b", "opts-client3")
-	c.gw.SetCommitTimeout(time.Nanosecond)
+	cGateway(c).SetCommitTimeout(time.Nanosecond)
 	if _, err := c.Post("too-slow", "sha256:x", PostOptions{}); !errors.Is(err, fabric.ErrCommitTimeout) {
 		t.Fatalf("post with 1ns timeout: err=%v, want commit timeout", err)
 	}
@@ -125,7 +126,8 @@ func TestWatchIsChannelScoped(t *testing.T) {
 	n := newMultiChannelNet(t)
 	a := channelClient(t, n, "tenant-a", "watch-a")
 	b := channelClient(t, n, "tenant-b", "watch-b")
-	watch := b.Watch(4)
+	watch, stop := b.Watch(4)
+	defer stop()
 	if _, err := a.Post("a-key", "sha256:a", PostOptions{}); err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,5 @@ func (c *Client) GetChildren(key string) ([]Record, error) {
 // ChaincodeVersion reports the deployed provenance contract version.
 func (c *Client) ChaincodeVersion() (string, error) {
 	payload, err := c.gw.Evaluate(provenance.ChaincodeName, provenance.FnVersion)
-	if err != nil {
-		return "", err
-	}
-	return string(payload), nil
+	return string(payload), err
 }

@@ -73,7 +73,7 @@ func TestGetByCreatorAcrossClients(t *testing.T) {
 // mustGateway enrolls a fresh client identity on the same network.
 func mustGateway(t *testing.T, c *Client, name string) *fabric.Gateway {
 	t.Helper()
-	gw, err := c.gw.Channel().NewGateway(name)
+	gw, err := channelOf(c).NewGateway(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,8 @@ func TestOwnershipAcrossClients(t *testing.T) {
 
 func TestWatchStreamsCommits(t *testing.T) {
 	c, _ := newClient(t)
-	watch := c.Watch(16)
+	watch, stop := c.Watch(16)
+	defer stop()
 	keys := []string{"w1", "w2", "w3"}
 	for _, k := range keys {
 		if _, err := c.Post(k, "cs", PostOptions{}); err != nil {
@@ -254,5 +255,66 @@ func BenchmarkLineageReadsRealClock(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reads()
+	}
+}
+
+// A watcher that is stopped — after reading, or after being abandoned with
+// its forwarder parked in a send nobody receives — must leave no goroutine
+// behind, with commits in flight throughout. (At 507cff6 Watch had no stop
+// and five abandoned watchers left five goroutines parked even after every
+// peer had stopped.)
+func TestWatchStopLeavesNoGoroutine(t *testing.T) {
+	base := watchGoroutines()
+	c, _ := newClient(t)
+	const live, abandoned = 5, 5
+
+	var stops []func()
+	for i := 0; i < abandoned; i++ {
+		_, stop := c.Watch(1) // never read: parks on the second event
+		stops = append(stops, stop)
+	}
+	quit, posted := make(chan struct{}), make(chan error, 1)
+	go func() { // commits in flight until every live watcher has come and gone
+		for i := 0; ; i++ {
+			select {
+			case <-quit:
+				posted <- nil
+				return
+			default:
+			}
+			if _, err := c.Post(fmt.Sprintf("leak-%d", i), "cs", PostOptions{}); err != nil {
+				posted <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < live; i++ {
+		watch, stop := c.Watch(16)
+		select {
+		case <-watch:
+		case <-time.After(10 * time.Second):
+			t.Fatal("live watcher saw no event")
+		}
+		stop()
+		stop() // idempotent
+		for range watch {
+		}
+	}
+	close(quit)
+	if err := <-posted; err != nil {
+		t.Fatal(err)
+	}
+	if got := watchGoroutines() - base; got != abandoned {
+		t.Errorf("%d Watch goroutines while %d watchers are abandoned and unstopped", got, abandoned)
+	}
+	for _, stop := range stops {
+		stop()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for watchGoroutines() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d Watch goroutines left after every watcher was stopped", watchGoroutines()-base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 // RecordEvent notifies a watcher that a provenance record committed.
 type RecordEvent struct {
 	// Key is the provenance record key that was set or deleted.
@@ -11,21 +13,30 @@ type RecordEvent struct {
 }
 
 // Watch streams committed provenance-record writes ("provenance.set"
-// chaincode events) observed on the client's commit peer, starting from
-// now. The channel closes when the network stops. This mirrors the event
+// chaincode events) on the client's channel, starting from now — the event
 // subscription the paper's NodeJS library exposes for reacting to new data
-// items at the edge.
-func (c *Client) Watch(buffer int) <-chan RecordEvent {
-	events := c.gw.Channel().Peers()[0].SubscribeEvents(buffer)
+// items at the edge. The channel closes after stop (idempotent) or when the
+// network stops; a watcher that stops reading must call stop.
+func (c *Client) Watch(buffer int) (records <-chan RecordEvent, stop func()) {
+	events, cancel := c.gw.Events(buffer)
 	out := make(chan RecordEvent, buffer)
+	done := make(chan struct{})
 	go func() {
 		defer close(out)
 		for ev := range events {
 			if ev.Name != "provenance.set" {
 				continue
 			}
-			out <- RecordEvent{Key: string(ev.Payload), TxID: ev.TxID, BlockNum: ev.BlockNum}
+			select {
+			case out <- RecordEvent{Key: string(ev.Payload), TxID: ev.TxID, BlockNum: ev.BlockNum}:
+			case <-done:
+				return
+			}
 		}
 	}()
-	return out
+	var once sync.Once
+	return out, func() {
+		once.Do(func() { close(done) })
+		cancel() // closes events: a goroutine waiting in the range returns too
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/orderer"
@@ -41,7 +42,7 @@ func newTestNetwork(t testing.TB, cfg Config) *Network {
 	return n
 }
 
-func setRecord(t testing.TB, gw *Gateway, key, checksum string, parents ...string) *TxResult {
+func setRecord(t testing.TB, gw *Gateway, key, checksum string, parents ...string) *blockstore.TxResult {
 	t.Helper()
 	in := map[string]any{"key": key, "checksum": checksum}
 	if len(parents) > 0 {

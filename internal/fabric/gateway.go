@@ -12,6 +12,8 @@ import (
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
+	"github.com/hyperprov/hyperprov/internal/offchain"
+	"github.com/hyperprov/hyperprov/internal/peer"
 	"github.com/hyperprov/hyperprov/internal/shim"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
@@ -22,16 +24,6 @@ var (
 	ErrTxInvalidated = errors.New("fabric: transaction invalidated at commit")
 	ErrEndorsement   = errors.New("fabric: endorsement failed")
 )
-
-// TxResult reports a committed transaction.
-type TxResult struct {
-	TxID     string
-	BlockNum uint64
-	Code     blockstore.ValidationCode
-	Payload  []byte
-	// Latency is the wall-clock submit-to-commit duration.
-	Latency time.Duration
-}
 
 // Endorser is anything that can simulate and sign a proposal: a local
 // *peer.Peer, or a transport client for a peer served by another process.
@@ -71,18 +63,18 @@ func (g *Gateway) Identity() *identity.SigningIdentity { return g.signer }
 // ChannelID returns the name of the channel this gateway is bound to.
 func (g *Gateway) ChannelID() string { return g.ch.id }
 
-// Channel returns the channel this gateway is bound to.
-func (g *Gateway) Channel() *Channel { return g.ch }
-
-// Executor returns the gateway's client-side device executor.
-func (g *Gateway) Executor() *device.Executor { return g.exec }
+// commitPeer is the peer whose ledger the client takes as committed. Which
+// peer answers a client request is decided in this file and nowhere else:
+// commit-wait, Evaluate and Events ask the commit peer; TxStatus asks it
+// first, then the rest in channel order; AuditChain asks every peer.
+func (g *Gateway) commitPeer() *peer.Peer { return g.ch.peers[0] }
 
 // SetCommitTimeout overrides the commit-wait timeout (wall clock).
 func (g *Gateway) SetCommitTimeout(d time.Duration) { g.commitTimeout = d }
 
 // Submit runs the full execute–order–validate flow for one transaction and
 // blocks until it commits (or fails validation / times out).
-func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error) {
+func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxResult, error) {
 	start := time.Now()
 	g.exec.Sign()
 	prop, err := endorser.NewProposal(g.signer, g.ch.id, chaincode, fn, args)
@@ -172,7 +164,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 
 	// Register for the commit event before submitting (no lost wakeups),
 	// then broadcast to ordering.
-	commitPeer := peers[0]
+	commitPeer := g.commitPeer()
 	wait := commitPeer.RegisterTxListener(txID)
 	g.exec.Transfer(len(resps[0].RWSet) + 768) // client -> orderer
 	// The propose span covers the client-side work — proposal signing,
@@ -187,7 +179,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	defer timeout.Stop()
 	select {
 	case ev := <-wait:
-		res := &TxResult{
+		res := &blockstore.TxResult{
 			TxID:     txID,
 			BlockNum: ev.BlockNum,
 			Code:     ev.Code,
@@ -263,10 +255,10 @@ func largestConsistentGroup(resps []*endorser.Response) []*endorser.Response {
 }
 
 // Evaluate runs a read-only query against a single peer of the gateway's
-// channel (round-robin would be a refinement; peer 0 matches the paper's
-// client behaviour).
+// channel (round-robin would be a refinement; the commit peer matches the
+// paper's client behaviour).
 func (g *Gateway) Evaluate(chaincode, fn string, args ...[]byte) ([]byte, error) {
-	resp, err := g.ch.peers[0].Query(chaincode, fn, args, g.signer.Serialize())
+	resp, err := g.commitPeer().Query(chaincode, fn, args, g.signer.Serialize())
 	if err != nil {
 		return nil, err
 	}
@@ -274,4 +266,63 @@ func (g *Gateway) Evaluate(chaincode, fn string, args ...[]byte) ([]byte, error)
 		return nil, fmt.Errorf("fabric: evaluate %s.%s: %s", chaincode, fn, resp.Message)
 	}
 	return resp.Payload, nil
+}
+
+// TxStatus looks a transaction up below the chaincode layer, on the ledgers
+// of the gateway's own channel: envelope and validation code from the first
+// peer that holds it, blockstore.ErrTxNotFound when none does.
+func (g *Gateway) TxStatus(txID string) (*blockstore.Envelope, blockstore.ValidationCode, error) {
+	for _, p := range g.ch.peers {
+		if env, code, err := p.Ledger().GetTx(txID); err == nil {
+			return env, code, nil
+		}
+	}
+	return nil, 0, fmt.Errorf("%w: %q", blockstore.ErrTxNotFound, txID)
+}
+
+// AuditChain verifies the hash chain of every peer's copy of the channel
+// ledger and names the first peer whose copy fails.
+func (g *Gateway) AuditChain() error {
+	for _, p := range g.ch.peers {
+		if err := p.Ledger().VerifyChain(); err != nil {
+			return fmt.Errorf("%s: %w", p.Name(), err)
+		}
+	}
+	return nil
+}
+
+// Events streams the chaincode events of transactions that commit as valid
+// on the commit peer, from now until cancel (idempotent) or the peer stops.
+func (g *Gateway) Events(buffer int) (events <-chan blockstore.ChaincodeEvent, cancel func()) {
+	return g.commitPeer().SubscribeEvents(buffer)
+}
+
+// MeteredStore wraps an off-chain store in the client machine's payload
+// costs, charged to this gateway's executor: the checksum on the CPU and the
+// SSHFS transfer to or from the storage node, the two terms that dominate
+// the large-payload points of Figs 1–2. A caller modelling a client machine
+// hands it to core.WithStore; a store behind a shaped link is left bare.
+func (g *Gateway) MeteredStore(s offchain.Store) offchain.Store {
+	return meteredStore{Store: s, exec: g.exec}
+}
+
+type meteredStore struct {
+	offchain.Store
+	exec *device.Executor
+}
+
+func (m meteredStore) Put(data []byte) (string, error) {
+	m.exec.Hash(len(data))
+	m.exec.StoreTransfer(len(data))
+	return m.Store.Put(data)
+}
+
+func (m meteredStore) Get(ref string) ([]byte, error) {
+	data, err := m.Store.Get(ref)
+	if err != nil {
+		return nil, err
+	}
+	m.exec.StoreTransfer(len(data))
+	m.exec.Hash(len(data))
+	return data, nil
 }

@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/core"
+	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/metrics"
+	"github.com/hyperprov/hyperprov/internal/offchain"
 )
 
 // slowEndorser delays proposals before delegating to a real peer, modelling
@@ -86,5 +89,66 @@ func TestLargestConsistentGroupRespectsFieldBoundaries(t *testing.T) {
 	group := largestConsistentGroup([]*endorser.Response{a, b, c})
 	if len(group) != 2 || group[0] != b || group[1] != c {
 		t.Fatalf("group = %v, want the two (\"a\",\"bc\") responses", group)
+	}
+}
+
+// The client machine's payload costs live in the metered store, not in the
+// client library: exactly HashCost(n) + StoreCost(n) of busy time per Put
+// and per Get on the gateway's executor, and nothing when the client is
+// handed a bare store — hyperprov-net's RemoteStore link is already shaped
+// by -latency / -mbps and must not pay the transfer a second time.
+func TestMeteredStoreChargesPayloadCosts(t *testing.T) {
+	n := newTestNetwork(t, testConfig())
+	// Only the two payload terms cost anything, so every nanosecond of
+	// busy time below is theirs.
+	prof := device.Profile{Name: "payload-only", Cores: 1, HashMBps: 38, StoreLatency: 6 * time.Millisecond, StoreMBps: 8}
+	exec := device.NewExecutor(prof, device.NopClock{}, 1)
+	gw, err := n.NewGatewayOn("metered", exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 96<<10)
+	want := prof.HashCost(len(payload)) + prof.StoreCost(len(payload))
+
+	backing := offchain.NewMemStore()
+	metered := gw.MeteredStore(backing)
+	ref, err := metered.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exec.BusyTime(); got != want {
+		t.Errorf("Put charged %v, want HashCost+StoreCost = %v", got, want)
+	}
+	exec.ResetBusy()
+	if _, err := metered.Get(ref); err != nil {
+		t.Fatal(err)
+	}
+	if got := exec.BusyTime(); got != want {
+		t.Errorf("Get charged %v, want HashCost+StoreCost = %v", got, want)
+	}
+	exec.ResetBusy()
+	if _, err := metered.Get("mem://absent"); err == nil || exec.BusyTime() != 0 {
+		t.Errorf("failed Get: err=%v, charged %v; want an error and no charge", err, exec.BusyTime())
+	}
+
+	for _, tc := range []struct {
+		name  string
+		store offchain.Store
+		want  time.Duration
+	}{{"bare", backing, 0}, {"metered", metered, 2 * want}} {
+		c, err := core.New(gw, core.WithStore(tc.store))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec.ResetBusy()
+		if _, err := c.StoreData("item-"+tc.name, payload, core.PostOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.GetData("item-" + tc.name); err != nil {
+			t.Fatal(err)
+		}
+		if got := exec.BusyTime(); got != tc.want {
+			t.Errorf("StoreData+GetData over a %s store charged %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

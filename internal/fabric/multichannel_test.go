@@ -360,7 +360,7 @@ func TestNewGatewayForOnNonFirstChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gw.Identity().Org() != "OrgB" || gw.Channel() != b || gw.ChannelID() != "tenant-b" {
+	if gw.Identity().Org() != "OrgB" || gw.ch != b || gw.ChannelID() != "tenant-b" {
 		t.Fatalf("gateway org %q on channel %q", gw.Identity().Org(), gw.ChannelID())
 	}
 	heightA := a.Orderer().Height()

@@ -43,7 +43,8 @@ func TestStartStopConsumesStream(t *testing.T) {
 
 func TestSubscribeEventsDirect(t *testing.T) {
 	f := newFixture(t)
-	events := f.peer.SubscribeEvents(8)
+	events, cancel := f.peer.SubscribeEvents(8)
+	defer cancel() // after Stop: must not close the channel a second time
 
 	// Init emits provenance.init; drive it through CommitBlock.
 	prop := f.propose(InitFunction)
@@ -72,9 +73,11 @@ func TestSubscribeEventsDirect(t *testing.T) {
 		}
 	}
 	// Subscribing after stop yields a closed channel.
-	if _, ok := <-f.peer.SubscribeEvents(1); ok {
+	late, cancelLate := f.peer.SubscribeEvents(1)
+	if _, ok := <-late; ok {
 		t.Error("post-stop subscription delivered an event")
 	}
+	cancelLate()
 }
 
 func TestGossipHooksServeAndAccept(t *testing.T) {
@@ -173,5 +176,59 @@ func TestWireSizeEstimates(t *testing.T) {
 	f.commitEnvs(f.envelopeFor(initProp, resp))
 	if exec.BusyTime() == 0 {
 		t.Error("no device cost accounted")
+	}
+}
+
+// A cancelled subscription leaves the hub: its channel closes exactly once
+// — whether cancel runs once, twice, or after the peer stopped — and
+// publishes that race the cancels never send on a closed channel.
+func TestSubscribeEventsCancel(t *testing.T) {
+	f := newFixture(t)
+	const cancelled, abandoned = 5, 5
+	var cancels []func()
+	var streams []<-chan blockstore.ChaincodeEvent
+	for i := 0; i < cancelled+abandoned; i++ {
+		events, cancel := f.peer.SubscribeEvents(1)
+		streams, cancels = append(streams, events), append(cancels, cancel)
+	}
+	subscribers := func() int {
+		f.peer.events.mu.Lock()
+		defer f.peer.events.mu.Unlock()
+		return len(f.peer.events.subs)
+	}
+	if got := subscribers(); got != cancelled+abandoned {
+		t.Fatalf("hub holds %d subscribers, want %d", got, cancelled+abandoned)
+	}
+
+	published := make(chan struct{})
+	go func() { // commits in flight while subscribers leave
+		defer close(published)
+		for i := 0; i < 200; i++ {
+			f.peer.publishTxEvents("tx", uint64(i), []byte(`[{"name":"provenance.set","payload":"aw=="}]`))
+		}
+	}()
+	for _, cancel := range cancels[:cancelled] {
+		cancel()
+		cancel() // idempotent
+	}
+	<-published
+	if got := subscribers(); got != abandoned {
+		t.Errorf("hub holds %d subscribers after %d of %d cancelled, want %d", got, cancelled, cancelled+abandoned, abandoned)
+	}
+	for _, events := range streams[:cancelled] {
+		for range events { // drains what was buffered, then must be closed
+		}
+	}
+
+	f.peer.Stop()
+	for _, cancel := range cancels { // after the hub closed every channel itself
+		cancel()
+	}
+	if got := subscribers(); got != 0 {
+		t.Errorf("hub holds %d subscribers after Stop", got)
+	}
+	for _, events := range streams[cancelled:] {
+		for range events {
+		}
 	}
 }

@@ -59,6 +59,13 @@ PEER2=$(echo "$PEERS" | cut -d, -f2)
   && [ -n "$PEER1" ] && [ -n "$PEER2" ] && [ -n "$ADMIN" ] || {
   echo "could not parse primary output:"; cat "$LOG"; exit 1;
 }
+# Before printing its targets the primary read its first item back on each
+# channel: StoreData / GetData through the off-chain server's TCP socket.
+for ch in "$CH_A" "$CH_B"; do
+  grep -q "^retrieved [0-9]* bytes on $ch over the TCP store, checksum verified" "$LOG" || {
+    echo "primary never read net-item-0 back on $ch:"; cat "$LOG"; exit 1;
+  }
+done
 echo "primary ready: peers=$PEERS $CH_A@$HEIGHT_A=$FP_A $CH_B@$HEIGHT_B=$FP_B admin=$ADMIN"
 
 # The two channels committed the same keys but are independent ledgers:

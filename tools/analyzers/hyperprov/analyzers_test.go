@@ -12,6 +12,11 @@ func TestAtomicWrite(t *testing.T) {
 		"atomicwrite/offchain", "atomicwrite/other")
 }
 
+func TestClientSeam(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), hyperprov.ClientSeam,
+		"clientseam/core", "clientseam/cli")
+}
+
 func TestErrCodes(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), hyperprov.ErrCodes,
 		"errcodes/a")

@@ -3,6 +3,8 @@
 // review alone kept re-litigating:
 //
 //	atomicwrite   durable files are published temp+fsync+rename+dir-fsync (PR 3)
+//	clientseam    internal/core imports none of the network's own packages: the
+//	              client library depends on the core.Gateway interface (PR 26)
 //	errcodes      cross-process errors are classified structurally, never by
 //	              error-string matching (PR 4's RemoteStore bug class)
 //	locksafe      striped locks are never held across blocking operations (PR 5/7)
@@ -24,6 +26,7 @@ import "github.com/hyperprov/hyperprov/tools/analyzers/analysis"
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		AtomicWrite,
+		ClientSeam,
 		ErrCodes,
 		LockSafe,
 		MetricNames,

@@ -26,23 +26,28 @@ func runNoJSONWire(pass *analysis.Pass) error {
 	if !inScope(pass.Pkg.Path(), "network", "offchain", "transport") {
 		return nil
 	}
+	banImports(pass, func(path string) bool { return path == "encoding/json" || path == "encoding/base64" },
+		"%s imported in a package that owns a wire; frame bodies are "+
+			"internal/codec encodings and payload bytes travel raw")
+	return nil
+}
+
+// banImports reports, with format applied to the import path, every import
+// in the pass's non-test files that banned names. Tests are exempt: they
+// may build hostile or legacy bodies, or assemble the network a fake
+// stands in for.
+func banImports(pass *analysis.Pass, banned func(path string) bool, format string) {
 	allow := newAllowIndex(pass)
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
-			continue // tests may build hostile or legacy bodies
+			continue
 		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || (path != "encoding/json" && path != "encoding/base64") {
+			if err != nil || !banned(path) || allow.allowed(pass.Analyzer.Name, imp.Pos()) {
 				continue
 			}
-			if allow.allowed(pass.Analyzer.Name, imp.Pos()) {
-				continue
-			}
-			pass.Reportf(imp.Pos(),
-				"%s imported in a package that owns a wire; frame bodies are "+
-					"internal/codec encodings and payload bytes travel raw", path)
+			pass.Reportf(imp.Pos(), format, path)
 		}
 	}
-	return nil
 }

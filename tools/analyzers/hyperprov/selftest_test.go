@@ -12,6 +12,7 @@ import (
 // known violations of its invariant.
 var violationFixture = map[string]string{
 	"atomicwrite": "atomicwrite/offchain",
+	"clientseam":  "clientseam/core",
 	"errcodes":    "errcodes/a",
 	"locksafe":    "locksafe/committer",
 	"metricnames": "metricnames/app",

@@ -74,7 +74,7 @@ func run() error {
 
 	// An auditor watches committed provenance events in real time (the
 	// event-hub pattern of the paper's client library).
-	watch, stop := gateway.Watch(64)
+	watch, stop := gateway.Watch()
 	defer stop() // an early return must not leave the subscription behind
 	var watched int
 	watchDone := make(chan struct{})
@@ -177,7 +177,7 @@ func run() error {
 	fmt.Printf("queries: %d raw readings on-chain; sensor-0 posted %d of them\n",
 		len(raw), len(bySensor0))
 
-	net.Stop() // ends the watch stream after its last event is delivered
+	net.Stop() // ends the watch stream
 	<-watchDone
 	fmt.Printf("auditor observed %d committed record events live\n", watched)
 	return nil

@@ -90,6 +90,9 @@ func (s *Store) Append(b *Block) error {
 	s.tip = b.Header.sum()
 	s.byHash[s.tip] = b.Header.Number
 	for i := range b.Envelopes {
+		if _, dup := s.byTxID[b.Envelopes[i].TxID]; dup {
+			continue // a txID's first occurrence is the one that counts
+		}
 		code := TxValid
 		if i < len(b.TxValidation) {
 			code = b.TxValidation[i]
@@ -143,8 +146,8 @@ func (s *Store) GetByHash(hash []byte) (*Block, error) {
 }
 
 // Locate returns where a transaction committed (block number, index, and
-// validation code) without materializing the envelope. The peer uses it to
-// answer listener registrations for transactions that already committed.
+// validation code) without materializing the envelope: what a commit-wait
+// looks for.
 func (s *Store) Locate(txID string) (TxLocator, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

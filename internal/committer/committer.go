@@ -13,8 +13,8 @@
 //     transactions concurrently (topological wavefronts in transaction
 //     order — see conflict.go), applying one accumulated UpdateBatch;
 //     stage 3 (persistence) appends the block, records history, and
-//     notifies listeners while stage 2 is already validating the next
-//     block.
+//     advances the persisted watermark while stage 2 is already validating
+//     the next block.
 //
 // Both engines produce identical validation verdicts and identical final
 // state for the same block stream — the equivalence test in this package
@@ -93,8 +93,8 @@ type Config struct {
 	// peer charges modeled block-transfer cost here.
 	OnAccepted func(b *blockstore.Block)
 	// OnCommitted, when set, is called once per committed block, in block
-	// order, after the block and its history are persisted. The peer
-	// publishes chaincode events and commit notifications here.
+	// order, after the block and its history are persisted and before the
+	// watermark passes it. The peer counts commits and completes traces here.
 	OnCommitted func(b *blockstore.Block)
 	// CheckpointEvery, when > 0 together with OnCheckpoint, captures a
 	// consistent state snapshot at every block boundary whose 1-based
@@ -169,9 +169,6 @@ type Committer interface {
 	// Sync blocks until every block accepted so far is persisted: state,
 	// history, and block store all reflect it and OnCommitted has run.
 	Sync()
-	// Watermark returns the number of fully persisted blocks (the height
-	// queries may safely read at).
-	Watermark() uint64
 	// Close drains in-flight blocks and releases resources. Submit after
 	// Close returns false. Close is idempotent.
 	Close()

@@ -18,7 +18,7 @@ const pipelineDepth = 2
 //
 //	Submit ─▶ [stage 1: pre-validation, worker pool]
 //	       ─▶ [stage 2: MVCC walk + state apply, sequential]
-//	       ─▶ [stage 3: history + block append + notify, async]
+//	       ─▶ [stage 3: history + block append + watermark, async]
 //
 // Block N's persistence overlaps block N+1's validation. World state is
 // applied at the end of stage 2 (the next block's MVCC check needs it);
@@ -42,10 +42,9 @@ type Pipeline struct {
 	// blocking enqueue, and queries must not stall behind admission.
 	admitted atomic.Uint64
 
-	// markMu guards the persisted watermark; cond wakes Sync waiters.
-	markMu sync.Mutex
-	cond   *sync.Cond
-	mark   uint64 // next block number not yet fully persisted
+	// mark is the persisted watermark: the next block number not yet fully
+	// persisted, as the height Sync and the peer's readers wait on.
+	mark blockstore.Height
 
 	prevalCh  chan *task
 	mvccCh    chan *task
@@ -64,13 +63,12 @@ func New(cfg Config) *Pipeline {
 		mvccWorkers: cfg.mvccWorkerCount(),
 		next:        cfg.Blocks.Height(),
 		lastHash:    cfg.Blocks.LastHash(),
-		mark:        cfg.Blocks.Height(),
 		prevalCh:    make(chan *task, pipelineDepth),
 		mvccCh:      make(chan *task, pipelineDepth),
 		persistCh:   make(chan *task, pipelineDepth),
 	}
 	p.admitted.Store(p.next)
-	p.cond = sync.NewCond(&p.markMu)
+	p.mark.Advance(p.next)
 	p.wg.Add(3)
 	go p.prevalStage()
 	go p.mvccStage()
@@ -134,7 +132,7 @@ func (p *Pipeline) mvccStage() {
 		if err != nil {
 			// Replayed block against restored state: drop, but still move
 			// the watermark so Sync cannot wedge.
-			p.advance(t.b.Header.Number)
+			p.mark.Advance(t.b.Header.Number + 1)
 			continue
 		}
 		p.persistCh <- t
@@ -149,7 +147,7 @@ func (p *Pipeline) persistStage() {
 		start := stageStart()
 		persist(p.cfg, t, start)
 		observe(p.cfg.Metrics, metrics.CommitStagePersist, start)
-		p.advance(t.b.Header.Number)
+		p.mark.Advance(t.b.Header.Number + 1)
 		// Checkpoint delivery runs behind the watermark: queries already
 		// see the block while the durable checkpoint is being written.
 		if t.capture != nil {
@@ -158,38 +156,20 @@ func (p *Pipeline) persistStage() {
 	}
 }
 
-// advance moves the watermark past block number n and wakes Sync waiters.
-func (p *Pipeline) advance(n uint64) {
-	p.markMu.Lock()
-	if n+1 > p.mark {
-		p.mark = n + 1
-	}
-	p.cond.Broadcast()
-	p.markMu.Unlock()
-}
-
 // Sync blocks until every block admitted before the call is fully
 // persisted (stage 3 complete, OnCommitted delivered). It deliberately
 // avoids submitMu: a query must not wait behind an in-flight Submit that
-// is charging modeled transfer cost or blocked on a full stage queue.
-func (p *Pipeline) Sync() {
-	want := p.admitted.Load()
-	p.markMu.Lock()
-	for p.mark < want {
-		p.cond.Wait()
-	}
-	p.markMu.Unlock()
-}
+// is charging modeled transfer cost or blocked on a full stage queue; and
+// when nothing is in flight it returns on two atomic loads.
+func (p *Pipeline) Sync() { p.mark.Wait(p.admitted.Load(), nil) }
 
-// Watermark returns the number of fully persisted blocks.
-func (p *Pipeline) Watermark() uint64 {
-	p.markMu.Lock()
-	defer p.markMu.Unlock()
-	return p.mark
-}
+// Persisted is the watermark — the number of fully persisted blocks, as a
+// height: block n is persisted and OnCommitted has run for it once it
+// reaches n+1. Close closes it, releasing readers waiting past the end.
+func (p *Pipeline) Persisted() *blockstore.Height { return &p.mark }
 
-// Close drains in-flight blocks and stops the stage goroutines. It is
-// idempotent and safe to call concurrently with Submit.
+// Close drains in-flight blocks, stops the stage goroutines and closes the
+// watermark. It is idempotent and safe to call concurrently with Submit.
 func (p *Pipeline) Close() {
 	p.submitMu.Lock()
 	if p.closed {
@@ -201,4 +181,5 @@ func (p *Pipeline) Close() {
 	close(p.prevalCh)
 	p.submitMu.Unlock()
 	p.wg.Wait()
+	p.mark.Close()
 }

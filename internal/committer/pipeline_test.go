@@ -45,7 +45,7 @@ func TestPipelineDedupAndOrdering(t *testing.T) {
 	if h := l.blocks.Height(); h != uint64(len(stream)) {
 		t.Errorf("height = %d, want %d", h, len(stream))
 	}
-	if w := pipe.Watermark(); w != uint64(len(stream)) {
+	if w := pipe.Persisted().Load(); w != uint64(len(stream)) {
 		t.Errorf("watermark = %d, want %d", w, len(stream))
 	}
 	// Replays of already-committed heights are dropped.

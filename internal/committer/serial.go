@@ -74,12 +74,5 @@ func (s *Serial) Submit(ordered *blockstore.Block) bool {
 // Sync is a no-op: Submit persists before returning.
 func (s *Serial) Sync() {}
 
-// Watermark returns the persisted block height.
-func (s *Serial) Watermark() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
-
 // Close is a no-op; Serial holds no goroutines.
 func (s *Serial) Close() {}

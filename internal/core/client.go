@@ -73,9 +73,10 @@ type Gateway interface {
 	TxStatus(txID string) (*blockstore.Envelope, blockstore.ValidationCode, error)
 	// AuditChain verifies the hash chain of the channel's ledger copies.
 	AuditChain() error
-	// Events streams chaincode events of valid commits from now on; the
-	// channel closes on cancel (idempotent) or when the source ends.
-	Events(buffer int) (events <-chan blockstore.ChaincodeEvent, cancel func())
+	// Events streams chaincode events of valid commits from now on, in
+	// commit order and none dropped; the channel closes on cancel
+	// (idempotent) or when the source ends.
+	Events() (events <-chan blockstore.ChaincodeEvent, cancel func())
 }
 
 // Client is a HyperProv handle bound to one identity on one channel of one

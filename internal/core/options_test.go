@@ -126,7 +126,7 @@ func TestWatchIsChannelScoped(t *testing.T) {
 	n := newMultiChannelNet(t)
 	a := channelClient(t, n, "tenant-a", "watch-a")
 	b := channelClient(t, n, "tenant-b", "watch-b")
-	watch, stop := b.Watch(4)
+	watch, stop := b.Watch()
 	defer stop()
 	if _, err := a.Post("a-key", "sha256:a", PostOptions{}); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/fabric"
+	"github.com/hyperprov/hyperprov/internal/leaktest"
 )
 
 func TestListPagination(t *testing.T) {
@@ -153,7 +154,7 @@ func TestOwnershipAcrossClients(t *testing.T) {
 
 func TestWatchStreamsCommits(t *testing.T) {
 	c, _ := newClient(t)
-	watch, stop := c.Watch(16)
+	watch, stop := c.Watch()
 	defer stop()
 	keys := []string{"w1", "w2", "w3"}
 	for _, k := range keys {
@@ -264,13 +265,13 @@ func BenchmarkLineageReadsRealClock(b *testing.B) {
 // and five abandoned watchers left five goroutines parked even after every
 // peer had stopped.)
 func TestWatchStopLeavesNoGoroutine(t *testing.T) {
-	base := watchGoroutines()
+	base, cursors := leaktest.Count(leaktest.Watch), leaktest.Count(leaktest.EventCursor)
 	c, _ := newClient(t)
 	const live, abandoned = 5, 5
 
 	var stops []func()
 	for i := 0; i < abandoned; i++ {
-		_, stop := c.Watch(1) // never read: parks on the second event
+		_, stop := c.Watch() // never read: parks on the first event
 		stops = append(stops, stop)
 	}
 	quit, posted := make(chan struct{}), make(chan error, 1)
@@ -289,7 +290,7 @@ func TestWatchStopLeavesNoGoroutine(t *testing.T) {
 		}
 	}()
 	for i := 0; i < live; i++ {
-		watch, stop := c.Watch(16)
+		watch, stop := c.Watch()
 		select {
 		case <-watch:
 		case <-time.After(10 * time.Second):
@@ -304,17 +305,12 @@ func TestWatchStopLeavesNoGoroutine(t *testing.T) {
 	if err := <-posted; err != nil {
 		t.Fatal(err)
 	}
-	if got := watchGoroutines() - base; got != abandoned {
+	if got := leaktest.Count(leaktest.Watch) - base; got != abandoned {
 		t.Errorf("%d Watch goroutines while %d watchers are abandoned and unstopped", got, abandoned)
 	}
 	for _, stop := range stops {
 		stop()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for watchGoroutines() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d Watch goroutines left after every watcher was stopped", watchGoroutines()-base)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	leaktest.Settle(t, base, leaktest.Watch)
+	leaktest.Settle(t, cursors, leaktest.EventCursor)
 }

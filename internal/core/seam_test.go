@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/identity"
+	"github.com/hyperprov/hyperprov/internal/leaktest"
 	"github.com/hyperprov/hyperprov/internal/offchain"
 )
 
@@ -53,7 +53,7 @@ func (f *fakeGateway) TxStatus(txID string) (*blockstore.Envelope, blockstore.Va
 	return nil, 0, fmt.Errorf("%w: %q", blockstore.ErrTxNotFound, txID)
 }
 
-func (f *fakeGateway) Events(int) (<-chan blockstore.ChaincodeEvent, func()) {
+func (f *fakeGateway) Events() (<-chan blockstore.ChaincodeEvent, func()) {
 	return f.events, f.end
 }
 
@@ -84,12 +84,6 @@ var fakeSigner = sync.OnceValues(func() (*identity.SigningIdentity, error) {
 	}
 	return ca.Enroll("fake-client", identity.RoleClient)
 })
-
-// watchGoroutines counts goroutines running Watch's forwarding loop.
-func watchGoroutines() int {
-	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "core.(*Client).Watch.func1")
-}
 
 // Every operator must reach the chaincode function it documents with the
 // argument bytes it documents, as a submit or an evaluate; pass a gateway
@@ -264,7 +258,7 @@ func TestGetDataWithoutLocationOnFakeGateway(t *testing.T) {
 // Watch forwards provenance.set events only, ends when its source ends, and
 // ends on stop even when nobody reads — leaving no goroutine either way.
 func TestWatchOnFakeGateway(t *testing.T) {
-	base := watchGoroutines()
+	base := leaktest.Count(leaktest.Watch)
 	expectClosed := func(t *testing.T, watch <-chan RecordEvent) {
 		t.Helper()
 		select {
@@ -278,7 +272,7 @@ func TestWatchOnFakeGateway(t *testing.T) {
 	}
 
 	c, f := newFake(t)
-	watch, stop := c.Watch(4)
+	watch, stop := c.Watch()
 	f.events <- blockstore.ChaincodeEvent{TxID: "t0", Name: "provenance.init"}
 	f.events <- blockstore.ChaincodeEvent{TxID: "t1", BlockNum: 3, Name: "provenance.set", Payload: []byte("k1")}
 	f.events <- blockstore.ChaincodeEvent{TxID: "t2", Name: "provenance.delete", Payload: []byte("k1")}
@@ -290,7 +284,7 @@ func TestWatchOnFakeGateway(t *testing.T) {
 	stop() // after the fact: must only be safe
 
 	c, f = newFake(t)
-	watch, stop = c.Watch(0)
+	watch, stop = c.Watch()
 	for i := 0; i < 3; i++ { // nobody reads: the forwarder parks in its send
 		f.events <- blockstore.ChaincodeEvent{Name: "provenance.set", Payload: []byte("k")}
 	}
@@ -298,12 +292,5 @@ func TestWatchOnFakeGateway(t *testing.T) {
 	stop()            // idempotent
 	for range watch { // whatever was forwarded before stop, then closed
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for watchGoroutines() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d Watch goroutines left behind", watchGoroutines()-base)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	leaktest.Settle(t, base, leaktest.Watch)
 }

@@ -15,11 +15,13 @@ type RecordEvent struct {
 // Watch streams committed provenance-record writes ("provenance.set"
 // chaincode events) on the client's channel, starting from now — the event
 // subscription the paper's NodeJS library exposes for reacting to new data
-// items at the edge. The channel closes after stop (idempotent) or when the
-// network stops; a watcher that stops reading must call stop.
-func (c *Client) Watch(buffer int) (records <-chan RecordEvent, stop func()) {
-	events, cancel := c.gw.Events(buffer)
-	out := make(chan RecordEvent, buffer)
+// items at the edge. Nothing is dropped: a watcher that reads late still
+// gets every record, in commit order. The channel closes after stop
+// (idempotent) or when the network stops; a watcher that stops reading must
+// call stop.
+func (c *Client) Watch() (records <-chan RecordEvent, stop func()) {
+	events, cancel := c.gw.Events()
+	out := make(chan RecordEvent)
 	done := make(chan struct{})
 	go func() {
 		defer close(out)

@@ -6,6 +6,7 @@
 package fabric
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -179,7 +180,7 @@ type Network struct {
 
 // NewNetwork assembles and starts a network: it enrolls peer and orderer
 // identities, builds one orderer instance and one per-host peer instance
-// per channel, wires every instance to its channel's ordered block stream,
+// per channel, starts every instance pulling its channel's ordered chain,
 // and leaves the network ready for chaincode deployment.
 func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Org == "" {
@@ -225,8 +226,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 
 	// One modeled ordering machine serves every channel (the usual Fabric
 	// deployment co-locates the ordering service), but each channel gets
-	// its own ordering instance: independent batch cutters, block chains,
-	// and subscriber streams.
+	// its own ordering instance: independent batch cutters and block chains.
 	ordExec := device.NewExecutor(cfg.OrdererProfile, cfg.Clock, cfg.Seed+1000)
 	chIDs := make([]string, len(channels))
 	for i, chc := range channels {
@@ -237,6 +237,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 		batch := chc.Batch
 		if batch == (orderer.BatchConfig{}) {
 			batch = cfg.Batch
+		}
+		// The batch timer runs in wall time; when the modeled clock is
+		// scaled, scale the timeout (<= 0 meaning the default) identically.
+		if scale := cfg.Clock.Scale(); scale > 0 {
+			timeout := cmp.Or(max(batch.BatchTimeout, 0), orderer.DefaultBatchConfig().BatchTimeout)
+			batch.BatchTimeout = time.Duration(float64(timeout) * scale)
 		}
 		var svc orderer.Service
 		switch cfg.Consensus {
@@ -291,7 +297,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		}
 		for _, c := range n.channels {
 			inst := host.Channel(c.id)
-			inst.Start(c.orderer.Subscribe())
+			inst.Start(c.orderer)
 			c.peers = append(c.peers, inst)
 		}
 		hosts[i] = host
@@ -458,7 +464,7 @@ func (c *Channel) JoinRemote(addr string, shape network.LinkShape) (*transport.M
 	return member, nil
 }
 
-// AddGossipPeer adds a peer to the channel that is NOT subscribed to the
+// AddGossipPeer adds a peer to the channel that does NOT pull from the
 // ordering service: it receives blocks exclusively through gossip
 // anti-entropy, modelling an edge node without connectivity to the orderer.
 // The network must have been created with Gossip enabled. The new peer has

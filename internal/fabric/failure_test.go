@@ -7,6 +7,7 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/device"
+	"github.com/hyperprov/hyperprov/internal/leaktest"
 	"github.com/hyperprov/hyperprov/internal/orderer"
 )
 
@@ -33,11 +34,11 @@ func TestSubmitSurvivesNonCommitPeerFailure(t *testing.T) {
 	}
 }
 
-// TestCommitTimeout: a transaction whose commit event never arrives (the
-// commit peer is detached from the block stream) must fail with
-// ErrCommitTimeout rather than hanging, and must not leave its commit
-// listener registered on the peer.
+// TestCommitTimeout: a transaction that never commits on the commit peer (it
+// is detached from its orderer) must fail with ErrCommitTimeout rather than
+// hanging, and must leave no commit-wait running.
 func TestCommitTimeout(t *testing.T) {
+	base := leaktest.Count(leaktest.CommitWait)
 	n := newTestNetwork(t, testConfig())
 	gw, err := n.NewGateway("client")
 	if err != nil {
@@ -52,9 +53,7 @@ func TestCommitTimeout(t *testing.T) {
 	if !errors.Is(err, ErrCommitTimeout) {
 		t.Errorf("err = %v, want ErrCommitTimeout", err)
 	}
-	if got := n.Peers()[0].PendingTxListeners(); got != 0 {
-		t.Errorf("%d commit listeners left registered after the timeout", got)
-	}
+	leaktest.Settle(t, base, leaktest.CommitWait)
 }
 
 // TestGatewayOnSharedExecutor: logical clients sharing one device executor
@@ -81,9 +80,10 @@ func TestGatewayOnSharedExecutor(t *testing.T) {
 }
 
 // TestOrdererStopFailsSubmitsCleanly: submissions after the ordering
-// service stops return an error instead of hanging, and the rejected
-// broadcast does not leave its commit listener registered.
+// service stops return an error instead of hanging; the rejected broadcast
+// leaves no commit-wait running, and the stopped orderer no peer feed.
 func TestOrdererStopFailsSubmitsCleanly(t *testing.T) {
+	base := leaktest.Count(leaktest.CommitWait, leaktest.PeerFeed)
 	n := newTestNetwork(t, testConfig())
 	gw, err := n.NewGateway("client")
 	if err != nil {
@@ -98,7 +98,25 @@ func TestOrdererStopFailsSubmitsCleanly(t *testing.T) {
 	if !errors.Is(err, orderer.ErrStopped) {
 		t.Logf("err = %v (any error acceptable, ErrStopped preferred)", err)
 	}
-	if got := n.Peers()[0].PendingTxListeners(); got != 0 {
-		t.Errorf("%d commit listeners left registered after the rejected broadcast", got)
+	leaktest.Settle(t, base, leaktest.CommitWait, leaktest.PeerFeed)
+}
+
+// The orderer's batch timer runs in wall time, so the network scales each
+// channel's BatchTimeout with its modeled clock: a lone transaction in a
+// 1,000-envelope batch is cut after 20 s × 0.01 = 200 ms — not 20 s, which
+// would also outlast the scaled commit timeout.
+func TestBatchTimeoutScalesWithClock(t *testing.T) {
+	cfg := testConfig()
+	cfg.Clock = device.RealClock{ScaleFactor: 0.01}
+	cfg.Batch = orderer.BatchConfig{MaxMessageCount: 1000, BatchTimeout: 20 * time.Second, PreferredMaxBytes: 1 << 30}
+	n := newTestNetwork(t, cfg)
+	gw, err := n.NewGateway("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	setRecord(t, gw, "timed", "cs")
+	if el := time.Since(start); el < 150*time.Millisecond || el > 2*time.Second {
+		t.Errorf("commit took %v, want about the scaled 200 ms batch timeout", el)
 	}
 }

@@ -34,7 +34,7 @@ type Endorser interface {
 
 // Gateway is the client-side library half of the Fabric SDK: it signs
 // proposals, collects endorsements, submits envelopes to ordering, and
-// waits for commit events — the machinery HyperProv's NodeJS client wraps.
+// waits for commits — the machinery HyperProv's NodeJS client wraps.
 // A gateway is bound to exactly one channel, the one that minted it.
 type Gateway struct {
 	ch            *Channel
@@ -162,38 +162,35 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
 
-	// Register for the commit event before submitting (no lost wakeups),
-	// then broadcast to ordering.
-	commitPeer := g.commitPeer()
-	wait := commitPeer.RegisterTxListener(txID)
 	g.exec.Transfer(len(resps[0].RWSet) + 768) // client -> orderer
 	// The propose span covers the client-side work — proposal signing,
 	// endorsement fan-out, and envelope assembly — ending at broadcast.
 	g.ch.net.tracer.Observe(txID, trace.StagePropose, "gateway", start, "")
 	if err := g.ch.orderer.Submit(env); err != nil {
-		commitPeer.UnregisterTxListener(txID, wait)
 		return nil, fmt.Errorf("fabric: broadcast: %w", err)
 	}
 
-	timeout := time.NewTimer(g.commitTimeout)
-	defer timeout.Stop()
-	select {
-	case ev := <-wait:
-		res := &blockstore.TxResult{
-			TxID:     txID,
-			BlockNum: ev.BlockNum,
-			Code:     ev.Code,
-			Payload:  resps[0].Payload,
-			Latency:  time.Since(start),
-		}
-		if ev.Code != blockstore.TxValid {
-			return res, fmt.Errorf("%w: %s", ErrTxInvalidated, ev.Code)
-		}
-		return res, nil
-	case <-timeout.C:
-		commitPeer.UnregisterTxListener(txID, wait)
+	// Commit-wait: the commit peer's watermark passing the transaction's
+	// block, so the trace is complete by the time Submit returns. A commit
+	// seen after the deadline is a timeout too, however late the timer's
+	// goroutine ran.
+	deadline, timeout := time.Now().Add(g.commitTimeout), make(chan struct{})
+	defer time.AfterFunc(g.commitTimeout, func() { close(timeout) }).Stop()
+	loc, ok := g.commitPeer().WaitTx(txID, timeout)
+	if !ok || time.Now().After(deadline) {
 		return nil, fmt.Errorf("%w: tx %s after %v", ErrCommitTimeout, txID, g.commitTimeout)
 	}
+	res := &blockstore.TxResult{
+		TxID:     txID,
+		BlockNum: loc.BlockNum,
+		Code:     loc.Code,
+		Payload:  resps[0].Payload,
+		Latency:  time.Since(start),
+	}
+	if loc.Code != blockstore.TxValid {
+		return res, fmt.Errorf("%w: %s", ErrTxInvalidated, loc.Code)
+	}
+	return res, nil
 }
 
 // endorserName labels an endorser for the per-endorser latency gauges:
@@ -293,8 +290,8 @@ func (g *Gateway) AuditChain() error {
 
 // Events streams the chaincode events of transactions that commit as valid
 // on the commit peer, from now until cancel (idempotent) or the peer stops.
-func (g *Gateway) Events(buffer int) (events <-chan blockstore.ChaincodeEvent, cancel func()) {
-	return g.commitPeer().SubscribeEvents(buffer)
+func (g *Gateway) Events() (events <-chan blockstore.ChaincodeEvent, cancel func()) {
+	return g.commitPeer().SubscribeEvents()
 }
 
 // MeteredStore wraps an off-chain store in the client machine's payload

@@ -58,7 +58,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // TestLateSubscriberReplaysChain verifies orderer-replay catch-up: a peer
-// attached after traffic receives the whole chain from block 0.
+// attached after traffic pulls the whole chain from block 0.
 func TestLateSubscriberReplaysChain(t *testing.T) {
 	n := newTestNetwork(t, testConfig())
 	gw, err := n.NewGateway("client")
@@ -79,7 +79,7 @@ func TestLateSubscriberReplaysChain(t *testing.T) {
 	if err := late.InstallChaincode(provenance.ChaincodeName, provenance.New(), n.Policy()); err != nil {
 		t.Fatal(err)
 	}
-	late.Start(n.Orderer().Subscribe())
+	late.Start(n.Orderer())
 	defer late.Stop()
 
 	waitFor(t, func() bool { return late.Height() >= target })

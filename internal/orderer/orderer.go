@@ -10,22 +10,19 @@ import (
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
-// Errors returned by ordering services.
-var (
-	ErrStopped    = errors.New("orderer: service stopped")
-	ErrNoLeader   = errors.New("orderer: no raft leader elected")
-	ErrQueueFull  = errors.New("orderer: submission queue full")
-	ErrNotStarted = errors.New("orderer: service not started")
-)
+// ErrStopped is returned by Submit once the service has stopped.
+var ErrStopped = errors.New("orderer: service stopped")
 
 // Service is the interface both consenters implement: clients broadcast
-// envelopes in, peers receive the ordered block stream out.
+// envelopes in, and readers pull the ordered chain out by block number.
 type Service interface {
 	// Submit enqueues an envelope for ordering.
 	Submit(env blockstore.Envelope) error
-	// Subscribe returns a channel replaying all blocks from block 0 and
-	// then streaming new blocks. The channel closes when the service stops.
-	Subscribe() <-chan *blockstore.Block
+	// Block returns block n, waiting until it is cut; it reports false once
+	// stop closes, or once the service has stopped without cutting block n.
+	// A reader states where it is and pulls what is above it, so one that
+	// stops reading holds up nobody else.
+	Block(n uint64, stop <-chan struct{}) (*blockstore.Block, bool)
 	// Height returns the number of blocks ordered so far.
 	Height() uint64
 	// Metrics returns the service's counter registry.
@@ -34,14 +31,12 @@ type Service interface {
 	Stop()
 }
 
-// chain is the shared block-assembly and delivery core used by both
-// consenters: it hash-chains batches into blocks and fans them out to
-// subscribers with replay.
+// chain is the shared block-assembly core used by both consenters: it
+// hash-chains batches into blocks and advances the height readers wait on.
 type chain struct {
 	mu      sync.Mutex
 	store   *blockstore.Store
-	subs    []chan *blockstore.Block
-	closed  bool
+	height  blockstore.Height
 	metrics *metrics.Registry
 
 	// tracer, when set, receives one "order" span per envelope covering
@@ -60,8 +55,10 @@ func newChain() *chain {
 	}
 }
 
-// setTracer attaches a trace recorder. Call before traffic flows.
-func (c *chain) setTracer(t *trace.Recorder) {
+// SetTracer attaches a trace recorder: each ordered envelope gains an
+// "order" span covering enqueue (through replication, for raft) to block
+// cut. Call before traffic flows.
+func (c *chain) SetTracer(t *trace.Recorder) {
 	c.mu.Lock()
 	c.tracer = t
 	c.mu.Unlock()
@@ -78,7 +75,8 @@ func (c *chain) markEnqueued(txID string) {
 	c.mu.Unlock()
 }
 
-// appendBatch assembles the next block from a batch and delivers it.
+// appendBatch assembles the next block from a batch, appends it, and
+// advances the height past it.
 func (c *chain) appendBatch(batch []blockstore.Envelope) (*blockstore.Block, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -108,46 +106,21 @@ func (c *chain) appendBatch(batch []blockstore.Envelope) (*blockstore.Block, err
 			})
 		}
 	}
-	for _, sub := range c.subs {
-		sub <- b
-	}
+	c.height.Advance(b.Header.Number + 1)
 	return b, nil
 }
 
-// subscribe registers a new subscriber with full replay. The returned
-// channel is buffered generously so slow subscribers do not deadlock the
-// ordering loop in tests; production peers drain promptly.
-func (c *chain) subscribe() <-chan *blockstore.Block {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan *blockstore.Block, 4096)
-	for _, b := range c.store.BlocksFrom(0) {
-		ch <- b
+// Block returns block n, waiting until it is cut (see Service).
+func (c *chain) Block(n uint64, stop <-chan struct{}) (*blockstore.Block, bool) {
+	if !c.height.Wait(n+1, stop) {
+		return nil, false
 	}
-	if c.closed {
-		close(ch)
-		return ch
-	}
-	c.subs = append(c.subs, ch)
-	return ch
+	b, err := c.store.GetByNumber(n)
+	return b, err == nil
 }
 
-func (c *chain) height() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store.Height()
-}
+// Height returns the number of blocks ordered.
+func (c *chain) Height() uint64 { return c.height.Load() }
 
-// close closes all subscriber channels.
-func (c *chain) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for _, sub := range c.subs {
-		close(sub)
-	}
-	c.subs = nil
-}
+// Metrics returns the ordering service's counters.
+func (c *chain) Metrics() *metrics.Registry { return c.metrics }

@@ -97,11 +97,12 @@ func (r *Raft) WaitLeader(timeout time.Duration) int {
 	return r.cluster.leader()
 }
 
-// Stop terminates the service, the consenter nodes, and subscribers.
+// Stop terminates the service and the consenter nodes, and closes the
+// height: readers waiting past the last block return.
 func (r *Raft) Stop() {
 	r.halt()
 	r.cluster.stop()
-	r.chain.close()
+	r.chain.height.Close()
 }
 
 // propose sends the batch to the current leader, waiting briefly through

@@ -7,22 +7,21 @@ import (
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/metrics"
-	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
 // frontEnd is the batching front end both consenters stand behind: the
 // submission queue, the block cutter with its batch timer, the chain the
-// ordered blocks come out of, and the stop handshake. What a consenter adds
-// is what happens to a cut batch (run's emit).
+// ordered blocks come out of (whose Block, Height, Metrics and SetTracer it
+// promotes), and the stop handshake. What a consenter adds is what happens
+// to a cut batch (run's emit).
 type frontEnd struct {
-	cfg     BatchConfig
-	exec    *device.Executor
-	chain   *chain
-	in      chan blockstore.Envelope
-	stop    chan struct{}
-	done    chan struct{}
-	stopMu  sync.Mutex
-	stopped bool
+	*chain
+	cfg      BatchConfig
+	exec     *device.Executor
+	in       chan blockstore.Envelope
+	stop     chan struct{}
+	done     chan struct{}
+	stopOnce sync.Once
 }
 
 func newFrontEnd(cfg BatchConfig, exec *device.Executor) *frontEnd {
@@ -51,29 +50,28 @@ func (fe *frontEnd) Submit(env blockstore.Envelope) error {
 	}
 }
 
-// Subscribe returns the ordered block stream with full replay.
-func (fe *frontEnd) Subscribe() <-chan *blockstore.Block { return fe.chain.subscribe() }
-
-// Height returns the number of blocks ordered.
-func (fe *frontEnd) Height() uint64 { return fe.chain.height() }
-
-// Metrics returns the ordering service's counters.
-func (fe *frontEnd) Metrics() *metrics.Registry { return fe.chain.metrics }
-
-// SetTracer attaches a trace recorder: each ordered envelope gains an
-// "order" span covering enqueue (through replication, for raft) to block
-// cut. Call before traffic flows.
-func (fe *frontEnd) SetTracer(t *trace.Recorder) { fe.chain.setTracer(t) }
+// Subscribe adapts Block to a channel, for the benchmark's orderer probe and
+// tests: every block from 0, closed after the last once the service stops.
+// A reader that stops reading parks only the goroutine behind it.
+func (fe *frontEnd) Subscribe() <-chan *blockstore.Block {
+	ch := make(chan *blockstore.Block)
+	go func() {
+		defer close(ch)
+		for n := uint64(0); ; n++ {
+			b, ok := fe.Block(n, nil)
+			if !ok {
+				return
+			}
+			ch <- b
+		}
+	}()
+	return ch
+}
 
 // halt stops the batching loop and waits for it: a pending batch has been
 // handed to emit by the time halt returns.
 func (fe *frontEnd) halt() {
-	fe.stopMu.Lock()
-	if !fe.stopped {
-		fe.stopped = true
-		close(fe.stop)
-	}
-	fe.stopMu.Unlock()
+	fe.stopOnce.Do(func() { close(fe.stop) })
 	<-fe.done
 }
 
@@ -86,16 +84,9 @@ func (fe *frontEnd) run(emit func([]blockstore.Envelope)) {
 	var timer *time.Timer
 	var timeout <-chan time.Time
 
-	// The batch timer runs in wall time; when the device clock is scaled,
-	// scale the timeout identically so modeled behaviour is preserved.
-	batchTimeout := fe.cfg.BatchTimeout
-	if scale := fe.exec.Clock().Scale(); scale > 0 {
-		batchTimeout = time.Duration(float64(batchTimeout) * scale)
-	}
-
 	armTimer := func() {
 		if timer == nil {
-			timer = time.NewTimer(batchTimeout)
+			timer = time.NewTimer(fe.cfg.BatchTimeout)
 			timeout = timer.C
 		}
 	}
@@ -163,8 +154,9 @@ func NewSolo(cfg BatchConfig, exec *device.Executor) *Solo {
 	return s
 }
 
-// Stop terminates the ordering loop and closes subscriber channels.
+// Stop terminates the ordering loop, flushing a pending batch, and closes
+// the height: readers waiting past the last block return.
 func (s *Solo) Stop() {
 	s.halt()
-	s.chain.close()
+	s.chain.height.Close()
 }

@@ -154,3 +154,105 @@ func TestSoloDoubleStop(t *testing.T) {
 		t.Errorf("height = %d", s.Height())
 	}
 }
+
+// heightWithin reads s.Height() on its own goroutine and fails t unless it
+// answers within a second.
+func heightWithin(t *testing.T, s *Solo) uint64 {
+	t.Helper()
+	h := make(chan uint64, 1)
+	go func() { h <- s.Height() }()
+	select {
+	case got := <-h:
+		return got
+	case <-time.After(time.Second):
+		t.Fatal("Height did not answer within a second")
+		return 0
+	}
+}
+
+// submitAll submits n one-envelope batches on its own goroutine and reports
+// the first error, or nil once all are accepted.
+func submitAll(s *Solo, n int, prefix string) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := s.Submit(env(fmt.Sprintf("%s%d", prefix, i), 8)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	return done
+}
+
+// A Subscribe reader that never reads, beside one that does, cannot stall
+// ordering: all 4,200 one-transaction blocks are cut and reach the reader,
+// and Height answers throughout. (At 0531c99 the silent reader's 4,096-slot
+// channel filled under the chain's lock: ordering stopped near 4,098
+// submits and took Height down with it.) Bounded: Stop is called only on
+// success, because at the parent it would hang too.
+func TestSilentSubscriberCannotWedgeOrdering(t *testing.T) {
+	const blocks = 4200
+	s := NewSolo(BatchConfig{MaxMessageCount: 1, BatchTimeout: time.Hour, PreferredMaxBytes: 1 << 30}, nil)
+	silent, reader := s.Subscribe(), s.Subscribe()
+	submitted := submitAll(s, blocks, "w")
+	deadline := time.After(20 * time.Second)
+	for n := 0; n < blocks; n++ {
+		if n%500 == 0 {
+			heightWithin(t, s)
+		}
+		select {
+		case b := <-reader:
+			if b.Header.Number != uint64(n) {
+				t.Fatalf("reader got block %d, want %d", b.Header.Number, n)
+			}
+		case <-deadline:
+			t.Fatalf("reading subscriber stuck at block %d of %d", n, blocks)
+		}
+	}
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	if h := heightWithin(t, s); h != blocks {
+		t.Fatalf("height = %d, want %d", h, blocks)
+	}
+	s.Stop()
+	for range silent { // the adapter still owes it the whole chain, then closes
+	}
+}
+
+// Subscribe on a chain of 4,100 blocks returns and replays blocks
+// 0–4,099 in order. (At 0531c99 the replay filled a 4,096-slot channel under
+// the chain's lock and Subscribe never returned.)
+func TestSubscribeReplaysLongChain(t *testing.T) {
+	const blocks = 4100
+	s := NewSolo(BatchConfig{MaxMessageCount: 1, BatchTimeout: time.Hour, PreferredMaxBytes: 1 << 30}, nil)
+	if err := <-submitAll(s, blocks, "r"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); heightWithin(t, s) < blocks; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("height %d of %d", s.Height(), blocks)
+		}
+	}
+	subscribed := make(chan (<-chan *blockstore.Block), 1)
+	go func() { subscribed <- s.Subscribe() }()
+	var sub <-chan *blockstore.Block
+	select {
+	case sub = <-subscribed:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Subscribe on a %d-block chain did not return", blocks)
+	}
+	s.Stop()
+	n := 0
+	for b := range sub {
+		if b.Header.Number != uint64(n) {
+			t.Fatalf("replayed block %d at position %d", b.Header.Number, n)
+		}
+		n++
+	}
+	if n != blocks {
+		t.Fatalf("replayed %d blocks, want %d", n, blocks)
+	}
+}

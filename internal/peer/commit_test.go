@@ -2,7 +2,6 @@ package peer
 
 import (
 	"testing"
-	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
@@ -19,7 +18,7 @@ func TestCommitEmptyBlock(t *testing.T) {
 	if h := f.peer.Height(); h != 1 {
 		t.Fatalf("height = %d, want 1", h)
 	}
-	if w := f.peer.Watermark(); w != 1 {
+	if w := f.peer.committer.Persisted().Load(); w != 1 {
 		t.Fatalf("watermark = %d, want 1", w)
 	}
 	if got := f.peer.Metrics().Counter(metrics.BlocksCommitted).Value(); got != 1 {
@@ -74,7 +73,6 @@ func TestDuplicateTxIDWithinBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := f.envelopeFor(prop, resp)
-	wait := f.peer.RegisterTxListener(env.TxID)
 	b := f.commitEnvs(env, env) // the same envelope (and txID) twice
 
 	got, err := f.peer.Ledger().GetByNumber(b.Header.Number)
@@ -88,18 +86,15 @@ func TestDuplicateTxIDWithinBlock(t *testing.T) {
 	if got.TxValidation[1] != blockstore.TxMVCCConflict {
 		t.Errorf("second copy = %s, want MVCC_READ_CONFLICT", got.TxValidation[1])
 	}
-	// The listener observes exactly one event — the first copy's verdict.
-	select {
-	case ev := <-wait:
-		if ev.Code != blockstore.TxValid {
-			t.Errorf("listener code = %s, want VALID", ev.Code)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no commit event")
+	// A commit-wait sees the first copy's verdict.
+	if loc := f.committed(env.TxID); loc.Code != blockstore.TxValid || loc.TxNum != 0 {
+		t.Errorf("commit-wait = %+v, want VALID at tx 0", loc)
 	}
 }
 
-func TestListenerRegisteredAfterCommit(t *testing.T) {
+// A commit-wait that begins after its transaction committed returns at once
+// with the block and code — it does not wait for another block.
+func TestWaitAfterCommit(t *testing.T) {
 	f := newFixture(t)
 	prop := f.propose(InitFunction)
 	resp, err := f.peer.ProcessProposal(prop)
@@ -109,39 +104,10 @@ func TestListenerRegisteredAfterCommit(t *testing.T) {
 	env := f.envelopeFor(prop, resp)
 	f.commitEnvs(env)
 
-	// Registration after commit must deliver the event immediately rather
-	// than hang forever (the pre-pipeline behavior).
-	select {
-	case ev := <-f.peer.RegisterTxListener(env.TxID):
-		if ev.Code != blockstore.TxValid || ev.BlockNum != 0 {
-			t.Errorf("event = %+v, want VALID at block 0", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("late listener never notified")
-	}
-}
-
-// TestNotifyCommitNonBlocking pins the drop-or-log contract: a listener
-// whose 1-slot buffer is already full must not stall delivery.
-func TestNotifyCommitNonBlocking(t *testing.T) {
-	f := newFixture(t)
-	ch := make(chan CommitEvent, 1)
-	ch <- CommitEvent{TxID: "stale"} // fill the buffer
-	f.peer.listenMu.Lock()
-	f.peer.txListeners["tx-full"] = []chan CommitEvent{ch}
-	f.peer.listenMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		f.peer.notifyCommit(CommitEvent{TxID: "tx-full", Code: blockstore.TxValid})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("notifyCommit blocked on a full listener channel")
-	}
-	if ev := <-ch; ev.TxID != "stale" {
-		t.Errorf("buffered event = %+v, want the pre-existing one", ev)
+	stop := make(chan struct{})
+	close(stop) // no time at all to wait
+	loc, ok := f.peer.WaitTx(env.TxID, stop)
+	if !ok || loc.Code != blockstore.TxValid || loc.BlockNum != 0 {
+		t.Errorf("WaitTx = %+v, %v; want VALID at block 0 at once", loc, ok)
 	}
 }

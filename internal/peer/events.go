@@ -2,99 +2,51 @@ package peer
 
 import (
 	"encoding/json"
-	"slices"
 	"sync"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
-// This file implements the peer's event hub: clients subscribe to the
-// stream of committed chaincode events (the role Fabric's event service /
-// the NodeJS SDK's ChannelEventHub plays for HyperProv's client library).
-
-// eventHub fans committed events out to subscribers.
-type eventHub struct {
-	mu     sync.Mutex
-	subs   []chan blockstore.ChaincodeEvent
-	closed bool
-}
-
-// subscribe registers a buffered subscriber channel. Events that would
-// overflow a slow subscriber are dropped for that subscriber (commit must
-// never block on a client). cancel removes the subscriber and closes its
-// channel — exactly once, whether it runs first, again, or after close.
-func (h *eventHub) subscribe(buffer int) (events <-chan blockstore.ChaincodeEvent, cancel func()) {
-	if buffer <= 0 {
-		buffer = 256
-	}
-	ch := make(chan blockstore.ChaincodeEvent, buffer)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		close(ch)
-		return ch, func() {}
-	}
-	h.subs = append(h.subs, ch)
-	return ch, func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		// Absent means already cancelled, or closed by the hub.
-		if i := slices.Index(h.subs, ch); i >= 0 {
-			h.subs = slices.Delete(h.subs, i, i+1)
-			close(ch)
+// SubscribeEvents streams the chaincode events of transactions that commit
+// as valid on this peer from the moment of the call, in commit order, and
+// returns the cancel that ends it (the NodeJS SDK's ChannelEventHub, for
+// HyperProv's client library). It is a cursor over the committed blocks
+// below the watermark, decoding events only because someone subscribed.
+// Nothing is dropped for a late reader, and one that stops reading holds its
+// own goroutine, nothing of the peer's. The channel closes on cancel
+// (idempotent; it returns once the goroutine has) or when the peer stops.
+func (p *Peer) SubscribeEvents() (events <-chan blockstore.ChaincodeEvent, cancel func()) {
+	out := make(chan blockstore.ChaincodeEvent)
+	done, exited := make(chan struct{}), make(chan struct{})
+	mark := p.committer.Persisted()
+	go func(from uint64) { // from: the first block committed after the call
+		defer close(exited)
+		defer close(out)
+		for n := from; mark.Wait(n+1, done); n++ {
+			b, err := p.blocks.GetByNumber(n)
+			if err != nil {
+				return
+			}
+			for i := range b.Envelopes {
+				// A malformed event payload is skipped: its transaction
+				// committed all the same.
+				env, evs := &b.Envelopes[i], []shim.Event(nil)
+				if b.TxValidation[i] != blockstore.TxValid || len(env.Events) == 0 || json.Unmarshal(env.Events, &evs) != nil {
+					continue
+				}
+				for _, e := range evs {
+					select {
+					case out <- blockstore.ChaincodeEvent{TxID: env.TxID, BlockNum: n, Name: e.Name, Payload: e.Payload}:
+					case <-done:
+						return
+					case <-p.stop:
+						return
+					}
+				}
+			}
 		}
-	}
-}
-
-func (h *eventHub) publish(ev blockstore.ChaincodeEvent) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, ch := range h.subs {
-		select {
-		case ch <- ev:
-		default: // slow subscriber: drop rather than stall commits
-		}
-	}
-}
-
-func (h *eventHub) close() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
-	for _, ch := range h.subs {
-		close(ch)
-	}
-	h.subs = nil
-}
-
-// SubscribeEvents returns a stream of chaincode events from transactions
-// that commit as valid on this peer, starting from the moment of the call,
-// and the cancel that ends it. The channel closes on cancel or when the
-// peer stops, whichever comes first; cancel is idempotent.
-func (p *Peer) SubscribeEvents(buffer int) (events <-chan blockstore.ChaincodeEvent, cancel func()) {
-	return p.events.subscribe(buffer)
-}
-
-// publishTxEvents decodes and publishes the events of one valid committed
-// transaction.
-func (p *Peer) publishTxEvents(txID string, blockNum uint64, eventBytes []byte) {
-	if len(eventBytes) == 0 {
-		return
-	}
-	var evs []shim.Event
-	if err := json.Unmarshal(eventBytes, &evs); err != nil {
-		return // malformed event payload: tx already committed, skip events
-	}
-	for _, e := range evs {
-		p.events.publish(blockstore.ChaincodeEvent{
-			TxID:     txID,
-			BlockNum: blockNum,
-			Name:     e.Name,
-			Payload:  e.Payload,
-		})
-	}
+	}(mark.Load())
+	var once sync.Once
+	return out, func() { once.Do(func() { close(done) }); <-exited }
 }

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,13 +10,22 @@ import (
 	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/identity"
+	"github.com/hyperprov/hyperprov/internal/leaktest"
 	"github.com/hyperprov/hyperprov/internal/metrics"
+	"github.com/hyperprov/hyperprov/internal/orderer"
 )
+
+// soloBlocks is a one-envelope-per-block solo orderer for a peer to pull.
+func soloBlocks(t *testing.T) *orderer.Solo {
+	s := orderer.NewSolo(orderer.BatchConfig{MaxMessageCount: 1, BatchTimeout: time.Hour}, nil)
+	t.Cleanup(s.Stop)
+	return s
+}
 
 func TestStartStopConsumesStream(t *testing.T) {
 	f := newFixture(t)
-	blocks := make(chan *blockstore.Block, 4)
-	f.peer.Start(blocks)
+	ord := soloBlocks(t)
+	f.peer.Start(ord)
 
 	prop := f.propose(InitFunction)
 	resp, err := f.peer.ProcessProposal(prop)
@@ -23,27 +33,41 @@ func TestStartStopConsumesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := f.envelopeFor(prop, resp)
-	b, err := blockstore.NewBlock(0, nil, []blockstore.Envelope{env})
-	if err != nil {
+	if err := ord.Submit(env); err != nil {
 		t.Fatal(err)
 	}
-	wait := f.peer.RegisterTxListener(env.TxID)
-	blocks <- b
-	select {
-	case ev := <-wait:
-		if ev.Code != blockstore.TxValid {
-			t.Errorf("code = %s", ev.Code)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("stream-driven commit did not happen")
+	if loc := f.committed(env.TxID); loc.Code != blockstore.TxValid {
+		t.Errorf("code = %s", loc.Code)
 	}
 	f.peer.Stop()
 	f.peer.Stop() // idempotent
+	leaktest.Settle(t, 0, leaktest.PeerFeed)
+}
+
+// A peer stopped before its orderer leaves no feed goroutine behind, and the
+// orderer stopping afterwards has nobody to wake (the reverse order ends the
+// feed from the orderer's side).
+func TestStopBeforeOrderer(t *testing.T) {
+	base := leaktest.Count(leaktest.PeerFeed)
+	for _, peerFirst := range []bool{true, false} {
+		f := newFixture(t)
+		ord := orderer.NewSolo(orderer.BatchConfig{MaxMessageCount: 1}, nil)
+		f.peer.Start(ord)
+		if peerFirst {
+			f.peer.Stop()
+			leaktest.Settle(t, base, leaktest.PeerFeed)
+			ord.Stop()
+		} else {
+			ord.Stop()
+			leaktest.Settle(t, base, leaktest.PeerFeed)
+			f.peer.Stop()
+		}
+	}
 }
 
 func TestSubscribeEventsDirect(t *testing.T) {
 	f := newFixture(t)
-	events, cancel := f.peer.SubscribeEvents(8)
+	events, cancel := f.peer.SubscribeEvents()
 	defer cancel() // after Stop: must not close the channel a second time
 
 	// Init emits provenance.init; drive it through CommitBlock.
@@ -73,7 +97,7 @@ func TestSubscribeEventsDirect(t *testing.T) {
 		}
 	}
 	// Subscribing after stop yields a closed channel.
-	late, cancelLate := f.peer.SubscribeEvents(1)
+	late, cancelLate := f.peer.SubscribeEvents()
 	if _, ok := <-late; ok {
 		t.Error("post-stop subscription delivered an event")
 	}
@@ -179,56 +203,74 @@ func TestWireSizeEstimates(t *testing.T) {
 	}
 }
 
-// A cancelled subscription leaves the hub: its channel closes exactly once
-// — whether cancel runs once, twice, or after the peer stopped — and
-// publishes that race the cancels never send on a closed channel.
+// An event stream ends its goroutine whether cancel runs once, twice, or
+// after the peer stopped, and whether or not its consumer was reading — with
+// commits in flight throughout.
 func TestSubscribeEventsCancel(t *testing.T) {
+	base := leaktest.Count(leaktest.EventCursor)
 	f := newFixture(t)
 	const cancelled, abandoned = 5, 5
 	var cancels []func()
 	var streams []<-chan blockstore.ChaincodeEvent
 	for i := 0; i < cancelled+abandoned; i++ {
-		events, cancel := f.peer.SubscribeEvents(1)
+		events, cancel := f.peer.SubscribeEvents()
 		streams, cancels = append(streams, events), append(cancels, cancel)
 	}
-	subscribers := func() int {
-		f.peer.events.mu.Lock()
-		defer f.peer.events.mu.Unlock()
-		return len(f.peer.events.subs)
-	}
-	if got := subscribers(); got != cancelled+abandoned {
-		t.Fatalf("hub holds %d subscribers, want %d", got, cancelled+abandoned)
+	if got := leaktest.Count(leaktest.EventCursor) - base; got != cancelled+abandoned {
+		t.Fatalf("%d event cursors running, want %d", got, cancelled+abandoned)
 	}
 
-	published := make(chan struct{})
-	go func() { // commits in flight while subscribers leave
-		defer close(published)
-		for i := 0; i < 200; i++ {
-			f.peer.publishTxEvents("tx", uint64(i), []byte(`[{"name":"provenance.set","payload":"aw=="}]`))
+	left := make(chan struct{})
+	go func() { // subscribers leave while commits are in flight
+		defer close(left)
+		for _, cancel := range cancels[:cancelled] {
+			cancel() // returns once the cursor has, whatever it was sending
+			cancel() // idempotent
 		}
 	}()
-	for _, cancel := range cancels[:cancelled] {
-		cancel()
-		cancel() // idempotent
+	for i := 0; i < 20; i++ {
+		f.set(fmt.Sprintf("k%d", i), "c")
 	}
-	<-published
-	if got := subscribers(); got != abandoned {
-		t.Errorf("hub holds %d subscribers after %d of %d cancelled, want %d", got, cancelled, cancelled+abandoned, abandoned)
+	<-left
+	if got := leaktest.Count(leaktest.EventCursor) - base; got != abandoned {
+		t.Errorf("%d event cursors running after %d of %d cancelled, want %d", got, cancelled, cancelled+abandoned, abandoned)
 	}
 	for _, events := range streams[:cancelled] {
-		for range events { // drains what was buffered, then must be closed
+		for range events { // closed by cancel
 		}
 	}
 
-	f.peer.Stop()
-	for _, cancel := range cancels { // after the hub closed every channel itself
+	f.peer.Stop() // the abandoned consumers are parked in a send nobody takes
+	leaktest.Settle(t, base, leaktest.EventCursor)
+	for _, cancel := range cancels { // after the stream ended by itself
 		cancel()
-	}
-	if got := subscribers(); got != 0 {
-		t.Errorf("hub holds %d subscribers after Stop", got)
 	}
 	for _, events := range streams[cancelled:] {
 		for range events {
+		}
+	}
+}
+
+// A consumer that reads only after five events committed receives all five,
+// in commit order: nothing is dropped for a reader that is late.
+func TestLateEventReaderGetsEveryEvent(t *testing.T) {
+	f := newFixture(t)
+	events, cancel := f.peer.SubscribeEvents()
+	defer cancel()
+	const n = 5
+	for i := 0; i < n; i++ {
+		if code := f.set(fmt.Sprintf("late-%d", i), "c"); code != blockstore.TxValid {
+			t.Fatalf("set %d: %s", i, code)
+		}
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case ev := <-events:
+			if want := fmt.Sprintf("late-%d", i); string(ev.Payload) != want || ev.Name != "provenance.set" {
+				t.Fatalf("event %d = %s %q, want provenance.set %q", i, ev.Name, ev.Payload, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("received %d of %d committed events", i, n)
 		}
 	}
 }

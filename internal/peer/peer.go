@@ -35,16 +35,8 @@ const InitFunction = "__init"
 var (
 	ErrUnknownChaincode = errors.New("peer: unknown chaincode")
 	ErrChaincodeExists  = errors.New("peer: chaincode already installed")
-	ErrStopped          = errors.New("peer: stopped")
 	ErrSimulationFailed = errors.New("peer: chaincode simulation failed")
 )
-
-// CommitEvent notifies listeners of one committed transaction.
-type CommitEvent struct {
-	TxID     string
-	BlockNum uint64
-	Code     blockstore.ValidationCode
-}
 
 // installedCC pairs a chaincode with its endorsement policy.
 type installedCC struct {
@@ -66,13 +58,6 @@ type Config struct {
 	// with its own ledger (blocks-<ch>.hpb), state store, history, commit
 	// pipeline, and recovery root (checkpoints/<ch>/).
 	Channels []string
-	// CommitWorkers sizes the commit pipeline's pre-validation worker
-	// pool; 0 means one worker per available CPU.
-	CommitWorkers int
-	// MVCCWorkers sizes the commit pipeline's conflict-graph MVCC
-	// validation pool (stage 2); 0 means one worker per available CPU,
-	// 1 restores the strictly sequential walk.
-	MVCCWorkers int
 
 	// Dir, when the peer is built with Open, is its data directory: the
 	// durable block file plus checkpoints live there and the peer recovers
@@ -123,10 +108,6 @@ type Peer struct {
 	ccMu sync.RWMutex
 	ccs  map[string]installedCC
 
-	listenMu    sync.Mutex
-	txListeners map[string][]chan CommitEvent
-
-	events  eventHub
 	metrics *metrics.Registry
 	tracer  *trace.Recorder
 
@@ -317,20 +298,19 @@ func (h *Host) Crash() {
 // recovery manager.
 func newPeer(cfg Config, channelID string, state statedb.StateDB, history *historydb.DB, blocks blockstore.BlockStore) *Peer {
 	p := &Peer{
-		name:        cfg.Name,
-		channelID:   channelID,
-		signer:      cfg.Signer,
-		msp:         cfg.MSP,
-		exec:        cfg.Executor,
-		state:       state,
-		history:     history,
-		blocks:      blocks,
-		ccs:         make(map[string]installedCC),
-		txListeners: make(map[string][]chan CommitEvent),
-		metrics:     metrics.NewRegistry(),
-		tracer:      cfg.Tracer,
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		name:      cfg.Name,
+		channelID: channelID,
+		signer:    cfg.Signer,
+		msp:       cfg.MSP,
+		exec:      cfg.Executor,
+		state:     state,
+		history:   history,
+		blocks:    blocks,
+		ccs:       make(map[string]installedCC),
+		metrics:   metrics.NewRegistry(),
+		tracer:    cfg.Tracer,
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	// Attach per-operation state latency histograms and the shard-
 	// contention counter to the peer's registry.
@@ -347,12 +327,10 @@ func newPeer(cfg Config, channelID string, state statedb.StateDB, history *histo
 			Policy: p.policyFor,
 			Exec:   p.exec,
 		},
-		Workers:     cfg.CommitWorkers,
-		MVCCWorkers: cfg.MVCCWorkers,
-		Exec:        p.exec,
-		Metrics:     p.metrics,
-		Tracer:      cfg.Tracer,
-		Name:        cfg.Name,
+		Exec:    p.exec,
+		Metrics: p.metrics,
+		Tracer:  cfg.Tracer,
+		Name:    cfg.Name,
 		OnAccepted: func(b *blockstore.Block) {
 			p.exec.Transfer(blockWireSize(b)) // block dissemination
 		},
@@ -635,107 +613,38 @@ func (p *Peer) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.
 	return icc.cc.Invoke(stub), nil
 }
 
-// RegisterTxListener returns a channel that receives exactly one
-// CommitEvent when txID commits. If the transaction already committed, the
-// event is delivered immediately, so registering after commit (a client
-// reconnecting mid-flight) does not hang forever. A caller that stops
-// waiting before the event arrives must UnregisterTxListener, or the
-// registration outlives it.
-func (p *Peer) RegisterTxListener(txID string) <-chan CommitEvent {
-	ch := make(chan CommitEvent, 1)
-	if loc, ok := p.blocks.Locate(txID); ok {
-		ch <- CommitEvent{TxID: txID, BlockNum: loc.BlockNum, Code: loc.Code}
-		return ch
-	}
-	p.listenMu.Lock()
-	p.txListeners[txID] = append(p.txListeners[txID], ch)
-	p.listenMu.Unlock()
-	// The commit pipeline may have persisted the block between the lookup
-	// and the registration; re-check and self-deliver if notify raced past.
-	if loc, ok := p.blocks.Locate(txID); ok && p.UnregisterTxListener(txID, ch) {
-		ch <- CommitEvent{TxID: txID, BlockNum: loc.BlockNum, Code: loc.Code}
-	}
-	return ch
+// BlockSource is an ordered chain a peer pulls from by block number: the
+// orderer's Block call.
+type BlockSource interface {
+	Block(n uint64, stop <-chan struct{}) (*blockstore.Block, bool)
 }
 
-// UnregisterTxListener detaches a channel RegisterTxListener returned — the
-// give-up path of a waiter whose submit failed or timed out. It reports
-// false when the channel was already consumed (and notified) by
-// notifyCommit.
-func (p *Peer) UnregisterTxListener(txID string, ch <-chan CommitEvent) bool {
-	p.listenMu.Lock()
-	defer p.listenMu.Unlock()
-	chans := p.txListeners[txID]
-	for i, c := range chans {
-		if c == ch {
-			chans = append(chans[:i], chans[i+1:]...)
-			if len(chans) == 0 {
-				delete(p.txListeners, txID)
-			} else {
-				p.txListeners[txID] = chans
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// PendingTxListeners returns the number of transactions with a registered,
-// not yet notified commit listener. A quiet peer reads zero: every waiter was
-// either notified or unregistered.
-func (p *Peer) PendingTxListeners() int {
-	p.listenMu.Lock()
-	defer p.listenMu.Unlock()
-	return len(p.txListeners)
-}
-
-// notifyCommit delivers a commit event to the transaction's listeners.
-// Delivery is non-blocking: a listener whose buffer is already full has its
-// event dropped, so a slow consumer can never stall the commit pipeline's
-// persistence stage.
-func (p *Peer) notifyCommit(ev CommitEvent) {
-	p.listenMu.Lock()
-	chans := p.txListeners[ev.TxID]
-	delete(p.txListeners, ev.TxID)
-	p.listenMu.Unlock()
-	for _, ch := range chans {
-		select {
-		case ch <- ev:
-		default: // slow listener: drop rather than stall commits
-		}
-	}
-}
-
-// Start attaches the peer to an ordered block stream and begins committing.
-// Blocks are handed to the commit pipeline without waiting for persistence,
-// so block N's ledger append overlaps block N+1's validation.
-func (p *Peer) Start(blocks <-chan *blockstore.Block) {
+// Start attaches the peer to its orderer: a goroutine of the peer's own
+// pulls block after block from src, from the peer's ledger height on, into
+// the commit pipeline (block N's append overlaps block N+1's validation),
+// until the peer stops or src ends. It holds nothing of src's.
+func (p *Peer) Start(src BlockSource) {
 	p.started.Store(true)
 	go func() {
 		defer close(p.done)
-		for {
-			select {
-			case b, ok := <-blocks:
-				if !ok {
-					return
-				}
-				p.committer.Submit(b)
-			case <-p.stop:
+		for n := p.blocks.Height(); ; n++ {
+			b, ok := src.Block(n, p.stop)
+			if !ok {
 				return
 			}
+			p.committer.Submit(b)
 		}
 	}()
 }
 
-// Stop detaches the peer from the block stream, drains the commit
-// pipeline, and closes event streams.
+// Stop detaches the peer from its orderer, drains the commit pipeline, and
+// closes its watermark, which ends commit-waits and event streams.
 func (p *Peer) Stop() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	if p.started.Load() {
 		<-p.done
 	}
 	p.committer.Close()
-	p.events.close()
 }
 
 // Close shuts a durable peer down cleanly: it stops the block stream,
@@ -769,12 +678,8 @@ func (p *Peer) Crash() {
 }
 
 // Sync blocks until every block accepted by the commit pipeline is fully
-// persisted (state, history, block store, and commit notifications).
+// persisted (state, history, block store, and the commit callback).
 func (p *Peer) Sync() { p.committer.Sync() }
-
-// Watermark returns the number of fully persisted blocks — the height up
-// to which queries are guaranteed to read committed-only data.
-func (p *Peer) Watermark() uint64 { return p.committer.Watermark() }
 
 // blockWireSize is a block's dissemination transfer size: exact for
 // envelopes carrying their canonical encoding (everything that went through
@@ -804,25 +709,36 @@ func (p *Peer) CommitBlock(ordered *blockstore.Block) {
 }
 
 // onBlockCommitted runs in the commit pipeline's persistence stage, once
-// per committed block in block order: it bumps the peer's commit counters,
-// publishes chaincode events of valid transactions, and notifies
-// registered transaction listeners.
+// per committed block in block order and before the watermark passes it: it
+// bumps the peer's commit counters and completes each transaction's trace.
 func (p *Peer) onBlockCommitted(b *blockstore.Block) {
 	p.metrics.Counter(metrics.BlocksCommitted).Inc()
 	p.lastCommitNs.Store(time.Now().UnixNano())
 	for i := range b.Envelopes {
 		if b.TxValidation[i] == blockstore.TxValid {
 			p.metrics.Counter(metrics.TxValidated).Inc()
-			p.publishTxEvents(b.Envelopes[i].TxID, b.Header.Number, b.Envelopes[i].Events)
 		} else {
 			p.metrics.Counter(metrics.TxInvalidated).Inc()
 		}
 		p.tracer.Complete(b.Envelopes[i].TxID, b.TxValidation[i].String())
-		p.notifyCommit(CommitEvent{
-			TxID:     b.Envelopes[i].TxID,
-			BlockNum: b.Header.Number,
-			Code:     b.TxValidation[i],
-		})
+	}
+}
+
+// WaitTx blocks until txID has committed on this peer — its block persisted
+// and the commit callback run — and returns where, with its validation code
+// (at once if it already had); false once stop closes or the peer stops.
+func (p *Peer) WaitTx(txID string, stop <-chan struct{}) (blockstore.TxLocator, bool) {
+	mark := p.committer.Persisted()
+	for {
+		// Load the watermark before the lookup: a miss then puts the tx's
+		// block at or above it, so waiting for one more cannot skip it.
+		h := mark.Load()
+		if loc, ok := p.blocks.Locate(txID); ok {
+			return loc, mark.Wait(loc.BlockNum+1, stop)
+		}
+		if !mark.Wait(h+1, stop) {
+			return blockstore.TxLocator{}, false
+		}
 	}
 }
 

@@ -147,15 +147,21 @@ func (f *fixture) set(key, checksum string, parents ...string) blockstore.Valida
 		f.t.Fatalf("ProcessProposal: %v", err)
 	}
 	env := f.envelopeFor(prop, resp)
-	wait := f.peer.RegisterTxListener(env.TxID)
 	f.commitEnvs(env)
-	select {
-	case ev := <-wait:
-		return ev.Code
-	case <-time.After(time.Second):
-		f.t.Fatal("no commit event")
-		return 0
+	return f.committed(env.TxID).Code
+}
+
+// committed waits (a second at most) for txID to commit on the fixture's
+// peer and returns where it did.
+func (f *fixture) committed(txID string) blockstore.TxLocator {
+	f.t.Helper()
+	stop := make(chan struct{})
+	defer time.AfterFunc(time.Second, func() { close(stop) }).Stop()
+	loc, ok := f.peer.WaitTx(txID, stop)
+	if !ok {
+		f.t.Fatalf("tx %s did not commit", txID)
 	}
+	return loc
 }
 
 func TestInitThenSetCommits(t *testing.T) {
@@ -241,10 +247,8 @@ func TestMVCCConflictInvalidatesSecondTx(t *testing.T) {
 	}
 	env1, tx1 := mkSet()
 	env2, tx2 := mkSet()
-	w1 := f.peer.RegisterTxListener(tx1)
-	w2 := f.peer.RegisterTxListener(tx2)
 	f.commitEnvs(env1, env2)
-	ev1, ev2 := <-w1, <-w2
+	ev1, ev2 := f.committed(tx1), f.committed(tx2)
 	if ev1.Code != blockstore.TxValid {
 		t.Errorf("first tx = %s, want VALID", ev1.Code)
 	}
@@ -267,9 +271,8 @@ func TestEndorsementPolicyFailureAtValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Signature = sig
-	wait := f.peer.RegisterTxListener(env.TxID)
 	f.commitEnvs(env)
-	if ev := <-wait; ev.Code != blockstore.TxEndorsementPolicyFailure {
+	if ev := f.committed(env.TxID); ev.Code != blockstore.TxEndorsementPolicyFailure {
 		t.Errorf("code = %s, want ENDORSEMENT_POLICY_FAILURE", ev.Code)
 	}
 }
@@ -283,9 +286,8 @@ func TestBadEnvelopeSignatureInvalidated(t *testing.T) {
 	}
 	env := f.envelopeFor(prop, resp)
 	env.Function = "tampered-after-signing"
-	wait := f.peer.RegisterTxListener(env.TxID)
 	f.commitEnvs(env)
-	if ev := <-wait; ev.Code != blockstore.TxBadSignature {
+	if ev := f.committed(env.TxID); ev.Code != blockstore.TxBadSignature {
 		t.Errorf("code = %s, want BAD_SIGNATURE", ev.Code)
 	}
 }
@@ -304,9 +306,8 @@ func TestMalformedRWSetInvalidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Signature = sig
-	wait := f.peer.RegisterTxListener(env.TxID)
 	f.commitEnvs(env)
-	if ev := <-wait; ev.Code != blockstore.TxMalformed {
+	if ev := f.committed(env.TxID); ev.Code != blockstore.TxMalformed {
 		t.Errorf("code = %s, want MALFORMED", ev.Code)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/hyperprov/hyperprov/internal/blockstore"
 )
 
 // TestConcurrentStartStop exercises the Start/Stop race: Stop reads the
@@ -13,14 +11,14 @@ import (
 // peer torn down mid-startup). Run under -race this pins the atomic fix;
 // without synchronization the detector flags the old plain-bool field.
 func TestConcurrentStartStop(t *testing.T) {
+	ord := soloBlocks(t)
 	for i := 0; i < 50; i++ {
 		f := newFixture(t)
-		ch := make(chan *blockstore.Block)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			f.peer.Start(ch)
+			f.peer.Start(ord)
 		}()
 		go func() {
 			defer wg.Done()
@@ -28,7 +26,6 @@ func TestConcurrentStartStop(t *testing.T) {
 		}()
 		wg.Wait()
 		f.peer.Stop() // idempotent regardless of interleaving
-		close(ch)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestErrCodes(t *testing.T) {
 
 func TestLockSafe(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), hyperprov.LockSafe,
-		"locksafe/committer", "locksafe/other")
+		"locksafe/committer", "locksafe/other", "locksafe/orderer", "locksafe/blockstore")
 }
 
 func TestMetricNames(t *testing.T) {

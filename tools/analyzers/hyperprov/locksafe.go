@@ -9,12 +9,15 @@ import (
 	"github.com/hyperprov/hyperprov/tools/analyzers/analysis"
 )
 
-// LockSafe enforces the lock-striping discipline PR 5 and PR 7 depend on:
-// in the lock-striped packages (statedb, historydb, committer), a
-// sync.Mutex/RWMutex must never be held across a blocking operation — a
-// channel send/receive/select, time.Sleep, a sync.WaitGroup.Wait, or
-// network I/O — because one stalled stripe holder would serialize every
-// other goroutine hashing onto that stripe.
+// LockSafe enforces the lock-striping discipline PR 5 and PR 7 depend on,
+// and the chain's no-wedge rule PR 29 depends on: in the lock-striped
+// packages (statedb, historydb, committer) and on the chain's path to its
+// readers (orderer, peer, blockstore), a sync.Mutex/RWMutex must never be
+// held across a blocking operation — a channel send/receive/select,
+// time.Sleep, a sync.WaitGroup.Wait, or network I/O — because one stalled
+// holder would serialize every other goroutine behind that lock: a stripe's
+// hashers, or, for a chain that sent blocks to its subscribers under its
+// lock, ordering itself.
 //
 // The check is an intra-function, source-order heuristic: between x.Lock()
 // and the textually matching x.Unlock() (same receiver expression), any
@@ -25,12 +28,13 @@ var LockSafe = &analysis.Analyzer{
 	Name: "locksafe",
 	Doc: "flag sync.Mutex/RWMutex held across channel operations, " +
 		"time.Sleep, WaitGroup.Wait, or net I/O in the lock-striped " +
-		"packages (statedb, historydb, committer)",
+		"packages (statedb, historydb, committer) and on the chain's " +
+		"path to its readers (orderer, peer, blockstore)",
 	Run: runLockSafe,
 }
 
 func runLockSafe(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path(), "statedb", "historydb", "committer") {
+	if !inScope(pass.Pkg.Path(), "statedb", "historydb", "committer", "orderer", "peer", "blockstore") {
 		return nil
 	}
 	allow := newAllowIndex(pass)

@@ -57,3 +57,23 @@ func TestSuiteNotMuted(t *testing.T) {
 		}
 	}
 }
+
+// TestLockSafeChainShapes pins locksafe's widened scope on the chain's two
+// shapes: the parent's fan-out and replay under the chain's lock is flagged
+// in an orderer package, and the height the chain advances now — readers
+// waiting outside any lock — passes in a blockstore package.
+func TestLockSafeChainShapes(t *testing.T) {
+	for fixture, flagged := range map[string]bool{"locksafe/orderer": true, "locksafe/blockstore": false} {
+		pkg, err := analysistest.Load(analysistest.TestData(), fixture)
+		if err != nil {
+			t.Fatalf("load %s: %v", fixture, err)
+		}
+		findings, err := analysis.Run(pkg, []*analysis.Analyzer{hyperprov.LockSafe})
+		if err != nil {
+			t.Fatalf("run over %s: %v", fixture, err)
+		}
+		if got := len(findings) > 0; got != flagged {
+			t.Errorf("%s: %d findings, want flagged=%v", fixture, len(findings), flagged)
+		}
+	}
+}

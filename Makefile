@@ -119,7 +119,9 @@ race:
 # Native fuzz targets, $(FUZZTIME) each: the frame reader under hostile
 # bytes (header flag bits included), the frame bodies of the off-chain and
 # transport protocols (every request and reply decoder: structured errors,
-# decode → encode → decode stable), the checkpoint codec under damaged
+# decode → encode → decode stable), the object server's serve loop under an
+# arbitrary request stream (no panic, the handler returns, every stored
+# object hashes to its key), the checkpoint codec under damaged
 # media, the block/envelope codec under the bytes gossip frames and ledger
 # files deliver, the rwset codec under the bytes envelopes carry into
 # validation, identity resolution under arbitrary serialized identities
@@ -134,6 +136,7 @@ race:
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrameExt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/network/
 	$(GO) test -fuzz=FuzzOffchainBody -fuzztime=$(FUZZTIME) -run '^$$' ./internal/offchain/
+	$(GO) test -fuzz=FuzzOffchainServe -fuzztime=$(FUZZTIME) -run '^$$' ./internal/offchain/
 	$(GO) test -fuzz=FuzzTransportBody -fuzztime=$(FUZZTIME) -run '^$$' ./internal/transport/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) -run '^$$' ./internal/recovery/
 	$(GO) test -fuzz=FuzzDecodeBlockCodec -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore/

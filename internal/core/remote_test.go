@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -12,10 +13,10 @@ import (
 	"github.com/hyperprov/hyperprov/internal/offchain"
 )
 
-// auditStore is a content-addressed Store that counts the SHA-256 passes it
-// makes, so a test can say how often a payload is hashed instead of timing
-// it. With lax set, Get skips its integrity check — a storage node that does
-// not verify what it serves.
+// auditStore is a content-addressed object-server backing that counts the
+// SHA-256 passes it makes, so a test can say how often a payload is hashed
+// instead of timing it. With lax set, Open skips its integrity check — a
+// storage node that does not verify what it serves.
 type auditStore struct {
 	mu               sync.Mutex
 	objects          map[string][]byte
@@ -23,30 +24,34 @@ type auditStore struct {
 	lax              bool
 }
 
-func (s *auditStore) Put(data []byte) (string, error) {
+func (s *auditStore) Write(r io.Reader, size int64) (string, error) {
+	data := make([]byte, size)
+	if _, err := io.ReadFull(r, data); err != nil {
+		return "", err
+	}
 	key := offchain.Checksum(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hashes++
-	s.objects[key] = bytes.Clone(data)
+	s.objects[key] = data
 	return "audit://" + key, nil
 }
 
-func (s *auditStore) Get(ref string) ([]byte, error) {
+func (s *auditStore) Open(ref string) (io.ReadCloser, int64, error) {
 	key, ok := strings.CutPrefix(ref, "audit://")
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	data, found := s.objects[key]
 	if !ok || !found {
-		return nil, fmt.Errorf("%w: %q", offchain.ErrNotFound, ref)
+		return nil, 0, fmt.Errorf("%w: %q", offchain.ErrNotFound, ref)
 	}
 	if !s.lax {
 		s.verifies++
 		if err := offchain.VerifyChecksum(data, key); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return bytes.Clone(data), nil
+	return io.NopCloser(bytes.NewReader(bytes.Clone(data))), int64(len(data)), nil
 }
 
 // corrupt flips a byte of every stored object.
@@ -57,8 +62,6 @@ func (s *auditStore) corrupt() {
 		data[len(data)/2] ^= 0xFF
 	}
 }
-
-func (s *auditStore) Close() error { return nil }
 
 // passes returns how often the store has hashed on put and verified on get.
 func (s *auditStore) passes() (hashes, verifies int) {
@@ -75,7 +78,7 @@ func (s *auditStore) setLax() {
 
 // newRemoteClient is a HyperProv client whose off-chain store is a
 // RemoteStore talking to a loopback object server over backing.
-func newRemoteClient(t testing.TB, backing offchain.Store) (*Client, *offchain.RemoteStore) {
+func newRemoteClient(t testing.TB, backing offchain.Backing) (*Client, *offchain.RemoteStore) {
 	t.Helper()
 	srv, err := offchain.NewServer("127.0.0.1:0", backing, network.LinkShape{})
 	if err != nil {

@@ -1,5 +1,6 @@
 // Package leaktest counts goroutines by the function they run, so a test can
-// check that the chain followers it started have returned.
+// check that the chain followers or connection handlers it started have
+// returned.
 package leaktest
 
 import (
@@ -16,6 +17,9 @@ const (
 	CommitWait  = "peer.(*Peer).WaitTx"
 	Watch       = "core.(*Client).Watch.func1"
 )
+
+// ObjectServe is the object server's handler of one connection.
+const ObjectServe = "offchain.(*Server).serve"
 
 // Count returns how many goroutines are running one of fns.
 func Count(fns ...string) (n int) {

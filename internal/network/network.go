@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"time"
 
@@ -59,6 +60,10 @@ var ErrFrameTooLarge = errors.New("network: frame exceeds maximum size")
 // Send does not, so a caller that redials can send the same frame again.
 type Frame struct {
 	*codec.Buffer
+	// Tail, when set, ends the body: Send writes it after B instead of B
+	// holding a copy, so a payload the caller already has goes to the
+	// socket from where it lies. It must not change until Send returns.
+	Tail  []byte
 	flags uint32 // extension flags of the length word
 	body  int    // offset of the body in B
 }
@@ -95,13 +100,25 @@ func NewFrame(traceID, channelID string) Frame {
 // Send writes the frame. Header and body go out in a single Write call: a
 // shaped link charges the one-way latency exactly once per frame, and
 // concurrent frame writers sharing a connection cannot interleave one
-// frame's header with another's body.
+// frame's header with another's body. A frame with a Tail keeps both
+// guarantees on a ShapedConn (one delay, one hold of its lock) and is one
+// writev on a TCP connection.
 func (f Frame) Send(w io.Writer) error {
-	if n := len(f.B) - f.body; n > MaxFrame {
+	if n := len(f.B) - f.body + len(f.Tail); n > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	binary.BigEndian.PutUint32(f.B, uint32(len(f.B)-4)|f.flags)
-	if _, err := w.Write(f.B); err != nil {
+	binary.BigEndian.PutUint32(f.B, uint32(len(f.B)-4+len(f.Tail))|f.flags)
+	var err error
+	switch c, shaped := w.(*ShapedConn); {
+	case len(f.Tail) == 0:
+		_, err = w.Write(f.B)
+	case shaped:
+		err = c.writeBuffers(net.Buffers{f.B, f.Tail})
+	default:
+		bufs := net.Buffers{f.B, f.Tail}
+		_, err = bufs.WriteTo(w)
+	}
+	if err != nil {
 		return fmt.Errorf("network: write frame: %w", err)
 	}
 	return nil
@@ -135,44 +152,22 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // payload plus the trace and channel IDs carried in the header (each empty
 // when its extension is absent). The caller owns the payload.
 func ReadFrameExt(r io.Reader) ([]byte, string, string, error) {
-	var fb codec.Buffer
-	return ReadFrameInto(r, &fb)
-}
-
-// ReadFrameInto is ReadFrameExt reading into fb, growing it when the frame
-// does not fit. The returned payload aliases fb.B: it is valid until fb is
-// reused or released, which suits a server that is done with a request's
-// bytes once it has answered it.
-func ReadFrameInto(r io.Reader, fb *codec.Buffer) ([]byte, string, string, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, "", "", err // io.EOF passes through for clean shutdown
+	n, flags, err := readWord(r)
+	if err != nil {
+		return nil, "", "", err
 	}
-	word := binary.BigEndian.Uint32(hdr[:])
-	traced := word&traceFlag != 0
-	channeled := word&channelFlag != 0
-	n := word &^ (traceFlag | channelFlag)
-	if n > MaxFrame+2*(1+maxTraceID) {
-		return nil, "", "", fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	if err := readBody(r, fb, int(n)); err != nil {
-		if err == io.EOF {
-			// The header promised n body bytes and none arrived: that is a
-			// truncated frame, not the clean between-frames shutdown io.EOF
-			// signals to callers.
-			err = io.ErrUnexpectedEOF
-		}
+	payload, err := ReadAnnounced(r, n)
+	if err != nil {
 		return nil, "", "", fmt.Errorf("network: read frame body: %w", err)
 	}
-	payload := fb.B
 	var traceID, channelID string
-	if traced {
+	if flags&traceFlag != 0 {
 		traceID, payload = cutExt(payload)
 		if payload == nil {
 			return nil, "", "", fmt.Errorf("network: read frame body: %w", io.ErrUnexpectedEOF)
 		}
 	}
-	if channeled {
+	if flags&channelFlag != 0 {
 		channelID, payload = cutExt(payload)
 		if payload == nil {
 			return nil, "", "", fmt.Errorf("network: read frame body: %w", io.ErrUnexpectedEOF)
@@ -181,26 +176,81 @@ func ReadFrameInto(r io.Reader, fb *codec.Buffer) ([]byte, string, string, error
 	return payload, traceID, channelID, nil
 }
 
-// readBody fills fb.B with the n announced body bytes. What the buffer
-// already holds, or a body up to eagerBody, is read in one piece; beyond
-// that the buffer doubles as bytes arrive, so memory follows what the peer
-// sends rather than what it announces.
-func readBody(r io.Reader, fb *codec.Buffer, n int) error {
-	fb.B = fb.B[:0]
-	if n > cap(fb.B) {
-		fb.B = make([]byte, 0, min(n, eagerBody))
+// ReadHeader reads one frame's header — the length word and the extensions,
+// which it skips — and returns the length of the body that follows, for a
+// server that reads the body itself: the object server streams a put's
+// payload from the connection into its store, not into a frame buffer. The
+// extensions are read a field at a time, so r should be buffered.
+func ReadHeader(r io.Reader) (int, error) {
+	n, flags, err := readWord(r)
+	if err != nil {
+		return 0, err
 	}
+	for _, flag := range [...]uint32{traceFlag, channelFlag} {
+		if flags&flag == 0 {
+			continue
+		}
+		var ext [1 + max(maxTraceID, maxChannelID)]byte
+		if n < 1 {
+			return 0, fmt.Errorf("network: read frame header: %w", io.ErrUnexpectedEOF)
+		}
+		if _, err := io.ReadFull(r, ext[:1]); err != nil {
+			return 0, fmt.Errorf("network: read frame header: %w", eofIsUnexpected(err))
+		}
+		size := 1 + int(ext[0])
+		if n < size {
+			return 0, fmt.Errorf("network: read frame header: %w", io.ErrUnexpectedEOF)
+		}
+		if _, err := io.ReadFull(r, ext[1:size]); err != nil {
+			return 0, fmt.Errorf("network: read frame header: %w", eofIsUnexpected(err))
+		}
+		n -= size
+	}
+	return n, nil
+}
+
+// readWord reads a frame's length word: the announced length, extensions
+// included, and the extension flags.
+func readWord(r io.Reader) (n int, flags uint32, err error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, err // io.EOF passes through for clean shutdown
+	}
+	word := binary.BigEndian.Uint32(hdr[:])
+	flags = word & (traceFlag | channelFlag)
+	if n = int(word &^ flags); n > MaxFrame+2*(1+maxTraceID) {
+		return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	return n, flags, nil
+}
+
+// ReadAnnounced reads the n bytes a peer announced into a buffer of their
+// own, exactly n long. A body up to eagerBody is read in one piece; beyond
+// that the buffer grows fourfold as bytes arrive, so memory follows what the
+// peer sends — at most four times it — rather than what it announces.
+func ReadAnnounced(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, eagerBody))
 	for {
-		end := min(n, cap(fb.B))
-		if _, err := io.ReadFull(r, fb.B[len(fb.B):end]); err != nil {
-			return err
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return nil, eofIsUnexpected(err)
 		}
-		fb.B = fb.B[:end]
+		buf = buf[:end]
 		if end == n {
-			return nil
+			return buf, nil
 		}
-		fb.B = append(make([]byte, 0, min(n, 2*end)), fb.B...)
+		buf = append(make([]byte, 0, min(n, 4*end)), buf...)
 	}
+}
+
+// eofIsUnexpected maps io.EOF to io.ErrUnexpectedEOF for a read of bytes a
+// header promised: their absence is a truncated frame, not the clean
+// between-frames shutdown io.EOF signals to callers.
+func eofIsUnexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // cutExt splits one length-prefixed extension off the front of buf,
@@ -342,4 +392,21 @@ func (c *ShapedConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.rw.Write(p)
+}
+
+// writeBuffers is Write for bytes held in several buffers: one shaped delay
+// for all of them, then written back to back under one hold of the lock —
+// as one writev when the stream is a TCP connection.
+func (c *ShapedConn) writeBuffers(bufs net.Buffers) error {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	if d := c.shape.Delay(n); d > 0 {
+		time.Sleep(d)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := bufs.WriteTo(c.rw)
+	return err
 }

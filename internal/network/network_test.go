@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,28 +156,43 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	}
 }
 
-// TestReadFrameIntoReusesBuffer: a frame that fits the caller's buffer is
-// read into it (the payload aliases it), and one that does not replaces it.
-func TestReadFrameIntoReusesBuffer(t *testing.T) {
+// TestFrameTail: a frame whose payload is its Tail reads back as the body
+// appended in place followed by the tail, can be sent twice (a client that
+// redials resends it), and counts the tail against MaxFrame. ReadHeader
+// leaves the reader at that body, whatever extensions the header carries.
+func TestFrameTail(t *testing.T) {
 	var buf bytes.Buffer
-	small, large := bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 5000)
-	for _, p := range [][]byte{small, large, small} {
-		if err := WriteFrameExt(&buf, "t", "", p); err != nil {
+	f := NewFrame("trace", "ch")
+	defer f.Release()
+	f.B = append(f.B, 0x01)
+	f.Tail = bytes.Repeat([]byte{0xAB}, 5000)
+	for i := 0; i < 2; i++ {
+		if err := f.Send(&buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fb := &codec.Buffer{B: make([]byte, 0, 1024)}
-	first := &fb.B[:1][0]
-	got, traceID, _, err := ReadFrameInto(&buf, fb)
-	if err != nil || traceID != "t" || !bytes.Equal(got, small) || &fb.B[0] != first {
-		t.Fatalf("small frame: %d bytes, trace %q, err %v, reused %v", len(got), traceID, err, &fb.B[0] == first)
+	want := append([]byte{0x01}, f.Tail...)
+	got, traceID, channelID, err := ReadFrameExt(&buf)
+	if err != nil || traceID != "trace" || channelID != "ch" || !bytes.Equal(got, want) {
+		t.Fatalf("ReadFrameExt: %d bytes, trace %q, channel %q, err %v", len(got), traceID, channelID, err)
 	}
-	if got, _, _, err = ReadFrameInto(&buf, fb); err != nil || !bytes.Equal(got, large) || cap(fb.B) < len(large) {
-		t.Fatalf("large frame: %d bytes, err %v, cap %d", len(got), err, cap(fb.B))
+	n, err := ReadHeader(&buf)
+	if err != nil || n != len(want) {
+		t.Fatalf("ReadHeader = %d, %v; want %d", n, err, len(want))
 	}
-	grown := &fb.B[0]
-	if got, _, _, err = ReadFrameInto(&buf, fb); err != nil || !bytes.Equal(got, small) || &fb.B[0] != grown {
-		t.Fatalf("small frame after growth: %d bytes, err %v", len(got), err)
+	if body, err := io.ReadAll(&buf); err != nil || !bytes.Equal(body, want) {
+		t.Fatalf("body after ReadHeader: %d bytes, %v", len(body), err)
+	}
+
+	big := NewFrame("", "")
+	defer big.Release()
+	big.B = append(big.B, 0x01)
+	big.Tail = make([]byte, MaxFrame) // sized, never touched
+	if err := big.Send(&buf); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized tail err = %v, want ErrFrameTooLarge", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused frame wrote %d bytes", buf.Len())
 	}
 }
 
@@ -356,6 +372,74 @@ func TestShapedFramePaysOneLatency(t *testing.T) {
 	}
 	if elapsed >= 2*latency {
 		t.Errorf("frame paid %v, want < two latencies (%v)", elapsed, 2*latency)
+	}
+}
+
+// yieldingWriter gives other goroutines a chance to run inside every Write,
+// so a frame written in two calls without a lock held across them would
+// have another writer's bytes land between its parts.
+type yieldingWriter struct{ bytes.Buffer }
+
+func (w *yieldingWriter) Write(p []byte) (int, error) {
+	runtime.Gosched()
+	return w.Buffer.Write(p)
+}
+
+// TestShapedTailFramePaysOneLatency: a frame with a tail is charged one
+// one-way delay for its header, body and tail together, and goes out under
+// one hold of the ShapedConn's lock — frames other goroutines write at the
+// same time land whole, before or after it, never inside it.
+func TestShapedTailFramePaysOneLatency(t *testing.T) {
+	const latency = 100 * time.Millisecond
+	w := &countingWriter{}
+	c := NewShapedConn(w, LinkShape{Latency: latency})
+	f := NewFrame("", "")
+	defer f.Release()
+	f.B = append(f.B, 'h')
+	f.Tail = []byte("tail")
+	start := time.Now()
+	if err := f.Send(c); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < latency || elapsed >= 2*latency {
+		t.Errorf("frame with a tail paid %v, want one latency (%v)", elapsed, latency)
+	}
+	if got, err := ReadFrame(&w.buf); err != nil || string(got) != "htail" {
+		t.Fatalf("frame with a tail read back as %q, %v", got, err)
+	}
+
+	y := &yieldingWriter{}
+	c = NewShapedConn(y, LinkShape{})
+	const writers, frames, size = 4, 50, 101
+	var wg sync.WaitGroup
+	for g := byte(0); g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				var err error
+				if g%2 == 0 {
+					err = WriteFrameExt(c, "", "", bytes.Repeat([]byte{g}, size))
+				} else {
+					f := NewFrame("", "")
+					f.B = append(f.B, g)
+					f.Tail = bytes.Repeat([]byte{g}, size-1)
+					err = f.Send(c)
+					f.Release()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < writers*frames; i++ {
+		body, err := ReadFrame(&y.Buffer)
+		if err != nil || len(body) != size || !bytes.Equal(body, bytes.Repeat(body[:1], size)) {
+			t.Fatalf("frame %d came out interleaved: %d bytes, %v", i, len(body), err)
+		}
 	}
 }
 

@@ -9,14 +9,20 @@
 package offchain
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"github.com/hyperprov/hyperprov/internal/network"
 )
 
 // Errors returned by stores.
@@ -30,6 +36,12 @@ var (
 func Checksum(data []byte) string {
 	sum := sha256.Sum256(data)
 	return "sha256:" + hex.EncodeToString(sum[:])
+}
+
+// checksumOf is Checksum of the bytes written to h, a SHA-256.
+func checksumOf(h hash.Hash) string {
+	var sum [sha256.Size]byte
+	return "sha256:" + hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // VerifyChecksum checks data against a checksum produced by Checksum; this
@@ -52,9 +64,53 @@ type Store interface {
 	Close() error
 }
 
+// Backing is what an object server keeps objects in. Write takes a payload
+// as its size bytes come off the connection and stores nothing unless all
+// of them arrive; Open hands back an object it has verified against its
+// content address, with its size. MemStore and DirStore are both.
+type Backing interface {
+	Write(r io.Reader, size int64) (ref string, err error)
+	Open(ref string) (io.ReadCloser, int64, error)
+}
+
+// refKey returns the content address ref names under scheme ("mem://",
+// "file://"). It must be exactly what Checksum produces — "sha256:" and 64
+// lowercase hex digits: a DirStore turns it into a file name under its
+// root, and refs arrive from remote clients, so anything else is refused
+// before any lookup or open.
+func refKey(ref, scheme string) (string, error) {
+	key, ok := strings.CutPrefix(ref, scheme)
+	digits, isSHA := strings.CutPrefix(key, "sha256:")
+	if !ok || !isSHA || len(digits) != 2*sha256.Size {
+		return "", fmt.Errorf("%w: %q", ErrBadRef, ref)
+	}
+	for i := 0; i < len(digits); i++ {
+		if c := digits[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return "", fmt.Errorf("%w: %q", ErrBadRef, ref)
+		}
+	}
+	return key, nil
+}
+
+// readAll reads an opened object whole and closes it: the Get of a store,
+// over its Open.
+func readAll(obj io.ReadCloser, size int64, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer obj.Close()
+	data := make([]byte, size)
+	if _, err := io.ReadFull(obj, data); err != nil {
+		return nil, fmt.Errorf("offchain: read object: %w", err)
+	}
+	return data, nil
+}
+
 // MemStore is an in-memory store for tests and examples.
 type MemStore struct {
-	mu   sync.RWMutex
+	mu sync.RWMutex
+	// data maps a content address to its object. A stored object is never
+	// written again (Corrupt replaces it), so Open can serve it in place.
 	data map[string][]byte
 }
 
@@ -65,43 +121,72 @@ func NewMemStore() *MemStore {
 	return &MemStore{data: make(map[string][]byte)}
 }
 
-// Put stores data under its content hash.
+// Put stores a copy of data under its content hash.
 func (m *MemStore) Put(data []byte) (string, error) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	key := Checksum(data)
+	return m.Write(bytes.NewReader(data), int64(len(data)))
+}
+
+// Get retrieves by reference, verifies content integrity, and returns a
+// copy the caller owns.
+func (m *MemStore) Get(ref string) ([]byte, error) { return readAll(m.Open(ref)) }
+
+// Write stores the size bytes read from r under their content hash. The
+// object is filled as the bytes arrive (network.ReadAnnounced): a writer
+// that announces more than it sends pins what it sent, not what it
+// announced, and leaves nothing stored.
+func (m *MemStore) Write(r io.Reader, size int64) (string, error) {
+	if size < 0 || size > math.MaxInt {
+		return "", fmt.Errorf("offchain: object of %d bytes", size)
+	}
+	obj, err := network.ReadAnnounced(r, int(size))
+	if err != nil {
+		return "", fmt.Errorf("offchain: write object: %w", err)
+	}
+	key := Checksum(obj)
 	m.mu.Lock()
-	m.data[key] = cp
+	m.data[key] = obj
 	m.mu.Unlock()
 	return "mem://" + key, nil
 }
 
-// Get retrieves by reference and verifies content integrity.
-func (m *MemStore) Get(ref string) ([]byte, error) {
-	key, ok := strings.CutPrefix(ref, "mem://")
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrBadRef, ref)
+// memObject is an object MemStore opened: a reader over the stored bytes
+// themselves, which never change once stored. The object server sends them
+// from there.
+type memObject struct {
+	bytes.Reader
+	data []byte
+}
+
+func (*memObject) Close() error { return nil }
+
+// Open verifies the object behind ref and returns a reader over it.
+func (m *MemStore) Open(ref string) (io.ReadCloser, int64, error) {
+	key, err := refKey(ref, "mem://")
+	if err != nil {
+		return nil, 0, err
 	}
 	m.mu.RLock()
 	data, found := m.data[key]
 	m.mu.RUnlock()
 	if !found {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, ref)
+		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, ref)
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	if err := VerifyChecksum(out, key); err != nil {
-		return nil, err
+	if err := VerifyChecksum(data, key); err != nil {
+		return nil, 0, err
 	}
-	return out, nil
+	obj := &memObject{data: data}
+	obj.Reset(data)
+	return obj, int64(len(data)), nil
 }
 
 // Corrupt flips a byte of the stored object — test hook for the paper's
-// tamper-detection scenario (checksum mismatch on retrieval).
+// tamper-detection scenario (checksum mismatch on retrieval). The damaged
+// object replaces the stored one: a reader already serving it is not
+// changed under its feet.
 func (m *MemStore) Corrupt(ref string) error {
-	key, ok := strings.CutPrefix(ref, "mem://")
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrBadRef, ref)
+	key, err := refKey(ref, "mem://")
+	if err != nil {
+		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -110,7 +195,9 @@ func (m *MemStore) Corrupt(ref string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, ref)
 	}
 	if len(data) > 0 {
+		data = bytes.Clone(data)
 		data[0] ^= 0xFF
+		m.data[key] = data
 	}
 	return nil
 }
@@ -152,28 +239,43 @@ func NewDirStore(dir string) (*DirStore, error) {
 	return &DirStore{root: dir}, nil
 }
 
+// path is the file holding the object at key, a key refKey accepted: its
+// hex digits name the file.
 func (d *DirStore) path(key string) string {
-	// Keys are "sha256:<hex>"; use the hex part as the filename.
-	name := strings.TrimPrefix(key, "sha256:")
-	return filepath.Join(d.root, name)
+	return filepath.Join(d.root, strings.TrimPrefix(key, "sha256:"))
 }
 
-// Put writes data to a content-addressed file. The write is atomic with
-// the same discipline as the recovery checkpoints (temp file + fsync +
-// rename + directory fsync): the content hash is the key clients record
-// on-chain, so a crash mid-store must never leave a truncated blob behind
-// a valid hash — either the complete object is durably in place or
-// nothing is.
+// Put writes data to a content-addressed file.
 func (d *DirStore) Put(data []byte) (string, error) {
-	key := Checksum(data)
-	final := d.path(key)
+	return d.Write(bytes.NewReader(data), int64(len(data)))
+}
+
+// Get reads and verifies a content-addressed file.
+func (d *DirStore) Get(ref string) ([]byte, error) { return readAll(d.Open(ref)) }
+
+// Write streams the size bytes read from r into a content-addressed file,
+// hashing them on the way. The write is atomic with the same discipline as
+// the recovery checkpoints (temp file + fsync + rename + directory fsync):
+// the content hash is the key clients record on-chain, so a crash or a
+// writer that stops mid-store must never leave a truncated blob behind a
+// valid hash — either the complete object is durably in place or nothing
+// is.
+func (d *DirStore) Write(r io.Reader, size int64) (string, error) {
+	if size < 0 {
+		return "", fmt.Errorf("offchain: object of %d bytes", size)
+	}
 	tmp, err := os.CreateTemp(d.root, putTmpPattern)
 	if err != nil {
 		return "", fmt.Errorf("offchain: temp object: %w", err)
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
+	h := sha256.New()
+	n, err := io.Copy(io.MultiWriter(tmp, h), io.LimitReader(r, size))
+	if err == nil && n < size {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		cleanup()
 		return "", fmt.Errorf("offchain: write object: %w", err)
 	}
@@ -185,7 +287,8 @@ func (d *DirStore) Put(data []byte) (string, error) {
 		os.Remove(tmpName)
 		return "", fmt.Errorf("offchain: close object: %w", err)
 	}
-	if err := os.Rename(tmpName, final); err != nil {
+	key := checksumOf(h)
+	if err := os.Rename(tmpName, d.path(key)); err != nil {
 		os.Remove(tmpName)
 		return "", fmt.Errorf("offchain: publish object: %w", err)
 	}
@@ -203,23 +306,35 @@ func syncDir(dir string) {
 	}
 }
 
-// Get reads and verifies a content-addressed file.
-func (d *DirStore) Get(ref string) ([]byte, error) {
-	key, ok := strings.CutPrefix(ref, "file://")
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrBadRef, ref)
+// Open verifies the file behind ref against its content address, then
+// returns it, rewound, to be read.
+func (d *DirStore) Open(ref string) (io.ReadCloser, int64, error) {
+	key, err := refKey(ref, "file://")
+	if err != nil {
+		return nil, 0, err
 	}
-	data, err := os.ReadFile(d.path(key))
+	f, err := os.Open(d.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, ref)
+			return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, ref)
 		}
-		return nil, fmt.Errorf("offchain: read object: %w", err)
+		return nil, 0, fmt.Errorf("offchain: open object: %w", err)
 	}
-	if err := VerifyChecksum(data, key); err != nil {
-		return nil, err
+	h := sha256.New()
+	size, err := io.Copy(h, f)
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("offchain: read object: %w", err)
 	}
-	return data, nil
+	if checksumOf(h) != key {
+		f.Close()
+		return nil, 0, ErrChecksumMismatch
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("offchain: rewind object: %w", err)
+	}
+	return f, size, nil
 }
 
 // Close is a no-op.

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/hyperprov/hyperprov/internal/network"
 )
 
 func TestChecksumFormat(t *testing.T) {
@@ -149,6 +151,69 @@ func TestDirStoreTamperDetection(t *testing.T) {
 	}
 	if _, err := s.Get(ref); !errors.Is(err, ErrChecksumMismatch) {
 		t.Errorf("Get corrupted file = %v, want ErrChecksumMismatch", err)
+	}
+}
+
+// TestRefsNameOnlyContentAddresses: a ref names an object by "sha256:" and
+// 64 lowercase hex digits, nothing else. A DirStore turns the digits into a
+// file name under its root, so a ref that walks out of the root must be
+// refused with ErrBadRef before any open — locally, and through the object
+// server, which hands a remote client's ref to its store as it came. Such a
+// ref must neither read a file outside the root (ErrChecksumMismatch) nor
+// tell whether one exists (ErrNotFound).
+func TestRefsNameOnlyContentAddresses(t *testing.T) {
+	top := t.TempDir()
+	if err := os.WriteFile(filepath.Join(top, "secret.txt"), []byte("not an object"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := NewDirStore(filepath.Join(top, "objects"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer("127.0.0.1:0", dir, network.LinkShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := NewRemoteStore(srv.Addr(), network.LinkShape{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	mem := NewMemStore()
+
+	valid := Checksum([]byte("x"))
+	for _, key := range []string{
+		"../secret.txt",
+		"../missing.txt",
+		"sha256:../secret.txt",
+		"sha256:../missing.txt",
+		strings.TrimPrefix(valid, "sha256:"),
+		strings.ToUpper(valid),
+		"sha256:" + strings.ToUpper(valid[7:]),
+		valid[:len(valid)-1],
+		valid + "0",
+		valid + "/x",
+	} {
+		if _, err := dir.Get("file://" + key); !errors.Is(err, ErrBadRef) {
+			t.Errorf("DirStore.Get(file://%s) = %v, want ErrBadRef", key, err)
+		}
+		if _, _, err := dir.Open("file://" + key); !errors.Is(err, ErrBadRef) {
+			t.Errorf("DirStore.Open(file://%s) = %v, want ErrBadRef", key, err)
+		}
+		if _, err := client.Get("remote://" + srv.Addr() + "/file://" + key); !errors.Is(err, ErrBadRef) {
+			t.Errorf("remote Get of file://%s = %v, want ErrBadRef", key, err)
+		}
+		if _, err := mem.Get("mem://" + key); !errors.Is(err, ErrBadRef) {
+			t.Errorf("MemStore.Get(mem://%s) = %v, want ErrBadRef", key, err)
+		}
+		if err := mem.Corrupt("mem://" + key); !errors.Is(err, ErrBadRef) {
+			t.Errorf("MemStore.Corrupt(mem://%s) = %v, want ErrBadRef", key, err)
+		}
+	}
+	// A well-formed ref still reaches the store.
+	if _, err := client.Get("remote://" + srv.Addr() + "/file://" + valid); !errors.Is(err, ErrNotFound) {
+		t.Errorf("remote Get of a missing object = %v, want ErrNotFound", err)
 	}
 }
 

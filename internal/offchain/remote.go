@@ -1,8 +1,11 @@
 package offchain
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 
@@ -22,8 +25,12 @@ import (
 //	get  [0x02][string key]     ->  [status][bytes payload]
 //
 // and a failed reply is [status][string message] (network.AppendStatus).
-// Payload bytes travel raw: they are appended to the pooled frame buffer on
-// one side and sub-sliced out of the frame on the other.
+// Payload bytes travel raw and are never copied into a frame: the sender
+// encodes everything before them and sends the payload as the frame's tail
+// (network.Frame.Tail). The server streams a put's payload from the
+// connection into its Backing and sends a get's verified object as the
+// reply's tail, from where a MemStore keeps it; the client reads a get's
+// reply into one buffer and sub-slices the payload out of it.
 
 // remote protocol operations.
 const (
@@ -39,10 +46,12 @@ type remoteRequest struct {
 	Data []byte
 }
 
-func appendRequest(buf []byte, req *remoteRequest) []byte {
+// appendRequestHead encodes a request up to its payload: a put's Data is
+// the frame's tail.
+func appendRequestHead(buf []byte, req *remoteRequest) []byte {
 	buf = append(buf, req.Op)
 	if req.Op == opPut {
-		return codec.AppendBytes(buf, req.Data)
+		return codec.AppendUvarint(buf, uint64(len(req.Data)))
 	}
 	return codec.AppendString(buf, req.Key)
 }
@@ -74,8 +83,9 @@ type remoteResponse struct {
 	Data []byte
 }
 
-// appendResponse encodes the reply to a request of the given op.
-func appendResponse(buf []byte, op byte, resp *remoteResponse) []byte {
+// appendResponseHead encodes the reply to a request of the given op up to
+// its payload: a get's Data is the frame's tail.
+func appendResponseHead(buf []byte, op byte, resp *remoteResponse) []byte {
 	buf = network.AppendStatus(buf, resp.Code, resp.Err)
 	switch {
 	case resp.Code != network.CodeNone:
@@ -83,7 +93,7 @@ func appendResponse(buf []byte, op byte, resp *remoteResponse) []byte {
 	case op == opPut:
 		return codec.AppendString(buf, resp.Key)
 	default:
-		return codec.AppendBytes(buf, resp.Data)
+		return codec.AppendUvarint(buf, uint64(len(resp.Data)))
 	}
 }
 
@@ -117,18 +127,18 @@ func classify(err error) network.ErrCode {
 	}
 }
 
-// Server is a TCP object server backed by any Store. The listener and the
+// Server is a TCP object server over a Backing. The listener and the
 // connection lifecycle (Addr, Close) are network.Server's.
 type Server struct {
 	*network.Server
-	backing Store
+	backing Backing
 	shape   network.LinkShape
 }
 
 // NewServer starts an object server on addr ("127.0.0.1:0" for an
 // ephemeral port). shape is applied to the server's responses, modelling
 // the storage node's uplink.
-func NewServer(addr string, backing Store, shape network.LinkShape) (*Server, error) {
+func NewServer(addr string, backing Backing, shape network.LinkShape) (*Server, error) {
 	s := &Server{backing: backing, shape: shape}
 	var err error
 	if s.Server, err = network.Listen(addr, s.serve); err != nil {
@@ -137,22 +147,22 @@ func NewServer(addr string, backing Store, shape network.LinkShape) (*Server, er
 	return s, nil
 }
 
+// serve answers one connection's requests in turn. Requests are read
+// through one small buffer per connection: no request is held in a buffer
+// of its own, and a put's payload goes from the connection into the
+// backing store.
 func (s *Server) serve(conn net.Conn) {
+	in := bufio.NewReader(conn)
 	shaped := network.NewShapedConn(conn, s.shape)
 	for {
-		// The request is read into a pooled buffer and released as soon as it
-		// is answered: Store.Put copies or persists its argument before it
-		// returns, so nothing refers to a put's payload after handle.
-		in := codec.GetBuffer()
-		body, _, _, err := network.ReadFrameInto(conn, in)
+		n, err := network.ReadHeader(in)
 		if err != nil {
-			in.Release()
 			return // EOF or broken connection
 		}
 		out := network.NewFrame("", "")
-		out.B = s.handle(out.B, body)
-		in.Release()
-		err = out.Send(shaped)
+		if err = s.handle(&out, in, n); err == nil {
+			err = out.Send(shaped)
+		}
 		out.Release()
 		if err != nil {
 			return
@@ -160,24 +170,89 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
-// handle answers one request body, appending the reply body to out. A
-// request that does not decode is answered with CodeBadRequest and the
-// connection stays usable: the frame boundary is intact.
-func (s *Server) handle(out, body []byte) []byte {
+// handle reads one request body of n bytes from in and sets out to the
+// reply. A put streams its payload into the backing store; any other body
+// is read whole and decoded. A body that does not decode is answered with
+// CodeBadRequest and the connection stays usable: the frame boundary is
+// intact. An error means the connection ended mid-frame.
+func (s *Server) handle(out *network.Frame, in *bufio.Reader, n int) error {
+	if size, ok := putSize(in, n); ok {
+		return s.put(out, in, size)
+	}
+	body, err := network.ReadAnnounced(in, n)
+	if err != nil {
+		return err
+	}
 	req, err := decodeRequest(body)
 	if err != nil {
-		return network.AppendStatus(out, network.CodeBadRequest, err.Error())
+		out.B = network.AppendStatus(out.B, network.CodeBadRequest, err.Error())
+		return nil
 	}
+	// putSize accepts exactly the puts decodeRequest does: this is a get.
+	s.get(out, req.Key)
+	return nil
+}
+
+// putSize reports whether the n-byte request body waiting in in is a put —
+// an op byte and a payload length that runs exactly to the end of the
+// frame, as decodeRequest requires — and if so consumes both, leaving in
+// at the payload.
+func putSize(in *bufio.Reader, n int) (int, bool) {
+	head, _ := in.Peek(min(n, 1+binary.MaxVarintLen64))
+	d := codec.NewDec(head)
+	op, size := d.Byte(), d.Uvarint()
+	used := len(head) - d.Len()
+	if d.Err() != nil || op != opPut || size != uint64(n-used) {
+		return 0, false
+	}
+	in.Discard(used)
+	return int(size), true
+}
+
+// put streams a put's size payload bytes from in into the backing store. A
+// store that fails part way leaves the rest of the payload unread; it is
+// drained, so the failure is answered on a connection still in frame sync.
+// A connection that ends before the payload does is finished.
+func (s *Server) put(out *network.Frame, in io.Reader, size int) error {
+	payload := &io.LimitedReader{R: in, N: int64(size)}
 	var resp remoteResponse
-	if req.Op == opPut {
-		resp.Key, err = s.backing.Put(req.Data)
-	} else {
-		resp.Data, err = s.backing.Get(req.Key)
+	var err error
+	if resp.Key, err = s.backing.Write(payload, int64(size)); err != nil {
+		resp = remoteResponse{Code: classify(err), Err: err.Error()}
+	}
+	if _, err := io.Copy(io.Discard, payload); err != nil {
+		return err
+	}
+	if payload.N > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	out.B = appendResponseHead(out.B, opPut, &resp)
+	return nil
+}
+
+// get answers a get with the object the backing store verified, sent as
+// the reply's tail.
+func (s *Server) get(out *network.Frame, key string) {
+	var resp remoteResponse
+	obj, size, err := s.backing.Open(key)
+	if err == nil {
+		resp.Data, err = objectBytes(obj, size)
 	}
 	if err != nil {
 		resp = remoteResponse{Code: classify(err), Err: err.Error()}
 	}
-	return appendResponse(out, req.Op, &resp)
+	out.B = appendResponseHead(out.B, opGet, &resp)
+	out.Tail = resp.Data
+}
+
+// objectBytes returns the bytes of an opened object and is done with it.
+// An object MemStore opened is sent from where the store keeps it; any
+// other is read whole first.
+func objectBytes(obj io.ReadCloser, size int64) ([]byte, error) {
+	if m, ok := obj.(*memObject); ok {
+		return m.data, nil
+	}
+	return readAll(obj, size, nil)
 }
 
 // RemoteStore is the client side: it dials the object server and shapes its
@@ -203,13 +278,13 @@ func NewRemoteStore(addr string, shape network.LinkShape) (*RemoteStore, error) 
 func (r *RemoteStore) roundTrip(req *remoteRequest) (remoteResponse, error) {
 	n := 1 + codec.SizeBytes(len(req.Data)+len(req.Key))
 	if n > network.MaxFrame {
-		// Refused here, before a frame that size is assembled.
+		// Refused here, before any of it is sent.
 		return remoteResponse{}, fmt.Errorf("offchain: remote round trip: %w: %d bytes", network.ErrFrameTooLarge, n)
 	}
 	f := network.NewFrame("", "")
 	defer f.Release()
-	f.Grow(n)
-	f.B = appendRequest(f.B, req)
+	f.B = appendRequestHead(f.B, req)
+	f.Tail = req.Data
 	body, err := r.c.Do(f)
 	if err != nil {
 		return remoteResponse{}, fmt.Errorf("offchain: remote round trip: %w", err)

@@ -1,6 +1,7 @@
 package offchain
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"net"
@@ -69,10 +70,24 @@ func TestRemoteErrorCodes(t *testing.T) {
 		}
 	}
 	// handle is the seam between the frame and the store: request body in,
-	// reply body out.
+	// reply frame out.
 	handle := func(req *remoteRequest) remoteResponse {
 		t.Helper()
-		resp, err := decodeResponse(req.Op, srv.handle(nil, appendRequest(nil, req)))
+		body := appendRequest(nil, req)
+		out := network.NewFrame("", "")
+		defer out.Release()
+		if err := srv.handle(&out, bufio.NewReader(bytes.NewReader(body)), len(body)); err != nil {
+			t.Fatalf("op %#x: %v", req.Op, err)
+		}
+		var wire bytes.Buffer
+		if err := out.Send(&wire); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := network.ReadFrame(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := decodeResponse(req.Op, reply)
 		if err != nil {
 			t.Fatalf("op %#x: reply does not decode: %v", req.Op, err)
 		}
@@ -167,7 +182,7 @@ func TestRemoteConcurrentClients(t *testing.T) {
 
 // restartServer rebinds a closed server's address (retrying briefly: the OS
 // may hold the port).
-func restartServer(t *testing.T, addr string, backing Store) *Server {
+func restartServer(t *testing.T, addr string, backing Backing) *Server {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		srv, err := NewServer(addr, backing, network.LinkShape{})
@@ -187,11 +202,16 @@ func TestRemoteReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill the client's connection from under it — the storage node
-	// restarts; next op must reconnect.
+	// restarts; next op must reconnect, resending the same frame, payload
+	// tail included.
 	srv.Close()
 	restartServer(t, srv.Addr(), NewMemStore())
-	if _, err := client.Put([]byte("second")); err != nil {
+	ref, err := client.Put([]byte("second"))
+	if err != nil {
 		t.Fatalf("Put after connection drop: %v", err)
+	}
+	if got, err := client.Get(ref); err != nil || string(got) != "second" {
+		t.Fatalf("Get after a redialled Put = %q, %v", got, err)
 	}
 }
 

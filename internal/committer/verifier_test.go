@@ -54,3 +54,51 @@ func TestPrevalidateWarmCacheSkipsSignatureWork(t *testing.T) {
 		t.Fatalf("tampered envelope: %v, want TxBadSignature", res.Code)
 	}
 }
+
+// Every endorsement an envelope carries is verified at commit, and one that
+// fails fails the transaction, even beside a valid one that satisfies the
+// policy alone. The gateway attaches only endorsements it verified; the
+// committer does not trust that, on either engine.
+func TestOneBadEndorsementFailsPolicy(t *testing.T) {
+	f := newTxFactory(t)
+	withFlipped := func(env *blockstore.Envelope) {
+		e := env.Endorsements[0]
+		e.Signature = append([]byte(nil), e.Signature...)
+		e.Signature[len(e.Signature)-1] ^= 1
+		env.Endorsements = append(env.Endorsements, e)
+	}
+	for _, tc := range []struct {
+		name   string
+		commit func(*ledger, *blockstore.Block)
+	}{
+		{"serial", func(l *ledger, b *blockstore.Block) { NewSerial(l.config(f, 0)).Submit(b) }},
+		{"pipeline", func(l *ledger, b *blockstore.Block) {
+			p := New(l.config(f, 4))
+			defer p.Close()
+			p.Submit(b)
+			p.Sync()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := blockstore.NewBlock(0, nil, []blockstore.Envelope{
+				f.envelope(f.txID(), writeSet("ok"), nil),
+				f.envelope(f.txID(), writeSet("bad"), withFlipped),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := newLedger()
+			tc.commit(l, b)
+			got, err := l.blocks.GetByNumber(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []blockstore.ValidationCode{blockstore.TxValid, blockstore.TxEndorsementPolicyFailure}
+			for i, c := range want {
+				if got.TxValidation[i] != c {
+					t.Errorf("tx %d = %s, want %s", i, got.TxValidation[i], c)
+				}
+			}
+		})
+	}
+}

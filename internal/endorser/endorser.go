@@ -1,9 +1,10 @@
 // Package endorser defines the proposal/response wire types and the
 // endorsement-policy engine of the execute–order–validate pipeline. Clients
 // send signed proposals to endorsing peers; peers simulate the chaincode
-// and sign the resulting read/write set; the policy engine decides whether
-// a set of endorsements satisfies the channel's endorsement policy, both at
-// submission time (client-side check) and at validation time (VSCC).
+// and sign the resulting read/write set; the policy engine picks the
+// endorsements that satisfy the channel's endorsement policy at submission
+// time (SelectEndorsements) and checks every endorsement a transaction
+// carries at validation time (CheckEndorsements, the VSCC).
 package endorser
 
 import (
@@ -13,6 +14,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
@@ -207,7 +209,7 @@ func (r *Response) verifyCached(msp *identity.MSP, onMiss func()) (*identity.Ide
 // NewEnvelope assembles the transaction prop's endorsers agreed on — the
 // first response's simulation result under every response's endorsement —
 // and signs and seals it as signer. resps must be non-empty and consistent
-// (see CheckEndorsements). One encoding serves the signature and the rest
+// (see SelectEndorsements). One encoding serves the signature and the rest
 // of the envelope's life: block assembly, data hash, gossip and ledger
 // append reuse it.
 func NewEnvelope(prop *Proposal, resps []*Response, signer *identity.SigningIdentity) (blockstore.Envelope, error) {
@@ -379,4 +381,35 @@ func CheckEndorsementsFunc(policy Policy, msp *identity.MSP, responses []*Respon
 		return fmt.Errorf("%w: have %v, need %s", ErrPolicyNotSatisfied, orgs, policy)
 	}
 	return nil
+}
+
+// SelectEndorsements is the submit-time counterpart of CheckEndorsementsFunc:
+// it picks from group, in order, the endorsements an envelope needs and
+// verifies only those. An endorsement is skipped when its endorser does not
+// resolve through msp, when an earlier pick already covers its org (policies
+// are org-level SignedBy / OutOf, so a second endorser of one org adds
+// nothing), or when its signature fails. The picks are returned as soon as
+// policy holds over their orgs; ErrPolicyNotSatisfied if group runs out
+// first, ErrResponseMismatch if any response's result differs from the
+// first's. onMiss is VerifyEndorsementsFunc's charge hook.
+func SelectEndorsements(policy Policy, msp *identity.MSP, group []*Response, onMiss func()) ([]*Response, error) {
+	for _, r := range group {
+		if !r.sameResult(group[0]) {
+			return nil, ErrResponseMismatch
+		}
+	}
+	var picked []*Response
+	var orgs []string
+	for _, r := range group {
+		id, err := msp.Deserialize(r.Endorser)
+		if err != nil || slices.Contains(orgs, id.MSPID()) ||
+			id.VerifyCached(msp.VerifyCache(), r.SignedDigest(), r.Signature, onMiss) != nil {
+			continue
+		}
+		picked, orgs = append(picked, r), append(orgs, id.MSPID())
+		if policy.Evaluate(orgs) {
+			return picked, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: have %v, need %s", ErrPolicyNotSatisfied, orgs, policy)
 }

@@ -138,6 +138,80 @@ func TestCheckEndorsements(t *testing.T) {
 	})
 }
 
+// SelectEndorsements verifies in order until the policy holds and returns
+// only what it picked: never a second endorser of a covered org, never an
+// endorsement that fails to resolve or verify, and no verification past the
+// last pick. misses counts the ECDSA verifications each case may execute.
+func TestSelectEndorsements(t *testing.T) {
+	ca1, err := identity.NewCA("Org1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca2, err := identity.NewCA("Org2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger, err := identity.NewCA("OrgZ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enroll := func(ca *identity.CA, name string) *identity.SigningIdentity {
+		id, err := ca.Enroll(name, identity.RolePeer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	rws := []byte(`{"writes":[{"key":"k"}]}`)
+	a1 := mkResponse(t, enroll(ca1, "peerA1"), rws, nil)
+	b1 := mkResponse(t, enroll(ca1, "peerB1"), rws, nil)
+	a2 := mkResponse(t, enroll(ca2, "peerA2"), rws, nil)
+	unknown := mkResponse(t, enroll(stranger, "peerZ"), rws, nil)
+	divergent := mkResponse(t, enroll(ca2, "peerB2"), []byte(`{"writes":[{"key":"other"}]}`), nil)
+	flipped := *a1
+	flipped.Signature = append([]byte(nil), a1.Signature...)
+	flipped.Signature[len(flipped.Signature)-1] ^= 1
+	bad := &flipped
+
+	org1, both := SignedBy("Org1MSP"), And(SignedBy("Org1MSP"), SignedBy("Org2MSP"))
+	for _, tc := range []struct {
+		name    string
+		policy  Policy
+		group   []*Response
+		want    []*Response
+		wantErr error
+		misses  int
+	}{
+		{"first satisfying endorsement", org1, []*Response{a1, b1, a2}, []*Response{a1}, nil, 1},
+		{"bad signature skipped", org1, []*Response{bad, b1}, []*Response{b1}, nil, 2},
+		{"unknown CA skipped unverified", org1, []*Response{unknown, a1}, []*Response{a1}, nil, 1},
+		{"same-org duplicate skipped unverified", both, []*Response{a1, b1, a2}, []*Response{a1, a2}, nil, 2},
+		{"bad then same-org stand-in", both, []*Response{bad, a2, b1}, []*Response{a2, b1}, nil, 3},
+		{"divergent group", org1, []*Response{a1, divergent}, nil, ErrResponseMismatch, 0},
+		{"unsatisfiable", both, []*Response{a1, b1, bad, unknown}, nil, ErrPolicyNotSatisfied, 1},
+		{"empty group", org1, nil, nil, ErrPolicyNotSatisfied, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			misses := 0
+			got, err := SelectEndorsements(tc.policy, identity.NewMSP(ca1, ca2), tc.group, func() { misses++ })
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("picked %d endorsements, want %d", len(got), len(tc.want))
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Errorf("pick %d is %s, want %s", i, got[i].Endorser, tc.want[i].Endorser)
+				}
+			}
+			if misses != tc.misses {
+				t.Errorf("%d signatures verified, want %d", misses, tc.misses)
+			}
+		})
+	}
+}
+
 func TestProposalSignedBytesStable(t *testing.T) {
 	p := Proposal{TxID: "t", Chaincode: "cc", Function: "set"}
 	a := p.SignedBytes()

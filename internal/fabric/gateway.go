@@ -110,48 +110,41 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 		}(i, e)
 	}
 
-	// Collect endorsements as they arrive and return as soon as a
-	// consistent, policy-satisfying majority exists instead of waiting for
-	// the slowest endorser: one strangled peer must not set the floor of
-	// every transaction's latency. Majority (not just policy) is required
-	// for the early exit because peers that are catching up may simulate
-	// against stale state — accepting the single fastest answer would let a
-	// stale read set through to a certain MVCC invalidation. When no
-	// majority forms, the exhaustive path below keeps the pre-early-return
-	// behaviour: largest consistent group, policy-checked. Late arrivals
-	// drain into the buffered channel and are ignored. Signature checks go
-	// through the MSP's verification cache; the modeled client-side verify
-	// cost is charged per actual ECDSA check (onMiss).
+	// Collect endorsements as they arrive and stop as soon as they settle the
+	// transaction, instead of waiting for the slowest endorser: one strangled
+	// peer must not set the floor of every transaction's latency. Before the
+	// last arrival, that takes a majority of the endorsers returning
+	// byte-identical results (results are compared, not signatures): peers
+	// that are catching up may simulate against stale state, and the single
+	// fastest answer could carry a stale read set to a certain MVCC
+	// invalidation. The last arrival takes the largest consistent group,
+	// whatever its size. From the group, endorser.SelectEndorsements verifies
+	// in arrival order one endorsement per org, skipping any that fails,
+	// until the policy holds, and the envelope carries only those: every
+	// committing peer verifies each endorsement an envelope carries. Late
+	// arrivals drain into the buffered channel and are ignored. Signature
+	// checks go through the MSP's verification cache; the modeled
+	// client-side verify cost is charged per actual ECDSA check (onMiss).
 	onMiss := func() { g.exec.Verify() }
 	policy, msp := g.ch.net.policy, g.ch.net.msp
 	quorum := len(endorsers)/2 + 1
-	var resps []*endorser.Response
+	var arrived, resps []*endorser.Response
 	var errs []error
-	accepted := false
-	for got := 0; got < len(endorsers); {
+	for got := 1; resps == nil; got++ {
 		r := <-resCh
-		got++
 		if r.err != nil {
 			errs = append(errs, r.err)
-			continue
+		} else {
+			arrived = append(arrived, r.resp)
 		}
-		resps = append(resps, r.resp)
-		if got == len(endorsers) {
-			break // everyone answered: take the exhaustive path
+		last := got == len(endorsers)
+		if group := largestConsistentGroup(arrived); last || r.err == nil && len(group) >= quorum {
+			resps, err = endorser.SelectEndorsements(policy, msp, group, onMiss)
 		}
-		group := largestConsistentGroup(resps)
-		if len(group) >= quorum && endorser.CheckEndorsementsFunc(policy, msp, group, onMiss) == nil {
-			resps = group
-			accepted = true
-			break
-		}
-	}
-	if !accepted {
-		if len(resps) == 0 {
-			return nil, fmt.Errorf("%w: %v", ErrEndorsement, errors.Join(errs...))
-		}
-		resps = largestConsistentGroup(resps)
-		if err := endorser.CheckEndorsementsFunc(policy, msp, resps, onMiss); err != nil {
+		if last && resps == nil {
+			if len(arrived) == 0 {
+				err = errors.Join(errs...)
+			}
 			return nil, fmt.Errorf("%w: %v", ErrEndorsement, err)
 		}
 	}

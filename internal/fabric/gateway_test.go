@@ -1,13 +1,19 @@
 package fabric
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/core"
 	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/endorser"
+	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/offchain"
 )
@@ -76,6 +82,158 @@ func TestSubmitReturnsBeforeSlowEndorser(t *testing.T) {
 	}
 	if fast < 3 {
 		t.Errorf("per-peer latency gauges = %d, want >= quorum (3); gauges: %v", fast, gauges)
+	}
+}
+
+// badSignatureEndorser endorses through a real peer and flips the last byte
+// of every signature it hands back: a hostile (or broken) endorser whose
+// results agree with everyone else's but whose endorsements never verify.
+type badSignatureEndorser struct {
+	inner Endorser
+	mu    sync.Mutex
+	sigs  map[string]bool // every corrupted signature handed out
+}
+
+func (b *badSignatureEndorser) Name() string { return "badsig" }
+
+func (b *badSignatureEndorser) ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error) {
+	resp, err := b.inner.ProcessProposal(prop)
+	if err != nil {
+		return nil, err
+	}
+	bad := *resp
+	bad.Signature = append([]byte(nil), resp.Signature...)
+	bad.Signature[len(bad.Signature)-1] ^= 1
+	b.mu.Lock()
+	b.sigs[string(bad.Signature)] = true
+	b.mu.Unlock()
+	return &bad, nil
+}
+
+// One endorser answering with corrupted signatures costs no transaction: the
+// gateway skips its endorsements instead of failing the set, whether it is
+// one of two endorsers (so always in the group) or one of five, and no
+// committed envelope carries one of its signatures.
+func TestSubmitSurvivesBadSignatureEndorser(t *testing.T) {
+	for _, peers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("peers=%d", peers), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.PeerProfiles = cfg.PeerProfiles[:peers]
+			n := newTestNetwork(t, cfg)
+			gw, err := n.NewGateway("client")
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := &badSignatureEndorser{inner: n.Peers()[0], sigs: map[string]bool{}}
+			gw.AddEndorser(bad)
+			const submits = 20
+			var txIDs []string
+			for i := 0; i < submits; i++ {
+				in := fmt.Sprintf(`{"key":"badsig-%d","checksum":"cs"}`, i)
+				res, err := gw.Submit(provenance.ChaincodeName, provenance.FnSet, []byte(in))
+				if err != nil {
+					t.Errorf("Submit %d: %v", i, err)
+					continue
+				}
+				txIDs = append(txIDs, res.TxID)
+			}
+			if failed := submits - len(txIDs); failed > 0 {
+				t.Fatalf("%d of %d Submits failed beside one bad-signature endorser", failed, submits)
+			}
+			bad.mu.Lock()
+			defer bad.mu.Unlock()
+			if len(bad.sigs) == 0 {
+				t.Fatal("the bad endorser was never asked")
+			}
+			for _, txID := range txIDs {
+				env, code, err := gw.TxStatus(txID)
+				if err != nil || code != blockstore.TxValid {
+					t.Fatalf("TxStatus(%s) = %v, %v", txID, code, err)
+				}
+				for _, e := range env.Endorsements {
+					if bad.sigs[string(e.Signature)] {
+						t.Errorf("committed tx %s carries a corrupted endorsement", txID)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A committed envelope carries the endorsements the policy needs and no
+// more: one on the single-org network (any member), two from two distinct
+// orgs on the three-org consortium (a majority), although four peers endorse.
+func TestEnvelopeCarriesOnlyPolicyEndorsements(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{{"single org", testConfig(), 1}, {"three orgs", multiOrgConfig(), 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := newTestNetwork(t, tc.cfg)
+			gw, err := n.NewGateway("client")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				res := setRecord(t, gw, fmt.Sprintf("endorsed-%d", i), "cs")
+				env, _, err := gw.TxStatus(res.TxID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				orgs := map[string]bool{}
+				for _, e := range env.Endorsements {
+					id, err := n.msp.Deserialize(e.Endorser)
+					if err != nil {
+						t.Fatal(err)
+					}
+					orgs[id.MSPID()] = true
+				}
+				if len(env.Endorsements) != tc.want || len(orgs) != tc.want {
+					t.Fatalf("tx %d carries %d endorsements from orgs %v, want %d from %d distinct orgs",
+						i, len(env.Endorsements), orgs, tc.want, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// The per-transaction signature budget of a Post on four single-org peers,
+// counted by every ECDSA operation in the process: 6 signs (proposal, four
+// endorsements, envelope) and at most 3.5 verifies on average. The design's
+// count is 3: the proposal, the one endorsement the gateway picks, and the
+// envelope, each verified once and found in the peers' shared verification
+// cache afterwards; attaching the whole majority makes it 5. GOMAXPROCS(1)
+// keeps peers from verifying one signature at the same time, each missing
+// the cache, which adds up to two more on a multi-core run. Not parallel:
+// the counters are process-wide.
+func TestSubmitSignatureBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n := newTestNetwork(t, testConfig())
+	gw, err := n.NewGateway("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setRecordSettled(t, gw, "budget-warm", "cs")
+	const posts = 40
+	signs0, verifies0 := identity.ECDSAOps()
+	for i := 0; i < posts; i++ {
+		setRecord(t, gw, fmt.Sprintf("budget-%d", i), "cs")
+	}
+	for _, p := range n.Peers() {
+		waitForHeight(t, p, n.Orderer().Height())
+		p.Sync()
+	}
+	// The straggler endorsement of the last Post may still be signing.
+	waitFor(t, func() bool { s, _ := identity.ECDSAOps(); return s-signs0 >= 6*posts })
+	signs, verifies := identity.ECDSAOps()
+	if perTx := float64(signs-signs0) / posts; perTx != 6 {
+		t.Errorf("%.3f ECDSA signs per transaction, want 6", perTx)
+	}
+	if perTx := float64(verifies-verifies0) / posts; perTx > 3.5 {
+		t.Errorf("%.3f ECDSA verifies per transaction, want <= 3.5", perTx)
+	} else {
+		t.Logf("%.3f ECDSA verifies per transaction", perTx)
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 	"time"
 )
 
-// The chain's followers, as stack traces name them.
+// The chain's followers, as stack traces name them. A goroutine is counted
+// from its go statement on only if that statement takes no arguments: one
+// that does runs behind a compiler wrapper (….gowrapN) until first scheduled.
 const (
 	PeerFeed    = "peer.(*Peer).Start.func1"
 	EventCursor = "peer.(*Peer).SubscribeEvents.func1"

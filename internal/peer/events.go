@@ -20,7 +20,11 @@ func (p *Peer) SubscribeEvents() (events <-chan blockstore.ChaincodeEvent, cance
 	out := make(chan blockstore.ChaincodeEvent)
 	done, exited := make(chan struct{}), make(chan struct{})
 	mark := p.committer.Persisted()
-	go func(from uint64) { // from: the first block committed after the call
+	// from is the first block committed after the call. The cursor takes no
+	// arguments so that leaktest.EventCursor counts it from the go statement
+	// on (see leaktest).
+	from := mark.Load()
+	go func() {
 		defer close(exited)
 		defer close(out)
 		for n := from; mark.Wait(n+1, done); n++ {
@@ -46,7 +50,7 @@ func (p *Peer) SubscribeEvents() (events <-chan blockstore.ChaincodeEvent, cance
 				}
 			}
 		}
-	}(mark.Load())
+	}()
 	var once sync.Once
 	return out, func() { once.Do(func() { close(done) }); <-exited }
 }

@@ -119,9 +119,10 @@ race:
 # Native fuzz targets, $(FUZZTIME) each: the frame reader under hostile
 # bytes (header flag bits included), the frame bodies of the off-chain and
 # transport protocols (every request and reply decoder: structured errors,
-# decode → encode → decode stable), the object server's serve loop under an
-# arbitrary request stream (no panic, the handler returns, every stored
-# object hashes to its key), the checkpoint codec under damaged
+# decode → encode → decode stable), the object server's and a served peer's
+# op tables under an arbitrary request stream (no panic, the handler
+# returns; every stored object hashes to its key, the served ledger still
+# verifies), the checkpoint codec under damaged
 # media, the block/envelope codec under the bytes gossip frames and ledger
 # files deliver, the rwset codec under the bytes envelopes carry into
 # validation, identity resolution under arbitrary serialized identities
@@ -138,6 +139,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzOffchainBody -fuzztime=$(FUZZTIME) -run '^$$' ./internal/offchain/
 	$(GO) test -fuzz=FuzzOffchainServe -fuzztime=$(FUZZTIME) -run '^$$' ./internal/offchain/
 	$(GO) test -fuzz=FuzzTransportBody -fuzztime=$(FUZZTIME) -run '^$$' ./internal/transport/
+	$(GO) test -fuzz=FuzzTransportServe -fuzztime=$(FUZZTIME) -run '^$$' ./internal/transport/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) -run '^$$' ./internal/recovery/
 	$(GO) test -fuzz=FuzzDecodeBlockCodec -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore/
 	$(GO) test -fuzz=FuzzUnmarshalRWSet -fuzztime=$(FUZZTIME) -run '^$$' ./internal/rwset/

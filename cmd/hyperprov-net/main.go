@@ -327,10 +327,7 @@ func runJoin(o options) error {
 		}
 		clients = append(clients, c)
 	}
-	info, err := clients[0].Hello()
-	if err != nil {
-		return err
-	}
+	info := clients[0].Hello()
 	if len(info.Channels) > 0 {
 		fmt.Printf("joining channel %s (host serves %s)\n",
 			info.ChannelID, strings.Join(info.Channels, ","))
@@ -384,11 +381,7 @@ func runJoin(o options) error {
 
 	members := []gossip.Member{p}
 	for _, c := range clients {
-		m, err := c.Member()
-		if err != nil {
-			return err
-		}
-		members = append(members, m)
+		members = append(members, c.Member())
 	}
 	g := gossip.New(gossip.Config{Interval: 25 * time.Millisecond, Fanout: 1}, members...)
 	defer g.Stop()

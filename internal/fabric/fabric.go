@@ -454,11 +454,7 @@ func (c *Channel) JoinRemote(addr string, shape network.LinkShape) (*transport.M
 	if err != nil {
 		return nil, fmt.Errorf("fabric: join %s: %w", addr, err)
 	}
-	member, err := client.Member()
-	if err != nil {
-		client.Close()
-		return nil, fmt.Errorf("fabric: join %s: %w", addr, err)
-	}
+	member := client.Member()
 	c.net.remotes = append(c.net.remotes, client)
 	c.gossip.Add(member)
 	return member, nil

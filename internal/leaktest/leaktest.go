@@ -20,8 +20,10 @@ const (
 	Watch       = "core.(*Client).Watch.func1"
 )
 
-// ObjectServe is the object server's handler of one connection.
-const ObjectServe = "offchain.(*Server).serve"
+// ObjectServe is the object server's handler of one connection: the op
+// table's loop, which every served connection runs — in a test that serves
+// nothing else, the object server's connections.
+const ObjectServe = "network.(*Table).Serve"
 
 // Count returns how many goroutines are running one of fns.
 func Count(fns ...string) (n int) {

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -13,10 +14,11 @@ import (
 // This file is the TCP endpoint every service here stands on: the listening
 // half (Listen: accept loop, tracked connections, Close) and the calling half
 // (Dial: one connection, whole exchanges serialized over it, redial with
-// backoff). A service brings what differs — its op table and codecs, and its
-// own per-connection serve loop, which decides who owns a request's buffer.
+// backoff). A service brings what differs — its op table and codecs; the
+// table runs each connection (table.go).
 
-// Server is a TCP listener that runs one serve call per accepted connection.
+// Server is a TCP listener that serves its op table on every connection it
+// accepts.
 type Server struct {
 	ln    net.Listener
 	serve func(net.Conn)
@@ -27,10 +29,13 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// Listen starts a server on addr ("127.0.0.1:0" for an ephemeral port).
-// serve handles one connection and returns when it is done with it; the
-// server closes the connection afterwards.
-func Listen(addr string, serve func(net.Conn)) (*Server, error) {
+// Listen starts a server on addr ("127.0.0.1:0" for an ephemeral port) that
+// serves table on every connection it accepts, and closes the connection
+// when the table is done with it.
+func Listen(addr string, table *Table) (*Server, error) { return listen(addr, table.Serve) }
+
+// listen starts a server that runs serve on every connection it accepts.
+func listen(addr string, serve func(net.Conn)) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("network: listen %s: %w", addr, err)
@@ -161,6 +166,7 @@ type Client struct {
 
 	mu       sync.Mutex
 	conn     net.Conn
+	in       *bufio.Reader // reads conn
 	shaped   *ShapedConn
 	backoff  time.Duration
 	nextDial time.Time
@@ -206,13 +212,13 @@ func (c *Client) LastError() string {
 	return c.lastErr
 }
 
-// count bumps a transport counter when metrics are configured. Every call
-// site passes one of the metrics.Transport* constants, so the counter family
-// set stays fixed.
-func (c *Client) count(name string) {
-	if c.cfg.Metrics != nil {
+// count bumps a transport counter in reg, if there is one. Every call site
+// passes one of the metrics.Transport* constants, so the counter family set
+// stays fixed.
+func count(reg *metrics.Registry, name string) {
+	if reg != nil {
 		//hyperprov:allow metricnames constant Transport* names forwarded by call sites
-		c.cfg.Metrics.Counter(name).Inc()
+		reg.Counter(name).Inc()
 	}
 }
 
@@ -235,11 +241,12 @@ func (c *Client) connectLocked() error {
 		return c.failLocked(fmt.Errorf("network: dial %s: %w", c.addr, err))
 	}
 	c.conn = CountConn(conn, c.cfg.Metrics)
+	c.in = bufio.NewReader(c.conn)
 	c.shaped = NewShapedConn(c.conn, c.cfg.Shape)
 	c.backoff = 0
 	c.nextDial = time.Time{}
 	if c.everConnected {
-		c.count(metrics.TransportReconnects)
+		count(c.cfg.Metrics, metrics.TransportReconnects)
 	}
 	c.everConnected = true
 	c.lastErr = ""
@@ -251,7 +258,7 @@ func (c *Client) connectLocked() error {
 func (c *Client) failLocked(err error) error {
 	if c.conn != nil {
 		c.conn.Close()
-		c.conn, c.shaped = nil, nil
+		c.conn, c.in, c.shaped = nil, nil, nil
 	}
 	c.lastErr = err.Error()
 	return err
@@ -303,13 +310,13 @@ func (c *Client) exchangeLocked(f Frame, each func([]byte) (bool, error)) (start
 	if err := f.Send(c.shaped); err != nil {
 		return false, err
 	}
-	c.count(metrics.TransportFramesSent)
+	count(c.cfg.Metrics, metrics.TransportFramesSent)
 	for {
-		body, err := ReadFrame(c.conn)
+		body, err := ReadFrame(c.in)
 		if err != nil {
 			return started, err
 		}
-		c.count(metrics.TransportFramesReceived)
+		count(c.cfg.Metrics, metrics.TransportFramesReceived)
 		started = true
 		if more, err := each(body); err != nil || !more {
 			return true, err
@@ -327,6 +334,6 @@ func (c *Client) Close() error {
 		return nil
 	}
 	err := c.conn.Close()
-	c.conn, c.shaped = nil, nil
+	c.conn, c.in, c.shaped = nil, nil, nil
 	return err
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -25,8 +26,9 @@ type echoServer struct {
 
 func (e *echoServer) serve(conn net.Conn) {
 	e.conns.Add(1)
+	in := bufio.NewReader(conn)
 	for {
-		body, trace, channel, err := ReadFrameExt(conn)
+		body, trace, channel, err := ReadFrameExt(in)
 		if err != nil {
 			return
 		}
@@ -52,7 +54,7 @@ func listenEcho(t *testing.T, addr string) *echoServer {
 	e := &echoServer{}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		var err error
-		if e.Server, err = Listen(addr, e.serve); err == nil {
+		if e.Server, err = listen(addr, e.serve); err == nil {
 			t.Cleanup(func() { e.Close() })
 			return e
 		}
@@ -128,7 +130,7 @@ func TestServerCloseWithIdleClient(t *testing.T) {
 // after Close has marked the server closed is closed, never handed to serve.
 func TestAcceptDuringCloseIsNotServed(t *testing.T) {
 	var served atomic.Int32
-	s, err := Listen("127.0.0.1:0", func(net.Conn) { served.Add(1) })
+	s, err := listen("127.0.0.1:0", func(net.Conn) { served.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +238,9 @@ func TestBackoffGate(t *testing.T) {
 // connection is dropped. Before the first frame, the redial flag decides.
 func TestStreamDoesNotRedialMidReply(t *testing.T) {
 	var conns atomic.Int32
-	s, err := Listen("127.0.0.1:0", func(conn net.Conn) {
+	s, err := listen("127.0.0.1:0", func(conn net.Conn) {
 		conns.Add(1)
-		if _, err := ReadFrame(conn); err == nil {
+		if _, err := ReadFrame(bufio.NewReader(conn)); err == nil {
 			_ = WriteFrameExt(conn, "", "", []byte("one of two"))
 		}
 	})
@@ -281,8 +283,8 @@ func TestStreamDoesNotRedialMidReply(t *testing.T) {
 // TestOversizedReply: a reply announcing more than MaxFrame surfaces
 // ErrFrameTooLarge (twice over: the one redial meets the same server).
 func TestOversizedReply(t *testing.T) {
-	s, err := Listen("127.0.0.1:0", func(conn net.Conn) {
-		_, _ = ReadFrame(conn)
+	s, err := listen("127.0.0.1:0", func(conn net.Conn) {
+		_, _ = ReadFrame(bufio.NewReader(conn))
 		_, _ = conn.Write([]byte{0x3F, 0xFF, 0xFF, 0xFF})
 	})
 	if err != nil {

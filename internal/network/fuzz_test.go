@@ -64,10 +64,11 @@ func FuzzReadFrameExt(f *testing.F) {
 		if !bytes.Equal(plain, payload) {
 			t.Fatalf("ReadFrame payload %q != ReadFrameExt payload %q", plain, payload)
 		}
-		// So must ReadHeader, which leaves the reader at the payload.
+		// The header reader leaves the stream at the payload: a served
+		// connection's handler reads the body from there.
 		r := bytes.NewReader(data)
-		if n, err := ReadHeader(r); err != nil || n != len(payload) || !bytes.HasPrefix(data[len(data)-r.Len():], payload) {
-			t.Fatalf("ReadHeader = %d, %v; ReadFrameExt read a %d-byte payload", n, err, len(payload))
+		if h, err := readHeader(r); err != nil || h.n != len(payload) || !bytes.HasPrefix(data[len(data)-r.Len():], payload) {
+			t.Fatalf("readHeader = %+v, %v; ReadFrameExt read a %d-byte payload", h, err, len(payload))
 		}
 		if len(payload) > MaxFrame {
 			// Headers may announce up to MaxFrame plus extension headroom;

@@ -124,26 +124,17 @@ func (f Frame) Send(w io.Writer) error {
 	return nil
 }
 
-// WriteFrameExt writes an already-encoded payload as one frame with the given
-// header extensions (see NewFrame; see Frame.Send for the single-Write
-// guarantee). With both empty the frame is the bare length word and the
-// payload, which is what keeps single-channel peers wire-compatible across
-// versions.
-func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	f := NewFrame(traceID, channelID)
-	f.Grow(len(payload))
-	f.B = append(f.B, payload...)
-	err := f.Send(w)
-	f.Release()
-	return err
+// Reader is what frames are read from: a stream that also hands out single
+// bytes — a bufio.Reader over a connection, or bytes in memory — so a
+// header's fields cost no read call of their own.
+type Reader interface {
+	io.Reader
+	io.ByteReader
 }
 
 // ReadFrame reads one length-prefixed frame, discarding any header
 // extensions.
-func ReadFrame(r io.Reader) ([]byte, error) {
+func ReadFrame(r Reader) ([]byte, error) {
 	payload, _, _, err := ReadFrameExt(r)
 	return payload, err
 }
@@ -151,77 +142,76 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // ReadFrameExt reads one frame into a buffer of its own and returns its
 // payload plus the trace and channel IDs carried in the header (each empty
 // when its extension is absent). The caller owns the payload.
-func ReadFrameExt(r io.Reader) ([]byte, string, string, error) {
-	n, flags, err := readWord(r)
+func ReadFrameExt(r Reader) ([]byte, string, string, error) {
+	h, err := readHeader(r)
 	if err != nil {
 		return nil, "", "", err
 	}
-	payload, err := ReadAnnounced(r, n)
+	payload, err := ReadAnnounced(r, h.n)
 	if err != nil {
 		return nil, "", "", fmt.Errorf("network: read frame body: %w", err)
 	}
-	var traceID, channelID string
+	return payload, h.traceID, h.channelID, nil
+}
+
+// header is what a frame's header says: the length of the body that follows
+// it, and the extensions ("" when absent).
+type header struct {
+	n                  int
+	traceID, channelID string
+}
+
+// readHeader reads one frame's header: the length word and the extensions.
+// It is the one header parser — ReadFrameExt and a served connection's loop
+// (Table.Serve) both stand on it — and it leaves r at the body. A stream
+// that ends before the header is io.EOF, the clean shutdown between frames;
+// one that ends inside it is io.ErrUnexpectedEOF.
+func readHeader(r io.ByteReader) (header, error) {
+	var word uint32
+	for i := 0; i < 4; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if i > 0 {
+				err = eofIsUnexpected(err)
+			}
+			return header{}, err
+		}
+		word = word<<8 | uint32(b)
+	}
+	flags := word & (traceFlag | channelFlag)
+	h := header{n: int(word &^ flags)}
+	if h.n > MaxFrame+2*(1+maxTraceID) {
+		return header{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, h.n)
+	}
+	var err error
 	if flags&traceFlag != 0 {
-		traceID, payload = cutExt(payload)
-		if payload == nil {
-			return nil, "", "", fmt.Errorf("network: read frame body: %w", io.ErrUnexpectedEOF)
-		}
+		h.traceID, err = h.ext(r)
 	}
-	if flags&channelFlag != 0 {
-		channelID, payload = cutExt(payload)
-		if payload == nil {
-			return nil, "", "", fmt.Errorf("network: read frame body: %w", io.ErrUnexpectedEOF)
-		}
+	if flags&channelFlag != 0 && err == nil {
+		h.channelID, err = h.ext(r)
 	}
-	return payload, traceID, channelID, nil
-}
-
-// ReadHeader reads one frame's header — the length word and the extensions,
-// which it skips — and returns the length of the body that follows, for a
-// server that reads the body itself: the object server streams a put's
-// payload from the connection into its store, not into a frame buffer. The
-// extensions are read a field at a time, so r should be buffered.
-func ReadHeader(r io.Reader) (int, error) {
-	n, flags, err := readWord(r)
 	if err != nil {
-		return 0, err
+		return header{}, fmt.Errorf("network: read frame header: %w", err)
 	}
-	for _, flag := range [...]uint32{traceFlag, channelFlag} {
-		if flags&flag == 0 {
-			continue
-		}
-		var ext [1 + max(maxTraceID, maxChannelID)]byte
-		if n < 1 {
-			return 0, fmt.Errorf("network: read frame header: %w", io.ErrUnexpectedEOF)
-		}
-		if _, err := io.ReadFull(r, ext[:1]); err != nil {
-			return 0, fmt.Errorf("network: read frame header: %w", eofIsUnexpected(err))
-		}
-		size := 1 + int(ext[0])
-		if n < size {
-			return 0, fmt.Errorf("network: read frame header: %w", io.ErrUnexpectedEOF)
-		}
-		if _, err := io.ReadFull(r, ext[1:size]); err != nil {
-			return 0, fmt.Errorf("network: read frame header: %w", eofIsUnexpected(err))
-		}
-		n -= size
-	}
-	return n, nil
+	return h, nil
 }
 
-// readWord reads a frame's length word: the announced length, extensions
-// included, and the extension flags.
-func readWord(r io.Reader) (n int, flags uint32, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, err // io.EOF passes through for clean shutdown
+// ext reads one extension — a length byte and that many bytes, all counted
+// in the announced length — a byte at a time, so nothing but the value is
+// allocated.
+func (h *header) ext(r io.ByteReader) (string, error) {
+	var buf [max(maxTraceID, maxChannelID)]byte
+	size, err := r.ReadByte()
+	if h.n -= 1 + int(size); err == nil && h.n < 0 {
+		err = io.ErrUnexpectedEOF
 	}
-	word := binary.BigEndian.Uint32(hdr[:])
-	flags = word & (traceFlag | channelFlag)
-	if n = int(word &^ flags); n > MaxFrame+2*(1+maxTraceID) {
-		return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	for i := 0; i < int(size) && err == nil; i++ {
+		buf[i], err = r.ReadByte()
 	}
-	return n, flags, nil
+	if err != nil {
+		return "", eofIsUnexpected(err)
+	}
+	return string(buf[:size]), nil
 }
 
 // ReadAnnounced reads the n bytes a peer announced into a buffer of their
@@ -251,19 +241,6 @@ func eofIsUnexpected(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// cutExt splits one length-prefixed extension off the front of buf,
-// returning (value, rest). A truncated extension returns rest == nil.
-func cutExt(buf []byte) (string, []byte) {
-	if len(buf) < 1 {
-		return "", nil
-	}
-	n := int(buf[0])
-	if len(buf) < 1+n {
-		return "", nil
-	}
-	return string(buf[1 : 1+n]), buf[1+n:]
 }
 
 // ErrCode is a machine-readable error classification carried in reply

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -13,6 +14,23 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/codec"
 )
+
+// WriteFrameExt writes an already-encoded payload as one frame with the given
+// header extensions (see NewFrame; see Frame.Send for the single-Write
+// guarantee). With both empty the frame is the bare length word and the
+// payload, which is what keeps single-channel peers wire-compatible across
+// versions.
+func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error {
+	if len(payload) > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	}
+	f := NewFrame(traceID, channelID)
+	f.Grow(len(payload))
+	f.B = append(f.B, payload...)
+	err := f.Send(w)
+	f.Release()
+	return err
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -123,7 +141,7 @@ func TestStatusRoundTrip(t *testing.T) {
 
 // announceReader announces a frame of n body bytes and delivers only the
 // first few of them.
-func announceReader(n uint32, body []byte) io.Reader {
+func announceReader(n uint32, body []byte) Reader {
 	return bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, n), body...))
 }
 
@@ -158,8 +176,8 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 
 // TestFrameTail: a frame whose payload is its Tail reads back as the body
 // appended in place followed by the tail, can be sent twice (a client that
-// redials resends it), and counts the tail against MaxFrame. ReadHeader
-// leaves the reader at that body, whatever extensions the header carries.
+// redials resends it), and counts the tail against MaxFrame. The header
+// reader leaves the stream at that body, whatever extensions it carries.
 func TestFrameTail(t *testing.T) {
 	var buf bytes.Buffer
 	f := NewFrame("trace", "ch")
@@ -176,12 +194,12 @@ func TestFrameTail(t *testing.T) {
 	if err != nil || traceID != "trace" || channelID != "ch" || !bytes.Equal(got, want) {
 		t.Fatalf("ReadFrameExt: %d bytes, trace %q, channel %q, err %v", len(got), traceID, channelID, err)
 	}
-	n, err := ReadHeader(&buf)
-	if err != nil || n != len(want) {
-		t.Fatalf("ReadHeader = %d, %v; want %d", n, err, len(want))
+	h, err := readHeader(&buf)
+	if err != nil || h.n != len(want) || h.traceID != "trace" || h.channelID != "ch" {
+		t.Fatalf("readHeader = %+v, %v; want %d body bytes", h, err, len(want))
 	}
 	if body, err := io.ReadAll(&buf); err != nil || !bytes.Equal(body, want) {
-		t.Fatalf("body after ReadHeader: %d bytes, %v", len(body), err)
+		t.Fatalf("body after the header: %d bytes, %v", len(body), err)
 	}
 
 	big := NewFrame("", "")

@@ -1,12 +1,10 @@
 package offchain
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
@@ -25,12 +23,14 @@ import (
 //	get  [0x02][string key]     ->  [status][bytes payload]
 //
 // and a failed reply is [status][string message] (network.AppendStatus).
-// Payload bytes travel raw and are never copied into a frame: the sender
-// encodes everything before them and sends the payload as the frame's tail
-// (network.Frame.Tail). The server streams a put's payload from the
-// connection into its Backing and sends a get's verified object as the
-// reply's tail, from where a MemStore keeps it; the client reads a get's
-// reply into one buffer and sub-slices the payload out of it.
+// The server is two entries of a network op table, which reads the op byte
+// and keeps the connection in frame sync. Payload bytes travel raw and are
+// never copied into a frame: the sender encodes everything before them and
+// sends the payload as the frame's tail (network.Frame.Tail). The server
+// streams a put's payload from the connection into its Backing and sends a
+// get's verified object as the reply's tail, from where a MemStore keeps it;
+// the client reads a get's reply into one buffer and sub-slices the payload
+// out of it.
 
 // remote protocol operations.
 const (
@@ -56,20 +56,27 @@ func appendRequestHead(buf []byte, req *remoteRequest) []byte {
 	return codec.AppendString(buf, req.Key)
 }
 
-// decodeRequest decodes a request frame's body. Data aliases body.
-func decodeRequest(body []byte) (remoteRequest, error) {
-	d := codec.NewDec(body)
-	req := remoteRequest{Op: d.Byte()}
-	switch req.Op {
-	case opPut:
-		req.Data = d.BytesShared()
-	case opGet:
-		req.Key = d.String()
-	default:
-		// A peer still speaking the JSON protocol lands here with '{'.
-		d.Fail(fmt.Errorf("%w: unknown op %#x", codec.ErrMalformed, req.Op))
+// readPutSize reads a put's payload length a byte at a time, leaving body at
+// the payload, which must be exactly what is left of it.
+func readPutSize(body interface {
+	io.ByteReader
+	Len() int
+}) (int, error) {
+	size, err := binary.ReadUvarint(body)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("%w: bad payload length", codec.ErrTruncated)
+	case size != uint64(body.Len()):
+		return 0, fmt.Errorf("%w: a %d-byte payload announced, %d bytes follow", codec.ErrMalformed, size, body.Len())
 	}
-	return req, d.Finish()
+	return int(size), nil
+}
+
+// decodeGet decodes a get's body: the key.
+func decodeGet(body []byte) (string, error) {
+	d := codec.NewDec(body)
+	key := d.String()
+	return key, d.Finish()
 }
 
 // remoteResponse is one server -> client message. Code classifies failures
@@ -132,99 +139,40 @@ func classify(err error) network.ErrCode {
 type Server struct {
 	*network.Server
 	backing Backing
-	shape   network.LinkShape
 }
 
 // NewServer starts an object server on addr ("127.0.0.1:0" for an
 // ephemeral port). shape is applied to the server's responses, modelling
 // the storage node's uplink.
 func NewServer(addr string, backing Backing, shape network.LinkShape) (*Server, error) {
-	s := &Server{backing: backing, shape: shape}
+	s := &Server{backing: backing}
 	var err error
-	if s.Server, err = network.Listen(addr, s.serve); err != nil {
+	if s.Server, err = network.Listen(addr, s.table(shape)); err != nil {
 		return nil, fmt.Errorf("offchain: %w", err)
 	}
 	return s, nil
 }
 
-// serve answers one connection's requests in turn. Requests are read
-// through one small buffer per connection: no request is held in a buffer
-// of its own, and a put's payload goes from the connection into the
-// backing store.
-func (s *Server) serve(conn net.Conn) {
-	in := bufio.NewReader(conn)
-	shaped := network.NewShapedConn(conn, s.shape)
-	for {
-		n, err := network.ReadHeader(in)
-		if err != nil {
-			return // EOF or broken connection
-		}
-		out := network.NewFrame("", "")
-		if err = s.handle(&out, in, n); err == nil {
-			err = out.Send(shaped)
-		}
-		out.Release()
-		if err != nil {
-			return
-		}
-	}
+// table is the object server's op table. No request is held in a buffer of
+// its own: a put's payload goes from the connection into the backing store.
+func (s *Server) table(shape network.LinkShape) *network.Table {
+	return &network.Table{Shape: shape, Ops: []network.Op{
+		{Code: opPut, Name: "put", Handle: s.put},
+		{Code: opGet, Name: "get", Handle: s.get},
+	}}
 }
 
-// handle reads one request body of n bytes from in and sets out to the
-// reply. A put streams its payload into the backing store; any other body
-// is read whole and decoded. A body that does not decode is answered with
-// CodeBadRequest and the connection stays usable: the frame boundary is
-// intact. An error means the connection ended mid-frame.
-func (s *Server) handle(out *network.Frame, in *bufio.Reader, n int) error {
-	if size, ok := putSize(in, n); ok {
-		return s.put(out, in, size)
-	}
-	body, err := network.ReadAnnounced(in, n)
+// put streams a put's payload from the connection into the backing store,
+// which stores nothing unless all of it arrives. A store that fails part way
+// is answered with a status; the table drains the payload it left unread.
+func (s *Server) put(req *network.Request, out *network.Frame) error {
+	size, err := readPutSize(req)
 	if err != nil {
 		return err
 	}
-	req, err := decodeRequest(body)
-	if err != nil {
-		out.B = network.AppendStatus(out.B, network.CodeBadRequest, err.Error())
-		return nil
-	}
-	// putSize accepts exactly the puts decodeRequest does: this is a get.
-	s.get(out, req.Key)
-	return nil
-}
-
-// putSize reports whether the n-byte request body waiting in in is a put —
-// an op byte and a payload length that runs exactly to the end of the
-// frame, as decodeRequest requires — and if so consumes both, leaving in
-// at the payload.
-func putSize(in *bufio.Reader, n int) (int, bool) {
-	head, _ := in.Peek(min(n, 1+binary.MaxVarintLen64))
-	d := codec.NewDec(head)
-	op, size := d.Byte(), d.Uvarint()
-	used := len(head) - d.Len()
-	if d.Err() != nil || op != opPut || size != uint64(n-used) {
-		return 0, false
-	}
-	in.Discard(used)
-	return int(size), true
-}
-
-// put streams a put's size payload bytes from in into the backing store. A
-// store that fails part way leaves the rest of the payload unread; it is
-// drained, so the failure is answered on a connection still in frame sync.
-// A connection that ends before the payload does is finished.
-func (s *Server) put(out *network.Frame, in io.Reader, size int) error {
-	payload := &io.LimitedReader{R: in, N: int64(size)}
 	var resp remoteResponse
-	var err error
-	if resp.Key, err = s.backing.Write(payload, int64(size)); err != nil {
+	if resp.Key, err = s.backing.Write(req, int64(size)); err != nil {
 		resp = remoteResponse{Code: classify(err), Err: err.Error()}
-	}
-	if _, err := io.Copy(io.Discard, payload); err != nil {
-		return err
-	}
-	if payload.N > 0 {
-		return io.ErrUnexpectedEOF
 	}
 	out.B = appendResponseHead(out.B, opPut, &resp)
 	return nil
@@ -232,7 +180,15 @@ func (s *Server) put(out *network.Frame, in io.Reader, size int) error {
 
 // get answers a get with the object the backing store verified, sent as
 // the reply's tail.
-func (s *Server) get(out *network.Frame, key string) {
+func (s *Server) get(req *network.Request, out *network.Frame) error {
+	body, err := req.ReadAll()
+	if err != nil {
+		return err
+	}
+	key, err := decodeGet(body)
+	if err != nil {
+		return err
+	}
 	var resp remoteResponse
 	obj, size, err := s.backing.Open(key)
 	if err == nil {
@@ -243,6 +199,7 @@ func (s *Server) get(out *network.Frame, key string) {
 	}
 	out.B = appendResponseHead(out.B, opGet, &resp)
 	out.Tail = resp.Data
+	return nil
 }
 
 // objectBytes returns the bytes of an opened object and is done with it.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,40 @@ import (
 	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/network"
 )
+
+// writeFrame writes body as one frame, the way a client sends a request and
+// a server its reply.
+func writeFrame(w io.Writer, body []byte) error {
+	f := network.NewFrame("", "")
+	defer f.Release()
+	f.B = append(f.B, body...)
+	return f.Send(w)
+}
+
+// rawServer runs serve on every connection to a loopback listener of its
+// own, for a test that plays a server the op table would not be: one that
+// counts connections, or answers with a torn reply.
+func rawServer(t *testing.T, serve func(net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				serve(conn)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
 
 func newRemotePair(t *testing.T, shape network.LinkShape) (*Server, *RemoteStore) {
 	t.Helper()
@@ -69,29 +104,13 @@ func TestRemoteErrorCodes(t *testing.T) {
 			t.Errorf("classify(%s) = %q, want %q", tc.name, got, tc.code)
 		}
 	}
-	// handle is the seam between the frame and the store: request body in,
-	// reply frame out.
+	// The table is the seam between the frame and the store: request body
+	// in, reply frame out.
+	conn := dialServer(t, srv)
+	in := bufio.NewReader(conn)
 	handle := func(req *remoteRequest) remoteResponse {
 		t.Helper()
-		body := appendRequest(nil, req)
-		out := network.NewFrame("", "")
-		defer out.Release()
-		if err := srv.handle(&out, bufio.NewReader(bytes.NewReader(body)), len(body)); err != nil {
-			t.Fatalf("op %#x: %v", req.Op, err)
-		}
-		var wire bytes.Buffer
-		if err := out.Send(&wire); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := network.ReadFrame(&wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := decodeResponse(req.Op, reply)
-		if err != nil {
-			t.Fatalf("op %#x: reply does not decode: %v", req.Op, err)
-		}
-		return resp
+		return exchange(t, conn, in, req.Op, appendRequest(nil, req))
 	}
 	if resp := handle(&remoteRequest{Op: 0x7F}); resp.Code != network.CodeBadRequest {
 		t.Errorf("unknown op code = %q, want %q", resp.Code, network.CodeBadRequest)
@@ -220,25 +239,22 @@ func TestRemoteReconnects(t *testing.T) {
 // silently, succeed, and leave a live socket behind).
 func TestRemoteStoreUseAfterClose(t *testing.T) {
 	accepted := make(chan struct{}, 8)
-	srv, err := network.Listen("127.0.0.1:0", func(conn net.Conn) {
+	addr := rawServer(t, func(conn net.Conn) {
 		accepted <- struct{}{}
+		in := bufio.NewReader(conn)
 		for {
-			body, err := network.ReadFrame(conn)
+			body, err := network.ReadFrame(in)
 			if err != nil {
 				return
 			}
 			req, _ := decodeRequest(body)
 			reply := appendResponse(nil, req.Op, &remoteResponse{Key: "k", Data: []byte("v")})
-			if network.WriteFrameExt(conn, "", "", reply) != nil {
+			if writeFrame(conn, reply) != nil {
 				return
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := NewRemoteStore(srv.Addr(), network.LinkShape{})
+	client, err := NewRemoteStore(addr, network.LinkShape{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,22 +310,19 @@ func TestRemoteDeadAddressBacksOff(t *testing.T) {
 // held, so the next call runs on the same connection.
 func TestRemoteUndecodableReplyKeepsConnection(t *testing.T) {
 	var conns atomic.Int32
-	srv, err := network.Listen("127.0.0.1:0", func(conn net.Conn) {
+	addr := rawServer(t, func(conn net.Conn) {
 		conns.Add(1)
+		in := bufio.NewReader(conn)
 		for reply := []byte{0x00, 0xFF, 0xFF}; ; reply = appendResponse(nil, opPut, &remoteResponse{Key: "k"}) {
-			if _, err := network.ReadFrame(conn); err != nil {
+			if _, err := network.ReadFrame(in); err != nil {
 				return
 			}
-			if network.WriteFrameExt(conn, "", "", reply) != nil {
+			if writeFrame(conn, reply) != nil {
 				return
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := NewRemoteStore(srv.Addr(), network.LinkShape{})
+	client, err := NewRemoteStore(addr, network.LinkShape{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +330,7 @@ func TestRemoteUndecodableReplyKeepsConnection(t *testing.T) {
 	if _, err := client.Put([]byte("x")); !errors.Is(err, codec.ErrMalformed) && !errors.Is(err, codec.ErrTruncated) {
 		t.Fatalf("torn reply: err = %v, want a codec decode error", err)
 	}
-	if ref, err := client.Put([]byte("x")); err != nil || ref != "remote://"+srv.Addr()+"/k" {
+	if ref, err := client.Put([]byte("x")); err != nil || ref != "remote://"+addr+"/k" {
 		t.Fatalf("Put after a torn reply: ref %q, err %v", ref, err)
 	}
 	if n := conns.Load(); n != 1 {

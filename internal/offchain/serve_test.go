@@ -1,6 +1,7 @@
 package offchain
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -190,6 +191,7 @@ func TestServerStoreFailureKeepsFrameSync(t *testing.T) {
 			}
 			defer srv.Close()
 			conn := dialServer(t, srv)
+			in := bufio.NewReader(conn)
 			put := func(data []byte) remoteResponse {
 				t.Helper()
 				f := network.NewFrame("", "")
@@ -199,7 +201,7 @@ func TestServerStoreFailureKeepsFrameSync(t *testing.T) {
 				if err := f.Send(conn); err != nil {
 					t.Fatal(err)
 				}
-				reply, err := network.ReadFrame(conn)
+				reply, err := network.ReadFrame(in)
 				if err != nil {
 					t.Fatalf("connection dropped: %v", err)
 				}
@@ -227,13 +229,13 @@ func TestServerStoreFailureKeepsFrameSync(t *testing.T) {
 // serveFrame is one request body framed the way a client sends it.
 func serveFrame(body []byte) []byte {
 	var buf bytes.Buffer
-	if err := network.WriteFrameExt(&buf, "", "", body); err != nil {
+	if err := writeFrame(&buf, body); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzOffchainServe feeds arbitrary bytes to the object server's serve loop
+// FuzzOffchainServe feeds arbitrary bytes to the object server's op table
 // as one connection's request stream, over net.Pipe, with a MemStore
 // behind it. The contract under hostile input: no panic, the handler
 // returns once the client hangs up, and every object stored holds bytes
@@ -251,13 +253,13 @@ func FuzzOffchainServe(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		mem := NewMemStore()
-		s := &Server{backing: mem}
+		table := (&Server{backing: mem}).table(network.LinkShape{})
 		client, server := net.Pipe()
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			s.serve(server)
+			table.Serve(server)
 			server.Close()
 		}()
 		go func() {

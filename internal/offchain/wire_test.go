@@ -1,8 +1,10 @@
 package offchain
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -21,6 +23,30 @@ func appendRequest(buf []byte, req *remoteRequest) []byte {
 		buf = append(buf, req.Data...)
 	}
 	return buf
+}
+
+// decodeRequest decodes a whole request body the way the server reads it:
+// the op byte the table dispatches on, then that op's layout. Data aliases
+// body.
+func decodeRequest(body []byte) (remoteRequest, error) {
+	d := codec.NewDec(body)
+	req := remoteRequest{Op: d.Byte()}
+	rest := d.Rest()
+	var err error
+	switch {
+	case d.Err() != nil:
+		err = d.Err()
+	case req.Op == opPut:
+		var size int
+		if size, err = readPutSize(bytes.NewReader(rest)); err == nil && size > 0 {
+			req.Data = rest[len(rest)-size:]
+		}
+	case req.Op == opGet:
+		req.Key, err = decodeGet(rest)
+	default:
+		err = fmt.Errorf("%w: unknown op %#x", codec.ErrMalformed, req.Op)
+	}
+	return req, err
 }
 
 func appendResponse(buf []byte, op byte, resp *remoteResponse) []byte {
@@ -155,6 +181,24 @@ func TestRemoteSentinelsCrossTheWire(t *testing.T) {
 	}
 }
 
+// exchange sends one request body on a raw connection to an object server
+// and decodes the one reply it gets as the reply to op.
+func exchange(t *testing.T, conn net.Conn, in network.Reader, op byte, body []byte) remoteResponse {
+	t.Helper()
+	if err := writeFrame(conn, body); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := network.ReadFrame(in)
+	if err != nil {
+		t.Fatalf("body %q: connection dropped: %v", body, err)
+	}
+	resp, err := decodeResponse(op, reply)
+	if err != nil {
+		t.Fatalf("body %q: reply does not decode: %v", body, err)
+	}
+	return resp
+}
+
 // TestServerRejectsUnknownOp: a body that opens with a byte outside the
 // protocol — including the '{' of a peer still speaking JSON — or that is
 // torn gets a structured CodeBadRequest, and the connection stays usable.
@@ -166,20 +210,10 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	in := bufio.NewReader(conn)
 	exchange := func(op byte, body []byte) remoteResponse {
 		t.Helper()
-		if err := network.WriteFrameExt(conn, "", "", body); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := network.ReadFrame(conn)
-		if err != nil {
-			t.Fatalf("body %q: connection dropped: %v", body, err)
-		}
-		resp, err := decodeResponse(op, reply)
-		if err != nil {
-			t.Fatalf("body %q: reply does not decode: %v", body, err)
-		}
-		return resp
+		return exchange(t, conn, in, op, body)
 	}
 	for _, body := range [][]byte{
 		[]byte(`{"op":"put","data":"aGVsbG8="}`),

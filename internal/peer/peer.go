@@ -170,6 +170,9 @@ func validateChannels(cfg Config) error {
 	return nil
 }
 
+// MaxChannelID is the longest channel ID a peer accepts, in bytes.
+const MaxChannelID = 64
+
 // validateChannelID restricts channel IDs to filesystem- and wire-safe
 // names: they become file names (blocks-<ch>.hpb) and one-byte-length
 // frame extensions.
@@ -177,8 +180,8 @@ func validateChannelID(ch string) error {
 	if ch == "" {
 		return errors.New("peer: empty channel ID")
 	}
-	if len(ch) > 64 {
-		return fmt.Errorf("peer: channel ID %q too long (max 64)", ch)
+	if len(ch) > MaxChannelID {
+		return fmt.Errorf("peer: channel ID %q too long (max %d)", ch, MaxChannelID)
 	}
 	for _, r := range ch {
 		switch {

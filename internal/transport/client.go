@@ -12,7 +12,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/gossip"
 	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/network"
-	"github.com/hyperprov/hyperprov/internal/shim"
+	"github.com/hyperprov/hyperprov/internal/peer"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
@@ -63,8 +63,14 @@ type Client struct {
 	hello HelloInfo
 }
 
-// Dial connects to a serving peer and performs the hello handshake.
+// Dial connects to a serving peer and performs the hello handshake. A
+// channel ID longer than a peer accepts (peer.MaxChannelID) is refused here,
+// before anything is sent: no host serves it, and the frame header could not
+// carry one over 255 bytes at all.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
+	if len(cfg.Channel) > peer.MaxChannelID {
+		return nil, fmt.Errorf("transport: channel ID of %d bytes, over the %d a channel may have", len(cfg.Channel), peer.MaxChannelID)
+	}
 	nc, err := network.Dial(addr, network.ClientConfig{
 		Shape:       cfg.Shape,
 		DialTimeout: cfg.DialTimeout,
@@ -76,7 +82,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	c := &Client{nc: nc, cfg: cfg}
-	d, err := c.roundTrip(&request{op: opHello})
+	d, err := c.roundTrip(opHello, "", nil)
 	if err == nil {
 		c.hello = decodeHello(d)
 		err = c.finish(opHello, d)
@@ -99,14 +105,18 @@ func (c *Client) Addr() string { return c.nc.Addr() }
 func (c *Client) LastError() string { return c.nc.LastError() }
 
 // Hello returns the remote peer's handshake info, exchanged at Dial.
-func (c *Client) Hello() (HelloInfo, error) { return c.hello, nil }
+func (c *Client) Hello() HelloInfo { return c.hello }
 
-// newFrame encodes req into a pooled frame addressed to the client's
-// channel, with the request's trace ID in the frame header so the serving
-// process joins the sender's trace. The caller releases the frame.
-func (c *Client) newFrame(req *request) network.Frame {
-	f := network.NewFrame(req.traceID(), c.cfg.Channel)
-	f.B = appendRequest(f.B, req)
+// newFrame starts a request for op in a pooled frame addressed to the
+// client's channel, with traceID in the frame header so the serving process
+// joins the sender's trace, and layout's bytes (none when nil) after the op
+// byte. The caller releases the frame.
+func (c *Client) newFrame(op network.Op, traceID string, layout func([]byte) []byte) network.Frame {
+	f := network.NewFrame(traceID, c.cfg.Channel)
+	f.B = append(f.B, op.Code)
+	if layout != nil {
+		f.B = layout(f.B)
+	}
 	return f
 }
 
@@ -114,7 +124,7 @@ func (c *Client) newFrame(req *request) network.Frame {
 // past the status. A reply whose status is a failure is returned as its
 // *RemoteError; like a reply that does not decode, it leaves the connection
 // in sync — the frame boundary held.
-func (c *Client) roundTrip(req *request) (*codec.Dec, error) {
+func (c *Client) roundTrip(op network.Op, traceID string, layout func([]byte) []byte) (*codec.Dec, error) {
 	start := time.Now()
 	defer func() {
 		if c.cfg.Metrics != nil {
@@ -122,15 +132,15 @@ func (c *Client) roundTrip(req *request) (*codec.Dec, error) {
 			// vocabulary (hello, height, blocksFrom, ...), never from peer
 			// input, so the family count is bounded by the protocol.
 			//hyperprov:allow metricnames op suffix is the closed protocol vocabulary, not peer input
-			c.cfg.Metrics.Histogram(metrics.TransportRPC + "_" + req.op.String()).Observe(time.Since(start))
+			c.cfg.Metrics.Histogram(metrics.TransportRPC + "_" + op.Name).Observe(time.Since(start))
 		}
 	}()
 	// The request is encoded once; a redial resends the same frame.
-	f := c.newFrame(req)
+	f := c.newFrame(op, traceID, layout)
 	defer f.Release()
 	body, err := c.nc.Do(f)
 	if err != nil {
-		return nil, fmt.Errorf("transport: %s: %w", req.op, err)
+		return nil, fmt.Errorf("transport: %s: %w", op.Name, err)
 	}
 	d := codec.NewDec(body)
 	return d, replyStatus(d)
@@ -138,16 +148,16 @@ func (c *Client) roundTrip(req *request) (*codec.Dec, error) {
 
 // finish closes the decode of an op's reply: trailing or missing bytes are
 // reported against the op and the peer.
-func (c *Client) finish(op opCode, d *codec.Dec) error {
+func (c *Client) finish(op network.Op, d *codec.Dec) error {
 	if err := d.Finish(); err != nil {
-		return fmt.Errorf("transport: %s reply from %s: %w", op, c.Addr(), err)
+		return fmt.Errorf("transport: %s reply from %s: %w", op.Name, c.Addr(), err)
 	}
 	return nil
 }
 
 // Height probes the remote peer's committed height.
 func (c *Client) Height() (uint64, error) {
-	d, err := c.roundTrip(&request{op: opHeight})
+	d, err := c.roundTrip(opHeight, "", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -162,7 +172,7 @@ func (c *Client) Height() (uint64, error) {
 // prefix is safe to commit, and the next anti-entropy round fetches the
 // rest.
 func (c *Client) BlocksFrom(from uint64) ([]*blockstore.Block, error) {
-	f := c.newFrame(&request{op: opBlocksFrom, from: from})
+	f := c.newFrame(opBlocksFrom, "", func(b []byte) []byte { return codec.AppendUvarint(b, from) })
 	defer f.Release()
 	var blocks []*blockstore.Block
 	var remote *RemoteError
@@ -189,7 +199,7 @@ func (c *Client) BlocksFrom(from uint64) ([]*blockstore.Block, error) {
 // the canonical binary form straight into the frame (the receiving pipeline
 // reuses those exact bytes for hashing and persistence).
 func (c *Client) Deliver(b *blockstore.Block) error {
-	d, err := c.roundTrip(&request{op: opDeliver, block: b})
+	d, err := c.roundTrip(opDeliver, blockTraceID(b), func(buf []byte) []byte { return blockstore.AppendBlock(buf, b) })
 	if err != nil {
 		return err
 	}
@@ -199,7 +209,7 @@ func (c *Client) Deliver(b *blockstore.Block) error {
 // SyncRemote waits until the remote peer has persisted every block it
 // accepted, returning its post-sync height.
 func (c *Client) SyncRemote() (uint64, error) {
-	d, err := c.roundTrip(&request{op: opSync})
+	d, err := c.roundTrip(opSync, "", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -210,7 +220,7 @@ func (c *Client) SyncRemote() (uint64, error) {
 // matches the local peer's, so a gateway fans proposals to local and
 // remote endorsers interchangeably.
 func (c *Client) ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error) {
-	d, err := c.roundTrip(&request{op: opEndorse, proposal: prop})
+	d, err := c.roundTrip(opEndorse, prop.TxID, func(buf []byte) []byte { return appendProposal(buf, prop) })
 	if err != nil {
 		return nil, err
 	}
@@ -225,28 +235,6 @@ func (c *Client) ProcessProposal(prop *endorser.Proposal) (*endorser.Response, e
 		c.cfg.Tracer.Add(prop.TxID, span)
 	}
 	return resp, nil
-}
-
-// Query runs a read-only chaincode invocation on the remote peer.
-func (c *Client) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.Response, error) {
-	d, err := c.roundTrip(&request{
-		op: opQuery, chaincode: chaincode, function: fn, args: args, creator: creator,
-	})
-	if err != nil {
-		return shim.Response{}, err
-	}
-	return decodeQueryReply(d), c.finish(opQuery, d)
-}
-
-// Fingerprint returns the remote peer's committed state fingerprint and
-// height (the convergence check for multi-process deployments).
-func (c *Client) Fingerprint() (string, uint64, error) {
-	d, err := c.roundTrip(&request{op: opFingerprint})
-	if err != nil {
-		return "", 0, err
-	}
-	fp, height := decodeFingerprint(d)
-	return fp, height, c.finish(opFingerprint, d)
 }
 
 // Close closes the connection; in-flight calls fail and future calls
@@ -277,12 +265,8 @@ var (
 
 // Member returns the gossip adapter for this client, naming it after the
 // remote peer from the hello handshake.
-func (c *Client) Member() (*Member, error) {
-	info, err := c.Hello()
-	if err != nil {
-		return nil, err
-	}
-	return &Member{c: c, name: info.Name, lastHeight: info.Height}, nil
+func (c *Client) Member() *Member {
+	return &Member{c: c, name: c.hello.Name, lastHeight: c.hello.Height}
 }
 
 // Name returns the remote peer's name.

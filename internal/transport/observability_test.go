@@ -90,7 +90,7 @@ func TestClientTransportMetrics(t *testing.T) {
 	}
 	// Per-op RPC latency histograms exist for the ops used.
 	sums := reg.HistogramSummaries()
-	if sums[metrics.TransportRPC+"_"+opHeight.String()].Count == 0 {
+	if sums[metrics.TransportRPC+"_"+opHeight.Name].Count == 0 {
 		t.Errorf("no height RPC latency recorded: %v", sums)
 	}
 	if c.LastError() != "" {

@@ -1,17 +1,17 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/network"
 	"github.com/hyperprov/hyperprov/internal/peer"
-	"github.com/hyperprov/hyperprov/internal/shim"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
@@ -29,10 +29,6 @@ type Node interface {
 	Sync()
 	// ProcessProposal endorses a signed proposal.
 	ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error)
-	// Query runs a read-only chaincode invocation.
-	Query(chaincode, fn string, args [][]byte, creator []byte) (shim.Response, error)
-	// StateFingerprint hashes committed world state (post-Sync).
-	StateFingerprint() string
 }
 
 var _ Node = (*peer.Peer)(nil)
@@ -82,104 +78,170 @@ func NewHostServer(addr string, host *peer.Host, cfg ServerConfig) (*Server, err
 		s.nodes[ch] = host.Channel(ch)
 	}
 	var err error
-	if s.Server, err = network.Listen(addr, s.serve); err != nil {
+	if s.Server, err = network.Listen(addr, s.table()); err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	return s, nil
 }
 
-// nodeFor resolves a frame's channel extension to the serving node. An
-// empty channel routes to the host's default channel.
-func (s *Server) nodeFor(channelID string) (Node, string, bool) {
-	if channelID == "" {
-		channelID = s.order[0]
-	}
-	node, ok := s.nodes[channelID]
-	return node, channelID, ok
+// table is the transport's op table: every entry routed to the node serving
+// the frame's channel.
+func (s *Server) table() *network.Table {
+	return &network.Table{Shape: s.cfg.Shape, Metrics: s.cfg.Metrics, Ops: []network.Op{
+		s.routed(opHello, s.hello),
+		s.routed(opHeight, s.height),
+		s.routed(opBlocksFrom, s.blocksFrom),
+		s.routed(opDeliver, s.deliver),
+		s.routed(opSync, s.sync),
+		s.routed(opEndorse, s.endorse),
+	}}
 }
 
-// count bumps a server-side transport counter when metrics are configured.
-// Every call site passes one of the metrics.Transport* constants, so the
-// counter family set stays fixed.
-func (s *Server) count(name string) {
-	if s.cfg.Metrics != nil {
-		//hyperprov:allow metricnames constant Transport* names forwarded by call sites
-		s.cfg.Metrics.Counter(name).Inc()
-	}
+// call is one request routed to its channel's node, with its body read into
+// a buffer of its own: a delivered block and an endorsed proposal alias it
+// for as long as the peer keeps them.
+type call struct {
+	*network.Request
+	node Node
+	body *codec.Dec // the op's layout
+	out  *network.Frame
 }
 
-// serve handles one connection: framed requests in, shaped framed
-// responses out. A framing violation (oversized announcement, torn frame)
-// closes the connection — the client reconnects with backoff. A frame whose
-// body does not decode (unknown op, torn layout) is answered with
-// CodeBadRequest and the connection stays open: the frame boundary held.
-func (s *Server) serve(conn net.Conn) {
-	rw := network.CountConn(conn, s.cfg.Metrics)
-	shaped := network.NewShapedConn(rw, s.cfg.Shape)
-	for {
-		// Each request is read into a buffer of its own: a delivered block
-		// and an endorsed proposal alias it for as long as the peer keeps
-		// them.
-		body, traceID, channelID, err := network.ReadFrameExt(rw)
+// ok opens a successful reply.
+func (c *call) ok() []byte { return network.AppendStatus(c.out.B, network.CodeNone, "") }
+
+// routed makes op's table entry: the frame's channel is resolved once, and
+// the body read, before handle runs. A channel the host does not serve is
+// answered with CodeUnknownChannel instead of dropping the connection: the
+// client maps it to ErrUnknownChannel and can report which channels the host
+// does serve.
+func (s *Server) routed(op network.Op, handle func(*call) error) network.Op {
+	op.Handle = func(req *network.Request, out *network.Frame) error {
+		node, ok := s.nodes[s.channel(req)]
+		if !ok {
+			out.B = network.AppendStatus(out.B, network.CodeUnknownChannel,
+				fmt.Sprintf("channel %q not served (serving %v)", req.Channel, s.order))
+			return nil
+		}
+		body, err := req.ReadAll()
 		if err != nil {
-			return // EOF, oversized frame, or broken connection
+			return err
 		}
-		s.count(metrics.TransportFramesReceived)
-		if err := s.answer(shaped, body, traceID, channelID); err != nil {
-			return
-		}
+		return handle(&call{Request: req, node: node, body: codec.NewDec(body), out: out})
 	}
+	return op
 }
 
-// answer routes one request body to its channel's node and writes the reply.
-func (s *Server) answer(w *network.ShapedConn, body []byte, traceID, channelID string) error {
-	out := network.NewFrame("", "")
-	defer out.Release()
-	if node, resolved, ok := s.nodeFor(channelID); !ok {
-		// Answer with a structured code instead of dropping the connection:
-		// the client maps it to ErrUnknownChannel and can report which
-		// channels the host does serve.
-		out.B = network.AppendStatus(out.B, network.CodeUnknownChannel,
-			fmt.Sprintf("channel %q not served (serving %v)", channelID, s.order))
-	} else if req, err := decodeRequest(body); err != nil {
-		out.B = network.AppendStatus(out.B, network.CodeBadRequest, err.Error())
-	} else if req.op == opBlocksFrom {
-		return s.streamBlocks(w, node, req.from)
-	} else {
-		out.B = s.handle(out.B, node, resolved, req, traceID)
-	}
-	if err := out.Send(w); err != nil {
+// channel is the channel req is routed to: the one its frame names, or the
+// host's default for a channel-less frame.
+func (s *Server) channel(req *network.Request) string { return cmp.Or(req.Channel, s.order[0]) }
+
+func (s *Server) hello(c *call) error {
+	if err := c.body.Finish(); err != nil {
 		return err
 	}
-	s.count(metrics.TransportFramesSent)
+	c.out.B = appendHello(c.ok(), &HelloInfo{
+		Name:       c.node.Name(),
+		ChannelID:  s.channel(c.Request),
+		Channels:   s.order,
+		Orgs:       s.cfg.Orgs,
+		CACertsPEM: s.cfg.CACertsPEM,
+		Height:     c.node.Height(),
+	})
 	return nil
 }
 
-// streamBlocks answers a blocksFrom request: one block per frame, then the
+func (s *Server) height(c *call) error {
+	if err := c.body.Finish(); err != nil {
+		return err
+	}
+	c.out.B = appendHeight(c.ok(), c.node.Height())
+	return nil
+}
+
+// blocksFrom streams: one block per frame, ahead of the reply, which is the
 // terminating frame. Streaming per block keeps a long catch-up from
 // buffering the whole tail in one frame and lets the shaper charge each
 // block its own transfer.
-func (s *Server) streamBlocks(w *network.ShapedConn, node Node, from uint64) error {
-	send := func(traceID string, b *blockstore.Block) error {
-		f := network.NewFrame(traceID, "")
-		f.B = appendStreamFrame(f.B, b)
-		err := f.Send(w)
-		f.Release()
-		if err == nil {
-			s.count(metrics.TransportFramesSent)
-		}
+func (s *Server) blocksFrom(c *call) error {
+	from := c.body.Uvarint()
+	if err := c.body.Finish(); err != nil {
 		return err
 	}
-	for _, b := range node.BlocksFrom(from) {
+	for _, b := range c.node.BlocksFrom(from) {
 		start := time.Now()
-		if err := send(blockTraceID(b), b); err != nil {
+		f := network.NewFrame(blockTraceID(b), "")
+		f.B = appendStreamFrame(f.B, b)
+		err := c.Send(f)
+		f.Release()
+		if err != nil {
 			return err
 		}
 		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.AddBatch(envelopeIDs(b), trace.StageGossipSend, node.Name(), start, time.Since(start))
+			s.cfg.Tracer.AddBatch(envelopeIDs(b), trace.StageGossipSend, c.node.Name(), start, time.Since(start))
 		}
 	}
-	return send("", nil)
+	c.out.B = appendStreamFrame(c.out.B, nil)
+	return nil
+}
+
+func (s *Server) deliver(c *call) error {
+	b, err := blockstore.UnmarshalBlock(c.body.Rest()) // aliases the body
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	c.node.DeliverBlock(b)
+	if s.cfg.Metrics != nil {
+		s.cfg.Metrics.Counter(metrics.GossipPushDeliveries).Inc()
+	}
+	if s.cfg.Tracer != nil {
+		s.cfg.Tracer.AddBatch(envelopeIDs(b), trace.StageGossipDeliver, c.node.Name(), start, time.Since(start))
+	}
+	c.out.B = c.ok()
+	return nil
+}
+
+func (s *Server) sync(c *call) error {
+	if err := c.body.Finish(); err != nil {
+		return err
+	}
+	c.node.Sync()
+	c.out.B = appendHeight(c.ok(), c.node.Height())
+	return nil
+}
+
+func (s *Server) endorse(c *call) error {
+	prop := decodeProposal(c.body)
+	if err := c.body.Finish(); err != nil {
+		return err
+	}
+	start := time.Now()
+	resp, err := c.node.ProcessProposal(prop)
+	if err != nil {
+		c.out.B = network.AppendStatus(c.out.B, classifyPeerErr(err), err.Error())
+		return nil
+	}
+	// Measure the remote endorse hop here (covers simulation + signing on
+	// this peer), record it locally under the frame's trace ID, and ship it
+	// back so the caller joins it into its own timeline.
+	span := trace.Span{
+		Stage:    trace.StageEndorse,
+		Peer:     c.node.Name(),
+		Start:    start,
+		Duration: time.Since(start),
+	}
+	if s.cfg.Tracer != nil {
+		id := c.TraceID
+		if id == "" {
+			id = prop.TxID
+		}
+		remote := span
+		remote.Remote = true
+		s.cfg.Tracer.Add(id, remote)
+	}
+	c.out.B = appendEndorsement(c.ok(), resp, &span)
+	return nil
 }
 
 // envelopeIDs collects a block's transaction IDs for span batching.
@@ -189,71 +251,6 @@ func envelopeIDs(b *blockstore.Block) []string {
 		ids[i] = b.Envelopes[i].TxID
 	}
 	return ids
-}
-
-// handle executes one decoded request (every op but blocksFrom, which
-// streams) and appends the reply body to out.
-func (s *Server) handle(out []byte, node Node, channelID string, req *request, traceID string) []byte {
-	// ok opens a successful reply; a failure starts over from out.
-	ok := network.AppendStatus(out, network.CodeNone, "")
-	switch req.op {
-	case opHello:
-		return appendHello(ok, &HelloInfo{
-			Name:       node.Name(),
-			ChannelID:  channelID,
-			Channels:   s.order,
-			Orgs:       s.cfg.Orgs,
-			CACertsPEM: s.cfg.CACertsPEM,
-			Height:     node.Height(),
-		})
-	case opHeight:
-		return appendHeight(ok, node.Height())
-	case opDeliver:
-		start := time.Now()
-		node.DeliverBlock(req.block)
-		s.count(metrics.GossipPushDeliveries)
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.AddBatch(envelopeIDs(req.block), trace.StageGossipDeliver, node.Name(), start, time.Since(start))
-		}
-		return ok
-	case opSync:
-		node.Sync()
-		return appendHeight(ok, node.Height())
-	case opEndorse:
-		start := time.Now()
-		resp, err := node.ProcessProposal(req.proposal)
-		if err != nil {
-			return network.AppendStatus(out, classifyPeerErr(err), err.Error())
-		}
-		// Measure the remote endorse hop here (covers simulation + signing
-		// on this peer), record it locally under the frame's trace ID, and
-		// ship it back so the caller joins it into its own timeline.
-		span := trace.Span{
-			Stage:    trace.StageEndorse,
-			Peer:     node.Name(),
-			Start:    start,
-			Duration: time.Since(start),
-		}
-		if s.cfg.Tracer != nil {
-			id := traceID
-			if id == "" {
-				id = req.proposal.TxID
-			}
-			remote := span
-			remote.Remote = true
-			s.cfg.Tracer.Add(id, remote)
-		}
-		return appendEndorsement(ok, resp, &span)
-	case opQuery:
-		resp, err := node.Query(req.chaincode, req.function, req.args, req.creator)
-		if err != nil {
-			return network.AppendStatus(out, classifyPeerErr(err), err.Error())
-		}
-		return appendQueryReply(ok, resp)
-	default: // opFingerprint: decodeRequest admits no other op
-		fp := node.StateFingerprint()
-		return appendFingerprint(ok, fp, node.Height())
-	}
 }
 
 // classifyPeerErr maps peer sentinel errors onto wire error codes.

@@ -1,15 +1,13 @@
-// Package transport puts peers on real sockets: an op table — an op byte and
-// an internal/codec body per frame, see wire.go — over the network package's
-// endpoint (network.Listen owns the listener and the connection lifecycle,
-// network.Dial the redialling client) that serves the gossip anti-entropy
-// protocol (height probe, block streaming, block delivery) and remote
-// endorsement/query for every channel of a peer.Host (NewHostServer), plus a
-// client whose adapters slot into the existing in-process seams — a
-// gossip.Member that joins a gossip.Network unchanged, and an
-// endorser-compatible handle the gateway can fan proposals to. This is the
-// step from "four peers in one process" to the paper's four physical machines
-// on one switch: every block and every endorsement crosses a (optionally
-// shaped) TCP connection.
+// Package transport puts peers on real sockets: six entries of a network op
+// table — an op byte and an internal/codec body per frame, see wire.go —
+// that serve the gossip anti-entropy protocol (height probe, block
+// streaming, block delivery) and remote endorsement for every channel of a
+// peer.Host (NewHostServer), plus a client on network.Dial whose adapters
+// slot into the existing in-process seams — a gossip.Member that joins a
+// gossip.Network unchanged, and an endorser-compatible handle the gateway
+// can fan proposals to. This is the step from "four peers in one process" to
+// the paper's four physical machines on one switch: every block and every
+// endorsement crosses a (optionally shaped) TCP connection.
 package transport
 
 import (

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -24,7 +26,7 @@ import (
 // MSP, one client identity — the in-process stand-in for the network a
 // serving process would expose over hello.
 type fixture struct {
-	t      *testing.T
+	t      testing.TB
 	ca     *identity.CA
 	msp    *identity.MSP
 	client *identity.SigningIdentity
@@ -34,7 +36,7 @@ type fixture struct {
 	hosts map[*peer.Peer]*peer.Host
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	ca, err := identity.NewCA("Org1")
 	if err != nil {
@@ -200,10 +202,7 @@ func TestHelloHeightFingerprint(t *testing.T) {
 	f.commitTx(p, "item-b")
 	c := f.dial(f.serve(p).Addr())
 
-	info, err := c.Hello()
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.Hello()
 	if info.Name != "peer0" || info.ChannelID != "ch" || len(info.Orgs) != 1 || info.Orgs[0] != "Org1" {
 		t.Errorf("hello = %+v", info)
 	}
@@ -217,12 +216,15 @@ func TestHelloHeightFingerprint(t *testing.T) {
 	if err != nil || h != 2 {
 		t.Errorf("remote height = %d, %v", h, err)
 	}
-	fp, fph, err := c.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
+	// The fingerprint op (08) is retired: a TCP client cannot make the peer
+	// hash its whole state. Its code is refused like any op outside the
+	// table, and the connection keeps serving.
+	var remote *RemoteError
+	if _, err := c.roundTrip(network.Op{Code: 0x08, Name: "fingerprint"}, "", nil); !errors.As(err, &remote) || remote.Code != network.CodeBadRequest {
+		t.Errorf("fingerprint request: err = %v, want a RemoteError with %q", err, network.CodeBadRequest)
 	}
-	if fp != p.StateFingerprint() || fph != 2 {
-		t.Errorf("remote fingerprint = %s@%d", fp, fph)
+	if h, err := c.Height(); err != nil || h != 2 {
+		t.Errorf("remote height after the fingerprint request = %d, %v", h, err)
 	}
 }
 
@@ -243,10 +245,11 @@ func TestRemoteEndorseAndQuery(t *testing.T) {
 		t.Errorf("remote endorsement does not verify: %v", err)
 	}
 
-	// Commit it locally, then query the record over the transport.
+	// Commit it locally, then query the record over the transport: a read
+	// crosses the wire as a signed proposal, endorsed like any other, and
+	// the record is the response's payload.
 	f.commitTx(p, "remote-item")
-	q, err := c.Query(provenance.ChaincodeName, provenance.FnGet,
-		[][]byte{[]byte("remote-item")}, f.client.Serialize())
+	q, err := c.ProcessProposal(f.propose(provenance.FnGet, "remote-item"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +258,12 @@ func TestRemoteEndorseAndQuery(t *testing.T) {
 	}
 
 	// Structured error codes classify remote failures.
-	if _, err := c.Query("no-such-cc", "fn", nil, f.client.Serialize()); err == nil {
+	unknown := f.propose("fn")
+	unknown.Chaincode = "no-such-cc"
+	if unknown.Signature, err = f.client.Sign(unknown.SignedBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ProcessProposal(unknown); err == nil {
 		t.Error("unknown chaincode query succeeded")
 	} else {
 		var re *RemoteError
@@ -285,10 +293,7 @@ func TestGossipPullOverTCP(t *testing.T) {
 	}
 	edge := f.newPeer("peer1")
 	c := f.dial(f.serve(source).Addr())
-	remote, err := c.Member()
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := c.Member()
 	if remote.Name() != "peer0" {
 		t.Errorf("remote member name = %q", remote.Name())
 	}
@@ -315,16 +320,47 @@ func TestGossipPushOverTCP(t *testing.T) {
 		f.commitTx(local, fmt.Sprintf("push-%d", i))
 	}
 	c := f.dial(f.serve(remotePeer).Addr())
-	remote, err := c.Member()
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := c.Member()
 	g := gossip.New(gossip.Config{Interval: 10 * time.Millisecond, Fanout: 1}, local, remote)
 	defer g.Stop()
 	waitHeight(t, remotePeer, local.Height())
 	if remotePeer.StateFingerprint() != local.StateFingerprint() {
 		t.Error("state fingerprints diverge after TCP push")
 	}
+}
+
+// writeFrame writes body as one frame addressed to channel, the way a
+// client sends a request and a server its reply.
+func writeFrame(w io.Writer, channel string, body []byte) error {
+	f := network.NewFrame("", channel)
+	defer f.Release()
+	f.B = append(f.B, body...)
+	return f.Send(w)
+}
+
+// rawServer runs serve on every connection to a loopback listener of its
+// own, for a test that plays a peer the op table would not be: half-open,
+// hostile, or garbling its replies.
+func rawServer(t *testing.T, serve func(net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				serve(conn)
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // chainOf builds a valid hash-chained run of empty blocks for
@@ -349,45 +385,28 @@ func chainOf(t testing.TB, n int) []*blockstore.Block {
 // recover on the next call.
 func TestMidStreamDisconnect(t *testing.T) {
 	blocks := chainOf(t, 5)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
+	addr := rawServer(t, func(conn net.Conn) {
+		reply := func(body []byte) { _ = writeFrame(conn, "", body) }
+		ok := network.AppendStatus(nil, network.CodeNone, "")
+		in := bufio.NewReader(conn)
 		for {
-			conn, err := ln.Accept()
-			if err != nil {
+			body, err := network.ReadFrame(in)
+			if err != nil || len(body) == 0 {
 				return
 			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				reply := func(body []byte) { _ = network.WriteFrameExt(conn, "", "", body) }
-				ok := network.AppendStatus(nil, network.CodeNone, "")
-				for {
-					body, err := network.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					req, err := decodeRequest(body)
-					if err != nil {
-						return
-					}
-					switch req.op {
-					case opHello:
-						reply(appendHello(ok, &HelloInfo{Name: "half-open"}))
-					case opBlocksFrom:
-						// Two frames, then drop the connection mid-stream.
-						reply(appendStreamFrame(nil, blocks[0]))
-						reply(appendStreamFrame(nil, blocks[1]))
-						return
-					}
-				}
-			}(conn)
+			switch body[0] {
+			case opHello.Code:
+				reply(appendHello(ok, &HelloInfo{Name: "half-open"}))
+			case opBlocksFrom.Code:
+				// Two frames, then drop the connection mid-stream.
+				reply(appendStreamFrame(nil, blocks[0]))
+				reply(appendStreamFrame(nil, blocks[1]))
+				return
+			}
 		}
-	}()
+	})
 
-	c, err := Dial(ln.Addr().String(), ClientConfig{})
+	c, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,26 +449,12 @@ func TestOversizedFrameClosesConnection(t *testing.T) {
 	}
 
 	// Server side: a malicious server announcing an oversized response.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				_, _ = network.ReadFrame(conn)
-				_, _ = conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-			}(conn)
-		}
-	}()
+	addr := rawServer(t, func(conn net.Conn) {
+		_, _ = network.ReadFrame(bufio.NewReader(conn))
+		_, _ = conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	})
 	// No hello: the client is assembled on a bare network.Client.
-	nc, err := network.Dial(ln.Addr().String(), network.ClientConfig{})
+	nc, err := network.Dial(addr, network.ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,10 +484,7 @@ func TestReconnectAfterRestartConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	remote, err := c.Member()
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := c.Member()
 	g := gossip.New(gossip.Config{Interval: 10 * time.Millisecond, Fanout: 1}, edge, remote)
 	defer g.Stop()
 	waitHeight(t, edge, source.Height())
@@ -540,31 +542,28 @@ func TestDialBackoffFailsFast(t *testing.T) {
 func TestUndecodableReplyKeepsConnection(t *testing.T) {
 	var conns atomic.Int32
 	ok := network.AppendStatus(nil, network.CodeNone, "")
-	srv, err := network.Listen("127.0.0.1:0", func(conn net.Conn) {
+	addr := rawServer(t, func(conn net.Conn) {
 		conns.Add(1)
+		in := bufio.NewReader(conn)
 		torn := true
 		for {
-			body, err := network.ReadFrame(conn)
+			body, err := network.ReadFrame(in)
 			if err != nil {
 				return
 			}
 			reply := appendHello(ok, &HelloInfo{Name: "garbler"})
-			if req, _ := decodeRequest(body); req != nil && req.op == opHeight {
+			if len(body) > 0 && body[0] == opHeight.Code {
 				if reply = appendHeight(ok, 7); torn {
 					reply, torn = []byte{0x00, 0xFF}, false // success status, unterminated uvarint
 				}
 			}
-			if network.WriteFrameExt(conn, "", "", reply) != nil {
+			if writeFrame(conn, "", reply) != nil {
 				return
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	reg := metrics.NewRegistry()
-	c, err := Dial(srv.Addr(), ClientConfig{Metrics: reg})
+	c, err := Dial(addr, ClientConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

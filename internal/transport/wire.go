@@ -8,26 +8,24 @@ import (
 	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/network"
-	"github.com/hyperprov/hyperprov/internal/shim"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
 // This file is the wire: every message is one network frame whose body is
-// written and read with internal/codec. A request is an op byte followed by
-// that op's layout; a reply is a status (network.AppendStatus) followed, on
-// success, by the op's reply layout, and on failure by nothing more — the
-// status carries the code and the message.
+// written and read with internal/codec. A request is an op byte — the entry
+// of the server's network.Table that answers it — followed by that op's
+// layout; a reply is a status (network.AppendStatus) followed, on success, by
+// the op's reply layout, and on failure by nothing more — the status carries
+// the code and the message.
 //
-//	op           request                       reply
-//	hello        -                             name, channel, channels, orgs, CA certs, height
-//	height       -                             height
-//	blocksFrom   from                          stream of frames: more=1 + block, closed by more=0
-//	deliver      block                         -
-//	sync         -                             height
-//	endorse      proposal fields, signature    response fields, signature, serving peer's span
-//	query        chaincode, function, args,    status, message, payload
-//	             creator
-//	fingerprint  -                             fingerprint, height
+//	op             request                       reply
+//	01 hello       -                             name, channel, channels, orgs, CA certs, height
+//	02 height      -                             height
+//	03 blocksFrom  from                          stream of frames: more=1 + block, closed by more=0
+//	04 deliver     block                         -
+//	05 sync        -                             height
+//	06 endorse     proposal fields, signature    response fields, signature, serving peer's span
+//	07, 08         reserved: query and fingerprint, retired — never reuse
 //
 // Blocks travel as blockstore.AppendBlock wrote them, last in the frame:
 // the encoding delimits and checksums itself, it goes straight into the
@@ -35,70 +33,18 @@ import (
 // in place, so the peer holds exactly one wire buffer per block and its
 // commit pipeline reuses those bytes.
 
-// opCode is a request's first byte.
-type opCode byte
-
-// Protocol operations. The values are the protocol: append, never renumber.
-const (
-	opHello opCode = iota + 1
-	opHeight
-	opBlocksFrom
-	opDeliver
-	opSync
-	opEndorse
-	opQuery
-	opFingerprint
+// The protocol's ops: each op's code and name, spelled once. The server
+// makes them its table's entries, the client names its per-op latency
+// histograms after them. The codes are the protocol: append, never renumber
+// or reuse — 07 and 08 are taken.
+var (
+	opHello      = network.Op{Code: 0x01, Name: "hello"}
+	opHeight     = network.Op{Code: 0x02, Name: "height"}
+	opBlocksFrom = network.Op{Code: 0x03, Name: "blocksFrom"}
+	opDeliver    = network.Op{Code: 0x04, Name: "deliver"}
+	opSync       = network.Op{Code: 0x05, Name: "sync"}
+	opEndorse    = network.Op{Code: 0x06, Name: "endorse"}
 )
-
-var opNames = [...]string{
-	opHello:       "hello",
-	opHeight:      "height",
-	opBlocksFrom:  "blocksFrom",
-	opDeliver:     "deliver",
-	opSync:        "sync",
-	opEndorse:     "endorse",
-	opQuery:       "query",
-	opFingerprint: "fingerprint",
-}
-
-// String names the op as the per-RPC latency histograms and error messages
-// spell it. An op outside the protocol renders as its byte.
-func (o opCode) String() string {
-	if o >= opHello && int(o) < len(opNames) {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op(%#x)", byte(o))
-}
-
-// request is one client -> server message: the op and the fields of that
-// op's layout.
-type request struct {
-	op opCode
-	// from is the starting block number for blocksFrom.
-	from uint64
-	// block is the pushed block for deliver.
-	block *blockstore.Block
-	// proposal is the signed proposal for endorse.
-	proposal *endorser.Proposal
-	// chaincode/function/args/creator describe a query invocation.
-	chaincode string
-	function  string
-	args      [][]byte
-	creator   []byte
-}
-
-// traceID picks the trace a request joins, carried in its frame header: the
-// proposal's transaction for endorse, the pushed block's for deliver, none
-// otherwise.
-func (r *request) traceID() string {
-	switch {
-	case r.proposal != nil:
-		return r.proposal.TxID
-	case r.block != nil:
-		return blockTraceID(r.block)
-	}
-	return ""
-}
 
 // blockTraceID is the trace a block's frame is stamped with: its first
 // transaction's ID, so the receiving process can associate the frame with
@@ -108,57 +54,6 @@ func blockTraceID(b *blockstore.Block) string {
 		return ""
 	}
 	return b.Envelopes[0].TxID
-}
-
-func appendRequest(buf []byte, req *request) []byte {
-	buf = append(buf, byte(req.op))
-	switch req.op {
-	case opBlocksFrom:
-		buf = codec.AppendUvarint(buf, req.from)
-	case opDeliver:
-		buf = blockstore.AppendBlock(buf, req.block)
-	case opEndorse:
-		buf = appendProposal(buf, req.proposal)
-	case opQuery:
-		buf = codec.AppendString(buf, req.chaincode)
-		buf = codec.AppendString(buf, req.function)
-		buf = appendByteStrings(buf, req.args)
-		buf = codec.AppendBytes(buf, req.creator)
-	}
-	return buf
-}
-
-// decodeRequest decodes a request frame's body. Decoded byte fields alias
-// body, which the request then owns. Failures wrap a codec sentinel; an op
-// outside the protocol — a peer still speaking JSON opens with '{' — is
-// ErrMalformed.
-func decodeRequest(body []byte) (*request, error) {
-	d := codec.NewDec(body)
-	req := &request{op: opCode(d.Byte())}
-	switch req.op {
-	case opHello, opHeight, opSync, opFingerprint:
-	case opBlocksFrom:
-		req.from = d.Uvarint()
-	case opDeliver:
-		b, err := blockstore.UnmarshalBlock(d.Rest())
-		if err != nil {
-			return nil, fmt.Errorf("deliver without a decodable block: %w", err)
-		}
-		req.block = b
-	case opEndorse:
-		req.proposal = decodeProposal(d)
-	case opQuery:
-		req.chaincode = d.String()
-		req.function = d.String()
-		req.args = decodeByteStrings(d)
-		req.creator = d.BytesShared()
-	default:
-		d.Fail(fmt.Errorf("%w: unknown op %#x", codec.ErrMalformed, byte(req.op)))
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%s request: %w", req.op, err)
-	}
-	return req, nil
 }
 
 // appendProposal lays the proposal out in SignedBytes order, then the
@@ -214,14 +109,6 @@ func decodeHello(d *codec.Dec) HelloInfo {
 func appendHeight(buf []byte, height uint64) []byte { return codec.AppendUvarint(buf, height) }
 
 func decodeHeight(d *codec.Dec) uint64 { return d.Uvarint() }
-
-// appendFingerprint is the fingerprint reply: the committed state
-// fingerprint and the height it was taken at.
-func appendFingerprint(buf []byte, fingerprint string, height uint64) []byte {
-	return codec.AppendUvarint(codec.AppendString(buf, fingerprint), height)
-}
-
-func decodeFingerprint(d *codec.Dec) (string, uint64) { return d.String(), d.Uvarint() }
 
 // appendStreamFrame is one frame of a blocksFrom reply, status included: a
 // block (more=1), or the terminator (b == nil, more=0). A long catch-up is
@@ -284,17 +171,6 @@ func decodeEndorsement(d *codec.Dec) (*endorser.Response, trace.Span) {
 		Start:    d.Time(),
 		Duration: time.Duration(d.Varint()),
 	}
-}
-
-// appendQueryReply is the query reply: the chaincode's response.
-func appendQueryReply(buf []byte, r shim.Response) []byte {
-	buf = codec.AppendVarint(buf, int64(r.Status))
-	buf = codec.AppendString(buf, r.Message)
-	return codec.AppendBytes(buf, r.Payload)
-}
-
-func decodeQueryReply(d *codec.Dec) shim.Response {
-	return shim.Response{Status: decodeInt32(d), Message: d.String(), Payload: d.BytesShared()}
 }
 
 // replyStatus consumes a reply's status, turning a failure into the

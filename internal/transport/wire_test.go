@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -19,25 +20,44 @@ import (
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
-// sameRequest compares two requests field by field; blocks compare by their
-// canonical encoding (a decoded block carries cached bytes a built one does
-// not).
-func sameRequest(a, b *request) bool {
-	if (a.block == nil) != (b.block == nil) {
-		return false
-	}
-	if a.block != nil && !bytes.Equal(blockstore.MarshalBlock(a.block), blockstore.MarshalBlock(b.block)) {
-		return false
-	}
-	x, y := *a, *b
-	x.block, y.block = nil, nil
-	return reflect.DeepEqual(x, y)
-}
-
-// TestRequestLayoutsRoundTrip: every op's request survives encode → decode.
+// TestRequestLayoutsRoundTrip: every op's request survives encode → decode
+// — its layout read the way the server's handler reads it, past the op byte
+// the table dispatches on — and the bytes a client sends are the protocol's.
 // Zero-length byte strings decode as nil (the codec's normalisation), so a
 // case whose input holds empties states the value it expects back.
 func TestRequestLayoutsRoundTrip(t *testing.T) {
+	c := &Client{}
+	for _, tc := range []struct {
+		op     network.Op
+		layout func([]byte) []byte
+		want   []byte
+	}{
+		{opHello, nil, []byte{0x01}},
+		{opHeight, nil, []byte{0x02}},
+		{opBlocksFrom, func(b []byte) []byte { return codec.AppendUvarint(b, 300) }, []byte{0x03, 0xAC, 0x02}},
+		{opSync, nil, []byte{0x05}},
+	} {
+		f := c.newFrame(tc.op, "", tc.layout)
+		if body := f.B[4:]; !bytes.Equal(body, tc.want) {
+			t.Errorf("%s request body = %x, want %x", tc.op.Name, body, tc.want)
+		}
+		f.Release()
+	}
+
+	for _, from := range []uint64{0, 1, 1<<63 + 5} {
+		d := codec.NewDec(codec.AppendUvarint(nil, from))
+		if got := d.Uvarint(); d.Finish() != nil || got != from {
+			t.Errorf("blocksFrom %d: got %d, %v", from, got, d.Err())
+		}
+	}
+
+	for _, b := range chainOf(t, 2) {
+		got, err := blockstore.UnmarshalBlock(blockstore.AppendBlock(nil, b))
+		if err != nil || !bytes.Equal(blockstore.MarshalBlock(got), blockstore.MarshalBlock(b)) {
+			t.Errorf("deliver block %d: %+v, %v", b.Header.Number, got, err)
+		}
+	}
+
 	stamp := time.Date(2019, 12, 9, 10, 30, 0, 123456789, time.UTC)
 	full := &endorser.Proposal{
 		TxID: "tx-1", ChannelID: "ch", Chaincode: "provenance", Function: "set",
@@ -46,41 +66,28 @@ func TestRequestLayoutsRoundTrip(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		in, want *request // want nil: same as in
+		in, want *endorser.Proposal // want nil: same as in
 	}{
-		{name: "hello", in: &request{op: opHello}},
-		{name: "height", in: &request{op: opHeight}},
-		{name: "sync", in: &request{op: opSync}},
-		{name: "fingerprint", in: &request{op: opFingerprint}},
-		{name: "blocksFrom genesis", in: &request{op: opBlocksFrom}},
-		{name: "blocksFrom far", in: &request{op: opBlocksFrom, from: 1<<63 + 5}},
-		{name: "deliver empty block", in: &request{op: opDeliver, block: chainOf(t, 2)[1]}},
-		{name: "endorse", in: &request{op: opEndorse, proposal: full}},
-		{name: "endorse zero proposal", in: &request{op: opEndorse, proposal: &endorser.Proposal{}}},
+		{name: "endorse", in: full},
+		{name: "endorse zero proposal", in: &endorser.Proposal{}},
 		{
 			name: "endorse args with empty elements",
-			in:   &request{op: opEndorse, proposal: &endorser.Proposal{TxID: "t", Args: [][]byte{{}, []byte("a"), nil}, Creator: []byte{}}},
-			want: &request{op: opEndorse, proposal: &endorser.Proposal{TxID: "t", Args: [][]byte{nil, []byte("a"), nil}}},
+			in:   &endorser.Proposal{TxID: "t", Args: [][]byte{{}, []byte("a"), nil}, Creator: []byte{}},
+			want: &endorser.Proposal{TxID: "t", Args: [][]byte{nil, []byte("a"), nil}},
 		},
-		{name: "query", in: &request{op: opQuery, chaincode: "provenance", function: "get", args: [][]byte{[]byte("k")}, creator: []byte("me")}},
-		{name: "query zero", in: &request{op: opQuery}},
-		{
-			name: "query empty args list and elements",
-			in:   &request{op: opQuery, function: "f", args: [][]byte{{}}, creator: []byte{}},
-			want: &request{op: opQuery, function: "f", args: [][]byte{nil}},
-		},
-		{name: "query empty args list", in: &request{op: opQuery, args: [][]byte{}}, want: &request{op: opQuery}},
+		{name: "endorse empty args list", in: &endorser.Proposal{Args: [][]byte{}}, want: &endorser.Proposal{}},
 	} {
 		want := tc.want
 		if want == nil {
 			want = tc.in
 		}
-		got, err := decodeRequest(appendRequest(nil, tc.in))
-		if err != nil {
+		d := codec.NewDec(appendProposal(nil, tc.in))
+		got := decodeProposal(d)
+		if err := d.Finish(); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
-		if !sameRequest(got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: got %+v, want %+v", tc.name, got, want)
 		}
 	}
@@ -120,15 +127,6 @@ func TestReplyLayoutsRoundTrip(t *testing.T) {
 		roundTrip(fmt.Sprint("height ", h), func(b []byte) []byte { return appendHeight(b, h) },
 			func(d *codec.Dec) any { return decodeHeight(d) }, h)
 	}
-	type fp struct {
-		print  string
-		height uint64
-	}
-	for _, f := range []fp{{}, {"sha256:abc", 7}} {
-		roundTrip("fingerprint "+f.print, func(b []byte) []byte { return appendFingerprint(b, f.print, f.height) },
-			func(d *codec.Dec) any { p, h := decodeFingerprint(d); return fp{p, h} }, f)
-	}
-
 	type endorsement struct {
 		Resp *endorser.Response
 		Span trace.Span
@@ -149,15 +147,6 @@ func TestReplyLayoutsRoundTrip(t *testing.T) {
 		roundTrip(name, func(b []byte) []byte { return appendEndorsement(b, e.Resp, &e.Span) },
 			func(d *codec.Dec) any { r, s := decodeEndorsement(d); return endorsement{r, s} }, e)
 	}
-	for name, r := range map[string]shim.Response{
-		"query reply zero":            {},
-		"query reply ok":              {Status: shim.OK, Payload: []byte(`{"key":"k"}`)},
-		"query reply negative status": {Status: -7, Message: "no"},
-	} {
-		roundTrip(name, func(b []byte) []byte { return appendQueryReply(b, r) },
-			func(d *codec.Dec) any { return decodeQueryReply(d) }, r)
-	}
-
 	// A status that does not fit a chaincode status is malformed, not wrapped.
 	d := codec.NewDec(codec.AppendVarint(nil, 1<<31))
 	if decodeInt32(d); !errors.Is(d.Err(), codec.ErrMalformed) {
@@ -187,9 +176,9 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 }
 
 // TestServerRejectsUnknownOp: a frame whose body opens with a byte outside
-// the protocol — '{' from a peer still speaking JSON included — or whose
-// layout is torn is answered with a structured CodeBadRequest, and the
-// connection keeps serving.
+// the protocol — '{' from a peer still speaking JSON and the retired query
+// and fingerprint codes included — or whose layout is torn is answered with
+// a structured CodeBadRequest, and the connection keeps serving.
 func TestServerRejectsUnknownOp(t *testing.T) {
 	f := newFixture(t)
 	p := f.newPeer("peer0")
@@ -200,12 +189,13 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	in := bufio.NewReader(conn)
 	exchange := func(body []byte) (*codec.Dec, error) {
 		t.Helper()
-		if err := network.WriteFrameExt(conn, "", "", body); err != nil {
+		if err := writeFrame(conn, "", body); err != nil {
 			t.Fatal(err)
 		}
-		reply, err := network.ReadFrame(conn)
+		reply, err := network.ReadFrame(in)
 		if err != nil {
 			t.Fatalf("body %q: connection dropped: %v", body, err)
 		}
@@ -217,11 +207,14 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 		{0x00},
 		{0x7F, 1, 2, 3},
 		{},
-		{byte(opHeight), 0x00},       // trailing byte on a body-less op
-		{byte(opBlocksFrom)},         // missing from
-		{byte(opDeliver), 'H', 'P'},  // torn block
-		{byte(opEndorse), 0x02, 't'}, // torn proposal
-		{byte(opQuery), 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, // absurd arg count
+		{opHeight.Code, 0x00},       // trailing byte on a body-less op
+		{opBlocksFrom.Code},         // missing from
+		{opDeliver.Code, 'H', 'P'},  // torn block
+		{opEndorse.Code, 0x02, 't'}, // torn proposal
+		// The retired query (07) and fingerprint (08), as a client that
+		// still has them sends them: a query of chaincode "" as creator "me".
+		{0x07, 0x00, 0x00, 0x00, 0x02, 'm', 'e'},
+		{0x08},
 	} {
 		_, err := exchange(body)
 		var remote *RemoteError
@@ -229,7 +222,7 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 			t.Errorf("body %q: err = %v, want a RemoteError with %q", body, err, network.CodeBadRequest)
 		}
 	}
-	d, err := exchange(appendRequest(nil, &request{op: opHeight}))
+	d, err := exchange([]byte{opHeight.Code})
 	if err != nil {
 		t.Fatalf("height after rejected frames: %v", err)
 	}
@@ -262,11 +255,11 @@ func TestDeliverEncodeZeroAlloc(t *testing.T) {
 	f := newFixture(t)
 	_, b := tenTxBlock(f, f.newPeer("peer0"))
 	c := &Client{cfg: ClientConfig{Channel: "ch"}}
-	req := &request{op: opDeliver, block: b}
-	c.newFrame(req).Release() // warm the pool to this frame's size
-	allocs := testing.AllocsPerRun(100, func() {
-		c.newFrame(req).Release()
-	})
+	encode := func() {
+		c.newFrame(opDeliver, blockTraceID(b), func(buf []byte) []byte { return blockstore.AppendBlock(buf, b) }).Release()
+	}
+	encode() // warm the pool to this frame's size
+	allocs := testing.AllocsPerRun(100, encode)
 	if allocs != 0 {
 		t.Errorf("encoding a deliver frame allocates %.1f objects, want 0", allocs)
 	}
@@ -310,35 +303,42 @@ func TestDeliverWireBytes(t *testing.T) {
 }
 
 // FuzzTransportBody feeds arbitrary bytes to every request and reply decoder
-// of the peer transport. The contract under hostile input: no panic; every
-// failure wraps codec.ErrTruncated, codec.ErrMalformed or (a block's trailer)
-// codec.ErrChecksum — an unknown op is ErrMalformed, a failure status is a
-// *RemoteError — and whatever decodes re-encodes to bytes that decode to the
-// same value.
+// of the peer transport: each op's request layout as its handler reads it,
+// and each reply layout. The contract under hostile input: no panic; every
+// failure wraps codec.ErrTruncated, codec.ErrMalformed or (a block's
+// trailer) codec.ErrChecksum — a failure status is a *RemoteError — and
+// whatever decodes re-encodes to bytes that decode to the same value.
 func FuzzTransportBody(f *testing.F) {
 	blocks := chainOf(f, 2)
 	prop := &endorser.Proposal{TxID: "tx", ChannelID: "ch", Chaincode: "cc", Function: "fn",
 		Args: [][]byte{[]byte("a"), nil}, Creator: []byte("me"), Timestamp: time.Unix(1575887400, 5).UTC(), Signature: []byte{1}}
-	for _, req := range []*request{
-		{op: opHello}, {op: opHeight}, {op: opSync}, {op: opFingerprint},
-		{op: opBlocksFrom, from: 3},
-		{op: opDeliver, block: blocks[1]},
-		{op: opEndorse, proposal: prop},
-		{op: opQuery, chaincode: "cc", function: "get", args: [][]byte{[]byte("k")}, creator: []byte("me")},
+	deliver := blockstore.AppendBlock(nil, blocks[1])
+	for _, seed := range [][]byte{
+		// Request layouts, past the op byte.
+		codec.AppendUvarint(nil, 3),
+		codec.AppendUvarint(nil, 1<<63+5),
+		deliver,
+		appendProposal(nil, prop),
+		appendProposal(nil, &endorser.Proposal{}),
+		// Replies.
+		appendHello(nil, &HelloInfo{Name: "p", ChannelID: "ch", Channels: []string{"ch", "ch2"}, Orgs: []string{"Org1"}, CACertsPEM: [][]byte{[]byte("pem")}, Height: 4}),
+		appendHello(nil, &HelloInfo{}),
+		appendHeight(nil, 9),
+		appendHeight(nil, 1<<64-1),
+		appendStreamFrame(nil, blocks[0]),
+		appendStreamFrame(nil, nil),
+		network.AppendStatus(nil, network.CodeSimulationFailed, "chaincode said no"),
+		network.AppendStatus(nil, network.CodeUnknownChannel, "not here"),
+		appendEndorsement(nil, &endorser.Response{TxID: "tx", Status: 200, RWSet: []byte("rw"), Endorser: []byte("e"), Signature: []byte("s")},
+			&trace.Span{Stage: trace.StageEndorse, Peer: "p", Start: time.Unix(1575887400, 7).UTC(), Duration: time.Millisecond}),
+		// Hostile shapes.
+		deliver[:len(deliver)-3],
+		{0x02, 't'},
+		[]byte(`{"op":"hello"}`),
+		{},
 	} {
-		f.Add(appendRequest(nil, req))
+		f.Add(seed)
 	}
-	f.Add(appendHello(nil, &HelloInfo{Name: "p", ChannelID: "ch", Channels: []string{"ch", "ch2"}, Orgs: []string{"Org1"}, CACertsPEM: [][]byte{[]byte("pem")}, Height: 4}))
-	f.Add(appendHeight(nil, 9))
-	f.Add(appendFingerprint(nil, "sha256:ff", 9))
-	f.Add(appendStreamFrame(nil, blocks[0]))
-	f.Add(appendStreamFrame(nil, nil))
-	f.Add(network.AppendStatus(nil, network.CodeSimulationFailed, "chaincode said no"))
-	f.Add(appendEndorsement(nil, &endorser.Response{TxID: "tx", Status: 200, RWSet: []byte("rw"), Endorser: []byte("e"), Signature: []byte("s")},
-		&trace.Span{Stage: trace.StageEndorse, Peer: "p", Start: time.Unix(1575887400, 7).UTC(), Duration: time.Millisecond}))
-	f.Add(appendQueryReply(nil, shim.Response{Status: 500, Message: "m", Payload: []byte("p")}))
-	f.Add([]byte(`{"op":"hello"}`))
-	f.Add([]byte{})
 
 	structured := func(t *testing.T, what string, err error) {
 		t.Helper()
@@ -348,7 +348,7 @@ func FuzzTransportBody(f *testing.F) {
 			t.Fatalf("%s: unstructured decode error: %v", what, err)
 		}
 	}
-	// layout checks one reply decoder: decode body, and if every byte was
+	// layout checks one decoder: decode body, and if every byte was
 	// accounted for, re-encode and require the same value back.
 	layout := func(t *testing.T, what string, body []byte, dec func(*codec.Dec) any, enc func(any) []byte) {
 		t.Helper()
@@ -363,20 +363,23 @@ func FuzzTransportBody(f *testing.F) {
 			t.Fatalf("%s: %+v re-decoded as %+v, %v", what, v, again, d.Err())
 		}
 	}
-	type fingerprint struct {
-		print  string
-		height uint64
-	}
 	type endorsement struct {
 		resp *endorser.Response
 		span trace.Span
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if req, err := decodeRequest(body); err != nil {
-			structured(t, "request", err)
-		} else if again, err := decodeRequest(appendRequest(nil, req)); err != nil || !sameRequest(again, req) {
-			t.Fatalf("request %+v re-decoded as %+v, %v", req, again, err)
+		layout(t, "blocksFrom request", body,
+			func(d *codec.Dec) any { return d.Uvarint() },
+			func(v any) []byte { return codec.AppendUvarint(nil, v.(uint64)) })
+		if b, err := blockstore.UnmarshalBlock(body); err != nil {
+			structured(t, "deliver request", err)
+		} else if again, err := blockstore.UnmarshalBlock(blockstore.AppendBlock(nil, b)); err != nil ||
+			!bytes.Equal(blockstore.MarshalBlock(again), blockstore.MarshalBlock(b)) {
+			t.Fatalf("deliver request %+v re-decoded as %+v, %v", b, again, err)
 		}
+		layout(t, "endorse request", body,
+			func(d *codec.Dec) any { return decodeProposal(d) },
+			func(v any) []byte { return appendProposal(nil, v.(*endorser.Proposal)) })
 
 		if b, err := decodeStreamFrame(body); err != nil {
 			structured(t, "stream frame", err)
@@ -394,14 +397,8 @@ func FuzzTransportBody(f *testing.F) {
 		layout(t, "height", body,
 			func(d *codec.Dec) any { return decodeHeight(d) },
 			func(v any) []byte { return appendHeight(nil, v.(uint64)) })
-		layout(t, "fingerprint", body,
-			func(d *codec.Dec) any { p, h := decodeFingerprint(d); return fingerprint{p, h} },
-			func(v any) []byte { f := v.(fingerprint); return appendFingerprint(nil, f.print, f.height) })
 		layout(t, "endorsement", body,
 			func(d *codec.Dec) any { r, s := decodeEndorsement(d); return endorsement{r, s} },
 			func(v any) []byte { e := v.(endorsement); return appendEndorsement(nil, e.resp, &e.span) })
-		layout(t, "query reply", body,
-			func(d *codec.Dec) any { return decodeQueryReply(d) },
-			func(v any) []byte { return appendQueryReply(nil, v.(shim.Response)) })
 	})
 }

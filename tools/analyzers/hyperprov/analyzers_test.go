@@ -39,7 +39,7 @@ func TestNoJSONWire(t *testing.T) {
 
 func TestOneSocket(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), hyperprov.OneSocket,
-		"onesocket/transport", "onesocket/network")
+		"onesocket/transport", "onesocket/network", "onesocket/serveloop", "onesocket/servetable")
 }
 
 func TestWallTime(t *testing.T) {

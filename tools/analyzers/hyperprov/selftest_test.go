@@ -77,3 +77,22 @@ func TestLockSafeChainShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSocketServeLoops pins onesocket's second rule on both shapes of a
+// service: one that reads frames itself — a hand-rolled serve loop — is
+// flagged, and one that brings op table entries to network.Listen passes.
+func TestOneSocketServeLoops(t *testing.T) {
+	for fixture, flagged := range map[string]bool{"onesocket/serveloop": true, "onesocket/servetable": false} {
+		pkg, err := analysistest.Load(analysistest.TestData(), fixture)
+		if err != nil {
+			t.Fatalf("load %s: %v", fixture, err)
+		}
+		findings, err := analysis.Run(pkg, []*analysis.Analyzer{hyperprov.OneSocket})
+		if err != nil {
+			t.Fatalf("run over %s: %v", fixture, err)
+		}
+		if got := len(findings) > 0; got != flagged {
+			t.Errorf("%s: %d findings, want flagged=%v", fixture, len(findings), flagged)
+		}
+	}
+}

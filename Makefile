@@ -154,7 +154,8 @@ fuzz:
 
 # Go benchmarks, real clock. Two pairs are read side by side, both sides
 # warm: BenchmarkCommitPipelined4 vs ...Instrumented (internal/committer) is
-# the observability overhead, and BenchmarkRangeScan/keys=1000 vs
+# the observability overhead (...Blocks10 commits catchup's 10-tx blocks
+# beside them), and BenchmarkRangeScan/keys=1000 vs
 # keys=100000 (internal/statedb) shows a scan costs what it returns, not
 # what the store holds.
 bench:

@@ -33,8 +33,8 @@ func TestExperimentTable(t *testing.T) {
 			t.Errorf("%s: no Run", e.Name)
 		}
 	}
-	if len(bench.Experiments) != 9 {
-		t.Errorf("table holds %d experiments, want 9", len(bench.Experiments))
+	if len(bench.Experiments) != 8 {
+		t.Errorf("table holds %d experiments, want 8", len(bench.Experiments))
 	}
 
 	var ran []string

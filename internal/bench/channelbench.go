@@ -19,9 +19,10 @@ import (
 // experiment charges). Two questions, matching the multi-tenant pitch:
 //
 //  1. Scaling — does aggregate committed tx/s grow with the channel count?
-//     A single channel's pipeline is sized (Workers, MVCCWorkers=1) so its
-//     serial stages leave cores idle; additional channels are additional
-//     non-contending pipelines that fill that slack.
+//     A single channel's pipeline is sized (Workers below the core count)
+//     so its pre-validation pool and serial stages leave cores idle;
+//     additional channels are additional non-contending pipelines that
+//     fill that slack.
 //  2. Isolation — does a flooding hot tenant wreck a paced quiet tenant's
 //     tail latency? The quiet channel commits small blocks on a fixed
 //     cadence, alone and then next to a saturating hot channel; the gap
@@ -44,8 +45,6 @@ type channelConfig struct {
 	// profile's core count: per-channel slack is what multi-channel scaling
 	// converts into aggregate throughput.
 	Workers int
-	// MVCCWorkers sizes each channel's stage-2 pool (1 = sequential walk).
-	MVCCWorkers int
 	// Profile models the host every channel shares.
 	Profile device.Profile
 	// Scale compresses modeled time (0.5 runs 2x faster than modeled).
@@ -74,7 +73,6 @@ func channelConfigFor(quick bool) channelConfig {
 		Blocks:         16,
 		WritesPerTx:    2,
 		Workers:        2,
-		MVCCWorkers:    1,
 		Profile:        device.XeonE51603,
 		Scale:          0.5,
 		Seed:           1,
@@ -161,16 +159,14 @@ type channelPipe struct {
 	submitted []time.Time
 }
 
-func newChannelPipe(f *commitFixture, exec *device.Executor, streamLen, workers, mvccWorkers int) *channelPipe {
+func newChannelPipe(f *commitFixture, exec *device.Executor, streamLen, workers int) *channelPipe {
 	p := &channelPipe{lat: NewHistogram(), submitted: make([]time.Time, streamLen)}
 	p.eng = committer.New(committer.Config{
-		State:       statedb.New(),
-		History:     historydb.New(),
-		Blocks:      blockstore.NewStore(),
-		Verifier:    f.verifier(exec),
-		Workers:     workers,
-		MVCCWorkers: mvccWorkers,
-		Exec:        exec,
+		State:    statedb.New(),
+		History:  historydb.New(),
+		Blocks:   blockstore.NewStore(),
+		Verifier: f.verifier(exec),
+		Workers:  workers,
 		OnCommitted: func(b *blockstore.Block) {
 			p.lat.Record(time.Since(p.submitted[b.Header.Number]))
 		},
@@ -197,9 +193,9 @@ func runChannelBench(quick bool) (Report, error) {
 	res := ChannelBenchResult{
 		Name: "Multi-channel tenancy: per-channel pipelines on one modeled host",
 		Description: fmt.Sprintf(
-			"%d blocks x %d tx per channel, %d writes/tx, real ECDSA P-256 signatures; shared host: %s (%d cores); per-channel pipeline: %d workers, mvcc=%d; rates in modeled tx/s",
+			"%d blocks x %d tx per channel, %d writes/tx, real ECDSA P-256 signatures; shared host: %s (%d cores); per-channel pipeline: %d workers; rates in modeled tx/s",
 			cfg.Blocks, cfg.BlockSize, cfg.WritesPerTx, cfg.Profile.Name, cfg.Profile.Cores,
-			cfg.Workers, cfg.MVCCWorkers),
+			cfg.Workers),
 	}
 	f, err := newCommitFixture()
 	if err != nil {
@@ -219,7 +215,7 @@ func runChannelBench(quick bool) (Report, error) {
 		exec := device.NewExecutor(cfg.Profile, device.RealClock{ScaleFactor: cfg.Scale}, cfg.Seed)
 		pipes := make([]*channelPipe, count)
 		for i := range pipes {
-			pipes[i] = newChannelPipe(f, exec, len(stream), cfg.Workers, cfg.MVCCWorkers)
+			pipes[i] = newChannelPipe(f, exec, len(stream), cfg.Workers)
 		}
 		errs := make([]error, count)
 		start := time.Now()
@@ -284,7 +280,7 @@ func runChannelIsolation(f *commitFixture, cfg channelConfig, hotStream []*block
 
 	runQuiet := func(withHot bool) (p99Ms, hotTps float64, err error) {
 		exec := device.NewExecutor(quietProfile, device.RealClock{ScaleFactor: cfg.Scale}, cfg.Seed)
-		quiet := newChannelPipe(f, exec, len(quietStream), cfg.Workers, cfg.MVCCWorkers)
+		quiet := newChannelPipe(f, exec, len(quietStream), cfg.Workers)
 		defer quiet.eng.Close()
 		var hotPipe *channelPipe
 		var hotErr error
@@ -292,7 +288,7 @@ func runChannelIsolation(f *commitFixture, cfg channelConfig, hotStream []*block
 		var wg sync.WaitGroup
 		if withHot {
 			hotExec := device.NewExecutor(hotProfile, device.RealClock{ScaleFactor: cfg.Scale}, cfg.Seed+1)
-			hotPipe = newChannelPipe(f, hotExec, len(hot), cfg.Workers, cfg.MVCCWorkers)
+			hotPipe = newChannelPipe(f, hotExec, len(hot), cfg.Workers)
 			defer hotPipe.eng.Close()
 			wg.Add(1)
 			go func() {

@@ -14,10 +14,10 @@ import (
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
-// This file holds the signed block-stream fixture the two committer-level
-// experiments (mvcc-sweep, channels) share: real ECDSA P-256 identities, a
-// verifier charged against a modeled device, and chained blocks of fully
-// signed transactions.
+// This file holds the signed block-stream fixture of the committer-level
+// experiment (channels): real ECDSA P-256 identities, a verifier charged
+// against a modeled device, and chained blocks of fully signed
+// transactions.
 
 // commitFixture holds the identities a signed block stream needs.
 type commitFixture struct {

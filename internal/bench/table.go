@@ -36,6 +36,5 @@ var Experiments = []Experiment{
 	{"onchain", ClockModeled, runOnchainAblation},
 	{"raft", ClockModeled, runRaftAblation},
 	{"query", ClockReal, runQueryBench},
-	{"mvcc-sweep", ClockModeled, runMVCCSweep},
 	{"channels", ClockModeled, runChannelBench},
 }

@@ -36,10 +36,10 @@ func benchStream(b *testing.B, f *txFactory, blocks, size int) []*blockstore.Blo
 	return out
 }
 
-func runCommit(b *testing.B, workers int, pipelined, instrumented bool) {
+func runCommit(b *testing.B, workers, blocks, size int, pipelined, instrumented bool) {
 	b.Helper()
 	f := newTxFactory(b)
-	stream := benchStream(b, f, 8, 64)
+	stream := benchStream(b, f, blocks, size)
 	pass := func() {
 		l := newLedger()
 		cfg := l.config(f, workers)
@@ -75,7 +75,7 @@ func runCommit(b *testing.B, workers int, pipelined, instrumented bool) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	txs := float64(8*64) * float64(b.N)
+	txs := float64(blocks*size) * float64(b.N)
 	b.ReportMetric(txs/b.Elapsed().Seconds(), "tx/s")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/txs, "allocs/tx")
 }
@@ -85,6 +85,9 @@ func runCommit(b *testing.B, workers int, pipelined, instrumented bool) {
 // the three-stage pipeline with 4 pre-validation workers, and the
 // Instrumented variant adds a live metrics registry and trace recorder:
 // the gap between those two is the observability overhead (budget: 5%).
-func BenchmarkCommitSerial(b *testing.B)                 { runCommit(b, 1, false, false) }
-func BenchmarkCommitPipelined4(b *testing.B)             { runCommit(b, 4, true, false) }
-func BenchmarkCommitPipelined4Instrumented(b *testing.B) { runCommit(b, 4, true, true) }
+// BenchmarkCommitPipelined4Blocks10 commits 40 blocks x 10 txs, the block
+// size the repository benchmark's catchup workload replays.
+func BenchmarkCommitSerial(b *testing.B)                 { runCommit(b, 1, 8, 64, false, false) }
+func BenchmarkCommitPipelined4(b *testing.B)             { runCommit(b, 4, 8, 64, true, false) }
+func BenchmarkCommitPipelined4Instrumented(b *testing.B) { runCommit(b, 4, 8, 64, true, true) }
+func BenchmarkCommitPipelined4Blocks10(b *testing.B)     { runCommit(b, 4, 40, 10, true, false) }

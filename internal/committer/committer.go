@@ -8,17 +8,17 @@
 //
 //   - Pipeline is the FastFabric-style three-stage pipeline. Stage 1
 //     (pre-validation) fans endorsement-signature verification and rwset
-//     deserialization across a worker pool; stage 2 (MVCC) builds a
-//     conflict graph over the block's rwsets and validates independent
-//     transactions concurrently (topological wavefronts in transaction
-//     order — see conflict.go), applying one accumulated UpdateBatch;
-//     stage 3 (persistence) appends the block, records history, and
-//     advances the persisted watermark while stage 2 is already validating
-//     the next block.
+//     deserialization across a worker pool; stage 2 (MVCC) walks the
+//     block's transactions in order on one goroutine, applying one
+//     accumulated UpdateBatch; stage 3 (persistence) appends the block,
+//     records history, and advances the persisted watermark while stage 2
+//     is already validating the next block.
 //
-// Both engines produce identical validation verdicts and identical final
-// state for the same block stream — the equivalence test in this package
-// pins that property.
+// Both engines, and Replay (crash recovery's tail replay), run the same
+// MVCC walk, mvccFinalize; stage 1 is the only parallel validation stage.
+// They produce identical validation verdicts, final state and history for
+// the same block stream — the equivalence test in this package pins that
+// property.
 package committer
 
 import (
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
-	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/richquery"
@@ -67,19 +66,6 @@ type Config struct {
 	Verifier Verifier
 	// Workers sizes the pre-validation worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// MVCCWorkers sizes stage 2's conflict-graph validation pool: the MVCC
-	// walk builds a dependency graph over the block's rwsets and validates
-	// independent transactions concurrently, serializing only along
-	// conflict edges. <= 0 means GOMAXPROCS; 1 restores the strictly
-	// sequential walk (the PR-6-era pipeline). Verdicts, state, and
-	// history are bit-identical at every worker count — the serial engine
-	// remains the equivalence oracle.
-	MVCCWorkers int
-	// Exec, when set, charges the modeled per-transaction validate/apply
-	// cost (device.Profile.CommitOverhead) in the MVCC stage, on whichever
-	// goroutine performs the validation — so the modeled core semaphore
-	// caps stage-2 parallelism exactly as it caps stage 1's.
-	Exec *device.Executor
 	// Metrics, when set, receives per-stage latency histograms
 	// (metrics.CommitStage*).
 	Metrics *metrics.Registry
@@ -146,13 +132,6 @@ func (cfg Config) wantCapture(h uint64) bool {
 func (cfg Config) workerCount() int {
 	if cfg.Workers > 0 {
 		return cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (cfg Config) mvccWorkerCount() int {
-	if cfg.MVCCWorkers > 0 {
-		return cfg.MVCCWorkers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -283,23 +262,19 @@ func prevalidate(v Verifier, b *blockstore.Block, workers int) []PrevalResult {
 	return res
 }
 
-// mvccFinalize runs stage 2's sequential walk: it settles each
-// transaction's final validation code (pre-validated transactions can still
-// lose an MVCC conflict), and accumulates one state UpdateBatch plus the
-// block's history entries. It reads state versions but does not apply the
-// batch — the caller does, so Serial and Pipeline share identical
-// semantics. exec, when non-nil, charges the modeled per-transaction
-// validate/apply cost (nil for crash-recovery replay, which re-runs stored
-// verdicts at full speed). mvccFinalizeParallel in conflict.go is the
-// conflict-graph-scheduled equivalent.
-func mvccFinalize(state statedb.StateDB, exec *device.Executor, t *task) {
+// mvccFinalize is stage 2, the MVCC walk Serial, Pipeline and Replay
+// share: in transaction order it settles each transaction's final
+// validation code (pre-validated transactions can still lose an MVCC
+// conflict), and accumulates one state UpdateBatch plus the block's history
+// entries. It reads state versions but does not apply the batch — the
+// caller does.
+func mvccFinalize(state statedb.StateDB, t *task) {
 	b := t.b
 	t.batch = statedb.NewUpdateBatch()
 	blockWrites := make(map[string]bool)
 	for i := range b.Envelopes {
 		env := &b.Envelopes[i]
 		pr := t.preval[i]
-		exec.Commit() // modeled validate/apply cost, charged where the work runs
 		code := pr.Code
 		if code == blockstore.TxValid {
 			if err := rwset.Validate(pr.RWSet, state, blockWrites); err != nil {
@@ -328,17 +303,6 @@ func mvccFinalize(state statedb.StateDB, exec *device.Executor, t *task) {
 			}})
 		}
 	}
-}
-
-// finalize dispatches stage 2 to the sequential walk or the conflict-graph
-// scheduler. Blocks with fewer than two transactions gain nothing from
-// graph building; everything else fans out across mvccWorkers.
-func finalize(cfg Config, t *task, mvccWorkers int) {
-	if mvccWorkers <= 1 || len(t.b.Envelopes) < 2 {
-		mvccFinalize(cfg.State, cfg.Exec, t)
-		return
-	}
-	mvccFinalizeParallel(cfg, t, mvccWorkers)
 }
 
 // applyState applies the block's accumulated batch at the block's commit

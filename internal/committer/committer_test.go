@@ -2,6 +2,7 @@ package committer
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -138,22 +139,30 @@ func (f *txFactory) txID() string {
 	return fmt.Sprintf("tx-%04d", f.nextTx)
 }
 
+// chain builds one chained block per envelope list, numbered from 0.
+func chain(t testing.TB, blocks ...[]blockstore.Envelope) []*blockstore.Block {
+	t.Helper()
+	out := make([]*blockstore.Block, 0, len(blocks))
+	var prev []byte
+	for _, envs := range blocks {
+		b, err := blockstore.NewBlock(uint64(len(out)), prev, envs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+		prev = b.Header.Hash()
+	}
+	return out
+}
+
 // buildStream assembles the shared adversarial block stream: valid writes,
 // MVCC conflicts, bad signatures, policy failures, malformed rwsets, an
 // empty block, deletes, and a duplicate txID — every verdict the validator
 // can hand out.
 func buildStream(t testing.TB, f *txFactory) []*blockstore.Block {
 	t.Helper()
-	var blocks []*blockstore.Block
-	var prev []byte
-	add := func(envs ...blockstore.Envelope) {
-		b, err := blockstore.NewBlock(uint64(len(blocks)), prev, envs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks = append(blocks, b)
-		prev = b.Header.Hash()
-	}
+	var blocks [][]blockstore.Envelope
+	add := func(envs ...blockstore.Envelope) { blocks = append(blocks, envs) }
 
 	// Block 0: plain valid writes.
 	add(
@@ -209,64 +218,273 @@ func buildStream(t testing.TB, f *txFactory) []*blockstore.Block {
 		{Key: "b", Value: []byte("b-v2")},
 	}}
 	add(f.envelope(f.txID(), del, nil))
-	return blocks
+	return chain(t, blocks...)
 }
 
-// TestSerialAndPipelineEquivalent is the contract test: the same block
-// stream must yield identical validation codes, identical final state, and
-// identical history through both engines.
+// buildContendedStream is the hot-key stream: wide blocks where many
+// transactions fight over a handful of keys beside independent traffic,
+// range scans racing writers inside their bounds, and a long write-write
+// chain next to a fan of independent readers.
+func buildContendedStream(t testing.TB, f *txFactory) []*blockstore.Block {
+	t.Helper()
+	// Block 0: seed a key range the later phantom readers scan.
+	seed := &rwset.ReadWriteSet{}
+	for i := 0; i < 8; i++ {
+		seed.Writes = append(seed.Writes, rwset.Write{
+			Key: fmt.Sprintf("r%d", i), Value: []byte("seed"),
+		})
+	}
+	b0 := []blockstore.Envelope{f.envelope(f.txID(), seed, nil)}
+
+	// Block 1: 16 transactions, 4 hot keys, read-modify-write — each hot
+	// key's first claimant wins, the rest lose MVCC; 8 cold writers ride
+	// along untouched.
+	var b1 []blockstore.Envelope
+	for i := 0; i < 16; i++ {
+		hot := fmt.Sprintf("hot%d", i%4)
+		b1 = append(b1, f.envelope(f.txID(), &rwset.ReadWriteSet{
+			Reads:  []rwset.Read{{Key: hot, Version: nil}},
+			Writes: []rwset.Write{{Key: hot, Value: []byte(fmt.Sprintf("w%d", i))}},
+		}, nil))
+	}
+	for i := 0; i < 8; i++ {
+		b1 = append(b1, f.envelope(f.txID(), writeSet(fmt.Sprintf("cold%d", i)), nil))
+	}
+
+	// Block 2: tx0 updates r2; tx1 scans [r0,r5) — the earlier-in-block
+	// write to r2 is an MVCC conflict for the scan. tx2 scans [r5,) with no
+	// earlier in-block writer and stays valid; tx3 then updates r6 inside
+	// tx2's bounds — a LATER writer, which must not invalidate tx2.
+	b2 := []blockstore.Envelope{
+		f.envelope(f.txID(), &rwset.ReadWriteSet{
+			Writes: []rwset.Write{{Key: "r2", Value: []byte("bump")}},
+		}, nil),
+		f.envelope(f.txID(), &rwset.ReadWriteSet{
+			RangeReads: []rwset.RangeRead{{StartKey: "r0", EndKey: "r5", Keys: []string{"r0", "r1", "r2", "r3", "r4"}}},
+			Writes:     []rwset.Write{{Key: "scan-a", Value: []byte("x")}},
+		}, nil),
+		f.envelope(f.txID(), &rwset.ReadWriteSet{
+			RangeReads: []rwset.RangeRead{{StartKey: "r5", EndKey: "", Keys: []string{"r5", "r6", "r7"}}},
+			Writes:     []rwset.Write{{Key: "scan-b", Value: []byte("y")}},
+		}, nil),
+		f.envelope(f.txID(), &rwset.ReadWriteSet{
+			Writes: []rwset.Write{{Key: "r6", Value: []byte("late")}},
+		}, nil),
+	}
+
+	// Block 3: a write-write chain on one key plus a fan of independent
+	// readers of a cold key.
+	var b3 []blockstore.Envelope
+	for i := 0; i < 6; i++ {
+		b3 = append(b3, f.envelope(f.txID(), &rwset.ReadWriteSet{
+			Writes: []rwset.Write{{Key: "chain", Value: []byte(fmt.Sprintf("link%d", i))}},
+		}, nil))
+	}
+	for i := 0; i < 6; i++ {
+		b3 = append(b3, f.envelope(f.txID(), &rwset.ReadWriteSet{
+			Reads:  []rwset.Read{{Key: "cold0", Version: &statedb.Version{BlockNum: 1, TxNum: 16}}},
+			Writes: []rwset.Write{{Key: fmt.Sprintf("fan%d", i), Value: []byte("z")}},
+		}, nil))
+	}
+	return chain(t, b0, b1, b2, b3)
+}
+
+// codesOf returns every block's validation codes, in block order.
+func codesOf(t *testing.T, blocks *blockstore.Store) [][]blockstore.ValidationCode {
+	t.Helper()
+	out := make([][]blockstore.ValidationCode, blocks.Height())
+	for n := range out {
+		b, err := blocks.GetByNumber(uint64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[n] = b.TxValidation
+	}
+	return out
+}
+
+// TestSerialAndPipelineEquivalent is the contract test: every stream must
+// yield identical validation codes, identical final state, and identical
+// history through the serial engine, the pipeline, and Replay of the
+// serial engine's stored blocks. Replay keeps each stored failure code and
+// fails on any stored-valid transaction its walk would not pass, so its
+// success is the codes check. verdicts pins chosen blocks' codes, so
+// equivalence cannot degrade into "every engine equally wrong".
 func TestSerialAndPipelineEquivalent(t *testing.T) {
 	f := newTxFactory(t)
-	stream := buildStream(t, f)
-
-	serialLedger := newLedger()
-	serial := NewSerial(serialLedger.config(f, 0))
-	for _, b := range stream {
-		if !serial.Submit(b) {
-			t.Fatalf("serial rejected block %d", b.Header.Number)
+	valid, conflict := blockstore.TxValid, blockstore.TxMVCCConflict
+	hotBlock := make([]blockstore.ValidationCode, 24)
+	for i := range hotBlock {
+		hotBlock[i] = valid
+		if i >= 4 && i < 16 { // every hot-key claimant after the first
+			hotBlock[i] = conflict
 		}
 	}
-
-	pipeLedger := newLedger()
-	pipe := New(pipeLedger.config(f, 4))
-	for _, b := range stream {
-		if !pipe.Submit(b) {
-			t.Fatalf("pipeline rejected block %d", b.Header.Number)
-		}
+	for _, tc := range []struct {
+		name     string
+		stream   []*blockstore.Block
+		verdicts map[uint64][]blockstore.ValidationCode
+	}{
+		// MVCC losers, bad signatures, malformed rwsets, duplicate txIDs,
+		// deletes; TestStreamVerdicts pins its codes.
+		{name: "adversarial", stream: buildStream(t, f)},
+		{name: "contended", stream: buildContendedStream(t, f), verdicts: map[uint64][]blockstore.ValidationCode{
+			1: hotBlock,
+			2: {valid, conflict, valid, valid},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			assertEquivalent(t, f, tc.stream, tc.verdicts)
+		})
 	}
-	pipe.Sync()
-	pipe.Close()
+}
 
-	if got, want := pipeLedger.blocks.Height(), serialLedger.blocks.Height(); got != want {
-		t.Fatalf("pipeline height = %d, serial = %d", got, want)
-	}
-	for n := uint64(0); n < serialLedger.blocks.Height(); n++ {
-		sb, err := serialLedger.blocks.GetByNumber(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := pipeLedger.blocks.GetByNumber(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range sb.TxValidation {
-			if sb.TxValidation[i] != pb.TxValidation[i] {
-				t.Errorf("block %d tx %d: serial=%s pipeline=%s",
-					n, i, sb.TxValidation[i], pb.TxValidation[i])
+// TestParallelMVCCEdgeCases runs the one-block corner shapes a parallel
+// MVCC scheduler would get wrong through the same serial/pipeline/replay
+// contract, one at a time.
+func TestParallelMVCCEdgeCases(t *testing.T) {
+	valid, conflict := blockstore.TxValid, blockstore.TxMVCCConflict
+	for _, tc := range []struct {
+		name     string
+		build    func(f *txFactory) []blockstore.Envelope
+		verdicts []blockstore.ValidationCode
+	}{
+		{
+			// A transaction that reads and writes one key conflicts with
+			// the earlier ones, never with itself.
+			name: "read-modify-write-same-key",
+			build: func(f *txFactory) []blockstore.Envelope {
+				var envs []blockstore.Envelope
+				for i := 0; i < 5; i++ {
+					envs = append(envs, f.envelope(f.txID(), &rwset.ReadWriteSet{
+						Reads:  []rwset.Read{{Key: "rmw", Version: nil}},
+						Writes: []rwset.Write{{Key: "rmw", Value: []byte(fmt.Sprint(i))}},
+					}, nil))
+				}
+				return envs
+			},
+			verdicts: []blockstore.ValidationCode{valid, conflict, conflict, conflict, conflict},
+		},
+		{
+			name: "write-only-disjoint",
+			build: func(f *txFactory) []blockstore.Envelope {
+				var envs []blockstore.Envelope
+				for i := 0; i < 12; i++ {
+					envs = append(envs, f.envelope(f.txID(), writeSet(fmt.Sprintf("w%d", i)), nil))
+				}
+				return envs
+			},
+		},
+		{
+			// Write-only transactions on one key: every one valid.
+			name: "write-only-same-key",
+			build: func(f *txFactory) []blockstore.Envelope {
+				var envs []blockstore.Envelope
+				for i := 0; i < 5; i++ {
+					envs = append(envs, f.envelope(f.txID(), &rwset.ReadWriteSet{
+						Writes: []rwset.Write{{Key: "shared", Value: []byte(fmt.Sprint(i))}},
+					}, nil))
+				}
+				return envs
+			},
+		},
+		{
+			// tx 0 writes ten keys that every later transaction reads.
+			name: "star-around-tx0",
+			build: func(f *txFactory) []blockstore.Envelope {
+				hub := &rwset.ReadWriteSet{}
+				for i := 0; i < 10; i++ {
+					hub.Writes = append(hub.Writes, rwset.Write{Key: fmt.Sprintf("s%d", i), Value: []byte("hub")})
+				}
+				envs := []blockstore.Envelope{f.envelope(f.txID(), hub, nil)}
+				for i := 0; i < 10; i++ {
+					envs = append(envs, f.envelope(f.txID(), &rwset.ReadWriteSet{
+						Reads:  []rwset.Read{{Key: fmt.Sprintf("s%d", i), Version: nil}},
+						Writes: []rwset.Write{{Key: fmt.Sprintf("spoke%d", i), Value: []byte("x")}},
+					}, nil))
+				}
+				return envs
+			},
+		},
+		{
+			// A range read validates against pre-block state: a later
+			// writer inside its bounds is no phantom.
+			name: "range-read-before-writer",
+			build: func(f *txFactory) []blockstore.Envelope {
+				return []blockstore.Envelope{
+					f.envelope(f.txID(), &rwset.ReadWriteSet{
+						RangeReads: []rwset.RangeRead{{StartKey: "p", EndKey: "q"}},
+						Writes:     []rwset.Write{{Key: "reader-mark", Value: []byte("x")}},
+					}, nil),
+					f.envelope(f.txID(), writeSet("p5"), nil),
+				}
+			},
+			verdicts: []blockstore.ValidationCode{valid, valid},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newTxFactory(t)
+			var verdicts map[uint64][]blockstore.ValidationCode
+			if tc.verdicts != nil {
+				verdicts = map[uint64][]blockstore.ValidationCode{0: tc.verdicts}
 			}
+			assertEquivalent(t, f, chain(t, tc.build(f)), verdicts)
+		})
+	}
+}
+
+// assertEquivalent runs the stream through the serial engine, the
+// pipeline, and Replay of the serial engine's stored blocks, and checks
+// that all three agree on codes, state and history. verdicts pins chosen
+// blocks' codes.
+func assertEquivalent(t *testing.T, f *txFactory, stream []*blockstore.Block, verdicts map[uint64][]blockstore.ValidationCode) {
+	t.Helper()
+	serial, pipe := newLedger(), newLedger()
+	runStream(t, NewSerial(serial.config(f, 0)), stream)
+	runStream(t, New(pipe.config(f, 4)), stream)
+	replayed := newLedger()
+	if err := Replay(replayed.state, replayed.history, serial.blocks.BlocksFrom(0)); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+
+	codes := codesOf(t, serial.blocks)
+	if got := codesOf(t, pipe.blocks); !reflect.DeepEqual(got, codes) {
+		t.Errorf("pipeline codes %v, serial %v", got, codes)
+	}
+	for n, want := range verdicts {
+		if !reflect.DeepEqual(codes[n], want) {
+			t.Errorf("block %d codes %v, want %v", n, codes[n], want)
 		}
 	}
-	if sf, pf := StateFingerprint(serialLedger.state), StateFingerprint(pipeLedger.state); sf != pf {
-		t.Errorf("state fingerprints diverge: serial=%s pipeline=%s", sf, pf)
-	}
-	for _, key := range []string{"a", "b", "c", "d", "dup", "i"} {
-		if sv, pv := serialLedger.history.Versions(key), pipeLedger.history.Versions(key); sv != pv {
-			t.Errorf("history versions for %q: serial=%d pipeline=%d", key, sv, pv)
+	for _, other := range []struct {
+		name string
+		l    *ledger
+	}{{"pipeline", pipe}, {"replay", replayed}} {
+		if got, want := StateFingerprint(other.l.state), StateFingerprint(serial.state); got != want {
+			t.Errorf("%s state fingerprint %s, serial %s", other.name, got, want)
+		}
+		if got, want := other.l.history.Fingerprint(), serial.history.Fingerprint(); got != want {
+			t.Errorf("%s history fingerprint %s, serial %s", other.name, got, want)
+		}
+		if got, want := other.l.state.Height(), serial.state.Height(); got != want {
+			t.Errorf("%s state height %v, serial %v", other.name, got, want)
 		}
 	}
-	if err := pipeLedger.blocks.VerifyChain(); err != nil {
+	if err := pipe.blocks.VerifyChain(); err != nil {
 		t.Errorf("pipeline chain: %v", err)
 	}
+}
+
+// runStream drives a committer over the stream, syncs it and closes it.
+func runStream(t *testing.T, c Committer, stream []*blockstore.Block) {
+	t.Helper()
+	for _, b := range stream {
+		if !c.Submit(b) {
+			t.Fatalf("committer rejected block %d", b.Header.Number)
+		}
+	}
+	c.Sync()
+	c.Close()
 }
 
 // TestStreamVerdicts pins the exact validation codes of the adversarial

@@ -26,9 +26,8 @@ const pipelineDepth = 2
 // append, commit events — happens in stage 3. The watermark tracks stage-3
 // completion, so Sync gives readers committed-only visibility.
 type Pipeline struct {
-	cfg         Config
-	workers     int
-	mvccWorkers int
+	cfg     Config
+	workers int
 
 	// submitMu serializes admission so concurrent deliveries (ordering
 	// stream and gossip) enqueue consecutive blocks in order.
@@ -58,14 +57,13 @@ var _ Committer = (*Pipeline)(nil)
 // cfg.Blocks.Height() next.
 func New(cfg Config) *Pipeline {
 	p := &Pipeline{
-		cfg:         cfg,
-		workers:     cfg.workerCount(),
-		mvccWorkers: cfg.mvccWorkerCount(),
-		next:        cfg.Blocks.Height(),
-		lastHash:    cfg.Blocks.LastHash(),
-		prevalCh:    make(chan *task, pipelineDepth),
-		mvccCh:      make(chan *task, pipelineDepth),
-		persistCh:   make(chan *task, pipelineDepth),
+		cfg:       cfg,
+		workers:   cfg.workerCount(),
+		next:      cfg.Blocks.Height(),
+		lastHash:  cfg.Blocks.LastHash(),
+		prevalCh:  make(chan *task, pipelineDepth),
+		mvccCh:    make(chan *task, pipelineDepth),
+		persistCh: make(chan *task, pipelineDepth),
 	}
 	p.admitted.Store(p.next)
 	p.mark.Advance(p.next)
@@ -112,15 +110,14 @@ func (p *Pipeline) prevalStage() {
 	}
 }
 
-// stage 2: the MVCC walk — conflict-graph scheduled across mvccWorkers
-// (sequential when MVCCWorkers is 1) — one accumulated batch per block,
+// stage 2: the sequential MVCC walk — one accumulated batch per block,
 // applied to world state before the next block's walk begins.
 func (p *Pipeline) mvccStage() {
 	defer p.wg.Done()
 	defer close(p.persistCh)
 	for t := range p.mvccCh {
 		start := stageStart()
-		finalize(p.cfg, t, p.mvccWorkers)
+		mvccFinalize(p.cfg.State, t)
 		err := applyState(p.cfg.State, t)
 		if err == nil {
 			// Snapshot checkpoint boundaries here, before the next block's

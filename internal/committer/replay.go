@@ -55,7 +55,7 @@ func replayBlock(state statedb.StateDB, history *historydb.DB, stored *blockstor
 		}
 		t.preval[i] = PrevalResult{Code: blockstore.TxValid, RWSet: rws}
 	}
-	mvccFinalize(state, nil, t)
+	mvccFinalize(state, t)
 	for i, code := range t.b.TxValidation {
 		if want := t.preval[i].Code; code != want && t.preval[i].Code == blockstore.TxValid {
 			// mvccFinalize downgraded a stored-valid tx: the pre-state this

@@ -49,7 +49,7 @@ func (s *Serial) Submit(ordered *blockstore.Block) bool {
 	s.cfg.Tracer.AddBatch(t.txIDs(), trace.StageCommitPreval, s.cfg.Name, start, stageElapsed(start))
 
 	start = stageStart()
-	mvccFinalize(s.cfg.State, s.cfg.Exec, t)
+	mvccFinalize(s.cfg.State, t)
 	err := applyState(s.cfg.State, t)
 	if err == nil {
 		captureState(s.cfg, t)

@@ -25,20 +25,21 @@ type EnvelopeVerifier struct {
 	// Policy resolves chaincode endorsement policies.
 	Policy PolicyFunc
 	// Exec, when set, charges the modeled per-operation hardware cost of
-	// stage 1 (signature verifications). The executor's core semaphore is
-	// what lets parallel workers model — and on real hardware, use —
-	// multiple cores.
+	// validation: signature verifications, and the fixed per-transaction
+	// commit overhead. The executor's core semaphore is what lets parallel
+	// workers model — and on real hardware, use — multiple cores.
 	Exec *device.Executor
 }
 
 var _ Verifier = (*EnvelopeVerifier)(nil)
 
 // Prevalidate runs the version-independent validation pipeline for one
-// transaction. The modeled per-transaction commit cost is NOT charged
-// here: it models the validate/apply work and is charged in the MVCC stage
-// (committer.Config.Exec), on the goroutine that actually performs the
-// validation.
+// transaction. It also charges the modeled per-transaction commit cost
+// (device.Profile.CommitOverhead), once per envelope whatever its verdict:
+// the sequential MVCC walk costs microseconds on the real clock, and stage
+// 1's worker pool is where the modeled cores are.
 func (v *EnvelopeVerifier) Prevalidate(env *blockstore.Envelope) PrevalResult {
+	v.Exec.Commit()
 	code, rws := v.prevalidate(env)
 	return PrevalResult{Code: code, RWSet: rws}
 }

@@ -2,9 +2,13 @@ package committer
 
 import (
 	"testing"
+	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/device"
+	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/identity"
+	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
 // TestPrevalidateWarmCacheSkipsSignatureWork pins the redelivery fast path:
@@ -52,6 +56,53 @@ func TestPrevalidateWarmCacheSkipsSignatureWork(t *testing.T) {
 	bad.Function = "tampered-after-signing"
 	if res := v.Prevalidate(&bad); res.Code != blockstore.TxBadSignature {
 		t.Fatalf("tampered envelope: %v, want TxBadSignature", res.Code)
+	}
+}
+
+// The modeled per-transaction commit cost is charged once per envelope in
+// stage 1, whatever the envelope's verdict — bad signatures, malformed
+// rwsets and MVCC losers included — on both engines, and never by Replay,
+// which runs no stage 1.
+func TestCommitChargesOneOverheadPerEnvelope(t *testing.T) {
+	f := newTxFactory(t)
+	stream := buildStream(t, f)
+	// Only CommitOverhead costs anything, so every nanosecond of busy time
+	// below is a commit charge.
+	prof := device.Profile{Name: "commit-only", Cores: 1, CommitOverhead: 4 * time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		mk   func(Config) Committer
+	}{
+		{"serial", func(cfg Config) Committer { return NewSerial(cfg) }},
+		{"pipeline", func(cfg Config) Committer { return New(cfg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exec := device.NewExecutor(prof, device.NopClock{}, 1)
+			l := newLedger()
+			cfg := l.config(f, 4)
+			v := f.verifier()
+			v.Exec = exec
+			cfg.Verifier = v
+			c := tc.mk(cfg)
+			defer c.Close()
+			for _, b := range stream {
+				exec.ResetBusy()
+				if !c.Submit(b) {
+					t.Fatalf("block %d rejected", b.Header.Number)
+				}
+				c.Sync()
+				if got, want := exec.BusyTime(), time.Duration(len(b.Envelopes))*prof.CommitOverhead; got != want {
+					t.Errorf("block %d (%d envelopes) charged %v, want %v", b.Header.Number, len(b.Envelopes), got, want)
+				}
+			}
+			exec.ResetBusy()
+			if err := Replay(statedb.New(), historydb.New(), l.blocks.BlocksFrom(0)); err != nil {
+				t.Fatal(err)
+			}
+			if got := exec.BusyTime(); got != 0 {
+				t.Errorf("Replay charged %v, want 0", got)
+			}
+		})
 	}
 }
 

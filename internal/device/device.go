@@ -284,18 +284,6 @@ func (e *Executor) Endorse() time.Duration { return e.spend(cpu, e.Profile().End
 // Commit models the fixed per-transaction commit cost.
 func (e *Executor) Commit() time.Duration { return e.spend(cpu, e.Profile().CommitOverhead) }
 
-// CommitN models n transactions validated back-to-back on one core,
-// charged as a single core acquisition. The modeled core-time equals n
-// sequential Commit calls (jitter applies once to the batch); batching
-// costs one scheduler wakeup instead of n, which matters when a worker
-// walks a long stripe of a wide MVCC wavefront.
-func (e *Executor) CommitN(n int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	return e.spend(cpu, time.Duration(n)*e.Profile().CommitOverhead)
-}
-
 // Order models the orderer's per-batch cost.
 func (e *Executor) Order() time.Duration { return e.spend(cpu, e.Profile().OrderLatency) }
 

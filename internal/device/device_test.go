@@ -66,25 +66,6 @@ func TestExecutorAccountsBusyTime(t *testing.T) {
 	}
 }
 
-func TestBatchChargesMatchSequential(t *testing.T) {
-	p := XeonE51603
-	p.JitterPct = 0 // deterministic
-	e := NewExecutor(p, NopClock{}, 1)
-	if got, want := e.CommitN(5), 5*p.CommitOverhead; got != want {
-		t.Errorf("CommitN(5) = %v, want %v", got, want)
-	}
-	if got := e.CommitN(0); got != 0 {
-		t.Errorf("CommitN(0) = %v, want 0", got)
-	}
-	if got := e.CommitN(-1); got != 0 {
-		t.Errorf("CommitN(-1) = %v, want 0", got)
-	}
-	want := 5 * p.CommitOverhead
-	if got := e.BusyTime(); got != want {
-		t.Errorf("BusyTime after batches = %v, want %v", got, want)
-	}
-}
-
 // TestNilExecutorIsNoOp: a nil executor is "no hardware model" — every
 // charge returns zero without blocking, and its clock leaves the orderer's
 // batch timeout unscaled — so call sites need no guard.
@@ -92,7 +73,7 @@ func TestNilExecutorIsNoOp(t *testing.T) {
 	var e *Executor
 	charges := map[string]time.Duration{
 		"Hash": e.Hash(1 << 20), "Sign": e.Sign(), "Verify": e.Verify(), "Endorse": e.Endorse(),
-		"Commit": e.Commit(), "CommitN": e.CommitN(5), "Order": e.Order(),
+		"Commit": e.Commit(), "Order": e.Order(),
 		"Transfer": e.Transfer(1 << 20), "StoreTransfer": e.StoreTransfer(1 << 20),
 	}
 	for name, d := range charges {

@@ -581,17 +581,6 @@ const (
 	CommitStageMVCC    = "commit_stage_mvcc"
 	CommitStagePersist = "commit_stage_persist"
 
-	// CommitMVCCGraphBuild is the per-block latency of building the
-	// conflict graph over the block's rwsets (parallel MVCC only).
-	CommitMVCCGraphBuild = "commit_stage_mvcc_graph_build"
-	// CommitMVCCWaveWidth records the width (transaction count) of each
-	// scheduled wavefront, stored in the histogram's nanosecond slots
-	// (1 tx == 1ns) like GossipConvergenceLag — read the quantiles as
-	// "transactions per wave". Count is the number of waves; a mean near
-	// the block size means the block was conflict-free, a mean near 1
-	// means it degenerated to the serial walk.
-	CommitMVCCWaveWidth = "commit_stage_mvcc_wave_width"
-
 	StateGet   = "state_get"
 	StateScan  = "state_scan"
 	StateApply = "state_apply"

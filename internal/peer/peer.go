@@ -330,7 +330,6 @@ func newPeer(cfg Config, channelID string, state statedb.StateDB, history *histo
 			Policy: p.policyFor,
 			Exec:   p.exec,
 		},
-		Exec:    p.exec,
 		Metrics: p.metrics,
 		Tracer:  cfg.Tracer,
 		Name:    cfg.Name,

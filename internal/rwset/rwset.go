@@ -72,67 +72,6 @@ func (rws *ReadWriteSet) normalize() {
 	sort.Slice(rws.Writes, func(i, j int) bool { return rws.Writes[i].Key < rws.Writes[j].Key })
 }
 
-// Bounds is one half-open key interval [Start, End) touched by a range
-// read. The conflict-graph scheduler treats a write landing inside the
-// bounds as a potential phantom for the reading transaction.
-type Bounds struct {
-	Start, End string
-}
-
-// Contains reports whether key falls inside the half-open interval.
-func (b Bounds) Contains(key string) bool {
-	return key >= b.Start && (b.End == "" || key < b.End)
-}
-
-// Footprint is the key-space touchprint of one transaction, extracted from
-// an already-deserialized rwset — the conflict-graph builder consumes it
-// without re-unmarshaling anything. ReadKeys covers every key whose
-// earlier-in-block write status the MVCC walk consults: point reads plus
-// the observed result keys of rich queries. Range reads are represented by
-// their bounds (RangeBounds), not their observed keys, because validation
-// re-scans the live range — any write inside the bounds can change the
-// verdict, observed or not.
-type Footprint struct {
-	// WriteKeys are the keys written or deleted, in normalized order.
-	WriteKeys []string
-	// ReadKeys are the point-read keys plus rich-query observed keys.
-	ReadKeys []string
-	// RangeBounds are the [start, end) intervals of range reads.
-	RangeBounds []Bounds
-}
-
-// Footprint extracts the transaction's key-space touchprint. It walks the
-// decoded slices directly; no serialization round-trip is involved.
-func (rws *ReadWriteSet) Footprint() Footprint {
-	fp := Footprint{}
-	if n := len(rws.Writes); n > 0 {
-		fp.WriteKeys = make([]string, n)
-		for i, w := range rws.Writes {
-			fp.WriteKeys[i] = w.Key
-		}
-	}
-	nReads := len(rws.Reads)
-	for _, qr := range rws.QueryReads {
-		nReads += len(qr.Keys)
-	}
-	if nReads > 0 {
-		fp.ReadKeys = make([]string, 0, nReads)
-		for _, r := range rws.Reads {
-			fp.ReadKeys = append(fp.ReadKeys, r.Key)
-		}
-		for _, qr := range rws.QueryReads {
-			fp.ReadKeys = append(fp.ReadKeys, qr.Keys...)
-		}
-	}
-	if len(rws.RangeReads) > 0 {
-		fp.RangeBounds = make([]Bounds, len(rws.RangeReads))
-		for i, rr := range rws.RangeReads {
-			fp.RangeBounds[i] = Bounds{Start: rr.StartKey, End: rr.EndKey}
-		}
-	}
-	return fp
-}
-
 // Equal reports whether two rwsets have identical normalized content. The
 // endorsement step uses this to confirm that all endorsing peers simulated
 // the same effect.

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -116,10 +115,6 @@ type Store struct {
 
 // maxShards caps the stripe count; past this, stripes only add footprint.
 const maxShards = 256
-
-// parallelApplyMin is the batch size below which fanning ApplyUpdates
-// across shard goroutines costs more than it saves.
-const parallelApplyMin = 64
 
 // New creates an empty state store with one shard per available CPU.
 func New() *Store { return NewSharded(0) }
@@ -229,110 +224,14 @@ func (b *UpdateBatch) Range(f func(key string, value []byte, isDelete bool, ver 
 	}
 }
 
-// StagingBatch is a write-write-safe front for assembling an UpdateBatch
-// from many goroutines at once: Put and Delete hash the key (FNV-1a, the
-// store's shard hash) onto a lock stripe, so concurrent stagers — the
-// committer's parallel MVCC workers — never race on one map. Each stripe
-// map keeps last-write-wins semantics per key exactly like UpdateBatch;
-// callers that stage the same key concurrently without external ordering
-// get an arbitrary winner, so the conflict-graph scheduler serializes
-// write-write conflicting transactions into different wavefronts.
-type StagingBatch struct {
-	stripes []stagingStripe
-}
-
-type stagingStripe struct {
-	mu     sync.Mutex
-	writes map[string]write
-	_      [48]byte // pad stripes apart so adjacent locks don't false-share
-}
-
-// NewStagingBatch creates a staging batch with n lock stripes (n <= 0 means
-// GOMAXPROCS, capped like the store's shard count).
-func NewStagingBatch(n int) *StagingBatch {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	sb := &StagingBatch{stripes: make([]stagingStripe, n)}
-	for i := range sb.stripes {
-		sb.stripes[i].writes = make(map[string]write)
-	}
-	return sb
-}
-
-func (sb *StagingBatch) stripeFor(key string) *stagingStripe {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &sb.stripes[h%uint32(len(sb.stripes))]
-}
-
-// Put stages a write of value at version ver. Safe for concurrent use.
-func (sb *StagingBatch) Put(key string, value []byte, ver Version) {
-	st := sb.stripeFor(key)
-	st.mu.Lock()
-	st.writes[key] = write{value: value, ver: ver}
-	st.mu.Unlock()
-}
-
-// Delete stages a deletion of key at version ver. Safe for concurrent use.
-func (sb *StagingBatch) Delete(key string, ver Version) {
-	st := sb.stripeFor(key)
-	st.mu.Lock()
-	st.writes[key] = write{delete: true, ver: ver}
-	st.mu.Unlock()
-}
-
-// Len returns the number of staged writes.
-func (sb *StagingBatch) Len() int {
-	n := 0
-	for i := range sb.stripes {
-		st := &sb.stripes[i]
-		st.mu.Lock()
-		n += len(st.writes)
-		st.mu.Unlock()
-	}
-	return n
-}
-
-// Batch drains the staged writes into a plain UpdateBatch. The staging
-// batch is empty afterwards and may be reused. Batch must not run
-// concurrently with stagers — it is the single-threaded hand-off point at
-// the end of a block's validation.
-func (sb *StagingBatch) Batch() *UpdateBatch {
-	b := NewUpdateBatch()
-	for i := range sb.stripes {
-		st := &sb.stripes[i]
-		st.mu.Lock()
-		for k, w := range st.writes {
-			b.writes[k] = w
-		}
-		st.writes = make(map[string]write)
-		st.mu.Unlock()
-	}
-	return b
-}
-
-// keyedWrite pairs a staged write with its key for per-shard grouping.
-type keyedWrite struct {
-	key string
-	w   write
-}
-
 // ApplyUpdates applies the batch atomically and records height as the new
 // commit height. Heights must be strictly increasing across calls; this is
 // the ledger invariant that makes peer restarts idempotent.
 //
-// From parallelApplyMin writes up, the batch is partitioned by shard and
-// applied to the shards in parallel, so the commit pipeline's apply stage
-// scales with cores. Values overwritten or deleted while a Snapshot is
-// outstanding are preserved into that snapshot's overlay first, which is
-// what lets snapshot readers proceed without blocking this call.
+// Writes are applied key by key, each under its own shard's lock. Values
+// overwritten or deleted while a Snapshot is outstanding are preserved into
+// that snapshot's overlay first, which is what lets snapshot readers
+// proceed without blocking this call.
 func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 	m := s.metrics.Load()
 	var start time.Time
@@ -347,14 +246,8 @@ func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 	snaps := s.activeSnapshots()
 
 	var changes []deltaKey
-	if len(batch.writes) < parallelApplyMin {
-		// A small batch (a 1-tx block is one or two keys) is applied key by
-		// key: grouping it by shard would cost more than the writes.
-		for key, w := range batch.writes {
-			changes = s.applyToShard(s.shardIndex(key), []keyedWrite{{key: key, w: w}}, snaps, m, changes)
-		}
-	} else {
-		changes = s.applySharded(batch, snaps, m)
+	for key, w := range batch.writes {
+		changes = s.applyWrite(key, w, snaps, m, changes)
 	}
 	s.index.Store(s.index.Load().apply(changes))
 
@@ -366,49 +259,6 @@ func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 	return nil
 }
 
-// applySharded partitions a large batch by shard and applies the shards in
-// parallel, the calling goroutine included (it must not idle in Wait while
-// holding applyMu). Workers are capped by GOMAXPROCS: extra goroutines on a
-// saturated machine only add scheduling latency to the apply's critical
-// path.
-func (s *Store) applySharded(batch *UpdateBatch, snaps []*storeSnapshot, m *storeMetrics) []deltaKey {
-	groups := make([][]keyedWrite, len(s.shards))
-	for key, w := range batch.writes {
-		i := s.shardIndex(key)
-		groups[i] = append(groups[i], keyedWrite{key: key, w: w})
-	}
-	changed := make([][]deltaKey, len(s.shards))
-	var cursor atomic.Int32
-	work := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(groups) {
-				return
-			}
-			if len(groups[i]) > 0 {
-				changed[i] = s.applyToShard(i, groups[i], snaps, m, nil)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(groups)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	// The join stays under applyMu on purpose: the apply IS the
-	// exclusive-writer critical section, the pool is private to this
-	// call, and the calling goroutine drained the queue itself before
-	// waiting, so the wait is bounded by the slowest shard, not by any
-	// foreign lock holder.
-	//hyperprov:allow locksafe private worker pool joined inside the exclusive apply section
-	wg.Wait()
-	return slices.Concat(changed...)
-}
-
 func (s *Store) shardIndex(key string) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
@@ -418,34 +268,31 @@ func (s *Store) shardIndex(key string) int {
 	return int(h % uint32(len(s.shards)))
 }
 
-// applyToShard applies one shard's slice of the batch under that shard's
-// lock, preserving overwritten values into outstanding snapshots before
-// each mutation. It appends to changes, for the ordered key index, every
-// key that became live and (as a tombstone) every key that stopped being
-// live.
-func (s *Store) applyToShard(i int, ws []keyedWrite, snaps []*storeSnapshot, m *storeMetrics, changes []deltaKey) []deltaKey {
-	sh := &s.shards[i]
+// applyWrite applies one write under its key's shard lock, preserving the
+// overwritten value into outstanding snapshots first. It appends to
+// changes, for the ordered key index, the key if it became live or (as a
+// tombstone) if it stopped being live.
+func (s *Store) applyWrite(key string, w write, snaps []*storeSnapshot, m *storeMetrics, changes []deltaKey) []deltaKey {
+	sh := s.shardFor(key)
 	if m != nil {
 		m.lock(&sh.mu)
 	} else {
 		sh.mu.Lock()
 	}
-	for _, kw := range ws {
-		old, existed := sh.data[kw.key]
-		for _, sn := range snaps {
-			sn.preserve(kw.key, old, existed)
+	old, existed := sh.data[key]
+	for _, sn := range snaps {
+		sn.preserve(key, old, existed)
+	}
+	if w.delete {
+		if existed {
+			delete(sh.data, key)
+			changes = append(changes, deltaKey{key: key, dead: true})
 		}
-		if kw.w.delete {
-			if existed {
-				delete(sh.data, kw.key)
-				changes = append(changes, deltaKey{key: kw.key, dead: true})
-			}
-		} else {
-			if !existed {
-				changes = append(changes, deltaKey{key: kw.key})
-			}
-			sh.data[kw.key] = VersionedValue{Value: kw.w.value, Version: kw.w.ver}
+	} else {
+		if !existed {
+			changes = append(changes, deltaKey{key: key})
 		}
+		sh.data[key] = VersionedValue{Value: w.value, Version: w.ver}
 	}
 	sh.mu.Unlock()
 	return changes

@@ -56,32 +56,12 @@ func newClientWith(t testing.TB, store offchain.Store) *Client {
 
 // builtOn remembers the channel each network-backed test client was built
 // on (*Client → *fabric.Channel): the client itself holds only the gateway
-// seam, and a few tests reach under it to settle peers or enrol a sibling.
+// seam, and a few tests reach under it to enrol a sibling.
 var builtOn sync.Map
 
 func channelOf(c *Client) *fabric.Channel {
 	ch, _ := builtOn.Load(c)
 	return ch.(*fabric.Channel)
-}
-
-// settle waits until every peer has committed every block ordered so far.
-// Submit waits for commit on peer 0 only, so without it a second write to
-// the same key can be simulated by a majority of endorsers against the
-// version before the first write and commit as an MVCC conflict.
-func settle(t testing.TB, c *Client) {
-	t.Helper()
-	ch := channelOf(c)
-	want := ch.Orderer().Height()
-	deadline := time.Now().Add(15 * time.Second)
-	for _, p := range ch.Peers() {
-		for p.Height() < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s at height %d, want %d", p.Name(), p.Height(), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		p.Sync()
-	}
 }
 
 func TestPostAndGet(t *testing.T) {
@@ -154,7 +134,6 @@ func TestKeyHistory(t *testing.T) {
 		if _, err := c.Post("evolving", fmt.Sprintf("cs-v%d", i), PostOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		settle(t, c)
 	}
 	hist, err := c.GetKeyHistory("evolving")
 	if err != nil {

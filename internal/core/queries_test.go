@@ -138,7 +138,6 @@ func TestOwnershipAcrossClients(t *testing.T) {
 	if _, err := c.Post("protected", "c1", PostOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	settle(t, c)
 	// A different identity may not overwrite or delete the record.
 	if _, err := other.Post("protected", "c2", PostOptions{}); err == nil {
 		t.Error("non-owner update succeeded")
@@ -213,7 +212,6 @@ func BenchmarkLineageReadsRealClock(b *testing.B) {
 			}); err != nil {
 				b.Fatal(err)
 			}
-			settle(b, c) // the next write's endorsers must all hold this one
 		}
 	}
 	rng := rand.New(rand.NewSource(1))

@@ -10,6 +10,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/identity"
+	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/orderer"
 	"github.com/hyperprov/hyperprov/internal/peer"
 	"github.com/hyperprov/hyperprov/internal/transport"
@@ -35,6 +36,14 @@ func BenchmarkSubmitRealClock(b *testing.B) {
 		gws[c] = gw
 		setRecord(b, gw, fmt.Sprintf("warm-%d", c), "sha256:warm")
 	}
+	// The endorsement plan's width: proposals every peer endorsed.
+	asked := func() (sum int64) {
+		for _, p := range n.Peers() {
+			sum += p.Metrics().Counter(metrics.EndorsementsServed).Value()
+		}
+		return sum
+	}
+	asked0 := asked()
 	signs0, verifies0 := identity.ECDSAOps()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -66,6 +75,7 @@ func BenchmarkSubmitRealClock(b *testing.B) {
 	signs, verifies := identity.ECDSAOps()
 	b.ReportMetric(float64(signs-signs0)/float64(b.N), "ecdsa-signs/op")
 	b.ReportMetric(float64(verifies-verifies0)/float64(b.N), "ecdsa-verifies/op")
+	b.ReportMetric(float64(asked()-asked0)/float64(b.N), "endorsements-asked/op")
 }
 
 // catchupJoiner is a volatile peer in a trust domain of its own, reached

@@ -536,11 +536,11 @@ func (c *Channel) runInit(op, name string) error {
 }
 
 // NewGateway enrolls a client identity on the first org's CA and returns a
-// Gateway bound to this channel: it endorses on every peer of the channel
-// (satisfying any-org and majority policies alike), orders through the
-// channel's orderer and waits for commits on its peer 0. The client runs
-// on a machine of its own, of the same device class as the peers (in the
-// paper the benchmark client runs on one of the machines).
+// Gateway bound to this channel: it endorses on its peer 0, widening to
+// every peer of the channel when the policy needs more (a majority of orgs),
+// orders through the channel's orderer and waits for commits on its peer 0.
+// The client runs on a machine of its own, of the same device class as the
+// peers (in the paper the benchmark client runs on one of the machines).
 func (c *Channel) NewGateway(clientID string) (*Gateway, error) {
 	return c.newGateway(c.net.ca, clientID, nil)
 }

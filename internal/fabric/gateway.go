@@ -27,7 +27,8 @@ var (
 
 // Endorser is anything that can simulate and sign a proposal: a local
 // *peer.Peer, or a transport client for a peer served by another process.
-// The gateway fans proposals to all of them interchangeably.
+// The gateway asks them interchangeably, and only those its plan needs: the
+// commit peer first, everyone else when that cannot settle a transaction.
 type Endorser interface {
 	ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error)
 }
@@ -52,9 +53,9 @@ type Gateway struct {
 }
 
 // AddEndorser attaches an additional endorser (a remote peer handle) that
-// Submit will fan proposals to alongside the network's local peers. The
-// remote peer must belong to an organization this network's MSP trusts,
-// or its endorsements will be rejected client-side.
+// Submit asks after the network's local peers, when it widens beyond the
+// commit peer. The remote peer must belong to an organization this
+// network's MSP trusts, or its endorsements will be rejected client-side.
 func (g *Gateway) AddEndorser(e Endorser) { g.remote = append(g.remote, e) }
 
 // Identity returns the gateway's signing identity.
@@ -65,8 +66,9 @@ func (g *Gateway) ChannelID() string { return g.ch.id }
 
 // commitPeer is the peer whose ledger the client takes as committed. Which
 // peer answers a client request is decided in this file and nowhere else:
-// commit-wait, Evaluate and Events ask the commit peer; TxStatus asks it
-// first, then the rest in channel order; AuditChain asks every peer.
+// commit-wait, Evaluate and Events ask the commit peer; Submit's endorsement
+// and TxStatus ask it first, then the rest in channel order; AuditChain asks
+// every peer.
 func (g *Gateway) commitPeer() *peer.Peer { return g.ch.peers[0] }
 
 // SetCommitTimeout overrides the commit-wait timeout (wall clock).
@@ -83,12 +85,10 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 	}
 	txID := prop.TxID
 
-	// Endorse on this channel's peer instances in parallel (the paper's
-	// client library sends to every peer of the single org), plus any
-	// attached remote endorsers.
-	peers := g.ch.peers
-	endorsers := make([]Endorser, 0, len(peers)+len(g.remote))
-	for _, p := range peers {
+	// The endorsement plan: the commit peer first, then the channel's other
+	// peers and any attached remote endorsers.
+	endorsers := make([]Endorser, 0, len(g.ch.peers)+len(g.remote))
+	for _, p := range g.ch.peers {
 		endorsers = append(endorsers, p)
 	}
 	endorsers = append(endorsers, g.remote...)
@@ -96,38 +96,45 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 		resp *endorser.Response
 		err  error
 	}
-	// Buffered to the fan-out width so stragglers can finish and exit after
+	// Buffered to the plan's width so stragglers can finish and exit after
 	// Submit has already moved on — nothing blocks on an abandoned send.
 	resCh := make(chan result, len(endorsers))
-	for i, e := range endorsers {
-		go func(i int, e Endorser) {
+	ask := func(i int) {
+		e := endorsers[i]
+		go func() {
 			t0 := time.Now()
 			resp, err := e.ProcessProposal(prop)
 			if err == nil {
 				g.observeEndorseLatency(endorserName(e, i), time.Since(t0))
 			}
 			resCh <- result{resp: resp, err: err}
-		}(i, e)
+		}()
 	}
+	ask(0)
 
 	// Collect endorsements as they arrive and stop as soon as they settle the
-	// transaction, instead of waiting for the slowest endorser: one strangled
-	// peer must not set the floor of every transaction's latency. Before the
-	// last arrival, that takes a majority of the endorsers returning
-	// byte-identical results (results are compared, not signatures): peers
-	// that are catching up may simulate against stale state, and the single
-	// fastest answer could carry a stale read set to a certain MVCC
-	// invalidation. The last arrival takes the largest consistent group,
-	// whatever its size. From the group, endorser.SelectEndorsements verifies
-	// in arrival order one endorsement per org, skipping any that fails,
-	// until the policy holds, and the envelope carries only those: every
-	// committing peer verifies each endorsement an envelope carries. Late
-	// arrivals drain into the buffered channel and are ignored. Signature
-	// checks go through the MSP's verification cache; the modeled
-	// client-side verify cost is charged per actual ECDSA check (onMiss).
+	// transaction. The first round asks the commit peer alone: Submit waited
+	// for its commit of this client's previous write, so it never simulates
+	// against a version that write replaced, and under an any-member policy
+	// its endorsement settles the transaction. When the endorsers asked so
+	// far cannot settle it (an error, a signature SelectEndorsements skips,
+	// a policy one org cannot satisfy), the loop widens once to every other
+	// endorser. Quorum and last arrival count the endorsers asked: before the
+	// last arrival it takes a majority of them returning byte-identical
+	// results (compared, not signatures), so one strangled peer does not set
+	// the floor of a widened transaction's latency, and a peer that is
+	// catching up cannot carry a stale read set alone; the last arrival takes
+	// the largest consistent group, whatever its size. From the group,
+	// endorser.SelectEndorsements verifies in arrival order one endorsement
+	// per org, skipping any that fails, until the policy holds, and the
+	// envelope carries only those: every committing peer verifies each
+	// endorsement an envelope carries. Late arrivals drain into the buffered
+	// channel and are ignored. Signature checks go through the MSP's
+	// verification cache; the modeled client-side verify cost is charged per
+	// actual ECDSA check (onMiss).
 	onMiss := func() { g.exec.Verify() }
 	policy, msp := g.ch.net.policy, g.ch.net.msp
-	quorum := len(endorsers)/2 + 1
+	asked := 1
 	var arrived, resps []*endorser.Response
 	var errs []error
 	for got := 1; resps == nil; got++ {
@@ -137,15 +144,22 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 		} else {
 			arrived = append(arrived, r.resp)
 		}
-		last := got == len(endorsers)
-		if group := largestConsistentGroup(arrived); last || r.err == nil && len(group) >= quorum {
+		last := got == asked
+		if group := largestConsistentGroup(arrived); last || r.err == nil && len(group) > asked/2 {
 			resps, err = endorser.SelectEndorsements(policy, msp, group, onMiss)
 		}
-		if last && resps == nil {
+		if !last || resps != nil {
+			continue
+		}
+		if asked == len(endorsers) {
 			if len(arrived) == 0 {
 				err = errors.Join(errs...)
 			}
 			return nil, fmt.Errorf("%w: %v", ErrEndorsement, err)
+		}
+		g.ch.net.netMetrics.Counter(metrics.GatewayEndorseWidened).Inc()
+		for ; asked < len(endorsers); asked++ {
+			ask(asked)
 		}
 	}
 
@@ -157,7 +171,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 
 	g.exec.Transfer(len(resps[0].RWSet) + 768) // client -> orderer
 	// The propose span covers the client-side work — proposal signing,
-	// endorsement fan-out, and envelope assembly — ending at broadcast.
+	// endorsement, and envelope assembly — ending at broadcast.
 	g.ch.net.tracer.Observe(txID, trace.StagePropose, "gateway", start, "")
 	if err := g.ch.orderer.Submit(env); err != nil {
 		return nil, fmt.Errorf("fabric: broadcast: %w", err)
@@ -188,7 +202,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 
 // endorserName labels an endorser for the per-endorser latency gauges:
 // local peers by name, transport clients by remote address, anything else
-// by fan-out position.
+// by position in the endorsement plan.
 func endorserName(e Endorser, i int) string {
 	switch v := e.(type) {
 	case interface{ Name() string }:
@@ -202,8 +216,10 @@ func endorserName(e Endorser, i int) string {
 
 // observeEndorseLatency folds one proposal round-trip into the endorser's
 // EWMA (alpha 1/4) and publishes it as an endorse_peer_latency gauge in
-// nanoseconds. Operators read the family to spot the straggler the quorum
-// early-return is hiding from transaction latency.
+// nanoseconds. Only endorsers asked get one: the commit peer always, the
+// others once a Submit widened (gateway_endorse_widened counts those).
+// Operators read the family to spot the straggler the quorum early-return
+// of a widened Submit is hiding from transaction latency.
 func (g *Gateway) observeEndorseLatency(name string, d time.Duration) {
 	g.ewmaMu.Lock()
 	prev, ok := g.ewma[name]

@@ -57,11 +57,13 @@ func channelGateway(t *testing.T, n *Network, id string) *Gateway {
 
 // setRecordSettled is setRecord followed by a wait until every peer of the
 // gateway's channel has committed every block the channel's orderer has cut.
-// Submit waits for commit on peer 0 only, so without the wait a second write
-// to the same key can be simulated by a majority of endorsers against the
-// version before the first write and commit as an MVCC conflict — or a
-// write naming a parent can be simulated where the parent does not exist yet
-// and miss its endorsement policy.
+// A single-org Submit is endorsed on the commit peer it waited for, and needs
+// no wait. On a consortium it widens to a majority of every peer but still
+// waits for commit on peer 0 only, so without the wait a second write to the
+// same key can be simulated by a stale majority against the version before
+// the first write and commit as an MVCC conflict — or a write naming a
+// parent can be simulated where the parent does not exist yet and miss its
+// endorsement policy.
 func setRecordSettled(t *testing.T, gw *Gateway, key, checksum string, parents ...string) {
 	t.Helper()
 	setRecord(t, gw, key, checksum, parents...)
@@ -79,10 +81,10 @@ func TestChannelStateAndHistoryIsolation(t *testing.T) {
 
 	// The same key lives on both channels with independent values and
 	// version histories: two writes on tenant-a, one on tenant-b.
-	setRecordSettled(t, gwA, "shared", "sha256:a1")
-	setRecordSettled(t, gwA, "shared", "sha256:a2")
-	setRecordSettled(t, gwA, "only-a", "sha256:only")
-	setRecordSettled(t, gwB, "shared", "sha256:b1")
+	setRecord(t, gwA, "shared", "sha256:a1")
+	setRecord(t, gwA, "shared", "sha256:a2")
+	setRecord(t, gwA, "only-a", "sha256:only")
+	setRecord(t, gwB, "shared", "sha256:b1")
 
 	readShared := func(gw *Gateway) string {
 		payload, err := gw.Evaluate(provenance.ChaincodeName, provenance.FnGet, []byte("shared"))
@@ -329,7 +331,7 @@ func TestAddGossipPeerOnNonFirstChannel(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		setRecord(t, gwA, fmt.Sprintf("a-only-%d", i), "sha256:a")
 	}
-	setRecordSettled(t, gwB, "b-item", "sha256:b")
+	setRecord(t, gwB, "b-item", "sha256:b")
 
 	primary := b.Peers()[0]
 	waitForHeight(t, edge, primary.Height())

@@ -2,9 +2,11 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
@@ -105,46 +107,69 @@ func TestJoinRemoteConvergesOverTCP(t *testing.T) {
 	}
 }
 
-// TestRemoteEndorserThroughGateway: the gateway fans proposals to a
-// transport client exactly like a local peer, and the remote endorsement
-// participates in a committed transaction.
+// TestRemoteEndorserThroughGateway: the gateway asks a transport client
+// exactly like a local peer, whenever the policy needs it. While the commit
+// peer endorses, it settles every transaction and the remote is never asked;
+// once the commit peer's endorsements fail, the remote's endorsement is the
+// one each committed transaction carries.
 func TestRemoteEndorserThroughGateway(t *testing.T) {
-	cfg := testConfig()
-	cfg.Gossip = true
-	cfg.PeerProfiles = cfg.PeerProfiles[:1] // one local peer + one remote endorser
-	n := newTestNetwork(t, cfg)
+	for _, tc := range []struct {
+		name       string
+		failCommit bool
+	}{{"commit peer endorses", false}, {"commit peer fails", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Gossip = true
+			cfg.PeerProfiles = cfg.PeerProfiles[:1] // one local peer + one remote endorser
+			n := newTestNetwork(t, cfg)
 
-	remote, srv := externalPeer(t, n, "remote-endorser")
-	if _, err := n.JoinRemote(srv.Addr(), cfg.PeerLink); err != nil {
-		t.Fatal(err)
-	}
-	local := n.Peers()[0]
-	waitForHeight(t, remote, local.Height()) // catch up past the deploy block
+			remote, srv := externalPeer(t, n, "remote-endorser")
+			if _, err := n.JoinRemote(srv.Addr(), cfg.PeerLink); err != nil {
+				t.Fatal(err)
+			}
+			local := n.Peers()[0]
+			waitForHeight(t, remote, local.Height()) // catch up past the deploy block
 
-	client, err := transport.Dial(srv.Addr(), transport.ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	gw, err := n.NewGateway("client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw.AddEndorser(client)
+			client, err := transport.Dial(srv.Addr(), transport.ClientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { client.Close() })
+			gw, err := n.NewGateway("client")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw.AddEndorser(client)
+			if tc.failCommit {
+				refuseOnCommitPeer(t, n)
+			}
 
-	for i, key := range []string{"re-a", "re-b"} {
-		// Keep the remote simulating against fresh state so its
-		// endorsement stays in the consistent group.
-		waitForHeight(t, remote, local.Height())
-		remote.Sync()
-		res := setRecord(t, gw, key, "cs")
-		if res.Code.String() != "VALID" {
-			t.Fatalf("tx %d code = %s", i, res.Code)
-		}
-	}
-	served := remote.Metrics().Counter(metrics.EndorsementsServed).Value()
-	if served < 2 {
-		t.Errorf("remote endorser served %d endorsements, want >= 2", served)
+			const posts = 2
+			for i := 0; i < posts; i++ {
+				// Keep the remote simulating against fresh state.
+				waitForHeight(t, remote, local.Height())
+				remote.Sync()
+				res := setRecord(t, gw, fmt.Sprintf("re-%d", i), "cs")
+				env, code, err := gw.TxStatus(res.TxID)
+				if err != nil || code != blockstore.TxValid || len(env.Endorsements) != 1 {
+					t.Fatalf("tx %d: code %s, %v", i, code, err)
+				}
+				id, err := n.MSP().Deserialize(env.Endorsements[0].Endorser)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fromRemote := id.ID() == "remote-endorser"; fromRemote != tc.failCommit {
+					t.Errorf("tx %d endorsed by %s", i, id.ID())
+				}
+			}
+			want := int64(0)
+			if tc.failCommit {
+				want = posts
+			}
+			if served := remote.Metrics().Counter(metrics.EndorsementsServed).Value(); served != want {
+				t.Errorf("remote endorser served %d endorsements, want %d", served, want)
+			}
+		})
 	}
 }
 

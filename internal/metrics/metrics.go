@@ -18,7 +18,8 @@
 //
 // Well-known instrument names are declared as constants below: commit
 // counters (BlocksCommitted, TxValidated, TxInvalidated), endorsement
-// (EndorsementsServed, EndorsementsFailed, EndorseInflight), ordering
+// (EndorsementsServed, EndorsementsFailed, EndorseInflight,
+// GatewayEndorseWidened), ordering
 // (BatchesCut, EnvelopesOrdered, EnvelopesRejected), gossip (GossipRounds,
 // GossipBlocksPulled, GossipPushDeliveries, GossipPullDeliveries,
 // GossipConvergenceLag), transport (TransportFramesSent/Received,
@@ -514,6 +515,10 @@ const (
 	EnvelopesOrdered   = "envelopes_ordered"
 	EnvelopesRejected  = "envelopes_rejected"
 	GossipBlocksPulled = "gossip_blocks_pulled"
+	// GatewayEndorseWidened counts Submits whose endorsement asked beyond the
+	// commit peer: it errored, its signature was skipped, or the policy needs
+	// more than one org. Zero on a healthy single-org channel.
+	GatewayEndorseWidened = "gateway_endorse_widened"
 	// StateShardContention counts state-store shard lock acquisitions that
 	// had to wait behind another holder — the number an operator watches to
 	// decide whether the shard count still fits the workload.
@@ -568,8 +573,9 @@ const (
 	// EndorsePeerLatency is the prefix of the gateway's per-endorser latency
 	// gauges (endorse_peer_latency_<endorser>): an EWMA of that endorser's
 	// proposal round-trip in nanoseconds. The family is bounded by the
-	// channel's endorser set. A persistently high reading identifies the
-	// straggler the quorum early-return is routing around.
+	// channel's endorser set, and holds only endorsers the gateway asked. A
+	// persistently high reading identifies the straggler the quorum
+	// early-return is routing around.
 	EndorsePeerLatency = "endorse_peer_latency"
 )
 

@@ -36,6 +36,7 @@ var (
 	ErrUnknownChaincode = errors.New("peer: unknown chaincode")
 	ErrChaincodeExists  = errors.New("peer: chaincode already installed")
 	ErrSimulationFailed = errors.New("peer: chaincode simulation failed")
+	ErrWrongChannel     = errors.New("peer: proposal for another channel")
 )
 
 // installedCC pairs a chaincode with its endorsement policy.
@@ -503,13 +504,18 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 		}
 	}()
 	p.exec.Transfer(proposalWireSize(prop)) // receive over the LAN
+	// The response's signature does not bind the channel, so an endorsement
+	// simulated here would pass for one of the proposal's channel.
+	if prop.ChannelID != p.channelID {
+		return nil, fmt.Errorf("%w: peer %s serves %q, proposal names %q", ErrWrongChannel, p.name, p.channelID, prop.ChannelID)
+	}
 	clientID, err := p.msp.Deserialize(prop.Creator)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: proposal creator: %w", p.name, err)
 	}
-	// The gateway fans one signed proposal out to every endorsing peer; in
-	// an in-process network they share the MSP's signature cache, so only
-	// the first peer pays the ECDSA verification (and its modeled charge).
+	// Every peer the gateway asks verifies the same signed proposal; in an
+	// in-process network they share the MSP's signature cache, so only the
+	// first peer pays the ECDSA verification (and its modeled charge).
 	onMiss := func() { p.exec.Verify() }
 	if err := clientID.VerifyCached(p.msp.VerifyCache(), prop.SignedDigest(), prop.Signature, onMiss); err != nil {
 		return nil, fmt.Errorf("peer %s: proposal signature: %w", p.name, err)

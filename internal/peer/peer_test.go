@@ -10,6 +10,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/identity"
+	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
@@ -213,6 +214,21 @@ func TestProposalUnknownChaincode(t *testing.T) {
 	_, err = f.peer.ProcessProposal(prop)
 	if !errors.Is(err, ErrUnknownChaincode) {
 		t.Fatalf("err = %v, want ErrUnknownChaincode", err)
+	}
+}
+
+// A peer endorses only proposals for its own channel: the response's
+// signature does not bind the channel, so an endorsement simulated on
+// chan-b would pass for one of chan-a.
+func TestProposalForAnotherChannelRefused(t *testing.T) {
+	f := newFixtureOn(t, "chan-b")
+	f.channel = "chan-a"
+	_, err := f.peer.ProcessProposal(f.propose(InitFunction))
+	if !errors.Is(err, ErrWrongChannel) {
+		t.Fatalf("err = %v, want ErrWrongChannel", err)
+	}
+	if got := f.peer.Metrics().Counter(metrics.EndorsementsServed).Value(); got != 0 {
+		t.Errorf("endorsements_served = %d after a refused proposal", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
+	"github.com/hyperprov/hyperprov/internal/network"
 	"github.com/hyperprov/hyperprov/internal/peer"
 )
 
@@ -130,6 +131,39 @@ func TestUnknownChannelRejected(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Height(); err != nil {
 		t.Fatalf("height after rejection: %v", err)
+	}
+}
+
+// A frame routed to chan-b carrying a proposal signed for chan-a is refused
+// with a structured error and endorsed on neither channel; the connection
+// still endorses chan-b's own proposals.
+func TestEndorseRefusesProposalForAnotherChannel(t *testing.T) {
+	f := newFixture(t)
+	h := f.newHost("host4", "chan-a", "chan-b")
+	f.commitTx(h.Channel("chan-a"), "a-init") // instantiates the chaincode
+	f.commitTx(h.Channel("chan-b"), "b-init")
+	c, err := Dial(f.serveHost(h).Addr(), ClientConfig{Channel: "chan-b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	served := func() (n int64) {
+		for _, ch := range h.Channels() {
+			n += h.Channel(ch).Metrics().Counter(metrics.EndorsementsServed).Value()
+		}
+		return n
+	}
+	before := served()
+	set := `{"key":"cross","checksum":"sha256:x"}`
+	var remote *RemoteError
+	if _, err := c.ProcessProposal(f.proposeOn("chan-a", provenance.FnSet, set)); !errors.As(err, &remote) || remote.Code != network.CodeBadRequest {
+		t.Fatalf("chan-a proposal on a chan-b frame: err = %v, want a RemoteError with %q", err, network.CodeBadRequest)
+	}
+	if got := served(); got != before {
+		t.Errorf("endorsements_served moved %d -> %d on a refused proposal", before, got)
+	}
+	if _, err := c.ProcessProposal(f.proposeOn("chan-b", provenance.FnSet, set)); err != nil {
+		t.Errorf("chan-b proposal after the refusal: %v", err)
 	}
 }
 

@@ -217,8 +217,9 @@ func (c *Client) SyncRemote() (uint64, error) {
 }
 
 // ProcessProposal endorses a proposal on the remote peer. The signature
-// matches the local peer's, so a gateway fans proposals to local and
-// remote endorsers interchangeably.
+// matches the local peer's, so a gateway asks local and remote endorsers
+// interchangeably. The remote host refuses, with CodeBadRequest, a proposal
+// naming another channel than the one this client's frames resolve to.
 func (c *Client) ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error) {
 	d, err := c.roundTrip(opEndorse, prop.TxID, func(buf []byte) []byte { return appendProposal(buf, prop) })
 	if err != nil {

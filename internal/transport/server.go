@@ -260,6 +260,8 @@ func classifyPeerErr(err error) network.ErrCode {
 		return network.CodeUnknownChaincode
 	case errors.Is(err, peer.ErrSimulationFailed):
 		return network.CodeSimulationFailed
+	case errors.Is(err, peer.ErrWrongChannel):
+		return network.CodeBadRequest
 	default:
 		return network.CodeInternal
 	}

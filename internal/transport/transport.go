@@ -5,9 +5,9 @@
 // peer.Host (NewHostServer), plus a client on network.Dial whose adapters
 // slot into the existing in-process seams — a gossip.Member that joins a
 // gossip.Network unchanged, and an endorser-compatible handle the gateway
-// can fan proposals to. This is the step from "four peers in one process" to
-// the paper's four physical machines on one switch: every block and every
-// endorsement crosses a (optionally shaped) TCP connection.
+// can ask for endorsements. This is the step from "four peers in one
+// process" to the paper's four physical machines on one switch: every block
+// and every endorsement crosses a (optionally shaped) TCP connection.
 package transport
 
 import (

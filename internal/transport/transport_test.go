@@ -96,8 +96,14 @@ func (f *fixture) dial(addr string) *Client {
 	return c
 }
 
-// propose builds and signs a client proposal.
+// propose builds and signs a client proposal for newPeer's channel.
 func (f *fixture) propose(fn string, args ...string) *endorser.Proposal {
+	f.t.Helper()
+	return f.proposeOn("ch", fn, args...)
+}
+
+// proposeOn builds and signs a client proposal naming channel.
+func (f *fixture) proposeOn(channel, fn string, args ...string) *endorser.Proposal {
 	f.t.Helper()
 	raw := make([][]byte, len(args))
 	for i, a := range args {
@@ -110,7 +116,7 @@ func (f *fixture) propose(fn string, args ...string) *endorser.Proposal {
 	}
 	p := &endorser.Proposal{
 		TxID:      txID,
-		ChannelID: "ch",
+		ChannelID: channel,
 		Chaincode: provenance.ChaincodeName,
 		Function:  fn,
 		Args:      raw,
@@ -143,7 +149,7 @@ func (f *fixture) envelope(p *peer.Peer, key string) blockstore.Envelope {
 		// First block instantiates the chaincode.
 		fn, args = peer.InitFunction, nil
 	}
-	prop := f.propose(fn, args...)
+	prop := f.proposeOn(p.ChannelID(), fn, args...)
 	resp, err := p.ProcessProposal(prop)
 	if err != nil {
 		f.t.Fatal(err)

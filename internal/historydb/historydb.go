@@ -3,10 +3,10 @@
 // HyperProv's GetKeyHistory operator, which returns every version a data
 // item's provenance record has gone through.
 //
-// The database is lock-striped the same way the sharded state store is:
-// keys hash (FNV-1a) onto fixed stripes, each with its own RWMutex, so
-// concurrent history queries from endorsement never contend with the
-// commit pipeline's batch recording on one global lock.
+// One RWMutex guards the whole database. The commit pipeline records a
+// block's writes under one write lock, and every read — History, Snapshot,
+// Fingerprint — takes the read lock once, so it sees a recorded batch whole
+// or not at all.
 package historydb
 
 import (
@@ -28,54 +28,19 @@ type Entry struct {
 	Timestamp time.Time `json:"timestamp"`
 }
 
-// stripeCount is the number of lock stripes. History access is far less
-// hot than state access, so a fixed count suffices.
-const stripeCount = 16
-
-// stripe is one lock-striped slice of the per-key history map.
-type stripe struct {
+// DB stores per-key commit history in commit order (oldest first). No
+// method takes mu twice on one goroutine.
+type DB struct {
 	mu      sync.RWMutex
 	entries map[string][]Entry
 }
 
-// DB stores per-key commit history in commit order (oldest first).
-type DB struct {
-	stripes [stripeCount]stripe
-}
-
 // New creates an empty history DB.
-func New() *DB {
-	db := &DB{}
-	for i := range db.stripes {
-		db.stripes[i].entries = make(map[string][]Entry)
-	}
-	return db
-}
-
-// stripeFor hashes key (FNV-1a) onto its stripe.
-func (db *DB) stripeFor(key string) *stripe { return &db.stripes[db.stripeIndex(key)] }
-
-// stripeIndex is the same inlined FNV-1a loop statedb's Store.shardIndex
-// uses (hash/fnv would allocate per call on this hot path); the two must
-// only agree with themselves, never with each other.
-func (db *DB) stripeIndex(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % stripeCount)
-}
+func New() *DB { return &DB{entries: make(map[string][]Entry)} }
 
 // Record appends an entry to key's history. Values are copied.
 func (db *DB) Record(key string, e Entry) {
-	val := make([]byte, len(e.Value))
-	copy(val, e.Value)
-	e.Value = val
-	st := db.stripeFor(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.entries[key] = append(st.entries[key], e)
+	db.RecordBatch([]KeyedEntry{{Key: key, Entry: e}})
 }
 
 // KeyedEntry pairs a state key with one history entry, for batch recording.
@@ -84,42 +49,29 @@ type KeyedEntry struct {
 	Entry Entry
 }
 
-// RecordBatch appends every entry with one lock acquisition per touched
-// stripe — the commit pipeline records one batch per block instead of
-// locking per write. Entries must be in commit order (per-key order is
-// preserved: a key always lands on the same stripe). Values are copied.
+// RecordBatch appends every entry under one write lock — the commit
+// pipeline records one batch per block instead of locking per write.
+// Entries must be in commit order. Values are copied.
 func (db *DB) RecordBatch(recs []KeyedEntry) {
 	if len(recs) == 0 {
 		return
 	}
-	var groups [stripeCount][]KeyedEntry
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for _, r := range recs {
-		i := db.stripeIndex(r.Key)
-		groups[i] = append(groups[i], r)
-	}
-	for i := range groups {
-		if len(groups[i]) == 0 {
-			continue
-		}
-		st := &db.stripes[i]
-		st.mu.Lock()
-		for _, r := range groups[i] {
-			e := r.Entry
-			val := make([]byte, len(e.Value))
-			copy(val, e.Value)
-			e.Value = val
-			st.entries[r.Key] = append(st.entries[r.Key], e)
-		}
-		st.mu.Unlock()
+		e := r.Entry
+		val := make([]byte, len(e.Value))
+		copy(val, e.Value)
+		e.Value = val
+		db.entries[r.Key] = append(db.entries[r.Key], e)
 	}
 }
 
 // History returns key's history oldest-first. The returned slice is a copy.
 func (db *DB) History(key string) []Entry {
-	st := db.stripeFor(key)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	src := st.entries[key]
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	src := db.entries[key]
 	out := make([]Entry, len(src))
 	copy(out, src)
 	return out
@@ -127,39 +79,28 @@ func (db *DB) History(key string) []Entry {
 
 // Versions returns the number of committed writes (including deletes) to key.
 func (db *DB) Versions(key string) int {
-	st := db.stripeFor(key)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.entries[key])
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.entries[key])
 }
 
 // Keys returns how many distinct keys have history.
 func (db *DB) Keys() int {
-	n := 0
-	for i := range db.stripes {
-		st := &db.stripes[i]
-		st.mu.RLock()
-		n += len(st.entries)
-		st.mu.RUnlock()
-	}
-	return n
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.entries)
 }
 
 // Snapshot returns a deep copy of the full history, keyed by state key.
 // Checkpoints persist this form so a restarted peer recovers GetKeyHistory
-// without replaying the chain from genesis. Stripes are copied one at a
-// time; callers wanting a cross-stripe-consistent capture (the recovery
-// manager) invoke it where recording is quiesced — on the persistence
-// goroutine, behind the watermark.
+// without replaying the chain from genesis. The copy is taken under one
+// read lock, so it holds every recorded batch whole or not at all.
 func (db *DB) Snapshot() map[string][]Entry {
-	out := make(map[string][]Entry)
-	for i := range db.stripes {
-		st := &db.stripes[i]
-		st.mu.RLock()
-		for k, src := range st.entries {
-			out[k] = copyEntries(src)
-		}
-		st.mu.RUnlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make(map[string][]Entry, len(db.entries))
+	for k, src := range db.entries {
+		out[k] = copyEntries(src)
 	}
 	return out
 }
@@ -193,40 +134,30 @@ func (db *DB) RestoreOwned(snap map[string][]Entry) {
 }
 
 func (db *DB) replace(snap map[string][]Entry, copyValues bool) {
-	var fresh [stripeCount]map[string][]Entry
-	for i := range fresh {
-		fresh[i] = make(map[string][]Entry)
-	}
+	fresh := make(map[string][]Entry, len(snap))
 	for k, src := range snap {
 		if copyValues {
-			fresh[db.stripeIndex(k)][k] = copyEntries(src)
-		} else {
-			fresh[db.stripeIndex(k)][k] = src
+			src = copyEntries(src)
 		}
+		fresh[k] = src
 	}
-	for i := range db.stripes {
-		st := &db.stripes[i]
-		st.mu.Lock()
-		st.entries = fresh[i]
-		st.mu.Unlock()
-	}
+	db.mu.Lock()
+	db.entries = fresh
+	db.mu.Unlock()
 }
 
 // Fingerprint returns a deterministic hash over every key's entry sequence.
 // Two history databases that recorded the same committed block stream —
 // whether live or rebuilt through checkpoint restore plus tail replay —
 // have equal fingerprints; crash-recovery tests pin exactness with it.
-// Entries are hashed in place under each stripe's read lock (no deep
-// copy); callers fingerprint quiesced databases, as with Snapshot.
+// Entries are hashed in place under one read lock (no deep copy), so the
+// hash covers every recorded batch whole or not at all.
 func (db *DB) Fingerprint() string {
-	keys := make([]string, 0, 64)
-	for i := range db.stripes {
-		st := &db.stripes[i]
-		st.mu.RLock()
-		for k := range st.entries {
-			keys = append(keys, k)
-		}
-		st.mu.RUnlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	keys := make([]string, 0, len(db.entries))
+	for k := range db.entries {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	h := sha256.New()
@@ -238,10 +169,7 @@ func (db *DB) Fingerprint() string {
 	}
 	for _, k := range keys {
 		writeBytes([]byte(k))
-		st := db.stripeFor(k)
-		st.mu.RLock()
-		entries := st.entries[k]
-		for _, e := range entries {
+		for _, e := range db.entries[k] {
 			writeBytes([]byte(e.TxID))
 			binary.BigEndian.PutUint64(num[:], e.BlockNum)
 			h.Write(num[:])
@@ -255,7 +183,6 @@ func (db *DB) Fingerprint() string {
 			}
 			writeBytes([]byte(e.Timestamp.UTC().Format(time.RFC3339Nano)))
 		}
-		st.mu.RUnlock()
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

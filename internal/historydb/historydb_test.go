@@ -2,6 +2,8 @@ package historydb
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,6 +112,77 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	snap["a"][0].Value[0] = 'X'
 	if got := db.History("a")[0].Value[0]; got == 'X' {
 		t.Error("snapshot shares value bytes with the live DB")
+	}
+}
+
+// A read taken while RecordBatch runs sees each batch whole or not at all.
+// 2,000 batches are recorded as 100 rounds of 20 into a fresh DB, each batch
+// writing one entry to every one of 64 keys. While a round records, the test
+// reads in a loop, at most once per recorded batch: a Snapshot must hold the
+// same number of entries for every key, and a Fingerprint must equal the
+// fingerprint of some prefix of whole batches.
+func TestSnapshotSeesWholeBatches(t *testing.T) {
+	const keys, rounds, perRound = 64, 100, 20
+	stream := make([][]KeyedEntry, perRound)
+	for n := range stream {
+		stream[n] = make([]KeyedEntry, keys)
+		for i := range stream[n] {
+			stream[n][i] = KeyedEntry{Key: fmt.Sprintf("k%02d", i), Entry: Entry{TxID: "tx", BlockNum: uint64(n)}}
+		}
+	}
+	for _, row := range []struct {
+		name string
+		// whole reports whether a read of db shows only whole batches.
+		whole func(db *DB) bool
+	}{
+		{"Snapshot", func(db *DB) bool {
+			snap := db.Snapshot()
+			for _, h := range snap {
+				if len(snap) != keys || len(h) != len(snap["k00"]) {
+					return false
+				}
+			}
+			return true
+		}},
+		{"Fingerprint", func() func(*DB) bool {
+			ref := New()
+			at := map[string]bool{ref.Fingerprint(): true}
+			for _, b := range stream {
+				ref.RecordBatch(b)
+				at[ref.Fingerprint()] = true
+			}
+			return func(db *DB) bool { return at[db.Fingerprint()] }
+		}()},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			reads, sheared := 0, 0
+			for range rounds {
+				db := New()
+				var recorded atomic.Int64
+				go func() {
+					for _, b := range stream {
+						db.RecordBatch(b)
+						recorded.Add(1)
+					}
+				}()
+				for last := int64(-1); last < perRound; {
+					n := recorded.Load()
+					if n == last {
+						runtime.Gosched()
+						continue
+					}
+					last = n
+					reads++
+					if !row.whole(db) {
+						sheared++
+					}
+				}
+			}
+			if sheared > 0 {
+				t.Errorf("%d of %d reads held part of a batch", sheared, reads)
+			}
+			t.Logf("%d reads", reads)
+		})
 	}
 }
 

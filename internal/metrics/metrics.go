@@ -519,10 +519,9 @@ const (
 	// commit peer: it errored, its signature was skipped, or the policy needs
 	// more than one org. Zero on a healthy single-org channel.
 	GatewayEndorseWidened = "gateway_endorse_widened"
-	// StateShardContention counts state-store shard lock acquisitions that
-	// had to wait behind another holder — the number an operator watches to
-	// decide whether the shard count still fits the workload.
-	StateShardContention = "state_shard_contention"
+	// StateLockContention counts the reads and applies that waited on the
+	// state store's lock.
+	StateLockContention = "state_lock_contention"
 	// StateQueryDocsDecoded counts the JSON documents rich queries decoded
 	// to check a selector; StateQueriesExactRange counts the rich queries
 	// an index range answered without decoding any. A slow query is one
@@ -580,7 +579,7 @@ const (
 )
 
 // Well-known histogram names: per-block latency of each commit-pipeline
-// stage, per-operation latency of the sharded state store, per-RPC latency
+// stage, per-operation latency of the state store, per-RPC latency
 // of the peer transport, and the gossip convergence lag.
 const (
 	CommitStagePreval  = "commit_stage_preval"

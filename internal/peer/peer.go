@@ -141,7 +141,7 @@ type RecoveryInfo struct {
 }
 
 // Host is a peer process serving N independent channels. Each channel is a
-// full single-channel Peer — its own ledger, sharded state store, history,
+// full single-channel Peer — its own ledger, state store, history,
 // commit pipeline, and recovery root — sharing only the process-level
 // resources (the modeled Executor, i.e. the machine's cores). This is the
 // SDSN@RT-style single-instance multi-tenant shape: channel pipelines never
@@ -316,7 +316,7 @@ func newPeer(cfg Config, channelID string, state statedb.StateDB, history *histo
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	// Attach per-operation state latency histograms and the shard-
+	// Attach per-operation state latency histograms and the lock-
 	// contention counter to the peer's registry.
 	if sm, ok := state.(interface{ SetMetrics(*metrics.Registry) }); ok {
 		sm.SetMetrics(p.metrics)

@@ -13,7 +13,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
-// TestReadsAndRichQueriesDuringCommit hammers the sharded state layer the
+// TestReadsAndRichQueriesDuringCommit hammers the state layer the
 // way a loaded peer does: one goroutine drives endorse->commit cycles
 // through the pipelined committer while others continuously serve
 // endorsement reads (snapshot views) and rich queries (index-served plus

@@ -2,6 +2,7 @@ package statedb
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -59,4 +60,63 @@ func BenchmarkRangeScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGetDuringApply is the read mix of a loaded peer: parallel readers
+// each run the shape of a View — Snapshot, 20 Gets, Release — while one
+// goroutine commits 1-key batches against the same 1 k keys. One op is one
+// View; allocs/op includes the committer's share, and applies/op says how
+// large that share was, since the committer runs flat out beside the readers.
+func BenchmarkGetDuringApply(b *testing.B) {
+	const keys = 1024
+	s := New()
+	names := make([]string, keys)
+	seed := NewUpdateBatch()
+	for i := range names {
+		names[i] = fmt.Sprintf("key-%d", i)
+		seed.Put(names[i], make([]byte, 256), Version{BlockNum: 1})
+	}
+	if err := s.ApplyUpdates(seed, Version{BlockNum: 1}); err != nil {
+		b.Fatal(err)
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	var applies atomic.Int64
+	go func() {
+		defer close(stopped)
+		val := make([]byte, 256)
+		for block := uint64(2); ; block++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			batch := NewUpdateBatch()
+			ver := Version{BlockNum: block}
+			batch.Put(names[block%keys], val, ver)
+			if err := s.ApplyUpdates(batch, ver); err != nil {
+				panic(err)
+			}
+			applies.Add(1)
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := applies.Load()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			sn := s.Snapshot()
+			for range 20 {
+				if _, ok := sn.Get(names[i%keys]); !ok {
+					panic("missing key")
+				}
+				i += 7
+			}
+			sn.Release()
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(applies.Load()-before)/float64(b.N), "applies/op")
+	close(stop)
+	<-stopped
 }

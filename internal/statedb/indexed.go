@@ -24,7 +24,8 @@ type IndexedStore struct {
 	// enough to plan and copy matching keys out of an index; candidate
 	// documents are then streamed from a snapshot with no lock held, so a
 	// long rich query no longer blocks ApplyUpdates (and vice versa). The
-	// inner sharded Store synchronizes itself.
+	// inner Store synchronizes itself under its own lock; mu is always
+	// taken first.
 	mu    sync.RWMutex
 	store *Store
 	// indexes in definition order, paths[i] = indexes[i].Path(). Defining an
@@ -38,15 +39,9 @@ type IndexedStore struct {
 }
 
 // NewIndexed creates an empty indexed state database with the given index
-// definitions, sharded one stripe per available CPU.
+// definitions.
 func NewIndexed(defs ...richquery.IndexDef) (*IndexedStore, error) {
-	return NewIndexedSharded(0, defs...)
-}
-
-// NewIndexedSharded is NewIndexed with an explicit shard count (<= 0 means
-// GOMAXPROCS).
-func NewIndexedSharded(shards int, defs ...richquery.IndexDef) (*IndexedStore, error) {
-	s := &IndexedStore{store: NewSharded(shards)}
+	s := &IndexedStore{store: New()}
 	s.SetMetrics(nil)
 	for _, def := range defs {
 		if err := s.DefineIndex(def); err != nil {
@@ -57,7 +52,7 @@ func NewIndexedSharded(shards int, defs ...richquery.IndexDef) (*IndexedStore, e
 }
 
 // SetMetrics attaches per-operation state latency instrumentation to the
-// underlying sharded store, and the two rich-query counters
+// underlying store, and the two rich-query counters
 // (statedb_query_docs_decoded, statedb_queries_exact_range). Pass nil to
 // detach.
 func (s *IndexedStore) SetMetrics(reg *metrics.Registry) {

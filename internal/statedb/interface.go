@@ -26,8 +26,9 @@ type StateReader interface {
 }
 
 // Snapshot is a height-stamped consistent read view at a batch boundary.
-// Reads never block ApplyUpdates: the sharded store preserves overwritten
-// values into outstanding snapshots copy-on-write. Release when done.
+// Holding one never blocks ApplyUpdates: the store preserves overwritten
+// values into outstanding snapshots copy-on-write, and each read takes the
+// store's lock only for that read. Release when done.
 type Snapshot interface {
 	StateReader
 	// Height returns the commit height the snapshot was taken at.
@@ -44,11 +45,11 @@ type Snapshot interface {
 }
 
 // StateDB is the pluggable world-state interface a peer commits to and a
-// chaincode stub reads from. The sharded LevelDB-flavour Store, the
-// CouchDB-flavour IndexedStore, and the single-lock ReferenceStore oracle
-// all implement it; higher layers (shim, rwset validation, peer) depend
-// only on this interface, mirroring Fabric's VersionedDB seam that lets
-// deployments choose their state database.
+// chaincode stub reads from. The LevelDB-flavour Store, the CouchDB-flavour
+// IndexedStore, and the ReferenceStore oracle all implement it; higher
+// layers (shim, rwset validation, peer) depend only on this interface,
+// mirroring Fabric's VersionedDB seam that lets deployments choose their
+// state database.
 type StateDB interface {
 	StateReader
 	// Height returns the version of the last applied update batch.

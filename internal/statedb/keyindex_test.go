@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// heldView is a snapshot of the sharded store taken beside a frozen copy of
+// heldView is a snapshot of the store taken beside a frozen copy of
 // the reference, with a range iterator and a partial-composite-key iterator
 // opened — and partly drained — at the same moment. It is kept across index
 // folds and checked afterwards: whatever the store did in between, the view
@@ -25,9 +25,9 @@ type heldView struct {
 	folds, compact bool // what the index did while the view was held
 }
 
-func holdView(t *testing.T, r *rand.Rand, sharded *Store, ref *ReferenceStore, step int) *heldView {
+func holdView(t *testing.T, r *rand.Rand, store *Store, ref *ReferenceStore, step int) *heldView {
 	t.Helper()
-	v := &heldView{sn: sharded.Snapshot(), ref: ref.Snapshot(), until: step + 1 + r.Intn(120)}
+	v := &heldView{sn: store.Snapshot(), ref: ref.Snapshot(), until: step + 1 + r.Intn(120)}
 	v.start, v.end = fmt.Sprintf("k%04d", r.Intn(1500)), fmt.Sprintf("k%04d", r.Intn(1500))
 	if r.Intn(4) == 0 {
 		v.start = ""
@@ -78,7 +78,7 @@ func (v *heldView) check(t *testing.T) {
 	v.sn.Release()
 }
 
-// TestPropertyIndexFoldBoundaries drives the sharded store and the reference
+// TestPropertyIndexFoldBoundaries drives the store and the reference
 // with add/delete/re-add batches of 1 to 200 writes, long enough for the key
 // index to fold its recent run into the delta hundreds of times and compact
 // the delta into the base several times. Len is compared after every batch,
@@ -87,7 +87,7 @@ func (v *heldView) check(t *testing.T) {
 // snapshots throughout (the -race half of the test).
 func TestPropertyIndexFoldBoundaries(t *testing.T) {
 	r := rand.New(rand.NewSource(20260928))
-	sharded, ref := NewSharded(4), NewReference()
+	store, ref := New(), NewReference()
 
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
@@ -100,7 +100,7 @@ func TestPropertyIndexFoldBoundaries(t *testing.T) {
 				return
 			default:
 			}
-			sn := sharded.Snapshot()
+			sn := store.Snapshot()
 			n, prev := 0, ""
 			for it := sn.All(); ; n++ {
 				kv, ok := it.Next()
@@ -146,25 +146,25 @@ func TestPropertyIndexFoldBoundaries(t *testing.T) {
 			}
 		}
 		if r.Intn(3) == 0 {
-			held = append(held, holdView(t, r, sharded, ref, step))
+			held = append(held, holdView(t, r, store, ref, step))
 		}
-		before := sharded.index.Load()
+		before := store.index.Load()
 		h := Version{BlockNum: uint64(step), TxNum: uint64(size)}
-		if err := sharded.ApplyUpdates(b, h); err != nil {
+		if err := store.ApplyUpdates(b, h); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.ApplyUpdates(b, h); err != nil {
 			t.Fatal(err)
 		}
-		if sharded.Len() != ref.Len() {
-			t.Fatalf("step %d: Len = %d, reference %d", step, sharded.Len(), ref.Len())
+		if store.Len() != ref.Len() {
+			t.Fatalf("step %d: Len = %d, reference %d", step, store.Len(), ref.Len())
 		}
-		after := sharded.index.Load()
+		after := store.index.Load()
 		folded := len(after.recent) == 0 && after != before
 		compacted := folded && len(after.delta) == 0
 		if folded {
 			folds++
-			if got, want := Collect(sharded.GetRange("", "")), Collect(ref.GetRange("", "")); !reflect.DeepEqual(got, want) {
+			if got, want := Collect(store.GetRange("", "")), Collect(ref.GetRange("", "")); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d, after a fold: %d plain keys, reference %d", step, len(got), len(want))
 			}
 		}
@@ -191,7 +191,7 @@ func TestPropertyIndexFoldBoundaries(t *testing.T) {
 	for _, v := range held {
 		v.check(t)
 	}
-	if !reflect.DeepEqual(sharded.Export(), ref.Export()) {
+	if !reflect.DeepEqual(store.Export(), ref.Export()) {
 		t.Fatal("final Export() differs from reference")
 	}
 	t.Logf("%d folds of the recent run, %d compactions; %d views held across a fold, %d across a compaction",
@@ -206,7 +206,7 @@ func TestPropertyIndexFoldBoundaries(t *testing.T) {
 // again to readers, and a snapshot taken at each stage keeps seeing that
 // stage.
 func TestIndexAddDeleteReaddWithinRecentRun(t *testing.T) {
-	s := NewSharded(2)
+	s := New()
 	seed := NewUpdateBatch()
 	for i := 0; i < 100; i++ {
 		seed.Put(fmt.Sprintf("k%03d", i*2), []byte("v"), Version{BlockNum: 1, TxNum: uint64(i)})
@@ -270,7 +270,7 @@ func TestIndexAddDeleteReaddWithinRecentRun(t *testing.T) {
 func TestApplyAllocFlatInStateSize(t *testing.T) {
 	const applies = 4096
 	for _, keys := range []int{8_000, 50_000, 200_000} {
-		s := NewSharded(16)
+		s := New()
 		seed := NewUpdateBatch()
 		for i := 0; i < keys; i++ {
 			seed.Put(fmt.Sprintf("seed-%07d", i), []byte("v"), Version{BlockNum: 1, TxNum: uint64(i)})

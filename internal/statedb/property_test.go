@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// The sharded store must be observationally identical to the retained
-// single-lock ReferenceStore for every read the system performs: point
-// gets, plain range scans, composite-key queries, paginated iteration, and
-// whole-state export. These tests drive both stores with the same random
-// batch streams — across every shard count 1..8 — and compare, pinning the
-// sharded implementation to the old single-map semantics exactly as
-// committer.NewSerial pins the pipelined committer.
+// The Store must be observationally identical to the retained
+// ReferenceStore for every read the system performs: point gets, plain
+// range scans, composite-key queries, paginated iteration, and whole-state
+// export. These tests drive both stores with the same random batch streams
+// — eight seeds — and compare, pinning the key index and overlay snapshots
+// to the plain-map semantics exactly as committer.NewSerial pins the
+// pipelined committer.
 
 // randomBatches builds n update batches over a smallish keyspace so
 // overwrite, delete, delete-then-recreate, and composite keys all occur.
@@ -45,12 +45,12 @@ func randomBatches(rng *rand.Rand, n int) []*UpdateBatch {
 }
 
 // applyBoth drives an identical batch stream into both stores.
-func applyBoth(t *testing.T, sharded StateDB, ref *ReferenceStore, batches []*UpdateBatch) {
+func applyBoth(t *testing.T, store StateDB, ref *ReferenceStore, batches []*UpdateBatch) {
 	t.Helper()
 	for i, b := range batches {
 		h := Version{BlockNum: uint64(i + 1), TxNum: uint64(b.Len())}
-		if err := sharded.ApplyUpdates(b, h); err != nil {
-			t.Fatalf("sharded apply %d: %v", i, err)
+		if err := store.ApplyUpdates(b, h); err != nil {
+			t.Fatalf("store apply %d: %v", i, err)
 		}
 		if err := ref.ApplyUpdates(b, h); err != nil {
 			t.Fatalf("reference apply %d: %v", i, err)
@@ -66,30 +66,31 @@ func keysOf(kvs []KV) []string {
 	return out
 }
 
+// The subtests keep the shards=N names they had when the store was
+// lock-striped N ways; each is now one random stream, seeded by N.
 func TestPropertyShardedMatchesReference(t *testing.T) {
-	for shards := 1; shards <= 8; shards++ {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(shards) * 7919))
-			sharded := NewSharded(shards)
+	for seed := 1; seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("shards=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(seed) * 7919))
+			store := New()
 			ref := NewReference()
-			applyBoth(t, sharded, ref, randomBatches(rng, 40))
+			applyBoth(t, store, ref, randomBatches(rng, 40))
 
 			// Whole-state export: identical maps (keys, values, versions).
-			if !reflect.DeepEqual(sharded.Export(), ref.Export()) {
+			if !reflect.DeepEqual(store.Export(), ref.Export()) {
 				t.Fatal("Export() differs from reference")
 			}
-			if sharded.Len() != ref.Len() {
-				t.Fatalf("Len = %d, reference %d", sharded.Len(), ref.Len())
+			if store.Len() != ref.Len() {
+				t.Fatalf("Len = %d, reference %d", store.Len(), ref.Len())
 			}
-			if sharded.Height() != ref.Height() {
-				t.Fatalf("Height = %v, reference %v", sharded.Height(), ref.Height())
+			if store.Height() != ref.Height() {
+				t.Fatalf("Height = %v, reference %v", store.Height(), ref.Height())
 			}
 
 			// Point reads over the whole key universe (incl. absent keys).
 			for i := 0; i < 120; i++ {
 				key := fmt.Sprintf("key-%03d", i)
-				gv, gok := sharded.Get(key)
+				gv, gok := store.Get(key)
 				wv, wok := ref.Get(key)
 				if gok != wok || !reflect.DeepEqual(gv, wv) {
 					t.Fatalf("Get(%q) = (%v,%v), reference (%v,%v)", key, gv, gok, wv, wok)
@@ -106,7 +107,7 @@ func TestPropertyShardedMatchesReference(t *testing.T) {
 				if rng.Intn(5) == 0 {
 					b = ""
 				}
-				got := Collect(sharded.GetRange(a, b))
+				got := Collect(store.GetRange(a, b))
 				want := Collect(ref.GetRange(a, b))
 				if !reflect.DeepEqual(keysOf(got), keysOf(want)) {
 					t.Fatalf("GetRange(%q,%q) keys = %v, reference %v", a, b, keysOf(got), keysOf(want))
@@ -119,7 +120,7 @@ func TestPropertyShardedMatchesReference(t *testing.T) {
 			// Composite-key queries at every prefix depth.
 			for typ := 0; typ < 3; typ++ {
 				for _, attrs := range [][]string{nil, {"a0"}, {"a1", "b0"}, {"a7", "b3"}} {
-					gi, gerr := sharded.GetByPartialCompositeKey(fmt.Sprintf("typ%d", typ), attrs)
+					gi, gerr := store.GetByPartialCompositeKey(fmt.Sprintf("typ%d", typ), attrs)
 					wi, werr := ref.GetByPartialCompositeKey(fmt.Sprintf("typ%d", typ), attrs)
 					if (gerr == nil) != (werr == nil) {
 						t.Fatalf("composite err = %v, reference %v", gerr, werr)
@@ -140,7 +141,7 @@ func TestPropertyShardedMatchesReference(t *testing.T) {
 			var paged []KV
 			cursor := ""
 			for {
-				it := sharded.GetRange(cursor, "")
+				it := store.GetRange(cursor, "")
 				n := 0
 				var last string
 				for n < 7 {
@@ -166,29 +167,29 @@ func TestPropertyShardedMatchesReference(t *testing.T) {
 }
 
 // TestPropertyRestoreRoundTrip pins Export/Restore equivalence across
-// implementations and shard counts: a state exported from either store and
+// implementations and seeds: a state exported from either store and
 // restored into the other must answer identically.
 func TestPropertyRestoreRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	batches := randomBatches(rng, 25)
-	ref := NewReference()
-	src := NewSharded(5)
-	applyBoth(t, src, ref, batches)
+	for _, seed := range []int64{42, 43, 44} {
+		rng := rand.New(rand.NewSource(seed))
+		batches := randomBatches(rng, 25)
+		ref := NewReference()
+		src := New()
+		applyBoth(t, src, ref, batches)
 
-	for shards := 1; shards <= 8; shards += 3 {
-		restored := NewSharded(shards)
+		restored := New()
 		restored.Restore(ref.Export(), ref.Height())
 		if !reflect.DeepEqual(restored.Export(), src.Export()) {
-			t.Fatalf("restore into %d shards differs", shards)
+			t.Fatalf("seed %d: restored store differs", seed)
 		}
 		if got, want := keysOf(Collect(restored.GetRange("", ""))), keysOf(Collect(src.GetRange("", ""))); !reflect.DeepEqual(got, want) {
-			t.Fatalf("restored range scan = %v, want %v", got, want)
+			t.Fatalf("seed %d: restored range scan = %v, want %v", seed, got, want)
 		}
-	}
-	backRef := NewReference()
-	backRef.Restore(src.Export(), src.Height())
-	if !reflect.DeepEqual(backRef.Export(), src.Export()) {
-		t.Fatal("reference restored from sharded export differs")
+		backRef := NewReference()
+		backRef.Restore(src.Export(), src.Height())
+		if !reflect.DeepEqual(backRef.Export(), src.Export()) {
+			t.Fatalf("seed %d: reference restored from the store's export differs", seed)
+		}
 	}
 }
 
@@ -197,12 +198,12 @@ func TestPropertyRestoreRoundTrip(t *testing.T) {
 // delete-then-recreate cycles, then checks ordered iteration one final
 // time against the reference.
 func TestPropertyCompactionChurn(t *testing.T) {
-	sharded := NewSharded(4)
+	store := New()
 	ref := NewReference()
 	block := uint64(1)
 	apply := func(b *UpdateBatch, n int) {
 		h := Version{BlockNum: block, TxNum: uint64(n)}
-		if err := sharded.ApplyUpdates(b, h); err != nil {
+		if err := store.ApplyUpdates(b, h); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.ApplyUpdates(b, h); err != nil {
@@ -241,12 +242,12 @@ func TestPropertyCompactionChurn(t *testing.T) {
 		}
 		apply(b, 40)
 	}
-	got := Collect(sharded.GetRange("", ""))
+	got := Collect(store.GetRange("", ""))
 	want := Collect(ref.GetRange("", ""))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after churn: %d keys vs reference %d", len(got), len(want))
 	}
-	if sharded.Len() != ref.Len() {
-		t.Fatalf("Len = %d, reference %d", sharded.Len(), ref.Len())
+	if store.Len() != ref.Len() {
+		t.Fatalf("Len = %d, reference %d", store.Len(), ref.Len())
 	}
 }

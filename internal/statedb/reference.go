@@ -7,13 +7,14 @@ import (
 	"sync"
 )
 
-// ReferenceStore is the pre-sharding state database: one RWMutex over one
-// flat map, with range scans materialized and sorted under the lock. It is
-// retained as the executable specification of state semantics — the oracle
-// the sharded Store's property tests pin point/range/composite/pagination
-// results against (exactly as committer.NewSerial pins the pipelined
-// committer) — and as the single-lock baseline the state benchmark
-// measures speedups over. Not for production use.
+// ReferenceStore is the original state database: one RWMutex over one flat
+// map, with range scans materialized and sorted under the lock and
+// snapshots deep-copied. It is retained as the executable specification of
+// state semantics — the oracle the Store's property tests pin
+// point/range/composite/pagination results against (exactly as
+// committer.NewSerial pins the pipelined committer) — and as the baseline
+// the state benchmark measures the key index and overlay snapshots
+// against. Not for production use.
 type ReferenceStore struct {
 	mu     sync.RWMutex
 	data   map[string]VersionedValue
@@ -72,7 +73,7 @@ func (s *ReferenceStore) ApplyUpdates(batch *UpdateBatch, height Version) error 
 }
 
 // GetRange materializes and sorts the matching entries under the read lock
-// — the O(n) full-map walk the sharded store's ordered index replaces —
+// — the O(n) full-map walk the Store's ordered index replaces —
 // then streams them from the frozen slice. Semantics match Store.GetRange:
 // the composite-key namespace (keys prefixed with U+0000) is excluded.
 func (s *ReferenceStore) GetRange(startKey, endKey string) Iterator {
@@ -115,7 +116,7 @@ func (s *ReferenceStore) GetByPartialCompositeKey(objectType string, attrs []str
 }
 
 // Snapshot deep-copies the whole map under the lock — the blocking O(n)
-// capture the sharded store's O(1) copy-on-write snapshots replace.
+// capture the Store's O(1) copy-on-write snapshots replace.
 func (s *ReferenceStore) Snapshot() Snapshot {
 	return &frozenSnapshot{data: s.Export(), height: s.Height()}
 }

@@ -2,28 +2,27 @@ package statedb
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// storeSnapshot is a height-stamped consistent read view over a sharded
-// Store. Creation is O(1): it pins the store's immutable key index and
-// records nothing else up front. When a later ApplyUpdates overwrites or
-// deletes a key, the apply first preserves the key's prior value into this
-// snapshot's overlay (copy-on-write undo log); snapshot reads consult the
-// overlay before the live shards, so they always observe the state exactly
-// as of the snapshot's batch boundary — without ever blocking the apply.
+// storeSnapshot is a height-stamped consistent read view over a Store.
+// Creation is O(1): it pins the store's immutable key index and records
+// nothing else up front. When a later ApplyUpdates overwrites or deletes a
+// key, the apply first preserves the key's prior value into this
+// snapshot's overlay (copy-on-write undo log); each snapshot read takes the
+// store's read lock once and consults the overlay before the live map, so
+// it observes the state exactly as of the snapshot's batch boundary. No
+// lock is held between reads, so a snapshot kept for a whole simulation,
+// a checkpoint materialization or an open iterator never stalls commit.
 type storeSnapshot struct {
 	store  *Store
 	height Version
 	index  *keyIndex
 
-	mu      sync.Mutex
-	overlay map[string]preImage // lazily allocated
-
-	released atomic.Bool
-	detached atomic.Bool
+	// overlay and detached are written under the store's write lock (by
+	// ApplyUpdates and Restore) and read under its read lock.
+	overlay  map[string]preImage // lazily allocated
+	detached bool
 }
 
 // preImage is a key's value as of the snapshot's boundary; existed is false
@@ -37,25 +36,27 @@ var _ Snapshot = (*storeSnapshot)(nil)
 
 // preserve records key's pre-apply value, keeping only the oldest pre-image
 // (the one at the snapshot boundary). Called by ApplyUpdates under the
-// key's shard lock, before the shard mutation.
+// store's write lock, before the map mutation.
 func (sn *storeSnapshot) preserve(key string, old VersionedValue, existed bool) {
-	if sn.released.Load() {
-		return
-	}
-	sn.mu.Lock()
 	if sn.overlay == nil {
 		sn.overlay = make(map[string]preImage)
 	}
 	if _, ok := sn.overlay[key]; !ok {
 		sn.overlay[key] = preImage{vv: old, existed: existed}
 	}
-	sn.mu.Unlock()
 }
 
-func (sn *storeSnapshot) lookupOverlay(key string) (preImage, bool) {
-	sn.mu.Lock()
+// lookup returns key's value at the snapshot boundary when an apply has
+// preserved it since; a detached snapshot answers absent for every key. A
+// nil sn (a live read) never hits. Called under the store's read lock.
+func (sn *storeSnapshot) lookup(key string) (preImage, bool) {
+	if sn == nil {
+		return preImage{}, false
+	}
+	if sn.detached {
+		return preImage{}, true
+	}
 	pi, ok := sn.overlay[key]
-	sn.mu.Unlock()
 	return pi, ok
 }
 
@@ -65,23 +66,10 @@ func (sn *storeSnapshot) Height() Version { return sn.height }
 // Len returns the number of live keys at the snapshot boundary.
 func (sn *storeSnapshot) Len() int { return sn.index.live }
 
-// Get returns key's value as of the snapshot boundary. The overlay is
-// checked before and after the live read: an apply always records a key's
-// pre-image before mutating its shard, so if the live read raced a
-// concurrent apply, the second overlay lookup finds the preserved value.
-func (sn *storeSnapshot) Get(key string) (VersionedValue, bool) {
-	if sn.detached.Load() {
-		return VersionedValue{}, false
-	}
-	if pi, ok := sn.lookupOverlay(key); ok {
-		return pi.vv, pi.existed
-	}
-	vv, ok := sn.store.Get(key)
-	if pi, hit := sn.lookupOverlay(key); hit {
-		return pi.vv, pi.existed
-	}
-	return vv, ok
-}
+// Get returns key's value as of the snapshot boundary, from the overlay
+// when an apply has overwritten the key since, from the live map otherwise,
+// under one read lock.
+func (sn *storeSnapshot) Get(key string) (VersionedValue, bool) { return sn.store.read(key, sn) }
 
 // GetVersion returns only the version for key at the snapshot boundary.
 func (sn *storeSnapshot) GetVersion(key string) (Version, bool) {
@@ -165,22 +153,11 @@ func (sn *storeSnapshot) Materialize() map[string]VersionedValue {
 
 // Release detaches the snapshot from the store so applies stop preserving
 // into it. The snapshot must not be read after Release. Idempotent.
-func (sn *storeSnapshot) Release() {
-	if sn.released.CompareAndSwap(false, true) {
-		sn.store.dropSnapshot(sn)
-	}
-}
-
-// detach invalidates the snapshot after a Restore replaced the state out
-// from under it: reads report absent rather than mixing two worlds.
-func (sn *storeSnapshot) detach() {
-	sn.detached.Store(true)
-	sn.released.Store(true)
-}
+func (sn *storeSnapshot) Release() { sn.store.dropSnapshot(sn) }
 
 // snapIter streams ordered KVs from a snapshot: it walks the pinned
 // immutable key index and resolves each key through the snapshot's
-// overlay-then-shard read, skipping keys deleted at the boundary.
+// overlay-then-live read, skipping keys deleted at the boundary.
 type snapIter struct {
 	sn             *storeSnapshot
 	cursor         keyIter

@@ -74,7 +74,7 @@ func TestSnapshotIsolation(t *testing.T) {
 // the copy-on-write overlay, not blocking, is what guarantees it.
 func TestSnapshotConsistentDuringApply(t *testing.T) {
 	const n = 20000
-	s := NewSharded(8)
+	s := New()
 	puts := make(map[string]string, n)
 	for i := 0; i < n; i++ {
 		puts[fmt.Sprintf("k%05d", i)] = "old"
@@ -188,7 +188,7 @@ func TestRestoreDetachesSnapshots(t *testing.T) {
 // Snapshots see a batch either entirely or not at all — never a prefix —
 // and a released snapshot stops costing the applier anything.
 func TestSnapshotAtBatchBoundary(t *testing.T) {
-	s := NewSharded(3)
+	s := New()
 	mustApply(t, s, 1, map[string]string{"x": "1", "y": "1"})
 	snap := s.Snapshot()
 	mustApply(t, s, 2, map[string]string{"x": "2", "y": "2"})
@@ -251,10 +251,10 @@ func TestViewReadsAndRichQueries(t *testing.T) {
 }
 
 // The per-operation state metrics must populate once attached: latency
-// histograms for get/scan/apply and the shard-contention counter.
+// histograms for get/scan/apply and the lock-contention counter.
 func TestStateMetricsSmoke(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := NewSharded(2)
+	s := New()
 	s.SetMetrics(reg)
 	mustApply(t, s, 1, map[string]string{"a": "1", "b": "2"})
 	s.Get("a")
@@ -266,23 +266,22 @@ func TestStateMetricsSmoke(t *testing.T) {
 			t.Errorf("histogram %s never observed", name)
 		}
 	}
-	if got := reg.Snapshot()[metrics.StateShardContention]; got < 0 {
+	if got := reg.Snapshot()[metrics.StateLockContention]; got < 0 {
 		t.Errorf("contention counter = %d", got)
 	}
-	// Contention is actually counted: hold a shard write lock and Get.
+	// Contention is actually counted: hold the store's write lock and Get.
 	done := make(chan struct{})
-	sh := s.shardFor("a")
-	sh.mu.Lock()
+	s.mu.Lock()
 	go func() {
 		s.Get("a") // blocks until unlock; TryRLock fails -> contention
 		close(done)
 	}()
-	for reg.Snapshot()[metrics.StateShardContention] == 0 {
+	for reg.Snapshot()[metrics.StateLockContention] == 0 {
 		time.Sleep(time.Millisecond) // until the goroutine reaches TryRLock
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	<-done
-	if got := reg.Snapshot()[metrics.StateShardContention]; got == 0 {
+	if got := reg.Snapshot()[metrics.StateLockContention]; got == 0 {
 		t.Error("contention never counted")
 	}
 }

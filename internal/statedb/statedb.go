@@ -3,20 +3,19 @@
 // flavour). Every committed value carries the (block, txNum) version used by
 // MVCC validation.
 //
-// The store is sharded: point reads and writes hash (FNV-1a) onto N
-// lock-striped shards, so the hot paths — endorsement reads, MVCC version
-// checks, batch apply — never contend on one global lock. Ordered access
-// (range scans, composite-key queries) is served by a copy-on-write sorted
-// key index (keyIndex), so scans are streaming iterators with O(log n)
-// seek and early termination instead of a full-map materialize-and-sort.
+// One RWMutex guards the store's one key-value map: a point read takes its
+// read side, a batch apply its write side, once each. Ordered access (range
+// scans, composite-key queries) is served by a copy-on-write sorted key
+// index (keyIndex), so scans are streaming iterators with O(log n) seek and
+// early termination instead of a full-map materialize-and-sort.
 // Height-stamped snapshots (Store.Snapshot) give readers a consistent view
-// at a batch boundary without blocking ApplyUpdates; see snapshot.go.
+// at a batch boundary without holding the lock between reads; see
+// snapshot.go.
 package statedb
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -82,84 +81,69 @@ var (
 	ErrStaleCommitHeight = errors.New("statedb: commit height not monotonically increasing")
 )
 
-// shard is one lock stripe of the store's key-value data.
-type shard struct {
+// Store is a thread-safe versioned KV store for one channel on one peer.
+// The zero value is not usable; call New.
+//
+// Concurrency model: one RWMutex, mu, guards the map and the overlays of
+// outstanding snapshots. ApplyUpdates and Restore take its write side once
+// per batch; a point read, a snapshot read, and registering or releasing a
+// snapshot take its read side once. A Snapshot holds no lock between its
+// reads, so it never stalls a later apply: the apply preserves overwritten
+// values into the snapshot's overlay (copy-on-write) instead of waiting.
+//
+// No method takes mu twice on one goroutine: a second read lock queued
+// behind a waiting writer would deadlock.
+type Store struct {
 	mu   sync.RWMutex
 	data map[string]VersionedValue
-}
 
-// Store is a thread-safe versioned KV store for one channel on one peer.
-// The zero value is not usable; call New or NewSharded.
-//
-// Concurrency model: point operations take only their shard's lock. Batch
-// apply (ApplyUpdates) and Restore are writers; snapshot creation briefly
-// synchronizes with them so every snapshot sits exactly at a batch
-// boundary. Readers holding a Snapshot never block a subsequent apply —
-// the apply preserves overwritten values into the snapshot's overlay
-// (copy-on-write) instead of waiting.
-type Store struct {
-	shards []shard
-
-	// applyMu serializes writers (ApplyUpdates, Restore) and orders
-	// snapshot creation against them; point reads never touch it.
-	applyMu sync.RWMutex
-
+	// height and index are published under mu's write side and read
+	// without it (Height, Len, a snapshot's pinned index).
 	height atomic.Pointer[Version]
 	index  atomic.Pointer[keyIndex]
 
+	// snaps changes only under mu's read side, with snapMu ordering
+	// concurrent readers, so an apply holding the write side walks it
+	// without snapMu.
 	snapMu sync.Mutex
 	snaps  map[*storeSnapshot]struct{}
 
 	metrics atomic.Pointer[storeMetrics]
 }
 
-// maxShards caps the stripe count; past this, stripes only add footprint.
-const maxShards = 256
-
-// New creates an empty state store with one shard per available CPU.
-func New() *Store { return NewSharded(0) }
-
-// NewSharded creates an empty state store with n lock-striped shards;
-// n <= 0 means GOMAXPROCS.
-func NewSharded(n int) *Store {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > maxShards {
-		n = maxShards
-	}
+// New creates an empty state store.
+func New() *Store {
 	s := &Store{
-		shards: make([]shard, n),
-		snaps:  make(map[*storeSnapshot]struct{}),
-	}
-	for i := range s.shards {
-		s.shards[i].data = make(map[string]VersionedValue)
+		data:  make(map[string]VersionedValue),
+		snaps: make(map[*storeSnapshot]struct{}),
 	}
 	s.index.Store(emptyKeyIndex)
 	s.height.Store(&Version{})
 	return s
 }
 
-// shardFor hashes key (FNV-1a) onto its shard.
-func (s *Store) shardFor(key string) *shard { return &s.shards[s.shardIndex(key)] }
-
 // Get returns the committed value and version for key. ok is false if the
-// key is absent (or has been deleted). Only the key's shard is locked.
-func (s *Store) Get(key string) (VersionedValue, bool) {
+// key is absent (or has been deleted).
+func (s *Store) Get(key string) (VersionedValue, bool) { return s.read(key, nil) }
+
+// read looks key up under one read lock: in sn's overlay first when sn is
+// a snapshot, in the live map otherwise or on an overlay miss.
+func (s *Store) read(key string, sn *storeSnapshot) (vv VersionedValue, ok bool) {
 	m := s.metrics.Load()
-	if m == nil {
-		sh := s.shardFor(key)
-		sh.mu.RLock()
-		vv, ok := sh.data[key]
-		sh.mu.RUnlock()
-		return vv, ok
+	var start time.Time
+	if m != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	sh := s.shardFor(key)
-	m.rlock(&sh.mu)
-	vv, ok := sh.data[key]
-	sh.mu.RUnlock()
-	m.get.Observe(time.Since(start))
+	m.rlock(&s.mu)
+	if pi, hit := sn.lookup(key); hit {
+		vv, ok = pi.vv, pi.existed
+	} else {
+		vv, ok = s.data[key]
+	}
+	s.mu.RUnlock()
+	if m != nil {
+		m.get.Observe(time.Since(start))
+	}
 	return vv, ok
 }
 
@@ -228,26 +212,40 @@ func (b *UpdateBatch) Range(f func(key string, value []byte, isDelete bool, ver 
 // commit height. Heights must be strictly increasing across calls; this is
 // the ledger invariant that makes peer restarts idempotent.
 //
-// Writes are applied key by key, each under its own shard's lock. Values
-// overwritten or deleted while a Snapshot is outstanding are preserved into
-// that snapshot's overlay first, which is what lets snapshot readers
-// proceed without blocking this call.
+// The whole batch is applied under one write lock. Values overwritten or
+// deleted while a Snapshot is outstanding are preserved into that
+// snapshot's overlay first, which is what lets snapshot readers proceed
+// between their reads without blocking this call.
 func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 	m := s.metrics.Load()
 	var start time.Time
 	if m != nil {
 		start = time.Now()
 	}
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
+	m.lock(&s.mu)
+	defer s.mu.Unlock()
 	if cur := s.Height(); height.Compare(cur) <= 0 && (cur != Version{}) {
 		return fmt.Errorf("%w: have %v, got %v", ErrStaleCommitHeight, cur, height)
 	}
-	snaps := s.activeSnapshots()
 
+	// changes feeds the ordered key index: each key that became live, and
+	// (as a tombstone) each that stopped being live.
 	var changes []deltaKey
 	for key, w := range batch.writes {
-		changes = s.applyWrite(key, w, snaps, m, changes)
+		old, existed := s.data[key]
+		for sn := range s.snaps {
+			sn.preserve(key, old, existed)
+		}
+		switch {
+		case !w.delete:
+			if !existed {
+				changes = append(changes, deltaKey{key: key})
+			}
+			s.data[key] = VersionedValue{Value: w.value, Version: w.ver}
+		case existed:
+			delete(s.data, key)
+			changes = append(changes, deltaKey{key: key, dead: true})
+		}
 	}
 	s.index.Store(s.index.Load().apply(changes))
 
@@ -257,45 +255,6 @@ func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 		m.apply.Observe(time.Since(start))
 	}
 	return nil
-}
-
-func (s *Store) shardIndex(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(len(s.shards)))
-}
-
-// applyWrite applies one write under its key's shard lock, preserving the
-// overwritten value into outstanding snapshots first. It appends to
-// changes, for the ordered key index, the key if it became live or (as a
-// tombstone) if it stopped being live.
-func (s *Store) applyWrite(key string, w write, snaps []*storeSnapshot, m *storeMetrics, changes []deltaKey) []deltaKey {
-	sh := s.shardFor(key)
-	if m != nil {
-		m.lock(&sh.mu)
-	} else {
-		sh.mu.Lock()
-	}
-	old, existed := sh.data[key]
-	for _, sn := range snaps {
-		sn.preserve(key, old, existed)
-	}
-	if w.delete {
-		if existed {
-			delete(sh.data, key)
-			changes = append(changes, deltaKey{key: key, dead: true})
-		}
-	} else {
-		if !existed {
-			changes = append(changes, deltaKey{key: key})
-		}
-		sh.data[key] = VersionedValue{Value: w.value, Version: w.ver}
-	}
-	sh.mu.Unlock()
-	return changes
 }
 
 // GetRange returns a streaming iterator over committed entries with
@@ -363,13 +322,12 @@ func (s *Store) GetByPartialCompositeKey(objectType string, attrs []string) (Ite
 // Release the snapshot when done so applies stop preserving into it.
 func (s *Store) Snapshot() Snapshot { return s.snapshot() }
 
-// snapshot is Snapshot returning the concrete type. Registration happens
-// before applyMu is released: an apply that started after the pinned
-// boundary must already see the snapshot in snaps, or it would mutate
-// shards without preserving pre-images and the view would shear. (Lock
-// order applyMu -> snapMu matches ApplyUpdates and replaceState.)
+// snapshot is Snapshot returning the concrete type. The boundary is pinned
+// and the snapshot registered under one read lock: the next apply, which
+// needs the write side, therefore already sees it in snaps and preserves
+// every pre-image it overwrites.
 func (s *Store) snapshot() *storeSnapshot {
-	s.applyMu.RLock()
+	s.mu.RLock()
 	sn := &storeSnapshot{
 		store:  s,
 		height: s.Height(),
@@ -378,30 +336,18 @@ func (s *Store) snapshot() *storeSnapshot {
 	s.snapMu.Lock()
 	s.snaps[sn] = struct{}{}
 	s.snapMu.Unlock()
-	s.applyMu.RUnlock()
+	s.mu.RUnlock()
 	return sn
 }
 
-// activeSnapshots returns the outstanding snapshots an apply must preserve
-// overwritten values into.
-func (s *Store) activeSnapshots() []*storeSnapshot {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if len(s.snaps) == 0 {
-		return nil
-	}
-	out := make([]*storeSnapshot, 0, len(s.snaps))
-	for sn := range s.snaps {
-		out = append(out, sn)
-	}
-	return out
-}
-
-// dropSnapshot unregisters a released snapshot.
+// dropSnapshot unregisters a released snapshot, so applies stop preserving
+// into it.
 func (s *Store) dropSnapshot(sn *storeSnapshot) {
+	s.mu.RLock()
 	s.snapMu.Lock()
 	delete(s.snaps, sn)
 	s.snapMu.Unlock()
+	s.mu.RUnlock()
 }
 
 // Export returns a deep copy of the live state as a flat map — the form the
@@ -433,20 +379,7 @@ func (s *Store) restoreOwned(snap map[string]VersionedValue, height Version) {
 }
 
 func (s *Store) replaceState(snap map[string]VersionedValue, height Version, copyValues bool) {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-
-	s.snapMu.Lock()
-	for sn := range s.snaps {
-		sn.detach()
-	}
-	s.snaps = make(map[*storeSnapshot]struct{})
-	s.snapMu.Unlock()
-
-	fresh := make([]map[string]VersionedValue, len(s.shards))
-	for i := range fresh {
-		fresh[i] = make(map[string]VersionedValue, len(snap)/len(s.shards)+1)
-	}
+	fresh := make(map[string]VersionedValue, len(snap))
 	keys := make([]string, 0, len(snap))
 	for k, vv := range snap {
 		keys = append(keys, k)
@@ -455,15 +388,17 @@ func (s *Store) replaceState(snap map[string]VersionedValue, height Version, cop
 			copy(val, vv.Value)
 			vv = VersionedValue{Value: val, Version: vv.Version}
 		}
-		fresh[s.shardIndex(k)][k] = vv
+		fresh[k] = vv
 	}
 	sort.Strings(keys)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.data = fresh[i]
-		sh.mu.Unlock()
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for sn := range s.snaps {
+		sn.detached = true
 	}
+	s.snaps = make(map[*storeSnapshot]struct{})
+	s.data = fresh
 	s.index.Store(&keyIndex{base: keys, live: len(keys)})
 	h := height
 	s.height.Store(&h)

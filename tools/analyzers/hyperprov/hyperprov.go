@@ -7,7 +7,8 @@
 //	              client library depends on the core.Gateway interface (PR 26)
 //	errcodes      cross-process errors are classified structurally, never by
 //	              error-string matching (PR 4's RemoteStore bug class)
-//	locksafe      striped locks are never held across blocking operations (PR 5/7)
+//	locksafe      the ledger databases (one lock each), the committer and the
+//	              chain never hold a lock across a blocking operation
 //	metricnames   metric families are compile-time constant snake_case names (PR 6/8)
 //	nojsonwire    the packages that own a wire never import encoding/json or
 //	              encoding/base64: frame bodies are internal/codec encodings (PR 17)

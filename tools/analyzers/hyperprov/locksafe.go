@@ -9,15 +9,16 @@ import (
 	"github.com/hyperprov/hyperprov/tools/analyzers/analysis"
 )
 
-// LockSafe enforces the lock-striping discipline PR 5 and PR 7 depend on,
-// and the chain's no-wedge rule PR 29 depends on: in the lock-striped
-// packages (statedb, historydb, committer) and on the chain's path to its
-// readers (orderer, peer, blockstore), a sync.Mutex/RWMutex must never be
-// held across a blocking operation — a channel send/receive/select,
-// time.Sleep, a sync.WaitGroup.Wait, or network I/O — because one stalled
-// holder would serialize every other goroutine behind that lock: a stripe's
-// hashers, or, for a chain that sent blocks to its subscribers under its
-// lock, ordering itself.
+// LockSafe enforces the locking discipline the ledger databases and the
+// committer depend on, and the chain's no-wedge rule: in
+// the ledger databases, one lock each (statedb, historydb), in the
+// committer, and on the chain's path to its readers (orderer, peer,
+// blockstore), a sync.Mutex/RWMutex must never be held across a blocking
+// operation — a channel send/receive/select, time.Sleep, a
+// sync.WaitGroup.Wait, or network I/O — because one stalled holder would
+// serialize every other goroutine behind that lock: with one lock per
+// database, every reader and the commit pipeline, or, for a chain that sent
+// blocks to its subscribers under its lock, ordering itself.
 //
 // The check is an intra-function, source-order heuristic: between x.Lock()
 // and the textually matching x.Unlock() (same receiver expression), any
@@ -27,9 +28,9 @@ import (
 var LockSafe = &analysis.Analyzer{
 	Name: "locksafe",
 	Doc: "flag sync.Mutex/RWMutex held across channel operations, " +
-		"time.Sleep, WaitGroup.Wait, or net I/O in the lock-striped " +
-		"packages (statedb, historydb, committer) and on the chain's " +
-		"path to its readers (orderer, peer, blockstore)",
+		"time.Sleep, WaitGroup.Wait, or net I/O in the ledger databases, " +
+		"one lock each (statedb, historydb), in the committer, and on the " +
+		"chain's path to its readers (orderer, peer, blockstore)",
 	Run: runLockSafe,
 }
 
@@ -143,7 +144,7 @@ func checkLockSpans(pass *analysis.Pass, allow *allowIndex, body *ast.BlockStmt)
 			}
 			if held > 0 && !allow.allowed(pass.Analyzer.Name, op.pos) {
 				pass.Reportf(op.pos,
-					"%s while holding %s; striped locks must not be held across blocking operations — "+
+					"%s while holding %s; a lock every reader waits on must not be held across blocking operations — "+
 						"release the lock first or move the blocking work out of the critical section",
 					op.what, recv)
 			}

@@ -1,5 +1,5 @@
 // Package committer is an in-scope fixture for the locksafe analyzer:
-// striped locks must not be held across blocking operations.
+// locks must not be held across blocking operations.
 package committer
 
 import (

@@ -1,5 +1,5 @@
 // Package other is out of scope for locksafe: holding a lock across a
-// channel send is legal here (no striping contract).
+// channel send is legal here (no locking contract).
 package other
 
 import "sync"

@@ -130,9 +130,10 @@ race:
 # against the preimages they stand for, and the chaincode's read functions
 # after a fuzzed set (payloads byte-equal to the decode/re-encode reference
 # renderer, and decodable by the client), the JSON scanner against
-# json.Valid and Extract against DecodeDoc + Lookup, and the record, history
-# and page decoders against json.Unmarshal into the same types (same
-# verdict, DeepEqual values). Each run first executes the committed seed
+# json.Valid and Extract against DecodeDoc + Lookup, the rich-query index
+# entry encoding against the (value, document key) order it stands for, and
+# the record, history and page decoders against json.Unmarshal into the same
+# types (same verdict, DeepEqual values). Each run first executes the committed seed
 # corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrameExt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/network/
@@ -148,6 +149,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSetThenRead -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/
 	$(GO) test -fuzz=FuzzScan -fuzztime=$(FUZZTIME) -run '^$$' ./internal/richquery/
 	$(GO) test -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) -run '^$$' ./internal/richquery/
+	$(GO) test -fuzz=FuzzIndexEntryOrder -fuzztime=$(FUZZTIME) -run '^$$' ./internal/richquery/
 	$(GO) test -fuzz=FuzzDecodeRecords -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/
 	$(GO) test -fuzz=FuzzDecodeHistory -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/
 	$(GO) test -fuzz=FuzzDecodePage -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaincode/provenance/

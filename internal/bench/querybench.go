@@ -97,10 +97,7 @@ func runQueryPoint(cfg queryConfig, size int) (QueryBenchRow, error) {
 	if err != nil {
 		return QueryBenchRow{}, err
 	}
-	scan, err := statedb.NewIndexed()
-	if err != nil {
-		return QueryBenchRow{}, err
-	}
+	scan := statedb.New()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	batch := statedb.NewUpdateBatch()
@@ -166,7 +163,7 @@ func ownerName(i int) string {
 	return fmt.Sprintf("x509::CN=owner-%03d,O=Org1,OU=client", i)
 }
 
-func timeQueries(s *statedb.IndexedStore, queries [][]byte) (float64, error) {
+func timeQueries(s *statedb.Store, queries [][]byte) (float64, error) {
 	start := time.Now()
 	for _, q := range queries {
 		if _, err := s.ExecuteQuery(q); err != nil {
@@ -177,7 +174,7 @@ func timeQueries(s *statedb.IndexedStore, queries [][]byte) (float64, error) {
 }
 
 // sameAnswers confirms the indexed and scan paths return identical keys.
-func sameAnswers(a, b *statedb.IndexedStore, query []byte) error {
+func sameAnswers(a, b *statedb.Store, query []byte) error {
 	ra, err := a.ExecuteQuery(query)
 	if err != nil {
 		return err

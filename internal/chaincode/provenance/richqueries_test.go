@@ -19,7 +19,7 @@ func newIndexedLedger(t testing.TB) *ledger {
 		t.Fatal(err)
 	}
 	for _, def := range New().Indexes() {
-		if err := state.DefineIndex(def); err != nil {
+		if err := state.DefineIndexes([]richquery.IndexDef{def}); err != nil {
 			t.Fatal(err)
 		}
 	}

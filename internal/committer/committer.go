@@ -29,7 +29,6 @@ import (
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/metrics"
-	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/rwset"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 	"github.com/hyperprov/hyperprov/internal/trace"
@@ -107,20 +106,9 @@ type Capture struct {
 	Height uint64
 	// StateHeight is the state database's version at the snapshot.
 	StateHeight statedb.Version
-	// State is the live state pinned at the boundary. The OnCheckpoint
-	// consumer releases it.
+	// State is the live state pinned at the boundary, its rich-query
+	// indexes included. The OnCheckpoint consumer releases it.
 	State statedb.Snapshot
-	// IndexEntries is the serialized contents of the state database's
-	// secondary indexes at the same boundary (nil when the state database
-	// maintains none); restoring from them skips re-indexing every
-	// document.
-	IndexEntries map[string][]richquery.IndexEntry
-}
-
-// indexSnapshotter is implemented by state databases whose secondary
-// indexes can be exported for checkpoints (statedb.IndexedStore).
-type indexSnapshotter interface {
-	IndexEntries() map[string][]richquery.IndexEntry
 }
 
 // wantCapture reports whether the block completing 1-based height h should
@@ -198,9 +186,9 @@ func (t *task) txIDs() []string {
 // captureState pins a state snapshot at t's block boundary when the config
 // asks for one. It must run immediately after applyState, before any later
 // block is applied — that ordering is what makes the capture sit exactly at
-// the block boundary. The pin itself is O(1) copy-on-write; only the index
-// entries are copied here (their structures are not COW), and the full
-// state materialization happens downstream in the persistence stage.
+// the block boundary. The pin itself is O(1) copy-on-write, index versions
+// included; the state and index entries are copied downstream, in the
+// persistence stage.
 func captureState(cfg Config, t *task) {
 	h := t.b.Header.Number + 1
 	if !cfg.wantCapture(h) {
@@ -211,9 +199,6 @@ func captureState(cfg Config, t *task) {
 		Height:      h,
 		StateHeight: snap.Height(),
 		State:       snap,
-	}
-	if ixs, ok := cfg.State.(indexSnapshotter); ok {
-		t.capture.IndexEntries = ixs.IndexEntries()
 	}
 }
 

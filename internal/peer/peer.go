@@ -197,21 +197,16 @@ func validateChannelID(ch string) error {
 
 // NewHost creates a volatile multi-channel host: one in-memory Peer (state,
 // history, and ledger) per configured channel. Call Start on each channel's
-// Peer to attach it to an ordered block stream. Peers run the CouchDB-flavour
-// indexed state database, so installed chaincodes that declare indexes get
-// rich provenance queries served from secondary indexes maintained at block
-// commit.
+// Peer to attach it to an ordered block stream. Installed chaincodes that
+// declare indexes get rich provenance queries served from secondary indexes
+// the state store maintains at block commit.
 func NewHost(cfg Config) (*Host, error) {
 	if err := validateChannels(cfg); err != nil {
 		return nil, err
 	}
 	h := &Host{name: cfg.Name, channels: make(map[string]*Peer, len(cfg.Channels))}
 	for _, ch := range cfg.Channels {
-		state, err := statedb.NewIndexed()
-		if err != nil {
-			return nil, err
-		}
-		h.add(ch, newPeer(cfg, ch, state, historydb.New(), blockstore.NewStore()))
+		h.add(ch, newPeer(cfg, ch, statedb.New(), historydb.New(), blockstore.NewStore()))
 	}
 	return h, nil
 }
@@ -449,9 +444,9 @@ func (p *Peer) defineIndexes(ccName string, cc shim.Chaincode) error {
 	if !ok {
 		return nil
 	}
-	ixdb, ok := p.state.(*statedb.IndexedStore)
+	ixdb, ok := p.state.(*statedb.Store)
 	if !ok {
-		return nil // plain store: declarations are advisory, queries scan
+		return nil // the reference store: declarations are advisory, queries scan
 	}
 	defs := decl.Indexes()
 	for i := range defs {
@@ -526,11 +521,12 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 	}
 	p.exec.Endorse() // chaincode container round-trip
 
-	// Simulate against a height-stamped snapshot view: every read of this
-	// proposal sees one consistent world at a block boundary, and a commit
-	// landing mid-simulation can neither shear the reads nor be blocked by
-	// them. MVCC validation still arbitrates against whatever commits first.
-	view := statedb.NewView(p.state)
+	// Simulate against a height-stamped snapshot: every read of this
+	// proposal, rich queries included, sees one consistent world at a block
+	// boundary, and a commit landing mid-simulation can neither shear the
+	// reads nor be blocked by them. MVCC and phantom validation still
+	// arbitrate against whatever commits first.
+	view := p.state.Snapshot()
 	defer view.Release()
 	stub := shim.NewStub(shim.Config{
 		TxID:      prop.TxID,
@@ -598,7 +594,7 @@ func (p *Peer) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.
 	}
 	p.metrics.Counter(metrics.QueriesServed).Inc()
 	p.exec.Endorse()
-	view := statedb.NewView(p.state)
+	view := p.state.Snapshot()
 	defer view.Release()
 	stub := shim.NewStub(shim.Config{
 		TxID:      "query",

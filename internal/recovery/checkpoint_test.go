@@ -213,10 +213,9 @@ func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP str
 		}
 		if every > 0 && (i+1)%every == 0 {
 			mgr.OnCheckpoint(committer.Capture{
-				Height:       uint64(i + 1),
-				StateHeight:  state.Height(),
-				State:        state.Snapshot(),
-				IndexEntries: state.IndexEntries(),
+				Height:      uint64(i + 1),
+				StateHeight: state.Height(),
+				State:       state.Snapshot(),
 			})
 			if err := mgr.Err(); err != nil {
 				t.Fatal(err)

@@ -14,11 +14,13 @@ import (
 // DefaultKeep is how many checkpoint files a manager retains.
 const DefaultKeep = 2
 
-// IndexDeclarer is implemented by state databases that can report their
-// declared secondary indexes (statedb.IndexedStore); the manager persists
-// the definitions so a recovered peer rebuilds the same indexes.
-type IndexDeclarer interface {
+// indexedSnapshot is implemented by snapshots that pin rich-query indexes
+// (a statedb.Store's): the manager persists their definitions and entries
+// at the snapshot's boundary, so a recovered peer bulk-loads the same
+// indexes.
+type indexedSnapshot interface {
 	IndexDefs() []richquery.IndexDef
+	IndexEntries() map[string][]richquery.IndexEntry
 }
 
 // Manager turns the committer's checkpoint captures into durable checkpoint
@@ -54,29 +56,16 @@ func NewManager(dataDir, channel string, keep int, state statedb.StateDB, histor
 }
 
 // OnCheckpoint is the committer.Config.OnCheckpoint hook: it freezes the
-// capture into a full checkpoint (adding history and index definitions),
-// fsyncs the block file so the checkpoint never refers past durable blocks,
-// and publishes the file atomically. The capture arrives as a copy-on-write
-// snapshot pinned at the block boundary; materializing it into the codec's
-// map form happens here, on the persistence goroutine, off the apply path.
-// Failures are recorded (Err) rather than propagated — a failed checkpoint
-// degrades recovery time, not correctness, since the previous checkpoint
-// set stays intact.
+// capture into a full checkpoint (adding history), fsyncs the block file so
+// the checkpoint never refers past durable blocks, and publishes the file
+// atomically. The capture arrives as a copy-on-write snapshot pinned at the
+// block boundary; materializing it — state and index entries — into the
+// codec's form happens here, on the persistence goroutine, off the apply
+// path. Failures are recorded (Err) rather than propagated — a failed
+// checkpoint degrades recovery time, not correctness, since the previous
+// checkpoint set stays intact.
 func (m *Manager) OnCheckpoint(c committer.Capture) {
-	state := c.State.Materialize()
-	c.State.Release()
-	ck := &Checkpoint{
-		Height:       c.Height,
-		StateHeight:  c.StateHeight,
-		Fingerprint:  committer.SnapshotFingerprint(state),
-		State:        state,
-		History:      m.history.Snapshot(),
-		IndexEntries: c.IndexEntries,
-	}
-	if decl, ok := m.state.(IndexDeclarer); ok {
-		ck.Indexes = decl.IndexDefs()
-	}
-	m.persist(ck)
+	m.persist(m.checkpoint(c.Height, c.State))
 }
 
 // Final takes a checkpoint of the current quiesced state — the peer calls
@@ -87,23 +76,26 @@ func (m *Manager) Final() error {
 	if h == 0 || h == m.LastHeight() {
 		return m.Err()
 	}
+	m.persist(m.checkpoint(h, m.state.Snapshot()))
+	return m.Err()
+}
+
+// checkpoint freezes sn, the state at the boundary of block height h, and
+// the history into a checkpoint, and releases sn.
+func (m *Manager) checkpoint(h uint64, sn statedb.Snapshot) *Checkpoint {
+	defer sn.Release()
+	state := sn.Materialize()
 	ck := &Checkpoint{
 		Height:      h,
-		StateHeight: m.state.Height(),
-		State:       m.state.Export(),
+		StateHeight: sn.Height(),
+		Fingerprint: committer.SnapshotFingerprint(state),
+		State:       state,
 		History:     m.history.Snapshot(),
 	}
-	ck.Fingerprint = committer.SnapshotFingerprint(ck.State)
-	if decl, ok := m.state.(IndexDeclarer); ok {
-		ck.Indexes = decl.IndexDefs()
+	if ixs, ok := sn.(indexedSnapshot); ok {
+		ck.Indexes, ck.IndexEntries = ixs.IndexDefs(), ixs.IndexEntries()
 	}
-	if ixs, ok := m.state.(interface {
-		IndexEntries() map[string][]richquery.IndexEntry
-	}); ok {
-		ck.IndexEntries = ixs.IndexEntries()
-	}
-	m.persist(ck)
-	return m.Err()
+	return ck
 }
 
 // persist fsyncs the ledger, writes the checkpoint, and prunes old files.

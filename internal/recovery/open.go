@@ -40,7 +40,7 @@ type Options struct {
 type Opened struct {
 	// State is the recovered world state (indexed flavour, rich queries
 	// included), exactly at the block file's height.
-	State *statedb.IndexedStore
+	State *statedb.Store
 	// History is the recovered per-key write history.
 	History *historydb.DB
 	// Blocks is the open durable block store.
@@ -76,11 +76,7 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 	if err != nil {
 		return nil, err
 	}
-	state, err := statedb.NewIndexed()
-	if err != nil {
-		blocks.Close()
-		return nil, err
-	}
+	state := statedb.New()
 	history := historydb.New()
 	out := &Opened{State: state, History: history, Blocks: blocks}
 

@@ -189,15 +189,21 @@ func sortedKeys(m map[string]any) []string {
 // the planner derives range bounds from scalar operands only. The two
 // float zeros are one number to Compare, so they get one encoding.
 func EncodeKey(v any) string {
+	var buf [64]byte
+	return string(appendKey(buf[:0], v))
+}
+
+// appendKey appends EncodeKey(v) to dst.
+func appendKey(dst []byte, v any) []byte {
 	v = normalize(v)
 	switch t := v.(type) {
 	case nil:
-		return string([]byte{rankNull})
+		return append(dst, rankNull)
 	case bool:
 		if t {
-			return string([]byte{rankTrue})
+			return append(dst, rankTrue)
 		}
-		return string([]byte{rankFalse})
+		return append(dst, rankFalse)
 	case float64:
 		if t == 0 {
 			t = 0 // -0.0 == 0.0: drop the sign bit
@@ -208,17 +214,14 @@ func EncodeKey(v any) string {
 		} else {
 			bits |= 1 << 63 // positive: set sign so positives sort after negatives
 		}
-		var buf [9]byte
-		buf[0] = rankNumber
-		binary.BigEndian.PutUint64(buf[1:], bits)
-		return string(buf[:])
+		return binary.BigEndian.AppendUint64(append(dst, rankNumber), bits)
 	case string:
-		return string([]byte{rankString}) + t
+		return append(append(dst, rankString), t...)
 	case []any:
 		j, _ := json.Marshal(t)
-		return string([]byte{rankArray}) + string(j)
+		return append(append(dst, rankArray), j...)
 	default:
 		j, _ := json.Marshal(t)
-		return string([]byte{rankObject}) + string(j)
+		return append(append(dst, rankObject), j...)
 	}
 }

@@ -99,29 +99,38 @@ func orderKey(q *Query, key string, doc map[string]any) string {
 		if val, ok := Lookup(doc, strings.Split(sf.Field, ".")); ok {
 			comp = EncodeKey(val)
 		}
-		enc := encodeComponent(comp)
+		enc := encodeComponent(comp, "")
 		if sf.Descending {
 			enc = invertBytes(enc)
 		}
 		sb.WriteString(enc)
 	}
-	sb.WriteString(encodeComponent(key))
+	sb.WriteString(encodeComponent(key, ""))
 	return sb.String()
 }
 
 // encodeComponent writes a component as a prefix-free, order-preserving
-// byte string: 0x00 becomes 0x01 0x02, 0x01 becomes 0x01 0x03, and the
-// component ends with a 0x00 terminator. Interior bytes are never 0x00, so
-// no component encoding is a prefix of another and composite comparisons
-// are always decided inside the first differing component. Inverting every
-// byte of the encoded component (terminator 0xff, interior bytes never
-// 0xff) yields the exact reverse order with the same prefix-free property,
-// which is what makes descending sort correct for variable-length values:
-// the inverted terminator sorts after any inverted continuation, so "ab"
-// correctly precedes its prefix "a" under descending order.
-func encodeComponent(s string) string {
+// byte string, followed by suffix, in one allocation: 0x00 becomes 0x01
+// 0x02, 0x01 becomes 0x01 0x03, and the component ends with a 0x00
+// terminator. Interior bytes are never 0x00, so no component encoding is a
+// prefix of another and composite comparisons are always decided inside the
+// first differing component — which is also what makes an index entry,
+// encodeComponent(ckey, docKey), order as the pair (ckey, docKey) does.
+// Inverting every byte of the encoded component (terminator 0xff, interior
+// bytes never 0xff) yields the exact reverse order with the same
+// prefix-free property, which is what makes descending sort correct for
+// variable-length values: the inverted terminator sorts after any inverted
+// continuation, so "ab" correctly precedes its prefix "a" under descending
+// order.
+func encodeComponent[T ~string | ~[]byte](s T, suffix string) string {
+	n := len(s) + 1 + len(suffix)
+	for i := 0; i < len(s); i++ {
+		if s[i] <= 0x01 {
+			n++
+		}
+	}
 	var sb strings.Builder
-	sb.Grow(len(s) + 1)
+	sb.Grow(n)
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case 0x00:
@@ -135,8 +144,18 @@ func encodeComponent(s string) string {
 		}
 	}
 	sb.WriteByte(0x00)
+	sb.WriteString(suffix)
 	return sb.String()
 }
+
+// decodeComponent splits an encoded component off the front of e: the
+// component unescaped, and the rest of e after its terminator.
+func decodeComponent(e string) (comp, rest string) {
+	comp, rest, _ = strings.Cut(e, "\x00")
+	return unescape.Replace(comp), rest
+}
+
+var unescape = strings.NewReplacer("\x01\x02", "\x00", "\x01\x03", "\x01")
 
 func invertBytes(s string) string {
 	b := []byte(s)

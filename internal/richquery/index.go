@@ -2,8 +2,10 @@ package richquery
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+
+	"github.com/hyperprov/hyperprov/internal/keyset"
 )
 
 // IndexDef declares one single-field secondary index, the analog of a
@@ -27,102 +29,121 @@ func (d IndexDef) Validate() error {
 	return nil
 }
 
-// indexEntry is one (encoded field value, document key) pair.
-type indexEntry struct {
-	ckey   string // EncodeKey of the field value
-	docKey string
-}
-
-// Index is an ordered single-field secondary index over JSON documents.
-// Entries are kept sorted by (collation key, document key), so equality and
-// range lookups on the field become contiguous slices. Only documents that
-// have the field appear in the index; since a selector condition never
-// matches a missing field, pruning to index members is sound.
+// Index is one version of a single-field secondary index over JSON
+// documents. Its entries are one keyset.Set of strings, each the encoded
+// field value (EncodeKey) as a component followed by the document key:
+// encodeComponent(ckey, docKey). Components are prefix-free and
+// order-preserving, so the set's string order is (field value, document
+// key) order, and equality and range lookups on the field are contiguous
+// runs of it. Only documents that have the field appear in the index;
+// since a selector condition never matches a missing field, pruning to
+// index members is sound.
 //
-// Index is not self-synchronizing: the owning state database serializes
-// access (entries change inside its commit lock; the values they are built
-// from are extracted outside it).
+// An Index is a value, and a copy pins the version it was taken from: it
+// reads without a lock however far the index advances. Update returns the
+// next version. Every version shares the writer's map from document key to
+// entry, so only the newest version may be updated, by one writer at a time
+// (the owning store's write lock).
 type Index struct {
-	def     IndexDef
-	path    []string
-	byDoc   map[string]string // docKey -> ckey currently indexed
-	entries []indexEntry      // sorted by (ckey, docKey)
+	*shared
+	set *keyset.Set
 }
 
-// NewIndex creates an empty index for def.
-func NewIndex(def IndexDef) *Index {
-	return &Index{
-		def:   def,
-		path:  strings.Split(def.Field, "."),
-		byDoc: make(map[string]string),
-	}
+// shared is what every version of one index holds in common.
+type shared struct {
+	def   IndexDef
+	path  []string
+	byDoc map[string]string // docKey -> its entry in the newest version; the writer's alone
 }
+
+// BuildIndex builds the index def declares over docs in one shot: every
+// entry is collected and sorted once, which is what keeps declaring an index
+// over a large existing state (chaincode install) and wholesale state
+// restore from costing one insertion per document.
+func BuildIndex(def IndexDef, docs []Candidate) Index {
+	path := strings.Split(def.Field, ".")
+	entries := make([]string, 0, len(docs))
+	for _, d := range docs {
+		if val, ok := Lookup(d.Doc, path); ok {
+			entries = append(entries, entry(val, d.Key))
+		}
+	}
+	return newIndex(def, path, entries)
+}
+
+// LoadIndex rebuilds the index def declares from previously exported
+// entries (checkpoint restore), without decoding any document.
+func LoadIndex(def IndexDef, exported []IndexEntry) Index {
+	entries := make([]string, len(exported))
+	for i, x := range exported {
+		entries[i] = encodeComponent(x.CKey, x.DocKey)
+	}
+	return newIndex(def, strings.Split(def.Field, "."), entries)
+}
+
+// newIndex returns the index holding entries, which it sorts: exported
+// entries arrive in order and sort in linear time, and a hand-edited
+// checkpoint degrades to a sort instead of silent misqueries.
+func newIndex(def IndexDef, path, entries []string) Index {
+	slices.Sort(entries)
+	entries = slices.Compact(entries)
+	byDoc := make(map[string]string, len(entries))
+	for _, e := range entries {
+		byDoc[docKeyOf(e)] = e
+	}
+	return Index{&shared{def: def, path: path, byDoc: byDoc}, keyset.New(entries)}
+}
+
+// entry is docKey's index entry under val, built in one allocation.
+func entry(val any, docKey string) string {
+	var buf [64]byte
+	return encodeComponent(appendKey(buf[:0], val), docKey)
+}
+
+// docKeyOf is the document key of an entry: what follows the component's
+// terminator, the first 0x00.
+func docKeyOf(e string) string { return e[strings.IndexByte(e, 0x00)+1:] }
 
 // Def returns the index's definition.
-func (ix *Index) Def() IndexDef { return ix.def }
-
-// Len returns the number of indexed documents.
-func (ix *Index) Len() int { return len(ix.entries) }
-
-// locate returns the position of (ckey, docKey) or where it would insert.
-func (ix *Index) locate(ckey, docKey string) int {
-	return sort.Search(len(ix.entries), func(i int) bool {
-		e := ix.entries[i]
-		if e.ckey != ckey {
-			return e.ckey >= ckey
-		}
-		return e.docKey >= docKey
-	})
-}
+func (ix Index) Def() IndexDef { return ix.def }
 
 // Path returns the indexed field as the key chain Extract and Lookup take.
-func (ix *Index) Path() []string { return ix.path }
+func (ix Index) Path() []string { return ix.path }
 
-// Put indexes docKey under val, the value its document holds at Path (see
-// Extract), replacing any previous entry for docKey. A document without the
-// field (ok false) is removed from the index.
-func (ix *Index) Put(docKey string, val any, ok bool) {
-	if !ok {
-		ix.Delete(docKey)
-		return
+// Len returns the number of indexed documents.
+func (ix Index) Len() int { return ix.set.Len() }
+
+// Update returns the next version of the index with each keys[w] indexed
+// under the value its document holds at Path, as doc(w) reports it (see
+// Extract), or removed from the index when doc(w) reports none. Keys must
+// be distinct: they are one block's writes, published as one set version.
+func (ix Index) Update(keys []string, doc func(w int) (val any, ok bool)) Index {
+	var buf [64]keyset.Change // a block of a few dozen documents changes no more
+	changes := buf[:0]
+	if n := 2 * len(keys); n > len(buf) {
+		changes = make([]keyset.Change, 0, n)
 	}
-	ckey := EncodeKey(val)
-	if old, exists := ix.byDoc[docKey]; exists {
-		if old == ckey {
-			return
+	for w, key := range keys {
+		var e string // no entry is empty: each ends its component with 0x00
+		if val, ok := doc(w); ok {
+			e = entry(val, key)
 		}
-		ix.remove(old, docKey)
-	}
-	pos := ix.locate(ckey, docKey)
-	ix.entries = append(ix.entries, indexEntry{})
-	copy(ix.entries[pos+1:], ix.entries[pos:])
-	ix.entries[pos] = indexEntry{ckey: ckey, docKey: docKey}
-	ix.byDoc[docKey] = ckey
-}
-
-// Load replaces the index contents with a one-shot build over docs. Unlike
-// repeated Put calls (binary search plus slice insertion each), Load
-// collects every entry and sorts once — O(n log n) — which is what keeps
-// declaring an index over a large existing state (chaincode install) and
-// wholesale state restore (partition healing) from being quadratic.
-func (ix *Index) Load(docs []Candidate) {
-	ix.byDoc = make(map[string]string, len(docs))
-	ix.entries = ix.entries[:0]
-	for _, d := range docs {
-		val, ok := Lookup(d.Doc, ix.path)
-		if !ok {
+		old, had := ix.byDoc[key]
+		if e == old {
 			continue
 		}
-		ck := EncodeKey(val)
-		ix.byDoc[d.Key] = ck
-		ix.entries = append(ix.entries, indexEntry{ckey: ck, docKey: d.Key})
-	}
-	sort.Slice(ix.entries, func(i, j int) bool {
-		if ix.entries[i].ckey != ix.entries[j].ckey {
-			return ix.entries[i].ckey < ix.entries[j].ckey
+		if had {
+			changes = append(changes, keyset.Change{Key: old, Dead: true})
 		}
-		return ix.entries[i].docKey < ix.entries[j].docKey
-	})
+		if e != "" {
+			changes = append(changes, keyset.Change{Key: e})
+			ix.byDoc[key] = e
+		} else {
+			delete(ix.byDoc, key)
+		}
+	}
+	ix.set = ix.set.Apply(changes)
+	return ix
 }
 
 // IndexEntry is one exported (collation key, document key) pair — the
@@ -135,56 +156,17 @@ type IndexEntry struct {
 	DocKey string
 }
 
-// Entries returns a copy of the index contents in (CKey, DocKey) order.
-func (ix *Index) Entries() []IndexEntry {
-	out := make([]IndexEntry, len(ix.entries))
-	for i, e := range ix.entries {
-		out[i] = IndexEntry{CKey: e.ckey, DocKey: e.docKey}
-	}
-	return out
-}
-
-// LoadEntries replaces the index contents with previously exported entries
-// (checkpoint restore). Entries are expected in (CKey, DocKey) order — the
-// order Entries emits — and are re-sorted defensively when they are not, so
-// a hand-edited checkpoint degrades to a sort instead of silent misqueries.
-func (ix *Index) LoadEntries(entries []IndexEntry) {
-	ix.entries = make([]indexEntry, len(entries))
-	ix.byDoc = make(map[string]string, len(entries))
-	sorted := true
-	for i, e := range entries {
-		ix.entries[i] = indexEntry{ckey: e.CKey, docKey: e.DocKey}
-		ix.byDoc[e.DocKey] = e.CKey
-		if i > 0 && (entries[i-1].CKey > e.CKey ||
-			(entries[i-1].CKey == e.CKey && entries[i-1].DocKey > e.DocKey)) {
-			sorted = false
+// Entries returns the index contents in (CKey, DocKey) order.
+func (ix Index) Entries() []IndexEntry {
+	out := make([]IndexEntry, 0, ix.Len())
+	for it := ix.set.Seek(""); ; {
+		e, ok := it.Next()
+		if !ok {
+			return out
 		}
+		ckey, docKey := decodeComponent(e)
+		out = append(out, IndexEntry{CKey: ckey, DocKey: docKey})
 	}
-	if !sorted {
-		sort.Slice(ix.entries, func(i, j int) bool {
-			if ix.entries[i].ckey != ix.entries[j].ckey {
-				return ix.entries[i].ckey < ix.entries[j].ckey
-			}
-			return ix.entries[i].docKey < ix.entries[j].docKey
-		})
-	}
-}
-
-// Delete drops docKey from the index (no-op when absent).
-func (ix *Index) Delete(docKey string) {
-	old, exists := ix.byDoc[docKey]
-	if !exists {
-		return
-	}
-	ix.remove(old, docKey)
-}
-
-func (ix *Index) remove(ckey, docKey string) {
-	pos := ix.locate(ckey, docKey)
-	if pos < len(ix.entries) && ix.entries[pos].ckey == ckey && ix.entries[pos].docKey == docKey {
-		ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
-	}
-	delete(ix.byDoc, docKey)
 }
 
 // Bound is one end of an index range scan.
@@ -199,29 +181,33 @@ type Bound struct {
 
 // Range returns the document keys whose indexed value lies within the
 // bounds, ordered by (field value, document key). Unset bounds are open.
-func (ix *Index) Range(low, high Bound) []string {
-	start := 0
+func (ix Index) Range(low, high Bound) []string {
+	var start, stop string
 	if low.Set {
-		if low.Inclusive {
-			start = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].ckey >= low.CKey })
-		} else {
-			start = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].ckey > low.CKey })
-		}
+		start = entryBound(low.CKey, !low.Inclusive)
 	}
-	end := len(ix.entries)
 	if high.Set {
-		if high.Inclusive {
-			end = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].ckey > high.CKey })
-		} else {
-			end = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].ckey >= high.CKey })
+		stop = entryBound(high.CKey, high.Inclusive)
+	}
+	var out []string
+	for it := ix.set.Seek(start); ; {
+		e, ok := it.Next()
+		if !ok || (high.Set && e >= stop) {
+			return out
 		}
+		out = append(out, docKeyOf(e))
 	}
-	if start >= end {
-		return nil
+}
+
+// entryBound is the least entry string at or above every entry under ckey
+// (past false), or above all of them (past true): the component's 0x00
+// terminator, which every entry under ckey carries next, raised to 0x01.
+// No entry under a greater ckey sorts below either bound, since interior
+// component bytes are never 0x00.
+func entryBound(ckey string, past bool) string {
+	enc := encodeComponent(ckey, "")
+	if past {
+		return enc[:len(enc)-1] + "\x01"
 	}
-	out := make([]string, 0, end-start)
-	for _, e := range ix.entries[start:end] {
-		out = append(out, e.docKey)
-	}
-	return out
+	return enc
 }

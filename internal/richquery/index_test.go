@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -54,7 +55,7 @@ func naiveRange(docs map[string]map[string]any, field string, low, high Bound) [
 // every operation.
 func TestIndexMaintenanceSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	ix := NewIndex(IndexDef{Name: "by-a", Field: "a"})
+	ix := BuildIndex(IndexDef{Name: "by-a", Field: "a"}, nil)
 	docs := map[string]map[string]any{}
 	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
 
@@ -63,15 +64,15 @@ func TestIndexMaintenanceSequences(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0: // delete
 			delete(docs, key)
-			ix.Delete(key)
+			ix = ix.Update([]string{key}, func(int) (any, bool) { return nil, false })
 		case 1: // doc losing the indexed field
 			d := map[string]any{"b": randValue(rng)}
 			docs[key] = d
-			putDoc(t, ix, key, d)
+			putDoc(t, &ix, key, d)
 		default: // put / update with the field
 			d := map[string]any{"a": randValue(rng), "b": randValue(rng)}
 			docs[key] = d
-			putDoc(t, ix, key, d)
+			putDoc(t, &ix, key, d)
 		}
 
 		want := naiveRange(docs, "a", Bound{}, Bound{})
@@ -263,31 +264,31 @@ func TestPlannerBounds(t *testing.T) {
 	}
 
 	// Planner prefers equality over range, and honors use_index.
-	ixA := NewIndex(IndexDef{Name: "by-a", Field: "a"})
-	ixB := NewIndex(IndexDef{Name: "by-b", Field: "b"})
+	ixA := BuildIndex(IndexDef{Name: "by-a", Field: "a"}, nil)
+	ixB := BuildIndex(IndexDef{Name: "by-b", Field: "b"}, nil)
 	q := mustQuery(t, `{"selector":{"a":{"$gt":1},"b":7}}`)
-	plan := ChooseIndex(q, []*Index{ixA, ixB})
+	plan := ChooseIndex(q, []Index{ixA, ixB})
 	if plan.Index == nil || plan.Index.Def().Name != "by-b" {
 		t.Errorf("planner chose %+v, want equality index by-b", plan.Index)
 	}
 	q = mustQuery(t, `{"selector":{"a":{"$gt":1},"b":7},"use_index":"by-a"}`)
-	plan = ChooseIndex(q, []*Index{ixA, ixB})
+	plan = ChooseIndex(q, []Index{ixA, ixB})
 	if plan.Index == nil || plan.Index.Def().Name != "by-a" {
 		t.Error("use_index not honored")
 	}
 
 	// use_index also matches namespace-qualified registered names, as the
 	// peer registers chaincode-declared indexes ("<chaincode>.<name>").
-	ixNS := NewIndex(IndexDef{Name: "hyperprov.by-a", Field: "a"})
+	ixNS := BuildIndex(IndexDef{Name: "hyperprov.by-a", Field: "a"}, nil)
 	q = mustQuery(t, `{"selector":{"a":{"$gt":1},"b":7},"use_index":"by-a"}`)
-	plan = ChooseIndex(q, []*Index{ixNS, ixB})
+	plan = ChooseIndex(q, []Index{ixNS, ixB})
 	if plan.Index == nil || plan.Index.Def().Name != "hyperprov.by-a" {
 		t.Error("use_index did not match namespaced index name")
 	}
 
 	// Unconstrained: no index.
 	q = mustQuery(t, `{"selector":{"c":1}}`)
-	if plan := ChooseIndex(q, []*Index{ixA, ixB}); plan.Index != nil {
+	if plan := ChooseIndex(q, []Index{ixA, ixB}); plan.Index != nil {
 		t.Error("planner picked an index for an unconstrained field")
 	}
 }
@@ -297,9 +298,9 @@ func TestPlannerBounds(t *testing.T) {
 // document, so every shape that could match outside the range, or that
 // orders by document content, must stay on the re-check path.
 func TestPlannerExactShapes(t *testing.T) {
-	indexes := []*Index{
-		NewIndex(IndexDef{Name: "by-type", Field: "meta.type"}),
-		NewIndex(IndexDef{Name: "by-ts", Field: "ts"}),
+	indexes := []Index{
+		BuildIndex(IndexDef{Name: "by-type", Field: "meta.type"}, nil),
+		BuildIndex(IndexDef{Name: "by-ts", Field: "ts"}, nil),
 	}
 	for _, tc := range []struct {
 		query string
@@ -359,4 +360,40 @@ func TestEncodeKeyAgreesWithCompareOnZero(t *testing.T) {
 			t.Errorf("EncodeKey(%g) does not sort before EncodeKey(%g)", ordered[i-1], ordered[i])
 		}
 	}
+}
+
+// FuzzIndexEntryOrder pins the property the indexes rest on: an entry,
+// encodeComponent(ckey, docKey), compares with another exactly as the pair
+// (ckey, docKey) compares with the other pair, and splitting it at its first
+// 0x00 and unescaping returns the pair.
+func FuzzIndexEntryOrder(f *testing.F) {
+	for _, seed := range [][4]string{
+		{"a", "k1", "a", "k2"},
+		{"a", "k", "ab", "k"},
+		{"a", "kz", "ab", "k"},
+		{"", "k", "\x00", "k"},
+		{"x\x00y", "k", "x\x01", "k"},
+		{"x\x01", "", "x", "\x00"},
+		{"\x01\x02", "a", "\x00", "b"},
+		{EncodeKey(nil), "k", EncodeKey(false), "k"},
+		{EncodeKey(-1.5), "k", EncodeKey(0.0), "k"},
+		{EncodeKey("ab"), "k\x00", EncodeKey("a"), "k"},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3])
+	}
+	f.Fuzz(func(t *testing.T, ck1, doc1, ck2, doc2 string) {
+		e1, e2 := encodeComponent(ck1, doc1), encodeComponent(ck2, doc2)
+		want := strings.Compare(ck1, ck2)
+		if want == 0 {
+			want = strings.Compare(doc1, doc2)
+		}
+		if got := strings.Compare(e1, e2); got != want {
+			t.Fatalf("(%q,%q) vs (%q,%q): entries compare %d, pairs %d", ck1, doc1, ck2, doc2, got, want)
+		}
+		for _, p := range [][3]string{{e1, ck1, doc1}, {e2, ck2, doc2}} {
+			if ck, doc := decodeComponent(p[0]); ck != p[1] || doc != p[2] {
+				t.Fatalf("entry %q splits into (%q,%q), want (%q,%q)", p[0], ck, doc, p[1], p[2])
+			}
+		}
+	})
 }

@@ -193,10 +193,11 @@ type Plan struct {
 // requested use_index, then equality-constrained indexes, then any
 // range-constrained index. A nil Index in the returned plan means no index
 // applies and the caller should run a filtered scan.
-func ChooseIndex(q *Query, indexes []*Index) Plan {
+func ChooseIndex(q *Query, indexes []Index) Plan {
 	var best Plan
 	bestScore := 0
-	for _, ix := range indexes {
+	for i := range indexes {
+		ix := &indexes[i]
 		low, high, ok := q.Selector.FieldBounds(ix.Def().Field)
 		if !ok {
 			continue

@@ -302,13 +302,13 @@ func TestIndexedQueryMatchesScanReference(t *testing.T) {
 		// Corpus.
 		n := 5 + rng.Intn(40)
 		docs := make(map[string]map[string]any, n)
-		ix := NewIndex(IndexDef{Name: "by-a", Field: "a"})
+		ix := BuildIndex(IndexDef{Name: "by-a", Field: "a"}, nil)
 		var cands []Candidate
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("k%03d", i)
 			d := randDoc(rng)
 			docs[key] = d
-			putDoc(t, ix, key, d)
+			putDoc(t, &ix, key, d)
 			cands = append(cands, Candidate{Key: key, Doc: d})
 		}
 
@@ -331,7 +331,7 @@ func TestIndexedQueryMatchesScanReference(t *testing.T) {
 		}
 
 		// Index path.
-		plan := ChooseIndex(q, []*Index{ix})
+		plan := ChooseIndex(q, []Index{ix})
 		if plan.Index == nil {
 			t.Fatalf("planner refused index for %s", raw)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // putDoc indexes doc the way the state database does: through Extract over
-// its JSON.
+// its JSON, as a one-document update.
 func putDoc(t testing.TB, ix *Index, key string, doc map[string]any) {
 	t.Helper()
 	raw, err := json.Marshal(doc)
@@ -20,7 +20,7 @@ func putDoc(t testing.TB, ix *Index, key string, doc map[string]any) {
 	if !Extract(raw, [][]string{ix.Path()}, vals, found) {
 		t.Fatalf("Extract refused %s", raw)
 	}
-	ix.Put(key, vals[0], found[0])
+	*ix = ix.Update([]string{key}, func(int) (any, bool) { return vals[0], found[0] })
 }
 
 // scanTexts is the seed corpus of the scanner's fuzzers: every production of

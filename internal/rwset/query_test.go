@@ -9,7 +9,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
-func indexedFixture(t *testing.T) *statedb.IndexedStore {
+func indexedFixture(t *testing.T) *statedb.Store {
 	t.Helper()
 	s, err := statedb.NewIndexed(richquery.IndexDef{Name: "by-owner", Field: "owner"})
 	if err != nil {
@@ -26,7 +26,7 @@ func indexedFixture(t *testing.T) *statedb.IndexedStore {
 	return s
 }
 
-func aliceQueryRWS(t *testing.T, s *statedb.IndexedStore) *ReadWriteSet {
+func aliceQueryRWS(t *testing.T, s *statedb.Store) *ReadWriteSet {
 	t.Helper()
 	query := []byte(`{"selector":{"owner":"alice"}}`)
 	res, err := s.ExecuteQuery(query)

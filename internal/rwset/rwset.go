@@ -235,10 +235,11 @@ func validateRange(rr RangeRead, state statedb.StateDB, blockWrites map[string]b
 }
 
 // validateQuery is the rich-query phantom check. When the committing state
-// database can execute rich queries, the query is re-run and its key set
-// compared against the simulated one; otherwise (plain LevelDB-flavour
-// store) the observed keys are checked against earlier-in-block writes,
-// matching Fabric's weaker guarantees for rich queries on CouchDB.
+// database can execute rich queries (a statedb.Store, with or without
+// indexes), the query is re-run and its key set compared against the
+// simulated one; otherwise (the reference store) the observed keys are
+// checked against earlier-in-block writes, matching Fabric's weaker
+// guarantees for rich queries on CouchDB.
 func validateQuery(qr QueryRead, state statedb.StateDB, blockWrites map[string]bool) error {
 	for _, key := range qr.Keys {
 		if blockWrites[key] {

@@ -10,9 +10,9 @@ import (
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
-// queryFixture commits the same documents into a plain Store (scan
-// fallback) and an IndexedStore (native rich queries).
-func queryFixture(t *testing.T) (plain *statedb.Store, indexed *statedb.IndexedStore) {
+// queryFixture commits the same documents into a Store without indexes
+// (queries scan) and one with an index on owner (queries read it).
+func queryFixture(t *testing.T) (plain, indexed *statedb.Store) {
 	t.Helper()
 	plain = statedb.New()
 	var err error

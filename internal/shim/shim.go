@@ -95,9 +95,9 @@ type Stub struct {
 
 // Config carries everything needed to construct a Stub. State is any
 // read surface: a live state database, or — as the peer passes for
-// endorsement and queries — a height-stamped statedb.View, so one
-// simulation's reads see a consistent world no concurrent commit can
-// shear.
+// endorsement and queries — a height-stamped statedb.Snapshot, so one
+// simulation's reads, rich queries included, see a consistent world no
+// concurrent commit can shear.
 type Config struct {
 	TxID      string
 	ChannelID string
@@ -348,8 +348,9 @@ func (s *Stub) executeQuery(query []byte, pageSize int, bookmark string) ([]stat
 	if rq, ok := s.state.(statedb.RichQueryer); ok {
 		res, err = rq.ExecuteQuery(wire)
 	} else {
-		// LevelDB-flavour fallback: filtered scan through the exact
-		// pipeline IndexedStore runs, so results are identical.
+		// A reader without rich queries of its own (the reference
+		// store): filtered scan through the exact pipeline a Store runs,
+		// so results are identical.
 		res, err = statedb.ScanQuery(s.state, wire)
 	}
 	if err != nil {

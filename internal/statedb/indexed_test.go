@@ -6,13 +6,14 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/hyperprov/hyperprov/internal/richquery"
 )
 
-func mustIndexed(t *testing.T, defs ...richquery.IndexDef) *IndexedStore {
+func mustIndexed(t *testing.T, defs ...richquery.IndexDef) *Store {
 	t.Helper()
 	s, err := NewIndexed(defs...)
 	if err != nil {
@@ -30,7 +31,7 @@ func docBytes(t *testing.T, fields map[string]any) []byte {
 	return b
 }
 
-func queryKeys(t *testing.T, s *IndexedStore, query string) []string {
+func queryKeys(t *testing.T, s *Store, query string) []string {
 	t.Helper()
 	res, err := s.ExecuteQuery([]byte(query))
 	if err != nil {
@@ -56,7 +57,7 @@ func TestIndexedStoreQueryIndexVsScan(t *testing.T) {
 			ver := Version{BlockNum: block, TxNum: uint64(i)}
 			b.Put(key, doc, ver)
 		}
-		for _, s := range []*IndexedStore{indexed, plain} {
+		for _, s := range []*Store{indexed, plain} {
 			if err := s.ApplyUpdates(cloneBatch(b), Version{BlockNum: block, TxNum: 99}); err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +156,7 @@ func TestIndexedStoreMaintenanceAcrossCommits(t *testing.T) {
 
 // scanReference answers q by brute force over a snapshot through the same
 // Apply pipeline but with no index involved.
-func scanReference(t *testing.T, s *IndexedStore, query string) []string {
+func scanReference(t *testing.T, s *Store, query string) []string {
 	t.Helper()
 	q, err := richquery.ParseQuery([]byte(query))
 	if err != nil {
@@ -185,20 +186,20 @@ func TestDefineIndexOverExistingState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Declared after the data landed: must be built over existing state.
-	if err := s.DefineIndex(richquery.IndexDef{Name: "by-owner", Field: "owner"}); err != nil {
+	if err := s.DefineIndexes([]richquery.IndexDef{richquery.IndexDef{Name: "by-owner", Field: "owner"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := queryKeys(t, s, `{"selector":{"owner":"o1"}}`); len(got) != 5 {
 		t.Errorf("late-defined index found %v", got)
 	}
 	// Same name, same field: idempotent. Same name, new field: error.
-	if err := s.DefineIndex(richquery.IndexDef{Name: "by-owner", Field: "owner"}); err != nil {
+	if err := s.DefineIndexes([]richquery.IndexDef{richquery.IndexDef{Name: "by-owner", Field: "owner"}}); err != nil {
 		t.Errorf("idempotent redefine rejected: %v", err)
 	}
-	if err := s.DefineIndex(richquery.IndexDef{Name: "by-owner", Field: "size"}); err == nil {
+	if err := s.DefineIndexes([]richquery.IndexDef{richquery.IndexDef{Name: "by-owner", Field: "size"}}); err == nil {
 		t.Error("conflicting redefine accepted")
 	}
-	if err := s.DefineIndex(richquery.IndexDef{Name: "", Field: "x"}); err == nil {
+	if err := s.DefineIndexes([]richquery.IndexDef{richquery.IndexDef{Name: "", Field: "x"}}); err == nil {
 		t.Error("empty index name accepted")
 	}
 }
@@ -216,7 +217,7 @@ func TestDefineIndexesAtomic(t *testing.T) {
 	if err == nil {
 		t.Fatal("conflicting batch accepted")
 	}
-	defs := s.IndexDefs()
+	defs := indexDefsOf(s)
 	if len(defs) != 1 || defs[0].Name != "existing" {
 		t.Fatalf("partial batch applied: %+v", defs)
 	}
@@ -228,8 +229,8 @@ func TestDefineIndexesAtomic(t *testing.T) {
 	if err == nil {
 		t.Fatal("divergent duplicate accepted")
 	}
-	if len(s.IndexDefs()) != 1 {
-		t.Fatalf("partial duplicate batch applied: %+v", s.IndexDefs())
+	if len(indexDefsOf(s)) != 1 {
+		t.Fatalf("partial duplicate batch applied: %+v", indexDefsOf(s))
 	}
 }
 
@@ -317,13 +318,27 @@ func TestIndexedStoreRejectsBadQuery(t *testing.T) {
 	}
 }
 
-// rebuiltEntries is what the indexes of s hold when built in one go (Load,
-// over DecodeDoc's trees) from the state s holds now.
-func rebuiltEntries(t *testing.T, s *IndexedStore) map[string][]richquery.IndexEntry {
+// indexEntries is what the indexes of s hold now.
+func indexEntries(s *Store) map[string][]richquery.IndexEntry {
+	sn := s.snapshot()
+	defer sn.Release()
+	return sn.IndexEntries()
+}
+
+// indexDefsOf is the indexes s declares now.
+func indexDefsOf(s *Store) []richquery.IndexDef {
+	sn := s.snapshot()
+	defer sn.Release()
+	return sn.IndexDefs()
+}
+
+// rebuiltEntries is what the indexes of s hold when built in one go
+// (BuildIndex, over DecodeDoc's trees) from the state s holds now.
+func rebuiltEntries(t *testing.T, s *Store) map[string][]richquery.IndexEntry {
 	t.Helper()
-	fresh := mustIndexed(t, s.IndexDefs()...)
+	fresh := mustIndexed(t, indexDefsOf(s)...)
 	fresh.Restore(s.Export(), s.Height())
-	return fresh.IndexEntries()
+	return indexEntries(fresh)
 }
 
 // Index maintenance reads staged documents with Extract, a rebuild reads
@@ -354,16 +369,16 @@ func TestIncrementalIndexesEqualRebuild(t *testing.T) {
 		if err := s.ApplyUpdates(b, Version{BlockNum: block, TxNum: 99}); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := s.IndexEntries(), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
+		if got, want := indexEntries(s), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("block %d: incremental indexes\n%v\nrebuilt\n%v", block, got, want)
 		}
 	}
-	if n := len(s.IndexEntries()["by-mx"]); n < 5 {
+	if n := len(indexEntries(s)["by-mx"]); n < 5 {
 		t.Fatalf("by-mx holds %d entries: the generator no longer reaches it", n)
 	}
 }
 
-// ApplyUpdates reads the staged documents before it takes the index lock. An
+// ApplyUpdates reads the staged documents before it takes the store's lock. An
 // index defined in between was built from state without the batch and was
 // not among the paths read: it must still come to hold the batch.
 func TestDefineIndexesDuringApplyUpdates(t *testing.T) {
@@ -397,7 +412,7 @@ func TestDefineIndexesDuringApplyUpdates(t *testing.T) {
 			for s.Height().BlockNum < uint64((i+1)*blocks/(len(fields)+1)) {
 				runtime.Gosched()
 			}
-			if err := s.DefineIndex(richquery.IndexDef{Name: "ix-" + field, Field: field}); err != nil {
+			if err := s.DefineIndexes([]richquery.IndexDef{richquery.IndexDef{Name: "ix-" + field, Field: field}}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -410,14 +425,111 @@ func TestDefineIndexesDuringApplyUpdates(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			s.IndexDefs()
+			indexDefsOf(s)
 		}
 	}()
 	wg.Wait()
-	if len(s.IndexDefs()) != 1+len(fields) {
-		t.Fatalf("%d indexes defined, want %d", len(s.IndexDefs()), 1+len(fields))
+	if len(indexDefsOf(s)) != 1+len(fields) {
+		t.Fatalf("%d indexes defined, want %d", len(indexDefsOf(s)), 1+len(fields))
 	}
-	if got, want := s.IndexEntries(), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
+	if got, want := indexEntries(s), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("indexes after concurrent installs\n%v\nrebuilt from state\n%v", got, want)
 	}
+}
+
+// Every batch boundary has exactly n documents with owner "x": each batch
+// moves as many documents from "x" to "y" as from "y" to "x". Rich queries
+// running beside the committer — exact ones, answered from the index range
+// alone, and sorted ones, whose candidates are re-read and re-checked — must
+// each see one boundary, so each counts exactly n, whether run on the store
+// or on a snapshot held across commits.
+func TestExecuteQuerySeesOneBoundary(t *testing.T) {
+	const docs, n, batches = 64, 24, 400
+	s := mustIndexed(t, richquery.IndexDef{Name: "by-owner", Field: "owner"})
+	owner := make([]string, docs)
+	seed := NewUpdateBatch()
+	for i := range owner {
+		owner[i] = "y"
+		if i < n {
+			owner[i] = "x"
+		}
+		seed.Put(fmt.Sprintf("d%02d", i), docBytes(t, map[string]any{"owner": owner[i], "n": i}), Version{BlockNum: 1})
+	}
+	if err := s.ApplyUpdates(seed, Version{BlockNum: 1, TxNum: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	queries := []string{
+		`{"selector":{"owner":"x"}}`,                       // exact: the index range is the answer
+		`{"selector":{"owner":"x"},"sort":[{"n":"desc"}]}`, // sorted: documents re-read and re-checked
+	}
+	// check reports whether res is the n documents owned by "x" at one
+	// boundary: keys and values alike.
+	check := func(res *QueryResult, err error) bool {
+		if err != nil || len(res.KVs) != n {
+			return false
+		}
+		for _, kv := range res.KVs {
+			if !strings.Contains(string(kv.Value), `"owner":"x"`) {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(query []byte) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !check(s.ExecuteQuery(query)) {
+					t.Errorf("%s on the store: not the %d documents of one boundary", query, n)
+					return
+				}
+				sn := s.snapshot()
+				for range 3 { // the same answer however many commits land meanwhile
+					if !check(sn.ExecuteQuery(query)) {
+						t.Errorf("%s on a snapshot at %v: not the %d documents of its boundary", query, sn.Height(), n)
+						sn.Release()
+						return
+					}
+				}
+				sn.Release()
+			}
+		}([]byte(queries[r%len(queries)]))
+	}
+
+	rng := rand.New(rand.NewSource(39))
+	for block := uint64(2); block <= batches; block++ {
+		b := NewUpdateBatch()
+		moved := map[int]bool{}
+		for swaps := 1 + rng.Intn(3); swaps > 0; swaps-- {
+			var from [2]int // one "x" document and one "y" document, not yet moved
+			for k, want := range []string{"x", "y"} {
+				for {
+					i := rng.Intn(docs)
+					if owner[i] == want && !moved[i] {
+						from[k] = i
+						break
+					}
+				}
+			}
+			for k, i := range from {
+				moved[i] = true
+				owner[i] = []string{"y", "x"}[k]
+				b.Put(fmt.Sprintf("d%02d", i), docBytes(t, map[string]any{"owner": owner[i], "n": i}), Version{BlockNum: block})
+			}
+		}
+		if err := s.ApplyUpdates(b, Version{BlockNum: block, TxNum: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -45,8 +45,8 @@ type Snapshot interface {
 }
 
 // StateDB is the pluggable world-state interface a peer commits to and a
-// chaincode stub reads from. The LevelDB-flavour Store, the CouchDB-flavour
-// IndexedStore, and the ReferenceStore oracle all implement it; higher
+// chaincode stub reads from. The Store and the ReferenceStore oracle
+// implement it; higher
 // layers (shim, rwset validation, peer) depend only on this interface,
 // mirroring Fabric's VersionedDB seam that lets deployments choose their
 // state database.
@@ -74,24 +74,22 @@ type QueryResult struct {
 	Bookmark string
 }
 
-// RichQueryer is implemented by state databases that can execute Mango
-// queries (the CouchDB-flavour IndexedStore, and simulation Views, which
-// delegate). Callers should type-assert: a plain Store does not support
-// rich queries, exactly as Fabric's LevelDB state database does not.
+// RichQueryer is implemented by readers that execute Mango queries
+// themselves: a Store and its snapshots, each at one batch boundary.
+// Callers type-assert and fall back to ScanQuery otherwise (the
+// ReferenceStore oracle).
 type RichQueryer interface {
 	// ExecuteQuery runs a Mango query document (see richquery.ParseQuery)
-	// against live state and returns one result page.
+	// and returns one result page.
 	ExecuteQuery(query []byte) (*QueryResult, error)
 }
 
 // Compile-time interface checks.
 var (
 	_ StateDB     = (*Store)(nil)
-	_ StateDB     = (*IndexedStore)(nil)
 	_ StateDB     = (*ReferenceStore)(nil)
 	_ Snapshot    = (*storeSnapshot)(nil)
 	_ Snapshot    = (*frozenSnapshot)(nil)
-	_ RichQueryer = (*IndexedStore)(nil)
-	_ RichQueryer = (*View)(nil)
-	_ StateReader = (*View)(nil)
+	_ RichQueryer = (*Store)(nil)
+	_ RichQueryer = (*storeSnapshot)(nil)
 )

@@ -20,8 +20,8 @@ import (
 
 // queryStores is one corpus held three ways.
 type queryStores struct {
-	indexed *IndexedStore   // indexes on the queried fields
-	plain   *IndexedStore   // same engine, no index: always scans
+	indexed *Store          // indexes on the queried fields
+	plain   *Store          // same engine, no index: always scans
 	ref     *ReferenceStore // oracle, through ScanQuery
 	block   uint64
 }

@@ -3,21 +3,28 @@ package statedb
 import (
 	"strings"
 	"time"
+
+	"github.com/hyperprov/hyperprov/internal/keyset"
+	"github.com/hyperprov/hyperprov/internal/richquery"
 )
 
 // storeSnapshot is a height-stamped consistent read view over a Store.
-// Creation is O(1): it pins the store's immutable key index and records
-// nothing else up front. When a later ApplyUpdates overwrites or deletes a
-// key, the apply first preserves the key's prior value into this
-// snapshot's overlay (copy-on-write undo log); each snapshot read takes the
-// store's read lock once and consults the overlay before the live map, so
-// it observes the state exactly as of the snapshot's batch boundary. No
-// lock is held between reads, so a snapshot kept for a whole simulation,
-// a checkpoint materialization or an open iterator never stalls commit.
+// Creation is O(1) in the size of the state: it pins the store's immutable
+// key set and index versions and records nothing else up front. When a
+// later ApplyUpdates overwrites or deletes a key, the apply first preserves
+// the key's prior value into this snapshot's overlay (copy-on-write undo
+// log); each snapshot read takes the store's read lock once and consults
+// the overlay before the live map, so it observes the state exactly as of
+// the snapshot's batch boundary. No lock is held between reads, so a
+// snapshot kept for a whole simulation, a checkpoint materialization or an
+// open iterator never stalls commit. It is also the read surface a peer
+// hands one chaincode simulation, rich queries included: point, range,
+// composite and rich reads all see the one boundary.
 type storeSnapshot struct {
-	store  *Store
-	height Version
-	index  *keyIndex
+	store   *Store
+	height  Version
+	keys    *keyset.Set
+	indexes []richquery.Index
 
 	// overlay and detached are written under the store's write lock (by
 	// ApplyUpdates and Restore) and read under its read lock.
@@ -64,7 +71,7 @@ func (sn *storeSnapshot) lookup(key string) (preImage, bool) {
 func (sn *storeSnapshot) Height() Version { return sn.height }
 
 // Len returns the number of live keys at the snapshot boundary.
-func (sn *storeSnapshot) Len() int { return sn.index.live }
+func (sn *storeSnapshot) Len() int { return sn.keys.Len() }
 
 // Get returns key's value as of the snapshot boundary, from the overlay
 // when an apply has overwritten the key since, from the live map otherwise,
@@ -98,7 +105,7 @@ func (sn *storeSnapshot) GetByPartialCompositeKey(objectType string, attrs []str
 // boundary, composite keys included — the full-state walk fingerprints and
 // checkpoint materialization use.
 func (sn *storeSnapshot) All() Iterator {
-	return sn.newIter(sn.index.seek(""), nil, false)
+	return sn.newIter(sn.keys.Seek(""), nil, false)
 }
 
 // rangeIter builds a plain-namespace range iterator. The composite-key
@@ -113,17 +120,17 @@ func (sn *storeSnapshot) rangeIter(startKey, endKey string, releaseOnClose bool)
 	if endKey != "" {
 		stop = func(k string) bool { return k >= endKey }
 	}
-	return sn.newIter(sn.index.seek(low), stop, releaseOnClose)
+	return sn.newIter(sn.keys.Seek(low), stop, releaseOnClose)
 }
 
 // prefixIter builds a composite-key prefix iterator: it seeks to the prefix
 // and stops at the first key past it.
 func (sn *storeSnapshot) prefixIter(prefix string, releaseOnClose bool) Iterator {
 	stop := func(k string) bool { return !strings.HasPrefix(k, prefix) }
-	return sn.newIter(sn.index.seek(prefix), stop, releaseOnClose)
+	return sn.newIter(sn.keys.Seek(prefix), stop, releaseOnClose)
 }
 
-func (sn *storeSnapshot) newIter(cursor keyIter, stop func(string) bool, releaseOnClose bool) *snapIter {
+func (sn *storeSnapshot) newIter(cursor keyset.Iter, stop func(string) bool, releaseOnClose bool) *snapIter {
 	it := &snapIter{sn: sn, cursor: cursor, stop: stop, releaseOnClose: releaseOnClose}
 	if m := sn.store.metrics.Load(); m != nil {
 		it.scanHist = m.scan
@@ -137,7 +144,7 @@ func (sn *storeSnapshot) newIter(cursor keyIter, stop func(string) bool, release
 // path (the recovery manager calls it in the persistence stage), which is
 // exactly why Capture carries a Snapshot instead of a map.
 func (sn *storeSnapshot) Materialize() map[string]VersionedValue {
-	out := make(map[string]VersionedValue, sn.index.live)
+	out := make(map[string]VersionedValue, sn.keys.Len())
 	it := sn.All()
 	defer it.Close()
 	for {
@@ -160,7 +167,7 @@ func (sn *storeSnapshot) Release() { sn.store.dropSnapshot(sn) }
 // overlay-then-live read, skipping keys deleted at the boundary.
 type snapIter struct {
 	sn             *storeSnapshot
-	cursor         keyIter
+	cursor         keyset.Iter
 	stop           func(string) bool
 	releaseOnClose bool
 	closed         bool
@@ -176,7 +183,7 @@ func (it *snapIter) Next() (KV, bool) {
 		return KV{}, false
 	}
 	for {
-		k, ok := it.cursor.next()
+		k, ok := it.cursor.Next()
 		if !ok || (it.stop != nil && it.stop(k)) {
 			it.Close()
 			return KV{}, false
@@ -220,30 +227,70 @@ func Collect(it Iterator) []KV {
 	}
 }
 
-// View is the read surface handed to one chaincode simulation (endorsement
-// or query): point, range, and composite reads come from a height-stamped
-// snapshot — a consistent world no concurrent commit can shear — while rich
-// (Mango) queries delegate to the parent store's live index-served path,
-// whose results are phantom-validated at commit exactly as before. Release
-// the view when the simulation ends.
-type View struct {
-	Snapshot
-	rq RichQueryer
-}
-
-// NewView snapshots db and builds the simulation read surface over it.
-func NewView(db StateDB) *View {
-	v := &View{Snapshot: db.Snapshot()}
-	v.rq, _ = db.(RichQueryer)
-	return v
-}
-
-// ExecuteQuery serves a rich query: index-accelerated through the parent
-// store when it supports rich queries, by filtered scan of the snapshot
-// otherwise.
-func (v *View) ExecuteQuery(query []byte) (*QueryResult, error) {
-	if v.rq != nil {
-		return v.rq.ExecuteQuery(query)
+// ExecuteQuery runs a Mango query at the snapshot boundary. The planner
+// picks one of the pinned index versions; when the plan is exact the range
+// of keys it yields is the match set and goes to ordering and pagination as
+// it is; otherwise candidate documents are read from the snapshot — a full
+// filtered scan when no index applies — and the selector is re-applied to
+// each. All three run the same order/bookmark/limit pipeline, so they
+// return identical pages, and none holds a lock a commit waits on.
+func (sn *storeSnapshot) ExecuteQuery(query []byte) (*QueryResult, error) {
+	q, err := richquery.ParseQuery(query)
+	if err != nil {
+		return nil, err
 	}
-	return ScanQuery(v.Snapshot, query)
+	m := sn.store.metrics.Load()
+	plan := richquery.ChooseIndex(q, sn.indexes)
+	var cands []richquery.Candidate
+	switch {
+	case plan.Index == nil:
+		cands = scanCandidates(sn)
+	case plan.Exact:
+		if m != nil {
+			m.exactRange.Inc()
+		}
+		page, bookmark, err := richquery.ApplyExact(q, plan.Index.Range(plan.Low, plan.High))
+		if err != nil {
+			return nil, err
+		}
+		return materialize(sn, page, bookmark), nil
+	default:
+		for _, key := range plan.Index.Range(plan.Low, plan.High) {
+			vv, ok := sn.Get(key)
+			if !ok {
+				continue
+			}
+			if doc, ok := richquery.DecodeDoc(vv.Value); ok {
+				cands = append(cands, richquery.Candidate{Key: key, Doc: doc})
+			}
+		}
+	}
+	if m != nil {
+		m.docsDecoded.Add(int64(len(cands)))
+	}
+	return finishQuery(sn, q, cands)
+}
+
+// IndexDefs returns the definitions of the indexes the snapshot pinned.
+func (sn *storeSnapshot) IndexDefs() []richquery.IndexDef {
+	out := make([]richquery.IndexDef, len(sn.indexes))
+	for i, ix := range sn.indexes {
+		out[i] = ix.Def()
+	}
+	return out
+}
+
+// IndexEntries exports every pinned index's contents at the snapshot
+// boundary, keyed by index name (nil when the store has none). A checkpoint
+// persists them beside the state, so a restored peer bulk-loads its indexes
+// instead of re-decoding every JSON document in state.
+func (sn *storeSnapshot) IndexEntries() map[string][]richquery.IndexEntry {
+	if len(sn.indexes) == 0 {
+		return nil
+	}
+	out := make(map[string][]richquery.IndexEntry, len(sn.indexes))
+	for _, ix := range sn.indexes {
+		out[ix.Def().Name] = ix.Entries()
+	}
+	return out
 }

@@ -206,9 +206,8 @@ func TestSnapshotAtBatchBoundary(t *testing.T) {
 	}
 }
 
-// Views: point/range reads come from the snapshot; rich queries delegate
-// to the live indexed store, and fall back to a snapshot scan on plain
-// stores.
+// A snapshot is a simulation's whole read surface: point reads and rich
+// queries alike answer at its boundary, index-served or by scan.
 func TestViewReadsAndRichQueries(t *testing.T) {
 	ixs, err := NewIndexed(richquery.IndexDef{Name: "by-owner", Field: "owner"})
 	if err != nil {
@@ -218,7 +217,7 @@ func TestViewReadsAndRichQueries(t *testing.T) {
 		"d1": `{"owner":"alice","n":1}`,
 		"d2": `{"owner":"bob","n":2}`,
 	})
-	view := NewView(ixs)
+	view := ixs.snapshot()
 	defer view.Release()
 	mustApply(t, ixs, 2, map[string]string{"d1": `{"owner":"carol","n":9}`})
 
@@ -226,8 +225,8 @@ func TestViewReadsAndRichQueries(t *testing.T) {
 	if vv, _ := view.Get("d1"); string(vv.Value) != `{"owner":"alice","n":1}` {
 		t.Fatalf("view d1 = %q", vv.Value)
 	}
-	// Rich queries are live (index-served), phantom-validated at commit.
-	res, err := view.ExecuteQuery([]byte(`{"selector":{"owner":"carol"}}`))
+	// Rich queries too (index-served), phantom-validated at commit.
+	res, err := view.ExecuteQuery([]byte(`{"selector":{"owner":"alice"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +237,7 @@ func TestViewReadsAndRichQueries(t *testing.T) {
 	// Plain store: the view's rich query scans its own snapshot.
 	plain := New()
 	mustApply(t, plain, 1, map[string]string{"p1": `{"owner":"dave"}`})
-	pv := NewView(plain)
+	pv := plain.snapshot()
 	defer pv.Release()
 	mustApply(t, plain, 2, map[string]string{"p1": `{"owner":"erin"}`})
 	res, err = pv.ExecuteQuery([]byte(`{"selector":{"owner":"dave"}}`))

@@ -1,26 +1,34 @@
-// Package statedb implements the versioned world-state key-value store that
-// backs each peer's ledger, mirroring Fabric's state database (LevelDB
-// flavour). Every committed value carries the (block, txNum) version used by
-// MVCC validation.
+// Package statedb implements the versioned world-state store that backs
+// each peer's ledger, mirroring Fabric's state database: a key-value store
+// (the LevelDB flavour) that also reads JSON document values and serves
+// Mango-style rich queries (the CouchDB flavour) — from declared secondary
+// indexes when the selector constrains an indexed field, by a filtered scan
+// otherwise, and wholly by scan on a store with no indexes. Every committed
+// value carries the (block, txNum) version used by MVCC validation.
 //
-// One RWMutex guards the store's one key-value map: a point read takes its
-// read side, a batch apply its write side, once each. Ordered access (range
-// scans, composite-key queries) is served by a copy-on-write sorted key
-// index (keyIndex), so scans are streaming iterators with O(log n) seek and
-// early termination instead of a full-map materialize-and-sort.
-// Height-stamped snapshots (Store.Snapshot) give readers a consistent view
-// at a batch boundary without holding the lock between reads; see
-// snapshot.go.
+// One RWMutex guards the store: a point read takes its read side, a batch
+// apply its write side, once each. Ordered access — range scans,
+// composite-key queries, index lookups — is served by copy-on-write ordered
+// sets (keyset.Set): one over the live keys, one per rich-query index. Scans
+// are streaming iterators with O(log n) seek and early termination instead
+// of a full-map materialize-and-sort. Height-stamped snapshots
+// (Store.Snapshot) pin every set at a batch boundary and give readers,
+// rich queries included, a consistent view there without holding the lock
+// between reads; see snapshot.go.
 package statedb
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/hyperprov/hyperprov/internal/keyset"
+	"github.com/hyperprov/hyperprov/internal/richquery"
 )
 
 // Version identifies the transaction that last wrote a key.
@@ -81,26 +89,42 @@ var (
 	ErrStaleCommitHeight = errors.New("statedb: commit height not monotonically increasing")
 )
 
-// Store is a thread-safe versioned KV store for one channel on one peer.
-// The zero value is not usable; call New.
+// Store is a thread-safe versioned state database for one channel on one
+// peer: a KV store that also maintains declared secondary field indexes
+// over its JSON documents at commit time and serves rich queries from them.
+// This is the component that makes HyperProv's provenance queries (by
+// owner, by type, by time window) practical at scale, mirroring the paper's
+// use of CouchDB rich queries on Hyperledger Fabric. A store with no
+// indexes answers rich queries by scan. The zero value is not usable; call
+// New.
 //
-// Concurrency model: one RWMutex, mu, guards the map and the overlays of
-// outstanding snapshots. ApplyUpdates and Restore take its write side once
-// per batch; a point read, a snapshot read, and registering or releasing a
-// snapshot take its read side once. A Snapshot holds no lock between its
-// reads, so it never stalls a later apply: the apply preserves overwritten
-// values into the snapshot's overlay (copy-on-write) instead of waiting.
+// Concurrency model: one RWMutex, mu, guards the map, the indexes and the
+// overlays of outstanding snapshots. ApplyUpdates, Restore and
+// DefineIndexes take its write side once per call; a point read, a
+// snapshot read, and registering or releasing a snapshot take its read side
+// once. A Snapshot holds no lock between its reads, so it never stalls a
+// later apply: the apply preserves overwritten values into the snapshot's
+// overlay (copy-on-write) instead of waiting, and publishes new set
+// versions instead of changing the ones the snapshot pinned.
 //
 // No method takes mu twice on one goroutine: a second read lock queued
 // behind a waiting writer would deadlock.
 type Store struct {
 	mu   sync.RWMutex
 	data map[string]VersionedValue
+	// indexes are the declared rich-query indexes in definition order, each
+	// at its newest version: replaced under mu's write side, copied by a
+	// snapshot under its read side.
+	indexes []richquery.Index
 
-	// height and index are published under mu's write side and read
-	// without it (Height, Len, a snapshot's pinned index).
+	// height, keys and paths are published under mu's write side and read
+	// without it (Height, Len, a snapshot's pinned key set, and the document
+	// extraction ApplyUpdates runs before taking mu). paths[i] is
+	// indexes[i].Path(); DefineIndexes replaces the slice, never appends in
+	// place.
 	height atomic.Pointer[Version]
-	index  atomic.Pointer[keyIndex]
+	keys   atomic.Pointer[keyset.Set]
+	paths  atomic.Pointer[[][]string]
 
 	// snaps changes only under mu's read side, with snapMu ordering
 	// concurrent readers, so an apply holding the write side walks it
@@ -111,14 +135,15 @@ type Store struct {
 	metrics atomic.Pointer[storeMetrics]
 }
 
-// New creates an empty state store.
+// New creates an empty state store with no indexes.
 func New() *Store {
 	s := &Store{
 		data:  make(map[string]VersionedValue),
 		snaps: make(map[*storeSnapshot]struct{}),
 	}
-	s.index.Store(emptyKeyIndex)
+	s.keys.Store(keyset.New(nil))
 	s.height.Store(&Version{})
+	s.paths.Store(&[][]string{})
 	return s
 }
 
@@ -157,7 +182,7 @@ func (s *Store) GetVersion(key string) (Version, bool) {
 func (s *Store) Height() Version { return *s.height.Load() }
 
 // Len returns the number of live keys (including composite keys).
-func (s *Store) Len() int { return s.index.Load().live }
+func (s *Store) Len() int { return s.keys.Load().Len() }
 
 // UpdateBatch is a set of writes applied atomically at commit time.
 type UpdateBatch struct {
@@ -200,8 +225,8 @@ func (b *UpdateBatch) Keys() []string {
 
 // Range calls f for every staged write (in no particular order) with the
 // staged value, delete flag, and version. It lets batch consumers — the
-// indexed store's secondary-index maintenance, most importantly — apply a
-// whole block's writes without re-reading each key from the store.
+// store's secondary-index maintenance, most importantly — apply a whole
+// block's writes without re-reading each key from the store.
 func (b *UpdateBatch) Range(f func(key string, value []byte, isDelete bool, ver Version)) {
 	for key, w := range b.writes {
 		f(key, w.value, w.delete, w.ver)
@@ -212,25 +237,35 @@ func (b *UpdateBatch) Range(f func(key string, value []byte, isDelete bool, ver 
 // commit height. Heights must be strictly increasing across calls; this is
 // the ledger invariant that makes peer restarts idempotent.
 //
-// The whole batch is applied under one write lock. Values overwritten or
+// The whole batch is applied under one write lock, which also publishes the
+// key set's and every changed index's next version. Values overwritten or
 // deleted while a Snapshot is outstanding are preserved into that
 // snapshot's overlay first, which is what lets snapshot readers proceed
-// between their reads without blocking this call.
+// between their reads without blocking this call. The staged documents are
+// read — only at the indexed paths, validated whole — before the lock is
+// taken: writers and readers wait for the map and set updates alone.
+// Composite keys and non-JSON values are never indexed.
 func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 	m := s.metrics.Load()
 	var start time.Time
 	if m != nil {
 		start = time.Now()
 	}
+	paths := *s.paths.Load()
+	keys, vals, found := extractBatch(batch, paths)
 	m.lock(&s.mu)
 	defer s.mu.Unlock()
 	if cur := s.Height(); height.Compare(cur) <= 0 && (cur != Version{}) {
 		return fmt.Errorf("%w: have %v, got %v", ErrStaleCommitHeight, cur, height)
 	}
 
-	// changes feeds the ordered key index: each key that became live, and
-	// (as a tombstone) each that stopped being live.
-	var changes []deltaKey
+	// changes feeds the key set: each key that became live, and (as a
+	// tombstone) each that stopped being live.
+	var buf [64]keyset.Change // a block of a few dozen writes changes no more
+	changes := buf[:0]
+	if n := len(batch.writes); n > len(buf) {
+		changes = make([]keyset.Change, 0, n)
+	}
 	for key, w := range batch.writes {
 		old, existed := s.data[key]
 		for sn := range s.snaps {
@@ -239,15 +274,24 @@ func (s *Store) ApplyUpdates(batch *UpdateBatch, height Version) error {
 		switch {
 		case !w.delete:
 			if !existed {
-				changes = append(changes, deltaKey{key: key})
+				changes = append(changes, keyset.Change{Key: key})
 			}
 			s.data[key] = VersionedValue{Value: w.value, Version: w.ver}
 		case existed:
 			delete(s.data, key)
-			changes = append(changes, deltaKey{key: key, dead: true})
+			changes = append(changes, keyset.Change{Key: key, Dead: true})
 		}
 	}
-	s.index.Store(s.index.Load().apply(changes))
+	s.keys.Store(s.keys.Load().Apply(changes))
+	if len(s.indexes) != len(paths) {
+		// An index defined since the extraction above was built from state
+		// that lacked this batch; indexes are only ever added.
+		keys, vals, found = extractBatch(batch, *s.paths.Load())
+	}
+	n := len(s.indexes)
+	for i := range s.indexes {
+		s.indexes[i] = s.indexes[i].Update(keys, func(w int) (any, bool) { return vals[w*n+i], found[w*n+i] })
+	}
 
 	h := height
 	s.height.Store(&h)
@@ -317,9 +361,10 @@ func (s *Store) GetByPartialCompositeKey(objectType string, attrs []string) (Ite
 }
 
 // Snapshot returns a height-stamped consistent read view at the current
-// batch boundary. Creation is O(1): the view pins the immutable key index
-// and lazily copies only values that later applies overwrite. Callers must
-// Release the snapshot when done so applies stop preserving into it.
+// batch boundary. Creation is O(1) in the size of the state: the view pins
+// the immutable key set and index versions and lazily copies only values
+// that later applies overwrite. Callers must Release the snapshot when done
+// so applies stop preserving into it.
 func (s *Store) Snapshot() Snapshot { return s.snapshot() }
 
 // snapshot is Snapshot returning the concrete type. The boundary is pinned
@@ -329,9 +374,10 @@ func (s *Store) Snapshot() Snapshot { return s.snapshot() }
 func (s *Store) snapshot() *storeSnapshot {
 	s.mu.RLock()
 	sn := &storeSnapshot{
-		store:  s,
-		height: s.Height(),
-		index:  s.index.Load(),
+		store:   s,
+		height:  s.Height(),
+		keys:    s.keys.Load(),
+		indexes: slices.Clone(s.indexes),
 	}
 	s.snapMu.Lock()
 	s.snaps[sn] = struct{}{}
@@ -359,26 +405,29 @@ func (s *Store) Export() map[string]VersionedValue {
 }
 
 // Restore replaces the live state with the given snapshot at the given
-// height; used by state-transfer and by checkpoint-based crash recovery.
-// The restored height is the MVCC low-water mark: a later ApplyUpdates at a
-// height at or below it is rejected as stale, which is what makes replaying
-// an already-reflected block after restart a detectable no-op instead of a
-// silent double-apply. Outstanding snapshots are detached (their reads
-// report absent thereafter); callers quiesce readers around a restore.
+// height and rebuilds every index from it; used by state-transfer after a
+// partition heals. The restored height is the MVCC low-water mark: a later
+// ApplyUpdates at a height at or below it is rejected as stale, which is
+// what makes replaying an already-reflected block after restart a
+// detectable no-op instead of a silent double-apply. Outstanding snapshots
+// are detached (their reads report absent thereafter); callers quiesce
+// readers around a restore.
 func (s *Store) Restore(snap map[string]VersionedValue, height Version) {
-	s.replaceState(snap, height, true)
+	s.replaceState(snap, height, true, nil)
 }
 
-// restoreOwned is Restore without the defensive deep copy: the store takes
-// ownership of snap's value slices. Reserved for callers that freshly
-// materialized the snapshot and never touch it again (checkpoint recovery),
-// where copying a large state would only stretch the restart the snapshot
-// exists to shorten.
-func (s *Store) restoreOwned(snap map[string]VersionedValue, height Version) {
-	s.replaceState(snap, height, false)
+// RestoreWithIndexEntries is Restore for checkpoint recovery: indexes whose
+// serialized entries are present bulk-load them (no document re-decoding);
+// any declared index missing from entries is rebuilt from the snapshot.
+// Unlike Restore, the store takes ownership of snap (no deep copy) — the
+// caller must have materialized it freshly, as checkpoint decoding does,
+// and a copy would only stretch the restart the checkpoint exists to
+// shorten.
+func (s *Store) RestoreWithIndexEntries(snap map[string]VersionedValue, height Version, entries map[string][]richquery.IndexEntry) {
+	s.replaceState(snap, height, false, entries)
 }
 
-func (s *Store) replaceState(snap map[string]VersionedValue, height Version, copyValues bool) {
+func (s *Store) replaceState(snap map[string]VersionedValue, height Version, copyValues bool, entries map[string][]richquery.IndexEntry) {
 	fresh := make(map[string]VersionedValue, len(snap))
 	keys := make([]string, 0, len(snap))
 	for k, vv := range snap {
@@ -399,7 +448,18 @@ func (s *Store) replaceState(snap map[string]VersionedValue, height Version, cop
 	}
 	s.snaps = make(map[*storeSnapshot]struct{})
 	s.data = fresh
-	s.index.Store(&keyIndex{base: keys, live: len(keys)})
+	s.keys.Store(keyset.New(keys))
+	var docs []richquery.Candidate // built for the first index without entries
+	for i, ix := range s.indexes {
+		if es, ok := entries[ix.Def().Name]; ok {
+			s.indexes[i] = richquery.LoadIndex(ix.Def(), es)
+			continue
+		}
+		if docs == nil {
+			docs = mapCandidates(fresh)
+		}
+		s.indexes[i] = richquery.BuildIndex(ix.Def(), docs)
+	}
 	h := height
 	s.height.Store(&h)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -365,5 +366,45 @@ func TestVersionedValueJSONRoundtrip(t *testing.T) {
 	}
 	if _, ok := restored.Get("empty"); !ok {
 		t.Error("empty-valued key lost in JSON roundtrip")
+	}
+}
+
+// A 1-key block must cost the same key-set maintenance whatever the size of
+// the state: the mean heap churn of a 1-key ApplyUpdates stays under 4 KiB at
+// 8 k, 50 k and 200 k live keys (a two-run index that re-merged its whole
+// delta per apply measured 14.8 / 52.5 / 52.4 KiB here).
+func TestApplyAllocFlatInStateSize(t *testing.T) {
+	const applies = 4096
+	for _, keys := range []int{8_000, 50_000, 200_000} {
+		s := New()
+		seed := NewUpdateBatch()
+		for i := 0; i < keys; i++ {
+			seed.Put(fmt.Sprintf("seed-%07d", i), []byte("v"), Version{BlockNum: 1, TxNum: uint64(i)})
+		}
+		if err := s.ApplyUpdates(seed, Version{BlockNum: 1, TxNum: uint64(keys)}); err != nil {
+			t.Fatal(err)
+		}
+		batches := make([]*UpdateBatch, applies)
+		for i := range batches {
+			batches[i] = NewUpdateBatch()
+			batches[i].Put(fmt.Sprintf("item-%07d", i*7919%applies), []byte("v"), Version{BlockNum: uint64(i + 2)})
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i, b := range batches {
+			if err := s.ApplyUpdates(b, Version{BlockNum: uint64(i + 2), TxNum: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perApply := float64(after.TotalAlloc-before.TotalAlloc) / applies
+		t.Logf("%d live keys: %.0f B per 1-key apply", keys, perApply)
+		if perApply > 4096 {
+			t.Errorf("%d live keys: %.0f B per 1-key apply, budget 4096", keys, perApply)
+		}
+		if got := s.Len(); got != keys+applies {
+			t.Errorf("Len() = %d, want %d", got, keys+applies)
+		}
 	}
 }

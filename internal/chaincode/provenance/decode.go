@@ -23,9 +23,10 @@ import (
 // that any of them keeps all of it reachable. The chaincode's partial reads,
 // which keep a few short strings of a large value, leave it empty and copy.
 type decoder struct {
-	sc   richquery.Scanner
-	data []byte
-	text string
+	sc      richquery.Scanner
+	data    []byte
+	text    string
+	scratch []string // strs' elements before their one copy out
 }
 
 // decode reads payload's one value with read — its strings sharing one copy
@@ -94,6 +95,19 @@ func (d *decoder) str(dst *string) error {
 	return err
 }
 
+// view reads a string as the scanner returns it, without a copy: a view of
+// the payload when the literal is unescaped ASCII.
+func (d *decoder) view(dst *[]byte) error {
+	if d.sc.Null() {
+		return nil
+	}
+	value, err := d.sc.String()
+	if err == nil {
+		*dst = value
+	}
+	return err
+}
+
 func (d *decoder) boolean(dst *bool) error {
 	c, err := d.sc.Literal()
 	if err == nil && c != 'n' {
@@ -156,6 +170,23 @@ func array[T any](d *decoder, dst *[]T, hint int, elem func(*decoder, *T) error)
 	return err
 }
 
+// strs decodes a string array as array does, but allocates the slice a
+// first member of its name yields once, at its final length: the elements
+// are read into the decoder's scratch, cleared first as fresh memory would
+// be, and copied out. A later member of the same name decodes over the slice the
+// earlier one left, as array does; what it can see there is the same, since
+// a slice grown on the way keeps every element written before.
+func (d *decoder) strs(dst *[]string) error {
+	if *dst != nil || d.sc.Peek() != '[' {
+		return array(d, dst, 0, (*decoder).str)
+	}
+	clear(d.scratch[:cap(d.scratch)])
+	s := d.scratch[:0]
+	err := array(d, &s, 0, (*decoder).str)
+	d.scratch, *dst = s, append(s[:0:0], s...)
+	return err
+}
+
 func (d *decoder) stringMap(dst *map[string]string) error {
 	if d.sc.Peek() == 'n' {
 		*dst = nil
@@ -190,7 +221,7 @@ func (d *decoder) record(rec *Record) error {
 		case "owner":
 			return d.str(&rec.Owner)
 		case "parents":
-			return array(d, &rec.Parents, 0, (*decoder).str)
+			return d.strs(&rec.Parents)
 		case "meta":
 			return d.stringMap(&rec.Meta)
 		case "txid":

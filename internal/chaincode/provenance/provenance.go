@@ -438,6 +438,7 @@ func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([][]byte, err
 	seen := map[string]bool{start: true}
 	frontier := []string{start}
 	var out [][]byte
+	var parents [][]byte
 	for depth := 0; len(frontier) > 0 && depth < maxLineageDepth; depth++ {
 		var next []string
 		for _, key := range frontier {
@@ -451,16 +452,20 @@ func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([][]byte, err
 				}
 				continue // parent tombstoned; lineage continues past it
 			}
-			// Each parent is its own copy: one string over the whole record
-			// would cost its size again for two short keys.
-			var parents []string
-			err = readFields(raw, func(d *decoder, _ string) error { return array(d, &parents, 0, (*decoder).str) }, "parents")
+			// The parents are views of raw, which aliases committed state:
+			// they are read, never written. A key new to seen is copied once,
+			// and that copy is both the map key and the frontier entry; a
+			// string over the whole record would cost its size again.
+			clear(parents[:cap(parents)])
+			parents = parents[:0]
+			err = readFields(raw, func(d *decoder, _ string) error { return array(d, &parents, 0, (*decoder).view) }, "parents")
 			if err != nil {
 				return nil, fmt.Errorf("corrupt record %q: %w", key, err)
 			}
 			out = append(out, raw)
 			for _, p := range parents {
-				if !seen[p] {
+				if !seen[string(p)] {
+					p := string(p)
 					seen[p] = true
 					next = append(next, p)
 				}

@@ -2,8 +2,10 @@ package richquery
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -15,6 +17,15 @@ import (
 // index maintenance below (Extract) sit on it; encoding/json is reached only
 // for a string literal with an escape or a non-ASCII byte, and for a
 // composite value a caller wants as a tree.
+//
+// A string is scanned eight bytes at a time: one 64-bit word, one mask
+// (special) of the bytes the byte loop must look at — '"', '\\', a control
+// byte, a non-ASCII one — and a word with none is passed over whole. A
+// flagged word sends the scan straight to its lowest flagged byte, which the
+// byte loop then handles; that loop also reads the tail shorter than a word
+// and the escapes. Words are loaded little-endian whatever the host, so the
+// lowest byte of the word is the first in the text on every target (the
+// paper's ARM boards included) and "lowest flagged" means "first flagged".
 
 // MaxDepth is the nesting encoding/json accepts.
 const MaxDepth = 10000
@@ -38,6 +49,15 @@ func (s *Scanner) fail(what string) error {
 // Peek skips whitespace and returns the byte the next value or delimiter
 // starts with, 0 at the end of the text.
 func (s *Scanner) Peek() byte {
+	if s.pos < len(s.data) && s.data[s.pos] > ' ' {
+		return s.data[s.pos]
+	}
+	return s.skipSpace()
+}
+
+// skipSpace is Peek past whitespace: a second function, so that Peek's test
+// of the next byte stays small enough to inline.
+func (s *Scanner) skipSpace() byte {
 	for s.pos < len(s.data) {
 		switch c := s.data[s.pos]; c {
 		case ' ', '\t', '\r', '\n':
@@ -125,21 +145,31 @@ func (s *Scanner) quoted() (lit []byte, plain bool, err error) {
 		return nil, false, s.fail("want a string")
 	}
 	plain = true
-	for i := s.pos + 1; i < len(s.data); i++ {
-		switch c := s.data[i]; {
+	data := s.data
+	for i := s.pos + 1; ; i++ {
+		for ; i+8 <= len(data); i += 8 {
+			if m := special(binary.LittleEndian.Uint64(data[i:])); m != 0 {
+				i += bits.TrailingZeros64(m) >> 3
+				break
+			}
+		}
+		if i >= len(data) {
+			return nil, false, s.fail("unterminated string")
+		}
+		switch c := data[i]; {
 		case c == '"':
-			lit, s.pos = s.data[s.pos+1:i], i+1
+			lit, s.pos = data[s.pos+1:i], i+1
 			return lit, plain, nil
 		case c == '\\':
 			plain = false
-			if i++; i == len(s.data) {
+			if i++; i == len(data) {
 				return nil, false, s.fail("unterminated string")
 			}
-			switch s.data[i] {
+			switch data[i] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
 			case 'u':
 				for n := 0; n < 4; n++ {
-					if i++; i == len(s.data) || strings.IndexByte("0123456789abcdefABCDEF", s.data[i]) < 0 {
+					if i++; i == len(data) || strings.IndexByte("0123456789abcdefABCDEF", data[i]) < 0 {
 						return nil, false, s.fail("bad \\u escape")
 					}
 				}
@@ -152,43 +182,58 @@ func (s *Scanner) quoted() (lit []byte, plain bool, err error) {
 			plain = false
 		}
 	}
-	return nil, false, s.fail("unterminated string")
+}
+
+const (
+	ones  = 0x0101010101010101 // 0x01 in every byte of a word
+	highs = 0x8080808080808080 // the top bit of every byte
+)
+
+// special returns w's bytes that end a plain run of a string — '"', '\\',
+// below 0x20 or from 0x80 up — as their top bits. A byte below 0x80 gets its
+// top bit from a subtraction only if it is 0 after the xor ('"', '\\') or
+// below 0x20; the byte from 0x80 up has it already. A subtraction borrows
+// out of a byte only when that byte is flagged, so a false flag can sit
+// above the lowest true one but never below it. Each subtraction is
+// parenthesised: in Go, '|' binds as tightly as '-'.
+func special(w uint64) uint64 {
+	return (((w ^ (ones * '"')) - ones) | ((w ^ (ones * '\\')) - ones) | (w - ones*' ') | w) & highs
 }
 
 // Number consumes a number and returns its literal.
 func (s *Scanner) Number() ([]byte, error) {
 	s.Peek()
-	i := s.pos
-	at := func(set string) bool { return i < len(s.data) && strings.IndexByte(set, s.data[i]) >= 0 }
+	data, i := s.data, s.pos
+	at := func(c byte) bool { return i < len(data) && data[i] == c }
 	digits := func() bool {
 		start := i
-		for i < len(s.data) && s.data[i]-'0' < 10 {
+		for i < len(data) && data[i]-'0' < 10 {
 			i++
 		}
 		return i > start
 	}
-	if at("-") {
+	if at('-') {
 		i++
 	}
-	if at("0") {
+	if at('0') {
 		i++
 	} else if !digits() {
 		return nil, s.fail("want a number")
 	}
-	if at(".") {
+	if at('.') {
 		if i++; !digits() {
 			return nil, s.fail("want digits after '.'")
 		}
 	}
-	if at("eE") {
-		if i++; at("+-") {
+	if at('e') || at('E') {
+		if i++; at('+') || at('-') {
 			i++
 		}
 		if !digits() {
 			return nil, s.fail("want digits in the exponent")
 		}
 	}
-	lit := s.data[s.pos:i]
+	lit := data[s.pos:i]
 	s.pos = i
 	return lit, nil
 }

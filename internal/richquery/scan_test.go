@@ -1,6 +1,7 @@
 package richquery
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -33,6 +34,8 @@ var scanTexts = []string{
 	`{}`, `{ }`, `{"a":1}`, `{"a":1,}`, `{,}`, `{"a"}`, `{"a":}`, `{a:1}`, `{"a":1 "b":2}`, `{"a":1,"a":2}`, `{"a":{"b":[1,{"c":null}]}}`,
 	`{"a":1}x`, `{"a":1} `, ` {"a":1}`, "\xef\xbb\xbf{}", `{"a":1}`, "{\"a\x00b\":1}", `{"a":1e999}`, `{"a":[1e999]}`,
 	`{"key":"k","meta":{"type":"raw","unit":"°C"},"parents":["a","b"],"ts":1570000000000}`,
+	`"abcdefghijklmnopqrstuvwx"`, `"abcdefgh"ijklmnopqrstuvwx"`, `"abcdefghijklmno\u00e9qrstuvwx"`, `"abcdefghijklmnop\u0g00stuvwx"`,
+	"\"abcdefghi\x7fklmnopqrstuvwx\"", "\"abcdefgh\xffjklmnopqrstuvwx\"", "\"abcdefghijklmno\x01qrstuvwx\"", `"abcdefghijklmnopq🐎vwx"`,
 	strings.Repeat("[", MaxDepth) + strings.Repeat("]", MaxDepth),
 	strings.Repeat("[", MaxDepth+1) + strings.Repeat("]", MaxDepth+1),
 	strings.Repeat(`{"a":`, MaxDepth) + `1` + strings.Repeat("}", MaxDepth),
@@ -60,6 +63,39 @@ func FuzzScan(f *testing.F) {
 			t.Fatalf("IsObject = %v, want %v for %q", got, wantObject, data)
 		}
 	})
+}
+
+// The word-at-a-time string scan agrees with encoding/json wherever in a
+// word the byte that ends a plain run falls, and wherever the string ends.
+func TestQuotedEveryOffset(t *testing.T) {
+	const base = "abcdefghijklmnopqrstuvwx" // 24 bytes: three words
+	specials := []string{`"`, `\"`, `\\`, `\/`, `\b`, `\f`, `\n`, `\r`, `\t`, `\u00e9`, `\ud83d\udc0e`, `\u00g9`, `\u`, `\x`,
+		"\x7f", "é", "🐎", "\xff"}
+	for c := 0; c < ' '; c++ {
+		specials = append(specials, string(rune(c)))
+	}
+	var texts []string
+	for off := 0; off <= 16; off++ {
+		for _, sp := range specials {
+			texts = append(texts, `"`+base[:off]+sp+base[off:]+`"`)
+		}
+		texts = append(texts, `"`+base[:off]+`"`, `"`+base[:off], `"`+base[:off]+`",1`, `["`+base[:off]+`"]`)
+	}
+	for _, text := range texts {
+		data := []byte(text)
+		if got, want := scanAll(data), json.Valid(data); got != want {
+			t.Errorf("scanner accepts = %v, json.Valid = %v for %q", got, want, text)
+			continue
+		}
+		var want string
+		if json.Unmarshal(data, &want) != nil {
+			continue
+		}
+		s := NewScanner(data[:len(data):len(data)])
+		if got, err := s.String(); err != nil || string(got) != want || s.End() != nil {
+			t.Errorf("String() = %q, %v; json.Unmarshal = %q for %q", got, err, want, text)
+		}
+	}
 }
 
 // A typed read refuses a value of another type and leaves a usable error.
@@ -193,5 +229,34 @@ func TestExtractAllocations(t *testing.T) {
 	}
 	if fmt.Sprint(vals) != "[x509::CN=client,O=Org1,OU=client x509::CN=client,O=Org1,OU=client t1 1.57e+12]" {
 		t.Errorf("vals = %v", vals)
+	}
+}
+
+// recordsPayload renders n records in the shape of a lineage reply: two
+// parents, a one-entry meta, a 64-digit transaction id.
+func recordsPayload(n int) []byte {
+	var b bytes.Buffer
+	b.WriteByte('[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"key":"d-03-%02d","checksum":"cs-03-%02d-00","creator":"x509::CN=client,O=Org1,OU=client",`+
+			`"owner":"x509::CN=client,O=Org1,OU=client","parents":["d-03-%02d","d-03-%02d"],"meta":{"type":"t%d"},`+
+			`"txid":"%064x","timestamp":"2019-10-02T07:06:40Z","ts":%d}`, i, i, i+1, i+2, i%8, i*7919, 1570000000000+int64(i))
+	}
+	b.WriteByte(']')
+	return b.Bytes()
+}
+
+// Skip over a 64-record reply: the validation the peer runs on every
+// spliced record and the client's decode start from.
+func BenchmarkScan(b *testing.B) {
+	payload := recordsPayload(64)
+	b.SetBytes(int64(len(payload)))
+	for b.Loop() {
+		if !scanAll(payload) {
+			b.Fatal("refused")
+		}
 	}
 }

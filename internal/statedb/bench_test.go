@@ -137,7 +137,7 @@ var provenanceIndexes = []richquery.IndexDef{
 // indexed field present, eight owners, four types.
 func provenanceDoc(i int) []byte {
 	return fmt.Appendf(nil, `{"key":"r%07d","creator":"u%d","owner":"u%d","meta":{"type":"t%d"},"ts":%d}`,
-		i, i%8, i%8, i%4, 1_700_000_000_000+i)
+		i, i%8, i%8, i%4, 1_700_000_000_000+int64(i))
 }
 
 // BenchmarkIndexedApply commits 1-document batches, each a new record, into

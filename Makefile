@@ -10,7 +10,8 @@
 # package that opens sockets, deterministic commit-path time). See README
 # "Static analysis & enforced invariants" for the table and the suppression
 # directives. `make analyze` also greps the record path (internal/core, the
-# provenance chaincode) for reflective JSON decodes and checks internal/core's
+# provenance chaincode) for reflective JSON decodes, greps internal/, cmd/ and
+# examples/ for a `.BlocksFrom(` chain-tail slice, and checks internal/core's
 # whole import cone against the network-side packages.
 #
 # Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
@@ -71,15 +72,21 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery endorser
 # provenance.Decode* and read by readFields, on richquery's scanner, so
 # internal/core calls no reflective JSON decoder and the chaincode only for
 # its request arguments (setArgs, listArgs) — a new read function cannot
-# quietly bring encoding/json's decode back. Last, keep the client library's
-# import cone closed: an analyzer sees direct imports only, so ask the go
-# command for the transitive set.
+# quietly bring encoding/json's decode back. Keep chain tails out of slices:
+# the chain is read by number (blockstore.Each, Peer.Blocks, Client.Blocks),
+# and the two BlocksFrom collectors are left only for benchmark/. Last, keep
+# the client library's import cone closed: an analyzer sees direct imports
+# only, so ask the go command for the transitive set.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 	@bad=$$( { grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(CORE_GO); \
 		grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(PROVENANCE_GO) | grep -vF 'json.Unmarshal(args[0], &in)'; } ); \
 	if [ -n "$$bad" ]; then \
 		echo "reflective JSON decode on the record path (use provenance.Decode* / readFields):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF '.BlocksFrom(' --include='*.go' --exclude='*_test.go' internal cmd examples); \
+	if [ -n "$$bad" ]; then \
+		echo "a chain tail read into a slice (stream it with Blocks / blockstore.Each):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$($(GO) list -deps ./internal/core | grep -E '/internal/($(subst $(eval) ,|,$(NETWORK_SIDE)))$$'); \
 	if [ -n "$$bad" ]; then \

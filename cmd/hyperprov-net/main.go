@@ -383,7 +383,7 @@ func runJoin(o options) error {
 	for _, c := range clients {
 		members = append(members, c.Member())
 	}
-	g := gossip.New(gossip.Config{Interval: 25 * time.Millisecond, Fanout: 1}, members...)
+	g := gossip.New(gossip.Config{Interval: 25 * time.Millisecond}, members...)
 	defer g.Stop()
 	g.SetMetrics(netReg)
 	g.SetTracer(tracer)

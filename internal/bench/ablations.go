@@ -219,7 +219,6 @@ func runRaftAblation(quick bool) (Report, error) {
 	}
 	netCfg := fabric.DesktopConfig()
 	netCfg.Consensus = fabric.ConsensusRaft
-	netCfg.RaftNodes = 3
 	n, err := newNetwork(netCfg, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -56,13 +57,6 @@ func TestAppendAndRetrieve(t *testing.T) {
 	if b2.Header.Number != 2 || len(b2.Envelopes) != 3 {
 		t.Errorf("block 2 = number %d, %d envs", b2.Header.Number, len(b2.Envelopes))
 	}
-	byHash, err := s.GetByHash(b2.Header.Hash())
-	if err != nil {
-		t.Fatalf("GetByHash: %v", err)
-	}
-	if byHash.Header.Number != 2 {
-		t.Errorf("GetByHash number = %d, want 2", byHash.Header.Number)
-	}
 	if _, err := s.GetByNumber(99); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetByNumber(99) err = %v, want ErrNotFound", err)
 	}
@@ -75,9 +69,6 @@ func TestAppendAndRetrieve(t *testing.T) {
 	tip[0] ^= 0xff
 	if bytes.Equal(tip, s.LastHash()) {
 		t.Error("LastHash hands out the store's own tip")
-	}
-	if _, err := s.GetByHash([]byte{1, 2}); !errors.Is(err, ErrNotFound) {
-		t.Errorf("GetByHash(bogus) err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -181,14 +172,45 @@ func TestSignedBytesExcludesSignature(t *testing.T) {
 	}
 }
 
-func TestBlocksFrom(t *testing.T) {
+// TestEach: the by-number reader hands over blocks in order from its
+// start, reads no further than the height at the call even when fn appends,
+// and stops at fn's first error.
+func TestEach(t *testing.T) {
 	s := mkChain(t, 5, 1)
-	got := s.BlocksFrom(3)
-	if len(got) != 2 || got[0].Header.Number != 3 || got[1].Header.Number != 4 {
-		t.Errorf("BlocksFrom(3) = %d blocks", len(got))
+	var got []uint64
+	collect := func(b *Block) error { got = append(got, b.Header.Number); return nil }
+	if err := Each(s, 3, collect); err != nil || !slices.Equal(got, []uint64{3, 4}) {
+		t.Errorf("Each(3) = %v, %v; want [3 4]", got, err)
 	}
-	if got := s.BlocksFrom(99); got != nil {
-		t.Errorf("BlocksFrom(99) = %v, want nil", got)
+	got = nil
+	if err := Each(s, 99, collect); err != nil || got != nil {
+		t.Errorf("Each(99) = %v, %v; want nothing", got, err)
+	}
+
+	got = nil
+	err := Each(s, 4, func(b *Block) error {
+		got = append(got, b.Header.Number)
+		next, err := NewBlock(s.Height(), s.LastHash(), []Envelope{mkEnv("late", "set")})
+		if err != nil {
+			return err
+		}
+		return s.Append(next)
+	})
+	if err != nil || !slices.Equal(got, []uint64{4}) || s.Height() != 6 {
+		t.Errorf("Each over a growing chain = %v, %v (height %d); want [4] and height 6", got, err, s.Height())
+	}
+
+	stop := errors.New("stop")
+	got = nil
+	err = Each(s, 0, func(b *Block) error {
+		got = append(got, b.Header.Number)
+		if b.Header.Number == 1 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || !slices.Equal(got, []uint64{0, 1}) {
+		t.Errorf("Each stopping at block 1 = %v, %v; want [0 1] and the stop error", got, err)
 	}
 }
 

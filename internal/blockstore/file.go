@@ -269,9 +269,6 @@ func (s *FileStore) LastHash() []byte { return s.mem.LastHash() }
 // GetByNumber returns the block with the given number.
 func (s *FileStore) GetByNumber(n uint64) (*Block, error) { return s.mem.GetByNumber(n) }
 
-// GetByHash returns the block with the given header hash.
-func (s *FileStore) GetByHash(h []byte) (*Block, error) { return s.mem.GetByHash(h) }
-
 // GetTx returns the envelope and validation code for a transaction id.
 func (s *FileStore) GetTx(txID string) (*Envelope, ValidationCode, error) { return s.mem.GetTx(txID) }
 
@@ -280,6 +277,3 @@ func (s *FileStore) Locate(txID string) (TxLocator, bool) { return s.mem.Locate(
 
 // VerifyChain audits the whole persisted chain.
 func (s *FileStore) VerifyChain() error { return s.mem.VerifyChain() }
-
-// BlocksFrom returns all blocks with number >= from.
-func (s *FileStore) BlocksFrom(from uint64) []*Block { return s.mem.BlocksFrom(from) }

@@ -36,16 +36,12 @@ type BlockStore interface {
 	LastHash() []byte
 	// GetByNumber returns the block with the given number.
 	GetByNumber(n uint64) (*Block, error)
-	// GetByHash returns the block with the given header hash.
-	GetByHash(h []byte) (*Block, error)
 	// GetTx returns the envelope and validation code for a transaction id.
 	GetTx(txID string) (*Envelope, ValidationCode, error)
 	// Locate returns where a transaction committed.
 	Locate(txID string) (TxLocator, bool)
 	// VerifyChain audits the whole chain.
 	VerifyChain() error
-	// BlocksFrom returns all blocks with number >= from.
-	BlocksFrom(from uint64) []*Block
 }
 
 // Compile-time interface checks.
@@ -58,17 +54,13 @@ var (
 type Store struct {
 	mu     sync.RWMutex
 	blocks []*Block
-	tip    [sha256.Size]byte            // hash of the latest header
-	byHash map[[sha256.Size]byte]uint64 // header hash -> block number
-	byTxID map[string]TxLocator         // txid -> location
+	tip    [sha256.Size]byte    // hash of the latest header
+	byTxID map[string]TxLocator // txid -> location
 }
 
 // NewStore creates an empty block store.
 func NewStore() *Store {
-	return &Store{
-		byHash: make(map[[sha256.Size]byte]uint64),
-		byTxID: make(map[string]TxLocator),
-	}
+	return &Store{byTxID: make(map[string]TxLocator)}
 }
 
 // Append validates sequence and chain linkage, then appends the block.
@@ -88,7 +80,6 @@ func (s *Store) Append(b *Block) error {
 	}
 	s.blocks = append(s.blocks, b)
 	s.tip = b.Header.sum()
-	s.byHash[s.tip] = b.Header.Number
 	for i := range b.Envelopes {
 		if _, dup := s.byTxID[b.Envelopes[i].TxID]; dup {
 			continue // a txID's first occurrence is the one that counts
@@ -127,20 +118,6 @@ func (s *Store) GetByNumber(n uint64) (*Block, error) {
 	defer s.mu.RUnlock()
 	if n >= uint64(len(s.blocks)) {
 		return nil, fmt.Errorf("%w: number %d (height %d)", ErrNotFound, n, len(s.blocks))
-	}
-	return s.blocks[n], nil
-}
-
-// GetByHash returns the block with the given header hash.
-func (s *Store) GetByHash(hash []byte) (*Block, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(hash) != sha256.Size {
-		return nil, fmt.Errorf("%w: hash %x", ErrNotFound, hash)
-	}
-	n, ok := s.byHash[[sha256.Size]byte(hash)]
-	if !ok {
-		return nil, fmt.Errorf("%w: hash %x", ErrNotFound, hash)
 	}
 	return s.blocks[n], nil
 }
@@ -188,15 +165,20 @@ func (s *Store) VerifyChain() error {
 	return nil
 }
 
-// BlocksFrom returns all blocks with number >= from, for catch-up delivery
-// to peers that fell behind (e.g. after a partition heals).
-func (s *Store) BlocksFrom(from uint64) []*Block {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if from >= uint64(len(s.blocks)) {
-		return nil
+// Each hands fn the blocks of s numbered from up to the height at the call,
+// in order, and stops at fn's first error. It holds no lock of the store's
+// between blocks — each block is one GetByNumber — so fn may block (a
+// network write, a full commit queue) without stalling appends, and a caller
+// streams a long tail without ever holding it.
+func Each(s BlockStore, from uint64, fn func(*Block) error) error {
+	for n, h := from, s.Height(); n < h; n++ {
+		b, err := s.GetByNumber(n)
+		if err != nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
 	}
-	out := make([]*Block, len(s.blocks)-int(from))
-	copy(out, s.blocks[from:])
-	return out
+	return nil
 }

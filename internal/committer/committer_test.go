@@ -443,7 +443,7 @@ func assertEquivalent(t *testing.T, f *txFactory, stream []*blockstore.Block, ve
 	runStream(t, NewSerial(serial.config(f, 0)), stream)
 	runStream(t, New(pipe.config(f, 4)), stream)
 	replayed := newLedger()
-	if err := Replay(replayed.state, replayed.history, serial.blocks.BlocksFrom(0)); err != nil {
+	if err := Replay(replayed.state, replayed.history, serial.blocks, 0); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 

@@ -20,15 +20,13 @@ import (
 // run had at these blocks' boundary — corruption, not crash — and aborts
 // the replay with an error rather than forking state from the ledger.
 //
-// History entries are re-recorded when history is non-nil, so a recovered
-// peer's GetKeyHistory matches an uninterrupted run's.
-func Replay(state statedb.StateDB, history *historydb.DB, blocks []*blockstore.Block) error {
-	for _, stored := range blocks {
-		if err := replayBlock(state, history, stored); err != nil {
-			return err
-		}
-	}
-	return nil
+// Replay reads blocks by number from from up to its height, one block at a
+// time. History entries are re-recorded when history is non-nil, so a
+// recovered peer's GetKeyHistory matches an uninterrupted run's.
+func Replay(state statedb.StateDB, history *historydb.DB, blocks blockstore.BlockStore, from uint64) error {
+	return blockstore.Each(blocks, from, func(stored *blockstore.Block) error {
+		return replayBlock(state, history, stored)
+	})
 }
 
 // replayBlock re-applies one stored block. The stored block is shadowed

@@ -31,7 +31,7 @@ func TestReplayReproducesCommittedState(t *testing.T) {
 	// fresh stores, as recovery does after loading the block file.
 	state := statedb.New()
 	history := historydb.New()
-	if err := Replay(state, history, ref.blocks.BlocksFrom(0)); err != nil {
+	if err := Replay(state, history, ref.blocks, 0); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if got, want := StateFingerprint(state), StateFingerprint(ref.state); got != want {
@@ -57,7 +57,7 @@ func TestReplayTailFromSnapshot(t *testing.T) {
 	state.Restore(prefix.state.Export(), prefix.state.Height())
 	history := historydb.New()
 	history.Restore(prefix.history.Snapshot())
-	if err := Replay(state, history, ref.blocks.BlocksFrom(uint64(cut))); err != nil {
+	if err := Replay(state, history, ref.blocks, uint64(cut)); err != nil {
 		t.Fatalf("Replay tail: %v", err)
 	}
 	if got, want := StateFingerprint(state), StateFingerprint(ref.state); got != want {
@@ -77,7 +77,7 @@ func TestReplayRejectsForeignPreState(t *testing.T) {
 	// must fail loudly (height regression), never silently fork.
 	state := statedb.New()
 	state.Restore(ref.state.Export(), ref.state.Height()) // already at tip
-	if err := Replay(state, nil, ref.blocks.BlocksFrom(0)); err == nil {
+	if err := Replay(state, nil, ref.blocks, 0); err == nil {
 		t.Fatal("replay over already-reflected state succeeded")
 	}
 }

@@ -96,7 +96,7 @@ func TestCommitChargesOneOverheadPerEnvelope(t *testing.T) {
 				}
 			}
 			exec.ResetBusy()
-			if err := Replay(statedb.New(), historydb.New(), l.blocks.BlocksFrom(0)); err != nil {
+			if err := Replay(statedb.New(), historydb.New(), l.blocks, 0); err != nil {
 				t.Fatal(err)
 			}
 			if got := exec.BusyTime(); got != 0 {

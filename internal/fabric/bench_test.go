@@ -190,7 +190,7 @@ func BenchmarkCatchupRealClock(b *testing.B) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	src.Sync()
-	blocks, fingerprint := src.BlocksFrom(0), src.StateFingerprint()
+	blocks, fingerprint := chainOf(src), src.StateFingerprint()
 	if len(blocks) != 1+window*windows {
 		b.Fatalf("source chain has %d blocks, want %d", len(blocks), 1+window*windows)
 	}

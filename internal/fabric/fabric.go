@@ -40,10 +40,6 @@ const (
 type ChannelConfig struct {
 	// ID names the channel.
 	ID string
-	// Batch optionally overrides Config.Batch for this channel's orderer
-	// (zero value inherits it), so tenants can run different block-cutting
-	// profiles.
-	Batch orderer.BatchConfig
 }
 
 // Config describes a network to assemble.
@@ -67,12 +63,11 @@ type Config struct {
 	OrdererProfile device.Profile
 	// Clock scales modeled time; defaults to device.RealClock{} (1:1).
 	Clock device.Clock
-	// Batch is the orderer's block-cutting configuration.
+	// Batch is every channel orderer's block-cutting configuration.
 	Batch orderer.BatchConfig
-	// Consensus selects solo (default, as in the paper) or raft.
+	// Consensus selects solo (default, as in the paper) or a raftNodes-node
+	// raft cluster.
 	Consensus ConsensusType
-	// RaftNodes sizes the raft cluster (default 3).
-	RaftNodes int
 	// Gossip enables pull-based anti-entropy block dissemination between
 	// peers, letting members that lose the ordering service catch up from
 	// neighbours (see internal/gossip).
@@ -95,6 +90,10 @@ type Config struct {
 
 // defaultChannel is the paper's single application channel.
 const defaultChannel = "provchannel"
+
+// raftNodes sizes a raft ordering service: three nodes survive the loss of
+// any one.
+const raftNodes = 3
 
 // DesktopConfig returns the paper's desktop setup: 4 peers (2 Xeon E5-1603,
 // 1 i7-4700MQ, 1 i3-2310M) with the orderer co-located on a Xeon.
@@ -234,10 +233,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 			n.Stop()
 			return nil, fmt.Errorf("fabric: duplicate channel %q", chc.ID)
 		}
-		batch := chc.Batch
-		if batch == (orderer.BatchConfig{}) {
-			batch = cfg.Batch
-		}
+		batch := cfg.Batch
 		// The batch timer runs in wall time; when the modeled clock is
 		// scaled, scale the timeout (<= 0 meaning the default) identically.
 		if scale := cfg.Clock.Scale(); scale > 0 {
@@ -247,10 +243,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		var svc orderer.Service
 		switch cfg.Consensus {
 		case ConsensusRaft:
-			raftNodes := cfg.RaftNodes
-			if raftNodes <= 0 {
-				raftNodes = 3
-			}
 			svc = orderer.NewRaft(raftNodes, batch, orderer.DefaultRaftConfig(), ordExec, cfg.Seed)
 		default:
 			svc = orderer.NewSolo(batch, ordExec)

@@ -237,7 +237,6 @@ func TestLineageAcrossNetwork(t *testing.T) {
 func TestRaftNetworkEndToEnd(t *testing.T) {
 	cfg := testConfig()
 	cfg.Consensus = ConsensusRaft
-	cfg.RaftNodes = 3
 	n := newTestNetwork(t, cfg)
 	gw, err := n.NewGateway("client")
 	if err != nil {

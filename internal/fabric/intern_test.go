@@ -11,6 +11,13 @@ import (
 	"github.com/hyperprov/hyperprov/internal/peer"
 )
 
+// chainOf reads p's whole chain into a slice, for tests that index it.
+func chainOf(p *peer.Peer) []*blockstore.Block {
+	var chain []*blockstore.Block
+	p.Blocks(0, func(b *blockstore.Block) error { chain = append(chain, b); return nil })
+	return chain
+}
+
 // endorsedEnvelope has peer 0 endorse a set of key by the gateway's client
 // and returns the unsigned envelope; callers damage it before (or instead
 // of) signing to produce transactions that must be invalidated at commit.
@@ -105,7 +112,7 @@ func TestInterningInvisibleToVerdicts(t *testing.T) {
 	setRecord(t, bob, "eq-last", "cs4") // ordered after the three: all are committed once this returns
 
 	ref := n.Peers()[0]
-	chain := ref.BlocksFrom(0)
+	chain := chainOf(ref)
 	wantFP := ref.StateFingerprint()
 	codes := map[blockstore.ValidationCode]int{}
 	for _, b := range chain {
@@ -156,7 +163,7 @@ func TestInterningInvisibleToVerdicts(t *testing.T) {
 		if got := p.StateFingerprint(); got != wantFP {
 			t.Errorf("%s (fresh MSP): fingerprint %s, want %s", p.Name(), got, wantFP)
 		}
-		for j, b := range p.BlocksFrom(0) {
+		for j, b := range chainOf(p) {
 			for k, c := range b.TxValidation {
 				if want := chain[j].TxValidation[k]; c != want {
 					t.Errorf("%s: block %d tx %d = %s, want %s", p.Name(), j, k, c, want)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/shim"
@@ -340,12 +341,16 @@ func TestAddGossipPeerOnNonFirstChannel(t *testing.T) {
 		t.Errorf("edge at height %d fingerprint %s, tenant-b primary at %d %s",
 			edge.Height(), edge.StateFingerprint(), primary.Height(), primary.StateFingerprint())
 	}
-	for _, blk := range edge.BlocksFrom(0) {
+	err = edge.Blocks(0, func(blk *blockstore.Block) error {
 		for _, env := range blk.Envelopes {
 			if env.ChannelID != "tenant-b" {
-				t.Fatalf("edge holds a %s transaction in block %d", env.ChannelID, blk.Header.Number)
+				return fmt.Errorf("edge holds a %s transaction in block %d", env.ChannelID, blk.Header.Number)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if resp, err := edge.Query(provenance.ChaincodeName, provenance.FnGet,
 		[][]byte{[]byte("a-only-0")}, gwB.Identity().Serialize()); err == nil && resp.Status == shim.OK {

@@ -18,15 +18,17 @@ import (
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
-// Member is the peer surface gossip needs: report height, serve blocks,
+// Member is the peer surface gossip needs: report height, stream blocks,
 // and accept blocks.
 type Member interface {
 	// Name identifies the member.
 	Name() string
 	// Height returns the member's committed block height.
 	Height() uint64
-	// BlocksFrom returns committed blocks with number >= from.
-	BlocksFrom(from uint64) []*blockstore.Block
+	// Blocks hands fn the member's committed blocks numbered from up to its
+	// height, one at a time and in order, and stops at fn's first error.
+	// Blocks fn already had are an in-order prefix, safe to commit.
+	Blocks(from uint64, fn func(*blockstore.Block) error) error
 	// DeliverBlock hands the member a block fetched from a neighbour; the
 	// member validates and commits it exactly like an ordered block.
 	// Delivery may be asynchronous; gossip calls Sync (when the member
@@ -46,15 +48,13 @@ type Syncer interface {
 type Config struct {
 	// Interval is the anti-entropy round period.
 	Interval time.Duration
-	// Fanout is how many random neighbours are probed per round.
-	Fanout int
 	// Seed fixes neighbour selection.
 	Seed int64
 }
 
 // DefaultConfig returns gossip settings suitable for LAN deployments.
 func DefaultConfig() Config {
-	return Config{Interval: 50 * time.Millisecond, Fanout: 1}
+	return Config{Interval: 50 * time.Millisecond}
 }
 
 // Network runs anti-entropy rounds among a fixed membership with
@@ -84,9 +84,6 @@ type Network struct {
 func New(cfg Config, members ...Member) *Network {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultConfig().Interval
-	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 1
 	}
 	g := &Network{
 		cfg:      cfg,
@@ -193,18 +190,14 @@ func (g *Network) loop() {
 }
 
 // round runs one anti-entropy exchange: every member pulls missing blocks
-// from up to Fanout random neighbours.
+// from one random neighbour.
 func (g *Network) round() {
 	if reg := g.metrics.Load(); reg != nil {
 		reg.Counter(metrics.GossipRounds).Inc()
 	}
 	members := g.membersSnapshot()
 	for _, m := range members {
-		for f := 0; f < g.cfg.Fanout; f++ {
-			peer := g.pickNeighbour(m, members)
-			if peer == nil {
-				continue
-			}
+		if peer := g.pickNeighbour(m, members); peer != nil {
 			g.pull(m, peer)
 		}
 	}
@@ -244,10 +237,13 @@ func (g *Network) pickNeighbour(m Member, members []Member) Member {
 	return members[idx]
 }
 
-// pull fetches blocks the puller is missing from the source, in order. The
-// whole batch is handed to the puller before a single Sync, so a pipelined
-// committer overlaps validation and persistence across the tail instead of
-// being drained once per block.
+// pull fetches blocks the puller is missing from the source, in order, and
+// delivers each as the source hands it over: the tail is never held, and
+// DeliverBlock's bounded commit queues bound the blocks in flight. A failed
+// stream keeps the prefix it delivered; the next round fetches the rest.
+// The puller is synced once per pull, so a pipelined committer overlaps
+// validation and persistence across the tail instead of being drained once
+// per block.
 func (g *Network) pull(puller, source Member) {
 	if !g.linkOK(puller.Name(), source.Name()) {
 		return
@@ -257,24 +253,28 @@ func (g *Network) pull(puller, source Member) {
 	if srcH <= have {
 		return
 	}
-	blocks := source.BlocksFrom(have)
-	if len(blocks) == 0 {
-		return
-	}
 	tracer := g.tracer.Load()
-	for _, b := range blocks {
+	var pulled int64
+	// A failed stream is no progress past the prefix already delivered;
+	// anti-entropy's next round is the retry.
+	_ = source.Blocks(have, func(b *blockstore.Block) error {
 		start := time.Now()
 		puller.DeliverBlock(b)
 		if tracer != nil {
 			tracer.AddBatch(envelopeIDs(b), trace.StageGossipDeliver, puller.Name(), start, time.Since(start))
 		}
+		pulled++
+		return nil
+	})
+	if pulled == 0 {
+		return
 	}
 	if s, ok := puller.(Syncer); ok {
 		s.Sync()
 	}
 	if reg := g.metrics.Load(); reg != nil {
 		reg.Counter(metrics.GossipPullDeliveries).Inc()
-		reg.Counter(metrics.GossipBlocksPulled).Add(int64(len(blocks)))
+		reg.Counter(metrics.GossipBlocksPulled).Add(pulled)
 		// Convergence lag: how many blocks behind the source this puller was
 		// when the pull started (1 block == 1ns in the histogram's slots).
 		reg.Histogram(metrics.GossipConvergenceLag).Observe(time.Duration(srcH - have))

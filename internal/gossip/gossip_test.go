@@ -28,10 +28,8 @@ func (m *fakeMember) Height() uint64 {
 	return m.sto.Height()
 }
 
-func (m *fakeMember) BlocksFrom(from uint64) []*blockstore.Block {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sto.BlocksFrom(from)
+func (m *fakeMember) Blocks(from uint64, fn func(*blockstore.Block) error) error {
+	return blockstore.Each(m.sto, from, fn)
 }
 
 func (m *fakeMember) DeliverBlock(b *blockstore.Block) {
@@ -76,7 +74,7 @@ func waitConverged(t *testing.T, g *Network, timeout time.Duration) {
 func TestAntiEntropyCatchUp(t *testing.T) {
 	a, b, c := newFakeMember("a"), newFakeMember("b"), newFakeMember("c")
 	appendBlocks(t, a, 5) // a is ahead; b and c are empty
-	g := New(Config{Interval: 5 * time.Millisecond, Fanout: 2, Seed: 1}, a, b, c)
+	g := New(Config{Interval: 5 * time.Millisecond, Seed: 1}, a, b, c)
 	defer g.Stop()
 	waitConverged(t, g, 5*time.Second)
 	if b.Height() != 5 || c.Height() != 5 {
@@ -89,7 +87,7 @@ func TestAntiEntropyCatchUp(t *testing.T) {
 
 func TestIsolationBlocksGossipThenHeals(t *testing.T) {
 	a, b := newFakeMember("a"), newFakeMember("b")
-	g := New(Config{Interval: 5 * time.Millisecond, Fanout: 1, Seed: 2}, a, b)
+	g := New(Config{Interval: 5 * time.Millisecond, Seed: 2}, a, b)
 	defer g.Stop()
 
 	g.Isolate("b")
@@ -110,7 +108,7 @@ func TestBidirectionalConvergence(t *testing.T) {
 	// chains), but a fresh member must catch up from whichever it pulls.
 	a, b := newFakeMember("a"), newFakeMember("b")
 	appendBlocks(t, a, 4)
-	g := New(Config{Interval: 5 * time.Millisecond, Fanout: 1, Seed: 3}, a, b)
+	g := New(Config{Interval: 5 * time.Millisecond, Seed: 3}, a, b)
 	defer g.Stop()
 	waitConverged(t, g, 5*time.Second)
 	if b.Height() != 4 {
@@ -218,7 +216,7 @@ func TestPullSyncsOncePerBatch(t *testing.T) {
 func TestBlockUnblockPartitionHeal(t *testing.T) {
 	a, b := newFakeMember("a"), newFakeMember("b")
 	appendBlocks(t, a, 4)
-	g := New(Config{Interval: 5 * time.Millisecond, Fanout: 1, Seed: 7}, a, b)
+	g := New(Config{Interval: 5 * time.Millisecond, Seed: 7}, a, b)
 	defer g.Stop()
 
 	g.Block("b", "a")

@@ -113,8 +113,9 @@ func TestGossipHooksServeAndAccept(t *testing.T) {
 	}
 	b := f.commitEnvs(f.envelopeFor(prop, resp))
 
-	if got := f.peer.BlocksFrom(0); len(got) != 1 {
-		t.Fatalf("BlocksFrom = %d blocks", len(got))
+	var served int
+	if err := f.peer.Blocks(0, func(*blockstore.Block) error { served++; return nil }); err != nil || served != 1 {
+		t.Fatalf("Blocks = %d blocks, %v", served, err)
 	}
 	// A second peer accepts the block via the gossip delivery hook.
 	signer, err := f.ca.Enroll("peer1", identity.RolePeer)

@@ -757,10 +757,22 @@ func (p *Peer) LastCommitTime() time.Time {
 	return time.Unix(0, ns)
 }
 
-// BlocksFrom returns this peer's committed blocks with number >= from,
-// serving gossip pulls from neighbours.
+// Blocks hands fn this peer's committed blocks numbered from up to its
+// height at the call, one at a time and in order, and stops at fn's first
+// error: what serves gossip pulls and the transport's blocksFrom stream.
+func (p *Peer) Blocks(from uint64, fn func(*blockstore.Block) error) error {
+	return blockstore.Each(p.blocks, from, fn)
+}
+
+// BlocksFrom collects Blocks(from) into one slice. It is kept only for the
+// benchmark module, which still reads whole tails; it goes once that module
+// moves to Blocks.
 func (p *Peer) BlocksFrom(from uint64) []*blockstore.Block {
-	return p.blocks.BlocksFrom(from)
+	var out []*blockstore.Block
+	// Nothing to report: collecting never fails, and every number below the
+	// height at the call is stored.
+	_ = p.Blocks(from, func(b *blockstore.Block) error { out = append(out, b); return nil })
+	return out
 }
 
 // DeliverBlock accepts a block fetched from a gossip neighbour. The block

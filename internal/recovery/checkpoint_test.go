@@ -208,7 +208,7 @@ func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP str
 		if err := blocks.Append(b); err != nil {
 			t.Fatal(err)
 		}
-		if err := committer.Replay(state, history, []*blockstore.Block{b}); err != nil {
+		if err := committer.Replay(state, history, blocks, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if every > 0 && (i+1)%every == 0 {

@@ -101,13 +101,13 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 		return nil, err
 	}
 
-	tail := blocks.BlocksFrom(from)
-	if err := committer.Replay(state, history, tail); err != nil {
+	if err := committer.Replay(state, history, blocks, from); err != nil {
 		blocks.Close()
 		return nil, err
 	}
-	out.Replayed = len(tail)
-	if h := blocks.Height(); h > 0 {
+	h := blocks.Height()
+	out.Replayed = int(h - from)
+	if h > 0 {
 		if sh := state.Height(); sh.BlockNum != h-1 {
 			blocks.Close()
 			return nil, fmt.Errorf("recovery: state height %v after replay, block file height %d", sh, h)

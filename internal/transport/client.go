@@ -164,35 +164,44 @@ func (c *Client) Height() (uint64, error) {
 	return decodeHeight(d), c.finish(opHeight, d)
 }
 
-// BlocksFrom streams the remote peer's blocks with number >= from, one
-// block per frame, each in a buffer of its own that the decoded block
-// aliases for as long as the peer keeps it. On a mid-stream failure — a torn
-// frame or an undecodable block, either of which drops the connection — it
-// returns the in-order prefix received so far together with the error: the
-// prefix is safe to commit, and the next anti-entropy round fetches the
-// rest.
-func (c *Client) BlocksFrom(from uint64) ([]*blockstore.Block, error) {
+// Blocks streams the remote peer's blocks with number >= from, one block
+// per frame, handing each to fn as its frame arrives — in a buffer of its
+// own that the decoded block aliases for as long as the caller keeps it. The
+// stream holds the client's one connection while fn runs. An error from fn,
+// a torn frame or an undecodable block drops the connection and is
+// returned; the blocks fn already had are an in-order prefix, safe to
+// commit, and the next anti-entropy round fetches the rest.
+func (c *Client) Blocks(from uint64, fn func(*blockstore.Block) error) error {
 	f := c.newFrame(opBlocksFrom, "", func(b []byte) []byte { return codec.AppendUvarint(b, from) })
 	defer f.Release()
-	var blocks []*blockstore.Block
 	var remote *RemoteError
 	err := c.nc.Stream(f, false, func(body []byte) (bool, error) {
 		b, err := decodeStreamFrame(body)
 		if errors.As(err, &remote) {
 			return false, nil // a failure status is the whole reply: the stream is in sync
 		}
-		if b != nil {
-			blocks = append(blocks, b)
+		if b == nil || err != nil {
+			return false, err
 		}
-		return b != nil, err
+		return true, fn(b)
 	})
 	switch {
 	case err != nil:
-		return blocks, fmt.Errorf("transport: blocksFrom stream: %w", err)
+		return fmt.Errorf("transport: blocksFrom stream: %w", err)
 	case remote != nil:
-		return blocks, remote
+		return remote
 	}
-	return blocks, nil
+	return nil
+}
+
+// BlocksFrom collects Blocks(from) into one slice, returned with the error
+// as the in-order prefix received. It is kept only for the benchmark
+// module, which still reads whole tails; it goes once that module moves to
+// Blocks.
+func (c *Client) BlocksFrom(from uint64) ([]*blockstore.Block, error) {
+	var blocks []*blockstore.Block
+	err := c.Blocks(from, func(b *blockstore.Block) error { blocks = append(blocks, b); return nil })
+	return blocks, err
 }
 
 // Deliver pushes one block to the remote peer's commit pipeline, encoded in
@@ -290,11 +299,11 @@ func (m *Member) Height() uint64 {
 	return h
 }
 
-// BlocksFrom streams blocks from the remote peer. A mid-stream failure
-// yields the received prefix — in-order, so safe to deliver.
-func (m *Member) BlocksFrom(from uint64) []*blockstore.Block {
-	blocks, _ := m.c.BlocksFrom(from)
-	return blocks
+// Blocks streams blocks from the remote peer into fn as their frames
+// arrive. A mid-stream failure leaves fn with an in-order prefix, safe to
+// deliver.
+func (m *Member) Blocks(from uint64, fn func(*blockstore.Block) error) error {
+	return m.c.Blocks(from, fn)
 }
 
 // DeliverBlock pushes a block to the remote peer; a delivery failure is

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
@@ -180,23 +181,26 @@ func TestServerPushDeliveryObservability(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	c := f.dial(srv.Addr())
-	blocks := src.BlocksFrom(0)
-	if len(blocks) == 0 {
-		t.Fatal("source has no blocks")
+	var pushed int64
+	var last *blockstore.Block
+	err = src.Blocks(0, func(b *blockstore.Block) error {
+		pushed, last = pushed+1, b
+		return c.Deliver(b)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, b := range blocks {
-		if err := c.Deliver(b); err != nil {
-			t.Fatal(err)
-		}
+	if last == nil {
+		t.Fatal("source has no blocks")
 	}
 	if _, err := c.SyncRemote(); err != nil {
 		t.Fatal(err)
 	}
 
-	if got := reg.Snapshot()[metrics.GossipPushDeliveries]; got != int64(len(blocks)) {
-		t.Errorf("push deliveries = %d, want %d", got, len(blocks))
+	if got := reg.Snapshot()[metrics.GossipPushDeliveries]; got != pushed {
+		t.Errorf("push deliveries = %d, want %d", got, pushed)
 	}
-	txID := blocks[len(blocks)-1].Envelopes[0].TxID
+	txID := last.Envelopes[0].TxID
 	tr, ok := tracer.Lookup(txID)
 	if !ok {
 		t.Fatalf("no trace for delivered tx %s", txID)

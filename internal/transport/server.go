@@ -21,8 +21,9 @@ type Node interface {
 	Name() string
 	// Height returns the committed block height.
 	Height() uint64
-	// BlocksFrom returns committed blocks with number >= from.
-	BlocksFrom(from uint64) []*blockstore.Block
+	// Blocks hands fn the committed blocks numbered from up to the height
+	// at the call, in order, and stops at fn's first error.
+	Blocks(from uint64, fn func(*blockstore.Block) error) error
 	// DeliverBlock submits a gossiped block to the commit pipeline.
 	DeliverBlock(b *blockstore.Block)
 	// Sync waits until every submitted block is fully persisted.
@@ -159,27 +160,28 @@ func (s *Server) height(c *call) error {
 	return nil
 }
 
-// blocksFrom streams: one block per frame, ahead of the reply, which is the
-// terminating frame. Streaming per block keeps a long catch-up from
-// buffering the whole tail in one frame and lets the shaper charge each
-// block its own transfer.
+// blocksFrom streams: one frame per block as the node reads it, up to the
+// height at request start, ahead of the reply, which is the terminating
+// frame. Streaming per block keeps a long catch-up from buffering the tail
+// anywhere and lets the shaper charge each block its own transfer.
 func (s *Server) blocksFrom(c *call) error {
 	from := c.body.Uvarint()
 	if err := c.body.Finish(); err != nil {
 		return err
 	}
-	for _, b := range c.node.BlocksFrom(from) {
+	err := c.node.Blocks(from, func(b *blockstore.Block) error {
 		start := time.Now()
 		f := network.NewFrame(blockTraceID(b), "")
 		f.B = appendStreamFrame(f.B, b)
 		err := c.Send(f)
 		f.Release()
-		if err != nil {
-			return err
-		}
-		if s.cfg.Tracer != nil {
+		if err == nil && s.cfg.Tracer != nil {
 			s.cfg.Tracer.AddBatch(envelopeIDs(b), trace.StageGossipSend, c.node.Name(), start, time.Since(start))
 		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	c.out.B = appendStreamFrame(c.out.B, nil)
 	return nil

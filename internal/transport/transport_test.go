@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -304,7 +305,7 @@ func TestGossipPullOverTCP(t *testing.T) {
 		t.Errorf("remote member name = %q", remote.Name())
 	}
 
-	g := gossip.New(gossip.Config{Interval: 10 * time.Millisecond, Fanout: 1}, edge, remote)
+	g := gossip.New(gossip.Config{Interval: 10 * time.Millisecond}, edge, remote)
 	defer g.Stop()
 	waitHeight(t, edge, source.Height())
 	if err := edge.Ledger().VerifyChain(); err != nil {
@@ -327,7 +328,7 @@ func TestGossipPushOverTCP(t *testing.T) {
 	}
 	c := f.dial(f.serve(remotePeer).Addr())
 	remote := c.Member()
-	g := gossip.New(gossip.Config{Interval: 10 * time.Millisecond, Fanout: 1}, local, remote)
+	g := gossip.New(gossip.Config{Interval: 10 * time.Millisecond}, local, remote)
 	defer g.Stop()
 	waitHeight(t, remotePeer, local.Height())
 	if remotePeer.StateFingerprint() != local.StateFingerprint() {
@@ -374,7 +375,8 @@ func rawServer(t *testing.T, serve func(net.Conn)) string {
 func chainOf(t testing.TB, n int) []*blockstore.Block {
 	t.Helper()
 	sto := blockstore.NewStore()
-	for i := 0; i < n; i++ {
+	chain := make([]*blockstore.Block, n)
+	for i := range chain {
 		b, err := blockstore.NewBlock(sto.Height(), sto.LastHash(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -382,13 +384,14 @@ func chainOf(t testing.TB, n int) []*blockstore.Block {
 		if err := sto.Append(b); err != nil {
 			t.Fatal(err)
 		}
+		chain[i] = b
 	}
-	return sto.BlocksFrom(0)
+	return chain
 }
 
 // TestMidStreamDisconnect cuts the connection after two of five streamed
-// blocks: the client must surface the in-order prefix plus an error, and
-// recover on the next call.
+// blocks: fn must have had blocks 0 and 1, in order, before the error, and
+// the next call must redial and stream again.
 func TestMidStreamDisconnect(t *testing.T) {
 	blocks := chainOf(t, 5)
 	addr := rawServer(t, func(conn net.Conn) {
@@ -417,18 +420,82 @@ func TestMidStreamDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, err := c.BlocksFrom(0)
-	if err == nil {
+	var got []uint64
+	collect := func(b *blockstore.Block) error { got = append(got, b.Header.Number); return nil }
+	if err := c.Blocks(0, collect); err == nil {
 		t.Fatal("mid-stream disconnect reported no error")
 	}
-	if len(got) != 2 || got[0].Header.Number != 0 || got[1].Header.Number != 1 {
-		t.Fatalf("prefix = %d blocks", len(got))
+	if !slices.Equal(got, []uint64{0, 1}) {
+		t.Fatalf("fn had blocks %v before the error, want [0 1]", got)
 	}
-	// The member adapter delivers the prefix silently; the next round
-	// re-dials and pulls again.
+	// The member adapter streams through the same client: the next round
+	// re-dials and pulls again, and fn again has the prefix.
+	got = nil
 	m := &Member{c: c, name: "half-open"}
-	if pre := m.BlocksFrom(0); len(pre) != 2 {
-		t.Errorf("member prefix = %d blocks", len(pre))
+	if err := m.Blocks(0, collect); err == nil || !slices.Equal(got, []uint64{0, 1}) {
+		t.Errorf("member stream = %v, %v; want [0 1] and an error", got, err)
+	}
+}
+
+// TestBlocksDeliversEachFrameBeforeTheNext: the client hands each streamed
+// block to fn as its frame arrives. The fake peer sends a frame only once fn
+// has the block before it, so a client that collected the tail before
+// handing any of it over would stall at block 0.
+func TestBlocksDeliversEachFrameBeforeTheNext(t *testing.T) {
+	const n = 10000
+	blocks := chainOf(t, n)
+	handed := make(chan struct{}, 1)
+	stalled := make(chan uint64, 1)
+	addr := rawServer(t, func(conn net.Conn) {
+		reply := func(body []byte) error { return writeFrame(conn, "", body) }
+		ok := network.AppendStatus(nil, network.CodeNone, "")
+		in := bufio.NewReader(conn)
+		for {
+			body, err := network.ReadFrame(in)
+			if err != nil || len(body) == 0 {
+				return
+			}
+			switch body[0] {
+			case opHello.Code:
+				_ = reply(appendHello(ok, &HelloInfo{Name: "lockstep"}))
+			case opBlocksFrom.Code:
+				for _, b := range blocks {
+					if reply(appendStreamFrame(nil, b)) != nil {
+						return
+					}
+					select {
+					case <-handed:
+					case <-time.After(2 * time.Second):
+						stalled <- b.Header.Number
+						return
+					}
+				}
+				_ = reply(appendStreamFrame(nil, nil))
+			}
+		}
+	})
+
+	c, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var next uint64
+	err = c.Blocks(0, func(b *blockstore.Block) error {
+		if b.Header.Number != next {
+			return fmt.Errorf("fn got block %d, want %d", b.Header.Number, next)
+		}
+		next++
+		handed <- struct{}{}
+		return nil
+	})
+	select {
+	case num := <-stalled:
+		t.Fatalf("block %d not handed over before the next was sent", num)
+	default:
+	}
+	if err != nil || next != n {
+		t.Fatalf("Blocks handed over %d of %d blocks: %v", next, n, err)
 	}
 }
 
@@ -491,7 +558,7 @@ func TestReconnectAfterRestartConvergence(t *testing.T) {
 	}
 	defer c.Close()
 	remote := c.Member()
-	g := gossip.New(gossip.Config{Interval: 10 * time.Millisecond, Fanout: 1}, edge, remote)
+	g := gossip.New(gossip.Config{Interval: 10 * time.Millisecond}, edge, remote)
 	defer g.Stop()
 	waitHeight(t, edge, source.Height())
 

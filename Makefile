@@ -11,8 +11,9 @@
 # "Static analysis & enforced invariants" for the table and the suppression
 # directives. `make analyze` also greps the record path (internal/core, the
 # provenance chaincode) for reflective JSON decodes, greps internal/, cmd/ and
-# examples/ for a `.BlocksFrom(` chain-tail slice, and checks internal/core's
-# whole import cone against the network-side packages.
+# examples/ for a `.BlocksFrom(` chain-tail slice and for a `.VerifyData(`
+# re-check outside the three places a block's data hash is checked, and
+# checks internal/core's whole import cone against the network-side packages.
 #
 # Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
 # `profile-catchup` write CPU and allocation profiles of the write path, the
@@ -74,7 +75,10 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery endorser
 # its request arguments (setArgs, listArgs) — a new read function cannot
 # quietly bring encoding/json's decode back. Keep chain tails out of slices:
 # the chain is read by number (blockstore.Each, Peer.Blocks, Client.Blocks),
-# and the two BlocksFrom collectors are left only for benchmark/. Last, keep
+# and the two BlocksFrom collectors are left only for benchmark/. Check a
+# block's data hash once, where it enters the process: at the committer's
+# admission, in the block-file loader, and in the VerifyChain audit — an
+# append or a block the process built itself is not re-hashed. Last, keep
 # the client library's import cone closed: an analyzer sees direct imports
 # only, so ask the go command for the transitive set.
 analyze: vettool
@@ -87,6 +91,11 @@ analyze: vettool
 	@bad=$$(grep -rnF '.BlocksFrom(' --include='*.go' --exclude='*_test.go' internal cmd examples); \
 	if [ -n "$$bad" ]; then \
 		echo "a chain tail read into a slice (stream it with Blocks / blockstore.Each):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF '.VerifyData(' --include='*.go' --exclude='*_test.go' internal cmd examples | \
+		grep -vE '^internal/(committer/committer|blockstore/file|blockstore/store)\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "a block's data hash re-checked (admission, the file loader and VerifyChain check it):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$($(GO) list -deps ./internal/core | grep -E '/internal/($(subst $(eval) ,|,$(NETWORK_SIDE)))$$'); \
 	if [ -n "$$bad" ]; then \

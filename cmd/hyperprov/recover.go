@@ -80,11 +80,7 @@ func (h *recoverHarness) commitRecord(p *peer.Peer, key, checksum string) error 
 	if err != nil {
 		return err
 	}
-	b, err := blockstore.NewBlock(p.Height(), p.Ledger().LastHash(), []blockstore.Envelope{env})
-	if err != nil {
-		return err
-	}
-	p.CommitBlock(b)
+	p.CommitBlock(blockstore.NewBlock(p.Height(), p.Ledger().LastHash(), []blockstore.Envelope{env}))
 	return nil
 }
 

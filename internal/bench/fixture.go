@@ -87,10 +87,7 @@ func (f *commitFixture) buildStream(blocks, blockSize, writesPerTx int) ([]*bloc
 			envs[i] = env
 			tx++
 		}
-		b, err := blockstore.NewBlock(uint64(bn), prev, envs)
-		if err != nil {
-			return nil, err
-		}
+		b := blockstore.NewBlock(uint64(bn), prev, envs)
 		out = append(out, b)
 		prev = b.Header.Hash()
 	}

@@ -238,7 +238,7 @@ type Block struct {
 // fields into pooled scratch — deliberately ignoring any cached encoding,
 // so the integrity audit (VerifyData/VerifyChain) detects in-memory
 // tampering with a decoded block's fields.
-func ComputeDataHash(envs []Envelope) ([]byte, error) {
+func ComputeDataHash(envs []Envelope) []byte {
 	h := sha256.New()
 	scratch := codec.GetBuffer()
 	for i := range envs {
@@ -247,7 +247,7 @@ func ComputeDataHash(envs []Envelope) ([]byte, error) {
 		h.Write(sum[:])
 	}
 	scratch.Release()
-	return h.Sum(nil), nil
+	return h.Sum(nil)
 }
 
 // NewBlock assembles a block with the correct data hash, chained onto
@@ -255,7 +255,7 @@ func ComputeDataHash(envs []Envelope) ([]byte, error) {
 // is computed here, exactly once, and the same bytes feed the data hash
 // now and the gossip/ledger paths later — callers must not mutate the
 // envelopes afterwards.
-func NewBlock(number uint64, prevHash []byte, envs []Envelope) (*Block, error) {
+func NewBlock(number uint64, prevHash []byte, envs []Envelope) *Block {
 	h := sha256.New()
 	for i := range envs {
 		envs[i].ensureBin()
@@ -265,19 +265,25 @@ func NewBlock(number uint64, prevHash []byte, envs []Envelope) (*Block, error) {
 	return &Block{
 		Header:    Header{Number: number, PreviousHash: prevHash, DataHash: h.Sum(nil)},
 		Envelopes: envs,
-	}, nil
+	}
 }
 
 // VerifyData checks the block's data hash against its contents.
 func (b *Block) VerifyData() error {
-	dh, err := ComputeDataHash(b.Envelopes)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(dh, b.Header.DataHash) {
+	if !bytes.Equal(ComputeDataHash(b.Envelopes), b.Header.DataHash) {
 		return fmt.Errorf("blockstore: block %d data hash mismatch", b.Header.Number)
 	}
 	return nil
+}
+
+// TxIDs returns the block's transaction IDs in envelope order, for tracing
+// spans that cover a whole block.
+func (b *Block) TxIDs() []string {
+	ids := make([]string, len(b.Envelopes))
+	for i := range b.Envelopes {
+		ids[i] = b.Envelopes[i].TxID
+	}
+	return ids
 }
 
 // Clone returns a deep copy of the block (envelopes share no mutable state

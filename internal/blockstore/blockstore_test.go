@@ -30,10 +30,7 @@ func mkChain(t *testing.T, nBlocks, txPerBlock int) *Store {
 		for j := range envs {
 			envs[j] = mkEnv(fmt.Sprintf("tx-%d-%d", i, j), "set")
 		}
-		b, err := NewBlock(uint64(i), s.LastHash(), envs)
-		if err != nil {
-			t.Fatalf("NewBlock: %v", err)
-		}
+		b := NewBlock(uint64(i), s.LastHash(), envs)
 		b.TxValidation = make([]ValidationCode, txPerBlock)
 		for j := range b.TxValidation {
 			b.TxValidation[j] = TxValid
@@ -88,10 +85,7 @@ func TestGetTx(t *testing.T) {
 
 func TestSequenceEnforced(t *testing.T) {
 	s := mkChain(t, 2, 1)
-	b, err := NewBlock(5, s.LastHash(), []Envelope{mkEnv("t", "set")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBlock(5, s.LastHash(), []Envelope{mkEnv("t", "set")})
 	if err := s.Append(b); !errors.Is(err, ErrWrongSequence) {
 		t.Errorf("out-of-sequence append err = %v, want ErrWrongSequence", err)
 	}
@@ -99,10 +93,7 @@ func TestSequenceEnforced(t *testing.T) {
 
 func TestChainLinkageEnforced(t *testing.T) {
 	s := mkChain(t, 2, 1)
-	b, err := NewBlock(2, []byte("wrong previous hash"), []Envelope{mkEnv("t", "set")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBlock(2, []byte("wrong previous hash"), []Envelope{mkEnv("t", "set")})
 	if err := s.Append(b); !errors.Is(err, ErrBrokenChain) {
 		t.Errorf("bad-linkage append err = %v, want ErrBrokenChain", err)
 	}
@@ -126,10 +117,7 @@ func TestTamperDetection(t *testing.T) {
 }
 
 func TestDataHashRejectsModifiedBlock(t *testing.T) {
-	b, err := NewBlock(0, nil, []Envelope{mkEnv("a", "set"), mkEnv("b", "get")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBlock(0, nil, []Envelope{mkEnv("a", "set"), mkEnv("b", "get")})
 	if err := b.VerifyData(); err != nil {
 		t.Fatalf("VerifyData clean: %v", err)
 	}
@@ -190,10 +178,7 @@ func TestEach(t *testing.T) {
 	got = nil
 	err := Each(s, 4, func(b *Block) error {
 		got = append(got, b.Header.Number)
-		next, err := NewBlock(s.Height(), s.LastHash(), []Envelope{mkEnv("late", "set")})
-		if err != nil {
-			return err
-		}
+		next := NewBlock(s.Height(), s.LastHash(), []Envelope{mkEnv("late", "set")})
 		return s.Append(next)
 	})
 	if err != nil || !slices.Equal(got, []uint64{4}) || s.Height() != 6 {
@@ -215,10 +200,7 @@ func TestEach(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	b, err := NewBlock(0, nil, []Envelope{mkEnv("a", "set")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBlock(0, nil, []Envelope{mkEnv("a", "set")})
 	cp := b.Clone()
 	cp.Envelopes[0].Function = "mutated"
 	if b.Envelopes[0].Function == "mutated" {
@@ -254,10 +236,7 @@ func TestQuickChainIntegrity(t *testing.T) {
 					Args:     [][]byte{payload},
 				}
 			}
-			b, err := NewBlock(uint64(i), s.LastHash(), envs)
-			if err != nil {
-				return false
-			}
+			b := NewBlock(uint64(i), s.LastHash(), envs)
 			if err := s.Append(b); err != nil {
 				return false
 			}

@@ -36,10 +36,7 @@ func fullEnvelope(txID string) Envelope {
 // canonical encoding, and re-encoding is byte-identical.
 func TestBlockCodecRoundTrip(t *testing.T) {
 	envs := []Envelope{fullEnvelope("tx-a"), fullEnvelope("tx-b")}
-	b, err := NewBlock(7, []byte("prev-hash"), envs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBlock(7, []byte("prev-hash"), envs)
 	b.TxValidation = []ValidationCode{TxValid, TxMVCCConflict}
 
 	raw := MarshalBlock(b)
@@ -172,10 +169,7 @@ func TestSealSigned(t *testing.T) {
 // TestBlockCodecStructuredErrors verifies damaged inputs fail with the
 // codec sentinels, never panics or unstructured errors.
 func TestBlockCodecStructuredErrors(t *testing.T) {
-	b, err := NewBlock(0, nil, []Envelope{fullEnvelope("tx")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBlock(0, nil, []Envelope{fullEnvelope("tx")})
 	good := MarshalBlock(b)
 
 	flipped := append([]byte(nil), good...)

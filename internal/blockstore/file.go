@@ -141,8 +141,9 @@ func parseV2Record(rest []byte) (blob []byte, total int, status recStatus) {
 // loadV2 replays a v2 binary ledger into mem, returning the byte count of
 // the valid prefix. Only the final record may be torn (including a
 // zero-filled tail, which crashed filesystems can leave behind); a bad
-// magic at a record boundary, a CRC failure on a complete record, or a
-// chain break is corruption.
+// magic at a record boundary, a CRC failure on a complete record, a data
+// hash that does not match the block's envelopes, or a chain break is
+// corruption.
 func loadV2(raw []byte, mem *Store, path string) (validBytes int64, err error) {
 	for off := 0; off < len(raw); {
 		rest := raw[off:]
@@ -167,7 +168,13 @@ func loadV2(raw []byte, mem *Store, path string) (validBytes int64, err error) {
 			return 0, fmt.Errorf("%w: %s: undecodable record after %d blocks: %v",
 				ErrCorruptFile, path, mem.Height(), err)
 		}
-		if err := mem.Append(b); err != nil {
+		// Disk is outside input, so the data hash is checked here, where
+		// the block is read in: Append checks only sequence and linkage.
+		err = b.VerifyData()
+		if err == nil {
+			err = mem.Append(b)
+		}
+		if err != nil {
 			return 0, fmt.Errorf("%w: %s at block %d: %v",
 				ErrCorruptFile, path, b.Header.Number, err)
 		}
@@ -187,10 +194,10 @@ func allZero(p []byte) bool {
 	return true
 }
 
-// Append validates and appends the block, then persists it according to the
-// store's sync policy. The block encodes into a pooled buffer
-// (reusing each envelope's cached canonical bytes), so the steady-state
-// append path allocates no per-block encode scratch.
+// Append checks the block's sequence and linkage, appends it, then persists
+// it according to the store's sync policy. The block encodes into a pooled
+// buffer (reusing each envelope's cached canonical bytes), so the
+// steady-state append path allocates no per-block encode scratch.
 func (s *FileStore) Append(b *Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -13,10 +13,7 @@ import (
 func fillFileStore(t *testing.T, s *FileStore, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		b, err := NewBlock(uint64(i), s.LastHash(), []Envelope{mkEnv(fmt.Sprintf("tx-%d", i), "set")})
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := NewBlock(uint64(i), s.LastHash(), []Envelope{mkEnv(fmt.Sprintf("tx-%d", i), "set")})
 		if err := s.Append(b); err != nil {
 			t.Fatalf("Append block %d: %v", i, err)
 		}
@@ -217,10 +214,7 @@ func TestFileStoreRejectsRewrittenRecord(t *testing.T) {
 			blocks[1] = &Block{Header: blocks[1].Header, Envelopes: []Envelope{env}}
 		},
 		"block rebuilt around an altered envelope": func(t *testing.T, blocks []*Block) {
-			b, err := NewBlock(1, blocks[1].Header.PreviousHash, []Envelope{mkEnv("tx-X", "set")})
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := NewBlock(1, blocks[1].Header.PreviousHash, []Envelope{mkEnv("tx-X", "set")})
 			blocks[1] = b // consistent in itself; block 2 no longer chains onto it
 		},
 		"wrong previous hash": func(t *testing.T, blocks []*Block) {
@@ -281,17 +275,11 @@ func TestFileStoreSequenceStillEnforced(t *testing.T) {
 	}
 	defer s.Close()
 	fillFileStore(t, s, 0, 2)
-	bad, err := NewBlock(7, s.LastHash(), []Envelope{mkEnv("bad", "set")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bad := NewBlock(7, s.LastHash(), []Envelope{mkEnv("bad", "set")})
 	if err := s.Append(bad); !errors.Is(err, ErrWrongSequence) {
 		t.Errorf("out-of-sequence append: err = %v, want ErrWrongSequence", err)
 	}
-	unchained, err := NewBlock(2, []byte("not the last hash"), []Envelope{mkEnv("bad", "set")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	unchained := NewBlock(2, []byte("not the last hash"), []Envelope{mkEnv("bad", "set")})
 	if err := s.Append(unchained); !errors.Is(err, ErrBrokenChain) {
 		t.Errorf("wrong-previous-hash append: err = %v, want ErrBrokenChain", err)
 	}

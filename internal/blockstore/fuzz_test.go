@@ -26,17 +26,11 @@ func structuredCodecError(err error) bool {
 // distinguish torn tails from corruption) — and every accepted input
 // re-encodes and re-decodes to an identical value.
 func FuzzDecodeBlockCodec(f *testing.F) {
-	empty, err := NewBlock(0, nil, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	empty := NewBlock(0, nil, nil)
 	f.Add(MarshalBlock(empty))
 
-	full, err := NewBlock(7, []byte("prev-hash"),
+	full := NewBlock(7, []byte("prev-hash"),
 		[]Envelope{fullEnvelope("tx-a"), fullEnvelope("tx-b")})
-	if err != nil {
-		f.Fatal(err)
-	}
 	full.TxValidation = []ValidationCode{TxValid, TxMVCCConflict}
 	good := MarshalBlock(full)
 	f.Add(good)

@@ -87,10 +87,7 @@ func TestHeightStopAndClose(t *testing.T) {
 func TestLocateFirstOccurrence(t *testing.T) {
 	s := NewStore()
 	dup := mkEnv("dup", "set")
-	b, err := NewBlock(0, nil, []Envelope{dup, dup})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBlock(0, nil, []Envelope{dup, dup})
 	b.TxValidation = []ValidationCode{TxValid, TxMVCCConflict}
 	if err := s.Append(b); err != nil {
 		t.Fatal(err)

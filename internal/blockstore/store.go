@@ -28,7 +28,10 @@ type TxLocator struct {
 // seam that lets a peer run either volatile (tests, modeled networks) or
 // with its ledger copy on device storage (the paper's edge deployments).
 type BlockStore interface {
-	// Append validates sequence, linkage, and data hash, then appends.
+	// Append checks sequence and linkage, then appends. It does not re-hash
+	// the block's data: a block is checked once where it enters the process
+	// (the committer's admission, the file loader), and VerifyChain audits
+	// the chain afterwards.
 	Append(b *Block) error
 	// Height returns the number of blocks in the chain.
 	Height() uint64
@@ -63,8 +66,9 @@ func NewStore() *Store {
 	return &Store{byTxID: make(map[string]TxLocator)}
 }
 
-// Append validates sequence and chain linkage, then appends the block.
-// The block is expected to already carry validation flags.
+// Append checks sequence and chain linkage, then appends the block. It does
+// not check the data hash (see BlockStore.Append). The block is expected to
+// already carry validation flags.
 func (s *Store) Append(b *Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -74,9 +78,6 @@ func (s *Store) Append(b *Block) error {
 	}
 	if want > 0 && !bytes.Equal(b.Header.PreviousHash, s.tip[:]) {
 		return fmt.Errorf("%w: block %d previous hash mismatch", ErrBrokenChain, b.Header.Number)
-	}
-	if err := b.VerifyData(); err != nil {
-		return err
 	}
 	s.blocks = append(s.blocks, b)
 	s.tip = b.Header.sum()

@@ -26,10 +26,7 @@ func benchStream(b *testing.B, f *txFactory, blocks, size int) []*blockstore.Blo
 			envs[i] = f.envelope(fmt.Sprintf("btx-%06d", tx), rws, nil)
 			tx++
 		}
-		blk, err := blockstore.NewBlock(uint64(n), prev, envs)
-		if err != nil {
-			b.Fatal(err)
-		}
+		blk := blockstore.NewBlock(uint64(n), prev, envs)
 		out = append(out, blk)
 		prev = blk.Header.Hash()
 	}

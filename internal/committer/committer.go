@@ -143,12 +143,15 @@ type Committer interface {
 
 // admissible reports whether b is the next expected block AND passes
 // integrity checks: its data hash covers its envelopes and its header
-// chains onto lastHash. Integrity is checked here — before any stage runs —
-// because world state is applied in stage 2, ahead of the stage-3 ledger
-// append: a block the store would reject must never reach the apply step,
-// or state and ledger would silently fork. Rejected blocks do not consume
-// their height, so the genuine block can still commit later (a tampered
-// gossip delivery cannot wedge the peer).
+// chains onto lastHash. This is where a block from the orderer, gossip or
+// the wire enters the peer, and the only place its data hash is checked:
+// the stage-3 ledger append checks sequence and linkage but does not
+// re-hash. Integrity is checked before any stage runs because world state
+// is applied in stage 2, ahead of that append: a block the store would
+// reject must never reach the apply step, or state and ledger would
+// silently fork. Rejected blocks do not consume their height, so the
+// genuine block can still commit later (a tampered gossip delivery cannot
+// wedge the peer).
 func admissible(b *blockstore.Block, next uint64, lastHash []byte) bool {
 	if b.Header.Number != next {
 		return false
@@ -175,10 +178,7 @@ type task struct {
 // txIDs returns the block's transaction IDs, computed once per task.
 func (t *task) txIDs() []string {
 	if t.ids == nil {
-		t.ids = make([]string, len(t.b.Envelopes))
-		for i := range t.b.Envelopes {
-			t.ids[i] = t.b.Envelopes[i].TxID
-		}
+		t.ids = t.b.TxIDs()
 	}
 	return t.ids
 }

@@ -145,10 +145,7 @@ func chain(t testing.TB, blocks ...[]blockstore.Envelope) []*blockstore.Block {
 	out := make([]*blockstore.Block, 0, len(blocks))
 	var prev []byte
 	for _, envs := range blocks {
-		b, err := blockstore.NewBlock(uint64(len(out)), prev, envs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := blockstore.NewBlock(uint64(len(out)), prev, envs)
 		out = append(out, b)
 		prev = b.Header.Hash()
 	}

@@ -126,10 +126,7 @@ func TestTamperedBlocksRejectedAtAdmission(t *testing.T) {
 				t.Fatal("accepted block with broken data hash")
 			}
 			// Tampered linkage: valid data hash, wrong previous hash.
-			badPrev, err := blockstore.NewBlock(1, []byte("bogus"), stream[1].Envelopes)
-			if err != nil {
-				t.Fatal(err)
-			}
+			badPrev := blockstore.NewBlock(1, []byte("bogus"), stream[1].Envelopes)
 			if c.Submit(badPrev) {
 				t.Fatal("accepted block with broken previous-hash linkage")
 			}
@@ -158,10 +155,7 @@ func TestPipelineEmptyAndAllInvalidBlocks(t *testing.T) {
 	pipe := New(l.config(f, 2))
 	defer pipe.Close()
 
-	empty, err := blockstore.NewBlock(0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := blockstore.NewBlock(0, nil, nil)
 	pipe.Submit(empty)
 	pipe.Sync()
 	before := StateFingerprint(l.state)
@@ -171,11 +165,8 @@ func TestPipelineEmptyAndAllInvalidBlocks(t *testing.T) {
 	noEnd := f.envelope(f.txID(), writeSet("y"), func(env *blockstore.Envelope) {
 		env.Endorsements = nil
 	})
-	invalid, err := blockstore.NewBlock(1, empty.Header.Hash(),
+	invalid := blockstore.NewBlock(1, empty.Header.Hash(),
 		[]blockstore.Envelope{bad, noEnd})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pipe.Submit(invalid)
 	pipe.Sync()
 

@@ -131,13 +131,10 @@ func TestOneBadEndorsementFailsPolicy(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := blockstore.NewBlock(0, nil, []blockstore.Envelope{
+			b := blockstore.NewBlock(0, nil, []blockstore.Envelope{
 				f.envelope(f.txID(), writeSet("ok"), nil),
 				f.envelope(f.txID(), writeSet("bad"), withFlipped),
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			l := newLedger()
 			tc.commit(l, b)
 			got, err := l.blocks.GetByNumber(0)

@@ -31,16 +31,11 @@ type Member interface {
 	Blocks(from uint64, fn func(*blockstore.Block) error) error
 	// DeliverBlock hands the member a block fetched from a neighbour; the
 	// member validates and commits it exactly like an ordered block.
-	// Delivery may be asynchronous; gossip calls Sync (when the member
-	// implements Syncer) once per pull to flush a delivered batch.
+	// Delivery may be asynchronous (a pipelined committer).
 	DeliverBlock(b *blockstore.Block)
-}
-
-// Syncer is optionally implemented by members whose DeliverBlock is
-// asynchronous (a pipelined committer). Gossip calls Sync once after
-// delivering a whole pulled batch, so a long catch-up feeds the pipeline
-// back-to-back instead of draining it per block.
-type Syncer interface {
+	// Sync waits until every delivered block is committed. Gossip calls it
+	// once after delivering a whole pulled batch, so a long catch-up feeds
+	// the pipeline back-to-back instead of draining it per block.
 	Sync()
 }
 
@@ -261,7 +256,7 @@ func (g *Network) pull(puller, source Member) {
 		start := time.Now()
 		puller.DeliverBlock(b)
 		if tracer != nil {
-			tracer.AddBatch(envelopeIDs(b), trace.StageGossipDeliver, puller.Name(), start, time.Since(start))
+			tracer.AddBatch(b.TxIDs(), trace.StageGossipDeliver, puller.Name(), start, time.Since(start))
 		}
 		pulled++
 		return nil
@@ -269,9 +264,7 @@ func (g *Network) pull(puller, source Member) {
 	if pulled == 0 {
 		return
 	}
-	if s, ok := puller.(Syncer); ok {
-		s.Sync()
-	}
+	puller.Sync()
 	if reg := g.metrics.Load(); reg != nil {
 		reg.Counter(metrics.GossipPullDeliveries).Inc()
 		reg.Counter(metrics.GossipBlocksPulled).Add(pulled)
@@ -279,15 +272,6 @@ func (g *Network) pull(puller, source Member) {
 		// when the pull started (1 block == 1ns in the histogram's slots).
 		reg.Histogram(metrics.GossipConvergenceLag).Observe(time.Duration(srcH - have))
 	}
-}
-
-// envelopeIDs collects a block's transaction IDs for span batching.
-func envelopeIDs(b *blockstore.Block) []string {
-	ids := make([]string, len(b.Envelopes))
-	for i := range b.Envelopes {
-		ids[i] = b.Envelopes[i].TxID
-	}
-	return ids
 }
 
 // Converged reports whether all non-isolated members are at the same

@@ -41,6 +41,9 @@ func (m *fakeMember) DeliverBlock(b *blockstore.Block) {
 	_ = m.sto.Append(b)
 }
 
+// Sync is a no-op: DeliverBlock commits synchronously.
+func (m *fakeMember) Sync() {}
+
 // appendBlocks extends a member's chain by n blocks.
 func appendBlocks(t *testing.T, m *fakeMember, n int) {
 	t.Helper()
@@ -48,11 +51,8 @@ func appendBlocks(t *testing.T, m *fakeMember, n int) {
 	defer m.mu.Unlock()
 	for i := 0; i < n; i++ {
 		num := m.sto.Height()
-		b, err := blockstore.NewBlock(num, m.sto.LastHash(),
+		b := blockstore.NewBlock(num, m.sto.LastHash(),
 			[]blockstore.Envelope{{TxID: fmt.Sprintf("%s-tx-%d", m.name, num)}})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := m.sto.Append(b); err != nil {
 			t.Fatal(err)
 		}

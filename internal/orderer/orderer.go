@@ -76,14 +76,12 @@ func (c *chain) markEnqueued(txID string) {
 }
 
 // appendBatch assembles the next block from a batch, appends it, and
-// advances the height past it.
+// advances the height past it. The block is not re-hashed: NewBlock just
+// computed its data hash, and each peer checks it at admission.
 func (c *chain) appendBatch(batch []blockstore.Envelope) (*blockstore.Block, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, err := blockstore.NewBlock(c.store.Height(), c.store.LastHash(), batch)
-	if err != nil {
-		return nil, err
-	}
+	b := blockstore.NewBlock(c.store.Height(), c.store.LastHash(), batch)
 	if err := c.store.Append(b); err != nil {
 		return nil, err
 	}

@@ -136,10 +136,7 @@ func TestGossipHooksServeAndAccept(t *testing.T) {
 	}
 	// Duplicate and out-of-order deliveries are ignored.
 	p2.DeliverBlock(b)
-	future, err := blockstore.NewBlock(5, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	future := blockstore.NewBlock(5, nil, nil)
 	p2.DeliverBlock(future)
 	p2.Sync()
 	if p2.Height() != 1 {
@@ -180,12 +177,9 @@ func TestWireSizeEstimates(t *testing.T) {
 	if got := proposalWireSize(prop); got < 1100 {
 		t.Errorf("proposalWireSize = %d", got)
 	}
-	b, err := blockstore.NewBlock(0, nil, []blockstore.Envelope{
+	b := blockstore.NewBlock(0, nil, []blockstore.Envelope{
 		{Args: [][]byte{make([]byte, 2048)}, RWSet: make([]byte, 512)},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := blockWireSize(b); got < 2560 {
 		t.Errorf("blockWireSize = %d", got)
 	}

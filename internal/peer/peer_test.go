@@ -123,10 +123,7 @@ func (f *fixture) envelopeFor(prop *endorser.Proposal, resp *endorser.Response) 
 // commitEnvs commits the envelopes as the next block and returns it.
 func (f *fixture) commitEnvs(envs ...blockstore.Envelope) *blockstore.Block {
 	f.t.Helper()
-	b, err := blockstore.NewBlock(f.peer.Height(), f.peer.Ledger().LastHash(), envs)
-	if err != nil {
-		f.t.Fatal(err)
-	}
+	b := blockstore.NewBlock(f.peer.Height(), f.peer.Ledger().LastHash(), envs)
 	f.peer.CommitBlock(b)
 	return b
 }

@@ -179,10 +179,7 @@ func mkStoredBlock(t *testing.T, n uint64, prev []byte, keys ...string) *blockst
 		TxID: fmt.Sprintf("tx-%d", n), ChannelID: "ch", Chaincode: "cc",
 		Timestamp: time.Unix(1700000000+int64(n), 0).UTC(), RWSet: raw,
 	}
-	b, err := blockstore.NewBlock(n, prev, []blockstore.Envelope{env})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := blockstore.NewBlock(n, prev, []blockstore.Envelope{env})
 	b.TxValidation = []blockstore.ValidationCode{blockstore.TxValid}
 	return b
 }

@@ -72,21 +72,6 @@ func (rws *ReadWriteSet) normalize() {
 	sort.Slice(rws.Writes, func(i, j int) bool { return rws.Writes[i].Key < rws.Writes[j].Key })
 }
 
-// Equal reports whether two rwsets have identical normalized content. The
-// endorsement step uses this to confirm that all endorsing peers simulated
-// the same effect.
-func (rws *ReadWriteSet) Equal(o *ReadWriteSet) bool {
-	a, err := rws.Marshal()
-	if err != nil {
-		return false
-	}
-	b, err := o.Marshal()
-	if err != nil {
-		return false
-	}
-	return string(a) == string(b)
-}
-
 // Builder collects reads and writes during chaincode simulation. Reads of
 // keys already written within the same simulation are served from the write
 // cache and do not add read dependencies (read-your-writes).

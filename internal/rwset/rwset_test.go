@@ -68,7 +68,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if !rws.Equal(got) {
+	again, err := got.Marshal()
+	if err != nil {
+		t.Fatalf("Marshal decoded: %v", err)
+	}
+	if !bytes.Equal(raw, again) {
 		t.Errorf("round trip mismatch:\n%+v\n%+v", rws, got)
 	}
 }

@@ -268,10 +268,7 @@ type Member struct {
 	lastHeight uint64
 }
 
-var (
-	_ gossip.Member = (*Member)(nil)
-	_ gossip.Syncer = (*Member)(nil)
-)
+var _ gossip.Member = (*Member)(nil)
 
 // Member returns the gossip adapter for this client, naming it after the
 // remote peer from the hello handshake.

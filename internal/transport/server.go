@@ -176,7 +176,7 @@ func (s *Server) blocksFrom(c *call) error {
 		err := c.Send(f)
 		f.Release()
 		if err == nil && s.cfg.Tracer != nil {
-			s.cfg.Tracer.AddBatch(envelopeIDs(b), trace.StageGossipSend, c.node.Name(), start, time.Since(start))
+			s.cfg.Tracer.AddBatch(b.TxIDs(), trace.StageGossipSend, c.node.Name(), start, time.Since(start))
 		}
 		return err
 	})
@@ -198,7 +198,7 @@ func (s *Server) deliver(c *call) error {
 		s.cfg.Metrics.Counter(metrics.GossipPushDeliveries).Inc()
 	}
 	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.AddBatch(envelopeIDs(b), trace.StageGossipDeliver, c.node.Name(), start, time.Since(start))
+		s.cfg.Tracer.AddBatch(b.TxIDs(), trace.StageGossipDeliver, c.node.Name(), start, time.Since(start))
 	}
 	c.out.B = c.ok()
 	return nil
@@ -244,15 +244,6 @@ func (s *Server) endorse(c *call) error {
 	}
 	c.out.B = appendEndorsement(c.ok(), resp, &span)
 	return nil
-}
-
-// envelopeIDs collects a block's transaction IDs for span batching.
-func envelopeIDs(b *blockstore.Block) []string {
-	ids := make([]string, len(b.Envelopes))
-	for i := range b.Envelopes {
-		ids[i] = b.Envelopes[i].TxID
-	}
-	return ids
 }
 
 // classifyPeerErr maps peer sentinel errors onto wire error codes.

@@ -182,10 +182,7 @@ func (f *fixture) envelope(p *peer.Peer, key string) blockstore.Envelope {
 // persistence.
 func (f *fixture) commitBlock(p *peer.Peer, envs ...blockstore.Envelope) *blockstore.Block {
 	f.t.Helper()
-	b, err := blockstore.NewBlock(p.Height(), p.Ledger().LastHash(), envs)
-	if err != nil {
-		f.t.Fatal(err)
-	}
+	b := blockstore.NewBlock(p.Height(), p.Ledger().LastHash(), envs)
 	p.DeliverBlock(b)
 	p.Sync()
 	return b
@@ -336,6 +333,39 @@ func TestGossipPushOverTCP(t *testing.T) {
 	}
 }
 
+// TestDeliverRejectsForgedDataHash pins the wire boundary: a block whose
+// envelopes no longer match its header's data hash is refused when it is
+// decoded and handed to the peer, without consuming its height, and the
+// genuine block commits after it.
+func TestDeliverRejectsForgedDataHash(t *testing.T) {
+	f := newFixture(t)
+	p := f.newPeer("peer0")
+	f.commitTx(p, "wire-seed") // instantiates the chaincode
+	c := f.dial(f.serve(p).Addr())
+	before := p.Height()
+
+	genuine := blockstore.NewBlock(before, p.Ledger().LastHash(),
+		[]blockstore.Envelope{f.envelope(p, "wire-a")})
+	// A signed, endorsed envelope of its own, so only the data hash tells
+	// the forged block from a good one.
+	forged := &blockstore.Block{
+		Header:    genuine.Header,
+		Envelopes: []blockstore.Envelope{f.envelope(p, "wire-b")},
+	}
+	if err := c.Deliver(forged); err != nil {
+		t.Fatalf("deliver forged: %v", err)
+	}
+	if h, err := c.SyncRemote(); err != nil || h != before {
+		t.Fatalf("after the forged block: height %d, %v; want %d", h, err, before)
+	}
+	if err := c.Deliver(genuine); err != nil {
+		t.Fatalf("deliver genuine: %v", err)
+	}
+	if h, err := c.SyncRemote(); err != nil || h != before+1 {
+		t.Fatalf("after the genuine block: height %d, %v; want %d", h, err, before+1)
+	}
+}
+
 // writeFrame writes body as one frame addressed to channel, the way a
 // client sends a request and a server its reply.
 func writeFrame(w io.Writer, channel string, body []byte) error {
@@ -377,10 +407,7 @@ func chainOf(t testing.TB, n int) []*blockstore.Block {
 	sto := blockstore.NewStore()
 	chain := make([]*blockstore.Block, n)
 	for i := range chain {
-		b, err := blockstore.NewBlock(sto.Height(), sto.LastHash(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := blockstore.NewBlock(sto.Height(), sto.LastHash(), nil)
 		if err := sto.Append(b); err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,11 @@
 # "Static analysis & enforced invariants" for the table and the suppression
 # directives. `make analyze` also greps the record path (internal/core, the
 # provenance chaincode) for reflective JSON decodes, greps internal/, cmd/ and
-# examples/ for a `.BlocksFrom(` chain-tail slice and for a `.VerifyData(`
-# re-check outside the three places a block's data hash is checked, and
-# checks internal/core's whole import cone against the network-side packages.
+# examples/ for a `.BlocksFrom(` chain-tail slice, for a `.VerifyData(`
+# re-check outside the three places a block's data hash is checked and for an
+# off-chain `VerifyChecksum(` outside the two places a payload is re-checked,
+# and checks internal/core's whole import cone against the network-side
+# packages.
 #
 # Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
 # `profile-catchup` write CPU and allocation profiles of the write path, the
@@ -78,7 +80,11 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery endorser
 # and the two BlocksFrom collectors are left only for benchmark/. Check a
 # block's data hash once, where it enters the process: at the committer's
 # admission, in the block-file loader, and in the VerifyChain audit — an
-# append or a block the process built itself is not re-hashed. Last, keep
+# append or a block the process built itself is not re-hashed. Check a
+# payload end to end once, in core.GetData against the on-chain checksum;
+# the only other offchain.VerifyChecksum call is MemStore.Open's, for an
+# object Corrupt replaced (DirStore.Open hashes its file inline, and
+# codec.VerifyChecksum, a CRC-32C trailer, is not matched). Last, keep
 # the client library's import cone closed: an analyzer sees direct imports
 # only, so ask the go command for the transitive set.
 analyze: vettool
@@ -96,6 +102,11 @@ analyze: vettool
 		grep -vE '^internal/(committer/committer|blockstore/file|blockstore/store)\.go:'); \
 	if [ -n "$$bad" ]; then \
 		echo "a block's data hash re-checked (admission, the file loader and VerifyChain check it):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|offchain\.)VerifyChecksum\(' --include='*.go' --exclude='*_test.go' internal cmd examples | \
+		grep -vF ':func VerifyChecksum(' | grep -vE '^internal/(core/client|offchain/offchain)\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "an off-chain payload re-hashed (core.GetData checks it end to end, MemStore.Open a corrupted object):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$($(GO) list -deps ./internal/core | grep -E '/internal/($(subst $(eval) ,|,$(NETWORK_SIDE)))$$'); \
 	if [ -n "$$bad" ]; then \

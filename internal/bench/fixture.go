@@ -95,10 +95,7 @@ func (f *commitFixture) buildStream(blocks, blockSize, writesPerTx int) ([]*bloc
 }
 
 func (f *commitFixture) envelope(txID string, rws *rwset.ReadWriteSet) (blockstore.Envelope, error) {
-	rwsBytes, err := rws.Marshal()
-	if err != nil {
-		return blockstore.Envelope{}, err
-	}
+	rwsBytes := rws.Marshal()
 	resp := &endorser.Response{
 		TxID:     txID,
 		Status:   shim.OK,

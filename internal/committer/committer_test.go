@@ -88,10 +88,7 @@ func (l *ledger) config(f *txFactory, workers int) Config {
 // after that invalidates the client signature instead).
 func (f *txFactory) envelope(txID string, rws *rwset.ReadWriteSet, mutate func(*blockstore.Envelope)) blockstore.Envelope {
 	f.t.Helper()
-	rwsBytes, err := rws.Marshal()
-	if err != nil {
-		f.t.Fatal(err)
-	}
+	rwsBytes := rws.Marshal()
 	resp := &endorser.Response{
 		TxID:     txID,
 		Status:   shim.OK,

@@ -93,9 +93,11 @@ func newRemoteClient(t testing.TB, backing offchain.Backing) (*Client, *offchain
 	return newClientWith(t, remote), remote
 }
 
-// TestRemoteStoreDataHashPasses pins the four SHA-256 passes of one
-// StoreData + GetData over the remote store — counted, not timed — and that
-// the wire itself adds none and removes none:
+// TestRemoteStoreDataHashPasses pins the SHA-256 passes of one StoreData +
+// GetData over the remote store — counted, not timed — and that the wire
+// itself adds none and removes none. Its auditStore verifies on open, as a
+// DirStore does, so it makes four passes (a MemStore makes three: it skips
+// pass 3 for an object it hashed on put):
 //
 //  1. the client hashes the payload before the put (the on-chain checksum),
 //  2. the store hashes it on put (its content address),

@@ -1,6 +1,7 @@
 package offchain
 
 import (
+	"io"
 	"testing"
 
 	"github.com/hyperprov/hyperprov/internal/network"
@@ -29,6 +30,29 @@ func BenchmarkMemStorePutGet(b *testing.B) {
 		if _, err := s.Get(ref); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMemStoreOpen256KiB is the object server's get side alone: Open
+// of a stored store_payload-sized object, read out.
+func BenchmarkMemStoreOpen256KiB(b *testing.B) {
+	s := NewMemStore()
+	data := make([]byte, 256<<10)
+	ref, err := s.Put(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		obj, _, err := s.Open(ref)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, obj); err != nil {
+			b.Fatal(err)
+		}
+		obj.Close()
 	}
 }
 

@@ -66,8 +66,11 @@ type Store interface {
 
 // Backing is what an object server keeps objects in. Write takes a payload
 // as its size bytes come off the connection and stores nothing unless all
-// of them arrive; Open hands back an object it has verified against its
-// content address, with its size. MemStore and DirStore are both.
+// of them arrive; Open hands back an object that matches its content
+// address, with its size. MemStore and DirStore are both: a DirStore
+// re-hashes the file on every Open, because its disk is outside input; a
+// MemStore hashed the object when Write stored it, so it re-hashes only one
+// Corrupt replaced.
 type Backing interface {
 	Write(r io.Reader, size int64) (ref string, err error)
 	Open(ref string) (io.ReadCloser, int64, error)
@@ -106,19 +109,24 @@ func readAll(obj io.ReadCloser, size int64, err error) ([]byte, error) {
 	return data, nil
 }
 
-// MemStore is an in-memory store for tests and examples.
+// MemStore is an in-memory store for tests and examples. An object is hashed
+// once, by the Write that stores it: nothing but Corrupt can change it.
 type MemStore struct {
 	mu sync.RWMutex
 	// data maps a content address to its object. A stored object is never
 	// written again (Corrupt replaces it), so Open can serve it in place.
 	data map[string][]byte
+	// corrupted holds the keys whose object Corrupt replaced: the only
+	// stored bytes no Write hashed, and so the only ones Open verifies. A
+	// Write of the key's content stores fresh bytes and clears the mark.
+	corrupted map[string]bool
 }
 
 var _ Store = (*MemStore)(nil)
 
 // NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{data: make(map[string][]byte)}
+	return &MemStore{data: make(map[string][]byte), corrupted: make(map[string]bool)}
 }
 
 // Put stores a copy of data under its content hash.
@@ -126,25 +134,27 @@ func (m *MemStore) Put(data []byte) (string, error) {
 	return m.Write(bytes.NewReader(data), int64(len(data)))
 }
 
-// Get retrieves by reference, verifies content integrity, and returns a
-// copy the caller owns.
+// Get retrieves by reference and returns a copy the caller owns; an object
+// Corrupt replaced fails with ErrChecksumMismatch.
 func (m *MemStore) Get(ref string) ([]byte, error) { return readAll(m.Open(ref)) }
 
 // Write stores the size bytes read from r under their content hash. The
-// object is filled as the bytes arrive (network.ReadAnnounced): a writer
-// that announces more than it sends pins what it sent, not what it
+// object is filled and hashed as the bytes arrive (network.ReadAnnounced): a
+// writer that announces more than it sends pins what it sent, not what it
 // announced, and leaves nothing stored.
 func (m *MemStore) Write(r io.Reader, size int64) (string, error) {
 	if size < 0 || size > math.MaxInt {
 		return "", fmt.Errorf("offchain: object of %d bytes", size)
 	}
-	obj, err := network.ReadAnnounced(r, int(size))
+	h := sha256.New()
+	obj, err := network.ReadAnnounced(io.TeeReader(r, h), int(size))
 	if err != nil {
 		return "", fmt.Errorf("offchain: write object: %w", err)
 	}
-	key := Checksum(obj)
+	key := checksumOf(h)
 	m.mu.Lock()
 	m.data[key] = obj
+	delete(m.corrupted, key)
 	m.mu.Unlock()
 	return "mem://" + key, nil
 }
@@ -159,7 +169,8 @@ type memObject struct {
 
 func (*memObject) Close() error { return nil }
 
-// Open verifies the object behind ref and returns a reader over it.
+// Open returns a reader over the object behind ref. Write hashed it when it
+// stored it, so only an object Corrupt replaced is verified here.
 func (m *MemStore) Open(ref string) (io.ReadCloser, int64, error) {
 	key, err := refKey(ref, "mem://")
 	if err != nil {
@@ -167,12 +178,15 @@ func (m *MemStore) Open(ref string) (io.ReadCloser, int64, error) {
 	}
 	m.mu.RLock()
 	data, found := m.data[key]
+	corrupted := m.corrupted[key]
 	m.mu.RUnlock()
 	if !found {
 		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, ref)
 	}
-	if err := VerifyChecksum(data, key); err != nil {
-		return nil, 0, err
+	if corrupted {
+		if err := VerifyChecksum(data, key); err != nil {
+			return nil, 0, err
+		}
 	}
 	obj := &memObject{data: data}
 	obj.Reset(data)
@@ -181,8 +195,8 @@ func (m *MemStore) Open(ref string) (io.ReadCloser, int64, error) {
 
 // Corrupt flips a byte of the stored object — test hook for the paper's
 // tamper-detection scenario (checksum mismatch on retrieval). The damaged
-// object replaces the stored one: a reader already serving it is not
-// changed under its feet.
+// object replaces the stored one, and its key is marked for Open to verify:
+// a reader already serving the old one is not changed under its feet.
 func (m *MemStore) Corrupt(ref string) error {
 	key, err := refKey(ref, "mem://")
 	if err != nil {
@@ -198,6 +212,7 @@ func (m *MemStore) Corrupt(ref string) error {
 		data = bytes.Clone(data)
 		data[0] ^= 0xFF
 		m.data[key] = data
+		m.corrupted[key] = true
 	}
 	return nil
 }

@@ -125,6 +125,76 @@ func TestMemStoreTamperDetection(t *testing.T) {
 	}
 }
 
+// TestMemStoreCorruptMarkLifecycle pins the one object MemStore.Open
+// verifies: a Corrupt-replaced one. A Put of the original content stores
+// fresh bytes and clears the mark, and a second Corrupt sets it again.
+func TestMemStoreCorruptMarkLifecycle(t *testing.T) {
+	s := NewMemStore()
+	orig := []byte("sensor reading 42")
+	ref, err := s.Put(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Corrupt(ref); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(ref); !errors.Is(err, ErrChecksumMismatch) {
+		t.Fatalf("Get after Corrupt = %v, want ErrChecksumMismatch", err)
+	}
+	if again, err := s.Put(orig); err != nil || again != ref {
+		t.Fatalf("re-Put = %q, %v; want %q", again, err, ref)
+	}
+	if got, err := s.Get(ref); err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("Get after re-Put = %q, %v; want the original bytes", got, err)
+	}
+	if err := s.Corrupt(ref); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(ref); !errors.Is(err, ErrChecksumMismatch) {
+		t.Fatalf("Get after second Corrupt = %v, want ErrChecksumMismatch", err)
+	}
+}
+
+// TestMemStoreCorruptRacesGet pins that an object and its mark are read
+// together: while one goroutine corrupts and re-puts an object, every Get
+// returns the original bytes or ErrChecksumMismatch, never damaged bytes.
+func TestMemStoreCorruptRacesGet(t *testing.T) {
+	s := NewMemStore()
+	orig := bytes.Repeat([]byte("frame"), 1000)
+	ref, err := s.Put(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := s.Corrupt(ref); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := s.Put(orig); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		got, err := s.Get(ref)
+		if err != nil && !errors.Is(err, ErrChecksumMismatch) {
+			t.Fatalf("Get = %v", err)
+		}
+		if err == nil && !bytes.Equal(got, orig) {
+			t.Fatal("Get served damaged bytes without an error")
+		}
+	}
+}
+
 func TestDirStore(t *testing.T) {
 	s, err := NewDirStore(t.TempDir())
 	if err != nil {

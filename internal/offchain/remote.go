@@ -28,7 +28,7 @@ import (
 // never copied into a frame: the sender encodes everything before them and
 // sends the payload as the frame's tail (network.Frame.Tail). The server
 // streams a put's payload from the connection into its Backing and sends a
-// get's verified object as the reply's tail, from where a MemStore keeps it;
+// get's object as the reply's tail, from where a MemStore keeps it;
 // the client reads a get's reply into one buffer and sub-slices the payload
 // out of it.
 
@@ -178,8 +178,8 @@ func (s *Server) put(req *network.Request, out *network.Frame) error {
 	return nil
 }
 
-// get answers a get with the object the backing store verified, sent as
-// the reply's tail.
+// get answers a get with the object the backing store opened, sent as the
+// reply's tail.
 func (s *Server) get(req *network.Request, out *network.Frame) error {
 	body, err := req.ReadAll()
 	if err != nil {
@@ -267,10 +267,12 @@ func (r *RemoteStore) Put(data []byte) (string, error) {
 
 // Get downloads the object for ref. The returned slice is the payload part
 // of the one frame buffer the reply was read into; the caller owns it. The
-// client does not hash it: the serving store verified the object against its
-// content address when it read it (a mismatch arrives as
-// ErrChecksumMismatch), and core.GetData verifies what arrives against the
-// checksum recorded on-chain.
+// client does not hash it: the serving store answers only with an object
+// that matches its content address — a DirStore re-hashes the file it
+// reads, a MemStore hashed the object when it stored it and re-hashes one
+// Corrupt replaced — and a mismatch arrives as ErrChecksumMismatch.
+// core.GetData verifies what arrives against the checksum recorded
+// on-chain.
 func (r *RemoteStore) Get(ref string) ([]byte, error) {
 	key, err := r.localKey(ref)
 	if err != nil {

@@ -2,6 +2,7 @@ package orderer
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -78,12 +79,15 @@ func (c *chain) markEnqueued(txID string) {
 // appendBatch assembles the next block from a batch, appends it, and
 // advances the height past it. The block is not re-hashed: NewBlock just
 // computed its data hash, and each peer checks it at admission.
-func (c *chain) appendBatch(batch []blockstore.Envelope) (*blockstore.Block, error) {
+func (c *chain) appendBatch(batch []blockstore.Envelope) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b := blockstore.NewBlock(c.store.Height(), c.store.LastHash(), batch)
 	if err := c.store.Append(b); err != nil {
-		return nil, err
+		// The block's number and previous hash are the store's own height
+		// and tip, read under c.mu; a refusal is a broken invariant, not
+		// input error.
+		panic(fmt.Sprintf("orderer: append block %d: %v", b.Header.Number, err))
 	}
 	c.metrics.Counter(metrics.BatchesCut).Inc()
 	c.metrics.Counter(metrics.EnvelopesOrdered).Add(int64(len(batch)))
@@ -105,7 +109,6 @@ func (c *chain) appendBatch(batch []blockstore.Envelope) (*blockstore.Block, err
 		}
 	}
 	c.height.Advance(b.Header.Number + 1)
-	return b, nil
 }
 
 // Block returns block n, waiting until it is cut (see Service).

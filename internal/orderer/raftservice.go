@@ -62,7 +62,7 @@ func (r *Raft) onApply(_, index int, batch []blockstore.Envelope) {
 			continue
 		}
 		r.exec.Order()
-		_, _ = r.chain.appendBatch(b)
+		r.chain.appendBatch(b)
 	}
 }
 

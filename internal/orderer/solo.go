@@ -147,9 +147,7 @@ func NewSolo(cfg BatchConfig, exec *device.Executor) *Solo {
 	s := &Solo{newFrontEnd(cfg, exec)}
 	go s.run(func(batch []blockstore.Envelope) {
 		s.exec.Order()
-		// appendBatch cannot fail here: numbers and hashes are generated
-		// from the chain itself.
-		_, _ = s.chain.appendBatch(batch)
+		s.chain.appendBatch(batch)
 	})
 	return s
 }

@@ -548,12 +548,10 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 	if simResp.Status != shim.OK {
 		return nil, fmt.Errorf("%w: %s", ErrSimulationFailed, simResp.Message)
 	}
-	rwsBytes, err := stub.RWSet().Marshal()
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: marshal rwset: %w", p.name, err)
-	}
+	rwsBytes := stub.RWSet().Marshal()
 	var eventBytes []byte
 	if evs := stub.Events(); len(evs) > 0 {
+		var err error
 		eventBytes, err = json.Marshal(evs)
 		if err != nil {
 			return nil, fmt.Errorf("peer %s: marshal events: %w", p.name, err)

@@ -171,10 +171,7 @@ func mkStoredBlock(t *testing.T, n uint64, prev []byte, keys ...string) *blockst
 		}
 		rws.Writes = append(rws.Writes, rwset.Write{Key: k, Value: doc})
 	}
-	raw, err := rws.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := rws.Marshal()
 	env := blockstore.Envelope{
 		TxID: fmt.Sprintf("tx-%d", n), ChannelID: "ch", Chaincode: "cc",
 		Timestamp: time.Unix(1700000000+int64(n), 0).UTC(), RWSet: raw,

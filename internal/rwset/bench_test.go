@@ -26,10 +26,7 @@ func benchRWSet(reads, writes int) *ReadWriteSet {
 }
 
 func BenchmarkUnmarshal(b *testing.B) {
-	raw, err := benchRWSet(2, 2).Marshal()
-	if err != nil {
-		b.Fatal(err)
-	}
+	raw := benchRWSet(2, 2).Marshal()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Unmarshal(raw); err != nil {

@@ -55,10 +55,7 @@ func TestQueryReadValidates(t *testing.T) {
 	}
 
 	// Marshal/Unmarshal round trip keeps query reads intact.
-	raw, err := rws.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := rws.Marshal()
 	back, err := Unmarshal(raw)
 	if err != nil {
 		t.Fatal(err)

@@ -57,9 +57,9 @@ type ReadWriteSet struct {
 // Marshal encodes the rwset into its canonical binary form, deterministic
 // by construction (reads/writes sorted by key, length-prefixed fields).
 // Every endorser of one simulation therefore produces identical bytes.
-func (rws *ReadWriteSet) Marshal() ([]byte, error) {
+func (rws *ReadWriteSet) Marshal() []byte {
 	rws.normalize()
-	return appendRWSet(nil, rws), nil
+	return appendRWSet(nil, rws)
 }
 
 // Unmarshal decodes an rwset produced by Marshal.

@@ -60,18 +60,12 @@ func TestMarshalRoundTrip(t *testing.T) {
 	b.AddRangeRead("a", "z", []string{"b", "c"})
 	rws := b.Build()
 
-	raw, err := rws.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
+	raw := rws.Marshal()
 	got, err := Unmarshal(raw)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	again, err := got.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal decoded: %v", err)
-	}
+	again := got.Marshal()
 	if !bytes.Equal(raw, again) {
 		t.Errorf("round trip mismatch:\n%+v\n%+v", rws, got)
 	}
@@ -83,11 +77,7 @@ func TestMarshalDeterministic(t *testing.T) {
 		for _, k := range order {
 			b.AddWrite(k, []byte(k))
 		}
-		raw, err := b.Build().Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+		return b.Build().Marshal()
 	}
 	a := mk([]string{"x", "a", "m"})
 	b := mk([]string{"m", "x", "a"})

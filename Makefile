@@ -67,8 +67,9 @@ PROVENANCE_GO := $(filter-out %_test.go,$(wildcard internal/chaincode/provenance
 
 # The packages on the far side of core.Gateway: the clientseam analyzer bans
 # them as direct imports of internal/core, `go list -deps` below as indirect
-# ones.
-NETWORK_SIDE := fabric peer orderer gossip transport committer recovery endorser trace device
+# ones. endorser is not one of them: it holds the client's transaction
+# builder, endorser.Transact.
+NETWORK_SIDE := fabric peer orderer gossip transport committer recovery trace device
 
 # Run the eight repo-specific analyzers over the whole tree via `go vet`,
 # then keep reflection off the record path: records are decoded by
@@ -84,9 +85,13 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery endorser
 # payload end to end once, in core.GetData against the on-chain checksum;
 # the only other offchain.VerifyChecksum call is MemStore.Open's, for an
 # object Corrupt replaced (DirStore.Open hashes its file inline, and
-# codec.VerifyChecksum, a CRC-32C trailer, is not matched). Last, keep
-# the client library's import cone closed: an analyzer sees direct imports
-# only, so ask the go command for the transitive set.
+# codec.VerifyChecksum, a CRC-32C trailer, is not matched). Keep the
+# gateway from signing: the client signs a transaction through
+# endorser.Transact, and fabric/gateway.go only endorses and orders (its
+# g.exec.Sign() charges are the client machine's modeled cost, not a
+# signature). Last, keep the client library's import cone closed: an
+# analyzer sees direct imports only, so ask the go command for the
+# transitive set.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 	@bad=$$( { grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(CORE_GO); \
@@ -107,6 +112,11 @@ analyze: vettool
 		grep -vF ':func VerifyChecksum(' | grep -vE '^internal/(core/client|offchain/offchain)\.go:'); \
 	if [ -n "$$bad" ]; then \
 		echo "an off-chain payload re-hashed (core.GetData checks it end to end, MemStore.Open a corrupted object):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE '\b(Transact|SignDigest|SealSigned)\b|\.Sign\([^)]' internal/fabric/gateway.go | \
+		grep -vE '^[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$bad" ]; then \
+		echo "the gateway signs (the client signs through endorser.Transact; the gateway endorses and orders):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$($(GO) list -deps ./internal/core | grep -E '/internal/($(subst $(eval) ,|,$(NETWORK_SIDE)))$$'); \
 	if [ -n "$$bad" ]; then \

@@ -68,15 +68,11 @@ func (h *recoverHarness) commitRecord(p *peer.Peer, key, checksum string) error 
 	if err != nil {
 		return err
 	}
-	prop, err := endorser.NewProposal(h.client, "hyperprov", provenance.ChaincodeName, provenance.FnSet, [][]byte{args})
-	if err != nil {
-		return err
-	}
-	resp, err := p.ProcessProposal(prop)
-	if err != nil {
-		return err
-	}
-	env, err := endorser.NewEnvelope(prop, []*endorser.Response{resp}, h.client)
+	env, err := endorser.Transact(h.client, "hyperprov", provenance.ChaincodeName, provenance.FnSet, [][]byte{args},
+		func(prop *endorser.Proposal) ([]*endorser.Response, error) {
+			resp, err := p.ProcessProposal(prop)
+			return []*endorser.Response{resp}, err
+		})
 	if err != nil {
 		return err
 	}

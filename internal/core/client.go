@@ -19,6 +19,7 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
+	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/offchain"
 )
@@ -51,21 +52,27 @@ type PostOptions struct {
 	Meta map[string]string
 }
 
-// TxReceipt re-exports the gateway's report of a committed transaction; its
-// Latency is scaled if the network clock is. A transaction that commits as
-// invalid returns its receipt, with the validation code, beside the error.
+// TxReceipt re-exports the gateway's report of a committed transaction; the
+// client stamps its Latency, from before the proposal is signed until the
+// commit. A transaction that commits as invalid returns its receipt, with
+// the validation code, beside the error.
 type TxReceipt = blockstore.TxResult
 
-// Gateway is everything the client library asks of the network: seven calls
-// on one identity and one channel. Which peer answers each is the
-// implementation's decision (*fabric.Gateway is the in-process one).
+// Gateway is everything the client library asks of the network: eight calls
+// on one identity and one channel, split as the Fabric Gateway splits a
+// transaction. The client signs; the gateway only endorses and orders. Which
+// peer answers each call is the implementation's decision (*fabric.Gateway
+// is the in-process one).
 type Gateway interface {
 	// Identity signs the transactions and is recorded as their creator.
 	Identity() *identity.SigningIdentity
 	// ChannelID names the channel every other call is scoped to.
 	ChannelID() string
-	// Submit endorses, orders and waits for the commit of one transaction.
-	Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxResult, error)
+	// Endorse returns the endorsements of a signed proposal that the
+	// channel's endorsement policy selects.
+	Endorse(prop *endorser.Proposal) ([]*endorser.Response, error)
+	// Submit broadcasts a signed envelope and waits for its commit.
+	Submit(env blockstore.Envelope) (*blockstore.TxResult, error)
 	// Evaluate runs a read-only chaincode query and returns its payload.
 	Evaluate(chaincode, fn string, args ...[]byte) ([]byte, error)
 	// TxStatus returns a committed transaction's envelope and validation
@@ -137,7 +144,23 @@ func (c *Client) Post(key, checksum string, opts PostOptions) (*TxReceipt, error
 	if err != nil {
 		return nil, fmt.Errorf("hyperprov: marshal post args: %w", err)
 	}
-	return c.gw.Submit(provenance.ChaincodeName, provenance.FnSet, raw)
+	return c.submit(provenance.FnSet, raw)
+}
+
+// submit signs one transaction of the contract as the gateway's identity,
+// has the gateway endorse and order it, and stamps the receipt's Latency.
+// The gateway's errors come back as they are.
+func (c *Client) submit(fn string, args ...[]byte) (*TxReceipt, error) {
+	start := time.Now()
+	env, err := endorser.Transact(c.gw.Identity(), c.gw.ChannelID(), provenance.ChaincodeName, fn, args, c.gw.Endorse)
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.gw.Submit(env)
+	if res != nil {
+		res.Latency = time.Since(start)
+	}
+	return res, err
 }
 
 // read evaluates fn and decodes its payload. Strings decoded from one
@@ -188,7 +211,7 @@ func (c *Client) GetDescendants(key string) ([]Record, error) {
 
 // Delete tombstones key's record (history is preserved on-chain).
 func (c *Client) Delete(key string) (*TxReceipt, error) {
-	return c.gw.Submit(provenance.ChaincodeName, provenance.FnDelete, []byte(key))
+	return c.submit(provenance.FnDelete, []byte(key))
 }
 
 // GetStats returns contract-level statistics.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -85,20 +84,10 @@ func TestWithChannelUnknown(t *testing.T) {
 	}
 }
 
-// A gateway's commit timeout must make its client's commit waits fail fast
-// and leave a sibling gateway's alone; a client over a gateway minted by
-// the network itself binds to the network's first channel.
-func TestWithTimeoutAndDefaultChannel(t *testing.T) {
+// A client over a gateway minted by the network itself binds to the
+// network's first channel.
+func TestDefaultChannel(t *testing.T) {
 	n := newMultiChannelNet(t)
-	c := channelClient(t, n, "tenant-b", "opts-client3")
-	cGateway(c).SetCommitTimeout(time.Nanosecond)
-	if _, err := c.Post("too-slow", "sha256:x", PostOptions{}); !errors.Is(err, fabric.ErrCommitTimeout) {
-		t.Fatalf("post with 1ns timeout: err=%v, want commit timeout", err)
-	}
-	if _, err := channelClient(t, n, "tenant-b", "opts-client3b").Post("in-time", "sha256:y", PostOptions{}); err != nil {
-		t.Fatalf("post through a sibling gateway: %v", err)
-	}
-
 	gw2, err := n.NewGateway("opts-client4")
 	if err != nil {
 		t.Fatal(err)

@@ -11,17 +11,20 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
+	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/leaktest"
 	"github.com/hyperprov/hyperprov/internal/offchain"
 )
 
-// fakeGateway is the whole network as the client library sees it: it records
-// what Submit / Evaluate were asked and answers from its fields.
+// fakeGateway is the whole network as the client library sees it: it
+// records what Endorse / Evaluate were asked and answers from its fields.
+// Endorse and Submit check the client's signatures, so a Post that reaches
+// Submit proves the client signed both halves.
 type fakeGateway struct {
 	signer  *identity.SigningIdentity
 	payload []byte                          // Evaluate's answer
-	err     error                           // Submit's and Evaluate's failure
+	err     error                           // Endorse's and Evaluate's failure
 	txs     map[string]*blockstore.Envelope // what TxStatus knows, all valid
 	audit   error                           // AuditChain's verdict
 	events  chan blockstore.ChaincodeEvent  // the source Events hands out
@@ -30,15 +33,26 @@ type fakeGateway struct {
 	submitted bool
 	fn        string
 	args      [][]byte
+	badSig    error // the first signature Endorse or Submit rejected
 }
 
 func (f *fakeGateway) Identity() *identity.SigningIdentity { return f.signer }
 func (f *fakeGateway) ChannelID() string                   { return "fake-channel" }
 func (f *fakeGateway) AuditChain() error                   { return f.audit }
 
-func (f *fakeGateway) Submit(_, fn string, args ...[]byte) (*blockstore.TxResult, error) {
-	f.submitted, f.fn, f.args = true, fn, args
-	return &blockstore.TxResult{TxID: "tx-1", BlockNum: 7, Code: blockstore.TxValid, Latency: time.Millisecond}, f.err
+func (f *fakeGateway) Endorse(prop *endorser.Proposal) ([]*endorser.Response, error) {
+	f.submitted, f.fn, f.args = true, prop.Function, prop.Args
+	if err := f.signer.Identity().VerifyDigest(prop.SignedDigest(), prop.Signature); err != nil && f.badSig == nil {
+		f.badSig = fmt.Errorf("proposal: %w", err)
+	}
+	return []*endorser.Response{{TxID: prop.TxID}}, f.err
+}
+
+func (f *fakeGateway) Submit(env blockstore.Envelope) (*blockstore.TxResult, error) {
+	if err := f.signer.Identity().VerifyDigest(env.SignedDigest(), env.Signature); err != nil && f.badSig == nil {
+		f.badSig = fmt.Errorf("envelope: %w", err)
+	}
+	return &blockstore.TxResult{TxID: env.TxID, BlockNum: 7, Code: blockstore.TxValid}, nil
 }
 
 func (f *fakeGateway) Evaluate(_, fn string, args ...[]byte) ([]byte, error) {
@@ -174,6 +188,9 @@ func TestOperatorsOnFakeGateway(t *testing.T) {
 					t.Errorf("arg %d = %s, want %s", i, f.args[i], tc.args[i])
 				}
 			}
+			if f.badSig != nil {
+				t.Errorf("the client did not sign the %s", f.badSig)
+			}
 			reached[f.fn] = true
 
 			f.err = errors.New("gateway says no")
@@ -210,8 +227,8 @@ func TestReceiptAndIdentityOnFakeGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if receipt.TxID != "tx-1" || receipt.BlockNum != 7 || receipt.Latency != time.Millisecond {
-		t.Errorf("receipt = %+v", receipt)
+	if receipt.TxID == "" || receipt.BlockNum != 7 || receipt.Latency <= 0 {
+		t.Errorf("receipt = %+v, want the envelope's transaction and the client's latency", receipt)
 	}
 }
 

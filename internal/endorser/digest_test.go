@@ -105,7 +105,7 @@ func TestWarmResponseVerifyAllocatesNoPreimage(t *testing.T) {
 	}
 	msp := identity.NewMSP(ca)
 	r := mkResponse(t, peer, bytes.Repeat([]byte{7}, 4096), []byte("payload"))
-	if _, err := r.Verify(msp); err != nil { // warm: identity interned, triple cached
+	if _, err := r.verifyCached(msp, nil); err != nil { // warm: identity interned, triple cached
 		t.Fatal(err)
 	}
 	_, verifiesBefore := identity.ECDSAOps()
@@ -113,7 +113,7 @@ func TestWarmResponseVerifyAllocatesNoPreimage(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(calls, func() {
-		if _, err := r.Verify(msp); err != nil {
+		if _, err := r.verifyCached(msp, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

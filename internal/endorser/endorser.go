@@ -1,10 +1,11 @@
 // Package endorser defines the proposal/response wire types and the
-// endorsement-policy engine of the execute–order–validate pipeline. Clients
-// send signed proposals to endorsing peers; peers simulate the chaincode
-// and sign the resulting read/write set; the policy engine picks the
-// endorsements that satisfy the channel's endorsement policy at submission
-// time (SelectEndorsements) and checks every endorsement a transaction
-// carries at validation time (CheckEndorsements, the VSCC).
+// endorsement-policy engine of the execute–order–validate pipeline. A client
+// signs a proposal and its envelope through Transact and nowhere else; peers
+// simulate the chaincode and sign the resulting read/write set; the policy
+// engine picks the endorsements that satisfy the channel's endorsement
+// policy at submission time (SelectEndorsements) and checks every
+// endorsement a transaction carries at validation time (CheckEndorsements,
+// the VSCC).
 package endorser
 
 import (
@@ -110,10 +111,26 @@ func NewTxID(creator []byte) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// NewProposal builds and signs a proposal to invoke fn on chaincode as
-// signer, under a fresh transaction ID and the current time. It is the
-// client half of a submission: whoever holds the signing key runs it.
-func NewProposal(signer *identity.SigningIdentity, channelID, chaincode, fn string, args [][]byte) (*Proposal, error) {
+// Transact is the client's half of a transaction: it signs a proposal to
+// invoke fn on chaincode as signer, hands it to endorse, and signs the
+// envelope over the endorsements endorse returns (its error comes back as it
+// is).
+func Transact(signer *identity.SigningIdentity, channelID, chaincode, fn string, args [][]byte,
+	endorse func(*Proposal) ([]*Response, error)) (blockstore.Envelope, error) {
+	prop, err := newProposal(signer, channelID, chaincode, fn, args)
+	if err != nil {
+		return blockstore.Envelope{}, err
+	}
+	resps, err := endorse(prop)
+	if err != nil {
+		return blockstore.Envelope{}, err
+	}
+	return newEnvelope(prop, resps, signer)
+}
+
+// newProposal builds and signs a proposal to invoke fn on chaincode as
+// signer, under a fresh transaction ID and the current time.
+func newProposal(signer *identity.SigningIdentity, channelID, chaincode, fn string, args [][]byte) (*Proposal, error) {
 	creator := signer.Serialize()
 	txID, err := NewTxID(creator)
 	if err != nil {
@@ -185,16 +202,9 @@ func (r *Response) SignedDigest() [sha256.Size]byte {
 	return h.Sum()
 }
 
-// Verify checks the endorsement signature against the peer identity
-// resolved through the MSP. It returns the resolved identity.
-//
-// Verification goes through the MSP's shared signature cache: a triple the
-// process already verified (the gateway checked it, commit re-checks it;
-// gossip redelivers a block) is accepted without redoing the ECDSA work.
-func (r *Response) Verify(msp *identity.MSP) (*identity.Identity, error) {
-	return r.verifyCached(msp, nil)
-}
-
+// verifyCached checks the endorsement signature under the endorser the MSP
+// resolves, and returns it. A triple in the MSP's shared signature cache
+// (the gateway checked it, commit re-checks it) skips the ECDSA work.
 func (r *Response) verifyCached(msp *identity.MSP, onMiss func()) (*identity.Identity, error) {
 	id, err := msp.Deserialize(r.Endorser)
 	if err != nil {
@@ -206,13 +216,13 @@ func (r *Response) verifyCached(msp *identity.MSP, onMiss func()) (*identity.Ide
 	return id, nil
 }
 
-// NewEnvelope assembles the transaction prop's endorsers agreed on — the
+// newEnvelope assembles the transaction prop's endorsers agreed on — the
 // first response's simulation result under every response's endorsement —
 // and signs and seals it as signer. resps must be non-empty and consistent
 // (see SelectEndorsements). One encoding serves the signature and the rest
 // of the envelope's life: block assembly, data hash, gossip and ledger
 // append reuse it.
-func NewEnvelope(prop *Proposal, resps []*Response, signer *identity.SigningIdentity) (blockstore.Envelope, error) {
+func newEnvelope(prop *Proposal, resps []*Response, signer *identity.SigningIdentity) (blockstore.Envelope, error) {
 	env := blockstore.Envelope{
 		TxID:         prop.TxID,
 		ChannelID:    prop.ChannelID,
@@ -332,50 +342,37 @@ func (r *Response) sameResult(o *Response) bool {
 	return bytes.Equal(r.RWSet, o.RWSet) && bytes.Equal(r.Payload, o.Payload)
 }
 
-// VerifyEndorsementsFunc verifies every endorsement signature and checks
-// that all endorsements agree on the simulated result (divergent simulation
-// means a non-deterministic chaincode or a byzantine peer). It returns the
-// MSP IDs of the endorsing orgs, in response order.
-//
-// onMiss runs once for each signature that was NOT already in the MSP's
-// verification cache, immediately before the real ECDSA check. Callers use
-// it to charge modeled verification hardware only for work that actually
-// happens — a warm cache validates an entire block without a single charge.
+// CheckEndorsements verifies every endorsement signature, checks that all
+// endorsements agree on the simulated result (divergent simulation means a
+// non-deterministic chaincode or a byzantine peer), and evaluates the policy
+// over the endorsing orgs.
+func CheckEndorsements(policy Policy, msp *identity.MSP, responses []*Response) error {
+	return CheckEndorsementsFunc(policy, msp, responses, nil)
+}
+
+// CheckEndorsementsFunc is CheckEndorsements with a charge hook: onMiss runs
+// once for each signature that was NOT already in the MSP's verification
+// cache, immediately before the real ECDSA check. Callers use it to charge
+// modeled verification hardware only for work that actually happens — a
+// warm cache validates an entire block without a single charge.
 //
 // The function touches no shared mutable state beyond the MSP's internal
 // read-locking, so the committing peer's pre-validation stage may call it
 // for many transactions concurrently.
-func VerifyEndorsementsFunc(msp *identity.MSP, responses []*Response, onMiss func()) ([]string, error) {
+func CheckEndorsementsFunc(policy Policy, msp *identity.MSP, responses []*Response, onMiss func()) error {
 	if len(responses) == 0 {
-		return nil, fmt.Errorf("%w: no endorsements", ErrPolicyNotSatisfied)
+		return fmt.Errorf("%w: no endorsements", ErrPolicyNotSatisfied)
 	}
 	orgs := make([]string, 0, len(responses))
 	for _, r := range responses {
 		id, err := r.verifyCached(msp, onMiss)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !r.sameResult(responses[0]) {
-			return nil, ErrResponseMismatch
+			return ErrResponseMismatch
 		}
 		orgs = append(orgs, id.MSPID())
-	}
-	return orgs, nil
-}
-
-// CheckEndorsements verifies every endorsement signature and evaluates the
-// policy over the endorsing orgs. Like VerifyEndorsementsFunc it is safe to
-// call concurrently from validation workers.
-func CheckEndorsements(policy Policy, msp *identity.MSP, responses []*Response) error {
-	return CheckEndorsementsFunc(policy, msp, responses, nil)
-}
-
-// CheckEndorsementsFunc is CheckEndorsements with the per-miss charge hook
-// of VerifyEndorsementsFunc.
-func CheckEndorsementsFunc(policy Policy, msp *identity.MSP, responses []*Response, onMiss func()) error {
-	orgs, err := VerifyEndorsementsFunc(msp, responses, onMiss)
-	if err != nil {
-		return err
 	}
 	if !policy.Evaluate(orgs) {
 		return fmt.Errorf("%w: have %v, need %s", ErrPolicyNotSatisfied, orgs, policy)
@@ -391,7 +388,7 @@ func CheckEndorsementsFunc(policy Policy, msp *identity.MSP, responses []*Respon
 // nothing), or when its signature fails. The picks are returned as soon as
 // policy holds over their orgs; ErrPolicyNotSatisfied if group runs out
 // first, ErrResponseMismatch if any response's result differs from the
-// first's. onMiss is VerifyEndorsementsFunc's charge hook.
+// first's. onMiss is CheckEndorsementsFunc's charge hook.
 func SelectEndorsements(policy Policy, msp *identity.MSP, group []*Response, onMiss func()) ([]*Response, error) {
 	for _, r := range group {
 		if !r.sameResult(group[0]) {

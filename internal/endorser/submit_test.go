@@ -2,6 +2,7 @@ package endorser
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/identity"
 )
 
-// NewProposal's signature must verify over the proposal's signed digest
+// newProposal's signature must verify over the proposal's signed digest
 // under the signer's own identity, with every field the caller named in
 // place and a fresh transaction ID each time.
 func TestNewProposalIsSignedByCreator(t *testing.T) {
@@ -23,7 +24,7 @@ func TestNewProposalIsSignedByCreator(t *testing.T) {
 	}
 	args := [][]byte{[]byte("k"), nil, []byte("v")}
 	before := time.Now().UTC()
-	prop, err := NewProposal(client, "ch", "provenance", "set", args)
+	prop, err := newProposal(client, "ch", "provenance", "set", args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestNewProposalIsSignedByCreator(t *testing.T) {
 	if err := client.Identity().VerifyDigest(prop.SignedDigest(), prop.Signature); err != nil {
 		t.Errorf("proposal signature: %v", err)
 	}
-	again, err := NewProposal(client, "ch", "provenance", "set", args)
+	again, err := newProposal(client, "ch", "provenance", "set", args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestNewProposalIsSignedByCreator(t *testing.T) {
 	}
 }
 
-// NewEnvelope must produce, for a fixed proposal and responses, exactly the
+// newEnvelope must produce, for a fixed proposal and responses, exactly the
 // bytes of the field-by-field envelope literal signed and sealed the long
 // way round: the first response's result, every response's endorsement in
 // order, the client's signature over the envelope's signed digest.
@@ -70,7 +71,7 @@ func TestNewEnvelopeBytesMatchLiteral(t *testing.T) {
 		resps = append(resps, r)
 	}
 	prop := goldenProposal
-	env, err := NewEnvelope(&prop, resps, client)
+	env, err := newEnvelope(&prop, resps, client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +98,50 @@ func TestNewEnvelopeBytesMatchLiteral(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, wantBytes) {
-		t.Error("NewEnvelope's sealed bytes differ from the literal envelope's encoding")
+		t.Error("newEnvelope's sealed bytes differ from the literal envelope's encoding")
 	}
 	if _, sealed := env.EncodedLen(); !sealed {
-		t.Error("NewEnvelope returned an unsealed envelope")
+		t.Error("newEnvelope returned an unsealed envelope")
+	}
+}
+
+// Transact hands endorse a proposal the signer signed, returns endorse's
+// error as it is, and signs the envelope over the endorsements endorse
+// returned.
+func TestTransactSignsBothHalves(t *testing.T) {
+	ca, err := identity.NewCA("Org1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := ca.Enroll("client", identity.RoleClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ca.Enroll("peer0", identity.RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := errors.New("no endorser answered")
+	if _, err := Transact(client, "ch", "provenance", "set", nil,
+		func(*Proposal) ([]*Response, error) { return nil, refused }); err != refused {
+		t.Fatalf("endorse error came back as %v, want it as it is", err)
+	}
+	var asked *Proposal
+	env, err := Transact(client, "ch", "provenance", "set", [][]byte{[]byte("k")},
+		func(prop *Proposal) ([]*Response, error) {
+			asked = prop
+			return []*Response{mkResponse(t, peer, []byte{1}, []byte("payload"))}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Identity().VerifyDigest(asked.SignedDigest(), asked.Signature); err != nil {
+		t.Errorf("proposal signature: %v", err)
+	}
+	if env.TxID != asked.TxID || string(env.Response) != "payload" || len(env.Endorsements) != 1 {
+		t.Errorf("envelope = %+v, want the proposal's transaction and its one endorsement", env)
+	}
+	if err := client.Identity().VerifyDigest(env.SignedDigest(), env.Signature); err != nil {
+		t.Errorf("envelope signature: %v", err)
 	}
 }

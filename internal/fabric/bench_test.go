@@ -55,7 +55,7 @@ func BenchmarkSubmitRealClock(b *testing.B) {
 			defer wg.Done()
 			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
 				in := fmt.Sprintf(`{"key":"item-%d","checksum":"sha256:%d"}`, i, i)
-				if _, err := gw.Submit(provenance.ChaincodeName, provenance.FnSet, []byte(in)); err != nil {
+				if _, err := submit(gw, provenance.ChaincodeName, provenance.FnSet, []byte(in)); err != nil {
 					b.Error(err)
 					return
 				}
@@ -177,7 +177,7 @@ func BenchmarkCatchupRealClock(b *testing.B) {
 			defer wg.Done()
 			for i := next.Add(1); i <= blockTxs*window*windows; i = next.Add(1) {
 				in := fmt.Sprintf(`{"key":"item-%d","checksum":"sha256:%d"}`, i, i)
-				if _, err := gw.Submit(provenance.ChaincodeName, provenance.FnSet, []byte(in)); err != nil {
+				if _, err := submit(gw, provenance.ChaincodeName, provenance.FnSet, []byte(in)); err != nil {
 					b.Error(err)
 					return
 				}

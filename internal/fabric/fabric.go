@@ -515,13 +515,18 @@ func (c *Channel) UpgradeChaincode(name string, mk func() shim.Chaincode) error 
 }
 
 // runInit submits the chaincode's Init on behalf of a lifecycle operation
-// (op names it in the client identity and in the error).
+// (op names it in the client identity and in the error), signed by the
+// lifecycle admin's own client.
 func (c *Channel) runInit(op, name string) error {
 	gw, err := c.NewGateway(op + "-" + name)
 	if err != nil {
 		return err
 	}
-	if _, err := gw.Submit(name, peer.InitFunction); err != nil {
+	env, err := endorser.Transact(gw.Identity(), c.id, name, peer.InitFunction, nil, gw.Endorse)
+	if err == nil {
+		_, err = gw.Submit(env)
+	}
+	if err != nil {
 		return fmt.Errorf("fabric: %s %q on %q: %w", op, name, c.id, err)
 	}
 	return nil

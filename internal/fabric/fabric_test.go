@@ -11,6 +11,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/device"
+	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/orderer"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
@@ -42,6 +43,16 @@ func newTestNetwork(t testing.TB, cfg Config) *Network {
 	return n
 }
 
+// submit runs one transaction as core does: the client signs it through
+// endorser.Transact, the gateway endorses and orders it.
+func submit(gw *Gateway, chaincode, fn string, args ...[]byte) (*blockstore.TxResult, error) {
+	env, err := endorser.Transact(gw.Identity(), gw.ChannelID(), chaincode, fn, args, gw.Endorse)
+	if err != nil {
+		return nil, err
+	}
+	return gw.Submit(env)
+}
+
 func setRecord(t testing.TB, gw *Gateway, key, checksum string, parents ...string) *blockstore.TxResult {
 	t.Helper()
 	in := map[string]any{"key": key, "checksum": checksum}
@@ -52,7 +63,7 @@ func setRecord(t testing.TB, gw *Gateway, key, checksum string, parents ...strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gw.Submit(provenance.ChaincodeName, provenance.FnSet, raw)
+	res, err := submit(gw, provenance.ChaincodeName, provenance.FnSet, raw)
 	if err != nil {
 		t.Fatalf("Submit set %q: %v", key, err)
 	}
@@ -66,7 +77,7 @@ func TestEndToEndSubmitAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := setRecord(t, gw, "item1", "sha256:abc")
-	if res.TxID == "" || res.Latency <= 0 {
+	if res.TxID == "" || res.Code != blockstore.TxValid {
 		t.Errorf("result = %+v", res)
 	}
 	payload, err := gw.Evaluate(provenance.ChaincodeName, provenance.FnGet, []byte("item1"))
@@ -143,7 +154,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < txPerClient; i++ {
 				in := fmt.Sprintf(`{"key":"c%d-item%d","checksum":"cs"}`, c, i)
-				if _, err := gw.Submit(provenance.ChaincodeName, provenance.FnSet, []byte(in)); err != nil {
+				if _, err := submit(gw, provenance.ChaincodeName, provenance.FnSet, []byte(in)); err != nil {
 					errs <- err
 				}
 			}
@@ -265,7 +276,7 @@ func TestSubmitInvalidChaincodeArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = gw.Submit(provenance.ChaincodeName, provenance.FnSet, []byte("not json"))
+	_, err = submit(gw, provenance.ChaincodeName, provenance.FnSet, []byte("not json"))
 	if !errors.Is(err, ErrEndorsement) {
 		t.Fatalf("err = %v, want ErrEndorsement (simulation fails on all peers)", err)
 	}

@@ -28,7 +28,7 @@ func TestSubmitSurvivesNonCommitPeerFailure(t *testing.T) {
 	setRecord(t, gw, "after-failure", "cs")
 
 	// Quorum loss: chaincode missing everywhere -> endorsement error.
-	_, err = gw.Submit("no-such-chaincode", "set", []byte("{}"))
+	_, err = submit(gw, "no-such-chaincode", "set", []byte("{}"))
 	if !errors.Is(err, ErrEndorsement) {
 		t.Errorf("err = %v, want ErrEndorsement", err)
 	}
@@ -44,11 +44,11 @@ func TestCommitTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw.SetCommitTimeout(time.Millisecond)
+	gw.commitTimeout = time.Millisecond
 	// Detach the commit peer from the ordered stream: endorsement still
 	// works (its state is live), but it will never see the block.
 	n.Peers()[0].Stop()
-	_, err = gw.Submit(provenance.ChaincodeName, provenance.FnSet,
+	_, err = submit(gw, provenance.ChaincodeName, provenance.FnSet,
 		[]byte(`{"key":"k","checksum":"c"}`))
 	if !errors.Is(err, ErrCommitTimeout) {
 		t.Errorf("err = %v, want ErrCommitTimeout", err)
@@ -90,7 +90,7 @@ func TestOrdererStopFailsSubmitsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Orderer().Stop()
-	_, err = gw.Submit(provenance.ChaincodeName, provenance.FnSet,
+	_, err = submit(gw, provenance.ChaincodeName, provenance.FnSet,
 		[]byte(`{"key":"k","checksum":"c"}`))
 	if err == nil {
 		t.Fatal("submit after orderer stop succeeded")

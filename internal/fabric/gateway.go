@@ -33,9 +33,11 @@ type Endorser interface {
 	ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error)
 }
 
-// Gateway is the client-side library half of the Fabric SDK: it signs
-// proposals, collects endorsements, submits envelopes to ordering, and
-// waits for commits — the machinery HyperProv's NodeJS client wraps.
+// Gateway is the network half of the Fabric Gateway for one client: it
+// collects the endorsements a signed proposal needs (Endorse), then
+// broadcasts the signed envelope and waits for its commit (Submit). It never
+// signs: the client signs both through endorser.Transact. It still models
+// the client's machine, so the client's costs are charged to its executor.
 // A gateway is bound to exactly one channel, the one that minted it.
 type Gateway struct {
 	ch            *Channel
@@ -53,12 +55,13 @@ type Gateway struct {
 }
 
 // AddEndorser attaches an additional endorser (a remote peer handle) that
-// Submit asks after the network's local peers, when it widens beyond the
+// Endorse asks after the network's local peers, when it widens beyond the
 // commit peer. The remote peer must belong to an organization this
 // network's MSP trusts, or its endorsements will be rejected client-side.
 func (g *Gateway) AddEndorser(e Endorser) { g.remote = append(g.remote, e) }
 
-// Identity returns the gateway's signing identity.
+// Identity returns the identity the gateway enrolled for its client. The
+// gateway hands it to the client, which signs with it; the gateway does not.
 func (g *Gateway) Identity() *identity.SigningIdentity { return g.signer }
 
 // ChannelID returns the name of the channel this gateway is bound to.
@@ -66,24 +69,15 @@ func (g *Gateway) ChannelID() string { return g.ch.id }
 
 // commitPeer is the peer whose ledger the client takes as committed. Which
 // peer answers a client request is decided in this file and nowhere else:
-// commit-wait, Evaluate and Events ask the commit peer; Submit's endorsement
-// and TxStatus ask it first, then the rest in channel order; AuditChain asks
-// every peer.
+// commit-wait, Evaluate and Events ask the commit peer; Endorse and TxStatus
+// ask it first, then the rest in channel order; AuditChain asks every peer.
 func (g *Gateway) commitPeer() *peer.Peer { return g.ch.peers[0] }
 
-// SetCommitTimeout overrides the commit-wait timeout (wall clock).
-func (g *Gateway) SetCommitTimeout(d time.Duration) { g.commitTimeout = d }
-
-// Submit runs the full execute–order–validate flow for one transaction and
-// blocks until it commits (or fails validation / times out).
-func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxResult, error) {
+// Endorse collects the endorsements of a signed proposal that its channel's
+// endorsement policy needs, and returns only those.
+func (g *Gateway) Endorse(prop *endorser.Proposal) ([]*endorser.Response, error) {
 	start := time.Now()
-	g.exec.Sign()
-	prop, err := endorser.NewProposal(g.signer, g.ch.id, chaincode, fn, args)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: %w", err)
-	}
-	txID := prop.TxID
+	g.exec.Sign() // the client's proposal signature
 
 	// The endorsement plan: the commit peer first, then the channel's other
 	// peers and any attached remote endorsers.
@@ -97,7 +91,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 		err  error
 	}
 	// Buffered to the plan's width so stragglers can finish and exit after
-	// Submit has already moved on — nothing blocks on an abandoned send.
+	// Endorse has already moved on — nothing blocks on an abandoned send.
 	resCh := make(chan result, len(endorsers))
 	ask := func(i int) {
 		e := endorsers[i]
@@ -126,17 +120,18 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 	// catching up cannot carry a stale read set alone; the last arrival takes
 	// the largest consistent group, whatever its size. From the group,
 	// endorser.SelectEndorsements verifies in arrival order one endorsement
-	// per org, skipping any that fails, until the policy holds, and the
-	// envelope carries only those: every committing peer verifies each
-	// endorsement an envelope carries. Late arrivals drain into the buffered
-	// channel and are ignored. Signature checks go through the MSP's
-	// verification cache; the modeled client-side verify cost is charged per
-	// actual ECDSA check (onMiss).
+	// per org, skipping any that fails, until the policy holds, and only
+	// those are returned: every committing peer verifies each endorsement an
+	// envelope carries. Late arrivals drain into the buffered channel and are
+	// ignored. Signature checks go through the MSP's verification cache; the
+	// modeled client-side verify cost is charged per actual ECDSA check
+	// (onMiss).
 	onMiss := func() { g.exec.Verify() }
 	policy, msp := g.ch.net.policy, g.ch.net.msp
 	asked := 1
 	var arrived, resps []*endorser.Response
 	var errs []error
+	var err error
 	for got := 1; resps == nil; got++ {
 		r := <-resCh
 		if r.err != nil {
@@ -162,17 +157,22 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 			ask(asked)
 		}
 	}
+	// The propose span covers the endorsement round, from the signed
+	// proposal to the endorsements the envelope will carry.
+	g.ch.net.tracer.Observe(prop.TxID, trace.StagePropose, "gateway", start, "")
+	return resps, nil
+}
 
-	g.exec.Sign()
-	env, err := endorser.NewEnvelope(prop, resps, g.signer)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: %w", err)
+// Submit broadcasts a signed envelope to ordering and blocks until it
+// commits on the commit peer (or fails validation / times out). An envelope
+// for another channel is refused before anything is charged or broadcast:
+// neither the orderer nor the committer checks its channel.
+func (g *Gateway) Submit(env blockstore.Envelope) (*blockstore.TxResult, error) {
+	if env.ChannelID != g.ch.id {
+		return nil, fmt.Errorf("fabric: %w: gateway serves %q, envelope names %q", peer.ErrWrongChannel, g.ch.id, env.ChannelID)
 	}
-
-	g.exec.Transfer(len(resps[0].RWSet) + 768) // client -> orderer
-	// The propose span covers the client-side work — proposal signing,
-	// endorsement, and envelope assembly — ending at broadcast.
-	g.ch.net.tracer.Observe(txID, trace.StagePropose, "gateway", start, "")
+	g.exec.Sign()                         // the client's envelope signature
+	g.exec.Transfer(len(env.RWSet) + 768) // client -> orderer
 	if err := g.ch.orderer.Submit(env); err != nil {
 		return nil, fmt.Errorf("fabric: broadcast: %w", err)
 	}
@@ -183,17 +183,11 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*blockstore.TxRe
 	// goroutine ran.
 	deadline, timeout := time.Now().Add(g.commitTimeout), make(chan struct{})
 	defer time.AfterFunc(g.commitTimeout, func() { close(timeout) }).Stop()
-	loc, ok := g.commitPeer().WaitTx(txID, timeout)
+	loc, ok := g.commitPeer().WaitTx(env.TxID, timeout)
 	if !ok || time.Now().After(deadline) {
-		return nil, fmt.Errorf("%w: tx %s after %v", ErrCommitTimeout, txID, g.commitTimeout)
+		return nil, fmt.Errorf("%w: tx %s after %v", ErrCommitTimeout, env.TxID, g.commitTimeout)
 	}
-	res := &blockstore.TxResult{
-		TxID:     txID,
-		BlockNum: loc.BlockNum,
-		Code:     loc.Code,
-		Payload:  resps[0].Payload,
-		Latency:  time.Since(start),
-	}
+	res := &blockstore.TxResult{TxID: env.TxID, BlockNum: loc.BlockNum, Code: loc.Code, Payload: env.Response}
 	if loc.Code != blockstore.TxValid {
 		return res, fmt.Errorf("%w: %s", ErrTxInvalidated, loc.Code)
 	}
@@ -217,9 +211,9 @@ func endorserName(e Endorser, i int) string {
 // observeEndorseLatency folds one proposal round-trip into the endorser's
 // EWMA (alpha 1/4) and publishes it as an endorse_peer_latency gauge in
 // nanoseconds. Only endorsers asked get one: the commit peer always, the
-// others once a Submit widened (gateway_endorse_widened counts those).
+// others once an Endorse widened (gateway_endorse_widened counts those).
 // Operators read the family to spot the straggler the quorum early-return
-// of a widened Submit is hiding from transaction latency.
+// of a widened Endorse is hiding from transaction latency.
 func (g *Gateway) observeEndorseLatency(name string, d time.Duration) {
 	g.ewmaMu.Lock()
 	prev, ok := g.ewma[name]

@@ -185,7 +185,7 @@ func TestSubmitSurvivesBadSignatureEndorser(t *testing.T) {
 			var txIDs []string
 			for i := 0; i < submits; i++ {
 				in := fmt.Sprintf(`{"key":"badsig-%d","checksum":"cs"}`, i)
-				res, err := gw.Submit(provenance.ChaincodeName, provenance.FnSet, []byte(in))
+				res, err := submit(gw, provenance.ChaincodeName, provenance.FnSet, []byte(in))
 				if err != nil {
 					t.Errorf("Submit %d: %v", i, err)
 					continue
@@ -341,6 +341,40 @@ func TestLargestConsistentGroupRespectsFieldBoundaries(t *testing.T) {
 	group := largestConsistentGroup([]*endorser.Response{a, b, c})
 	if len(group) != 2 || group[0] != b || group[1] != c {
 		t.Fatalf("group = %v, want the two (\"a\",\"bc\") responses", group)
+	}
+}
+
+// The client machine pays for one Post in the order the client does the
+// work: the proposal's Sign, one Verify of the commit peer's endorsement,
+// the envelope's Sign and the transfer to the orderer — the cost-model
+// inputs of Figs 1–3. Seeded jitter makes the busy time equal a reference
+// executor's only in that order.
+func TestPostChargesClientMachine(t *testing.T) {
+	n := newTestNetwork(t, testConfig())
+	exec := device.NewExecutor(device.XeonE51603, device.NopClock{}, 5)
+	gw, err := n.NewGatewayOn("charged", exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.New(gw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	receipt, err := c.Post("charged", "cs", core.PostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, _, err := gw.TxStatus(receipt.TxID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := device.NewExecutor(device.XeonE51603, device.NopClock{}, 5)
+	ref.Sign()
+	ref.Verify()
+	ref.Sign()
+	ref.Transfer(len(env.RWSet) + 768)
+	if got, want := exec.BusyTime(), ref.BusyTime(); got != want {
+		t.Errorf("client machine busy %v after one Post, want %v (Sign, Verify, Sign, Transfer)", got, want)
 	}
 }
 

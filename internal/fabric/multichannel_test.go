@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/device"
+	"github.com/hyperprov/hyperprov/internal/endorser"
+	"github.com/hyperprov/hyperprov/internal/peer"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
 
@@ -127,6 +130,36 @@ func TestChannelStateAndHistoryIsolation(t *testing.T) {
 	}
 	if got := historyLen(gwB); got != 1 {
 		t.Errorf("tenant-b history depth = %d, want 1 (tenant-a's versions bled across)", got)
+	}
+}
+
+// A gateway serves its own channel only. A tenant-b proposal fails through
+// tenant-a's Endorse, at the peers. A tenant-b envelope is refused by
+// tenant-a's Submit before it is ordered: neither the orderer nor the
+// committer checks an envelope's channel, so it would commit on tenant-a.
+func TestGatewayRefusesAnotherChannelsTransaction(t *testing.T) {
+	n := newTwoChannelNetwork(t, testConfig())
+	gwA, gwB := channelGateway(t, n, "tenant-a"), channelGateway(t, n, "tenant-b")
+	transact := func(endorse func(*endorser.Proposal) ([]*endorser.Response, error)) (blockstore.Envelope, error) {
+		return endorser.Transact(gwB.Identity(), "tenant-b", provenance.ChaincodeName, provenance.FnSet,
+			[][]byte{[]byte(`{"key":"cross","checksum":"sha256:x"}`)}, endorse)
+	}
+	if _, err := transact(gwA.Endorse); !errors.Is(err, ErrEndorsement) {
+		t.Errorf("tenant-b proposal through tenant-a's Endorse: err = %v, want ErrEndorsement", err)
+	}
+	env, err := transact(gwB.Endorse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	height := gwA.commitPeer().Height()
+	if _, err := gwA.Submit(env); !errors.Is(err, peer.ErrWrongChannel) {
+		t.Errorf("tenant-b envelope through tenant-a's Submit: err = %v, want peer.ErrWrongChannel", err)
+	}
+	if h := gwA.commitPeer().Height(); h != height {
+		t.Errorf("tenant-a height moved %d -> %d", height, h)
+	}
+	if _, err := gwA.Evaluate(provenance.ChaincodeName, provenance.FnGet, []byte("cross")); err == nil {
+		t.Error("tenant-a serves the record of a tenant-b envelope")
 	}
 }
 

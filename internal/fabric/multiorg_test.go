@@ -82,7 +82,7 @@ func TestCrossOrgOwnershipStillEnforced(t *testing.T) {
 	setRecord(t, alice, "cross-org", "v1")
 	// Bob (another org) cannot overwrite Alice's record.
 	in := []byte(`{"key":"cross-org","checksum":"v2"}`)
-	if _, err := bob.Submit(provenance.ChaincodeName, provenance.FnSet, in); err == nil {
+	if _, err := submit(bob, provenance.ChaincodeName, provenance.FnSet, in); err == nil {
 		t.Error("cross-org overwrite succeeded")
 	}
 }

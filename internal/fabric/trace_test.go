@@ -39,7 +39,7 @@ func TestSubmitLeavesFullLifecycleTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gw.Submit("provenance", provenance.FnSet,
+	res, err := submit(gw, "provenance", provenance.FnSet,
 		[]byte(`{"key":"trace-k1","checksum":"sha256:0001"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestTracesDrainAfterCommit(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		arg := fmt.Sprintf(`{"key":"drain-k%d","checksum":"sha256:%04d"}`, i, i)
-		if _, err := gw.Submit("provenance", provenance.FnSet, []byte(arg)); err != nil {
+		if _, err := submit(gw, "provenance", provenance.FnSet, []byte(arg)); err != nil {
 			t.Fatal(err)
 		}
 	}

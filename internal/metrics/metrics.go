@@ -515,7 +515,7 @@ const (
 	EnvelopesOrdered   = "envelopes_ordered"
 	EnvelopesRejected  = "envelopes_rejected"
 	GossipBlocksPulled = "gossip_blocks_pulled"
-	// GatewayEndorseWidened counts Submits whose endorsement asked beyond the
+	// GatewayEndorseWidened counts Endorse calls that asked beyond the
 	// commit peer: it errored, its signature was skipped, or the policy needs
 	// more than one org. Zero on a healthy single-org channel.
 	GatewayEndorseWidened = "gateway_endorse_widened"

@@ -245,7 +245,7 @@ func TestRemoteEndorseAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resp.Verify(f.msp); err != nil {
+	if err := endorser.CheckEndorsements(endorser.SignedBy("Org1MSP"), f.msp, []*endorser.Response{resp}); err != nil {
 		t.Errorf("remote endorsement does not verify: %v", err)
 	}
 

@@ -85,8 +85,8 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "in -join mode: catch-up deadline")
 	flag.DurationVar(&o.runFor, "run-for", 0, "in -peer-serve/-join mode: keep serving for this duration (default: until SIGINT / immediate exit)")
 	flag.StringVar(&o.admin, "admin", "", "serve the admin endpoint (/metrics, /healthz, /tracez, pprof) on this address, e.g. 127.0.0.1:0")
-	flag.StringVar(&o.channels, "channels", "", "in -peer-serve mode: comma-separated channel IDs to serve (default: provchannel)")
-	flag.StringVar(&o.channel, "channel", "", "in -join mode: channel to join (default: the serving host's first channel)")
+	flag.StringVar(&o.channels, "channels", fabric.DefaultChannel, "in -peer-serve mode: comma-separated channel IDs to serve")
+	flag.StringVar(&o.channel, "channel", fabric.DefaultChannel, "in -join mode: channel to join")
 	flag.Parse()
 
 	var err error
@@ -107,31 +107,21 @@ func main() {
 	}
 }
 
-// startAdmin exposes one peer's observability surface when -admin is set:
-// its pipeline metrics (unprefixed), the process's network-level registry
-// (prefixed net_), the trace recorder, and a health summary. On a
-// multi-channel host chPeers carries the host's per-channel peer instances;
-// their pipeline metrics are then served with a channel="<id>" label (and
-// the unlabeled default-channel registry is dropped to avoid duplicate
-// metric families), and /healthz breaks height and commit age down per
-// channel and reports the first connection error among remotes. Returns nil
-// without error when the flag is unset.
-func (o options) startAdmin(p *peer.Peer, chPeers []*peer.Peer, netReg *metrics.Registry,
+// startAdmin exposes a host's observability surface when -admin is set:
+// the pipeline metrics of its per-channel peer instances chPeers, each with
+// a channel="<id>" label, the process's network-level registry (prefixed
+// net_), the trace recorder, and a health summary with one entry per
+// channel and the first connection error among remotes. Returns nil without
+// error when the flag is unset.
+func (o options) startAdmin(chPeers []*peer.Peer, netReg *metrics.Registry,
 	tracer *trace.Recorder, gossipCount func() int, remotes []*transport.Client) (*admin.Server, error) {
 	if o.admin == "" {
 		return nil, nil
 	}
-	regs := map[string]*metrics.Registry{}
-	var chRegs map[string]map[string]*metrics.Registry
-	if len(chPeers) > 1 {
-		chRegs = make(map[string]map[string]*metrics.Registry, len(chPeers))
-		for _, cp := range chPeers {
-			chRegs[cp.ChannelID()] = map[string]*metrics.Registry{"": cp.Metrics()}
-		}
-	} else {
-		regs[""] = p.Metrics()
+	chRegs := make(map[string]*metrics.Registry, len(chPeers))
+	for _, cp := range chPeers {
+		chRegs[cp.ChannelID()] = cp.Metrics()
 	}
-	regs["net_"] = netReg
 	commitAge := func(cp *peer.Peer) int64 {
 		if t := cp.LastCommitTime(); !t.IsZero() {
 			return time.Since(t).Milliseconds()
@@ -139,17 +129,16 @@ func (o options) startAdmin(p *peer.Peer, chPeers []*peer.Peer, netReg *metrics.
 		return -1
 	}
 	srv, err := admin.New(o.admin, admin.Config{
-		Registries:        regs,
-		ChannelRegistries: chRegs,
-		Tracer:            tracer,
+		Network:  netReg,
+		Channels: chRegs,
+		Tracer:   tracer,
 		HealthFunc: func() admin.Health {
-			h := admin.Health{Peer: p.Name(), Height: p.Height(), LastCommitAgeMs: commitAge(p)}
+			h := admin.Health{Peer: chPeers[0].Name(), GossipPeers: gossipCount()}
 			for _, cp := range chPeers {
 				h.Channels = append(h.Channels, admin.ChannelHealth{
 					Channel: cp.ChannelID(), Height: cp.Height(), LastCommitAgeMs: commitAge(cp),
 				})
 			}
-			h.GossipPeers = gossipCount()
 			for _, c := range remotes {
 				if h.TransportLastError = c.LastError(); h.TransportLastError != "" {
 					break
@@ -210,11 +199,9 @@ func runPeerServe(o options) error {
 	if o.peerListen != "" {
 		cfg.PeerListenAddrs = strings.Split(o.peerListen, ",")
 	}
-	if o.channels != "" {
-		cfg.Channels = nil
-		for _, ch := range strings.Split(o.channels, ",") {
-			cfg.Channels = append(cfg.Channels, fabric.ChannelConfig{ID: strings.TrimSpace(ch)})
-		}
+	cfg.Channels = nil
+	for _, ch := range strings.Split(o.channels, ",") {
+		cfg.Channels = append(cfg.Channels, fabric.ChannelConfig{ID: strings.TrimSpace(ch)})
 	}
 	n, err := fabric.NewNetwork(cfg)
 	if err != nil {
@@ -230,13 +217,11 @@ func runPeerServe(o options) error {
 	}
 	// Host 0's per-channel peer instances feed the admin endpoint's
 	// channel-labeled metrics and per-channel health.
-	var chPeers []*peer.Peer
-	if len(channels) > 1 {
-		for _, ch := range channels {
-			chPeers = append(chPeers, ch.Peers()[0])
-		}
+	chPeers := make([]*peer.Peer, len(channels))
+	for i, ch := range channels {
+		chPeers[i] = ch.Peers()[0]
 	}
-	adminSrv, err := o.startAdmin(n.Peers()[0], chPeers, n.Metrics(), n.Tracer(),
+	adminSrv, err := o.startAdmin(chPeers, n.Metrics(), n.Tracer(),
 		n.Gossip().MemberCount, n.Remotes())
 	if err != nil {
 		return err
@@ -282,26 +267,21 @@ func runPeerServe(o options) error {
 			p.Sync()
 		}
 	}
-	p0 := n.Peers()[0]
 	fmt.Printf("PEERS %s\n", strings.Join(n.PeerAddrs(), ","))
-	fmt.Printf("PRIMARY height=%d fingerprint=%s\n", p0.Height(), p0.StateFingerprint())
-	if len(channels) > 1 {
-		for _, ch := range channels {
-			p := ch.Peers()[0]
-			fmt.Printf("PRIMARY channel=%s height=%d fingerprint=%s\n",
-				ch.ChannelID(), p.Height(), p.StateFingerprint())
-		}
+	for _, p := range chPeers {
+		fmt.Printf("PRIMARY channel=%s height=%d fingerprint=%s\n",
+			p.ChannelID(), p.Height(), p.StateFingerprint())
 	}
 	fmt.Println("serving peer transport; Ctrl-C to exit")
 	waitForSignal(o.runFor)
 	return nil
 }
 
-// runJoin starts a gossip-only peer in this process: it learns the
-// channel, endorsement orgs, and CA trust anchors from a serving peer's
-// hello handshake (certificates only — no private keys cross the wire),
-// then catches up over TCP anti-entropy until it reaches the expected
-// height, and verifies its state fingerprint.
+// runJoin starts a gossip-only peer on the -channel channel in this
+// process: it learns the endorsement orgs and CA trust anchors from a
+// serving peer's hello handshake for that channel (certificates only — no
+// private keys cross the wire), then catches up over TCP anti-entropy until
+// it reaches the expected height, and verifies its state fingerprint.
 func runJoin(o options) error {
 	// The joining process's own observability state, created before dialing
 	// so handshakes and catch-up traffic are counted from the first byte.
@@ -317,10 +297,9 @@ func runJoin(o options) error {
 	}()
 	for _, a := range addrs {
 		c, err := transport.Dial(strings.TrimSpace(a), transport.ClientConfig{
-			Channel: o.channel,
-			Shape:   o.peerShape(),
-			Metrics: netReg,
-			Tracer:  tracer,
+			ClientConfig: network.ClientConfig{Shape: o.peerShape(), Metrics: netReg},
+			Channel:      o.channel,
+			Tracer:       tracer,
 		})
 		if err != nil {
 			return err
@@ -328,10 +307,7 @@ func runJoin(o options) error {
 		clients = append(clients, c)
 	}
 	info := clients[0].Hello()
-	if len(info.Channels) > 0 {
-		fmt.Printf("joining channel %s (host serves %s)\n",
-			info.ChannelID, strings.Join(info.Channels, ","))
-	}
+	fmt.Printf("joining channel %s (host serves %s)\n", o.channel, strings.Join(info.Channels, ","))
 
 	// Build a verification-only MSP from the network's CA certificates.
 	msp := identity.NewMSP()
@@ -352,11 +328,11 @@ func runJoin(o options) error {
 	if err != nil {
 		return err
 	}
-	host, err := peer.NewHost(peer.Config{Name: o.name, Signer: signer, MSP: msp, Channels: []string{info.ChannelID}, Tracer: tracer})
+	host, err := peer.NewHost(peer.Config{Name: o.name, Signer: signer, MSP: msp, Channels: []string{o.channel}, Tracer: tracer})
 	if err != nil {
 		return err
 	}
-	p := host.Channel(info.ChannelID)
+	p := host.Channel(o.channel)
 	defer p.Stop()
 	// Same derivation the serving network used, so both sides validate
 	// endorsements against the identical policy.
@@ -388,7 +364,7 @@ func runJoin(o options) error {
 	g.SetMetrics(netReg)
 	g.SetTracer(tracer)
 
-	adminSrv, err := o.startAdmin(p, nil, netReg, tracer, g.MemberCount, clients)
+	adminSrv, err := o.startAdmin([]*peer.Peer{p}, netReg, tracer, g.MemberCount, clients)
 	if err != nil {
 		return err
 	}

@@ -236,7 +236,9 @@ func run(rpi bool, items, payload int) error {
 	fmt.Printf("ledger audit: all %d peers verify; %d provenance records on-chain\n",
 		len(n.Peers()), stats.Records)
 
-	fmt.Printf("\norderer counters:\n%s", n.Orderer().Metrics().Format())
-	fmt.Printf("peer0 counters:\n%s", n.Peers()[0].Metrics().Format())
-	return nil
+	fmt.Println("\norderer and peer0 counters:")
+	if err := n.Orderer().Metrics().WritePrometheus(os.Stdout, "orderer_", nil); err != nil {
+		return err
+	}
+	return n.Peers()[0].Metrics().WritePrometheus(os.Stdout, "peer0_", nil)
 }

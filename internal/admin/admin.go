@@ -8,10 +8,11 @@ package admin
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -22,29 +23,22 @@ import (
 // Health is the /healthz payload: the liveness facts an operator checks
 // first when a peer looks wedged.
 type Health struct {
-	// Peer names the serving peer (the host name on multi-channel hosts).
+	// Peer names the serving peer (its host's name).
 	Peer string `json:"peer"`
-	// Height is the committed (persisted-watermark) block height of the
-	// default channel.
-	Height uint64 `json:"height"`
 	// GossipPeers is the gossip membership size, 0 when gossip is off.
 	GossipPeers int `json:"gossipPeers"`
-	// LastCommitAgeMs is how long ago the last block committed, -1 before
-	// the first commit.
-	LastCommitAgeMs int64 `json:"lastCommitAgeMs"`
 	// TransportLastError is the most recent transport-client failure reason,
 	// empty while connections are healthy.
 	TransportLastError string `json:"transportLastError,omitempty"`
-	// Channels breaks liveness down per served channel on multi-channel
-	// hosts; empty on single-channel peers.
-	Channels []ChannelHealth `json:"channels,omitempty"`
+	// Channels breaks liveness down per served channel, one entry each.
+	Channels []ChannelHealth `json:"channels"`
 }
 
 // ChannelHealth is one channel's slice of the /healthz payload.
 type ChannelHealth struct {
 	// Channel is the channel ID.
 	Channel string `json:"channel"`
-	// Height is the channel's committed block height.
+	// Height is the channel's committed (persisted-watermark) block height.
 	Height uint64 `json:"height"`
 	// LastCommitAgeMs is how long ago this channel's last block committed,
 	// -1 before the first commit.
@@ -53,14 +47,13 @@ type ChannelHealth struct {
 
 // Config wires the admin server to a process's observability state.
 type Config struct {
-	// Registries maps a metric-name prefix to a registry; /metrics merges
-	// them all into one Prometheus exposition. Use "" for no prefix.
-	Registries map[string]*metrics.Registry
-	// ChannelRegistries maps a channel ID to that channel's prefix->registry
-	// map; /metrics emits these after Registries with a channel="<id>" label
-	// on every sample, so one scrape covers every tenant without metric-name
-	// collisions.
-	ChannelRegistries map[string]map[string]*metrics.Registry
+	// Network is the process's network-level registry (gossip, transport,
+	// gateway); /metrics serves it with the net_ prefix. Nil serves none.
+	Network *metrics.Registry
+	// Channels maps a channel ID to that channel's peer registry; /metrics
+	// serves each with a channel="<id>" label on every sample, so one scrape
+	// covers every channel without metric-name collisions.
+	Channels map[string]*metrics.Registry
 	// Tracer feeds /tracez. Nil serves empty trace lists.
 	Tracer *trace.Recorder
 	// HealthFunc produces the current /healthz payload on each request.
@@ -83,15 +76,11 @@ func New(addr string, cfg Config) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		for _, prefix := range sortedPrefixes(cfg.Registries) {
-			cfg.Registries[prefix].WritePrometheus(w, prefix)
+		if cfg.Network != nil {
+			cfg.Network.WritePrometheus(w, "net_", nil)
 		}
-		for _, ch := range sortedPrefixes(cfg.ChannelRegistries) {
-			labels := map[string]string{"channel": ch}
-			regs := cfg.ChannelRegistries[ch]
-			for _, prefix := range sortedPrefixes(regs) {
-				regs[prefix].WritePrometheusLabeled(w, prefix, labels)
-			}
+		for _, ch := range slices.Sorted(maps.Keys(cfg.Channels)) { // a stable scrape order
+			cfg.Channels[ch].WritePrometheus(w, "", map[string]string{"channel": ch})
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -141,15 +130,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// sortedPrefixes fixes the registry emission order so /metrics output is
-// stable across scrapes.
-func sortedPrefixes[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

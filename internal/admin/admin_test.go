@@ -36,6 +36,22 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// scrapeChannel checks that /metrics carries each want as a whole line: a
+// "name value" sample with the channel label put on it, a comment line as
+// it is.
+func scrapeChannel(t *testing.T, srv *Server, channel string, wants ...string) {
+	t.Helper()
+	_, body := get(t, srv.URL()+"/metrics")
+	for _, want := range wants {
+		if name, value, ok := strings.Cut(want, " "); ok && name != "#" {
+			want = fmt.Sprintf("%s{channel=%q} %s", name, channel, value)
+		}
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("/metrics missing %q\n%s", want, body)
+		}
+	}
+}
+
 func TestAdminEndpoints(t *testing.T) {
 	peerReg := metrics.NewRegistry()
 	peerReg.Counter(metrics.BlocksCommitted).Add(3)
@@ -50,18 +66,15 @@ func TestAdminEndpoints(t *testing.T) {
 	tracer.Complete("tx-1", "VALID")
 
 	srv, err := New("127.0.0.1:0", Config{
-		Registries: map[string]*metrics.Registry{
-			"peer0_": peerReg,
-			"net_":   netReg,
-		},
-		Tracer: tracer,
+		Network:  netReg,
+		Channels: map[string]*metrics.Registry{"ch": peerReg},
+		Tracer:   tracer,
 		HealthFunc: func() Health {
 			return Health{
 				Peer:               "peer0",
-				Height:             4,
 				GossipPeers:        2,
-				LastCommitAgeMs:    12,
 				TransportLastError: "dial tcp: refused",
+				Channels:           []ChannelHealth{{Channel: "ch", Height: 4, LastCommitAgeMs: 12}},
 			}
 		},
 	})
@@ -75,10 +88,10 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("/metrics status = %d", code)
 	}
 	for _, want := range []string{
-		"peer0_blocks_committed 3",
+		`blocks_committed{channel="ch"} 3`,
 		"net_gossip_rounds 7",
-		"peer0_commit_stage_persist_count 1",
-		"# TYPE peer0_commit_stage_persist histogram",
+		`commit_stage_persist_count{channel="ch"} 1`,
+		"# TYPE commit_stage_persist histogram",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\n%s", want, body)
@@ -93,7 +106,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &h); err != nil {
 		t.Fatalf("/healthz not JSON: %v\n%s", err, body)
 	}
-	if h.Peer != "peer0" || h.Height != 4 || h.GossipPeers != 2 || h.TransportLastError == "" {
+	if h.Peer != "peer0" || h.GossipPeers != 2 || h.TransportLastError == "" || len(h.Channels) != 1 || h.Channels[0].Height != 4 {
 		t.Errorf("health = %+v", h)
 	}
 
@@ -150,8 +163,8 @@ func TestAdminNilSources(t *testing.T) {
 	}
 }
 
-// A multi-channel host exposes one registry per channel on the same scrape,
-// distinguished by the channel label, and breaks health down per channel.
+// A host exposes one registry per channel on the same scrape, distinguished
+// by the channel label, and breaks health down per channel.
 func TestAdminChannelScopedMetrics(t *testing.T) {
 	host := metrics.NewRegistry()
 	host.Counter(metrics.GossipRounds).Add(9)
@@ -162,14 +175,11 @@ func TestAdminChannelScopedMetrics(t *testing.T) {
 	beta.Counter(metrics.BlocksCommitted).Add(2)
 
 	srv, err := New("127.0.0.1:0", Config{
-		Registries: map[string]*metrics.Registry{"net_": host},
-		ChannelRegistries: map[string]map[string]*metrics.Registry{
-			"alpha": {"": alpha},
-			"beta":  {"": beta},
-		},
+		Network:  host,
+		Channels: map[string]*metrics.Registry{"alpha": alpha, "beta": beta},
 		HealthFunc: func() Health {
 			return Health{
-				Peer: "host0", Height: 5, LastCommitAgeMs: 3,
+				Peer: "host0",
 				Channels: []ChannelHealth{
 					{Channel: "alpha", Height: 5, LastCommitAgeMs: 3},
 					{Channel: "beta", Height: 2, LastCommitAgeMs: 40},
@@ -229,7 +239,7 @@ func TestAdminExposesIdentityAndSignatureCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(host.Stop)
-	srv, err := New("127.0.0.1:0", Config{Registries: map[string]*metrics.Registry{"": host.Channel("ch").Metrics()}})
+	srv, err := New("127.0.0.1:0", Config{Channels: map[string]*metrics.Registry{"ch": host.Channel("ch").Metrics()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,15 +268,7 @@ func TestAdminExposesIdentityAndSignatureCaches(t *testing.T) {
 			fmt.Sprintf("identity_ecdsa_verifies %d", verifies+executed),
 		}
 	}
-	scrape := func(wants ...string) {
-		t.Helper()
-		_, body := get(t, srv.URL()+"/metrics")
-		for _, want := range wants {
-			if !strings.Contains(body, want+"\n") {
-				t.Errorf("/metrics missing %q\n%s", want, body)
-			}
-		}
-	}
+	scrape := func(wants ...string) { t.Helper(); scrapeChannel(t, srv, "ch", wants...) }
 
 	resolveAndVerify() // cold: one miss, one entry in each cache
 	scrape(
@@ -308,20 +310,12 @@ func TestAdminExposesRichQueryCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Queries are evaluated on peer 0, which Post waits on.
-	srv, err := New("127.0.0.1:0", Config{Registries: map[string]*metrics.Registry{"": n.Peers()[0].Metrics()}})
+	srv, err := New("127.0.0.1:0", Config{Channels: map[string]*metrics.Registry{n.ChannelID(): n.Peers()[0].Metrics()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	scrape := func(wants ...string) {
-		t.Helper()
-		_, body := get(t, srv.URL()+"/metrics")
-		for _, want := range wants {
-			if !strings.Contains(body, want+"\n") {
-				t.Errorf("/metrics missing %q\n%s", want, body)
-			}
-		}
-	}
+	scrape := func(wants ...string) { t.Helper(); scrapeChannel(t, srv, n.ChannelID(), wants...) }
 	scrape("# TYPE statedb_query_docs_decoded counter", "statedb_query_docs_decoded 0",
 		"# TYPE statedb_queries_exact_range counter", "statedb_queries_exact_range 0")
 

@@ -88,8 +88,9 @@ type Config struct {
 	Seed int64
 }
 
-// defaultChannel is the paper's single application channel.
-const defaultChannel = "provchannel"
+// DefaultChannel is the paper's single application channel: the one a
+// network serves when its config names none.
+const DefaultChannel = "provchannel"
 
 // raftNodes sizes a raft ordering service: three nodes survive the loss of
 // any one.
@@ -99,7 +100,7 @@ const raftNodes = 3
 // 1 i7-4700MQ, 1 i3-2310M) with the orderer co-located on a Xeon.
 func DesktopConfig() Config {
 	return Config{
-		Channels: []ChannelConfig{{ID: defaultChannel}},
+		Channels: []ChannelConfig{{ID: DefaultChannel}},
 		Org:      "Org1",
 		PeerProfiles: []device.Profile{
 			device.XeonE51603, device.XeonE51603, device.I74700MQ, device.I32310M,
@@ -114,7 +115,7 @@ func DesktopConfig() Config {
 // one switch, one of them also running the orderer.
 func RPiConfig() Config {
 	return Config{
-		Channels: []ChannelConfig{{ID: defaultChannel}},
+		Channels: []ChannelConfig{{ID: DefaultChannel}},
 		Org:      "Org1",
 		PeerProfiles: []device.Profile{
 			device.RPi3BPlus, device.RPi3BPlus, device.RPi3BPlus, device.RPi3BPlus,
@@ -194,7 +195,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	// An unconfigured channel list means the paper's single channel.
 	channels := cfg.Channels
 	if len(channels) == 0 {
-		channels = []ChannelConfig{{ID: defaultChannel}}
+		channels = []ChannelConfig{{ID: DefaultChannel}}
 	}
 	orgs := cfg.Orgs
 	if len(orgs) == 0 {
@@ -247,12 +248,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		default:
 			svc = orderer.NewSolo(batch, ordExec)
 		}
-		// The Service interface is unchanged; both built-in orderers expose
-		// SetTracer as a concrete method, discovered here by assertion so a
-		// third-party Service without tracing still assembles fine.
-		if st, ok := svc.(interface{ SetTracer(*trace.Recorder) }); ok {
-			st.SetTracer(n.tracer)
-		}
+		svc.SetTracer(n.tracer)
 		chIDs[i] = chc.ID
 		n.channels = append(n.channels, &Channel{net: n, id: chc.ID, orderer: svc})
 	}
@@ -438,10 +434,9 @@ func (c *Channel) JoinRemote(addr string, shape network.LinkShape) (*transport.M
 		return nil, errors.New("fabric: gossip not enabled")
 	}
 	client, err := transport.Dial(addr, transport.ClientConfig{
-		Channel: c.id,
-		Shape:   shape,
-		Metrics: c.net.netMetrics,
-		Tracer:  c.net.tracer,
+		ClientConfig: network.ClientConfig{Shape: shape, Metrics: c.net.netMetrics},
+		Channel:      c.id,
+		Tracer:       c.net.tracer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fabric: join %s: %w", addr, err)

@@ -74,8 +74,12 @@ func (g *Gateway) ChannelID() string { return g.ch.id }
 func (g *Gateway) commitPeer() *peer.Peer { return g.ch.peers[0] }
 
 // Endorse collects the endorsements of a signed proposal that its channel's
-// endorsement policy needs, and returns only those.
+// endorsement policy needs, and returns only those. A proposal for another
+// channel is refused before anything is charged or any peer is asked.
 func (g *Gateway) Endorse(prop *endorser.Proposal) ([]*endorser.Response, error) {
+	if prop.ChannelID != g.ch.id {
+		return nil, fmt.Errorf("fabric: %w: gateway serves %q, proposal names %q", peer.ErrWrongChannel, g.ch.id, prop.ChannelID)
+	}
 	start := time.Now()
 	g.exec.Sign() // the client's proposal signature
 
@@ -150,7 +154,7 @@ func (g *Gateway) Endorse(prop *endorser.Proposal) ([]*endorser.Response, error)
 			if len(arrived) == 0 {
 				err = errors.Join(errs...)
 			}
-			return nil, fmt.Errorf("%w: %v", ErrEndorsement, err)
+			return nil, fmt.Errorf("%w: %w", ErrEndorsement, err)
 		}
 		g.ch.net.netMetrics.Counter(metrics.GatewayEndorseWidened).Inc()
 		for ; asked < len(endorsers); asked++ {

@@ -12,6 +12,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/endorser"
+	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/peer"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
@@ -144,8 +145,25 @@ func TestGatewayRefusesAnotherChannelsTransaction(t *testing.T) {
 		return endorser.Transact(gwB.Identity(), "tenant-b", provenance.ChaincodeName, provenance.FnSet,
 			[][]byte{[]byte(`{"key":"cross","checksum":"sha256:x"}`)}, endorse)
 	}
-	if _, err := transact(gwA.Endorse); !errors.Is(err, ErrEndorsement) {
-		t.Errorf("tenant-b proposal through tenant-a's Endorse: err = %v, want ErrEndorsement", err)
+	// Endorse refuses the proposal before it asks any peer.
+	failed := func() (sum int64) {
+		for _, ch := range n.Channels() {
+			for _, p := range ch.Peers() {
+				sum += p.Metrics().Counter(metrics.EndorsementsFailed).Value()
+			}
+		}
+		return sum
+	}
+	widened := n.Metrics().Counter(metrics.GatewayEndorseWidened)
+	failedBefore, widenedBefore := failed(), widened.Value()
+	if _, err := transact(gwA.Endorse); !errors.Is(err, peer.ErrWrongChannel) {
+		t.Errorf("tenant-b proposal through tenant-a's Endorse: err = %v, want peer.ErrWrongChannel", err)
+	}
+	if got := failed(); got != failedBefore {
+		t.Errorf("endorsements_failed moved %d -> %d: a peer was asked", failedBefore, got)
+	}
+	if got := widened.Value(); got != widenedBefore {
+		t.Errorf("gateway_endorse_widened moved %d -> %d", widenedBefore, got)
 	}
 	env, err := transact(gwB.Endorse)
 	if err != nil {

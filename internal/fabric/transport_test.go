@@ -130,7 +130,7 @@ func TestRemoteEndorserThroughGateway(t *testing.T) {
 			local := n.Peers()[0]
 			waitForHeight(t, remote, local.Height()) // catch up past the deploy block
 
-			client, err := transport.Dial(srv.Addr(), transport.ClientConfig{})
+			client, err := transport.Dial(srv.Addr(), transport.ClientConfig{Channel: n.ChannelID()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,8 +13,8 @@
 //     count, sum, min, max, and mean.
 //
 // All instruments are safe for concurrent use. A Registry names a set of
-// instruments, snapshots them as plain maps, renders a sorted text dump
-// (Format), and writes Prometheus text exposition format (WritePrometheus).
+// instruments, snapshots them as plain maps, and writes Prometheus text
+// exposition format (WritePrometheus).
 //
 // Well-known instrument names are declared as constants below: commit
 // counters (BlocksCommitted, TxValidated, TxInvalidated), endorsement
@@ -297,23 +297,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// HistogramSummaries returns the current summary of every histogram.
-func (r *Registry) HistogramSummaries() map[string]HistogramSummary {
-	r.mu.Lock()
-	hs := make([]*Histogram, 0, len(r.histograms))
-	names := make([]string, 0, len(r.histograms))
-	for name, h := range r.histograms {
-		names = append(names, name)
-		hs = append(hs, h)
-	}
-	r.mu.Unlock()
-	out := make(map[string]HistogramSummary, len(hs))
-	for i, h := range hs {
-		out[names[i]] = h.Summary()
-	}
-	return out
-}
-
 // Snapshot returns the current value of every counter.
 func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.Lock()
@@ -354,34 +337,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	return names
 }
 
-// Format renders the registry as sorted "name value" lines: counters and
-// gauges first, then per-histogram count, sum, mean, min, max, and the
-// quantiles — everything the histogram tracks, so the text dump and the
-// Prometheus exposition agree.
-func (r *Registry) Format() string {
-	snap := r.Snapshot()
-	var sb strings.Builder
-	for _, name := range sortedKeys(snap) {
-		fmt.Fprintf(&sb, "%s %d\n", name, snap[name])
-	}
-	gauges := r.GaugeSnapshot()
-	for _, name := range sortedKeys(gauges) {
-		fmt.Fprintf(&sb, "%s %d\n", name, gauges[name])
-	}
-	sums := r.HistogramSummaries()
-	for _, name := range sortedKeys(sums) {
-		s := sums[name]
-		fmt.Fprintf(&sb, "%s_count %d\n%s_sum_ns %d\n%s_mean_ns %d\n",
-			name, s.Count, name, s.Sum.Nanoseconds(), name, s.Mean.Nanoseconds())
-		fmt.Fprintf(&sb, "%s_min_ns %d\n%s_max_ns %d\n",
-			name, s.Min.Nanoseconds(), name, s.Max.Nanoseconds())
-		fmt.Fprintf(&sb, "%s_p50_ns %d\n%s_p90_ns %d\n%s_p99_ns %d\n%s_p999_ns %d\n",
-			name, s.P50.Nanoseconds(), name, s.P90.Nanoseconds(),
-			name, s.P99.Nanoseconds(), name, s.P999.Nanoseconds())
-	}
-	return sb.String()
-}
-
 // sanitizeName maps a metric name onto the Prometheus name charset
 // [a-zA-Z_:][a-zA-Z0-9_:]*, replacing every other rune with '_'.
 func sanitizeName(name string) string {
@@ -404,20 +359,14 @@ func sanitizeName(name string) string {
 
 // WritePrometheus renders the registry in Prometheus text exposition
 // format. Every metric name is prefixed with prefix (use it to merge
-// several registries — peer, orderer, transport — into one scrape without
-// collisions) and sanitized to the exposition charset. Histograms are
-// written as cumulative le-bucketed distributions in seconds, ascending,
-// with only non-empty buckets materialized plus the mandatory +Inf.
-func (r *Registry) WritePrometheus(w io.Writer, prefix string) error {
-	return r.WritePrometheusLabeled(w, prefix, nil)
-}
-
-// WritePrometheusLabeled is WritePrometheus with a constant label set
-// attached to every sample — how a multi-channel host exposes one registry
-// per channel on a single scrape (label {channel="..."}) without renaming
-// metrics. Label names are sanitized to the metric charset, values are
-// quoted; a nil or empty map degrades to the unlabeled form.
-func (r *Registry) WritePrometheusLabeled(w io.Writer, prefix string, labels map[string]string) error {
+// several registries into one scrape without collisions) and sanitized to
+// the exposition charset. labels is a constant label set attached to every
+// sample — how a host exposes one registry per channel on a single scrape
+// ({channel="..."}) without renaming metrics; label names are sanitized,
+// values quoted, and nil writes bare samples. Histograms are written as
+// cumulative le-bucketed distributions in seconds, ascending, with only
+// non-empty buckets materialized plus the mandatory +Inf.
+func (r *Registry) WritePrometheus(w io.Writer, prefix string, labels map[string]string) error {
 	lbl := formatLabels(labels)
 	snap := r.Snapshot()
 	for _, name := range sortedKeys(snap) {

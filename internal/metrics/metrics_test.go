@@ -50,16 +50,20 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
-func TestFormatSorted(t *testing.T) {
+func TestWritePrometheusSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zebra").Inc()
 	r.Counter("alpha").Add(2)
-	out := r.Format()
-	if !strings.Contains(out, "alpha 2") || !strings.Contains(out, "zebra 1") {
-		t.Errorf("format = %q", out)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "\nalpha 2\n") || !strings.Contains(out, "\nzebra 1\n") {
+		t.Errorf("exposition = %q", out)
 	}
 	if strings.Index(out, "alpha") > strings.Index(out, "zebra") {
-		t.Error("format not sorted")
+		t.Error("exposition not sorted")
 	}
 }
 
@@ -78,9 +82,12 @@ func TestHistogramSummary(t *testing.T) {
 		s.Mean != 3*time.Millisecond {
 		t.Errorf("summary = %+v", s)
 	}
-	out := r.Format()
-	if !strings.Contains(out, CommitStagePreval+"_count 2") {
-		t.Errorf("format lacks histogram lines: %q", out)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); !strings.Contains(out, CommitStagePreval+"_count 2") {
+		t.Errorf("exposition lacks histogram lines: %q", out)
 	}
 }
 

@@ -116,27 +116,6 @@ func TestHistogramRaceHammer(t *testing.T) {
 	}
 }
 
-func TestFormatEmitsMinMaxQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram(CommitStageMVCC)
-	h.Observe(2 * time.Millisecond)
-	h.Observe(4 * time.Millisecond)
-	r.Gauge(EndorseInflight).Set(3)
-	out := r.Format()
-	for _, want := range []string{
-		CommitStageMVCC + "_min_ns 2000000",
-		CommitStageMVCC + "_max_ns 4000000",
-		CommitStageMVCC + "_p50_ns ",
-		CommitStageMVCC + "_p99_ns ",
-		CommitStageMVCC + "_p999_ns ",
-		EndorseInflight + " 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Format missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // Golden-shape test for the Prometheus text exposition: sanitized names,
 // HELP/TYPE lines, cumulative ascending histogram buckets, +Inf terminal.
 func TestWritePrometheus(t *testing.T) {
@@ -150,7 +129,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(40 * time.Millisecond)
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb, "hyperprov_"); err != nil {
+	if err := r.WritePrometheus(&sb, "hyperprov_", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -227,7 +206,7 @@ func TestWritePrometheusLabeled(t *testing.T) {
 	h.Observe(2 * time.Millisecond)
 
 	var sb strings.Builder
-	if err := r.WritePrometheusLabeled(&sb, "hyperprov_", map[string]string{"channel": "alpha"}); err != nil {
+	if err := r.WritePrometheus(&sb, "hyperprov_", map[string]string{"channel": "alpha"}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -240,17 +219,5 @@ func TestWritePrometheusLabeled(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("labeled exposition missing %q:\n%s", want, out)
 		}
-	}
-
-	// Nil labels must degrade to the exact unlabeled form.
-	var plain, viaLabeled strings.Builder
-	if err := r.WritePrometheus(&plain, "p_"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePrometheusLabeled(&viaLabeled, "p_", nil); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != viaLabeled.String() {
-		t.Error("nil-label exposition differs from WritePrometheus")
 	}
 }

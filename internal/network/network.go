@@ -31,12 +31,12 @@ const MaxFrame = 64 << 20
 const traceFlag = 1 << 31
 
 // channelFlag marks a frame carrying a channel-ID extension — the
-// multi-channel analog of traceFlag, using the next free bit of the length
-// word (MaxFrame is far below 2^30 too). A frame with both flags lays the
+// channel analog of traceFlag, using the next free bit of the length word
+// (MaxFrame is far below 2^30 too). A frame with both flags lays the
 // extensions out in flag-bit order, trace first:
 // [4-byte len|flags][1-byte trace len][trace][1-byte channel len][channel][body].
-// Channel-less frames never set the bit, so a single-channel deployment's
-// wire bytes are identical to before the extension existed.
+// Every transport request sets it; only off-chain frames, which belong to no
+// channel, and replies leave it clear.
 const channelFlag = 1 << 30
 
 // maxTraceID bounds the trace-ID extension (one length byte).
@@ -70,7 +70,7 @@ type Frame struct {
 
 // NewFrame starts a frame carrying up to two header extensions: the trace ID
 // (traceFlag) and the channel ID (channelFlag) routing the frame to one
-// channel of a multi-channel host. Either may be empty; with both empty the
+// channel of a host. Either may be empty; with both empty the
 // header is the bare length word. Extension values longer than 255 bytes are
 // dropped (the frame is still sent without that extension).
 func NewFrame(traceID, channelID string) Frame {

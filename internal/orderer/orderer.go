@@ -28,6 +28,9 @@ type Service interface {
 	Height() uint64
 	// Metrics returns the service's counter registry.
 	Metrics() *metrics.Registry
+	// SetTracer attaches a trace recorder that receives one "order" span
+	// per envelope.
+	SetTracer(t *trace.Recorder)
 	// Stop terminates the service and waits for its goroutines.
 	Stop()
 }

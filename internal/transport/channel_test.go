@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
@@ -47,7 +51,7 @@ func (f *fixture) serveHost(h *peer.Host) *Server {
 }
 
 // One listener, two channels: each client's frames must reach its own
-// channel's ledger, and the hello must resolve per channel.
+// channel's ledger, and the hello must answer per channel.
 func TestHostServerRoutesPerChannel(t *testing.T) {
 	f := newFixture(t)
 	h := f.newHost("host0", "alpha", "beta")
@@ -66,9 +70,6 @@ func TestHostServerRoutesPerChannel(t *testing.T) {
 		}
 		defer c.Close()
 		info := c.Hello()
-		if info.ChannelID != tc.channel {
-			t.Errorf("hello resolved channel %q, want %q", info.ChannelID, tc.channel)
-		}
 		if len(info.Channels) != 2 || info.Channels[0] != "alpha" || info.Channels[1] != "beta" {
 			t.Errorf("hello served channels %v, want [alpha beta]", info.Channels)
 		}
@@ -81,25 +82,44 @@ func TestHostServerRoutesPerChannel(t *testing.T) {
 	}
 }
 
-// A channel-less (pre-multichannel) client must route to the host's first
-// channel, keeping old joiners working against new hosts.
-func TestChannelLessClientRoutesToDefault(t *testing.T) {
+// A request frame that names no channel is answered like one naming an
+// unserved channel: CodeUnknownChannel, listing the channels the host does
+// serve. No channel is a default, so Dial without one fails.
+func TestChannelLessFrameRefused(t *testing.T) {
 	f := newFixture(t)
 	h := f.newHost("host1", "alpha", "beta")
 	f.commitTx(h.Channel("alpha"), "only-on-alpha")
 	srv := f.serveHost(h)
 
-	c, err := Dial(srv.Addr(), ClientConfig{})
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	info := c.Hello()
-	if info.ChannelID != "alpha" {
-		t.Errorf("default route resolved %q, want alpha", info.ChannelID)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	in := bufio.NewReader(conn)
+	for _, op := range []network.Op{opHello, opHeight} {
+		if err := writeFrame(conn, "", []byte{op.Code}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := network.ReadFrame(in)
+		if err != nil {
+			t.Fatalf("%s: connection dropped: %v", op.Name, err)
+		}
+		var remote *RemoteError
+		if err := replyStatus(codec.NewDec(reply)); !errors.As(err, &remote) || remote.Code != network.CodeUnknownChannel {
+			t.Fatalf("channel-less %s: err = %v, want a RemoteError with %q", op.Name, err, network.CodeUnknownChannel)
+		}
+		if !strings.Contains(remote.Msg, "[alpha beta]") {
+			t.Errorf("channel-less %s: answer %q does not list the served channels", op.Name, remote.Msg)
+		}
 	}
-	if info.Height != 1 {
-		t.Errorf("default route height %d, want 1", info.Height)
+
+	if c, err := Dial(srv.Addr(), ClientConfig{}); !errors.Is(err, ErrUnknownChannel) {
+		t.Errorf("Dial without a channel: err = %v, want ErrUnknownChannel", err)
+		if err == nil {
+			c.Close()
+		}
 	}
 }
 
@@ -169,8 +189,7 @@ func TestEndorseRefusesProposalForAnotherChannel(t *testing.T) {
 
 // TestDialRefusesOverlongChannel: a channel ID longer than any peer accepts
 // is refused by Dial before a frame is sent. Over 255 bytes the frame header
-// cannot carry it at all, and a client that sent it anyway went out
-// channel-less and was answered by the host's default channel.
+// cannot carry it at all.
 func TestDialRefusesOverlongChannel(t *testing.T) {
 	f := newFixture(t)
 	h := f.newHost("host3", "alpha", "beta")
@@ -183,7 +202,7 @@ func TestDialRefusesOverlongChannel(t *testing.T) {
 	for _, n := range []int{65, 255, 256, 300} {
 		c, err := Dial(srv.Addr(), ClientConfig{Channel: strings.Repeat("c", n)})
 		if err == nil {
-			t.Errorf("%d-byte channel: Dial succeeded, hello resolved %q", n, c.Hello().ChannelID)
+			t.Errorf("%d-byte channel: Dial succeeded, hello from %q", n, c.Hello().Name)
 			c.Close()
 			continue
 		}

@@ -27,27 +27,17 @@ var ErrBackoff = network.ErrBackoff
 // surface the host's served-channel list instead of retrying.
 var ErrUnknownChannel = errors.New("transport: host does not serve the requested channel")
 
-// ClientConfig tunes a transport client.
+// ClientConfig tunes a transport client: the connection's own settings
+// (link shape, dial timeout, redial backoff, transport counters and per-RPC
+// latency histograms named metrics.TransportRPC + "_<op>") are the embedded
+// network.ClientConfig.
 type ClientConfig struct {
+	network.ClientConfig
 	// Channel names the channel every request from this client targets: it
 	// rides in each frame's header extension, and the serving host routes
-	// the frame to that channel's peer instance. Empty sends channel-less
-	// frames (byte-identical to pre-multichannel clients), which a host
-	// routes to its default channel.
+	// the frame to that channel's peer instance. A host refuses a frame that
+	// names none, so Dial with an empty Channel fails with ErrUnknownChannel.
 	Channel string
-	// Shape is applied to the client's writes (its uplink); zero means
-	// unshaped.
-	Shape network.LinkShape
-	// DialTimeout bounds one TCP connect attempt; 0 means 3s.
-	DialTimeout time.Duration
-	// MinBackoff/MaxBackoff bound the exponential redial backoff after a
-	// failed dial; 0 means 50ms / 2s.
-	MinBackoff time.Duration
-	MaxBackoff time.Duration
-	// Metrics, when set, receives transport counters (frames/bytes in each
-	// direction, reconnects, handshake failures) and per-RPC latency
-	// histograms named metrics.TransportRPC + "_<op>".
-	Metrics *metrics.Registry
 	// Tracer, when set, joins remote endorse spans (shipped back in the
 	// response, marked Remote) into this process's trace timelines.
 	Tracer *trace.Recorder
@@ -71,13 +61,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if len(cfg.Channel) > peer.MaxChannelID {
 		return nil, fmt.Errorf("transport: channel ID of %d bytes, over the %d a channel may have", len(cfg.Channel), peer.MaxChannelID)
 	}
-	nc, err := network.Dial(addr, network.ClientConfig{
-		Shape:       cfg.Shape,
-		DialTimeout: cfg.DialTimeout,
-		MinBackoff:  cfg.MinBackoff,
-		MaxBackoff:  cfg.MaxBackoff,
-		Metrics:     cfg.Metrics,
-	})
+	nc, err := network.Dial(addr, cfg.ClientConfig)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
@@ -228,7 +212,7 @@ func (c *Client) SyncRemote() (uint64, error) {
 // ProcessProposal endorses a proposal on the remote peer. The signature
 // matches the local peer's, so a gateway asks local and remote endorsers
 // interchangeably. The remote host refuses, with CodeBadRequest, a proposal
-// naming another channel than the one this client's frames resolve to.
+// naming another channel than the one this client's frames name.
 func (c *Client) ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error) {
 	d, err := c.roundTrip(opEndorse, prop.TxID, func(buf []byte) []byte { return appendProposal(buf, prop) })
 	if err != nil {

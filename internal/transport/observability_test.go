@@ -7,6 +7,7 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/metrics"
+	"github.com/hyperprov/hyperprov/internal/network"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
 
@@ -29,7 +30,7 @@ func TestRemoteEndorseSpanJoinsBothRecorders(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	clientTracer := trace.NewRecorder()
-	c, err := Dial(srv.Addr(), ClientConfig{Tracer: clientTracer})
+	c, err := Dial(srv.Addr(), ClientConfig{Channel: "ch", Tracer: clientTracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestClientTransportMetrics(t *testing.T) {
 	srv := f.serve(p)
 
 	reg := metrics.NewRegistry()
-	c, err := Dial(srv.Addr(), ClientConfig{Metrics: reg})
+	c, err := Dial(srv.Addr(), ClientConfig{Channel: "ch", ClientConfig: network.ClientConfig{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +91,8 @@ func TestClientTransportMetrics(t *testing.T) {
 		t.Errorf("byte counters = %v", snap)
 	}
 	// Per-op RPC latency histograms exist for the ops used.
-	sums := reg.HistogramSummaries()
-	if sums[metrics.TransportRPC+"_"+opHeight.Name].Count == 0 {
-		t.Errorf("no height RPC latency recorded: %v", sums)
+	if s := reg.Histogram(metrics.TransportRPC + "_" + opHeight.Name).Summary(); s.Count == 0 {
+		t.Errorf("no height RPC latency recorded: %+v", s)
 	}
 	if c.LastError() != "" {
 		t.Errorf("LastError = %q after success", c.LastError())
@@ -109,9 +109,8 @@ func TestClientReconnectCounterAndLastError(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	c, err := Dial(addr, ClientConfig{
-		Metrics:    reg,
-		MinBackoff: time.Millisecond,
-		MaxBackoff: 5 * time.Millisecond,
+		Channel:      "ch",
+		ClientConfig: network.ClientConfig{Metrics: reg, MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

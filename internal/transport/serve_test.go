@@ -37,17 +37,18 @@ func FuzzTransportServe(f *testing.F) {
 	next := fx.commitBlock(src, fx.envelope(src, "init")) // served's valid next block
 	table := fx.serve(served).table()
 
-	deliver := requestFrame(opDeliver, "", blockstore.AppendBlock(nil, next))
+	deliver := requestFrame(opDeliver, "ch", blockstore.AppendBlock(nil, next))
 	for _, seed := range [][]byte{
 		requestFrame(opHello, "ch", nil),
-		requestFrame(opHeight, "", nil),
-		requestFrame(opBlocksFrom, "", codec.AppendUvarint(nil, 0)),
+		requestFrame(opHeight, "ch", nil),
+		requestFrame(opBlocksFrom, "ch", codec.AppendUvarint(nil, 0)),
 		deliver,
 		requestFrame(opSync, "ch", nil),
-		requestFrame(opEndorse, "", appendProposal(nil, fx.propose(peer.InitFunction))),
+		requestFrame(opEndorse, "ch", appendProposal(nil, fx.propose(peer.InitFunction))),
 		deliver[:len(deliver)-3],
-		requestFrame(network.Op{Code: 0x07}, "", nil),
+		requestFrame(network.Op{Code: 0x07}, "ch", nil),
 		requestFrame(opHeight, "no-such-channel", nil),
+		requestFrame(opDeliver, "", blockstore.AppendBlock(nil, next)), // names no channel
 	} {
 		f.Add(seed)
 	}

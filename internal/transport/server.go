@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -57,8 +56,8 @@ type ServerConfig struct {
 // Server exposes one host — one or more channel-scoped peer nodes — on a
 // TCP listener; the listener and the connection lifecycle (Addr, Close) are
 // network.Server's. Every frame is routed to the node serving the channel
-// named in its header extension; channel-less frames go to the default
-// (first) channel, which is how pre-multichannel clients keep working.
+// named in its header extension; a frame that names none is answered like
+// one naming a channel the host does not serve.
 type Server struct {
 	*network.Server
 	nodes map[string]Node
@@ -67,9 +66,7 @@ type Server struct {
 }
 
 // NewHostServer starts a transport server exposing every channel of a host
-// on one listener at addr ("127.0.0.1:0" for an ephemeral port). The host's
-// first channel is the default route for channel-less (pre-multichannel)
-// clients.
+// on one listener at addr ("127.0.0.1:0" for an ephemeral port).
 func NewHostServer(addr string, host *peer.Host, cfg ServerConfig) (*Server, error) {
 	s := &Server{nodes: make(map[string]Node), order: host.Channels(), cfg: cfg}
 	if len(s.order) == 0 {
@@ -112,13 +109,13 @@ type call struct {
 func (c *call) ok() []byte { return network.AppendStatus(c.out.B, network.CodeNone, "") }
 
 // routed makes op's table entry: the frame's channel is resolved once, and
-// the body read, before handle runs. A channel the host does not serve is
-// answered with CodeUnknownChannel instead of dropping the connection: the
-// client maps it to ErrUnknownChannel and can report which channels the host
-// does serve.
+// the body read, before handle runs. A channel the host does not serve, or
+// none, is answered with CodeUnknownChannel instead of dropping the
+// connection: the client maps it to ErrUnknownChannel and can report which
+// channels the host does serve.
 func (s *Server) routed(op network.Op, handle func(*call) error) network.Op {
 	op.Handle = func(req *network.Request, out *network.Frame) error {
-		node, ok := s.nodes[s.channel(req)]
+		node, ok := s.nodes[req.Channel]
 		if !ok {
 			out.B = network.AppendStatus(out.B, network.CodeUnknownChannel,
 				fmt.Sprintf("channel %q not served (serving %v)", req.Channel, s.order))
@@ -133,17 +130,12 @@ func (s *Server) routed(op network.Op, handle func(*call) error) network.Op {
 	return op
 }
 
-// channel is the channel req is routed to: the one its frame names, or the
-// host's default for a channel-less frame.
-func (s *Server) channel(req *network.Request) string { return cmp.Or(req.Channel, s.order[0]) }
-
 func (s *Server) hello(c *call) error {
 	if err := c.body.Finish(); err != nil {
 		return err
 	}
 	c.out.B = appendHello(c.ok(), &HelloInfo{
 		Name:       c.node.Name(),
-		ChannelID:  s.channel(c.Request),
 		Channels:   s.order,
 		Orgs:       s.cfg.Orgs,
 		CACertsPEM: s.cfg.CACertsPEM,

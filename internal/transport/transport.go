@@ -5,9 +5,11 @@
 // peer.Host (NewHostServer), plus a client on network.Dial whose adapters
 // slot into the existing in-process seams — a gossip.Member that joins a
 // gossip.Network unchanged, and an endorser-compatible handle the gateway
-// can ask for endorsements. This is the step from "four peers in one
-// process" to the paper's four physical machines on one switch: every block
-// and every endorsement crosses a (optionally shaped) TCP connection.
+// can ask for endorsements. Every request frame names its channel; a host
+// answers a frame that names none as it answers one naming a channel it
+// does not serve. This is the step from "four peers in one process" to the
+// paper's four physical machines on one switch: every block and every
+// endorsement crosses a (optionally shaped) TCP connection.
 package transport
 
 import (
@@ -33,16 +35,13 @@ func (e *RemoteError) Is(target error) bool {
 	return target == ErrUnknownChannel && e.Code == network.CodeUnknownChannel
 }
 
-// HelloInfo is the handshake a serving peer answers: its identity, the
-// channel, and the trust anchors of the network's organizations.
+// HelloInfo is the handshake a serving peer answers for the channel its
+// frame names: its identity, the channels its host serves, and the trust
+// anchors of the network's organizations.
 type HelloInfo struct {
 	// Name is the serving peer's name.
 	Name string
-	// ChannelID is the channel this handshake resolved to: the client's
-	// requested channel, or the host's default for channel-less clients.
-	ChannelID string
-	// Channels lists every channel the host serves (nil from pre-multichannel
-	// servers).
+	// Channels lists every channel the host serves.
 	Channels []string
 	// Orgs lists the consortium's organization names, in policy order
 	// (single org -> any-member endorsement policy, several -> majority).
@@ -51,6 +50,7 @@ type HelloInfo struct {
 	// process builds verification-only CAs from these to validate block
 	// signatures.
 	CACertsPEM [][]byte
-	// Height is the peer's committed height at handshake time.
+	// Height is the peer's committed height on the named channel at
+	// handshake time.
 	Height uint64
 }

@@ -89,7 +89,7 @@ func (f *fixture) serve(p *peer.Peer) *Server {
 
 func (f *fixture) dial(addr string) *Client {
 	f.t.Helper()
-	c, err := Dial(addr, ClientConfig{})
+	c, err := Dial(addr, ClientConfig{Channel: "ch"})
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestHelloHeightFingerprint(t *testing.T) {
 	c := f.dial(f.serve(p).Addr())
 
 	info := c.Hello()
-	if info.Name != "peer0" || info.ChannelID != "ch" || len(info.Orgs) != 1 || info.Orgs[0] != "Org1" {
+	if info.Name != "peer0" || !slices.Equal(info.Channels, []string{"ch"}) || len(info.Orgs) != 1 || info.Orgs[0] != "Org1" {
 		t.Errorf("hello = %+v", info)
 	}
 	if len(info.CACertsPEM) != 1 {
@@ -442,7 +442,7 @@ func TestMidStreamDisconnect(t *testing.T) {
 		}
 	})
 
-	c, err := Dial(addr, ClientConfig{})
+	c, err := Dial(addr, ClientConfig{Channel: "ch"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestBlocksDeliversEachFrameBeforeTheNext(t *testing.T) {
 		}
 	})
 
-	c, err := Dial(addr, ClientConfig{})
+	c, err := Dial(addr, ClientConfig{Channel: "ch"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +579,7 @@ func TestReconnectAfterRestartConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	c, err := Dial(addr, ClientConfig{MinBackoff: 10 * time.Millisecond, MaxBackoff: 50 * time.Millisecond})
+	c, err := Dial(addr, ClientConfig{Channel: "ch", ClientConfig: network.ClientConfig{MinBackoff: 10 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestDialBackoffFailsFast(t *testing.T) {
 	p := f.newPeer("peer0")
 	srv := f.serve(p)
 	addr := srv.Addr()
-	c, err := Dial(addr, ClientConfig{MinBackoff: time.Minute, MaxBackoff: time.Minute})
+	c, err := Dial(addr, ClientConfig{Channel: "ch", ClientConfig: network.ClientConfig{MinBackoff: time.Minute, MaxBackoff: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func TestUndecodableReplyKeepsConnection(t *testing.T) {
 		}
 	})
 	reg := metrics.NewRegistry()
-	c, err := Dial(addr, ClientConfig{Metrics: reg})
+	c, err := Dial(addr, ClientConfig{Channel: "ch", ClientConfig: network.ClientConfig{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // the code and the message.
 //
 //	op             request                       reply
-//	01 hello       -                             name, channel, channels, orgs, CA certs, height
+//	01 hello       -                             name, channels, orgs, CA certs, height
 //	02 height      -                             height
 //	03 blocksFrom  from                          stream of frames: more=1 + block, closed by more=0
 //	04 deliver     block                         -
@@ -87,7 +87,6 @@ func decodeProposal(d *codec.Dec) *endorser.Proposal {
 // only — private keys never cross the wire).
 func appendHello(buf []byte, h *HelloInfo) []byte {
 	buf = codec.AppendString(buf, h.Name)
-	buf = codec.AppendString(buf, h.ChannelID)
 	buf = appendStrings(buf, h.Channels)
 	buf = appendStrings(buf, h.Orgs)
 	buf = appendByteStrings(buf, h.CACertsPEM)
@@ -97,7 +96,6 @@ func appendHello(buf []byte, h *HelloInfo) []byte {
 func decodeHello(d *codec.Dec) HelloInfo {
 	return HelloInfo{
 		Name:       d.String(),
-		ChannelID:  d.String(),
 		Channels:   decodeStrings(d),
 		Orgs:       decodeStrings(d),
 		CACertsPEM: decodeByteStrings(d),

@@ -113,7 +113,7 @@ func TestReplyLayoutsRoundTrip(t *testing.T) {
 			func(d *codec.Dec) any { return decodeHello(d) }, want)
 	}
 	multi := HelloInfo{
-		Name: "peer0", ChannelID: "ch-b", Channels: []string{"ch-a", "ch-b", "ch-c"},
+		Name: "peer0", Channels: []string{"ch-a", "ch-b", "ch-c"},
 		Orgs: []string{"Org1", "Org2"}, CACertsPEM: [][]byte{[]byte("-----BEGIN-1"), []byte("-----BEGIN-2")},
 		Height: 1 << 40,
 	}
@@ -192,7 +192,7 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	in := bufio.NewReader(conn)
 	exchange := func(body []byte) (*codec.Dec, error) {
 		t.Helper()
-		if err := writeFrame(conn, "", body); err != nil {
+		if err := writeFrame(conn, "ch", body); err != nil {
 			t.Fatal(err)
 		}
 		reply, err := network.ReadFrame(in)
@@ -274,7 +274,7 @@ func TestDeliverWireBytes(t *testing.T) {
 	genesis, b := tenTxBlock(f, f.newPeer("peer0"))
 	joiner := f.newPeer("peer1")
 	reg := metrics.NewRegistry()
-	c, err := Dial(f.serve(joiner).Addr(), ClientConfig{Channel: "ch", Metrics: reg})
+	c, err := Dial(f.serve(joiner).Addr(), ClientConfig{Channel: "ch", ClientConfig: network.ClientConfig{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func FuzzTransportBody(f *testing.F) {
 		appendProposal(nil, prop),
 		appendProposal(nil, &endorser.Proposal{}),
 		// Replies.
-		appendHello(nil, &HelloInfo{Name: "p", ChannelID: "ch", Channels: []string{"ch", "ch2"}, Orgs: []string{"Org1"}, CACertsPEM: [][]byte{[]byte("pem")}, Height: 4}),
+		appendHello(nil, &HelloInfo{Name: "p", Channels: []string{"ch", "ch2"}, Orgs: []string{"Org1"}, CACertsPEM: [][]byte{[]byte("pem")}, Height: 4}),
 		appendHello(nil, &HelloInfo{}),
 		appendHeight(nil, 9),
 		appendHeight(nil, 1<<64-1),

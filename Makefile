@@ -10,12 +10,13 @@
 # package that opens sockets, deterministic commit-path time). See README
 # "Static analysis & enforced invariants" for the table and the suppression
 # directives. `make analyze` also greps the record path (internal/core, the
-# provenance chaincode) for reflective JSON decodes, greps internal/, cmd/ and
-# examples/ for a `.BlocksFrom(` chain-tail slice, for a `.VerifyData(`
-# re-check outside the three places a block's data hash is checked and for an
-# off-chain `VerifyChecksum(` outside the two places a payload is re-checked,
-# and checks internal/core's whole import cone against the network-side
-# packages.
+# provenance chaincode) and the state database's document reads (statedb and
+# richquery, query parsing and the scanner aside) for reflective JSON decodes,
+# greps internal/, cmd/ and examples/ for a `.BlocksFrom(` chain-tail slice,
+# for a `.VerifyData(` re-check outside the three places a block's data hash
+# is checked and for an off-chain `VerifyChecksum(` outside the two places a
+# payload is re-checked, and checks internal/core's whole import cone against
+# the network-side packages.
 #
 # Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
 # `profile-catchup` write CPU and allocation profiles of the write path, the
@@ -64,6 +65,11 @@ vettool:
 # The record path: the client library and the chaincode, tests aside.
 CORE_GO := $(filter-out %_test.go,$(wildcard internal/core/*.go))
 PROVENANCE_GO := $(filter-out %_test.go,$(wildcard internal/chaincode/provenance/*.go))
+# The state database's reads of stored documents, tests aside: everything in
+# statedb and richquery but query parsing (query.go, selector.go) and the
+# scanner (scan.go), the only files there that call encoding/json's decoder.
+STATE_GO := $(filter-out %_test.go internal/richquery/query.go internal/richquery/selector.go internal/richquery/scan.go, \
+	$(wildcard internal/statedb/*.go internal/richquery/*.go))
 
 # The packages on the far side of core.Gateway: the clientseam analyzer bans
 # them as direct imports of internal/core, `go list -deps` below as indirect
@@ -76,7 +82,10 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery trace de
 # provenance.Decode* and read by readFields, on richquery's scanner, so
 # internal/core calls no reflective JSON decoder and the chaincode only for
 # its request arguments (setArgs, listArgs) — a new read function cannot
-# quietly bring encoding/json's decode back. Keep chain tails out of slices:
+# quietly bring encoding/json's decode back. Likewise the state database
+# reads a stored document one way, with richquery.Extract, for index
+# maintenance, index rebuilds and rich-query re-checks alike: outside query
+# parsing and the scanner, statedb and richquery call no reflective decoder. Keep chain tails out of slices:
 # the chain is read by number (blockstore.Each, Peer.Blocks, Client.Blocks),
 # and the two BlocksFrom collectors are left only for benchmark/. Check a
 # block's data hash once, where it enters the process: at the committer's
@@ -98,6 +107,10 @@ analyze: vettool
 		grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(PROVENANCE_GO) | grep -vF 'json.Unmarshal(args[0], &in)'; } ); \
 	if [ -n "$$bad" ]; then \
 		echo "reflective JSON decode on the record path (use provenance.Decode* / readFields):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(STATE_GO)); \
+	if [ -n "$$bad" ]; then \
+		echo "a stored document decoded into a tree (read its fields with richquery.Extract):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnF '.BlocksFrom(' --include='*.go' --exclude='*_test.go' internal cmd examples); \
 	if [ -n "$$bad" ]; then \
@@ -167,7 +180,8 @@ race:
 # against the preimages they stand for, and the chaincode's read functions
 # after a fuzzed set (payloads byte-equal to the decode/re-encode reference
 # renderer, and decodable by the client), the JSON scanner against
-# json.Valid and Extract against DecodeDoc + Lookup, the rich-query index
+# json.Valid and Extract against DecodeDoc + Lookup (a decoded-tree reference
+# kept in richquery's tests), the rich-query index
 # entry encoding against the (value, document key) order it stands for, and
 # the record, history and page decoders against json.Unmarshal into the same
 # types (same verdict, DeepEqual values). Each run first executes the committed seed

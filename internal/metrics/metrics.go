@@ -471,10 +471,11 @@ const (
 	// StateLockContention counts the reads and applies that waited on the
 	// state store's lock.
 	StateLockContention = "state_lock_contention"
-	// StateQueryDocsDecoded counts the JSON documents rich queries decoded
-	// to check a selector; StateQueriesExactRange counts the rich queries
-	// an index range answered without decoding any. A slow query is one
-	// that moved the first and not the second.
+	// StateQueryDocsDecoded counts the stored documents rich queries read
+	// (through richquery.Extract) to re-check a selector;
+	// StateQueriesExactRange counts the rich queries an index range
+	// answered without reading any. A slow query is one that moved the
+	// first and not the second.
 	StateQueryDocsDecoded  = "statedb_query_docs_decoded"
 	StateQueriesExactRange = "statedb_queries_exact_range"
 

@@ -95,7 +95,7 @@ type Peer struct {
 	msp       *identity.MSP
 	exec      *device.Executor
 
-	state   statedb.StateDB
+	state   *statedb.Store
 	history *historydb.DB
 	blocks  blockstore.BlockStore
 
@@ -295,7 +295,7 @@ func (h *Host) Crash() {
 // starts its commit pipeline. When the blocks argument is a durable
 // FileStore, the pipeline additionally takes periodic checkpoints through a
 // recovery manager.
-func newPeer(cfg Config, channelID string, state statedb.StateDB, history *historydb.DB, blocks blockstore.BlockStore) *Peer {
+func newPeer(cfg Config, channelID string, state *statedb.Store, history *historydb.DB, blocks blockstore.BlockStore) *Peer {
 	p := &Peer{
 		name:      cfg.Name,
 		channelID: channelID,
@@ -311,11 +311,9 @@ func newPeer(cfg Config, channelID string, state statedb.StateDB, history *histo
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	// Attach per-operation state latency histograms and the lock-
-	// contention counter to the peer's registry.
-	if sm, ok := state.(interface{ SetMetrics(*metrics.Registry) }); ok {
-		sm.SetMetrics(p.metrics)
-	}
+	// Attach per-operation state latency histograms, the lock-contention
+	// counter and the rich-query counters to the peer's registry.
+	state.SetMetrics(p.metrics)
 	exportCacheStats(p.metrics, p.msp)
 	ccfg := committer.Config{
 		State:   p.state,
@@ -444,15 +442,11 @@ func (p *Peer) defineIndexes(ccName string, cc shim.Chaincode) error {
 	if !ok {
 		return nil
 	}
-	ixdb, ok := p.state.(*statedb.Store)
-	if !ok {
-		return nil // the reference store: declarations are advisory, queries scan
-	}
 	defs := decl.Indexes()
 	for i := range defs {
 		defs[i].Name = ccName + "." + defs[i].Name
 	}
-	if err := ixdb.DefineIndexes(defs); err != nil {
+	if err := p.state.DefineIndexes(defs); err != nil {
 		return fmt.Errorf("peer %s: define indexes: %w", p.name, err)
 	}
 	return nil

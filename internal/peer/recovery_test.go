@@ -30,11 +30,7 @@ import (
 // provenance chaincode's by-owner secondary index.
 func tortureQuery(t *testing.T, p *Peer) []statedb.KV {
 	t.Helper()
-	rq, ok := p.state.(statedb.RichQueryer)
-	if !ok {
-		t.Fatal("peer state is not rich-queryable")
-	}
-	res, err := rq.ExecuteQuery([]byte(`{"selector":{"ts":{"$gt":0}},"sort":[{"ts":"asc"}]}`))
+	res, err := p.state.ExecuteQuery([]byte(`{"selector":{"ts":{"$gt":0}},"sort":[{"ts":"asc"}]}`))
 	if err != nil {
 		t.Fatalf("rich query: %v", err)
 	}

@@ -8,8 +8,10 @@
 // queries (by owner, by type, by time window) practical without full scans.
 //
 // The package is self-contained: it knows nothing about the ledger. Values
-// are JSON documents decoded into map[string]any; callers (the state
-// database) supply candidate documents and receive ordered keys back.
+// are stored JSON documents, read as bytes: Extract pulls the fields a
+// selector, a sort or an index names out of one in a single scan, without
+// building the document. Callers (the state database) supply candidate
+// documents and receive ordered keys back.
 package richquery
 
 import (
@@ -42,51 +44,21 @@ func typeRank(v any) int {
 		return rankFalse
 	case float64:
 		return rankNumber
-	case json.Number:
-		return rankNumber
 	case string:
 		return rankString
 	case []any:
 		return rankArray
-	case map[string]any:
+	default: // map[string]any
 		return rankObject
-	default:
-		// Non-JSON Go values (e.g. ints supplied programmatically) are
-		// normalized before ranking; anything else sorts with objects.
-		return rankObject
-	}
-}
-
-// normalize converts programmatic Go numbers into the float64 form that
-// encoding/json produces, so selectors built in Go behave like parsed ones.
-func normalize(v any) any {
-	switch t := v.(type) {
-	case int:
-		return float64(t)
-	case int32:
-		return float64(t)
-	case int64:
-		return float64(t)
-	case uint64:
-		return float64(t)
-	case float32:
-		return float64(t)
-	case json.Number:
-		f, err := t.Float64()
-		if err != nil {
-			return t.String()
-		}
-		return f
-	default:
-		return v
 	}
 }
 
 // Compare orders two JSON values by CouchDB collation rules. It returns
 // -1, 0, or 1. Arrays compare elementwise (shorter first on a tie); objects
-// compare by sorted key, then value.
+// compare by sorted key, then value. A value is what encoding/json decodes
+// into an any — nil, bool, float64, string, []any or map[string]any — as
+// ParseSelector's operands and Extract's values are.
 func Compare(a, b any) int {
-	a, b = normalize(a), normalize(b)
 	ra, rb := typeRank(a), typeRank(b)
 	if ra != rb {
 		if ra < rb {
@@ -132,22 +104,8 @@ func Compare(a, b any) int {
 		default:
 			return 0
 		}
-	default: // objects and anything exotic: compare by sorted key/value pairs
-		ma, okA := a.(map[string]any)
-		mb, okB := b.(map[string]any)
-		if !okA || !okB {
-			// Fall back to JSON encoding for non-map oddballs.
-			ja, _ := json.Marshal(a)
-			jb, _ := json.Marshal(b)
-			switch {
-			case string(ja) < string(jb):
-				return -1
-			case string(ja) > string(jb):
-				return 1
-			default:
-				return 0
-			}
-		}
+	default: // objects: compare by sorted key/value pairs
+		ma, mb := a.(map[string]any), b.(map[string]any)
 		ka, kb := sortedKeys(ma), sortedKeys(mb)
 		for i := 0; i < len(ka) && i < len(kb); i++ {
 			if ka[i] != kb[i] {
@@ -195,7 +153,6 @@ func EncodeKey(v any) string {
 
 // appendKey appends EncodeKey(v) to dst.
 func appendKey(dst []byte, v any) []byte {
-	v = normalize(v)
 	switch t := v.(type) {
 	case nil:
 		return append(dst, rankNull)

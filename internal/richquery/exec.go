@@ -2,8 +2,8 @@ package richquery
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -13,35 +13,83 @@ import (
 // Candidates come either from an index range scan or from a full scan; the
 // same pipeline runs in both cases so the two paths return identical pages.
 
-// Candidate is one document under consideration, already decoded.
+// Candidate is one stored value under consideration: a document when it is
+// a JSON object, and never a match otherwise.
 type Candidate struct {
-	Key string
-	Doc map[string]any
+	Key   string
+	Value []byte
 }
 
 // Apply filters cands through q's selector, orders them (by the sort spec,
 // with document key as the final tiebreak; by key alone when no sort is
 // given), resumes after q.Bookmark, and truncates to q.Limit. It returns
 // the ordered matching keys and the bookmark for the next page ("" when the
-// result set is exhausted).
+// result set is exhausted). Each candidate is read by one Extract over the
+// sort fields and every path a condition of the selector names.
 func Apply(q *Query, cands []Candidate) (keys []string, next string, err error) {
+	paths := make([][]string, len(q.Sort))
+	for i, sf := range q.Sort {
+		paths[i] = strings.Split(sf.Field, ".")
+	}
+	f := fields{paths: readPaths(q.Selector.root, paths)}
+	f.vals, f.found = make([]any, len(f.paths)), make([]bool, len(f.paths))
 	matched := make([]ranked, 0, len(cands))
 	for _, c := range cands {
-		if !q.Selector.Matches(c.Doc) {
+		if !Extract(c.Value, f.paths, f.vals, f.found) || !q.Selector.root.matches(&f) {
 			continue
 		}
-		matched = append(matched, ranked{key: c.Key, ord: orderKey(q, c.Key, c.Doc)})
+		matched = append(matched, ranked{key: c.Key, ord: orderKey(q, c.Key, f.vals, f.found)})
 	}
 	return paginate(q, matched)
 }
 
+// fields is one document as Extract read it: vals[i], found[i] is what it
+// holds at paths[i]. The first paths are the query's sort fields, one slot
+// each; the selector's paths follow, one slot per distinct path.
+type fields struct {
+	paths [][]string
+	vals  []any
+	found []bool
+}
+
+// at returns what the document holds at path, which has a slot.
+func (f *fields) at(path []string) (any, bool) {
+	i := slot(f.paths, path)
+	return f.vals[i], f.found[i]
+}
+
+// slot is path's index in table, -1 when table does not hold it.
+func slot(table [][]string, path []string) int {
+	return slices.IndexFunc(table, func(p []string) bool { return slices.Equal(p, path) })
+}
+
+// readPaths appends to table every path a condition under n reads that
+// table does not hold yet.
+func readPaths(n node, table [][]string) [][]string {
+	switch t := n.(type) {
+	case *andNode:
+		for _, c := range t.children {
+			table = readPaths(c, table)
+		}
+	case *orNode:
+		for _, c := range t.children {
+			table = readPaths(c, table)
+		}
+	case *condNode:
+		if slot(table, t.path) < 0 {
+			table = append(table, t.path)
+		}
+	}
+	return table
+}
+
 // ApplyExact is Apply for a plan with Plan.Exact set: keys are the index
-// range, already the selector's match set, so no document is decoded or
+// range, already the selector's match set, so no document is read or
 // matched; q has no sort, so ordering needs only the keys.
 func ApplyExact(q *Query, keys []string) (page []string, next string, err error) {
 	matched := make([]ranked, len(keys))
 	for i, key := range keys {
-		matched[i] = ranked{key: key, ord: orderKey(q, key, nil)}
+		matched[i] = ranked{key: key, ord: orderKey(q, key, nil, nil)}
 	}
 	return paginate(q, matched)
 }
@@ -91,13 +139,14 @@ func paginate(q *Query, matched []ranked) (keys []string, next string, err error
 //
 // A missing sort field encodes as the empty component, which sorts before
 // every present value ascending and (inverted) after every present value
-// descending — CouchDB's missing-first/missing-last behaviour.
-func orderKey(q *Query, key string, doc map[string]any) string {
+// descending — CouchDB's missing-first/missing-last behaviour. The sort
+// fields' values are vals[i], found[i], as Apply read them.
+func orderKey(q *Query, key string, vals []any, found []bool) string {
 	var sb strings.Builder
-	for _, sf := range q.Sort {
+	for i, sf := range q.Sort {
 		var comp string
-		if val, ok := Lookup(doc, strings.Split(sf.Field, ".")); ok {
-			comp = EncodeKey(val)
+		if found[i] {
+			comp = EncodeKey(vals[i])
 		}
 		enc := encodeComponent(comp, "")
 		if sf.Descending {
@@ -163,18 +212,4 @@ func invertBytes(s string) string {
 		b[i] ^= 0xff
 	}
 	return string(b)
-}
-
-// DecodeDoc decodes a raw JSON value into a document for matching; ok is
-// false when the value is not a JSON object (such documents never match a
-// selector).
-func DecodeDoc(raw []byte) (map[string]any, bool) {
-	if len(raw) == 0 || raw[0] != '{' {
-		return nil, false
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, false
-	}
-	return doc, true
 }

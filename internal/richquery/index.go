@@ -56,23 +56,26 @@ type shared struct {
 	byDoc map[string]string // docKey -> its entry in the newest version; the writer's alone
 }
 
-// BuildIndex builds the index def declares over docs in one shot: every
-// entry is collected and sorted once, which is what keeps declaring an index
-// over a large existing state (chaincode install) and wholesale state
+// BuildIndex builds the index def declares over docs in one shot: each
+// document's field is read with Extract, as Update reads it at commit, and
+// every entry is collected and sorted once, which is what keeps declaring an
+// index over a large existing state (chaincode install) and wholesale state
 // restore from costing one insertion per document.
 func BuildIndex(def IndexDef, docs []Candidate) Index {
-	path := strings.Split(def.Field, ".")
+	paths := [][]string{strings.Split(def.Field, ".")}
+	var val [1]any
+	var found [1]bool
 	entries := make([]string, 0, len(docs))
 	for _, d := range docs {
-		if val, ok := Lookup(d.Doc, path); ok {
-			entries = append(entries, entry(val, d.Key))
+		if Extract(d.Value, paths, val[:], found[:]) && found[0] {
+			entries = append(entries, entry(val[0], d.Key))
 		}
 	}
-	return newIndex(def, path, entries)
+	return newIndex(def, paths[0], entries)
 }
 
 // LoadIndex rebuilds the index def declares from previously exported
-// entries (checkpoint restore), without decoding any document.
+// entries (checkpoint restore), without reading any document.
 func LoadIndex(def IndexDef, exported []IndexEntry) Index {
 	entries := make([]string, len(exported))
 	for i, x := range exported {
@@ -107,7 +110,7 @@ func docKeyOf(e string) string { return e[strings.IndexByte(e, 0x00)+1:] }
 // Def returns the index's definition.
 func (ix Index) Def() IndexDef { return ix.def }
 
-// Path returns the indexed field as the key chain Extract and Lookup take.
+// Path returns the indexed field as the key chain Extract takes.
 func (ix Index) Path() []string { return ix.path }
 
 // Len returns the number of indexed documents.
@@ -148,7 +151,7 @@ func (ix Index) Update(keys []string, doc func(w int) (val any, ok bool)) Index 
 
 // IndexEntry is one exported (collation key, document key) pair — the
 // serialized form checkpoints persist so recovery can bulk-load an index
-// without re-decoding every JSON document in state.
+// without re-reading every JSON document in state.
 type IndexEntry struct {
 	// CKey is the encoded field value (EncodeKey).
 	CKey string

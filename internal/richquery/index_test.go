@@ -101,10 +101,8 @@ func TestApplyPaginationWalksEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var cands []Candidate
 	for i := 0; i < 57; i++ {
-		cands = append(cands, Candidate{
-			Key: fmt.Sprintf("k%03d", i),
-			Doc: map[string]any{"a": randValue(rng), "b": float64(rng.Intn(10))},
-		})
+		cands = append(cands, cand(t, fmt.Sprintf("k%03d", i),
+			map[string]any{"a": randValue(rng), "b": float64(rng.Intn(10))}))
 	}
 	for _, sortSpec := range []string{``, `,"sort":[{"b":"desc"}]`, `,"sort":[{"a":"asc"},{"b":"desc"}]`} {
 		full := mustQuery(t, `{"selector":{"b":{"$gte":0}}`+sortSpec+`}`)
@@ -152,11 +150,11 @@ func TestApplyPaginationWalksEverything(t *testing.T) {
 // byte-inversion-with-fixed-terminator encoding got this wrong).
 func TestDescendingSortPrefixValues(t *testing.T) {
 	cands := []Candidate{
-		{Key: "k1", Doc: map[string]any{"owner": "a"}},
-		{Key: "k2", Doc: map[string]any{"owner": "ab"}},
-		{Key: "k3", Doc: map[string]any{"owner": "abc"}},
-		{Key: "k4", Doc: map[string]any{"owner": "b"}},
-		{Key: "k5", Doc: map[string]any{"other": true}}, // missing sort field
+		{Key: "k1", Value: []byte(`{"owner":"a"}`)},
+		{Key: "k2", Value: []byte(`{"owner":"ab"}`)},
+		{Key: "k3", Value: []byte(`{"owner":"abc"}`)},
+		{Key: "k4", Value: []byte(`{"owner":"b"}`)},
+		{Key: "k5", Value: []byte(`{"other":true}`)}, // missing sort field
 	}
 	q := mustQuery(t, `{"selector":{},"sort":[{"owner":"desc"}]}`)
 	keys, _, err := Apply(q, cands)
@@ -182,9 +180,9 @@ func TestDescendingSortPrefixValues(t *testing.T) {
 	// Values containing 0x00/0x01 (the escaped bytes) still order and
 	// paginate correctly in both directions.
 	cands = []Candidate{
-		{Key: "k1", Doc: map[string]any{"owner": "x"}},
-		{Key: "k2", Doc: map[string]any{"owner": "x\x00y"}},
-		{Key: "k3", Doc: map[string]any{"owner": "x\x01"}},
+		{Key: "k1", Value: []byte(`{"owner":"x"}`)},
+		{Key: "k2", Value: []byte(`{"owner":"x\u0000y"}`)},
+		{Key: "k3", Value: []byte(`{"owner":"x\u0001"}`)},
 	}
 	q = mustQuery(t, `{"selector":{},"sort":[{"owner":"desc"}]}`)
 	keys, _, err = Apply(q, cands)
@@ -212,7 +210,7 @@ func TestDescendingSortReversesAscending(t *testing.T) {
 				continue
 			}
 			seen[ck] = true
-			cands = append(cands, Candidate{Key: fmt.Sprintf("k%02d", i), Doc: map[string]any{"a": v}})
+			cands = append(cands, cand(t, fmt.Sprintf("k%02d", i), map[string]any{"a": v}))
 		}
 		asc, _, err := Apply(mustQuery(t, `{"selector":{},"sort":[{"a":"asc"}]}`), cands)
 		if err != nil {

@@ -1,6 +1,9 @@
 package richquery
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // This file is the query planner: it inspects a selector's top-level AND
 // structure, extracts the value bounds it implies for a candidate index
@@ -10,7 +13,7 @@ import "strings"
 // operands, where EncodeKey order agrees with Compare. The planner is always
 // sound (never prunes a match). When the bounds say everything the selector
 // says (see coveredBy) the range is also exact and the plan reports it, so
-// the executor can skip decoding candidates; every other plan has the full
+// the executor can skip reading candidates; every other plan has the full
 // selector re-applied to each candidate document.
 
 // FieldBounds returns the tightest (low, high) encoded-value bounds the
@@ -35,7 +38,7 @@ func boundsOf(n node, path []string) (low, high Bound) {
 			high = tightenHigh(high, h)
 		}
 	case *condNode:
-		if !samePath(t.path, path) {
+		if !slices.Equal(t.path, path) {
 			return
 		}
 		return condBounds(t)
@@ -62,28 +65,16 @@ func coveredBy(n node, path []string) bool {
 	case *condNode:
 		switch t.op {
 		case opEq, opGt, opGte, opLt, opLte:
-			return samePath(t.path, path) && isScalar(t.operand)
+			return slices.Equal(t.path, path) && isScalar(t.operand)
 		}
 	}
 	return false
 }
 
-func samePath(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// isScalar reports whether a decoded JSON value has EncodeKey order
+// isScalar reports whether a JSON value has EncodeKey order
 // consistent with Compare.
 func isScalar(v any) bool {
-	switch normalize(v).(type) {
+	switch v.(type) {
 	case nil, bool, float64, string:
 		return true
 	default:
@@ -185,7 +176,7 @@ type Plan struct {
 	// Exact reports that the range [Low, High] of Index is the query's
 	// match set, not a superset: the selector constrains nothing but the
 	// index's field, by scalar comparisons only, and no sort needs the
-	// documents. The keys can go to ApplyExact undecoded.
+	// documents. The keys can go to ApplyExact unread.
 	Exact bool
 }
 

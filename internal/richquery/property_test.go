@@ -260,8 +260,9 @@ func randSelector(rng *rand.Rand, depth int) map[string]any {
 	}
 }
 
-// TestSelectorMatchesReference drives the parsed evaluator and the naive
-// reference over random (selector, document) pairs.
+// TestSelectorMatchesReference drives the parsed evaluator (Apply, reading
+// the stored bytes with Extract) and the naive reference (over the same bytes
+// decoded by DecodeDoc) over random (selector, document) pairs.
 func TestSelectorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 3000; iter++ {
@@ -280,11 +281,14 @@ func TestSelectorMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for d := 0; d < 10; d++ {
-			docu := randDoc(rng)
-			got := sel.Matches(docu)
+			dj, err := json.Marshal(randDoc(rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			docu, _ := DecodeDoc(dj)
+			got := matches(t, sel, string(dj))
 			want := naiveMatch(t, selDecoded, docu)
 			if got != want {
-				dj, _ := json.Marshal(docu)
 				t.Fatalf("selector %s on doc %s: Matches=%v reference=%v", raw, dj, got, want)
 			}
 		}
@@ -309,7 +313,7 @@ func TestIndexedQueryMatchesScanReference(t *testing.T) {
 			d := randDoc(rng)
 			docs[key] = d
 			putDoc(t, &ix, key, d)
-			cands = append(cands, Candidate{Key: key, Doc: d})
+			cands = append(cands, cand(t, key, d))
 		}
 
 		// Query constraining the indexed field.
@@ -342,7 +346,7 @@ func TestIndexedQueryMatchesScanReference(t *testing.T) {
 		} else {
 			var ixCands []Candidate
 			for _, key := range keys {
-				ixCands = append(ixCands, Candidate{Key: key, Doc: docs[key]})
+				ixCands = append(ixCands, cand(t, key, docs[key]))
 			}
 			ixKeys, _, err = Apply(q, ixCands)
 		}

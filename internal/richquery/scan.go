@@ -13,10 +13,11 @@ import (
 // This file is the one JSON scanner of the tree: a validating forward scan
 // that accepts exactly the texts json.Valid accepts and hands the caller each
 // member and element through a callback instead of building a value tree.
-// The record decoders and partial reads of chaincode/provenance and the
-// index maintenance below (Extract) sit on it; encoding/json is reached only
-// for a string literal with an escape or a non-ASCII byte, and for a
-// composite value a caller wants as a tree.
+// The record decoders and partial reads of chaincode/provenance sit on it,
+// and so does every read of a stored document by the state database: index
+// maintenance, index rebuilds and rich-query re-checks all go through
+// Extract. encoding/json is reached only for a string literal with an escape
+// or a non-ASCII byte, and for a composite value a caller wants as a tree.
 //
 // A string is scanned eight bytes at a time: one 64-bit word, one mask
 // (special) of the bytes the byte loop must look at — '"', '\\', a control
@@ -293,12 +294,13 @@ func IsObject(doc []byte) bool {
 }
 
 // Extract reads the values at paths (each a chain of object keys) out of
-// doc in one scan, without building the document: vals[i], found[i] are what
-// Lookup(DecodeDoc(doc), paths[i]) returns — a scalar as string, float64,
-// bool or nil; an array or object decoded by encoding/json from its span; a
-// repeated key replacing the earlier one, as a map decode does. It reports
-// whether doc is a document DecodeDoc accepts, and to say so validates all
-// of it: a false return means no index may hold doc.
+// doc in one scan, without building the document: vals[i], found[i] are the
+// value at paths[i] of doc decoded into a map[string]any, and whether it has
+// one — a scalar as string, float64, bool or nil; an array or object decoded
+// by encoding/json from its span; a repeated key replacing the earlier one,
+// as a map decode does. It reports whether doc is a document, a JSON object
+// json.Unmarshal takes into a map, and to say so validates all of it: a
+// false return means no index may hold doc and no selector matches it.
 func Extract(doc []byte, paths [][]string, vals []any, found []bool) bool {
 	if len(doc) == 0 || doc[0] != '{' {
 		return false

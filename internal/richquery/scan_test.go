@@ -9,14 +9,52 @@ import (
 	"testing"
 )
 
-// putDoc indexes doc the way the state database does: through Extract over
-// its JSON, as a one-document update.
-func putDoc(t testing.TB, ix *Index, key string, doc map[string]any) {
+// DecodeDoc decodes a raw JSON value into a document tree; ok is false when
+// the value is not a JSON object. With Lookup it is the reference Extract is
+// held to.
+func DecodeDoc(raw []byte) (map[string]any, bool) {
+	if len(raw) == 0 || raw[0] != '{' {
+		return nil, false
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, false
+	}
+	return doc, true
+}
+
+// Lookup resolves a dotted field path in a decoded document; ok is false
+// when any path element is missing or a non-object intervenes.
+func Lookup(doc map[string]any, path []string) (any, bool) {
+	var cur any = doc
+	for _, p := range path {
+		m, ok := cur.(map[string]any)
+		if !ok {
+			return nil, false
+		}
+		cur, ok = m[p]
+		if !ok {
+			return nil, false
+		}
+	}
+	return cur, true
+}
+
+// cand is doc stored under key, as a candidate of Apply.
+func cand(t testing.TB, key string, doc map[string]any) Candidate {
 	t.Helper()
 	raw, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return Candidate{Key: key, Value: raw}
+}
+
+// putDoc indexes doc the way the state database does: through Extract over
+// its JSON, as a one-document update.
+func putDoc(t testing.TB, ix *Index, key string, doc map[string]any) {
+	t.Helper()
+	raw := cand(t, key, doc).Value
 	vals, found := make([]any, 1), make([]bool, 1)
 	if !Extract(raw, [][]string{ix.Path()}, vals, found) {
 		t.Fatalf("Extract refused %s", raw)

@@ -9,7 +9,7 @@ import (
 )
 
 // Selector is a parsed Mango selector: a boolean combination of per-field
-// conditions. The zero value matches nothing; use ParseSelector.
+// conditions. Build one with ParseSelector; Apply evaluates it.
 type Selector struct {
 	root node
 	raw  json.RawMessage
@@ -17,7 +17,7 @@ type Selector struct {
 
 // node is one evaluated clause of a selector tree.
 type node interface {
-	matches(doc map[string]any) bool
+	matches(doc *fields) bool
 }
 
 // andNode matches when every child matches (also the implicit top level).
@@ -77,15 +77,6 @@ func MustSelector(raw string) *Selector {
 
 // Raw returns the original JSON the selector was parsed from.
 func (s *Selector) Raw() json.RawMessage { return s.raw }
-
-// Matches evaluates the selector against one decoded JSON document.
-// A condition on a missing field never matches.
-func (s *Selector) Matches(doc map[string]any) bool {
-	if s == nil || s.root == nil {
-		return false
-	}
-	return s.root.matches(doc)
-}
 
 // parseClause parses one selector object in the context of field path
 // prefix. Keys starting with $ are combinators; other keys are fields.
@@ -234,7 +225,7 @@ func parseOperators(path []string, obj map[string]json.RawMessage) (node, error)
 	return &andNode{children: children}, nil
 }
 
-func (n *andNode) matches(doc map[string]any) bool {
+func (n *andNode) matches(doc *fields) bool {
 	for _, c := range n.children {
 		if !c.matches(doc) {
 			return false
@@ -243,7 +234,7 @@ func (n *andNode) matches(doc map[string]any) bool {
 	return true
 }
 
-func (n *orNode) matches(doc map[string]any) bool {
+func (n *orNode) matches(doc *fields) bool {
 	for _, c := range n.children {
 		if c.matches(doc) {
 			return true
@@ -252,25 +243,8 @@ func (n *orNode) matches(doc map[string]any) bool {
 	return false
 }
 
-// Lookup resolves a dotted field path in a decoded document; ok is false
-// when any path element is missing or a non-object intervenes.
-func Lookup(doc map[string]any, path []string) (any, bool) {
-	var cur any = doc
-	for _, p := range path {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[p]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
-func (n *condNode) matches(doc map[string]any) bool {
-	val, ok := Lookup(doc, n.path)
+func (n *condNode) matches(doc *fields) bool {
+	val, ok := doc.at(n.path)
 	if !ok {
 		return false // conditions never match a missing field
 	}

@@ -1,22 +1,21 @@
 package richquery
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
-func doc(t *testing.T, raw string) map[string]any {
+// matches reports whether sel matches the stored document raw, as Apply
+// decides it.
+func matches(t *testing.T, sel *Selector, raw string) bool {
 	t.Helper()
-	var d map[string]any
-	if err := json.Unmarshal([]byte(raw), &d); err != nil {
-		t.Fatalf("bad doc fixture: %v", err)
+	keys, _, err := Apply(&Query{Selector: sel}, []Candidate{{Key: "k", Value: []byte(raw)}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return d
+	return len(keys) == 1
 }
 
 func TestSelectorOperators(t *testing.T) {
-	d := doc(t, `{"owner":"alice","size":42,"flag":true,"tag":null,
-		"meta":{"type":"raw","score":7},"parents":["a","b"]}`)
+	d := `{"owner":"alice","size":42,"flag":true,"tag":null,
+		"meta":{"type":"raw","score":7},"parents":["a","b"]}`
 
 	cases := []struct {
 		name string
@@ -62,10 +61,24 @@ func TestSelectorOperators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %s: %v", tc.sel, err)
 			}
-			if got := sel.Matches(d); got != tc.want {
+			if got := matches(t, sel, d); got != tc.want {
 				t.Errorf("%s matches = %v, want %v", tc.sel, got, tc.want)
 			}
 		})
+	}
+}
+
+// A stored value that is not a document (a JSON object json.Unmarshal takes
+// into a map) matches no selector, not even the empty one.
+func TestSelectorNeverMatchesNonDocuments(t *testing.T) {
+	sel := MustSelector(`{}`)
+	for _, raw := range []string{``, `null`, `[{"a":1}]`, `"{}"`, `{"a":1`, `{"a":1}{}`, `{"a":1e999}`, ` {"a":1}`} {
+		if matches(t, sel, raw) {
+			t.Errorf("%q matched as a document", raw)
+		}
+	}
+	if !matches(t, sel, `{"a":1} `) {
+		t.Error("a document with trailing space did not match")
 	}
 }
 
@@ -106,7 +119,7 @@ func TestParseQueryForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Selector.Matches(map[string]any{"a": float64(4)}) {
+	if !matches(t, q.Selector, `{"a":4}`) {
 		t.Error("bare selector did not parse as selector")
 	}
 

@@ -169,6 +169,33 @@ func BenchmarkIndexedApply(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteQuery runs the two rich-query plans that read documents,
+// over 10 k records under the provenance chaincode's four indexes. scan is a
+// selector on an unindexed field: every record is read and one matches.
+// sorted is the by-type index range sorted on ts, the shape of
+// getByTimeRange (an index range whose order needs the documents): the
+// quarter of the records the range holds is read, re-checked and sorted.
+func BenchmarkExecuteQuery(b *testing.B) {
+	s := seedIndexed(b, 10_000)
+	for _, bc := range []struct {
+		name, query string
+		results     int
+	}{
+		{"scan", `{"selector":{"key":"r0004242"}}`, 1},
+		{"sorted", `{"selector":{"meta.type":"t1"},"sort":[{"ts":"asc"}]}`, 2_500},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				res, err := s.ExecuteQuery([]byte(bc.query))
+				if err != nil || len(res.KVs) != bc.results {
+					b.Fatalf("%s: %d results, %v", bc.query, len(res.KVs), err)
+				}
+			}
+		})
+	}
+}
+
 func seedIndexed(b *testing.B, docs int) *Store {
 	s, err := NewIndexed()
 	if err != nil {

@@ -118,7 +118,8 @@ func ScanQuery(s StateReader, query []byte) (*QueryResult, error) {
 	return finishQuery(s, q, scanCandidates(s))
 }
 
-// scanCandidates streams every live JSON document from r.
+// scanCandidates streams every live value from r, undecoded: Apply reads
+// the documents among them with Extract.
 func scanCandidates(r StateReader) []richquery.Candidate {
 	it := r.GetRange("", "")
 	defer it.Close()
@@ -128,23 +129,18 @@ func scanCandidates(r StateReader) []richquery.Candidate {
 		if !ok {
 			return cands
 		}
-		if doc, ok := richquery.DecodeDoc(kv.Value); ok {
-			cands = append(cands, richquery.Candidate{Key: kv.Key, Doc: doc})
-		}
+		cands = append(cands, richquery.Candidate{Key: kv.Key, Value: kv.Value})
 	}
 }
 
 // mapCandidates is scanCandidates over a map the caller owns or holds the
-// write lock over, in no particular order: every JSON document outside the
-// composite-key namespace.
+// write lock over, in no particular order: every value outside the
+// composite-key namespace, for BuildIndex to read.
 func mapCandidates(data map[string]VersionedValue) []richquery.Candidate {
-	var cands []richquery.Candidate
+	cands := make([]richquery.Candidate, 0, len(data))
 	for key, vv := range data {
-		if key < plainKeyFloor {
-			continue
-		}
-		if doc, ok := richquery.DecodeDoc(vv.Value); ok {
-			cands = append(cands, richquery.Candidate{Key: key, Doc: doc})
+		if key >= plainKeyFloor {
+			cands = append(cands, richquery.Candidate{Key: key, Value: vv.Value})
 		}
 	}
 	return cands

@@ -164,9 +164,7 @@ func scanReference(t *testing.T, s *Store, query string) []string {
 	}
 	var cands []richquery.Candidate
 	for _, kv := range Collect(s.GetRange("", "")) {
-		if doc, ok := richquery.DecodeDoc(kv.Value); ok {
-			cands = append(cands, richquery.Candidate{Key: kv.Key, Doc: doc})
-		}
+		cands = append(cands, richquery.Candidate{Key: kv.Key, Value: kv.Value})
 	}
 	keys, _, err := richquery.Apply(q, cands)
 	if err != nil {
@@ -333,7 +331,7 @@ func indexDefsOf(s *Store) []richquery.IndexDef {
 }
 
 // rebuiltEntries is what the indexes of s hold when built in one go
-// (BuildIndex, over DecodeDoc's trees) from the state s holds now.
+// (BuildIndex over the stored values) from the state s holds now.
 func rebuiltEntries(t *testing.T, s *Store) map[string][]richquery.IndexEntry {
 	t.Helper()
 	fresh := mustIndexed(t, indexDefsOf(s)...)
@@ -341,9 +339,11 @@ func rebuiltEntries(t *testing.T, s *Store) map[string][]richquery.IndexEntry {
 	return indexEntries(fresh)
 }
 
-// Index maintenance reads staged documents with Extract, a rebuild reads
-// stored ones with DecodeDoc: over the same state both must hold the same
-// entries, whatever the documents look like.
+// Index maintenance reads each block's staged documents and updates the
+// index entry by entry, a rebuild reads every stored one and sorts once:
+// over the same state both must hold the same entries, whatever the
+// documents look like. (That Extract reads a document as a decoded tree
+// would is FuzzExtract's property.)
 func TestIncrementalIndexesEqualRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	odd := []string{

@@ -44,12 +44,12 @@ type Snapshot interface {
 	Release()
 }
 
-// StateDB is the pluggable world-state interface a peer commits to and a
-// chaincode stub reads from. The Store and the ReferenceStore oracle
-// implement it; higher
-// layers (shim, rwset validation, peer) depend only on this interface,
-// mirroring Fabric's VersionedDB seam that lets deployments choose their
-// state database.
+// StateDB is the world-state interface the committer commits to. The Store
+// and the ReferenceStore oracle implement it; the committer, rwset
+// validation and the recovery manager depend only on this interface (a
+// chaincode stub only on StateReader), so the oracle can stand in for the
+// Store in their tests, mirroring Fabric's VersionedDB seam. A peer holds a
+// Store.
 type StateDB interface {
 	StateReader
 	// Height returns the version of the last applied update batch.

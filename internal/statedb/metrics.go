@@ -11,28 +11,29 @@ import (
 // It is nil (zero cost on the hot paths) until SetMetrics attaches a
 // registry.
 type storeMetrics struct {
-	get, scan, apply        *metrics.Histogram
-	contention              *metrics.Counter
-	docsDecoded, exactRange *metrics.Counter
+	get, scan, apply     *metrics.Histogram
+	contention           *metrics.Counter
+	docsRead, exactRange *metrics.Counter
 }
 
 // SetMetrics attaches per-operation state latency histograms (state_get,
 // state_scan, state_apply), the lock-contention counter
-// (state_lock_contention) and the two rich-query counters
-// (statedb_query_docs_decoded, statedb_queries_exact_range) to reg. Pass
-// nil to detach.
+// (state_lock_contention) and the two rich-query counters to reg:
+// statedb_query_docs_decoded, the stored values the queries read to
+// re-check their selector, and statedb_queries_exact_range, the queries an
+// index range answered without reading any. Pass nil to detach.
 func (s *Store) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		s.metrics.Store(nil)
 		return
 	}
 	s.metrics.Store(&storeMetrics{
-		get:         reg.Histogram(metrics.StateGet),
-		scan:        reg.Histogram(metrics.StateScan),
-		apply:       reg.Histogram(metrics.StateApply),
-		contention:  reg.Counter(metrics.StateLockContention),
-		docsDecoded: reg.Counter(metrics.StateQueryDocsDecoded),
-		exactRange:  reg.Counter(metrics.StateQueriesExactRange),
+		get:        reg.Histogram(metrics.StateGet),
+		scan:       reg.Histogram(metrics.StateScan),
+		apply:      reg.Histogram(metrics.StateApply),
+		contention: reg.Counter(metrics.StateLockContention),
+		docsRead:   reg.Counter(metrics.StateQueryDocsDecoded),
+		exactRange: reg.Counter(metrics.StateQueriesExactRange),
 	})
 }
 

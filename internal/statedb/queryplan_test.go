@@ -14,7 +14,7 @@ import (
 )
 
 // A rich query has three ways to run: an exact index range (no document
-// decoded), an index range re-checked per document, and a filtered scan.
+// read), an index range re-checked per document, and a filtered scan.
 // These tests pin all three to one answer, with ScanQuery over the
 // single-lock ReferenceStore as the oracle.
 
@@ -279,8 +279,8 @@ func TestPropertyQueryPlansAgree(t *testing.T) {
 }
 
 // TestQueryDecodeCounters pins what each plan costs, as the peer's registry
-// reports it: an exact range decodes nothing, a re-checked range decodes its
-// candidates, a scan decodes every document.
+// reports it: an exact range reads no document, a re-checked range reads its
+// candidates, a scan reads every document.
 func TestQueryDecodeCounters(t *testing.T) {
 	s := mustIndexed(t, richquery.IndexDef{Name: "by-type", Field: "type"})
 	reg := metrics.NewRegistry()

@@ -230,10 +230,11 @@ func Collect(it Iterator) []KV {
 // ExecuteQuery runs a Mango query at the snapshot boundary. The planner
 // picks one of the pinned index versions; when the plan is exact the range
 // of keys it yields is the match set and goes to ordering and pagination as
-// it is; otherwise candidate documents are read from the snapshot — a full
+// it is; otherwise candidate values are read from the snapshot — a full
 // filtered scan when no index applies — and the selector is re-applied to
-// each. All three run the same order/bookmark/limit pipeline, so they
-// return identical pages, and none holds a lock a commit waits on.
+// each through Extract. All three run the same order/bookmark/limit
+// pipeline, so they return identical pages, and none holds a lock a commit
+// waits on.
 func (sn *storeSnapshot) ExecuteQuery(query []byte) (*QueryResult, error) {
 	q, err := richquery.ParseQuery(query)
 	if err != nil {
@@ -256,17 +257,13 @@ func (sn *storeSnapshot) ExecuteQuery(query []byte) (*QueryResult, error) {
 		return materialize(sn, page, bookmark), nil
 	default:
 		for _, key := range plan.Index.Range(plan.Low, plan.High) {
-			vv, ok := sn.Get(key)
-			if !ok {
-				continue
-			}
-			if doc, ok := richquery.DecodeDoc(vv.Value); ok {
-				cands = append(cands, richquery.Candidate{Key: key, Doc: doc})
+			if vv, ok := sn.Get(key); ok {
+				cands = append(cands, richquery.Candidate{Key: key, Value: vv.Value})
 			}
 		}
 	}
 	if m != nil {
-		m.docsDecoded.Add(int64(len(cands)))
+		m.docsRead.Add(int64(len(cands)))
 	}
 	return finishQuery(sn, q, cands)
 }
@@ -283,7 +280,7 @@ func (sn *storeSnapshot) IndexDefs() []richquery.IndexDef {
 // IndexEntries exports every pinned index's contents at the snapshot
 // boundary, keyed by index name (nil when the store has none). A checkpoint
 // persists them beside the state, so a restored peer bulk-loads its indexes
-// instead of re-decoding every JSON document in state.
+// instead of re-reading every JSON document in state.
 func (sn *storeSnapshot) IndexEntries() map[string][]richquery.IndexEntry {
 	if len(sn.indexes) == 0 {
 		return nil

@@ -417,7 +417,7 @@ func (s *Store) Restore(snap map[string]VersionedValue, height Version) {
 }
 
 // RestoreWithIndexEntries is Restore for checkpoint recovery: indexes whose
-// serialized entries are present bulk-load them (no document re-decoding);
+// serialized entries are present bulk-load them (no document is re-read);
 // any declared index missing from entries is rebuilt from the snapshot.
 // Unlike Restore, the store takes ownership of snap (no deep copy) — the
 // caller must have materialized it freshly, as checkpoint decoding does,

@@ -7,31 +7,11 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/codec"
-	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/network"
 	"github.com/hyperprov/hyperprov/internal/peer"
 	"github.com/hyperprov/hyperprov/internal/trace"
 )
-
-// Node is the peer surface the transport serves; *peer.Peer implements it.
-type Node interface {
-	// Name identifies the peer.
-	Name() string
-	// Height returns the committed block height.
-	Height() uint64
-	// Blocks hands fn the committed blocks numbered from up to the height
-	// at the call, in order, and stops at fn's first error.
-	Blocks(from uint64, fn func(*blockstore.Block) error) error
-	// DeliverBlock submits a gossiped block to the commit pipeline.
-	DeliverBlock(b *blockstore.Block)
-	// Sync waits until every submitted block is fully persisted.
-	Sync()
-	// ProcessProposal endorses a signed proposal.
-	ProcessProposal(prop *endorser.Proposal) (*endorser.Response, error)
-}
-
-var _ Node = (*peer.Peer)(nil)
 
 // ServerConfig parameterizes a serving peer.
 type ServerConfig struct {
@@ -60,7 +40,7 @@ type ServerConfig struct {
 // one naming a channel the host does not serve.
 type Server struct {
 	*network.Server
-	nodes map[string]Node
+	nodes map[string]*peer.Peer
 	order []string
 	cfg   ServerConfig
 }
@@ -68,7 +48,7 @@ type Server struct {
 // NewHostServer starts a transport server exposing every channel of a host
 // on one listener at addr ("127.0.0.1:0" for an ephemeral port).
 func NewHostServer(addr string, host *peer.Host, cfg ServerConfig) (*Server, error) {
-	s := &Server{nodes: make(map[string]Node), order: host.Channels(), cfg: cfg}
+	s := &Server{nodes: make(map[string]*peer.Peer), order: host.Channels(), cfg: cfg}
 	if len(s.order) == 0 {
 		return nil, errors.New("transport: host serves no channels")
 	}
@@ -100,7 +80,7 @@ func (s *Server) table() *network.Table {
 // for as long as the peer keeps them.
 type call struct {
 	*network.Request
-	node Node
+	node *peer.Peer
 	body *codec.Dec // the op's layout
 	out  *network.Frame
 }

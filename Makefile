@@ -15,8 +15,9 @@
 # greps internal/, cmd/ and examples/ for a `.BlocksFrom(` chain-tail slice,
 # for a `.VerifyData(` re-check outside the three places a block's data hash
 # is checked and for an off-chain `VerifyChecksum(` outside the two places a
-# payload is re-checked, and checks internal/core's whole import cone against
-# the network-side packages.
+# payload is re-checked, greps for a shim.Config marked Query outside
+# internal/peer, and checks internal/core's whole import cone against the
+# network-side packages.
 #
 # Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
 # `profile-catchup` write CPU and allocation profiles of the write path, the
@@ -98,9 +99,11 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery trace de
 # gateway from signing: the client signs a transaction through
 # endorser.Transact, and fabric/gateway.go only endorses and orders (its
 # g.exec.Sign() charges are the client machine's modeled cost, not a
-# signature). Last, keep the client library's import cone closed: an
-# analyzer sees direct imports only, so ask the go command for the
-# transitive set.
+# signature). Keep a query stub to Peer.Query: a stub marked Query records
+# no reads, so an endorsement built on one would carry no read set for MVCC
+# to check; only internal/peer constructs one. Last, keep the client
+# library's import cone closed: an analyzer sees direct imports only, so ask
+# the go command for the transitive set.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 	@bad=$$( { grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(CORE_GO); \
@@ -130,6 +133,11 @@ analyze: vettool
 		grep -vE '^[0-9]+:[[:space:]]*//'); \
 	if [ -n "$$bad" ]; then \
 		echo "the gateway signs (the client signs through endorser.Transact; the gateway endorses and orders):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rlE 'shim\.(Config|NewStub)\b' --include='*.go' --exclude='*_test.go' --exclude-dir=out internal cmd examples benchmark | \
+		grep -v '^internal/peer/' | xargs -r grep -HnE '\bQuery[[:space:]]*:|\.Query[[:space:]]*=[^=]'); \
+	if [ -n "$$bad" ]; then \
+		echo "a shim stub marked Query outside Peer.Query (an endorsement's stub must record its reads):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$($(GO) list -deps ./internal/core | grep -E '/internal/($(subst $(eval) ,|,$(NETWORK_SIDE)))$$'); \
 	if [ -n "$$bad" ]; then \

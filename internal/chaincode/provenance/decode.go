@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"bytes"
+	"cmp"
 	"strconv"
 	"time"
 
@@ -310,8 +311,13 @@ func DecodeStats(payload []byte) (*Stats, error) {
 // fields, as it does to encoding/json — and hands read each member whose key
 // selects one of names, as that name; the strings read out are copies.
 func readFields(raw []byte, read func(d *decoder, name string) error, names ...string) error {
-	_, err := decode(raw, false, func(d *decoder, _ *struct{}) error {
-		return d.members(names, func(name string) error { return read(d, name) })
-	})
-	return err
+	d := new(decoder)
+	return d.fields(raw, func(name string) error { return read(d, name) }, names...)
+}
+
+// fields resets d to raw and reads it as readFields does, with read reading
+// from d: a walk over many records keeps one decoder and one read for all.
+func (d *decoder) fields(raw []byte, read func(name string) error, names ...string) error {
+	d.sc, d.data, d.text = richquery.NewScanner(raw), raw, ""
+	return cmp.Or(d.members(names, read), d.sc.End()) // the members' error first
 }

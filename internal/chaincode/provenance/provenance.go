@@ -439,6 +439,8 @@ func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([][]byte, err
 	frontier := []string{start}
 	var out [][]byte
 	var parents [][]byte
+	var d decoder
+	read := func(string) error { return array(&d, &parents, 0, (*decoder).view) }
 	for depth := 0; len(frontier) > 0 && depth < maxLineageDepth; depth++ {
 		var next []string
 		for _, key := range frontier {
@@ -452,13 +454,12 @@ func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([][]byte, err
 				}
 				continue // parent tombstoned; lineage continues past it
 			}
-			// The parents are views of raw, which aliases committed state:
-			// they are read, never written. A key new to seen is copied once,
+			// The parents are views of raw. A key new to seen is copied once,
 			// and that copy is both the map key and the frontier entry; a
 			// string over the whole record would cost its size again.
 			clear(parents[:cap(parents)])
 			parents = parents[:0]
-			err = readFields(raw, func(d *decoder, _ string) error { return array(d, &parents, 0, (*decoder).view) }, "parents")
+			err = d.fields(raw, read, "parents")
 			if err != nil {
 				return nil, fmt.Errorf("corrupt record %q: %w", key, err)
 			}

@@ -572,10 +572,10 @@ func (p *Peer) ProcessProposal(prop *endorser.Proposal) (resp *endorser.Response
 }
 
 // Query runs a read-only chaincode invocation against committed state
-// without recording or committing anything (HyperProv's Get path:
-// "lightweight retrieval of provenance data"). It first waits for the
-// commit pipeline's persistence watermark, so a query never observes state
-// from a block whose ledger append and history are still in flight; it
+// (HyperProv's Get path: "lightweight retrieval of provenance data"), on
+// the only stub that keeps no read set, and commits nothing it stages. It
+// waits for the commit pipeline's persistence watermark, so a query never
+// sees state from a block whose ledger append and history are in flight,
 // then reads through a snapshot view, so a long scan runs to completion
 // without stalling — or being stalled by — blocks committing concurrently.
 func (p *Peer) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.Response, error) {
@@ -605,6 +605,7 @@ func (p *Peer) Query(chaincode, fn string, args [][]byte, creator []byte) (shim.
 		Timestamp: time.Now(),
 		State:     view,
 		History:   p.history,
+		Query:     true,
 	})
 	return icc.cc.Invoke(stub), nil
 }

@@ -56,22 +56,34 @@ type shared struct {
 	byDoc map[string]string // docKey -> its entry in the newest version; the writer's alone
 }
 
-// BuildIndex builds the index def declares over docs in one shot: each
-// document's field is read with Extract, as Update reads it at commit, and
-// every entry is collected and sorted once, which is what keeps declaring an
-// index over a large existing state (chaincode install) and wholesale state
-// restore from costing one insertion per document.
-func BuildIndex(def IndexDef, docs []Candidate) Index {
-	paths := [][]string{strings.Split(def.Field, ".")}
-	var val [1]any
-	var found [1]bool
-	entries := make([]string, 0, len(docs))
+// BuildIndexes builds the indexes defs declare over docs in one shot: one
+// Extract per document reads every indexed field, as Update reads them at
+// commit, and each index's entries are collected and sorted once, which is
+// what keeps declaring indexes over a large existing state (chaincode
+// install) and wholesale state restore from costing one insertion, or one
+// scan per index, per document.
+func BuildIndexes(defs []IndexDef, docs []Candidate) []Index {
+	paths, entries := make([][]string, len(defs)), make([][]string, len(defs))
+	for i, def := range defs {
+		paths[i] = strings.Split(def.Field, ".")
+		entries[i] = make([]string, 0, len(docs))
+	}
+	vals, found := make([]any, len(defs)), make([]bool, len(defs))
 	for _, d := range docs {
-		if Extract(d.Value, paths, val[:], found[:]) && found[0] {
-			entries = append(entries, entry(val[0], d.Key))
+		if !Extract(d.Value, paths, vals, found) {
+			continue
+		}
+		for i := range defs {
+			if found[i] {
+				entries[i] = append(entries[i], entry(vals[i], d.Key))
+			}
 		}
 	}
-	return newIndex(def, paths[0], entries)
+	out := make([]Index, len(defs))
+	for i, def := range defs {
+		out[i] = newIndex(def, paths[i], entries[i])
+	}
+	return out
 }
 
 // LoadIndex rebuilds the index def declares from previously exported

@@ -50,12 +50,38 @@ func naiveRange(docs map[string]map[string]any, field string, low, high Bound) [
 	return out
 }
 
+// TestBuildIndexesOnePass builds several indexes in one pass — two on one
+// field, one on a field nested under another's, one no document has — over
+// random documents, a non-document and an invalid one, and holds each to the
+// brute-force recomputation of its field.
+func TestBuildIndexesOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	docs := map[string]map[string]any{}
+	cands := []Candidate{{Key: "scalar", Value: []byte(`7`)}, {Key: "torn", Value: []byte(`{"a":1,`)}}
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("k%03d", i)
+		docs[key] = randDoc(rng)
+		cands = append(cands, cand(t, key, docs[key]))
+	}
+	defs := []IndexDef{{Name: "by-a", Field: "a"}, {Name: "by-m", Field: "m"}, {Name: "again-a", Field: "a"},
+		{Name: "by-m.x", Field: "m.x"}, {Name: "by-b", Field: "b"}, {Name: "none", Field: "z.y"}}
+	for i, ix := range BuildIndexes(defs, cands) {
+		if ix.Def() != defs[i] {
+			t.Fatalf("index %d is %+v, want %+v", i, ix.Def(), defs[i])
+		}
+		got, want := ix.Range(Bound{}, Bound{}), naiveRange(docs, defs[i].Field, Bound{}, Bound{})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s holds %v, want %v", defs[i].Name, got, want)
+		}
+	}
+}
+
 // TestIndexMaintenanceSequences drives random put/update/delete/re-add
 // sequences and checks the index against a brute-force recomputation after
 // every operation.
 func TestIndexMaintenanceSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	ix := BuildIndex(IndexDef{Name: "by-a", Field: "a"}, nil)
+	ix := BuildIndexes([]IndexDef{{Name: "by-a", Field: "a"}}, nil)[0]
 	docs := map[string]map[string]any{}
 	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
 
@@ -262,8 +288,8 @@ func TestPlannerBounds(t *testing.T) {
 	}
 
 	// Planner prefers equality over range, and honors use_index.
-	ixA := BuildIndex(IndexDef{Name: "by-a", Field: "a"}, nil)
-	ixB := BuildIndex(IndexDef{Name: "by-b", Field: "b"}, nil)
+	built := BuildIndexes([]IndexDef{{Name: "by-a", Field: "a"}, {Name: "by-b", Field: "b"}}, nil)
+	ixA, ixB := built[0], built[1]
 	q := mustQuery(t, `{"selector":{"a":{"$gt":1},"b":7}}`)
 	plan := ChooseIndex(q, []Index{ixA, ixB})
 	if plan.Index == nil || plan.Index.Def().Name != "by-b" {
@@ -277,7 +303,7 @@ func TestPlannerBounds(t *testing.T) {
 
 	// use_index also matches namespace-qualified registered names, as the
 	// peer registers chaincode-declared indexes ("<chaincode>.<name>").
-	ixNS := BuildIndex(IndexDef{Name: "hyperprov.by-a", Field: "a"}, nil)
+	ixNS := BuildIndexes([]IndexDef{{Name: "hyperprov.by-a", Field: "a"}}, nil)[0]
 	q = mustQuery(t, `{"selector":{"a":{"$gt":1},"b":7},"use_index":"by-a"}`)
 	plan = ChooseIndex(q, []Index{ixNS, ixB})
 	if plan.Index == nil || plan.Index.Def().Name != "hyperprov.by-a" {
@@ -296,10 +322,7 @@ func TestPlannerBounds(t *testing.T) {
 // document, so every shape that could match outside the range, or that
 // orders by document content, must stay on the re-check path.
 func TestPlannerExactShapes(t *testing.T) {
-	indexes := []Index{
-		BuildIndex(IndexDef{Name: "by-type", Field: "meta.type"}, nil),
-		BuildIndex(IndexDef{Name: "by-ts", Field: "ts"}, nil),
-	}
+	indexes := BuildIndexes([]IndexDef{{Name: "by-type", Field: "meta.type"}, {Name: "by-ts", Field: "ts"}}, nil)
 	for _, tc := range []struct {
 		query string
 		index string // "" when the query must scan

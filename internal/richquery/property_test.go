@@ -306,7 +306,7 @@ func TestIndexedQueryMatchesScanReference(t *testing.T) {
 		// Corpus.
 		n := 5 + rng.Intn(40)
 		docs := make(map[string]map[string]any, n)
-		ix := BuildIndex(IndexDef{Name: "by-a", Field: "a"}, nil)
+		ix := BuildIndexes([]IndexDef{{Name: "by-a", Field: "a"}}, nil)[0]
 		var cands []Candidate
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("k%03d", i)

@@ -3,10 +3,12 @@ package shim
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/richquery"
+	"github.com/hyperprov/hyperprov/internal/rwset"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -150,5 +152,86 @@ func TestGetQueryResultBadQuery(t *testing.T) {
 	}
 	if _, err := stub.GetQueryResult(`42`); err == nil {
 		t.Error("non-object query accepted")
+	}
+}
+
+// stubReads runs one of every read over the query fixture, then reads back
+// a staged write and a staged delete, and returns what each call returned.
+func stubReads(t *testing.T, s *Stub) []string {
+	t.Helper()
+	var out []string
+	note := func(v any, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%q", v))
+	}
+	note(s.GetState("k01"))
+	note(s.GetState("absent"))
+	note(s.GetStateByRange("k02", "k05"))
+	kvs, next, err := s.GetStateByRangeWithPagination("k05", "", 2, "")
+	note([]any{kvs, next}, err)
+	note(s.GetQueryResult(`{"selector":{"owner":"bob"}}`))
+	kvs, next, err = s.GetQueryResultWithPagination(`{"selector":{"owner":"alice"}}`, 2, "")
+	note([]any{kvs, next}, err)
+	if err := s.PutState("k08", []byte("staged")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DelState("k09"); err != nil {
+		t.Fatal(err)
+	}
+	note(s.GetState("k08"))
+	note(s.GetState("k09"))
+	return out
+}
+
+// A query stub answers every read as an endorsement's does and reads its
+// own writes back, but records no read, range read or query read; the
+// default stub records all of them.
+func TestQueryStubRecordsNoReads(t *testing.T) {
+	_, indexed := queryFixture(t)
+	endorse := queryStub(indexed)
+	query := NewStub(Config{State: indexed, Query: true})
+	got, want := stubReads(t, query), stubReads(t, endorse)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("query stub read\n%v\nendorsement stub read\n%v", got, want)
+	}
+	if got[len(got)-2] != `"staged"` || got[len(got)-1] != `""` {
+		t.Errorf("staged writes read back as %v", got[len(got)-2:])
+	}
+
+	v := func(tx uint64) *statedb.Version { return &statedb.Version{BlockNum: 1, TxNum: tx} }
+	wire := func(query string, limit int) json.RawMessage {
+		q, err := richquery.ParseQuery([]byte(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Limit = limit
+		raw, err := q.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	writes := []rwset.Write{{Key: "k08", Value: []byte("staged")}, {Key: "k09", IsDelete: true}}
+	full := &rwset.ReadWriteSet{
+		Reads: []rwset.Read{{Key: "absent"}, {Key: "k00", Version: v(0)}, {Key: "k01", Version: v(1)},
+			{Key: "k02", Version: v(2)}, {Key: "k03", Version: v(3)}, {Key: "k05", Version: v(5)},
+			{Key: "k07", Version: v(7)}, {Key: "k09", Version: v(9)}},
+		Writes: writes,
+		RangeReads: []rwset.RangeRead{
+			{StartKey: "k02", EndKey: "k05", Keys: []string{"k02", "k03", "k04"}},
+			{StartKey: "k05", EndKey: "k07", Keys: []string{"k05", "k06"}},
+		},
+		QueryReads: []rwset.QueryRead{
+			{Query: wire(`{"selector":{"owner":"bob"}}`, 0), Keys: []string{"k01", "k03", "k05", "k07", "k09"}},
+			{Query: wire(`{"selector":{"owner":"alice"}}`, 2), Keys: []string{"k00", "k02"}},
+		},
+	}
+	if rws := endorse.RWSet(); !reflect.DeepEqual(rws, full) {
+		t.Errorf("endorsement rwset\n%+v\nwant\n%+v", rws, full)
+	}
+	if rws := query.RWSet(); !reflect.DeepEqual(rws, &rwset.ReadWriteSet{Writes: writes}) {
+		t.Errorf("query rwset %+v, want the staged writes alone", rws)
 	}
 }

@@ -1,11 +1,12 @@
 // Package shim is the chaincode programming interface — the analog of
 // Fabric's chaincode shim. Chaincode (such as HyperProv's provenance
 // contract) is written against the Stub, which serves reads from the peer's
-// committed state while transparently recording the read/write set that
-// endorsement returns to the client.
+// committed state. An endorsement's stub records the read/write set the
+// endorsement returns to the client; a query's stub records no reads.
 package shim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -57,13 +58,7 @@ type Event struct {
 }
 
 // HistoryEntry is one version of a key, as returned by GetHistoryForKey.
-type HistoryEntry struct {
-	TxID      string    `json:"txId"`
-	Value     []byte    `json:"value,omitempty"`
-	IsDelete  bool      `json:"isDelete,omitempty"`
-	Timestamp time.Time `json:"timestamp"`
-	BlockNum  uint64    `json:"blockNum"`
-}
+type HistoryEntry = historydb.Entry
 
 // ClientIdentity is the submitting client as the peer resolved it through its
 // MSP (the analog of Fabric's client-identity library): chaincode reads it
@@ -77,7 +72,8 @@ type ClientIdentity struct {
 }
 
 // Stub gives one chaincode invocation access to ledger state, identity, and
-// transaction context, recording every access into an rwset.
+// transaction context. It stages writes into an rwset and, unless it serves
+// a query, records every read there too.
 type Stub struct {
 	txID      string
 	channelID string
@@ -90,6 +86,7 @@ type Stub struct {
 	state   statedb.StateReader
 	history *historydb.DB
 	builder *rwset.Builder
+	query   bool
 	events  []Event
 }
 
@@ -113,6 +110,11 @@ type Config struct {
 	Timestamp time.Time
 	State     statedb.StateReader
 	History   *historydb.DB
+	// Query marks a read-only invocation: the stub records no reads, range
+	// reads or query reads, but still stages writes the chaincode reads back.
+	// The zero value records them all, as an endorsement must; Peer.Query
+	// alone sets it.
+	Query bool
 }
 
 // NewStub builds a stub for one simulation.
@@ -128,6 +130,7 @@ func NewStub(cfg Config) *Stub {
 		state:     cfg.State,
 		history:   cfg.History,
 		builder:   rwset.NewBuilder(),
+		query:     cfg.Query,
 	}
 }
 
@@ -186,12 +189,14 @@ func (s *Stub) GetState(key string) ([]byte, error) {
 		return out, nil
 	}
 	vv, ok := s.state.Get(key)
-	if !ok {
+	if !s.query && ok {
+		s.builder.AddRead(key, &vv.Version)
+	} else if !s.query {
 		s.builder.AddRead(key, nil)
+	}
+	if !ok {
 		return nil, nil
 	}
-	v := vv.Version
-	s.builder.AddRead(key, &v)
 	out := make([]byte, len(vv.Value))
 	copy(out, vv.Value)
 	return out, nil
@@ -236,12 +241,19 @@ func (s *Stub) DelState(key string) error {
 // into range results (matching Fabric's behaviour).
 func (s *Stub) GetStateByRange(startKey, endKey string) ([]statedb.KV, error) {
 	kvs := statedb.Collect(s.state.GetRange(startKey, endKey))
+	if !s.query {
+		s.builder.AddRangeRead(startKey, endKey, keysOf(kvs))
+	}
+	return kvs, nil
+}
+
+// keysOf lists the keys of kvs, for a range or query read.
+func keysOf(kvs []statedb.KV) []string {
 	keys := make([]string, len(kvs))
 	for i, kv := range kvs {
 		keys[i] = kv.Key
 	}
-	s.builder.AddRangeRead(startKey, endKey, keys)
-	return kvs, nil
+	return keys
 }
 
 // GetStateByRangeWithPagination streams at most pageSize committed entries
@@ -262,7 +274,6 @@ func (s *Stub) GetStateByRangeWithPagination(startKey, endKey string, pageSize i
 	it := s.state.GetRange(low, endKey)
 	defer it.Close()
 	kvs := make([]statedb.KV, 0, pageSize)
-	keys := make([]string, 0, pageSize)
 	next := ""
 	for {
 		kv, ok := it.Next()
@@ -274,13 +285,10 @@ func (s *Stub) GetStateByRangeWithPagination(startKey, endKey string, pageSize i
 			break
 		}
 		kvs = append(kvs, kv)
-		keys = append(keys, kv.Key)
 	}
-	windowEnd := endKey
-	if next != "" {
-		windowEnd = next
+	if !s.query {
+		s.builder.AddRangeRead(low, cmp.Or(next, endKey), keysOf(kvs))
 	}
-	s.builder.AddRangeRead(low, windowEnd, keys)
 	return kvs, next, nil
 }
 
@@ -327,7 +335,8 @@ func (s *Stub) GetQueryResultWithPagination(query string, pageSize int, bookmark
 
 // executeQuery parses and shapes the query, executes it on the state
 // database (natively when it supports rich queries, by filtered scan
-// otherwise), and records the read dependencies.
+// otherwise), and records the read dependencies unless the stub serves a
+// query.
 func (s *Stub) executeQuery(query []byte, pageSize int, bookmark string) ([]statedb.KV, string, error) {
 	q, err := richquery.ParseQuery(query)
 	if err != nil {
@@ -357,13 +366,12 @@ func (s *Stub) executeQuery(query []byte, pageSize int, bookmark string) ([]stat
 		return nil, "", err
 	}
 
-	keys := make([]string, len(res.KVs))
-	for i, kv := range res.KVs {
-		keys[i] = kv.Key
-		v := kv.Version
-		s.builder.AddRead(kv.Key, &v)
+	if !s.query {
+		for _, kv := range res.KVs {
+			s.builder.AddRead(kv.Key, &kv.Version)
+		}
+		s.builder.AddQueryRead(wire, keysOf(res.KVs))
 	}
-	s.builder.AddQueryRead(wire, keys)
 	return res.KVs, res.Bookmark, nil
 }
 
@@ -374,18 +382,7 @@ func (s *Stub) GetHistoryForKey(key string) ([]HistoryEntry, error) {
 	if s.history == nil {
 		return nil, errors.New("shim: history db not available")
 	}
-	entries := s.history.History(key)
-	out := make([]HistoryEntry, len(entries))
-	for i, e := range entries {
-		out[i] = HistoryEntry{
-			TxID:      e.TxID,
-			Value:     e.Value,
-			IsDelete:  e.IsDelete,
-			Timestamp: e.Timestamp,
-			BlockNum:  e.BlockNum,
-		}
-	}
-	return out, nil
+	return s.history.History(key), nil
 }
 
 // SetEvent emits a chaincode event delivered on commit.

@@ -196,6 +196,29 @@ func BenchmarkExecuteQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkRestore restores 10 k provenance-shaped records into a store
+// carrying the chaincode's four indexes, each rebuilt from the documents:
+// the state half of a restart from a checkpoint without index entries, or
+// of a joiner handed a snapshot.
+func BenchmarkRestore(b *testing.B) {
+	const docs = 10_000
+	snap := make(map[string]VersionedValue, docs)
+	for i := 0; i < docs; i++ {
+		snap[fmt.Sprintf("r%07d", i)] = VersionedValue{Value: provenanceDoc(i), Version: Version{BlockNum: 1, TxNum: uint64(i)}}
+	}
+	s, err := NewIndexed(provenanceIndexes...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		s.Restore(snap, Version{BlockNum: 1, TxNum: docs})
+	}
+	if s.Len() != docs {
+		b.Fatalf("restored %d records, want %d", s.Len(), docs)
+	}
+}
+
 func seedIndexed(b *testing.B, docs int) *Store {
 	s, err := NewIndexed()
 	if err != nil {

@@ -60,8 +60,7 @@ func (s *Store) DefineIndexes(defs []richquery.IndexDef) error {
 	}
 	docs := mapCandidates(s.data)
 	paths := slices.Clone(*s.paths.Load())
-	for _, def := range fresh {
-		ix := richquery.BuildIndex(def, docs)
+	for _, ix := range richquery.BuildIndexes(fresh, docs) {
 		s.indexes = append(s.indexes, ix)
 		paths = append(paths, ix.Path())
 	}
@@ -135,7 +134,7 @@ func scanCandidates(r StateReader) []richquery.Candidate {
 
 // mapCandidates is scanCandidates over a map the caller owns or holds the
 // write lock over, in no particular order: every value outside the
-// composite-key namespace, for BuildIndex to read.
+// composite-key namespace, for BuildIndexes to read.
 func mapCandidates(data map[string]VersionedValue) []richquery.Candidate {
 	cands := make([]richquery.Candidate, 0, len(data))
 	for key, vv := range data {
@@ -158,7 +157,7 @@ func finishQuery(r StateReader, q *richquery.Query, cands []richquery.Candidate)
 
 // materialize reads one ordered page of keys from r.
 func materialize(r StateReader, keys []string, bookmark string) *QueryResult {
-	res := &QueryResult{Bookmark: bookmark}
+	res := &QueryResult{KVs: make([]KV, 0, len(keys)), Bookmark: bookmark}
 	for _, key := range keys {
 		vv, ok := r.Get(key)
 		if !ok {

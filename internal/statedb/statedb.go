@@ -449,16 +449,19 @@ func (s *Store) replaceState(snap map[string]VersionedValue, height Version, cop
 	s.snaps = make(map[*storeSnapshot]struct{})
 	s.data = fresh
 	s.keys.Store(keyset.New(keys))
-	var docs []richquery.Candidate // built for the first index without entries
+	var rebuild []int // the indexes entries lacks, built in one pass
+	var defs []richquery.IndexDef
 	for i, ix := range s.indexes {
 		if es, ok := entries[ix.Def().Name]; ok {
 			s.indexes[i] = richquery.LoadIndex(ix.Def(), es)
 			continue
 		}
-		if docs == nil {
-			docs = mapCandidates(fresh)
+		rebuild, defs = append(rebuild, i), append(defs, ix.Def())
+	}
+	if len(defs) > 0 {
+		for j, ix := range richquery.BuildIndexes(defs, mapCandidates(fresh)) {
+			s.indexes[rebuild[j]] = ix
 		}
-		s.indexes[i] = richquery.BuildIndex(ix.Def(), docs)
 	}
 	h := height
 	s.height.Store(&h)

@@ -12,7 +12,8 @@
 # directives. `make analyze` also greps the record path (internal/core, the
 # provenance chaincode) and the state database's document reads (statedb and
 # richquery, query parsing and the scanner aside) for reflective JSON decodes,
-# greps internal/, cmd/ and examples/ for a `.BlocksFrom(` chain-tail slice,
+# greps statedb for a `ParseQuery(` (a reader answers the parsed query it is
+# handed), greps internal/, cmd/ and examples/ for a `.BlocksFrom(` chain-tail slice,
 # for a `.VerifyData(` re-check outside the three places a block's data hash
 # is checked and for an off-chain `VerifyChecksum(` outside the two places a
 # payload is re-checked, greps for a shim.Config marked Query outside
@@ -71,6 +72,8 @@ PROVENANCE_GO := $(filter-out %_test.go,$(wildcard internal/chaincode/provenance
 # scanner (scan.go), the only files there that call encoding/json's decoder.
 STATE_GO := $(filter-out %_test.go internal/richquery/query.go internal/richquery/selector.go internal/richquery/scan.go, \
 	$(wildcard internal/statedb/*.go internal/richquery/*.go))
+# The state database, tests aside: it answers parsed queries only.
+STATEDB_GO := $(filter-out %_test.go,$(wildcard internal/statedb/*.go))
 
 # The packages on the far side of core.Gateway: the clientseam analyzer bans
 # them as direct imports of internal/core, `go list -deps` below as indirect
@@ -86,9 +89,13 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery trace de
 # quietly bring encoding/json's decode back. Likewise the state database
 # reads a stored document one way, with richquery.Extract, for index
 # maintenance, index rebuilds and rich-query re-checks alike: outside query
-# parsing and the scanner, statedb and richquery call no reflective decoder. Keep chain tails out of slices:
-# the chain is read by number (blockstore.Each, Peer.Blocks, Client.Blocks),
-# and the two BlocksFrom collectors are left only for benchmark/. Check a
+# parsing and the scanner, statedb and richquery call no reflective decoder.
+# Parse a rich query once per use: the shim parses it per simulation and
+# rwset per re-validated query read, and every state reader is handed the
+# *richquery.Query, so statedb calls no ParseQuery. Keep chain tails out of
+# slices: the chain is read by number (blockstore.Each, Peer.Blocks,
+# Client.Blocks), and the two BlocksFrom collectors are left only for
+# benchmark/. Check a
 # block's data hash once, where it enters the process: at the committer's
 # admission, in the block-file loader, and in the VerifyChain audit — an
 # append or a block the process built itself is not re-hashed. Check a
@@ -114,6 +121,10 @@ analyze: vettool
 	@bad=$$(grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(STATE_GO)); \
 	if [ -n "$$bad" ]; then \
 		echo "a stored document decoded into a tree (read its fields with richquery.Extract):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nF 'ParseQuery(' $(STATEDB_GO)); \
+	if [ -n "$$bad" ]; then \
+		echo "the state database re-parses a query (ExecuteQuery takes the caller's *richquery.Query):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnF '.BlocksFrom(' --include='*.go' --exclude='*_test.go' internal cmd examples); \
 	if [ -n "$$bad" ]; then \

@@ -163,9 +163,15 @@ func ownerName(i int) string {
 	return fmt.Sprintf("x509::CN=owner-%03d,O=Org1,OU=client", i)
 }
 
+// timeQueries times parsing and answering each query, as a chaincode's
+// GetQueryResult does both.
 func timeQueries(s *statedb.Store, queries [][]byte) (float64, error) {
 	start := time.Now()
-	for _, q := range queries {
+	for _, raw := range queries {
+		q, err := richquery.ParseQuery(raw)
+		if err != nil {
+			return 0, err
+		}
 		if _, err := s.ExecuteQuery(q); err != nil {
 			return 0, err
 		}
@@ -175,11 +181,15 @@ func timeQueries(s *statedb.Store, queries [][]byte) (float64, error) {
 
 // sameAnswers confirms the indexed and scan paths return identical keys.
 func sameAnswers(a, b *statedb.Store, query []byte) error {
-	ra, err := a.ExecuteQuery(query)
+	q, err := richquery.ParseQuery(query)
 	if err != nil {
 		return err
 	}
-	rb, err := b.ExecuteQuery(query)
+	ra, err := a.ExecuteQuery(q)
+	if err != nil {
+		return err
+	}
+	rb, err := b.ExecuteQuery(q)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/recovery"
+	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -30,7 +31,11 @@ import (
 // provenance chaincode's by-owner secondary index.
 func tortureQuery(t *testing.T, p *Peer) []statedb.KV {
 	t.Helper()
-	res, err := p.state.ExecuteQuery([]byte(`{"selector":{"ts":{"$gt":0}},"sort":[{"ts":"asc"}]}`))
+	q, err := richquery.ParseQuery([]byte(`{"selector":{"ts":{"$gt":0}},"sort":[{"ts":"asc"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.state.ExecuteQuery(q)
 	if err != nil {
 		t.Fatalf("rich query: %v", err)
 	}

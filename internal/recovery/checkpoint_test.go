@@ -239,7 +239,11 @@ func TestOpenRecoversFromCheckpointPlusTail(t *testing.T) {
 		t.Errorf("history fingerprint = %s, want %s", fp, histFP)
 	}
 	// The rich-query index came back too, serving indexed queries.
-	res, err := got.State.ExecuteQuery([]byte(`{"selector":{"owner":"owner-item-003"}}`))
+	q, err := richquery.ParseQuery([]byte(`{"selector":{"owner":"owner-item-003"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := got.State.ExecuteQuery(q)
 	if err != nil || len(res.KVs) != 1 || res.KVs[0].Key != "item-003" {
 		t.Errorf("indexed query after recovery: %v %+v", err, res)
 	}

@@ -15,6 +15,13 @@ func indexedFixture(t *testing.T) *statedb.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seedAlice(t, s)
+	return s
+}
+
+// seedAlice commits three documents owned by alice, k0..k2, into s.
+func seedAlice(t *testing.T, s statedb.StateDB) {
+	t.Helper()
 	b := statedb.NewUpdateBatch()
 	for i, key := range []string{"k0", "k1", "k2"} {
 		doc, _ := json.Marshal(map[string]any{"owner": "alice", "n": i})
@@ -23,13 +30,16 @@ func indexedFixture(t *testing.T) *statedb.Store {
 	if err := s.ApplyUpdates(b, statedb.Version{BlockNum: 1, TxNum: 5}); err != nil {
 		t.Fatal(err)
 	}
-	return s
 }
 
-func aliceQueryRWS(t *testing.T, s *statedb.Store) *ReadWriteSet {
+func aliceQueryRWS(t *testing.T, s statedb.StateDB) *ReadWriteSet {
 	t.Helper()
 	query := []byte(`{"selector":{"owner":"alice"}}`)
-	res, err := s.ExecuteQuery(query)
+	q, err := richquery.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.ExecuteQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,21 +75,32 @@ func TestQueryReadValidates(t *testing.T) {
 	}
 }
 
+// A new record matching the selector commits after simulation: the
+// re-executed query sees an extra key, on an indexed Store and on the
+// ReferenceStore oracle alike.
 func TestQueryReadPhantomDetected(t *testing.T) {
-	s := indexedFixture(t)
-	rws := aliceQueryRWS(t, s)
-
-	// A new record matching the selector commits after simulation: the
-	// re-executed query sees an extra key.
-	b := statedb.NewUpdateBatch()
-	doc, _ := json.Marshal(map[string]any{"owner": "alice", "n": 9})
-	b.Put("k9", doc, statedb.Version{BlockNum: 2, TxNum: 0})
-	if err := s.ApplyUpdates(b, statedb.Version{BlockNum: 2, TxNum: 1}); err != nil {
-		t.Fatal(err)
-	}
-	err := Validate(rws, s, nil)
-	if err == nil || !strings.Contains(err.Error(), "phantom") {
-		t.Fatalf("phantom not detected: %v", err)
+	reference := statedb.NewReference()
+	seedAlice(t, reference)
+	for _, row := range []struct {
+		name string
+		s    statedb.StateDB
+	}{
+		{"indexed", indexedFixture(t)},
+		{"reference", reference},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rws := aliceQueryRWS(t, row.s)
+			b := statedb.NewUpdateBatch()
+			doc, _ := json.Marshal(map[string]any{"owner": "alice", "n": 9})
+			b.Put("k9", doc, statedb.Version{BlockNum: 2, TxNum: 0})
+			if err := row.s.ApplyUpdates(b, statedb.Version{BlockNum: 2, TxNum: 1}); err != nil {
+				t.Fatal(err)
+			}
+			err := Validate(rws, row.s, nil)
+			if err == nil || !strings.Contains(err.Error(), "phantom") {
+				t.Fatalf("phantom not detected: %v", err)
+			}
+		})
 	}
 }
 
@@ -101,8 +122,9 @@ func TestQueryReadResultChangeDetected(t *testing.T) {
 }
 
 func TestQueryReadBlockWriteConflict(t *testing.T) {
-	// Even without a rich-query state database, a key observed by the
-	// query that was written earlier in the same block must conflict.
+	// A key the query observed that was written earlier in the same block
+	// conflicts before the query is re-run, here on a Store without
+	// indexes, which answers the re-run by filtered scan.
 	plain := statedb.New()
 	b := statedb.NewUpdateBatch()
 	doc, _ := json.Marshal(map[string]any{"owner": "alice"})

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -219,23 +220,23 @@ func validateRange(rr RangeRead, state statedb.StateDB, blockWrites map[string]b
 	}
 }
 
-// validateQuery is the rich-query phantom check. When the committing state
-// database can execute rich queries (a statedb.Store, with or without
-// indexes), the query is re-run and its key set compared against the
-// simulated one; otherwise (the reference store) the observed keys are
-// checked against earlier-in-block writes, matching Fabric's weaker
-// guarantees for rich queries on CouchDB.
+// validateQuery is the rich-query phantom check: a key the query observed
+// must not have been written earlier in the block, and the query, re-run on
+// the committing state database, must return the simulated keys in the
+// simulated order. Every state database answers rich queries, the Store
+// from its indexes and the ReferenceStore oracle by filtered scan, so both
+// give the same verdict.
 func validateQuery(qr QueryRead, state statedb.StateDB, blockWrites map[string]bool) error {
 	for _, key := range qr.Keys {
 		if blockWrites[key] {
 			return fmt.Errorf("rwset: mvcc conflict in query on %q: written earlier in block", key)
 		}
 	}
-	rq, ok := state.(statedb.RichQueryer)
-	if !ok {
-		return nil
+	q, err := richquery.ParseQuery(qr.Query)
+	if err != nil {
+		return fmt.Errorf("rwset: re-execute query: %w", err)
 	}
-	res, err := rq.ExecuteQuery(qr.Query)
+	res, err := state.ExecuteQuery(q)
 	if err != nil {
 		return fmt.Errorf("rwset: re-execute query: %w", err)
 	}

@@ -22,18 +22,34 @@ func queryFixture(t *testing.T) (plain, indexed *statedb.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owners := []string{"alice", "bob"}
-	for _, s := range []statedb.StateDB{plain, indexed} {
-		b := statedb.NewUpdateBatch()
-		for i := 0; i < 10; i++ {
-			doc, _ := json.Marshal(map[string]any{"owner": owners[i%2], "n": i})
-			b.Put(fmt.Sprintf("k%02d", i), doc, statedb.Version{BlockNum: 1, TxNum: uint64(i)})
-		}
-		if err := s.ApplyUpdates(b, statedb.Version{BlockNum: 1, TxNum: 20}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	seedQueryDocs(t, plain)
+	seedQueryDocs(t, indexed)
 	return plain, indexed
+}
+
+// seedQueryDocs commits ten documents, k00..k09, owned by alice and bob in
+// turn.
+func seedQueryDocs(t *testing.T, s statedb.StateDB) {
+	t.Helper()
+	owners := []string{"alice", "bob"}
+	b := statedb.NewUpdateBatch()
+	for i := 0; i < 10; i++ {
+		doc, _ := json.Marshal(map[string]any{"owner": owners[i%2], "n": i})
+		b.Put(fmt.Sprintf("k%02d", i), doc, statedb.Version{BlockNum: 1, TxNum: uint64(i)})
+	}
+	if err := s.ApplyUpdates(b, statedb.Version{BlockNum: 1, TxNum: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustQuery parses a Mango query document the test holds to be valid.
+func mustQuery(t *testing.T, raw []byte) *richquery.Query {
+	t.Helper()
+	q, err := richquery.ParseQuery(raw)
+	if err != nil {
+		t.Fatalf("query %s: %v", raw, err)
+	}
+	return q
 }
 
 func queryStub(state statedb.StateDB) *Stub {
@@ -44,20 +60,25 @@ func queryStub(state statedb.StateDB) *Stub {
 	})
 }
 
-func TestGetQueryResultFallbackMatchesIndexed(t *testing.T) {
+// One stub query answers alike on every state reader: a Store that scans,
+// a Store that reads its index, and the ReferenceStore oracle.
+func TestGetQueryResultSameOnEveryReader(t *testing.T) {
 	plain, indexed := queryFixture(t)
+	reference := statedb.NewReference()
+	seedQueryDocs(t, reference)
 	for _, query := range []string{
 		`{"selector":{"owner":"alice"}}`,
 		`{"selector":{"n":{"$gte":3,"$lt":8}},"sort":[{"n":"desc"}]}`,
 		`{"owner":{"$in":["bob"]}}`, // bare selector form
 	} {
 		a := stubQueryKeys(t, queryStub(plain), query)
-		b := stubQueryKeys(t, queryStub(indexed), query)
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Errorf("query %s: plain %v != indexed %v", query, a, b)
-		}
 		if len(a) == 0 {
 			t.Errorf("query %s returned nothing", query)
+		}
+		for name, state := range map[string]statedb.StateDB{"indexed": indexed, "reference": reference} {
+			if b := stubQueryKeys(t, queryStub(state), query); fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Errorf("query %s: plain %v != %s %v", query, a, name, b)
+			}
 		}
 	}
 }
@@ -106,7 +127,7 @@ func TestGetQueryResultRecordsDependencies(t *testing.T) {
 		}
 	}
 	// The recorded query must be re-executable against the state database.
-	res, err := indexed.ExecuteQuery(rws.QueryReads[0].Query)
+	res, err := indexed.ExecuteQuery(mustQuery(t, rws.QueryReads[0].Query))
 	if err != nil {
 		t.Fatalf("recorded query does not re-execute: %v", err)
 	}

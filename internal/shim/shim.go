@@ -315,9 +315,10 @@ func (s *Stub) GetStateByPartialCompositeKey(objectType string, attrs []string) 
 // returns the matching entries in result order. The query is a JSON
 // document (see richquery.ParseQuery): a selector plus optional sort and
 // limit. Like range queries, rich-query results are served from committed
-// state only (in-simulation writes are not merged), and the query is
-// recorded in the rwset both as per-key version reads and as a re-executable
-// query read for phantom protection.
+// state only (in-simulation writes are not merged). An endorsement records
+// the query in the rwset both as per-key version reads and as a
+// re-executable query read for phantom protection; a query stub records and
+// marshals nothing.
 func (s *Stub) GetQueryResult(query string) ([]statedb.KV, error) {
 	kvs, _, err := s.executeQuery([]byte(query), 0, "")
 	return kvs, err
@@ -333,10 +334,9 @@ func (s *Stub) GetQueryResultWithPagination(query string, pageSize int, bookmark
 	return s.executeQuery([]byte(query), pageSize, bookmark)
 }
 
-// executeQuery parses and shapes the query, executes it on the state
-// database (natively when it supports rich queries, by filtered scan
-// otherwise), and records the read dependencies unless the stub serves a
-// query.
+// executeQuery parses and shapes the query once, has the state reader answer
+// it, and — unless the stub serves a query — records the read dependencies,
+// the query in its canonical wire form among them.
 func (s *Stub) executeQuery(query []byte, pageSize int, bookmark string) ([]statedb.KV, string, error) {
 	q, err := richquery.ParseQuery(query)
 	if err != nil {
@@ -348,25 +348,15 @@ func (s *Stub) executeQuery(query []byte, pageSize int, bookmark string) ([]stat
 	if bookmark != "" {
 		q.Bookmark = bookmark
 	}
-	wire, err := q.Marshal()
-	if err != nil {
-		return nil, "", fmt.Errorf("shim: marshal query: %w", err)
-	}
-
-	var res *statedb.QueryResult
-	if rq, ok := s.state.(statedb.RichQueryer); ok {
-		res, err = rq.ExecuteQuery(wire)
-	} else {
-		// A reader without rich queries of its own (the reference
-		// store): filtered scan through the exact pipeline a Store runs,
-		// so results are identical.
-		res, err = statedb.ScanQuery(s.state, wire)
-	}
+	res, err := s.state.ExecuteQuery(q)
 	if err != nil {
 		return nil, "", err
 	}
-
 	if !s.query {
+		wire, err := q.Marshal()
+		if err != nil {
+			return nil, "", fmt.Errorf("shim: marshal query: %w", err)
+		}
 		for _, kv := range res.KVs {
 			s.builder.AddRead(kv.Key, &kv.Version)
 		}

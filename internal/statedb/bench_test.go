@@ -187,7 +187,11 @@ func BenchmarkExecuteQuery(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				res, err := s.ExecuteQuery([]byte(bc.query))
+				q, err := richquery.ParseQuery([]byte(bc.query))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := s.ExecuteQuery(q)
 				if err != nil || len(res.KVs) != bc.results {
 					b.Fatalf("%s: %d results, %v", bc.query, len(res.KVs), err)
 				}

@@ -68,12 +68,12 @@ func (s *Store) DefineIndexes(defs []richquery.IndexDef) error {
 	return nil
 }
 
-// ExecuteQuery runs a Mango query against a snapshot at the current batch
-// boundary (see the snapshot's ExecuteQuery).
-func (s *Store) ExecuteQuery(query []byte) (*QueryResult, error) {
+// ExecuteQuery answers a parsed Mango query on a snapshot at the current
+// batch boundary (see the snapshot's ExecuteQuery).
+func (s *Store) ExecuteQuery(q *richquery.Query) (*QueryResult, error) {
 	sn := s.snapshot()
 	defer sn.Release()
-	return sn.ExecuteQuery(query)
+	return sn.ExecuteQuery(q)
 }
 
 // extractBatch reads what the indexes are to hold for each plain key the
@@ -98,23 +98,12 @@ func extractBatch(batch *UpdateBatch, paths [][]string) (keys []string, vals []a
 	return keys, vals, found
 }
 
-// ScanQuery executes a Mango query against any state reader with a
-// filtered full scan — the oracle for the index-served path, and the
-// fallback for readers without rich-query support (the ReferenceStore).
-// Live stores are snapshotted first so the scan is consistent. It runs the
-// identical pipeline a Store uses, which is what keeps fallback and indexed
-// results interchangeable.
-func ScanQuery(s StateReader, query []byte) (*QueryResult, error) {
-	q, err := richquery.ParseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	if sp, ok := s.(interface{ Snapshot() Snapshot }); ok {
-		snap := sp.Snapshot()
-		defer snap.Release()
-		s = snap
-	}
-	return finishQuery(s, q, scanCandidates(s))
+// scanQuery answers q on r with a filtered full scan through the pipeline
+// a Store's planner ends in, so the ReferenceStore oracle and an indexed
+// Store return identical pages. r must not change underneath: it is a
+// snapshot.
+func scanQuery(r StateReader, q *richquery.Query) (*QueryResult, error) {
+	return finishQuery(r, q, scanCandidates(r))
 }
 
 // scanCandidates streams every live value from r, undecoded: Apply reads

@@ -31,9 +31,19 @@ func docBytes(t *testing.T, fields map[string]any) []byte {
 	return b
 }
 
+// mustQuery parses a Mango query document the test holds to be valid.
+func mustQuery(t testing.TB, raw string) *richquery.Query {
+	t.Helper()
+	q, err := richquery.ParseQuery([]byte(raw))
+	if err != nil {
+		t.Fatalf("query %s: %v", raw, err)
+	}
+	return q
+}
+
 func queryKeys(t *testing.T, s *Store, query string) []string {
 	t.Helper()
-	res, err := s.ExecuteQuery([]byte(query))
+	res, err := s.ExecuteQuery(mustQuery(t, query))
 	if err != nil {
 		t.Fatalf("query %s: %v", query, err)
 	}
@@ -232,8 +242,8 @@ func TestDefineIndexesAtomic(t *testing.T) {
 	}
 }
 
-// TestScanQueryMatchesExecuteQuery pins the shared-pipeline property the
-// shim fallback relies on.
+// TestScanQueryMatchesExecuteQuery pins the shared pipeline: the filtered
+// scan the ReferenceStore answers with returns the page the index serves.
 func TestScanQueryMatchesExecuteQuery(t *testing.T) {
 	s := mustIndexed(t, richquery.IndexDef{Name: "by-owner", Field: "owner"})
 	b := NewUpdateBatch()
@@ -244,17 +254,19 @@ func TestScanQueryMatchesExecuteQuery(t *testing.T) {
 	if err := s.ApplyUpdates(b, Version{BlockNum: 1, TxNum: 20}); err != nil {
 		t.Fatal(err)
 	}
-	query := []byte(`{"selector":{"owner":"o1"},"sort":[{"owner":"desc"}]}`)
+	query := mustQuery(t, `{"selector":{"owner":"o1"},"sort":[{"owner":"desc"}]}`)
 	indexed, err := s.ExecuteQuery(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := ScanQuery(s, query)
+	sn := s.Snapshot()
+	defer sn.Release()
+	scanned, err := scanQuery(sn, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(indexed.KVs) != fmt.Sprint(scanned.KVs) {
-		t.Errorf("ScanQuery diverges from ExecuteQuery:\n%v\n%v", scanned.KVs, indexed.KVs)
+		t.Errorf("scanQuery diverges from ExecuteQuery:\n%v\n%v", scanned.KVs, indexed.KVs)
 	}
 	if len(indexed.KVs) != 3 {
 		t.Errorf("query found %d, want 3", len(indexed.KVs))
@@ -279,7 +291,7 @@ func TestIndexedStorePagination(t *testing.T) {
 			q["bookmark"] = bookmark
 		}
 		raw, _ := json.Marshal(q)
-		res, err := s.ExecuteQuery(raw)
+		res, err := s.ExecuteQuery(mustQuery(t, string(raw)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,12 +318,13 @@ func TestIndexedStorePagination(t *testing.T) {
 	}
 }
 
+// A store is handed parsed queries only: a bad one is refused where it is
+// parsed, before any reader sees it.
 func TestIndexedStoreRejectsBadQuery(t *testing.T) {
-	s := mustIndexed(t)
-	if _, err := s.ExecuteQuery([]byte(`{"selector":{"a":{"$bogus":1}}}`)); err == nil {
+	if _, err := richquery.ParseQuery([]byte(`{"selector":{"a":{"$bogus":1}}}`)); err == nil {
 		t.Error("bad query accepted")
 	}
-	if _, err := s.ExecuteQuery([]byte(`not json`)); err == nil {
+	if _, err := richquery.ParseQuery([]byte(`not json`)); err == nil {
 		t.Error("non-JSON query accepted")
 	}
 }
@@ -418,10 +431,11 @@ func TestDefineIndexesDuringApplyUpdates(t *testing.T) {
 			}
 		}
 	}()
+	query := mustQuery(t, `{"selector":{"a":{"$gt":0}}}`)
 	go func() { // a reader, for the race detector
 		defer wg.Done()
 		for s.Height().BlockNum < blocks {
-			if _, err := s.ExecuteQuery([]byte(`{"selector":{"a":{"$gt":0}}}`)); err != nil {
+			if _, err := s.ExecuteQuery(query); err != nil {
 				t.Error(err)
 				return
 			}
@@ -480,7 +494,7 @@ func TestExecuteQuerySeesOneBoundary(t *testing.T) {
 	done := make(chan struct{})
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func(query []byte) {
+		go func(raw string, query *richquery.Query) {
 			defer wg.Done()
 			for {
 				select {
@@ -489,20 +503,20 @@ func TestExecuteQuerySeesOneBoundary(t *testing.T) {
 				default:
 				}
 				if !check(s.ExecuteQuery(query)) {
-					t.Errorf("%s on the store: not the %d documents of one boundary", query, n)
+					t.Errorf("%s on the store: not the %d documents of one boundary", raw, n)
 					return
 				}
 				sn := s.snapshot()
 				for range 3 { // the same answer however many commits land meanwhile
 					if !check(sn.ExecuteQuery(query)) {
-						t.Errorf("%s on a snapshot at %v: not the %d documents of its boundary", query, sn.Height(), n)
+						t.Errorf("%s on a snapshot at %v: not the %d documents of its boundary", raw, sn.Height(), n)
 						sn.Release()
 						return
 					}
 				}
 				sn.Release()
 			}
-		}([]byte(queries[r%len(queries)]))
+		}(queries[r%len(queries)], mustQuery(t, queries[r%len(queries)]))
 	}
 
 	rng := rand.New(rand.NewSource(39))

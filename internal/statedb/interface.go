@@ -1,5 +1,7 @@
 package statedb
 
+import "github.com/hyperprov/hyperprov/internal/richquery"
+
 // Iterator streams ordered state entries. Next returns the next entry in
 // key order until the range is exhausted; Close ends the scan early and
 // releases any backing snapshot (Next closes the iterator itself on
@@ -11,9 +13,9 @@ type Iterator interface {
 	Close()
 }
 
-// StateReader is the read-only surface shared by live stores, snapshots,
-// and simulation views; chaincode stubs and query execution depend only on
-// it.
+// StateReader is the read-only surface shared by live stores and their
+// snapshots, rich queries included: every reader answers a parsed query, so
+// a chaincode stub depends on nothing else.
 type StateReader interface {
 	// Get returns the committed value and version for key.
 	Get(key string) (VersionedValue, bool)
@@ -23,6 +25,10 @@ type StateReader interface {
 	GetRange(startKey, endKey string) Iterator
 	// GetByPartialCompositeKey streams composite keys matching the prefix.
 	GetByPartialCompositeKey(objectType string, attrs []string) (Iterator, error)
+	// ExecuteQuery answers a parsed Mango query (see richquery.ParseQuery)
+	// with one result page at one batch boundary. The caller parses; the
+	// reader never re-parses what it is handed.
+	ExecuteQuery(q *richquery.Query) (*QueryResult, error)
 }
 
 // Snapshot is a height-stamped consistent read view at a batch boundary.
@@ -48,8 +54,9 @@ type Snapshot interface {
 // and the ReferenceStore oracle implement it; the committer, rwset
 // validation and the recovery manager depend only on this interface (a
 // chaincode stub only on StateReader), so the oracle can stand in for the
-// Store in their tests, mirroring Fabric's VersionedDB seam. A peer holds a
-// Store.
+// Store in their tests — rich-query phantom checks included, since both
+// re-execute a query read — mirroring Fabric's VersionedDB seam. A peer
+// holds a Store.
 type StateDB interface {
 	StateReader
 	// Height returns the version of the last applied update batch.
@@ -74,22 +81,10 @@ type QueryResult struct {
 	Bookmark string
 }
 
-// RichQueryer is implemented by readers that execute Mango queries
-// themselves: a Store and its snapshots, each at one batch boundary.
-// Callers type-assert and fall back to ScanQuery otherwise (the
-// ReferenceStore oracle).
-type RichQueryer interface {
-	// ExecuteQuery runs a Mango query document (see richquery.ParseQuery)
-	// and returns one result page.
-	ExecuteQuery(query []byte) (*QueryResult, error)
-}
-
 // Compile-time interface checks.
 var (
-	_ StateDB     = (*Store)(nil)
-	_ StateDB     = (*ReferenceStore)(nil)
-	_ Snapshot    = (*storeSnapshot)(nil)
-	_ Snapshot    = (*frozenSnapshot)(nil)
-	_ RichQueryer = (*Store)(nil)
-	_ RichQueryer = (*storeSnapshot)(nil)
+	_ StateDB  = (*Store)(nil)
+	_ StateDB  = (*ReferenceStore)(nil)
+	_ Snapshot = (*storeSnapshot)(nil)
+	_ Snapshot = (*frozenSnapshot)(nil)
 )

@@ -15,14 +15,14 @@ import (
 
 // A rich query has three ways to run: an exact index range (no document
 // read), an index range re-checked per document, and a filtered scan.
-// These tests pin all three to one answer, with ScanQuery over the
-// single-lock ReferenceStore as the oracle.
+// These tests pin all three to one answer, with the single-lock
+// ReferenceStore's filtered scan as the oracle.
 
 // queryStores is one corpus held three ways.
 type queryStores struct {
 	indexed *Store          // indexes on the queried fields
 	plain   *Store          // same engine, no index: always scans
-	ref     *ReferenceStore // oracle, through ScanQuery
+	ref     *ReferenceStore // oracle: always a filtered scan
 	block   uint64
 }
 
@@ -48,7 +48,7 @@ type page struct {
 }
 
 // walk runs query to exhaustion, following bookmarks.
-func walk(t *testing.T, run func([]byte) (*QueryResult, error), query map[string]any) []page {
+func walk(t *testing.T, run func(*richquery.Query) (*QueryResult, error), query map[string]any) []page {
 	t.Helper()
 	var pages []page
 	for {
@@ -56,7 +56,7 @@ func walk(t *testing.T, run func([]byte) (*QueryResult, error), query map[string
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := run(raw)
+		res, err := run(mustQuery(t, string(raw)))
 		if err != nil {
 			t.Fatalf("query %s: %v", raw, err)
 		}
@@ -82,7 +82,7 @@ func (qs *queryStores) agree(t *testing.T, query map[string]any) []page {
 		return c
 	}
 	raw, _ := json.Marshal(query)
-	want := walk(t, func(q []byte) (*QueryResult, error) { return ScanQuery(qs.ref, q) }, clone())
+	want := walk(t, qs.ref.ExecuteQuery, clone())
 	if got := walk(t, qs.indexed.ExecuteQuery, clone()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("query %s:\nindexed   %v\nreference %v", raw, pageKeys(got), pageKeys(want))
 	}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/hyperprov/hyperprov/internal/richquery"
 )
 
 // ReferenceStore is the original state database: one RWMutex over one flat
@@ -115,6 +117,15 @@ func (s *ReferenceStore) GetByPartialCompositeKey(objectType string, attrs []str
 	return &sliceIter{kvs: out}, nil
 }
 
+// ExecuteQuery answers a parsed Mango query with a filtered scan of a
+// snapshot: no index, the same order/bookmark/limit pipeline as the Store,
+// hence the same pages.
+func (s *ReferenceStore) ExecuteQuery(q *richquery.Query) (*QueryResult, error) {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.ExecuteQuery(q)
+}
+
 // Snapshot deep-copies the whole map under the lock — the blocking O(n)
 // capture the Store's O(1) copy-on-write snapshots replace.
 func (s *ReferenceStore) Snapshot() Snapshot {
@@ -149,8 +160,7 @@ func (s *ReferenceStore) Restore(snap map[string]VersionedValue, height Version)
 }
 
 // frozenSnapshot is a fully materialized snapshot: a deep copy frozen at
-// creation, trivially consistent. The reference store and restored
-// checkpoints use it.
+// creation, trivially consistent. ReferenceStore.Snapshot builds it.
 type frozenSnapshot struct {
 	data   map[string]VersionedValue
 	height Version
@@ -212,6 +222,10 @@ func (sn *frozenSnapshot) GetByPartialCompositeKey(objectType string, attrs []st
 		}
 	}
 	return &sliceIter{kvs: out}, nil
+}
+
+func (sn *frozenSnapshot) ExecuteQuery(q *richquery.Query) (*QueryResult, error) {
+	return scanQuery(sn, q)
 }
 
 func (sn *frozenSnapshot) All() Iterator {

@@ -227,19 +227,15 @@ func Collect(it Iterator) []KV {
 	}
 }
 
-// ExecuteQuery runs a Mango query at the snapshot boundary. The planner
-// picks one of the pinned index versions; when the plan is exact the range
-// of keys it yields is the match set and goes to ordering and pagination as
-// it is; otherwise candidate values are read from the snapshot — a full
-// filtered scan when no index applies — and the selector is re-applied to
-// each through Extract. All three run the same order/bookmark/limit
+// ExecuteQuery answers a parsed Mango query at the snapshot boundary. The
+// planner picks one of the pinned index versions; when the plan is exact the
+// range of keys it yields is the match set and goes to ordering and
+// pagination as it is; otherwise candidate values are read from the
+// snapshot — a full filtered scan when no index applies — and the selector
+// is re-applied to each through Extract. All three run the same order/bookmark/limit
 // pipeline, so they return identical pages, and none holds a lock a commit
 // waits on.
-func (sn *storeSnapshot) ExecuteQuery(query []byte) (*QueryResult, error) {
-	q, err := richquery.ParseQuery(query)
-	if err != nil {
-		return nil, err
-	}
+func (sn *storeSnapshot) ExecuteQuery(q *richquery.Query) (*QueryResult, error) {
 	m := sn.store.metrics.Load()
 	plan := richquery.ChooseIndex(q, sn.indexes)
 	var cands []richquery.Candidate

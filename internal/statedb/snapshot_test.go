@@ -226,7 +226,7 @@ func TestViewReadsAndRichQueries(t *testing.T) {
 		t.Fatalf("view d1 = %q", vv.Value)
 	}
 	// Rich queries too (index-served), phantom-validated at commit.
-	res, err := view.ExecuteQuery([]byte(`{"selector":{"owner":"alice"}}`))
+	res, err := view.ExecuteQuery(mustQuery(t, `{"selector":{"owner":"alice"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestViewReadsAndRichQueries(t *testing.T) {
 	pv := plain.snapshot()
 	defer pv.Release()
 	mustApply(t, plain, 2, map[string]string{"p1": `{"owner":"erin"}`})
-	res, err = pv.ExecuteQuery([]byte(`{"selector":{"owner":"dave"}}`))
+	res, err = pv.ExecuteQuery(mustQuery(t, `{"selector":{"owner":"dave"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,9 @@
 # for a `.VerifyData(` re-check outside the three places a block's data hash
 # is checked and for an off-chain `VerifyChecksum(` outside the two places a
 # payload is re-checked, greps for a shim.Config marked Query outside
-# internal/peer, and checks internal/core's whole import cone against the
-# network-side packages.
+# internal/peer and for a GetStateView( (a read that aliases the store) outside
+# the provenance chaincode and the shim, and checks internal/core's whole
+# import cone against the network-side packages.
 #
 # Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
 # `profile-catchup` write CPU and allocation profiles of the write path, the
@@ -108,9 +109,12 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery trace de
 # g.exec.Sign() charges are the client machine's modeled cost, not a
 # signature). Keep a query stub to Peer.Query: a stub marked Query records
 # no reads, so an endorsement built on one would carry no read set for MVCC
-# to check; only internal/peer constructs one. Last, keep the client
-# library's import cone closed: an analyzer sees direct imports only, so ask
-# the go command for the transitive set.
+# to check; only internal/peer constructs one. Keep the aliasing read to
+# the provenance chaincode: GetStateView returns the stored bytes, which the
+# lineage and descendant walks splice and never write, so outside the
+# chaincode and the shim every caller reads its own copy with GetState.
+# Last, keep the client library's import cone closed: an analyzer sees
+# direct imports only, so ask the go command for the transitive set.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 	@bad=$$( { grep -nE 'json\.(Unmarshal|NewDecoder)\(' $(CORE_GO); \
@@ -149,6 +153,11 @@ analyze: vettool
 		grep -v '^internal/peer/' | xargs -r grep -HnE '\bQuery[[:space:]]*:|\.Query[[:space:]]*=[^=]'); \
 	if [ -n "$$bad" ]; then \
 		echo "a shim stub marked Query outside Peer.Query (an endorsement's stub must record its reads):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF 'GetStateView(' --include='*.go' --exclude='*_test.go' --exclude-dir=out internal cmd examples benchmark | \
+		grep -vE '^internal/(chaincode/provenance|shim)/'); \
+	if [ -n "$$bad" ]; then \
+		echo "a state read that aliases the store outside the provenance chaincode (read a copy with GetState):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$($(GO) list -deps ./internal/core | grep -E '/internal/($(subst $(eval) ,|,$(NETWORK_SIDE)))$$'); \
 	if [ -n "$$bad" ]; then \

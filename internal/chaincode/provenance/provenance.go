@@ -433,7 +433,8 @@ func (cc *Chaincode) getLineage(stub *shim.Stub) shim.Response {
 }
 
 // walkAncestors collects the stored records of start and its ancestors,
-// decoding of each only the parents that drive the traversal.
+// decoding of each only the parents that drive the traversal. Each record is
+// read as a view (GetStateView): the reply is its one copy.
 func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([][]byte, error) {
 	seen := map[string]bool{start: true}
 	frontier := []string{start}
@@ -444,7 +445,7 @@ func (cc *Chaincode) walkAncestors(stub *shim.Stub, start string) ([][]byte, err
 	for depth := 0; len(frontier) > 0 && depth < maxLineageDepth; depth++ {
 		var next []string
 		for _, key := range frontier {
-			raw, err := stub.GetState(key)
+			raw, err := stub.GetStateView(key)
 			if err != nil {
 				return nil, err
 			}
@@ -492,7 +493,8 @@ func (cc *Chaincode) getDescendants(stub *shim.Stub) shim.Response {
 }
 
 // walkDescendants collects the stored records reachable from start over at
-// most maxDepth child edges, breadth-first, start excluded.
+// most maxDepth child edges, breadth-first, start excluded. Like the edges,
+// each record is read as a view; the reply is its one copy.
 func (cc *Chaincode) walkDescendants(stub *shim.Stub, start string, maxDepth int) ([][]byte, error) {
 	seen := map[string]bool{start: true}
 	frontier := []string{start}
@@ -514,7 +516,7 @@ func (cc *Chaincode) walkDescendants(stub *shim.Stub, start string, maxDepth int
 					continue
 				}
 				seen[child] = true
-				raw, err := stub.GetState(child)
+				raw, err := stub.GetStateView(child)
 				if err != nil {
 					return nil, fmt.Errorf("read %q: %v", child, err)
 				}

@@ -2,7 +2,6 @@ package provenance
 
 import (
 	"encoding/json"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -131,26 +130,19 @@ func (cc *Chaincode) getByTimeRange(stub *shim.Stub) shim.Response {
 // fieldQuery runs an equality rich query on one field and returns the
 // matching records as a JSON array.
 func (cc *Chaincode) fieldQuery(stub *shim.Stub, field, value string) shim.Response {
-	raw, err := equalitySelector(field, value)
-	if err != nil {
-		return shim.Errorf("query %s: %v", field, err)
-	}
-	kvs, err := stub.GetQueryResult(raw)
+	kvs, err := stub.GetQueryResult(equalitySelector(field, value))
 	if err != nil {
 		return shim.Errorf("query %s: %v", field, err)
 	}
 	return shim.Success(appendRecords(nil, queryRecords(kvs)))
 }
 
-// equalitySelector builds {"selector": {field: {"$eq": value}}}.
-func equalitySelector(field, value string) (string, error) {
-	raw, err := json.Marshal(map[string]any{
-		"selector": map[string]any{field: map[string]any{"$eq": value}},
-	})
-	if err != nil {
-		return "", fmt.Errorf("marshal selector: %w", err)
-	}
-	return string(raw), nil
+// equalitySelector renders {"selector": {field: {"$eq": value}}} as
+// json.Marshal does.
+func equalitySelector(field, value string) string {
+	out := appendString([]byte(`{"selector":{`), field)
+	out = appendString(append(out, `:{"$eq":`...), value)
+	return string(append(out, "}}}"...))
 }
 
 // queryRecords returns the stored values of a rich-query result. The state

@@ -216,3 +216,25 @@ func TestIndexDeclarations(t *testing.T) {
 	}
 	var _ richquery.IndexDef = defs[0]
 }
+
+// equalitySelector renders its query by hand; the text must be what
+// json.Marshal renders for the nested maps, escapes included, in the field
+// name as in the value.
+func TestEqualitySelectorMatchesMarshal(t *testing.T) {
+	for _, s := range []string{
+		"raw", "", `say "hi"`, `back\slash`, "<b>", "a&b", "ctl\x00\x01\x1f\n\t\x7f",
+		"naïve ✓ 日本", "bad\xff\xfe utf-8 \xc3", "  ",
+	} {
+		for _, field := range []string{"owner", "meta." + s} {
+			want, err := json.Marshal(map[string]any{
+				"selector": map[string]any{field: map[string]any{"$eq": s}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := equalitySelector(field, s); got != string(want) {
+				t.Errorf("equalitySelector(%q, %q)\n= %s\nwant %s", field, s, got, want)
+			}
+		}
+	}
+}

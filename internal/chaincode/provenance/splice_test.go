@@ -31,11 +31,7 @@ func (reference) Invoke(stub *shim.Stub) shim.Response {
 		return shim.Success(payload)
 	}
 	fieldQuery := func(field, value string) shim.Response {
-		raw, err := equalitySelector(field, value)
-		if err != nil {
-			return shim.Errorf("query %s: %v", field, err)
-		}
-		kvs, err := stub.GetQueryResult(raw)
+		kvs, err := stub.GetQueryResult(equalitySelector(field, value))
 		if err != nil {
 			return shim.Errorf("query %s: %v", field, err)
 		}

@@ -85,13 +85,17 @@ func readPaths(n node, table [][]string) [][]string {
 
 // ApplyExact is Apply for a plan with Plan.Exact set: keys are the index
 // range, already the selector's match set, so no document is read or
-// matched; q has no sort, so ordering needs only the keys.
+// matched; q has no sort, so the order is the document key's, which
+// encodeComponent preserves. keys is sorted in place and the page is a
+// subslice of it; only the keys the bookmark search probes, and the page's
+// last, are encoded as order keys.
 func ApplyExact(q *Query, keys []string) (page []string, next string, err error) {
-	matched := make([]ranked, len(keys))
-	for i, key := range keys {
-		matched[i] = ranked{key: key, ord: orderKey(q, key, nil, nil)}
+	slices.Sort(keys)
+	start, end, next, err := window(q, len(keys), func(i int) string { return encodeComponent(keys[i], "") })
+	if err != nil {
+		return nil, "", err
 	}
-	return paginate(q, matched)
+	return keys[start:end], next, nil
 }
 
 // ranked is one matching document key with its composite order key.
@@ -103,31 +107,36 @@ type ranked struct {
 // paginate orders matched, resumes after q.Bookmark and truncates to
 // q.Limit.
 func paginate(q *Query, matched []ranked) (keys []string, next string, err error) {
-	var resume string
-	if q.Bookmark != "" {
-		b, err := base64.RawURLEncoding.DecodeString(q.Bookmark)
-		if err != nil {
-			return nil, "", fmt.Errorf("richquery: invalid bookmark: %w", err)
-		}
-		resume = string(b)
-	}
 	sort.Slice(matched, func(i, j int) bool { return matched[i].ord < matched[j].ord })
-
-	start := 0
-	if resume != "" {
-		start = sort.Search(len(matched), func(i int) bool { return matched[i].ord > resume })
-	}
-	end := len(matched)
-	if q.Limit > 0 && start+q.Limit < end {
-		end = start + q.Limit
+	start, end, next, err := window(q, len(matched), func(i int) string { return matched[i].ord })
+	if err != nil {
+		return nil, "", err
 	}
 	for _, m := range matched[start:end] {
 		keys = append(keys, m.key)
 	}
-	if end < len(matched) && len(keys) > 0 {
-		next = base64.RawURLEncoding.EncodeToString([]byte(matched[end-1].ord))
-	}
 	return keys, next, nil
+}
+
+// window places one page in n results ordered by their order keys ord(i):
+// [start, end) resumes after q.Bookmark and holds at most q.Limit results,
+// and next is the bookmark for the rest ("" when the page ends them).
+func window(q *Query, n int, ord func(i int) string) (start, end int, next string, err error) {
+	resume, err := base64.RawURLEncoding.DecodeString(q.Bookmark)
+	if err != nil {
+		return 0, 0, "", fmt.Errorf("richquery: invalid bookmark: %w", err)
+	}
+	if len(resume) > 0 {
+		start = sort.Search(n, func(i int) bool { return ord(i) > string(resume) })
+	}
+	end = n
+	if q.Limit > 0 && start+q.Limit < end {
+		end = start + q.Limit
+	}
+	if end < n && end > start {
+		next = base64.RawURLEncoding.EncodeToString([]byte(ord(end - 1)))
+	}
+	return start, end, next, nil
 }
 
 // orderKey builds an order-preserving composite sort key: one

@@ -3,9 +3,16 @@
 // contract) is written against the Stub, which serves reads from the peer's
 // committed state. An endorsement's stub records the read/write set the
 // endorsement returns to the client; a query's stub records no reads.
+//
+// GetState returns the caller's own copy of a value. GetStateView, and the
+// KVs of the range, composite-key and rich-query reads, return the stored
+// bytes themselves: they alias committed state (or the simulation's pending
+// write), stay valid for the life of the simulation, and must never be
+// written to.
 package shim
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -73,7 +80,9 @@ type ClientIdentity struct {
 
 // Stub gives one chaincode invocation access to ledger state, identity, and
 // transaction context. It stages writes into an rwset and, unless it serves
-// a query, records every read there too.
+// a query, records every read there too. GetState copies what it reads; the
+// values GetStateView and the range and query reads return alias the store
+// for the life of the simulation and are read-only.
 type Stub struct {
 	txID      string
 	channelID string
@@ -176,30 +185,39 @@ func (s *Stub) TxTimestamp() time.Time { return s.timestamp }
 
 // GetState reads a key, returning nil if absent. Reads see this
 // simulation's own writes first (read-your-writes), then committed state.
+// The value is the caller's own copy.
 func (s *Stub) GetState(key string) ([]byte, error) {
+	val, err := s.GetStateView(key)
+	return bytes.Clone(val), err
+}
+
+// GetStateView is GetState without the copy: the value it returns is the
+// stored one — committed state, or this simulation's pending write — as the
+// KVs of GetStateByRange and GetQueryResult are. It stays valid for the life
+// of the simulation and must never be written to. An absent or deleted key
+// reads as nil, a present empty value as a non-nil empty slice.
+func (s *Stub) GetStateView(key string) ([]byte, error) {
 	if key == "" {
 		return nil, statedb.ErrEmptyKey
 	}
-	if val, deleted, ok := s.builder.PendingWrite(key); ok {
-		if deleted {
-			return nil, nil
-		}
-		out := make([]byte, len(val))
-		copy(out, val)
-		return out, nil
-	}
-	vv, ok := s.state.Get(key)
-	if !s.query && ok {
-		s.builder.AddRead(key, &vv.Version)
-	} else if !s.query {
-		s.builder.AddRead(key, nil)
-	}
+	val, deleted, ok := s.builder.PendingWrite(key)
 	if !ok {
-		return nil, nil
+		var vv statedb.VersionedValue
+		vv, ok = s.state.Get(key)
+		if !s.query && ok {
+			s.builder.AddRead(key, &vv.Version)
+		} else if !s.query {
+			s.builder.AddRead(key, nil)
+		}
+		val = vv.Value
 	}
-	out := make([]byte, len(vv.Value))
-	copy(out, vv.Value)
-	return out, nil
+	switch {
+	case !ok || deleted:
+		return nil, nil
+	case val == nil:
+		return []byte{}, nil // present but empty, which must not read as absent
+	}
+	return val, nil
 }
 
 // validateWriteKey rejects malformed keys at the write gate: a key is

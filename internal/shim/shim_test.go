@@ -200,6 +200,62 @@ func TestGetStateCopies(t *testing.T) {
 	}
 }
 
+// GetStateView is GetState without the copy: for a committed, absent,
+// empty, staged or deleted key the two return the same bytes (nil exactly
+// when the key reads as absent) and the same error, and an endorsement's
+// stub records the same rwset after either.
+func TestGetStateViewMatchesGetState(t *testing.T) {
+	st := statedb.New()
+	b, v := statedb.NewUpdateBatch(), statedb.Version{BlockNum: 1}
+	b.Put("k", []byte("value"), v)
+	b.Put("empty", nil, v) // an empty value committed from the wire is nil
+	if err := st.ApplyUpdates(b, v); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, key string
+		stage     func(s *Stub) error
+		want      []byte
+		wantErr   error
+	}{
+		{"committed", "k", nil, []byte("value"), nil},
+		{"committed empty", "empty", nil, []byte{}, nil},
+		{"absent", "nope", nil, nil, nil},
+		{"empty key", "", nil, nil, statedb.ErrEmptyKey},
+		{"written", "k", func(s *Stub) error { return s.PutState("k", []byte("new")) }, []byte("new"), nil},
+		{"written empty", "fresh", func(s *Stub) error { return s.PutState("fresh", nil) }, []byte{}, nil},
+		{"deleted", "k", func(s *Stub) error { return s.DelState("k") }, nil, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			read := func(get func(*Stub, string) ([]byte, error)) ([]byte, error, []byte) {
+				s := NewStub(Config{State: st})
+				if c.stage != nil {
+					if err := c.stage(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				val, err := get(s, c.key)
+				return val, err, s.RWSet().Marshal()
+			}
+			view, viewErr, viewRWS := read((*Stub).GetStateView)
+			cp, cpErr, cpRWS := read((*Stub).GetState)
+			for _, got := range []struct {
+				fn  string
+				val []byte
+				err error
+			}{{"GetStateView", view, viewErr}, {"GetState", cp, cpErr}} {
+				if !bytes.Equal(got.val, c.want) || (got.val == nil) != (c.want == nil) || got.err != c.wantErr {
+					t.Errorf("%s(%q) = %q (nil %t), %v; want %q (nil %t), %v",
+						got.fn, c.key, got.val, got.val == nil, got.err, c.want, c.want == nil, c.wantErr)
+				}
+			}
+			if !bytes.Equal(viewRWS, cpRWS) {
+				t.Errorf("rwsets differ:\nGetStateView %x\nGetState     %x", viewRWS, cpRWS)
+			}
+		})
+	}
+}
+
 func TestClientFallsBackToVerbatimCreator(t *testing.T) {
 	resolved := NewStub(Config{
 		Creator: []byte("wire bytes"),

@@ -302,9 +302,10 @@ profile-catchup:
 	$(call profile,fabric,BenchmarkCatchupRealClock,1000x,catchup)
 
 # Crash-recovery torture tests, repeated: the randomized kill points cover
-# different interleavings on every -count iteration.
+# different interleavings on every -count iteration. The checkpoint codec,
+# LoadLatest and manager tests ride along.
 crash-test:
-	$(GO) test -count=3 -run 'Torture|Crash|Recover|FileStore' \
+	$(GO) test -count=3 -run 'Torture|Crash|Recover|FileStore|Checkpoint|LoadLatest|Manager' \
 		./internal/recovery/ ./internal/peer/ ./internal/blockstore/
 
 # Multi-process deployment smoke test: one -peer-serve process, two -join

@@ -96,16 +96,13 @@ type Config struct {
 }
 
 // Capture is one consistent state view at a block boundary. State is a
-// height-stamped copy-on-write snapshot, not a materialized map: taking it
-// in the MVCC stage costs O(1), so checkpoint boundaries no longer stall
-// the apply path behind a full-state deep copy. The consumer (the recovery
-// manager, in the persistence stage) materializes what it needs and MUST
-// Release the snapshot.
+// height-stamped copy-on-write snapshot: taking it in the MVCC stage costs
+// O(1), so checkpoint boundaries never stall the apply path. The consumer
+// (the recovery manager, in the persistence stage) streams the snapshot's
+// entries into the checkpoint, copying no value, and MUST Release it.
 type Capture struct {
 	// Height is the number of blocks the snapshot reflects.
 	Height uint64
-	// StateHeight is the state database's version at the snapshot.
-	StateHeight statedb.Version
 	// State is the live state pinned at the boundary, its rich-query
 	// indexes included. The OnCheckpoint consumer releases it.
 	State statedb.Snapshot
@@ -187,19 +184,14 @@ func (t *task) txIDs() []string {
 // asks for one. It must run immediately after applyState, before any later
 // block is applied — that ordering is what makes the capture sit exactly at
 // the block boundary. The pin itself is O(1) copy-on-write, index versions
-// included; the state and index entries are copied downstream, in the
-// persistence stage.
+// included; the persistence stage reads the state and index entries out of
+// it.
 func captureState(cfg Config, t *task) {
 	h := t.b.Header.Number + 1
 	if !cfg.wantCapture(h) {
 		return
 	}
-	snap := cfg.State.Snapshot()
-	t.capture = &Capture{
-		Height:      h,
-		StateHeight: snap.Height(),
-		State:       snap,
-	}
+	t.capture = &Capture{Height: h, State: cfg.State.Snapshot()}
 }
 
 // newTask shadows the ordered block with a shallow copy that owns its

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"iter"
 
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
@@ -19,15 +19,21 @@ import (
 func StateFingerprint(s statedb.StateDB) string {
 	snap := s.Snapshot()
 	defer snap.Release()
-	h := sha256.New()
-	var num [8]byte
 	it := snap.All()
 	defer it.Close()
-	for {
-		kv, ok := it.Next()
-		if !ok {
-			break
+	return Fingerprint(func(yield func(statedb.KV) bool) {
+		for kv, ok := it.Next(); ok && yield(kv); kv, ok = it.Next() {
 		}
+	})
+}
+
+// Fingerprint hashes a whole state given as its entries in key order — a
+// snapshot's All, or a checkpoint's State, which is stamped with it at
+// write time and checked against it on load.
+func Fingerprint(kvs iter.Seq[statedb.KV]) string {
+	h := sha256.New()
+	var num [8]byte
+	for kv := range kvs {
 		binary.BigEndian.PutUint64(num[:], uint64(len(kv.Key)))
 		h.Write(num[:])
 		h.Write([]byte(kv.Key))
@@ -37,33 +43,6 @@ func StateFingerprint(s statedb.StateDB) string {
 		binary.BigEndian.PutUint64(num[:], kv.Version.BlockNum)
 		h.Write(num[:])
 		binary.BigEndian.PutUint64(num[:], kv.Version.TxNum)
-		h.Write(num[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// SnapshotFingerprint is StateFingerprint over an already-taken snapshot;
-// checkpoints stamp their payload with it so recovery can verify a restored
-// state byte-for-byte before trusting it.
-func SnapshotFingerprint(snap map[string]statedb.VersionedValue) string {
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	var num [8]byte
-	for _, k := range keys {
-		vv := snap[k]
-		binary.BigEndian.PutUint64(num[:], uint64(len(k)))
-		h.Write(num[:])
-		h.Write([]byte(k))
-		binary.BigEndian.PutUint64(num[:], uint64(len(vv.Value)))
-		h.Write(num[:])
-		h.Write(vv.Value)
-		binary.BigEndian.PutUint64(num[:], vv.Version.BlockNum)
-		h.Write(num[:])
-		binary.BigEndian.PutUint64(num[:], vv.Version.TxNum)
 		h.Write(num[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -198,15 +198,15 @@ func TestSharedBlockKeepsPerPeerVerdicts(t *testing.T) {
 	f := newTxFactory(t)
 	stream := buildStream(t, f) // block 1's "first" reads key d as absent
 
-	seeds := []map[string]statedb.VersionedValue{
+	seeds := [][]statedb.KV{
 		nil,
-		{"d": {Value: []byte("here first")}},
+		{{Key: "d", Value: []byte("here first")}},
 	}
 	ledgers := make([]*ledger, len(seeds))
 	var wg sync.WaitGroup
 	for i, seed := range seeds {
 		ledgers[i] = newLedger()
-		ledgers[i].state.Restore(seed, statedb.Version{})
+		ledgers[i].state.Restore(seed, statedb.Version{}, nil)
 		wg.Add(1)
 		go func(l *ledger) {
 			defer wg.Done()
@@ -224,7 +224,7 @@ func TestSharedBlockKeepsPerPeerVerdicts(t *testing.T) {
 
 	for i, seed := range seeds {
 		oracle := newLedger()
-		oracle.state.Restore(seed, statedb.Version{})
+		oracle.state.Restore(seed, statedb.Version{}, nil)
 		serial := NewSerial(oracle.config(f, 1))
 		for _, b := range stream {
 			serial.Submit(b.Clone())

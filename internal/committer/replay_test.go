@@ -1,12 +1,20 @@
 package committer
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
+
+// entries is s's whole state in key order, the form Store.Restore takes.
+func entries(s statedb.StateDB) []statedb.KV {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return statedb.Collect(sn.All())
+}
 
 // commitPrefix serially commits the first n blocks of stream onto a fresh
 // ledger and returns it (the uninterrupted reference for replay tests).
@@ -54,7 +62,7 @@ func TestReplayTailFromSnapshot(t *testing.T) {
 
 	// Restore the mid-stream snapshot, then replay only the tail.
 	state := statedb.New()
-	state.Restore(prefix.state.Export(), prefix.state.Height())
+	state.Restore(entries(prefix.state), prefix.state.Height(), nil)
 	history := historydb.New()
 	history.Restore(prefix.history.Snapshot())
 	if err := Replay(state, history, ref.blocks, uint64(cut)); err != nil {
@@ -76,7 +84,7 @@ func TestReplayRejectsForeignPreState(t *testing.T) {
 	// Replaying the tail against a state that is NOT the pre-tail boundary
 	// must fail loudly (height regression), never silently fork.
 	state := statedb.New()
-	state.Restore(ref.state.Export(), ref.state.Height()) // already at tip
+	state.Restore(entries(ref.state), ref.state.Height(), nil) // already at tip
 	if err := Replay(state, nil, ref.blocks, 0); err == nil {
 		t.Fatal("replay over already-reflected state succeeded")
 	}
@@ -119,12 +127,12 @@ func TestCheckpointCapturesAtConfiguredBoundaries(t *testing.T) {
 				// Every capture must equal an uninterrupted run of its
 				// prefix — the consistency property recovery depends on.
 				prefix := commitPrefix(t, f, stream, int(c.Height))
-				if got, want := SnapshotFingerprint(c.State.Materialize()), StateFingerprint(prefix.state); got != want {
+				if got, want := Fingerprint(slices.Values(statedb.Collect(c.State.All()))), StateFingerprint(prefix.state); got != want {
 					t.Errorf("capture at height %d: fingerprint %s, want %s", c.Height, got, want)
 				}
-				if c.StateHeight != prefix.state.Height() {
+				if c.State.Height() != prefix.state.Height() {
 					t.Errorf("capture at height %d: state height %v, want %v",
-						c.Height, c.StateHeight, prefix.state.Height())
+						c.Height, c.State.Height(), prefix.state.Height())
 				}
 			}
 		})

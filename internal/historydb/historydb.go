@@ -119,30 +119,12 @@ func copyEntries(src []Entry) []Entry {
 	return entries
 }
 
-// Restore replaces the full history with the given snapshot (checkpoint
-// recovery). The snapshot is deep-copied; the caller keeps ownership.
+// Restore replaces the full history with snap (checkpoint recovery). The
+// database takes ownership of snap, its slices and their value bytes: the
+// caller decoded it freshly and never touches it again.
 func (db *DB) Restore(snap map[string][]Entry) {
-	db.replace(snap, true)
-}
-
-// RestoreOwned is Restore without the deep copy: the database takes
-// ownership of snap, its slices, and their value bytes. Reserved for
-// callers that freshly materialized the snapshot and never touch it again
-// (checkpoint recovery); anything else must use Restore.
-func (db *DB) RestoreOwned(snap map[string][]Entry) {
-	db.replace(snap, false)
-}
-
-func (db *DB) replace(snap map[string][]Entry, copyValues bool) {
-	fresh := make(map[string][]Entry, len(snap))
-	for k, src := range snap {
-		if copyValues {
-			src = copyEntries(src)
-		}
-		fresh[k] = src
-	}
 	db.mu.Lock()
-	db.entries = fresh
+	db.entries = snap
 	db.mu.Unlock()
 }
 

@@ -67,9 +67,6 @@ type Config struct {
 	// CheckpointEvery is how many blocks apart durable checkpoints are
 	// taken; 0 means DefaultCheckpointEvery. Only meaningful with Open.
 	CheckpointEvery uint64
-	// CheckpointKeep is how many checkpoint files to retain (0 means the
-	// recovery manager's default). Only meaningful with Open.
-	CheckpointKeep int
 	// SyncEachAppend, when true, fsyncs the block file on every appended
 	// block (power-loss bound of one block) instead of only at checkpoints
 	// and close. Only meaningful with Open.
@@ -333,7 +330,7 @@ func newPeer(cfg Config, channelID string, state *statedb.Store, history *histor
 		OnCommitted: p.onBlockCommitted,
 	}
 	if file, ok := blocks.(*blockstore.FileStore); ok {
-		p.ckpt = recovery.NewManager(cfg.Dir, channelID, cfg.CheckpointKeep, state, history, file)
+		p.ckpt = recovery.NewManager(cfg.Dir, channelID, state, history, file)
 		ccfg.CheckpointEvery = cfg.CheckpointEvery
 		if ccfg.CheckpointEvery == 0 {
 			ccfg.CheckpointEvery = DefaultCheckpointEvery

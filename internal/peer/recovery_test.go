@@ -57,7 +57,7 @@ func (f *fixture) openDurable(dir string, every uint64) *Peer {
 	}
 	host, err := Open(Config{
 		Name: "durable", Signer: signer, MSP: f.msp, Channels: []string{"ch"},
-		Dir: dir, CheckpointEvery: every, CheckpointKeep: 2, SyncEachAppend: true,
+		Dir: dir, CheckpointEvery: every, SyncEachAppend: true,
 	})
 	if err != nil {
 		f.t.Fatalf("Open: %v", err)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -54,12 +55,13 @@ type Checkpoint struct {
 	Height uint64
 	// StateHeight is the state database's MVCC height at the boundary.
 	StateHeight statedb.Version
-	// Fingerprint is committer.SnapshotFingerprint over State, recorded at
-	// write time — diagnostics and torture tests compare it against live
-	// peers. Media integrity is the codec's CRC-32C, not this.
+	// Fingerprint is committer.Fingerprint over State, recorded at write
+	// time and checked on load — diagnostics and torture tests compare it
+	// against live peers. Media integrity is the codec's CRC-32C, not this.
 	Fingerprint string
-	// State is the full versioned world state.
-	State map[string]statedb.VersionedValue
+	// State is the full versioned world state: every entry of the captured
+	// snapshot, in strictly ascending key order.
+	State []statedb.KV
 	// History is the full per-key write history.
 	History map[string][]historydb.Entry
 	// Indexes are the declared secondary-index definitions.
@@ -188,7 +190,7 @@ func LoadLatest(dir string, maxHeight uint64) (*Checkpoint, error) {
 		if err != nil {
 			continue // damaged candidate: fall back to an older one
 		}
-		if committer.SnapshotFingerprint(ck.State) != ck.Fingerprint {
+		if committer.Fingerprint(slices.Values(ck.State)) != ck.Fingerprint {
 			continue // state disagrees with its own record: treat as damaged
 		}
 		return ck, nil

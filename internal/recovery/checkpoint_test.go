@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,14 +27,12 @@ const testChannel = "provchannel"
 // mkCheckpoint builds a small self-consistent checkpoint at height h.
 func mkCheckpoint(t *testing.T, h uint64) *Checkpoint {
 	t.Helper()
-	state := map[string]statedb.VersionedValue{
-		fmt.Sprintf("key-%d", h): {Value: []byte(`{"owner":"alice"}`),
-			Version: statedb.Version{BlockNum: h - 1, TxNum: 0}},
-	}
+	state := []statedb.KV{{Key: fmt.Sprintf("key-%d", h), Value: []byte(`{"owner":"alice"}`),
+		Version: statedb.Version{BlockNum: h - 1, TxNum: 0}}}
 	return &Checkpoint{
 		Height:      h,
 		StateHeight: statedb.Version{BlockNum: h - 1, TxNum: 1},
-		Fingerprint: committer.SnapshotFingerprint(state),
+		Fingerprint: committer.Fingerprint(slices.Values(state)),
 		State:       state,
 		History: map[string][]historydb.Entry{
 			"key": {{TxID: "tx", BlockNum: h - 1, Value: []byte("v"),
@@ -40,6 +40,22 @@ func mkCheckpoint(t *testing.T, h uint64) *Checkpoint {
 		},
 		Indexes: []richquery.IndexDef{{Name: "by-owner", Field: "owner"}},
 	}
+}
+
+// withStateKeys is mkCheckpoint(t, h) holding one state entry per key, in
+// the order given, and fingerprinted in that order: it passes the CRC and
+// the fingerprint check, so only the codec's key-order check refuses it
+// when the keys are not strictly ascending.
+func withStateKeys(t *testing.T, h uint64, keys ...string) *Checkpoint {
+	t.Helper()
+	ck := mkCheckpoint(t, h)
+	ck.State = nil
+	for _, k := range keys {
+		ck.State = append(ck.State, statedb.KV{Key: k, Value: []byte(`{"owner":"bob"}`),
+			Version: statedb.Version{BlockNum: h - 1}})
+	}
+	ck.Fingerprint = committer.Fingerprint(slices.Values(ck.State))
+	return ck
 }
 
 func TestCheckpointRoundtrip(t *testing.T) {
@@ -63,28 +79,40 @@ func TestCheckpointRoundtrip(t *testing.T) {
 }
 
 func TestLoadLatestFallsBackPastDamage(t *testing.T) {
-	dir := t.TempDir()
-	for _, h := range []uint64{4, 8, 12} {
-		if _, err := WriteCheckpoint(dir, mkCheckpoint(t, h)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Damage the newest file: flip bytes inside the payload.
-	newest := filepath.Join(dir, ckptName(12))
-	raw, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(newest, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := LoadLatest(dir, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Height != 8 {
-		t.Errorf("fallback height = %d, want 8", ck.Height)
+	for name, newest := range map[string]func(t *testing.T) []byte{
+		// Bytes flipped inside the payload: the CRC refuses it.
+		"flipped-bytes": func(t *testing.T) []byte {
+			raw := encodeCheckpoint(mkCheckpoint(t, 12))
+			raw[len(raw)/2] ^= 0xff
+			return raw
+		},
+		// CRC-valid and self-consistent, but the state keys are not
+		// strictly ascending: the codec refuses it.
+		"state-keys-out-of-order": func(t *testing.T) []byte {
+			return encodeCheckpoint(withStateKeys(t, 12, "key-b", "key-a"))
+		},
+		"state-key-repeated": func(t *testing.T) []byte {
+			return encodeCheckpoint(withStateKeys(t, 12, "key-a", "key-a"))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, h := range []uint64{4, 8} {
+				if _, err := WriteCheckpoint(dir, mkCheckpoint(t, h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, ckptName(12)), newest(t), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := LoadLatest(dir, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Height != 8 {
+				t.Errorf("fallback height = %d, want 8", ck.Height)
+			}
+		})
 	}
 }
 
@@ -132,9 +160,19 @@ func TestCheckpointCodecRejectsDamage(t *testing.T) {
 		"flipped-bit": func(b []byte) []byte { c := append([]byte{}, b...); c[len(c)/3] ^= 1; return c },
 		"bad-magic":   func(b []byte) []byte { c := append([]byte{}, b...); c[0] = 'X'; return c },
 		"trailing":    func(b []byte) []byte { return append(append([]byte{}, b...), 0) },
+		// CRC-valid bytes whose state keys are not strictly ascending.
+		"state-keys-out-of-order": func([]byte) []byte {
+			return encodeCheckpoint(withStateKeys(t, 5, "key-a", "key-c", "key-b"))
+		},
+		"state-key-repeated": func([]byte) []byte {
+			return encodeCheckpoint(withStateKeys(t, 5, "key-a", "key-b", "key-b"))
+		},
 	} {
-		if _, err := decodeCheckpoint(mutate(raw)); err == nil {
+		_, err := decodeCheckpoint(mutate(raw))
+		if err == nil {
 			t.Errorf("%s checkpoint decoded without error", name)
+		} else if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("%s checkpoint: error %v wraps neither ErrBadChecksum nor codec.ErrMalformed", name, err)
 		}
 	}
 }
@@ -195,7 +233,7 @@ func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP str
 		t.Fatal(err)
 	}
 	history := historydb.New()
-	mgr := NewManager(dataDir, testChannel, DefaultKeep, state, history, blocks)
+	mgr := NewManager(dataDir, testChannel, state, history, blocks)
 	for i := 0; i < n; i++ {
 		b := mkStoredBlock(t, uint64(i), blocks.LastHash(),
 			fmt.Sprintf("item-%03d", i), fmt.Sprintf("shared-%d", i%3))
@@ -206,17 +244,43 @@ func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP str
 			t.Fatal(err)
 		}
 		if every > 0 && (i+1)%every == 0 {
-			mgr.OnCheckpoint(committer.Capture{
-				Height:      uint64(i + 1),
-				StateHeight: state.Height(),
-				State:       state.Snapshot(),
-			})
+			mgr.OnCheckpoint(committer.Capture{Height: uint64(i + 1), State: state.Snapshot()})
 			if err := mgr.Err(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	return committer.StateFingerprint(state), history.Fingerprint()
+}
+
+// A checkpoint shares the captured snapshot's stored values instead of
+// copying them: building one over 1,000 records of 1 KiB allocates a small
+// fraction of a record per record (the entry slice and the fingerprint),
+// where a deep copy of the state would cost more than 1 KiB each.
+func TestCheckpointSharesStoredValues(t *testing.T) {
+	const records, size, budget = 1000, 1024, 256 // budget: bytes per record
+	state := statedb.New()
+	batch := statedb.NewUpdateBatch()
+	for i := 0; i < records; i++ {
+		batch.Put(fmt.Sprintf("rec-%04d", i), make([]byte, size), statedb.Version{TxNum: uint64(i)})
+	}
+	if err := state.ApplyUpdates(batch, statedb.Version{TxNum: records}); err != nil {
+		t.Fatal(err)
+	}
+	m := &Manager{history: historydb.New()}
+	sn := state.Snapshot()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ck := m.checkpoint(1, sn)
+	runtime.ReadMemStats(&after)
+	if len(ck.State) != records {
+		t.Fatalf("checkpoint holds %d records, want %d", len(ck.State), records)
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / records
+	t.Logf("%.0f bytes allocated per record", perRecord)
+	if perRecord > budget {
+		t.Errorf("building the checkpoint allocated %.0f bytes per %d-byte record, budget %d", perRecord, size, budget)
+	}
 }
 
 func TestOpenRecoversFromCheckpointPlusTail(t *testing.T) {
@@ -303,7 +367,7 @@ func TestManagerFinalEnablesInstantReopen(t *testing.T) {
 	if opened.Replayed != 5 {
 		t.Fatalf("first open replayed %d, want 5", opened.Replayed)
 	}
-	mgr := NewManager(dir, testChannel, DefaultKeep, opened.State, opened.History, opened.Blocks)
+	mgr := NewManager(dir, testChannel, opened.State, opened.History, opened.Blocks)
 	if err := mgr.Final(); err != nil {
 		t.Fatal(err)
 	}

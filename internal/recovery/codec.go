@@ -26,7 +26,7 @@ import (
 //	height, stateHeight.block, stateHeight.tx, fingerprint
 //	index defs:    count, {name, field}...
 //	index entries: count, {name, entryCount, {ckey, docKey}...}...
-//	state:         count, {key, value, ver.block, ver.tx}...
+//	state:         count, {key, value, ver.block, ver.tx}... (keys strictly ascending)
 //	history:       keyCount, {key, entryCount,
 //	                 {txid, block, tx, value, isDelete, unixSec, nanos}...}...
 //	crc32c (4 bytes, big-endian) over everything above
@@ -60,12 +60,11 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 		}
 	}
 	buf = codec.AppendUvarint(buf, uint64(len(ck.State)))
-	for _, key := range sortedKeys(ck.State) {
-		vv := ck.State[key]
-		buf = codec.AppendString(buf, key)
-		buf = codec.AppendBytes(buf, vv.Value)
-		buf = codec.AppendUvarint(buf, vv.Version.BlockNum)
-		buf = codec.AppendUvarint(buf, vv.Version.TxNum)
+	for _, kv := range ck.State {
+		buf = codec.AppendString(buf, kv.Key)
+		buf = codec.AppendBytes(buf, kv.Value)
+		buf = codec.AppendUvarint(buf, kv.Version.BlockNum)
+		buf = codec.AppendUvarint(buf, kv.Version.TxNum)
 	}
 	buf = codec.AppendUvarint(buf, uint64(len(ck.History)))
 	for _, key := range sortedKeys(ck.History) {
@@ -91,7 +90,10 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 // Element counts are bounded by the bytes remaining (codec.Dec.Count), so a
 // damaged or hostile count field — CRC-32C is a media check, not
 // tamper-proofing — degrades to a decode error instead of a make() panic
-// that would defeat LoadLatest's fall-back-to-older-checkpoint path.
+// that would defeat LoadLatest's fall-back-to-older-checkpoint path. State
+// comes back in file order, and a state key that does not sort strictly
+// after the one before it is refused the same way: Store.Restore builds its
+// key set from that order without sorting.
 func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	body, err := codec.VerifyChecksum(raw)
 	if err != nil {
@@ -126,15 +128,18 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 			ck.IndexEntries[name] = entries
 		}
 	}
-	stateN := d.Count()
-	ck.State = make(map[string]statedb.VersionedValue, stateN)
-	for i := 0; i < stateN && d.Err() == nil; i++ {
-		key := d.String()
-		var vv statedb.VersionedValue
-		vv.Value = d.Bytes()
-		vv.Version.BlockNum = d.Uvarint()
-		vv.Version.TxNum = d.Uvarint()
-		ck.State[key] = vv
+	if n := d.Count(); n > 0 {
+		ck.State = make([]statedb.KV, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			kv := &ck.State[i]
+			kv.Key = d.String()
+			kv.Value = d.Bytes()
+			kv.Version.BlockNum = d.Uvarint()
+			kv.Version.TxNum = d.Uvarint()
+			if i > 0 && kv.Key <= ck.State[i-1].Key {
+				d.Fail(fmt.Errorf("%w: state key %q not after %q", codec.ErrMalformed, kv.Key, ck.State[i-1].Key))
+			}
+		}
 	}
 	histN := d.Count()
 	ck.History = make(map[string][]historydb.Entry, histN)

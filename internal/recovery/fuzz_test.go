@@ -18,9 +18,9 @@ func fuzzSeedCheckpoint() *Checkpoint {
 		Height:      7,
 		StateHeight: statedb.Version{BlockNum: 7, TxNum: 2},
 		Fingerprint: "sha256:abc",
-		State: map[string]statedb.VersionedValue{
-			"k1": {Value: []byte(`{"v":1}`), Version: statedb.Version{BlockNum: 3, TxNum: 0}},
-			"k2": {Value: []byte("raw"), Version: statedb.Version{BlockNum: 7, TxNum: 2}},
+		State: []statedb.KV{
+			{Key: "k1", Value: []byte(`{"v":1}`), Version: statedb.Version{BlockNum: 3, TxNum: 0}},
+			{Key: "k2", Value: []byte("raw"), Version: statedb.Version{BlockNum: 7, TxNum: 2}},
 		},
 		History: map[string][]historydb.Entry{
 			"k1": {
@@ -41,8 +41,9 @@ func fuzzSeedCheckpoint() *Checkpoint {
 // The recovery contract under damaged media: no panic, no unbounded
 // allocation, every failure a structured error (ErrBadChecksum or the
 // codec's truncation error) so LoadLatest can fall back to an older
-// checkpoint — and every accepted input re-encodes to an identical
-// snapshot.
+// checkpoint — every accepted input's state in strictly ascending key order,
+// the order Store.Restore builds its key set from, and every accepted input
+// re-encodes to an identical snapshot.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(encodeCheckpoint(&Checkpoint{}))
 	f.Add(encodeCheckpoint(fuzzSeedCheckpoint()))
@@ -59,6 +60,12 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(append(append([]byte(nil), good...), 0x00))
 	f.Add([]byte("HPCKPT1\n"))
 	f.Add([]byte{})
+	// CRC-valid state out of key order, and a repeated key.
+	disordered := fuzzSeedCheckpoint()
+	disordered.State[0].Key, disordered.State[1].Key = "k2", "k1"
+	f.Add(encodeCheckpoint(disordered))
+	disordered.State[0].Key = "k1"
+	f.Add(encodeCheckpoint(disordered))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
@@ -67,6 +74,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				t.Fatalf("unstructured error from decodeCheckpoint: %v", err)
 			}
 			return
+		}
+		for i := 1; i < len(ck.State); i++ {
+			if ck.State[i].Key <= ck.State[i-1].Key {
+				t.Fatalf("decoded state key %q at %d does not sort after %q", ck.State[i].Key, i, ck.State[i-1].Key)
+			}
 		}
 		ck2, err := decodeCheckpoint(encodeCheckpoint(ck))
 		if err != nil {

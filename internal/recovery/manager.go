@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
@@ -30,7 +31,6 @@ type indexedSnapshot interface {
 // whole recovery path rests on.
 type Manager struct {
 	dir     string
-	keep    int
 	state   statedb.StateDB
 	history *historydb.DB
 	blocks  *blockstore.FileStore
@@ -41,14 +41,11 @@ type Manager struct {
 }
 
 // NewManager creates a checkpoint manager for one channel of a peer data
-// directory, writing under CheckpointDir(dataDir, channel).
-func NewManager(dataDir, channel string, keep int, state statedb.StateDB, history *historydb.DB, blocks *blockstore.FileStore) *Manager {
-	if keep < 1 {
-		keep = DefaultKeep
-	}
+// directory, writing under CheckpointDir(dataDir, channel) and retaining
+// the newest DefaultKeep files.
+func NewManager(dataDir, channel string, state statedb.StateDB, history *historydb.DB, blocks *blockstore.FileStore) *Manager {
 	return &Manager{
 		dir:     CheckpointDir(dataDir, channel),
-		keep:    keep,
 		state:   state,
 		history: history,
 		blocks:  blocks,
@@ -59,11 +56,10 @@ func NewManager(dataDir, channel string, keep int, state statedb.StateDB, histor
 // capture into a full checkpoint (adding history), fsyncs the block file so
 // the checkpoint never refers past durable blocks, and publishes the file
 // atomically. The capture arrives as a copy-on-write snapshot pinned at the
-// block boundary; materializing it — state and index entries — into the
-// codec's form happens here, on the persistence goroutine, off the apply
-// path. Failures are recorded (Err) rather than propagated — a failed
-// checkpoint degrades recovery time, not correctness, since the previous
-// checkpoint set stays intact.
+// block boundary; its entries and index entries are read out here, on the
+// persistence goroutine, off the apply path. Failures are recorded (Err)
+// rather than propagated — a failed checkpoint degrades recovery time, not
+// correctness, since the previous checkpoint set stays intact.
 func (m *Manager) OnCheckpoint(c committer.Capture) {
 	m.persist(m.checkpoint(c.Height, c.State))
 }
@@ -80,15 +76,17 @@ func (m *Manager) Final() error {
 	return m.Err()
 }
 
-// checkpoint freezes sn, the state at the boundary of block height h, and
-// the history into a checkpoint, and releases sn.
+// checkpoint builds the checkpoint of sn, the state at the boundary of
+// block height h, and the history, and releases sn. The state entries are
+// sn's in key order and share their values with the store, which never
+// writes a stored value again (see statedb.Store).
 func (m *Manager) checkpoint(h uint64, sn statedb.Snapshot) *Checkpoint {
 	defer sn.Release()
-	state := sn.Materialize()
+	state := statedb.Collect(sn.All())
 	ck := &Checkpoint{
 		Height:      h,
 		StateHeight: sn.Height(),
-		Fingerprint: committer.SnapshotFingerprint(state),
+		Fingerprint: committer.Fingerprint(slices.Values(state)),
 		State:       state,
 		History:     m.history.Snapshot(),
 	}
@@ -112,7 +110,7 @@ func (m *Manager) persist(ck *Checkpoint) {
 	}
 	m.lastHeight = ck.Height
 	m.lastErr = nil
-	Prune(m.dir, m.keep)
+	Prune(m.dir, DefaultKeep)
 }
 
 // LastHeight returns the height of the most recent successful checkpoint

@@ -89,9 +89,9 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 			return nil, err
 		}
 		// The checkpoint was decoded moments ago and is dropped after
-		// this block: hand its maps over instead of deep-copying them.
-		state.RestoreWithIndexEntries(ck.State, ck.StateHeight, ck.IndexEntries)
-		history.RestoreOwned(ck.History)
+		// this block: the databases take its entries over.
+		state.Restore(ck.State, ck.StateHeight, ck.IndexEntries)
+		history.Restore(ck.History)
 		from = ck.Height
 		out.CheckpointHeight = ck.Height
 	case errors.Is(err, ErrNoCheckpoint):

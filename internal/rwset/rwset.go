@@ -161,9 +161,8 @@ func (b *Builder) Build() *ReadWriteSet {
 // Validate performs the MVCC check for one transaction against current
 // committed state, also considering writes applied earlier in the same
 // block (blockWrites). It returns nil if every read version still matches.
-// It works against any StateDB implementation; rich-query phantom checks
-// engage only when the state database supports rich queries.
-func Validate(rws *ReadWriteSet, state statedb.StateDB, blockWrites map[string]bool) error {
+// It needs only reads, so it works against any statedb.StateReader.
+func Validate(rws *ReadWriteSet, state statedb.StateReader, blockWrites map[string]bool) error {
 	for _, r := range rws.Reads {
 		if blockWrites[r.Key] {
 			return fmt.Errorf("rwset: mvcc conflict on %q: written earlier in block", r.Key)
@@ -192,7 +191,7 @@ func Validate(rws *ReadWriteSet, state statedb.StateDB, blockWrites map[string]b
 	return nil
 }
 
-func validateRange(rr RangeRead, state statedb.StateDB, blockWrites map[string]bool) error {
+func validateRange(rr RangeRead, state statedb.StateReader, blockWrites map[string]bool) error {
 	// Stream the current range against the simulated keys: the scan stops
 	// at the first divergence instead of materializing the whole range.
 	it := state.GetRange(rr.StartKey, rr.EndKey)
@@ -226,7 +225,7 @@ func validateRange(rr RangeRead, state statedb.StateDB, blockWrites map[string]b
 // simulated order. Every state database answers rich queries, the Store
 // from its indexes and the ReferenceStore oracle by filtered scan, so both
 // give the same verdict.
-func validateQuery(qr QueryRead, state statedb.StateDB, blockWrites map[string]bool) error {
+func validateQuery(qr QueryRead, state statedb.StateReader, blockWrites map[string]bool) error {
 	for _, key := range qr.Keys {
 		if blockWrites[key] {
 			return fmt.Errorf("rwset: mvcc conflict in query on %q: written earlier in block", key)

@@ -202,13 +202,12 @@ func BenchmarkExecuteQuery(b *testing.B) {
 
 // BenchmarkRestore restores 10 k provenance-shaped records into a store
 // carrying the chaincode's four indexes, each rebuilt from the documents:
-// the state half of a restart from a checkpoint without index entries, or
-// of a joiner handed a snapshot.
+// the state half of a restart from a checkpoint without index entries.
 func BenchmarkRestore(b *testing.B) {
 	const docs = 10_000
-	snap := make(map[string]VersionedValue, docs)
-	for i := 0; i < docs; i++ {
-		snap[fmt.Sprintf("r%07d", i)] = VersionedValue{Value: provenanceDoc(i), Version: Version{BlockNum: 1, TxNum: uint64(i)}}
+	kvs := make([]KV, docs)
+	for i := range kvs {
+		kvs[i] = KV{Key: fmt.Sprintf("r%07d", i), Value: provenanceDoc(i), Version: Version{BlockNum: 1, TxNum: uint64(i)}}
 	}
 	s, err := NewIndexed(provenanceIndexes...)
 	if err != nil {
@@ -216,7 +215,7 @@ func BenchmarkRestore(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		s.Restore(snap, Version{BlockNum: 1, TxNum: docs})
+		s.Restore(kvs, Version{BlockNum: 1, TxNum: docs}, nil)
 	}
 	if s.Len() != docs {
 		b.Fatalf("restored %d records, want %d", s.Len(), docs)

@@ -152,11 +152,10 @@ func TestIndexedStoreMaintenanceAcrossCommits(t *testing.T) {
 	}
 
 	// Restore must rebuild indexes: move state to a fresh store.
-	snap := indexed.Export()
 	restored := mustIndexed(t,
 		richquery.IndexDef{Name: "by-owner", Field: "owner"},
 		richquery.IndexDef{Name: "by-size", Field: "size"})
-	restored.Restore(snap, indexed.Height())
+	restored.Restore(entries(indexed), indexed.Height(), nil)
 	for _, q := range []string{`{"selector":{"owner":"alice"}}`, `{"selector":{"size":{"$lt":4}}}`} {
 		if fmt.Sprint(queryKeys(t, restored, q)) != fmt.Sprint(queryKeys(t, indexed, q)) {
 			t.Errorf("restored store answers %s differently", q)
@@ -348,7 +347,7 @@ func indexDefsOf(s *Store) []richquery.IndexDef {
 func rebuiltEntries(t *testing.T, s *Store) map[string][]richquery.IndexEntry {
 	t.Helper()
 	fresh := mustIndexed(t, indexDefsOf(s)...)
-	fresh.Restore(s.Export(), s.Height())
+	fresh.Restore(entries(s), s.Height(), nil)
 	return indexEntries(fresh)
 }
 

@@ -39,38 +39,28 @@ type Snapshot interface {
 	StateReader
 	// Height returns the commit height the snapshot was taken at.
 	Height() Version
-	// Len returns the number of live keys at the boundary.
-	Len() int
-	// All streams every live key (composite keys included) in key order.
+	// All streams every live key (composite keys included) in key order:
+	// the one form a whole state takes, for a fingerprint or a checkpoint.
 	All() Iterator
-	// Materialize deep-copies the view into the flat map form the
-	// checkpoint codec and state transfer serialize.
-	Materialize() map[string]VersionedValue
 	// Release detaches the view; it must not be read afterwards.
 	Release()
 }
 
-// StateDB is the world-state interface the committer commits to. The Store
-// and the ReferenceStore oracle implement it; the committer, rwset
-// validation and the recovery manager depend only on this interface (a
-// chaincode stub only on StateReader), so the oracle can stand in for the
-// Store in their tests — rich-query phantom checks included, since both
-// re-execute a query read — mirroring Fabric's VersionedDB seam. A peer
-// holds a Store.
+// StateDB is the world-state interface the committer commits to: a reader
+// that also applies update batches and hands out snapshots. The Store and
+// the ReferenceStore oracle implement it; the committer and the recovery
+// manager depend only on this interface (rwset validation and a chaincode
+// stub only on StateReader), so the oracle can stand in for the Store in
+// their tests — rich-query phantom checks included, since both re-execute a
+// query read — mirroring Fabric's VersionedDB seam. A peer holds a Store.
+// A whole state leaves a database one way, through a snapshot's All, and
+// enters a Store one way, through Store.Restore.
 type StateDB interface {
 	StateReader
-	// Height returns the version of the last applied update batch.
-	Height() Version
 	// ApplyUpdates applies a batch atomically at the given commit height.
 	ApplyUpdates(batch *UpdateBatch, height Version) error
-	// Len returns the number of live keys.
-	Len() int
 	// Snapshot returns a consistent read view at the current boundary.
 	Snapshot() Snapshot
-	// Export returns a deep copy of the live state as a flat map.
-	Export() map[string]VersionedValue
-	// Restore replaces the live state with a snapshot at the given height.
-	Restore(snap map[string]VersionedValue, height Version)
 }
 
 // QueryResult is one page of a rich query.

@@ -58,6 +58,13 @@ func applyBoth(t *testing.T, store StateDB, ref *ReferenceStore, batches []*Upda
 	}
 }
 
+// entries is s's whole state in key order, the form Restore takes.
+func entries(s StateDB) []KV {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return Collect(sn.All())
+}
+
 func keysOf(kvs []KV) []string {
 	out := make([]string, len(kvs))
 	for i, kv := range kvs {
@@ -76,9 +83,9 @@ func TestPropertyShardedMatchesReference(t *testing.T) {
 			ref := NewReference()
 			applyBoth(t, store, ref, randomBatches(rng, 40))
 
-			// Whole-state export: identical maps (keys, values, versions).
-			if !reflect.DeepEqual(store.Export(), ref.Export()) {
-				t.Fatal("Export() differs from reference")
+			// Whole state: identical entries (keys, values, versions).
+			if !reflect.DeepEqual(entries(store), entries(ref)) {
+				t.Fatal("whole state differs from reference")
 			}
 			if store.Len() != ref.Len() {
 				t.Fatalf("Len = %d, reference %d", store.Len(), ref.Len())
@@ -166,8 +173,8 @@ func TestPropertyShardedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPropertyRestoreRoundTrip pins Export/Restore equivalence across
-// implementations and seeds: a state exported from either store and
+// TestPropertyRestoreRoundTrip pins Restore equivalence across
+// implementations and seeds: a state read out of either store and
 // restored into the other must answer identically.
 func TestPropertyRestoreRoundTrip(t *testing.T) {
 	for _, seed := range []int64{42, 43, 44} {
@@ -178,16 +185,16 @@ func TestPropertyRestoreRoundTrip(t *testing.T) {
 		applyBoth(t, src, ref, batches)
 
 		restored := New()
-		restored.Restore(ref.Export(), ref.Height())
-		if !reflect.DeepEqual(restored.Export(), src.Export()) {
+		restored.Restore(entries(ref), ref.Height(), nil)
+		if !reflect.DeepEqual(entries(restored), entries(src)) {
 			t.Fatalf("seed %d: restored store differs", seed)
 		}
 		if got, want := keysOf(Collect(restored.GetRange("", ""))), keysOf(Collect(src.GetRange("", ""))); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: restored range scan = %v, want %v", seed, got, want)
 		}
 		backRef := NewReference()
-		backRef.Restore(src.Export(), src.Height())
-		if !reflect.DeepEqual(backRef.Export(), src.Export()) {
+		backRef.Restore(entries(src), src.Height())
+		if !reflect.DeepEqual(entries(backRef), entries(src)) {
 			t.Fatalf("seed %d: reference restored from the store's export differs", seed)
 		}
 	}

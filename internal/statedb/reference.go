@@ -1,6 +1,7 @@
 package statedb
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -129,32 +130,23 @@ func (s *ReferenceStore) ExecuteQuery(q *richquery.Query) (*QueryResult, error) 
 // Snapshot deep-copies the whole map under the lock — the blocking O(n)
 // capture the Store's O(1) copy-on-write snapshots replace.
 func (s *ReferenceStore) Snapshot() Snapshot {
-	return &frozenSnapshot{data: s.Export(), height: s.Height()}
-}
-
-// Export returns a deep copy of the live state as a flat map.
-func (s *ReferenceStore) Export() map[string]VersionedValue {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string]VersionedValue, len(s.data))
+	data := make(map[string]VersionedValue, len(s.data))
 	for k, vv := range s.data {
-		val := make([]byte, len(vv.Value))
-		copy(val, vv.Value)
-		out[k] = VersionedValue{Value: val, Version: vv.Version}
+		data[k] = VersionedValue{Value: bytes.Clone(vv.Value), Version: vv.Version}
 	}
-	return out
+	return &frozenSnapshot{data: data, height: s.height}
 }
 
-// Restore replaces the live state with the given snapshot at the given
-// height.
-func (s *ReferenceStore) Restore(snap map[string]VersionedValue, height Version) {
+// Restore replaces the live state with kvs at the given height, copying
+// every value.
+func (s *ReferenceStore) Restore(kvs []KV, height Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data = make(map[string]VersionedValue, len(snap))
-	for k, vv := range snap {
-		val := make([]byte, len(vv.Value))
-		copy(val, vv.Value)
-		s.data[k] = VersionedValue{Value: val, Version: vv.Version}
+	s.data = make(map[string]VersionedValue, len(kvs))
+	for _, kv := range kvs {
+		s.data[kv.Key] = VersionedValue{Value: bytes.Clone(kv.Value), Version: kv.Version}
 	}
 	s.height = height
 }
@@ -191,8 +183,6 @@ func (sn *frozenSnapshot) GetVersion(key string) (Version, bool) {
 }
 
 func (sn *frozenSnapshot) Height() Version { return sn.height }
-
-func (sn *frozenSnapshot) Len() int { return len(sn.data) }
 
 func (sn *frozenSnapshot) GetRange(startKey, endKey string) Iterator {
 	var out []KV
@@ -235,16 +225,6 @@ func (sn *frozenSnapshot) All() Iterator {
 		out = append(out, KV{Key: k, Value: vv.Value, Version: vv.Version})
 	}
 	return &sliceIter{kvs: out}
-}
-
-func (sn *frozenSnapshot) Materialize() map[string]VersionedValue {
-	out := make(map[string]VersionedValue, len(sn.data))
-	for k, vv := range sn.data {
-		val := make([]byte, len(vv.Value))
-		copy(val, vv.Value)
-		out[k] = VersionedValue{Value: val, Version: vv.Version}
-	}
-	return out
 }
 
 func (sn *frozenSnapshot) Release() {}

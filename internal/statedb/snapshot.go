@@ -16,8 +16,8 @@ import (
 // log); each snapshot read takes the store's read lock once and consults
 // the overlay before the live map, so it observes the state exactly as of
 // the snapshot's batch boundary. No lock is held between reads, so a
-// snapshot kept for a whole simulation, a checkpoint materialization or an
-// open iterator never stalls commit. It is also the read surface a peer
+// snapshot kept for a whole simulation, a checkpoint write or an open
+// iterator never stalls commit. It is also the read surface a peer
 // hands one chaincode simulation, rich queries included: point, range,
 // composite and rich reads all see the one boundary.
 type storeSnapshot struct {
@@ -70,9 +70,6 @@ func (sn *storeSnapshot) lookup(key string) (preImage, bool) {
 // Height returns the commit height the snapshot was taken at.
 func (sn *storeSnapshot) Height() Version { return sn.height }
 
-// Len returns the number of live keys at the snapshot boundary.
-func (sn *storeSnapshot) Len() int { return sn.keys.Len() }
-
 // Get returns key's value as of the snapshot boundary, from the overlay
 // when an apply has overwritten the key since, from the live map otherwise,
 // under one read lock.
@@ -103,7 +100,7 @@ func (sn *storeSnapshot) GetByPartialCompositeKey(objectType string, attrs []str
 
 // All returns a streaming iterator over every live key at the snapshot
 // boundary, composite keys included — the full-state walk fingerprints and
-// checkpoint materialization use.
+// checkpoints use.
 func (sn *storeSnapshot) All() Iterator {
 	return sn.newIter(sn.keys.Seek(""), nil, false)
 }
@@ -137,25 +134,6 @@ func (sn *storeSnapshot) newIter(cursor keyset.Iter, stop func(string) bool, rel
 		it.start = time.Now()
 	}
 	return it
-}
-
-// Materialize deep-copies the snapshot into a flat map — the serialized
-// form the checkpoint codec and state transfer use. It runs off the commit
-// path (the recovery manager calls it in the persistence stage), which is
-// exactly why Capture carries a Snapshot instead of a map.
-func (sn *storeSnapshot) Materialize() map[string]VersionedValue {
-	out := make(map[string]VersionedValue, sn.keys.Len())
-	it := sn.All()
-	defer it.Close()
-	for {
-		kv, ok := it.Next()
-		if !ok {
-			return out
-		}
-		val := make([]byte, len(kv.Value))
-		copy(val, kv.Value)
-		out[kv.Key] = VersionedValue{Value: val, Version: kv.Version}
-	}
 }
 
 // Release detaches the snapshot from the store so applies stop preserving

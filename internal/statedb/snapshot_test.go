@@ -59,8 +59,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Fatalf("snapshot range = %v", got)
 	}
-	if snap.Len() != 3 {
-		t.Fatalf("snapshot Len = %d, want 3", snap.Len())
+	if n := len(Collect(snap.All())); n != 3 {
+		t.Fatalf("snapshot holds %d keys, want 3", n)
 	}
 	// Live iterators see the new world.
 	live := keysOf(Collect(s.GetRange("", "")))
@@ -173,7 +173,7 @@ func TestRestoreDetachesSnapshots(t *testing.T) {
 	mustApply(t, s, 1, map[string]string{"a": "1"})
 	snap := s.Snapshot()
 	defer snap.Release()
-	s.Restore(map[string]VersionedValue{"z": {Value: []byte("9")}}, Version{BlockNum: 9})
+	s.Restore([]KV{{Key: "z", Value: []byte("9")}}, Version{BlockNum: 9}, nil)
 	if _, ok := snap.Get("a"); ok {
 		t.Fatal("detached snapshot still answers")
 	}

@@ -109,6 +109,12 @@ var (
 //
 // No method takes mu twice on one goroutine: a second read lock queued
 // behind a waiting writer would deadlock.
+//
+// A stored value is never written after ApplyUpdates (or Restore) stores
+// it: a later write replaces the map entry, never the bytes. Every read
+// that hands stored bytes out without a copy — GetStateView, range and
+// rich-query KVs, a snapshot's All and the checkpoint built from it —
+// relies on this.
 type Store struct {
 	mu   sync.RWMutex
 	data map[string]VersionedValue
@@ -396,50 +402,25 @@ func (s *Store) dropSnapshot(sn *storeSnapshot) {
 	s.mu.RUnlock()
 }
 
-// Export returns a deep copy of the live state as a flat map — the form the
-// checkpoint codec and state transfer serialize.
-func (s *Store) Export() map[string]VersionedValue {
-	sn := s.snapshot()
-	defer sn.Release()
-	return sn.Materialize()
-}
-
-// Restore replaces the live state with the given snapshot at the given
-// height and rebuilds every index from it; used by state-transfer after a
-// partition heals. The restored height is the MVCC low-water mark: a later
-// ApplyUpdates at a height at or below it is rejected as stale, which is
-// what makes replaying an already-reflected block after restart a
-// detectable no-op instead of a silent double-apply. Outstanding snapshots
-// are detached (their reads report absent thereafter); callers quiesce
-// readers around a restore.
-func (s *Store) Restore(snap map[string]VersionedValue, height Version) {
-	s.replaceState(snap, height, true, nil)
-}
-
-// RestoreWithIndexEntries is Restore for checkpoint recovery: indexes whose
-// serialized entries are present bulk-load them (no document is re-read);
-// any declared index missing from entries is rebuilt from the snapshot.
-// Unlike Restore, the store takes ownership of snap (no deep copy) — the
-// caller must have materialized it freshly, as checkpoint decoding does,
-// and a copy would only stretch the restart the checkpoint exists to
-// shorten.
-func (s *Store) RestoreWithIndexEntries(snap map[string]VersionedValue, height Version, entries map[string][]richquery.IndexEntry) {
-	s.replaceState(snap, height, false, entries)
-}
-
-func (s *Store) replaceState(snap map[string]VersionedValue, height Version, copyValues bool, entries map[string][]richquery.IndexEntry) {
-	fresh := make(map[string]VersionedValue, len(snap))
-	keys := make([]string, 0, len(snap))
-	for k, vv := range snap {
-		keys = append(keys, k)
-		if copyValues {
-			val := make([]byte, len(vv.Value))
-			copy(val, vv.Value)
-			vv = VersionedValue{Value: val, Version: vv.Version}
-		}
-		fresh[k] = vv
+// Restore replaces the live state with kvs at the given height, the way a
+// peer comes back from a checkpoint. kvs must be in strictly ascending key
+// order, as a snapshot's All yields them and the checkpoint decoder checks;
+// the store takes ownership of the slice's values and builds its key set
+// from it without sorting. Indexes whose serialized entries are present
+// bulk-load them (no document is re-read); any declared index missing from
+// entries is rebuilt from kvs. The restored height is the MVCC low-water
+// mark: a later ApplyUpdates at a height at or below it is rejected as
+// stale, which is what makes replaying an already-reflected block after
+// restart a detectable no-op instead of a silent double-apply. Outstanding
+// snapshots are detached (their reads report absent thereafter); callers
+// quiesce readers around a restore.
+func (s *Store) Restore(kvs []KV, height Version, entries map[string][]richquery.IndexEntry) {
+	fresh := make(map[string]VersionedValue, len(kvs))
+	keys := make([]string, len(kvs))
+	for i, kv := range kvs {
+		keys[i] = kv.Key
+		fresh[kv.Key] = VersionedValue{Value: kv.Value, Version: kv.Version}
 	}
-	sort.Strings(keys)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -197,15 +197,8 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := s.ApplyUpdates(b, Version{3, 1}); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Export()
-	// Mutating the exported copy must not affect the store.
-	snap["k"].Value[0] = 'X'
-	if vv, _ := s.Get("k"); vv.Value[0] != 'v' {
-		t.Error("export aliases store data")
-	}
-
 	s2 := New()
-	s2.Restore(s.Export(), s.Height())
+	s2.Restore(entries(s), s.Height(), nil)
 	if vv, ok := s2.Get("k"); !ok || !bytes.Equal(vv.Value, []byte("v")) {
 		t.Errorf("restored Get(k) = %v, %v", vv, ok)
 	}
@@ -310,9 +303,9 @@ func TestRestoreHeightSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := s.Export()
+	snap := entries(s)
 	restored := New()
-	restored.Restore(snap, Version{7, 3})
+	restored.Restore(snap, Version{7, 3}, nil)
 	if got := restored.Height(); got != (Version{7, 3}) {
 		t.Fatalf("restored height = %v, want 7:3", got)
 	}
@@ -336,9 +329,10 @@ func TestRestoreHeightSemantics(t *testing.T) {
 	if err := restored.ApplyUpdates(next, Version{8, 1}); err != nil {
 		t.Fatalf("apply above restored height: %v", err)
 	}
-	// Restore deep-copies: the snapshot stays untouched by later applies.
-	if string(snap["k"].Value) != "v1" {
-		t.Errorf("snapshot mutated: %q", snap["k"].Value)
+	// Restore takes the entries over, and a later apply replaces a stored
+	// value instead of writing into it: the entries stay untouched.
+	if string(snap[0].Value) != "v1" {
+		t.Errorf("restored entry mutated: %q", snap[0].Value)
 	}
 }
 
@@ -350,16 +344,20 @@ func TestVersionedValueJSONRoundtrip(t *testing.T) {
 	if err := s.ApplyUpdates(b, Version{3, 2}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(s.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]VersionedValue
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
+	var kvs []KV
+	for _, kv := range entries(s) {
+		raw, err := json.Marshal(VersionedValue{Value: kv.Value, Version: kv.Version})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vv VersionedValue
+		if err := json.Unmarshal(raw, &vv); err != nil {
+			t.Fatal(err)
+		}
+		kvs = append(kvs, KV{Key: kv.Key, Value: vv.Value, Version: vv.Version})
 	}
 	restored := New()
-	restored.Restore(snap, Version{3, 2})
+	restored.Restore(kvs, Version{3, 2}, nil)
 	vv, ok := restored.Get("doc")
 	if !ok || string(vv.Value) != `{"owner":"alice"}` || vv.Version != (Version{3, 1}) {
 		t.Fatalf("doc after JSON roundtrip = %+v ok=%v", vv, ok)

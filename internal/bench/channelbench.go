@@ -161,10 +161,11 @@ type channelPipe struct {
 
 func newChannelPipe(f *commitFixture, exec *device.Executor, streamLen, workers int) *channelPipe {
 	p := &channelPipe{lat: NewHistogram(), submitted: make([]time.Time, streamLen)}
+	blocks := blockstore.NewStore()
 	p.eng = committer.New(committer.Config{
 		State:    statedb.New(),
-		History:  historydb.New(),
-		Blocks:   blockstore.NewStore(),
+		History:  historydb.NewIndex(blocks),
+		Blocks:   blocks,
 		Verifier: f.verifier(exec),
 		Workers:  workers,
 		OnCommitted: func(b *blockstore.Block) {

@@ -135,13 +135,13 @@ func decodeEnvelope(blob []byte) (Envelope, error) {
 // cached bytes when present), validation codes, and a CRC-32C trailer.
 // It never mutates b, so concurrent readers of a shared block are safe.
 func MarshalBlock(b *Block) []byte {
-	return AppendBlock(make([]byte, 0, blockSize(b)), b)
+	return AppendBlock(make([]byte, 0, b.Size()), b)
 }
 
-// blockSize is the exact length of AppendBlock's output. Clone decodes a
-// block out of its own encoding and the copy aliases that buffer for as long
-// as a peer keeps the block, so the buffer is allocated at its final size.
-func blockSize(b *Block) int {
+// Size is the exact length of AppendBlock's output. Clone decodes a block
+// out of its own encoding and the copy aliases that buffer for as long as
+// a peer keeps the block, so the buffer is allocated at its final size.
+func (b *Block) Size() int {
 	n := len(blockMagic) + 1 + codec.SizeUvarint(b.Header.Number) +
 		codec.SizeBytes(len(b.Header.PreviousHash)) + codec.SizeBytes(len(b.Header.DataHash)) +
 		codec.SizeUvarint(uint64(len(b.Envelopes))) + codec.SizeUvarint(uint64(len(b.TxValidation))) +

@@ -7,18 +7,21 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/shim"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
 // ledger is a single-peer test harness: it invokes the chaincode and, on
-// success, commits the rwset writes to state and history (the job the peer
-// commit pipeline does in production).
+// success, commits the rwset writes to state, appends the transaction to
+// the chain as a one-transaction block, and records its history locators
+// (the job the peer commit pipeline does in production).
 type ledger struct {
 	t       testing.TB
 	cc      *Chaincode
 	state   statedb.StateDB
+	blocks  *blockstore.Store
 	history *historydb.DB
 	block   uint64
 }
@@ -32,7 +35,8 @@ func newLedger(t testing.TB) *ledger {
 
 func newLedgerOn(t testing.TB, state statedb.StateDB) *ledger {
 	t.Helper()
-	l := &ledger{t: t, cc: New(), state: state, history: historydb.New(), block: 0}
+	blocks := blockstore.NewStore()
+	l := &ledger{t: t, cc: New(), state: state, blocks: blocks, history: historydb.NewIndex(blocks), block: 0}
 	resp := l.commitInvoke("", nil, func(stub *shim.Stub) shim.Response { return l.cc.Init(stub) })
 	if resp.Status != shim.OK {
 		t.Fatalf("Init: %+v", resp)
@@ -61,6 +65,12 @@ func (l *ledger) commitInvoke(fn string, args [][]byte, run func(*shim.Stub) shi
 		return resp
 	}
 	rws := stub.RWSet()
+	env := blockstore.Envelope{TxID: stub.TxID(), Timestamp: stub.TxTimestamp(), RWSet: rws.Marshal()}
+	b := blockstore.NewBlock(l.blocks.Height(), l.blocks.LastHash(), []blockstore.Envelope{env})
+	b.TxValidation = []blockstore.ValidationCode{blockstore.TxValid}
+	if err := l.blocks.Append(b); err != nil {
+		l.t.Fatalf("commit: %v", err)
+	}
 	batch := statedb.NewUpdateBatch()
 	ver := statedb.Version{BlockNum: l.block}
 	for _, w := range rws.Writes {
@@ -69,10 +79,7 @@ func (l *ledger) commitInvoke(fn string, args [][]byte, run func(*shim.Stub) shi
 		} else {
 			batch.Put(w.Key, w.Value, ver)
 		}
-		l.history.Record(w.Key, historydb.Entry{
-			TxID: stub.TxID(), BlockNum: l.block, Value: w.Value,
-			IsDelete: w.IsDelete, Timestamp: stub.TxTimestamp(),
-		})
+		l.history.Record(w.Key, historydb.Entry{BlockNum: b.Header.Number, IsDelete: w.IsDelete})
 	}
 	if err := l.state.ApplyUpdates(batch, ver); err != nil {
 		l.t.Fatalf("commit: %v", err)

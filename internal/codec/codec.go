@@ -59,6 +59,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum returns the CRC-32C of p.
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
+// UpdateChecksum extends a running CRC-32C: Checksum(a‖b) == UpdateChecksum(Checksum(a), b).
+func UpdateChecksum(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
+
 // AppendChecksum appends the big-endian CRC-32C of buf[start:] to buf.
 // Codecs call it last, covering everything after the magic.
 func AppendChecksum(buf []byte, start int) []byte {

@@ -55,7 +55,7 @@ type Verifier interface {
 type Config struct {
 	// State is the world-state database updates are applied to.
 	State statedb.StateDB
-	// History records per-key write history; may be nil.
+	// History indexes per-key write history into Blocks; may be nil.
 	History *historydb.DB
 	// Blocks is the append-only block store; its height seeds the
 	// committer's next-expected block number. A durable peer passes a
@@ -81,10 +81,9 @@ type Config struct {
 	// order, after the block and its history are persisted and before the
 	// watermark passes it. The peer counts commits and completes traces here.
 	OnCommitted func(b *blockstore.Block)
-	// CheckpointEvery, when > 0 together with OnCheckpoint, captures a
-	// consistent state snapshot at every block boundary whose 1-based
-	// height is a multiple of it.
-	CheckpointEvery uint64
+	// CheckpointDue, when set together with OnCheckpoint, says at each block
+	// boundary whether to capture a consistent state snapshot there.
+	CheckpointDue func(b *blockstore.Block) bool
 	// OnCheckpoint receives checkpoint captures. The snapshot is taken in
 	// the MVCC stage immediately after the block's batch is applied (so it
 	// sits exactly at that block's boundary), but delivery happens in the
@@ -108,10 +107,9 @@ type Capture struct {
 	State statedb.Snapshot
 }
 
-// wantCapture reports whether the block completing 1-based height h should
-// be captured for a checkpoint.
-func (cfg Config) wantCapture(h uint64) bool {
-	return cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil && h%cfg.CheckpointEvery == 0
+// wantCapture reports whether to capture the state at b's boundary.
+func (cfg Config) wantCapture(b *blockstore.Block) bool {
+	return cfg.CheckpointDue != nil && cfg.OnCheckpoint != nil && cfg.CheckpointDue(b)
 }
 
 func (cfg Config) workerCount() int {
@@ -187,11 +185,10 @@ func (t *task) txIDs() []string {
 // included; the persistence stage reads the state and index entries out of
 // it.
 func captureState(cfg Config, t *task) {
-	h := t.b.Header.Number + 1
-	if !cfg.wantCapture(h) {
+	if !cfg.wantCapture(t.b) {
 		return
 	}
-	t.capture = &Capture{Height: h, State: cfg.State.Snapshot()}
+	t.capture = &Capture{Height: t.b.Header.Number + 1, State: cfg.State.Snapshot()}
 }
 
 // newTask shadows the ordered block with a shallow copy that owns its
@@ -243,14 +240,13 @@ func prevalidate(v Verifier, b *blockstore.Block, workers int) []PrevalResult {
 // share: in transaction order it settles each transaction's final
 // validation code (pre-validated transactions can still lose an MVCC
 // conflict), and accumulates one state UpdateBatch plus the block's history
-// entries. It reads state versions but does not apply the batch — the
+// locators. It reads state versions but does not apply the batch — the
 // caller does.
 func mvccFinalize(state statedb.StateDB, t *task) {
 	b := t.b
 	t.batch = statedb.NewUpdateBatch()
 	blockWrites := make(map[string]bool)
 	for i := range b.Envelopes {
-		env := &b.Envelopes[i]
 		pr := t.preval[i]
 		code := pr.Code
 		if code == blockstore.TxValid {
@@ -271,12 +267,9 @@ func mvccFinalize(state statedb.StateDB, t *task) {
 				t.batch.Put(w.Key, w.Value, ver)
 			}
 			t.hist = append(t.hist, historydb.KeyedEntry{Key: w.Key, Entry: historydb.Entry{
-				TxID:      env.TxID,
-				BlockNum:  b.Header.Number,
-				TxNum:     uint64(i),
-				Value:     w.Value,
-				IsDelete:  w.IsDelete,
-				Timestamp: env.Timestamp,
+				BlockNum: b.Header.Number,
+				TxNum:    uint64(i),
+				IsDelete: w.IsDelete,
 			}})
 		}
 	}
@@ -293,21 +286,21 @@ func applyState(state statedb.StateDB, t *task) error {
 	return state.ApplyUpdates(t.batch, height)
 }
 
-// persist runs stage 3 for one block: history entries, block-store append,
-// and the committed callback. Admission already checked sequence, linkage,
-// and data integrity, so Append cannot fail here short of a programming
-// error; the guard stays so a bug surfaces as a missing commit callback
-// rather than a corrupted store.
+// persist runs stage 3 for one block: block-store append, then history
+// (no reader meets a locator before its block), and the committed callback.
+// Admission already checked sequence, linkage, and data integrity, so
+// Append cannot fail here short of a programming error; the guard stays so
+// a bug surfaces as a missing commit callback rather than a corrupted store.
 //
 // The persist span is recorded BEFORE OnCommitted fires: the peer completes
 // each transaction's trace from its commit callback, and a span added after
 // Complete would be lost.
 func persist(cfg Config, t *task, start time.Time) {
-	if cfg.History != nil {
-		cfg.History.RecordBatch(t.hist)
-	}
 	if err := cfg.Blocks.Append(t.b); err != nil {
 		return
+	}
+	if cfg.History != nil {
+		cfg.History.RecordBatch(t.hist)
 	}
 	cfg.Tracer.AddBatch(t.txIDs(), trace.StageCommitPersist, cfg.Name, start, stageElapsed(start))
 	if cfg.OnCommitted != nil {

@@ -70,7 +70,8 @@ type ledger struct {
 }
 
 func newLedger() *ledger {
-	return &ledger{state: statedb.New(), history: historydb.New(), blocks: blockstore.NewStore()}
+	blocks := blockstore.NewStore()
+	return &ledger{state: statedb.New(), history: historydb.NewIndex(blocks), blocks: blocks}
 }
 
 func (l *ledger) config(f *txFactory, workers int) Config {

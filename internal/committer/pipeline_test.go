@@ -70,8 +70,8 @@ func TestPipelineSyncWatermark(t *testing.T) {
 	if h := l.blocks.Height(); h != uint64(len(stream)) {
 		t.Fatalf("height after Sync = %d, want %d", h, len(stream))
 	}
-	if n := l.history.Versions("a"); n != 2 { // write in block 0, delete in block 5
-		t.Errorf("history versions of a = %d, want 2", n)
+	if h := l.history.History("a"); len(h) != 2 || !h[1].IsDelete || h[0].TxID == "" { // write in block 0, delete in block 5
+		t.Errorf("history of a = %+v, want a write and a delete", h)
 	}
 }
 

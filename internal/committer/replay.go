@@ -21,7 +21,7 @@ import (
 // the replay with an error rather than forking state from the ledger.
 //
 // Replay reads blocks by number from from up to its height, one block at a
-// time. History entries are re-recorded when history is non-nil, so a
+// time. History locators are re-recorded when history is non-nil, so a
 // recovered peer's GetKeyHistory matches an uninterrupted run's.
 func Replay(state statedb.StateDB, history *historydb.DB, blocks blockstore.BlockStore, from uint64) error {
 	return blockstore.Each(blocks, from, func(stored *blockstore.Block) error {

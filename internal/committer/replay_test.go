@@ -38,7 +38,7 @@ func TestReplayReproducesCommittedState(t *testing.T) {
 	// Replay the committed blocks (stored validation flags included) onto
 	// fresh stores, as recovery does after loading the block file.
 	state := statedb.New()
-	history := historydb.New()
+	history := historydb.NewIndex(ref.blocks)
 	if err := Replay(state, history, ref.blocks, 0); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -60,11 +60,12 @@ func TestReplayTailFromSnapshot(t *testing.T) {
 	ref := commitPrefix(t, f, stream, len(stream))
 	prefix := commitPrefix(t, f, stream, cut)
 
-	// Restore the mid-stream snapshot, then replay only the tail.
+	// Restore the mid-stream snapshot, then replay only the tail. The
+	// prefix's history index stands for the one recovery rebuilds from the
+	// blocks below the snapshot.
 	state := statedb.New()
 	state.Restore(entries(prefix.state), prefix.state.Height(), nil)
-	history := historydb.New()
-	history.Restore(prefix.history.Snapshot())
+	history := prefix.history
 	if err := Replay(state, history, ref.blocks, uint64(cut)); err != nil {
 		t.Fatalf("Replay tail: %v", err)
 	}
@@ -102,7 +103,7 @@ func TestCheckpointCapturesAtConfiguredBoundaries(t *testing.T) {
 			var captures []Capture
 			l := newLedger()
 			cfg := l.config(f, 2)
-			cfg.CheckpointEvery = 2
+			cfg.CheckpointDue = func(b *blockstore.Block) bool { return (b.Header.Number+1)%2 == 0 }
 			cfg.OnCheckpoint = func(c Capture) { captures = append(captures, c) }
 			var eng Committer
 			if engine == "serial" {

@@ -1,24 +1,29 @@
-// Package historydb records the full write history of every state key —
-// the substrate behind Fabric's GetHistoryForKey and therefore behind
-// HyperProv's GetKeyHistory operator, which returns every version a data
-// item's provenance record has gone through.
-//
-// One RWMutex guards the whole database. The commit pipeline records a
-// block's writes under one write lock, and every read — History, Snapshot,
-// Fingerprint — takes the read lock once, so it sees a recorded batch whole
-// or not at all.
+// Package historydb indexes the write history of every state key — the
+// substrate behind Fabric's GetHistoryForKey and therefore behind
+// HyperProv's GetKeyHistory operator. Like Fabric's history database it
+// holds no values: per key, in commit order, a Locator of each committed
+// write, which History resolves through the peer's block store. The
+// committer records a block's locators after it appends the block, so
+// every locator a reader sees resolves. One RWMutex guards the index: the
+// committer records a block under one write lock and a read takes the read
+// lock once, so it sees a recorded batch whole or not at all.
 package historydb
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
+
+	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/rwset"
 )
 
-// Entry is one committed write to a key.
+// Entry is one committed write to a key, as History resolves it from the
+// chain.
 type Entry struct {
 	TxID      string    `json:"txId"`
 	BlockNum  uint64    `json:"blockNum"`
@@ -28,142 +33,122 @@ type Entry struct {
 	Timestamp time.Time `json:"timestamp"`
 }
 
-// DB stores per-key commit history in commit order (oldest first). No
-// method takes mu twice on one goroutine.
-type DB struct {
-	mu      sync.RWMutex
-	entries map[string][]Entry
+// Locator is where one committed write to a key sits in the chain, in 16
+// bytes: a block holds fewer than 2^32 transactions.
+type Locator struct {
+	BlockNum uint64
+	TxNum    uint32
+	IsDelete bool
 }
 
-// New creates an empty history DB.
-func New() *DB { return &DB{entries: make(map[string][]Entry)} }
+// DB indexes per-key commit history in commit order (oldest first). No
+// method takes mu twice on one goroutine.
+type DB struct {
+	blocks blockstore.BlockStore
 
-// Record appends an entry to key's history. Values are copied.
+	mu      sync.RWMutex
+	entries map[string][]Locator
+}
+
+// NewIndex creates an empty history index over blocks, the chain its
+// locators point into.
+func NewIndex(blocks blockstore.BlockStore) *DB {
+	return &DB{blocks: blocks, entries: make(map[string][]Locator)}
+}
+
+// New creates an index over no chain, whose History returns locators only:
+// for committers whose history is never read, and benchmark probes.
+func New() *DB { return NewIndex(nil) }
+
+// Record appends one write to key's history. Only e's locator fields
+// (BlockNum, TxNum, IsDelete) are kept.
 func (db *DB) Record(key string, e Entry) {
 	db.RecordBatch([]KeyedEntry{{Key: key, Entry: e}})
 }
 
-// KeyedEntry pairs a state key with one history entry, for batch recording.
+// KeyedEntry pairs a state key with one committed write, for batch
+// recording.
 type KeyedEntry struct {
 	Key   string
 	Entry Entry
 }
 
-// RecordBatch appends every entry under one write lock — the commit
-// pipeline records one batch per block instead of locking per write.
-// Entries must be in commit order. Values are copied.
+// RecordBatch appends every write, in commit order, under one write lock.
+// Only each entry's locator is kept: no value, transaction ID or timestamp.
 func (db *DB) RecordBatch(recs []KeyedEntry) {
 	if len(recs) == 0 {
 		return
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, r := range recs {
-		e := r.Entry
-		val := make([]byte, len(e.Value))
-		copy(val, e.Value)
-		e.Value = val
-		db.entries[r.Key] = append(db.entries[r.Key], e)
+	for i := range recs {
+		r := &recs[i]
+		db.entries[r.Key] = append(db.entries[r.Key],
+			Locator{BlockNum: r.Entry.BlockNum, TxNum: uint32(r.Entry.TxNum), IsDelete: r.Entry.IsDelete})
 	}
 }
 
-// History returns key's history oldest-first. The returned slice is a copy.
+// History returns key's history oldest-first: the locators are copied
+// under the read lock and resolved after it is released, into the one
+// allocation, the result. Each Value aliases a stored block: read-only.
 func (db *DB) History(key string) []Entry {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	src := db.entries[key]
-	out := make([]Entry, len(src))
-	copy(out, src)
-	return out
-}
-
-// Versions returns the number of committed writes (including deletes) to key.
-func (db *DB) Versions(key string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries[key])
-}
-
-// Keys returns how many distinct keys have history.
-func (db *DB) Keys() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
-}
-
-// Snapshot returns a deep copy of the full history, keyed by state key.
-// Checkpoints persist this form so a restarted peer recovers GetKeyHistory
-// without replaying the chain from genesis. The copy is taken under one
-// read lock, so it holds every recorded batch whole or not at all.
-func (db *DB) Snapshot() map[string][]Entry {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[string][]Entry, len(db.entries))
-	for k, src := range db.entries {
-		out[k] = copyEntries(src)
+	locs := db.entries[key]
+	out := make([]Entry, len(locs))
+	for i, l := range locs {
+		out[i] = Entry{BlockNum: l.BlockNum, TxNum: uint64(l.TxNum), IsDelete: l.IsDelete}
 	}
-	return out
-}
-
-// copyEntries deep-copies an entry slice, including each value's bytes.
-func copyEntries(src []Entry) []Entry {
-	entries := make([]Entry, len(src))
-	copy(entries, src)
-	for i := range entries {
-		if entries[i].Value != nil {
-			val := make([]byte, len(entries[i].Value))
-			copy(val, entries[i].Value)
-			entries[i].Value = val
+	db.mu.RUnlock()
+	if db.blocks != nil {
+		for i := range out {
+			db.resolve(key, &out[i])
 		}
 	}
-	return entries
+	return out
 }
 
-// Restore replaces the full history with snap (checkpoint recovery). The
-// database takes ownership of snap, its slices and their value bytes: the
-// caller decoded it freshly and never touches it again.
-func (db *DB) Restore(snap map[string][]Entry) {
-	db.mu.Lock()
-	db.entries = snap
-	db.mu.Unlock()
+// resolve fills e's transaction ID, timestamp and value from the envelope
+// e locates, stored and its rwset parsed before e was recorded.
+func (db *DB) resolve(key string, e *Entry) {
+	b, err := db.blocks.GetByNumber(e.BlockNum)
+	if err != nil || e.TxNum >= uint64(len(b.Envelopes)) {
+		return
+	}
+	env := &b.Envelopes[e.TxNum]
+	e.TxID, e.Timestamp = env.TxID, env.Timestamp
+	_ = rwset.ScanWrites(env.RWSet, func(k, v []byte, _ bool) bool {
+		if string(k) == key {
+			e.Value = v
+		}
+		return e.Value == nil
+	})
 }
 
-// Fingerprint returns a deterministic hash over every key's entry sequence.
-// Two history databases that recorded the same committed block stream —
-// whether live or rebuilt through checkpoint restore plus tail replay —
-// have equal fingerprints; crash-recovery tests pin exactness with it.
-// Entries are hashed in place under one read lock (no deep copy), so the
-// hash covers every recorded batch whole or not at all.
+// Fingerprint hashes every key's locators (the chain covers the bytes
+// behind them): indexes of one block stream, live or rebuilt by recovery,
+// have equal fingerprints.
 func (db *DB) Fingerprint() string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	keys := make([]string, 0, len(db.entries))
-	for k := range db.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	h := sha256.New()
 	var num [8]byte
-	writeBytes := func(b []byte) {
-		binary.BigEndian.PutUint64(num[:], uint64(len(b)))
+	for _, k := range slices.Sorted(maps.Keys(db.entries)) {
+		binary.BigEndian.PutUint64(num[:], uint64(len(k)))
 		h.Write(num[:])
-		h.Write(b)
-	}
-	for _, k := range keys {
-		writeBytes([]byte(k))
-		for _, e := range db.entries[k] {
-			writeBytes([]byte(e.TxID))
-			binary.BigEndian.PutUint64(num[:], e.BlockNum)
+		h.Write([]byte(k))
+		locs := db.entries[k]
+		binary.BigEndian.PutUint64(num[:], uint64(len(locs)))
+		h.Write(num[:])
+		for _, l := range locs {
+			binary.BigEndian.PutUint64(num[:], l.BlockNum)
 			h.Write(num[:])
-			binary.BigEndian.PutUint64(num[:], e.TxNum)
+			binary.BigEndian.PutUint64(num[:], uint64(l.TxNum))
 			h.Write(num[:])
-			writeBytes(e.Value)
-			if e.IsDelete {
+			if l.IsDelete {
 				h.Write([]byte{1})
 			} else {
 				h.Write([]byte{0})
 			}
-			writeBytes([]byte(e.Timestamp.UTC().Format(time.RFC3339Nano)))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -65,7 +65,8 @@ type Config struct {
 	// from it on every open. NewHost ignores it (volatile peers).
 	Dir string
 	// CheckpointEvery is how many blocks apart durable checkpoints are
-	// taken; 0 means DefaultCheckpointEvery. Only meaningful with Open.
+	// taken; 0 lets the schedule follow the data (recovery.Manager.Due).
+	// Only meaningful with Open.
 	CheckpointEvery uint64
 	// SyncEachAppend, when true, fsyncs the block file on every appended
 	// block (power-loss bound of one block) instead of only at checkpoints
@@ -79,10 +80,6 @@ type Config struct {
 	// will split timelines.
 	Tracer *trace.Recorder
 }
-
-// DefaultCheckpointEvery is the default block interval between durable
-// checkpoints for peers built with Open.
-const DefaultCheckpointEvery = 16
 
 // Peer is one endorsing/committing node.
 type Peer struct {
@@ -203,7 +200,8 @@ func NewHost(cfg Config) (*Host, error) {
 	}
 	h := &Host{name: cfg.Name, channels: make(map[string]*Peer, len(cfg.Channels))}
 	for _, ch := range cfg.Channels {
-		h.add(ch, newPeer(cfg, ch, statedb.New(), historydb.New(), blockstore.NewStore()))
+		blocks := blockstore.NewStore()
+		h.add(ch, newPeer(cfg, ch, statedb.New(), historydb.NewIndex(blocks), blocks))
 	}
 	return h, nil
 }
@@ -211,10 +209,11 @@ func NewHost(cfg Config) (*Host, error) {
 // Open creates a durable host rooted at cfg.Dir, recovering every
 // configured channel independently: each channel's block file is loaded
 // (discarding a crash-torn tail), its newest valid checkpoint restores
-// state, history, and rich-query index definitions, and its block tail is
-// replayed to the exact pre-crash fingerprint. From then on each channel's
-// commit pipeline appends blocks to its own ledger file and takes a
-// checkpoint every cfg.CheckpointEvery blocks. Shut down with Close (clean:
+// state and rich-query indexes, history is re-indexed from the blocks below
+// it, and its block tail is replayed to the exact pre-crash fingerprint.
+// From then on each channel's commit pipeline appends blocks to its own
+// ledger file and takes checkpoints on cfg.CheckpointEvery's schedule.
+// Shut down with Close (clean:
 // final checkpoint per channel) — or kill the process; that is the point.
 // The per-channel handle is Open(cfg).Channel(id).
 func Open(cfg Config) (*Host, error) {
@@ -290,8 +289,8 @@ func (h *Host) Crash() {
 
 // newPeer assembles one channel's peer over the given ledger resources and
 // starts its commit pipeline. When the blocks argument is a durable
-// FileStore, the pipeline additionally takes periodic checkpoints through a
-// recovery manager.
+// FileStore, the pipeline additionally takes checkpoints through a recovery
+// manager, which decides when.
 func newPeer(cfg Config, channelID string, state *statedb.Store, history *historydb.DB, blocks blockstore.BlockStore) *Peer {
 	p := &Peer{
 		name:      cfg.Name,
@@ -330,11 +329,8 @@ func newPeer(cfg Config, channelID string, state *statedb.Store, history *histor
 		OnCommitted: p.onBlockCommitted,
 	}
 	if file, ok := blocks.(*blockstore.FileStore); ok {
-		p.ckpt = recovery.NewManager(cfg.Dir, channelID, state, history, file)
-		ccfg.CheckpointEvery = cfg.CheckpointEvery
-		if ccfg.CheckpointEvery == 0 {
-			ccfg.CheckpointEvery = DefaultCheckpointEvery
-		}
+		p.ckpt = recovery.NewManager(cfg.Dir, channelID, state, file, cfg.CheckpointEvery)
+		ccfg.CheckpointDue = p.ckpt.Due
 		ccfg.OnCheckpoint = p.ckpt.OnCheckpoint
 	}
 	p.committer = committer.New(ccfg)

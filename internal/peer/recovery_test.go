@@ -6,17 +6,26 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/committer"
 	"github.com/hyperprov/hyperprov/internal/endorser"
+	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/recovery"
 	"github.com/hyperprov/hyperprov/internal/richquery"
+	"github.com/hyperprov/hyperprov/internal/rwset"
+	"github.com/hyperprov/hyperprov/internal/shim"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -247,4 +256,225 @@ func TestDurablePeerSurvivesCrashWithoutCheckpoint(t *testing.T) {
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A durable peer's checkpoint cost is flat in chain length: with the
+// default schedule, which follows the data, the bytes allocated per
+// committed transaction over 1,024 blocks stay within 2× of those over 64.
+// A fixed interval rewrote the whole state and history every 16 blocks, so
+// they grew with the chain (8.3× here).
+func TestCheckpointCostFlatInChainLength(t *testing.T) {
+	const txs = 4
+	blocks := 1024
+	if raceEnabled {
+		blocks = 64 // the schedule still runs beside the pipeline; the figures are not the program's
+	}
+	f := newFixture(t)
+	stream := buildTortureStream(f, blocks, txs)
+	defer f.peer.Stop()
+	perTx := func(chain []*blockstore.Block) float64 {
+		signer, err := f.ca.Enroll(fmt.Sprintf("peer-dur-%d", durableSeq.Add(1)), identity.RolePeer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host, err := Open(Config{Name: "durable", Signer: signer, MSP: f.msp, Channels: []string{"ch"}, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := host.Channel("ch")
+		if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(), endorser.SignedBy("Org1MSP")); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, b := range chain {
+			p.DeliverBlock(b)
+		}
+		p.Sync()
+		runtime.ReadMemStats(&after)
+		if err := host.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(txs*len(chain))
+	}
+	short, long := perTx(stream[:64]), perTx(stream)
+	if raceEnabled {
+		return
+	}
+	t.Logf("bytes allocated per transaction: %.0f over 64 blocks, %.0f over %d (%.1f×)", short, long, blocks, long/short)
+	if long > 2*short {
+		t.Errorf("bytes per transaction grew %.1f× from 64 to %d blocks, want at most 2×", long/short, blocks)
+	}
+}
+
+// historyPayload is the peer's getHistory reply for key.
+func historyPayload(t *testing.T, f *fixture, p *Peer, key string) []byte {
+	t.Helper()
+	resp, err := p.Query(provenance.ChaincodeName, provenance.FnGetHistory, [][]byte{[]byte(key)}, f.client.Serialize())
+	if err != nil || resp.Status != shim.OK {
+		t.Fatalf("getHistory %q: %v %s", key, err, resp.Message)
+	}
+	return resp.Payload
+}
+
+// A key's getHistory reply — versions resolved from the chain, a delete
+// among them — is byte-equal on the live peer, on a durable peer reopened
+// from a checkpoint plus a replayed tail, and on one that replays from
+// genesis because its checkpoints are in the format that carried history.
+func TestRecoveredHistoryPayloadsMatchLive(t *testing.T) {
+	const key = "item-000-2" // written in blocks 0 and 1
+	f := newFixture(t)
+	stream := buildTortureStream(f, 9, 3)
+	defer f.peer.Stop()
+	for _, fn := range []string{provenance.FnDelete, provenance.FnSet} {
+		arg := key
+		if fn == provenance.FnSet {
+			arg = `{"key":"` + key + `","checksum":"sha256:again"}`
+		}
+		prop := f.propose(fn, arg)
+		resp, err := f.peer.ProcessProposal(prop)
+		if err != nil {
+			t.Fatalf("%s: %v", fn, err)
+		}
+		env := f.envelopeFor(prop, resp)
+		stream = append(stream, f.commitEnvs(env))
+		if code := f.committed(env.TxID).Code; code != blockstore.TxValid {
+			t.Fatalf("%s: %s", fn, code)
+		}
+	}
+	want := historyPayload(t, f, f.peer, key)
+	if n := strings.Count(string(want), `"txId"`); n != 4 || !strings.Contains(string(want), `"isDelete":true`) {
+		t.Fatalf("live history holds %d versions: %s", n, want)
+	}
+
+	dir := t.TempDir()
+	p := f.openDurable(dir, 4)
+	for _, b := range stream {
+		p.CommitBlock(b)
+	}
+	if got := historyPayload(t, f, p, key); string(got) != string(want) {
+		t.Errorf("durable peer:\n got %s\nwant %s", got, want)
+	}
+	p.Crash()
+
+	p = f.openDurable(dir, 4)
+	if info := p.Recovery(); info.CheckpointHeight != 8 || info.ReplayedBlocks != 3 {
+		t.Fatalf("reopen: %+v, want checkpoint 8 and 3 replayed", info)
+	}
+	if got := historyPayload(t, f, p, key); string(got) != string(want) {
+		t.Errorf("checkpoint plus tail:\n got %s\nwant %s", got, want)
+	}
+	p.Crash()
+
+	// Relabel every checkpoint with the previous format's magic (CRC
+	// recomputed): each is refused, and the peer replays from genesis.
+	ckDir := recovery.CheckpointDir(dir, "ch")
+	files, err := os.ReadDir(ckDir)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("checkpoints: %v %d", err, len(files))
+	}
+	for _, fi := range files {
+		path := filepath.Join(ckDir, fi.Name())
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := codec.AppendChecksum(append([]byte("HPCKPT1\n"), raw[len("HPCKPT2\n"):len(raw)-4]...), 0)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p = f.openDurable(dir, 4)
+	if info := p.Recovery(); info.CheckpointHeight != 0 || info.ReplayedBlocks != len(stream) {
+		t.Fatalf("reopen over HPCKPT1 files: %+v, want a genesis replay of %d", info, len(stream))
+	}
+	if got := historyPayload(t, f, p, key); string(got) != string(want) {
+		t.Errorf("genesis replay:\n got %s\nwant %s", got, want)
+	}
+	comparePeers(t, p, f.peer, "genesis replay")
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// slowAppend is a ledger whose appends take a while, so a history read
+// racing the commit pipeline has time to meet a block on its way in.
+type slowAppend struct{ *blockstore.Store }
+
+func (s slowAppend) Append(b *blockstore.Block) error {
+	time.Sleep(200 * time.Microsecond)
+	return s.Store.Append(b)
+}
+
+// History reads resolve every locator while the pipeline commits: the
+// committer records a block's locators only after appending it, so a
+// reader racing it never meets a locator whose block is not in the store.
+func TestHistoryReadsDuringPipelinedCommits(t *testing.T) {
+	f := newFixture(t)
+	stream := buildTortureStream(f, 24, 3)
+	defer f.peer.Stop()
+	var keys []string
+	for _, b := range stream {
+		for i := range b.Envelopes {
+			rws, err := rwset.Unmarshal(b.Envelopes[i].RWSet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range rws.Writes {
+				keys = append(keys, w.Key)
+			}
+		}
+	}
+	signer, err := f.ca.Enroll("peer-history-race", identity.RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := slowAppend{blockstore.NewStore()}
+	p := newPeer(Config{Name: "racer", Signer: signer, MSP: f.msp}, "ch", statedb.New(), historydb.NewIndex(blocks), blocks)
+	defer p.Stop()
+	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(), endorser.SignedBy("Org1MSP")); err != nil {
+		t.Fatal(err)
+	}
+	stub := shim.NewStub(shim.Config{TxID: "history-reader", History: p.history})
+
+	done := make(chan struct{})
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for _, key := range keys {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					entries, err := stub.GetHistoryForKey(key)
+					if err != nil {
+						t.Errorf("GetHistoryForKey: %v", err)
+						return
+					}
+					for _, e := range entries {
+						if e.TxID == "" || (e.Value == nil && !e.IsDelete) {
+							t.Errorf("unresolved locator %+v of %q", e, key)
+							return
+						}
+					}
+					reads.Add(1)
+				}
+			}
+		}()
+	}
+	for _, b := range stream {
+		p.DeliverBlock(b)
+	}
+	p.Sync()
+	close(done)
+	wg.Wait()
+	if got, want := p.history.Fingerprint(), f.peer.history.Fingerprint(); got != want {
+		t.Errorf("history fingerprint = %s, want %s", got, want)
+	}
+	t.Logf("%d history reads during %d pipelined blocks", reads.Load(), len(stream))
 }

@@ -1,7 +1,8 @@
-// Package recovery makes a peer restartable: it persists periodic,
-// checksummed checkpoints of the state database (with history and secondary
-// index definitions) next to the durable block file, and on open restores
-// the newest valid checkpoint and replays only the block tail through the
+// Package recovery makes a peer restartable: it persists checksummed
+// checkpoints of the state database and its secondary indexes next to the
+// durable block file, on a schedule that follows the data (Manager.Due),
+// and on open restores the newest valid checkpoint, re-indexes history
+// from the blocks below it, and replays only the block tail through the
 // committer's replay path. This is the persistence analog of adaptable
 // middleware that reconfigures without losing service: an edge peer that
 // loses power mid-commit comes back with state, history, and rich-query
@@ -31,7 +32,6 @@ import (
 	"strings"
 
 	"github.com/hyperprov/hyperprov/internal/committer"
-	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
@@ -47,9 +47,8 @@ var (
 )
 
 // Checkpoint is one durable snapshot of a peer's soft state at a block
-// boundary. Everything a peer rebuilds in memory on open is here: world
-// state with versions, per-key history, and the secondary-index definitions
-// the rich-query subsystem rebuilds its indexes from.
+// boundary: world state with versions, and the secondary-index definitions
+// and entries the rich-query subsystem restores its indexes from.
 type Checkpoint struct {
 	// Height is the number of blocks the snapshot reflects.
 	Height uint64
@@ -62,8 +61,6 @@ type Checkpoint struct {
 	// State is the full versioned world state: every entry of the captured
 	// snapshot, in strictly ascending key order.
 	State []statedb.KV
-	// History is the full per-key write history.
-	History map[string][]historydb.Entry
 	// Indexes are the declared secondary-index definitions.
 	Indexes []richquery.IndexDef
 	// IndexEntries is each index's serialized contents (keyed by index
@@ -98,13 +95,12 @@ func parseCkptName(name string) (uint64, bool) {
 }
 
 // WriteCheckpoint atomically persists ck into dir (created if needed):
-// marshal, checksum, write to a temp file, fsync, rename to the final
-// height-stamped name, fsync the directory. It returns the final path.
+// stream it into a temp file, fsync, rename to the final height-stamped
+// name, fsync the directory. It returns the final path.
 func WriteCheckpoint(dir string, ck *Checkpoint) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("recovery: mkdir %s: %w", dir, err)
 	}
-	raw := encodeCheckpoint(ck)
 	final := filepath.Join(dir, ckptName(ck.Height))
 	tmp, err := os.CreateTemp(dir, ckptPrefix+"*.tmp")
 	if err != nil {
@@ -112,7 +108,7 @@ func WriteCheckpoint(dir string, ck *Checkpoint) (string, error) {
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(raw); err != nil {
+	if err := encodeCheckpoint(tmp, ck); err != nil {
 		cleanup()
 		return "", fmt.Errorf("recovery: write checkpoint: %w", err)
 	}

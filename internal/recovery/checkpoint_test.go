@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,11 +35,7 @@ func mkCheckpoint(t *testing.T, h uint64) *Checkpoint {
 		StateHeight: statedb.Version{BlockNum: h - 1, TxNum: 1},
 		Fingerprint: committer.Fingerprint(slices.Values(state)),
 		State:       state,
-		History: map[string][]historydb.Entry{
-			"key": {{TxID: "tx", BlockNum: h - 1, Value: []byte("v"),
-				Timestamp: time.Unix(1700000000, 0).UTC()}},
-		},
-		Indexes: []richquery.IndexDef{{Name: "by-owner", Field: "owner"}},
+		Indexes:     []richquery.IndexDef{{Name: "by-owner", Field: "owner"}},
 	}
 }
 
@@ -58,6 +55,14 @@ func withStateKeys(t *testing.T, h uint64, keys ...string) *Checkpoint {
 	return ck
 }
 
+// asHPCKPT1 re-labels an encoded checkpoint with the previous format's
+// magic and a recomputed CRC: what an older peer left on disk passes the
+// media check and fails only the format check.
+func asHPCKPT1(raw []byte) []byte {
+	body := append([]byte("HPCKPT1\n"), raw[len(ckptMagic):len(raw)-4]...)
+	return codec.AppendChecksum(body, 0)
+}
+
 func TestCheckpointRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	ck := mkCheckpoint(t, 7)
@@ -72,9 +77,8 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if got.Height != 7 || got.StateHeight != ck.StateHeight || got.Fingerprint != ck.Fingerprint {
 		t.Errorf("roundtrip header = %+v", got)
 	}
-	if len(got.State) != 1 || len(got.History) != 1 || len(got.Indexes) != 1 {
-		t.Errorf("roundtrip contents: %d state, %d history, %d indexes",
-			len(got.State), len(got.History), len(got.Indexes))
+	if len(got.State) != 1 || len(got.Indexes) != 1 {
+		t.Errorf("roundtrip contents: %d state, %d indexes", len(got.State), len(got.Indexes))
 	}
 }
 
@@ -82,18 +86,21 @@ func TestLoadLatestFallsBackPastDamage(t *testing.T) {
 	for name, newest := range map[string]func(t *testing.T) []byte{
 		// Bytes flipped inside the payload: the CRC refuses it.
 		"flipped-bytes": func(t *testing.T) []byte {
-			raw := encodeCheckpoint(mkCheckpoint(t, 12))
+			raw := encoded(mkCheckpoint(t, 12))
 			raw[len(raw)/2] ^= 0xff
 			return raw
 		},
 		// CRC-valid and self-consistent, but the state keys are not
 		// strictly ascending: the codec refuses it.
 		"state-keys-out-of-order": func(t *testing.T) []byte {
-			return encodeCheckpoint(withStateKeys(t, 12, "key-b", "key-a"))
+			return encoded(withStateKeys(t, 12, "key-b", "key-a"))
 		},
 		"state-key-repeated": func(t *testing.T) []byte {
-			return encodeCheckpoint(withStateKeys(t, 12, "key-a", "key-a"))
+			return encoded(withStateKeys(t, 12, "key-a", "key-a"))
 		},
+		// A CRC-valid file in the format before history left checkpoints:
+		// refused like damage.
+		"hpckpt1-format": func(t *testing.T) []byte { return asHPCKPT1(encoded(mkCheckpoint(t, 12))) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -142,9 +149,7 @@ func TestCheckpointCodecRoundtripDetail(t *testing.T) {
 	ck.IndexEntries = map[string][]richquery.IndexEntry{
 		"by-owner": {{CKey: "a", DocKey: "k1"}, {CKey: "b", DocKey: "k2"}},
 	}
-	ck.History["del"] = []historydb.Entry{{TxID: "txd", BlockNum: 2, TxNum: 1, IsDelete: true,
-		Timestamp: time.Date(2019, 6, 1, 12, 0, 0, 987654321, time.UTC)}}
-	got, err := decodeCheckpoint(encodeCheckpoint(ck))
+	got, err := decodeCheckpoint(encoded(ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +159,7 @@ func TestCheckpointCodecRoundtripDetail(t *testing.T) {
 }
 
 func TestCheckpointCodecRejectsDamage(t *testing.T) {
-	raw := encodeCheckpoint(mkCheckpoint(t, 5))
+	raw := encoded(mkCheckpoint(t, 5))
 	for name, mutate := range map[string]func([]byte) []byte{
 		"truncated":   func(b []byte) []byte { return b[:len(b)/2] },
 		"flipped-bit": func(b []byte) []byte { c := append([]byte{}, b...); c[len(c)/3] ^= 1; return c },
@@ -162,11 +167,12 @@ func TestCheckpointCodecRejectsDamage(t *testing.T) {
 		"trailing":    func(b []byte) []byte { return append(append([]byte{}, b...), 0) },
 		// CRC-valid bytes whose state keys are not strictly ascending.
 		"state-keys-out-of-order": func([]byte) []byte {
-			return encodeCheckpoint(withStateKeys(t, 5, "key-a", "key-c", "key-b"))
+			return encoded(withStateKeys(t, 5, "key-a", "key-c", "key-b"))
 		},
 		"state-key-repeated": func([]byte) []byte {
-			return encodeCheckpoint(withStateKeys(t, 5, "key-a", "key-b", "key-b"))
+			return encoded(withStateKeys(t, 5, "key-a", "key-b", "key-b"))
 		},
+		"hpckpt1-format": asHPCKPT1,
 	} {
 		_, err := decodeCheckpoint(mutate(raw))
 		if err == nil {
@@ -232,8 +238,8 @@ func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP str
 	if err != nil {
 		t.Fatal(err)
 	}
-	history := historydb.New()
-	mgr := NewManager(dataDir, testChannel, state, history, blocks)
+	history := historydb.NewIndex(blocks)
+	mgr := NewManager(dataDir, testChannel, state, blocks, uint64(every))
 	for i := 0; i < n; i++ {
 		b := mkStoredBlock(t, uint64(i), blocks.LastHash(),
 			fmt.Sprintf("item-%03d", i), fmt.Sprintf("shared-%d", i%3))
@@ -267,7 +273,7 @@ func TestCheckpointSharesStoredValues(t *testing.T) {
 	if err := state.ApplyUpdates(batch, statedb.Version{TxNum: records}); err != nil {
 		t.Fatal(err)
 	}
-	m := &Manager{history: historydb.New()}
+	m := &Manager{}
 	sn := state.Snapshot()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -367,7 +373,7 @@ func TestManagerFinalEnablesInstantReopen(t *testing.T) {
 	if opened.Replayed != 5 {
 		t.Fatalf("first open replayed %d, want 5", opened.Replayed)
 	}
-	mgr := NewManager(dir, testChannel, opened.State, opened.History, opened.Blocks)
+	mgr := NewManager(dir, testChannel, opened.State, opened.Blocks, 0)
 	if err := mgr.Final(); err != nil {
 		t.Fatal(err)
 	}
@@ -425,5 +431,79 @@ func TestLoadLatestSkipsFingerprintMismatch(t *testing.T) {
 	}
 	if ck.Height != 4 {
 		t.Errorf("height = %d, want fallback to 4", ck.Height)
+	}
+}
+
+// appendBlocks appends n stored blocks to blocks, each writing one fresh key
+// of about size bytes, and returns them.
+func appendBlocks(t *testing.T, blocks *blockstore.FileStore, n, size int) []*blockstore.Block {
+	t.Helper()
+	var out []*blockstore.Block
+	for range n {
+		h := blocks.Height()
+		b := mkStoredBlock(t, h, blocks.LastHash(), fmt.Sprintf("item-%05d-%s", h, strings.Repeat("x", size)))
+		if err := blocks.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// due reports the 1-based heights among bs at which m.Due says to capture.
+func due(m *Manager, bs []*blockstore.Block) []uint64 {
+	var at []uint64
+	for _, b := range bs {
+		if m.Due(b) {
+			at = append(at, b.Header.Number+1)
+		}
+	}
+	return at
+}
+
+// With a fixed interval a checkpoint is due at its multiples. Following
+// the data, the first is due DefaultCheckpointEvery blocks in, and the next
+// once the blocks since reach the newest checkpoint's size — never sooner
+// than DefaultCheckpointEvery blocks after the last.
+func TestManagerDueFollowsData(t *testing.T) {
+	chainDir, dir := t.TempDir(), t.TempDir()
+	source, err := blockstore.OpenFileStore(BlockFilePath(chainDir, testChannel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer source.Close()
+	chain := appendBlocks(t, source, 100, 100)
+	// The managers run over an empty ledger: Due is handed each block.
+	blocks, err := blockstore.OpenFileStore(BlockFilePath(dir, testChannel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocks.Close()
+
+	fixed := NewManager(dir, testChannel, statedb.New(), blocks, 10)
+	if got := due(fixed, chain[:40]); !slices.Equal(got, []uint64{10, 20, 30, 40}) {
+		t.Errorf("fixed interval 10: due at %v", got)
+	}
+
+	m := NewManager(dir, testChannel, statedb.New(), blocks, 0)
+	if m.captured != 0 || m.grown != 0 {
+		t.Fatalf("fresh manager resumes at %d with %d bytes", m.captured, m.grown)
+	}
+	if got := due(m, chain[:20]); !slices.Equal(got, []uint64{DefaultCheckpointEvery}) {
+		t.Errorf("first checkpoint due at %v, want [%d]", got, DefaultCheckpointEvery)
+	}
+	// The checkpoint written at 16 holds as many bytes as 30 blocks.
+	size := int64(chain[50].Size()) * 30
+	m.lastSize.Store(size)
+	rest := chain[20:]
+	got := due(m, rest)
+	if len(got) == 0 || got[0] < DefaultCheckpointEvery+29 || got[0] > DefaultCheckpointEvery+31 {
+		t.Errorf("after a 30-block checkpoint, next due at %v, want about %d", got, DefaultCheckpointEvery+30)
+	}
+	// A small checkpoint still waits DefaultCheckpointEvery blocks.
+	m.lastSize.Store(1)
+	m.captured, m.grown = 0, 0
+	if got := due(m, chain[:40]); !slices.Equal(got, []uint64{16, 32}) {
+		t.Errorf("small checkpoints due at %v, want [16 32]", got)
 	}
 }

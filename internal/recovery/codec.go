@@ -1,13 +1,15 @@
 package recovery
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
-	"time"
+	"io"
+	"maps"
+	"slices"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
-	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
@@ -22,68 +24,71 @@ import (
 //
 // Layout (all integers uvarint, strings/bytes length-prefixed):
 //
-//	magic "HPCKPT1\n"
+//	magic "HPCKPT2\n"
 //	height, stateHeight.block, stateHeight.tx, fingerprint
 //	index defs:    count, {name, field}...
 //	index entries: count, {name, entryCount, {ckey, docKey}...}...
 //	state:         count, {key, value, ver.block, ver.tx}... (keys strictly ascending)
-//	history:       keyCount, {key, entryCount,
-//	                 {txid, block, tx, value, isDelete, unixSec, nanos}...}...
 //	crc32c (4 bytes, big-endian) over everything above
+//
+// There is no history section: recovery rebuilds history from the blocks.
+// An HPCKPT1 file, which had one, is refused like a damaged one.
 
-var ckptMagic = []byte("HPCKPT1\n")
+var ckptMagic = []byte("HPCKPT2\n")
 
-// encodeCheckpoint renders ck in the binary checkpoint format, checksum
-// included.
-func encodeCheckpoint(ck *Checkpoint) []byte {
-	// Pre-size roughly: values plus framing overhead.
-	buf := make([]byte, 0, 1<<20)
-	buf = append(buf, ckptMagic...)
-	buf = codec.AppendUvarint(buf, ck.Height)
-	buf = codec.AppendUvarint(buf, ck.StateHeight.BlockNum)
-	buf = codec.AppendUvarint(buf, ck.StateHeight.TxNum)
-	buf = codec.AppendString(buf, ck.Fingerprint)
+// ckptWriter streams a checkpoint through a bufio.Writer, computing the
+// CRC-32C as it goes, so the file is written without ever holding its whole
+// encoding. A write error sticks in the bufio.Writer and surfaces at the
+// final Flush, so the writes in between ignore it.
+type ckptWriter struct {
+	w   *bufio.Writer
+	crc uint32
+	buf []byte // one framed field
+}
 
-	buf = codec.AppendUvarint(buf, uint64(len(ck.Indexes)))
+func (c *ckptWriter) put(p []byte) {
+	c.crc = codec.UpdateChecksum(c.crc, p)
+	_, _ = c.w.Write(p)
+}
+
+func (c *ckptWriter) uvarint(v uint64) { c.buf = codec.AppendUvarint(c.buf[:0], v); c.put(c.buf) }
+func (c *ckptWriter) string(s string)  { c.buf = codec.AppendString(c.buf[:0], s); c.put(c.buf) }
+func (c *ckptWriter) bytes(p []byte)   { c.uvarint(uint64(len(p))); c.put(p) }
+
+// encodeCheckpoint streams ck in the binary checkpoint format into w,
+// checksum included.
+func encodeCheckpoint(w io.Writer, ck *Checkpoint) error {
+	c := &ckptWriter{w: bufio.NewWriterSize(w, 32<<10)}
+	c.put(ckptMagic)
+	c.uvarint(ck.Height)
+	c.uvarint(ck.StateHeight.BlockNum)
+	c.uvarint(ck.StateHeight.TxNum)
+	c.string(ck.Fingerprint)
+
+	c.uvarint(uint64(len(ck.Indexes)))
 	for _, def := range ck.Indexes {
-		buf = codec.AppendString(buf, def.Name)
-		buf = codec.AppendString(buf, def.Field)
+		c.string(def.Name)
+		c.string(def.Field)
 	}
-	buf = codec.AppendUvarint(buf, uint64(len(ck.IndexEntries)))
-	for _, name := range sortedKeys(ck.IndexEntries) {
+	c.uvarint(uint64(len(ck.IndexEntries)))
+	for _, name := range slices.Sorted(maps.Keys(ck.IndexEntries)) {
 		entries := ck.IndexEntries[name]
-		buf = codec.AppendString(buf, name)
-		buf = codec.AppendUvarint(buf, uint64(len(entries)))
+		c.string(name)
+		c.uvarint(uint64(len(entries)))
 		for _, e := range entries {
-			buf = codec.AppendString(buf, e.CKey)
-			buf = codec.AppendString(buf, e.DocKey)
+			c.string(e.CKey)
+			c.string(e.DocKey)
 		}
 	}
-	buf = codec.AppendUvarint(buf, uint64(len(ck.State)))
+	c.uvarint(uint64(len(ck.State)))
 	for _, kv := range ck.State {
-		buf = codec.AppendString(buf, kv.Key)
-		buf = codec.AppendBytes(buf, kv.Value)
-		buf = codec.AppendUvarint(buf, kv.Version.BlockNum)
-		buf = codec.AppendUvarint(buf, kv.Version.TxNum)
+		c.string(kv.Key)
+		c.bytes(kv.Value)
+		c.uvarint(kv.Version.BlockNum)
+		c.uvarint(kv.Version.TxNum)
 	}
-	buf = codec.AppendUvarint(buf, uint64(len(ck.History)))
-	for _, key := range sortedKeys(ck.History) {
-		entries := ck.History[key]
-		buf = codec.AppendString(buf, key)
-		buf = codec.AppendUvarint(buf, uint64(len(entries)))
-		for i := range entries {
-			e := &entries[i]
-			buf = codec.AppendString(buf, e.TxID)
-			buf = codec.AppendUvarint(buf, e.BlockNum)
-			buf = codec.AppendUvarint(buf, e.TxNum)
-			buf = codec.AppendBytes(buf, e.Value)
-			buf = codec.AppendBool(buf, e.IsDelete)
-			t := e.Timestamp.UTC()
-			buf = codec.AppendUvarint(buf, uint64(t.Unix()))
-			buf = codec.AppendUvarint(buf, uint64(t.Nanosecond()))
-		}
-	}
-	return codec.AppendChecksum(buf, 0)
+	_, _ = c.w.Write(binary.BigEndian.AppendUint32(c.buf[:0], c.crc))
+	return c.w.Flush()
 }
 
 // decodeCheckpoint parses and integrity-checks the binary checkpoint form.
@@ -141,36 +146,8 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 			}
 		}
 	}
-	histN := d.Count()
-	ck.History = make(map[string][]historydb.Entry, histN)
-	for i := 0; i < histN && d.Err() == nil; i++ {
-		key := d.String()
-		entries := make([]historydb.Entry, d.Count())
-		for j := range entries {
-			e := &entries[j]
-			e.TxID = d.String()
-			e.BlockNum = d.Uvarint()
-			e.TxNum = d.Uvarint()
-			e.Value = d.Bytes()
-			e.IsDelete = d.Byte() == 1
-			sec := int64(d.Uvarint())
-			nsec := int64(d.Uvarint())
-			e.Timestamp = time.Unix(sec, nsec).UTC()
-		}
-		ck.History[key] = entries
-	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("recovery: decode checkpoint: %w", err)
 	}
 	return ck, nil
-}
-
-// sortedKeys returns m's keys sorted, for deterministic encoding.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,25 +1,39 @@
 package recovery
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
-// goldenCheckpointDigest is the SHA-256 of
-// encodeCheckpoint(fuzzSeedCheckpoint()) — a snapshot covering every codec
-// section, a delete and a non-zero-nanosecond timestamp included — captured
-// at commit daf0768 (before the codec moved onto internal/codec).
-// HPCKPT1 files on disk outlive the code that wrote them: a change to this
-// digest is a format break, not a refactor.
-const goldenCheckpointDigest = "6a70c9d7e3e12f71c4ac3ce6961f1aa0abbad63af1638855569a3ea5205ed05b"
+// encoded renders ck into memory, as WriteCheckpoint streams it into a file.
+func encoded(ck *Checkpoint) []byte {
+	var buf bytes.Buffer
+	if err := encodeCheckpoint(&buf, ck); err != nil {
+		panic(err) // a bytes.Buffer does not fail
+	}
+	return buf.Bytes()
+}
+
+// goldenCheckpointDigest is the SHA-256 of encoded(fuzzSeedCheckpoint()) — a
+// snapshot covering every codec section — in the HPCKPT2 format, which
+// dropped HPCKPT1's history section. Checkpoint files on disk outlive the
+// code that wrote them: a change to this digest is a format break, not a
+// refactor.
+const goldenCheckpointDigest = "ee6ab48a86f99dcf04dea6f9abd4b22360d455523c972206b67ee04bb7015e35"
 
 func TestCheckpointBytesPinned(t *testing.T) {
-	raw := encodeCheckpoint(fuzzSeedCheckpoint())
+	raw := encoded(fuzzSeedCheckpoint())
 	sum := sha256.Sum256(raw)
 	if got := hex.EncodeToString(sum[:]); got != goldenCheckpointDigest {
-		t.Fatalf("HPCKPT1 encoding changed: digest %s, want %s", got, goldenCheckpointDigest)
+		t.Fatalf("HPCKPT2 encoding changed: digest %s, want %s", got, goldenCheckpointDigest)
 	}
 	back, err := decodeCheckpoint(raw)
 	if err != nil {
@@ -27,5 +41,42 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 	if want := fuzzSeedCheckpoint(); !reflect.DeepEqual(back, want) {
 		t.Fatalf("golden checkpoint did not decode back:\n got %#v\nwant %#v", back, want)
+	}
+}
+
+// Writing a checkpoint streams it into the file: a ~1 MiB checkpoint of
+// 1,000 records of 1 KiB allocates under a quarter of the bytes it writes
+// (the write buffer and the index-name sort), where encoding into a growing
+// buffer first allocated more than twice them.
+func TestCheckpointWriteStreams(t *testing.T) {
+	const records, size = 1000, 1024
+	ck := &Checkpoint{Height: 1}
+	for i := 0; i < records; i++ {
+		ck.State = append(ck.State, statedb.KV{Key: fmt.Sprintf("rec-%04d", i), Value: make([]byte, size),
+			Version: statedb.Version{TxNum: uint64(i)}})
+	}
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	path, err := WriteCheckpoint(dir, ck)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("wrote %d bytes, allocated %d (%.1f%%)", fi.Size(), alloc, 100*float64(alloc)/float64(fi.Size()))
+	if alloc*4 >= uint64(fi.Size()) {
+		t.Errorf("writing a %d-byte checkpoint allocated %d bytes, budget 25%%", fi.Size(), alloc)
+	}
+	back, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.State, ck.State) {
+		t.Error("streamed checkpoint did not read back")
 	}
 }

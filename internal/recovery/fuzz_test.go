@@ -4,10 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
-	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
@@ -21,14 +19,6 @@ func fuzzSeedCheckpoint() *Checkpoint {
 		State: []statedb.KV{
 			{Key: "k1", Value: []byte(`{"v":1}`), Version: statedb.Version{BlockNum: 3, TxNum: 0}},
 			{Key: "k2", Value: []byte("raw"), Version: statedb.Version{BlockNum: 7, TxNum: 2}},
-		},
-		History: map[string][]historydb.Entry{
-			"k1": {
-				{TxID: "tx-1", BlockNum: 3, TxNum: 0, Value: []byte("v1"),
-					Timestamp: time.Unix(1700000000, 42).UTC()},
-				{TxID: "tx-2", BlockNum: 5, TxNum: 1, IsDelete: true,
-					Timestamp: time.Unix(1700000100, 0).UTC()},
-			},
 		},
 		Indexes: []richquery.IndexDef{{Name: "byts", Field: "ts"}},
 		IndexEntries: map[string][]richquery.IndexEntry{
@@ -45,11 +35,11 @@ func fuzzSeedCheckpoint() *Checkpoint {
 // the order Store.Restore builds its key set from, and every accepted input
 // re-encodes to an identical snapshot.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Add(encodeCheckpoint(&Checkpoint{}))
-	f.Add(encodeCheckpoint(fuzzSeedCheckpoint()))
+	f.Add(encoded(&Checkpoint{}))
+	f.Add(encoded(fuzzSeedCheckpoint()))
 	// Damaged variants: flipped byte (CRC catches), truncation, bad magic,
 	// stray tail, junk.
-	good := encodeCheckpoint(fuzzSeedCheckpoint())
+	good := encoded(fuzzSeedCheckpoint())
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
@@ -63,9 +53,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	// CRC-valid state out of key order, and a repeated key.
 	disordered := fuzzSeedCheckpoint()
 	disordered.State[0].Key, disordered.State[1].Key = "k2", "k1"
-	f.Add(encodeCheckpoint(disordered))
+	f.Add(encoded(disordered))
 	disordered.State[0].Key = "k1"
-	f.Add(encodeCheckpoint(disordered))
+	f.Add(encoded(disordered))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
@@ -80,7 +70,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				t.Fatalf("decoded state key %q at %d does not sort after %q", ck.State[i].Key, i, ck.State[i-1].Key)
 			}
 		}
-		ck2, err := decodeCheckpoint(encodeCheckpoint(ck))
+		ck2, err := decodeCheckpoint(encoded(ck))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded checkpoint failed: %v", err)
 		}

@@ -2,18 +2,22 @@ package recovery
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/committer"
-	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
 // DefaultKeep is how many checkpoint files a manager retains.
 const DefaultKeep = 2
+
+// DefaultCheckpointEvery is the fewest blocks between data-led checkpoints.
+const DefaultCheckpointEvery = 16
 
 // indexedSnapshot is implemented by snapshots that pin rich-query indexes
 // (a statedb.Store's): the manager persists their definitions and entries
@@ -24,16 +28,22 @@ type indexedSnapshot interface {
 	IndexEntries() map[string][]richquery.IndexEntry
 }
 
-// Manager turns the committer's checkpoint captures into durable checkpoint
-// files. It runs on the commit pipeline's persistence goroutine (behind the
-// watermark), where the history database and block file are guaranteed to
-// agree with the captured state's height — the consistency contract the
-// whole recovery path rests on.
+// Manager decides when the committer captures a checkpoint (Due) and turns
+// the captures into durable checkpoint files on the commit pipeline's
+// persistence goroutine (behind the watermark), where the block file is
+// guaranteed to hold the captured state's height — the consistency
+// contract the whole recovery path rests on.
 type Manager struct {
-	dir     string
-	state   statedb.StateDB
-	history *historydb.DB
-	blocks  *blockstore.FileStore
+	dir    string
+	state  statedb.StateDB
+	blocks *blockstore.FileStore
+	every  uint64
+
+	// Due's own, on the MVCC goroutine: the last capture's height and the
+	// block bytes since. lastSize is the newest checkpoint file's size.
+	captured uint64
+	grown    int64
+	lastSize atomic.Int64
 
 	mu         sync.Mutex
 	lastHeight uint64
@@ -42,23 +52,39 @@ type Manager struct {
 
 // NewManager creates a checkpoint manager for one channel of a peer data
 // directory, writing under CheckpointDir(dataDir, channel) and retaining
-// the newest DefaultKeep files.
-func NewManager(dataDir, channel string, state statedb.StateDB, history *historydb.DB, blocks *blockstore.FileStore) *Manager {
-	return &Manager{
-		dir:     CheckpointDir(dataDir, channel),
-		state:   state,
-		history: history,
-		blocks:  blocks,
+// the newest DefaultKeep files. With every > 0 a checkpoint is due at every
+// multiple of every blocks; with 0 the schedule follows the data (Due).
+func NewManager(dataDir, channel string, state statedb.StateDB, blocks *blockstore.FileStore, every uint64) *Manager {
+	return &Manager{dir: CheckpointDir(dataDir, channel), state: state, blocks: blocks, every: every}
+}
+
+// Due is the committer.Config.CheckpointDue hook: whether to capture a
+// checkpoint at b's boundary. With a fixed interval that is at its
+// multiples; else once the block bytes since the last capture reach the
+// newest checkpoint's size, and DefaultCheckpointEvery blocks at the
+// earliest. So checkpoint writes stay within a constant factor of the block
+// file. A new manager has no capture behind it: a reopened peer checkpoints
+// at its first block, and no replay tail outlives two restarts.
+func (m *Manager) Due(b *blockstore.Block) bool {
+	h := b.Header.Number + 1
+	if m.every > 0 {
+		return h%m.every == 0
 	}
+	m.grown += int64(b.Size())
+	if h-m.captured < DefaultCheckpointEvery || m.grown < m.lastSize.Load() {
+		return false
+	}
+	m.captured, m.grown = h, 0
+	return true
 }
 
 // OnCheckpoint is the committer.Config.OnCheckpoint hook: it freezes the
-// capture into a full checkpoint (adding history), fsyncs the block file so
-// the checkpoint never refers past durable blocks, and publishes the file
-// atomically. The capture arrives as a copy-on-write snapshot pinned at the
-// block boundary; its entries and index entries are read out here, on the
-// persistence goroutine, off the apply path. Failures are recorded (Err)
-// rather than propagated — a failed checkpoint degrades recovery time, not
+// capture into a checkpoint, fsyncs the block file so the checkpoint
+// never refers past durable blocks, and publishes the file atomically. The
+// capture arrives as a copy-on-write snapshot pinned at the block boundary;
+// its entries and index entries are read out here, on the persistence
+// goroutine, off the apply path. Failures are recorded (Err) rather than
+// propagated — a failed checkpoint degrades recovery time, not
 // correctness, since the previous checkpoint set stays intact.
 func (m *Manager) OnCheckpoint(c committer.Capture) {
 	m.persist(m.checkpoint(c.Height, c.State))
@@ -77,9 +103,9 @@ func (m *Manager) Final() error {
 }
 
 // checkpoint builds the checkpoint of sn, the state at the boundary of
-// block height h, and the history, and releases sn. The state entries are
-// sn's in key order and share their values with the store, which never
-// writes a stored value again (see statedb.Store).
+// block height h, and releases sn. The state entries are sn's in key order
+// and share their values with the store, which never writes a stored value
+// again (see statedb.Store).
 func (m *Manager) checkpoint(h uint64, sn statedb.Snapshot) *Checkpoint {
 	defer sn.Release()
 	state := statedb.Collect(sn.All())
@@ -88,7 +114,6 @@ func (m *Manager) checkpoint(h uint64, sn statedb.Snapshot) *Checkpoint {
 		StateHeight: sn.Height(),
 		Fingerprint: committer.Fingerprint(slices.Values(state)),
 		State:       state,
-		History:     m.history.Snapshot(),
 	}
 	if ixs, ok := sn.(indexedSnapshot); ok {
 		ck.Indexes, ck.IndexEntries = ixs.IndexDefs(), ixs.IndexEntries()
@@ -104,9 +129,13 @@ func (m *Manager) persist(ck *Checkpoint) {
 		m.lastErr = fmt.Errorf("recovery: sync block file before checkpoint: %w", err)
 		return
 	}
-	if _, err := WriteCheckpoint(m.dir, ck); err != nil {
+	path, err := WriteCheckpoint(m.dir, ck)
+	if err != nil {
 		m.lastErr = err
 		return
+	}
+	if fi, err := os.Stat(path); err == nil {
+		m.lastSize.Store(fi.Size())
 	}
 	m.lastHeight = ck.Height
 	m.lastErr = nil

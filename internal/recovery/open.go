@@ -9,6 +9,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/committer"
 	"github.com/hyperprov/hyperprov/internal/historydb"
+	"github.com/hyperprov/hyperprov/internal/rwset"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -41,7 +42,7 @@ type Opened struct {
 	// State is the recovered world state (indexed flavour, rich queries
 	// included), exactly at the block file's height.
 	State *statedb.Store
-	// History is the recovered per-key write history.
+	// History is the recovered per-key history index, over Blocks.
 	History *historydb.DB
 	// Blocks is the open durable block store.
 	Blocks *blockstore.FileStore
@@ -59,7 +60,8 @@ type Opened struct {
 //     mid-file corruption;
 //  2. restore the newest valid checkpoint whose height the block file
 //     confirms (skipping damaged or too-new candidates);
-//  3. replay only the block tail after the checkpoint through the
+//  3. re-index history from the blocks below the checkpoint;
+//  4. replay only the block tail after the checkpoint through the
 //     committer's replay path, rebuilding state, history, and the
 //     rich-query secondary indexes to the exact pre-crash fingerprint.
 //
@@ -77,7 +79,7 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 		return nil, err
 	}
 	state := statedb.New()
-	history := historydb.New()
+	history := historydb.NewIndex(blocks)
 	out := &Opened{State: state, History: history, Blocks: blocks}
 
 	from := uint64(0)
@@ -89,9 +91,8 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 			return nil, err
 		}
 		// The checkpoint was decoded moments ago and is dropped after
-		// this block: the databases take its entries over.
+		// this block: the state takes its entries over.
 		state.Restore(ck.State, ck.StateHeight, ck.IndexEntries)
-		history.Restore(ck.History)
 		from = ck.Height
 		out.CheckpointHeight = ck.Height
 	case errors.Is(err, ErrNoCheckpoint):
@@ -101,6 +102,10 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 		return nil, err
 	}
 
+	if err := indexHistory(history, blocks, from); err != nil {
+		blocks.Close()
+		return nil, err
+	}
 	if err := committer.Replay(state, history, blocks, from); err != nil {
 		blocks.Close()
 		return nil, err
@@ -114,4 +119,31 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 		}
 	}
 	return out, nil
+}
+
+// indexHistory records the history locators of blocks [0, to), scanning
+// each valid transaction's stored rwset for its write keys.
+func indexHistory(history *historydb.DB, blocks blockstore.BlockStore, to uint64) error {
+	var recs []historydb.KeyedEntry
+	for n := uint64(0); n < to; n++ {
+		b, err := blocks.GetByNumber(n)
+		if err != nil {
+			return err
+		}
+		recs = recs[:0]
+		for i := range b.Envelopes {
+			if i < len(b.TxValidation) && b.TxValidation[i] != blockstore.TxValid {
+				continue
+			}
+			if err := rwset.ScanWrites(b.Envelopes[i].RWSet, func(key, _ []byte, isDelete bool) bool {
+				recs = append(recs, historydb.KeyedEntry{Key: string(key),
+					Entry: historydb.Entry{BlockNum: n, TxNum: uint64(i), IsDelete: isDelete}})
+				return true
+			}); err != nil {
+				return fmt.Errorf("recovery: index history of block %d: %w", n, err)
+			}
+		}
+		history.RecordBatch(recs)
+	}
+	return nil
 }

@@ -72,12 +72,17 @@ func decodeStrings(d *codec.Dec) []string {
 	return ss
 }
 
-// decodeRWSet decodes a binary rwset. Byte fields alias b.
-func decodeRWSet(b []byte) (*ReadWriteSet, error) {
-	d := codec.NewDec(b)
+// readHeader consumes a binary rwset's magic and version.
+func readHeader(d *codec.Dec) {
 	if ver := d.Magic(rwsetMagic); d.Err() == nil && ver != rwsetVersion {
 		d.Fail(fmt.Errorf("%w: rwset version %d (supported: %d)", codec.ErrMalformed, ver, rwsetVersion))
 	}
+}
+
+// decodeRWSet decodes a binary rwset. Byte fields alias b.
+func decodeRWSet(b []byte) (*ReadWriteSet, error) {
+	d := codec.NewDec(b)
+	readHeader(d)
 	var rws ReadWriteSet
 	if n := d.Count(); n > 0 {
 		rws.Reads = make([]Read, n)
@@ -118,4 +123,26 @@ func decodeRWSet(b []byte) (*ReadWriteSet, error) {
 		return nil, fmt.Errorf("rwset: codec: %w", err)
 	}
 	return &rws, nil
+}
+
+// ScanWrites hands fn each write of the encoded rwset b, in key order, until
+// fn returns false, allocating nothing: key and value alias b. It reports a
+// damaged encoding up to the writes.
+func ScanWrites(b []byte, fn func(key, value []byte, isDelete bool) bool) error {
+	d := codec.NewDec(b)
+	readHeader(d)
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		d.BytesShared()
+		if d.Bool() {
+			d.Uvarint()
+			d.Uvarint()
+		}
+	}
+	for n := d.Count(); n > 0; n-- {
+		key, value, isDelete := d.BytesShared(), d.BytesShared(), d.Bool()
+		if d.Err() != nil || !fn(key, value, isDelete) {
+			break
+		}
+	}
+	return d.Err()
 }

@@ -384,8 +384,8 @@ func (s *Stub) executeQuery(query []byte, pageSize int, bookmark string) ([]stat
 }
 
 // GetHistoryForKey returns the committed version history of key, newest
-// last. History queries are read-only metadata queries and do not add MVCC
-// read dependencies (as in Fabric).
+// last; each Value aliases the block that committed it. History queries are
+// read-only and do not add MVCC read dependencies (as in Fabric).
 func (s *Stub) GetHistoryForKey(key string) ([]HistoryEntry, error) {
 	if s.history == nil {
 		return nil, errors.New("shim: history db not available")

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/historydb"
+	"github.com/hyperprov/hyperprov/internal/rwset"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -141,15 +143,24 @@ func TestRangeRecordsPhantomRead(t *testing.T) {
 
 func TestHistoryForKey(t *testing.T) {
 	st := statedb.New()
-	h := historydb.New()
-	h.Record("k", historydb.Entry{TxID: "t1", Value: []byte("v1"), BlockNum: 1})
-	h.Record("k", historydb.Entry{TxID: "t2", Value: []byte("v2"), BlockNum: 2})
+	blocks := blockstore.NewStore()
+	h := historydb.NewIndex(blocks)
+	for n, txID := range []string{"t1", "t2"} {
+		rws := &rwset.ReadWriteSet{Writes: []rwset.Write{{Key: "k", Value: []byte("v" + txID)}}}
+		b := blockstore.NewBlock(uint64(n), blocks.LastHash(),
+			[]blockstore.Envelope{{TxID: txID, Timestamp: time.Unix(100, 0).UTC(), RWSet: rws.Marshal()}})
+		b.TxValidation = []blockstore.ValidationCode{blockstore.TxValid}
+		if err := blocks.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		h.Record("k", historydb.Entry{BlockNum: uint64(n)})
+	}
 	s := NewStub(Config{TxID: "tx", State: st, History: h})
 	entries, err := s.GetHistoryForKey("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 || entries[0].TxID != "t1" || entries[1].BlockNum != 2 {
+	if len(entries) != 2 || entries[0].TxID != "t1" || entries[1].BlockNum != 1 || string(entries[1].Value) != "vt2" {
 		t.Errorf("history = %+v", entries)
 	}
 	// No history DB -> error.

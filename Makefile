@@ -18,8 +18,9 @@
 # is checked and for an off-chain `VerifyChecksum(` outside the two places a
 # payload is re-checked, greps for a shim.Config marked Query outside
 # internal/peer and for a GetStateView( (a read that aliases the store) outside
-# the provenance chaincode and the shim, and checks internal/core's whole
-# import cone against the network-side packages.
+# the provenance chaincode and the shim, checks that internal/recovery
+# imports no richquery (a checkpoint holds no index), and checks
+# internal/core's whole import cone against the network-side packages.
 #
 # Profiles: `make profile-post`, `profile-store`, `profile-lineage` and
 # `profile-catchup` write CPU and allocation profiles of the write path, the
@@ -113,7 +114,9 @@ NETWORK_SIDE := fabric peer orderer gossip transport committer recovery trace de
 # the provenance chaincode: GetStateView returns the stored bytes, which the
 # lineage and descendant walks splice and never write, so outside the
 # chaincode and the shim every caller reads its own copy with GetState.
-# Last, keep the client library's import cone closed: an analyzer sees
+# Keep indexes out of checkpoints: a checkpoint is the world state, and a
+# peer builds its rich-query indexes from the documents in it, so non-test
+# internal/recovery imports no richquery. Last, keep the client library's import cone closed: an analyzer sees
 # direct imports only, so ask the go command for the transitive set.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
@@ -158,6 +161,10 @@ analyze: vettool
 		grep -vE '^internal/(chaincode/provenance|shim)/'); \
 	if [ -n "$$bad" ]; then \
 		echo "a state read that aliases the store outside the provenance chaincode (read a copy with GetState):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/recovery | grep -x '.*/internal/richquery'); \
+	if [ -n "$$bad" ]; then \
+		echo "internal/recovery imports richquery (a checkpoint holds state only; indexes are built from its documents):"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$($(GO) list -deps ./internal/core | grep -E '/internal/($(subst $(eval) ,|,$(NETWORK_SIDE)))$$'); \
 	if [ -n "$$bad" ]; then \

@@ -102,8 +102,8 @@ type Config struct {
 type Capture struct {
 	// Height is the number of blocks the snapshot reflects.
 	Height uint64
-	// State is the live state pinned at the boundary, its rich-query
-	// indexes included. The OnCheckpoint consumer releases it.
+	// State is the live state pinned at the boundary. The OnCheckpoint
+	// consumer releases it.
 	State statedb.Snapshot
 }
 
@@ -181,9 +181,8 @@ func (t *task) txIDs() []string {
 // captureState pins a state snapshot at t's block boundary when the config
 // asks for one. It must run immediately after applyState, before any later
 // block is applied — that ordering is what makes the capture sit exactly at
-// the block boundary. The pin itself is O(1) copy-on-write, index versions
-// included; the persistence stage reads the state and index entries out of
-// it.
+// the block boundary. The pin itself is O(1) copy-on-write; the
+// persistence stage reads the state out of it.
 func captureState(cfg Config, t *task) {
 	if !cfg.wantCapture(t.b) {
 		return

@@ -206,7 +206,7 @@ func TestSharedBlockKeepsPerPeerVerdicts(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, seed := range seeds {
 		ledgers[i] = newLedger()
-		ledgers[i].state.Restore(seed, statedb.Version{}, nil)
+		ledgers[i].state.Restore(seed, statedb.Version{})
 		wg.Add(1)
 		go func(l *ledger) {
 			defer wg.Done()
@@ -224,7 +224,7 @@ func TestSharedBlockKeepsPerPeerVerdicts(t *testing.T) {
 
 	for i, seed := range seeds {
 		oracle := newLedger()
-		oracle.state.Restore(seed, statedb.Version{}, nil)
+		oracle.state.Restore(seed, statedb.Version{})
 		serial := NewSerial(oracle.config(f, 1))
 		for _, b := range stream {
 			serial.Submit(b.Clone())

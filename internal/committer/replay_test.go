@@ -64,7 +64,7 @@ func TestReplayTailFromSnapshot(t *testing.T) {
 	// prefix's history index stands for the one recovery rebuilds from the
 	// blocks below the snapshot.
 	state := statedb.New()
-	state.Restore(entries(prefix.state), prefix.state.Height(), nil)
+	state.Restore(entries(prefix.state), prefix.state.Height())
 	history := prefix.history
 	if err := Replay(state, history, ref.blocks, uint64(cut)); err != nil {
 		t.Fatalf("Replay tail: %v", err)
@@ -85,7 +85,7 @@ func TestReplayRejectsForeignPreState(t *testing.T) {
 	// Replaying the tail against a state that is NOT the pre-tail boundary
 	// must fail loudly (height regression), never silently fork.
 	state := statedb.New()
-	state.Restore(entries(ref.state), ref.state.Height(), nil) // already at tip
+	state.Restore(entries(ref.state), ref.state.Height()) // already at tip
 	if err := Replay(state, nil, ref.blocks, 0); err == nil {
 		t.Fatal("replay over already-reflected state succeeded")
 	}

@@ -209,8 +209,10 @@ func NewHost(cfg Config) (*Host, error) {
 // Open creates a durable host rooted at cfg.Dir, recovering every
 // configured channel independently: each channel's block file is loaded
 // (discarding a crash-torn tail), its newest valid checkpoint restores
-// state and rich-query indexes, history is re-indexed from the blocks below
-// it, and its block tail is replayed to the exact pre-crash fingerprint.
+// state, history is re-indexed from the blocks below it, and its block tail
+// is replayed to the exact pre-crash fingerprint. Rich-query indexes are
+// built from the recovered documents when InstallChaincode declares them,
+// as on a fresh peer.
 // From then on each channel's commit pipeline appends blocks to its own
 // ledger file and takes checkpoints on cfg.CheckpointEvery's schedule.
 // Shut down with Close (clean:

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/endorser"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/identity"
+	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/recovery"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/rwset"
@@ -320,7 +322,8 @@ func historyPayload(t *testing.T, f *fixture, p *Peer, key string) []byte {
 // A key's getHistory reply — versions resolved from the chain, a delete
 // among them — is byte-equal on the live peer, on a durable peer reopened
 // from a checkpoint plus a replayed tail, and on one that replays from
-// genesis because its checkpoints are in the format that carried history.
+// genesis because its checkpoints are in a format that carried history
+// (HPCKPT1) or rich-query indexes (HPCKPT2).
 func TestRecoveredHistoryPayloadsMatchLive(t *testing.T) {
 	const key = "item-000-2" // written in blocks 0 and 1
 	f := newFixture(t)
@@ -366,8 +369,29 @@ func TestRecoveredHistoryPayloadsMatchLive(t *testing.T) {
 	}
 	p.Crash()
 
-	// Relabel every checkpoint with the previous format's magic (CRC
+	// Relabel every checkpoint with an older format's magic (CRC
 	// recomputed): each is refused, and the peer replays from genesis.
+	for _, magic := range []string{"HPCKPT1\n", "HPCKPT2\n"} {
+		relabelCheckpoints(t, dir, magic)
+		p = f.openDurable(dir, 4)
+		if info := p.Recovery(); info.CheckpointHeight != 0 || info.ReplayedBlocks != len(stream) {
+			t.Fatalf("reopen over %q files: %+v, want a genesis replay of %d", magic, info, len(stream))
+		}
+		if got := historyPayload(t, f, p, key); string(got) != string(want) {
+			t.Errorf("genesis replay:\n got %s\nwant %s", got, want)
+		}
+		comparePeers(t, p, f.peer, "genesis replay")
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// relabelCheckpoints rewrites every checkpoint of channel "ch" under dir
+// with magic in place of its own and the CRC recomputed: what a peer of an
+// older format left on disk.
+func relabelCheckpoints(t *testing.T, dir, magic string) {
+	t.Helper()
 	ckDir := recovery.CheckpointDir(dir, "ch")
 	files, err := os.ReadDir(ckDir)
 	if err != nil || len(files) == 0 {
@@ -379,21 +403,76 @@ func TestRecoveredHistoryPayloadsMatchLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := codec.AppendChecksum(append([]byte("HPCKPT1\n"), raw[len("HPCKPT2\n"):len(raw)-4]...), 0)
+		old := codec.AppendChecksum(append([]byte(magic), raw[len(magic):len(raw)-4]...), 0)
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p = f.openDurable(dir, 4)
-	if info := p.Recovery(); info.CheckpointHeight != 0 || info.ReplayedBlocks != len(stream) {
-		t.Fatalf("reopen over HPCKPT1 files: %+v, want a genesis replay of %d", info, len(stream))
+}
+
+// ownerKeys is the keys of the records p's getByOwner returns for owner.
+func ownerKeys(t *testing.T, f *fixture, p *Peer, owner string) []string {
+	t.Helper()
+	resp, err := p.Query(provenance.ChaincodeName, provenance.FnGetByOwner, [][]byte{[]byte(owner)}, f.client.Serialize())
+	if err != nil || resp.Status != shim.OK {
+		t.Fatalf("getByOwner: %v %s", err, resp.Message)
 	}
-	if got := historyPayload(t, f, p, key); string(got) != string(want) {
-		t.Errorf("genesis replay:\n got %s\nwant %s", got, want)
+	var recs []struct {
+		Key string `json:"key"`
 	}
-	comparePeers(t, p, f.peer, "genesis replay")
-	if err := p.Close(); err != nil {
+	if err := json.Unmarshal(resp.Payload, &recs); err != nil {
 		t.Fatal(err)
+	}
+	keys := make([]string, len(recs))
+	for i, r := range recs {
+		keys[i] = r.Key
+	}
+	return keys
+}
+
+// A checkpoint holds no index: a peer reopened from one plus a tail builds
+// its indexes from the recovered documents when its chaincode is installed,
+// and they serve queries. A by-owner equality query is answered by an exact
+// index range, reading no document, with the keys the never-crashed
+// reference peer returns.
+func TestRecoveredIndexesServeQueries(t *testing.T) {
+	f := newFixture(t)
+	stream := buildTortureStream(f, 10, 3)
+	defer f.peer.Stop()
+	dir := t.TempDir()
+	p := f.openDurable(dir, 4)
+	for _, b := range stream {
+		p.CommitBlock(b)
+	}
+	p.Crash()
+
+	p = f.openDurable(dir, 4)
+	defer p.Close()
+	if info := p.Recovery(); info.CheckpointHeight != 8 || info.ReplayedBlocks != 2 {
+		t.Fatalf("reopen: %+v, want checkpoint 8 and 2 replayed", info)
+	}
+	vv, ok := f.peer.state.Get("item-000-0")
+	if !ok {
+		t.Fatal("reference peer lacks item-000-0")
+	}
+	var rec struct {
+		Owner string `json:"owner"`
+	}
+	if err := json.Unmarshal(vv.Value, &rec); err != nil || rec.Owner == "" {
+		t.Fatalf("record owner %q: %v", rec.Owner, err)
+	}
+	exact := p.Metrics().Counter(metrics.StateQueriesExactRange)
+	decoded := p.Metrics().Counter(metrics.StateQueryDocsDecoded)
+	exact0, decoded0 := exact.Value(), decoded.Value()
+	got := ownerKeys(t, f, p, rec.Owner)
+	if n := exact.Value() - exact0; n != 1 {
+		t.Errorf("by-owner query took %d exact index ranges, want 1", n)
+	}
+	if n := decoded.Value() - decoded0; n != 0 {
+		t.Errorf("by-owner query read %d documents, want 0", n)
+	}
+	if want := ownerKeys(t, f, f.peer, rec.Owner); len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("recovered peer's by-owner keys %v, want %v", got, want)
 	}
 }
 

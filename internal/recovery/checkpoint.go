@@ -1,13 +1,15 @@
 // Package recovery makes a peer restartable: it persists checksummed
-// checkpoints of the state database and its secondary indexes next to the
-// durable block file, on a schedule that follows the data (Manager.Due),
-// and on open restores the newest valid checkpoint, re-indexes history
-// from the blocks below it, and replays only the block tail through the
-// committer's replay path. This is the persistence analog of adaptable
-// middleware that reconfigures without losing service: an edge peer that
-// loses power mid-commit comes back with state, history, and rich-query
-// indexes at the exact pre-crash fingerprint, paying replay cost only for
-// the blocks committed since the last checkpoint.
+// checkpoints of the world state next to the durable block file, on a
+// schedule that follows the data (Manager.Due), and on open restores the
+// newest valid checkpoint, re-indexes history from the blocks below it,
+// and replays only the block tail through the committer's replay path.
+// This is the persistence analog of adaptable middleware that reconfigures
+// without losing service: an edge peer that loses power mid-commit comes
+// back with state and history at the exact pre-crash fingerprint, paying
+// replay cost only for the blocks committed since the last checkpoint.
+// A checkpoint holds no rich-query index: those are derived from the
+// documents in state, and the peer builds them when its chaincode is
+// installed, as on a fresh peer.
 //
 // On-disk layout under a peer's data directory, per channel <ch>:
 //
@@ -32,7 +34,6 @@ import (
 	"strings"
 
 	"github.com/hyperprov/hyperprov/internal/committer"
-	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -46,9 +47,8 @@ var (
 	ErrBadChecksum = errors.New("recovery: checkpoint checksum mismatch")
 )
 
-// Checkpoint is one durable snapshot of a peer's soft state at a block
-// boundary: world state with versions, and the secondary-index definitions
-// and entries the rich-query subsystem restores its indexes from.
+// Checkpoint is one durable snapshot of a peer's world state, with
+// versions, at a block boundary.
 type Checkpoint struct {
 	// Height is the number of blocks the snapshot reflects.
 	Height uint64
@@ -61,13 +61,6 @@ type Checkpoint struct {
 	// State is the full versioned world state: every entry of the captured
 	// snapshot, in strictly ascending key order.
 	State []statedb.KV
-	// Indexes are the declared secondary-index definitions.
-	Indexes []richquery.IndexDef
-	// IndexEntries is each index's serialized contents (keyed by index
-	// name), captured at the same boundary; restore bulk-loads them
-	// instead of re-indexing every document. An index with no entry set
-	// here is rebuilt from State.
-	IndexEntries map[string][]richquery.IndexEntry
 }
 
 const (
@@ -194,15 +187,12 @@ func LoadLatest(dir string, maxHeight uint64) (*Checkpoint, error) {
 	return nil, ErrNoCheckpoint
 }
 
-// Prune removes all but the newest keep checkpoint files (and sweeps any
-// stale temp files). Edge peers run on small flash cards; unbounded
+// Prune removes all but the newest DefaultKeep checkpoint files (and sweeps
+// any stale temp files). Edge peers run on small flash cards; unbounded
 // checkpoint retention would eventually evict the ledger itself.
-func Prune(dir string, keep int) {
-	if keep < 1 {
-		keep = 1
-	}
+func Prune(dir string) {
 	heights := listCheckpoints(dir)
-	for i := 0; i+keep < len(heights); i++ {
+	for i := 0; i+DefaultKeep < len(heights); i++ {
 		os.Remove(filepath.Join(dir, ckptName(heights[i])))
 	}
 	if entries, err := os.ReadDir(dir); err == nil {

@@ -35,7 +35,6 @@ func mkCheckpoint(t *testing.T, h uint64) *Checkpoint {
 		StateHeight: statedb.Version{BlockNum: h - 1, TxNum: 1},
 		Fingerprint: committer.Fingerprint(slices.Values(state)),
 		State:       state,
-		Indexes:     []richquery.IndexDef{{Name: "by-owner", Field: "owner"}},
 	}
 }
 
@@ -55,12 +54,14 @@ func withStateKeys(t *testing.T, h uint64, keys ...string) *Checkpoint {
 	return ck
 }
 
-// asHPCKPT1 re-labels an encoded checkpoint with the previous format's
-// magic and a recomputed CRC: what an older peer left on disk passes the
-// media check and fails only the format check.
-func asHPCKPT1(raw []byte) []byte {
-	body := append([]byte("HPCKPT1\n"), raw[len(ckptMagic):len(raw)-4]...)
-	return codec.AppendChecksum(body, 0)
+// asFormat re-labels an encoded checkpoint with an older format's magic
+// and a recomputed CRC: what an older peer left on disk passes the media
+// check and fails only the format check.
+func asFormat(magic string) func(raw []byte) []byte {
+	return func(raw []byte) []byte {
+		body := append([]byte(magic), raw[len(ckptMagic):len(raw)-4]...)
+		return codec.AppendChecksum(body, 0)
+	}
 }
 
 func TestCheckpointRoundtrip(t *testing.T) {
@@ -77,8 +78,8 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if got.Height != 7 || got.StateHeight != ck.StateHeight || got.Fingerprint != ck.Fingerprint {
 		t.Errorf("roundtrip header = %+v", got)
 	}
-	if len(got.State) != 1 || len(got.Indexes) != 1 {
-		t.Errorf("roundtrip contents: %d state, %d indexes", len(got.State), len(got.Indexes))
+	if !reflect.DeepEqual(got.State, ck.State) {
+		t.Errorf("roundtrip state = %+v, want %+v", got.State, ck.State)
 	}
 }
 
@@ -98,9 +99,10 @@ func TestLoadLatestFallsBackPastDamage(t *testing.T) {
 		"state-key-repeated": func(t *testing.T) []byte {
 			return encoded(withStateKeys(t, 12, "key-a", "key-a"))
 		},
-		// A CRC-valid file in the format before history left checkpoints:
-		// refused like damage.
-		"hpckpt1-format": func(t *testing.T) []byte { return asHPCKPT1(encoded(mkCheckpoint(t, 12))) },
+		// CRC-valid files in the formats that carried history (HPCKPT1)
+		// and rich-query indexes (HPCKPT2): refused like damage.
+		"hpckpt1-format": func(t *testing.T) []byte { return asFormat("HPCKPT1\n")(encoded(mkCheckpoint(t, 12))) },
+		"hpckpt2-format": func(t *testing.T) []byte { return asFormat("HPCKPT2\n")(encoded(mkCheckpoint(t, 12))) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -145,10 +147,7 @@ func TestLoadLatestSkipsCheckpointsAheadOfLedger(t *testing.T) {
 }
 
 func TestCheckpointCodecRoundtripDetail(t *testing.T) {
-	ck := mkCheckpoint(t, 5)
-	ck.IndexEntries = map[string][]richquery.IndexEntry{
-		"by-owner": {{CKey: "a", DocKey: "k1"}, {CKey: "b", DocKey: "k2"}},
-	}
+	ck := withStateKeys(t, 5, "key-a", "key-b")
 	got, err := decodeCheckpoint(encoded(ck))
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +171,8 @@ func TestCheckpointCodecRejectsDamage(t *testing.T) {
 		"state-key-repeated": func([]byte) []byte {
 			return encoded(withStateKeys(t, 5, "key-a", "key-b", "key-b"))
 		},
-		"hpckpt1-format": asHPCKPT1,
+		"hpckpt1-format": asFormat("HPCKPT1\n"),
+		"hpckpt2-format": asFormat("HPCKPT2\n"),
 	} {
 		_, err := decodeCheckpoint(mutate(raw))
 		if err == nil {
@@ -193,7 +193,7 @@ func TestPruneKeepsNewest(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ckptPrefix+"zzz.tmp"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	Prune(dir, 2)
+	Prune(dir)
 	if got := listCheckpoints(dir); len(got) != 2 || got[0] != 6 || got[1] != 8 {
 		t.Errorf("after prune: %v, want [6 8]", got)
 	}
@@ -308,15 +308,6 @@ func TestOpenRecoversFromCheckpointPlusTail(t *testing.T) {
 	if fp := got.History.Fingerprint(); fp != histFP {
 		t.Errorf("history fingerprint = %s, want %s", fp, histFP)
 	}
-	// The rich-query index came back too, serving indexed queries.
-	q, err := richquery.ParseQuery([]byte(`{"selector":{"owner":"owner-item-003"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := got.State.ExecuteQuery(q)
-	if err != nil || len(res.KVs) != 1 || res.KVs[0].Key != "item-003" {
-		t.Errorf("indexed query after recovery: %v %+v", err, res)
-	}
 }
 
 func TestOpenFromGenesisMatchesCheckpointed(t *testing.T) {
@@ -403,8 +394,6 @@ func TestCodecHostileCountDoesNotPanic(t *testing.T) {
 	buf = binary.AppendUvarint(buf, 0)     // stateHeight.block
 	buf = binary.AppendUvarint(buf, 0)     // stateHeight.tx
 	buf = binary.AppendUvarint(buf, 0)     // fingerprint len
-	buf = binary.AppendUvarint(buf, 0)     // index defs
-	buf = binary.AppendUvarint(buf, 0)     // index entries
 	buf = binary.AppendUvarint(buf, 1<<61) // hostile state count
 	buf = codec.AppendChecksum(buf, 0)
 	if _, err := decodeCheckpoint(buf); err == nil {

@@ -6,11 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"maps"
-	"slices"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
-	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -24,17 +21,18 @@ import (
 //
 // Layout (all integers uvarint, strings/bytes length-prefixed):
 //
-//	magic "HPCKPT2\n"
+//	magic "HPCKPT3\n"
 //	height, stateHeight.block, stateHeight.tx, fingerprint
-//	index defs:    count, {name, field}...
-//	index entries: count, {name, entryCount, {ckey, docKey}...}...
-//	state:         count, {key, value, ver.block, ver.tx}... (keys strictly ascending)
+//	state: count, {key, value, ver.block, ver.tx}... (keys strictly ascending)
 //	crc32c (4 bytes, big-endian) over everything above
 //
-// There is no history section: recovery rebuilds history from the blocks.
-// An HPCKPT1 file, which had one, is refused like a damaged one.
+// A checkpoint holds the state and nothing derived from it: recovery
+// rebuilds history from the blocks, and a peer builds its rich-query
+// indexes from the documents. Files in the older formats, HPCKPT1 (with a
+// history section) and HPCKPT2 (with index sections), are refused like
+// damaged ones.
 
-var ckptMagic = []byte("HPCKPT2\n")
+var ckptMagic = []byte("HPCKPT3\n")
 
 // ckptWriter streams a checkpoint through a bufio.Writer, computing the
 // CRC-32C as it goes, so the file is written without ever holding its whole
@@ -65,21 +63,6 @@ func encodeCheckpoint(w io.Writer, ck *Checkpoint) error {
 	c.uvarint(ck.StateHeight.TxNum)
 	c.string(ck.Fingerprint)
 
-	c.uvarint(uint64(len(ck.Indexes)))
-	for _, def := range ck.Indexes {
-		c.string(def.Name)
-		c.string(def.Field)
-	}
-	c.uvarint(uint64(len(ck.IndexEntries)))
-	for _, name := range slices.Sorted(maps.Keys(ck.IndexEntries)) {
-		entries := ck.IndexEntries[name]
-		c.string(name)
-		c.uvarint(uint64(len(entries)))
-		for _, e := range entries {
-			c.string(e.CKey)
-			c.string(e.DocKey)
-		}
-	}
 	c.uvarint(uint64(len(ck.State)))
 	for _, kv := range ck.State {
 		c.string(kv.Key)
@@ -114,25 +97,6 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	ck.StateHeight.TxNum = d.Uvarint()
 	ck.Fingerprint = d.String()
 
-	if n := d.Count(); n > 0 {
-		ck.Indexes = make([]richquery.IndexDef, n)
-		for i := range ck.Indexes {
-			ck.Indexes[i].Name = d.String()
-			ck.Indexes[i].Field = d.String()
-		}
-	}
-	if n := d.Count(); n > 0 {
-		ck.IndexEntries = make(map[string][]richquery.IndexEntry, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			name := d.String()
-			entries := make([]richquery.IndexEntry, d.Count())
-			for j := range entries {
-				entries[j].CKey = d.String()
-				entries[j].DocKey = d.String()
-			}
-			ck.IndexEntries[name] = entries
-		}
-	}
 	if n := d.Count(); n > 0 {
 		ck.State = make([]statedb.KV, n)
 		for i := 0; i < n && d.Err() == nil; i++ {

@@ -23,17 +23,17 @@ func encoded(ck *Checkpoint) []byte {
 }
 
 // goldenCheckpointDigest is the SHA-256 of encoded(fuzzSeedCheckpoint()) — a
-// snapshot covering every codec section — in the HPCKPT2 format, which
-// dropped HPCKPT1's history section. Checkpoint files on disk outlive the
-// code that wrote them: a change to this digest is a format break, not a
-// refactor.
-const goldenCheckpointDigest = "ee6ab48a86f99dcf04dea6f9abd4b22360d455523c972206b67ee04bb7015e35"
+// snapshot covering every codec section — in the HPCKPT3 format, which
+// dropped HPCKPT2's index sections (HPCKPT2 had dropped HPCKPT1's history
+// section). Checkpoint files on disk outlive the code that wrote them: a
+// change to this digest is a format break, not a refactor.
+const goldenCheckpointDigest = "c60e60eacac7454707d6989ef4813d1cff64548baeb736dddb08b82d732ff216"
 
 func TestCheckpointBytesPinned(t *testing.T) {
 	raw := encoded(fuzzSeedCheckpoint())
 	sum := sha256.Sum256(raw)
 	if got := hex.EncodeToString(sum[:]); got != goldenCheckpointDigest {
-		t.Fatalf("HPCKPT2 encoding changed: digest %s, want %s", got, goldenCheckpointDigest)
+		t.Fatalf("HPCKPT3 encoding changed: digest %s, want %s", got, goldenCheckpointDigest)
 	}
 	back, err := decodeCheckpoint(raw)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 
 // Writing a checkpoint streams it into the file: a ~1 MiB checkpoint of
 // 1,000 records of 1 KiB allocates under a quarter of the bytes it writes
-// (the write buffer and the index-name sort), where encoding into a growing
+// (the write buffer), where encoding into a growing
 // buffer first allocated more than twice them.
 func TestCheckpointWriteStreams(t *testing.T) {
 	const records, size = 1000, 1024

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
-	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -19,10 +18,6 @@ func fuzzSeedCheckpoint() *Checkpoint {
 		State: []statedb.KV{
 			{Key: "k1", Value: []byte(`{"v":1}`), Version: statedb.Version{BlockNum: 3, TxNum: 0}},
 			{Key: "k2", Value: []byte("raw"), Version: statedb.Version{BlockNum: 7, TxNum: 2}},
-		},
-		Indexes: []richquery.IndexDef{{Name: "byts", Field: "ts"}},
-		IndexEntries: map[string][]richquery.IndexEntry{
-			"byts": {{CKey: "000123", DocKey: "k1"}},
 		},
 	}
 }
@@ -49,6 +44,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(bad)
 	f.Add(append(append([]byte(nil), good...), 0x00))
 	f.Add([]byte("HPCKPT1\n"))
+	f.Add([]byte("HPCKPT2\n"))
 	f.Add([]byte{})
 	// CRC-valid state out of key order, and a repeated key.
 	disordered := fuzzSeedCheckpoint()

@@ -9,7 +9,6 @@ import (
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/committer"
-	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -18,15 +17,6 @@ const DefaultKeep = 2
 
 // DefaultCheckpointEvery is the fewest blocks between data-led checkpoints.
 const DefaultCheckpointEvery = 16
-
-// indexedSnapshot is implemented by snapshots that pin rich-query indexes
-// (a statedb.Store's): the manager persists their definitions and entries
-// at the snapshot's boundary, so a recovered peer bulk-loads the same
-// indexes.
-type indexedSnapshot interface {
-	IndexDefs() []richquery.IndexDef
-	IndexEntries() map[string][]richquery.IndexEntry
-}
 
 // Manager decides when the committer captures a checkpoint (Due) and turns
 // the captures into durable checkpoint files on the commit pipeline's
@@ -82,10 +72,10 @@ func (m *Manager) Due(b *blockstore.Block) bool {
 // capture into a checkpoint, fsyncs the block file so the checkpoint
 // never refers past durable blocks, and publishes the file atomically. The
 // capture arrives as a copy-on-write snapshot pinned at the block boundary;
-// its entries and index entries are read out here, on the persistence
-// goroutine, off the apply path. Failures are recorded (Err) rather than
-// propagated — a failed checkpoint degrades recovery time, not
-// correctness, since the previous checkpoint set stays intact.
+// its entries are read out here, on the persistence goroutine, off the
+// apply path. Failures are recorded (Err) rather than propagated — a
+// failed checkpoint degrades recovery time, not correctness, since the
+// previous checkpoint set stays intact.
 func (m *Manager) OnCheckpoint(c committer.Capture) {
 	m.persist(m.checkpoint(c.Height, c.State))
 }
@@ -109,16 +99,12 @@ func (m *Manager) Final() error {
 func (m *Manager) checkpoint(h uint64, sn statedb.Snapshot) *Checkpoint {
 	defer sn.Release()
 	state := statedb.Collect(sn.All())
-	ck := &Checkpoint{
+	return &Checkpoint{
 		Height:      h,
 		StateHeight: sn.Height(),
 		Fingerprint: committer.Fingerprint(slices.Values(state)),
 		State:       state,
 	}
-	if ixs, ok := sn.(indexedSnapshot); ok {
-		ck.Indexes, ck.IndexEntries = ixs.IndexDefs(), ixs.IndexEntries()
-	}
-	return ck
 }
 
 // persist fsyncs the ledger, writes the checkpoint, and prunes old files.
@@ -139,7 +125,7 @@ func (m *Manager) persist(ck *Checkpoint) {
 	}
 	m.lastHeight = ck.Height
 	m.lastErr = nil
-	Prune(m.dir, DefaultKeep)
+	Prune(m.dir)
 }
 
 // LastHeight returns the height of the most recent successful checkpoint

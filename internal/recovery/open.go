@@ -39,8 +39,10 @@ type Options struct {
 // Opened is a peer's recovered ledger: durable block file plus rebuilt
 // soft state, mutually consistent at Blocks.Height().
 type Opened struct {
-	// State is the recovered world state (indexed flavour, rich queries
-	// included), exactly at the block file's height.
+	// State is the recovered world state, exactly at the block file's
+	// height. It declares no rich-query index: installing a chaincode
+	// defines its indexes and builds them from the recovered documents
+	// (Store.DefineIndexes), as on a fresh peer.
 	State *statedb.Store
 	// History is the recovered per-key history index, over Blocks.
 	History *historydb.DB
@@ -62,8 +64,10 @@ type Opened struct {
 //     confirms (skipping damaged or too-new candidates);
 //  3. re-index history from the blocks below the checkpoint;
 //  4. replay only the block tail after the checkpoint through the
-//     committer's replay path, rebuilding state, history, and the
-//     rich-query secondary indexes to the exact pre-crash fingerprint.
+//     committer's replay path, rebuilding state and history to the exact
+//     pre-crash fingerprint. No rich-query index exists yet, so a
+//     replayed query read is re-validated by a scan, which answers as an
+//     index would.
 //
 // With no usable checkpoint the replay starts from genesis — slower, never
 // wrong.
@@ -86,13 +90,9 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 	ck, err := LoadLatest(CheckpointDir(dataDir, opts.Channel), blocks.Height())
 	switch {
 	case err == nil:
-		if err := state.DefineIndexes(ck.Indexes); err != nil {
-			blocks.Close()
-			return nil, err
-		}
 		// The checkpoint was decoded moments ago and is dropped after
 		// this block: the state takes its entries over.
-		state.Restore(ck.State, ck.StateHeight, ck.IndexEntries)
+		state.Restore(ck.State, ck.StateHeight)
 		from = ck.Height
 		out.CheckpointHeight = ck.Height
 	case errors.Is(err, ErrNoCheckpoint):

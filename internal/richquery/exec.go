@@ -206,15 +206,6 @@ func encodeComponent[T ~string | ~[]byte](s T, suffix string) string {
 	return sb.String()
 }
 
-// decodeComponent splits an encoded component off the front of e: the
-// component unescaped, and the rest of e after its terminator.
-func decodeComponent(e string) (comp, rest string) {
-	comp, rest, _ = strings.Cut(e, "\x00")
-	return unescape.Replace(comp), rest
-}
-
-var unescape = strings.NewReplacer("\x01\x02", "\x00", "\x01\x03", "\x01")
-
 func invertBytes(s string) string {
 	b := []byte(s)
 	for i := range b {

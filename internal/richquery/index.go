@@ -86,19 +86,8 @@ func BuildIndexes(defs []IndexDef, docs []Candidate) []Index {
 	return out
 }
 
-// LoadIndex rebuilds the index def declares from previously exported
-// entries (checkpoint restore), without reading any document.
-func LoadIndex(def IndexDef, exported []IndexEntry) Index {
-	entries := make([]string, len(exported))
-	for i, x := range exported {
-		entries[i] = encodeComponent(x.CKey, x.DocKey)
-	}
-	return newIndex(def, strings.Split(def.Field, "."), entries)
-}
-
-// newIndex returns the index holding entries, which it sorts: exported
-// entries arrive in order and sort in linear time, and a hand-edited
-// checkpoint degrades to a sort instead of silent misqueries.
+// newIndex returns the index holding entries, which it sorts: BuildIndexes
+// collects them in the order its documents come, which is no order.
 func newIndex(def IndexDef, path, entries []string) Index {
 	slices.Sort(entries)
 	entries = slices.Compact(entries)
@@ -124,9 +113,6 @@ func (ix Index) Def() IndexDef { return ix.def }
 
 // Path returns the indexed field as the key chain Extract takes.
 func (ix Index) Path() []string { return ix.path }
-
-// Len returns the number of indexed documents.
-func (ix Index) Len() int { return ix.set.Len() }
 
 // Update returns the next version of the index with each keys[w] indexed
 // under the value its document holds at Path, as doc(w) reports it (see
@@ -159,29 +145,6 @@ func (ix Index) Update(keys []string, doc func(w int) (val any, ok bool)) Index 
 	}
 	ix.set = ix.set.Apply(changes)
 	return ix
-}
-
-// IndexEntry is one exported (collation key, document key) pair — the
-// serialized form checkpoints persist so recovery can bulk-load an index
-// without re-reading every JSON document in state.
-type IndexEntry struct {
-	// CKey is the encoded field value (EncodeKey).
-	CKey string
-	// DocKey is the indexed document's state key.
-	DocKey string
-}
-
-// Entries returns the index contents in (CKey, DocKey) order.
-func (ix Index) Entries() []IndexEntry {
-	out := make([]IndexEntry, 0, ix.Len())
-	for it := ix.set.Seek(""); ; {
-		e, ok := it.Next()
-		if !ok {
-			return out
-		}
-		ckey, docKey := decodeComponent(e)
-		out = append(out, IndexEntry{CKey: ckey, DocKey: docKey})
-	}
 }
 
 // Bound is one end of an index range scan.

@@ -383,6 +383,16 @@ func TestEncodeKeyAgreesWithCompareOnZero(t *testing.T) {
 	}
 }
 
+// decodeComponent splits an encoded component off the front of e: the
+// component unescaped, and the rest of e after its terminator. It inverts
+// encodeComponent, which FuzzIndexEntryOrder checks.
+func decodeComponent(e string) (comp, rest string) {
+	comp, rest, _ = strings.Cut(e, "\x00")
+	return unescape.Replace(comp), rest
+}
+
+var unescape = strings.NewReplacer("\x01\x02", "\x00", "\x01\x03", "\x01")
+
 // FuzzIndexEntryOrder pins the property the indexes rest on: an entry,
 // encodeComponent(ckey, docKey), compares with another exactly as the pair
 // (ckey, docKey) compares with the other pair, and splitting it at its first

@@ -202,7 +202,7 @@ func BenchmarkExecuteQuery(b *testing.B) {
 
 // BenchmarkRestore restores 10 k provenance-shaped records into a store
 // carrying the chaincode's four indexes, each rebuilt from the documents:
-// the state half of a restart from a checkpoint without index entries.
+// what Restore costs a store that declares indexes.
 func BenchmarkRestore(b *testing.B) {
 	const docs = 10_000
 	kvs := make([]KV, docs)
@@ -215,7 +215,7 @@ func BenchmarkRestore(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		s.Restore(kvs, Version{BlockNum: 1, TxNum: docs}, nil)
+		s.Restore(kvs, Version{BlockNum: 1, TxNum: docs})
 	}
 	if s.Len() != docs {
 		b.Fatalf("restored %d records, want %d", s.Len(), docs)

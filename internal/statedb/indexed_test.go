@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -155,7 +156,7 @@ func TestIndexedStoreMaintenanceAcrossCommits(t *testing.T) {
 	restored := mustIndexed(t,
 		richquery.IndexDef{Name: "by-owner", Field: "owner"},
 		richquery.IndexDef{Name: "by-size", Field: "size"})
-	restored.Restore(entries(indexed), indexed.Height(), nil)
+	restored.Restore(entries(indexed), indexed.Height())
 	for _, q := range []string{`{"selector":{"owner":"alice"}}`, `{"selector":{"size":{"$lt":4}}}`} {
 		if fmt.Sprint(queryKeys(t, restored, q)) != fmt.Sprint(queryKeys(t, indexed, q)) {
 			t.Errorf("restored store answers %s differently", q)
@@ -328,27 +329,59 @@ func TestIndexedStoreRejectsBadQuery(t *testing.T) {
 	}
 }
 
-// indexEntries is what the indexes of s hold now.
-func indexEntries(s *Store) map[string][]richquery.IndexEntry {
+// indexEntry is one entry of an index: the encoded field value (EncodeKey)
+// and the document key.
+type indexEntry struct{ ckey, doc string }
+
+// indexEntries is what the indexes of s hold now, keyed by index name: every
+// entry, in index order. A Range over no bounds yields an index's document
+// keys in (value, document key) order; each is read back under the value
+// its stored document holds at the index's path, and that value's point
+// range must hold it, so a document indexed under any other value, or not
+// a document at all, fails the test.
+func indexEntries(t *testing.T, s *Store) map[string][]indexEntry {
+	t.Helper()
 	sn := s.snapshot()
 	defer sn.Release()
-	return sn.IndexEntries()
+	out := make(map[string][]indexEntry, len(sn.indexes))
+	vals, found := make([]any, 1), make([]bool, 1)
+	for _, ix := range sn.indexes {
+		var es []indexEntry
+		for _, doc := range ix.Range(richquery.Bound{}, richquery.Bound{}) {
+			vv, _ := sn.Get(doc)
+			var ckey string
+			if richquery.Extract(vv.Value, [][]string{ix.Path()}, vals, found) && found[0] {
+				ckey = richquery.EncodeKey(vals[0])
+			}
+			at := richquery.Bound{CKey: ckey, Inclusive: true, Set: true}
+			if !slices.Contains(ix.Range(at, at), doc) {
+				t.Fatalf("index %s holds %q, but not under %q, the value its document holds", ix.Def().Name, doc, ckey)
+			}
+			es = append(es, indexEntry{ckey, doc})
+		}
+		out[ix.Def().Name] = es
+	}
+	return out
 }
 
 // indexDefsOf is the indexes s declares now.
 func indexDefsOf(s *Store) []richquery.IndexDef {
 	sn := s.snapshot()
 	defer sn.Release()
-	return sn.IndexDefs()
+	defs := make([]richquery.IndexDef, len(sn.indexes))
+	for i, ix := range sn.indexes {
+		defs[i] = ix.Def()
+	}
+	return defs
 }
 
 // rebuiltEntries is what the indexes of s hold when built in one go
-// (BuildIndex over the stored values) from the state s holds now.
-func rebuiltEntries(t *testing.T, s *Store) map[string][]richquery.IndexEntry {
+// (BuildIndexes over the stored values) from the state s holds now.
+func rebuiltEntries(t *testing.T, s *Store) map[string][]indexEntry {
 	t.Helper()
 	fresh := mustIndexed(t, indexDefsOf(s)...)
-	fresh.Restore(entries(s), s.Height(), nil)
-	return indexEntries(fresh)
+	fresh.Restore(entries(s), s.Height())
+	return indexEntries(t, fresh)
 }
 
 // Index maintenance reads each block's staged documents and updates the
@@ -381,11 +414,11 @@ func TestIncrementalIndexesEqualRebuild(t *testing.T) {
 		if err := s.ApplyUpdates(b, Version{BlockNum: block, TxNum: 99}); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := indexEntries(s), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
+		if got, want := indexEntries(t, s), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("block %d: incremental indexes\n%v\nrebuilt\n%v", block, got, want)
 		}
 	}
-	if n := len(indexEntries(s)["by-mx"]); n < 5 {
+	if n := len(indexEntries(t, s)["by-mx"]); n < 5 {
 		t.Fatalf("by-mx holds %d entries: the generator no longer reaches it", n)
 	}
 }
@@ -445,7 +478,7 @@ func TestDefineIndexesDuringApplyUpdates(t *testing.T) {
 	if len(indexDefsOf(s)) != 1+len(fields) {
 		t.Fatalf("%d indexes defined, want %d", len(indexDefsOf(s)), 1+len(fields))
 	}
-	if got, want := indexEntries(s), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
+	if got, want := indexEntries(t, s), rebuiltEntries(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("indexes after concurrent installs\n%v\nrebuilt from state\n%v", got, want)
 	}
 }

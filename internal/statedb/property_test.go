@@ -185,7 +185,7 @@ func TestPropertyRestoreRoundTrip(t *testing.T) {
 		applyBoth(t, src, ref, batches)
 
 		restored := New()
-		restored.Restore(entries(ref), ref.Height(), nil)
+		restored.Restore(entries(ref), ref.Height())
 		if !reflect.DeepEqual(entries(restored), entries(src)) {
 			t.Fatalf("seed %d: restored store differs", seed)
 		}

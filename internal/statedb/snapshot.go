@@ -241,27 +241,3 @@ func (sn *storeSnapshot) ExecuteQuery(q *richquery.Query) (*QueryResult, error) 
 	}
 	return finishQuery(sn, q, cands)
 }
-
-// IndexDefs returns the definitions of the indexes the snapshot pinned.
-func (sn *storeSnapshot) IndexDefs() []richquery.IndexDef {
-	out := make([]richquery.IndexDef, len(sn.indexes))
-	for i, ix := range sn.indexes {
-		out[i] = ix.Def()
-	}
-	return out
-}
-
-// IndexEntries exports every pinned index's contents at the snapshot
-// boundary, keyed by index name (nil when the store has none). A checkpoint
-// persists them beside the state, so a restored peer bulk-loads its indexes
-// instead of re-reading every JSON document in state.
-func (sn *storeSnapshot) IndexEntries() map[string][]richquery.IndexEntry {
-	if len(sn.indexes) == 0 {
-		return nil
-	}
-	out := make(map[string][]richquery.IndexEntry, len(sn.indexes))
-	for _, ix := range sn.indexes {
-		out[ix.Def().Name] = ix.Entries()
-	}
-	return out
-}

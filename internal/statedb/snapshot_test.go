@@ -173,7 +173,7 @@ func TestRestoreDetachesSnapshots(t *testing.T) {
 	mustApply(t, s, 1, map[string]string{"a": "1"})
 	snap := s.Snapshot()
 	defer snap.Release()
-	s.Restore([]KV{{Key: "z", Value: []byte("9")}}, Version{BlockNum: 9}, nil)
+	s.Restore([]KV{{Key: "z", Value: []byte("9")}}, Version{BlockNum: 9})
 	if _, ok := snap.Get("a"); ok {
 		t.Fatal("detached snapshot still answers")
 	}

@@ -406,15 +406,15 @@ func (s *Store) dropSnapshot(sn *storeSnapshot) {
 // peer comes back from a checkpoint. kvs must be in strictly ascending key
 // order, as a snapshot's All yields them and the checkpoint decoder checks;
 // the store takes ownership of the slice's values and builds its key set
-// from it without sorting. Indexes whose serialized entries are present
-// bulk-load them (no document is re-read); any declared index missing from
-// entries is rebuilt from kvs. The restored height is the MVCC low-water
-// mark: a later ApplyUpdates at a height at or below it is rejected as
-// stale, which is what makes replaying an already-reflected block after
-// restart a detectable no-op instead of a silent double-apply. Outstanding
-// snapshots are detached (their reads report absent thereafter); callers
-// quiesce readers around a restore.
-func (s *Store) Restore(kvs []KV, height Version, entries map[string][]richquery.IndexEntry) {
+// from it without sorting. Every declared index is rebuilt from the
+// restored documents with richquery.BuildIndexes, the way DefineIndexes
+// builds one. The restored height is the MVCC low-water mark: a later
+// ApplyUpdates at a height at or below it is rejected as stale, which is
+// what makes replaying an already-reflected block after restart a
+// detectable no-op instead of a silent double-apply. Outstanding snapshots
+// are detached (their reads report absent thereafter); callers quiesce
+// readers around a restore.
+func (s *Store) Restore(kvs []KV, height Version) {
 	fresh := make(map[string]VersionedValue, len(kvs))
 	keys := make([]string, len(kvs))
 	for i, kv := range kvs {
@@ -430,19 +430,12 @@ func (s *Store) Restore(kvs []KV, height Version, entries map[string][]richquery
 	s.snaps = make(map[*storeSnapshot]struct{})
 	s.data = fresh
 	s.keys.Store(keyset.New(keys))
-	var rebuild []int // the indexes entries lacks, built in one pass
-	var defs []richquery.IndexDef
-	for i, ix := range s.indexes {
-		if es, ok := entries[ix.Def().Name]; ok {
-			s.indexes[i] = richquery.LoadIndex(ix.Def(), es)
-			continue
+	if len(s.indexes) > 0 {
+		defs := make([]richquery.IndexDef, len(s.indexes))
+		for i, ix := range s.indexes {
+			defs[i] = ix.Def()
 		}
-		rebuild, defs = append(rebuild, i), append(defs, ix.Def())
-	}
-	if len(defs) > 0 {
-		for j, ix := range richquery.BuildIndexes(defs, mapCandidates(fresh)) {
-			s.indexes[rebuild[j]] = ix
-		}
+		s.indexes = richquery.BuildIndexes(defs, mapCandidates(fresh))
 	}
 	h := height
 	s.height.Store(&h)

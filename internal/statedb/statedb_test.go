@@ -198,7 +198,7 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := New()
-	s2.Restore(entries(s), s.Height(), nil)
+	s2.Restore(entries(s), s.Height())
 	if vv, ok := s2.Get("k"); !ok || !bytes.Equal(vv.Value, []byte("v")) {
 		t.Errorf("restored Get(k) = %v, %v", vv, ok)
 	}
@@ -305,7 +305,7 @@ func TestRestoreHeightSemantics(t *testing.T) {
 
 	snap := entries(s)
 	restored := New()
-	restored.Restore(snap, Version{7, 3}, nil)
+	restored.Restore(snap, Version{7, 3})
 	if got := restored.Height(); got != (Version{7, 3}) {
 		t.Fatalf("restored height = %v, want 7:3", got)
 	}
@@ -357,7 +357,7 @@ func TestVersionedValueJSONRoundtrip(t *testing.T) {
 		kvs = append(kvs, KV{Key: kv.Key, Value: vv.Value, Version: vv.Version})
 	}
 	restored := New()
-	restored.Restore(kvs, Version{3, 2}, nil)
+	restored.Restore(kvs, Version{3, 2})
 	vv, ok := restored.Get("doc")
 	if !ok || string(vv.Value) != `{"owner":"alice"}` || vv.Version != (Version{3, 1}) {
 		t.Fatalf("doc after JSON roundtrip = %+v ok=%v", vv, ok)

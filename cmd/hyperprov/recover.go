@@ -48,7 +48,6 @@ func (h *recoverHarness) open(dir string) (*peer.Peer, error) {
 		Channels:        []string{"hyperprov"},
 		Dir:             dir,
 		CheckpointEvery: 4,
-		SyncEachAppend:  true,
 	})
 	if err != nil {
 		return nil, err
@@ -107,7 +106,9 @@ func (h *recoverHarness) inspect(p *peer.Peer, key string) (string, error) {
 }
 
 // runRecover is the durable-storage walkthrough: commit, crash, reopen,
-// verify, continue.
+// verify, continue. Every block's append fsynced it, so the crash loses
+// only the final checkpoint, and the reopen replays the tail past the last
+// periodic one.
 func runRecover(dir string, blocks int) error {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "hyperprov-peer-*")

@@ -1,13 +1,13 @@
 package blockstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
@@ -28,48 +28,30 @@ var v2Magic = []byte("HPB2")
 // damage, not data (mirrors network.MaxFrame's hostile-length guard).
 const maxV2Record = 1 << 31
 
-// SyncPolicy selects when the FileStore forces appended blocks to stable
-// storage (fsync).
-type SyncPolicy int
-
-const (
-	// SyncOnClose flushes the userspace buffer on every append but fsyncs
-	// only on explicit Sync and on Close. An OS crash can lose the most
-	// recent blocks; a process crash cannot. This is the throughput-friendly
-	// default for modeled networks and tests.
-	SyncOnClose SyncPolicy = iota
-	// SyncEachAppend fsyncs after every appended block, bounding loss on
-	// power failure to the block being written — the policy for durable
-	// edge peers, where pulling the plug is a routine event.
-	SyncEachAppend
-)
-
 // FileStore is a block store backed by an append-only file of encoded
 // blocks, giving a peer's ledger copy durability across restarts — the
-// role of Fabric's block files on each peer's disk.
+// role of Fabric's block files on each peer's disk. It has one write rule:
+// Append writes the record and fsyncs it before it returns, so a block the
+// store holds survives a process kill and an OS crash alike, at the cost of
+// one fsync per block. A write or fsync that fails stops the store: every
+// later Append returns that error, and reopening the file recovers to the
+// last durable block.
 type FileStore struct {
 	mu     sync.Mutex
 	mem    *Store
 	f      *os.File
-	w      *bufio.Writer
 	path   string
-	policy SyncPolicy
+	failed error
 }
 
-// OpenFileStore opens (or creates) the block file at path with the default
-// SyncOnClose policy. See OpenFileStoreWithPolicy.
+// OpenFileStore opens (or creates) the block file at path and loads all
+// existing blocks, re-verifying the hash chain as it goes. A truncated final
+// record (crash during append) is discarded so the store recovers to the
+// last durable block; damage anywhere before the final record, a final
+// record that parses but breaks the chain, or a file that does not begin
+// with the record magic is corruption and fails the open with
+// ErrCorruptFile, leaving the file untouched.
 func OpenFileStore(path string) (*FileStore, error) {
-	return OpenFileStoreWithPolicy(path, SyncOnClose)
-}
-
-// OpenFileStoreWithPolicy opens (or creates) the block file at path and
-// loads all existing blocks, re-verifying the hash chain as it goes. A
-// truncated final record (crash during append) is discarded so the store
-// recovers to the last durable block; damage anywhere before the final
-// record, a final record that parses but breaks the chain, or a file that
-// does not begin with the record magic is corruption and fails the open
-// with ErrCorruptFile, leaving the file untouched.
-func OpenFileStoreWithPolicy(path string, policy SyncPolicy) (*FileStore, error) {
 	mem := NewStore()
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -96,7 +78,22 @@ func OpenFileStoreWithPolicy(path string, policy SyncPolicy) (*FileStore, error)
 		f.Close()
 		return nil, fmt.Errorf("blockstore: seek %s: %w", path, err)
 	}
-	return &FileStore{mem: mem, f: f, w: bufio.NewWriter(f), path: path, policy: policy}, nil
+	if len(raw) == 0 {
+		// A new file's directory entry must be durable too, or a crash can
+		// lose the file with every fsynced block in it.
+		SyncDir(filepath.Dir(path))
+	}
+	return &FileStore{mem: mem, f: f, path: path}, nil
+}
+
+// SyncDir fsyncs a directory so a file just created or renamed in it
+// survives power loss. Best-effort: some filesystems refuse directory
+// fsync.
+func SyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
 }
 
 // v2 record parse outcomes.
@@ -194,14 +191,21 @@ func allZero(p []byte) bool {
 	return true
 }
 
-// Append checks the block's sequence and linkage, appends it, then persists
-// it according to the store's sync policy. The block encodes into a pooled
-// buffer (reusing each envelope's cached canonical bytes), so the
-// steady-state append path allocates no per-block encode scratch.
+// Append checks the block's sequence and linkage, writes its record, fsyncs
+// the file, and only then adds the block to the store, so Height never
+// counts a block that is not on stable storage. After a failed write or
+// fsync the file's tail (and, past a failed fsync, the page cache) cannot be
+// trusted: Append refuses every later block with the same error, and a
+// reopen discards the torn tail. The block encodes into a pooled buffer
+// (reusing each envelope's cached canonical bytes), so the steady-state
+// append path allocates no per-block encode scratch.
 func (s *FileStore) Append(b *Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.mem.Append(b); err != nil {
+	if s.failed != nil {
+		return s.failed
+	}
+	if err := s.mem.follows(b); err != nil {
 		return err
 	}
 	buf := codec.GetBuffer()
@@ -209,62 +213,39 @@ func (s *FileStore) Append(b *Block) error {
 	var hdr [len("HPB2") + binary.MaxVarintLen64]byte
 	n := copy(hdr[:], v2Magic)
 	n += binary.PutUvarint(hdr[n:], uint64(len(buf.B)))
-	if _, err := s.w.Write(hdr[:n]); err != nil {
-		buf.Release()
-		return fmt.Errorf("blockstore: append %s: %w", s.path, err)
-	}
-	if _, err := s.w.Write(buf.B); err != nil {
-		buf.Release()
-		return fmt.Errorf("blockstore: append %s: %w", s.path, err)
+	_, err := s.f.Write(hdr[:n])
+	if err == nil {
+		_, err = s.f.Write(buf.B)
 	}
 	buf.Release()
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("blockstore: flush %s: %w", s.path, err)
+	if err == nil {
+		err = s.f.Sync()
 	}
-	if s.policy == SyncEachAppend {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("blockstore: sync %s: %w", s.path, err)
-		}
+	if err != nil {
+		s.failed = fmt.Errorf("blockstore: append block %d to %s: %w", b.Header.Number, s.path, err)
+		return s.failed
 	}
-	return nil
+	return s.mem.Append(b)
 }
 
-// Sync flushes buffered writes to stable storage.
-func (s *FileStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	return s.f.Sync()
-}
-
-// Close flushes, fsyncs, and closes the block file.
+// Close closes the block file. Every appended block is already on stable
+// storage, so there is nothing to flush; a store stopped by a failed append
+// reports that failure (Err).
 func (s *FileStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
+	if err := s.f.Close(); err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
+	return s.failed
 }
 
-// CloseNoFlush closes the file descriptor without the final flush or
-// fsync — the programmatic stand-in for a process kill, used by
-// crash-recovery tests and the recovery demo. Because Append flushes each
-// line to the OS, nothing is lost in-process; what this models is dying
-// without the clean-shutdown work (no final checkpoint, no fsync of OS
-// caches). Tests emulate the physical-loss half — a torn final append —
-// by truncating the file afterwards.
-func (s *FileStore) CloseNoFlush() error {
+// Err returns the write or fsync failure that stopped the store, or nil.
+// Past it the file holds fewer blocks than were handed to Append.
+func (s *FileStore) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f.Close()
+	return s.failed
 }
 
 // Height returns the number of persisted blocks.

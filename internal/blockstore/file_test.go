@@ -67,38 +67,54 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// An append is two writes, header then body, so a kill can leave any prefix
+// of the final record on disk: every cut must reopen at the previous block
+// and keep appending.
 func TestFileStoreDiscardsTornTail(t *testing.T) {
 	path := writeChain(t, 3)
-	fi, err := os.Stat(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the final record mid-body (crash during append).
-	if err := os.Truncate(path, fi.Size()-7); err != nil {
-		t.Fatal(err)
+	last := 0
+	for off := 0; off < len(raw); {
+		_, total, status := parseV2Record(raw[off:])
+		if status != recComplete {
+			t.Fatalf("record at %d: status %d", off, status)
+		}
+		last, off = off, off+total
 	}
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen after torn record: %v", err)
-	}
-	if s2.Height() != 2 {
-		t.Fatalf("height after torn record = %d, want 2", s2.Height())
-	}
-	// Appends continue cleanly on the truncated file.
-	fillFileStore(t, s2, 2, 2)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if s3.Height() != 4 {
-		t.Fatalf("final height = %d, want 4", s3.Height())
-	}
-	if err := s3.VerifyChain(); err != nil {
-		t.Fatalf("VerifyChain: %v", err)
+	for cut := 1; cut < len(raw)-last; cut++ {
+		torn := filepath.Join(t.TempDir(), "torn.hpb")
+		if err := os.WriteFile(torn, raw[:last+cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := OpenFileStore(torn)
+		if err != nil {
+			t.Fatalf("cut %d: reopen after torn record: %v", cut, err)
+		}
+		if s2.Height() != 2 {
+			t.Fatalf("cut %d: height after torn record = %d, want 2", cut, s2.Height())
+		}
+		if err := s2.VerifyChain(); err != nil {
+			t.Fatalf("cut %d: VerifyChain: %v", cut, err)
+		}
+		// Appends continue cleanly on the truncated file.
+		fillFileStore(t, s2, 2, 2)
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s3, err := OpenFileStore(torn)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if s3.Height() != 4 {
+			t.Fatalf("cut %d: final height = %d, want 4", cut, s3.Height())
+		}
+		if err := s3.VerifyChain(); err != nil {
+			t.Fatalf("cut %d: VerifyChain: %v", cut, err)
+		}
+		s3.Close()
 	}
 }
 
@@ -245,25 +261,83 @@ func TestFileStoreRejectsRewrittenRecord(t *testing.T) {
 	}
 }
 
-func TestFileStoreSyncEachAppendSurvivesNoFlushClose(t *testing.T) {
+// A killed process never closes its store: every block Append returned for
+// is already in the file, with no buffer left to flush.
+func TestFileStoreAppendSurvivesKill(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.hpb")
-	s, err := OpenFileStoreWithPolicy(path, SyncEachAppend)
+	s, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillFileStore(t, s, 0, 3)
-	// Simulate a process kill: no flush, no fsync. With SyncEachAppend
-	// every block already reached the file, so nothing is lost.
-	if err := s.CloseNoFlush(); err != nil {
-		t.Fatal(err)
-	}
+	// Drop the store without Close; the descriptor is released only after
+	// the reopen, as the kernel would release a killed process's.
+	defer s.f.Close()
 	s2, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	if s2.Height() != 3 {
-		t.Errorf("height after kill with SyncEachAppend = %d, want 3", s2.Height())
+		t.Errorf("height after kill = %d, want 3", s2.Height())
+	}
+}
+
+// A write that fails — a full or failing card — leaves the store at its
+// last durable block and stops it; a reopen recovers and appends continue.
+func TestFileStoreFailedAppendStopsStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.hpb")
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillFileStore(t, s, 0, 2)
+	rw := s.f
+	ro, err := os.Open(path) // writes through it fail with EBADF
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.f = ro
+	b := NewBlock(2, s.LastHash(), []Envelope{mkEnv("tx-2", "set")})
+	failed := s.Append(b)
+	if failed == nil {
+		t.Fatal("append through a read-only descriptor succeeded")
+	}
+	if s.Height() != 2 {
+		t.Errorf("height after failed append = %d, want 2", s.Height())
+	}
+	if _, ok := s.Locate("tx-2"); ok {
+		t.Error("failed block is locatable")
+	}
+	s.f = rw // the device recovers; the store must not
+	if err := s.Append(b); !errors.Is(err, failed) {
+		t.Errorf("retry after failed append: err = %v, want %v", err, failed)
+	}
+	if s.Height() != 2 {
+		t.Errorf("height after refused retry = %d, want 2", s.Height())
+	}
+	ro.Close()
+	if err := s.Err(); !errors.Is(err, failed) {
+		t.Errorf("Err = %v, want %v", err, failed)
+	}
+	if err := s.Close(); !errors.Is(err, failed) {
+		t.Fatalf("Close = %v, want %v", err, failed)
+	}
+
+	s2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatalf("reopen after failed append: %v", err)
+	}
+	defer s2.Close()
+	if s2.Height() != 2 {
+		t.Fatalf("reopened height = %d, want 2", s2.Height())
+	}
+	if err := s2.VerifyChain(); err != nil {
+		t.Fatalf("VerifyChain: %v", err)
+	}
+	fillFileStore(t, s2, 2, 2)
+	if s2.Height() != 4 {
+		t.Errorf("height after continued appends = %d, want 4", s2.Height())
 	}
 }
 
@@ -282,9 +356,6 @@ func TestFileStoreSequenceStillEnforced(t *testing.T) {
 	unchained := NewBlock(2, []byte("not the last hash"), []Envelope{mkEnv("bad", "set")})
 	if err := s.Append(unchained); !errors.Is(err, ErrBrokenChain) {
 		t.Errorf("wrong-previous-hash append: err = %v, want ErrBrokenChain", err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Errorf("Sync: %v", err)
 	}
 	if s.Height() != 2 {
 		t.Errorf("height after rejected appends = %d, want 2", s.Height())

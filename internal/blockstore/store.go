@@ -72,12 +72,8 @@ func NewStore() *Store {
 func (s *Store) Append(b *Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	want := uint64(len(s.blocks))
-	if b.Header.Number != want {
-		return fmt.Errorf("%w: got %d, want %d", ErrWrongSequence, b.Header.Number, want)
-	}
-	if want > 0 && !bytes.Equal(b.Header.PreviousHash, s.tip[:]) {
-		return fmt.Errorf("%w: block %d previous hash mismatch", ErrBrokenChain, b.Header.Number)
+	if err := s.checkNext(b); err != nil {
+		return err
 	}
 	s.blocks = append(s.blocks, b)
 	s.tip = b.Header.sum()
@@ -90,6 +86,26 @@ func (s *Store) Append(b *Block) error {
 			code = b.TxValidation[i]
 		}
 		s.byTxID[b.Envelopes[i].TxID] = TxLocator{BlockNum: b.Header.Number, TxNum: i, Code: code}
+	}
+	return nil
+}
+
+// follows reports whether Append would accept b, without appending it.
+func (s *Store) follows(b *Block) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.checkNext(b)
+}
+
+// checkNext checks that b is the chain's next block: its number is the height
+// and its previous hash the tip. The caller holds s.mu.
+func (s *Store) checkNext(b *Block) error {
+	want := uint64(len(s.blocks))
+	if b.Header.Number != want {
+		return fmt.Errorf("%w: got %d, want %d", ErrWrongSequence, b.Header.Number, want)
+	}
+	if want > 0 && !bytes.Equal(b.Header.PreviousHash, s.tip[:]) {
+		return fmt.Errorf("%w: block %d previous hash mismatch", ErrBrokenChain, b.Header.Number)
 	}
 	return nil
 }

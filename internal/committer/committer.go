@@ -288,14 +288,18 @@ func applyState(state statedb.StateDB, t *task) error {
 // persist runs stage 3 for one block: block-store append, then history
 // (no reader meets a locator before its block), and the committed callback.
 // Admission already checked sequence, linkage, and data integrity, so
-// Append cannot fail here short of a programming error; the guard stays so
-// a bug surfaces as a missing commit callback rather than a corrupted store.
+// Append fails only on a storage error (a durable store's write or fsync):
+// the block then gets no history and no commit callback, and the failure
+// is counted (metrics.LedgerAppendFailures).
 //
 // The persist span is recorded BEFORE OnCommitted fires: the peer completes
 // each transaction's trace from its commit callback, and a span added after
 // Complete would be lost.
 func persist(cfg Config, t *task, start time.Time) {
 	if err := cfg.Blocks.Append(t.b); err != nil {
+		if cfg.Metrics != nil {
+			cfg.Metrics.Counter(metrics.LedgerAppendFailures).Inc()
+		}
 		return
 	}
 	if cfg.History != nil {

@@ -1,11 +1,14 @@
 package committer
 
 import (
+	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/metrics"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
@@ -257,5 +260,55 @@ func TestSharedBlockKeepsPerPeerVerdicts(t *testing.T) {
 		if ordered.TxValidation != nil {
 			t.Errorf("ordered block %d was annotated: %v", ordered.Header.Number, ordered.TxValidation)
 		}
+	}
+}
+
+// failingAppend is a ledger whose next append fails, as a full or failing
+// card fails a durable store's write.
+type failingAppend struct {
+	*blockstore.Store
+	fail *atomic.Bool
+}
+
+func (s failingAppend) Append(b *blockstore.Block) error {
+	if s.fail.Swap(false) {
+		return errors.New("append: no space left on device")
+	}
+	return s.Store.Append(b)
+}
+
+// A block the ledger refuses is counted, not committed: no history, no
+// commit callback, and /metrics says why the peer is behind.
+func TestFailedAppendCounted(t *testing.T) {
+	engines := map[string]func(Config) Committer{
+		"serial":   func(c Config) Committer { return NewSerial(c) },
+		"pipeline": func(c Config) Committer { return New(c) },
+	}
+	for name, newEngine := range engines {
+		t.Run(name, func(t *testing.T) {
+			f := newTxFactory(t)
+			stream := buildStream(t, f)
+			l := newLedger()
+			cfg := l.config(f, 2)
+			fail := &atomic.Bool{}
+			fail.Store(true)
+			cfg.Blocks = failingAppend{l.blocks, fail}
+			cfg.Metrics = metrics.NewRegistry()
+			var committed atomic.Int64
+			cfg.OnCommitted = func(*blockstore.Block) { committed.Add(1) }
+			c := newEngine(cfg)
+			defer c.Close()
+			c.Submit(stream[0])
+			c.Sync()
+			if got := cfg.Metrics.Counter(metrics.LedgerAppendFailures).Value(); got != 1 {
+				t.Errorf("%s = %d, want 1", metrics.LedgerAppendFailures, got)
+			}
+			if h := l.blocks.Height(); h != 0 {
+				t.Errorf("height = %d, want 0", h)
+			}
+			if n := committed.Load(); n != 0 {
+				t.Errorf("OnCommitted ran %d times for a refused block", n)
+			}
+		})
 	}
 }

@@ -464,6 +464,11 @@ const (
 	EnvelopesOrdered   = "envelopes_ordered"
 	EnvelopesRejected  = "envelopes_rejected"
 	GossipBlocksPulled = "gossip_blocks_pulled"
+	// LedgerAppendFailures counts blocks the committer validated but could
+	// not append to the block store (a failed write or fsync). A durable
+	// store refuses every append after its first failure, so a non-zero
+	// count says why this peer stopped advancing.
+	LedgerAppendFailures = "ledger_append_failures"
 	// GatewayEndorseWidened counts Endorse calls that asked beyond the
 	// commit peer: it errored, its signature was skipped, or the policy needs
 	// more than one org. Zero on a healthy single-org channel.

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/network"
 )
 
@@ -307,18 +308,8 @@ func (d *DirStore) Write(r io.Reader, size int64) (string, error) {
 		os.Remove(tmpName)
 		return "", fmt.Errorf("offchain: publish object: %w", err)
 	}
-	syncDir(d.root)
+	blockstore.SyncDir(d.root)
 	return "file://" + key, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed object survives power loss.
-// Best-effort, matching internal/recovery: some filesystems refuse
-// directory fsync.
-func syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		_ = f.Sync()
-		f.Close()
-	}
 }
 
 // Open verifies the file behind ref against its content address, then

@@ -50,7 +50,7 @@ func openDurableHost(f *fixture, dir string, every uint64, channels []string) *H
 	}
 	h, err := Open(Config{
 		Name: "durable-host", Signer: signer, MSP: f.msp, Channels: channels,
-		Dir: dir, CheckpointEvery: every, SyncEachAppend: true,
+		Dir: dir, CheckpointEvery: every,
 	})
 	if err != nil {
 		f.t.Fatalf("Open: %v", err)

@@ -68,10 +68,6 @@ type Config struct {
 	// taken; 0 lets the schedule follow the data (recovery.Manager.Due).
 	// Only meaningful with Open.
 	CheckpointEvery uint64
-	// SyncEachAppend, when true, fsyncs the block file on every appended
-	// block (power-loss bound of one block) instead of only at checkpoints
-	// and close. Only meaningful with Open.
-	SyncEachAppend bool
 
 	// Tracer, when set, receives transaction lifecycle spans (endorse and
 	// the three commit stages) and is completed — outcome recorded, trace
@@ -225,13 +221,9 @@ func Open(cfg Config) (*Host, error) {
 	if err := validateChannels(cfg); err != nil {
 		return nil, err
 	}
-	sync := blockstore.SyncOnClose
-	if cfg.SyncEachAppend {
-		sync = blockstore.SyncEachAppend
-	}
 	h := &Host{name: cfg.Name, channels: make(map[string]*Peer, len(cfg.Channels))}
 	for _, ch := range cfg.Channels {
-		opened, err := recovery.Open(cfg.Dir, recovery.Options{Sync: sync, Channel: ch})
+		opened, err := recovery.Open(cfg.Dir, ch)
 		if err != nil {
 			h.Close() // release channels already opened
 			return nil, fmt.Errorf("peer %s channel %q: %w", cfg.Name, ch, err)
@@ -281,8 +273,8 @@ func (h *Host) Close() error {
 	return err
 }
 
-// Crash shuts every channel down the unclean way (no flush, no final
-// checkpoint), for crash-recovery tests and demos.
+// Crash shuts every channel down the unclean way (no final checkpoint), for
+// crash-recovery tests and demos.
 func (h *Host) Crash() {
 	for _, id := range h.order {
 		h.channels[id].Crash()
@@ -658,14 +650,15 @@ func (p *Peer) Close() error {
 }
 
 // Crash shuts the peer down the unclean way, for crash-recovery tests and
-// demos: the pipeline's goroutines are reaped but no final checkpoint is
-// taken and the block file is closed without flush or fsync — whatever the
-// OS had not yet been handed is gone, exactly as when the process is
-// killed mid-commit.
+// demos: the pipeline's goroutines are reaped and the block file is closed,
+// but no final checkpoint is taken, so the next Open replays the block tail
+// past the last checkpoint — exactly as when the process is killed
+// mid-commit. Every committed block is already on stable storage, so Crash
+// differs from Close only in that checkpoint.
 func (p *Peer) Crash() {
 	p.Stop()
 	if p.file != nil {
-		_ = p.file.CloseNoFlush()
+		_ = p.file.Close()
 	}
 }
 

@@ -68,7 +68,7 @@ func (f *fixture) openDurable(dir string, every uint64) *Peer {
 	}
 	host, err := Open(Config{
 		Name: "durable", Signer: signer, MSP: f.msp, Channels: []string{"ch"},
-		Dir: dir, CheckpointEvery: every, SyncEachAppend: true,
+		Dir: dir, CheckpointEvery: every,
 	})
 	if err != nil {
 		f.t.Fatalf("Open: %v", err)
@@ -255,6 +255,59 @@ func TestDurablePeerSurvivesCrashWithoutCheckpoint(t *testing.T) {
 		t.Errorf("recovery info = %+v, want genesis replay of 3", info)
 	}
 	comparePeers(t, p2, f.peer, "genesis replay")
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A block file that fails under a running peer (here its descriptor is
+// closed, so the next write fails as on a dead SD card) stops the ledger at
+// its last durable block while the committer still applies later blocks'
+// state. A clean Close must then report the failure and write no checkpoint
+// of that state, and the next Open recovers to the durable height and
+// commits on.
+func TestFailedAppendThenCloseReopens(t *testing.T) {
+	const durable = 4
+	f := newFixture(t)
+	stream := buildTortureStream(f, durable+2, 3)
+	defer f.peer.Stop()
+
+	dir := t.TempDir()
+	p := f.openDurable(dir, 3) // checkpoint at 3, none at the durable height
+	for _, b := range stream[:durable] {
+		p.CommitBlock(b)
+	}
+	state, history := committer.StateFingerprint(p.state), p.history.Fingerprint()
+	if err := p.file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range stream[durable:] {
+		p.CommitBlock(b)
+	}
+	if h := p.Height(); h != durable {
+		t.Fatalf("height after failed appends = %d, want %d", h, durable)
+	}
+	if err := p.Close(); err == nil {
+		t.Fatal("Close after a failed append reported no error")
+	}
+
+	p2 := f.openDurable(dir, 3)
+	if h := p2.Height(); h != durable {
+		t.Fatalf("reopened height = %d, want %d", h, durable)
+	}
+	if info := p2.Recovery(); info.CheckpointHeight != 3 || info.ReplayedBlocks != 1 {
+		t.Errorf("recovery info = %+v, want checkpoint 3 plus 1 replayed block", info)
+	}
+	if g := committer.StateFingerprint(p2.state); g != state {
+		t.Errorf("reopened state fingerprint = %s, want %s", g, state)
+	}
+	if g := p2.history.Fingerprint(); g != history {
+		t.Errorf("reopened history fingerprint = %s, want %s", g, history)
+	}
+	for _, b := range stream[durable:] {
+		p2.CommitBlock(b)
+	}
+	comparePeers(t, p2, f.peer, "after reopen + tail")
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}

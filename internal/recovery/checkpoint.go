@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/hyperprov/hyperprov/internal/blockstore"
 	"github.com/hyperprov/hyperprov/internal/committer"
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
@@ -117,17 +118,8 @@ func WriteCheckpoint(dir string, ck *Checkpoint) (string, error) {
 		os.Remove(tmpName)
 		return "", fmt.Errorf("recovery: publish checkpoint: %w", err)
 	}
-	syncDir(dir)
+	blockstore.SyncDir(dir)
 	return final, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-// Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }
 
 // ReadCheckpoint loads one checkpoint file and validates its CRC-32C.

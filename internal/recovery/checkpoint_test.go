@@ -229,7 +229,7 @@ func mkStoredBlock(t *testing.T, n uint64, prev []byte, keys ...string) *blockst
 // Manager every `every` blocks, and returns the final fingerprints.
 func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP string) {
 	t.Helper()
-	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePath(dataDir, testChannel), blockstore.SyncEachAppend)
+	blocks, err := blockstore.OpenFileStore(BlockFilePath(dataDir, testChannel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestOpenRecoversFromCheckpointPlusTail(t *testing.T) {
 	dir := t.TempDir()
 	stateFP, histFP := seedLedger(t, dir, 10, 4) // checkpoints at 4 and 8, tail of 2
 
-	got, err := Open(dir, Options{Channel: testChannel})
+	got, err := Open(dir, testChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestOpenFromGenesisMatchesCheckpointed(t *testing.T) {
 	if err := os.RemoveAll(CheckpointDir(dir, testChannel)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(dir, Options{Channel: testChannel})
+	got, err := Open(dir, testChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestOpenFromGenesisMatchesCheckpointed(t *testing.T) {
 }
 
 func TestOpenFreshDirectory(t *testing.T) {
-	got, err := Open(filepath.Join(t.TempDir(), "fresh"), Options{Channel: testChannel})
+	got, err := Open(filepath.Join(t.TempDir(), "fresh"), testChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestOpenFreshDirectory(t *testing.T) {
 }
 
 func TestOpenRequiresChannel(t *testing.T) {
-	if _, err := Open(t.TempDir(), Options{}); err == nil {
+	if _, err := Open(t.TempDir(), ""); err == nil {
 		t.Fatal("Open without a channel succeeded")
 	}
 }
@@ -357,7 +357,7 @@ func TestManagerFinalEnablesInstantReopen(t *testing.T) {
 	seedLedger(t, dir, 5, 0) // no periodic checkpoints
 
 	// Reopen replaying from genesis, then take a final checkpoint.
-	opened, err := Open(dir, Options{Channel: testChannel})
+	opened, err := Open(dir, testChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestManagerFinalEnablesInstantReopen(t *testing.T) {
 	}
 	opened.Blocks.Close()
 
-	again, err := Open(dir, Options{Channel: testChannel})
+	again, err := Open(dir, testChannel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -28,7 +29,10 @@ func fuzzSeedCheckpoint() *Checkpoint {
 // codec's truncation error) so LoadLatest can fall back to an older
 // checkpoint — every accepted input's state in strictly ascending key order,
 // the order Store.Restore builds its key set from, and every accepted input
-// re-encodes to an identical snapshot.
+// re-encodes to an identical snapshot. Each input is also decoded re-sealed
+// with a valid CRC-32C trailer: a random mutation passes the checksum with
+// probability 2^-32, so without it only the seeds reach the count, order and
+// truncation checks behind it.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(encoded(&Checkpoint{}))
 	f.Add(encoded(fuzzSeedCheckpoint()))
@@ -54,24 +58,32 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(encoded(disordered))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := decodeCheckpoint(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, codec.ErrMalformed) {
-				t.Fatalf("unstructured error from decodeCheckpoint: %v", err)
-			}
-			return
-		}
-		for i := 1; i < len(ck.State); i++ {
-			if ck.State[i].Key <= ck.State[i-1].Key {
-				t.Fatalf("decoded state key %q at %d does not sort after %q", ck.State[i].Key, i, ck.State[i-1].Key)
-			}
-		}
-		ck2, err := decodeCheckpoint(encoded(ck))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded checkpoint failed: %v", err)
-		}
-		if !reflect.DeepEqual(ck, ck2) {
-			t.Fatalf("checkpoint round-trip mismatch:\n got %#v\nwant %#v", ck2, ck)
-		}
+		checkDecodeCheckpoint(t, data)
+		checkDecodeCheckpoint(t, codec.AppendChecksum(bytes.Clone(data[:max(len(data)-4, 0)]), 0))
 	})
+}
+
+// checkDecodeCheckpoint holds decodeCheckpoint to FuzzDecodeCheckpoint's
+// contract on one input.
+func checkDecodeCheckpoint(t *testing.T, data []byte) {
+	t.Helper()
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, codec.ErrMalformed) {
+			t.Fatalf("unstructured error from decodeCheckpoint: %v", err)
+		}
+		return
+	}
+	for i := 1; i < len(ck.State); i++ {
+		if ck.State[i].Key <= ck.State[i-1].Key {
+			t.Fatalf("decoded state key %q at %d does not sort after %q", ck.State[i].Key, i, ck.State[i-1].Key)
+		}
+	}
+	ck2, err := decodeCheckpoint(encoded(ck))
+	if err != nil {
+		t.Fatalf("re-decode of re-encoded checkpoint failed: %v", err)
+	}
+	if !reflect.DeepEqual(ck, ck2) {
+		t.Fatalf("checkpoint round-trip mismatch:\n got %#v\nwant %#v", ck2, ck)
+	}
 }

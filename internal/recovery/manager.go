@@ -69,9 +69,11 @@ func (m *Manager) Due(b *blockstore.Block) bool {
 }
 
 // OnCheckpoint is the committer.Config.OnCheckpoint hook: it freezes the
-// capture into a checkpoint, fsyncs the block file so the checkpoint
-// never refers past durable blocks, and publishes the file atomically. The
-// capture arrives as a copy-on-write snapshot pinned at the block boundary;
+// capture into a checkpoint and publishes the file atomically. It runs
+// after the capture's block was appended, and every append is fsynced, so a
+// checkpoint refers only to durable blocks; once an append has failed
+// (FileStore.Err) the state runs ahead of the block file and no checkpoint
+// is written. The capture arrives as a copy-on-write snapshot pinned at the block boundary;
 // its entries are read out here, on the persistence goroutine, off the
 // apply path. Failures are recorded (Err) rather than propagated — a
 // failed checkpoint degrades recovery time, not correctness, since the
@@ -82,7 +84,9 @@ func (m *Manager) OnCheckpoint(c committer.Capture) {
 
 // Final takes a checkpoint of the current quiesced state — the peer calls
 // it on clean shutdown, after the commit pipeline has drained, so the next
-// open restores instantly with an empty replay tail.
+// open restores instantly with an empty replay tail. After a failed append
+// it writes nothing and returns the failure: the next open replays to the
+// last durable block.
 func (m *Manager) Final() error {
 	h := m.blocks.Height()
 	if h == 0 || h == m.LastHeight() {
@@ -107,12 +111,14 @@ func (m *Manager) checkpoint(h uint64, sn statedb.Snapshot) *Checkpoint {
 	}
 }
 
-// persist fsyncs the ledger, writes the checkpoint, and prunes old files.
+// persist writes the checkpoint and prunes old files. Once an append has
+// failed it writes nothing: the state is then ahead of the block file, and
+// Open, restoring such a checkpoint, could not replay back to the file.
 func (m *Manager) persist(ck *Checkpoint) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.blocks.Sync(); err != nil {
-		m.lastErr = fmt.Errorf("recovery: sync block file before checkpoint: %w", err)
+	if err := m.blocks.Err(); err != nil {
+		m.lastErr = fmt.Errorf("recovery: no checkpoint past a failed block append: %w", err)
 		return
 	}
 	path, err := WriteCheckpoint(m.dir, ck)

@@ -27,15 +27,6 @@ func CheckpointDir(dataDir, channel string) string {
 	return filepath.Join(dataDir, "checkpoints", channel)
 }
 
-// Options tunes Open.
-type Options struct {
-	// Sync is the block file's fsync policy (default SyncOnClose).
-	Sync blockstore.SyncPolicy
-	// Channel names the channel of the data directory to recover
-	// (blocks-<ch>.hpb, checkpoints/<ch>/). Required.
-	Channel string
-}
-
 // Opened is a peer's recovered ledger: durable block file plus rebuilt
 // soft state, mutually consistent at Blocks.Height().
 type Opened struct {
@@ -56,10 +47,12 @@ type Opened struct {
 	Replayed int
 }
 
-// Open recovers a peer's ledger from dataDir (created if absent):
+// Open recovers one channel's ledger from dataDir (created if absent): the
+// block file blocks-<channel>.hpb and the checkpoints under
+// checkpoints/<channel>/.
 //
 //  1. open the block file, discarding a crash-torn tail and refusing
-//     mid-file corruption;
+//     mid-file corruption (every block it holds was fsynced by its append);
 //  2. restore the newest valid checkpoint whose height the block file
 //     confirms (skipping damaged or too-new candidates);
 //  3. re-index history from the blocks below the checkpoint;
@@ -71,14 +64,14 @@ type Opened struct {
 //
 // With no usable checkpoint the replay starts from genesis — slower, never
 // wrong.
-func Open(dataDir string, opts Options) (*Opened, error) {
-	if opts.Channel == "" {
+func Open(dataDir, channel string) (*Opened, error) {
+	if channel == "" {
 		return nil, errors.New("recovery: open without a channel")
 	}
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: mkdir %s: %w", dataDir, err)
 	}
-	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePath(dataDir, opts.Channel), opts.Sync)
+	blocks, err := blockstore.OpenFileStore(BlockFilePath(dataDir, channel))
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +80,7 @@ func Open(dataDir string, opts Options) (*Opened, error) {
 	out := &Opened{State: state, History: history, Blocks: blocks}
 
 	from := uint64(0)
-	ck, err := LoadLatest(CheckpointDir(dataDir, opts.Channel), blocks.Height())
+	ck, err := LoadLatest(CheckpointDir(dataDir, channel), blocks.Height())
 	switch {
 	case err == nil:
 		// The checkpoint was decoded moments ago and is dropped after
